@@ -17,14 +17,14 @@ import (
 )
 
 // The benchmarks below regenerate the quantitative comparisons of the
-// reproduction (see DESIGN.md §4 and EXPERIMENTS.md):
+// reproduction (experiments E1–E8, internal/experiments):
 //
 //   - Benchmark{Fast,ABD,MaxMin,Regular}Read and Benchmark*Write are the
 //     microbenchmark counterpart of experiment E7 (time complexity of reads
 //     and writes per protocol and system size).
 //   - BenchmarkByzantine* covers the arbitrary-failure algorithm (E3).
 //   - BenchmarkPredicate* is the ablation of the seen-set predicate
-//     evaluator called out in DESIGN.md §5.
+//     evaluator.
 //   - BenchmarkWire* and BenchmarkSig* quantify the codec and signature
 //     substrates.
 //
@@ -140,7 +140,7 @@ func BenchmarkReadWithNetworkDelay(b *testing.B) {
 	for _, proto := range readProtocols {
 		b.Run(proto.name, func(b *testing.B) {
 			cluster := benchCluster(b, Config{
-				Servers: 5, Faulty: 1, Readers: 1, Protocol: proto.proto, NetworkDelay: delay,
+				Servers: 5, Faulty: 1, Readers: 1, Protocol: proto.proto, Transport: InMemory(WithDelay(delay)),
 			})
 			ctx := benchCtx(b)
 			if err := cluster.Writer().Write(ctx, []byte("seed")); err != nil {
@@ -222,8 +222,8 @@ func BenchmarkByzantineRead(b *testing.B) {
 	}
 }
 
-// BenchmarkPredicate is the DESIGN.md §5 ablation of the exact seen-set
-// predicate evaluator: cost as a function of the number of readers and of
+// BenchmarkPredicate is the ablation of the exact seen-set predicate
+// evaluator: cost as a function of the number of readers and of
 // the maxTS message count.
 func BenchmarkPredicate(b *testing.B) {
 	scenarios := []struct {
@@ -515,7 +515,7 @@ func BenchmarkPipelinedRead(b *testing.B) {
 func benchmarkPipelinedRead(b *testing.B, depth int, delay time.Duration) {
 	store, err := NewStore(Config{
 		Servers: 4, Faulty: 1, Readers: 1, Protocol: ProtocolFast,
-		PipelineDepth: depth, NetworkDelay: delay,
+		PipelineDepth: depth, Transport: InMemory(WithDelay(delay)),
 	})
 	if err != nil {
 		b.Fatalf("NewStore: %v", err)

@@ -11,8 +11,8 @@ import (
 	"fastread/internal/types"
 )
 
-// BenchmarkTransport is the transport ablation from DESIGN.md §5: the same
-// fast-register read measured over the in-memory channel network and over
+// BenchmarkTransport is the transport ablation: the same fast-register read
+// measured over the in-memory channel network and over
 // loopback TCP. The protocol code is identical; the difference is pure
 // transport cost.
 func BenchmarkTransport(b *testing.B) {

@@ -208,12 +208,12 @@ func TestNetworkDelayIncreasesLatencyProportionally(t *testing.T) {
 		t.Skip("timing-sensitive")
 	}
 	delay := 5 * time.Millisecond
-	fast, err := NewCluster(Config{Servers: 4, Faulty: 1, Readers: 1, Protocol: ProtocolFast, NetworkDelay: delay})
+	fast, err := NewCluster(Config{Servers: 4, Faulty: 1, Readers: 1, Protocol: ProtocolFast, Transport: InMemory(WithDelay(delay))})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer fast.Close()
-	abdCluster, err := NewCluster(Config{Servers: 4, Faulty: 1, Readers: 1, Protocol: ProtocolABD, NetworkDelay: delay})
+	abdCluster, err := NewCluster(Config{Servers: 4, Faulty: 1, Readers: 1, Protocol: ProtocolABD, Transport: InMemory(WithDelay(delay))})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,12 +1,12 @@
-// Command fastbench runs the paper-reproduction experiments (E1..E8 in
-// DESIGN.md) and prints their tables.
+// Command fastbench runs the paper-reproduction experiments (E1..E8, see
+// internal/experiments) and prints their tables.
 //
 // Usage:
 //
 //	fastbench                 # run every experiment at full size
 //	fastbench -exp E2,E7      # run a subset
 //	fastbench -quick          # reduced sizes (seconds instead of minutes)
-//	fastbench -markdown       # emit GitHub Markdown tables (for EXPERIMENTS.md)
+//	fastbench -markdown       # emit GitHub Markdown tables
 //	fastbench -delay 2ms      # per-message delay for the latency experiment
 package main
 

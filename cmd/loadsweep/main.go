@@ -336,7 +336,7 @@ func runSmoke() error {
 			Servers: 4, Faulty: 1, Readers: 1,
 			Protocol:      fastread.ProtocolFast,
 			PipelineDepth: 2,
-			NetworkDelay:  2 * time.Millisecond,
+			Transport:     fastread.InMemory(fastread.WithDelay(2 * time.Millisecond)),
 			AdmissionWait: 500 * time.Microsecond,
 			QueueBound:    128,
 		})

@@ -6,53 +6,7 @@ import (
 	"strings"
 
 	"fastread/internal/sig"
-	"fastread/internal/transport/tcpnet"
-	"fastread/internal/types"
 )
-
-// parseBook parses the id=addr,... address book flag.
-func parseBook(spec string) (tcpnet.AddressBook, error) {
-	if strings.TrimSpace(spec) == "" {
-		return nil, fmt.Errorf("an address book is required (-book id=host:port,...)")
-	}
-	book := make(tcpnet.AddressBook)
-	for _, entry := range strings.Split(spec, ",") {
-		entry = strings.TrimSpace(entry)
-		if entry == "" {
-			continue
-		}
-		parts := strings.SplitN(entry, "=", 2)
-		if len(parts) != 2 || parts[1] == "" {
-			return nil, fmt.Errorf("malformed address book entry %q", entry)
-		}
-		id, err := types.ParseProcessID(strings.TrimSpace(parts[0]))
-		if err != nil {
-			return nil, err
-		}
-		book[id] = strings.TrimSpace(parts[1])
-	}
-	return book, nil
-}
-
-// bookFromMembers converts a topology group's member map (textual process
-// ids to host:port addresses) into an address book.
-func bookFromMembers(members map[string]string) (tcpnet.AddressBook, error) {
-	if len(members) == 0 {
-		return nil, fmt.Errorf("the topology group has no members (socket transports need a per-group address book)")
-	}
-	book := make(tcpnet.AddressBook, len(members))
-	for name, addr := range members {
-		id, err := types.ParseProcessID(name)
-		if err != nil {
-			return nil, fmt.Errorf("member %q: %w", name, err)
-		}
-		if strings.TrimSpace(addr) == "" {
-			return nil, fmt.Errorf("member %q has an empty address", name)
-		}
-		book[id] = strings.TrimSpace(addr)
-	}
-	return book, nil
-}
 
 // signerFromHex rebuilds the writer's signer from a hex-encoded ed25519 seed
 // (any 32-byte seed).

@@ -307,14 +307,14 @@ func run(args []string) error {
 			return c, nil
 		}
 		gq := qcfg
-		var book tcpnet.AddressBook
+		var book transport.AddressBook
 		var err error
 		if ring != nil {
 			g := topo.Groups[gi]
 			if g.Servers != 0 {
 				gq.Servers, gq.Faulty, gq.Malicious = g.Servers, g.Faulty, g.Malicious
 			}
-			if book, err = bookFromMembers(g.Members); err != nil {
+			if book, err = transport.BookFromMembers(g.Members); err != nil {
 				return nil, fmt.Errorf("group %q: %w", g.Name, err)
 			}
 			if err = gq.Validate(); err != nil {
@@ -323,7 +323,7 @@ func run(args []string) error {
 			if err = drv.Validate(gq); err != nil {
 				return nil, fmt.Errorf("group %q: %w", g.Name, err)
 			}
-		} else if book, err = parseBook(c.book); err != nil {
+		} else if book, err = transport.ParseAddressBook(c.book); err != nil {
 			return nil, err
 		}
 		node, err := listenNode(c.transport, id, book)
@@ -410,16 +410,12 @@ func run(args []string) error {
 // listenNode binds the client's socket on the chosen transport. Clients
 // always listen on the address-book entry for their identity, so a plain
 // book swap switches an entire deployment between TCP and UDP.
-func listenNode(kind string, id types.ProcessID, book tcpnet.AddressBook) (transport.Node, error) {
+func listenNode(kind string, id types.ProcessID, book transport.AddressBook) (transport.Node, error) {
 	switch kind {
 	case "tcp":
 		return tcpnet.Listen(tcpnet.Config{Self: id, Book: book})
 	case "udp":
-		ub := make(udpnet.AddressBook, len(book))
-		for k, v := range book {
-			ub[k] = v
-		}
-		return udpnet.Listen(udpnet.Config{Self: id, Book: ub})
+		return udpnet.Listen(udpnet.Config{Self: id, Book: book})
 	default:
 		return nil, fmt.Errorf("unknown -transport %q (want tcp or udp)", kind)
 	}

@@ -12,21 +12,6 @@ import (
 	"fastread/internal/types"
 )
 
-func TestParseBook(t *testing.T) {
-	book, err := parseBook("s1=127.0.0.1:7101,w=127.0.0.1:7200")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if book[types.Server(1)] != "127.0.0.1:7101" || book[types.Writer()] != "127.0.0.1:7200" {
-		t.Errorf("book = %v", book)
-	}
-	for _, bad := range []string{"", "s1", "s1=", "zz=1.2.3.4:1"} {
-		if _, err := parseBook(bad); err == nil {
-			t.Errorf("parseBook(%q) succeeded, want error", bad)
-		}
-	}
-}
-
 func TestSeedReaderDeterministicKeys(t *testing.T) {
 	s1, err := signerFromHex("aabbccddeeff00112233445566778899aabbccddeeff00112233445566778899")
 	if err != nil {

@@ -2,63 +2,9 @@ package main
 
 import (
 	"fmt"
-	"strings"
 
 	"fastread/internal/sig"
-	"fastread/internal/transport/tcpnet"
-	"fastread/internal/types"
 )
-
-// ParseAddressBook parses a comma-separated list of id=host:port pairs into
-// an address book, e.g. "s1=10.0.0.1:7101,w=10.0.0.9:7200,r1=10.0.0.10:7201".
-func ParseAddressBook(spec string) (tcpnet.AddressBook, error) {
-	if strings.TrimSpace(spec) == "" {
-		return nil, fmt.Errorf("an address book is required (-book id=host:port,...)")
-	}
-	book := make(tcpnet.AddressBook)
-	for _, entry := range strings.Split(spec, ",") {
-		entry = strings.TrimSpace(entry)
-		if entry == "" {
-			continue
-		}
-		parts := strings.SplitN(entry, "=", 2)
-		if len(parts) != 2 || parts[1] == "" {
-			return nil, fmt.Errorf("malformed address book entry %q (want id=host:port)", entry)
-		}
-		id, err := types.ParseProcessID(strings.TrimSpace(parts[0]))
-		if err != nil {
-			return nil, fmt.Errorf("address book entry %q: %w", entry, err)
-		}
-		if _, dup := book[id]; dup {
-			return nil, fmt.Errorf("duplicate address book entry for %s", id)
-		}
-		book[id] = strings.TrimSpace(parts[1])
-	}
-	if len(book) == 0 {
-		return nil, fmt.Errorf("address book is empty")
-	}
-	return book, nil
-}
-
-// BookFromMembers converts a topology group's member map (textual process
-// ids to host:port addresses) into an address book.
-func BookFromMembers(members map[string]string) (tcpnet.AddressBook, error) {
-	if len(members) == 0 {
-		return nil, fmt.Errorf("the topology group has no members (socket transports need a per-group address book)")
-	}
-	book := make(tcpnet.AddressBook, len(members))
-	for name, addr := range members {
-		id, err := types.ParseProcessID(name)
-		if err != nil {
-			return nil, fmt.Errorf("member %q: %w", name, err)
-		}
-		if strings.TrimSpace(addr) == "" {
-			return nil, fmt.Errorf("member %q has an empty address", name)
-		}
-		book[id] = strings.TrimSpace(addr)
-	}
-	return book, nil
-}
 
 // ParseVerifier decodes a hex-encoded ed25519 public key.
 func ParseVerifier(hexKey string) (sig.Verifier, error) {

@@ -126,7 +126,7 @@ func run(args []string) error {
 		return fmt.Errorf("-id must name a server (s1, s2, ...), got %q", *idFlag)
 	}
 	var (
-		book       tcpnet.AddressBook
+		book       transport.AddressBook
 		groupLabel string
 		epoch      uint64
 	)
@@ -147,7 +147,7 @@ func run(args []string) error {
 			return err
 		}
 		g := topo.Groups[gi]
-		if book, err = BookFromMembers(g.Members); err != nil {
+		if book, err = transport.BookFromMembers(g.Members); err != nil {
 			return fmt.Errorf("group %q: %w", g.Name, err)
 		}
 		// A topology entry that spells out its quorum shape wins over the
@@ -166,7 +166,7 @@ func run(args []string) error {
 	case *groupArg != "":
 		return fmt.Errorf("-group requires -groups: point it at the deployment's topology file")
 	default:
-		if book, err = ParseAddressBook(*bookFlag); err != nil {
+		if book, err = transport.ParseAddressBook(*bookFlag); err != nil {
 			return err
 		}
 	}
@@ -238,12 +238,8 @@ func run(args []string) error {
 	// operators notice overload or partitions the asynchronous protocols
 	// themselves tolerate without complaint.
 	stats := nodeStats()
-	queueSheds := int64(0)
-	if qs, ok := server.(interface{ QueueSheds() int64 }); ok {
-		queueSheds = qs.QueueSheds()
-	}
 	fmt.Printf("shutting down %s%s: transport=%s delivered=%d frames=%d dropped_inbound=%d dropped_send=%d dedup_drops=%d queue_sheds=%d\n",
-		id, groupNote, *trans, stats.delivered, stats.frames, stats.droppedInbound, stats.droppedSend, stats.dedupDrops, queueSheds)
+		id, groupNote, *trans, stats.delivered, stats.frames, stats.droppedInbound, stats.droppedSend, stats.dedupDrops, server.QueueSheds())
 	if durCounters != nil {
 		ds := durCounters.Snapshot()
 		fmt.Printf("durable shutdown %s%s: incarnation=%d appends=%d fsyncs=%d snapshots=%d snapshot_records=%d append_errors=%d\n",
@@ -260,7 +256,7 @@ type nodeCounters struct {
 
 // listenNode binds the server's socket on the chosen transport, returning the
 // node together with accessors for its bound address and counters.
-func listenNode(kind string, id types.ProcessID, listen string, book tcpnet.AddressBook) (transport.Node, func() string, func() nodeCounters, error) {
+func listenNode(kind string, id types.ProcessID, listen string, book transport.AddressBook) (transport.Node, func() string, func() nodeCounters, error) {
 	switch kind {
 	case "tcp":
 		n, err := tcpnet.Listen(tcpnet.Config{Self: id, ListenAddr: listen, Book: book})
@@ -272,11 +268,7 @@ func listenNode(kind string, id types.ProcessID, listen string, book tcpnet.Addr
 			return nodeCounters{s.Delivered, s.Frames, s.DroppedInbound, s.DroppedSend, 0}
 		}, nil
 	case "udp":
-		ub := make(udpnet.AddressBook, len(book))
-		for k, v := range book {
-			ub[k] = v
-		}
-		n, err := udpnet.Listen(udpnet.Config{Self: id, ListenAddr: listen, Book: ub})
+		n, err := udpnet.Listen(udpnet.Config{Self: id, ListenAddr: listen, Book: book})
 		if err != nil {
 			return nil, nil, nil, err
 		}

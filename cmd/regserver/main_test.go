@@ -4,7 +4,7 @@ import (
 	"strings"
 	"testing"
 
-	"fastread/internal/transport/tcpnet"
+	"fastread/internal/transport"
 	"fastread/internal/types"
 )
 
@@ -12,7 +12,7 @@ import (
 // loopback port and checks the stats accessor works for each.
 func TestListenNodeTransports(t *testing.T) {
 	id := types.Server(1)
-	book := tcpnet.AddressBook{id: "127.0.0.1:0"}
+	book := transport.AddressBook{id: "127.0.0.1:0"}
 	for _, kind := range []string{"tcp", "udp"} {
 		node, addr, stats, err := listenNode(kind, id, "", book)
 		if err != nil {

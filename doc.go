@@ -89,10 +89,10 @@
 // WithReceiveFilter drops datagrams deterministically for loss testing —
 // the protocols never retransmit, tolerating loss through quorum slack
 // exactly as the paper's asynchronous lossy model intends). InMemory accepts
-// WithDelay/WithJitter/WithSeed; TCP accepts WithDialTimeout/
-// WithWriteTimeout. Deployments spanning processes or machines are driven by
-// cmd/regserver and cmd/regclient (-transport tcp|udp), which serve the same
-// protocols via the same driver registry.
+// WithDelay/WithJitter/WithSeed (Config has no delay fields of its own); TCP
+// accepts WithDialTimeout/WithWriteTimeout. Deployments spanning processes
+// or machines are driven by cmd/regserver and cmd/regclient (-transport
+// tcp|udp), which serve the same protocols via the same driver registry.
 //
 // # Scaling out: partitioned deployments
 //
@@ -182,7 +182,11 @@
 // encoding and aliasing decodes backed by sync.Pool scratch, the in-memory
 // transport routes without a network-wide lock, the TCP transport batches
 // frames per peer connection, and Byzantine deployments memoise verified
-// writer signatures. Each server process additionally executes its messages
+// writer signatures. Every protocol server (and the Byzantine stand-in) is
+// one generic shell, internal/protoutil.Shell — node, executor, per-key state
+// map, write-ahead log with LSN-guarded replay, Start/Stop — parameterised by
+// the protocol's state, handler and record mapping; a protocol package
+// contributes nothing else on the server side. The shell executes messages
 // on a key-sharded parallel executor: messages are dispatched by register
 // key across Config.ServerWorkers workers (GOMAXPROCS by default), so
 // distinct registers are served concurrently across cores while every

@@ -69,11 +69,11 @@ type latencySummary struct {
 // the read-latency summary.
 func runConfigWorkload(proto fastread.Protocol, servers, faulty, readers int, delay time.Duration) (latencySummary, error) {
 	cluster, err := fastread.NewCluster(fastread.Config{
-		Servers:      servers,
-		Faulty:       faulty,
-		Readers:      readers,
-		Protocol:     proto,
-		NetworkDelay: delay,
+		Servers:   servers,
+		Faulty:    faulty,
+		Readers:   readers,
+		Protocol:  proto,
+		Transport: fastread.InMemory(fastread.WithDelay(delay)),
 	})
 	if err != nil {
 		return latencySummary{}, err

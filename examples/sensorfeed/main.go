@@ -75,11 +75,11 @@ func run() error {
 // runFeed drives one protocol and prints its refresh statistics.
 func runFeed(proto fastread.Protocol, servers, faulty, dashboards int, delay time.Duration) error {
 	cluster, err := fastread.NewCluster(fastread.Config{
-		Servers:      servers,
-		Faulty:       faulty,
-		Readers:      dashboards,
-		Protocol:     proto,
-		NetworkDelay: delay,
+		Servers:   servers,
+		Faulty:    faulty,
+		Readers:   dashboards,
+		Protocol:  proto,
+		Transport: fastread.InMemory(fastread.WithDelay(delay)),
 	})
 	if err != nil {
 		return err

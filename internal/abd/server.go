@@ -1,12 +1,8 @@
 package abd
 
 import (
-	"fmt"
-	"sync"
-
 	"fastread/internal/durable"
 	"fastread/internal/protoutil"
-	"fastread/internal/shard"
 	"fastread/internal/trace"
 	"fastread/internal/transport"
 	"fastread/internal/types"
@@ -56,10 +52,6 @@ type ServerConfig struct {
 type registerState struct {
 	value     VersionedValue
 	mutations int64
-	// lsn is the log sequence number of the last durable record applied to
-	// this register; deltas at or below it are already reflected and must not
-	// replay. Zero when not durable.
-	lsn int64
 	// arena, when non-nil, is the frame buffer value currently aliases:
 	// adoption from an arena-backed frame retains by reference (one Arena.Ref)
 	// instead of cloning, released when the next value displaces it. At most
@@ -69,132 +61,54 @@ type registerState struct {
 
 // Server is the quorum server used by both the SWMR and MWMR ABD registers.
 // It answers queries and reads with its current versioned value and adopts
-// any strictly newer value carried by write or write-back messages. One
-// server multiplexes every register of the deployment: state is kept per
-// register key in a striped shard map, lazily instantiated on the first
-// message that names the key.
+// any strictly newer value carried by write or write-back messages. Node,
+// executor, per-key state map, durable log and lifecycle are the embedded
+// protoutil.Shell's.
 type Server struct {
-	cfg    ServerConfig
-	node   transport.Node
-	exec   *transport.Executor
-	states *shard.Map[*registerState]
-	// dlog is the server's durable log; nil when persistence is off.
-	dlog *durable.Log
-
-	stopOnce sync.Once
-	done     chan struct{}
+	*protoutil.Shell[registerState]
+	cfg ServerConfig
 }
 
 // NewServer creates an ABD server bound to the given node. Call Start to
 // begin processing messages.
 func NewServer(cfg ServerConfig, node transport.Node) (*Server, error) {
-	if cfg.ID.Role != types.RoleServer || !cfg.ID.Valid() {
-		return nil, fmt.Errorf("abd: server id %v is not a valid server identity", cfg.ID)
+	s := &Server{cfg: cfg}
+	sh, err := protoutil.NewShell(
+		protoutil.ShellConfig{ID: cfg.ID, Workers: cfg.Workers, QueueBound: cfg.QueueBound, Durable: cfg.Durable},
+		node,
+		protoutil.Protocol[registerState]{
+			Name:     "abd",
+			NewState: func() registerState { return registerState{} },
+			Handle:   s.handle,
+			Apply:    applyRecord,
+			Dump:     dumpRecord,
+		})
+	if err != nil {
+		return nil, err
 	}
-	if node == nil {
-		return nil, fmt.Errorf("abd: server %v requires a transport node", cfg.ID)
-	}
-	s := &Server{
-		cfg:    cfg,
-		node:   node,
-		states: shard.NewMap(0, func(string) *registerState { return &registerState{} }),
-		done:   make(chan struct{}),
-	}
-	if cfg.Durable != nil {
-		dl, err := durable.Open(*cfg.Durable, durable.Hooks{Apply: s.applyRecord, Dump: s.dumpRecords})
-		if err != nil {
-			return nil, fmt.Errorf("abd: server %v durable log: %w", cfg.ID, err)
-		}
-		s.dlog = dl
-	}
-	s.exec = transport.NewExecutor(node, protoutil.WireKeyFunc, cfg.Workers)
-	s.exec.SetQueueBound(cfg.QueueBound)
+	s.Shell = sh
 	return s, nil
 }
 
 // applyRecord replays one recovered log record. Deltas re-run the adoption
-// comparison the live path used ((TS, Rank) order), guarded by the per-key
-// LSN so records a restored snapshot already covers are skipped. Record bytes
-// alias the replay buffer and are cloned at the retention point.
-func (s *Server) applyRecord(r *durable.Record) error {
-	s.states.Do(r.Key, func(st *registerState) {
-		switch r.Kind {
-		case durable.KindState:
-			st.value = VersionedValue{
-				TS:   types.Timestamp(r.TS),
-				Rank: r.Rank,
-				Cur:  types.Value(r.Cur).Clone(),
-				Prev: types.Value(r.Prev).Clone(),
-			}
-			st.lsn = r.LSN
-		case durable.KindDelta:
-			if r.LSN <= st.lsn {
-				return
-			}
-			incoming := VersionedValue{TS: types.Timestamp(r.TS), Rank: r.Rank}
-			if st.value.Less(incoming) {
-				incoming.Cur = types.Value(r.Cur).Clone()
-				incoming.Prev = types.Value(r.Prev).Clone()
-				st.value = incoming
-			}
-			st.lsn = r.LSN
-		}
-	})
-	return nil
-}
-
-// dumpRecords emits one KindState record per instantiated register for a
-// snapshot, aliasing live state under the register's stripe lock (the
-// durable layer encodes before emit returns).
-func (s *Server) dumpRecords(emit func(*durable.Record) error) error {
-	var err error
-	s.states.Range(func(key string, st *registerState) {
-		if err != nil {
-			return
-		}
-		err = emit(&durable.Record{
-			Kind: durable.KindState,
-			LSN:  st.lsn,
-			Key:  key,
-			TS:   int64(st.value.TS),
-			Rank: st.value.Rank,
-			Cur:  st.value.Cur,
-			Prev: st.value.Prev,
-		})
-	})
-	return err
-}
-
-// Start launches the server's key-sharded executor: messages are dispatched
-// by register key across the configured workers, so distinct registers are
-// served in parallel while each register keeps FIFO, single-goroutine
-// handling (see transport.Executor).
-func (s *Server) Start() {
-	go func() {
-		defer close(s.done)
-		s.exec.RunCoalescing(s.handle)
-	}()
-}
-
-// Stop detaches the server from the network, waits for the executor to drain
-// every worker, then closes the durable log. Stop is idempotent.
-func (s *Server) Stop() {
-	s.stopOnce.Do(func() { _ = s.node.Close() })
-	<-s.done
-	if s.dlog != nil {
-		_ = s.dlog.Close()
+// comparison the live path used ((TS, Rank) order). Record bytes alias the
+// replay buffer and are cloned at the retention point.
+func applyRecord(st *registerState, r *durable.Record) {
+	incoming := VersionedValue{TS: types.Timestamp(r.TS), Rank: r.Rank}
+	if r.Kind == durable.KindState || st.value.Less(incoming) {
+		incoming.Cur = types.Value(r.Cur).Clone()
+		incoming.Prev = types.Value(r.Prev).Clone()
+		st.value = incoming
 	}
 }
 
-// ID returns the server's process identity.
-func (s *Server) ID() types.ProcessID { return s.cfg.ID }
-
-// Workers reports the executor's key-shard worker count.
-func (s *Server) Workers() int { return s.exec.Workers() }
-
-// QueueSheds returns the number of requests shed by bounded worker queues
-// (always 0 unless ServerConfig.QueueBound was set).
-func (s *Server) QueueSheds() int64 { return s.exec.Sheds() }
+// dumpRecord fills a snapshot record with the register's durable state.
+func dumpRecord(st *registerState, r *durable.Record) {
+	r.TS = int64(st.value.TS)
+	r.Rank = st.value.Rank
+	r.Cur = st.value.Cur
+	r.Prev = st.value.Prev
+}
 
 // State returns a copy of the default register's current value and the
 // number of state mutations performed on it; use StateOf for a named
@@ -207,7 +121,7 @@ func (s *Server) State() (VersionedValue, int64) { return s.StateOf("") }
 func (s *Server) StateOf(key string) (VersionedValue, int64) {
 	var out VersionedValue
 	var mutations int64
-	s.states.Peek(key, func(st *registerState) {
+	s.Peek(key, func(st *registerState) {
 		out = st.value
 		out.Cur = st.value.Cur.Clone()
 		out.Prev = st.value.Prev.Clone()
@@ -216,14 +130,11 @@ func (s *Server) StateOf(key string) (VersionedValue, int64) {
 	return out, mutations
 }
 
-// Keys returns the keys of every register this server has instantiated.
-func (s *Server) Keys() []string { return s.states.Keys() }
-
 // TotalMutations sums the mutation counters across every register the server
 // hosts.
 func (s *Server) TotalMutations() int64 {
 	var total int64
-	s.states.Range(func(_ string, st *registerState) { total += st.mutations })
+	s.Range(func(_ string, st *registerState) { total += st.mutations })
 	return total
 }
 
@@ -275,7 +186,8 @@ func (s *Server) handle(m transport.Message, out transport.Sender) {
 
 	ack := wire.GetMessage()
 	defer wire.PutMessage(ack)
-	s.states.Do(req.Key, func(st *registerState) {
+	s.Do(req.Key, func(sl *protoutil.Slot[registerState]) {
+		st := &sl.State
 		if (req.Op == wire.OpWrite || req.Op == wire.OpWriteBack) && st.value.Less(incoming) {
 			// Retention point: the request aliases the payload. An arena-backed
 			// frame is retained by reference (wire's rule 4); otherwise the
@@ -300,21 +212,17 @@ func (s *Server) handle(m transport.Message, out transport.Sender) {
 				}
 			}
 			st.mutations++
-			if s.dlog != nil {
-				// Only adoptions change durable state; queries and reads are
-				// not logged. Under fsync "always" the append blocks on
-				// stable storage before the ack below is built.
-				lsn, _ := s.dlog.Append(&durable.Record{
-					Kind: durable.KindDelta,
-					Key:  req.Key,
-					TS:   int64(incoming.TS),
-					Rank: incoming.Rank,
-					Cur:  incoming.Cur,
-					Prev: incoming.Prev,
-					From: m.From,
-				})
-				st.lsn = lsn
-			}
+			// Only adoptions change durable state; queries and reads are not
+			// logged.
+			s.Log(sl, &durable.Record{
+				Kind: durable.KindDelta,
+				Key:  req.Key,
+				TS:   int64(incoming.TS),
+				Rank: incoming.Rank,
+				Cur:  incoming.Cur,
+				Prev: incoming.Prev,
+				From: m.From,
+			})
 			if tr.Enabled() {
 				tr.Record(trace.KindStateChange, s.cfg.ID, m.From, "adopt key=%q ts=%d.%d", req.Key, incoming.TS, incoming.Rank)
 			}

@@ -26,7 +26,7 @@ func startMaliciousForger(t *testing.T, net *transport.InMemNetwork, id types.Pr
 	if err != nil {
 		t.Fatal(err)
 	}
-	go transport.Serve(node, func(m transport.Message) {
+	go serve(node, func(m transport.Message) {
 		req, err := wire.Decode(m.Payload)
 		if err != nil {
 			return
@@ -237,5 +237,14 @@ func TestByzantineMaliciousCannotViolateMonotonicityAcrossReaders(t *testing.T) 
 			}
 			lastTS = res.Timestamp
 		}
+	}
+}
+
+// serve hands every protocol message delivered to node to handler, on one
+// goroutine, until the node is closed.
+func serve(node transport.Node, handler func(transport.Message)) {
+	for msg := range node.Inbox() {
+		transport.Expand(msg, handler)
+		msg.ReleaseArena()
 	}
 }

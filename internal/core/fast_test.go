@@ -239,6 +239,11 @@ func TestServerStateAfterOperations(t *testing.T) {
 
 	reachedTS1 := 0
 	for _, srv := range c.servers {
+		// Operations return on S−t acks, so the slowest server may still be
+		// handling its copies: wait for it instead of racing it.
+		for deadline := time.Now().Add(5 * time.Second); srv.TotalMutations() == 0 && time.Now().Before(deadline); {
+			time.Sleep(time.Millisecond)
+		}
 		st := srv.State()
 		if st.Value.TS == 1 {
 			reachedTS1++

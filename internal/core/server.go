@@ -2,11 +2,9 @@ package core
 
 import (
 	"fmt"
-	"sync"
 
 	"fastread/internal/durable"
 	"fastread/internal/protoutil"
-	"fastread/internal/shard"
 	"fastread/internal/sig"
 	"fastread/internal/trace"
 	"fastread/internal/transport"
@@ -70,10 +68,6 @@ type registerState struct {
 	seenMembers []types.ProcessID
 	counters    map[int]int64
 	mutations   int64
-	// lsn is the log sequence number of the last durable record applied to
-	// this register (live append or recovery replay); deltas at or below it
-	// are already reflected and must not replay. Zero when not durable.
-	lsn int64
 	// arena, when non-nil, is the frame buffer value and valueSig currently
 	// alias: adopting a value delivered in an arena-backed frame retains it BY
 	// REFERENCE (one Arena.Ref) instead of cloning the bytes, and adopting the
@@ -85,16 +79,12 @@ type registerState struct {
 // Server is the server-side state machine of the fast algorithms
 // (Figure 2 lines 23-35, Figure 5 lines 23-35). It never waits for messages
 // from other processes before replying, which is what makes the
-// implementation fast. A single server multiplexes every register of the
-// deployment: protocol state is kept per register key in a striped shard
-// map, lazily instantiated on the first message that names the key.
+// implementation fast. Node, executor, per-key state map, durable log and
+// lifecycle are the embedded protoutil.Shell's; this file is the protocol's
+// state, its handler and its record mapping.
 type Server struct {
-	cfg    ServerConfig
-	node   transport.Node
-	exec   *transport.Executor
-	states *shard.Map[*registerState]
-	// dlog is the server's durable log; nil when persistence is off.
-	dlog *durable.Log
+	*protoutil.Shell[registerState]
+	cfg ServerConfig
 
 	// verify memoises successful writer-signature verifications in the
 	// Byzantine variant: steady-state reads re-present the same signed
@@ -102,45 +92,36 @@ type Server struct {
 	// verification the server skips asymmetric crypto entirely. Nil when
 	// the server runs the crash model.
 	verify *sig.Cache
-
-	stopOnce sync.Once
-	done     chan struct{}
 }
 
 // NewServer creates a server bound to the given transport node. Call Start to
 // begin processing messages.
 func NewServer(cfg ServerConfig, node transport.Node) (*Server, error) {
-	if cfg.ID.Role != types.RoleServer || !cfg.ID.Valid() {
-		return nil, fmt.Errorf("core: server id %v is not a valid server identity", cfg.ID)
-	}
 	if cfg.Readers < 0 {
 		return nil, fmt.Errorf("core: negative reader count %d", cfg.Readers)
 	}
-	if node == nil {
-		return nil, fmt.Errorf("core: server %v requires a transport node", cfg.ID)
-	}
+	s := &Server{cfg: cfg}
 	readers := cfg.Readers
-	s := &Server{
-		cfg:  cfg,
-		node: node,
-		states: shard.NewMap(0, func(string) *registerState {
-			return &registerState{
-				value:    types.InitialTaggedValue(),
-				seen:     types.NewProcessSet(),
-				counters: make(map[int]int64, readers+1),
-			}
-		}),
-		done: make(chan struct{}),
+	sh, err := protoutil.NewShell(
+		protoutil.ShellConfig{ID: cfg.ID, Workers: cfg.Workers, QueueBound: cfg.QueueBound, Durable: cfg.Durable},
+		node,
+		protoutil.Protocol[registerState]{
+			Name: "core",
+			NewState: func() registerState {
+				return registerState{
+					value:    types.InitialTaggedValue(),
+					seen:     types.NewProcessSet(),
+					counters: make(map[int]int64, readers+1),
+				}
+			},
+			Handle: s.handle,
+			Apply:  applyRecord,
+			Dump:   dumpRecord,
+		})
+	if err != nil {
+		return nil, err
 	}
-	if cfg.Durable != nil {
-		dl, err := durable.Open(*cfg.Durable, durable.Hooks{Apply: s.applyRecord, Dump: s.dumpRecords})
-		if err != nil {
-			return nil, fmt.Errorf("core: server %v durable log: %w", cfg.ID, err)
-		}
-		s.dlog = dl
-	}
-	s.exec = transport.NewExecutor(node, protoutil.WireKeyFunc, cfg.Workers)
-	s.exec.SetQueueBound(cfg.QueueBound)
+	s.Shell = sh
 	if cfg.Byzantine {
 		s.verify = sig.NewCache(cfg.Verifier, 0)
 	}
@@ -149,112 +130,50 @@ func NewServer(cfg ServerConfig, node transport.Node) (*Server, error) {
 
 // applyRecord replays one recovered log record into register state. A
 // KindState record restores a register wholesale; a KindDelta re-runs the
-// exact mutation branch the live path took (the LSN guard skips deltas a
-// restored snapshot already reflects — see the durable package's replay
-// discipline). Record bytes alias the replay buffer, so everything retained
-// is cloned, mirroring the live path's retention point.
-func (s *Server) applyRecord(r *durable.Record) error {
-	s.states.Do(r.Key, func(st *registerState) {
-		switch r.Kind {
-		case durable.KindState:
+// exact mutation branch the live path took. Record bytes alias the replay
+// buffer, so everything retained is cloned, mirroring the live path's
+// retention point.
+func applyRecord(st *registerState, r *durable.Record) {
+	switch r.Kind {
+	case durable.KindState:
+		st.value = types.TaggedValue{
+			TS:   types.Timestamp(r.TS),
+			Cur:  types.Value(r.Cur).Clone(),
+			Prev: types.Value(r.Prev).Clone(),
+		}
+		st.valueSig = append(st.valueSig[:0], r.Sig...)
+		st.seen = types.NewProcessSet(r.Seen...)
+		st.seenMembers = append(st.seenMembers[:0], r.Seen...)
+		for _, c := range r.Counters {
+			st.counters[int(c.PID)] = c.N
+		}
+	case durable.KindDelta:
+		if types.Timestamp(r.TS) > st.value.TS {
 			st.value = types.TaggedValue{
 				TS:   types.Timestamp(r.TS),
 				Cur:  types.Value(r.Cur).Clone(),
 				Prev: types.Value(r.Prev).Clone(),
 			}
 			st.valueSig = append(st.valueSig[:0], r.Sig...)
-			st.seen = types.NewProcessSet(r.Seen...)
-			st.seenMembers = append(st.seenMembers[:0], r.Seen...)
-			for _, c := range r.Counters {
-				st.counters[int(c.PID)] = c.N
-			}
-			st.lsn = r.LSN
-		case durable.KindDelta:
-			if r.LSN <= st.lsn {
-				return
-			}
-			if types.Timestamp(r.TS) > st.value.TS {
-				st.value = types.TaggedValue{
-					TS:   types.Timestamp(r.TS),
-					Cur:  types.Value(r.Cur).Clone(),
-					Prev: types.Value(r.Prev).Clone(),
-				}
-				st.valueSig = append(st.valueSig[:0], r.Sig...)
-				st.seen = types.NewProcessSet(r.From)
-				st.seenMembers = append(st.seenMembers[:0], r.From)
-			} else if !st.seen.Has(r.From) {
-				st.seen.Add(r.From)
-				st.seenMembers = append(st.seenMembers, r.From)
-			}
-			st.counters[r.From.ClientPID()] = r.RCounter
-			st.lsn = r.LSN
+			st.seen = types.NewProcessSet(r.From)
+			st.seenMembers = append(st.seenMembers[:0], r.From)
+		} else if !st.seen.Has(r.From) {
+			st.seen.Add(r.From)
+			st.seenMembers = append(st.seenMembers, r.From)
 		}
-	})
-	return nil
-}
-
-// dumpRecords emits one KindState record per instantiated register for a
-// snapshot. Each record aliases live state under the register's stripe lock;
-// the durable layer encodes it before emit returns.
-func (s *Server) dumpRecords(emit func(*durable.Record) error) error {
-	var err error
-	s.states.Range(func(key string, st *registerState) {
-		if err != nil {
-			return
-		}
-		rec := durable.Record{
-			Kind: durable.KindState,
-			LSN:  st.lsn,
-			Key:  key,
-			TS:   int64(st.value.TS),
-			Cur:  st.value.Cur,
-			Prev: st.value.Prev,
-			Sig:  st.valueSig,
-			Seen: st.seenMembers,
-		}
-		for pid, n := range st.counters {
-			rec.Counters = append(rec.Counters, durable.CounterEntry{PID: int32(pid), N: n})
-		}
-		err = emit(&rec)
-	})
-	return err
-}
-
-// Start launches the server's key-sharded executor: messages are dispatched
-// by register key across the configured workers, so distinct registers are
-// served in parallel while each register keeps FIFO, single-goroutine
-// handling (see transport.Executor).
-func (s *Server) Start() {
-	go func() {
-		defer close(s.done)
-		s.exec.RunCoalescing(s.handle)
-	}()
-}
-
-// Stop detaches the server from the network, waits for the executor to
-// drain every worker, then closes the durable log (a graceful close flushes
-// and snapshots; under Options.SimulateCrash it models a machine crash
-// instead). Stop is idempotent.
-func (s *Server) Stop() {
-	s.stopOnce.Do(func() {
-		_ = s.node.Close()
-	})
-	<-s.done
-	if s.dlog != nil {
-		_ = s.dlog.Close()
+		st.counters[r.From.ClientPID()] = r.RCounter
 	}
 }
 
-// ID returns the server's process identity.
-func (s *Server) ID() types.ProcessID { return s.cfg.ID }
-
-// Workers returns the number of key-shard workers executing this server's
-// messages.
-func (s *Server) Workers() int { return s.exec.Workers() }
-
-// QueueSheds returns the number of requests shed by bounded worker queues
-// (always 0 unless ServerConfig.QueueBound was set).
-func (s *Server) QueueSheds() int64 { return s.exec.Sheds() }
+// dumpRecord fills a snapshot record with the register's durable state.
+func dumpRecord(st *registerState, r *durable.Record) {
+	protoutil.DumpValueRecord(st.value, r)
+	r.Sig = st.valueSig
+	r.Seen = st.seenMembers
+	for pid, n := range st.counters {
+		r.Counters = append(r.Counters, durable.CounterEntry{PID: int32(pid), N: n})
+	}
+}
 
 // snapshot deep-copies a register's state under the shard lock.
 func snapshot(st *registerState) ServerState {
@@ -281,7 +200,7 @@ func (s *Server) State() ServerState { return s.StateOf("") }
 // (timestamp 0, both tags ⊥) without being instantiated.
 func (s *Server) StateOf(key string) ServerState {
 	var out ServerState
-	if !s.states.Peek(key, func(st *registerState) { out = snapshot(st) }) {
+	if !s.Peek(key, func(st *registerState) { out = snapshot(st) }) {
 		out = ServerState{
 			Value:    types.InitialTaggedValue(),
 			Seen:     types.NewProcessSet(),
@@ -300,7 +219,7 @@ func (s *Server) Timestamp() types.Timestamp { return s.TimestampOf("") }
 // TimestampOf is Timestamp for a named register.
 func (s *Server) TimestampOf(key string) types.Timestamp {
 	var ts types.Timestamp
-	s.states.Peek(key, func(st *registerState) { ts = st.value.TS })
+	s.Peek(key, func(st *registerState) { ts = st.value.TS })
 	return ts
 }
 
@@ -308,18 +227,15 @@ func (s *Server) TimestampOf(key string) types.Timestamp {
 // (see types.ProcessID.ClientPID) without copying the snapshot.
 func (s *Server) CounterOf(key string, clientPID int) int64 {
 	var c int64
-	s.states.Peek(key, func(st *registerState) { c = st.counters[clientPID] })
+	s.Peek(key, func(st *registerState) { c = st.counters[clientPID] })
 	return c
 }
-
-// Keys returns the keys of every register this server has instantiated.
-func (s *Server) Keys() []string { return s.states.Keys() }
 
 // TotalMutations sums the state-mutation counters across every register the
 // server hosts; the store-level stats aggregate it.
 func (s *Server) TotalMutations() int64 {
 	var total int64
-	s.states.Range(func(_ string, st *registerState) { total += st.mutations })
+	s.Range(func(_ string, st *registerState) { total += st.mutations })
 	return total
 }
 
@@ -396,7 +312,8 @@ func (s *Server) handle(m transport.Message, out transport.Sender) {
 	ack := wire.GetMessage()
 	defer wire.PutMessage(ack)
 	ok := false
-	s.states.Do(req.Key, func(st *registerState) {
+	s.Do(req.Key, func(sl *protoutil.Slot[registerState]) {
+		st := &sl.State
 		// Figure 2 line 26: only requests with rCounter ≥ cnt[q] are
 		// processed (Lemma 4 depends on it). Pipelined clients stay
 		// compatible because every provided transport delivers each link
@@ -444,26 +361,19 @@ func (s *Server) handle(m transport.Message, out transport.Sender) {
 		}
 		st.counters[pid] = req.RCounter
 		st.mutations++
-		if s.dlog != nil {
-			// Log the mutation before the ack is even built ("atomic reads
-			// must write" extends to "must log" — read requests mutate the
-			// seen set and counters, so they are logged too). Under fsync
-			// "always" the append blocks on stable storage here, which is
-			// what makes the ack durable-before-sent. Append errors are
-			// sticky in the log (surfaced via its counters and Close); the
-			// hot path cannot propagate them.
-			lsn, _ := s.dlog.Append(&durable.Record{
-				Kind:     durable.KindDelta,
-				Key:      req.Key,
-				TS:       int64(req.TS),
-				Cur:      req.Cur,
-				Prev:     req.Prev,
-				Sig:      req.WriterSig,
-				From:     m.From,
-				RCounter: req.RCounter,
-			})
-			st.lsn = lsn
-		}
+		// Log the mutation before the ack is even built ("atomic reads must
+		// write" extends to "must log" — read requests mutate the seen set
+		// and counters, so they are logged too).
+		s.Log(sl, &durable.Record{
+			Kind:     durable.KindDelta,
+			Key:      req.Key,
+			TS:       int64(req.TS),
+			Cur:      req.Cur,
+			Prev:     req.Prev,
+			Sig:      req.WriterSig,
+			From:     m.From,
+			RCounter: req.RCounter,
+		})
 
 		ackOp := wire.OpWriteAck
 		if req.Op == wire.OpRead {

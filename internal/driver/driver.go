@@ -65,6 +65,9 @@ type Server interface {
 	// "atomic reads must write" accounting of the paper's Section 8.
 	// Protocols that do not track mutations report 0.
 	TotalMutations() int64
+	// QueueSheds counts requests shed by the server's bounded worker queues
+	// (always 0 unless ServerConfig.QueueBound was set).
+	QueueSheds() int64
 }
 
 // WriteFuture is one submitted write's pending resolution.
@@ -129,15 +132,9 @@ type ServerConfig struct {
 	// persisted there. Drivers that keep no durable state ignore it.
 	Durable *durable.Options
 	// QueueBound, when positive, caps each executor worker's overflow
-	// queue: requests beyond it are shed and counted rather than queued
-	// (see transport.Executor.SetQueueBound). Servers that shed SHOULD also
-	// expose the running count through an optional
-	//
-	//	QueueSheds() int64
-	//
-	// method — Store.Stats discovers it by interface assertion, so drivers
-	// without shedding (test canaries, wrappers) need not implement it.
-	// Zero keeps the default never-drop queues.
+	// queue: requests beyond it are shed and counted (Server.QueueSheds)
+	// rather than queued (see transport.Executor.SetQueueBound). Zero keeps
+	// the default never-drop queues.
 	QueueBound int
 }
 

@@ -47,7 +47,6 @@ func RunE1(opts Options) ([]*stats.Table, error) {
 			Faulty:   sc.faulty,
 			Readers:  sc.readers,
 			Protocol: fastread.ProtocolFast,
-			Seed:     opts.Seed,
 		})
 		if err != nil {
 			return nil, fmt.Errorf("e1: cluster %v: %w", sc, err)

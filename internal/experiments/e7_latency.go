@@ -48,12 +48,11 @@ func RunE7(opts Options) ([]*stats.Table, error) {
 		var fastMedian time.Duration
 		for _, proto := range protocols {
 			cluster, err := fastread.NewCluster(fastread.Config{
-				Servers:      s,
-				Faulty:       faulty,
-				Readers:      readers,
-				Protocol:     proto.p,
-				NetworkDelay: delay,
-				Seed:         opts.Seed,
+				Servers:   s,
+				Faulty:    faulty,
+				Readers:   readers,
+				Protocol:  proto.p,
+				Transport: fastread.InMemory(fastread.WithDelay(delay)),
 			})
 			if err != nil {
 				return nil, fmt.Errorf("e7: S=%d %v: %w", s, proto.p, err)

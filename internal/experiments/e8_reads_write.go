@@ -32,7 +32,6 @@ func RunE8(opts Options) ([]*stats.Table, error) {
 			Faulty:   faulty,
 			Readers:  readers,
 			Protocol: proto,
-			Seed:     opts.Seed,
 		})
 		if err != nil {
 			return nil, fmt.Errorf("e8: %v: %w", proto, err)

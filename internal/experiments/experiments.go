@@ -1,7 +1,5 @@
 // Package experiments contains one driver per reproduced paper artifact
-// (DESIGN.md §4, EXPERIMENTS.md). Each driver returns text tables so that
-// cmd/fastbench and the recorded results in EXPERIMENTS.md show identical
-// rows.
+// (E1..E8). Each driver returns text tables, which cmd/fastbench prints.
 package experiments
 
 import (
@@ -19,7 +17,7 @@ import (
 // Options tunes every experiment.
 type Options struct {
 	// Quick shrinks workloads and sweeps so the whole suite runs in seconds;
-	// used by tests. The full-size runs are what EXPERIMENTS.md records.
+	// used by tests.
 	Quick bool
 	// Seed seeds deterministic parts of the workloads.
 	Seed int64
@@ -49,8 +47,7 @@ func (o Options) scale(full, quick int) int {
 
 // Experiment couples an identifier with its driver.
 type Experiment struct {
-	// ID is the experiment identifier used in DESIGN.md and EXPERIMENTS.md
-	// (E1..E8).
+	// ID is the experiment identifier (E1..E8).
 	ID string
 	// Title is a one-line description.
 	Title string

@@ -102,70 +102,49 @@ type ByzantineConfig struct {
 // ByzantineServer is a server-role process that deviates from the protocol
 // according to its configured behaviour. It understands the message
 // vocabulary of the fast register (internal/core) and replies accordingly.
+// It runs on the same protoutil.Shell as the honest servers (no per-key state,
+// no log), so it stands in for a protocol server behind the driver registry's
+// Server interface and a Store can swap it into a deployment.
 type ByzantineServer struct {
+	*protoutil.Shell[struct{}]
 	cfg  ByzantineConfig
 	node transport.Node
-	exec *transport.Executor
 
 	mu    sync.Mutex
 	value types.TaggedValue
 	sig   []byte
 	seen  types.ProcessSet
-
-	stopOnce sync.Once
-	done     chan struct{}
 }
 
 // NewByzantineServer creates a malicious server bound to the given node.
 func NewByzantineServer(cfg ByzantineConfig, node transport.Node) (*ByzantineServer, error) {
-	if cfg.ID.Role != types.RoleServer || !cfg.ID.Valid() {
-		return nil, fmt.Errorf("fault: byzantine server id %v is not a server identity", cfg.ID)
-	}
-	if node == nil {
-		return nil, fmt.Errorf("fault: byzantine server %v requires a transport node", cfg.ID)
-	}
 	if cfg.Behavior < BehaviorForgeTimestamp || cfg.Behavior > BehaviorFlood {
 		return nil, fmt.Errorf("fault: unknown behaviour %d", cfg.Behavior)
 	}
-	return &ByzantineServer{
+	s := &ByzantineServer{
 		cfg:   cfg,
 		node:  node,
-		exec:  transport.NewExecutor(node, protoutil.WireKeyFunc, cfg.Workers),
 		value: types.InitialTaggedValue(),
 		seen:  types.NewProcessSet(),
-		done:  make(chan struct{}),
-	}, nil
+	}
+	sh, err := protoutil.NewShell(protoutil.ShellConfig{ID: cfg.ID, Workers: cfg.Workers}, node,
+		protoutil.Protocol[struct{}]{
+			Name:     "fault",
+			NewState: func() struct{} { return struct{}{} },
+			Handle:   s.handle,
+		})
+	if err != nil {
+		return nil, err
+	}
+	s.Shell = sh
+	return s, nil
 }
 
-// Start launches the malicious server's key-sharded executor.
-func (s *ByzantineServer) Start() {
-	go func() {
-		defer close(s.done)
-		s.exec.Run(s.handle)
-	}()
-}
-
-// Stop detaches the server from the network and waits for the handler to
-// exit.
-func (s *ByzantineServer) Stop() {
-	s.stopOnce.Do(func() { _ = s.node.Close() })
-	<-s.done
-}
-
-// ID returns the malicious server's identity.
-func (s *ByzantineServer) ID() types.ProcessID { return s.cfg.ID }
-
-// Workers reports the number of key-shard workers the server's executor
-// runs. With Stop and TotalMutations it lets a ByzantineServer stand in for
-// a protocol server behind the driver registry's Server interface, so a
-// Store can swap a malicious implementation into a deployment.
-func (s *ByzantineServer) Workers() int { return s.exec.Workers() }
-
-// TotalMutations reports 0: the malicious server does not track mutations
-// (its "state" is whatever its behaviour needs, not protocol state).
-func (s *ByzantineServer) TotalMutations() int64 { return 0 }
-
-func (s *ByzantineServer) handle(m transport.Message) {
+// handle replies through the server's own node, one send per reply, not
+// through the run-scoped coalescer: BehaviorFlood's burst is meant to arrive
+// as separate deliveries (it stresses demux route backlogs and mailbox
+// growth), which one coalesced batch per run would hide.
+func (s *ByzantineServer) handle(m transport.Message, _ transport.Sender) {
 	req, err := wire.Decode(m.Payload)
 	if err != nil {
 		return

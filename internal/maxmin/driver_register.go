@@ -17,7 +17,7 @@ func init() {
 			if err != nil {
 				return nil, err
 			}
-			return maxminServerHandle{s}, nil
+			return s, nil
 		},
 		NewWriter: func(cfg driver.ClientConfig, node transport.Node) (driver.Writer, error) {
 			w, err := NewKeyedWriter(cfg.Key, cfg.Quorum, cfg.Depth, node, nil)
@@ -36,12 +36,6 @@ func init() {
 		},
 	})
 }
-
-// maxminServerHandle adds the mutation counter the max-min server does not
-// track.
-type maxminServerHandle struct{ *Server }
-
-func (maxminServerHandle) TotalMutations() int64 { return 0 }
 
 // maxminReaderHandle adapts the max-min reader to the uniform driver result.
 type maxminReaderHandle struct{ r *Reader }

@@ -28,7 +28,6 @@ import (
 	"fastread/internal/durable"
 	"fastread/internal/protoutil"
 	"fastread/internal/quorum"
-	"fastread/internal/shard"
 	"fastread/internal/stats"
 	"fastread/internal/trace"
 	"fastread/internal/transport"
@@ -87,17 +86,13 @@ const maxReplyLag = 1024
 // the gossip collected for that register's in-flight reads, and the
 // per-reader reply frontier. The frontier lets the server drop late gossip
 // for finished reads instead of re-creating (and leaking) their bookkeeping,
-// without ever classifying a live pipelined read as finished.
+// without ever classifying a live pipelined read as finished. Only value is
+// durable: the gossip bookkeeping (pending/replied) is transient and never
+// persisted — an in-flight read at crash time simply times out at its reader.
 type registerState struct {
 	value   types.TaggedValue
 	pending map[readKey]*pendingRead
 	replied map[int]*readerProgress // reader index → reply frontier
-	// lsn is the log sequence number of the last durable record applied to
-	// this register; deltas at or below it are already reflected and must not
-	// replay. The gossip bookkeeping (pending/replied) is transient and never
-	// persisted — an in-flight read at crash time simply times out at its
-	// reader. Zero when not durable.
-	lsn int64
 }
 
 // done reports whether the identified read has already been answered.
@@ -206,116 +201,50 @@ type ServerConfig struct {
 
 // Server is the max-min server. Unlike the fast register's server it is NOT
 // a fast responder: on a read request it first gossips with the other
-// servers. One server multiplexes every register of the deployment: both the
-// stored value and the per-read gossip bookkeeping are kept per register key
-// in a striped shard map.
+// servers. Both the stored value and the per-read gossip bookkeeping are kept
+// per register key; node, executor, state map, durable log and lifecycle are
+// the embedded protoutil.Shell's. A register's write, read and gossip
+// messages all carry its key, so the whole gossip exchange of a read
+// serialises on that key's worker.
 type Server struct {
+	*protoutil.Shell[registerState]
 	cfg     ServerConfig
-	node    transport.Node
-	exec    *transport.Executor
 	servers []types.ProcessID
-
-	states *shard.Map[*registerState]
-	// dlog is the server's durable log; nil when persistence is off.
-	dlog *durable.Log
-
-	stopOnce sync.Once
-	done     chan struct{}
 }
 
 // NewServer creates a max-min server bound to the given node.
 func NewServer(cfg ServerConfig, node transport.Node) (*Server, error) {
-	if cfg.ID.Role != types.RoleServer || !cfg.ID.Valid() {
-		return nil, fmt.Errorf("maxmin: server id %v is not a valid server identity", cfg.ID)
-	}
 	if err := cfg.Quorum.Validate(); err != nil {
 		return nil, err
 	}
-	if node == nil {
-		return nil, fmt.Errorf("maxmin: server %v requires a transport node", cfg.ID)
-	}
-	s := &Server{
-		cfg:     cfg,
-		node:    node,
-		servers: protoutil.ServerIDs(cfg.Quorum.Servers),
-		states: shard.NewMap(0, func(string) *registerState {
-			return &registerState{
-				value:   types.InitialTaggedValue(),
-				pending: make(map[readKey]*pendingRead),
-				replied: make(map[int]*readerProgress),
-			}
-		}),
-		done: make(chan struct{}),
-	}
-	if cfg.Durable != nil {
-		dl, err := durable.Open(*cfg.Durable, durable.Hooks{Apply: s.applyRecord, Dump: s.dumpRecords})
-		if err != nil {
-			return nil, fmt.Errorf("maxmin: server %v durable log: %w", cfg.ID, err)
-		}
-		s.dlog = dl
-	}
-	s.exec = transport.NewExecutor(node, protoutil.WireKeyFunc, cfg.Workers)
-	s.exec.SetQueueBound(cfg.QueueBound)
-	return s, nil
-}
-
-// applyRecord replays one recovered log record, re-running the live adoption
-// comparison under the per-key LSN guard. Only the register value is durable;
-// the per-read gossip bookkeeping is rebuilt by live traffic.
-func (s *Server) applyRecord(r *durable.Record) error {
-	s.states.Do(r.Key, func(st *registerState) {
-		switch r.Kind {
-		case durable.KindState:
-			st.value = types.TaggedValue{
-				TS:   types.Timestamp(r.TS),
-				Cur:  types.Value(r.Cur).Clone(),
-				Prev: types.Value(r.Prev).Clone(),
-			}
-			st.lsn = r.LSN
-		case durable.KindDelta:
-			if r.LSN <= st.lsn {
-				return
-			}
-			if types.Timestamp(r.TS) > st.value.TS {
-				st.value = types.TaggedValue{
-					TS:   types.Timestamp(r.TS),
-					Cur:  types.Value(r.Cur).Clone(),
-					Prev: types.Value(r.Prev).Clone(),
+	s := &Server{cfg: cfg, servers: protoutil.ServerIDs(cfg.Quorum.Servers)}
+	sh, err := protoutil.NewShell(
+		protoutil.ShellConfig{ID: cfg.ID, Workers: cfg.Workers, QueueBound: cfg.QueueBound, Durable: cfg.Durable},
+		node,
+		protoutil.Protocol[registerState]{
+			Name: "maxmin",
+			NewState: func() registerState {
+				return registerState{
+					value:   types.InitialTaggedValue(),
+					pending: make(map[readKey]*pendingRead),
+					replied: make(map[int]*readerProgress),
 				}
-			}
-			st.lsn = r.LSN
-		}
-	})
-	return nil
-}
-
-// dumpRecords emits one KindState record per instantiated register for a
-// snapshot, aliasing live state under the register's stripe lock.
-func (s *Server) dumpRecords(emit func(*durable.Record) error) error {
-	var err error
-	s.states.Range(func(key string, st *registerState) {
-		if err != nil {
-			return
-		}
-		err = emit(&durable.Record{
-			Kind: durable.KindState,
-			LSN:  st.lsn,
-			Key:  key,
-			TS:   int64(st.value.TS),
-			Cur:  st.value.Cur,
-			Prev: st.value.Prev,
+			},
+			Handle: s.handle,
+			Apply:  func(st *registerState, r *durable.Record) { protoutil.ApplyValueRecord(&st.value, r) },
+			Dump:   func(st *registerState, r *durable.Record) { protoutil.DumpValueRecord(st.value, r) },
 		})
-	})
-	return err
+	if err != nil {
+		return nil, err
+	}
+	s.Shell = sh
+	return s, nil
 }
 
 // logAdoption appends the adoption of tv to the durable log. Callers hold the
 // register's shard lock, so the append is ordered with the mutation.
-func (s *Server) logAdoption(st *registerState, key string, tv types.TaggedValue, from types.ProcessID) {
-	if s.dlog == nil {
-		return
-	}
-	lsn, _ := s.dlog.Append(&durable.Record{
+func (s *Server) logAdoption(sl *protoutil.Slot[registerState], key string, tv types.TaggedValue, from types.ProcessID) {
+	s.Log(sl, &durable.Record{
 		Kind: durable.KindDelta,
 		Key:  key,
 		TS:   int64(tv.TS),
@@ -323,41 +252,7 @@ func (s *Server) logAdoption(st *registerState, key string, tv types.TaggedValue
 		Prev: tv.Prev,
 		From: from,
 	})
-	st.lsn = lsn
 }
-
-// Start launches the server's key-sharded executor: messages are dispatched
-// by register key across the configured workers, so distinct registers are
-// served in parallel while each register keeps FIFO, single-goroutine
-// handling (see transport.Executor). A register's write, read and gossip
-// messages all carry its key, so the whole gossip exchange of a read
-// serialises on that key's worker.
-func (s *Server) Start() {
-	go func() {
-		defer close(s.done)
-		s.exec.RunCoalescing(s.handle)
-	}()
-}
-
-// Stop detaches the server from the network, waits for the executor to drain
-// every worker, then closes the durable log.
-func (s *Server) Stop() {
-	s.stopOnce.Do(func() { _ = s.node.Close() })
-	<-s.done
-	if s.dlog != nil {
-		_ = s.dlog.Close()
-	}
-}
-
-// ID returns the server's identity.
-func (s *Server) ID() types.ProcessID { return s.cfg.ID }
-
-// Workers reports the executor's key-shard worker count.
-func (s *Server) Workers() int { return s.exec.Workers() }
-
-// QueueSheds returns the number of requests shed by bounded worker queues
-// (always 0 unless ServerConfig.QueueBound was set).
-func (s *Server) QueueSheds() int64 { return s.exec.Sheds() }
 
 // State returns the default register's current value; use StateOf for a
 // named register.
@@ -367,7 +262,7 @@ func (s *Server) State() types.TaggedValue { return s.StateOf("") }
 // reports its initial state without being instantiated.
 func (s *Server) StateOf(key string) types.TaggedValue {
 	out := types.InitialTaggedValue()
-	s.states.Peek(key, func(st *registerState) { out = st.value.Clone() })
+	s.Peek(key, func(st *registerState) { out = st.value.Clone() })
 	return out
 }
 
@@ -402,10 +297,11 @@ func (s *Server) handleWrite(from types.ProcessID, req *wire.Message, out transp
 		return
 	}
 	var ack *wire.Message
-	s.states.Do(req.Key, func(st *registerState) {
+	s.Do(req.Key, func(sl *protoutil.Slot[registerState]) {
+		st := &sl.State
 		if req.TS > st.value.TS {
 			st.value = types.TaggedValue{TS: req.TS, Cur: req.Cur.Clone(), Prev: req.Prev.Clone()}
-			s.logAdoption(st, req.Key, st.value, from)
+			s.logAdoption(sl, req.Key, st.value, from)
 		}
 		ack = &wire.Message{Op: wire.OpWriteAck, Key: req.Key, TS: st.value.TS, RCounter: req.RCounter}
 	})
@@ -424,7 +320,8 @@ func (s *Server) handleRead(from types.ProcessID, req *wire.Message, out transpo
 
 	var current types.TaggedValue
 	stale := false
-	s.states.Do(req.Key, func(st *registerState) {
+	s.Do(req.Key, func(sl *protoutil.Slot[registerState]) {
+		st := &sl.State
 		if st.done(rkey) {
 			stale = true
 			return
@@ -472,13 +369,14 @@ func (s *Server) handleGossip(from types.ProcessID, req *wire.Message, out trans
 	rkey := readKey{Reader: int(req.Phase), RCounter: req.RCounter}
 	incoming := types.TaggedValue{TS: req.TS, Cur: req.Cur.Clone(), Prev: req.Prev.Clone()}
 
-	s.states.Do(req.Key, func(st *registerState) {
+	s.Do(req.Key, func(sl *protoutil.Slot[registerState]) {
+		st := &sl.State
 		// Adopt the maximum timestamp seen while gossiping ("adopts the
 		// timestamp and its associated value"). incoming is already an owned
 		// clone, so adoption is a plain assignment.
 		if incoming.TS > st.value.TS {
 			st.value = incoming
-			s.logAdoption(st, req.Key, st.value, from)
+			s.logAdoption(sl, req.Key, st.value, from)
 		}
 		// Gossip for a read this server already answered must not re-create
 		// the read's bookkeeping: the entry would never be garbage-collected.
@@ -496,7 +394,8 @@ func (s *Server) handleGossip(from types.ProcessID, req *wire.Message, out trans
 // request and collected gossip from a majority of servers.
 func (s *Server) maybeReply(key string, rkey readKey, out transport.Sender) {
 	var ack *wire.Message
-	s.states.Do(key, func(st *registerState) {
+	s.Do(key, func(sl *protoutil.Slot[registerState]) {
+		st := &sl.State
 		if st.done(rkey) {
 			return
 		}
@@ -516,7 +415,7 @@ func (s *Server) maybeReply(key string, rkey readKey, out transport.Sender) {
 		}
 		if best.TS > st.value.TS {
 			st.value = best
-			s.logAdoption(st, key, best, s.cfg.ID)
+			s.logAdoption(sl, key, best, s.cfg.ID)
 		}
 		p.replied = true
 		// The reply carries the adopted maximum.

@@ -316,7 +316,7 @@ func TestPendingReadsGarbageCollected(t *testing.T) {
 	for {
 		leaked := 0
 		for _, srv := range d.servers {
-			srv.states.Peek("", func(st *registerState) { leaked += len(st.pending) })
+			srv.Peek("", func(st *registerState) { leaked += len(st.pending) })
 		}
 		if leaked == 0 {
 			return
@@ -355,17 +355,17 @@ func TestOlderInFlightReadSurvivesNewerReply(t *testing.T) {
 	}
 	// Read rc=1: request arrives plus one peer gossip — 2 of the needed 3,
 	// so the server cannot reply yet and the entry lingers.
-	srv.handleRead(types.Reader(1), &wire.Message{Op: wire.OpRead, RCounter: 1}, srv.node)
-	srv.handleGossip(types.Server(2), gossip(1), srv.node)
+	srv.handleRead(types.Reader(1), &wire.Message{Op: wire.OpRead, RCounter: 1}, node)
+	srv.handleGossip(types.Server(2), gossip(1), node)
 	// Read rc=2 completes here: request plus two peer gossips reach the
 	// majority of 3 and the server replies. The reply frontier records rc=2
 	// above the watermark; rc=1 is still open.
-	srv.handleRead(types.Reader(1), &wire.Message{Op: wire.OpRead, RCounter: 2}, srv.node)
-	srv.handleGossip(types.Server(2), gossip(2), srv.node)
-	srv.handleGossip(types.Server(3), gossip(2), srv.node)
+	srv.handleRead(types.Reader(1), &wire.Message{Op: wire.OpRead, RCounter: 2}, node)
+	srv.handleGossip(types.Server(2), gossip(2), node)
+	srv.handleGossip(types.Server(3), gossip(2), node)
 
 	pending := -1
-	srv.states.Peek("", func(st *registerState) {
+	srv.Peek("", func(st *registerState) {
 		pending = len(st.pending)
 		if st.done(readKey{Reader: 1, RCounter: 1}) {
 			t.Error("live rc=1 classified as done after rc=2 replied")
@@ -376,8 +376,8 @@ func TestOlderInFlightReadSurvivesNewerReply(t *testing.T) {
 	}
 	// Its late gossip completes rc=1: majority reached, reply sent, entry
 	// gone, frontier contiguous through rc=2.
-	srv.handleGossip(types.Server(4), gossip(1), srv.node)
-	srv.states.Peek("", func(st *registerState) {
+	srv.handleGossip(types.Server(4), gossip(1), node)
+	srv.Peek("", func(st *registerState) {
 		pending = len(st.pending)
 		p := st.replied[1]
 		if p == nil || p.watermark != 2 || len(p.above) != 0 {
@@ -388,9 +388,9 @@ func TestOlderInFlightReadSurvivesNewerReply(t *testing.T) {
 		t.Fatalf("completed rc=1 bookkeeping leaked: %d entries", pending)
 	}
 	// Gossip arriving after completion must not resurrect either read.
-	srv.handleGossip(types.Server(5), gossip(1), srv.node)
-	srv.handleGossip(types.Server(5), gossip(2), srv.node)
-	srv.states.Peek("", func(st *registerState) { pending = len(st.pending) })
+	srv.handleGossip(types.Server(5), gossip(1), node)
+	srv.handleGossip(types.Server(5), gossip(2), node)
+	srv.Peek("", func(st *registerState) { pending = len(st.pending) })
 	if pending != 0 {
 		t.Fatalf("late gossip resurrected a finished read: %d entries", pending)
 	}

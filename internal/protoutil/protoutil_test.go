@@ -20,7 +20,7 @@ func startAckServer(t *testing.T, net transport.Network, id types.ProcessID, op 
 	if err != nil {
 		t.Fatalf("join %v: %v", id, err)
 	}
-	go transport.Serve(node, func(m transport.Message) {
+	go serve(node, func(m transport.Message) {
 		req, err := wire.Decode(m.Payload)
 		if err != nil {
 			return
@@ -214,5 +214,14 @@ func TestMaxTimestampAndFilter(t *testing.T) {
 	}
 	if len(FilterByTimestamp(acks, 99)) != 0 {
 		t.Error("FilterByTimestamp(99) should be empty")
+	}
+}
+
+// serve hands every protocol message delivered to node to handler, on one
+// goroutine, until the node is closed.
+func serve(node transport.Node, handler func(transport.Message)) {
+	for msg := range node.Inbox() {
+		transport.Expand(msg, handler)
+		msg.ReleaseArena()
 	}
 }

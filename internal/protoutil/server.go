@@ -1,0 +1,248 @@
+// Server shell.
+//
+// The paper's servers are pure steps (state, message) → (state', ack): they
+// never wait for another process before replying (Figures 2 and 5). Shell is
+// everything around that step that does not depend on the protocol — the
+// node, the key-sharded executor and its queue bound, the per-key state map,
+// the durable log with its LSN-guarded replay and snapshot framing, and the
+// Start/Stop lifecycle — so a protocol server is its state struct, its
+// handler and its record⇄state mapping (Protocol) and nothing else. It sits
+// beside Pipeline, the one client engine.
+package protoutil
+
+import (
+	"fmt"
+	"sync"
+
+	"fastread/internal/durable"
+	"fastread/internal/shard"
+	"fastread/internal/transport"
+	"fastread/internal/types"
+)
+
+// ShellConfig is the protocol-independent part of a server's configuration.
+type ShellConfig struct {
+	// ID is the server's process identity (must have RoleServer).
+	ID types.ProcessID
+	// Workers is the number of key-shard workers executing the server's
+	// messages in parallel (a register key is always handled by the same
+	// worker). Zero or negative means GOMAXPROCS.
+	Workers int
+	// QueueBound, when positive, caps each worker's overflow queue: requests
+	// beyond it are shed and counted (QueueSheds) instead of queued without
+	// bound. Zero keeps the default never-drop queues.
+	QueueBound int
+	// Durable, if non-nil, gives the server a write-ahead log in the given
+	// directory: NewShell recovers whatever a previous incarnation persisted
+	// there, and every Log call appends before the handler acks.
+	Durable *durable.Options
+}
+
+// Protocol is what one register protocol supplies to the shell.
+type Protocol[S any] struct {
+	// Name prefixes construction errors ("core", "abd", ...).
+	Name string
+	// NewState builds a register's initial state the first time its key is
+	// touched (by a message or by recovery).
+	NewState func() S
+	// Handle processes one delivered protocol message; replies go through
+	// out, the executor's run-scoped coalescer. It is bound once, at
+	// construction, and invoked by the executor's workers directly.
+	Handle func(m transport.Message, out transport.Sender)
+	// Apply replays one recovered record into a register's state: a KindState
+	// record restores it wholesale, a KindDelta re-runs the mutation the live
+	// path took (the shell has already skipped deltas the state reflects).
+	// Record bytes alias the replay buffer, so everything retained is cloned,
+	// mirroring the live path's retention point. Unused without a log.
+	Apply func(st *S, r *durable.Record)
+	// Dump fills r with a register's durable fields for a snapshot (Kind, LSN
+	// and Key are the shell's). r may alias live state: it is encoded under
+	// the register's stripe lock, before the next mutation.
+	Dump func(st *S, r *durable.Record)
+}
+
+// ApplyValueRecord is Protocol.Apply for state that is one timestamped value
+// (maxmin, regular): a KindState record restores it, a KindDelta re-runs the
+// live adoption comparison. Retained bytes are cloned because the record
+// aliases the replay buffer.
+func ApplyValueRecord(v *types.TaggedValue, r *durable.Record) {
+	if r.Kind == durable.KindState || types.Timestamp(r.TS) > v.TS {
+		*v = types.TaggedValue{
+			TS:   types.Timestamp(r.TS),
+			Cur:  types.Value(r.Cur).Clone(),
+			Prev: types.Value(r.Prev).Clone(),
+		}
+	}
+}
+
+// DumpValueRecord is the matching Protocol.Dump: the record aliases v.
+func DumpValueRecord(v types.TaggedValue, r *durable.Record) {
+	r.TS = int64(v.TS)
+	r.Cur = v.Cur
+	r.Prev = v.Prev
+}
+
+// Slot is one register's entry in a server's state map: the protocol's state
+// plus the shell's replay guard.
+type Slot[S any] struct {
+	State S
+	// lsn is the log sequence number of the last durable record applied to
+	// this register (live append or recovery replay); deltas at or below it
+	// are already reflected and must not replay. Zero when not durable.
+	lsn int64
+}
+
+// Shell is the protocol-independent server. One server multiplexes every
+// register of the deployment: state is kept per register key in a striped
+// shard map, lazily instantiated on the first message that names the key.
+type Shell[S any] struct {
+	id     types.ProcessID
+	proto  Protocol[S]
+	node   transport.Node
+	exec   *transport.Executor
+	states *shard.Map[*Slot[S]]
+	// dlog is the server's durable log; nil when persistence is off.
+	dlog *durable.Log
+
+	startOnce, stopOnce sync.Once
+	done                chan struct{}
+}
+
+// NewShell creates a server bound to the given transport node, recovering its
+// durable state if it has any. Call Start to begin processing messages.
+func NewShell[S any](cfg ShellConfig, node transport.Node, proto Protocol[S]) (*Shell[S], error) {
+	if cfg.ID.Role != types.RoleServer || !cfg.ID.Valid() {
+		return nil, fmt.Errorf("%s: server id %v is not a valid server identity", proto.Name, cfg.ID)
+	}
+	if node == nil {
+		return nil, fmt.Errorf("%s: server %v requires a transport node", proto.Name, cfg.ID)
+	}
+	s := &Shell[S]{
+		id:     cfg.ID,
+		proto:  proto,
+		node:   node,
+		states: shard.NewMap(0, func(string) *Slot[S] { return &Slot[S]{State: proto.NewState()} }),
+		done:   make(chan struct{}),
+	}
+	if cfg.Durable != nil {
+		dl, err := durable.Open(*cfg.Durable, durable.Hooks{Apply: s.applyRecord, Dump: s.dumpRecords})
+		if err != nil {
+			return nil, fmt.Errorf("%s: server %v durable log: %w", proto.Name, cfg.ID, err)
+		}
+		s.dlog = dl
+	}
+	s.exec = transport.NewExecutor(node, WireKeyFunc, cfg.Workers)
+	s.exec.SetQueueBound(cfg.QueueBound)
+	return s, nil
+}
+
+// applyRecord replays one recovered log record. The per-key LSN guard skips
+// deltas a restored snapshot already reflects (see the durable package's
+// replay discipline), which is what makes snapshot + tail replay idempotent.
+func (s *Shell[S]) applyRecord(r *durable.Record) error {
+	s.states.Do(r.Key, func(sl *Slot[S]) {
+		if r.Kind == durable.KindDelta && r.LSN <= sl.lsn {
+			return
+		}
+		s.proto.Apply(&sl.State, r)
+		sl.lsn = r.LSN
+	})
+	return nil
+}
+
+// dumpRecords emits one KindState record per instantiated register for a
+// snapshot. Each record aliases live state under the register's stripe lock;
+// the durable layer encodes it before emit returns.
+func (s *Shell[S]) dumpRecords(emit func(*durable.Record) error) error {
+	var err error
+	s.states.Range(func(key string, sl *Slot[S]) {
+		if err != nil {
+			return
+		}
+		rec := durable.Record{Kind: durable.KindState, LSN: sl.lsn, Key: key}
+		s.proto.Dump(&sl.State, &rec)
+		err = emit(&rec)
+	})
+	return err
+}
+
+// Do runs fn with the key's slot under its stripe lock, instantiating the
+// register first if the key is new. Handlers mutate state (and Log) here.
+func (s *Shell[S]) Do(key string, fn func(*Slot[S])) { s.states.Do(key, fn) }
+
+// Log appends one mutation of sl's register to the durable log and records
+// its LSN in the slot; without a log it does nothing. Handlers call it inside
+// Do, after mutating and BEFORE building the ack: under fsync "always" the
+// append blocks on stable storage here, which is what makes the ack
+// durable-before-sent. r is consumed before return, so it may alias the
+// request. Append errors are sticky in the log (surfaced via its counters and
+// Close); the hot path cannot propagate them.
+func (s *Shell[S]) Log(sl *Slot[S], r *durable.Record) {
+	if s.dlog == nil {
+		return
+	}
+	lsn, _ := s.dlog.Append(r)
+	sl.lsn = lsn
+}
+
+// Peek runs fn with the key's state if the register has been instantiated
+// and reports whether it had; read-only inspection never grows the keyspace.
+func (s *Shell[S]) Peek(key string, fn func(*S)) bool {
+	return s.states.Peek(key, func(sl *Slot[S]) { fn(&sl.State) })
+}
+
+// Range runs fn for every instantiated register under its stripe lock.
+func (s *Shell[S]) Range(fn func(key string, st *S)) {
+	s.states.Range(func(key string, sl *Slot[S]) { fn(key, &sl.State) })
+}
+
+// Keys returns the keys of every register this server has instantiated.
+func (s *Shell[S]) Keys() []string { return s.states.Keys() }
+
+// Start launches the server's key-sharded executor: messages are dispatched
+// by register key across the configured workers, so distinct registers are
+// served in parallel while each register keeps FIFO, single-goroutine
+// handling (see transport.Executor). Only the first call has an effect.
+func (s *Shell[S]) Start() {
+	s.startOnce.Do(func() {
+		go func() {
+			defer close(s.done)
+			s.exec.RunCoalescing(s.proto.Handle)
+		}()
+	})
+}
+
+// Stop detaches the server from the network, waits for the executor to drain
+// every worker, then closes the durable log (a graceful close flushes and
+// snapshots; under Options.SimulateCrash it models a machine crash instead).
+// Stop is idempotent, returns only once the server has stopped, and is safe
+// on a server that was never started.
+func (s *Shell[S]) Stop() {
+	s.stopOnce.Do(func() {
+		// Never started: there is no executor to wait for, and a later Start
+		// must not launch one over the closed node.
+		s.startOnce.Do(func() { close(s.done) })
+		_ = s.node.Close()
+		<-s.done
+		if s.dlog != nil {
+			// Sticky append errors resurface here; the log's counters have
+			// already reported them.
+			_ = s.dlog.Close()
+		}
+	})
+}
+
+// ID returns the server's process identity.
+func (s *Shell[S]) ID() types.ProcessID { return s.id }
+
+// Workers returns the number of key-shard workers executing this server's
+// messages.
+func (s *Shell[S]) Workers() int { return s.exec.Workers() }
+
+// QueueSheds returns the number of requests shed by bounded worker queues
+// (always 0 unless ShellConfig.QueueBound was set).
+func (s *Shell[S]) QueueSheds() int64 { return s.exec.Sheds() }
+
+// TotalMutations reports 0, driver.Server's contract for protocols that do
+// not track state mutations; the ones that do (core, abd) shadow it.
+func (s *Shell[S]) TotalMutations() int64 { return 0 }

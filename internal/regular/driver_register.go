@@ -13,12 +13,11 @@ func init() {
 		Name:     "regular",
 		Validate: driver.MajorityValidate("regular"),
 		NewServer: func(cfg driver.ServerConfig, node transport.Node) (driver.Server, error) {
-			s, err := NewServer(cfg.ID, node, nil, cfg.Workers, cfg.Durable)
+			s, err := NewServer(ServerConfig{ID: cfg.ID, Workers: cfg.Workers, QueueBound: cfg.QueueBound, Durable: cfg.Durable}, node)
 			if err != nil {
 				return nil, err
 			}
-			s.SetQueueBound(cfg.QueueBound)
-			return regularServerHandle{s}, nil
+			return s, nil
 		},
 		NewWriter: func(cfg driver.ClientConfig, node transport.Node) (driver.Writer, error) {
 			w, err := NewKeyedWriter(cfg.Key, cfg.Quorum, cfg.Depth, node, nil)
@@ -37,12 +36,6 @@ func init() {
 		},
 	})
 }
-
-// regularServerHandle adds the mutation counter the regular server does not
-// track.
-type regularServerHandle struct{ *Server }
-
-func (regularServerHandle) TotalMutations() int64 { return 0 }
 
 // regularReaderHandle adapts the regular reader to the uniform driver result.
 type regularReaderHandle struct{ r *Reader }

@@ -26,7 +26,6 @@ import (
 	"fastread/internal/durable"
 	"fastread/internal/protoutil"
 	"fastread/internal/quorum"
-	"fastread/internal/shard"
 	"fastread/internal/stats"
 	"fastread/internal/trace"
 	"fastread/internal/transport"
@@ -51,148 +50,57 @@ var (
 // value received for that register.
 type registerState struct {
 	value types.TaggedValue
-	// lsn is the log sequence number of the last durable record applied to
-	// this register; deltas at or below it are already reflected and must not
-	// replay. Zero when not durable.
-	lsn int64
+}
+
+// ServerConfig configures a regular-register server.
+type ServerConfig struct {
+	// ID is the server's process identity.
+	ID types.ProcessID
+	// Workers is the number of key-shard workers executing this server's
+	// messages in parallel (a register key is always handled by the same
+	// worker). Zero or negative means GOMAXPROCS.
+	Workers int
+	// QueueBound, when positive, caps each worker's overflow queue:
+	// requests beyond it are shed and counted (QueueSheds) instead of
+	// queued without bound. Zero keeps the default never-drop queues.
+	QueueBound int
+	// Trace, if non-nil, records protocol events.
+	Trace *trace.Trace
+	// Durable, if non-nil, gives the server a write-ahead log: adoptions are
+	// appended before the ack is sent, and NewServer recovers whatever a
+	// previous incarnation persisted in the directory.
+	Durable *durable.Options
 }
 
 // Server stores, per register key, the highest-timestamped value it has
-// received and answers both writes and reads in a single step. State is kept
-// in a striped shard map, lazily instantiated on the first message that
-// names the key.
+// received and answers both writes and reads in a single step. Node,
+// executor, per-key state map, durable log and lifecycle are the embedded
+// protoutil.Shell's.
 type Server struct {
-	id   types.ProcessID
-	tr   *trace.Trace
-	node transport.Node
-	exec *transport.Executor
-
-	states *shard.Map[*registerState]
-	// dlog is the server's durable log; nil when persistence is off.
-	dlog *durable.Log
-
-	stopOnce sync.Once
-	done     chan struct{}
+	*protoutil.Shell[registerState]
+	cfg ServerConfig
 }
 
-// NewServer creates a regular-register server bound to the given node.
-// workers is the number of key-shard workers executing the server's messages
-// in parallel (a register key is always handled by the same worker); zero or
-// negative means GOMAXPROCS. A non-nil dopts gives the server a write-ahead
-// log: adoptions are appended before the ack is sent, and NewServer recovers
-// whatever a previous incarnation persisted in the directory.
-func NewServer(id types.ProcessID, node transport.Node, tr *trace.Trace, workers int, dopts *durable.Options) (*Server, error) {
-	if id.Role != types.RoleServer || !id.Valid() {
-		return nil, fmt.Errorf("regular: server id %v is not a valid server identity", id)
+// NewServer creates a regular-register server bound to the given node. Call
+// Start to begin processing messages.
+func NewServer(cfg ServerConfig, node transport.Node) (*Server, error) {
+	s := &Server{cfg: cfg}
+	sh, err := protoutil.NewShell(
+		protoutil.ShellConfig{ID: cfg.ID, Workers: cfg.Workers, QueueBound: cfg.QueueBound, Durable: cfg.Durable},
+		node,
+		protoutil.Protocol[registerState]{
+			Name:     "regular",
+			NewState: func() registerState { return registerState{value: types.InitialTaggedValue()} },
+			Handle:   s.handle,
+			Apply:    func(st *registerState, r *durable.Record) { protoutil.ApplyValueRecord(&st.value, r) },
+			Dump:     func(st *registerState, r *durable.Record) { protoutil.DumpValueRecord(st.value, r) },
+		})
+	if err != nil {
+		return nil, err
 	}
-	if node == nil {
-		return nil, fmt.Errorf("regular: server %v requires a transport node", id)
-	}
-	s := &Server{
-		id:   id,
-		tr:   tr,
-		node: node,
-		states: shard.NewMap(0, func(string) *registerState {
-			return &registerState{value: types.InitialTaggedValue()}
-		}),
-		done: make(chan struct{}),
-	}
-	if dopts != nil {
-		dl, err := durable.Open(*dopts, durable.Hooks{Apply: s.applyRecord, Dump: s.dumpRecords})
-		if err != nil {
-			return nil, fmt.Errorf("regular: server %v durable log: %w", id, err)
-		}
-		s.dlog = dl
-	}
-	s.exec = transport.NewExecutor(node, protoutil.WireKeyFunc, workers)
+	s.Shell = sh
 	return s, nil
 }
-
-// applyRecord replays one recovered log record, re-running the live adoption
-// comparison under the per-key LSN guard; retained bytes are cloned because
-// the record aliases the replay buffer.
-func (s *Server) applyRecord(r *durable.Record) error {
-	s.states.Do(r.Key, func(st *registerState) {
-		switch r.Kind {
-		case durable.KindState:
-			st.value = types.TaggedValue{
-				TS:   types.Timestamp(r.TS),
-				Cur:  types.Value(r.Cur).Clone(),
-				Prev: types.Value(r.Prev).Clone(),
-			}
-			st.lsn = r.LSN
-		case durable.KindDelta:
-			if r.LSN <= st.lsn {
-				return
-			}
-			if types.Timestamp(r.TS) > st.value.TS {
-				st.value = types.TaggedValue{
-					TS:   types.Timestamp(r.TS),
-					Cur:  types.Value(r.Cur).Clone(),
-					Prev: types.Value(r.Prev).Clone(),
-				}
-			}
-			st.lsn = r.LSN
-		}
-	})
-	return nil
-}
-
-// dumpRecords emits one KindState record per instantiated register for a
-// snapshot, aliasing live state under the register's stripe lock.
-func (s *Server) dumpRecords(emit func(*durable.Record) error) error {
-	var err error
-	s.states.Range(func(key string, st *registerState) {
-		if err != nil {
-			return
-		}
-		err = emit(&durable.Record{
-			Kind: durable.KindState,
-			LSN:  st.lsn,
-			Key:  key,
-			TS:   int64(st.value.TS),
-			Cur:  st.value.Cur,
-			Prev: st.value.Prev,
-		})
-	})
-	return err
-}
-
-// Start launches the server's key-sharded executor: messages are dispatched
-// by register key across the configured workers, so distinct registers are
-// served in parallel while each register keeps FIFO, single-goroutine
-// handling (see transport.Executor).
-func (s *Server) Start() {
-	go func() {
-		defer close(s.done)
-		s.exec.RunCoalescing(s.handle)
-	}()
-}
-
-// Stop detaches the server from the network, waits for the executor to drain
-// every worker, then closes the durable log.
-func (s *Server) Stop() {
-	s.stopOnce.Do(func() { _ = s.node.Close() })
-	<-s.done
-	if s.dlog != nil {
-		_ = s.dlog.Close()
-	}
-}
-
-// ID returns the server's identity.
-func (s *Server) ID() types.ProcessID { return s.id }
-
-// Workers reports the executor's key-shard worker count.
-func (s *Server) Workers() int { return s.exec.Workers() }
-
-// SetQueueBound caps each worker's overflow queue at n requests
-// (shed-and-count; see transport.Executor.SetQueueBound). Must be called
-// before Start; n <= 0 keeps the default never-drop queues.
-func (s *Server) SetQueueBound(n int) { s.exec.SetQueueBound(n) }
-
-// QueueSheds returns the number of requests shed by bounded worker queues
-// (always 0 unless SetQueueBound was used).
-func (s *Server) QueueSheds() int64 { return s.exec.Sheds() }
 
 // State returns the default register's current value; use StateOf for a
 // named register.
@@ -202,7 +110,7 @@ func (s *Server) State() types.TaggedValue { return s.StateOf("") }
 // reports its initial state without being instantiated.
 func (s *Server) StateOf(key string) types.TaggedValue {
 	out := types.InitialTaggedValue()
-	s.states.Peek(key, func(st *registerState) { out = st.value.Clone() })
+	s.Peek(key, func(st *registerState) { out = st.value.Clone() })
 	return out
 }
 
@@ -215,8 +123,8 @@ func (s *Server) handle(m transport.Message, out transport.Sender) {
 	req := wire.GetMessage()
 	defer wire.PutMessage(req)
 	if err := wire.DecodeInto(req, m.Payload); err != nil {
-		if s.tr.Enabled() {
-			s.tr.Record(trace.KindDrop, s.id, m.From, "malformed: %v", err)
+		if s.cfg.Trace.Enabled() {
+			s.cfg.Trace.Record(trace.KindDrop, s.cfg.ID, m.From, "malformed: %v", err)
 		}
 		return
 	}
@@ -238,21 +146,19 @@ func (s *Server) handle(m transport.Message, out transport.Sender) {
 
 	ack := wire.GetMessage()
 	defer wire.PutMessage(ack)
-	s.states.Do(req.Key, func(st *registerState) {
+	s.Do(req.Key, func(sl *protoutil.Slot[registerState]) {
+		st := &sl.State
 		if req.Op == wire.OpWrite && req.TS > st.value.TS {
 			// Retention point: the stored value must own its bytes.
 			st.value = types.TaggedValue{TS: req.TS, Cur: req.Cur.Clone(), Prev: req.Prev.Clone()}
-			if s.dlog != nil {
-				lsn, _ := s.dlog.Append(&durable.Record{
-					Kind: durable.KindDelta,
-					Key:  req.Key,
-					TS:   int64(req.TS),
-					Cur:  req.Cur,
-					Prev: req.Prev,
-					From: m.From,
-				})
-				st.lsn = lsn
-			}
+			s.Log(sl, &durable.Record{
+				Kind: durable.KindDelta,
+				Key:  req.Key,
+				TS:   int64(req.TS),
+				Cur:  req.Cur,
+				Prev: req.Prev,
+				From: m.From,
+			})
 		}
 		ack.Fill(wire.Message{
 			Op:       ackOp,
@@ -265,8 +171,8 @@ func (s *Server) handle(m transport.Message, out transport.Sender) {
 	})
 
 	if err := transport.SendEncoded(out, m.From, ack); err != nil {
-		if s.tr.Enabled() {
-			s.tr.Record(trace.KindDrop, s.id, m.From, "send ack: %v", err)
+		if s.cfg.Trace.Enabled() {
+			s.cfg.Trace.Record(trace.KindDrop, s.cfg.ID, m.From, "send ack: %v", err)
 		}
 	}
 }

@@ -27,7 +27,7 @@ func newDeployment(t *testing.T, cfg quorum.Config) *deployment {
 		if err != nil {
 			t.Fatalf("join server %d: %v", i, err)
 		}
-		srv, err := NewServer(types.Server(i), node, nil, 0, nil)
+		srv, err := NewServer(ServerConfig{ID: types.Server(i)}, node)
 		if err != nil {
 			t.Fatalf("new server %d: %v", i, err)
 		}
@@ -252,7 +252,7 @@ func TestValidation(t *testing.T) {
 	if err := w.Write(d.ctx(), types.Bottom()); !errors.Is(err, ErrBottomWrite) {
 		t.Errorf("err = %v, want ErrBottomWrite", err)
 	}
-	if _, err := NewServer(types.Reader(1), rNode, nil, 0, nil); err == nil {
+	if _, err := NewServer(ServerConfig{ID: types.Reader(1)}, rNode); err == nil {
 		t.Error("reader identity accepted as server")
 	}
 	wNode2, err := d.net.Join(types.Reader(10))

@@ -9,9 +9,9 @@
 //	Unforgeability: it is impossible to forge the writer's signature.
 //
 // We substitute Ed25519 (crypto/ed25519, standard library) for RSA; both
-// properties carry over unchanged and the substitution is documented in
-// DESIGN.md. The initial register value ⊥ at timestamp 0 is, as in the
-// paper, not signed: verifiers accept timestamp 0 with an empty signature.
+// properties carry over unchanged. The initial register value ⊥ at timestamp
+// 0 is, as in the paper, not signed: verifiers accept timestamp 0 with an
+// empty signature.
 package sig
 
 import (

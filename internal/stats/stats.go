@@ -1,7 +1,7 @@
 // Package stats aggregates the measurements produced by workloads and
 // experiments: operation latencies, round-trip counts and throughput, plus a
-// small text-table renderer so that cmd/fastbench and EXPERIMENTS.md show the
-// same rows.
+// small text-table renderer shared by cmd/fastbench and the experiment
+// drivers.
 package stats
 
 import (

@@ -189,7 +189,7 @@ func (c *Coalescer) SendMessage(to types.ProcessID, m *wire.Message) error {
 // SendEncoded routes an acknowledgement through the coalescer's direct
 // append-encoding when the sender supports it, and through a plain
 // encode-then-Send otherwise. Handlers call it so they run unchanged under
-// RunCoalescing (batched) and Run / direct nodes (unbatched).
+// RunCoalescing (batched) and against direct nodes (unbatched).
 func SendEncoded(out Sender, to types.ProcessID, m *wire.Message) error {
 	if c, ok := out.(*Coalescer); ok {
 		return c.SendMessage(to, m)

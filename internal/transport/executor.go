@@ -37,23 +37,21 @@ import (
 //
 // Messages whose key cannot be extracted (keyOf reports ok=false, e.g. an
 // undecodable payload) are routed to worker 0 rather than dropped, so the
-// handler still observes them and can trace the drop itself — exactly what
-// the single-goroutine Serve loop did.
+// handler still observes them and can trace the drop itself.
 //
 // The dispatcher→worker handoff is a lock-free SPSC ring (see ring.go): the
 // dispatcher is each worker queue's single producer and the worker its single
 // consumer, so steady-state dispatch is wait-free on both sides, with the
 // unbounded mailbox kept as the burst spill path (order-preserving, never
 // dropping — the PR 3/PR 5 starvation guarantees are unchanged). Workers
-// still handle RUNS of messages between blocking waits, and RunCoalescing
-// exposes the same run boundary to the handler's OUTPUT: a
-// run-scoped Coalescer batches the run's acknowledgements into one send per
-// destination, flushed when the run ends.
+// handle RUNS of messages between blocking waits, and RunCoalescing exposes
+// the same run boundary to the handler's OUTPUT: a run-scoped Coalescer
+// batches the run's acknowledgements into one send per destination, flushed
+// when the run ends.
 type Executor struct {
 	node    Node
 	keyOf   KeyFunc
 	workers []*handoff
-	wg      sync.WaitGroup
 	// sheds counts messages dropped by bounded worker queues (see
 	// SetQueueBound); always 0 in the default unbounded configuration.
 	sheds atomic.Int64
@@ -61,7 +59,7 @@ type Executor struct {
 
 // NewExecutor builds an executor over the node with the given number of
 // key-shard workers (GOMAXPROCS if workers <= 0). It does not start any
-// goroutine; call Run or RunCoalescing.
+// goroutine; call RunCoalescing.
 func NewExecutor(node Node, keyOf KeyFunc, workers int) *Executor {
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
@@ -85,7 +83,7 @@ func (e *Executor) Workers() int { return len(e.workers) }
 // lives here on the server ingress and not on client-side acks. n <= 0 (the
 // default) keeps the never-drop spill of PR 3/PR 5.
 //
-// Must be called before Run/RunCoalescing. Note the single-worker
+// Must be called before RunCoalescing. Note the single-worker
 // degenerate path (workers == 1) bypasses the worker queues entirely —
 // bound the node's own mailbox instead there (inmem WithMailboxBound).
 func (e *Executor) SetQueueBound(n int) {
@@ -101,52 +99,21 @@ func (e *Executor) SetQueueBound(n int) {
 // Sheds returns the number of messages shed by bounded worker queues.
 func (e *Executor) Sheds() int64 { return e.sheds.Load() }
 
-// Run dispatches the node's inbox across the workers and blocks until the
-// node is closed AND every worker has drained its mailbox, so a caller that
-// closes the node and then waits for Run to return observes every delivered
-// message handled. At most one of Run / RunCoalescing may be called, once.
+// RunCoalescing dispatches the node's inbox across the workers and blocks
+// until the node is closed AND every worker has drained its mailbox, so a
+// caller that closes the node and then waits for it to return observes every
+// delivered message handled. It may be called at most once.
 //
-// With a single worker the dispatch hop would buy nothing, so Run degenerates
-// to the plain Serve loop: handler runs inline on the dispatcher goroutine,
-// with identical semantics and no added queueing.
+// Output is batched per run: the handler receives a Sender alongside each
+// message, and everything sent through it during one RUN of messages (one
+// batched mailbox pop — or, with a single worker, one burst of the inbox
+// channel) is flushed as one send per destination when the run ends. An idle
+// server handling a lone message flushes immediately after it, so coalescing
+// never delays a reply; under pipelined load a run of k requests from one
+// client costs ONE acknowledgement send instead of k.
 //
-// Handlers that reply through the node should prefer RunCoalescing, which
-// batches a run's replies into one send per destination.
-func (e *Executor) Run(handler func(Message)) {
-	if len(e.workers) == 1 {
-		Serve(e.node, handler)
-		return
-	}
-	e.dispatch(func(box *handoff) {
-		box.drain(func(m Message) {
-			handler(m)
-			m.ReleaseArena()
-		})
-	})
-}
-
-// RunCoalescing is Run with run-scoped output batching: the handler receives
-// a Sender alongside each message, and everything sent through it during one
-// RUN of messages (one batched mailbox pop — or, with a single worker, one
-// burst of the inbox channel) is flushed as one send per destination when the
-// run ends. An idle server handling a lone message flushes immediately after
-// it, so coalescing never delays a reply; under pipelined load a run of k
-// requests from one client costs ONE acknowledgement send instead of k.
-func (e *Executor) RunCoalescing(handler func(Message, Sender)) {
-	if len(e.workers) == 1 {
-		e.serveCoalescingInline(handler)
-		return
-	}
-	e.dispatch(func(box *handoff) {
-		co := NewCoalescer(e.node)
-		box.drainRuns(func(m Message) {
-			handler(m, co)
-			m.ReleaseArena()
-		}, co.Flush)
-	})
-}
-
-// dispatch owns the multi-worker topology shared by Run and RunCoalescing:
+// With a single worker the dispatch hop would buy nothing, so the handler
+// runs inline on the dispatcher goroutine (serveCoalescingInline). Otherwise:
 // expand each delivered message, route by key hash into per-worker mailboxes,
 // and on inbox close drain every worker before returning.
 //
@@ -154,12 +121,21 @@ func (e *Executor) RunCoalescing(handler func(Message, Sender)) {
 // workers may hold views of one frame concurrently), the worker releases it
 // after handling, and the dispatcher releases the delivered envelope's
 // reference once expansion is done.
-func (e *Executor) dispatch(work func(*handoff)) {
-	e.wg.Add(len(e.workers))
+func (e *Executor) RunCoalescing(handler func(Message, Sender)) {
+	if len(e.workers) == 1 {
+		e.serveCoalescingInline(handler)
+		return
+	}
+	var wg sync.WaitGroup
+	wg.Add(len(e.workers))
 	for _, box := range e.workers {
 		go func(b *handoff) {
-			defer e.wg.Done()
-			work(b)
+			defer wg.Done()
+			co := NewCoalescer(e.node)
+			b.drainRuns(func(m Message) {
+				handler(m, co)
+				m.ReleaseArena()
+			}, co.Flush)
 		}(box)
 	}
 	n := uint64(len(e.workers))
@@ -183,11 +159,11 @@ func (e *Executor) dispatch(work func(*handoff)) {
 	for _, box := range e.workers {
 		box.close()
 	}
-	e.wg.Wait()
+	wg.Wait()
 }
 
 // serveCoalescingInline is the single-worker RunCoalescing loop: handle
-// inline on the dispatcher goroutine (no dispatch hop, like Serve), with run
+// inline on the dispatcher goroutine (no dispatch hop), with run
 // boundaries recovered opportunistically from the inbox channel — after a
 // blocking receive, drain whatever else is immediately available before
 // flushing. An uncontended inbox therefore flushes after every message

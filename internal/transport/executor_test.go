@@ -42,8 +42,8 @@ func execSeq(m Message) int {
 }
 
 // waitUntil polls cond until it holds or the deadline passes. Closing a node
-// discards messages still in flight (exactly as under Serve), so tests wait
-// for full delivery before shutting the executor down.
+// discards messages still in flight, so tests wait for full delivery before
+// shutting the executor down.
 func waitUntil(t *testing.T, what string, cond func() bool) {
 	t.Helper()
 	deadline := time.Now().Add(10 * time.Second)
@@ -103,7 +103,7 @@ func TestExecutorPerKeyFIFO(t *testing.T) {
 	execDone.Add(1)
 	go func() {
 		defer execDone.Done()
-		exec.Run(func(m Message) {
+		exec.RunCoalescing(func(m Message, _ Sender) {
 			key, _ := execKeyFunc(m)
 			mu.Lock()
 			seqs[string(key)] = append(seqs[string(key)], execSeq(m))
@@ -168,7 +168,7 @@ func TestExecutorDrainsOnStop(t *testing.T) {
 	execDone.Add(1)
 	go func() {
 		defer execDone.Done()
-		exec.Run(func(Message) { handled.Add(1) })
+		exec.RunCoalescing(func(Message, Sender) { handled.Add(1) })
 	}()
 
 	for i := 0; i < total; i++ {
@@ -189,7 +189,7 @@ func TestExecutorDrainsOnStop(t *testing.T) {
 
 // TestExecutorRoutesUnkeyedMessages checks that a message whose key cannot be
 // extracted still reaches the handler (on worker 0) instead of vanishing —
-// the handler owns the decision to drop, exactly as under Serve.
+// the handler owns the decision to drop.
 func TestExecutorRoutesUnkeyedMessages(t *testing.T) {
 	net := NewInMemNetwork()
 	defer func() { _ = net.Close() }()
@@ -202,7 +202,7 @@ func TestExecutorRoutesUnkeyedMessages(t *testing.T) {
 	execDone.Add(1)
 	go func() {
 		defer execDone.Done()
-		exec.Run(func(Message) { handled.Add(1) })
+		exec.RunCoalescing(func(Message, Sender) { handled.Add(1) })
 	}()
 
 	if err := client.Send(types.Server(1), "op", []byte("malformed-no-separator")); err != nil {
@@ -233,7 +233,7 @@ func TestExecutorSingleWorkerInline(t *testing.T) {
 	execDone.Add(1)
 	go func() {
 		defer execDone.Done()
-		exec.Run(func(m Message) {
+		exec.RunCoalescing(func(m Message, _ Sender) {
 			mu.Lock()
 			got = append(got, execSeq(m))
 			mu.Unlock()

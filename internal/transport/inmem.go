@@ -94,7 +94,7 @@ func WithClock(c *VirtualClock) InMemOption {
 // adds latency.
 //
 // Consumers of a batching network's inboxes must be batch-aware (Executor,
-// Demux, Serve and the protoutil collectors all are); raw inbox loops that
+// Demux and the protoutil collectors all are); raw inbox loops that
 // decode payloads directly would drop the envelopes as malformed. Observers
 // and link counters see the individual messages — coalescing happens after
 // delivery accounting, on the receiving node's own queue.

@@ -301,51 +301,6 @@ func TestInMemConcurrentSendersAllDelivered(t *testing.T) {
 	wg.Wait()
 }
 
-func TestServeInvokesHandlerUntilClose(t *testing.T) {
-	net := NewInMemNetwork()
-	defer net.Close()
-	a := mustJoin(t, net, types.Reader(1))
-	b := mustJoin(t, net, types.Server(1))
-
-	var mu sync.Mutex
-	var got []string
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		Serve(b, func(m Message) {
-			mu.Lock()
-			got = append(got, m.Kind)
-			mu.Unlock()
-		})
-	}()
-
-	for _, k := range []string{"a", "b", "c"} {
-		if err := a.Send(b.ID(), k, nil); err != nil {
-			t.Fatalf("Send: %v", err)
-		}
-	}
-	// Wait until handled, then close and ensure Serve returns.
-	deadline := time.Now().Add(2 * time.Second)
-	for {
-		mu.Lock()
-		n := len(got)
-		mu.Unlock()
-		if n == 3 {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("handler saw %d messages, want 3", n)
-		}
-		time.Sleep(time.Millisecond)
-	}
-	_ = b.Close()
-	select {
-	case <-done:
-	case <-time.After(2 * time.Second):
-		t.Fatal("Serve did not return after Close")
-	}
-}
-
 func TestInMemObserverSeesDeliveries(t *testing.T) {
 	var mu sync.Mutex
 	count := 0

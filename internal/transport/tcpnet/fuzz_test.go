@@ -7,9 +7,12 @@ import (
 	"fastread/internal/types"
 )
 
-// FuzzReadFrame asserts that the frame decoder never panics on arbitrary
-// stream bytes, that buffer-reusing reads agree with fresh-buffer reads, and
-// that frames produced by the reference encoder round-trip exactly.
+// FuzzReadFrame asserts that readFrameArena — the frame decoder the receive
+// loop runs — never panics on arbitrary stream bytes, that frames produced by
+// the reference encoder round-trip exactly, and that its arena contract holds:
+// an error hands out neither an arena nor a view (the arena was released
+// internally; a release too many would panic, in every build), success hands
+// out exactly one reference and a payload that is a view inside that arena.
 func FuzzReadFrame(f *testing.F) {
 	// Seed with well-formed frames of every shape the transport produces...
 	for _, seed := range []struct {
@@ -36,19 +39,18 @@ func FuzzReadFrame(f *testing.F) {
 	f.Add([]byte{0, 0, 0, 3, 1})
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		from, kind, payload, err := readFrame(bytes.NewReader(data))
-
-		// A reused scratch buffer must decode identically.
-		var scratch []byte
-		from2, kind2, payload2, err2 := readFrameReusing(bytes.NewReader(data), &scratch)
-		if (err == nil) != (err2 == nil) {
-			t.Fatalf("readFrame err=%v but reusing err=%v", err, err2)
-		}
+		from, kind, payload, arena, err := readFrameArena(bytes.NewReader(data))
 		if err != nil {
+			if arena != nil || payload != nil {
+				t.Fatalf("error %v still handed out arena=%v payload=%v", err, arena, payload)
+			}
 			return
 		}
-		if from != from2 || kind != kind2 || !bytes.Equal(payload, payload2) {
-			t.Fatal("buffer-reusing read disagrees with fresh read")
+		if arena.Refs() != 1 {
+			t.Fatalf("decoded frame holds %d arena references, want 1", arena.Refs())
+		}
+		if body := arena.Bytes(); len(payload) > 0 && &payload[len(payload)-1] != &body[len(body)-1] {
+			t.Fatal("payload is not a view of the arena's frame body")
 		}
 
 		// Whatever decoded must re-encode to the exact bytes consumed.
@@ -59,5 +61,6 @@ func FuzzReadFrame(f *testing.F) {
 		if !bytes.Equal(reencoded, data[:len(reencoded)]) {
 			t.Fatal("re-encoded frame differs from consumed bytes")
 		}
+		arena.Release()
 	})
 }

@@ -42,18 +42,6 @@ import (
 	"fastread/internal/wire"
 )
 
-// AddressBook maps process identities to their "host:port" addresses.
-type AddressBook map[types.ProcessID]string
-
-// Clone returns a copy of the address book.
-func (b AddressBook) Clone() AddressBook {
-	out := make(AddressBook, len(b))
-	for k, v := range b {
-		out[k] = v
-	}
-	return out
-}
-
 // Config configures one TCP-attached process.
 type Config struct {
 	// Self is the identity of this process.
@@ -62,7 +50,7 @@ type Config struct {
 	// entry for Self is used.
 	ListenAddr string
 	// Book maps every peer (and usually Self) to its address.
-	Book AddressBook
+	Book transport.AddressBook
 	// Resolve, when non-nil, is consulted for destinations the Book does not
 	// cover. It lets a deployment whose processes listen on ephemeral ports
 	// (":0") share a live address table that fills in as processes come up:
@@ -800,7 +788,7 @@ func (n *Node) deliverInbound(msg transport.Message) {
 // encodeFrame builds one wire frame as a standalone byte slice. The send
 // path streams frames straight into the peer's buffer via writeFrame and
 // never materialises them; this reference encoding is kept for tests and
-// fuzzing, and documents the layout readFrame expects.
+// fuzzing, and documents the layout readFrameArena expects.
 func encodeFrame(from types.ProcessID, kind string, payload []byte) ([]byte, error) {
 	if len(payload) > maxFrameSize {
 		return nil, fmt.Errorf("tcpnet: payload too large (%d bytes)", len(payload))
@@ -817,44 +805,10 @@ func encodeFrame(from types.ProcessID, kind string, payload []byte) ([]byte, err
 	return frame, nil
 }
 
-// readFrame reads and decodes one frame from the reader. The returned
-// payload owns its bytes.
-func readFrame(r io.Reader) (types.ProcessID, string, []byte, error) {
-	var scratch []byte
-	return readFrameReusing(r, &scratch)
-}
-
-// readFrameReusing reads one frame using *scratch as the reusable frame
-// buffer (grown as needed and written back). Only the returned payload is
-// freshly allocated.
-func readFrameReusing(r io.Reader, scratch *[]byte) (types.ProcessID, string, []byte, error) {
-	var lenBuf [4]byte
-	if _, err := io.ReadFull(r, lenBuf[:]); err != nil {
-		return types.ProcessID{}, "", nil, err
-	}
-	total := binary.BigEndian.Uint32(lenBuf[:])
-	if total > maxFrameSize {
-		return types.ProcessID{}, "", nil, fmt.Errorf("tcpnet: frame too large (%d bytes)", total)
-	}
-	if cap(*scratch) < int(total) {
-		*scratch = make([]byte, total)
-	}
-	body := (*scratch)[:total]
-	from, kind, view, err := parseFrameBody(r, body)
-	if err != nil {
-		return types.ProcessID{}, "", nil, err
-	}
-	// The frame buffer is reused for the next frame; the payload handed out
-	// must own its bytes.
-	payload := append([]byte(nil), view...)
-	return from, kind, payload, nil
-}
-
 // readFrameArena reads one frame with its body in a pooled refcounted arena.
 // The returned payload ALIASES the arena buffer; the caller owns the arena's
-// initial reference (released internally on every error path). This is the
-// hot-path variant of readFrameReusing: same layout, same validation, but the
-// per-frame payload copy is replaced by arena recycling.
+// initial reference (released internally on every error path), so a frame
+// costs arena recycling instead of a payload copy.
 func readFrameArena(r io.Reader) (types.ProcessID, string, []byte, *wire.Arena, error) {
 	var lenBuf [4]byte
 	if _, err := io.ReadFull(r, lenBuf[:]); err != nil {
@@ -914,10 +868,10 @@ func parseFrameBody(r io.Reader, body []byte) (types.ProcessID, string, []byte, 
 // LocalCluster starts one TCP node per identity, all listening on loopback
 // with ephemeral ports, and returns them along with the shared address book.
 // It is a convenience for tests and for the tcpcluster example.
-func LocalCluster(ids []types.ProcessID) (map[types.ProcessID]*Node, AddressBook, error) {
+func LocalCluster(ids []types.ProcessID) (map[types.ProcessID]*Node, transport.AddressBook, error) {
 	// First pass: create listeners so every process learns its port.
 	listeners := make(map[types.ProcessID]net.Listener, len(ids))
-	book := make(AddressBook, len(ids))
+	book := make(transport.AddressBook, len(ids))
 	for _, id := range ids {
 		l, err := net.Listen("tcp", "127.0.0.1:0")
 		if err != nil {

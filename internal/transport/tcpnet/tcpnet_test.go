@@ -87,37 +87,32 @@ func TestFrameRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	from, kind, payload, err := readFrame(bytes.NewReader(frame))
+	from, kind, payload, arena, err := readFrameArena(bytes.NewReader(frame))
 	if err != nil {
 		t.Fatal(err)
 	}
+	defer arena.Release()
 	if from != types.Reader(7) || kind != "readack" || !bytes.Equal(payload, []byte{1, 2, 3}) {
 		t.Errorf("round trip mismatch: %v %q %v", from, kind, payload)
 	}
 }
 
 func TestReadFrameRejectsGarbage(t *testing.T) {
-	// Truncated length prefix.
-	if _, _, _, err := readFrame(bytes.NewReader([]byte{0, 0})); err == nil {
-		t.Error("truncated prefix accepted")
+	rejects := func(what string, data []byte) {
+		t.Helper()
+		if _, _, payload, arena, err := readFrameArena(bytes.NewReader(data)); err == nil || arena != nil || payload != nil {
+			t.Errorf("%s: err=%v arena=%v payload=%v, want an error and nothing handed out", what, err, arena, payload)
+		}
 	}
-	// Body shorter than advertised.
+	rejects("truncated length prefix", []byte{0, 0})
 	frame, _ := encodeFrame(types.Writer(), "k", []byte("data"))
-	if _, _, _, err := readFrame(bytes.NewReader(frame[:len(frame)-2])); err == nil {
-		t.Error("truncated body accepted")
-	}
-	// Invalid sender role.
+	rejects("body shorter than advertised", frame[:len(frame)-2])
 	bad := append([]byte(nil), frame...)
 	bad[4] = 99
-	if _, _, _, err := readFrame(bytes.NewReader(bad)); err == nil {
-		t.Error("invalid sender accepted")
-	}
-	// Oversized frame length.
+	rejects("invalid sender role", bad)
 	huge := make([]byte, 8)
 	huge[0], huge[1], huge[2], huge[3] = 0xFF, 0xFF, 0xFF, 0xFF
-	if _, _, _, err := readFrame(bytes.NewReader(huge)); err == nil {
-		t.Error("oversized frame accepted")
-	}
+	rejects("oversized frame length", huge)
 }
 
 func TestListenValidation(t *testing.T) {

@@ -117,22 +117,3 @@ var (
 	// never joined the network.
 	ErrUnknownProcess = errors.New("transport: unknown process")
 )
-
-// Serve invokes handler for every protocol message delivered to node, in
-// delivery order on a single goroutine, until the node is closed. Batch
-// envelopes are expanded (see Expand), so the handler only ever sees single
-// messages. It returns after the inbox is drained. It is the degenerate
-// (one-worker) case of Executor and remains the right tool for client-side
-// helpers and tests; the protocol servers run on a key-sharded Executor
-// instead.
-//
-// Serve owns each delivered message's arena reference and releases it after
-// the handler returns: handlers retain decoded views past their own return
-// only by cloning or taking an Arena.Ref of their own (wire's ownership
-// rules 3 and 4).
-func Serve(node Node, handler func(Message)) {
-	for msg := range node.Inbox() {
-		Expand(msg, handler)
-		msg.ReleaseArena()
-	}
-}

@@ -45,18 +45,6 @@ import (
 	"fastread/internal/wire"
 )
 
-// AddressBook maps process identities to their "host:port" UDP addresses.
-type AddressBook map[types.ProcessID]string
-
-// Clone returns a copy of the address book.
-func (b AddressBook) Clone() AddressBook {
-	out := make(AddressBook, len(b))
-	for k, v := range b {
-		out[k] = v
-	}
-	return out
-}
-
 // Config configures one UDP-attached process.
 type Config struct {
 	// Self is the identity of this process.
@@ -65,7 +53,7 @@ type Config struct {
 	// for Self is used.
 	ListenAddr string
 	// Book maps every peer (and usually Self) to its address.
-	Book AddressBook
+	Book transport.AddressBook
 	// Resolve, when non-nil, is consulted for destinations the Book does not
 	// cover, serving the same live-address-table role as tcpnet's Resolve
 	// (deployments on ephemeral ports). Must be safe for concurrent use.
@@ -604,9 +592,9 @@ func parsePacket(pkt []byte) (seq uint64, from types.ProcessID, kind string, pay
 
 // LocalCluster binds one UDP node per identity, all on loopback with
 // ephemeral ports, and returns them along with the shared address book.
-func LocalCluster(ids []types.ProcessID) (map[types.ProcessID]*Node, AddressBook, error) {
+func LocalCluster(ids []types.ProcessID) (map[types.ProcessID]*Node, transport.AddressBook, error) {
 	conns := make(map[types.ProcessID]*net.UDPConn, len(ids))
-	book := make(AddressBook, len(ids))
+	book := make(transport.AddressBook, len(ids))
 	for _, id := range ids {
 		conn, err := net.ListenUDP("udp", &net.UDPAddr{IP: net.IPv4(127, 0, 0, 1)})
 		if err != nil {

@@ -72,12 +72,12 @@ func virtualEchoRun(t *testing.T, seed int64, n int) []string {
 	if err != nil {
 		t.Fatal(err)
 	}
-	go Serve(ns, func(m Message) {
+	go serve(ns, func(m Message) {
 		_ = ns.Send(m.From, "echo", append([]byte(nil), m.Payload...))
 	})
 	var mu sync.Mutex
 	var got []string
-	go Serve(nw, func(m Message) {
+	go serve(nw, func(m Message) {
 		mu.Lock()
 		got = append(got, string(m.Payload))
 		mu.Unlock()
@@ -127,5 +127,14 @@ func TestVirtualNetworkDeterministic(t *testing.T) {
 	c := virtualEchoRun(t, 8, n)
 	if strings.Join(a, ",") == strings.Join(c, ",") {
 		t.Log("note: different seeds produced identical orders (possible but unlikely)")
+	}
+}
+
+// serve hands every protocol message delivered to node to handler, on one
+// goroutine, until the node is closed.
+func serve(node Node, handler func(Message)) {
+	for msg := range node.Inbox() {
+		Expand(msg, handler)
+		msg.ReleaseArena()
 	}
 }

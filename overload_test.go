@@ -70,7 +70,7 @@ func TestOverloadAcceptance(t *testing.T) {
 		keys  = 4
 		bound = 128
 	)
-	// NetworkDelay makes the virtual round trip — not host CPU — the
+	// The transport delay makes the virtual round trip — not host CPU — the
 	// capacity bottleneck, so the knee lands in the same place on a loaded
 	// 1-CPU CI box as on a fast workstation. Capacity ≈ keys × depth/RTT =
 	// 4 × 2/4ms ≈ 2000 ops/s. AdmissionWait (500µs) is deliberately below
@@ -84,7 +84,7 @@ func TestOverloadAcceptance(t *testing.T) {
 		Protocol:      ProtocolFast,
 		ServerWorkers: 1,
 		PipelineDepth: 2,
-		NetworkDelay:  2 * time.Millisecond,
+		Transport:     InMemory(WithDelay(2 * time.Millisecond)),
 		AdmissionWait: 500 * time.Microsecond,
 		QueueBound:    bound,
 	})

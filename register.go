@@ -152,17 +152,6 @@ type Config struct {
 	// TCP backend's frame batching and the servers' per-run acknowledgement
 	// coalescing are always on. In-memory backend only.
 	DisableBatching bool
-	// NetworkDelay, when non-zero, adds a uniform one-way delivery delay to
-	// every message of the in-memory network, which makes round-trip counts
-	// directly visible in operation latency. In-memory backend only; the
-	// WithDelay transport option is the equivalent on InMemory().
-	NetworkDelay time.Duration
-	// Jitter adds a random extra delay in [0, Jitter) to each delivery.
-	// In-memory backend only (see WithJitter).
-	Jitter time.Duration
-	// Seed seeds the network's randomness; runs with equal seeds and
-	// schedules see equal jitter. In-memory backend only (see WithSeed).
-	Seed int64
 	// NonceSource, when non-nil, supplies the initial operation counter for
 	// each reader handle the store creates, replacing the wall-clock default
 	// (see internal/protoutil.InitialNonce). Deterministic simulation plugs
@@ -472,8 +461,8 @@ type Stats struct {
 	// knobs. Together with client-side ErrOverloaded rejections (which the
 	// caller observes directly), this is the exact account of where
 	// offered load beyond capacity went.
-	ShedDrops       int64
-	ServerMutations int64
+	ShedDrops        int64
+	ServerMutations  int64
 	ReadRoundsPerOp  float64
 	WriteRoundsPerOp float64
 	// Durable aggregates every server's write-ahead-log counters across the

@@ -753,9 +753,7 @@ func (s *Store) Stats() Stats {
 			out.MailboxHighWater = ts.mailboxHighWater
 		}
 		// Shed accounting: bounded server mailboxes (transport session),
-		// bounded client routes (demuxes), bounded executor queues
-		// (servers, via the optional QueueSheds interface — drivers
-		// without shedding simply don't implement it).
+		// bounded client routes (demuxes), bounded executor queues (servers).
 		gs.ShedDrops = ts.shedDrops
 		if g.writerDemux != nil {
 			gs.ShedDrops += g.writerDemux.Sheds()
@@ -768,9 +766,7 @@ func (s *Store) Stats() Stats {
 		g.srvMu.Unlock()
 		for _, srv := range servers {
 			out.ServerMutations += srv.TotalMutations()
-			if qs, ok := srv.(interface{ QueueSheds() int64 }); ok {
-				gs.ShedDrops += qs.QueueSheds()
-			}
+			gs.ShedDrops += srv.QueueSheds()
 		}
 		out.ShedDrops += gs.ShedDrops
 		var dur durable.Stats

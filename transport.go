@@ -3,6 +3,7 @@ package fastread
 import (
 	"errors"
 	"fmt"
+	"maps"
 	"sync"
 	"time"
 
@@ -90,16 +91,14 @@ func (s sessionStats) dropped() int { return s.sendDrops + s.inboundDrops + s.de
 type InMemoryOption func(*inMemTransport)
 
 // WithDelay adds a uniform one-way delivery delay to every message, which
-// makes round-trip counts directly visible in operation latency. It is the
-// transport-level equivalent of Config.NetworkDelay.
+// makes round-trip counts directly visible in operation latency.
 func WithDelay(d time.Duration) InMemoryOption {
 	return func(t *inMemTransport) {
 		t.opts = append(t.opts, transport.WithDefaultDelay(d))
 	}
 }
 
-// WithJitter adds a random extra delay in [0, j) to each delivery. It is the
-// transport-level equivalent of Config.Jitter.
+// WithJitter adds a random extra delay in [0, j) to each delivery.
 func WithJitter(j time.Duration) InMemoryOption {
 	return func(t *inMemTransport) {
 		t.opts = append(t.opts, transport.WithJitter(j))
@@ -107,8 +106,7 @@ func WithJitter(j time.Duration) InMemoryOption {
 }
 
 // WithSeed seeds the network's randomness; runs with equal seeds and
-// schedules see equal jitter. It is the transport-level equivalent of
-// Config.Seed.
+// schedules see equal jitter.
 func WithSeed(seed int64) InMemoryOption {
 	return func(t *inMemTransport) {
 		t.opts = append(t.opts, transport.WithSeed(seed))
@@ -132,9 +130,6 @@ func WithVirtualClock(c *transport.VirtualClock) InMemoryOption {
 // InMemory returns the in-memory transport backend: the paper's asynchronous
 // reliable network as a single-process simulator, with every fault-injection
 // capability available. It is the default when Config.Transport is nil.
-//
-// Options given here take precedence over the equivalent Config fields
-// (NetworkDelay, Jitter, Seed), which remain supported for the common case.
 func InMemory(opts ...InMemoryOption) Transport {
 	t := &inMemTransport{}
 	for _, opt := range opts {
@@ -151,20 +146,12 @@ type inMemTransport struct {
 func (t *inMemTransport) String() string { return "inmem" }
 
 func (t *inMemTransport) connect(cfg Config) (transportSession, error) {
-	// Config-level knobs first, transport-level options after so the
-	// explicit transport construction wins.
-	opts := []transport.InMemOption{transport.WithSeed(cfg.Seed)}
+	var opts []transport.InMemOption
 	if !cfg.DisableBatching {
 		// Delivery batching: node pumps coalesce consecutive same-sender
 		// backlog into one wire.Batch handoff. Every consumer a Store wires
 		// up (executors, demuxes, the client pipelines) is batch-aware.
 		opts = append(opts, transport.WithBatching())
-	}
-	if cfg.NetworkDelay > 0 {
-		opts = append(opts, transport.WithDefaultDelay(cfg.NetworkDelay))
-	}
-	if cfg.Jitter > 0 {
-		opts = append(opts, transport.WithJitter(cfg.Jitter))
 	}
 	if cfg.QueueBound > 0 {
 		opts = append(opts, transport.WithMailboxBound(cfg.QueueBound))
@@ -238,10 +225,7 @@ func WithWriteTimeout(d time.Duration) TCPOption {
 // Fault-injection capabilities (CrashServer, Network) report ErrUnsupported
 // on this backend.
 func TCP(book map[string]string, opts ...TCPOption) Transport {
-	t := &tcpTransport{book: make(map[string]string, len(book))}
-	for id, addr := range book {
-		t.book[id] = addr
-	}
+	t := &tcpTransport{book: maps.Clone(book)}
 	for _, opt := range opts {
 		opt(t)
 	}
@@ -258,73 +242,93 @@ type tcpTransport struct {
 func (t *tcpTransport) String() string { return "tcp" }
 
 func (t *tcpTransport) connect(cfg Config) (transportSession, error) {
-	static := make(tcpnet.AddressBook, len(t.book))
-	for idStr, addr := range t.book {
-		id, err := types.ParseProcessID(idStr)
+	return newSocketSession("TCP", t.book, func(s *socketSession, id types.ProcessID, listenAddr string) (socketNode, error) {
+		node, err := tcpnet.Listen(tcpnet.Config{
+			Self:         id,
+			ListenAddr:   listenAddr,
+			Book:         s.static,
+			Resolve:      s.resolve,
+			DialTimeout:  t.dialTimeout,
+			WriteTimeout: t.writeTimeout,
+		})
 		if err != nil {
-			return nil, fmt.Errorf("fastread: TCP address book entry %q: %w", idStr, err)
+			return socketNode{}, err
 		}
-		if addr == "" {
-			return nil, fmt.Errorf("fastread: TCP address book entry %q has an empty address", idStr)
-		}
-		static[id] = addr
-	}
-	return &tcpSession{
-		transport: t,
-		static:    static,
-		live:      make(tcpnet.AddressBook),
-	}, nil
+		return socketNode{Node: node, addr: node.Addr(), fold: func(out *sessionStats) {
+			ns := node.Stats()
+			out.delivered += int(ns.Delivered)
+			out.frames += int(ns.Frames)
+			out.sendDrops += int(ns.DroppedSend)
+			out.inboundDrops += int(ns.DroppedInbound)
+		}}, nil
+	})
 }
 
-// tcpSession is one store's TCP deployment: each joined process owns a
-// listening socket, and processes the static book does not cover are
-// resolved through the live table filled in at join time.
-type tcpSession struct {
-	transport *tcpTransport
-	static    tcpnet.AddressBook
+// socketNode is one process's socket as a socketSession tracks it: the node,
+// the address it actually bound, and how to add its counters to a snapshot
+// (the backends' stats structs differ).
+type socketNode struct {
+	transport.Node
+	addr string
+	fold func(*sessionStats)
+}
+
+// socketSession is one store's deployment over a socket backend (TCP or
+// UDP): each joined process owns a socket bound by listen, and processes the
+// static book does not cover are resolved through the live table filled in at
+// join time.
+type socketSession struct {
+	static transport.AddressBook
+	listen func(s *socketSession, id types.ProcessID, listenAddr string) (socketNode, error)
 
 	mu    sync.Mutex
-	live  tcpnet.AddressBook
-	nodes []*tcpnet.Node
+	live  transport.AddressBook
+	nodes []socketNode
 }
 
-func (s *tcpSession) join(id types.ProcessID) (transport.Node, error) {
+// newSocketSession parses a transport's textual address book (backend names
+// it in errors) into a session that binds sockets with listen.
+func newSocketSession(backend string, book map[string]string, listen func(*socketSession, types.ProcessID, string) (socketNode, error)) (transportSession, error) {
+	s := &socketSession{listen: listen, live: make(transport.AddressBook)}
+	if len(book) > 0 {
+		var err error
+		if s.static, err = transport.BookFromMembers(book); err != nil {
+			return nil, fmt.Errorf("fastread: %s address book: %w", backend, err)
+		}
+	}
+	return s, nil
+}
+
+func (s *socketSession) join(id types.ProcessID) (transport.Node, error) {
 	listenAddr := s.static[id]
 	if listenAddr == "" {
 		listenAddr = "127.0.0.1:0"
 	}
-	node, err := tcpnet.Listen(tcpnet.Config{
-		Self:         id,
-		ListenAddr:   listenAddr,
-		Book:         s.static,
-		Resolve:      s.resolve,
-		DialTimeout:  s.transport.dialTimeout,
-		WriteTimeout: s.transport.writeTimeout,
-	})
+	node, err := s.listen(s, id, listenAddr)
 	if err != nil {
 		return nil, err
 	}
 	s.mu.Lock()
-	s.live[id] = node.Addr()
+	s.live[id] = node.addr
 	s.nodes = append(s.nodes, node)
 	s.mu.Unlock()
-	return node, nil
+	return node.Node, nil
 }
 
 // resolve serves the live address table to every node of the session; it
 // covers the ephemeral-port processes the static book cannot name up front.
-func (s *tcpSession) resolve(id types.ProcessID) (string, bool) {
+func (s *socketSession) resolve(id types.ProcessID) (string, bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	addr, ok := s.live[id]
 	return addr, ok
 }
 
-func (s *tcpSession) close() error {
+func (s *socketSession) close() error {
 	// Keep the node list so stats() stays meaningful after close; Node.Close
 	// is idempotent.
 	s.mu.Lock()
-	nodes := append([]*tcpnet.Node(nil), s.nodes...)
+	nodes := append([]socketNode(nil), s.nodes...)
 	s.mu.Unlock()
 	var first error
 	for _, n := range nodes {
@@ -335,22 +339,18 @@ func (s *tcpSession) close() error {
 	return first
 }
 
-func (s *tcpSession) crash(id types.ProcessID) error {
+func (s *socketSession) crash(id types.ProcessID) error {
 	return fmt.Errorf("%w: crash injection requires the in-memory network (kill the process instead)", ErrUnsupported)
 }
 
-func (s *tcpSession) inMem() *transport.InMemNetwork { return nil }
+func (s *socketSession) inMem() *transport.InMemNetwork { return nil }
 
-func (s *tcpSession) stats() sessionStats {
+func (s *socketSession) stats() sessionStats {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	var out sessionStats
 	for _, n := range s.nodes {
-		ns := n.Stats()
-		out.delivered += int(ns.Delivered)
-		out.frames += int(ns.Frames)
-		out.sendDrops += int(ns.DroppedSend)
-		out.inboundDrops += int(ns.DroppedInbound)
+		n.fold(&out)
 	}
 	return out
 }
@@ -387,10 +387,7 @@ func WithReceiveFilter(keep func(from string) bool) UDPOption {
 // Fault-injection capabilities (CrashServer, Network) report ErrUnsupported
 // on this backend; packet loss is injected with WithReceiveFilter instead.
 func UDP(book map[string]string, opts ...UDPOption) Transport {
-	t := &udpTransport{book: make(map[string]string, len(book))}
-	for id, addr := range book {
-		t.book[id] = addr
-	}
+	t := &udpTransport{book: maps.Clone(book)}
 	for _, opt := range opts {
 		opt(t)
 	}
@@ -406,102 +403,28 @@ type udpTransport struct {
 func (t *udpTransport) String() string { return "udp" }
 
 func (t *udpTransport) connect(cfg Config) (transportSession, error) {
-	static := make(udpnet.AddressBook, len(t.book))
-	for idStr, addr := range t.book {
-		id, err := types.ParseProcessID(idStr)
+	var filter func(types.ProcessID) bool
+	if keep := t.filter; keep != nil {
+		filter = func(from types.ProcessID) bool { return keep(from.String()) }
+	}
+	return newSocketSession("UDP", t.book, func(s *socketSession, id types.ProcessID, listenAddr string) (socketNode, error) {
+		node, err := udpnet.Listen(udpnet.Config{
+			Self:          id,
+			ListenAddr:    listenAddr,
+			Book:          s.static,
+			Resolve:       s.resolve,
+			ReceiveFilter: filter,
+		})
 		if err != nil {
-			return nil, fmt.Errorf("fastread: UDP address book entry %q: %w", idStr, err)
+			return socketNode{}, err
 		}
-		if addr == "" {
-			return nil, fmt.Errorf("fastread: UDP address book entry %q has an empty address", idStr)
-		}
-		static[id] = addr
-	}
-	s := &udpSession{
-		transport: t,
-		static:    static,
-		live:      make(udpnet.AddressBook),
-	}
-	if t.filter != nil {
-		keep := t.filter
-		s.filter = func(from types.ProcessID) bool { return keep(from.String()) }
-	}
-	return s, nil
-}
-
-// udpSession is one store's UDP deployment: each joined process owns a bound
-// datagram socket, and processes the static book does not cover are resolved
-// through the live table filled in at join time.
-type udpSession struct {
-	transport *udpTransport
-	static    udpnet.AddressBook
-	filter    func(types.ProcessID) bool
-
-	mu    sync.Mutex
-	live  udpnet.AddressBook
-	nodes []*udpnet.Node
-}
-
-func (s *udpSession) join(id types.ProcessID) (transport.Node, error) {
-	listenAddr := s.static[id]
-	if listenAddr == "" {
-		listenAddr = "127.0.0.1:0"
-	}
-	node, err := udpnet.Listen(udpnet.Config{
-		Self:          id,
-		ListenAddr:    listenAddr,
-		Book:          s.static,
-		Resolve:       s.resolve,
-		ReceiveFilter: s.filter,
+		return socketNode{Node: node, addr: node.Addr(), fold: func(out *sessionStats) {
+			ns := node.Stats()
+			out.delivered += int(ns.Delivered)
+			out.frames += int(ns.Frames)
+			out.sendDrops += int(ns.DroppedSend)
+			out.inboundDrops += int(ns.DroppedInbound)
+			out.dedupDrops += int(ns.DedupDrops)
+		}}, nil
 	})
-	if err != nil {
-		return nil, err
-	}
-	s.mu.Lock()
-	s.live[id] = node.Addr()
-	s.nodes = append(s.nodes, node)
-	s.mu.Unlock()
-	return node, nil
-}
-
-// resolve serves the live address table to every node of the session.
-func (s *udpSession) resolve(id types.ProcessID) (string, bool) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	addr, ok := s.live[id]
-	return addr, ok
-}
-
-func (s *udpSession) close() error {
-	s.mu.Lock()
-	nodes := append([]*udpnet.Node(nil), s.nodes...)
-	s.mu.Unlock()
-	var first error
-	for _, n := range nodes {
-		if err := n.Close(); err != nil && first == nil {
-			first = err
-		}
-	}
-	return first
-}
-
-func (s *udpSession) crash(id types.ProcessID) error {
-	return fmt.Errorf("%w: crash injection requires the in-memory network (kill the process instead)", ErrUnsupported)
-}
-
-func (s *udpSession) inMem() *transport.InMemNetwork { return nil }
-
-func (s *udpSession) stats() sessionStats {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	var out sessionStats
-	for _, n := range s.nodes {
-		ns := n.Stats()
-		out.delivered += int(ns.Delivered)
-		out.frames += int(ns.Frames)
-		out.sendDrops += int(ns.DroppedSend)
-		out.inboundDrops += int(ns.DroppedInbound)
-		out.dedupDrops += int(ns.DedupDrops)
-	}
-	return out
 }
