@@ -5,12 +5,14 @@ import (
 	"fmt"
 	"math/rand"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"fastread/internal/atomicity"
 	"fastread/internal/history"
 	"fastread/internal/quorum"
+	"fastread/internal/transport"
 	"fastread/internal/types"
 )
 
@@ -153,6 +155,150 @@ func runChaosSchedule(t *testing.T, cfg quorum.Config, seed int64) {
 	}
 	if len(h.Reads()) == 0 {
 		t.Fatalf("chaos schedule starved every read (seed %d)", seed)
+	}
+}
+
+// TestChaosWideReaderSetsStayAtomic is the chaos schedule at the reader
+// counts where the seen sets of one read genuinely diverge: every reader
+// reads concurrently with the writer while deliveries are jittered and an
+// adversary holds and releases random writer→server and server→reader links
+// (delaying, never dropping). The Byzantine row adds a server that claims
+// every client in its seen set. Each history goes through the atomicity
+// checker, and each run must have put the predicate's lattice walk — not only
+// its all-identical fast path — on the checked path: among reads whose maxTS
+// acknowledgements carried at least two distinct seen sets, one held at a
+// level above 1 and one fell back to maxTS−1. The writer keeps writing until
+// both have happened.
+func TestChaosWideReaderSetsStayAtomic(t *testing.T) {
+	if testing.Short() {
+		t.Skip("chaos test is comparatively slow")
+	}
+	for _, cfg := range []quorum.Config{
+		{Servers: 11, Faulty: 1, Readers: 8},
+		{Servers: 19, Faulty: 1, Readers: 16},
+		{Servers: 14, Faulty: 1, Malicious: 1, Readers: 3},
+	} {
+		t.Run(fmt.Sprintf("S=%d_t=%d_b=%d_R=%d", cfg.Servers, cfg.Faulty, cfg.Malicious, cfg.Readers), func(t *testing.T) {
+			runWideChaosSchedule(t, cfg, 1)
+		})
+	}
+}
+
+func runWideChaosSchedule(t *testing.T, cfg quorum.Config, seed int64) {
+	t.Helper()
+	net := transport.NewInMemNetwork(transport.WithJitter(200*time.Microsecond), transport.WithSeed(seed))
+	opts := []clusterOption{withNetwork(net)}
+	if cfg.Malicious > 0 {
+		opts = append(opts, withByzantine(), withInflaters(cfg.Malicious))
+	}
+	c := newTestCluster(t, cfg, opts...)
+	recorder := history.NewRecorder()
+	ctx, cancel := context.WithTimeout(context.Background(), 8*time.Second)
+	defer cancel()
+
+	// Adversary: holds one or two random links for up to a millisecond, then
+	// releases them. One held writer link lets the write complete without
+	// that server; two stall it with the value at part of the system.
+	stopAdversary := make(chan struct{})
+	var adversaryDone sync.WaitGroup
+	adversaryDone.Add(1)
+	go func() {
+		defer adversaryDone.Done()
+		rng := rand.New(rand.NewSource(seed))
+		for {
+			select {
+			case <-stopAdversary:
+				return
+			default:
+			}
+			var buf [2][2]types.ProcessID // {from, to}
+			held := buf[:1+rng.Intn(2)]
+			for i := range held {
+				server := types.Server(1 + rng.Intn(cfg.Servers))
+				if rng.Intn(2) == 0 {
+					held[i] = [2]types.ProcessID{types.Writer(), server}
+				} else {
+					held[i] = [2]types.ProcessID{server, types.Reader(1 + rng.Intn(cfg.Readers))}
+				}
+				net.Hold(held[i][0], held[i][1])
+			}
+			time.Sleep(time.Duration(rng.Intn(1000)) * time.Microsecond)
+			for _, l := range held {
+				net.Release(l[0], l[1])
+			}
+		}
+	}()
+
+	var walkHeldAbove1, walkFellBack atomic.Bool
+	const minWrites, maxWrites = 10, 400
+	writerDone := make(chan struct{})
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		defer close(writerDone)
+		for i := 1; i <= maxWrites; i++ {
+			if i > minWrites && walkHeldAbove1.Load() && walkFellBack.Load() {
+				return
+			}
+			value := types.Value(fmt.Sprintf("wide-%d", i))
+			op := recorder.Invoke(types.Writer(), history.OpWrite, value)
+			if err := c.writer.Write(ctx, value); err != nil {
+				recorder.Fail(op) // see runChaosSchedule: the writer stops here
+				return
+			}
+			recorder.Return(op, nil, types.Timestamp(i))
+		}
+	}()
+	for _, rd := range c.readers {
+		wg.Add(1)
+		go func(rd *Reader) {
+			defer wg.Done()
+			for last := false; !last; {
+				select {
+				case <-writerDone:
+					last = true // one more read, after the final write
+				default:
+				}
+				op := recorder.Invoke(rd.ID(), history.OpRead, nil)
+				res, err := rd.Read(ctx)
+				if err != nil {
+					recorder.Fail(op)
+					return
+				}
+				recorder.Return(op, res.Value, res.Timestamp)
+				// This reader's reads are serial, so its scratch still holds
+				// the read that just returned.
+				rd.mu.Lock()
+				diverged := len(rd.pred.seen) >= 2
+				rd.mu.Unlock()
+				if diverged && res.PredicateLevel > 1 {
+					walkHeldAbove1.Store(true)
+				}
+				if diverged && !res.PredicateHeld {
+					walkFellBack.Store(true)
+				}
+			}
+		}(rd)
+	}
+	wg.Wait()
+	close(stopAdversary)
+	adversaryDone.Wait()
+
+	h := recorder.History()
+	report, err := atomicity.CheckSWMR(h)
+	if err != nil {
+		t.Fatalf("check: %v", err)
+	}
+	if !report.OK {
+		t.Fatalf("atomicity violated (seed %d):\n%s", seed, report)
+	}
+	if ctx.Err() != nil {
+		t.Fatalf("schedule did not finish in time: %d writes, %d reads", len(h.Writes()), len(h.Reads()))
+	}
+	if !walkHeldAbove1.Load() || !walkFellBack.Load() {
+		t.Fatalf("after %d writes and %d reads the lattice walk was not covered: held above level 1 = %v, fell back = %v",
+			len(h.Writes()), len(h.Reads()), walkHeldAbove1.Load(), walkFellBack.Load())
 	}
 }
 

@@ -5,6 +5,7 @@ import (
 	"testing"
 	"time"
 
+	"fastread/internal/fault"
 	"fastread/internal/quorum"
 	"fastread/internal/sig"
 	"fastread/internal/trace"
@@ -24,6 +25,9 @@ type testCluster struct {
 	keys    sig.KeyPair
 	trace   *trace.Trace
 	byz     bool
+	// inflaters is the number of highest-numbered servers replaced by
+	// malicious fault.BehaviorInflateSeen stand-ins (not listed in servers).
+	inflaters int
 }
 
 type clusterOption func(*testCluster)
@@ -34,6 +38,10 @@ func withByzantine() clusterOption {
 
 func withNetwork(net *transport.InMemNetwork) clusterOption {
 	return func(c *testCluster) { c.net = net }
+}
+
+func withInflaters(n int) clusterOption {
+	return func(c *testCluster) { c.inflaters = n }
 }
 
 // newTestCluster builds and starts a cluster. Servers, writer and readers are
@@ -53,6 +61,17 @@ func newTestCluster(t *testing.T, cfg quorum.Config, opts ...clusterOption) *tes
 		node, err := c.net.Join(types.Server(i))
 		if err != nil {
 			t.Fatalf("join server %d: %v", i, err)
+		}
+		if i > cfg.Servers-c.inflaters {
+			byz, err := fault.NewByzantineServer(fault.ByzantineConfig{
+				ID: types.Server(i), Behavior: fault.BehaviorInflateSeen, Readers: cfg.Readers,
+			}, node)
+			if err != nil {
+				t.Fatalf("new malicious server %d: %v", i, err)
+			}
+			byz.Start()
+			t.Cleanup(byz.Stop)
+			continue
 		}
 		srv, err := NewServer(ServerConfig{
 			ID:        types.Server(i),

@@ -2,6 +2,7 @@ package core
 
 import (
 	"errors"
+	"fmt"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -225,31 +226,83 @@ func TestPredicateMonotoneInSupport(t *testing.T) {
 	}
 }
 
-// TestPredicateMatchesBruteForce cross-checks the subset-sum evaluator
-// against the literal definition on random small instances.
+// evaluatePredicateBruteForce is the reference implementation: it literally
+// enumerates every subset MS of the messages and checks the paper's
+// condition, returning the least a for which it holds (0 when it does not).
+// Exponential in the number of messages; test-only sizes.
+func evaluatePredicateBruteForce(cfg quorum.Config, acks []SeenAck) int {
+	n := len(acks)
+	maxLevel := cfg.MaxPredicateLevel()
+	least := 0
+	for subset := 1; subset < 1<<n; subset++ {
+		var inter types.ProcessSet
+		count := 0
+		for i := 0; i < n; i++ {
+			if subset&(1<<i) == 0 {
+				continue
+			}
+			legit := types.NewProcessSet()
+			for p := range acks[i].Seen {
+				if isLegitimateClient(p, cfg.Readers) {
+					legit.Add(p)
+				}
+			}
+			if count == 0 {
+				inter = legit
+			} else {
+				inter = inter.Intersect(legit)
+			}
+			count++
+		}
+		for a := 1; a <= maxLevel && (least == 0 || a < least); a++ {
+			threshold := cfg.PredicateThreshold(a)
+			if threshold < 1 {
+				threshold = 1
+			}
+			if count >= threshold && inter.Len() >= a {
+				least = a
+			}
+		}
+	}
+	return least
+}
+
+// evaluateSeens is the reader-side adapter as finishRead spells it: seen
+// slices straight off the acknowledgements into a reused scratch.
+func evaluateSeens(s *predicateScratch, cfg quorum.Config, seens [][]types.ProcessID) (level int, err error) {
+	s.reset(cfg.Readers)
+	for _, seen := range seens {
+		s.addSeen(seen)
+	}
+	level, _, _, err = s.decide(cfg)
+	return level, err
+}
+
+// TestPredicateMatchesBruteForce cross-checks the lattice walk against the
+// literal definition on random small instances with R ∈ [1, 8]: same
+// decision, and the reported level is the least one.
 func TestPredicateMatchesBruteForce(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
-	clients := []types.ProcessID{types.Writer(), types.Reader(1), types.Reader(2), types.Reader(3)}
-	for trial := 0; trial < 500; trial++ {
+	for trial := 0; trial < 1500; trial++ {
 		cfg := quorum.Config{
-			Servers:   4 + rng.Intn(8),
-			Faulty:    1 + rng.Intn(2),
-			Malicious: 0,
-			Readers:   3,
-		}
-		if cfg.Faulty > cfg.Servers {
-			cfg.Faulty = cfg.Servers
+			Servers: 4 + rng.Intn(12),
+			Faulty:  1 + rng.Intn(2),
+			Readers: 1 + rng.Intn(8),
 		}
 		if rng.Intn(2) == 0 {
 			cfg.Malicious = rng.Intn(cfg.Faulty + 1)
 		}
-		n := rng.Intn(7)
+		density := 1 + rng.Intn(4) // members present with probability density/5
+		n := rng.Intn(9)
 		acks := make([]SeenAck, 0, n)
 		for i := 0; i < n; i++ {
 			seen := types.NewProcessSet()
-			for _, c := range clients {
-				if rng.Intn(2) == 0 {
-					seen.Add(c)
+			if rng.Intn(5) < density {
+				seen.Add(types.Writer())
+			}
+			for r := 1; r <= cfg.Readers; r++ {
+				if rng.Intn(5) < density {
+					seen.Add(types.Reader(r))
 				}
 			}
 			acks = append(acks, SeenAck{Server: types.Server(i + 1), Seen: seen})
@@ -259,8 +312,8 @@ func TestPredicateMatchesBruteForce(t *testing.T) {
 			t.Fatalf("trial %d: %v", trial, err)
 		}
 		want := evaluatePredicateBruteForce(cfg, acks)
-		if got.Holds != want {
-			t.Fatalf("trial %d: cfg=%v acks=%v: fast=%v brute=%v", trial, cfg, acks, got.Holds, want)
+		if got.Holds != (want != 0) || got.Level != want {
+			t.Fatalf("trial %d: cfg=%v acks=%v: lattice=(%v, %d) brute level=%d", trial, cfg, acks, got.Holds, got.Level, want)
 		}
 	}
 }
@@ -308,11 +361,11 @@ func TestPredicateWitnessIsSound(t *testing.T) {
 	}
 }
 
-// TestPredicateScratchMatchesEvaluate pins the equivalence of the reader's
-// reusable-buffer evaluator (predicateScratch.evaluate, the per-read hot
-// path) against the reference EvaluatePredicate on randomized instances:
-// same Holds decision and same witnessing level, including inputs with
-// duplicate seen entries and illegitimate clients, and across scratch reuse.
+// TestPredicateScratchMatchesEvaluate pins that the kernel's two adapters
+// agree — the reader's slice-fed reused scratch and the map-fed one-shot
+// EvaluatePredicate — on randomized instances: same Holds decision and same
+// witnessing level, including inputs with duplicate seen entries and
+// illegitimate clients, and across scratch reuse.
 func TestPredicateScratchMatchesEvaluate(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	var scratch predicateScratch // reused across all cases, like a reader's
@@ -356,13 +409,166 @@ func TestPredicateScratchMatchesEvaluate(t *testing.T) {
 		if err != nil {
 			t.Fatalf("EvaluatePredicate: %v", err)
 		}
-		holds, level, err := scratch.evaluate(cfg, seens)
+		level, err := evaluateSeens(&scratch, cfg, seens)
 		if err != nil {
-			t.Fatalf("scratch.evaluate: %v", err)
+			t.Fatalf("evaluateSeens: %v", err)
 		}
-		if holds != want.Holds || level != want.Level {
-			t.Fatalf("trial %d (%+v): scratch = (%v, %d), reference = (%v, %d)\nacks: %v",
-				trial, cfg, holds, level, want.Holds, want.Level, acks)
+		if level != want.Level || want.Holds != (level != 0) {
+			t.Fatalf("trial %d (%+v): scratch level = %d, EvaluatePredicate = (%v, %d)\nacks: %v",
+				trial, cfg, level, want.Holds, want.Level, acks)
+		}
+	}
+}
+
+// FuzzPredicate is the differential check of the lattice walk against the
+// literal definition. The input decodes to a deployment (S ≤ 24, t, b, R ≤ 8)
+// and up to 12 acknowledgements of two bytes each: bits 0-9 select w, r1..r9
+// (r9 is never legitimate, and neither are r(R+1)..r8), bit 10 adds a server
+// id, bit 11 repeats the first member. Both adapters must report exactly the
+// least level the brute force finds.
+func FuzzPredicate(f *testing.F) {
+	shape := []byte{18, 1, 0, 8}                                               // S=19 t=1 b=0 R=8
+	f.Add(append(shape[:4:4], 0xff, 0x01, 0xff, 0x01, 0xff, 0x01, 0xff, 0x01)) // all identical
+	f.Add(append(shape[:4:4], 0x01, 0, 0x03, 0, 0x07, 0, 0x0f, 0, 0x1f, 0))    // nested chain
+	f.Add(append(shape[:4:4], 0x03, 0, 0x05, 0, 0x06, 0, 0x18, 0, 0x28, 0x09)) // pairwise incomparable
+	f.Add(append(shape[:4:4], 0, 0, 0, 0, 0, 0x04))                            // empty and illegitimate-only seen sets
+	f.Add([]byte{5, 2, 1, 3, 0x0f, 0x0c, 0x0f, 0x08, 0x07, 0})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if len(data) < 4 {
+			return
+		}
+		cfg := quorum.Config{Servers: 1 + int(data[0])%24, Readers: int(data[3]) % 9}
+		cfg.Faulty = int(data[1]) % (cfg.Servers + 1)
+		cfg.Malicious = int(data[2]) % (cfg.Faulty + 1)
+		data = data[4:]
+		var acks []SeenAck
+		var seens [][]types.ProcessID
+		for ; len(data) >= 2 && len(acks) < 12; data = data[2:] {
+			bitsOf := int(data[0]) | int(data[1])<<8
+			var seen []types.ProcessID
+			if bitsOf&1 != 0 {
+				seen = append(seen, types.Writer())
+			}
+			for r := 1; r <= 9; r++ {
+				if bitsOf&(1<<r) != 0 {
+					seen = append(seen, types.Reader(r))
+				}
+			}
+			if bitsOf&(1<<10) != 0 {
+				seen = append(seen, types.Server(1+len(acks)))
+			}
+			if bitsOf&(1<<11) != 0 && len(seen) > 0 {
+				seen = append(seen, seen[0])
+			}
+			acks = append(acks, SeenAck{Server: types.Server(1 + len(acks)), Seen: types.NewProcessSet(seen...)})
+			seens = append(seens, seen)
+		}
+		want := evaluatePredicateBruteForce(cfg, acks)
+		got, err := EvaluatePredicate(cfg, acks)
+		if err != nil {
+			t.Fatalf("EvaluatePredicate(%v, %v): %v", cfg, acks, err)
+		}
+		if got.Holds != (want != 0) || got.Level != want {
+			t.Fatalf("%v acks=%v: EvaluatePredicate = (%v, %d), brute-force level %d", cfg, acks, got.Holds, got.Level, want)
+		}
+		var scratch predicateScratch
+		if level, err := evaluateSeens(&scratch, cfg, seens); err != nil || level != want {
+			t.Fatalf("%v seens=%v: reader adapter = (%d, %v), brute-force level %d", cfg, seens, level, err, want)
+		}
+	})
+}
+
+// predicateBenchInput is one named set of maxTS seen slices for the
+// reader-side adapter.
+type predicateBenchInput struct {
+	name  string
+	seens [][]types.ProcessID
+}
+
+// predicateBenchInputs are the reader-side adapter's three regimes at
+// S=19 t=1 R=16: identical is the steady state (and the benchreport cell's
+// input): all 18 acknowledgements carry the full 17-client seen set; diverse
+// is 18 random seen sets at the given density; maximal is the crafted
+// worst case — the 16 complements of a single client plus 2 full sets close
+// to all 2^16 subsets and no level ever holds, so nothing ends the walk early.
+func predicateBenchInputs() (quorum.Config, []predicateBenchInput) {
+	cfg := quorum.Config{Servers: 19, Faulty: 1, Readers: 16}
+	clients := []types.ProcessID{types.Writer()}
+	for r := 1; r <= cfg.Readers; r++ {
+		clients = append(clients, types.Reader(r))
+	}
+	identical := predicateBenchInput{name: "identical_r16"}
+	for i := 0; i < 18; i++ {
+		identical.seens = append(identical.seens, clients)
+	}
+	inputs := []predicateBenchInput{identical}
+	rng := rand.New(rand.NewSource(16))
+	for _, density := range []int{50, 80, 95} {
+		diverse := predicateBenchInput{name: fmt.Sprintf("diverse_r16/density=%d", density)}
+		for i := 0; i < 18; i++ {
+			var seen []types.ProcessID
+			for _, c := range clients {
+				if rng.Intn(100) < density {
+					seen = append(seen, c)
+				}
+			}
+			diverse.seens = append(diverse.seens, seen)
+		}
+		inputs = append(inputs, diverse)
+	}
+	maximal := predicateBenchInput{name: "maximal_u16"}
+	sixteen := clients[:16]
+	for skip := range sixteen {
+		seen := append([]types.ProcessID(nil), sixteen[:skip]...)
+		maximal.seens = append(maximal.seens, append(seen, sixteen[skip+1:]...))
+	}
+	maximal.seens = append(maximal.seens, sixteen, sixteen)
+	return cfg, append(inputs, maximal)
+}
+
+// BenchmarkPredicate times one reader-side evaluation on a warmed scratch.
+func BenchmarkPredicate(b *testing.B) {
+	cfg, inputs := predicateBenchInputs()
+	for _, in := range inputs {
+		b.Run(in.name, func(b *testing.B) {
+			var scratch predicateScratch
+			b.ReportAllocs()
+			for b.Loop() {
+				if _, err := evaluateSeens(&scratch, cfg, in.seens); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
+// TestPredicateSteadyStateAllocatesNothing guards the reader's hot path: on
+// a warmed scratch neither the all-identical input nor diverging seen sets
+// allocate. It also runs the crafted lattice-maximal input once for its
+// decision; BenchmarkPredicate/maximal_u16 is that input's cost, expected to
+// stay ≤ 10 ms (2^16 closed sets × 17 distinct masks, with O(1) dedupe — a
+// linear-scan dedupe would make it quadratic).
+func TestPredicateSteadyStateAllocatesNothing(t *testing.T) {
+	cfg, inputs := predicateBenchInputs()
+	for _, in := range inputs {
+		var scratch predicateScratch
+		level, err := evaluateSeens(&scratch, cfg, in.seens) // warms the scratch
+		if err != nil {
+			t.Fatalf("%s: %v", in.name, err)
+		}
+		switch in.name {
+		case "maximal_u16":
+			if level != 0 {
+				t.Errorf("maximal_u16: level = %d, want the predicate not to hold", level)
+			}
+			continue
+		case "identical_r16":
+			if level != 1 || scratch.marks != nil {
+				t.Errorf("identical_r16: level = %d (want 1), dedupe bitmap sized = %v (want untouched)", level, scratch.marks != nil)
+			}
+		}
+		if allocs := testing.AllocsPerRun(100, func() { _, _ = evaluateSeens(&scratch, cfg, in.seens) }); allocs != 0 {
+			t.Errorf("%s: %v allocs per evaluation on a warmed scratch, want 0", in.name, allocs)
 		}
 	}
 }

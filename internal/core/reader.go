@@ -86,11 +86,9 @@ type Reader struct {
 	fallback int64 // reads that returned maxTS−1
 
 	// Per-read scratch, guarded by mu: completion runs one at a time per
-	// reader, so the predicate evaluator's buffers and the maxTS/seen
-	// staging slices recycle across reads instead of allocating per read.
-	pred       predicateScratch
-	maxScratch []protoutil.Ack
-	seenStage  [][]types.ProcessID
+	// reader, so the predicate kernel's buffers recycle across reads instead
+	// of allocating per read.
+	pred predicateScratch
 }
 
 // NewReader creates reader client ri bound to the given transport node.
@@ -249,34 +247,19 @@ func (r *Reader) finishRead(rc int64, acks []protoutil.Ack) (ReadResult, error) 
 	r.rounds.Add(1)
 	r.reads++
 
-	// Figure 2 lines 16-18: find maxTS and the messages carrying it. Both
-	// staging slices alias the delivered acks and are cleared before return
-	// so the recycled scratch never pins payloads.
-	maxTS, _, _ := protoutil.MaxTimestamp(acks)
-	maxAcks := r.maxScratch[:0]
-	seens := r.seenStage[:0]
+	// Figure 2 lines 16-19: find maxTS and evaluate the predicate over the
+	// seen sets of the messages carrying it.
+	maxTS, first, _ := protoutil.MaxTimestamp(acks)
+	r.pred.reset(r.cfg.Quorum.Readers)
 	for _, a := range acks {
 		if a.Msg.TS == maxTS {
-			maxAcks = append(maxAcks, a)
-			seens = append(seens, a.Msg.Seen)
+			r.pred.addSeen(a.Msg.Seen)
 		}
 	}
-	holds, level, err := r.pred.evaluate(r.cfg.Quorum, seens)
-	releaseScratch := func() {
-		for i := range maxAcks {
-			maxAcks[i] = protoutil.Ack{}
-		}
-		for i := range seens {
-			seens[i] = nil
-		}
-		r.maxScratch = maxAcks[:0]
-		r.seenStage = seens[:0]
-	}
+	level, _, _, err := r.pred.decide(r.cfg.Quorum)
 	if err != nil {
-		releaseScratch()
 		return ReadResult{}, fmt.Errorf("core: read rc=%d: evaluate predicate: %w", rc, err)
 	}
-	pred := PredicateResult{Holds: holds, Level: level}
 
 	// Remember the highest observed timestamp (and its tags) for later
 	// reads' write-backs, regardless of what this read returns. Pipelined
@@ -285,19 +268,19 @@ func (r *Reader) finishRead(rc int64, acks []protoutil.Ack) (ReadResult, error) 
 	// This is a retention point: the ack's fields alias the delivered
 	// payload, so the reader clones what it keeps (reusing its signature
 	// buffer).
-	tagged := maxAcks[0].Msg.Tagged()
+	tagged := first.Msg.Tagged()
 	if tagged.TS > r.last.TS {
 		r.last = tagged.Clone()
-		r.lastSig = append(r.lastSig[:0], maxAcks[0].Msg.WriterSig...)
+		r.lastSig = append(r.lastSig[:0], first.Msg.WriterSig...)
 	}
 
 	result := ReadResult{
 		MaxTimestamp:   maxTS,
-		PredicateHeld:  pred.Holds,
-		PredicateLevel: pred.Level,
+		PredicateHeld:  level != 0,
+		PredicateLevel: level,
 		RoundTrips:     1,
 	}
-	if pred.Holds {
+	if result.PredicateHeld {
 		result.Timestamp = maxTS
 		result.Value = tagged.Cur.Clone()
 	} else {
@@ -307,9 +290,8 @@ func (r *Reader) finishRead(rc int64, acks []protoutil.Ack) (ReadResult, error) 
 	}
 	if r.cfg.Trace.Enabled() {
 		r.cfg.Trace.Record(trace.KindReturn, r.id, types.ProcessID{},
-			"read rc=%d -> ts=%d (maxTS=%d predicate=%v a=%d)", rc, result.Timestamp, maxTS, pred.Holds, pred.Level)
+			"read rc=%d -> ts=%d (maxTS=%d predicate=%v a=%d)", rc, result.Timestamp, maxTS, result.PredicateHeld, level)
 	}
-	releaseScratch()
 	return result, nil
 }
 

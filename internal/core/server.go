@@ -60,14 +60,14 @@ type ServerState struct {
 type registerState struct {
 	value    types.TaggedValue
 	valueSig []byte
-	seen     types.ProcessSet
-	// seenMembers mirrors seen as a slice, maintained on every mutation, so
-	// acknowledgements can carry the seen set without materialising it per
-	// message (acks alias it under the usual sole-mutator discipline: the
-	// ack is encoded before this key's worker handles its next message).
-	seenMembers []types.ProcessID
-	counters    map[int]int64
-	mutations   int64
+	// seen is the seen set, kept as a slice (at most R+1 ≤ MaxPredicateUnion
+	// members, so membership is a short scan) that acknowledgements carry
+	// without materialising it per message: acks alias it under the usual
+	// sole-mutator discipline — the ack is encoded before this key's worker
+	// handles its next message.
+	seen      []types.ProcessID
+	counters  map[int]int64
+	mutations int64
 	// arena, when non-nil, is the frame buffer value and valueSig currently
 	// alias: adopting a value delivered in an arena-backed frame retains it BY
 	// REFERENCE (one Arena.Ref) instead of cloning the bytes, and adopting the
@@ -110,7 +110,6 @@ func NewServer(cfg ServerConfig, node transport.Node) (*Server, error) {
 			NewState: func() registerState {
 				return registerState{
 					value:    types.InitialTaggedValue(),
-					seen:     types.NewProcessSet(),
 					counters: make(map[int]int64, readers+1),
 				}
 			},
@@ -142,8 +141,7 @@ func applyRecord(st *registerState, r *durable.Record) {
 			Prev: types.Value(r.Prev).Clone(),
 		}
 		st.valueSig = append(st.valueSig[:0], r.Sig...)
-		st.seen = types.NewProcessSet(r.Seen...)
-		st.seenMembers = append(st.seenMembers[:0], r.Seen...)
+		st.seen = append(st.seen[:0], r.Seen...)
 		for _, c := range r.Counters {
 			st.counters[int(c.PID)] = c.N
 		}
@@ -155,11 +153,9 @@ func applyRecord(st *registerState, r *durable.Record) {
 				Prev: types.Value(r.Prev).Clone(),
 			}
 			st.valueSig = append(st.valueSig[:0], r.Sig...)
-			st.seen = types.NewProcessSet(r.From)
-			st.seenMembers = append(st.seenMembers[:0], r.From)
-		} else if !st.seen.Has(r.From) {
-			st.seen.Add(r.From)
-			st.seenMembers = append(st.seenMembers, r.From)
+			st.seen = append(st.seen[:0], r.From)
+		} else if !seenHas(st.seen, r.From) {
+			st.seen = append(st.seen, r.From)
 		}
 		st.counters[r.From.ClientPID()] = r.RCounter
 	}
@@ -169,7 +165,7 @@ func applyRecord(st *registerState, r *durable.Record) {
 func dumpRecord(st *registerState, r *durable.Record) {
 	protoutil.DumpValueRecord(st.value, r)
 	r.Sig = st.valueSig
-	r.Seen = st.seenMembers
+	r.Seen = st.seen
 	for pid, n := range st.counters {
 		r.Counters = append(r.Counters, durable.CounterEntry{PID: int32(pid), N: n})
 	}
@@ -184,7 +180,7 @@ func snapshot(st *registerState) ServerState {
 	return ServerState{
 		Value:     st.value.Clone(),
 		ValueSig:  append([]byte(nil), st.valueSig...),
-		Seen:      st.seen.Clone(),
+		Seen:      types.NewProcessSet(st.seen...),
 		Counters:  counters,
 		Mutations: st.mutations,
 	}
@@ -309,8 +305,17 @@ func (s *Server) handle(m transport.Message, out transport.Sender) {
 
 	pid := m.From.ClientPID()
 
+	// The ack's Seen will alias the register's long-lived seen slice. Set the
+	// pooled message's own Seen backing array aside and hand it back before
+	// the Put on every exit: the pool must never recycle the server's live
+	// state as another goroutine's decode scratch, and a message stripped of
+	// its array instead would make its next user allocate a new one.
 	ack := wire.GetMessage()
-	defer wire.PutMessage(ack)
+	ownSeen := ack.Seen[:0]
+	defer func() {
+		ack.Seen = ownSeen
+		wire.PutMessage(ack)
+	}()
 	ok := false
 	s.Do(req.Key, func(sl *protoutil.Slot[registerState]) {
 		st := &sl.State
@@ -353,11 +358,9 @@ func (s *Server) handle(m transport.Message, out transport.Sender) {
 				st.value = types.TaggedValue{TS: req.TS, Cur: req.Cur.Clone(), Prev: req.Prev.Clone()}
 				st.valueSig = append(st.valueSig[:0], req.WriterSig...)
 			}
-			st.seen = types.NewProcessSet(m.From)
-			st.seenMembers = append(st.seenMembers[:0], m.From)
-		} else if !st.seen.Has(m.From) {
-			st.seen.Add(m.From)
-			st.seenMembers = append(st.seenMembers, m.From)
+			st.seen = append(st.seen[:0], m.From)
+		} else if !seenHas(st.seen, m.From) {
+			st.seen = append(st.seen, m.From)
 		}
 		st.counters[pid] = req.RCounter
 		st.mutations++
@@ -385,7 +388,7 @@ func (s *Server) handle(m transport.Message, out transport.Sender) {
 			TS:        st.value.TS,
 			Cur:       st.value.Cur,
 			Prev:      st.value.Prev,
-			Seen:      st.seenMembers,
+			Seen:      st.seen,
 			RCounter:  req.RCounter,
 			WriterSig: st.valueSig,
 		})
@@ -404,8 +407,4 @@ func (s *Server) handle(m transport.Message, out transport.Sender) {
 			tr.Record(trace.KindDrop, s.cfg.ID, m.From, "send ack: %v", err)
 		}
 	}
-	// The ack's Seen aliases the register's long-lived seenMembers slice;
-	// shed it before the deferred PutMessage, or the pool would recycle the
-	// server's live state as another goroutine's decode scratch.
-	ack.Seen = nil
 }

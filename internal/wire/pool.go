@@ -61,9 +61,11 @@ func GetMessage() *Message {
 // PutMessage resets the message and returns it to the pool. The caller must
 // not reference the message — or any field of it — afterwards. Inversely, a
 // message whose Seen was pointed at caller-owned LONG-LIVED memory (a
-// server's cached seen-members slice) must shed that alias (Seen = nil)
-// before Put: Reset keeps Seen capacity for reuse, and recycling live state
-// as another goroutine's decode scratch is a data race.
+// server's seen slice) must shed that alias before Put — restore the
+// message's own Seen backing array, set aside before the alias was installed:
+// Reset keeps Seen capacity for reuse, and recycling live state as another
+// goroutine's decode scratch is a data race (while putting back a message
+// with no array at all makes its next user allocate one).
 func PutMessage(m *Message) {
 	m.Reset()
 	messagePool.Put(m)
