@@ -186,7 +186,13 @@
 // one generic shell, internal/protoutil.Shell — node, executor, per-key state
 // map, write-ahead log with LSN-guarded replay, Start/Stop — parameterised by
 // the protocol's state, handler and record mapping; a protocol package
-// contributes nothing else on the server side. The shell executes messages
+// contributes nothing else on the server side. Clients mirror it: every
+// writer and reader of every protocol runs on one engine,
+// internal/protoutil.Client — slot, nonce, register-before-broadcast, quorum
+// collection, round hand-over, future — parameterised by the protocol's
+// round description (request builder, acknowledgement acceptance, quorum
+// size, what a quorum means), and all four protocols share its one
+// single-writer client. The shell executes messages
 // on a key-sharded parallel executor: messages are dispatched by register
 // key across Config.ServerWorkers workers (GOMAXPROCS by default), so
 // distinct registers are served concurrently across cores while every

@@ -419,3 +419,43 @@ func TestServerIgnoresServerMessagesAndGarbage(t *testing.T) {
 		t.Errorf("read = %s", res.Value)
 	}
 }
+
+// TestSerialOperationAllocations pins the allocation cost of a serial ABD
+// write and read (servers included: AllocsPerRun counts the whole process)
+// with no trace attached. Before the clients moved onto the client engine
+// every operation boxed its trace arguments even with a nil trace and paid a
+// closure pair and a heap request per round; the ceilings are what that code
+// measured on this deployment (write 21-23, read 29; the engine: 19-20 and
+// 22), so they fail if either comes back.
+func TestSerialOperationAllocations(t *testing.T) {
+	d := newDeployment(t, quorum.Config{Servers: 3, Faulty: 1, Readers: 1})
+	w, r := d.swmrWriter(), d.swmrReader(1)
+	ctx := context.Background()
+	value := types.Value("allocation-probe")
+	for i := 0; i < 64; i++ { // warm the pools and the servers' per-key state
+		if err := w.Write(ctx, value); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := r.Read(ctx); err != nil {
+			t.Fatal(err)
+		}
+	}
+	writes := testing.AllocsPerRun(400, func() {
+		if err := w.Write(ctx, value); err != nil {
+			t.Fatal(err)
+		}
+	})
+	reads := testing.AllocsPerRun(400, func() {
+		if _, err := r.Read(ctx); err != nil {
+			t.Fatal(err)
+		}
+	})
+	t.Logf("allocations per serial operation: write %.1f, read %.1f", writes, reads)
+	const parentWrite, parentRead = 23, 29
+	if writes > parentWrite {
+		t.Errorf("serial write allocates %.1f times, more than the %d before the engine", writes, parentWrite)
+	}
+	if reads > parentRead {
+		t.Errorf("serial read allocates %.1f times, more than the %d before the engine", reads, parentRead)
+	}
+}

@@ -1,8 +1,6 @@
 package abd
 
 import (
-	"context"
-
 	"fastread/internal/driver"
 	"fastread/internal/transport"
 )
@@ -20,48 +18,13 @@ func init() {
 			}
 			return s, nil
 		},
-		NewWriter: func(cfg driver.ClientConfig, node transport.Node) (driver.Writer, error) {
-			w, err := NewWriter(ClientConfig{Quorum: cfg.Quorum, Key: cfg.Key, Depth: cfg.Depth}, node)
-			if err != nil {
-				return nil, err
-			}
-			return driver.AdaptWriter(w), nil
-		},
+		NewWriter: driver.WriterFactory(NewWriter),
 		NewReader: func(cfg driver.ClientConfig, node transport.Node) (driver.Reader, error) {
-			r, err := NewReader(ClientConfig{Quorum: cfg.Quorum, Key: cfg.Key, Depth: cfg.Depth, Nonce: cfg.Nonce}, node)
+			r, err := NewReader(cfg, node)
 			if err != nil {
 				return nil, err
 			}
-			return abdReaderHandle{r}, nil
+			return driver.AdaptReader(r.Client, driver.PlainResult, nil), nil
 		},
 	})
-}
-
-// abdReaderHandle adapts the ABD reader to the uniform driver result.
-type abdReaderHandle struct{ r *Reader }
-
-func (h abdReaderHandle) Read(ctx context.Context) (driver.ReadResult, error) {
-	res, err := h.r.Read(ctx)
-	if err != nil {
-		return driver.ReadResult{}, err
-	}
-	return abdResult(res), nil
-}
-
-func (h abdReaderHandle) ReadAsync(ctx context.Context) (driver.ReadFuture, error) {
-	f, err := h.r.ReadAsync(ctx)
-	if err != nil {
-		return nil, err
-	}
-	return driver.ReadFutureOf(f, abdResult), nil
-}
-
-// abdResult adapts the ABD reader's result to the uniform driver result.
-func abdResult(res ReadResult) driver.ReadResult {
-	return driver.ReadResult{Value: res.Value, Timestamp: res.Timestamp, RoundTrips: res.RoundTrips}
-}
-
-func (h abdReaderHandle) Stats() (reads, roundTrips, fallbacks int64) {
-	r, t := h.r.Stats()
-	return r, t, 0
 }

@@ -3,11 +3,8 @@ package abd
 import (
 	"context"
 	"fmt"
-	"sync"
 
 	"fastread/internal/protoutil"
-	"fastread/internal/stats"
-	"fastread/internal/trace"
 	"fastread/internal/transport"
 	"fastread/internal/types"
 	"fastread/internal/wire"
@@ -17,18 +14,10 @@ import (
 // every write first queries a majority for the highest (ts, rank) pair, then
 // writes (ts+1, ownRank). Two round-trips per write — Proposition 11 of the
 // paper shows this second round cannot be avoided by any fast MWMR
-// implementation.
+// implementation. Writes are blocking: a depth-one user of the client engine.
 type MWWriter struct {
-	cfg     ClientConfig
-	node    transport.Node
-	id      types.ProcessID
-	rank    int32
-	servers []types.ProcessID
-
-	mu       sync.Mutex
-	rCounter int64
-	rounds   stats.Counter
-	writes   int64
+	*protoutil.Client[struct{}]
+	rank int32
 }
 
 // NewMWWriter creates a multi-writer client. Writers are identified by their
@@ -36,25 +25,21 @@ type MWWriter struct {
 // writer rank) or by the canonical writer identity for rank 1; any client
 // identity is accepted because the MWMR model has no distinguished writer.
 func NewMWWriter(cfg ClientConfig, node transport.Node, rank int32) (*MWWriter, error) {
-	if err := cfg.Quorum.Validate(); err != nil {
-		return nil, err
-	}
-	if node == nil {
-		return nil, fmt.Errorf("abd: mw writer requires a transport node")
-	}
 	if rank < 1 {
 		return nil, fmt.Errorf("abd: writer rank must be ≥ 1, got %d", rank)
 	}
-	if node.ID().Role == types.RoleServer {
-		return nil, fmt.Errorf("abd: servers cannot act as writers")
+	w := &MWWriter{rank: rank}
+	cfg.Depth = 1
+	// Round 1 discovers the highest (ts, rank) currently in the system.
+	cl, err := protoutil.NewClient(cfg, node, protoutil.Rounds[struct{}]{
+		Name: "abd mwmr write", Need: cfg.Quorum.Majority(),
+		Begin: protoutil.Ask[struct{}](wire.OpQuery, cfg.Key), Finish: w.finish,
+	})
+	if err != nil {
+		return nil, err
 	}
-	return &MWWriter{
-		cfg:     cfg,
-		node:    node,
-		id:      node.ID(),
-		rank:    rank,
-		servers: protoutil.ServerIDs(cfg.Quorum.Servers),
-	}, nil
+	w.Client = cl
+	return w, nil
 }
 
 // Write stores v in the multi-writer register using two round-trips.
@@ -62,67 +47,40 @@ func (w *MWWriter) Write(ctx context.Context, v types.Value) error {
 	if v.IsBottom() {
 		return ErrBottomWrite
 	}
-	w.mu.Lock()
-	defer w.mu.Unlock()
+	_, err := w.Do(ctx, v)
+	return err
+}
 
-	majority := w.cfg.Quorum.Majority()
-
-	// Phase 1: discover the highest (ts, rank) currently in the system.
-	w.rCounter++
-	qrc := w.rCounter
-	w.cfg.Trace.Record(trace.KindInvoke, w.id, types.ProcessID{}, "mwmr write query rc=%d", qrc)
-	query := &wire.Message{Op: wire.OpQuery, Key: w.cfg.Key, RCounter: qrc}
-	qFilter := func(_ types.ProcessID, m *wire.Message) bool {
-		return m.Op == wire.OpQueryAck && m.Key == w.cfg.Key && m.RCounter == qrc
+// finish turns round 1's replies into round 2: write (maxTS+1, ownRank).
+func (w *MWWriter) finish(c *protoutil.Call[struct{}], acks []protoutil.Ack) (bool, error) {
+	if c.Req.Op == wire.OpWrite {
+		return false, nil
 	}
-	acks, err := protoutil.RoundTrip(ctx, w.node, w.servers, query, majority, qFilter, w.cfg.Trace)
-	if err != nil {
-		return fmt.Errorf("abd: mwmr write query: %w", err)
-	}
-	w.rounds.Add(1)
-
-	highest := VersionedValue{}
-	for _, a := range acks {
-		candidate := VersionedValue{TS: a.Msg.TS, Rank: a.Msg.WriterRank}
-		if highest.Less(candidate) {
-			highest = candidate
-		}
-	}
-
-	// Phase 2: write (maxTS+1, ownRank).
-	w.rCounter++
-	wrc := w.rCounter
-	// Transient request: encoded during the broadcast, never retained, so it
+	_, highest := highestVersion(acks)
+	// Write blocks until the operation resolves, so the transient request
 	// aliases the caller's value without cloning.
-	req := &wire.Message{
+	c.Req = wire.Message{
 		Op:         wire.OpWrite,
-		Key:        w.cfg.Key,
+		Key:        c.Req.Key,
 		TS:         highest.TS.Next(),
 		WriterRank: w.rank,
-		Cur:        v,
-		RCounter:   wrc,
+		Cur:        c.Arg,
+		RCounter:   c.NextNonce(),
 	}
-	wFilter := func(_ types.ProcessID, m *wire.Message) bool {
-		return m.Op == wire.OpWriteAck && m.Key == w.cfg.Key && m.RCounter == wrc
-	}
-	if _, err := protoutil.RoundTrip(ctx, w.node, w.servers, req, majority, wFilter, w.cfg.Trace); err != nil {
-		return fmt.Errorf("abd: mwmr write ts=%d.%d: %w", req.TS, w.rank, err)
-	}
-	w.rounds.Add(1)
-	w.writes++
-	w.cfg.Trace.Record(trace.KindReturn, w.id, types.ProcessID{}, "mwmr write -> ts=%d.%d", req.TS, w.rank)
-	return nil
+	return true, nil
 }
 
-// Stats reports completed writes and total round-trips (2 per write).
-func (w *MWWriter) Stats() (writes, roundTrips int64) {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	return w.writes, w.rounds.Total()
+// highestVersion returns an ack carrying the highest (ts, rank) pair among
+// the acks, and the pair.
+func highestVersion(acks []protoutil.Ack) (protoutil.Ack, VersionedValue) {
+	best, bestVV := acks[0], VersionedValue{TS: acks[0].Msg.TS, Rank: acks[0].Msg.WriterRank}
+	for _, a := range acks[1:] {
+		if candidate := (VersionedValue{TS: a.Msg.TS, Rank: a.Msg.WriterRank}); bestVV.Less(candidate) {
+			best, bestVV = a, candidate
+		}
+	}
+	return best, bestVV
 }
-
-// Close detaches the writer from the network.
-func (w *MWWriter) Close() error { return w.node.Close() }
 
 // MWReadResult is the result of a multi-writer read.
 type MWReadResult struct {
@@ -133,102 +91,43 @@ type MWReadResult struct {
 }
 
 // MWReader is the multi-writer ABD reader: query a majority, select the
-// highest (ts, rank), write it back, return. Two round-trips.
+// highest (ts, rank), write it back, return. Two round-trips; reads are
+// blocking, a depth-one user of the client engine.
 type MWReader struct {
-	cfg     ClientConfig
-	node    transport.Node
-	id      types.ProcessID
-	servers []types.ProcessID
-
-	mu       sync.Mutex
-	rCounter int64
-	rounds   stats.Counter
-	reads    int64
+	*protoutil.Client[MWReadResult]
 }
 
 // NewMWReader creates a multi-writer reader.
 func NewMWReader(cfg ClientConfig, node transport.Node) (*MWReader, error) {
-	if err := cfg.Quorum.Validate(); err != nil {
+	cfg.Depth = 1
+	cl, err := protoutil.NewClient(cfg, node, protoutil.Rounds[MWReadResult]{
+		Name: "abd mwmr read", Need: cfg.Quorum.Majority(),
+		Begin: protoutil.Ask[MWReadResult](wire.OpQuery, cfg.Key), Finish: mwWriteBack,
+	})
+	if err != nil {
 		return nil, err
 	}
-	if node == nil {
-		return nil, fmt.Errorf("abd: mw reader requires a transport node")
-	}
-	if node.ID().Role == types.RoleServer {
-		return nil, fmt.Errorf("abd: servers cannot act as readers")
-	}
-	return &MWReader{
-		cfg:     cfg,
-		node:    node,
-		id:      node.ID(),
-		servers: protoutil.ServerIDs(cfg.Quorum.Servers),
-	}, nil
+	return &MWReader{cl}, nil
 }
 
 // Read returns the current value of the multi-writer register.
-func (r *MWReader) Read(ctx context.Context) (MWReadResult, error) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
+func (r *MWReader) Read(ctx context.Context) (MWReadResult, error) { return r.Do(ctx, nil) }
 
-	majority := r.cfg.Quorum.Majority()
-
-	r.rCounter++
-	qrc := r.rCounter
-	r.cfg.Trace.Record(trace.KindInvoke, r.id, types.ProcessID{}, "mwmr read query rc=%d", qrc)
-	query := &wire.Message{Op: wire.OpQuery, Key: r.cfg.Key, RCounter: qrc}
-	qFilter := func(_ types.ProcessID, m *wire.Message) bool {
-		return m.Op == wire.OpQueryAck && m.Key == r.cfg.Key && m.RCounter == qrc
+// mwWriteBack turns the query round's replies into the write-back round.
+func mwWriteBack(c *protoutil.Call[MWReadResult], acks []protoutil.Ack) (bool, error) {
+	if c.Req.Op == wire.OpWriteBack {
+		c.Result.RoundTrips = c.Round
+		return false, nil
 	}
-	acks, err := protoutil.RoundTrip(ctx, r.node, r.servers, query, majority, qFilter, r.cfg.Trace)
-	if err != nil {
-		return MWReadResult{}, fmt.Errorf("abd: mwmr read query: %w", err)
-	}
-	r.rounds.Add(1)
-
-	best := acks[0]
-	bestVV := VersionedValue{TS: best.Msg.TS, Rank: best.Msg.WriterRank}
-	for _, a := range acks[1:] {
-		candidate := VersionedValue{TS: a.Msg.TS, Rank: a.Msg.WriterRank}
-		if bestVV.Less(candidate) {
-			best, bestVV = a, candidate
-		}
-	}
-
-	// Write-back phase.
-	r.rCounter++
-	wrc := r.rCounter
-	writeBack := &wire.Message{
+	best, vv := highestVersion(acks)
+	c.Result = MWReadResult{Value: best.Msg.Cur.Clone(), Timestamp: vv.TS, WriterRank: vv.Rank}
+	c.Req = wire.Message{
 		Op:         wire.OpWriteBack,
-		Key:        r.cfg.Key,
-		TS:         bestVV.TS,
-		WriterRank: bestVV.Rank,
+		Key:        c.Req.Key,
+		TS:         vv.TS,
+		WriterRank: vv.Rank,
 		Cur:        best.Msg.Cur,
-		RCounter:   wrc,
+		RCounter:   c.NextNonce(),
 	}
-	wbFilter := func(_ types.ProcessID, m *wire.Message) bool {
-		return m.Op == wire.OpWriteBackAck && m.Key == r.cfg.Key && m.RCounter == wrc
-	}
-	if _, err := protoutil.RoundTrip(ctx, r.node, r.servers, writeBack, majority, wbFilter, r.cfg.Trace); err != nil {
-		return MWReadResult{}, fmt.Errorf("abd: mwmr read write-back: %w", err)
-	}
-	r.rounds.Add(1)
-	r.reads++
-
-	r.cfg.Trace.Record(trace.KindReturn, r.id, types.ProcessID{}, "mwmr read -> ts=%d.%d", bestVV.TS, bestVV.Rank)
-	return MWReadResult{
-		Value:      best.Msg.Cur.Clone(),
-		Timestamp:  bestVV.TS,
-		WriterRank: bestVV.Rank,
-		RoundTrips: 2,
-	}, nil
+	return true, nil
 }
-
-// Stats reports completed reads and total round-trips (2 per read).
-func (r *MWReader) Stats() (reads, roundTrips int64) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.reads, r.rounds.Total()
-}
-
-// Close detaches the reader from the network.
-func (r *MWReader) Close() error { return r.node.Close() }

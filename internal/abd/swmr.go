@@ -2,324 +2,89 @@ package abd
 
 import (
 	"context"
-	"errors"
-	"fmt"
-	"sync"
-	"sync/atomic"
 
 	"fastread/internal/protoutil"
-	"fastread/internal/quorum"
-	"fastread/internal/stats"
-	"fastread/internal/trace"
 	"fastread/internal/transport"
 	"fastread/internal/types"
 	"fastread/internal/wire"
 )
 
-// Errors returned by the ABD clients.
+// Errors returned by the ABD clients: the engine's, under the names this
+// package's callers match.
 var (
-	// ErrBottomWrite indicates an attempt to write the reserved value ⊥.
-	ErrBottomWrite = errors.New("abd: cannot write the initial value ⊥")
-	// ErrNotWriter indicates a writer constructed on a non-writer node.
-	ErrNotWriter = errors.New("abd: writer must use the writer identity")
-	// ErrNotReader indicates a reader constructed on a non-reader node.
-	ErrNotReader = errors.New("abd: reader must use a reader identity")
+	ErrBottomWrite = protoutil.ErrBottomWrite
+	ErrNotWriter   = protoutil.ErrNotWriter
+	ErrNotReader   = protoutil.ErrNotReader
 )
 
-// ClientConfig configures an ABD client (writer or reader).
-type ClientConfig struct {
-	// Quorum describes the deployment. ABD uses majority quorums, so it
-	// requires t < S/2 but places no bound on the number of readers.
-	Quorum quorum.Config
-	// Key names the register this client operates on; the empty key is the
-	// deployment's default register. Requests are stamped with the key and
-	// only acknowledgements carrying it are accepted.
-	Key string
-	// Depth bounds the number of operations this client keeps in flight at
-	// once (ReadAsync/WriteAsync); non-positive means
-	// protoutil.DefaultPipelineDepth.
-	Depth int
-	// Nonce, when positive, overrides a reader's initial operation counter
-	// (see protoutil.StartNonce; deterministic simulation). Writers ignore
-	// it — the write timestamp sequence is quorum-recovered, not clocked.
-	Nonce int64
-	// Trace, if non-nil, records protocol events.
-	Trace *trace.Trace
-}
+// ClientConfig configures an ABD client (writer or reader). ABD uses majority
+// quorums, so it requires t < S/2 but places no bound on the number of
+// readers; the signature fields are ignored.
+type ClientConfig = protoutil.ClientConfig
 
-// Writer is the single-writer ABD writer: one round-trip per write, exactly
-// as in the paper's description of [Attiya et al. 1995]. WriteAsync keeps up
-// to cfg.Depth writes in flight; timestamps are taken and broadcast in
-// submission order, so servers apply pipelined writes in order.
-type Writer struct {
-	cfg     ClientConfig
-	node    transport.Node
-	servers []types.ProcessID
-	pl      *protoutil.Pipeline
-
-	// submitted is the highest timestamp this incarnation has broadcast;
-	// the ack filter caps accepted timestamps at it so a restarted writer
-	// times out visibly instead of "completing" against a previous
-	// incarnation's newer server state (see core.Writer.WriteAsync).
-	submitted atomic.Int64
-
-	mu     sync.Mutex
-	ts     types.Timestamp
-	prev   types.Value
-	rounds stats.Counter
-	writes int64
-}
+// Writer is the single-writer ABD writer: the engine's single-writer client
+// waiting for a majority, one round-trip per write, exactly as in the paper's
+// description of [Attiya et al. 1995].
+type Writer = protoutil.Writer
 
 // NewWriter creates the SWMR ABD writer.
 func NewWriter(cfg ClientConfig, node transport.Node) (*Writer, error) {
-	if err := cfg.Quorum.Validate(); err != nil {
-		return nil, err
-	}
-	if node == nil {
-		return nil, fmt.Errorf("abd: writer requires a transport node")
-	}
-	if node.ID() != types.Writer() {
-		return nil, fmt.Errorf("%w: got %v", ErrNotWriter, node.ID())
-	}
-	return &Writer{
-		cfg:     cfg,
-		node:    node,
-		servers: protoutil.ServerIDs(cfg.Quorum.Servers),
-		pl:      protoutil.NewPipeline(node, cfg.Depth, cfg.Trace),
-		ts:      1,
-		prev:    types.Bottom(),
-	}, nil
+	return protoutil.NewWriter("abd", cfg.Quorum.Majority(), nil, cfg, node)
 }
-
-// Write stores v in the register using a single round-trip to a majority of
-// servers. It is WriteAsync at depth one: submit, then wait.
-func (w *Writer) Write(ctx context.Context, v types.Value) error {
-	f, err := w.WriteAsync(ctx, v)
-	if err != nil {
-		return err
-	}
-	_, rerr := f.Result(ctx)
-	return rerr
-}
-
-// WriteAsync submits one write and returns its future without waiting for
-// the majority. Timestamps are taken and requests broadcast under the
-// writer's mutex, so pipelined writes reach every server in submission
-// order; a write completes when a majority acknowledges a timestamp at
-// least as new as its own.
-func (w *Writer) WriteAsync(ctx context.Context, v types.Value) (*protoutil.Future[struct{}], error) {
-	if v.IsBottom() {
-		return nil, ErrBottomWrite
-	}
-	if err := w.pl.Acquire(ctx); err != nil {
-		return nil, fmt.Errorf("abd: write: %w", err)
-	}
-	f := protoutil.NewFuture[struct{}]()
-
-	w.mu.Lock()
-	ts := w.ts
-	// One owned copy: the request is transient (encoded during the
-	// broadcast), and the same copy becomes the remembered prev for the next
-	// submission.
-	cur := v.Clone()
-	req := &wire.Message{Op: wire.OpWrite, Key: w.cfg.Key, TS: ts, Cur: cur, Prev: w.prev}
-	w.cfg.Trace.Record(trace.KindInvoke, types.Writer(), types.ProcessID{}, "abd write(key=%q ts=%d)", w.cfg.Key, ts)
-	w.submitted.Store(int64(ts))
-	filter := func(_ types.ProcessID, m *wire.Message) bool {
-		return m.Op == wire.OpWriteAck && m.Key == w.cfg.Key &&
-			m.TS >= ts && int64(m.TS) <= w.submitted.Load()
-	}
-	op := w.pl.Register(w.cfg.Quorum.Majority(), filter, func(_ []protoutil.Ack, err error) {
-		if err != nil {
-			f.Resolve(struct{}{}, fmt.Errorf("abd: write ts=%d: %w", ts, err))
-			return
-		}
-		w.mu.Lock()
-		w.rounds.Add(1)
-		w.writes++
-		w.mu.Unlock()
-		w.cfg.Trace.Record(trace.KindReturn, types.Writer(), types.ProcessID{}, "abd write(ts=%d) -> ok", ts)
-		f.Resolve(struct{}{}, nil)
-	})
-	err := protoutil.Broadcast(w.node, w.servers, req, w.cfg.Trace)
-	if err == nil {
-		w.ts = ts.Next()
-		w.prev = cur
-	}
-	w.mu.Unlock()
-	if err != nil {
-		op.Abort(err)
-		return nil, fmt.Errorf("abd: write ts=%d: %w", ts, err)
-	}
-	f.Bind(ctx, op)
-	return f, nil
-}
-
-// Stats reports completed writes and total round-trips (equal: SWMR ABD
-// writes are fast).
-func (w *Writer) Stats() (writes, roundTrips int64) {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	return w.writes, w.rounds.Total()
-}
-
-// Close detaches the writer from the network.
-func (w *Writer) Close() error { return w.node.Close() }
 
 // ReadResult is what an ABD read returns, including the number of
 // round-trips it used (always 2: query + write-back).
-type ReadResult struct {
-	Value      types.Value
-	Timestamp  types.Timestamp
-	RoundTrips int
-}
+type ReadResult = protoutil.ReadResult
 
 // Reader is the SWMR ABD reader: query a majority, select the highest
 // timestamp, write it back to a majority, then return. ReadAsync keeps up to
-// cfg.Depth reads in flight; each read is a two-phase state machine whose
-// phases are matched to their acknowledgements by rCounter nonces.
+// cfg.Depth reads in flight; each read is a two-round operation on one
+// in-flight slot, so Depth bounds whole reads, not round-trips. Unlike the
+// fast register, any number of readers is supported.
 type Reader struct {
-	cfg     ClientConfig
-	node    transport.Node
-	id      types.ProcessID
-	servers []types.ProcessID
-	pl      *protoutil.Pipeline
-
-	mu       sync.Mutex
-	rCounter int64
-	rounds   stats.Counter
-	reads    int64
+	*protoutil.Client[ReadResult]
 }
 
-// NewReader creates an SWMR ABD reader. Unlike the fast register, any number
-// of readers is supported, so the reader index only needs to be ≥ 1.
+// NewReader creates an SWMR ABD reader. Round 1 queries a majority for their
+// current (ts, value).
 func NewReader(cfg ClientConfig, node transport.Node) (*Reader, error) {
-	if err := cfg.Quorum.Validate(); err != nil {
+	cl, err := protoutil.NewClient(cfg, node, protoutil.Rounds[ReadResult]{
+		Name: "abd read", Role: types.RoleReader, Need: cfg.Quorum.Majority(), Nonce: protoutil.StartNonce(cfg.Nonce),
+		Begin: protoutil.Ask[ReadResult](wire.OpRead, cfg.Key), Finish: writeBack,
+	})
+	if err != nil {
 		return nil, err
 	}
-	if node == nil {
-		return nil, fmt.Errorf("abd: reader requires a transport node")
-	}
-	id := node.ID()
-	if id.Role != types.RoleReader || id.Index < 1 {
-		return nil, fmt.Errorf("%w: got %v", ErrNotReader, id)
-	}
-	return &Reader{
-		cfg:      cfg,
-		node:     node,
-		id:       id,
-		servers:  protoutil.ServerIDs(cfg.Quorum.Servers),
-		pl:       protoutil.NewPipeline(node, cfg.Depth, cfg.Trace),
-		rCounter: protoutil.StartNonce(cfg.Nonce),
-	}, nil
+	return &Reader{cl}, nil
 }
 
-// ID returns the reader's process identity.
-func (r *Reader) ID() types.ProcessID { return r.id }
+// Read returns the current register value using two round-trips.
+func (r *Reader) Read(ctx context.Context) (ReadResult, error) { return r.Do(ctx, nil) }
 
-// Read returns the current register value using two round-trips. It is
-// ReadAsync at depth one: submit, then wait.
-func (r *Reader) Read(ctx context.Context) (ReadResult, error) {
-	f, err := r.ReadAsync(ctx)
-	if err != nil {
-		return ReadResult{}, err
-	}
-	return f.Result(ctx)
-}
-
-// ReadAsync submits one two-phase read and returns its future. One slot
-// covers both phases, so cfg.Depth bounds whole reads in flight, not
-// round-trips; the phase-2 write-back is launched from phase 1's completion
-// callback and the future follows the operation across the phase boundary.
+// ReadAsync submits one two-round read and returns its future.
 func (r *Reader) ReadAsync(ctx context.Context) (*protoutil.Future[ReadResult], error) {
-	if err := r.pl.Acquire(ctx); err != nil {
-		return nil, fmt.Errorf("abd: read: %w", err)
-	}
-	f := protoutil.NewFuture[ReadResult]()
-
-	majority := r.cfg.Quorum.Majority()
-
-	// Phase 1: query a majority for their current (ts, value).
-	r.mu.Lock()
-	r.rCounter++
-	rc := r.rCounter
-	r.cfg.Trace.Record(trace.KindInvoke, r.id, types.ProcessID{}, "abd read(key=%q) rc=%d", r.cfg.Key, rc)
-	query := &wire.Message{Op: wire.OpRead, Key: r.cfg.Key, RCounter: rc}
-	filter := func(_ types.ProcessID, m *wire.Message) bool {
-		return m.Op == wire.OpReadAck && m.Key == r.cfg.Key && m.RCounter == rc
-	}
-	op := r.pl.RegisterPhase(majority, filter, func(acks []protoutil.Ack, err error) {
-		if err != nil {
-			f.Resolve(ReadResult{}, fmt.Errorf("abd: read phase 1: %w", err))
-			// Phase 1 held the slot for the whole read; it dies here.
-			r.pl.Release()
-			return
-		}
-		r.writeBackPhase(f, rc, acks)
-	})
-	err := protoutil.Broadcast(r.node, r.servers, query, r.cfg.Trace)
-	r.mu.Unlock()
-	if err != nil {
-		op.Abort(err)
-		return nil, fmt.Errorf("abd: read phase 1: %w", err)
-	}
-	f.Bind(ctx, op)
-	return f, nil
+	return r.Submit(ctx, nil)
 }
 
-// writeBackPhase is phase 2 of one read, run from phase 1's completion:
-// write the selected value back to a majority before resolving, so that no
-// later read can return an older value.
-func (r *Reader) writeBackPhase(f *protoutil.Future[ReadResult], rc int64, acks []protoutil.Ack) {
+// writeBack selects the highest timestamp of round 1's replies and writes it
+// back to a majority (round 2) before the read returns, so that no later read
+// can return an older value.
+func writeBack(c *protoutil.Call[ReadResult], acks []protoutil.Ack) (bool, error) {
+	if c.Req.Op == wire.OpWriteBack {
+		c.Result.RoundTrips = c.Round
+		return false, nil
+	}
 	maxTS, best, _ := protoutil.MaxTimestamp(acks)
-	// The result value must survive past this operation: clone it now, while
-	// the phase-1 payloads are certainly alive.
-	value := best.Msg.Cur.Clone()
-
-	r.mu.Lock()
-	r.rounds.Add(1)
-	r.rCounter++
-	wbRC := r.rCounter
-	// Transient write-back request: its fields alias the phase-1 ack (which
-	// aliases the delivered payload) and are copied by the encoder.
-	writeBack := &wire.Message{
+	// The result value must survive past the round: clone it now. The
+	// transient write-back request aliases the ack instead.
+	c.Result = ReadResult{Value: best.Msg.Cur.Clone(), Timestamp: maxTS}
+	c.Req = wire.Message{
 		Op:       wire.OpWriteBack,
-		Key:      r.cfg.Key,
+		Key:      c.Req.Key,
 		TS:       maxTS,
 		Cur:      best.Msg.Cur,
 		Prev:     best.Msg.Prev,
-		RCounter: wbRC,
+		RCounter: c.NextNonce(),
 	}
-	wbFilter := func(_ types.ProcessID, m *wire.Message) bool {
-		return m.Op == wire.OpWriteBackAck && m.Key == r.cfg.Key && m.RCounter == wbRC
-	}
-	op := r.pl.Register(r.cfg.Quorum.Majority(), wbFilter, func(_ []protoutil.Ack, err error) {
-		if err != nil {
-			f.Resolve(ReadResult{}, fmt.Errorf("abd: read phase 2 (write-back): %w", err))
-			return
-		}
-		r.mu.Lock()
-		r.rounds.Add(1)
-		r.reads++
-		r.mu.Unlock()
-		r.cfg.Trace.Record(trace.KindReturn, r.id, types.ProcessID{}, "abd read rc=%d -> ts=%d", rc, maxTS)
-		f.Resolve(ReadResult{Value: value, Timestamp: maxTS, RoundTrips: 2}, nil)
-	})
-	err := protoutil.Broadcast(r.node, r.servers, writeBack, r.cfg.Trace)
-	r.mu.Unlock()
-	if err != nil {
-		op.Abort(err)
-		return
-	}
-	f.Rebind(op)
+	return true, nil
 }
-
-// Stats reports completed reads and total round-trips (2 per read).
-func (r *Reader) Stats() (reads, roundTrips int64) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.reads, r.rounds.Total()
-}
-
-// Close detaches the reader from the network.
-func (r *Reader) Close() error { return r.node.Close() }

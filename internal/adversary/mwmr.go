@@ -3,7 +3,6 @@ package adversary
 import (
 	"context"
 	"fmt"
-	"sync"
 	"time"
 
 	"fastread/internal/abd"
@@ -35,77 +34,39 @@ type MWMRResult struct {
 	Narrative []string
 }
 
-// naiveMWWriter is a hypothetical "fast" multi-writer: it skips the query
-// phase and stamps writes with a local sequence number and its rank, then
-// waits for S−t acknowledgements — exactly one round-trip. Proposition 11
-// says no such register can be atomic; the demonstration makes the failure
-// concrete.
-type naiveMWWriter struct {
-	cfg     quorum.Config
-	node    transport.Node
-	rank    int32
-	servers []types.ProcessID
-
-	mu  sync.Mutex
-	seq types.Timestamp
-	rc  int64
+// newNaiveMWWriter builds a hypothetical "fast" multi-writer: it skips the
+// query phase and stamps writes with a local sequence number and its rank,
+// then waits for S−t acknowledgements — exactly one round-trip. Proposition
+// 11 says no such register can be atomic; the demonstration makes the failure
+// concrete. The local sequence number doubles as the request's nonce.
+func newNaiveMWWriter(cfg quorum.Config, node transport.Node, rank int32) (*protoutil.Client[struct{}], error) {
+	return protoutil.NewClient(protoutil.ClientConfig{Quorum: cfg, Depth: 1}, node, protoutil.Rounds[struct{}]{
+		Name: "adversary: naive mwmr write", Need: cfg.AckQuorum(),
+		Begin: func(c *protoutil.Call[struct{}]) error {
+			seq := c.NextNonce()
+			c.Req = wire.Message{Op: wire.OpWrite, TS: types.Timestamp(seq), WriterRank: rank, Cur: c.Arg, RCounter: seq}
+			return nil
+		},
+	})
 }
 
-func newNaiveMWWriter(cfg quorum.Config, node transport.Node, rank int32) *naiveMWWriter {
-	return &naiveMWWriter{cfg: cfg, node: node, rank: rank, servers: protoutil.ServerIDs(cfg.Servers)}
-}
-
-// Write performs a one-round write with a locally generated timestamp.
-func (w *naiveMWWriter) Write(ctx context.Context, v types.Value) error {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	w.seq++
-	w.rc++
-	req := &wire.Message{Op: wire.OpWrite, TS: w.seq, WriterRank: w.rank, Cur: v.Clone(), RCounter: w.rc}
-	rc := w.rc
-	filter := func(_ types.ProcessID, m *wire.Message) bool {
-		return m.Op == wire.OpWriteAck && m.RCounter == rc
-	}
-	_, err := protoutil.RoundTrip(ctx, w.node, w.servers, req, w.cfg.AckQuorum(), filter, nil)
-	return err
-}
-
-// naiveMWReader performs a one-round read returning the highest (ts, rank)
-// value it sees.
-type naiveMWReader struct {
-	cfg     quorum.Config
-	node    transport.Node
-	servers []types.ProcessID
-
-	mu sync.Mutex
-	rc int64
-}
-
-func newNaiveMWReader(cfg quorum.Config, node transport.Node) *naiveMWReader {
-	return &naiveMWReader{cfg: cfg, node: node, servers: protoutil.ServerIDs(cfg.Servers)}
-}
-
-// Read performs a one-round read.
-func (r *naiveMWReader) Read(ctx context.Context) (types.Value, error) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	r.rc++
-	rc := r.rc
-	req := &wire.Message{Op: wire.OpRead, RCounter: rc}
-	filter := func(_ types.ProcessID, m *wire.Message) bool {
-		return m.Op == wire.OpReadAck && m.RCounter == rc
-	}
-	acks, err := protoutil.RoundTrip(ctx, r.node, r.servers, req, r.cfg.AckQuorum(), filter, nil)
-	if err != nil {
-		return nil, err
-	}
-	best := acks[0].Msg
-	for _, a := range acks[1:] {
-		if best.TS < a.Msg.TS || (best.TS == a.Msg.TS && best.WriterRank < a.Msg.WriterRank) {
-			best = a.Msg
-		}
-	}
-	return best.Cur.Clone(), nil
+// newNaiveMWReader builds the matching one-round reader, returning the
+// highest (ts, rank) value it sees.
+func newNaiveMWReader(cfg quorum.Config, node transport.Node) (*protoutil.Client[types.Value], error) {
+	return protoutil.NewClient(protoutil.ClientConfig{Quorum: cfg, Depth: 1}, node, protoutil.Rounds[types.Value]{
+		Name: "adversary: naive mwmr read", Need: cfg.AckQuorum(),
+		Begin: protoutil.Ask[types.Value](wire.OpRead, ""),
+		Finish: func(c *protoutil.Call[types.Value], acks []protoutil.Ack) (bool, error) {
+			best := acks[0].Msg
+			for _, a := range acks[1:] {
+				if best.TS < a.Msg.TS || (best.TS == a.Msg.TS && best.WriterRank < a.Msg.WriterRank) {
+					best = a.Msg
+				}
+			}
+			c.Result = best.Cur.Clone()
+			return false, nil
+		},
+	})
 }
 
 // RunMWMRDemonstration runs the same sequential schedule — writer 2 writes,
@@ -154,9 +115,18 @@ func RunMWMRDemonstration(cfg quorum.Config) (MWMRResult, error) {
 		if err != nil {
 			return result, err
 		}
-		w1 := newNaiveMWWriter(cfg, w1Node, 1)
-		w2 := newNaiveMWWriter(cfg, w2Node, 2)
-		reader := newNaiveMWReader(cfg, rNode)
+		w1, err := newNaiveMWWriter(cfg, w1Node, 1)
+		if err != nil {
+			return result, err
+		}
+		w2, err := newNaiveMWWriter(cfg, w2Node, 2)
+		if err != nil {
+			return result, err
+		}
+		reader, err := newNaiveMWReader(cfg, rNode)
+		if err != nil {
+			return result, err
+		}
 
 		recorder := history.NewRecorder()
 		runOp := func(proc types.ProcessID, kind history.OpKind, arg types.Value, do func() (types.Value, error)) error {
@@ -171,17 +141,19 @@ func RunMWMRDemonstration(cfg quorum.Config) (MWMRResult, error) {
 		}
 
 		if err := runOp(types.Reader(2), history.OpWrite, types.Value("second-writer"), func() (types.Value, error) {
-			return nil, w2.Write(ctx, types.Value("second-writer"))
+			_, err := w2.Do(ctx, types.Value("second-writer"))
+			return nil, err
 		}); err != nil {
 			return result, fmt.Errorf("naive mwmr write by w2: %w", err)
 		}
 		if err := runOp(types.Reader(1), history.OpWrite, types.Value("first-writer"), func() (types.Value, error) {
-			return nil, w1.Write(ctx, types.Value("first-writer"))
+			_, err := w1.Do(ctx, types.Value("first-writer"))
+			return nil, err
 		}); err != nil {
 			return result, fmt.Errorf("naive mwmr write by w1: %w", err)
 		}
 		if err := runOp(types.Reader(3), history.OpRead, nil, func() (types.Value, error) {
-			return reader.Read(ctx)
+			return reader.Do(ctx, nil)
 		}); err != nil {
 			return result, fmt.Errorf("naive mwmr read: %w", err)
 		}

@@ -2,8 +2,6 @@ package adversary
 
 import (
 	"context"
-	"fmt"
-	"sync"
 
 	"fastread/internal/protoutil"
 	"fastread/internal/quorum"
@@ -17,44 +15,31 @@ import (
 // highest timestamp, with no seen-set predicate and no memory across reads.
 // With a single reader this is correct; with two or more readers the
 // lower-bound schedule makes it violate atomicity, which is exactly what
-// experiment E2 demonstrates.
+// experiment E2 demonstrates. Its round description is the whole strawman:
+// ask, then take the maximum.
 type naiveReader struct {
-	cfg     quorum.Config
-	node    transport.Node
-	id      types.ProcessID
-	servers []types.ProcessID
-
-	mu       sync.Mutex
-	rCounter int64
+	*protoutil.Client[protoutil.ReadResult]
 }
 
 // newNaiveReader builds a naive fast reader on the given node.
 func newNaiveReader(cfg quorum.Config, node transport.Node) (*naiveReader, error) {
-	if node.ID().Role != types.RoleReader {
-		return nil, fmt.Errorf("adversary: naive reader needs a reader identity, got %v", node.ID())
+	cl, err := protoutil.NewClient(protoutil.ClientConfig{Quorum: cfg, Depth: 1}, node, protoutil.Rounds[protoutil.ReadResult]{
+		Name: "adversary: naive read", Role: types.RoleReader, Need: cfg.AckQuorum(),
+		Begin: protoutil.Ask[protoutil.ReadResult](wire.OpRead, ""),
+		Finish: func(c *protoutil.Call[protoutil.ReadResult], acks []protoutil.Ack) (bool, error) {
+			_, best, _ := protoutil.MaxTimestamp(acks)
+			c.Result = protoutil.ReadResult{Value: best.Msg.Cur.Clone(), Timestamp: best.Msg.TS, RoundTrips: 1}
+			return false, nil
+		},
+	})
+	if err != nil {
+		return nil, err
 	}
-	return &naiveReader{
-		cfg:     cfg,
-		node:    node,
-		id:      node.ID(),
-		servers: protoutil.ServerIDs(cfg.Servers),
-	}, nil
+	return &naiveReader{cl}, nil
 }
 
 // Read performs one naive fast read.
 func (r *naiveReader) Read(ctx context.Context) (types.Value, types.Timestamp, error) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	r.rCounter++
-	rc := r.rCounter
-	req := &wire.Message{Op: wire.OpRead, RCounter: rc}
-	filter := func(_ types.ProcessID, m *wire.Message) bool {
-		return m.Op == wire.OpReadAck && m.RCounter == rc
-	}
-	acks, err := protoutil.RoundTrip(ctx, r.node, r.servers, req, r.cfg.AckQuorum(), filter, nil)
-	if err != nil {
-		return nil, 0, err
-	}
-	_, best, _ := protoutil.MaxTimestamp(acks)
-	return best.Msg.Cur.Clone(), best.Msg.TS, nil
+	res, err := r.Do(ctx, nil)
+	return res.Value, res.Timestamp, err
 }

@@ -268,10 +268,8 @@ func runWideChaosSchedule(t *testing.T, cfg quorum.Config, seed int64) {
 				}
 				recorder.Return(op, res.Value, res.Timestamp)
 				// This reader's reads are serial, so its scratch still holds
-				// the read that just returned.
-				rd.mu.Lock()
+				// the read that just returned (and nothing else touches it).
 				diverged := len(rd.pred.seen) >= 2
-				rd.mu.Unlock()
 				if diverged && res.PredicateLevel > 1 {
 					walkHeldAbove1.Store(true)
 				}

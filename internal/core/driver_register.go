@@ -1,7 +1,6 @@
 package core
 
 import (
-	"context"
 	"fmt"
 
 	"fastread/internal/driver"
@@ -49,58 +48,23 @@ func fastDriver(name string, byzantine bool) driver.Driver {
 			}
 			return s, nil
 		},
-		NewWriter: func(cfg driver.ClientConfig, node transport.Node) (driver.Writer, error) {
-			w, err := NewWriter(WriterConfig{
-				Quorum:    cfg.Quorum,
-				Key:       cfg.Key,
-				Byzantine: byzantine,
-				Signer:    cfg.Signer,
-				Depth:     cfg.Depth,
-			}, node)
-			if err != nil {
-				return nil, err
-			}
-			return driver.AdaptWriter(w), nil
-		},
+		NewWriter: driver.WriterFactory(func(cfg driver.ClientConfig, node transport.Node) (*Writer, error) {
+			cfg.Byzantine = byzantine
+			return NewWriter(cfg, node)
+		}),
 		NewReader: func(cfg driver.ClientConfig, node transport.Node) (driver.Reader, error) {
-			r, err := NewReader(ReaderConfig{
-				Quorum:    cfg.Quorum,
-				Key:       cfg.Key,
-				Byzantine: byzantine,
-				Verifier:  cfg.Verifier,
-				Depth:     cfg.Depth,
-				Nonce:     cfg.Nonce,
-			}, node)
+			cfg.Byzantine = byzantine
+			r, err := NewReader(cfg, node)
 			if err != nil {
 				return nil, err
 			}
-			return fastReaderHandle{r}, nil
+			return driver.AdaptReader(r.Client, fastResult, r.fallback.Load), nil
 		},
 	}
 }
 
-// fastReaderHandle adapts the fast reader's rich result (predicate level,
-// max timestamp) to the uniform driver result.
-type fastReaderHandle struct{ r *Reader }
-
-func (h fastReaderHandle) Read(ctx context.Context) (driver.ReadResult, error) {
-	res, err := h.r.Read(ctx)
-	if err != nil {
-		return driver.ReadResult{}, err
-	}
-	return fastResult(res), nil
-}
-
-func (h fastReaderHandle) ReadAsync(ctx context.Context) (driver.ReadFuture, error) {
-	f, err := h.r.ReadAsync(ctx)
-	if err != nil {
-		return nil, err
-	}
-	return driver.ReadFutureOf(f, fastResult), nil
-}
-
-// fastResult adapts the fast reader's rich result to the uniform driver
-// result.
+// fastResult adapts the fast reader's rich result (predicate level, max
+// timestamp) to the uniform driver result.
 func fastResult(res ReadResult) driver.ReadResult {
 	return driver.ReadResult{
 		Value:        res.Value,
@@ -109,5 +73,3 @@ func fastResult(res ReadResult) driver.ReadResult {
 		UsedFallback: !res.PredicateHeld,
 	}
 }
-
-func (h fastReaderHandle) Stats() (reads, roundTrips, fallbacks int64) { return h.r.Stats() }

@@ -267,7 +267,7 @@ func evaluatePredicateBruteForce(cfg quorum.Config, acks []SeenAck) int {
 	return least
 }
 
-// evaluateSeens is the reader-side adapter as finishRead spells it: seen
+// evaluateSeens is the reader-side adapter as Reader.finish spells it: seen
 // slices straight off the acknowledgements into a reused scratch.
 func evaluateSeens(s *predicateScratch, cfg quorum.Config, seens [][]types.ProcessID) (level int, err error) {
 	s.reset(cfg.Readers)

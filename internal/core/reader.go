@@ -3,44 +3,22 @@ package core
 import (
 	"context"
 	"fmt"
-	"sync"
+	"sync/atomic"
 
 	"fastread/internal/protoutil"
 	"fastread/internal/quorum"
 	"fastread/internal/sig"
-	"fastread/internal/stats"
-	"fastread/internal/trace"
 	"fastread/internal/transport"
 	"fastread/internal/types"
 	"fastread/internal/wire"
 )
 
-// ReaderConfig configures a reader process ri.
-type ReaderConfig struct {
-	// Quorum describes the deployment (S, t, b, R).
-	Quorum quorum.Config
-	// Key names the register this reader operates on. The empty key is the
-	// deployment's default register. Every request is stamped with the key
-	// and only acknowledgements carrying it are accepted, so many per-key
-	// readers can share one transport identity.
-	Key string
-	// Byzantine enables the arbitrary-failure variant (Figure 5): readers
-	// verify the writer's signature on every acknowledgement and discard
-	// replies from servers that pretend not to have seen the written-back
-	// timestamp.
-	Byzantine bool
-	// Verifier is the writer's public key; required when Byzantine is true.
-	Verifier sig.Verifier
-	// Depth bounds the number of reads this reader keeps in flight at once
-	// (ReadAsync); non-positive means protoutil.DefaultPipelineDepth. A
-	// serial Read is a pipelined read at depth one.
-	Depth int
-	// Nonce, when positive, overrides the reader's initial operation
-	// counter (see protoutil.StartNonce; deterministic simulation).
-	Nonce int64
-	// Trace, if non-nil, records protocol events.
-	Trace *trace.Trace
-}
+// ReaderConfig configures a reader process ri: Quorum and Key, Depth for
+// ReadAsync, Nonce for deterministic simulation, and Byzantine + Verifier for
+// the arbitrary-failure variant (Figure 5), where readers verify the writer's
+// signature on every acknowledgement and discard replies from servers that
+// pretend not to have seen the written-back timestamp.
+type ReaderConfig = protoutil.ClientConfig
 
 // ReadResult reports what a read returned and how it decided.
 type ReadResult struct {
@@ -60,16 +38,14 @@ type ReadResult struct {
 }
 
 // Reader is the reader-side of the fast algorithms (Figure 2 / Figure 5
-// lines 9-22). A Reader keeps up to cfg.Depth reads in flight at once:
-// ReadAsync submits a read and returns a future, and the blocking Read is
-// exactly ReadAsync at depth one. Both are safe for concurrent use — every
-// in-flight read is matched to its acknowledgements by its rCounter nonce.
+// lines 9-22): the client engine running the one-round description below.
+// ReadAsync keeps up to cfg.Depth reads in flight and the blocking Read is
+// ReadAsync at depth one; both are safe for concurrent use — every in-flight
+// read is matched to its acknowledgements by its rCounter nonce.
 type Reader struct {
-	cfg     ReaderConfig
-	node    transport.Node
-	id      types.ProcessID
-	servers []types.ProcessID
-	pl      *protoutil.Pipeline
+	*protoutil.Client[ReadResult]
+	key    string
+	quorum quorum.Config
 
 	// verify memoises writer-signature verifications in the Byzantine
 	// variant: every ack of a steady-state read carries the same signed
@@ -77,188 +53,94 @@ type Reader struct {
 	// the crash model.
 	verify *sig.Cache
 
-	mu       sync.Mutex
-	rCounter int64
-	last     types.TaggedValue // highest observed timestamp and its tags
-	lastSig  []byte
-	rounds   stats.Counter
-	reads    int64
-	fallback int64 // reads that returned maxTS−1
-
-	// Per-read scratch, guarded by mu: completion runs one at a time per
-	// reader, so the predicate kernel's buffers recycle across reads instead
-	// of allocating per read.
+	// The fields below are touched only in begin and finish, which the engine
+	// runs one at a time under the handle's mutex.
+	last    types.TaggedValue // highest observed timestamp and its tags
+	lastSig []byte
+	// pred is the predicate kernel's scratch: its buffers recycle across
+	// reads instead of allocating per read.
 	pred predicateScratch
+
+	fallback atomic.Int64 // reads that returned maxTS−1
 }
 
 // NewReader creates reader client ri bound to the given transport node.
 func NewReader(cfg ReaderConfig, node transport.Node) (*Reader, error) {
-	if err := cfg.Quorum.Validate(); err != nil {
-		return nil, err
+	// The predicate counts r1..rR only; every other identity rule (and the nil
+	// node) is the engine's to reject.
+	if node != nil && node.ID().Role == types.RoleReader && node.ID().Index > cfg.Quorum.Readers {
+		return nil, fmt.Errorf("%w: got %v with R=%d", ErrNotReader, node.ID(), cfg.Quorum.Readers)
 	}
-	if node == nil {
-		return nil, fmt.Errorf("core: reader requires a transport node")
-	}
-	id := node.ID()
-	if id.Role != types.RoleReader || id.Index < 1 || id.Index > cfg.Quorum.Readers {
-		return nil, fmt.Errorf("%w: got %v with R=%d", ErrNotReader, id, cfg.Quorum.Readers)
-	}
-	r := &Reader{
-		cfg:      cfg,
-		node:     node,
-		id:       id,
-		servers:  protoutil.ServerIDs(cfg.Quorum.Servers),
-		pl:       protoutil.NewPipeline(node, cfg.Depth, cfg.Trace),
-		last:     types.InitialTaggedValue(),
-		rCounter: protoutil.StartNonce(cfg.Nonce),
+	r := &Reader{key: cfg.Key, quorum: cfg.Quorum, last: types.InitialTaggedValue()}
+	rounds := protoutil.Rounds[ReadResult]{
+		Name: "core read", Role: types.RoleReader, Need: cfg.Quorum.AckQuorum(), Nonce: protoutil.StartNonce(cfg.Nonce),
+		Begin: r.begin, Finish: r.finish,
 	}
 	if cfg.Byzantine {
 		r.verify = sig.NewCache(cfg.Verifier, 0)
+		rounds.Accept = r.acceptSigned
 	}
+	cl, err := protoutil.NewClient(cfg, node, rounds)
+	if err != nil {
+		return nil, err
+	}
+	r.Client = cl
 	return r, nil
 }
 
-// ID returns the reader's process identity.
-func (r *Reader) ID() types.ProcessID { return r.id }
+// Read returns the current register value in a single round-trip.
+func (r *Reader) Read(ctx context.Context) (ReadResult, error) { return r.Do(ctx, nil) }
 
-// Read returns the current register value in a single round-trip. It is the
-// depth-one degenerate case of ReadAsync: submit, then wait.
-func (r *Reader) Read(ctx context.Context) (ReadResult, error) {
-	f, err := r.ReadAsync(ctx)
-	if err != nil {
-		return ReadResult{}, err
-	}
-	return f.Result(ctx)
-}
-
-// readOp is the pooled per-operation state of one in-flight read: the
-// acceptance predicate's inputs, the future to resolve, and the request
-// message itself. It implements protoutil.OpHandler, so registering a read
-// costs one pool fetch instead of two closure allocations plus a heap
-// request; Complete returns it to the pool after resolving the future.
-type readOp struct {
-	r           *Reader
-	rc          int64
-	writeBackTS types.Timestamp
-	f           *protoutil.Future[ReadResult]
-	req         wire.Message
-}
-
-var readOpPool = sync.Pool{New: func() any { return new(readOp) }}
-
-// Accept implements the Figure 2 / Figure 5 line 15 acknowledgement check
-// (see the ackFilter doc); it runs under the pipeline mutex.
-func (ro *readOp) Accept(from types.ProcessID, m *wire.Message) bool {
-	r := ro.r
-	if m.Op != wire.OpReadAck || m.Key != r.cfg.Key || m.RCounter != ro.rc {
-		return false
-	}
-	if !r.cfg.Byzantine {
-		return true
-	}
-	// Figure 5 line 15: accept only valid acknowledgements with ts' ≥ ts and
-	// ri ∈ seen'. Anything else is necessarily from a malicious server.
-	if m.TS < ro.writeBackTS {
-		return false
-	}
-	if !seenHas(m.Seen, r.id) {
-		return false
-	}
-	return r.verify.VerifyKeyed(r.cfg.Key, m.TS, m.Cur, m.Prev, m.WriterSig) == nil
-}
-
-// Complete resolves the read's future and recycles the operation state. The
-// acks are released by the engine when this returns; finishRead clones
-// everything it retains.
-func (ro *readOp) Complete(acks []protoutil.Ack, err error) {
-	r, rc, f := ro.r, ro.rc, ro.f
-	var res ReadResult
-	if err != nil {
-		err = fmt.Errorf("core: read rc=%d: %w", rc, err)
-	} else {
-		res, err = r.finishRead(rc, acks)
-	}
-	// Recycle ONLY after taking r.mu: the submitting goroutine encodes
-	// ro.req during its broadcast while holding r.mu, and a (Byzantine)
-	// server that guessed the operation's nonce could otherwise complete the
-	// operation while that encode is still reading the request. Taking the
-	// mutex orders the recycle after the broadcast.
-	r.mu.Lock()
-	*ro = readOp{}
-	readOpPool.Put(ro)
-	r.mu.Unlock()
-	f.Resolve(res, err)
-}
-
-// ReadAsync submits one read operation and returns its future without
-// waiting for the quorum, keeping up to cfg.Depth reads of this handle in
-// flight. Each in-flight read is an independent state machine keyed by its
-// rCounter nonce; cancelling ctx (or the ctx passed to Result) aborts only
-// this read. At depth the call blocks until an in-flight read completes.
+// ReadAsync submits one read and returns its future without waiting for the
+// quorum.
 func (r *Reader) ReadAsync(ctx context.Context) (*protoutil.Future[ReadResult], error) {
-	if err := r.pl.Acquire(ctx); err != nil {
-		return nil, fmt.Errorf("core: read: %w", err)
-	}
-	f := protoutil.NewFuture[ReadResult]()
+	return r.Submit(ctx, nil)
+}
 
-	r.mu.Lock()
-	// Figure 2 line 13: rCounter ← rCounter+1; ts ← maxTS. The read request
-	// writes back the highest timestamp the reader has observed, together
-	// with its value tags (and the writer's signature in the
-	// arbitrary-failure variant) so servers can adopt it. The request is
-	// transient — encoded during the broadcast, still under r.mu, never
-	// retained — so its fields alias the reader's own state without cloning.
-	r.rCounter++
-	rc := r.rCounter
-	writeBack := r.last
-	ro := readOpPool.Get().(*readOp)
-	ro.r, ro.rc, ro.writeBackTS, ro.f = r, rc, writeBack.TS, f
-	ro.req = wire.Message{
+// begin is Figure 2 line 13: rCounter ← rCounter+1; ts ← maxTS. The read
+// request writes back the highest timestamp the reader has observed, together
+// with its value tags (and the writer's signature in the arbitrary-failure
+// variant) so servers can adopt it; the transient request aliases the
+// reader's own state without cloning.
+func (r *Reader) begin(c *protoutil.Call[ReadResult]) error {
+	c.Req = wire.Message{
 		Op:        wire.OpRead,
-		Key:       r.cfg.Key,
-		TS:        writeBack.TS,
-		Cur:       writeBack.Cur,
-		Prev:      writeBack.Prev,
-		RCounter:  rc,
+		Key:       r.key,
+		TS:        r.last.TS,
+		Cur:       r.last.Cur,
+		Prev:      r.last.Prev,
+		RCounter:  c.NextNonce(),
 		WriterSig: r.lastSig,
 	}
-
-	if r.cfg.Trace.Enabled() {
-		r.cfg.Trace.Record(trace.KindInvoke, r.id, types.ProcessID{}, "read(key=%q) rc=%d writeback ts=%d", r.cfg.Key, rc, writeBack.TS)
-	}
-
-	need := r.cfg.Quorum.AckQuorum()
-	op := r.pl.RegisterHandler(need, ro)
-	err := protoutil.Broadcast(r.node, r.servers, &ro.req, r.cfg.Trace)
-	r.mu.Unlock()
-	if err != nil {
-		op.Abort(err)
-		return nil, fmt.Errorf("core: read rc=%d: %w", rc, err)
-	}
-	f.Bind(ctx, op)
-	return f, nil
+	return nil
 }
 
-// finishRead turns a completed quorum into the read's result: Figure 2
-// lines 16-22, run from the engine's completion callback.
-func (r *Reader) finishRead(rc int64, acks []protoutil.Ack) (ReadResult, error) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	r.rounds.Add(1)
-	r.reads++
+// acceptSigned is Figure 5 line 15, on top of the engine's rCounter match
+// (which is all of Figure 2 line 15): accept only valid acknowledgements with
+// ts' ≥ ts (the written-back timestamp) and ri ∈ seen'. Anything else is
+// necessarily from a malicious server.
+func (r *Reader) acceptSigned(c *protoutil.Call[ReadResult], _ types.ProcessID, m *wire.Message) bool {
+	if m.TS < c.Req.TS || !seenHas(m.Seen, r.ID()) {
+		return false
+	}
+	return r.verify.VerifyKeyed(r.key, m.TS, m.Cur, m.Prev, m.WriterSig) == nil
+}
 
-	// Figure 2 lines 16-19: find maxTS and evaluate the predicate over the
-	// seen sets of the messages carrying it.
+// finish turns a completed quorum into the read's result: Figure 2 lines
+// 16-22.
+func (r *Reader) finish(c *protoutil.Call[ReadResult], acks []protoutil.Ack) (bool, error) {
+	// Lines 16-19: find maxTS and evaluate the predicate over the seen sets
+	// of the messages carrying it.
 	maxTS, first, _ := protoutil.MaxTimestamp(acks)
-	r.pred.reset(r.cfg.Quorum.Readers)
+	r.pred.reset(r.quorum.Readers)
 	for _, a := range acks {
 		if a.Msg.TS == maxTS {
 			r.pred.addSeen(a.Msg.Seen)
 		}
 	}
-	level, _, _, err := r.pred.decide(r.cfg.Quorum)
+	level, _, _, err := r.pred.decide(r.quorum)
 	if err != nil {
-		return ReadResult{}, fmt.Errorf("core: read rc=%d: evaluate predicate: %w", rc, err)
+		return false, fmt.Errorf("evaluate predicate: %w", err)
 	}
 
 	// Remember the highest observed timestamp (and its tags) for later
@@ -274,25 +156,21 @@ func (r *Reader) finishRead(rc int64, acks []protoutil.Ack) (ReadResult, error) 
 		r.lastSig = append(r.lastSig[:0], first.Msg.WriterSig...)
 	}
 
-	result := ReadResult{
+	c.Result = ReadResult{
 		MaxTimestamp:   maxTS,
 		PredicateHeld:  level != 0,
 		PredicateLevel: level,
 		RoundTrips:     1,
 	}
-	if result.PredicateHeld {
-		result.Timestamp = maxTS
-		result.Value = tagged.Cur.Clone()
+	if c.Result.PredicateHeld {
+		c.Result.Timestamp = maxTS
+		c.Result.Value = tagged.Cur.Clone()
 	} else {
-		result.Timestamp = maxTS.Prev()
-		result.Value = tagged.Prev.Clone()
-		r.fallback++
+		c.Result.Timestamp = maxTS.Prev()
+		c.Result.Value = tagged.Prev.Clone()
+		r.fallback.Add(1)
 	}
-	if r.cfg.Trace.Enabled() {
-		r.cfg.Trace.Record(trace.KindReturn, r.id, types.ProcessID{},
-			"read rc=%d -> ts=%d (maxTS=%d predicate=%v a=%d)", rc, result.Timestamp, maxTS, result.PredicateHeld, level)
-	}
-	return result, nil
+	return false, nil
 }
 
 // seenHas reports whether the seen slice contains the process, without
@@ -311,17 +189,6 @@ func seenHas(seen []types.ProcessID, id types.ProcessID) bool {
 // used (always equal for this fast implementation) and how many reads
 // returned maxTS−1 because the predicate did not hold.
 func (r *Reader) Stats() (reads, roundTrips, fallbacks int64) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.reads, r.rounds.Total(), r.fallback
+	reads, roundTrips = r.Client.Stats()
+	return reads, roundTrips, r.fallback.Load()
 }
-
-// LastObserved returns the highest timestamp the reader has observed so far.
-func (r *Reader) LastObserved() types.Timestamp {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.last.TS
-}
-
-// Close detaches the reader from the network.
-func (r *Reader) Close() error { return r.node.Close() }

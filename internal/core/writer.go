@@ -1,230 +1,39 @@
 package core
 
 import (
-	"context"
-	"errors"
 	"fmt"
-	"sync"
-	"sync/atomic"
 
 	"fastread/internal/protoutil"
-	"fastread/internal/quorum"
 	"fastread/internal/sig"
-	"fastread/internal/stats"
-	"fastread/internal/trace"
 	"fastread/internal/transport"
-	"fastread/internal/types"
-	"fastread/internal/wire"
 )
 
-// Errors returned by clients of the fast register.
+// Errors returned by clients of the fast register: the engine's, under the
+// names this package's callers match.
 var (
-	// ErrBottomWrite indicates an attempt to write the reserved initial
-	// value ⊥ (a nil Value), which Section 3.1 forbids.
-	ErrBottomWrite = errors.New("core: cannot write the initial value ⊥")
-	// ErrNotWriter indicates a writer client constructed with a non-writer
-	// identity.
-	ErrNotWriter = errors.New("core: writer must use the writer identity")
-	// ErrNotReader indicates a reader client constructed with a non-reader
-	// identity.
-	ErrNotReader = errors.New("core: reader must use a reader identity")
+	ErrBottomWrite = protoutil.ErrBottomWrite
+	ErrNotWriter   = protoutil.ErrNotWriter
+	ErrNotReader   = protoutil.ErrNotReader
 )
 
-// WriterConfig configures the single writer process w.
-type WriterConfig struct {
-	// Quorum describes the deployment (S, t, b, R).
-	Quorum quorum.Config
-	// Key names the register this writer operates on. The empty key is the
-	// deployment's default register. Every request is stamped with the key
-	// and only acknowledgements carrying it are accepted, so many per-key
-	// writers can share one transport identity.
-	Key string
-	// Signer holds the writer's private key; required when Byzantine is
-	// true.
-	Signer *sig.Signer
-	// Byzantine enables the arbitrary-failure variant (Figure 5): each
-	// written timestamp/value pair is signed.
-	Byzantine bool
-	// Depth bounds the number of writes this writer keeps in flight at once
-	// (WriteAsync); non-positive means protoutil.DefaultPipelineDepth. A
-	// serial Write is a pipelined write at depth one.
-	Depth int
-	// Trace, if non-nil, records protocol events.
-	Trace *trace.Trace
-}
+// WriterConfig configures the single writer process w: Quorum and Key, Depth
+// for WriteAsync, and Byzantine + Signer for the arbitrary-failure variant
+// (Figure 5), which signs each written timestamp/value pair.
+type WriterConfig = protoutil.ClientConfig
 
 // Writer is the writer-side of the fast algorithms (Figure 2 / Figure 5
-// lines 1-8). A Writer keeps up to cfg.Depth writes in flight: WriteAsync
-// submits a write and returns a future, and the blocking Write is exactly
-// WriteAsync at depth one. Writes are APPLIED in submission order no matter
-// how deep the pipeline: each submission takes the next timestamp and
-// broadcasts under the writer's mutex, and the transports preserve per-link
-// FIFO, so servers adopt the values in timestamp order — the single-writer
-// regime of the model is preserved.
-type Writer struct {
-	cfg     WriterConfig
-	node    transport.Node
-	servers []types.ProcessID
-	pl      *protoutil.Pipeline
-
-	// submitted is the highest timestamp THIS writer incarnation has
-	// broadcast; ack filters read it without the mutex. See WriteAsync.
-	submitted atomic.Int64
-
-	mu     sync.Mutex
-	ts     types.Timestamp
-	prev   types.Value
-	rounds stats.Counter
-	writes int64
-}
+// lines 1-8): the engine's single-writer client waiting for S−t
+// acknowledgements, one round-trip per write.
+type Writer = protoutil.Writer
 
 // NewWriter creates the writer client bound to the given transport node.
 func NewWriter(cfg WriterConfig, node transport.Node) (*Writer, error) {
-	if err := cfg.Quorum.Validate(); err != nil {
-		return nil, err
-	}
-	if node == nil {
-		return nil, fmt.Errorf("core: writer requires a transport node")
-	}
-	if node.ID() != types.Writer() {
-		return nil, fmt.Errorf("%w: got %v", ErrNotWriter, node.ID())
-	}
-	if cfg.Byzantine && cfg.Signer == nil {
-		return nil, fmt.Errorf("core: the arbitrary-failure writer requires a signer")
-	}
-	return &Writer{
-		cfg:     cfg,
-		node:    node,
-		servers: protoutil.ServerIDs(cfg.Quorum.Servers),
-		pl:      protoutil.NewPipeline(node, cfg.Depth, cfg.Trace),
-		ts:      1, // Figure 2 line 3: ts ← 1.
-		prev:    types.Bottom(),
-	}, nil
-}
-
-// Write stores v in the register. It completes after a single round-trip:
-// broadcast (write, ts, v, prev) and wait for S−t acknowledgements. It is
-// the depth-one degenerate case of WriteAsync: submit, then wait.
-func (w *Writer) Write(ctx context.Context, v types.Value) error {
-	f, err := w.WriteAsync(ctx, v)
-	if err != nil {
-		return err
-	}
-	_, rerr := f.Result(ctx)
-	return rerr
-}
-
-// WriteAsync submits one write and returns its future without waiting for
-// the quorum, keeping up to cfg.Depth writes in flight. The timestamp is
-// taken and the request broadcast before WriteAsync returns, so writes hit
-// the wire — and are applied by servers — in submission order regardless of
-// completion order; a write's future resolves once S−t servers acknowledged
-// its timestamp. Cancelling one write's ctx abandons only that write's wait
-// (the value may still take effect, exactly as any interrupted write).
-func (w *Writer) WriteAsync(ctx context.Context, v types.Value) (*protoutil.Future[struct{}], error) {
-	if v.IsBottom() {
-		return nil, ErrBottomWrite
-	}
-	if err := w.pl.Acquire(ctx); err != nil {
-		return nil, fmt.Errorf("core: write: %w", err)
-	}
-	f := protoutil.NewFuture[struct{}]()
-
-	w.mu.Lock()
-	ts := w.ts
-	// One owned copy of the caller's value: it serves as the request's Cur
-	// (the request is transient — encoded during the broadcast, never
-	// retained) and becomes the writer's remembered prev for the NEXT
-	// submission. Cloning again for the request would be redundant.
-	cur := v.Clone()
-	req := &wire.Message{
-		Op:       wire.OpWrite,
-		Key:      w.cfg.Key,
-		TS:       ts,
-		Cur:      cur,
-		Prev:     w.prev,
-		RCounter: 0, // the writer's counter is always 0 (Section 4).
-	}
-	if w.cfg.Byzantine {
-		signature, err := w.cfg.Signer.SignKeyed(w.cfg.Key, ts, req.Cur, req.Prev)
-		if err != nil {
-			w.mu.Unlock()
-			w.pl.Release()
-			return nil, fmt.Errorf("core: sign write ts=%d: %w", ts, err)
+	var signer *sig.Signer
+	if cfg.Byzantine {
+		if cfg.Signer == nil {
+			return nil, fmt.Errorf("core: the arbitrary-failure writer requires a signer")
 		}
-		req.WriterSig = signature
+		signer = cfg.Signer
 	}
-
-	if w.cfg.Trace.Enabled() {
-		w.cfg.Trace.Record(trace.KindInvoke, types.Writer(), types.ProcessID{}, "write(key=%q, ts=%d, %s)", w.cfg.Key, ts, v)
-	}
-	w.submitted.Store(int64(ts))
-	need := w.cfg.Quorum.AckQuorum()
-	// Accept ts' in [ts, submitted] rather than the serial writer's exact
-	// match. ts' ≥ ts: a reader's write-back of a LATER pipelined write can
-	// reach a server before this request does, and the server then
-	// acknowledges with the newer adopted timestamp — which still proves
-	// this write's value is superseded-or-stored there (the superseding
-	// value is this writer's own later submission). ts' ≤ submitted: a
-	// timestamp this incarnation never issued means the servers hold a
-	// PREVIOUS incarnation's newer value — the model's single writer does
-	// not restart, and a restarted writer process (timestamps reset to 1)
-	// must time out visibly instead of reporting success for values the
-	// servers discarded. (An EQUAL-timestamp collision — both incarnations
-	// at the same write count — is indistinguishable in the wire vocabulary
-	// and remains a silent no-op, as it always was: recovering the writer's
-	// timestamp state is the operator's job in the SWMR model.)
-	filter := func(_ types.ProcessID, m *wire.Message) bool {
-		return m.Op == wire.OpWriteAck && m.Key == w.cfg.Key &&
-			m.TS >= ts && int64(m.TS) <= w.submitted.Load() && m.RCounter == 0
-	}
-	op := w.pl.Register(need, filter, func(_ []protoutil.Ack, err error) {
-		if err != nil {
-			f.Resolve(struct{}{}, fmt.Errorf("core: write ts=%d: %w", ts, err))
-			return
-		}
-		w.mu.Lock()
-		w.rounds.Add(1)
-		w.writes++
-		w.mu.Unlock()
-		if w.cfg.Trace.Enabled() {
-			w.cfg.Trace.Record(trace.KindReturn, types.Writer(), types.ProcessID{}, "write(ts=%d) -> ok", ts)
-		}
-		f.Resolve(struct{}{}, nil)
-	})
-	err := protoutil.Broadcast(w.node, w.servers, req, w.cfg.Trace)
-	if err == nil {
-		// Figure 2 line 7, moved to submission time: the next write takes the
-		// next timestamp whether or not this one has completed, preserving
-		// the single-writer timestamp order under pipelining. (A failed write
-		// leaves a timestamp gap, which servers tolerate: they adopt any
-		// strictly newer timestamp.)
-		w.ts = ts.Next()
-		w.prev = cur
-	}
-	w.mu.Unlock()
-	if err != nil {
-		op.Abort(err)
-		return nil, fmt.Errorf("core: write ts=%d: %w", ts, err)
-	}
-	f.Bind(ctx, op)
-	return f, nil
+	return protoutil.NewWriter("core", cfg.Quorum.AckQuorum(), signer, cfg, node)
 }
-
-// NextTimestamp returns the timestamp the next write will use.
-func (w *Writer) NextTimestamp() types.Timestamp {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	return w.ts
-}
-
-// Stats reports the number of completed writes and the total round-trips they
-// used (always equal for this fast implementation).
-func (w *Writer) Stats() (writes int64, roundTrips int64) {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	return w.writes, w.rounds.Total()
-}
-
-// Close detaches the writer from the network.
-func (w *Writer) Close() error { return w.node.Close() }

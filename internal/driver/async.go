@@ -1,28 +1,30 @@
-// Async adapters: the protocol packages implement their pipelined operations
-// on protoutil's generic Future, each with its own rich result type; the
-// helpers here fold those into the registry's uniform WriteFuture/ReadFuture
-// so every driver adapts identically.
+// Client adapters: every protocol's writer is the engine's protoutil.Writer
+// and every reader embeds a protoutil.Client with its own rich result type;
+// the helpers here fold those into the registry's uniform Writer/Reader
+// handles and futures, so every driver adapts identically.
 package driver
 
 import (
 	"context"
 
 	"fastread/internal/protoutil"
+	"fastread/internal/transport"
 	"fastread/internal/types"
 )
 
-// ProtocolWriter is the shape every protocol package's writer shares; Adapt
-// it to the registry's Writer interface with AdaptWriter.
-type ProtocolWriter interface {
-	Write(ctx context.Context, v types.Value) error
-	WriteAsync(ctx context.Context, v types.Value) (*protoutil.Future[struct{}], error)
-	Stats() (writes, roundTrips int64)
+// WriterFactory turns a protocol package's writer constructor into the
+// Driver.NewWriter factory.
+func WriterFactory(newWriter func(ClientConfig, transport.Node) (*protoutil.Writer, error)) func(ClientConfig, transport.Node) (Writer, error) {
+	return func(cfg ClientConfig, node transport.Node) (Writer, error) {
+		w, err := newWriter(cfg, node)
+		if err != nil {
+			return nil, err
+		}
+		return writerAdapter{w}, nil
+	}
 }
 
-// AdaptWriter wraps a protocol writer into the uniform Writer interface.
-func AdaptWriter(w ProtocolWriter) Writer { return writerAdapter{w} }
-
-type writerAdapter struct{ w ProtocolWriter }
+type writerAdapter struct{ w *protoutil.Writer }
 
 func (a writerAdapter) Write(ctx context.Context, v types.Value) error { return a.w.Write(ctx, v) }
 
@@ -46,12 +48,51 @@ func (w writeFuture) Result(ctx context.Context) error {
 	return err
 }
 
-// ReadFutureOf folds a protocol-specific read future into the uniform
-// ReadFuture by converting its result with conv once resolved.
-func ReadFutureOf[T any](f *protoutil.Future[T], conv func(T) ReadResult) ReadFuture {
-	return readFuture[T]{f: f, conv: conv}
+// AdaptReader wraps a protocol reader's engine into the uniform Reader
+// interface: conv converts the protocol's result, and fallbacks (nil for the
+// protocols that have none) reports the reads that returned the previous
+// value.
+func AdaptReader[T any](cl *protoutil.Client[T], conv func(T) ReadResult, fallbacks func() int64) Reader {
+	return readerAdapter[T]{cl: cl, conv: conv, fallbacks: fallbacks}
 }
 
+// PlainResult converts the majority protocols' shared read result.
+func PlainResult(res protoutil.ReadResult) ReadResult {
+	return ReadResult{Value: res.Value, Timestamp: res.Timestamp, RoundTrips: res.RoundTrips}
+}
+
+type readerAdapter[T any] struct {
+	cl        *protoutil.Client[T]
+	conv      func(T) ReadResult
+	fallbacks func() int64
+}
+
+func (a readerAdapter[T]) Read(ctx context.Context) (ReadResult, error) {
+	res, err := a.cl.Do(ctx, nil)
+	if err != nil {
+		return ReadResult{}, err
+	}
+	return a.conv(res), nil
+}
+
+func (a readerAdapter[T]) ReadAsync(ctx context.Context) (ReadFuture, error) {
+	f, err := a.cl.Submit(ctx, nil)
+	if err != nil {
+		return nil, err
+	}
+	return readFuture[T]{f: f, conv: a.conv}, nil
+}
+
+func (a readerAdapter[T]) Stats() (reads, roundTrips, fallbacks int64) {
+	reads, roundTrips = a.cl.Stats()
+	if a.fallbacks != nil {
+		fallbacks = a.fallbacks()
+	}
+	return reads, roundTrips, fallbacks
+}
+
+// readFuture folds a protocol-specific read future into the uniform
+// ReadFuture by converting its result once resolved.
 type readFuture[T any] struct {
 	f    *protoutil.Future[T]
 	conv func(T) ReadResult

@@ -10,10 +10,10 @@
 // package plus a blank import at the deployment sites.
 //
 // The handle interfaces (Server, Writer, Reader) are the least common
-// denominator of the four protocols. Writers and servers already share their
-// shapes across packages and satisfy the interfaces directly; readers return
-// protocol-specific result structs and are adapted in each package's
-// driver.go.
+// denominator of the four protocols. Servers satisfy theirs directly; every
+// protocol's writer is the one protoutil.Writer and every reader embeds the
+// one protoutil.Client engine, so async.go adapts both once for all drivers
+// (a reader supplies only the conversion of its result struct).
 package driver
 
 import (
@@ -24,6 +24,7 @@ import (
 	"sync"
 
 	"fastread/internal/durable"
+	"fastread/internal/protoutil"
 	"fastread/internal/quorum"
 	"fastread/internal/sig"
 	"fastread/internal/transport"
@@ -139,30 +140,10 @@ type ServerConfig struct {
 }
 
 // ClientConfig is the uniform client-side configuration handed to every
-// driver's writer and reader factories.
-type ClientConfig struct {
-	// Key names the register the client operates on; the empty key is the
-	// deployment's default register.
-	Key string
-	// Quorum describes the deployment (S, t, b, R).
-	Quorum quorum.Config
-	// Signer holds the writer's private key, used by signing drivers
-	// (fast-byz) and ignored by the crash-model drivers.
-	Signer *sig.Signer
-	// Verifier is the writer's public key, used by signature-verifying
-	// drivers and ignored by the crash-model drivers.
-	Verifier sig.Verifier
-	// Depth bounds the operations one handle keeps in flight through the
-	// async API (WriteAsync/ReadAsync); non-positive selects the engine
-	// default. Serial handles are unaffected: a blocking operation is the
-	// depth-one case.
-	Depth int
-	// Nonce, when positive, fixes a reader's initial operation counter
-	// instead of the wall-clock default (protoutil.InitialNonce).
-	// Deterministic simulation injects virtual-clock microseconds here so
-	// identical seeds produce identical wire traffic; writers ignore it.
-	Nonce int64
-}
+// driver's writer and reader factories: the client engine's own configuration
+// shape, which every protocol's constructors take, so factories pass it
+// through instead of re-mapping it field by field.
+type ClientConfig = protoutil.ClientConfig
 
 // Driver is one register protocol's factory set. All fields are required.
 type Driver struct {

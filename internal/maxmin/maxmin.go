@@ -20,29 +20,22 @@ package maxmin
 
 import (
 	"context"
-	"errors"
-	"fmt"
-	"sync"
-	"sync/atomic"
 
 	"fastread/internal/durable"
 	"fastread/internal/protoutil"
 	"fastread/internal/quorum"
-	"fastread/internal/stats"
 	"fastread/internal/trace"
 	"fastread/internal/transport"
 	"fastread/internal/types"
 	"fastread/internal/wire"
 )
 
-// Errors returned by the max-min register.
+// Errors returned by the max-min clients: the engine's, under the names this
+// package's callers match.
 var (
-	// ErrBottomWrite indicates an attempt to write the reserved value ⊥.
-	ErrBottomWrite = errors.New("maxmin: cannot write the initial value ⊥")
-	// ErrNotWriter indicates a writer constructed on a non-writer node.
-	ErrNotWriter = errors.New("maxmin: writer must use the writer identity")
-	// ErrNotReader indicates a reader constructed on a non-reader node.
-	ErrNotReader = errors.New("maxmin: reader must use a reader identity")
+	ErrBottomWrite = protoutil.ErrBottomWrite
+	ErrNotWriter   = protoutil.ErrNotWriter
+	ErrNotReader   = protoutil.ErrNotReader
 )
 
 // readKey identifies one read operation within a register: which reader and
@@ -116,7 +109,7 @@ func (st *registerState) markReplied(rkey readKey) {
 	p := st.replied[rkey.Reader]
 	if p == nil {
 		// First contact with this reader: its counters start at a fresh
-		// incarnation nonce (protoutil.InitialNonce), so seed the watermark
+		// incarnation nonce (protoutil.StartNonce), so seed the watermark
 		// maxReplyLag below it — anything older belongs to a previous
 		// incarnation and can never be answered — instead of accumulating
 		// the gap down to zero in the answered-set.
@@ -446,259 +439,62 @@ func (s *Server) maybeReply(key string, rkey readKey, out transport.Sender) {
 	_ = transport.SendEncoded(out, reader, ack)
 }
 
-// Writer is the max-min writer: identical to the single-round ABD writer.
-// WriteAsync keeps up to depth writes in flight, applied in submission
-// (timestamp) order.
-type Writer struct {
-	cfg     quorum.Config
-	key     string
-	tr      *trace.Trace
-	node    transport.Node
-	servers []types.ProcessID
-	pl      *protoutil.Pipeline
+// ClientConfig configures a max-min client (writer or reader); the signature
+// fields are ignored.
+type ClientConfig = protoutil.ClientConfig
 
-	// submitted is the highest timestamp this incarnation has broadcast;
-	// the ack filter caps accepted timestamps at it so a restarted writer
-	// times out visibly instead of "completing" against a previous
-	// incarnation's newer server state (see core.Writer.WriteAsync).
-	submitted atomic.Int64
+// Writer is the max-min writer: the engine's single-writer client waiting for
+// a majority, identical to the single-round ABD writer.
+type Writer = protoutil.Writer
 
-	mu     sync.Mutex
-	ts     types.Timestamp
-	prev   types.Value
-	rounds stats.Counter
-	writes int64
+// NewWriter creates the max-min writer.
+func NewWriter(cfg ClientConfig, node transport.Node) (*Writer, error) {
+	return protoutil.NewWriter("maxmin", cfg.Quorum.Majority(), nil, cfg, node)
 }
-
-// NewWriter creates the max-min writer for the default register.
-func NewWriter(cfg quorum.Config, node transport.Node, tr *trace.Trace) (*Writer, error) {
-	return NewKeyedWriter("", cfg, 0, node, tr)
-}
-
-// NewKeyedWriter creates the max-min writer for the named register. depth
-// bounds the writes kept in flight by WriteAsync (non-positive means
-// protoutil.DefaultPipelineDepth).
-func NewKeyedWriter(key string, cfg quorum.Config, depth int, node transport.Node, tr *trace.Trace) (*Writer, error) {
-	if err := cfg.Validate(); err != nil {
-		return nil, err
-	}
-	if node == nil {
-		return nil, fmt.Errorf("maxmin: writer requires a transport node")
-	}
-	if node.ID() != types.Writer() {
-		return nil, fmt.Errorf("%w: got %v", ErrNotWriter, node.ID())
-	}
-	return &Writer{
-		cfg:     cfg,
-		key:     key,
-		tr:      tr,
-		node:    node,
-		servers: protoutil.ServerIDs(cfg.Servers),
-		pl:      protoutil.NewPipeline(node, depth, tr),
-		ts:      1,
-		prev:    types.Bottom(),
-	}, nil
-}
-
-// Write stores v using one round-trip to a majority of servers (WriteAsync
-// at depth one).
-func (w *Writer) Write(ctx context.Context, v types.Value) error {
-	f, err := w.WriteAsync(ctx, v)
-	if err != nil {
-		return err
-	}
-	_, rerr := f.Result(ctx)
-	return rerr
-}
-
-// WriteAsync submits one write and returns its future without waiting for
-// the majority; timestamps are taken and broadcast in submission order.
-func (w *Writer) WriteAsync(ctx context.Context, v types.Value) (*protoutil.Future[struct{}], error) {
-	if v.IsBottom() {
-		return nil, ErrBottomWrite
-	}
-	if err := w.pl.Acquire(ctx); err != nil {
-		return nil, fmt.Errorf("maxmin: write: %w", err)
-	}
-	f := protoutil.NewFuture[struct{}]()
-
-	w.mu.Lock()
-	ts := w.ts
-	// One owned copy serves as the transient request's Cur and then as the
-	// remembered prev for the next submission.
-	cur := v.Clone()
-	req := &wire.Message{Op: wire.OpWrite, Key: w.key, TS: ts, Cur: cur, Prev: w.prev}
-	w.submitted.Store(int64(ts))
-	filter := func(_ types.ProcessID, m *wire.Message) bool {
-		return m.Op == wire.OpWriteAck && m.Key == w.key &&
-			m.TS >= ts && int64(m.TS) <= w.submitted.Load()
-	}
-	op := w.pl.Register(w.cfg.Majority(), filter, func(_ []protoutil.Ack, err error) {
-		if err != nil {
-			f.Resolve(struct{}{}, fmt.Errorf("maxmin: write ts=%d: %w", ts, err))
-			return
-		}
-		w.mu.Lock()
-		w.rounds.Add(1)
-		w.writes++
-		w.mu.Unlock()
-		f.Resolve(struct{}{}, nil)
-	})
-	err := protoutil.Broadcast(w.node, w.servers, req, w.tr)
-	if err == nil {
-		w.ts = ts.Next()
-		w.prev = cur
-	}
-	w.mu.Unlock()
-	if err != nil {
-		op.Abort(err)
-		return nil, fmt.Errorf("maxmin: write ts=%d: %w", ts, err)
-	}
-	f.Bind(ctx, op)
-	return f, nil
-}
-
-// Stats reports completed writes and total round-trips.
-func (w *Writer) Stats() (writes, roundTrips int64) {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	return w.writes, w.rounds.Total()
-}
-
-// Close detaches the writer from the network.
-func (w *Writer) Close() error { return w.node.Close() }
 
 // ReadResult is what a max-min read returns.
-type ReadResult struct {
-	Value      types.Value
-	Timestamp  types.Timestamp
-	RoundTrips int
-}
+type ReadResult = protoutil.ReadResult
 
 // Reader is the max-min reader: a single request/response exchange with a
 // majority of servers, returning the value with the MINIMUM timestamp among
 // the replies (each of which is itself a majority-maximum). ReadAsync keeps
-// up to depth reads in flight, matched to their gossip rounds and
+// up to cfg.Depth reads in flight, matched to their gossip rounds and
 // acknowledgements by rCounter nonces (the servers' per-reader reply
 // bookkeeping tolerates out-of-order completion; see registerState).
 type Reader struct {
-	cfg     quorum.Config
-	key     string
-	tr      *trace.Trace
-	node    transport.Node
-	id      types.ProcessID
-	servers []types.ProcessID
-	pl      *protoutil.Pipeline
-
-	mu       sync.Mutex
-	rCounter int64
-	rounds   stats.Counter
-	reads    int64
+	*protoutil.Client[ReadResult]
 }
 
-// NewReader creates a max-min reader for the default register.
-func NewReader(cfg quorum.Config, node transport.Node, tr *trace.Trace) (*Reader, error) {
-	return NewKeyedReader("", cfg, 0, node, tr)
-}
-
-// NewKeyedReader creates a max-min reader for the named register. depth
-// bounds the reads kept in flight by ReadAsync (non-positive means
-// protoutil.DefaultPipelineDepth).
-func NewKeyedReader(key string, cfg quorum.Config, depth int, node transport.Node, tr *trace.Trace) (*Reader, error) {
-	if err := cfg.Validate(); err != nil {
+// NewReader creates a max-min reader.
+func NewReader(cfg ClientConfig, node transport.Node) (*Reader, error) {
+	cl, err := protoutil.NewClient(cfg, node, protoutil.Rounds[ReadResult]{
+		Name: "maxmin read", Role: types.RoleReader, Need: cfg.Quorum.Majority(), Nonce: protoutil.StartNonce(cfg.Nonce),
+		Begin: protoutil.Ask[ReadResult](wire.OpRead, cfg.Key), Finish: minReply,
+	})
+	if err != nil {
 		return nil, err
 	}
-	if node == nil {
-		return nil, fmt.Errorf("maxmin: reader requires a transport node")
-	}
-	id := node.ID()
-	if id.Role != types.RoleReader || id.Index < 1 {
-		return nil, fmt.Errorf("%w: got %v", ErrNotReader, id)
-	}
-	return &Reader{
-		cfg:      cfg,
-		key:      key,
-		tr:       tr,
-		node:     node,
-		id:       id,
-		servers:  protoutil.ServerIDs(cfg.Servers),
-		pl:       protoutil.NewPipeline(node, depth, tr),
-		rCounter: protoutil.InitialNonce(),
-	}, nil
-}
-
-// SeedNonce overrides the reader's initial operation counter (see
-// protoutil.StartNonce; deterministic simulation). It must be called before
-// the first read; non-positive values are ignored.
-func (r *Reader) SeedNonce(n int64) {
-	if n > 0 {
-		r.rCounter = n
-	}
+	return &Reader{cl}, nil
 }
 
 // Read returns the register value. One client round-trip, but servers gossip
-// among themselves before replying (ReadAsync at depth one).
-func (r *Reader) Read(ctx context.Context) (ReadResult, error) {
-	f, err := r.ReadAsync(ctx)
-	if err != nil {
-		return ReadResult{}, err
-	}
-	return f.Result(ctx)
-}
+// among themselves before replying.
+func (r *Reader) Read(ctx context.Context) (ReadResult, error) { return r.Do(ctx, nil) }
 
 // ReadAsync submits one read and returns its future without waiting for the
 // majority of replies.
 func (r *Reader) ReadAsync(ctx context.Context) (*protoutil.Future[ReadResult], error) {
-	if err := r.pl.Acquire(ctx); err != nil {
-		return nil, fmt.Errorf("maxmin: read: %w", err)
-	}
-	f := protoutil.NewFuture[ReadResult]()
-
-	r.mu.Lock()
-	r.rCounter++
-	rc := r.rCounter
-	req := &wire.Message{Op: wire.OpRead, Key: r.key, RCounter: rc}
-	filter := func(_ types.ProcessID, m *wire.Message) bool {
-		return m.Op == wire.OpReadAck && m.Key == r.key && m.RCounter == rc
-	}
-	op := r.pl.Register(r.cfg.Majority(), filter, func(acks []protoutil.Ack, err error) {
-		if err != nil {
-			f.Resolve(ReadResult{}, fmt.Errorf("maxmin: read rc=%d: %w", rc, err))
-			return
-		}
-		r.mu.Lock()
-		r.rounds.Add(1)
-		r.reads++
-		r.mu.Unlock()
-		// Return the value with the minimum timestamp among the replies.
-		min := acks[0].Msg
-		for _, a := range acks[1:] {
-			if a.Msg.TS < min.TS {
-				min = a.Msg
-			}
-		}
-		f.Resolve(ReadResult{
-			Value:      min.Cur.Clone(),
-			Timestamp:  min.TS,
-			RoundTrips: 1,
-		}, nil)
-	})
-	err := protoutil.Broadcast(r.node, r.servers, req, r.tr)
-	r.mu.Unlock()
-	if err != nil {
-		op.Abort(err)
-		return nil, fmt.Errorf("maxmin: read rc=%d: %w", rc, err)
-	}
-	f.Bind(ctx, op)
-	return f, nil
+	return r.Submit(ctx, nil)
 }
 
-// Stats reports completed reads and total client round-trips.
-func (r *Reader) Stats() (reads, roundTrips int64) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.reads, r.rounds.Total()
+// minReply returns the value with the minimum timestamp among the replies.
+func minReply(c *protoutil.Call[ReadResult], acks []protoutil.Ack) (bool, error) {
+	min := acks[0].Msg
+	for _, a := range acks[1:] {
+		if a.Msg.TS < min.TS {
+			min = a.Msg
+		}
+	}
+	c.Result = ReadResult{Value: min.Cur.Clone(), Timestamp: min.TS, RoundTrips: 1}
+	return false, nil
 }
-
-// Close detaches the reader from the network.
-func (r *Reader) Close() error { return r.node.Close() }

@@ -53,7 +53,7 @@ func (d *deployment) writer() *Writer {
 	if err != nil {
 		d.t.Fatal(err)
 	}
-	w, err := NewWriter(d.cfg, node, nil)
+	w, err := NewWriter(ClientConfig{Quorum: d.cfg}, node)
 	if err != nil {
 		d.t.Fatal(err)
 	}
@@ -66,7 +66,7 @@ func (d *deployment) reader(i int) *Reader {
 	if err != nil {
 		d.t.Fatal(err)
 	}
-	r, err := NewReader(d.cfg, node, nil)
+	r, err := NewReader(ClientConfig{Quorum: d.cfg}, node)
 	if err != nil {
 		d.t.Fatal(err)
 	}
@@ -230,20 +230,20 @@ func TestWriterValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := NewWriter(cfg, node, nil); !errors.Is(err, ErrNotWriter) {
+	if _, err := NewWriter(ClientConfig{Quorum: cfg}, node); !errors.Is(err, ErrNotWriter) {
 		t.Errorf("err = %v, want ErrNotWriter", err)
 	}
-	if _, err := NewReader(cfg, nil, nil); err == nil {
+	if _, err := NewReader(ClientConfig{Quorum: cfg}, nil); err == nil {
 		t.Error("nil node accepted")
 	}
 	wNode, err := d.net.Join(types.Writer())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := NewReader(cfg, wNode, nil); !errors.Is(err, ErrNotReader) {
+	if _, err := NewReader(ClientConfig{Quorum: cfg}, wNode); !errors.Is(err, ErrNotReader) {
 		t.Errorf("err = %v, want ErrNotReader", err)
 	}
-	w, err := NewWriter(cfg, wNode, nil)
+	w, err := NewWriter(ClientConfig{Quorum: cfg}, wNode)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,15 +1,14 @@
-// Pipelined operation engine.
+// Acknowledgement demultiplexer: the lower half of the client engine.
 //
-// The blocking RoundTrip/CollectAcks helpers serve one operation at a time:
-// the client broadcasts, then owns the inbox until its quorum assembles. The
-// Pipeline generalises that to N concurrent in-flight operations per client
-// handle: a single dispatcher goroutine drains the node's inbox and offers
-// every acknowledgement to every pending operation's filter, so operations
-// complete independently, in whatever order their quorums assemble. The
-// protocols' existing per-operation nonces (read counters, write timestamps)
-// are what keep concurrent operations' acknowledgements apart — the engine
-// adds no wire state of its own, and a serial operation is exactly a
-// pipeline of depth one.
+// A Pipeline keeps up to N operations of one client handle in flight: a
+// single dispatcher goroutine drains the node's inbox and offers every
+// acknowledgement to every pending operation, so operations complete
+// independently, in whatever order their quorums assemble. The protocols'
+// per-operation nonces (read counters, write timestamps) are what keep
+// concurrent operations' acknowledgements apart — the pipeline adds no wire
+// state of its own, and a serial operation is exactly a pipeline of depth
+// one. Client (client.go) is the upper half: it runs a protocol's round
+// description on a Pipeline and is the only thing the protocol packages see.
 package protoutil
 
 import (
@@ -37,8 +36,8 @@ const DefaultPipelineDepth = 16
 const MaxPipelineDepth = 512
 
 // Pipeline demultiplexes acknowledgements for up to `depth` concurrent
-// in-flight operations over one client node. It is shared by every protocol
-// client; one Pipeline owns one node's inbox.
+// in-flight operations over one client node; one Pipeline owns one node's
+// inbox.
 //
 // Lifecycle: the dispatcher goroutine starts with the pipeline (it must
 // drain the inbox even before the first operation — see NewPipeline) and
@@ -46,10 +45,10 @@ const MaxPipelineDepth = 512
 // whole store shut down), failing every still-pending operation with
 // ErrInboxClosed.
 //
-// Locking: p.mu orders registration, matching and completion. Completion
-// callbacks are ALWAYS invoked outside p.mu (a callback takes its protocol
-// client's own mutex, and the submission path holds that mutex while calling
-// Register — invoking callbacks under p.mu would invert that order).
+// Locking: p.mu orders registration, matching and completion. Completions
+// are ALWAYS invoked outside p.mu (a completion takes its client handle's own
+// mutex, and the submission path holds that mutex while registering —
+// invoking completions under p.mu would invert that order).
 type Pipeline struct {
 	node transport.Node
 	tr   *trace.Trace
@@ -95,23 +94,16 @@ func NewPipeline(node transport.Node, depth int, tr *trace.Trace) *Pipeline {
 // Depth returns the configured in-flight bound.
 func (p *Pipeline) Depth() int { return cap(p.slots) }
 
-// Op is one in-flight operation's state machine: the acknowledgements
-// collected so far, keyed off the servers that sent them, and the completion
-// to run when the quorum assembles (or the operation dies).
+// Op is one in-flight round: the acknowledgements collected so far, keyed off
+// the servers that sent them, and the handler to run when the quorum
+// assembles (or the round dies).
 type Op struct {
-	p      *Pipeline
-	need   int
-	filter AckFilter
-	// complete runs exactly once, outside the engine mutex: with the quorum
-	// acknowledgements on success, or with a nil slice and the fatal error.
-	complete func(acks []Ack, err error)
-	// handler, when non-nil, replaces the filter/complete pair (see
-	// OpHandler and RegisterHandler).
-	handler OpHandler
-	// keepSlot marks an intermediate phase of a multi-phase operation: its
-	// completion hands the in-flight slot to the next phase instead of
-	// releasing it (see RegisterPhase).
-	keepSlot bool
+	p       *Pipeline
+	need    int
+	handler opHandler
+	// fn is Register's closure pair, adapted in place so such an operation
+	// is still one allocation.
+	fn funcHandler
 
 	// Guarded by p.mu.
 	seen []types.ProcessID
@@ -168,70 +160,80 @@ func (p *Pipeline) release() {
 	<-p.slots
 }
 
-// Release frees a slot acquired with Acquire when submission fails BEFORE an
-// operation was registered; registered operations release their slot through
-// completion or Abort instead.
-func (p *Pipeline) Release() { p.release() }
+// opHandler is one round's acceptance predicate and completion in one value.
+// The client engine's pooled per-operation state implements it, and
+// registering its pointer converts to the interface without allocating.
+type opHandler interface {
+	// accept reports whether the acknowledgement belongs to this round. It
+	// runs under the pipeline mutex.
+	accept(from types.ProcessID, m *wire.Message) bool
+	// complete runs exactly once, outside the pipeline mutex: with the quorum
+	// acknowledgements on success, or with nil acks and the fatal error. The
+	// acks (and everything they alias) are released when complete returns.
+	// It reports whether the operation goes on to another round on the same
+	// in-flight slot; otherwise the slot frees, so one Acquire bounds whole
+	// operations, not round-trips.
+	complete(acks []Ack, err error) (keepSlot bool)
+}
+
+// funcHandler adapts a filter/completion closure pair to opHandler.
+type funcHandler struct {
+	filter AckFilter
+	done   func(acks []Ack, err error)
+}
+
+func (h *funcHandler) accept(from types.ProcessID, m *wire.Message) bool {
+	return h.filter == nil || h.filter(from, m)
+}
+
+func (h *funcHandler) complete(acks []Ack, err error) bool {
+	h.done(acks, err)
+	return false
+}
 
 // Register adds an operation waiting for `need` acknowledgements accepted by
-// the filter. The caller must hold a slot from Acquire and should register
-// BEFORE broadcasting its request, so no acknowledgement can race past the
-// dispatcher unmatched. If the pipeline is already dead the operation fails
-// asynchronously (the completion still runs exactly once, with
-// ErrInboxClosed).
+// the filter (nil accepts every decodable server message); complete runs
+// exactly once, outside the pipeline mutex, and the slot frees after it. It
+// is the closure spelling of the engine's registration, kept for measuring
+// the pipeline alone (cmd/benchreport's protoutil.pipeline_op_us cell).
 func (p *Pipeline) Register(need int, filter AckFilter, complete func(acks []Ack, err error)) *Op {
-	return p.register(need, filter, complete, nil, false)
+	op := &Op{p: p, need: need}
+	op.fn = funcHandler{filter: filter, done: complete}
+	op.handler = &op.fn
+	return p.register(op)
 }
 
-// OpHandler bundles an operation's acceptance predicate and completion in
-// one value: the allocation-conscious alternative to Register's closure pair.
-// A protocol client keeps one pooled per-operation struct implementing
-// OpHandler, and registering its pointer converts to the interface without
-// allocating — where the closure pair costs two allocations per operation.
-type OpHandler interface {
-	// Accept reports whether the acknowledgement belongs to this operation
-	// (same contract as AckFilter). It runs under the engine mutex.
-	Accept(from types.ProcessID, m *wire.Message) bool
-	// Complete runs exactly once, outside the engine mutex: with the quorum
-	// acknowledgements on success, or with nil acks and the fatal error. The
-	// acks (and everything they alias) are released when Complete returns.
-	Complete(acks []Ack, err error)
+// registerHandler is Register with the filter and completion folded into one
+// opHandler value.
+func (p *Pipeline) registerHandler(need int, h opHandler) *Op {
+	return p.register(&Op{p: p, need: need, handler: h})
 }
 
-// RegisterHandler is Register with the filter and completion folded into one
-// OpHandler value.
-func (p *Pipeline) RegisterHandler(need int, h OpHandler) *Op {
-	return p.register(need, nil, nil, h, false)
-}
-
-// RegisterPhase is Register for an INTERMEDIATE phase of a multi-phase
-// operation (the ABD read's query before its write-back): completing it does
-// NOT free the in-flight slot — the slot stays held for the next phase,
-// whose final Register (or an explicit Release on the error path) frees it.
-// One Acquire therefore bounds whole operations, not round-trips.
-func (p *Pipeline) RegisterPhase(need int, filter AckFilter, complete func(acks []Ack, err error)) *Op {
-	return p.register(need, filter, complete, nil, true)
-}
-
-func (p *Pipeline) register(need int, filter AckFilter, complete func(acks []Ack, err error), handler OpHandler, keepSlot bool) *Op {
-	op := &Op{
-		p: p, need: need, filter: filter, complete: complete, handler: handler, keepSlot: keepSlot,
-	}
-	if need <= len(op.seenBuf) {
+// register adds the operation to the pending set. The caller must hold a slot
+// from Acquire and registers BEFORE broadcasting its request, so no
+// acknowledgement can race past the dispatcher unmatched. An operation that
+// cannot wait completes asynchronously (the caller typically holds its
+// handle mutex, and the completion will want it too), still exactly once:
+// with ErrInboxClosed on a dead pipeline, and at once with no
+// acknowledgements when need <= 0 — a quorum of nothing is already assembled.
+func (p *Pipeline) register(op *Op) *Op {
+	if op.need <= len(op.seenBuf) {
 		op.seen = op.seenBuf[:0]
 		op.acks = op.acksBuf[:0]
 	} else {
 		// Quorum sizes are known up front: one allocation each, no growth.
-		op.seen = make([]types.ProcessID, 0, need)
-		op.acks = make([]Ack, 0, need)
+		op.seen = make([]types.ProcessID, 0, op.need)
+		op.acks = make([]Ack, 0, op.need)
 	}
 	p.mu.Lock()
-	if p.closed {
+	if p.closed || op.need <= 0 {
 		op.done = true
+		var err error
+		if p.closed {
+			err = ErrInboxClosed
+		}
 		p.mu.Unlock()
-		// Asynchronously: the caller typically holds its protocol mutex here
-		// and the completion will want it too.
-		go op.finish(nil, ErrInboxClosed)
+		go op.finish(nil, err)
 		return op
 	}
 	p.ops = append(p.ops, op)
@@ -258,23 +260,19 @@ func (op *Op) Abort(err error) {
 }
 
 // finish runs the completion exactly once (the caller has already claimed
-// op.done under p.mu) and frees the slot, unless an intermediate phase keeps
-// it for its successor. After the completion returns, every acknowledgement
-// the operation collected — including partial collections on abort and
-// inbox-closed paths — returns to the pools: the completion is the last code
-// to see the acks, and the protocols' completions clone whatever they retain
-// (rule 3) before returning.
+// op.done under p.mu) and frees the slot, unless the operation keeps it for
+// its next round. After the completion returns, every acknowledgement the
+// round collected — including partial collections on abort and inbox-closed
+// paths — returns to the pools: the completion is the last code to see the
+// acks, and the protocols clone whatever they retain (rule 3) before it
+// returns.
 func (op *Op) finish(acks []Ack, err error) {
-	if op.handler != nil {
-		op.handler.Complete(acks, err)
-	} else {
-		op.complete(acks, err)
-	}
+	keepSlot := op.handler.complete(acks, err)
 	for i := range op.acks {
 		op.acks[i].release()
 	}
 	op.acks = op.acks[:0]
-	if !op.keepSlot {
+	if !keepSlot {
 		op.p.release()
 	}
 }
@@ -295,8 +293,7 @@ func (p *Pipeline) removeLocked(op *Op) {
 // dispatch drains the inbox until the node closes, routing every delivered
 // acknowledgement to the operations it satisfies. Batch envelopes are
 // expanded inline; decoding reuses one pooled scratch message, so traffic
-// that matches no operation costs no allocations (exactly like the serial
-// collector).
+// that matches no operation costs no allocations.
 func (p *Pipeline) dispatch() {
 	defer close(p.done)
 	scratch := wire.GetMessage()
@@ -359,7 +356,7 @@ func (p *Pipeline) handlePayload(from types.ProcessID, payload []byte, arena *wi
 		if op.done || op.hasSeen(from) {
 			continue
 		}
-		if !op.accepts(from, scratch) {
+		if !op.handler.accept(from, scratch) {
 			continue
 		}
 		matched = true
@@ -391,14 +388,6 @@ func (p *Pipeline) handlePayload(from types.ProcessID, payload []byte, arena *wi
 	}
 }
 
-// accepts routes the acceptance decision to the handler or the filter.
-func (op *Op) accepts(from types.ProcessID, m *wire.Message) bool {
-	if op.handler != nil {
-		return op.handler.Accept(from, m)
-	}
-	return op.filter == nil || op.filter(from, m)
-}
-
 // hasSeen reports whether the operation already accepted an acknowledgement
 // from the server. Linear scan: quorums are small.
 func (op *Op) hasSeen(from types.ProcessID) bool {
@@ -410,11 +399,11 @@ func (op *Op) hasSeen(from types.ProcessID) bool {
 	return false
 }
 
-// Future is the resolution of one asynchronous operation: the protocol
-// client resolves it from the operation's completion callback, and the
-// caller waits on Done or Result. A Future tracks the operation currently
-// backing it (Rebind moves it between a multi-phase protocol's phases), so
-// cancelling the wait aborts exactly that operation.
+// Future is the resolution of one asynchronous operation: the client engine
+// resolves it when the operation's last round completes, and the caller waits
+// on Done or Result. A Future tracks the round currently backing it (rebind
+// moves it between a multi-round operation's rounds), so cancelling the wait
+// aborts exactly that operation.
 type Future[T any] struct {
 	done chan struct{}
 
@@ -428,17 +417,16 @@ type Future[T any] struct {
 	err error
 }
 
-// NewFuture returns an unresolved future.
-func NewFuture[T any]() *Future[T] {
+// newFuture returns an unresolved future.
+func newFuture[T any]() *Future[T] {
 	return &Future[T]{done: make(chan struct{})}
 }
 
-// Bind attaches the future to its operation and arms the context: if ctx
-// ends first, the CURRENT operation aborts with the context's error (and the
-// abort intent sticks to operations bound later). Bind is called once per
-// phase via Rebind; the AfterFunc registration costs nothing until the
-// context actually fires.
-func (f *Future[T]) Bind(ctx context.Context, op *Op) {
+// bind attaches the future to its first round and arms the context: if ctx
+// ends first, the CURRENT round aborts with the context's error (and the
+// abort intent sticks to rounds bound later). The AfterFunc registration
+// costs nothing until the context actually fires.
+func (f *Future[T]) bind(ctx context.Context, op *Op) {
 	f.mu.Lock()
 	f.op = op
 	cancelled := f.cancelErr
@@ -453,9 +441,9 @@ func (f *Future[T]) Bind(ctx context.Context, op *Op) {
 	}
 }
 
-// Rebind moves the future onto the next phase's operation, honouring any
-// abort that raced the phase boundary.
-func (f *Future[T]) Rebind(op *Op) {
+// rebind moves the future onto the operation's next round, honouring any
+// abort that raced the round boundary.
+func (f *Future[T]) rebind(op *Op) {
 	f.mu.Lock()
 	f.op = op
 	cancelled := f.cancelErr

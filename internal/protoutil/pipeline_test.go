@@ -251,13 +251,13 @@ func TestPipelineInboxCloseFailsPendingOps(t *testing.T) {
 	}
 }
 
-// TestFutureCtxAbortBeforeBind pins the phase-boundary race: a context that
-// fires before (re)binding must abort the operation bound afterwards.
+// TestFutureCtxAbortBeforeBind pins the round-boundary race: a context that
+// fires before (re)binding must abort the round bound afterwards.
 func TestFutureCtxAbortBeforeBind(t *testing.T) {
 	client, _ := pipeNet(t, 1)
 	p := NewPipeline(client, 4, nil)
 
-	f := NewFuture[int]()
+	f := newFuture[int]()
 	ctx, cancel := context.WithCancel(context.Background())
 
 	if err := p.Acquire(context.Background()); err != nil {
@@ -268,26 +268,25 @@ func TestFutureCtxAbortBeforeBind(t *testing.T) {
 			f.Resolve(0, err)
 		}
 	})
-	f.Bind(ctx, op1)
+	f.bind(ctx, op1)
 	cancel() // aborts op1, resolving the future
 
 	if _, err := f.Result(context.Background()); !errors.Is(err, context.Canceled) {
 		t.Fatalf("future resolved with %v, want context.Canceled", err)
 	}
 
-	// Rebind after a cancellation must abort the new op immediately.
-	f2 := NewFuture[int]()
+	// Rebind after a cancellation must abort the new round immediately.
+	f2 := newFuture[int]()
 	ctx2, cancel2 := context.WithCancel(context.Background())
 	if err := p.Acquire(context.Background()); err != nil {
 		t.Fatal(err)
 	}
-	opA := p.RegisterPhase(1, rcFilter(2), func(_ []Ack, err error) {
+	opA := p.Register(1, rcFilter(2), func(_ []Ack, err error) {
 		if err != nil {
 			f2.Resolve(0, err)
-			p.Release()
 		}
 	})
-	f2.Bind(ctx2, opA)
+	f2.bind(ctx2, opA)
 	cancel2()
 	<-f2.Done()
 	if err := p.Acquire(context.Background()); err != nil {
@@ -295,7 +294,7 @@ func TestFutureCtxAbortBeforeBind(t *testing.T) {
 	}
 	resolved := make(chan error, 1)
 	opB := p.Register(1, rcFilter(3), func(_ []Ack, err error) { resolved <- err })
-	f2.Rebind(opB) // the sticky cancellation must abort opB
+	f2.rebind(opB) // the sticky cancellation must abort opB
 	select {
 	case err := <-resolved:
 		if !errors.Is(err, context.Canceled) {

@@ -1,13 +1,25 @@
-// Package protoutil contains the client-side round-trip machinery shared by
-// every register protocol: broadcasting a request to all servers and
-// collecting acknowledgements from a quorum of distinct servers.
+// Package protoutil is the one place a register protocol meets the network:
+// the client engine every protocol's writer and reader run on, and the server
+// shell every protocol's server runs in.
 //
-// Keeping this logic in one place guarantees that all protocols implement the
-// same notion of a "communication round-trip" (Section 3.2 of the paper): the
-// client sends messages to a subset of processes, each recipient replies
+// Client side, the unit is the paper's communication round-trip (Section
+// 3.2): the client sends a request to the servers, each recipient replies
 // without waiting for any other message, and the client returns after
-// receiving sufficiently many replies. The round-trip counters exposed here
-// are what the experiments report as time complexity.
+// receiving sufficiently many replies. Client (client.go) spells that
+// choreography exactly once — reserve an in-flight slot, issue the nonce and
+// register for the acknowledgements before broadcasting, collect `need`
+// acknowledgements from distinct servers, complete outside the dispatcher's
+// lock, hand the slot to the next round or free it — and a protocol supplies
+// only its Rounds description: how a request is built, which acknowledgements
+// it accepts, how many it needs and what a quorum means. Writer (writer.go) is
+// the single-writer client all four protocols share. Because every operation
+// of every protocol passes through Client, its round counter IS the paper's
+// time complexity, and a retransmission timer or a stage timestamp has one
+// home. Pipeline (pipeline.go) is the engine's lower half: the dispatcher
+// that routes acknowledgements to in-flight operations.
+//
+// Server side, Shell (server.go) is the same idea for the servers' pure
+// (state, message) → (state', ack) steps.
 package protoutil
 
 import (
@@ -22,11 +34,17 @@ import (
 	"fastread/internal/wire"
 )
 
-// Errors returned by the round-trip helpers.
+// Errors returned by every protocol's clients.
 var (
-	// ErrInterrupted indicates the context was cancelled or timed out before
-	// the quorum was assembled.
-	ErrInterrupted = errors.New("protoutil: operation interrupted before quorum")
+	// ErrBottomWrite indicates an attempt to write the reserved initial
+	// value ⊥ (a nil Value), which Section 3.1 forbids.
+	ErrBottomWrite = errors.New("register: cannot write the initial value ⊥")
+	// ErrNotWriter indicates a writer client constructed on a node without
+	// the writer identity.
+	ErrNotWriter = errors.New("register: writer must use the writer identity")
+	// ErrNotReader indicates a reader client constructed on a node without a
+	// (configured) reader identity.
+	ErrNotReader = errors.New("register: reader must use a reader identity")
 	// ErrInboxClosed indicates the client's transport node was closed while
 	// waiting for acknowledgements.
 	ErrInboxClosed = errors.New("protoutil: transport inbox closed")
@@ -75,38 +93,32 @@ func WireKeyFunc(m transport.Message) ([]byte, bool) {
 	return key, true
 }
 
-// InitialNonce returns the starting operation counter for a fresh client
-// handle. Servers remember the highest counter each client identity used
-// (the stale-request guard of Figure 2 line 26 persists across that
-// client's restarts), so a restarted process reusing its identity — a
-// redeployed cmd/regclient reader, say — must resume ABOVE its previous
-// incarnation's counters or every operation it submits is classified stale
-// and starves. Wall-clock microseconds are monotone across restarts on any
-// sanely-timed host, strictly below any later incarnation's clock, and
-// leave the int64 range ~292k years of headroom; within one incarnation
-// the handle increments from here as before.
-func InitialNonce() int64 { return time.Now().UnixMicro() }
-
-// StartNonce resolves a client's initial operation counter: the configured
-// value when positive, a fresh wall-clock InitialNonce otherwise. The
-// override exists for deterministic simulation, where wall-clock nonces
-// would make every run unique; the simulator injects virtual-clock
-// microseconds instead, which preserve the restart-incarnation ordering
-// InitialNonce provides (a handle restarted later in virtual time resumes
-// above its predecessor) while being identical across runs of one seed.
+// StartNonce resolves a client handle's initial operation counter: the
+// configured value when positive, wall-clock microseconds otherwise. Servers
+// remember the highest counter each client identity used (the stale-request
+// guard of Figure 2 line 26 persists across that client's restarts), so a
+// restarted process reusing its identity — a redeployed cmd/regclient
+// reader, say — must resume ABOVE its previous incarnation's counters or
+// every operation it submits is classified stale and starves. Wall-clock
+// microseconds are monotone across restarts on any sanely-timed host and
+// leave the int64 range ~292k years of headroom; within one incarnation the
+// handle increments from here. The override exists for deterministic
+// simulation, where wall-clock nonces would make every run unique; the
+// simulator injects virtual-clock microseconds instead, which preserve the
+// restart ordering while being identical across runs of one seed.
 func StartNonce(n int64) int64 {
 	if n > 0 {
 		return n
 	}
-	return InitialNonce()
+	return time.Now().UnixMicro()
 }
 
-// Broadcast encodes the message once and sends it to every listed server.
+// broadcast encodes the message once and sends it to every listed server.
 // Send errors (which only occur when the local node is closed) abort the
 // broadcast. Ownership of the encoded payload passes to the transport (see
 // the codec's buffer-ownership rules); the message itself is not retained, so
-// callers may let its fields alias state they own.
-func Broadcast(node transport.Node, servers []types.ProcessID, msg *wire.Message, tr *trace.Trace) error {
+// its fields may alias state the caller owns.
+func broadcast(node transport.Node, servers []types.ProcessID, msg *wire.Message, tr *trace.Trace) error {
 	payload, err := wire.Encode(msg)
 	if err != nil {
 		return fmt.Errorf("encode %s: %w", msg.Op, err)
@@ -124,13 +136,11 @@ func Broadcast(node transport.Node, servers []types.ProcessID, msg *wire.Message
 
 // Ack couples a decoded acknowledgement with the server that sent it.
 //
-// Acks collected by the Pipeline are POOLED: Msg is a pooled wire.Message and
-// Arena (when the transport decodes frames into refcounted arenas) holds one
-// reference keeping the aliased payload alive. The engine releases both after
-// the operation's completion returns, which is why completions must clone
-// anything they retain (the codec's rule 3). Acks from the serial CollectAcks
-// carry a nil Arena and a heap-detached Msg; they are never released and
-// simply fall to the garbage collector.
+// Acks are POOLED: Msg is a pooled wire.Message and Arena (when the transport
+// decodes frames into refcounted arenas) holds one reference keeping the
+// aliased payload alive. The engine releases both after the round's
+// completion returns, which is why a Rounds.Finish must clone anything it
+// retains (the codec's rule 3).
 type Ack struct {
 	From  types.ProcessID
 	Msg   *wire.Message
@@ -138,8 +148,7 @@ type Ack struct {
 }
 
 // release returns the ack's pooled resources: the message to the message pool
-// and the arena reference it held. Only the pipelined engine calls it (on acks
-// IT created); serial acks are GC-managed.
+// and the arena reference it held.
 func (a *Ack) release() {
 	if a.Msg != nil {
 		wire.PutMessage(a.Msg)
@@ -152,95 +161,9 @@ func (a *Ack) release() {
 }
 
 // AckFilter decides whether an incoming message is a valid acknowledgement
-// for the in-flight operation. Returning false discards the message (e.g. a
-// stale ack from a previous operation, a malformed payload or — in the
-// arbitrary-failure algorithm — an ack with an invalid writer signature).
+// for the in-flight operation (Pipeline.Register's closure spelling of
+// Rounds.Accept). Returning false discards the message.
 type AckFilter func(from types.ProcessID, msg *wire.Message) bool
-
-// CollectAcks waits until acknowledgements from `need` distinct servers have
-// been accepted by the filter, then returns them. Messages from non-server
-// processes, duplicate acks from the same server, undecodable payloads and
-// filter rejections are all ignored, mirroring the paper's convention that a
-// process detects and drops incomplete messages. Batch envelopes (a server's
-// coalesced acknowledgement run, or a batching transport's coalesced
-// delivery) are expanded inline.
-//
-// Decoding uses a pooled scratch message, so rejected traffic costs no
-// allocations. Accepted acks are detached from the scratch but their Cur,
-// Prev and WriterSig fields still alias the delivered payload: callers must
-// Clone whatever they retain beyond the operation (the codec's rule 3).
-// Delivered arena references are deliberately NOT released here — the serial
-// collector hands heap-detached acks to callers with unbounded lifetimes, so
-// it leans on the arena discipline's fail-safe direction (the frame buffer
-// falls to the GC, every view stays valid). The pipelined engine is the
-// recycling path.
-func CollectAcks(ctx context.Context, node transport.Node, need int, filter AckFilter, tr *trace.Trace) ([]Ack, error) {
-	acks := make([]Ack, 0, need)
-	seen := make(map[types.ProcessID]bool, need)
-	if need <= 0 {
-		return acks, nil
-	}
-	scratch := wire.GetMessage()
-	defer wire.PutMessage(scratch)
-
-	// accept examines one delivered payload, appending the ack if it counts.
-	accept := func(from types.ProcessID, payload []byte) {
-		if seen[from] {
-			return
-		}
-		if err := wire.DecodeInto(scratch, payload); err != nil {
-			if tr.Enabled() {
-				tr.Record(trace.KindDrop, node.ID(), from, "malformed payload: %v", err)
-			}
-			return
-		}
-		if filter != nil && !filter(from, scratch) {
-			if tr.Enabled() {
-				tr.Record(trace.KindDrop, node.ID(), from, "filtered %s ts=%d rc=%d", scratch.Op, scratch.TS, scratch.RCounter)
-			}
-			return
-		}
-		if tr.Enabled() {
-			tr.Record(trace.KindReceive, node.ID(), from, "%s ts=%d rc=%d", scratch.Op, scratch.TS, scratch.RCounter)
-		}
-		seen[from] = true
-		acks = append(acks, Ack{From: from, Msg: scratch.Detach()})
-	}
-
-	for {
-		select {
-		case <-ctx.Done():
-			return nil, fmt.Errorf("%w: have %d of %d acks: %w", ErrInterrupted, len(acks), need, ctx.Err())
-		case m, ok := <-node.Inbox():
-			if !ok {
-				return nil, ErrInboxClosed
-			}
-			if m.From.Role != types.RoleServer {
-				continue
-			}
-			if wire.IsBatch(m.Payload) {
-				_ = wire.ForEachInBatch(m.Payload, func(sub []byte) error {
-					accept(m.From, sub)
-					return nil
-				})
-			} else {
-				accept(m.From, m.Payload)
-			}
-			if len(acks) >= need {
-				return acks, nil
-			}
-		}
-	}
-}
-
-// RoundTrip broadcasts the request and collects `need` acknowledgements: one
-// complete communication round-trip in the paper's sense.
-func RoundTrip(ctx context.Context, node transport.Node, servers []types.ProcessID, req *wire.Message, need int, filter AckFilter, tr *trace.Trace) ([]Ack, error) {
-	if err := Broadcast(node, servers, req, tr); err != nil {
-		return nil, err
-	}
-	return CollectAcks(ctx, node, need, filter, tr)
-}
 
 // ServerIDs builds the canonical list of server identities s1..sS.
 func ServerIDs(count int) []types.ProcessID {
@@ -260,6 +183,14 @@ func ReaderIDs(count int) []types.ProcessID {
 	return out
 }
 
+// ReadResult is what the majority protocols' reads (abd, maxmin, regular)
+// return: the value, its timestamp and the round-trips the read used.
+type ReadResult struct {
+	Value      types.Value
+	Timestamp  types.Timestamp
+	RoundTrips int
+}
+
 // MaxTimestamp returns the largest timestamp among the collected acks, along
 // with one ack carrying it. The boolean is false for an empty slice.
 func MaxTimestamp(acks []Ack) (types.Timestamp, Ack, bool) {
@@ -273,16 +204,4 @@ func MaxTimestamp(acks []Ack) (types.Timestamp, Ack, bool) {
 		}
 	}
 	return best.Msg.TS, best, true
-}
-
-// FilterByTimestamp returns the subset of acks carrying exactly the given
-// timestamp.
-func FilterByTimestamp(acks []Ack, ts types.Timestamp) []Ack {
-	out := make([]Ack, 0, len(acks))
-	for _, a := range acks {
-		if a.Msg.TS == ts {
-			out = append(out, a)
-		}
-	}
-	return out
 }

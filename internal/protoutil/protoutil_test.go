@@ -6,6 +6,7 @@ import (
 	"testing"
 	"time"
 
+	"fastread/internal/quorum"
 	"fastread/internal/trace"
 	"fastread/internal/transport"
 	"fastread/internal/types"
@@ -31,42 +32,77 @@ func startAckServer(t *testing.T, net transport.Network, id types.ProcessID, op 
 	t.Cleanup(func() { _ = node.Close() })
 }
 
+// gathered is what the test engine's reads resolve with: who acknowledged,
+// with which timestamp.
+type gathered struct {
+	From []types.ProcessID
+	TS   []types.Timestamp
+}
+
+// gatherClient builds the smallest engine client on node: one depth-one round
+// asking every server and resolving with the quorum it collected — the
+// blocking RoundTrip/CollectAcks helpers of old, spelled as a round
+// description. Its first operation carries rCounter firstRC.
+func gatherClient(t *testing.T, node transport.Node, servers, need int, firstRC int64, tr *trace.Trace) (*Client[gathered], error) {
+	t.Helper()
+	cfg := ClientConfig{Quorum: quorum.Config{Servers: servers}, Depth: 1, Trace: tr}
+	return NewClient(cfg, node, Rounds[gathered]{
+		Name: "test gather", Role: types.RoleReader, Need: need, Nonce: firstRC - 1,
+		Begin: func(c *Call[gathered]) error {
+			c.Req = wire.Message{Op: wire.OpRead, RCounter: c.NextNonce()}
+			return nil
+		},
+		Finish: func(c *Call[gathered], acks []Ack) (bool, error) {
+			for _, a := range acks {
+				c.Result.From = append(c.Result.From, a.From)
+				c.Result.TS = append(c.Result.TS, a.Msg.TS)
+			}
+			return false, nil
+		},
+	})
+}
+
 func TestRoundTripCollectsQuorum(t *testing.T) {
 	net := transport.NewInMemNetwork()
 	defer net.Close()
 
-	servers := ServerIDs(4)
-	for i, s := range servers {
+	for i, s := range ServerIDs(4) {
 		startAckServer(t, net, s, wire.OpReadAck, types.Timestamp(i+1))
 	}
-	client, err := net.Join(types.Reader(1))
+	node, err := net.Join(types.Reader(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	client, err := gatherClient(t, node, 4, 3, 1, trace.New())
 	if err != nil {
 		t.Fatal(err)
 	}
 
 	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
 	defer cancel()
-	req := &wire.Message{Op: wire.OpRead, RCounter: 1}
-	acks, err := RoundTrip(ctx, client, servers, req, 3, nil, trace.New())
+	got, err := client.Do(ctx, nil)
 	if err != nil {
-		t.Fatalf("RoundTrip: %v", err)
+		t.Fatalf("round trip: %v", err)
 	}
-	if len(acks) != 3 {
-		t.Fatalf("got %d acks, want 3", len(acks))
+	if len(got.From) != 3 {
+		t.Fatalf("got %d acks, want 3", len(got.From))
 	}
 	seen := map[types.ProcessID]bool{}
-	for _, a := range acks {
-		if seen[a.From] {
-			t.Errorf("duplicate ack from %v", a.From)
+	for _, from := range got.From {
+		if seen[from] {
+			t.Errorf("duplicate ack from %v", from)
 		}
-		seen[a.From] = true
+		seen[from] = true
+	}
+	if ops, trips := client.Stats(); ops != 1 || trips != 1 {
+		t.Errorf("Stats = %d ops, %d round-trips, want 1, 1", ops, trips)
 	}
 }
 
 func TestCollectAcksFiltersAndDeduplicates(t *testing.T) {
 	net := transport.NewInMemNetwork()
 	defer net.Close()
-	client, err := net.Join(types.Reader(1))
+	node, err := net.Join(types.Reader(1))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -82,6 +118,16 @@ func TestCollectAcksFiltersAndDeduplicates(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	client, err := gatherClient(t, node, 2, 2, 5, trace.New())
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
+	defer cancel()
+	f, err := client.Submit(ctx, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
 
 	send := func(node transport.Node, msg *wire.Message) {
 		t.Helper()
@@ -90,31 +136,28 @@ func TestCollectAcksFiltersAndDeduplicates(t *testing.T) {
 		}
 	}
 	// Noise: from a reader (ignored), malformed payload, stale rCounter
-	// (rejected by the filter), duplicate from the same server.
-	_ = other.Send(client.ID(), "readack", wire.MustEncode(&wire.Message{Op: wire.OpReadAck, RCounter: 5}))
+	// (rejected by the acceptance rule), duplicate from the same server.
+	send(other, &wire.Message{Op: wire.OpReadAck, RCounter: 5})
 	_ = srvNode.Send(client.ID(), "junk", []byte{0xFF, 0x01})
 	send(srvNode, &wire.Message{Op: wire.OpReadAck, RCounter: 4})
 	send(srvNode, &wire.Message{Op: wire.OpReadAck, RCounter: 5})
 	send(srvNode, &wire.Message{Op: wire.OpReadAck, RCounter: 5, TS: 9})
 	send(srv2, &wire.Message{Op: wire.OpReadAck, RCounter: 5, TS: 2})
 
-	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
-	defer cancel()
-	filter := func(_ types.ProcessID, m *wire.Message) bool { return m.RCounter == 5 }
-	acks, err := CollectAcks(ctx, client, 2, filter, trace.New())
+	got, err := f.Result(ctx)
 	if err != nil {
-		t.Fatalf("CollectAcks: %v", err)
+		t.Fatalf("collect: %v", err)
 	}
-	if len(acks) != 2 {
-		t.Fatalf("got %d acks, want 2", len(acks))
+	if len(got.From) != 2 {
+		t.Fatalf("got %d acks, want 2", len(got.From))
 	}
-	if acks[0].From == acks[1].From {
+	if got.From[0] == got.From[1] {
 		t.Error("duplicate server counted twice")
 	}
-	// The first accepted ack from s1 must be the first valid one (rCounter 5).
-	for _, a := range acks {
-		if a.From == types.Server(1) && a.Msg.TS != 0 {
-			t.Errorf("expected first valid ack from s1 (TS=0), got TS=%d", a.Msg.TS)
+	// The accepted ack from s1 must be its first valid one (rCounter 5, TS 0).
+	for i, from := range got.From {
+		if from == types.Server(1) && got.TS[i] != 0 {
+			t.Errorf("expected first valid ack from s1 (TS=0), got TS=%d", got.TS[i])
 		}
 	}
 }
@@ -122,25 +165,32 @@ func TestCollectAcksFiltersAndDeduplicates(t *testing.T) {
 func TestCollectAcksContextCancelled(t *testing.T) {
 	net := transport.NewInMemNetwork()
 	defer net.Close()
-	client, err := net.Join(types.Reader(1))
+	node, err := net.Join(types.Reader(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	client, err := gatherClient(t, node, 1, 1, 1, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Millisecond)
 	defer cancel()
-	_, err = CollectAcks(ctx, client, 1, nil, nil)
-	if !errors.Is(err, ErrInterrupted) {
-		t.Errorf("err = %v, want ErrInterrupted", err)
-	}
-	if !errors.Is(err, context.DeadlineExceeded) {
+	if _, err = client.Do(ctx, nil); !errors.Is(err, context.DeadlineExceeded) {
 		t.Errorf("err = %v, want to wrap DeadlineExceeded", err)
+	}
+	if ops, trips := client.Stats(); ops != 0 || trips != 0 {
+		t.Errorf("Stats after an interrupted operation = %d, %d, want 0, 0", ops, trips)
 	}
 }
 
 func TestCollectAcksInboxClosed(t *testing.T) {
 	net := transport.NewInMemNetwork()
 	defer net.Close()
-	client, err := net.Join(types.Reader(1))
+	node, err := net.Join(types.Reader(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	client, err := gatherClient(t, node, 1, 1, 1, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -148,22 +198,49 @@ func TestCollectAcksInboxClosed(t *testing.T) {
 		time.Sleep(10 * time.Millisecond)
 		_ = client.Close()
 	}()
-	_, err = CollectAcks(context.Background(), client, 1, nil, nil)
-	if !errors.Is(err, ErrInboxClosed) {
+	if _, err = client.Do(context.Background(), nil); !errors.Is(err, ErrInboxClosed) {
 		t.Errorf("err = %v, want ErrInboxClosed", err)
 	}
 }
 
+// TestCollectAcksZeroNeed pins the rule for a quorum of nothing: the pipeline
+// completes it at once with no acknowledgements (it must never wait for one),
+// and the client engine refuses to be built around such a round.
 func TestCollectAcksZeroNeed(t *testing.T) {
 	net := transport.NewInMemNetwork()
 	defer net.Close()
-	client, err := net.Join(types.Reader(1))
+	node, err := net.Join(types.Reader(1))
 	if err != nil {
 		t.Fatal(err)
 	}
-	acks, err := CollectAcks(context.Background(), client, 0, nil, nil)
-	if err != nil || len(acks) != 0 {
-		t.Errorf("zero-need collect = %v, %v", acks, err)
+	p := NewPipeline(node, 1, nil)
+	for _, need := range []int{0, -1} {
+		if err := p.Acquire(context.Background()); err != nil {
+			t.Fatal(err)
+		}
+		type outcome struct {
+			acks int
+			err  error
+		}
+		done := make(chan outcome, 1)
+		p.Register(need, nil, func(acks []Ack, err error) { done <- outcome{len(acks), err} })
+		select {
+		case got := <-done:
+			if got.err != nil || got.acks != 0 {
+				t.Errorf("need=%d completed with %d acks, %v; want none, nil", need, got.acks, got.err)
+			}
+		case <-time.After(5 * time.Second):
+			t.Fatalf("need=%d waited for an acknowledgement", need)
+		}
+	}
+	// Both slots came back: the depth-one pipeline admits another operation.
+	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+	defer cancel()
+	if err := p.Acquire(ctx); err != nil {
+		t.Fatalf("slot not released after a zero-need completion: %v", err)
+	}
+	if _, err := gatherClient(t, node, 1, 0, 1, nil); err == nil {
+		t.Error("NewClient accepted a round needing 0 acknowledgements")
 	}
 }
 
@@ -175,7 +252,7 @@ func TestBroadcastEncodeError(t *testing.T) {
 		t.Fatal(err)
 	}
 	bad := &wire.Message{Op: 0}
-	if err := Broadcast(client, ServerIDs(2), bad, nil); err == nil {
+	if err := broadcast(client, ServerIDs(2), bad, nil); err == nil {
 		t.Error("Broadcast with invalid message succeeded")
 	}
 }
@@ -208,12 +285,23 @@ func TestMaxTimestampAndFilter(t *testing.T) {
 	if _, _, ok := MaxTimestamp(nil); ok {
 		t.Error("MaxTimestamp on empty should report !ok")
 	}
-	filtered := FilterByTimestamp(acks, 7)
-	if len(filtered) != 2 {
-		t.Errorf("FilterByTimestamp returned %d acks, want 2", len(filtered))
-	}
-	if len(FilterByTimestamp(acks, 99)) != 0 {
-		t.Error("FilterByTimestamp(99) should be empty")
+
+	// The engine's own acknowledgement filter, before any protocol's: the
+	// request's acknowledgement op, on its key, echoing its rCounter.
+	c := &Call[gathered]{cl: &Client[gathered]{}, ack: wire.OpReadAck}
+	c.Req = wire.Message{Op: wire.OpRead, Key: "k", RCounter: 7}
+	for _, tc := range []struct {
+		m    wire.Message
+		want bool
+	}{
+		{wire.Message{Op: wire.OpReadAck, Key: "k", RCounter: 7, TS: 99}, true},
+		{wire.Message{Op: wire.OpWriteAck, Key: "k", RCounter: 7}, false},
+		{wire.Message{Op: wire.OpReadAck, Key: "other", RCounter: 7}, false},
+		{wire.Message{Op: wire.OpReadAck, Key: "k", RCounter: 6}, false},
+	} {
+		if got := c.accept(types.Server(1), &tc.m); got != tc.want {
+			t.Errorf("Accept(%s key=%q rc=%d) = %v, want %v", tc.m.Op, tc.m.Key, tc.m.RCounter, got, tc.want)
+		}
 	}
 }
 

@@ -7,7 +7,7 @@
 // the durable log with its LSN-guarded replay and snapshot framing, and the
 // Start/Stop lifecycle — so a protocol server is its state struct, its
 // handler and its record⇄state mapping (Protocol) and nothing else. It sits
-// beside Pipeline, the one client engine.
+// beside Client, the one client engine.
 package protoutil
 
 import (

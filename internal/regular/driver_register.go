@@ -1,8 +1,6 @@
 package regular
 
 import (
-	"context"
-
 	"fastread/internal/driver"
 	"fastread/internal/transport"
 )
@@ -19,50 +17,13 @@ func init() {
 			}
 			return s, nil
 		},
-		NewWriter: func(cfg driver.ClientConfig, node transport.Node) (driver.Writer, error) {
-			w, err := NewKeyedWriter(cfg.Key, cfg.Quorum, cfg.Depth, node, nil)
-			if err != nil {
-				return nil, err
-			}
-			return driver.AdaptWriter(w), nil
-		},
+		NewWriter: driver.WriterFactory(NewWriter),
 		NewReader: func(cfg driver.ClientConfig, node transport.Node) (driver.Reader, error) {
-			r, err := NewKeyedReader(cfg.Key, cfg.Quorum, cfg.Depth, node, nil)
+			r, err := NewReader(cfg, node)
 			if err != nil {
 				return nil, err
 			}
-			r.SeedNonce(cfg.Nonce)
-			return regularReaderHandle{r}, nil
+			return driver.AdaptReader(r.Client, driver.PlainResult, nil), nil
 		},
 	})
-}
-
-// regularReaderHandle adapts the regular reader to the uniform driver result.
-type regularReaderHandle struct{ r *Reader }
-
-func (h regularReaderHandle) Read(ctx context.Context) (driver.ReadResult, error) {
-	res, err := h.r.Read(ctx)
-	if err != nil {
-		return driver.ReadResult{}, err
-	}
-	return regularResult(res), nil
-}
-
-func (h regularReaderHandle) ReadAsync(ctx context.Context) (driver.ReadFuture, error) {
-	f, err := h.r.ReadAsync(ctx)
-	if err != nil {
-		return nil, err
-	}
-	return driver.ReadFutureOf(f, regularResult), nil
-}
-
-// regularResult adapts the regular reader's result to the uniform driver
-// result.
-func regularResult(res ReadResult) driver.ReadResult {
-	return driver.ReadResult{Value: res.Value, Timestamp: res.Timestamp, RoundTrips: res.RoundTrips}
-}
-
-func (h regularReaderHandle) Stats() (reads, roundTrips, fallbacks int64) {
-	r, t := h.r.Stats()
-	return r, t, 0
 }

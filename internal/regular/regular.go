@@ -20,27 +20,20 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"sync"
-	"sync/atomic"
 
 	"fastread/internal/durable"
 	"fastread/internal/protoutil"
-	"fastread/internal/quorum"
-	"fastread/internal/stats"
 	"fastread/internal/trace"
 	"fastread/internal/transport"
 	"fastread/internal/types"
 	"fastread/internal/wire"
 )
 
-// Errors returned by the regular register.
+// Errors returned by the regular register: the engine's client errors under
+// the names this package's callers match, plus the shape check.
 var (
-	// ErrBottomWrite indicates an attempt to write the reserved value ⊥.
-	ErrBottomWrite = errors.New("regular: cannot write the initial value ⊥")
-	// ErrNotWriter indicates a writer constructed on a non-writer node.
-	ErrNotWriter = errors.New("regular: writer must use the writer identity")
-	// ErrNotReader indicates a reader constructed on a non-reader node.
-	ErrNotReader = errors.New("regular: reader must use a reader identity")
+	ErrBottomWrite = protoutil.ErrBottomWrite
+	ErrNotWriter   = protoutil.ErrNotWriter
 	// ErrNotRegularizable indicates a configuration with t ≥ S/2, for which
 	// even a regular register cannot be implemented.
 	ErrNotRegularizable = errors.New("regular: requires t < S/2")
@@ -177,259 +170,71 @@ func (s *Server) handle(m transport.Message, out transport.Sender) {
 	}
 }
 
-// Writer is the single writer of the regular register: one round-trip per
-// write to a majority of servers. WriteAsync keeps up to depth writes in
-// flight, applied in submission (timestamp) order.
-type Writer struct {
-	cfg     quorum.Config
-	key     string
-	tr      *trace.Trace
-	node    transport.Node
-	servers []types.ProcessID
-	pl      *protoutil.Pipeline
+// ClientConfig configures a regular-register client (writer or reader); the
+// signature fields are ignored.
+type ClientConfig = protoutil.ClientConfig
 
-	// submitted is the highest timestamp this incarnation has broadcast;
-	// the ack filter caps accepted timestamps at it so a restarted writer
-	// times out visibly instead of "completing" against a previous
-	// incarnation's newer server state (see core.Writer.WriteAsync).
-	submitted atomic.Int64
+// Writer is the single writer of the regular register: the engine's
+// single-writer client waiting for a majority, one round-trip per write.
+type Writer = protoutil.Writer
 
-	mu     sync.Mutex
-	ts     types.Timestamp
-	prev   types.Value
-	rounds stats.Counter
-	writes int64
-}
-
-// NewWriter creates the regular-register writer for the default register.
-func NewWriter(cfg quorum.Config, node transport.Node, tr *trace.Trace) (*Writer, error) {
-	return NewKeyedWriter("", cfg, 0, node, tr)
-}
-
-// NewKeyedWriter creates the regular-register writer for the named register.
-// depth bounds the writes kept in flight by WriteAsync (non-positive means
-// protoutil.DefaultPipelineDepth).
-func NewKeyedWriter(key string, cfg quorum.Config, depth int, node transport.Node, tr *trace.Trace) (*Writer, error) {
-	if err := cfg.Validate(); err != nil {
+// NewWriter creates the regular-register writer.
+func NewWriter(cfg ClientConfig, node transport.Node) (*Writer, error) {
+	if err := regularizable(cfg); err != nil {
 		return nil, err
 	}
-	if !cfg.FastRegularPossible() {
-		return nil, fmt.Errorf("%w: %v", ErrNotRegularizable, cfg)
-	}
-	if node == nil {
-		return nil, fmt.Errorf("regular: writer requires a transport node")
-	}
-	if node.ID() != types.Writer() {
-		return nil, fmt.Errorf("%w: got %v", ErrNotWriter, node.ID())
-	}
-	return &Writer{
-		cfg:     cfg,
-		key:     key,
-		tr:      tr,
-		node:    node,
-		servers: protoutil.ServerIDs(cfg.Servers),
-		pl:      protoutil.NewPipeline(node, depth, tr),
-		ts:      1,
-		prev:    types.Bottom(),
-	}, nil
+	return protoutil.NewWriter("regular", cfg.Quorum.Majority(), nil, cfg, node)
 }
 
-// Write stores v in the register in one round-trip (WriteAsync at depth
-// one).
-func (w *Writer) Write(ctx context.Context, v types.Value) error {
-	f, err := w.WriteAsync(ctx, v)
-	if err != nil {
+// regularizable rejects deployment shapes with t ≥ S/2.
+func regularizable(cfg ClientConfig) error {
+	if err := cfg.Quorum.Validate(); err != nil {
 		return err
 	}
-	_, rerr := f.Result(ctx)
-	return rerr
+	if !cfg.Quorum.FastRegularPossible() {
+		return fmt.Errorf("%w: %v", ErrNotRegularizable, cfg.Quorum)
+	}
+	return nil
 }
-
-// WriteAsync submits one write and returns its future without waiting for
-// the majority; timestamps are taken and broadcast in submission order.
-func (w *Writer) WriteAsync(ctx context.Context, v types.Value) (*protoutil.Future[struct{}], error) {
-	if v.IsBottom() {
-		return nil, ErrBottomWrite
-	}
-	if err := w.pl.Acquire(ctx); err != nil {
-		return nil, fmt.Errorf("regular: write: %w", err)
-	}
-	f := protoutil.NewFuture[struct{}]()
-
-	w.mu.Lock()
-	ts := w.ts
-	// One owned copy serves as the transient request's Cur and then as the
-	// remembered prev for the next submission.
-	cur := v.Clone()
-	req := &wire.Message{Op: wire.OpWrite, Key: w.key, TS: ts, Cur: cur, Prev: w.prev}
-	w.submitted.Store(int64(ts))
-	filter := func(_ types.ProcessID, m *wire.Message) bool {
-		return m.Op == wire.OpWriteAck && m.Key == w.key &&
-			m.TS >= ts && int64(m.TS) <= w.submitted.Load()
-	}
-	op := w.pl.Register(w.cfg.Majority(), filter, func(_ []protoutil.Ack, err error) {
-		if err != nil {
-			f.Resolve(struct{}{}, fmt.Errorf("regular: write ts=%d: %w", ts, err))
-			return
-		}
-		w.mu.Lock()
-		w.rounds.Add(1)
-		w.writes++
-		w.mu.Unlock()
-		f.Resolve(struct{}{}, nil)
-	})
-	err := protoutil.Broadcast(w.node, w.servers, req, w.tr)
-	if err == nil {
-		w.ts = ts.Next()
-		w.prev = cur
-	}
-	w.mu.Unlock()
-	if err != nil {
-		op.Abort(err)
-		return nil, fmt.Errorf("regular: write ts=%d: %w", ts, err)
-	}
-	f.Bind(ctx, op)
-	return f, nil
-}
-
-// Stats reports completed writes and total round-trips.
-func (w *Writer) Stats() (writes, roundTrips int64) {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	return w.writes, w.rounds.Total()
-}
-
-// Close detaches the writer from the network.
-func (w *Writer) Close() error { return w.node.Close() }
 
 // ReadResult is what a regular read returns.
-type ReadResult struct {
-	Value      types.Value
-	Timestamp  types.Timestamp
-	RoundTrips int
-}
+type ReadResult = protoutil.ReadResult
 
 // Reader is a regular-register reader: query a majority, return the value
-// with the highest timestamp. One round-trip, no write-back. ReadAsync keeps
-// up to depth reads in flight, matched to their acknowledgements by rCounter
-// nonces.
+// with the highest timestamp. One round-trip, no write-back, any number of
+// readers. ReadAsync keeps up to cfg.Depth reads in flight, matched to their
+// acknowledgements by rCounter nonces.
 type Reader struct {
-	cfg     quorum.Config
-	key     string
-	tr      *trace.Trace
-	node    transport.Node
-	id      types.ProcessID
-	servers []types.ProcessID
-	pl      *protoutil.Pipeline
-
-	mu       sync.Mutex
-	rCounter int64
-	rounds   stats.Counter
-	reads    int64
+	*protoutil.Client[ReadResult]
 }
 
-// NewReader creates a regular-register reader for the default register. Any
-// number of readers is supported.
-func NewReader(cfg quorum.Config, node transport.Node, tr *trace.Trace) (*Reader, error) {
-	return NewKeyedReader("", cfg, 0, node, tr)
-}
-
-// NewKeyedReader creates a regular-register reader for the named register.
-// depth bounds the reads kept in flight by ReadAsync (non-positive means
-// protoutil.DefaultPipelineDepth).
-func NewKeyedReader(key string, cfg quorum.Config, depth int, node transport.Node, tr *trace.Trace) (*Reader, error) {
-	if err := cfg.Validate(); err != nil {
+// NewReader creates a regular-register reader.
+func NewReader(cfg ClientConfig, node transport.Node) (*Reader, error) {
+	if err := regularizable(cfg); err != nil {
 		return nil, err
 	}
-	if !cfg.FastRegularPossible() {
-		return nil, fmt.Errorf("%w: %v", ErrNotRegularizable, cfg)
-	}
-	if node == nil {
-		return nil, fmt.Errorf("regular: reader requires a transport node")
-	}
-	id := node.ID()
-	if id.Role != types.RoleReader || id.Index < 1 {
-		return nil, fmt.Errorf("%w: got %v", ErrNotReader, id)
-	}
-	return &Reader{
-		cfg:      cfg,
-		key:      key,
-		tr:       tr,
-		node:     node,
-		id:       id,
-		servers:  protoutil.ServerIDs(cfg.Servers),
-		pl:       protoutil.NewPipeline(node, depth, tr),
-		rCounter: protoutil.InitialNonce(),
-	}, nil
-}
-
-// SeedNonce overrides the reader's initial operation counter (see
-// protoutil.StartNonce; deterministic simulation). It must be called before
-// the first read; non-positive values are ignored.
-func (r *Reader) SeedNonce(n int64) {
-	if n > 0 {
-		r.rCounter = n
-	}
-}
-
-// Read returns a regular-register value in one round-trip (ReadAsync at
-// depth one).
-func (r *Reader) Read(ctx context.Context) (ReadResult, error) {
-	f, err := r.ReadAsync(ctx)
+	cl, err := protoutil.NewClient(cfg, node, protoutil.Rounds[ReadResult]{
+		Name: "regular read", Role: types.RoleReader, Need: cfg.Quorum.Majority(), Nonce: protoutil.StartNonce(cfg.Nonce),
+		Begin: protoutil.Ask[ReadResult](wire.OpRead, cfg.Key), Finish: maxReply,
+	})
 	if err != nil {
-		return ReadResult{}, err
+		return nil, err
 	}
-	return f.Result(ctx)
+	return &Reader{cl}, nil
 }
+
+// Read returns a regular-register value in one round-trip.
+func (r *Reader) Read(ctx context.Context) (ReadResult, error) { return r.Do(ctx, nil) }
 
 // ReadAsync submits one read and returns its future without waiting for the
 // majority.
 func (r *Reader) ReadAsync(ctx context.Context) (*protoutil.Future[ReadResult], error) {
-	if err := r.pl.Acquire(ctx); err != nil {
-		return nil, fmt.Errorf("regular: read: %w", err)
-	}
-	f := protoutil.NewFuture[ReadResult]()
-
-	r.mu.Lock()
-	r.rCounter++
-	rc := r.rCounter
-	req := &wire.Message{Op: wire.OpRead, Key: r.key, RCounter: rc}
-	filter := func(_ types.ProcessID, m *wire.Message) bool {
-		return m.Op == wire.OpReadAck && m.Key == r.key && m.RCounter == rc
-	}
-	op := r.pl.Register(r.cfg.Majority(), filter, func(acks []protoutil.Ack, err error) {
-		if err != nil {
-			f.Resolve(ReadResult{}, fmt.Errorf("regular: read rc=%d: %w", rc, err))
-			return
-		}
-		r.mu.Lock()
-		r.rounds.Add(1)
-		r.reads++
-		r.mu.Unlock()
-		_, best, _ := protoutil.MaxTimestamp(acks)
-		f.Resolve(ReadResult{
-			Value:      best.Msg.Cur.Clone(),
-			Timestamp:  best.Msg.TS,
-			RoundTrips: 1,
-		}, nil)
-	})
-	err := protoutil.Broadcast(r.node, r.servers, req, r.tr)
-	r.mu.Unlock()
-	if err != nil {
-		op.Abort(err)
-		return nil, fmt.Errorf("regular: read rc=%d: %w", rc, err)
-	}
-	f.Bind(ctx, op)
-	return f, nil
+	return r.Submit(ctx, nil)
 }
 
-// Stats reports completed reads and total round-trips (equal: regular reads
-// are fast).
-func (r *Reader) Stats() (reads, roundTrips int64) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.reads, r.rounds.Total()
+// maxReply returns the value with the highest timestamp among the replies.
+func maxReply(c *protoutil.Call[ReadResult], acks []protoutil.Ack) (bool, error) {
+	_, best, _ := protoutil.MaxTimestamp(acks)
+	c.Result = ReadResult{Value: best.Msg.Cur.Clone(), Timestamp: best.Msg.TS, RoundTrips: 1}
+	return false, nil
 }
-
-// Close detaches the reader from the network.
-func (r *Reader) Close() error { return r.node.Close() }

@@ -49,7 +49,7 @@ func (d *deployment) writer() *Writer {
 	if err != nil {
 		d.t.Fatal(err)
 	}
-	w, err := NewWriter(d.cfg, node, nil)
+	w, err := NewWriter(ClientConfig{Quorum: d.cfg}, node)
 	if err != nil {
 		d.t.Fatal(err)
 	}
@@ -62,7 +62,7 @@ func (d *deployment) reader(i int) *Reader {
 	if err != nil {
 		d.t.Fatal(err)
 	}
-	r, err := NewReader(d.cfg, node, nil)
+	r, err := NewReader(ClientConfig{Quorum: d.cfg}, node)
 	if err != nil {
 		d.t.Fatal(err)
 	}
@@ -226,14 +226,14 @@ func TestConfigurationRejectedWithoutMajority(t *testing.T) {
 		t.Fatal(err)
 	}
 	cfg := quorum.Config{Servers: 2, Faulty: 1, Readers: 1}
-	if _, err := NewWriter(cfg, node, nil); !errors.Is(err, ErrNotRegularizable) {
+	if _, err := NewWriter(ClientConfig{Quorum: cfg}, node); !errors.Is(err, ErrNotRegularizable) {
 		t.Errorf("err = %v, want ErrNotRegularizable", err)
 	}
 	rNode, err := net.Join(types.Reader(1))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := NewReader(cfg, rNode, nil); !errors.Is(err, ErrNotRegularizable) {
+	if _, err := NewReader(ClientConfig{Quorum: cfg}, rNode); !errors.Is(err, ErrNotRegularizable) {
 		t.Errorf("err = %v, want ErrNotRegularizable", err)
 	}
 }
@@ -245,7 +245,7 @@ func TestValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := NewWriter(cfg, rNode, nil); !errors.Is(err, ErrNotWriter) {
+	if _, err := NewWriter(ClientConfig{Quorum: cfg}, rNode); !errors.Is(err, ErrNotWriter) {
 		t.Errorf("err = %v, want ErrNotWriter", err)
 	}
 	w := d.writer()
@@ -259,7 +259,7 @@ func TestValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := NewReader(quorum.Config{}, wNode2, nil); err == nil {
+	if _, err := NewReader(ClientConfig{Quorum: quorum.Config{}}, wNode2); err == nil {
 		t.Error("invalid quorum accepted")
 	}
 }

@@ -122,32 +122,6 @@ func (s LatencySummary) String() string {
 		s.P95.Round(time.Microsecond), s.P99.Round(time.Microsecond), s.Max.Round(time.Microsecond))
 }
 
-// Counter is a simple named tally used for round-trip and message counts.
-type Counter struct {
-	total int64
-	n     int64
-}
-
-// Add accumulates one observation.
-func (c *Counter) Add(v int64) {
-	c.total += v
-	c.n++
-}
-
-// Total returns the sum of all observations.
-func (c *Counter) Total() int64 { return c.total }
-
-// Mean returns the average observation, or 0 with no observations.
-func (c *Counter) Mean() float64 {
-	if c.n == 0 {
-		return 0
-	}
-	return float64(c.total) / float64(c.n)
-}
-
-// N returns the number of observations.
-func (c *Counter) N() int64 { return c.n }
-
 // Table is a simple column-aligned text table used to report experiment
 // results. It renders both as aligned plain text and as GitHub Markdown.
 type Table struct {

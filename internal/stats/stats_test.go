@@ -102,22 +102,6 @@ func TestPercentileMonotoneProperty(t *testing.T) {
 	}
 }
 
-func TestCounter(t *testing.T) {
-	var c Counter
-	if c.Mean() != 0 {
-		t.Error("empty counter mean should be 0")
-	}
-	c.Add(1)
-	c.Add(2)
-	c.Add(3)
-	if c.Total() != 6 || c.N() != 3 {
-		t.Errorf("Total/N = %d/%d", c.Total(), c.N())
-	}
-	if c.Mean() != 2 {
-		t.Errorf("Mean = %f", c.Mean())
-	}
-}
-
 func TestTableRendering(t *testing.T) {
 	tbl := NewTable("Read latency", "protocol", "S", "mean", "p99")
 	tbl.AddRow("fast", 4, 1.5, 200*time.Microsecond)

@@ -69,7 +69,7 @@ var (
 	// ErrNoAddress indicates a destination without an address book entry.
 	ErrNoAddress = errors.New("tcpnet: no address for destination")
 	// ErrClosed indicates the node has been closed.
-	ErrClosed = errors.New("tcpnet: node closed")
+	ErrClosed = fmt.Errorf("tcpnet: node closed: %w", transport.ErrClosed)
 )
 
 // maxFrameSize bounds incoming frames to protect against corrupt peers.

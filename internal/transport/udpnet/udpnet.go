@@ -71,7 +71,7 @@ var (
 	// ErrNoAddress indicates a destination without an address book entry.
 	ErrNoAddress = errors.New("udpnet: no address for destination")
 	// ErrClosed indicates the node has been closed.
-	ErrClosed = errors.New("udpnet: node closed")
+	ErrClosed = fmt.Errorf("udpnet: node closed: %w", transport.ErrClosed)
 )
 
 // maxDatagramSize bounds one datagram, comfortably under UDP's 65,507-byte

@@ -28,8 +28,8 @@ import (
 //
 //   - A MISSING Release only leaks the arena to the garbage collector — the
 //     views stay valid, exactly like the old copy-per-frame behaviour, just
-//     without the reuse. Consumers that predate arenas (tests ranging over an
-//     inbox, the serial CollectAcks helper) therefore keep working unchanged.
+//     without the reuse. Consumers that never release (tests ranging over an
+//     inbox) therefore keep working unchanged.
 //   - A Release too many — which would hand live bytes to the next frame and
 //     corrupt every surviving view — PANICS immediately, in every build: a
 //     refcount underflow is memory corruption in the making and must never be

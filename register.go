@@ -154,7 +154,7 @@ type Config struct {
 	DisableBatching bool
 	// NonceSource, when non-nil, supplies the initial operation counter for
 	// each reader handle the store creates, replacing the wall-clock default
-	// (see internal/protoutil.InitialNonce). Deterministic simulation plugs
+	// (see internal/protoutil.StartNonce). Deterministic simulation plugs
 	// in virtual-clock microseconds so identical seeds produce identical
 	// wire traffic; the source must preserve the restart-incarnation
 	// ordering (later handles get larger nonces) or restarted readers
