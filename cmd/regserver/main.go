@@ -242,8 +242,8 @@ func run(args []string) error {
 		id, groupNote, *trans, stats.delivered, stats.frames, stats.droppedInbound, stats.droppedSend, stats.dedupDrops, server.QueueSheds())
 	if durCounters != nil {
 		ds := durCounters.Snapshot()
-		fmt.Printf("durable shutdown %s%s: incarnation=%d appends=%d fsyncs=%d snapshots=%d snapshot_records=%d append_errors=%d\n",
-			id, groupNote, ds.Incarnation, ds.Appends, ds.Fsyncs, ds.Snapshots, ds.SnapshotRecords, ds.AppendErrors)
+		fmt.Printf("durable shutdown %s%s: incarnation=%d appends=%d fsyncs=%d snapshots=%d snapshot_records=%d append_errors=%d log_failed=%t\n",
+			id, groupNote, ds.Incarnation, ds.Appends, ds.Fsyncs, ds.Snapshots, ds.SnapshotRecords, ds.AppendErrors, server.LogFailed())
 	}
 	return nil
 }

@@ -69,6 +69,9 @@ type Server interface {
 	// QueueSheds counts requests shed by the server's bounded worker queues
 	// (always 0 unless ServerConfig.QueueBound was set).
 	QueueSheds() int64
+	// LogFailed reports whether the server's durable log has failed; such a
+	// server acknowledges nothing until restarted (always false without one).
+	LogFailed() bool
 }
 
 // WriteFuture is one submitted write's pending resolution.

@@ -13,9 +13,24 @@
 // is append-only, any unreadable frame can only be a torn tail (or external
 // corruption) — recovery stops cleanly at the first bad frame and trims it.
 //
+// # Stage, Commit, Append
+//
+// Writing a record and making it durable are two steps. Log.Stage assigns the
+// next LSN and writes the record to the active segment; Log.Commit makes
+// everything staged so far as durable as the fsync policy promises — under
+// "always" one fsync for all of it, under "interval" and "never" nothing
+// beyond what the ticker or the OS will do — and seals a full segment.
+// Log.Append is Stage then Commit: one record, one fsync. A protocol server
+// stages during an executor run and commits once at its end (see
+// protoutil.Shell), and the rule it builds on is stated on Log.Commit: an ack
+// leaves a server only after the commit that covers its record returned nil.
+// Once the write-ahead path has failed (short write, failed fsync, a segment
+// that could not be sealed) no Commit succeeds again: the file is in an
+// unknown state and the server must fall silent rather than guess.
+//
 // # Replay discipline
 //
-// Log.Append assigns each record a monotone LSN under the log lock, so LSN
+// Log.Stage assigns each record a monotone LSN under the log lock, so LSN
 // order is file order. A KindState snapshot record carries the LSN of the
 // last delta its register reflects; during recovery a server must skip any
 // KindDelta whose LSN is not greater than the restored state's. That rule is
@@ -30,8 +45,8 @@
 // A Record handed to Hooks.Apply is valid only for the duration of the call
 // and its byte fields alias the replay buffer: clone whatever the state
 // retains, exactly as the live receive path clones at its retention point. A
-// Record passed to Log.Append or emitted by Hooks.Dump is fully encoded
-// before the call returns, so callers may alias live state (the server's
-// stripe lock, held across both the mutation and the Append, keeps the bytes
-// stable for that window).
+// Record passed to Log.Stage (or Append) or emitted by Hooks.Dump is fully
+// encoded before the call returns, so callers may alias live state (the
+// server's stripe lock, held across both the mutation and the Stage, keeps
+// the bytes stable for that window).
 package durable

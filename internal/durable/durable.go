@@ -18,8 +18,11 @@ import (
 type Policy string
 
 const (
-	// FsyncAlways fsyncs inside every Append, before the caller acks the
-	// client: nothing acknowledged is ever lost.
+	// FsyncAlways makes Commit fsync: a record is on stable storage once the
+	// Commit that covers it returns, and a server acks only after that (the
+	// invariant is stated on Log.Commit), so nothing acknowledged is ever
+	// lost. The fsync is per Commit, not per record — a server's Commit
+	// covers one executor run.
 	FsyncAlways Policy = "always"
 	// FsyncInterval fsyncs on a background ticker (Options.FsyncEvery): a
 	// crash loses at most one interval of acknowledged writes.
@@ -158,7 +161,10 @@ type Log struct {
 	lsn       int64 // last assigned LSN
 	sinceSnap int
 	firstErr  error
+	failed    bool // the write-ahead path itself failed: see failLocked
 	closed    bool
+
+	durableLSN atomic.Int64 // see DurableLSN
 
 	payloadBuf []byte
 	frameBuf   []byte
@@ -397,7 +403,7 @@ func (l *Log) recover() error {
 	}
 	maxIndex := watermark
 	torn := false
-	for i, idx := range segs {
+	for _, idx := range segs {
 		path := filepath.Join(l.opts.Dir, segmentName(idx))
 		if idx > maxIndex {
 			maxIndex = idx
@@ -448,7 +454,6 @@ func (l *Log) recover() error {
 			l.counters.TornTailTrims.Add(1)
 			torn = true
 		}
-		_ = i
 	}
 	l.lsn = maxLSN
 	if err := l.syncDir(); err != nil {
@@ -484,6 +489,7 @@ func (l *Log) openSegmentLocked(idx uint64) error {
 	l.segIndex = idx
 	l.written = fileHeaderLen
 	l.synced = fileHeaderLen
+	l.durableLSN.Store(l.lsn)
 	return nil
 }
 
@@ -494,15 +500,30 @@ func (l *Log) setErrLocked(err error) {
 	l.counters.AppendErrors.Add(1)
 }
 
-// Append assigns the record the next LSN and writes it to the active segment,
-// fsyncing first under FsyncAlways (durability before the caller's ack). It
-// is safe for concurrent use; the assigned LSN order is the file order. The
-// record is fully consumed before return. On an I/O error the LSN is still
-// assigned and returned — the error is sticky (surfaced by Close and the
-// AppendErrors counter) because the server hot path cannot propagate it.
-func (l *Log) Append(r *Record) (int64, error) {
+// failLocked records an error on the write-ahead path itself (a short write,
+// a failed fsync, a segment that could not be sealed or opened). Unlike a
+// failed snapshot it leaves the file in an unknown state — records behind a
+// torn frame are unreachable, pages behind a failed fsync may be gone — so
+// the log never reports a successful Commit again.
+func (l *Log) failLocked(err error) {
+	l.failed = true
+	l.setErrLocked(err)
+}
+
+// Stage assigns the record the next LSN and writes it to the active segment
+// without forcing it down: it is in the file (LSN order is file order) but
+// durable under no policy until a Commit covers it. It is safe for
+// concurrent use. The record is fully consumed before return. On an I/O
+// error the LSN is still assigned and returned, the error is sticky
+// (surfaced by Close and the AppendErrors counter) and every later Commit
+// fails.
+func (l *Log) Stage(r *Record) (int64, error) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
+	return l.stageLocked(r)
+}
+
+func (l *Log) stageLocked(r *Record) (int64, error) {
 	l.lsn++
 	lsn := l.lsn
 	if l.closed || l.f == nil {
@@ -515,24 +536,10 @@ func (l *Log) Append(r *Record) (int64, error) {
 	n, err := l.f.Write(l.frameBuf)
 	l.written += int64(n)
 	if err != nil {
-		l.setErrLocked(err)
+		l.failLocked(err)
 		return lsn, err
 	}
 	l.counters.Appends.Add(1)
-	if l.opts.Fsync == FsyncAlways {
-		if err := l.f.Sync(); err != nil {
-			l.setErrLocked(err)
-			return lsn, err
-		}
-		l.synced = l.written
-		l.counters.Fsyncs.Add(1)
-	}
-	if l.written >= l.opts.SegmentBytes {
-		if err := l.rotateLocked(); err != nil {
-			l.setErrLocked(err)
-			return lsn, err
-		}
-	}
 	if l.opts.SnapshotEvery > 0 && l.hooks.Dump != nil {
 		l.sinceSnap++
 		if l.sinceSnap >= l.opts.SnapshotEvery {
@@ -545,6 +552,57 @@ func (l *Log) Append(r *Record) (int64, error) {
 	}
 	return lsn, nil
 }
+
+// Commit makes every record staged so far — by any goroutine — as durable as
+// the policy promises: under FsyncAlways one fsync covers them all (and costs
+// nothing when an earlier Commit already did), under FsyncInterval and
+// FsyncNever it forces nothing. It also seals a full segment. The invariant
+// the servers build on: an ack leaves a server only after the Commit that
+// covers its record returned nil. A log that is closed, or whose write-ahead
+// path has failed once, fails every Commit.
+func (l *Log) Commit() error {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return l.commitLocked()
+}
+
+func (l *Log) commitLocked() error {
+	if l.closed {
+		return ErrClosed
+	}
+	if l.failed {
+		return l.firstErr
+	}
+	if l.opts.Fsync == FsyncAlways {
+		if err := l.syncLocked(); err != nil {
+			return err
+		}
+	}
+	if l.written >= l.opts.SegmentBytes {
+		if err := l.rotateLocked(); err != nil {
+			l.failLocked(err)
+			return err
+		}
+	}
+	return nil
+}
+
+// Append is Stage then Commit under one hold of the log lock: one record,
+// and under FsyncAlways one fsync before it returns.
+func (l *Log) Append(r *Record) (int64, error) {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	lsn, err := l.stageLocked(r)
+	if err != nil {
+		return lsn, err
+	}
+	return lsn, l.commitLocked()
+}
+
+// DurableLSN returns the LSN at or below which every record has been forced
+// down (fsynced, or sealed in a closed segment). It is read without the log
+// lock, so a caller racing a Commit sees the value from before it.
+func (l *Log) DurableLSN() int64 { return l.durableLSN.Load() }
 
 // rotateLocked seals the active segment (fsync + close — sealed segments are
 // always durable regardless of policy) and opens the next one.
@@ -564,7 +622,8 @@ func (l *Log) rotateLocked() error {
 	return l.openSegmentLocked(l.segIndex + 1)
 }
 
-// Sync forces unwritten appends to stable storage.
+// Sync forces every written record to stable storage whatever the policy. A
+// closed log has nothing left to force and reports ErrClosed.
 func (l *Log) Sync() error {
 	l.mu.Lock()
 	defer l.mu.Unlock()
@@ -572,17 +631,22 @@ func (l *Log) Sync() error {
 }
 
 func (l *Log) syncLocked() error {
-	if l.closed || l.f == nil {
+	if l.closed {
+		return ErrClosed
+	}
+	if l.f == nil {
+		// A failed rotation left no active segment; firstErr says why.
 		return l.firstErr
 	}
 	if l.synced == l.written {
 		return nil
 	}
 	if err := l.f.Sync(); err != nil {
-		l.setErrLocked(err)
+		l.failLocked(err)
 		return err
 	}
 	l.synced = l.written
+	l.durableLSN.Store(l.lsn)
 	l.counters.Fsyncs.Add(1)
 	return nil
 }
@@ -636,7 +700,7 @@ func (l *Log) Snapshot() error {
 		return ErrClosed
 	}
 	if err := l.rotateLocked(); err != nil {
-		l.setErrLocked(err)
+		l.failLocked(err)
 		l.mu.Unlock()
 		return err
 	}
@@ -704,10 +768,12 @@ func (l *Log) Snapshot() error {
 }
 
 // Close stops the background goroutines and releases the log. A graceful
-// close flushes everything and writes a final snapshot (so the next Open
-// replays almost nothing); with Options.SimulateCrash the active segment is
-// instead truncated back to its last-fsynced offset, modeling exactly what a
-// machine crash would have preserved under the configured fsync policy.
+// close forces everything down — records staged but not yet committed
+// included — and writes a final snapshot (so the next Open replays almost
+// nothing); with Options.SimulateCrash the active segment is instead
+// truncated back to its last-fsynced offset, modeling exactly what a machine
+// crash would have preserved under the configured fsync policy: staged but
+// uncommitted records are dropped, and no ack depended on them.
 // Returns the first error the log encountered in its lifetime.
 func (l *Log) Close() error {
 	if !l.stopping.CompareAndSwap(false, true) {

@@ -8,11 +8,20 @@
 // Start/Stop lifecycle — so a protocol server is its state struct, its
 // handler and its record⇄state mapping (Protocol) and nothing else. It sits
 // beside Client, the one client engine.
+//
+// Durability rule, stated once: an ack leaves a server only after the log
+// commit that covers its record returned nil. The executor's run is the
+// commit group — handlers stage records (Log), the run-end hook commits the
+// log once (commitRun), and only then is the run's coalesced ack batch
+// released. An idle server's run is one message, so a lone request still
+// pays exactly one commit before its ack. A commit that fails drops the
+// run's acks and every later one: the server has become a crash fault.
 package protoutil
 
 import (
 	"fmt"
 	"sync"
+	"sync/atomic"
 
 	"fastread/internal/durable"
 	"fastread/internal/shard"
@@ -34,7 +43,7 @@ type ShellConfig struct {
 	QueueBound int
 	// Durable, if non-nil, gives the server a write-ahead log in the given
 	// directory: NewShell recovers whatever a previous incarnation persisted
-	// there, and every Log call appends before the handler acks.
+	// there, and every run's Log calls are committed before its acks leave.
 	Durable *durable.Options
 }
 
@@ -103,6 +112,8 @@ type Shell[S any] struct {
 	states *shard.Map[*Slot[S]]
 	// dlog is the server's durable log; nil when persistence is off.
 	dlog *durable.Log
+	// logFailed latches the first failed stage or commit (see LogFailed).
+	logFailed atomic.Bool
 
 	startOnce, stopOnce sync.Once
 	done                chan struct{}
@@ -133,6 +144,9 @@ func NewShell[S any](cfg ShellConfig, node transport.Node, proto Protocol[S]) (*
 	}
 	s.exec = transport.NewExecutor(node, WireKeyFunc, cfg.Workers)
 	s.exec.SetQueueBound(cfg.QueueBound)
+	if s.dlog != nil {
+		s.exec.SetRunEnd(s.commitRun)
+	}
 	return s, nil
 }
 
@@ -170,20 +184,42 @@ func (s *Shell[S]) dumpRecords(emit func(*durable.Record) error) error {
 // register first if the key is new. Handlers mutate state (and Log) here.
 func (s *Shell[S]) Do(key string, fn func(*Slot[S])) { s.states.Do(key, fn) }
 
-// Log appends one mutation of sl's register to the durable log and records
-// its LSN in the slot; without a log it does nothing. Handlers call it inside
-// Do, after mutating and BEFORE building the ack: under fsync "always" the
-// append blocks on stable storage here, which is what makes the ack
-// durable-before-sent. r is consumed before return, so it may alias the
-// request. Append errors are sticky in the log (surfaced via its counters and
-// Close); the hot path cannot propagate them.
+// Log stages one mutation of sl's register in the durable log and records its
+// LSN in the slot; without a log it does nothing. Handlers call it inside Do,
+// after mutating and before building the ack. Nothing blocks on stable
+// storage here: the record is written, and the commit that makes it durable
+// runs once at the end of the executor run, before the run's acks are
+// released (commitRun). r is consumed before return, so it may alias the
+// request. A caller outside an executor run ends the run itself.
 func (s *Shell[S]) Log(sl *Slot[S], r *durable.Record) {
 	if s.dlog == nil {
 		return
 	}
-	lsn, _ := s.dlog.Append(r)
+	lsn, err := s.dlog.Stage(r)
+	if err != nil {
+		// The log fails every commit from here on, so the run's acks are
+		// dropped at its end; the flag only makes LogFailed prompt.
+		s.logFailed.Store(true)
+	}
 	sl.lsn = lsn
 }
+
+// commitRun is the executor's run-end hook on a durable server: one commit
+// covering every record the run staged (and a sibling worker's, if this one
+// got here first). An error tells the executor to drop the run's acks; the
+// log then fails every later commit too, so the server never acks again.
+func (s *Shell[S]) commitRun() error {
+	err := s.dlog.Commit()
+	if err != nil {
+		s.logFailed.Store(true)
+	}
+	return err
+}
+
+// LogFailed reports whether the durable log has failed (a full or broken
+// disk): from then on the server acknowledges nothing — a crash fault the
+// quorum tolerates — until it is restarted on a working log.
+func (s *Shell[S]) LogFailed() bool { return s.logFailed.Load() }
 
 // Peek runs fn with the key's state if the register has been instantiated
 // and reports whether it had; read-only inspection never grows the keyspace.

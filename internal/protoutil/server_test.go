@@ -3,6 +3,7 @@ package protoutil_test
 import (
 	"fmt"
 	"sort"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -15,6 +16,7 @@ import (
 	"fastread/internal/protoutil"
 	"fastread/internal/quorum"
 	_ "fastread/internal/regular"
+	"fastread/internal/shard"
 	"fastread/internal/sig"
 	"fastread/internal/transport"
 	"fastread/internal/types"
@@ -122,45 +124,44 @@ func lifecycleRows(t *testing.T, build builder, q quorum.Config) {
 	})
 }
 
-// gatedNode blocks the server's sends until the gate opens, announcing the
-// first blocked send: a worker stalled inside its end-of-run flush stops
-// draining its queue, which is the deterministic way to fill it.
-type gatedNode struct {
+// hookNode runs before ahead of every send the server makes, on the sending
+// worker's goroutine.
+type hookNode struct {
 	transport.Node
-	blocked chan struct{} // receives once, when the first Send arrives
-	gate    chan struct{}
+	before func(to types.ProcessID, payload []byte)
 }
 
-func (g *gatedNode) Send(to types.ProcessID, kind string, payload []byte) error {
-	select {
-	case g.blocked <- struct{}{}:
-	default:
-	}
-	<-g.gate
-	return g.Node.Send(to, kind, payload)
+func (n *hookNode) Send(to types.ProcessID, kind string, payload []byte) error {
+	n.before(to, payload)
+	return n.Node.Send(to, kind, payload)
 }
 
 func shedRow(t *testing.T, build builder, q quorum.Config) {
 	net := transport.NewInMemNetwork()
 	t.Cleanup(func() { _ = net.Close() })
-	node := &gatedNode{Node: join(t, net, types.Server(1)), blocked: make(chan struct{}, 1), gate: make(chan struct{})}
+	// The server's sends block until the gate opens, the first one announcing
+	// itself: a worker stalled inside its end-of-run flush stops draining its
+	// queue, which is the deterministic way to fill it.
+	blocked, gate := make(chan struct{}, 1), make(chan struct{})
+	node := &hookNode{Node: join(t, net, types.Server(1)), before: func(types.ProcessID, []byte) {
+		select {
+		case blocked <- struct{}{}:
+		default:
+		}
+		<-gate
+	}}
 	srv, err := build(driver.ServerConfig{ID: types.Server(1), Quorum: q, Workers: 2, QueueBound: 8}, node)
 	if err != nil {
 		t.Fatal(err)
 	}
 	srv.Start()
-	reader := join(t, net, types.Reader(1))
-	read := func(rc int64) {
-		req := &wire.Message{Op: wire.OpRead, Key: "hot", RCounter: rc}
-		if err := reader.Send(types.Server(1), req.Kind(), wire.MustEncode(req)); err != nil {
-			t.Fatal(err)
-		}
-	}
+	reader := client{t, join(t, net, types.Reader(1))}
+	read := func(rc int64) { reader.send(&wire.Message{Op: wire.OpRead, Key: "hot", RCounter: rc}) }
 	// One key, so one worker. Once its reply to the first read is stuck on
 	// the gate, every later read piles into that worker's 256-slot ring, then
 	// its 8-slot overflow, and the rest must be shed.
 	read(1)
-	within(t, "the first reply", func() { <-node.blocked })
+	within(t, "the first reply", func() { <-blocked })
 	for rc := int64(2); rc <= 1024; rc++ {
 		read(rc)
 	}
@@ -171,7 +172,7 @@ func shedRow(t *testing.T, build builder, q quorum.Config) {
 		}
 		time.Sleep(time.Millisecond)
 	}
-	close(node.gate)
+	close(gate)
 	within(t, "Stop", srv.Stop)
 }
 
@@ -182,12 +183,18 @@ type client struct {
 	node transport.Node
 }
 
-// ask sends req to s1 and returns the next acknowledgement.
-func (c client) ask(req *wire.Message) *wire.Message {
+// send sends req to s1.
+func (c client) send(req *wire.Message) {
 	c.t.Helper()
 	if err := c.node.Send(types.Server(1), req.Kind(), wire.MustEncode(req)); err != nil {
 		c.t.Fatal(err)
 	}
+}
+
+// ask sends req to s1 and returns the next acknowledgement.
+func (c client) ask(req *wire.Message) *wire.Message {
+	c.t.Helper()
+	c.send(req)
 	select {
 	case m := <-c.node.Inbox():
 		var ack *wire.Message
@@ -330,10 +337,7 @@ func recoveryRow(t *testing.T, build builder, q quorum.Config, fast bool, rounds
 	// line 26): a counter below the recovered one is stale and gets no reply,
 	// so the first reply seen is the one to the fresh counter behind it.
 	r := d.reader[0]
-	stale := &wire.Message{Op: wire.OpRead, Key: keyName(0), RCounter: probeRC - 1}
-	if err := r.node.Send(types.Server(1), stale.Kind(), wire.MustEncode(stale)); err != nil {
-		t.Fatal(err)
-	}
+	r.send(&wire.Message{Op: wire.OpRead, Key: keyName(0), RCounter: probeRC - 1})
 	if ack := r.ask(&wire.Message{Op: wire.OpRead, Key: keyName(0), RCounter: probeRC + 1}); ack.RCounter != probeRC+1 {
 		t.Fatalf("recovered server answered the stale rCounter %d", ack.RCounter)
 	}
@@ -360,17 +364,35 @@ func TestShellConformance(t *testing.T) {
 	})
 }
 
-// TestShellReplayAppliesEachDeltaOnce pins the shell's LSN guard with a
-// protocol whose mutation is NOT idempotent (a counter), which the register
-// protocols' adopt-if-newer replay would mask: snapshots run while appends
-// continue, so after a crash the surviving tail holds deltas the restored
-// snapshot already reflects, and replaying one twice would overcount.
-func TestShellReplayAppliesEachDeltaOnce(t *testing.T) {
-	const keys, perKey = 32, 64
-	proto := protoutil.Protocol[int64]{
+// counterServer is a durable shell over a protocol whose mutation is NOT
+// idempotent, which the register protocols' adopt-if-newer replay would mask:
+// every request bumps its key's counter, logs the delta and acks with the new
+// count in TS and the delta's LSN in RCounter.
+type counterServer struct {
+	*protoutil.Shell[int64]
+	counters durable.Counters
+}
+
+func openCounter(t *testing.T, node transport.Node, workers int, opts durable.Options) *counterServer {
+	t.Helper()
+	cs := &counterServer{}
+	opts.Counters = &cs.counters
+	sh, err := protoutil.NewShell(protoutil.ShellConfig{ID: types.Server(1), Workers: workers, Durable: &opts}, node, protoutil.Protocol[int64]{
 		Name:     "counter",
 		NewState: func() int64 { return 0 },
-		Handle:   func(transport.Message, transport.Sender) {},
+		Handle: func(m transport.Message, out transport.Sender) {
+			req, err := wire.Decode(m.Payload)
+			if err != nil {
+				return
+			}
+			ack := &wire.Message{Op: wire.OpWriteAck, Key: req.Key}
+			cs.Do(req.Key, func(sl *protoutil.Slot[int64]) {
+				sl.State++
+				cs.Log(sl, &durable.Record{Kind: durable.KindDelta, Key: req.Key})
+				ack.TS, ack.RCounter = types.Timestamp(sl.State), sl.LSN()
+			})
+			_ = transport.SendEncoded(out, m.From, ack)
+		},
 		Apply: func(n *int64, r *durable.Record) {
 			if r.Kind == durable.KindState {
 				*n = r.TS
@@ -379,45 +401,256 @@ func TestShellReplayAppliesEachDeltaOnce(t *testing.T) {
 			}
 		},
 		Dump: func(n *int64, r *durable.Record) { r.TS = *n },
+	})
+	if err != nil {
+		t.Fatal(err)
 	}
-	dir := t.TempDir()
-	open := func(counters *durable.Counters) *protoutil.Shell[int64] {
+	cs.Shell = sh
+	return cs
+}
+
+func (cs *counterServer) count(key string) int64 {
+	var n int64
+	cs.Peek(key, func(st *int64) { n = *st })
+	return n
+}
+
+// TestShellReplayAppliesEachDeltaOnce pins the shell's LSN guard: snapshots
+// run while appends continue, so after a crash the surviving tail holds
+// deltas the restored snapshot already reflects, and replaying one twice
+// would overcount.
+func TestShellReplayAppliesEachDeltaOnce(t *testing.T) {
+	const keys, perKey = 32, 64
+	opts := durable.Options{Dir: t.TempDir(), Fsync: durable.FsyncAlways, SimulateCrash: true, SnapshotEvery: 16, SegmentBytes: 1 << 10}
+	open := func() *counterServer {
 		net := transport.NewInMemNetwork()
 		t.Cleanup(func() { _ = net.Close() })
-		sh, err := protoutil.NewShell(protoutil.ShellConfig{ID: types.Server(1), Durable: &durable.Options{
-			Dir: dir, Fsync: durable.FsyncAlways, SimulateCrash: true, SnapshotEvery: 16, SegmentBytes: 1 << 10, Counters: counters,
-		}}, join(t, net, types.Server(1)), proto)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return sh
+		return openCounter(t, join(t, net, types.Server(1)), 0, opts)
 	}
 
-	var first, second durable.Counters
-	sh := open(&first)
+	first := open()
 	for i := 0; i < perKey; i++ {
 		for k := 0; k < keys; k++ {
 			key := keyName(k)
-			sh.Do(key, func(sl *protoutil.Slot[int64]) {
+			first.Do(key, func(sl *protoutil.Slot[int64]) {
 				sl.State++
-				sh.Log(sl, &durable.Record{Kind: durable.KindDelta, Key: key})
+				first.Log(sl, &durable.Record{Kind: durable.KindDelta, Key: key})
 			})
+			// No executor is running: end the run by hand, or the crash
+			// below drops the staged record.
+			if err := first.EndRun(); err != nil {
+				t.Fatal(err)
+			}
 		}
 	}
-	sh.Stop()
-	if first.Snapshots.Load() == 0 {
+	first.Stop()
+	if first.counters.Snapshots.Load() == 0 {
 		t.Fatal("no snapshot ran while appending")
 	}
 
-	sh = open(&second)
-	defer sh.Stop()
-	if second.RecordsRecovered.Load() == 0 {
+	second := open()
+	defer second.Stop()
+	if second.counters.RecordsRecovered.Load() == 0 {
 		t.Fatal("recovered no records")
 	}
 	for k := 0; k < keys; k++ {
-		var n int64
-		if !sh.Peek(keyName(k), func(st *int64) { n = *st }) || n != perKey {
+		if n := second.count(keyName(k)); n != perKey {
 			t.Errorf("%s recovered count %d, want %d", keyName(k), n, perKey)
 		}
+	}
+}
+
+// bump is a counterServer request for the key.
+func bump(key string) *wire.Message { return &wire.Message{Op: wire.OpWrite, Key: key} }
+
+// acks receives from the client node until n acknowledgements have arrived
+// (a server run's acks share one envelope) and hands each to fn.
+func acks(t *testing.T, node transport.Node, n int, fn func(*wire.Message)) {
+	t.Helper()
+	for n > 0 {
+		select {
+		case m := <-node.Inbox():
+			transport.Expand(m, func(sub transport.Message) {
+				ack, err := wire.Decode(sub.Payload)
+				if err != nil {
+					t.Fatalf("undecodable ack: %v", err)
+				}
+				n--
+				fn(ack)
+			})
+		case <-time.After(5 * time.Second):
+			t.Fatalf("%d acknowledgements never arrived", n)
+		}
+	}
+}
+
+// TestShellAcksOnlyAfterCommit pins the durability rule of the run-boundary
+// group commit: an ack leaves a server only after the commit that covers its
+// record returned. The server's node is wrapped so that at the moment every
+// ack is SENT — earlier than any client can observe it, and the durable LSN
+// only grows — the LSN of the record behind it is at most the log's durable
+// LSN. Then the server crash-stops under load and every acked mutation must
+// be recovered. Calling co.Flush before the run-end hook in
+// transport.Executor.endRun (both run loops end their runs there: the inline
+// one serves workers=1, the worker one workers=4) fails every ack of this
+// test; verified by hand when the rule was introduced.
+func TestShellAcksOnlyAfterCommit(t *testing.T) {
+	for _, workers := range []int{1, 4} {
+		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) { acksOnlyAfterCommit(t, workers) })
+	}
+}
+
+func acksOnlyAfterCommit(t *testing.T, workers int) {
+	const keys, depth, total = 8, 16, 512
+	opts := durable.Options{Dir: t.TempDir(), Fsync: durable.FsyncAlways, SimulateCrash: true, SnapshotEvery: -1}
+
+	// The second client's acks cannot be sent until gate closes: the worker
+	// stuck in that flush stops draining its queue, which is how the
+	// group-size check below builds one long run.
+	var (
+		cs      *counterServer
+		blocked = make(chan struct{}, 1)
+		gate    = make(chan struct{})
+	)
+	open := func() (*counterServer, [2]client) {
+		net := transport.NewInMemNetwork()
+		t.Cleanup(func() { _ = net.Close() })
+		node := &hookNode{Node: join(t, net, types.Server(1)), before: func(to types.ProcessID, payload []byte) {
+			durableLSN := cs.DurableLSN()
+			transport.Expand(transport.Message{Payload: payload}, func(sub transport.Message) {
+				if ack, err := wire.Decode(sub.Payload); err != nil {
+					t.Errorf("server sent an undecodable ack: %v", err)
+				} else if ack.RCounter > durableLSN {
+					t.Errorf("ack for %s count %d left the server at durable LSN %d, before the commit covering its record (LSN %d)", ack.Key, ack.TS, durableLSN, ack.RCounter)
+				}
+			})
+			if to == types.Reader(2) {
+				blocked <- struct{}{}
+				<-gate
+			}
+		}}
+		cs = openCounter(t, node, workers, opts)
+		cs.Start()
+		return cs, [2]client{{t, join(t, net, types.Reader(1))}, {t, join(t, net, types.Reader(2))}}
+	}
+
+	// Pipelined load over several keys, so a run is more than one request
+	// whenever requests queue behind a commit.
+	srv, clients := open()
+	acked := make(map[string]int64)
+	sent := 0
+	next := func() {
+		clients[0].send(bump(keyName(sent % keys)))
+		sent++
+	}
+	for sent < depth {
+		next()
+	}
+	acks(t, clients[0].node, total, func(ack *wire.Message) {
+		if n := int64(ack.TS); n > acked[ack.Key] {
+			acked[ack.Key] = n
+		}
+		if sent < total+depth {
+			next()
+		}
+	})
+	// depth requests are still in flight: crash-stop under them.
+	within(t, "Stop", srv.Stop)
+
+	srv, clients = open()
+	defer func() { within(t, "Stop", srv.Stop) }()
+	for key, n := range acked {
+		if got := srv.count(key); got < n || got > int64(sent/keys) {
+			t.Errorf("%s recovered count %d, want the acked %d..%d sent", key, got, n, sent/keys)
+		}
+	}
+
+	// Group size. k idle-separated requests are k runs: k fsyncs.
+	const k = 8
+	fsyncs := srv.counters.Fsyncs.Load()
+	for i := 0; i < k; i++ {
+		clients[0].send(bump(keyName(0)))
+		acks(t, clients[0].node, 1, func(*wire.Message) {})
+	}
+	if got := srv.counters.Fsyncs.Load() - fsyncs; got != k {
+		t.Errorf("%d idle-separated requests cost %d fsyncs, want %d", k, got, k)
+	}
+	// k requests delivered as one run: 1 fsync. One envelope is one run for
+	// the inline single worker. A key-shard worker may start its run before
+	// the dispatcher has queued the whole envelope, so there the worker is
+	// first stalled in the flush of a request from the other client, the
+	// envelope is queued behind it, and a request for a key of ANOTHER
+	// worker — dispatched after the envelope, acked at once — says when.
+	if workers > 1 {
+		clients[1].send(bump(keyName(0)))
+		within(t, "the stalled flush", func() { <-blocked })
+	}
+	envelope := wire.NewBatch(0)
+	for i := 0; i < k; i++ {
+		envelope.Append(wire.MustEncode(bump(keyName(0))))
+	}
+	if err := clients[0].node.Send(types.Server(1), wire.BatchKind, envelope.Bytes()); err != nil {
+		t.Fatal(err)
+	}
+	if workers > 1 {
+		other := 1
+		for shard.HashBytes([]byte(keyName(other)))%uint64(workers) == shard.HashBytes([]byte(keyName(0)))%uint64(workers) {
+			other++
+		}
+		clients[0].send(bump(keyName(other)))
+		acks(t, clients[0].node, 1, func(ack *wire.Message) {
+			if ack.Key != keyName(other) {
+				t.Fatalf("an ack for %s overtook the stalled worker", ack.Key)
+			}
+		})
+	}
+	fsyncs = srv.counters.Fsyncs.Load()
+	close(gate)
+	acks(t, clients[0].node, k, func(*wire.Message) {})
+	if got := srv.counters.Fsyncs.Load() - fsyncs; got != 1 {
+		t.Errorf("%d requests delivered as one run cost %d fsyncs, want 1", k, got)
+	}
+}
+
+// TestShellFailStopOnLogError closes the log under a running server — from
+// then on every Stage fails as it would on a full or broken disk — and
+// requires the server to handle the requests that follow without sending one
+// more ack: an acknowledged mutation it did not persist would be a lie, a
+// silent server is a crash fault the quorum already tolerates.
+func TestShellFailStopOnLogError(t *testing.T) {
+	const k = 8
+	net := transport.NewInMemNetwork()
+	t.Cleanup(func() { _ = net.Close() })
+	var sends atomic.Int64
+	node := &hookNode{Node: join(t, net, types.Server(1)), before: func(types.ProcessID, []byte) { sends.Add(1) }}
+	srv := openCounter(t, node, 2, durable.Options{Dir: t.TempDir(), Fsync: durable.FsyncAlways, SnapshotEvery: -1})
+	srv.Start()
+	c := client{t, join(t, net, types.Writer())}
+	if ack := c.ask(bump(keyName(0))); ack.TS != 1 || srv.LogFailed() {
+		t.Fatalf("healthy server: ack count %d, LogFailed %v", ack.TS, srv.LogFailed())
+	}
+
+	if err := srv.CloseLog(); err != nil {
+		t.Fatal(err)
+	}
+	before := sends.Load()
+	for i := 0; i < k; i++ {
+		c.send(bump(keyName(i)))
+	}
+	// Every failed Stage is counted, so the counter says when all k requests
+	// have been handled; Stop then ends the last run.
+	deadline := time.Now().Add(5 * time.Second)
+	for srv.counters.AppendErrors.Load() < k {
+		if time.Now().After(deadline) {
+			t.Fatalf("append_errors = %d after %d requests on a closed log", srv.counters.AppendErrors.Load(), k)
+		}
+		time.Sleep(time.Millisecond)
+	}
+	within(t, "Stop", srv.Stop)
+	if got := sends.Load() - before; got != 0 {
+		t.Errorf("the server sent %d acks for mutations its log refused", got)
+	}
+	if !srv.LogFailed() {
+		t.Error("LogFailed is false after the log refused records")
 	}
 }

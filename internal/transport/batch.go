@@ -106,7 +106,7 @@ func NewCoalescer(node Node) *Coalescer {
 }
 
 // hold takes the coalescer's activity token on the run's first buffered
-// message; released releases it after Flush.
+// message; Flush and Discard release it.
 func (c *Coalescer) hold() {
 	if c.clock != nil && !c.holding {
 		c.holding = true
@@ -199,10 +199,20 @@ func SendEncoded(out Sender, to types.ProcessID, m *wire.Message) error {
 
 // Flush sends every destination's pending traffic — one Send per destination,
 // in first-touch order — and resets the coalescer for the next run.
-func (c *Coalescer) Flush() {
+func (c *Coalescer) Flush() { c.reset(true) }
+
+// Discard drops the run's pending traffic unsent and resets the coalescer: a
+// server whose log could not commit the run must not acknowledge it.
+func (c *Coalescer) Discard() { c.reset(false) }
+
+// reset empties the coalescer, sending what it held or not, and releases its
+// virtual-clock hold either way.
+func (c *Coalescer) reset(send bool) {
 	for _, to := range c.order {
 		e := c.byDest[to]
-		if e.batch == nil {
+		if !send {
+			// Dropped with the rest of the run.
+		} else if e.batch == nil {
 			_ = c.node.Send(to, e.kind, e.first)
 		} else {
 			_ = c.node.Send(to, wire.BatchKind, e.batch.Bytes())

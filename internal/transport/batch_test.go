@@ -372,3 +372,37 @@ func TestDemuxRoutesBatchedAcksPerKey(t *testing.T) {
 	expect(routeA, 1, 3)
 	expect(routeB, 2)
 }
+
+// TestCoalescerDiscardDropsTheRun checks Discard's two duties: nothing of the
+// run is sent (and the coalescer is ready for the next one), and the
+// virtual-clock hold the buffered output took is released — a server that
+// drops a run's acks must not stall a simulation.
+func TestCoalescerDiscardDropsTheRun(t *testing.T) {
+	clock := NewVirtualClock()
+	net := NewInMemNetwork(WithClock(clock))
+	defer func() { _ = net.Close() }()
+	server := mustJoin(t, net, types.Server(1))
+	reader := mustJoin(t, net, types.Reader(1))
+
+	co := NewCoalescer(server)
+	_ = co.Send(types.Reader(1), "readack", encodedMsg(wire.OpReadAck, "", 1))
+	_ = co.Send(types.Reader(1), "readack", encodedMsg(wire.OpReadAck, "", 2))
+	_ = co.Send(types.Reader(2), "readack", encodedMsg(wire.OpReadAck, "", 3))
+	clock.Schedule(time.Millisecond, func() {})
+	if _, err := clock.Step(20 * time.Millisecond); err == nil {
+		t.Fatal("buffered output held no activity token")
+	}
+	co.Discard()
+	if co.Pending() != 0 {
+		t.Fatalf("%d destinations pending after Discard", co.Pending())
+	}
+	if ran, err := clock.Step(time.Second); err != nil || !ran {
+		t.Fatalf("Step after Discard = (%v, %v): the hold was not released", ran, err)
+	}
+	co.Flush()
+	select {
+	case m := <-reader.Inbox():
+		t.Fatalf("a discarded message was delivered: %q", m.Kind)
+	default:
+	}
+}

@@ -47,11 +47,14 @@ import (
 // handle RUNS of messages between blocking waits, and RunCoalescing exposes
 // the same run boundary to the handler's OUTPUT: a run-scoped Coalescer
 // batches the run's acknowledgements into one send per destination, flushed
-// when the run ends.
+// when the run ends — after the run-end hook (SetRunEnd), if one is set, so
+// whatever the run staged is committed once, before any of its acks leaves.
 type Executor struct {
 	node    Node
 	keyOf   KeyFunc
 	workers []*handoff
+	// runEnd is the run-end hook (see SetRunEnd); nil without one.
+	runEnd func() error
 	// sheds counts messages dropped by bounded worker queues (see
 	// SetQueueBound); always 0 in the default unbounded configuration.
 	sheds atomic.Int64
@@ -96,6 +99,24 @@ func (e *Executor) SetQueueBound(n int) {
 	}
 }
 
+// SetRunEnd installs fn as the run-end hook: every worker calls it at the end
+// of every run, before flushing the run's coalesced output and whether or not
+// the run produced any, and a non-nil error DISCARDS that output instead. A
+// durable server commits its log here — one commit per run, acks only behind
+// it. fn is called from every worker goroutine, concurrently. Must be called
+// before RunCoalescing.
+func (e *Executor) SetRunEnd(fn func() error) { e.runEnd = fn }
+
+// endRun closes one run: the hook, then the run's output — sent if the hook
+// is absent or returned nil, dropped otherwise.
+func (e *Executor) endRun(co *Coalescer) {
+	if e.runEnd != nil && e.runEnd() != nil {
+		co.Discard()
+		return
+	}
+	co.Flush()
+}
+
 // Sheds returns the number of messages shed by bounded worker queues.
 func (e *Executor) Sheds() int64 { return e.sheds.Load() }
 
@@ -110,7 +131,8 @@ func (e *Executor) Sheds() int64 { return e.sheds.Load() }
 // channel) is flushed as one send per destination when the run ends. An idle
 // server handling a lone message flushes immediately after it, so coalescing
 // never delays a reply; under pipelined load a run of k requests from one
-// client costs ONE acknowledgement send instead of k.
+// client costs ONE acknowledgement send instead of k — and, with a run-end
+// hook committing a log, one fsync instead of k.
 //
 // With a single worker the dispatch hop would buy nothing, so the handler
 // runs inline on the dispatcher goroutine (serveCoalescingInline). Otherwise:
@@ -135,7 +157,7 @@ func (e *Executor) RunCoalescing(handler func(Message, Sender)) {
 			b.drainRuns(func(m Message) {
 				handler(m, co)
 				m.ReleaseArena()
-			}, co.Flush)
+			}, func() { e.endRun(co) })
 		}(box)
 	}
 	n := uint64(len(e.workers))
@@ -166,7 +188,7 @@ func (e *Executor) RunCoalescing(handler func(Message, Sender)) {
 // inline on the dispatcher goroutine (no dispatch hop), with run
 // boundaries recovered opportunistically from the inbox channel — after a
 // blocking receive, drain whatever else is immediately available before
-// flushing. An uncontended inbox therefore flushes after every message
+// ending the run. An uncontended inbox therefore flushes after every message
 // (reply latency identical to the direct path) while a burst flushes once.
 func (e *Executor) serveCoalescingInline(handler func(Message, Sender)) {
 	co := NewCoalescer(e.node)
@@ -180,7 +202,7 @@ func (e *Executor) serveCoalescingInline(handler func(Message, Sender)) {
 			select {
 			case more, ok := <-inbox:
 				if !ok {
-					co.Flush()
+					e.endRun(co)
 					return
 				}
 				Expand(more, handleOne)
@@ -189,6 +211,6 @@ func (e *Executor) serveCoalescingInline(handler func(Message, Sender)) {
 				break burst
 			}
 		}
-		co.Flush()
+		e.endRun(co)
 	}
 }

@@ -302,3 +302,101 @@ func TestMailboxPopAll(t *testing.T) {
 		t.Fatalf("popAll on closed drained mailbox returned %v, want ok=false", batch)
 	}
 }
+
+// TestExecutorRunEndHook pins SetRunEnd's contract on both run loops (one
+// inline worker, four key-shard workers): the hook runs at the end of every
+// run, output or not; it runs BEFORE the run's output is flushed; and once it
+// returns an error the output of that run — and of every later one it fails —
+// is dropped. Payloads are "key|seq"; even seqs are echoed, odd ones are not.
+func TestExecutorRunEndHook(t *testing.T) {
+	for _, workers := range []int{1, 4} {
+		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
+			net := NewInMemNetwork()
+			defer func() { _ = net.Close() }()
+			var (
+				handled, ended, sends atomic.Int64
+				failing               atomic.Bool
+				unended               atomic.Int64 // handled by a run whose hook has not run yet
+			)
+			server := &sendHookNode{Node: mustJoin(t, net, types.Server(1)), before: func() {
+				sends.Add(1)
+				// Only the inline loop has one run open at a time; the shell's
+				// ack-after-commit test orders the key-shard workers by LSN.
+				if workers == 1 && unended.Load() != 0 {
+					t.Errorf("output left with %d messages of the run not yet ended", unended.Load())
+				}
+			}}
+			client := mustJoin(t, net, types.Writer())
+
+			exec := NewExecutor(server, execKeyFunc, workers)
+			exec.SetRunEnd(func() error {
+				unended.Store(0)
+				ended.Add(1)
+				if failing.Load() {
+					return fmt.Errorf("log failed")
+				}
+				return nil
+			})
+			done := make(chan struct{})
+			go func() {
+				defer close(done)
+				exec.RunCoalescing(func(m Message, out Sender) {
+					unended.Add(1)
+					if execSeq(m)%2 == 0 {
+						_ = out.Send(m.From, "echo", m.Payload)
+					}
+					handled.Add(1)
+				})
+			}()
+			send := func(seq int) {
+				t.Helper()
+				if err := client.Send(types.Server(1), "op", []byte(fmt.Sprintf("key-%d|%d", seq%5, seq))); err != nil {
+					t.Fatal(err)
+				}
+			}
+
+			// A run without output still ends through the hook.
+			send(1)
+			waitUntil(t, "the hook after an output-less run", func() bool { return ended.Load() == 1 })
+			if sends.Load() != 0 {
+				t.Fatalf("%d sends for a request that echoes nothing", sends.Load())
+			}
+			for seq := 2; seq <= 100; seq++ {
+				send(seq)
+			}
+			// Once every echo has arrived, every run with output has ended.
+			for echoes := 0; echoes < 50; {
+				select {
+				case m := <-client.Inbox():
+					Expand(m, func(Message) { echoes++ })
+				case <-time.After(10 * time.Second):
+					t.Fatalf("%d of 50 echoes arrived", echoes)
+				}
+			}
+
+			// From the first failing hook on, nothing is sent.
+			failing.Store(true)
+			before := sends.Load()
+			for seq := 102; seq < 200; seq += 2 {
+				send(seq)
+			}
+			waitUntil(t, "the failing runs handled", func() bool { return handled.Load() == 100+49 })
+			_ = server.Close()
+			<-done
+			if got := sends.Load() - before; got != 0 {
+				t.Errorf("%d sends after the hook began failing", got)
+			}
+		})
+	}
+}
+
+// sendHookNode runs before ahead of every send, on the sending goroutine.
+type sendHookNode struct {
+	Node
+	before func()
+}
+
+func (n *sendHookNode) Send(to types.ProcessID, kind string, payload []byte) error {
+	n.before()
+	return n.Node.Send(to, kind, payload)
+}

@@ -163,7 +163,8 @@ type Config struct {
 	// DataDir, when non-empty, makes every server process durable: each gets
 	// a private write-ahead segment log plus periodic snapshots under
 	// DataDir/<group>/s<index> (see internal/durable), mutations are logged
-	// before they are acknowledged, and Store.RestartServer recovers a
+	// and the log committed before they are acknowledged (a server whose log
+	// fails stops acknowledging), and Store.RestartServer recovers a
 	// server's state and incarnation counter from its directory. Empty keeps
 	// the classic in-memory-only servers, with zero persistence cost.
 	DataDir string
@@ -215,9 +216,10 @@ type GroupSpec struct {
 type FsyncPolicy string
 
 const (
-	// FsyncAlways fsyncs inside every append, before the client is
-	// acknowledged: nothing acknowledged is ever lost, at one fsync per
-	// mutation.
+	// FsyncAlways fsyncs before any client is acknowledged: nothing
+	// acknowledged is ever lost. A server commits once per executor run —
+	// one fsync for every mutation the run logged, one per request when the
+	// server is idle — and releases the run's acknowledgements after it.
 	FsyncAlways FsyncPolicy = "always"
 	// FsyncIntervalPolicy fsyncs on a background ticker (the default): a
 	// crash loses at most Durability.FsyncInterval of acknowledged writes.
