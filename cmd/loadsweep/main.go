@@ -9,12 +9,12 @@
 //
 //	loadsweep -transports inmem,tcp,udp -depths 1,16 -rates 250,500,1000,2000 -o BENCH.json
 //
-// With -smoke it instead runs a seconds-long self-check for CI: a tiny sweep
-// proving the knee finder runs end to end, a forced server-side overload
-// proving bounded queues shed (ShedDrops > 0) while every submitted
-// operation still resolves, and an admission-control overload proving the
-// open-loop accounting identity offered == completed + overloaded +
-// timeouts + failed + overrun holds exactly. Any violated invariant exits 1.
+// The invariants the overload control must hold under such load — a sweep
+// finds a knee, admission control sheds while the open-loop accounting
+// identity holds exactly, bounded queues shed while every submitted operation
+// still resolves — are asserted by go test: TestOverloadAcceptance and
+// TestOverloadShedDropsAccounted at the repository root, and
+// TestOpenLoopExactAccounting in internal/workload.
 package main
 
 import (
@@ -25,8 +25,6 @@ import (
 	"os"
 	"strconv"
 	"strings"
-	"sync"
-	"sync/atomic"
 	"time"
 
 	"fastread"
@@ -68,13 +66,9 @@ func run(args []string) error {
 		kneeP99    = fs.Duration("knee-p99", 25*time.Millisecond, "p99 threshold for the knee finder")
 		admission  = fs.Duration("admission", time.Millisecond, "admission budget for the swept deployments (sheds instead of wedging the generator)")
 		seed       = fs.Int64("seed", 1, "workload RNG seed")
-		smoke      = fs.Bool("smoke", false, "run the CI self-check instead of a sweep")
 	)
 	if err := fs.Parse(args); err != nil {
 		return err
-	}
-	if *smoke {
-		return runSmoke()
 	}
 
 	rateList, err := parseFloats(*rates)
@@ -282,159 +276,4 @@ func parseInts(s string) ([]int, error) {
 		return nil, fmt.Errorf("no depths given")
 	}
 	return out, nil
-}
-
-// runSmoke is the CI self-check: three seconds-long scenarios, each
-// asserting an invariant the overload control must hold. Returning an error
-// (exit 1) on any violation makes this a regression gate, not a timing
-// benchmark.
-func runSmoke() error {
-	ctx := context.Background()
-
-	// 1. The knee finder runs end to end on a real (tiny) sweep.
-	{
-		store, err := fastread.NewStore(fastread.Config{
-			Servers: 4, Faulty: 1, Readers: 1,
-			Protocol:      fastread.ProtocolFast,
-			PipelineDepth: 16,
-			AdmissionWait: time.Millisecond,
-		})
-		if err != nil {
-			return err
-		}
-		client, err := storeClient(store, 2)
-		if err != nil {
-			store.Close()
-			return err
-		}
-		points, err := workload.RunSweep(ctx, workload.SweepConfig{
-			Base: workload.OpenLoopConfig{
-				Poisson: true, Seed: 7, Keys: 2, ReadFraction: 0.5, OpTimeout: 2 * time.Second,
-			},
-			Rates:        []float64{200, 400},
-			StepDuration: 250 * time.Millisecond,
-		}, client)
-		store.Close()
-		if err != nil {
-			return fmt.Errorf("smoke sweep: %w", err)
-		}
-		if len(points) != 2 {
-			return fmt.Errorf("smoke sweep: got %d points, want 2", len(points))
-		}
-		i, ok := workload.Knee(points, 100*time.Millisecond)
-		if !ok {
-			return fmt.Errorf("smoke sweep: no knee under an unmissable 100ms p99 limit: %+v", points)
-		}
-		fmt.Printf("smoke sweep: ok, knee %.0f ops/s (p99 %.3fms)\n", points[i].OfferedRate, points[i].P99ms)
-	}
-
-	// 2. Fixed-rate open loop far past capacity with admission control on:
-	// the generator must shed (Overloaded > 0) and the accounting identity
-	// must hold exactly — no operation silently lost.
-	{
-		store, err := fastread.NewStore(fastread.Config{
-			Servers: 4, Faulty: 1, Readers: 1,
-			Protocol:      fastread.ProtocolFast,
-			PipelineDepth: 2,
-			Transport:     fastread.InMemory(fastread.WithDelay(2 * time.Millisecond)),
-			AdmissionWait: 500 * time.Microsecond,
-			QueueBound:    128,
-		})
-		if err != nil {
-			return err
-		}
-		client, err := storeClient(store, 2)
-		if err != nil {
-			store.Close()
-			return err
-		}
-		res, err := workload.RunOpenLoop(ctx, workload.OpenLoopConfig{
-			Rate: 4000, Duration: 300 * time.Millisecond,
-			Seed: 7, Keys: 2, ReadFraction: 0.5, OpTimeout: 2 * time.Second,
-		}, client)
-		stats := store.Stats()
-		store.Close()
-		if err != nil {
-			return fmt.Errorf("smoke overload: %w", err)
-		}
-		got := res.Completed + res.Overloaded + res.Timeouts + res.Failed + res.Overrun
-		if got != res.Offered {
-			return fmt.Errorf("smoke overload: accounting leak, offered %d classified %d", res.Offered, got)
-		}
-		if res.Overloaded == 0 {
-			return fmt.Errorf("smoke overload: expected ErrOverloaded sheds at 4000 ops/s over a ~1000 ops/s deployment, got none (completed=%d)", res.Completed)
-		}
-		if stats.MailboxHighWater > 128 {
-			return fmt.Errorf("smoke overload: mailbox high water %d exceeds bound 128", stats.MailboxHighWater)
-		}
-		fmt.Printf("smoke overload: ok, offered=%d completed=%d overloaded=%d timeouts=%d\n",
-			res.Offered, res.Completed, res.Overloaded, res.Timeouts)
-	}
-
-	// 3. Bounded server queues under a verification-limited write burst: the
-	// shed counter must move and every submitted operation must still
-	// resolve (complete from admitted copies, or fail its own deadline).
-	{
-		store, err := fastread.NewStore(fastread.Config{
-			Servers: 8, Faulty: 1, Malicious: 1, Readers: 1,
-			Protocol:      fastread.ProtocolFastByzantine,
-			ServerWorkers: 1,
-			PipelineDepth: 24,
-			QueueBound:    8,
-		})
-		if err != nil {
-			return err
-		}
-		const keys, perKey = 2, 24
-		regs := make([]*fastread.Register, keys)
-		for i := range regs {
-			if regs[i], err = store.Register(fmt.Sprintf("burst-%d", i)); err != nil {
-				store.Close()
-				return err
-			}
-		}
-		burstCtx, cancel := context.WithTimeout(ctx, 2*time.Second)
-		var wg sync.WaitGroup
-		var completed, errored atomic.Int64
-		for _, reg := range regs {
-			wg.Add(1)
-			go func(w fastread.Writer) {
-				defer wg.Done()
-				futures := make([]*fastread.WriteFuture, 0, perKey)
-				for i := 0; i < perKey; i++ {
-					wf, err := w.WriteAsync(burstCtx, []byte(fmt.Sprintf("b%d", i)))
-					if err != nil {
-						errored.Add(1)
-						continue
-					}
-					futures = append(futures, wf)
-				}
-				for _, wf := range futures {
-					if wf.Result(burstCtx) != nil {
-						errored.Add(1)
-					} else {
-						completed.Add(1)
-					}
-				}
-			}(reg.Writer())
-		}
-		wg.Wait()
-		cancel()
-		stats := store.Stats()
-		store.Close()
-		if total := completed.Load() + errored.Load(); total != keys*perKey {
-			return fmt.Errorf("smoke shed: per-op accounting leak, %d submitted %d resolved", keys*perKey, total)
-		}
-		if completed.Load() == 0 {
-			return fmt.Errorf("smoke shed: no write completed at all")
-		}
-		if stats.ShedDrops == 0 {
-			return fmt.Errorf("smoke shed: bounded queues shed nothing under a %d-write burst at bound 8", keys*perKey)
-		}
-		fmt.Printf("smoke shed: ok, completed=%d errored=%d shedDrops=%d\n",
-			completed.Load(), errored.Load(), stats.ShedDrops)
-	}
-
-	fmt.Println("loadsweep smoke: all invariants held")
-	return nil
 }

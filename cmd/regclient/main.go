@@ -73,8 +73,8 @@ import (
 	"fastread/internal/stats"
 	"fastread/internal/topology"
 	"fastread/internal/transport"
-	"fastread/internal/transport/tcpnet"
-	"fastread/internal/transport/udpnet"
+	"fastread/internal/transport/framed"
+	"fastread/internal/transport/socknet"
 	"fastread/internal/types"
 
 	// Register every protocol driver this binary can drive.
@@ -326,7 +326,10 @@ func run(args []string) error {
 		} else if book, err = transport.ParseAddressBook(c.book); err != nil {
 			return nil, err
 		}
-		node, err := listenNode(c.transport, id, book)
+		// Clients always listen on the address-book entry for their identity,
+		// so a plain book swap switches an entire deployment between TCP and
+		// UDP.
+		node, err := socknet.Listen(c.transport, framed.Config{Self: id, Book: book}, nil)
 		if err != nil {
 			if ring != nil {
 				return nil, fmt.Errorf("group %q: %w", topo.Groups[gi].Name, err)
@@ -404,20 +407,6 @@ func run(args []string) error {
 		return runReader(ctx, readers, command, c.timeout, c.ops, c.pipeline)
 	default:
 		return fmt.Errorf("-id must be the writer (w) or a reader (r1..rR)")
-	}
-}
-
-// listenNode binds the client's socket on the chosen transport. Clients
-// always listen on the address-book entry for their identity, so a plain
-// book swap switches an entire deployment between TCP and UDP.
-func listenNode(kind string, id types.ProcessID, book transport.AddressBook) (transport.Node, error) {
-	switch kind {
-	case "tcp":
-		return tcpnet.Listen(tcpnet.Config{Self: id, Book: book})
-	case "udp":
-		return udpnet.Listen(udpnet.Config{Self: id, Book: book})
-	default:
-		return nil, fmt.Errorf("unknown -transport %q (want tcp or udp)", kind)
 	}
 }
 

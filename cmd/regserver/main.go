@@ -63,8 +63,8 @@ import (
 	"fastread/internal/quorum"
 	"fastread/internal/topology"
 	"fastread/internal/transport"
-	"fastread/internal/transport/tcpnet"
-	"fastread/internal/transport/udpnet"
+	"fastread/internal/transport/framed"
+	"fastread/internal/transport/socknet"
 	"fastread/internal/types"
 
 	// Register every protocol driver this binary can serve.
@@ -197,7 +197,7 @@ func run(args []string) error {
 		serverCfg.Verifier = verifier
 	}
 
-	node, nodeAddr, nodeStats, err := listenNode(*trans, id, *listen, book)
+	node, err := socknet.Listen(*trans, framed.Config{Self: id, ListenAddr: *listen, Book: book}, nil)
 	if err != nil {
 		return err
 	}
@@ -218,7 +218,7 @@ func run(args []string) error {
 		groupNote = " group=" + groupLabel
 	}
 	fmt.Printf("register server %s%s listening on %s/%s (protocol=%s %v workers=%d, serving all register keys)\n",
-		id, groupNote, *trans, nodeAddr(), drv.Name, qcfg, server.Workers())
+		id, groupNote, *trans, node.Addr(), drv.Name, qcfg, server.Workers())
 	if durCounters != nil {
 		// Recovery already ran inside NewServer; say what came back so an
 		// operator restarting a crashed server sees its state survived.
@@ -237,46 +237,13 @@ func run(args []string) error {
 	// write-queue overflow, unreachable peers, duplicate datagrams) so
 	// operators notice overload or partitions the asynchronous protocols
 	// themselves tolerate without complaint.
-	stats := nodeStats()
+	stats := node.Stats()
 	fmt.Printf("shutting down %s%s: transport=%s delivered=%d frames=%d dropped_inbound=%d dropped_send=%d dedup_drops=%d queue_sheds=%d\n",
-		id, groupNote, *trans, stats.delivered, stats.frames, stats.droppedInbound, stats.droppedSend, stats.dedupDrops, server.QueueSheds())
+		id, groupNote, *trans, stats.Delivered, stats.Frames, stats.DroppedInbound, stats.DroppedSend, stats.DedupDrops, server.QueueSheds())
 	if durCounters != nil {
 		ds := durCounters.Snapshot()
 		fmt.Printf("durable shutdown %s%s: incarnation=%d appends=%d fsyncs=%d snapshots=%d snapshot_records=%d append_errors=%d log_failed=%t\n",
 			id, groupNote, ds.Incarnation, ds.Appends, ds.Fsyncs, ds.Snapshots, ds.SnapshotRecords, ds.AppendErrors, server.LogFailed())
 	}
 	return nil
-}
-
-// nodeCounters is the transport-neutral view of a socket node's drop and
-// delivery counters, for the shutdown log.
-type nodeCounters struct {
-	delivered, frames, droppedInbound, droppedSend, dedupDrops int64
-}
-
-// listenNode binds the server's socket on the chosen transport, returning the
-// node together with accessors for its bound address and counters.
-func listenNode(kind string, id types.ProcessID, listen string, book transport.AddressBook) (transport.Node, func() string, func() nodeCounters, error) {
-	switch kind {
-	case "tcp":
-		n, err := tcpnet.Listen(tcpnet.Config{Self: id, ListenAddr: listen, Book: book})
-		if err != nil {
-			return nil, nil, nil, err
-		}
-		return n, n.Addr, func() nodeCounters {
-			s := n.Stats()
-			return nodeCounters{s.Delivered, s.Frames, s.DroppedInbound, s.DroppedSend, 0}
-		}, nil
-	case "udp":
-		n, err := udpnet.Listen(udpnet.Config{Self: id, ListenAddr: listen, Book: book})
-		if err != nil {
-			return nil, nil, nil, err
-		}
-		return n, n.Addr, func() nodeCounters {
-			s := n.Stats()
-			return nodeCounters{s.Delivered, s.Frames, s.DroppedInbound, s.DroppedSend, s.DedupDrops}
-		}, nil
-	default:
-		return nil, nil, nil, fmt.Errorf("unknown -transport %q (want tcp or udp)", kind)
-	}
 }

@@ -89,10 +89,14 @@
 // WithReceiveFilter drops datagrams deterministically for loss testing —
 // the protocols never retransmit, tolerating loss through quorum slack
 // exactly as the paper's asynchronous lossy model intends). InMemory accepts
-// WithDelay/WithJitter/WithSeed (Config has no delay fields of its own); TCP
-// accepts WithDialTimeout/WithWriteTimeout. Deployments spanning processes
-// or machines are driven by cmd/regserver and cmd/regclient (-transport
-// tcp|udp), which serve the same protocols via the same driver registry.
+// WithDelay/WithJitter/WithSeed (Config has no delay fields of its own).
+// TCP and UDP are two carriers of one framed socket core
+// (internal/transport/framed): the same frame body, inbound path and
+// counters behind a length prefix on a stream or a sequence number in a
+// datagram. Deployments spanning processes or machines are driven by
+// cmd/regserver and cmd/regclient (-transport tcp|udp), which serve the same
+// protocols via the same driver registry and bind their sockets through the
+// same backend switch.
 //
 // # Scaling out: partitioned deployments
 //

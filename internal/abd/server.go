@@ -27,25 +27,9 @@ func (v VersionedValue) Less(other VersionedValue) bool {
 	return v.Rank < other.Rank
 }
 
-// ServerConfig configures an ABD server.
-type ServerConfig struct {
-	// ID is the server's process identity.
-	ID types.ProcessID
-	// Workers is the number of key-shard workers executing this server's
-	// messages in parallel (a register key is always handled by the same
-	// worker). Zero or negative means GOMAXPROCS.
-	Workers int
-	// QueueBound, when positive, caps each worker's overflow queue:
-	// requests beyond it are shed and counted (QueueSheds) instead of
-	// queued without bound. Zero keeps the default never-drop queues.
-	QueueBound int
-	// Trace, if non-nil, records protocol events.
-	Trace *trace.Trace
-	// Durable, if non-nil, gives the server a write-ahead log: every adoption
-	// is appended before the ack is sent, and NewServer recovers whatever a
-	// previous incarnation persisted in the directory.
-	Durable *durable.Options
-}
+// ServerConfig configures an ABD server: the uniform server description. An
+// ABD server never counts, so Quorum is ignored, and so is Verifier.
+type ServerConfig = protoutil.ServerConfig
 
 // registerState is the per-register ABD server state: the highest versioned
 // value adopted so far and a mutation counter.
@@ -74,7 +58,7 @@ type Server struct {
 func NewServer(cfg ServerConfig, node transport.Node) (*Server, error) {
 	s := &Server{cfg: cfg}
 	sh, err := protoutil.NewShell(
-		protoutil.ShellConfig{ID: cfg.ID, Workers: cfg.Workers, QueueBound: cfg.QueueBound, Durable: cfg.Durable},
+		cfg.Shell(),
 		node,
 		protoutil.Protocol[registerState]{
 			Name:     "abd",

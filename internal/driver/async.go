@@ -1,7 +1,8 @@
-// Client adapters: every protocol's writer is the engine's protoutil.Writer
-// and every reader embeds a protoutil.Client with its own rich result type;
-// the helpers here fold those into the registry's uniform Writer/Reader
-// handles and futures, so every driver adapts identically.
+// Adapters: every protocol's server is a protoutil.Shell, its writer the
+// engine's protoutil.Writer, and every reader embeds a protoutil.Client with
+// its own rich result type; the helpers here fold those into the registry's
+// uniform Server/Writer/Reader handles and futures, so every driver adapts
+// identically.
 package driver
 
 import (
@@ -11,6 +12,19 @@ import (
 	"fastread/internal/transport"
 	"fastread/internal/types"
 )
+
+// ServerFactory turns a protocol package's server constructor into the
+// Driver.NewServer factory.
+func ServerFactory[S Server](newServer func(ServerConfig, transport.Node) (S, error)) func(ServerConfig, transport.Node) (Server, error) {
+	return func(cfg ServerConfig, node transport.Node) (Server, error) {
+		s, err := newServer(cfg, node)
+		if err != nil {
+			// A nil interface, not a typed nil pointer inside one.
+			return nil, err
+		}
+		return s, nil
+	}
+}
 
 // WriterFactory turns a protocol package's writer constructor into the
 // Driver.NewWriter factory.

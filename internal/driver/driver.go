@@ -23,10 +23,8 @@ import (
 	"sort"
 	"sync"
 
-	"fastread/internal/durable"
 	"fastread/internal/protoutil"
 	"fastread/internal/quorum"
-	"fastread/internal/sig"
 	"fastread/internal/transport"
 	"fastread/internal/types"
 )
@@ -118,29 +116,9 @@ type Reader interface {
 }
 
 // ServerConfig is the uniform server-side deployment description handed to
-// every driver; each driver picks the fields its protocol needs.
-type ServerConfig struct {
-	// ID is the server's process identity.
-	ID types.ProcessID
-	// Quorum describes the deployment (S, t, b, R).
-	Quorum quorum.Config
-	// Verifier is the writer's public key, used by signature-verifying
-	// drivers (fast-byz) and ignored by the crash-model drivers.
-	Verifier sig.Verifier
-	// Workers is the number of key-shard workers executing the server's
-	// messages in parallel; zero or negative means GOMAXPROCS.
-	Workers int
-	// Durable, if non-nil, gives the server a write-ahead log in the given
-	// directory (see internal/durable): mutations are logged before acks,
-	// and server construction recovers whatever a previous incarnation
-	// persisted there. Drivers that keep no durable state ignore it.
-	Durable *durable.Options
-	// QueueBound, when positive, caps each executor worker's overflow
-	// queue: requests beyond it are shed and counted (Server.QueueSheds)
-	// rather than queued (see transport.Executor.SetQueueBound). Zero keeps
-	// the default never-drop queues.
-	QueueBound int
-}
+// every driver: the server shell's own configuration shape, which the
+// majority protocols' constructors take as is (see ServerFactory).
+type ServerConfig = protoutil.ServerConfig
 
 // ClientConfig is the uniform client-side configuration handed to every
 // driver's writer and reader factories: the client engine's own configuration

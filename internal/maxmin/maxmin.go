@@ -23,7 +23,6 @@ import (
 
 	"fastread/internal/durable"
 	"fastread/internal/protoutil"
-	"fastread/internal/quorum"
 	"fastread/internal/trace"
 	"fastread/internal/transport"
 	"fastread/internal/types"
@@ -168,29 +167,10 @@ func (st *registerState) pendingState(key readKey) *pendingRead {
 	return p
 }
 
-// ServerConfig configures a max-min server.
-type ServerConfig struct {
-	// ID is the server's identity.
-	ID types.ProcessID
-	// Quorum describes the deployment; the server waits for gossip from a
-	// majority of servers (including itself) before answering a read.
-	Quorum quorum.Config
-	// Workers is the number of key-shard workers executing this server's
-	// messages in parallel (a register key is always handled by the same
-	// worker, so a read's request and its gossip serialise per key). Zero or
-	// negative means GOMAXPROCS.
-	Workers int
-	// QueueBound, when positive, caps each worker's overflow queue:
-	// requests beyond it are shed and counted (QueueSheds) instead of
-	// queued without bound. Zero keeps the default never-drop queues.
-	QueueBound int
-	// Trace, if non-nil, records protocol events.
-	Trace *trace.Trace
-	// Durable, if non-nil, gives the server a write-ahead log: every value
-	// adoption (write, gossip or max-select) is appended before the reply,
-	// and NewServer recovers whatever a previous incarnation persisted.
-	Durable *durable.Options
-}
+// ServerConfig configures a max-min server: the uniform server description.
+// The server waits for gossip from a majority of Quorum's servers (including
+// itself) before answering a read; Verifier is ignored.
+type ServerConfig = protoutil.ServerConfig
 
 // Server is the max-min server. Unlike the fast register's server it is NOT
 // a fast responder: on a read request it first gossips with the other
@@ -212,7 +192,7 @@ func NewServer(cfg ServerConfig, node transport.Node) (*Server, error) {
 	}
 	s := &Server{cfg: cfg, servers: protoutil.ServerIDs(cfg.Quorum.Servers)}
 	sh, err := protoutil.NewShell(
-		protoutil.ShellConfig{ID: cfg.ID, Workers: cfg.Workers, QueueBound: cfg.QueueBound, Durable: cfg.Durable},
+		cfg.Shell(),
 		node,
 		protoutil.Protocol[registerState]{
 			Name: "maxmin",

@@ -24,10 +24,49 @@ import (
 	"sync/atomic"
 
 	"fastread/internal/durable"
+	"fastread/internal/quorum"
 	"fastread/internal/shard"
+	"fastread/internal/sig"
+	"fastread/internal/trace"
 	"fastread/internal/transport"
 	"fastread/internal/types"
 )
+
+// ServerConfig is the uniform server-side deployment description: the driver
+// registry hands it to every protocol (driver.ServerConfig), and the majority
+// protocols' constructors take it as is (abd, maxmin, regular.ServerConfig),
+// so a driver passes it through instead of re-mapping it field by field. A
+// protocol reads the fields it needs and ignores the rest.
+type ServerConfig struct {
+	// ID is the server's process identity (must have RoleServer).
+	ID types.ProcessID
+	// Quorum describes the deployment (S, t, b, R). Protocols whose servers
+	// never count (abd, regular) ignore it.
+	Quorum quorum.Config
+	// Verifier is the writer's public key, used by signature-verifying
+	// protocols (fast-byz) and ignored by the crash-model ones.
+	Verifier sig.Verifier
+	// Workers is the number of key-shard workers executing the server's
+	// messages in parallel (a register key is always handled by the same
+	// worker). Zero or negative means GOMAXPROCS.
+	Workers int
+	// QueueBound, when positive, caps each worker's overflow queue: requests
+	// beyond it are shed and counted (QueueSheds) instead of queued without
+	// bound. Zero keeps the default never-drop queues.
+	QueueBound int
+	// Trace, if non-nil, records protocol events.
+	Trace *trace.Trace
+	// Durable, if non-nil, gives the server a write-ahead log in the given
+	// directory (see internal/durable): mutations are logged before acks, and
+	// server construction recovers whatever a previous incarnation persisted
+	// there.
+	Durable *durable.Options
+}
+
+// Shell returns the part of the configuration the shell itself consumes.
+func (c ServerConfig) Shell() ShellConfig {
+	return ShellConfig{ID: c.ID, Workers: c.Workers, QueueBound: c.QueueBound, Durable: c.Durable}
+}
 
 // ShellConfig is the protocol-independent part of a server's configuration.
 type ShellConfig struct {

@@ -8,15 +8,9 @@ import (
 // init registers the fast SWMR regular register with the driver registry.
 func init() {
 	driver.Register(driver.Driver{
-		Name:     "regular",
-		Validate: driver.MajorityValidate("regular"),
-		NewServer: func(cfg driver.ServerConfig, node transport.Node) (driver.Server, error) {
-			s, err := NewServer(ServerConfig{ID: cfg.ID, Workers: cfg.Workers, QueueBound: cfg.QueueBound, Durable: cfg.Durable}, node)
-			if err != nil {
-				return nil, err
-			}
-			return s, nil
-		},
+		Name:      "regular",
+		Validate:  driver.MajorityValidate("regular"),
+		NewServer: driver.ServerFactory(NewServer),
 		NewWriter: driver.WriterFactory(NewWriter),
 		NewReader: func(cfg driver.ClientConfig, node transport.Node) (driver.Reader, error) {
 			r, err := NewReader(cfg, node)

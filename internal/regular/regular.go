@@ -45,25 +45,10 @@ type registerState struct {
 	value types.TaggedValue
 }
 
-// ServerConfig configures a regular-register server.
-type ServerConfig struct {
-	// ID is the server's process identity.
-	ID types.ProcessID
-	// Workers is the number of key-shard workers executing this server's
-	// messages in parallel (a register key is always handled by the same
-	// worker). Zero or negative means GOMAXPROCS.
-	Workers int
-	// QueueBound, when positive, caps each worker's overflow queue:
-	// requests beyond it are shed and counted (QueueSheds) instead of
-	// queued without bound. Zero keeps the default never-drop queues.
-	QueueBound int
-	// Trace, if non-nil, records protocol events.
-	Trace *trace.Trace
-	// Durable, if non-nil, gives the server a write-ahead log: adoptions are
-	// appended before the ack is sent, and NewServer recovers whatever a
-	// previous incarnation persisted in the directory.
-	Durable *durable.Options
-}
+// ServerConfig configures a regular-register server: the uniform server
+// description. The server never counts, so Quorum is ignored, and so is
+// Verifier.
+type ServerConfig = protoutil.ServerConfig
 
 // Server stores, per register key, the highest-timestamped value it has
 // received and answers both writes and reads in a single step. Node,
@@ -79,7 +64,7 @@ type Server struct {
 func NewServer(cfg ServerConfig, node transport.Node) (*Server, error) {
 	s := &Server{cfg: cfg}
 	sh, err := protoutil.NewShell(
-		protoutil.ShellConfig{ID: cfg.ID, Workers: cfg.Workers, QueueBound: cfg.QueueBound, Durable: cfg.Durable},
+		cfg.Shell(),
 		node,
 		protoutil.Protocol[registerState]{
 			Name:     "regular",

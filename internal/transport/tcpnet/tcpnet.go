@@ -1,11 +1,14 @@
-// Package tcpnet implements the transport.Node interface over TCP, so that
-// the register protocols — which only ever talk to a Node — run unchanged
-// over real sockets. It is used by cmd/regserver, cmd/regclient and the
-// tcpcluster example.
+// Package tcpnet is the stream carrier of the framed socket core: it
+// implements the transport.Node interface over TCP, so that the register
+// protocols — which only ever talk to a Node — run unchanged over real
+// sockets. Everything a socket node does that is not specific to TCP (the
+// configuration, the frame body, the inbound path, the counters) is the
+// embedded framed.Core; what is left here is the lazy dial, the per-peer
+// batch writer and the eviction of connections to restarted peers.
 //
-// Each process owns one listening socket and dials its peers lazily; frames
-// are length-prefixed and carry the sender identity, the message kind and
-// the opaque protocol payload. Delivery guarantees match the in-memory
+// Each process owns one listening socket and dials its peers lazily; a frame
+// is a uint32 length followed by the framed body (sender identity, message
+// kind, opaque protocol payload). Delivery guarantees match the in-memory
 // network as long as the underlying connections stay healthy: no duplication
 // and no reordering per link; a broken connection is re-dialled on the next
 // send and messages lost in between are simply "still in transit" from the
@@ -22,7 +25,7 @@
 // slow socket never stalls senders (a stalled peer's queue is bounded,
 // overflow is dropped and counted). The receiving side expands batch frames
 // back into individual messages before they reach the inbox, so consumers
-// are oblivious; NodeStats counts both frames and messages, which is what
+// are oblivious; framed.Stats counts both frames and messages, which is what
 // makes the frames-per-operation amortisation measurable.
 package tcpnet
 
@@ -34,42 +37,20 @@ import (
 	"io"
 	"net"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"fastread/internal/transport"
+	"fastread/internal/transport/framed"
 	"fastread/internal/types"
 	"fastread/internal/wire"
 )
 
-// Config configures one TCP-attached process.
-type Config struct {
-	// Self is the identity of this process.
-	Self types.ProcessID
-	// ListenAddr is the address to listen on; when empty, the address book
-	// entry for Self is used.
-	ListenAddr string
-	// Book maps every peer (and usually Self) to its address.
-	Book transport.AddressBook
-	// Resolve, when non-nil, is consulted for destinations the Book does not
-	// cover. It lets a deployment whose processes listen on ephemeral ports
-	// (":0") share a live address table that fills in as processes come up:
-	// the public fastread TCP transport uses it to run whole deployments on
-	// loopback without pre-assigning ports. Resolve must be safe for
-	// concurrent use.
-	Resolve func(types.ProcessID) (string, bool)
-	// DialTimeout bounds connection establishment (default 2s).
-	DialTimeout time.Duration
-	// WriteTimeout bounds a single buffered-frame flush (default 2s).
-	WriteTimeout time.Duration
-}
-
-// Errors returned by the TCP transport.
-var (
-	// ErrNoAddress indicates a destination without an address book entry.
-	ErrNoAddress = errors.New("tcpnet: no address for destination")
-	// ErrClosed indicates the node has been closed.
-	ErrClosed = fmt.Errorf("tcpnet: node closed: %w", transport.ErrClosed)
+// dialTimeout bounds connection establishment to a peer, and writeTimeout a
+// single buffered-frame flush: long enough for a loaded loopback or LAN peer,
+// short enough that a dead one costs a sender's flusher seconds, not minutes.
+const (
+	dialTimeout  = 2 * time.Second
+	writeTimeout = 2 * time.Second
 )
 
 // maxFrameSize bounds incoming frames to protect against corrupt peers.
@@ -85,34 +66,10 @@ const maxPayloadSize = maxFrameSize - 64
 // per syscall under load.
 const writeBufferSize = 64 << 10
 
-// NodeStats counts what happened on one TCP node so far, mirroring
-// transport.LinkStats for the socket transport. Drops that were invisible to
-// operators — a full inbox silently discarding a decoded frame, a send to an
-// unreachable or broken peer — are first-class counters here; cmd/regserver
-// logs them on shutdown.
-type NodeStats struct {
-	// Delivered counts protocol messages decoded and handed to the inbox. A
-	// batch frame contributes one count per message it carries.
-	Delivered int64
-	// Frames counts wire frames read off sockets. Under pipelined load the
-	// per-peer flusher packs many messages into one frame, so Frames ≪
-	// Delivered; frames-per-operation (Frames summed over a deployment's
-	// nodes, divided by completed operations) is the batching efficiency
-	// metric BENCH_5 reports.
-	Frames int64
-	// DroppedInbound counts messages discarded because the inbox was full.
-	DroppedInbound int64
-	// DroppedSend counts outbound messages discarded because the peer was
-	// unreachable, the connection broke mid-write, or the frame was
-	// oversized.
-	DroppedSend int64
-}
-
 // Node is one process attached to the TCP network.
 type Node struct {
-	cfg      Config
+	*framed.Core
 	listener net.Listener
-	box      chan transport.Message
 
 	mu      sync.Mutex
 	peers   map[types.ProcessID]*peer
@@ -128,12 +85,6 @@ type Node struct {
 	inboundFrom    map[types.ProcessID]int
 	deadInbound    map[types.ProcessID]bool
 	pendingRefresh map[types.ProcessID]*peer
-	closed         bool
-
-	delivered      atomic.Int64
-	frames         atomic.Int64
-	droppedInbound atomic.Int64
-	droppedSend    atomic.Int64
 
 	wg sync.WaitGroup
 }
@@ -141,37 +92,32 @@ type Node struct {
 var _ transport.Node = (*Node)(nil)
 
 // Listen starts a TCP node for the given process.
-func Listen(cfg Config) (*Node, error) {
-	if !cfg.Self.Valid() {
-		return nil, fmt.Errorf("tcpnet: invalid self identity %v", cfg.Self)
-	}
-	addr := cfg.ListenAddr
-	if addr == "" {
-		addr = cfg.Book[cfg.Self]
-	}
-	if addr == "" {
-		return nil, fmt.Errorf("%w: %v (set ListenAddr or add a book entry)", ErrNoAddress, cfg.Self)
-	}
-	listener, err := net.Listen("tcp", addr)
+func Listen(cfg framed.Config) (*Node, error) {
+	addr, err := cfg.BindAddr()
 	if err != nil {
-		return nil, fmt.Errorf("tcpnet: listen %s: %w", addr, err)
+		return nil, err
+	}
+	listener, _, err := bind(addr)
+	if err != nil {
+		return nil, err
 	}
 	return newNode(cfg, listener), nil
 }
 
+// bind opens a listening socket and reports the address it landed on.
+func bind(addr string) (net.Listener, string, error) {
+	listener, err := net.Listen("tcp", addr)
+	if err != nil {
+		return nil, "", fmt.Errorf("tcpnet: listen %s: %w", addr, err)
+	}
+	return listener, listener.Addr().String(), nil
+}
+
 // newNode wraps a listener in a running Node.
-func newNode(cfg Config, listener net.Listener) *Node {
-	if cfg.DialTimeout == 0 {
-		cfg.DialTimeout = 2 * time.Second
-	}
-	if cfg.WriteTimeout == 0 {
-		cfg.WriteTimeout = 2 * time.Second
-	}
-	cfg.Book = cfg.Book.Clone()
+func newNode(cfg framed.Config, listener net.Listener) *Node {
 	n := &Node{
-		cfg:            cfg,
+		Core:           framed.NewCore(cfg),
 		listener:       listener,
-		box:            make(chan transport.Message, 1024),
 		peers:          make(map[types.ProcessID]*peer),
 		inbound:        make(map[net.Conn]struct{}),
 		inboundFrom:    make(map[types.ProcessID]int),
@@ -186,22 +132,6 @@ func newNode(cfg Config, listener net.Listener) *Node {
 // Addr returns the address the node is listening on (useful with ":0").
 func (n *Node) Addr() string { return n.listener.Addr().String() }
 
-// ID implements transport.Node.
-func (n *Node) ID() types.ProcessID { return n.cfg.Self }
-
-// Inbox implements transport.Node.
-func (n *Node) Inbox() <-chan transport.Message { return n.box }
-
-// Stats returns a snapshot of the node's delivery and drop counters.
-func (n *Node) Stats() NodeStats {
-	return NodeStats{
-		Delivered:      n.delivered.Load(),
-		Frames:         n.frames.Load(),
-		DroppedInbound: n.droppedInbound.Load(),
-		DroppedSend:    n.droppedSend.Load(),
-	}
-}
-
 // Send implements transport.Node. Messages to unknown or unreachable peers
 // are dropped (and counted), matching the asynchronous model where they are
 // simply never delivered. Send is safe for concurrent use: frames to the
@@ -213,26 +143,22 @@ func (n *Node) Stats() NodeStats {
 // the uniform transport.Node contract still passes ownership for the benefit
 // of the in-memory transport.
 func (n *Node) Send(to types.ProcessID, kind string, payload []byte) error {
-	n.mu.Lock()
-	if n.closed {
-		n.mu.Unlock()
-		return ErrClosed
+	if n.Closed() {
+		return framed.ErrClosed
 	}
-	n.mu.Unlock()
-
 	if len(payload) > maxPayloadSize {
-		n.droppedSend.Add(1)
+		n.CountSendDrop(1)
 		return fmt.Errorf("tcpnet: payload too large (%d bytes)", len(payload))
 	}
 	p, err := n.peerTo(to)
 	if err != nil {
 		// Unreachable peer: the message is lost in transit. Not an error for
 		// the sender in the asynchronous model.
-		n.droppedSend.Add(1)
+		n.CountSendDrop(1)
 		return nil
 	}
-	if err := p.writeFrame(n.cfg.Self, kind, payload); err != nil {
-		n.droppedSend.Add(1)
+	if err := p.writeFrame(kind, payload); err != nil {
+		n.CountSendDrop(1)
 		if !errors.Is(err, errPendingFull) {
 			// The connection is broken; forget it so the next send re-dials.
 			// A full write queue only drops this frame — the peer is healthy.
@@ -244,12 +170,13 @@ func (n *Node) Send(to types.ProcessID, kind string, payload []byte) error {
 
 // Close implements transport.Node.
 func (n *Node) Close() error {
-	n.mu.Lock()
-	if n.closed {
-		n.mu.Unlock()
+	if !n.Shut() {
 		return nil
 	}
-	n.closed = true
+	// Shut comes before the snapshot: peerTo and acceptLoop re-check the flag
+	// under n.mu before registering a connection, so whatever they add is
+	// either in this snapshot or never added.
+	n.mu.Lock()
 	peers := make([]*peer, 0, len(n.peers))
 	for _, p := range n.peers {
 		peers = append(peers, p)
@@ -264,48 +191,45 @@ func (n *Node) Close() error {
 
 	_ = n.listener.Close()
 	for _, p := range peers {
-		p.failPending(ErrClosed, 0)
+		p.failPending(framed.ErrClosed, 0)
 		p.close()
 	}
 	for _, c := range conns {
 		_ = c.Close()
 	}
 	n.wg.Wait()
-	close(n.box)
+	n.CloseInbox()
 	return nil
 }
 
 // peerTo returns a cached or freshly dialled peer connection.
 func (n *Node) peerTo(to types.ProcessID) (*peer, error) {
 	n.mu.Lock()
-	if p, ok := n.peers[to]; ok {
-		n.mu.Unlock()
+	p, ok := n.peers[to]
+	n.mu.Unlock()
+	if ok {
 		return p, nil
 	}
-	addr, ok := n.cfg.Book[to]
-	n.mu.Unlock()
-	if !ok && n.cfg.Resolve != nil {
-		addr, ok = n.cfg.Resolve(to)
+	addr, err := n.AddrOf(to)
+	if err != nil {
+		return nil, err
 	}
-	if !ok {
-		return nil, fmt.Errorf("%w: %v", ErrNoAddress, to)
-	}
-	conn, err := net.DialTimeout("tcp", addr, n.cfg.DialTimeout)
+	conn, err := net.DialTimeout("tcp", addr, dialTimeout)
 	if err != nil {
 		return nil, err
 	}
 	n.mu.Lock()
-	if n.closed {
+	if n.Closed() {
 		n.mu.Unlock()
 		_ = conn.Close()
-		return nil, ErrClosed
+		return nil, framed.ErrClosed
 	}
 	if existing, ok := n.peers[to]; ok {
 		n.mu.Unlock()
 		_ = conn.Close()
 		return existing, nil
 	}
-	p := &peer{
+	p = &peer{
 		node: n,
 		to:   to,
 		conn: conn,
@@ -387,7 +311,7 @@ func (n *Node) noteInboundGone(from types.ProcessID) {
 		// No live connection remains: the next one takes the restart path
 		// directly, no deferred eviction needed.
 		delete(n.pendingRefresh, from)
-		if !n.closed {
+		if !n.Closed() {
 			n.deadInbound[from] = true
 		}
 	} else {
@@ -456,7 +380,7 @@ func (n *Node) dropPeer(to types.ProcessID, p *peer) {
 		delete(n.peers, to)
 	}
 	n.mu.Unlock()
-	p.failPending(ErrClosed, 0)
+	p.failPending(framed.ErrClosed, 0)
 	p.close()
 }
 
@@ -470,11 +394,11 @@ const maxPendingBytes = 8 << 20
 // at its cap. The peer itself is healthy; only this message is lost.
 var errPendingFull = errors.New("tcpnet: peer write queue full")
 
-// batchFrameHeaderSize is the byte length of a batch frame's header: uint32
-// total + byte role + uint32 index + uint16 kindLen + len("batch") + uint32
-// payloadLen. Each pending wire.Batch reserves exactly this prefix so a
-// flush writes header+envelope as one contiguous slice with no copy.
-const batchFrameHeaderSize = 4 + 1 + 4 + 2 + len(wire.BatchKind) + 4
+// batchFrameHeaderSize is the byte length of a batch frame's header: the
+// uint32 body length plus the framed body header for kind "batch". Each
+// pending wire.Batch reserves exactly this prefix so a flush writes
+// header+envelope as one contiguous slice with no copy.
+const batchFrameHeaderSize = 4 + framed.HeaderOverhead + len(wire.BatchKind)
 
 // maxBatchPayload caps one batch frame's envelope: a burst larger than this
 // leaves as several frames, so a coalesced frame always stays comfortably
@@ -516,7 +440,7 @@ func (p *peer) failPending(err error, extraMsgs int) {
 	p.queue = nil
 	p.mu.Unlock()
 	if dropped > 0 {
-		p.node.droppedSend.Add(int64(dropped))
+		p.node.CountSendDrop(dropped)
 	}
 }
 
@@ -529,7 +453,7 @@ func (p *peer) failPending(err error, extraMsgs int) {
 // what guarantees messages from concurrent senders never interleave; the
 // lock is never held across a syscall (see flushLoop), so a slow socket
 // never stalls senders.
-func (p *peer) writeFrame(from types.ProcessID, kind string, payload []byte) error {
+func (p *peer) writeFrame(kind string, payload []byte) error {
 	p.mu.Lock()
 	if p.err != nil {
 		err := p.err
@@ -589,14 +513,10 @@ func (p *peer) writeFrame(from types.ProcessID, kind string, payload []byte) err
 // returns the complete frame (header + envelope) ready for one Write call.
 func frameBytes(b *wire.Batch, from types.ProcessID) []byte {
 	buf := b.PrefixedBytes()
-	envLen := len(buf) - batchFrameHeaderSize
-	total := 1 + 4 + 2 + len(wire.BatchKind) + 4 + envLen
-	binary.BigEndian.PutUint32(buf[0:4], uint32(total))
-	buf[4] = byte(from.Role)
-	binary.BigEndian.PutUint32(buf[5:9], uint32(from.Index))
-	binary.BigEndian.PutUint16(buf[9:11], uint16(len(wire.BatchKind)))
-	copy(buf[11:], wire.BatchKind)
-	binary.BigEndian.PutUint32(buf[11+len(wire.BatchKind):], uint32(envLen))
+	binary.BigEndian.PutUint32(buf, uint32(len(buf)-4))
+	// Appending to the empty slice at offset 4 writes the body header in
+	// place, over the rest of the reserved prefix.
+	framed.AppendHeader(buf[4:4], from, wire.BatchKind, len(buf)-batchFrameHeaderSize)
 	return buf
 }
 
@@ -636,13 +556,13 @@ func (p *peer) flushLoop() {
 					continue
 				}
 				msgs := batch.Count()
-				buf := frameBytes(batch, p.node.cfg.Self)
+				buf := frameBytes(batch, p.node.ID())
 				p.pendingBytes -= batch.Size()
 				p.pendingMsgs -= msgs
 				p.inFlightBytes = len(buf)
 				p.mu.Unlock()
 
-				_ = p.conn.SetWriteDeadline(time.Now().Add(p.node.cfg.WriteTimeout))
+				_ = p.conn.SetWriteDeadline(time.Now().Add(writeTimeout))
 				_, werr := p.conn.Write(buf)
 
 				p.mu.Lock()
@@ -692,7 +612,7 @@ func (n *Node) acceptLoop() {
 			return
 		}
 		n.mu.Lock()
-		if n.closed {
+		if n.Closed() {
 			n.mu.Unlock()
 			_ = conn.Close()
 			return
@@ -731,7 +651,7 @@ func (n *Node) readLoop(conn net.Conn) {
 		if err != nil {
 			return
 		}
-		n.frames.Add(1)
+		n.CountFrame()
 		if !announced {
 			// The first frame names the connection's sender; record it so a
 			// reconnect or restart of that peer can evict our stale cached
@@ -740,75 +660,17 @@ func (n *Node) readLoop(conn net.Conn) {
 			sender = from
 			n.noteInboundSender(from)
 		}
-		n.mu.Lock()
-		closed := n.closed
-		n.mu.Unlock()
-		if closed {
-			arena.Release()
+		if !n.Deliver(from, kind, payload, arena) {
 			return
 		}
-		// A batch frame (the flusher's coalesced output) is expanded here, so
-		// inbox consumers see exactly the per-message stream they always did;
-		// the sub-payloads alias the frame's arena buffer, with one arena
-		// reference handed to each delivered message (the reader's own
-		// reference drops once expansion is done). Frames written by older
-		// tools or tests with a non-batch kind pass through unchanged.
-		if kind == wire.BatchKind && wire.IsBatch(payload) {
-			_ = wire.ForEachInBatch(payload, func(sub []byte) error {
-				arena.Ref()
-				n.deliverInbound(transport.Message{From: from, To: n.cfg.Self, Kind: kind, Payload: sub, Arena: arena})
-				return nil
-			})
-			arena.Release()
-			continue
-		}
-		// A single-message frame transfers the reader's reference to the
-		// delivered message.
-		n.deliverInbound(transport.Message{From: from, To: n.cfg.Self, Kind: kind, Payload: payload, Arena: arena})
 	}
 }
 
-// deliverInbound hands one decoded message to the inbox, counting it either
-// way. The message's arena reference travels with it; a dropped message gives
-// the reference back immediately.
-func (n *Node) deliverInbound(msg transport.Message) {
-	select {
-	case n.box <- msg:
-		n.delivered.Add(1)
-	default:
-		// The mailbox is full; drop the message. The protocols tolerate
-		// message loss of this kind because they never wait for more than
-		// S−t replies, and clients retransmit by retrying the operation.
-		// The drop is counted so operators can see it.
-		msg.ReleaseArena()
-		n.droppedInbound.Add(1)
-	}
-}
-
-// encodeFrame builds one wire frame as a standalone byte slice. The send
-// path streams frames straight into the peer's buffer via writeFrame and
-// never materialises them; this reference encoding is kept for tests and
-// fuzzing, and documents the layout readFrameArena expects.
-func encodeFrame(from types.ProcessID, kind string, payload []byte) ([]byte, error) {
-	if len(payload) > maxFrameSize {
-		return nil, fmt.Errorf("tcpnet: payload too large (%d bytes)", len(payload))
-	}
-	total := 1 + 4 + 2 + len(kind) + 4 + len(payload)
-	frame := make([]byte, 0, 4+total)
-	frame = binary.BigEndian.AppendUint32(frame, uint32(total))
-	frame = append(frame, byte(from.Role))
-	frame = binary.BigEndian.AppendUint32(frame, uint32(from.Index))
-	frame = binary.BigEndian.AppendUint16(frame, uint16(len(kind)))
-	frame = append(frame, kind...)
-	frame = binary.BigEndian.AppendUint32(frame, uint32(len(payload)))
-	frame = append(frame, payload...)
-	return frame, nil
-}
-
-// readFrameArena reads one frame with its body in a pooled refcounted arena.
-// The returned payload ALIASES the arena buffer; the caller owns the arena's
-// initial reference (released internally on every error path), so a frame
-// costs arena recycling instead of a payload copy.
+// readFrameArena reads one frame — a uint32 length, then that many bytes of
+// framed body — with the body in a pooled refcounted arena. The returned
+// payload ALIASES the arena buffer; the caller owns the arena's initial
+// reference (released internally on every error path), so a frame costs arena
+// recycling instead of a payload copy.
 func readFrameArena(r io.Reader) (types.ProcessID, string, []byte, *wire.Arena, error) {
 	var lenBuf [4]byte
 	if _, err := io.ReadFull(r, lenBuf[:]); err != nil {
@@ -820,7 +682,11 @@ func readFrameArena(r io.Reader) (types.ProcessID, string, []byte, *wire.Arena, 
 	}
 	arena := wire.GetArena(int(total))
 	body := arena.Bytes()
-	from, kind, payload, err := parseFrameBody(r, body)
+	if _, err := io.ReadFull(r, body); err != nil {
+		arena.Release()
+		return types.ProcessID{}, "", nil, nil, err
+	}
+	from, kind, payload, err := framed.ParseBody(body)
 	if err != nil {
 		arena.Release()
 		return types.ProcessID{}, "", nil, nil, err
@@ -828,65 +694,9 @@ func readFrameArena(r io.Reader) (types.ProcessID, string, []byte, *wire.Arena, 
 	return from, kind, payload, arena, nil
 }
 
-// parseFrameBody fills body from the reader and decodes the frame fields; the
-// returned kind and payload alias body.
-func parseFrameBody(r io.Reader, body []byte) (types.ProcessID, string, []byte, error) {
-	if _, err := io.ReadFull(r, body); err != nil {
-		return types.ProcessID{}, "", nil, err
-	}
-	if len(body) < 1+4+2 {
-		return types.ProcessID{}, "", nil, errors.New("tcpnet: truncated frame")
-	}
-	from := types.ProcessID{Role: types.Role(body[0]), Index: int(binary.BigEndian.Uint32(body[1:5]))}
-	if !from.Valid() {
-		return types.ProcessID{}, "", nil, fmt.Errorf("tcpnet: invalid sender %v", from)
-	}
-	off := 5
-	kindLen := int(binary.BigEndian.Uint16(body[off : off+2]))
-	off += 2
-	if off+kindLen+4 > len(body) {
-		return types.ProcessID{}, "", nil, errors.New("tcpnet: truncated kind")
-	}
-	// Nearly every frame is the flusher's coalesced batch; comparing against
-	// the constant first avoids materialising a kind string per frame (the
-	// comparison itself does not allocate).
-	var kind string
-	if kindBytes := body[off : off+kindLen]; string(kindBytes) == wire.BatchKind {
-		kind = wire.BatchKind
-	} else {
-		kind = string(kindBytes)
-	}
-	off += kindLen
-	payloadLen := int(binary.BigEndian.Uint32(body[off : off+4]))
-	off += 4
-	if off+payloadLen != len(body) {
-		return types.ProcessID{}, "", nil, errors.New("tcpnet: inconsistent payload length")
-	}
-	return from, kind, body[off:], nil
-}
-
 // LocalCluster starts one TCP node per identity, all listening on loopback
 // with ephemeral ports, and returns them along with the shared address book.
 // It is a convenience for tests and for the tcpcluster example.
 func LocalCluster(ids []types.ProcessID) (map[types.ProcessID]*Node, transport.AddressBook, error) {
-	// First pass: create listeners so every process learns its port.
-	listeners := make(map[types.ProcessID]net.Listener, len(ids))
-	book := make(transport.AddressBook, len(ids))
-	for _, id := range ids {
-		l, err := net.Listen("tcp", "127.0.0.1:0")
-		if err != nil {
-			for _, prev := range listeners {
-				_ = prev.Close()
-			}
-			return nil, nil, err
-		}
-		listeners[id] = l
-		book[id] = l.Addr().String()
-	}
-	// Second pass: wrap each listener in a Node sharing the completed book.
-	nodes := make(map[types.ProcessID]*Node, len(ids))
-	for _, id := range ids {
-		nodes[id] = newNode(Config{Self: id, Book: book}, listeners[id])
-	}
-	return nodes, book, nil
+	return framed.LocalCluster(ids, bind, newNode)
 }

@@ -9,8 +9,9 @@
 // per-link blocking (a blocked message is "left in transit forever"), per-link
 // delivery delay, and process crashes.
 //
-// A second implementation over TCP lives in the tcpnet subpackage and
-// satisfies the same Network/Node interfaces.
+// Two socket implementations of the same Node interface — TCP streams
+// (tcpnet) and UDP datagrams (udpnet) — are carriers of the one socket core
+// in the framed subpackage; socknet picks one by name.
 package transport
 
 import (

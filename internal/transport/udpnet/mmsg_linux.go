@@ -123,12 +123,12 @@ func (n *Node) writeBatch(pkts []*packet) {
 		}
 		// The head datagram could not leave (bad address, transient socket
 		// error, closed connection): count it lost and try the rest.
-		n.droppedSend.Add(int64(pkts[i].msgs))
+		n.CountSendDrop(pkts[i].msgs)
 		i++
 		if err != nil {
 			// The connection itself is gone; everything left is lost too.
 			for _, p := range pkts[i:] {
-				n.droppedSend.Add(int64(p.msgs))
+				n.CountSendDrop(p.msgs)
 			}
 			return
 		}

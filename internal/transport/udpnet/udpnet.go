@@ -1,5 +1,8 @@
-// Package udpnet implements the transport.Node interface over UDP datagrams
-// — the raw-speed tier of the socket transports. Where tcpnet spends syscalls
+// Package udpnet is the datagram carrier of the framed socket core: it
+// implements the transport.Node interface over UDP — the raw-speed tier of
+// the socket transports. Configuration, frame body, inbound path and counters
+// are the embedded framed.Core, shared with tcpnet; what is here is what a
+// datagram socket needs. Where tcpnet spends syscalls
 // on connection management and in-order byte streams the protocols never
 // asked for, udpnet maps the paper's asynchronous lossy network directly onto
 // datagrams: a message either arrives whole or it does not, and the register
@@ -24,16 +27,16 @@
 // semantics. Senders never block: a full outbound queue drops the datagram
 // whole (counted), exactly like a lossy link.
 //
-// The frame layout inside a datagram is tcpnet's, minus the length prefix
-// (datagram boundaries are self-delimiting) and plus the sequence number, so
-// the batch-envelope framing the executor coalescers emit travels unchanged:
-// a datagram whose kind is wire.BatchKind expands into per-message views
-// aliasing one shared refcounted arena, exactly as on TCP.
+// A datagram is the uint64 sequence number followed by the framed body —
+// tcpnet's frame minus the length prefix (datagram boundaries are
+// self-delimiting) — so the batch-envelope framing the executor coalescers
+// emit travels unchanged: a datagram whose kind is wire.BatchKind expands
+// into per-message views aliasing one shared refcounted arena, exactly as on
+// TCP.
 package udpnet
 
 import (
 	"encoding/binary"
-	"errors"
 	"fmt"
 	"net"
 	"sync"
@@ -41,37 +44,9 @@ import (
 	"time"
 
 	"fastread/internal/transport"
+	"fastread/internal/transport/framed"
 	"fastread/internal/types"
 	"fastread/internal/wire"
-)
-
-// Config configures one UDP-attached process.
-type Config struct {
-	// Self is the identity of this process.
-	Self types.ProcessID
-	// ListenAddr is the address to bind; when empty, the address book entry
-	// for Self is used.
-	ListenAddr string
-	// Book maps every peer (and usually Self) to its address.
-	Book transport.AddressBook
-	// Resolve, when non-nil, is consulted for destinations the Book does not
-	// cover, serving the same live-address-table role as tcpnet's Resolve
-	// (deployments on ephemeral ports). Must be safe for concurrent use.
-	Resolve func(types.ProcessID) (string, bool)
-	// ReceiveFilter, when non-nil, is consulted for every inbound datagram
-	// with the claimed sender identity; returning false drops the datagram
-	// before dedup and delivery, exactly as if the network had lost it. It
-	// exists for packet-loss injection in tests (the protocols must complete
-	// through the surviving quorum) and must be safe for concurrent use.
-	ReceiveFilter func(from types.ProcessID) bool
-}
-
-// Errors returned by the UDP transport.
-var (
-	// ErrNoAddress indicates a destination without an address book entry.
-	ErrNoAddress = errors.New("udpnet: no address for destination")
-	// ErrClosed indicates the node has been closed.
-	ErrClosed = fmt.Errorf("udpnet: node closed: %w", transport.ErrClosed)
 )
 
 // maxDatagramSize bounds one datagram, comfortably under UDP's 65,507-byte
@@ -79,9 +54,9 @@ var (
 // longer is truncated by the kernel and then rejected by the parser.
 const maxDatagramSize = 60 << 10
 
-// packetOverhead is the per-datagram header: uint64 seq + byte role + uint32
-// index + uint16 kindLen + kind + uint32 payloadLen.
-const packetOverhead = 8 + 1 + 4 + 2 + 4
+// packetOverhead is the per-datagram header apart from the kind string: the
+// uint64 sequence number plus the framed body header.
+const packetOverhead = 8 + framed.HeaderOverhead
 
 // maxPayloadSize bounds a single outbound payload so the full datagram
 // (header + longest kind string) stays inside maxDatagramSize.
@@ -97,28 +72,6 @@ const (
 // outboundQueueLen bounds datagrams awaiting the sender goroutine. Senders
 // never block on the socket; overflow is dropped whole and counted.
 const outboundQueueLen = 1024
-
-// NodeStats counts what happened on one UDP node so far. It extends tcpnet's
-// counter set with DedupDrops, the datagrams discarded by the at-most-once
-// window.
-type NodeStats struct {
-	// Delivered counts protocol messages decoded and handed to the inbox. A
-	// batch datagram contributes one count per message it carries.
-	Delivered int64
-	// Frames counts datagrams read off the socket (the UDP analogue of
-	// tcpnet's wire frames; the batching-efficiency denominator).
-	Frames int64
-	// DroppedInbound counts messages discarded because the inbox was full.
-	DroppedInbound int64
-	// DroppedSend counts outbound messages discarded because the destination
-	// was unresolvable, the outbound queue was full, the datagram was
-	// oversized, or the send syscall failed.
-	DroppedSend int64
-	// DedupDrops counts inbound datagrams discarded by the per-sender
-	// at-most-once window: duplicates, replays and datagrams older than the
-	// 64-entry window.
-	DedupDrops int64
-}
 
 // packet is one encoded outbound datagram queued for the sender goroutine.
 type packet struct {
@@ -138,15 +91,15 @@ func putPacket(p *packet) {
 
 // Node is one process attached to the UDP network.
 type Node struct {
-	cfg  Config
+	*framed.Core
 	conn *net.UDPConn
-	box  chan transport.Message
 	out  chan *packet
 	done chan struct{}
 
-	mu     sync.Mutex
-	peers  map[types.ProcessID]*net.UDPAddr
-	closed bool
+	filter func(from types.ProcessID) bool // packet-loss injection, see Listen
+
+	mu    sync.Mutex
+	peers map[types.ProcessID]*net.UDPAddr
 
 	// seq is the node-wide outbound sequence counter, seeded from the wall
 	// clock so a restart never reuses sequence numbers already seen by
@@ -159,12 +112,6 @@ type Node struct {
 	// dedup is owned by the read loop goroutine; no lock needed.
 	dedup map[types.ProcessID]*dedupWindow
 
-	delivered      atomic.Int64
-	frames         atomic.Int64
-	droppedInbound atomic.Int64
-	droppedSend    atomic.Int64
-	dedupDrops     atomic.Int64
-
 	// bs holds the platform batch-syscall state (nil when unavailable).
 	bs *batchState
 
@@ -173,45 +120,51 @@ type Node struct {
 
 var _ transport.Node = (*Node)(nil)
 
-// Listen binds a UDP node for the given process.
-func Listen(cfg Config) (*Node, error) {
-	if !cfg.Self.Valid() {
-		return nil, fmt.Errorf("udpnet: invalid self identity %v", cfg.Self)
+// Listen binds a UDP node for the given process. filter, when non-nil, is
+// the receive-side packet-loss injection hook: it sees the claimed sender of
+// every inbound datagram and returning false drops the datagram exactly as if
+// the network had lost it (the protocols must complete through the surviving
+// quorum). It must be safe for concurrent use.
+func Listen(cfg framed.Config, filter func(from types.ProcessID) bool) (*Node, error) {
+	addr, err := cfg.BindAddr()
+	if err != nil {
+		return nil, err
 	}
-	addr := cfg.ListenAddr
-	if addr == "" {
-		addr = cfg.Book[cfg.Self]
+	conn, _, err := bind(addr)
+	if err != nil {
+		return nil, err
 	}
-	if addr == "" {
-		return nil, fmt.Errorf("%w: %v (set ListenAddr or add a book entry)", ErrNoAddress, cfg.Self)
-	}
+	return newNode(cfg, conn, filter), nil
+}
+
+// bind opens a datagram socket and reports the address it landed on.
+func bind(addr string) (*net.UDPConn, string, error) {
 	ua, err := net.ResolveUDPAddr("udp", addr)
 	if err != nil {
-		return nil, fmt.Errorf("udpnet: resolve %s: %w", addr, err)
+		return nil, "", fmt.Errorf("udpnet: resolve %s: %w", addr, err)
 	}
 	conn, err := net.ListenUDP("udp", ua)
 	if err != nil {
-		return nil, fmt.Errorf("udpnet: listen %s: %w", addr, err)
+		return nil, "", fmt.Errorf("udpnet: listen %s: %w", addr, err)
 	}
-	return newNode(cfg, conn), nil
+	return conn, conn.LocalAddr().String(), nil
 }
 
 // newNode wraps a bound socket in a running Node.
-func newNode(cfg Config, conn *net.UDPConn) *Node {
-	cfg.Book = cfg.Book.Clone()
+func newNode(cfg framed.Config, conn *net.UDPConn, filter func(types.ProcessID) bool) *Node {
 	// Generous kernel buffers absorb bursts the batched syscalls have not
 	// drained yet; loss past that point is the lossy-link model at work.
 	_ = conn.SetReadBuffer(4 << 20)
 	_ = conn.SetWriteBuffer(4 << 20)
 	n := &Node{
-		cfg:   cfg,
-		conn:  conn,
-		box:   make(chan transport.Message, 1024),
-		out:   make(chan *packet, outboundQueueLen),
-		done:  make(chan struct{}),
-		peers: make(map[types.ProcessID]*net.UDPAddr),
-		dedup: make(map[types.ProcessID]*dedupWindow),
-		bs:    newBatchState(conn),
+		Core:   framed.NewCore(cfg),
+		conn:   conn,
+		out:    make(chan *packet, outboundQueueLen),
+		done:   make(chan struct{}),
+		filter: filter,
+		peers:  make(map[types.ProcessID]*net.UDPAddr),
+		dedup:  make(map[types.ProcessID]*dedupWindow),
+		bs:     newBatchState(conn),
 	}
 	n.seq.Store(uint64(time.Now().UnixMicro()))
 	n.wg.Add(2)
@@ -223,23 +176,6 @@ func newNode(cfg Config, conn *net.UDPConn) *Node {
 // Addr returns the address the node is bound to (useful with ":0").
 func (n *Node) Addr() string { return n.conn.LocalAddr().String() }
 
-// ID implements transport.Node.
-func (n *Node) ID() types.ProcessID { return n.cfg.Self }
-
-// Inbox implements transport.Node.
-func (n *Node) Inbox() <-chan transport.Message { return n.box }
-
-// Stats returns a snapshot of the node's delivery and drop counters.
-func (n *Node) Stats() NodeStats {
-	return NodeStats{
-		Delivered:      n.delivered.Load(),
-		Frames:         n.frames.Load(),
-		DroppedInbound: n.droppedInbound.Load(),
-		DroppedSend:    n.droppedSend.Load(),
-		DedupDrops:     n.dedupDrops.Load(),
-	}
-}
-
 // Send implements transport.Node. The payload is fully copied into a pooled
 // datagram buffer before Send returns; ownership is NOT retained. Messages to
 // unknown destinations, oversized single messages and messages arriving at a
@@ -248,17 +184,14 @@ func (n *Node) Stats() NodeStats {
 // envelope too large for one datagram is split into several full datagrams
 // rather than dropped.
 func (n *Node) Send(to types.ProcessID, kind string, payload []byte) error {
-	n.mu.Lock()
-	closed := n.closed
-	n.mu.Unlock()
-	if closed {
-		return ErrClosed
+	if n.Closed() {
+		return framed.ErrClosed
 	}
 	if len(payload) > maxPayloadSize {
 		if kind == wire.BatchKind && wire.IsBatch(payload) {
 			return n.sendChunked(to, payload)
 		}
-		n.droppedSend.Add(1)
+		n.CountSendDrop(1)
 		return fmt.Errorf("udpnet: payload too large (%d bytes)", len(payload))
 	}
 	return n.sendOne(to, kind, payload)
@@ -276,17 +209,17 @@ func (n *Node) sendOne(to types.ProcessID, kind string, payload []byte) error {
 	if err != nil {
 		// Unresolvable peer: the message is lost in transit. Not an error
 		// for the sender in the asynchronous model.
-		n.droppedSend.Add(int64(msgs))
+		n.CountSendDrop(msgs)
 		return nil
 	}
 	p := packetPool.Get().(*packet)
-	p.buf = appendPacket(p.buf[:0], n.seq.Add(1), n.cfg.Self, kind, payload)
+	p.buf = appendPacket(p.buf[:0], n.seq.Add(1), n.ID(), kind, payload)
 	p.addr = addr
 	p.msgs = msgs
 	select {
 	case n.out <- p:
 	default:
-		n.droppedSend.Add(int64(msgs))
+		n.CountSendDrop(msgs)
 		putPacket(p)
 	}
 	return nil
@@ -310,7 +243,7 @@ func (n *Node) sendChunked(to types.ProcessID, envelope []byte) error {
 	}
 	_ = wire.ForEachInBatch(envelope, func(sub []byte) error {
 		if len(sub)+8 > maxPayloadSize {
-			n.droppedSend.Add(1)
+			n.CountSendDrop(1)
 			return nil
 		}
 		if chunk.Count() > 0 && chunk.Size()+4+len(sub) > maxPayloadSize {
@@ -325,17 +258,14 @@ func (n *Node) sendChunked(to types.ProcessID, envelope []byte) error {
 // addrOf resolves and caches a destination's UDP address.
 func (n *Node) addrOf(to types.ProcessID) (*net.UDPAddr, error) {
 	n.mu.Lock()
-	if a, ok := n.peers[to]; ok {
-		n.mu.Unlock()
+	a, ok := n.peers[to]
+	n.mu.Unlock()
+	if ok {
 		return a, nil
 	}
-	addr, ok := n.cfg.Book[to]
-	n.mu.Unlock()
-	if !ok && n.cfg.Resolve != nil {
-		addr, ok = n.cfg.Resolve(to)
-	}
-	if !ok {
-		return nil, fmt.Errorf("%w: %v", ErrNoAddress, to)
+	addr, err := n.AddrOf(to)
+	if err != nil {
+		return nil, err
 	}
 	ua, err := net.ResolveUDPAddr("udp", addr)
 	if err != nil {
@@ -349,13 +279,9 @@ func (n *Node) addrOf(to types.ProcessID) (*net.UDPAddr, error) {
 
 // Close implements transport.Node.
 func (n *Node) Close() error {
-	n.mu.Lock()
-	if n.closed {
-		n.mu.Unlock()
+	if !n.Shut() {
 		return nil
 	}
-	n.closed = true
-	n.mu.Unlock()
 	close(n.done)      // stops the sender goroutine
 	_ = n.conn.Close() // unblocks the read loop
 	n.wg.Wait()
@@ -364,10 +290,10 @@ func (n *Node) Close() error {
 	for {
 		select {
 		case p := <-n.out:
-			n.droppedSend.Add(int64(p.msgs))
+			n.CountSendDrop(p.msgs)
 			putPacket(p)
 		default:
-			close(n.box)
+			n.CloseInbox()
 			return nil
 		}
 	}
@@ -410,7 +336,7 @@ func (n *Node) sendLoop() {
 func (n *Node) writeBatchPortable(pkts []*packet) {
 	for _, p := range pkts {
 		if _, err := n.conn.WriteToUDP(p.buf, p.addr); err != nil {
-			n.droppedSend.Add(int64(p.msgs))
+			n.CountSendDrop(p.msgs)
 		}
 	}
 }
@@ -436,14 +362,14 @@ func (n *Node) readLoopPortable() {
 // points pin a delivered message's arena for as long as the adopted value
 // lives, and pinning a 60 KiB read buffer per register would defeat the pool.
 func (n *Node) handleDatagram(pkt []byte) {
-	n.frames.Add(1)
+	n.CountFrame()
 	seq, from, kind, payload, err := parsePacket(pkt)
 	if err != nil {
 		// Malformed datagrams (hostile or truncated) vanish silently, like
 		// any other undecodable traffic in the asynchronous model.
 		return
 	}
-	if f := n.cfg.ReceiveFilter; f != nil && !f(from) {
+	if n.filter != nil && !n.filter(from) {
 		return
 	}
 	w := n.dedup[from]
@@ -452,7 +378,7 @@ func (n *Node) handleDatagram(pkt []byte) {
 		n.dedup[from] = w
 	}
 	if w.observe(seq) {
-		n.dedupDrops.Add(1)
+		n.CountDedupDrop()
 		return
 	}
 
@@ -460,32 +386,7 @@ func (n *Node) handleDatagram(pkt []byte) {
 	arena := wire.GetArena(len(body))
 	abody := arena.Bytes()
 	copy(abody, body)
-	apayload := abody[len(body)-len(payload):]
-
-	// Batch expansion mirrors tcpnet's readLoop: one arena reference per
-	// delivered message, the creator's reference dropped after expansion.
-	if kind == wire.BatchKind && wire.IsBatch(apayload) {
-		_ = wire.ForEachInBatch(apayload, func(sub []byte) error {
-			arena.Ref()
-			n.deliverInbound(transport.Message{From: from, To: n.cfg.Self, Kind: kind, Payload: sub, Arena: arena})
-			return nil
-		})
-		arena.Release()
-		return
-	}
-	n.deliverInbound(transport.Message{From: from, To: n.cfg.Self, Kind: kind, Payload: apayload, Arena: arena})
-}
-
-// deliverInbound hands one decoded message to the inbox, counting it either
-// way. A dropped message gives its arena reference back immediately.
-func (n *Node) deliverInbound(msg transport.Message) {
-	select {
-	case n.box <- msg:
-		n.delivered.Add(1)
-	default:
-		msg.ReleaseArena()
-		n.droppedInbound.Add(1)
-	}
+	n.Deliver(from, kind, abody[len(body)-len(payload):], arena)
 }
 
 // dedupWindow is one sender's at-most-once state: the highest sequence seen
@@ -535,80 +436,25 @@ func (w *dedupWindow) observe(s uint64) bool {
 }
 
 // appendPacket encodes one datagram: the sequence number followed by the
-// tcpnet frame body (sender identity, kind, payload) — no length prefix, the
-// datagram boundary is the frame boundary.
+// framed body — no length prefix, the datagram boundary is the frame
+// boundary.
 func appendPacket(buf []byte, seq uint64, from types.ProcessID, kind string, payload []byte) []byte {
-	buf = binary.BigEndian.AppendUint64(buf, seq)
-	buf = append(buf, byte(from.Role))
-	buf = binary.BigEndian.AppendUint32(buf, uint32(from.Index))
-	buf = binary.BigEndian.AppendUint16(buf, uint16(len(kind)))
-	buf = append(buf, kind...)
-	buf = binary.BigEndian.AppendUint32(buf, uint32(len(payload)))
-	buf = append(buf, payload...)
-	return buf
+	return framed.AppendBody(binary.BigEndian.AppendUint64(buf, seq), from, kind, payload)
 }
 
-// parsePacket decodes one datagram. The returned kind and payload ALIAS pkt;
-// every view is bounds-checked against the datagram length (the fuzz target
-// FuzzParsePacket holds parsePacket to "never panic, views in bounds" on
-// arbitrary input).
+// parsePacket decodes one datagram; the returned payload ALIASES pkt.
 func parsePacket(pkt []byte) (seq uint64, from types.ProcessID, kind string, payload []byte, err error) {
-	if len(pkt) < packetOverhead {
-		err = errors.New("udpnet: truncated datagram")
-		return
+	if len(pkt) < 8 {
+		return 0, types.ProcessID{}, "", nil, fmt.Errorf("udpnet: datagram of %d bytes has no sequence number", len(pkt))
 	}
-	seq = binary.BigEndian.Uint64(pkt)
-	body := pkt[8:]
-	from = types.ProcessID{Role: types.Role(body[0]), Index: int(binary.BigEndian.Uint32(body[1:5]))}
-	if !from.Valid() {
-		err = fmt.Errorf("udpnet: invalid sender %v", from)
-		return
-	}
-	off := 5
-	kindLen := int(binary.BigEndian.Uint16(body[off : off+2]))
-	off += 2
-	if off+kindLen+4 > len(body) {
-		err = errors.New("udpnet: truncated kind")
-		return
-	}
-	// Nearly every datagram under load is a coalesced batch; comparing
-	// against the constant avoids materialising a kind string per datagram.
-	if kindBytes := body[off : off+kindLen]; string(kindBytes) == wire.BatchKind {
-		kind = wire.BatchKind
-	} else {
-		kind = string(kindBytes)
-	}
-	off += kindLen
-	payloadLen := int(binary.BigEndian.Uint32(body[off : off+4]))
-	off += 4
-	if payloadLen < 0 || off+payloadLen != len(body) {
-		err = errors.New("udpnet: inconsistent payload length")
-		kind = ""
-		return
-	}
-	payload = body[off:]
-	return
+	from, kind, payload, err = framed.ParseBody(pkt[8:])
+	return binary.BigEndian.Uint64(pkt), from, kind, payload, err
 }
 
 // LocalCluster binds one UDP node per identity, all on loopback with
 // ephemeral ports, and returns them along with the shared address book.
 func LocalCluster(ids []types.ProcessID) (map[types.ProcessID]*Node, transport.AddressBook, error) {
-	conns := make(map[types.ProcessID]*net.UDPConn, len(ids))
-	book := make(transport.AddressBook, len(ids))
-	for _, id := range ids {
-		conn, err := net.ListenUDP("udp", &net.UDPAddr{IP: net.IPv4(127, 0, 0, 1)})
-		if err != nil {
-			for _, prev := range conns {
-				_ = prev.Close()
-			}
-			return nil, nil, err
-		}
-		conns[id] = conn
-		book[id] = conn.LocalAddr().String()
-	}
-	nodes := make(map[types.ProcessID]*Node, len(ids))
-	for _, id := range ids {
-		nodes[id] = newNode(Config{Self: id, Book: book}, conns[id])
-	}
-	return nodes, book, nil
+	return framed.LocalCluster(ids, bind, func(cfg framed.Config, conn *net.UDPConn) *Node {
+		return newNode(cfg, conn, nil)
+	})
 }

@@ -2,12 +2,12 @@ package udpnet
 
 import (
 	"bytes"
-	"fmt"
 	"net"
 	"testing"
 	"time"
 
 	"fastread/internal/transport"
+	"fastread/internal/transport/framed"
 	"fastread/internal/types"
 	"fastread/internal/wire"
 )
@@ -25,82 +25,6 @@ func recvOne(t *testing.T, n *Node) transport.Message {
 	case <-time.After(5 * time.Second):
 		t.Fatalf("no message delivered to %v", n.ID())
 		return transport.Message{}
-	}
-}
-
-func TestUDPSendReceive(t *testing.T) {
-	a, b := testIDs()
-	nodes, _, err := LocalCluster([]types.ProcessID{a, b})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer func() {
-		for _, n := range nodes {
-			_ = n.Close()
-		}
-	}()
-
-	if err := nodes[a].Send(b, "kind", []byte("payload")); err != nil {
-		t.Fatal(err)
-	}
-	m := recvOne(t, nodes[b])
-	if m.From != a || m.Kind != "kind" || string(m.Payload) != "payload" {
-		t.Fatalf("got %v %q %q", m.From, m.Kind, m.Payload)
-	}
-	if m.Arena == nil {
-		t.Fatal("delivered message carries no arena")
-	}
-	m.ReleaseArena()
-
-	st := nodes[b].Stats()
-	if st.Delivered != 1 || st.Frames != 1 {
-		t.Fatalf("stats = %+v, want 1 delivered / 1 frame", st)
-	}
-}
-
-// TestUDPBatchExpansion checks a batch envelope leaves as one datagram and
-// arrives as its individual messages, every view carrying a reference to one
-// shared arena.
-func TestUDPBatchExpansion(t *testing.T) {
-	a, b := testIDs()
-	nodes, _, err := LocalCluster([]types.ProcessID{a, b})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer func() {
-		for _, n := range nodes {
-			_ = n.Close()
-		}
-	}()
-
-	batch := wire.NewBatch(0)
-	const msgs = 5
-	for i := 0; i < msgs; i++ {
-		batch.Append([]byte(fmt.Sprintf("entry-%d", i)))
-	}
-	if err := nodes[a].Send(b, wire.BatchKind, batch.Bytes()); err != nil {
-		t.Fatal(err)
-	}
-
-	var arena *wire.Arena
-	for i := 0; i < msgs; i++ {
-		m := recvOne(t, nodes[b])
-		if want := fmt.Sprintf("entry-%d", i); string(m.Payload) != want {
-			t.Fatalf("entry %d = %q, want %q", i, m.Payload, want)
-		}
-		if m.Arena == nil {
-			t.Fatalf("entry %d carries no arena", i)
-		}
-		if arena == nil {
-			arena = m.Arena
-		} else if m.Arena != arena {
-			t.Fatalf("entry %d on a different arena", i)
-		}
-		m.ReleaseArena()
-	}
-	st := nodes[b].Stats()
-	if st.Delivered != msgs || st.Frames != 1 {
-		t.Fatalf("stats = %+v, want %d delivered / 1 frame", st, msgs)
 	}
 }
 
@@ -230,31 +154,22 @@ func TestUDPDedupEndToEnd(t *testing.T) {
 func TestUDPReceiveFilter(t *testing.T) {
 	a, b := testIDs()
 	blocked := types.ProcessID{Role: types.RoleServer, Index: 3}
-	nodes, book, err := LocalCluster([]types.ProcessID{a, blocked})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer func() {
-		for _, n := range nodes {
-			_ = n.Close()
-		}
-	}()
-
-	sink, err := Listen(Config{
-		Self:          b,
-		ListenAddr:    "127.0.0.1:0",
-		Book:          book,
-		ReceiveFilter: func(from types.ProcessID) bool { return from != blocked },
-	})
+	sink, err := Listen(framed.Config{Self: b, ListenAddr: "127.0.0.1:0"},
+		func(from types.ProcessID) bool { return from != blocked })
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer sink.Close()
-	book[b] = sink.Addr()
-	// The LocalCluster nodes cloned the book before b joined; point them at
-	// the sink explicitly.
-	nodes[a].cfg.Book[b] = sink.Addr()
-	nodes[blocked].cfg.Book[b] = sink.Addr()
+	book := transport.AddressBook{b: sink.Addr()}
+	nodes := make(map[types.ProcessID]*Node)
+	for _, id := range []types.ProcessID{a, blocked} {
+		n, err := Listen(framed.Config{Self: id, ListenAddr: "127.0.0.1:0", Book: book}, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer n.Close()
+		nodes[id] = n
+	}
 
 	if err := nodes[blocked].Send(b, "k", []byte("dropped")); err != nil {
 		t.Fatal(err)
@@ -274,55 +189,10 @@ func TestUDPReceiveFilter(t *testing.T) {
 	}
 }
 
-// TestUDPSendDropsCounted verifies unreachable destinations and oversized
-// payloads surface as send drops rather than errors or blocking.
-func TestUDPSendDropsCounted(t *testing.T) {
-	a, b := testIDs()
-	nodes, _, err := LocalCluster([]types.ProcessID{a})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer func() {
-		for _, n := range nodes {
-			_ = n.Close()
-		}
-	}()
-
-	if err := nodes[a].Send(b, "k", []byte("nowhere")); err != nil {
-		t.Fatalf("send to unknown peer = %v, want silent drop", err)
-	}
-	if err := nodes[a].Send(a, "k", make([]byte, maxPayloadSize+1)); err == nil {
-		t.Fatal("oversized non-batch payload accepted")
-	}
-	if st := nodes[a].Stats(); st.DroppedSend != 2 {
-		t.Fatalf("DroppedSend = %d, want 2", st.DroppedSend)
-	}
-}
-
-func TestUDPClosedNode(t *testing.T) {
-	a, _ := testIDs()
-	nodes, _, err := LocalCluster([]types.ProcessID{a})
-	if err != nil {
-		t.Fatal(err)
-	}
-	n := nodes[a]
-	if err := n.Close(); err != nil {
-		t.Fatal(err)
-	}
-	if err := n.Close(); err != nil {
-		t.Fatal("second Close not idempotent:", err)
-	}
-	if err := n.Send(a, "k", []byte("x")); err != ErrClosed {
-		t.Fatalf("Send after Close = %v, want ErrClosed", err)
-	}
-	if _, ok := <-n.Inbox(); ok {
-		t.Fatal("inbox not closed")
-	}
-}
-
 // FuzzParsePacket holds the datagram parser to its contract on arbitrary
 // input: never panic, and on success return views strictly inside the packet
-// with a sender identity that passed validation.
+// with a sender identity that passed validation. Past the sequence number the
+// work is framed.ParseBody's, which framed.FuzzFrameBody fuzzes directly.
 func FuzzParsePacket(f *testing.F) {
 	a, _ := testIDs()
 	f.Add(appendPacket(nil, 7, a, "kind", []byte("payload")))

@@ -116,6 +116,9 @@ func TestOverloadAcceptance(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	if len(points) != 3 {
+		t.Fatalf("sweep of 3 rates returned %d points: %+v", len(points), points)
+	}
 	knee, ok := workload.Knee(points, 100*time.Millisecond)
 	if !ok {
 		t.Fatalf("no knee under 100ms p99 in sweep: %+v", points)

@@ -8,8 +8,8 @@ import (
 	"time"
 
 	"fastread/internal/transport"
-	"fastread/internal/transport/tcpnet"
-	"fastread/internal/transport/udpnet"
+	"fastread/internal/transport/framed"
+	"fastread/internal/transport/socknet"
 	"fastread/internal/types"
 )
 
@@ -43,7 +43,7 @@ type Transport interface {
 	String() string
 
 	// connect opens one deployment's network session. Sealed: transports are
-	// constructed with InMemory or TCP.
+	// constructed with InMemory, TCP or UDP.
 	connect(cfg Config) (transportSession, error)
 }
 
@@ -188,20 +188,6 @@ func (s *inMemSession) stats() sessionStats {
 	}
 }
 
-// TCPOption tweaks the TCP backend.
-type TCPOption func(*tcpTransport)
-
-// WithDialTimeout bounds connection establishment to a peer (default 2s).
-func WithDialTimeout(d time.Duration) TCPOption {
-	return func(t *tcpTransport) { t.dialTimeout = d }
-}
-
-// WithWriteTimeout bounds a single buffered-frame flush to a peer's socket
-// (default 2s).
-func WithWriteTimeout(d time.Duration) TCPOption {
-	return func(t *tcpTransport) { t.writeTimeout = d }
-}
-
 // TCP returns a transport backend that attaches every process of the
 // deployment to a real TCP socket. The deployment then behaves exactly as a
 // distributed one — length-prefixed frames over per-peer connections, lazy
@@ -224,139 +210,12 @@ func WithWriteTimeout(d time.Duration) TCPOption {
 //
 // Fault-injection capabilities (CrashServer, Network) report ErrUnsupported
 // on this backend.
-func TCP(book map[string]string, opts ...TCPOption) Transport {
-	t := &tcpTransport{book: maps.Clone(book)}
-	for _, opt := range opts {
-		opt(t)
-	}
-	return t
-}
-
-// tcpTransport holds the deployment-independent TCP parameters.
-type tcpTransport struct {
-	book         map[string]string
-	dialTimeout  time.Duration
-	writeTimeout time.Duration
-}
-
-func (t *tcpTransport) String() string { return "tcp" }
-
-func (t *tcpTransport) connect(cfg Config) (transportSession, error) {
-	return newSocketSession("TCP", t.book, func(s *socketSession, id types.ProcessID, listenAddr string) (socketNode, error) {
-		node, err := tcpnet.Listen(tcpnet.Config{
-			Self:         id,
-			ListenAddr:   listenAddr,
-			Book:         s.static,
-			Resolve:      s.resolve,
-			DialTimeout:  t.dialTimeout,
-			WriteTimeout: t.writeTimeout,
-		})
-		if err != nil {
-			return socketNode{}, err
-		}
-		return socketNode{Node: node, addr: node.Addr(), fold: func(out *sessionStats) {
-			ns := node.Stats()
-			out.delivered += int(ns.Delivered)
-			out.frames += int(ns.Frames)
-			out.sendDrops += int(ns.DroppedSend)
-			out.inboundDrops += int(ns.DroppedInbound)
-		}}, nil
-	})
-}
-
-// socketNode is one process's socket as a socketSession tracks it: the node,
-// the address it actually bound, and how to add its counters to a snapshot
-// (the backends' stats structs differ).
-type socketNode struct {
-	transport.Node
-	addr string
-	fold func(*sessionStats)
-}
-
-// socketSession is one store's deployment over a socket backend (TCP or
-// UDP): each joined process owns a socket bound by listen, and processes the
-// static book does not cover are resolved through the live table filled in at
-// join time.
-type socketSession struct {
-	static transport.AddressBook
-	listen func(s *socketSession, id types.ProcessID, listenAddr string) (socketNode, error)
-
-	mu    sync.Mutex
-	live  transport.AddressBook
-	nodes []socketNode
-}
-
-// newSocketSession parses a transport's textual address book (backend names
-// it in errors) into a session that binds sockets with listen.
-func newSocketSession(backend string, book map[string]string, listen func(*socketSession, types.ProcessID, string) (socketNode, error)) (transportSession, error) {
-	s := &socketSession{listen: listen, live: make(transport.AddressBook)}
-	if len(book) > 0 {
-		var err error
-		if s.static, err = transport.BookFromMembers(book); err != nil {
-			return nil, fmt.Errorf("fastread: %s address book: %w", backend, err)
-		}
-	}
-	return s, nil
-}
-
-func (s *socketSession) join(id types.ProcessID) (transport.Node, error) {
-	listenAddr := s.static[id]
-	if listenAddr == "" {
-		listenAddr = "127.0.0.1:0"
-	}
-	node, err := s.listen(s, id, listenAddr)
-	if err != nil {
-		return nil, err
-	}
-	s.mu.Lock()
-	s.live[id] = node.addr
-	s.nodes = append(s.nodes, node)
-	s.mu.Unlock()
-	return node.Node, nil
-}
-
-// resolve serves the live address table to every node of the session; it
-// covers the ephemeral-port processes the static book cannot name up front.
-func (s *socketSession) resolve(id types.ProcessID) (string, bool) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	addr, ok := s.live[id]
-	return addr, ok
-}
-
-func (s *socketSession) close() error {
-	// Keep the node list so stats() stays meaningful after close; Node.Close
-	// is idempotent.
-	s.mu.Lock()
-	nodes := append([]socketNode(nil), s.nodes...)
-	s.mu.Unlock()
-	var first error
-	for _, n := range nodes {
-		if err := n.Close(); err != nil && first == nil {
-			first = err
-		}
-	}
-	return first
-}
-
-func (s *socketSession) crash(id types.ProcessID) error {
-	return fmt.Errorf("%w: crash injection requires the in-memory network (kill the process instead)", ErrUnsupported)
-}
-
-func (s *socketSession) inMem() *transport.InMemNetwork { return nil }
-
-func (s *socketSession) stats() sessionStats {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	var out sessionStats
-	for _, n := range s.nodes {
-		n.fold(&out)
-	}
-	return out
+func TCP(book map[string]string) Transport {
+	return &socketTransport{backend: "tcp", book: maps.Clone(book)}
 }
 
 // UDPOption tweaks the UDP backend.
-type UDPOption func(*udpTransport)
+type UDPOption func(*socketTransport)
 
 // WithReceiveFilter installs a receive-side datagram filter on every process
 // of the deployment: keep is called with the textual identity of each
@@ -365,7 +224,9 @@ type UDPOption func(*udpTransport)
 // packet-loss injection in tests — the protocols must complete through the
 // surviving quorum — and must be safe for concurrent use.
 func WithReceiveFilter(keep func(from string) bool) UDPOption {
-	return func(t *udpTransport) { t.filter = keep }
+	return func(t *socketTransport) {
+		t.filter = func(from types.ProcessID) bool { return keep(from.String()) }
+	}
 }
 
 // UDP returns the raw-speed transport backend: every process of the
@@ -387,44 +248,109 @@ func WithReceiveFilter(keep func(from string) bool) UDPOption {
 // Fault-injection capabilities (CrashServer, Network) report ErrUnsupported
 // on this backend; packet loss is injected with WithReceiveFilter instead.
 func UDP(book map[string]string, opts ...UDPOption) Transport {
-	t := &udpTransport{book: maps.Clone(book)}
+	t := &socketTransport{backend: "udp", book: maps.Clone(book)}
 	for _, opt := range opts {
 		opt(t)
 	}
 	return t
 }
 
-// udpTransport holds the deployment-independent UDP parameters.
-type udpTransport struct {
-	book   map[string]string
-	filter func(from string) bool
+// socketTransport holds the deployment-independent parameters of a socket
+// backend; socknet.Listen turns its backend name into a carrier.
+type socketTransport struct {
+	backend string
+	book    map[string]string
+	filter  func(from types.ProcessID) bool
 }
 
-func (t *udpTransport) String() string { return "udp" }
+func (t *socketTransport) String() string { return t.backend }
 
-func (t *udpTransport) connect(cfg Config) (transportSession, error) {
-	var filter func(types.ProcessID) bool
-	if keep := t.filter; keep != nil {
-		filter = func(from types.ProcessID) bool { return keep(from.String()) }
-	}
-	return newSocketSession("UDP", t.book, func(s *socketSession, id types.ProcessID, listenAddr string) (socketNode, error) {
-		node, err := udpnet.Listen(udpnet.Config{
-			Self:          id,
-			ListenAddr:    listenAddr,
-			Book:          s.static,
-			Resolve:       s.resolve,
-			ReceiveFilter: filter,
-		})
-		if err != nil {
-			return socketNode{}, err
+func (t *socketTransport) connect(cfg Config) (transportSession, error) {
+	s := &socketSession{tr: t, live: make(transport.AddressBook)}
+	if len(t.book) > 0 {
+		var err error
+		if s.static, err = transport.BookFromMembers(t.book); err != nil {
+			return nil, fmt.Errorf("fastread: %s address book: %w", t.backend, err)
 		}
-		return socketNode{Node: node, addr: node.Addr(), fold: func(out *sessionStats) {
-			ns := node.Stats()
-			out.delivered += int(ns.Delivered)
-			out.frames += int(ns.Frames)
-			out.sendDrops += int(ns.DroppedSend)
-			out.inboundDrops += int(ns.DroppedInbound)
-			out.dedupDrops += int(ns.DedupDrops)
-		}}, nil
-	})
+	}
+	return s, nil
+}
+
+// socketSession is one store's deployment over a socket backend: each joined
+// process owns a socket, and processes the static book does not cover are
+// resolved through the live table filled in at join time.
+type socketSession struct {
+	tr     *socketTransport
+	static transport.AddressBook
+
+	mu    sync.Mutex
+	live  transport.AddressBook
+	nodes []socknet.Node
+}
+
+func (s *socketSession) join(id types.ProcessID) (transport.Node, error) {
+	listenAddr := s.static[id]
+	if listenAddr == "" {
+		listenAddr = "127.0.0.1:0"
+	}
+	node, err := socknet.Listen(s.tr.backend, framed.Config{
+		Self:       id,
+		ListenAddr: listenAddr,
+		Book:       s.static,
+		Resolve:    s.resolve,
+	}, s.tr.filter)
+	if err != nil {
+		return nil, err
+	}
+	s.mu.Lock()
+	s.live[id] = node.Addr()
+	s.nodes = append(s.nodes, node)
+	s.mu.Unlock()
+	return node, nil
+}
+
+// resolve serves the live address table to every node of the session; it
+// covers the ephemeral-port processes the static book cannot name up front.
+func (s *socketSession) resolve(id types.ProcessID) (string, bool) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	addr, ok := s.live[id]
+	return addr, ok
+}
+
+func (s *socketSession) close() error {
+	// Keep the node list so stats() stays meaningful after close; Node.Close
+	// is idempotent.
+	s.mu.Lock()
+	nodes := append([]socknet.Node(nil), s.nodes...)
+	s.mu.Unlock()
+	var first error
+	for _, n := range nodes {
+		if err := n.Close(); err != nil && first == nil {
+			first = err
+		}
+	}
+	return first
+}
+
+func (s *socketSession) crash(id types.ProcessID) error {
+	return fmt.Errorf("%w: crash injection requires the in-memory network (kill the process instead)", ErrUnsupported)
+}
+
+func (s *socketSession) inMem() *transport.InMemNetwork { return nil }
+
+func (s *socketSession) stats() sessionStats {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	var sum framed.Stats
+	for _, n := range s.nodes {
+		sum.Add(n.Stats())
+	}
+	return sessionStats{
+		delivered:    int(sum.Delivered),
+		frames:       int(sum.Frames),
+		sendDrops:    int(sum.DroppedSend),
+		inboundDrops: int(sum.DroppedInbound),
+		dedupDrops:   int(sum.DedupDrops),
+	}
 }
