@@ -202,6 +202,19 @@
 // distinct registers are served concurrently across cores while every
 // register keeps FIFO, single-goroutine handling.
 //
+// Between a Send and the code that handles the message there is exactly one
+// queue — the destination node's — and exactly one wake-up — that node's
+// consumer (transport.Consume). A server's executor runs the node's mailbox
+// on its own goroutine; a client identity's one demux pump does the same and
+// CALLS the engine of the handle a message is for (a demux route is a table
+// entry bound to its protoutil.Pipeline, not a goroutine and a channel), so a
+// register costs no goroutine and a few kilobytes, and a read's
+// acknowledgement wakes nobody between the node's queue and the caller's
+// future. Send never runs receiver code, so that queue stays the one
+// asynchronous boundary. Channels survive behind Node.Inbox for code that
+// wants to select on one (tests, the layer benchmarks); the product path does
+// not go through them.
+//
 // Anyone writing protocol code must follow the codec's buffer-ownership
 // rules — encoded payloads are immutable, decoded views may alias them, and
 // retained data is cloned exactly at its retention point — spelled out in
@@ -255,9 +268,11 @@
 // within the budget returns ErrOverloaded instead of queueing), and
 // Config.QueueBound caps each server's inbound queues, shedding excess
 // messages into Stats.ShedDrops rather than growing mailboxes without
-// bound. Client acknowledgement mailboxes are deliberately never bounded:
-// dropping acks could starve quorums that were already completable. Both
-// knobs default to off, preserving the original never-drop semantics.
+// bound. QueueBound deliberately never bounds a client's acknowledgement
+// mailbox: dropping acks could starve quorums that were already completable.
+// A deployment that must bound client-side memory too sets Config.RouteBound,
+// which caps each client identity's mailbox the same way. All three knobs
+// default to off, preserving the original never-drop semantics.
 //
 // Benchmarks quantifying each layer live in bench_test.go; BENCH_2.json,
 // BENCH_3.json, BENCH_5.json, BENCH_6.json, BENCH_8.json and BENCH_10.json

@@ -3,10 +3,10 @@
 // Every client operation of every protocol is the same choreography around a
 // different decision: reserve an in-flight slot; under the handle's mutex
 // issue the nonce, build the request, register for its acknowledgements and
-// only then broadcast (so no acknowledgement races past the dispatcher, and
+// only then broadcast (so no acknowledgement is delivered unmatched, and
 // pipelined requests hit every link in nonce order); collect `need`
 // acknowledgements from distinct servers; run the protocol's decision outside
-// the dispatcher's lock; then either resolve the caller's future and free the
+// the pipeline's lock; then either resolve the caller's future and free the
 // slot, or send the operation's next round on the SAME slot. Client is that
 // choreography, written once; a protocol supplies Rounds — its request
 // builder, its acceptance rule, its quorum size and what a quorum means — and
@@ -66,7 +66,7 @@ type ClientConfig struct {
 // Rounds is what one protocol supplies to the client engine: the description
 // of an operation's round-trips. Begin and Finish run under the handle's
 // mutex — one at a time per handle, so they may touch the protocol client's
-// own state freely — and Accept runs on the dispatcher, so it may read only
+// own state freely — and Accept runs on the delivering goroutine, so it may read only
 // the Call and immutable configuration.
 type Rounds[T any] struct {
 	// Name prefixes errors and trace events ("core read", "abd write", ...).
@@ -164,8 +164,8 @@ type Client[T any] struct {
 	pl      *Pipeline
 	tr      *trace.Trace
 
-	// nonce is written under mu (NextNonce) and read from the dispatcher
-	// (Issued).
+	// nonce is written under mu (NextNonce) and read from the delivering
+	// goroutine (Issued).
 	nonce atomic.Int64
 
 	mu    sync.Mutex
@@ -174,8 +174,8 @@ type Client[T any] struct {
 	free  []*Call[T]
 }
 
-// NewClient builds the engine for one handle over the given node and starts
-// its dispatcher.
+// NewClient builds the engine for one handle over the given node and makes it
+// the node's consumer (see NewPipeline).
 func NewClient[T any](cfg ClientConfig, node transport.Node, rounds Rounds[T]) (*Client[T], error) {
 	if err := cfg.Quorum.Validate(); err != nil {
 		return nil, err
@@ -289,7 +289,7 @@ func (cl *Client[T]) send(c *Call[T]) (*Op, error) {
 	err := broadcast(cl.node, cl.servers, &c.Req, cl.tr)
 	if errors.Is(err, transport.ErrClosed) {
 		// The handle's node is gone: one condition, one sentinel, whether the
-		// submitter or the dispatcher notices first.
+		// submitter or the delivering goroutine notices first.
 		err = fmt.Errorf("%w: %w", ErrInboxClosed, err)
 	}
 	c.Req.Cur, c.Req.Prev, c.Req.WriterSig = nil, nil, nil

@@ -1,14 +1,14 @@
 // Acknowledgement demultiplexer: the lower half of the client engine.
 //
-// A Pipeline keeps up to N operations of one client handle in flight: a
-// single dispatcher goroutine drains the node's inbox and offers every
-// acknowledgement to every pending operation, so operations complete
-// independently, in whatever order their quorums assemble. The protocols'
-// per-operation nonces (read counters, write timestamps) are what keep
-// concurrent operations' acknowledgements apart — the pipeline adds no wire
-// state of its own, and a serial operation is exactly a pipeline of depth
-// one. Client (client.go) is the upper half: it runs a protocol's round
-// description on a Pipeline and is the only thing the protocol packages see.
+// A Pipeline keeps up to N operations of one client handle in flight: every
+// acknowledgement delivered to the handle's node is offered to every pending
+// operation, so operations complete independently, in whatever order their
+// quorums assemble. The protocols' per-operation nonces (read counters, write
+// timestamps) are what keep concurrent operations' acknowledgements apart —
+// the pipeline adds no wire state of its own, and a serial operation is
+// exactly a pipeline of depth one. Client (client.go) is the upper half: it
+// runs a protocol's round description on a Pipeline and is the only thing the
+// protocol packages see.
 package protoutil
 
 import (
@@ -36,19 +36,34 @@ const DefaultPipelineDepth = 16
 const MaxPipelineDepth = 512
 
 // Pipeline demultiplexes acknowledgements for up to `depth` concurrent
-// in-flight operations over one client node; one Pipeline owns one node's
-// inbox.
+// in-flight operations over one client node; one Pipeline is one node's
+// consumer.
 //
-// Lifecycle: the dispatcher goroutine starts with the pipeline (it must
-// drain the inbox even before the first operation — see NewPipeline) and
-// exits when the node's inbox closes (the node, its demux route, or the
-// whole store shut down), failing every still-pending operation with
-// ErrInboxClosed.
+// Delivery: a Pipeline is a transport.Sink, and over a node that can call one
+// — a demux route, which is what every Store and regclient handle is — it
+// owns no goroutine: the demux pump calls Deliver on its own goroutine, so an
+// acknowledgement goes from the physical node's queue to the operation it
+// completes without waking anyone in between, and a handle costs its slots
+// and pending operations, nothing else. Over any other node the pipeline
+// starts a dispatcher goroutine that consumes the node's inbox into the same
+// Deliver. Either way the pipeline consumes from construction, not lazily on
+// first use: a handle that has not submitted anything yet can still RECEIVE
+// traffic — a reader incarnation created by a restart inherits the
+// acknowledgements its predecessor's aborted operations left in flight — and
+// an unconsumed node queues forever (and, under the virtual clock, holds an
+// activity token that stalls the event loop outright).
+//
+// When the node closes (the node, its demux route, or the whole store shut
+// down) every still-pending operation fails with ErrInboxClosed.
 //
 // Locking: p.mu orders registration, matching and completion. Completions
 // are ALWAYS invoked outside p.mu (a completion takes its client handle's own
 // mutex, and the submission path holds that mutex while registering —
-// invoking completions under p.mu would invert that order).
+// invoking completions under p.mu would invert that order). Because Deliver
+// runs on the goroutine that serves every handle of the node, nothing it
+// reaches may block: a completion only takes the handle's mutex, closes a
+// future's channel or broadcasts the operation's next round, and Send never
+// blocks on any transport.
 type Pipeline struct {
 	node transport.Node
 	tr   *trace.Trace
@@ -61,19 +76,28 @@ type Pipeline struct {
 	closed bool
 	ops    []*Op
 
-	// done closes when the dispatcher exits; Acquire uses it to fail fast on
+	// scratch is Deliver's decode target. Deliver calls are sequential, and
+	// the pipeline's traffic names one register, so the decoded key hits the
+	// message's memo every time.
+	scratch wire.Message
+
+	// done closes when the node has closed; Acquire uses it to fail fast on
 	// a dead pipeline instead of blocking on a slot forever.
 	done chan struct{}
 }
 
+var _ transport.Sink = (*Pipeline)(nil)
+
+// sinkBinder is implemented by nodes that deliver by calling a sink instead
+// of feeding a channel (transport's demux routes).
+type sinkBinder interface {
+	BindSink(transport.Sink) bool
+}
+
 // NewPipeline builds an engine over the node with the given in-flight depth
-// (DefaultPipelineDepth if depth <= 0) and starts its dispatcher. The
-// dispatcher must run from construction, not lazily on first use: a handle
-// that has not submitted anything yet can still RECEIVE traffic — a reader
-// incarnation created by a restart inherits the acknowledgements its
-// predecessor's aborted operations left in flight — and an unconsumed inbox
-// queues forever (and, under the virtual clock, holds an activity token
-// that stalls the event loop outright).
+// (DefaultPipelineDepth if depth <= 0) and makes it the node's consumer: the
+// node's sink when the node takes one, a dispatcher goroutine over its inbox
+// otherwise.
 func NewPipeline(node transport.Node, depth int, tr *trace.Trace) *Pipeline {
 	if depth <= 0 {
 		depth = DefaultPipelineDepth
@@ -87,7 +111,12 @@ func NewPipeline(node transport.Node, depth int, tr *trace.Trace) *Pipeline {
 		slots: make(chan struct{}, depth),
 		done:  make(chan struct{}),
 	}
-	go p.dispatch()
+	if b, ok := node.(sinkBinder); !ok || !b.BindSink(p) {
+		go func() {
+			transport.Consume(node, p.Deliver, nil)
+			p.Closed()
+		}()
+	}
 	return p
 }
 
@@ -193,9 +222,12 @@ func (h *funcHandler) complete(acks []Ack, err error) bool {
 
 // Register adds an operation waiting for `need` acknowledgements accepted by
 // the filter (nil accepts every decodable server message); complete runs
-// exactly once, outside the pipeline mutex, and the slot frees after it. It
-// is the closure spelling of the engine's registration, kept for measuring
-// the pipeline alone (cmd/benchreport's protoutil.pipeline_op_us cell).
+// exactly once, outside the pipeline mutex, and the slot frees after it. Like
+// every completion it may run on the goroutine that delivers to every handle
+// of the node, so it must not block: hand the result to a buffered channel or
+// close one. It is the closure spelling of the engine's registration, kept
+// for measuring the pipeline alone (cmd/benchreport's
+// protoutil.pipeline_op_us cell).
 func (p *Pipeline) Register(need int, filter AckFilter, complete func(acks []Ack, err error)) *Op {
 	op := &Op{p: p, need: need}
 	op.fn = funcHandler{filter: filter, done: complete}
@@ -211,7 +243,7 @@ func (p *Pipeline) registerHandler(need int, h opHandler) *Op {
 
 // register adds the operation to the pending set. The caller must hold a slot
 // from Acquire and registers BEFORE broadcasting its request, so no
-// acknowledgement can race past the dispatcher unmatched. An operation that
+// acknowledgement can be delivered unmatched. An operation that
 // cannot wait completes asynchronously (the caller typically holds its
 // handle mutex, and the completion will want it too), still exactly once:
 // with ErrInboxClosed on a dead pipeline, and at once with no
@@ -244,7 +276,7 @@ func (p *Pipeline) register(op *Op) *Op {
 // Abort fails the operation with the given error if it has not completed
 // yet: it is deregistered, its completion runs with err, and its slot frees.
 // Aborting one operation never disturbs its siblings — their
-// acknowledgements keep flowing through the dispatcher. Abort after
+// acknowledgements keep being delivered. Abort after
 // completion is a no-op, so racing a quorum is safe.
 func (op *Op) Abort(err error) {
 	p := op.p
@@ -290,30 +322,26 @@ func (p *Pipeline) removeLocked(op *Op) {
 	}
 }
 
-// dispatch drains the inbox until the node closes, routing every delivered
-// acknowledgement to the operations it satisfies. Batch envelopes are
-// expanded inline; decoding reuses one pooled scratch message, so traffic
-// that matches no operation costs no allocations.
-func (p *Pipeline) dispatch() {
-	defer close(p.done)
-	scratch := wire.GetMessage()
-	defer wire.PutMessage(scratch)
-	for m := range p.node.Inbox() {
-		if wire.IsBatch(m.Payload) {
-			from, arena := m.From, m.Arena
-			_ = wire.ForEachInBatch(m.Payload, func(sub []byte) error {
-				p.handlePayload(from, sub, arena, scratch)
-				return nil
-			})
-		} else {
-			p.handlePayload(m.From, m.Payload, m.Arena, scratch)
-		}
-		// The delivered message's own arena reference; accepted acks took
-		// their own in handlePayload.
-		m.ReleaseArena()
+// Deliver implements transport.Sink: it routes one delivered message — a
+// single acknowledgement or a batch envelope of them — to the operations it
+// satisfies, then releases the message's reference (accepted acks took their
+// own in handlePayload). Decoding reuses the pipeline's scratch message, so
+// traffic that matches no operation costs no allocations.
+func (p *Pipeline) Deliver(m transport.Message) {
+	if wire.IsBatch(m.Payload) {
+		_ = wire.ForEachInBatch(m.Payload, func(sub []byte) error {
+			p.handlePayload(m.From, sub, m.Arena)
+			return nil
+		})
+	} else {
+		p.handlePayload(m.From, m.Payload, m.Arena)
 	}
+	m.ReleaseArena()
+}
 
-	// Inbox closed: every pending operation dies with ErrInboxClosed.
+// Closed implements transport.Sink: the node is gone, so every pending
+// operation dies with ErrInboxClosed and every later one is refused.
+func (p *Pipeline) Closed() {
 	p.mu.Lock()
 	p.closed = true
 	pending := p.ops
@@ -322,6 +350,7 @@ func (p *Pipeline) dispatch() {
 		op.done = true
 	}
 	p.mu.Unlock()
+	close(p.done)
 	for _, op := range pending {
 		op.finish(nil, ErrInboxClosed)
 	}
@@ -337,10 +366,11 @@ func (p *Pipeline) dispatch() {
 // reference on the frame's arena (nil for the in-memory transport, where the
 // payload is GC-owned and may be aliased forever). Completions fire after the
 // engine lock is released.
-func (p *Pipeline) handlePayload(from types.ProcessID, payload []byte, arena *wire.Arena, scratch *wire.Message) {
+func (p *Pipeline) handlePayload(from types.ProcessID, payload []byte, arena *wire.Arena) {
 	if from.Role != types.RoleServer {
 		return
 	}
+	scratch := &p.scratch
 	if err := wire.DecodeInto(scratch, payload); err != nil {
 		if p.tr.Enabled() {
 			p.tr.Record(trace.KindDrop, p.node.ID(), from, "malformed payload: %v", err)
@@ -424,13 +454,15 @@ func newFuture[T any]() *Future[T] {
 
 // bind attaches the future to its first round and arms the context: if ctx
 // ends first, the CURRENT round aborts with the context's error (and the
-// abort intent sticks to rounds bound later). The AfterFunc registration
-// costs nothing until the context actually fires.
+// abort intent sticks to rounds bound later). A context that can never end
+// (context.Background: Done is nil) is not armed at all — the registration
+// allocates, and every blocking call on such a context would pay for a
+// callback that cannot fire.
 func (f *Future[T]) bind(ctx context.Context, op *Op) {
 	f.mu.Lock()
 	f.op = op
 	cancelled := f.cancelErr
-	if f.stop == nil && !f.resolved {
+	if f.stop == nil && !f.resolved && ctx.Done() != nil {
 		f.stop = context.AfterFunc(ctx, func() {
 			f.abort(ctx.Err())
 		})

@@ -7,6 +7,7 @@ import (
 	"testing"
 	"time"
 
+	"fastread/internal/quorum"
 	"fastread/internal/transport"
 	"fastread/internal/types"
 	"fastread/internal/wire"
@@ -312,5 +313,67 @@ func TestPipelineDepthClamped(t *testing.T) {
 	}
 	if got := NewPipeline(client, 0, nil).Depth(); got != DefaultPipelineDepth {
 		t.Fatalf("Depth = %d, want default %d", got, DefaultPipelineDepth)
+	}
+}
+
+// TestFutureAbortsWithOrWithoutArmedContext: a submission whose context can
+// never end (context.Background) arms no callback, yet waiting for its result
+// under another context still aborts exactly that operation; a submission
+// under a cancellable context is still aborted by that context alone; and a
+// sibling submitted beside both completes untouched.
+func TestFutureAbortsWithOrWithoutArmedContext(t *testing.T) {
+	client, servers := pipeNet(t, 1)
+	cl, err := NewClient(ClientConfig{Quorum: quorum.Config{Servers: 1}, Depth: 4}, client, Rounds[int64]{
+		Name: "test read", Role: types.RoleReader, Need: 1,
+		Begin: Ask[int64](wire.OpRead, ""),
+		Finish: func(c *Call[int64], acks []Ack) (bool, error) {
+			c.Result = acks[0].Msg.RCounter
+			return false, nil
+		},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	background := context.Background()
+	cancellable, cancel := context.WithCancel(background)
+	defer cancel()
+
+	waited, err1 := cl.Submit(background, nil)   // rc 1: aborted through Result's context
+	armed, err2 := cl.Submit(cancellable, nil)   // rc 2: aborted through its own context
+	survivor, err3 := cl.Submit(background, nil) // rc 3: completes
+	if err := errors.Join(err1, err2, err3); err != nil {
+		t.Fatal(err)
+	}
+	if waited.stop != nil || survivor.stop != nil {
+		t.Error("a context that cannot end was armed with a callback")
+	}
+	if armed.stop == nil {
+		t.Error("a cancellable context was not armed")
+	}
+
+	gone, stop := context.WithCancel(background)
+	stop()
+	if _, err := waited.Result(gone); !errors.Is(err, context.Canceled) {
+		t.Errorf("Result under an ended context returned %v, want context.Canceled", err)
+	}
+	cancel()
+	select {
+	case <-armed.Done():
+		if _, err := armed.Result(background); !errors.Is(err, context.Canceled) {
+			t.Errorf("cancelled submission resolved with %v, want context.Canceled", err)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("cancelling the submission's context did not abort it")
+	}
+	select {
+	case <-survivor.Done():
+		t.Fatal("aborting two operations resolved their sibling")
+	default:
+	}
+	ackFrom(t, servers[0], 3, 0)
+	timeout, stopTimeout := context.WithTimeout(background, 5*time.Second)
+	defer stopTimeout()
+	if rc, err := survivor.Result(timeout); err != nil || rc != 3 {
+		t.Fatalf("sibling resolved with (%d, %v), want (3, nil)", rc, err)
 	}
 }

@@ -8,15 +8,16 @@
 // receiving sufficiently many replies. Client (client.go) spells that
 // choreography exactly once — reserve an in-flight slot, issue the nonce and
 // register for the acknowledgements before broadcasting, collect `need`
-// acknowledgements from distinct servers, complete outside the dispatcher's
+// acknowledgements from distinct servers, complete outside the pipeline's
 // lock, hand the slot to the next round or free it — and a protocol supplies
 // only its Rounds description: how a request is built, which acknowledgements
 // it accepts, how many it needs and what a quorum means. Writer (writer.go) is
 // the single-writer client all four protocols share. Because every operation
 // of every protocol passes through Client, its round counter IS the paper's
 // time complexity, and a retransmission timer or a stage timestamp has one
-// home. Pipeline (pipeline.go) is the engine's lower half: the dispatcher
-// that routes acknowledgements to in-flight operations.
+// home. Pipeline (pipeline.go) is the engine's lower half: the sink the
+// transport delivers acknowledgements into, matching them to in-flight
+// operations.
 //
 // Server side, Shell (server.go) is the same idea for the servers' pure
 // (state, message) → (state', ack) steps.

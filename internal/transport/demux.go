@@ -2,7 +2,6 @@ package transport
 
 import (
 	"sync"
-	"sync/atomic"
 
 	"fastread/internal/types"
 )
@@ -15,18 +14,13 @@ import (
 // payloads.
 type KeyFunc func(Message) (key []byte, ok bool)
 
-// DefaultRouteBuffer is the capacity of the per-route delivery channel used
-// when NewDemux is given a non-positive one. The channel is only the handoff
-// between a route's forwarder and its consumer — the route's queue proper is
-// an unbounded mailbox — so the capacity merely smooths bursts; 256 covers
+// DefaultRouteBuffer is the capacity of a route's delivery channel (see
+// demuxRoute.Inbox) when NewDemux is given a non-positive one. The channel is
+// only the handoff between the route's forwarder and its consumer — the queue
+// proper is unbounded — so the capacity merely smooths bursts; 256 covers
 // several operations' worth of acknowledgements for any realistic server
 // count.
 const DefaultRouteBuffer = 256
-
-// routeMap is the copy-on-write key→route table. Route open/close copies it
-// under the demux mutex; the pump reads it through an atomic pointer without
-// locking (mirroring the in-memory network's node table).
-type routeMap map[string]*demuxRoute
 
 // Demux multiplexes one physical transport node into many virtual nodes, one
 // per register key. It is the client-side half of the multi-register store:
@@ -36,71 +30,58 @@ type routeMap map[string]*demuxRoute
 //
 // Outbound messages pass straight through to the physical node (the payload
 // already carries the key, stamped by the protocol client). Inbound messages
-// are routed by a single pump goroutine: it reads the physical inbox,
-// extracts the key with the KeyFunc, and pushes to the matching route's
-// unbounded mailbox. Messages for keys with no active route are dropped,
-// which the asynchronous model permits (they are indistinguishable from
-// messages delayed forever).
+// are routed by the demux's one goroutine, the pump: it consumes the physical
+// node (Consume), extracts the key with the KeyFunc, looks the route up and
+// CALLS the engine bound to it (Sink) — there is no per-route queue, channel
+// or goroutine, so a route costs a table entry and an acknowledgement wakes
+// nobody between the node's queue and the operation it completes. Messages
+// for keys with no active route are dropped, which the asynchronous model
+// permits (they are indistinguishable from messages delayed forever).
 //
-// Each route queues through an SPSC handoff (ring.go): a lock-free bounded
-// ring for the steady state, spilling to an UNBOUNDED mailbox on overflow.
-// Unbounded queueing remains a correctness requirement, not a convenience: a
-// server lagging behind the quorum can accumulate a long request backlog and
-// then flush its acknowledgements in one burst, and with a purely bounded
-// route buffer that flood forced a drop policy — either end of the queue —
-// that could discard the in-flight operation's quorum-completing acks and
-// starve the client forever. With the ring+spill handoff, the pump never
-// blocks and never drops; a backlog costs memory briefly and is reclaimed as
-// the consumer drains.
-//
-// The per-message path takes no demux-wide lock: the route table is
-// copy-on-write (the Demux mutex is only taken when a route is opened or
-// closed), and the mailbox push is the same short per-route lock a node's
-// own inbox takes.
+// The node's own queue is therefore the only place a client-side backlog can
+// sit, and it is unbounded unless the deployment bounds it (the in-memory
+// network's WithMailboxBound; the socket cores' fixed inbox). Unbounded
+// remains the default for a correctness reason: a server lagging behind the
+// quorum can flush a long acknowledgement backlog in one burst, and a bound
+// forces a drop policy that can discard the in-flight operation's
+// quorum-completing acks.
 type Demux struct {
 	node  Node
 	keyOf KeyFunc
 	buf   int
 
-	routes atomic.Pointer[routeMap]
-
-	// mu guards route open/close (table copy + swap) and the closed flag.
-	// The pump never takes it.
-	mu     sync.Mutex
+	// mu guards the route table and the closed flag: the pump read-locks it
+	// for one lookup per message, route open/close write-lock it for one map
+	// operation.
+	mu     sync.RWMutex
+	routes map[string]*demuxRoute
 	closed bool
-
-	// routeBound, when positive, caps each route's overflow queue
-	// (shed-and-count; see SetRouteBound). sheds is shared by every route
-	// so counts survive route close and node rejoin.
-	routeBound int
-	sheds      atomic.Int64
 
 	done chan struct{}
 }
 
 // NewDemux wraps a physical node and starts the routing pump. buf is the
-// per-route delivery channel capacity (DefaultRouteBuffer if <= 0).
+// capacity of a route's delivery channel, for routes read through Inbox
+// (DefaultRouteBuffer if <= 0).
 func NewDemux(node Node, keyOf KeyFunc, buf int) *Demux {
 	if buf <= 0 {
 		buf = DefaultRouteBuffer
 	}
 	d := &Demux{
-		node:  node,
-		keyOf: keyOf,
-		buf:   buf,
-		done:  make(chan struct{}),
+		node:   node,
+		keyOf:  keyOf,
+		buf:    buf,
+		routes: make(map[string]*demuxRoute),
+		done:   make(chan struct{}),
 	}
-	empty := make(routeMap)
-	d.routes.Store(&empty)
 	go d.pump()
 	return d
 }
 
-// pump routes every delivered message to its key's route until the physical
-// node closes, then closes every route. Batch envelopes are expanded first
-// (a server's coalesced acknowledgement burst may span registers, so each
-// carried message is routed by ITS key). The table lookup is lock-free; see
-// Demux.
+// pump delivers every message to its key's route until the physical node
+// closes, then closes every route. Batch envelopes are expanded first (a
+// server's coalesced acknowledgement burst may span registers, so each
+// carried message is routed by ITS key).
 func (d *Demux) pump() {
 	defer close(d.done)
 	route := func(m Message) {
@@ -108,91 +89,53 @@ func (d *Demux) pump() {
 		if !ok {
 			return
 		}
+		d.mu.RLock()
 		// map[string]-lookup on a byte key compiles to a zero-allocation
 		// access; the string is never materialised.
-		if rt := (*d.routes.Load())[string(key)]; rt != nil {
-			// The queued copy carries its own arena reference (several routes
-			// may hold views of one envelope's frame); the route's consumer
-			// releases it. A rejected push (route already closed) gives the
-			// reference straight back.
+		rt := d.routes[string(key)]
+		d.mu.RUnlock()
+		if rt != nil {
+			// The delivered copy carries its own reference (several routes
+			// may receive views of one envelope's frame); whoever ends up
+			// with the message releases it.
 			m.RetainArena()
-			if !rt.box.push(m) {
-				m.ReleaseArena()
-			}
+			rt.deliver(m)
 		}
 	}
-	for msg := range d.node.Inbox() {
-		Expand(msg, route)
-		msg.ReleaseArena()
-	}
+	Consume(d.node, expanding(route), nil)
 	d.mu.Lock()
 	d.closed = true
-	routes := *d.routes.Load()
-	empty := make(routeMap)
-	d.routes.Store(&empty)
+	routes := d.routes
+	d.routes = nil
 	d.mu.Unlock()
 	for _, rt := range routes {
 		rt.shutdown()
-	}
-	for _, rt := range routes {
-		<-rt.done
 	}
 }
 
 // Node returns the underlying physical node.
 func (d *Demux) Node() Node { return d.node }
 
-// SetRouteBound caps the overflow queue of every route opened AFTER the
-// call at n messages (on top of each route's fixed ring capacity); pushes
-// beyond the cap are shed and counted (Sheds). n <= 0 restores unbounded.
-// Existing routes keep their previous policy.
-//
-// A bounded route DROPS messages, including acknowledgements that would
-// have completed a quorum — the exact failure PR 3's starvation fix removed
-// — so it is safe only where the protocol already tolerates message loss
-// (the client retries or the operation's context expires) and is strictly
-// opt-in, for deployments that prefer bounded memory plus shed counters
-// over unbounded queueing under overload.
-func (d *Demux) SetRouteBound(n int) {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	if n < 0 {
-		n = 0
-	}
-	d.routeBound = n
-}
-
-// Sheds returns the number of messages shed by bounded routes over the
-// demux's lifetime (0 unless SetRouteBound was used).
-func (d *Demux) Sheds() int64 { return d.sheds.Load() }
-
 // Route returns the virtual node for the given register key, creating it on
 // first use. Calling Route again with the same key returns the same virtual
 // node until that node is closed. After the demux (or physical node) closes,
-// Route returns a virtual node whose inbox is already closed (or about to
-// close: its forwarder exits as soon as it observes the closed mailbox).
+// Route returns a virtual node that is already closed.
 func (d *Demux) Route(key string) Node {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	old := *d.routes.Load()
-	if rt, ok := old[key]; ok {
+	if rt, ok := d.routes[key]; ok {
 		return rt
 	}
-	rt := newDemuxRoute(d, key)
+	rt := &demuxRoute{demux: d, key: key}
 	if d.closed {
-		rt.shutdown()
+		rt.closed = true
 		return rt
 	}
-	next := make(routeMap, len(old)+1)
-	for k, v := range old {
-		next[k] = v
-	}
-	next[key] = rt
-	d.routes.Store(&next)
+	d.routes[key] = rt
 	return rt
 }
 
-// Close closes the physical node; the pump then drains and closes every
+// Close closes the physical node; the pump then drains it and closes every
 // route. It is idempotent.
 func (d *Demux) Close() error {
 	err := d.node.Close()
@@ -200,63 +143,134 @@ func (d *Demux) Close() error {
 	return err
 }
 
-// demuxRoute is the virtual per-key node handed to protocol clients: a
-// lock-free SPSC handoff (the pump is its single producer, the forwarder its
-// single consumer; bursts spill to an unbounded mailbox so nothing is ever
-// dropped — see ring.go) drained by the route's forwarder goroutine into the
-// delivery channel.
+// demuxRoute is the virtual per-key node handed to protocol clients: an entry
+// in the demux's table. Opening one starts no goroutine and allocates no
+// channel. What the pump does with a message for the key is decided by the
+// route's first use:
+//
+//   - BindSink (protoutil.Pipeline does this at construction): the pump calls
+//     the sink — the client engine — directly. This is the product path.
+//   - Inbox: the route grows a channel side — an unbounded queue, a forwarder
+//     goroutine and a delivery channel, what every route used to own — for
+//     consumers that want to select on a channel: tests and cmd/benchreport's
+//     transport.demux_rtt_us cell. It goes when ROADMAP item 1 moves that
+//     cell onto the sink.
+//
+// Until either happens, messages wait in the route (a route opened and never
+// consumed queues without bound, as it always has).
 type demuxRoute struct {
 	demux *Demux
 	key   string
-	box   *handoff
-	inbox chan Message
 
-	closeOnce sync.Once
-	done      chan struct{}
+	// mu is the route guard: it orders deliveries against BindSink, Inbox and
+	// close, and the pump holds it across a sink's Deliver — which is what
+	// makes "closed after the last delivery" hold when a handle's Close or a
+	// reader restart closes the route mid-delivery. Lock order: route guard →
+	// the engine's own locks; nothing that holds an engine lock takes a
+	// route guard.
+	mu      sync.Mutex
+	sink    Sink
+	ch      *routeChannel
+	pending []Message
+	closed  bool
 }
 
 var _ Node = (*demuxRoute)(nil)
 
-// newDemuxRoute builds a route and starts its forwarder.
-func newDemuxRoute(d *Demux, key string) *demuxRoute {
-	box := newHandoff()
-	if d.routeBound > 0 {
-		box = newBoundedHandoff(d.routeBound, &d.sheds)
-	}
-	rt := &demuxRoute{
-		demux: d,
-		key:   key,
-		box:   box,
-		inbox: make(chan Message, d.buf),
-		done:  make(chan struct{}),
-	}
-	go rt.forward()
-	return rt
+// routeChannel is the channel side of a route (see demuxRoute): a lock-free
+// SPSC handoff (the pump is its single producer, the forwarder its single
+// consumer; bursts spill to an unbounded mailbox so nothing is ever dropped —
+// see ring.go) drained by the forwarder goroutine into the delivery channel.
+type routeChannel struct {
+	box   *handoff
+	inbox chan Message
 }
 
-// forward moves messages from the route's mailbox to its delivery channel in
-// batches, exactly like a node's pump; it exits — closing the channel — once
-// the mailbox is closed and drained.
-func (rt *demuxRoute) forward() {
-	defer close(rt.done)
-	defer close(rt.inbox)
-	rt.box.drain(func(m Message) { rt.inbox <- m })
+// forward moves messages from the queue to the delivery channel in batches,
+// exactly like a node's pump; it exits — closing the channel — once the queue
+// is closed and drained.
+func (c *routeChannel) forward() {
+	defer close(c.inbox)
+	c.box.drain(func(m Message) { c.inbox <- m })
 }
 
-// shutdown closes the route's mailbox and unblocks its forwarder even if the
-// consumer stopped reading the delivery channel. Idempotent.
+// close closes the queue and drains the delivery channel until the forwarder
+// closes it, so the forwarder can exit even if the consumer stopped reading
+// (mirrors inMemNode.Close); undelivered messages give back their references
+// here.
+func (c *routeChannel) close() {
+	c.box.close()
+	for m := range c.inbox {
+		m.ReleaseArena()
+	}
+}
+
+// deliver hands one message, and its reference, to whatever consumes the
+// route. Pump goroutine only.
+func (rt *demuxRoute) deliver(m Message) {
+	rt.mu.Lock()
+	defer rt.mu.Unlock()
+	switch {
+	case rt.closed:
+		m.ReleaseArena()
+	case rt.sink != nil:
+		rt.sink.Deliver(m)
+	case rt.ch != nil:
+		if !rt.ch.box.push(m) {
+			m.ReleaseArena()
+		}
+	default:
+		rt.pending = append(rt.pending, m)
+	}
+}
+
+// BindSink makes s the route's consumer: from now on the pump calls it for
+// every message carrying the route's key, on the pump's goroutine, and the
+// route's close calls s.Closed — at once if the route is closed already.
+// Messages that arrived before the bind are delivered first. It reports false
+// if the route already has a consumer (a sink, or a reader of Inbox).
+func (rt *demuxRoute) BindSink(s Sink) bool {
+	rt.mu.Lock()
+	if rt.sink != nil || rt.ch != nil {
+		rt.mu.Unlock()
+		return false
+	}
+	if rt.closed {
+		rt.mu.Unlock()
+		s.Closed()
+		return true
+	}
+	rt.sink = s
+	for _, m := range rt.pending {
+		s.Deliver(m)
+	}
+	rt.pending = nil
+	rt.mu.Unlock()
+	return true
+}
+
+// shutdown closes the route exactly once: nothing is delivered afterwards,
+// and the consumer is told — the sink by Closed, a channel reader by the
+// channel closing once what was queued has been received.
 func (rt *demuxRoute) shutdown() {
-	rt.closeOnce.Do(func() {
-		rt.box.close()
-		// Drain the delivery channel so the forwarder can exit even if the
-		// owner stopped reading (mirrors inMemNode.Close); undelivered
-		// messages give back their arena references here.
-		go func() {
-			for m := range rt.inbox {
-				m.ReleaseArena()
-			}
-		}()
-	})
+	rt.mu.Lock()
+	if rt.closed {
+		rt.mu.Unlock()
+		return
+	}
+	rt.closed = true
+	sink, ch, pending := rt.sink, rt.ch, rt.pending
+	rt.sink, rt.pending = nil, nil
+	rt.mu.Unlock()
+	for _, m := range pending {
+		m.ReleaseArena()
+	}
+	if ch != nil {
+		ch.close()
+	}
+	if sink != nil {
+		sink.Closed()
+	}
 }
 
 // ID returns the identity of the underlying physical node: a virtual node is
@@ -268,26 +282,34 @@ func (rt *demuxRoute) Send(to types.ProcessID, kind string, payload []byte) erro
 	return rt.demux.node.Send(to, kind, payload)
 }
 
-// Inbox returns this key's message stream.
-func (rt *demuxRoute) Inbox() <-chan Message { return rt.inbox }
+// Inbox returns this key's message stream as a channel, building the route's
+// channel side on first call (see demuxRoute).
+func (rt *demuxRoute) Inbox() <-chan Message {
+	rt.mu.Lock()
+	defer rt.mu.Unlock()
+	if rt.ch == nil {
+		rt.ch = &routeChannel{box: newHandoff(), inbox: make(chan Message, rt.demux.buf)}
+		for _, m := range rt.pending {
+			rt.ch.box.push(m)
+		}
+		rt.pending = nil
+		if rt.closed {
+			rt.ch.box.close()
+		}
+		go rt.ch.forward()
+	}
+	return rt.ch.inbox
+}
 
 // Close detaches this key's route from the demux. The physical node and the
 // other keys' routes are unaffected.
 func (rt *demuxRoute) Close() error {
 	d := rt.demux
 	d.mu.Lock()
-	old := *d.routes.Load()
-	if old[rt.key] == rt {
-		next := make(routeMap, len(old))
-		for k, v := range old {
-			if k != rt.key {
-				next[k] = v
-			}
-		}
-		d.routes.Store(&next)
+	if d.routes[rt.key] == rt {
+		delete(d.routes, rt.key)
 	}
 	d.mu.Unlock()
 	rt.shutdown()
-	<-rt.done
 	return nil
 }

@@ -8,7 +8,7 @@ import (
 	"fastread/internal/shard"
 )
 
-// Executor drains a node's inbox and executes a handler over N key-sharded
+// Executor consumes a node (Consume) and executes a handler over N key-sharded
 // workers, so one server process scales across cores instead of serialising
 // every register's traffic through a single handler goroutine.
 //
@@ -16,8 +16,8 @@ import (
 // fixed worker: the SAME key always lands on the SAME worker. That preserves,
 // at worker granularity, the two properties the protocol servers rely on:
 //
-//   - Per-key FIFO delivery. The dispatcher reads the inbox in delivery
-//     order and each worker's mailbox is FIFO, so two messages carrying the
+//   - Per-key FIFO delivery. The dispatcher consumes the node in delivery
+//     order and each worker's queue is FIFO, so two messages carrying the
 //     same key are handled in the order the transport delivered them.
 //     Messages for DIFFERENT keys may be handled in any order, which the
 //     asynchronous model already permits (they could have been delayed).
@@ -120,24 +120,25 @@ func (e *Executor) endRun(co *Coalescer) {
 // Sheds returns the number of messages shed by bounded worker queues.
 func (e *Executor) Sheds() int64 { return e.sheds.Load() }
 
-// RunCoalescing dispatches the node's inbox across the workers and blocks
-// until the node is closed AND every worker has drained its mailbox, so a
-// caller that closes the node and then waits for it to return observes every
-// delivered message handled. It may be called at most once.
+// RunCoalescing consumes the node across the workers and blocks until the
+// node is closed AND every worker has drained its queue, so a caller that
+// closes the node and then waits for it to return observes every delivered
+// message handled. It may be called at most once.
 //
 // Output is batched per run: the handler receives a Sender alongside each
-// message, and everything sent through it during one RUN of messages (one
-// batched mailbox pop — or, with a single worker, one burst of the inbox
-// channel) is flushed as one send per destination when the run ends. An idle
-// server handling a lone message flushes immediately after it, so coalescing
-// never delays a reply; under pipelined load a run of k requests from one
-// client costs ONE acknowledgement send instead of k — and, with a run-end
-// hook committing a log, one fsync instead of k.
+// message, and everything sent through it during one RUN of messages (see
+// Consume — on an in-memory node, one batched pop of the mailbox) is flushed
+// as one send per destination when the run ends. An idle server handling a
+// lone message flushes immediately after it, so coalescing never delays a
+// reply; under pipelined load a run of k requests from one client costs ONE
+// acknowledgement send instead of k — and, with a run-end hook committing a
+// log, one fsync instead of k.
 //
 // With a single worker the dispatch hop would buy nothing, so the handler
-// runs inline on the dispatcher goroutine (serveCoalescingInline). Otherwise:
-// expand each delivered message, route by key hash into per-worker mailboxes,
-// and on inbox close drain every worker before returning.
+// runs on the calling goroutine: the node's queue is the only queue, and its
+// run boundary is the executor's. Otherwise the caller is the dispatcher:
+// expand each delivered message, route by key hash into per-worker queues,
+// and on close drain every worker before returning.
 //
 // Arena accounting: each queued sub-message takes its own reference (several
 // workers may hold views of one frame concurrently), the worker releases it
@@ -145,7 +146,8 @@ func (e *Executor) Sheds() int64 { return e.sheds.Load() }
 // reference once expansion is done.
 func (e *Executor) RunCoalescing(handler func(Message, Sender)) {
 	if len(e.workers) == 1 {
-		e.serveCoalescingInline(handler)
+		co := NewCoalescer(e.node)
+		Consume(e.node, expanding(func(m Message) { handler(m, co) }), func() { e.endRun(co) })
 		return
 	}
 	var wg sync.WaitGroup
@@ -174,43 +176,9 @@ func (e *Executor) RunCoalescing(handler func(Message, Sender)) {
 			m.ReleaseArena()
 		}
 	}
-	for msg := range e.node.Inbox() {
-		Expand(msg, route)
-		msg.ReleaseArena()
-	}
+	Consume(e.node, expanding(route), nil)
 	for _, box := range e.workers {
 		box.close()
 	}
 	wg.Wait()
-}
-
-// serveCoalescingInline is the single-worker RunCoalescing loop: handle
-// inline on the dispatcher goroutine (no dispatch hop), with run
-// boundaries recovered opportunistically from the inbox channel — after a
-// blocking receive, drain whatever else is immediately available before
-// ending the run. An uncontended inbox therefore flushes after every message
-// (reply latency identical to the direct path) while a burst flushes once.
-func (e *Executor) serveCoalescingInline(handler func(Message, Sender)) {
-	co := NewCoalescer(e.node)
-	handleOne := func(m Message) { handler(m, co) }
-	inbox := e.node.Inbox()
-	for msg := range inbox {
-		Expand(msg, handleOne)
-		msg.ReleaseArena()
-	burst:
-		for {
-			select {
-			case more, ok := <-inbox:
-				if !ok {
-					e.endRun(co)
-					return
-				}
-				Expand(more, handleOne)
-				more.ReleaseArena()
-			default:
-				break burst
-			}
-		}
-		e.endRun(co)
-	}
 }

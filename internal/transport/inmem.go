@@ -56,18 +56,20 @@ func WithMailboxObserver(fn func(Message)) InMemOption {
 	return func(n *InMemNetwork) { n.observer = fn }
 }
 
-// WithMailboxBound caps every SERVER node's mailbox at n queued messages:
-// a delivery finding the mailbox full is shed (dropped-in-transit, counted
-// in MailboxShed and the network's drop counter) instead of growing the
-// queue, so a server's memory and queueing delay — and therefore
-// MailboxHighWater — stay bounded under overload. Client (writer/reader)
-// mailboxes stay unbounded: dropping acknowledgements there can starve an
-// otherwise-completable quorum. Shedding a REQUEST is safe for the same
-// reason a lossy network is: the protocols tolerate loss via quorum slack
-// and the client's retry/timeout. n <= 0 (the default) keeps every mailbox
-// unbounded.
-func WithMailboxBound(n int) InMemOption {
-	return func(nw *InMemNetwork) { nw.mailboxBound = n }
+// WithMailboxBound caps node mailboxes: every SERVER node's at server queued
+// messages, every CLIENT (writer/reader) node's at client. A delivery finding
+// the mailbox full is shed (dropped-in-transit, counted in MailboxShed)
+// instead of growing the queue, so the node's memory and queueing delay — and
+// therefore MailboxHighWater — stay bounded under overload. A non-positive
+// bound leaves that role unbounded, the default for both.
+//
+// Shedding a REQUEST at a server is as safe as a lossy network: the protocols
+// tolerate loss via quorum slack and the client's retry/timeout. Shedding at
+// a client drops ACKNOWLEDGEMENTS, which can starve an otherwise-completable
+// quorum — the operation then waits for its context — so the client bound is
+// for deployments that must bound client-side memory too.
+func WithMailboxBound(server, client int) InMemOption {
+	return func(nw *InMemNetwork) { nw.serverBound, nw.clientBound = server, client }
 }
 
 // WithClock runs the network on a virtual clock (simulation mode). Every
@@ -77,27 +79,28 @@ func WithMailboxBound(n int) InMemOption {
 // only fires the next event once the previous one's entire causal cascade
 // has quiesced. Delays and jitter advance virtual time instead of sleeping.
 //
-// A virtual-clock network disables pump batching (WithBatching): under
-// one-event-at-a-time delivery every drain run has length one, so batching
-// could never coalesce anything — it would only complicate activity
-// accounting.
+// A virtual-clock network disables batching (WithBatching): under
+// one-event-at-a-time delivery every run has length one, so batching could
+// never coalesce anything — it would only complicate activity accounting.
 func WithClock(c *VirtualClock) InMemOption {
 	return func(n *InMemNetwork) { n.clock = c }
 }
 
-// WithBatching makes every node's pump coalesce its queued backlog: when a
-// drain run contains CONSECUTIVE messages from the same sender, they are
-// delivered as one wire.Batch envelope — one channel handoff per run per
-// sender instead of one per message, the in-memory analogue of the TCP
-// transport's one-frame-per-peer-per-flush batching. An uncontended node
-// (runs of one) delivers exactly as without the option, so batching never
-// adds latency.
+// WithBatching lets every node's consumer take its queued backlog as ONE run
+// (see Consume): one wake-up, one coalesced acknowledgement flush and one log
+// commit for everything that queued up while the consumer was busy, instead
+// of a run per message. An uncontended node (runs of one) behaves exactly as
+// without the option, so batching never adds latency.
 //
-// Consumers of a batching network's inboxes must be batch-aware (Executor,
-// Demux and the protoutil collectors all are); raw inbox loops that
-// decode payloads directly would drop the envelopes as malformed. Observers
-// and link counters see the individual messages — coalescing happens after
-// delivery accounting, on the receiving node's own queue.
+// On the channel side of a node (Inbox) the same run is what the pump
+// coalesces: CONSECUTIVE messages from the same sender are delivered as one
+// wire.Batch envelope — one channel handoff per run per sender, the in-memory
+// analogue of the TCP transport's one-frame-per-peer-per-flush batching — so
+// readers of a batching network's Inbox must be batch-aware (Expand); raw
+// inbox loops that decode payloads directly would drop the envelopes as
+// malformed. Observers and link counters see the individual messages —
+// coalescing happens after delivery accounting, on the receiving node's own
+// queue.
 func WithBatching() InMemOption {
 	return func(n *InMemNetwork) { n.batching = true }
 }
@@ -165,7 +168,8 @@ type InMemNetwork struct {
 	rng          *rand.Rand
 	observer     func(Message)
 	batching     bool
-	mailboxBound int
+	serverBound  int
+	clientBound  int
 	mailboxShed  atomic.Int64
 	wg           sync.WaitGroup
 
@@ -327,17 +331,12 @@ func (n *InMemNetwork) Join(id types.ProcessID) (Node, error) {
 		delete(n.downed, id)
 		n.updateSlowLocked()
 	}
-	box := newMailbox()
-	if n.mailboxBound > 0 && id.Role == types.RoleServer {
-		box = newBoundedMailbox(n.mailboxBound, &n.mailboxShed)
+	bound := n.clientBound
+	if id.Role == types.RoleServer {
+		bound = n.serverBound
 	}
-	node := &inMemNode{
-		id:    id,
-		net:   n,
-		box:   box,
-		inbox: make(chan Message),
-	}
-	node.startPump()
+	box := newBoundedMailbox(bound, &n.mailboxShed)
+	node := &inMemNode{id: id, net: n, box: box}
 	next := make(nodeMap, len(old)+1)
 	for k, v := range old {
 		next[k] = v
@@ -677,40 +676,75 @@ func (n *InMemNetwork) dispatchDelayed() {
 	}
 }
 
-// inMemNode is a single process attachment.
+// inMemNode is a single process attachment: an identity and a mailbox. It
+// owns no goroutine of its own — whoever consumes the node runs the mailbox
+// (transport.Consume → drainRuns), so a message crosses one queue and wakes
+// one goroutine between Send and its handler. The channel of the Node
+// interface exists only behind Inbox: the first call builds it and starts
+// the pump that feeds it, for consumers that want to select on a channel
+// (tests, the layer benchmarks). First use — Consume or Inbox — decides the
+// node's one consumer style for its lifetime.
 type inMemNode struct {
-	id    types.ProcessID
-	net   *InMemNetwork
-	box   *mailbox
+	id  types.ProcessID
+	net *InMemNetwork
+	box *mailbox
+
+	closed atomic.Bool
+
+	// mu guards the consumer style.
+	mu sync.Mutex
+	// drained is set once a consumer runs the mailbox on its own goroutine.
+	drained bool
+	// inbox is the channel side, nil until the first Inbox call.
 	inbox chan Message
 
 	// run is the pump goroutine's private coalescing stage (batching
 	// networks only); see stage/flushRun.
 	run []Message
-
-	closed atomic.Bool
-	done   chan struct{}
 }
 
-var _ Node = (*inMemNode)(nil)
+var (
+	_ Node       = (*inMemNode)(nil)
+	_ runDrainer = (*inMemNode)(nil)
+)
 
-// startPump launches the goroutine that moves messages from the unbounded
-// mailbox to the delivery channel. It drains the mailbox in batches (one
-// lock/condvar synchronisation per run of messages, not per message) and
-// forwards each message in order (see mailbox.drain). On a batching network
-// (WithBatching) consecutive same-sender messages of a run are coalesced
-// into one wire.Batch delivery.
-func (nd *inMemNode) startPump() {
-	nd.done = make(chan struct{})
-	go func() {
-		defer close(nd.done)
-		defer close(nd.inbox)
-		if nd.net.batching {
-			nd.box.drainRuns(func(m Message) { nd.stage(m) }, nd.flushRun)
-			return
-		}
-		nd.box.drain(func(m Message) { nd.inbox <- m })
-	}()
+// drainRuns implements runDrainer: the caller becomes the node's consumer. A
+// run is one batched pop of the mailbox — one lock/condvar synchronisation
+// per run, not per message — or a single message on a network without
+// batching (Config.DisableBatching keeps its meaning: runs of one).
+func (nd *inMemNode) drainRuns(deliver func(Message), runEnd func()) bool {
+	nd.mu.Lock()
+	if nd.inbox != nil {
+		nd.mu.Unlock()
+		return false
+	}
+	nd.drained = true
+	nd.mu.Unlock()
+	if nd.net.batching {
+		nd.box.drainRuns(deliver, runEnd)
+	} else {
+		nd.box.drain(func(m Message) {
+			deliver(m)
+			runEnd()
+		})
+	}
+	return true
+}
+
+// pump moves messages from the mailbox to the delivery channel, in order,
+// until the mailbox is closed and drained. On a batching network
+// (WithBatching) consecutive same-sender messages of a run are coalesced into
+// one wire.Batch delivery, so a backlog costs one channel handoff per sender
+// run; consumers of such a channel expand envelopes (Expand). Consume needs
+// neither the channel nor the envelope: it reads the run boundary straight
+// off the mailbox.
+func (nd *inMemNode) pump() {
+	defer close(nd.inbox)
+	if nd.net.batching {
+		nd.box.drainRuns(nd.stage, nd.flushRun)
+		return
+	}
+	nd.box.drain(func(m Message) { nd.inbox <- m })
 }
 
 // stage buffers one drained message for the pump's run coalescer: messages
@@ -774,24 +808,47 @@ func (nd *inMemNode) Send(to types.ProcessID, kind string, payload []byte) error
 	return nil
 }
 
-// Inbox implements Node.
-func (nd *inMemNode) Inbox() <-chan Message { return nd.inbox }
+// Inbox implements Node: the first call builds the delivery channel and
+// starts the pump feeding it. A node already claimed by Consume, or already
+// closed, yields a closed channel — there is nothing left for a second
+// consumer to receive.
+func (nd *inMemNode) Inbox() <-chan Message {
+	nd.mu.Lock()
+	defer nd.mu.Unlock()
+	if nd.inbox == nil {
+		nd.inbox = make(chan Message)
+		if nd.drained || nd.closed.Load() {
+			close(nd.inbox)
+		} else {
+			go nd.pump()
+		}
+	}
+	return nd.inbox
+}
 
-// Close implements Node.
+// Close implements Node. Messages already queued still reach a consumer that
+// is draining the node; without one they are released here.
 func (nd *inMemNode) Close() error {
 	if nd.closed.Swap(true) {
 		return nil
 	}
 	nd.box.close()
-	// Drain the delivery channel so the pump goroutine can exit even if the
-	// owner stopped reading, releasing each undelivered message's reference
-	// (arena and, under a virtual clock, activity token).
-	go func() {
-		for m := range nd.inbox {
+	nd.mu.Lock()
+	inbox, drained := nd.inbox, nd.drained
+	nd.mu.Unlock()
+	switch {
+	case inbox != nil:
+		// Drain the delivery channel until the pump closes it, so the pump
+		// can exit even if the owner stopped reading, releasing each
+		// undelivered message's reference (arena and, under a virtual clock,
+		// activity token).
+		for m := range inbox {
 			m.ReleaseArena()
 		}
-	}()
-	<-nd.done
+	case !drained:
+		// Nobody ever consumed the node: release what is queued.
+		nd.box.drain(Message.ReleaseArena)
+	}
 	return nil
 }
 
@@ -819,6 +876,6 @@ func (n *InMemNetwork) MailboxHighWater() int {
 	return hw
 }
 
-// MailboxShed returns how many deliveries bounded server mailboxes have
-// shed (always 0 without WithMailboxBound).
+// MailboxShed returns how many deliveries bounded mailboxes have shed (always
+// 0 without WithMailboxBound).
 func (n *InMemNetwork) MailboxShed() int64 { return n.mailboxShed.Load() }

@@ -103,7 +103,8 @@ func TestBoundedHandoffExactShed(t *testing.T) {
 		K     = 2000 // >> ringCapacity + bound
 	)
 	var shed atomic.Int64
-	h := newBoundedHandoff(bound, &shed)
+	h := newHandoff()
+	h.spill.bound, h.spill.shed = bound, &shed
 	accepted := 0
 	for i := 0; i < K; i++ {
 		if h.push(Message{}) {
@@ -133,52 +134,6 @@ func TestBoundedHandoffExactShed(t *testing.T) {
 	}
 }
 
-func TestDemuxRouteBoundExactShed(t *testing.T) {
-	net := NewInMemNetwork()
-	defer net.Close()
-	id := types.ProcessID{Role: types.RoleReader, Index: 1}
-	node, err := net.Join(id)
-	if err != nil {
-		t.Fatal(err)
-	}
-	d := NewDemux(node, func(m Message) ([]byte, bool) { return m.Payload, true }, 4)
-	const bound = 8
-	d.SetRouteBound(bound)
-	rt := d.Route("k")
-	// Fill the route without any consumer on its inbox: ring + spill bound +
-	// the forwarder's channel buffer + one in the forwarder's hand absorb
-	// messages; everything beyond is shed and counted.
-	const K = 4096
-	for i := 0; i < K; i++ {
-		if !rt.(*demuxRoute).box.push(Message{Payload: []byte("k")}) {
-			break
-		}
-	}
-	pushMore := 0
-	for i := 0; i < 100; i++ {
-		if !rt.(*demuxRoute).box.push(Message{Payload: []byte("k")}) {
-			pushMore++
-		}
-	}
-	if pushMore != 100 {
-		t.Fatalf("full bounded route accepted pushes: rejected only %d of 100", pushMore)
-	}
-	if d.Sheds() == 0 {
-		t.Fatal("route sheds not counted")
-	}
-	// An unbounded demux never sheds.
-	d2 := NewDemux(nodeMust(t, net, types.ProcessID{Role: types.RoleReader, Index: 2}), func(m Message) ([]byte, bool) { return m.Payload, true }, 4)
-	rt2 := d2.Route("k")
-	for i := 0; i < K; i++ {
-		if !rt2.(*demuxRoute).box.push(Message{Payload: []byte("k")}) {
-			t.Fatal("unbounded route rejected a push")
-		}
-	}
-	if d2.Sheds() != 0 {
-		t.Fatalf("unbounded demux counted %d sheds", d2.Sheds())
-	}
-}
-
 func nodeMust(t *testing.T, net *InMemNetwork, id types.ProcessID) Node {
 	t.Helper()
 	n, err := net.Join(id)
@@ -190,7 +145,7 @@ func nodeMust(t *testing.T, net *InMemNetwork, id types.ProcessID) Node {
 
 func TestInMemMailboxBoundKeepsHighWaterUnderBound(t *testing.T) {
 	const bound = 64
-	net := NewInMemNetwork(WithMailboxBound(bound))
+	net := NewInMemNetwork(WithMailboxBound(bound, 0))
 	defer net.Close()
 	srv := nodeMust(t, net, types.ProcessID{Role: types.RoleServer, Index: 1})
 	wrt := nodeMust(t, net, types.ProcessID{Role: types.RoleWriter, Index: 0})

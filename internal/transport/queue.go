@@ -12,14 +12,13 @@ import (
 // lifetime.
 const maxRetainedBatch = 1024
 
-// mailbox is an unbounded FIFO queue of messages with a channel-based
-// delivery side.
+// mailbox is an unbounded multi-producer FIFO queue of messages.
 //
 // The asynchronous model requires that a sender never blocks on a slow
 // receiver (a correct process keeps taking steps regardless of what other
 // processes do). A fixed-capacity channel cannot provide that, so each node
-// owns a mailbox: producers append under a mutex, and a single pump goroutine
-// forwards messages to the node's delivery channel in order.
+// owns a mailbox: producers append under a mutex, and the node's consumer
+// takes whole runs off it in order (drainRuns).
 type mailbox struct {
 	mu     sync.Mutex
 	cond   *sync.Cond
@@ -41,8 +40,8 @@ type mailbox struct {
 	// tolerate loss via quorum slack. A bounded mailbox therefore also
 	// bounds its own high-water mark. Zero means unbounded (the default
 	// everywhere; overload control is strictly opt-in because a bound on a
-	// CLIENT-side queue can drop quorum-completing acks — see the demux
-	// route-starvation history in PR 3/PR 5).
+	// CLIENT-side queue can drop quorum-completing acks — the PR 3/PR 5
+	// starvation history).
 	bound int
 	shed  *atomic.Int64
 }
@@ -144,34 +143,14 @@ func (m *mailbox) popAll(buf []Message) ([]Message, bool) {
 	return batch, true
 }
 
-// drain delivers the mailbox's messages in FIFO order, in batches, until the
-// mailbox is closed and empty. It owns the batch-buffer recycling
-// discipline shared by every consumer loop (node pumps, demux route
-// forwarders, executor workers): one popAll per run of messages, entries
-// zeroed after delivery so the recycled buffer does not pin payloads, and
-// oversized burst buffers dropped (maxRetainedBatch) so a burst's memory is
-// returned to the allocator.
-func (m *mailbox) drain(deliver func(Message)) {
-	var buf []Message
-	for {
-		batch, ok := m.popAll(buf)
-		if !ok {
-			return
-		}
-		for i := range batch {
-			deliver(batch[i])
-			batch[i] = Message{}
-		}
-		buf = batch
-		if cap(buf) > maxRetainedBatch {
-			buf = nil
-		}
-	}
-}
-
-// drainRuns is drain with a run boundary: after every batched pop's messages
-// have been delivered, runEnd is invoked once before the next blocking pop.
-// Executor workers use it to flush their run-scoped ack coalescer.
+// drainRuns delivers the mailbox's messages in FIFO order, in batches, until
+// the mailbox is closed and empty; after every batched pop's messages have
+// been delivered, runEnd is invoked once before the next blocking pop — the
+// run boundary Consume hands to the executor's ack coalescer and commit hook.
+// It owns the batch-buffer recycling discipline of every mailbox consumer:
+// one popAll per run of messages, entries zeroed after delivery so the
+// recycled buffer does not pin payloads, and oversized burst buffers dropped
+// (maxRetainedBatch) so a burst's memory is returned to the allocator.
 func (m *mailbox) drainRuns(deliver func(Message), runEnd func()) {
 	var buf []Message
 	for {
@@ -189,6 +168,11 @@ func (m *mailbox) drainRuns(deliver func(Message), runEnd func()) {
 			buf = nil
 		}
 	}
+}
+
+// drain is drainRuns without a run callback.
+func (m *mailbox) drain(deliver func(Message)) {
+	m.drainRuns(deliver, func() {})
 }
 
 // close marks the mailbox closed. Messages already queued are still

@@ -5,18 +5,19 @@ import "sync/atomic"
 // SPSC handoff tier
 // =================
 //
-// The two hottest single-producer/single-consumer handoffs in a deployment —
-// the demux pump pushing into a route's queue, and the executor's dispatcher
-// pushing into a key-shard worker's queue — used to pay one mutex+condvar
-// synchronisation per run of messages (mailbox.popAll amortised the condvar,
-// but every push still took the lock). Both handoffs have exactly ONE
-// producer goroutine and ONE consumer goroutine by construction, which admits
-// a classic lock-free bounded ring: a power-of-two slot array with padded
-// atomic head/tail indices, wait-free on both sides while the ring has room.
+// The single-producer/single-consumer handoffs of a deployment — the
+// executor's dispatcher pushing into a key-shard worker's queue, and the demux
+// pump pushing into the channel side of a route read through Inbox — used to
+// pay one mutex+condvar synchronisation per run of messages (mailbox.popAll
+// amortised the condvar, but every push still took the lock). Both have
+// exactly ONE producer goroutine and ONE consumer goroutine by construction,
+// which admits a classic lock-free bounded ring: a power-of-two slot array
+// with padded atomic head/tail indices, wait-free on both sides while the
+// ring has room.
 //
-// Unbounded queueing is a CORRECTNESS requirement on these paths (see the
-// Demux doc: a behind-quorum server's burst-flushed ack backlog must never
-// force a drop), so the ring cannot simply reject on full. Instead each
+// Unbounded queueing is a CORRECTNESS requirement by default (a burst must
+// never force a drop nobody asked for), so the ring cannot simply reject on
+// full. Instead each
 // handoff keeps the old unbounded mailbox as a SPILL path: when the ring is
 // full the producer diverts to the mailbox, and stays diverted until the
 // consumer has drained the spill — that ordering discipline (ring drained
@@ -91,8 +92,8 @@ func (r *spscRing) empty() bool {
 	return r.head.Load() == r.tail.Load()
 }
 
-// handoff is the SPSC queue used between a demux pump and its routes, and
-// between an executor dispatcher and its key-shard workers: a lock-free ring
+// handoff is the SPSC queue used between an executor dispatcher and its
+// key-shard workers, and behind a demux route's Inbox: a lock-free ring
 // for the steady state with the unbounded mailbox as burst spill (see the
 // package comment above). The producer and the consumer must each be a single
 // goroutine; close may be called from anywhere.
@@ -123,17 +124,6 @@ func newHandoff() *handoff {
 		spill:  newMailbox(),
 		notify: make(chan struct{}, 1),
 	}
-}
-
-// newBoundedHandoff is newHandoff with a capped overflow queue: once the
-// ring is full AND the spill holds bound messages, further pushes are shed
-// and counted into sink (total queued capacity is therefore ringCapacity +
-// bound). A non-positive bound is unbounded.
-func newBoundedHandoff(bound int, sink *atomic.Int64) *handoff {
-	h := newHandoff()
-	h.spill.bound = bound
-	h.spill.shed = sink
-	return h
 }
 
 // wake kicks the consumer if it is (or is about to start) blocking.

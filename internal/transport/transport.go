@@ -53,7 +53,7 @@ type Message struct {
 // RetainArena takes one additional reference on the message's arena, if any:
 // call it before handing a COPY of the message to an additional independent
 // consumer (the executor's dispatcher queueing to a worker, the demux pump
-// queueing to a route).
+// delivering to a route).
 func (m Message) RetainArena() {
 	if m.Arena != nil {
 		m.Arena.Ref()

@@ -159,35 +159,23 @@ func (c *VirtualClock) end() {
 	c.mu.Unlock()
 }
 
-// Step waits (up to maxIdleWait of wall time) for activity to quiesce, then
+// Step waits (up to maxIdleWait of wall time) for activity to quiesce,
 // executes the earliest scheduled event, advancing virtual time to its due
-// instant. It returns false when no events remain. A non-nil error means the
-// system failed to quiesce — some component is stuck holding an activity
-// token, which under a virtual clock indicates a genuine deadlock or a
-// wall-clock sleep that must not exist in simulation.
+// instant, and waits again for that event's whole causal cascade — handlers
+// run, operations completed, replies scheduled — to quiesce, so what the
+// caller observes when Step returns is the complete effect of the event, at
+// the event's instant, whatever the goroutine schedule was. It returns false
+// when no events remain. A non-nil error means the system failed to quiesce —
+// some component is stuck holding an activity token, which under a virtual
+// clock indicates a genuine deadlock or a wall-clock sleep that must not
+// exist in simulation.
 //
 // Step must only ever be called from one goroutine (the simulation driver).
 func (c *VirtualClock) Step(maxIdleWait time.Duration) (bool, error) {
-	timedOut := false
-	var watchdog *time.Timer
-	if maxIdleWait > 0 {
-		watchdog = time.AfterFunc(maxIdleWait, func() {
-			c.mu.Lock()
-			timedOut = true
-			c.mu.Unlock()
-			c.cond.Broadcast()
-		})
-		defer watchdog.Stop()
+	if err := c.quiesce(maxIdleWait); err != nil {
+		return false, err
 	}
 	c.mu.Lock()
-	for c.activity > 0 && !timedOut {
-		c.cond.Wait()
-	}
-	if c.activity > 0 {
-		n := c.activity
-		c.mu.Unlock()
-		return false, fmt.Errorf("transport: virtual clock stalled: %d activity tokens outstanding after %v", n, maxIdleWait)
-	}
 	if len(c.events) == 0 {
 		c.mu.Unlock()
 		return false, nil
@@ -198,7 +186,31 @@ func (c *VirtualClock) Step(maxIdleWait time.Duration) (bool, error) {
 	}
 	c.mu.Unlock()
 	ev.fn()
-	return true, nil
+	return true, c.quiesce(maxIdleWait)
+}
+
+// quiesce waits (up to maxIdleWait of wall time; forever if it is zero) until
+// no activity token is outstanding.
+func (c *VirtualClock) quiesce(maxIdleWait time.Duration) error {
+	timedOut := false
+	if maxIdleWait > 0 {
+		watchdog := time.AfterFunc(maxIdleWait, func() {
+			c.mu.Lock()
+			timedOut = true
+			c.mu.Unlock()
+			c.cond.Broadcast()
+		})
+		defer watchdog.Stop()
+	}
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	for c.activity > 0 && !timedOut {
+		c.cond.Wait()
+	}
+	if c.activity > 0 {
+		return fmt.Errorf("transport: virtual clock stalled: %d activity tokens outstanding after %v", c.activity, maxIdleWait)
+	}
+	return nil
 }
 
 // RunNext is Step without a watchdog: it blocks until quiescent, then fires

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -136,5 +137,28 @@ func serve(node Node, handler func(Message)) {
 	for msg := range node.Inbox() {
 		Expand(msg, handler)
 		msg.ReleaseArena()
+	}
+}
+
+// TestVirtualClockStepWaitsForTheCascade: Step returns only once the work the
+// fired event started has given its activity tokens back, so its caller sees
+// the event's complete effect — what makes a simulation's observations
+// independent of the goroutine schedule.
+func TestVirtualClockStepWaitsForTheCascade(t *testing.T) {
+	c := NewVirtualClock()
+	var finished atomic.Bool
+	c.Schedule(time.Millisecond, func() {
+		c.begin()
+		go func() {
+			time.Sleep(20 * time.Millisecond)
+			finished.Store(true)
+			c.end()
+		}()
+	})
+	if ran, err := c.Step(5 * time.Second); err != nil || !ran {
+		t.Fatalf("Step = (%v, %v), want (true, nil)", ran, err)
+	}
+	if !finished.Load() {
+		t.Fatal("Step returned while the event's cascade was still running")
 	}
 }

@@ -136,17 +136,23 @@ type Config struct {
 	// (dropping acknowledgements can starve a completable quorum). Zero
 	// (the default) keeps every queue unbounded.
 	QueueBound int
-	// RouteBound, when positive, additionally caps each client demux
-	// route's overflow queue (shed-and-count into Stats.ShedDrops). A
-	// bounded route can drop quorum-completing acknowledgements — the
+	// RouteBound, when positive, additionally caps each CLIENT identity's
+	// inbound queue — the in-memory transport mailbox of the writer and of
+	// every reader, which all of that identity's per-key routes share and
+	// which is the only place an acknowledgement backlog can sit — at that
+	// many messages (shed-and-count into Stats.ShedDrops). A bounded
+	// client queue can drop quorum-completing acknowledgements — the
 	// operation then waits for its context or AdmissionWait budget — so
 	// this is off by default and exists for deployments that must bound
 	// client-side memory too; most overload control wants QueueBound +
-	// AdmissionWait only.
+	// AdmissionWait only. In-memory backend only: the socket backends'
+	// inbound queues are always bounded and count their overflow in
+	// Stats.InboundDrops.
 	RouteBound int
 	// DisableBatching turns off the in-memory transport's delivery batching
-	// (the node pumps' coalescing of consecutive same-sender messages into
-	// one wire.Batch handoff). Batching is on by default and is purely a
+	// (a node's consumer taking its whole backlog as one run — one wake-up,
+	// one coalesced ack flush, one log commit — instead of a run per
+	// message). Batching is on by default and is purely a
 	// throughput optimisation — per-link FIFO order and delivery accounting
 	// are identical either way; the switch exists for A/B measurement. The
 	// TCP backend's frame batching and the servers' per-run acknowledgement
@@ -459,7 +465,7 @@ type Stats struct {
 	MailboxHighWater int
 	// ShedDrops counts messages shed by the opt-in overload bounds —
 	// bounded server mailboxes and executor queues (Config.QueueBound) and
-	// bounded client routes (Config.RouteBound). Always 0 without those
+	// bounded client mailboxes (Config.RouteBound). Always 0 without those
 	// knobs. Together with client-side ErrOverloaded rejections (which the
 	// caller observes directly), this is the exact account of where
 	// offered load beyond capacity went.

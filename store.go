@@ -341,15 +341,12 @@ func (s *Store) startGroup(g *storeGroup) error {
 		return err
 	}
 	g.writerDemux = transport.NewDemux(wNode, protoutil.WireKeyFunc, 0)
-	g.writerDemux.SetRouteBound(s.cfg.RouteBound)
 	for i := 1; i <= s.cfg.Readers; i++ {
 		rNode, err := g.session.join(types.Reader(i))
 		if err != nil {
 			return err
 		}
-		rd := transport.NewDemux(rNode, protoutil.WireKeyFunc, 0)
-		rd.SetRouteBound(s.cfg.RouteBound)
-		g.readerDemuxes = append(g.readerDemuxes, rd)
+		g.readerDemuxes = append(g.readerDemuxes, transport.NewDemux(rNode, protoutil.WireKeyFunc, 0))
 	}
 	return nil
 }
@@ -752,15 +749,9 @@ func (s *Store) Stats() Stats {
 			// process of any group has ever queued.
 			out.MailboxHighWater = ts.mailboxHighWater
 		}
-		// Shed accounting: bounded server mailboxes (transport session),
-		// bounded client routes (demuxes), bounded executor queues (servers).
+		// Shed accounting: bounded server and client mailboxes (transport
+		// session), bounded executor queues (servers).
 		gs.ShedDrops = ts.shedDrops
-		if g.writerDemux != nil {
-			gs.ShedDrops += g.writerDemux.Sheds()
-		}
-		for _, d := range g.readerDemuxes {
-			gs.ShedDrops += d.Sheds()
-		}
 		g.srvMu.Lock()
 		servers := append([]driver.Server(nil), g.servers...)
 		g.srvMu.Unlock()

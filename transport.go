@@ -78,9 +78,10 @@ type sessionStats struct {
 	// inbound queues are bounded and overflow shows up as inboundDrops
 	// instead).
 	mailboxHighWater int
-	// shedDrops counts deliveries shed by opt-in bounded server mailboxes
-	// (Config.QueueBound; in-memory backend — socket backends report their
-	// bounded-queue losses through the drop counters above).
+	// shedDrops counts deliveries shed by opt-in bounded mailboxes
+	// (Config.QueueBound for servers, Config.RouteBound for clients;
+	// in-memory backend — socket backends report their bounded-queue losses
+	// through the drop counters above).
 	shedDrops int64
 }
 
@@ -148,14 +149,12 @@ func (t *inMemTransport) String() string { return "inmem" }
 func (t *inMemTransport) connect(cfg Config) (transportSession, error) {
 	var opts []transport.InMemOption
 	if !cfg.DisableBatching {
-		// Delivery batching: node pumps coalesce consecutive same-sender
-		// backlog into one wire.Batch handoff. Every consumer a Store wires
-		// up (executors, demuxes, the client pipelines) is batch-aware.
+		// Delivery batching: a node's consumer takes its whole backlog as
+		// one run — one wake-up, one ack flush, one log commit for all of
+		// it — instead of a run per message.
 		opts = append(opts, transport.WithBatching())
 	}
-	if cfg.QueueBound > 0 {
-		opts = append(opts, transport.WithMailboxBound(cfg.QueueBound))
-	}
+	opts = append(opts, transport.WithMailboxBound(cfg.QueueBound, cfg.RouteBound))
 	opts = append(opts, t.opts...)
 	return &inMemSession{net: transport.NewInMemNetwork(opts...)}, nil
 }
