@@ -7,6 +7,8 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"fastread/internal/driver"
 )
 
 func testCtx(t *testing.T) context.Context {
@@ -30,7 +32,7 @@ func configFor(p Protocol) Config {
 
 func TestAllProtocolsWriteThenRead(t *testing.T) {
 	for _, p := range allProtocols() {
-		t.Run(p.String(), func(t *testing.T) {
+		t.Run(string(p), func(t *testing.T) {
 			cluster, err := NewCluster(configFor(p))
 			if err != nil {
 				t.Fatalf("NewCluster: %v", err)
@@ -74,7 +76,7 @@ func TestAllProtocolsWriteThenRead(t *testing.T) {
 
 func TestAllProtocolsSurviveCrashes(t *testing.T) {
 	for _, p := range allProtocols() {
-		t.Run(p.String(), func(t *testing.T) {
+		t.Run(string(p), func(t *testing.T) {
 			cfg := configFor(p)
 			cluster, err := NewCluster(cfg)
 			if err != nil {
@@ -156,7 +158,7 @@ func TestConfigValidation(t *testing.T) {
 		},
 		{
 			name:    "unknown protocol",
-			cfg:     Config{Servers: 4, Faulty: 1, Readers: 1, Protocol: Protocol(99)},
+			cfg:     Config{Servers: 4, Faulty: 1, Readers: 1, Protocol: Protocol("nope")},
 			wantErr: ErrUnknownProtocol,
 		},
 	}
@@ -311,16 +313,17 @@ func TestBoundsHelpers(t *testing.T) {
 	}
 }
 
+// TestProtocolString pins that a Protocol constant IS its registry name: the
+// cmd binaries' -protocol flag, the scenario DSL and Config.Protocol all
+// speak the same five strings.
 func TestProtocolString(t *testing.T) {
-	for _, p := range allProtocols() {
-		if p.String() == "" || !p.Valid() {
-			t.Errorf("protocol %d invalid", p)
+	want := []string{"fast", "fast-byz", "abd", "maxmin", "regular"}
+	for i, p := range allProtocols() {
+		if string(p) != want[i] {
+			t.Errorf("protocol %d is %q, want %q", i, p, want[i])
 		}
-	}
-	if Protocol(0).Valid() || Protocol(42).Valid() {
-		t.Error("invalid protocols reported valid")
-	}
-	if Protocol(42).String() == "" {
-		t.Error("invalid protocol should still render")
+		if _, ok := driver.Lookup(string(p)); !ok {
+			t.Errorf("no driver registered under %q", p)
+		}
 	}
 }

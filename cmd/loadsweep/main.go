@@ -120,18 +120,6 @@ func run(args []string) error {
 	return os.WriteFile(*out, enc, 0o644)
 }
 
-func protocolFor(name string) (fastread.Protocol, error) {
-	for _, p := range []fastread.Protocol{
-		fastread.ProtocolFast, fastread.ProtocolFastByzantine,
-		fastread.ProtocolABD, fastread.ProtocolMaxMin, fastread.ProtocolRegular,
-	} {
-		if p.String() == name {
-			return p, nil
-		}
-	}
-	return 0, fmt.Errorf("unknown protocol %q", name)
-}
-
 func transportFor(name string) (fastread.Transport, error) {
 	switch name {
 	case "inmem":
@@ -152,15 +140,11 @@ func sweepOne(ctx context.Context, transport string, depth int, protocol string,
 	if err != nil {
 		return curveOut{}, err
 	}
-	proto, err := protocolFor(protocol)
-	if err != nil {
-		return curveOut{}, err
-	}
 	store, err := fastread.NewStore(fastread.Config{
 		Servers:       4,
 		Faulty:        1,
 		Readers:       1,
-		Protocol:      proto,
+		Protocol:      fastread.Protocol(protocol),
 		Transport:     tr,
 		PipelineDepth: depth,
 		AdmissionWait: admission,

@@ -1,6 +1,7 @@
 // Command lowerbound executes the paper's lower-bound constructions
 // (Proposition 5 for crash failures, Proposition 10 for arbitrary failures)
-// against a live register deployment and narrates the resulting partial run.
+// against a register deployment on a virtual clock and narrates the resulting
+// partial run, with virtual timestamps: the same flags print the same bytes.
 //
 // Usage:
 //

@@ -172,7 +172,9 @@
 //
 // # Protocol drivers
 //
-// The store resolves Config.Protocol through the internal/driver registry:
+// A Protocol IS its name in the internal/driver registry ("fast", "abd", ...;
+// any other registered name selects that driver the same way), and the store
+// resolves Config.Protocol with one registry lookup:
 // each protocol package registers uniform server/writer/reader factories,
 // and deployment code — the store, the cmd binaries — composes drivers with
 // transports without naming any protocol. Adding a protocol is one

@@ -370,10 +370,12 @@ func (k clientKind) firstRound(req *wire.Message) bool { return req.Op != k.seco
 // secondRound selects a two-round operation's second-round requests.
 func (k clientKind) secondRound(req *wire.Message) bool { return req.Op == k.second }
 
-// mustSubmit submits within a second or fails the row.
+// mustSubmit submits within a second or fails the row. The bound is its own
+// timer, not derived from ctx: a row may cancel ctx while the submission is
+// under way, and that must surface as the submission's outcome, not race it.
 func (r *row) mustSubmit(ctx context.Context) func(context.Context) error {
 	r.t.Helper()
-	bounded, cancel := context.WithTimeout(ctx, time.Second)
+	bounded, cancel := context.WithTimeout(context.Background(), time.Second)
 	defer cancel()
 	type started struct {
 		wait func(context.Context) error

@@ -6,11 +6,22 @@
 // runs — sequences of message deliveries, delays and failures — that force
 // any fast implementation into an atomicity violation when the resilience
 // bound is not met. This package drives real protocol code through those
-// schedules using the in-memory network's Hold/Release/Block controls and
-// records the resulting operation history, which internal/atomicity then
-// judges.
+// schedules and records the resulting operation history, which
+// internal/atomicity then judges.
 //
-// Three register implementations can be placed under the adversary:
+// A schedule runs on a stage (stage.go): a deployment on a virtual clock that
+// the schedule itself steps, as internal/sim's runs do. Links are held and
+// released on the in-memory network, operations are submitted as futures, and
+// "the message has been processed" is not polled or slept for: settle steps
+// the clock until no event remains, and the clock fires one delivery at a
+// time, only after the previous one's whole cascade has quiesced. A
+// violation is a predicate over the recorded history, so that history must
+// be the run the proof constructs every time: the same (S, t, b, R, reader)
+// reproduces the same history, timestamps and narrative, byte for byte.
+//
+// Propositions 5 and 10 are one schedule (construction.go) over a partition
+// of the servers (partition.go); the crash model is the case with no
+// malicious blocks. Three register implementations can be placed under it:
 //
 //   - the paper's own fast algorithm (internal/core), to show that the
 //     schedule is harmless while R is below the bound and harmful at or
@@ -18,6 +29,6 @@
 //   - a "naive" fast reader that skips the seen-set predicate and simply
 //     returns the highest timestamp it sees (the strawman from the paper's
 //     introduction), to show why the predicate is needed at all;
-//   - for the multi-writer case, a naive fast MWMR register versus the
-//     two-round ABD MWMR register.
+//   - for the multi-writer case (mwmr.go), a naive fast MWMR register versus
+//     the two-round ABD MWMR register.
 package adversary

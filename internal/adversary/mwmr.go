@@ -2,8 +2,8 @@ package adversary
 
 import (
 	"context"
+	"errors"
 	"fmt"
-	"time"
 
 	"fastread/internal/abd"
 	"fastread/internal/atomicity"
@@ -52,21 +52,111 @@ func newNaiveMWWriter(cfg quorum.Config, node transport.Node, rank int32) (*prot
 
 // newNaiveMWReader builds the matching one-round reader, returning the
 // highest (ts, rank) value it sees.
-func newNaiveMWReader(cfg quorum.Config, node transport.Node) (*protoutil.Client[types.Value], error) {
-	return protoutil.NewClient(protoutil.ClientConfig{Quorum: cfg, Depth: 1}, node, protoutil.Rounds[types.Value]{
+func newNaiveMWReader(cfg quorum.Config, node transport.Node) (*protoutil.Client[abd.MWReadResult], error) {
+	return protoutil.NewClient(protoutil.ClientConfig{Quorum: cfg, Depth: 1}, node, protoutil.Rounds[abd.MWReadResult]{
 		Name: "adversary: naive mwmr read", Need: cfg.AckQuorum(),
-		Begin: protoutil.Ask[types.Value](wire.OpRead, ""),
-		Finish: func(c *protoutil.Call[types.Value], acks []protoutil.Ack) (bool, error) {
+		Begin: protoutil.Ask[abd.MWReadResult](wire.OpRead, ""),
+		Finish: func(c *protoutil.Call[abd.MWReadResult], acks []protoutil.Ack) (bool, error) {
 			best := acks[0].Msg
 			for _, a := range acks[1:] {
 				if best.TS < a.Msg.TS || (best.TS == a.Msg.TS && best.WriterRank < a.Msg.WriterRank) {
 					best = a.Msg
 				}
 			}
-			c.Result = best.Cur.Clone()
+			c.Result = abd.MWReadResult{Value: best.Cur.Clone(), Timestamp: best.TS, WriterRank: best.WriterRank, RoundTrips: 1}
 			return false, nil
 		},
 	})
+}
+
+// The ABD multi-writer clients, reduced to their engines like the naive pair.
+func abdMWWriter(cfg quorum.Config, node transport.Node, rank int32) (*protoutil.Client[struct{}], error) {
+	w, err := abd.NewMWWriter(abd.ClientConfig{Quorum: cfg}, node, rank)
+	if err != nil {
+		return nil, err
+	}
+	return w.Client, nil
+}
+
+func abdMWReader(cfg quorum.Config, node transport.Node) (*protoutil.Client[abd.MWReadResult], error) {
+	r, err := abd.NewMWReader(abd.ClientConfig{Quorum: cfg}, node)
+	if err != nil {
+		return nil, err
+	}
+	return r.Client, nil
+}
+
+// deploy hand-wires the one deployment no protocol driver describes — S ABD
+// servers and three client identities, two of which write — on a network
+// driven by the stage's clock. It returns the client nodes (w1, w2, reader)
+// and the teardown.
+func deploy(clock *transport.VirtualClock, cfg quorum.Config) (nodes [3]transport.Node, stop func(), err error) {
+	net := transport.NewInMemNetwork(transport.WithClock(clock), transport.WithDefaultDelay(hop))
+	var servers []*abd.Server
+	stop = func() {
+		for _, srv := range servers {
+			srv.Stop()
+		}
+		_ = net.Close()
+	}
+	for i := 1; i <= cfg.Servers; i++ {
+		node, err := net.Join(types.Server(i))
+		if err != nil {
+			return nodes, stop, err
+		}
+		srv, err := abd.NewServer(abd.ServerConfig{ID: types.Server(i), Workers: 1}, node)
+		if err != nil {
+			return nodes, stop, err
+		}
+		srv.Start()
+		servers = append(servers, srv)
+	}
+	for i := range nodes {
+		if nodes[i], err = net.Join(types.Reader(i + 1)); err != nil {
+			return nodes, stop, err
+		}
+	}
+	return nodes, stop, nil
+}
+
+// interchange runs the sequential schedule — writer 2 writes, then writer 1
+// writes, then a reader reads — against one multi-writer register, given as
+// its client constructors, and judges the recorded history.
+func interchange(cfg quorum.Config,
+	newWriter func(quorum.Config, transport.Node, int32) (*protoutil.Client[struct{}], error),
+	newReader func(quorum.Config, transport.Node) (*protoutil.Client[abd.MWReadResult], error),
+) (history.History, atomicity.Report, error) {
+	st := newStage()
+	nodes, stop, err := deploy(st.clock, cfg)
+	defer stop()
+	if err != nil {
+		return nil, atomicity.Report{}, err
+	}
+	w1, err1 := newWriter(cfg, nodes[0], 1)
+	w2, err2 := newWriter(cfg, nodes[1], 2)
+	reader, err3 := newReader(cfg, nodes[2])
+	if err := errors.Join(err1, err2, err3); err != nil {
+		return nil, atomicity.Report{}, err
+	}
+
+	write := func(w *protoutil.Client[struct{}], value types.Value) {
+		op := invoke(st, w.ID(), history.OpWrite, value,
+			func() (*protoutil.Future[struct{}], error) { return w.Submit(context.Background(), value) },
+			func(struct{}) (types.Value, types.Timestamp) { return nil, 0 })
+		st.complete(op, "write by "+w.ID().String())
+	}
+	write(w2, types.Value("second-writer"))
+	write(w1, types.Value("first-writer"))
+	read := invoke(st, reader.ID(), history.OpRead, nil,
+		func() (*protoutil.Future[abd.MWReadResult], error) { return reader.Submit(context.Background(), nil) },
+		func(res abd.MWReadResult) (types.Value, types.Timestamp) { return res.Value, res.Timestamp })
+	st.complete(read, "read")
+	if st.err != nil {
+		return nil, atomicity.Report{}, st.err
+	}
+	h := st.rec.History()
+	report, err := atomicity.CheckLinearizable(h)
+	return h, report, err
 }
 
 // RunMWMRDemonstration runs the same sequential schedule — writer 2 writes,
@@ -81,182 +171,19 @@ func RunMWMRDemonstration(cfg quorum.Config) (MWMRResult, error) {
 		return MWMRResult{}, err
 	}
 	result := MWMRResult{Config: cfg}
-	narrate := func(format string, args ...any) {
-		result.Narrative = append(result.Narrative, fmt.Sprintf(format, args...))
+	var err error
+	if result.NaiveHistory, result.NaiveReport, err = interchange(cfg, newNaiveMWWriter, newNaiveMWReader); err != nil {
+		return result, fmt.Errorf("naive mwmr register: %w", err)
 	}
-	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
-	defer cancel()
-
-	// --- Naive fast MWMR register ---------------------------------------
-	{
-		net := transport.NewInMemNetwork()
-		servers := make([]*abd.Server, 0, cfg.Servers)
-		for i := 1; i <= cfg.Servers; i++ {
-			node, err := net.Join(types.Server(i))
-			if err != nil {
-				return result, err
-			}
-			srv, err := abd.NewServer(abd.ServerConfig{ID: types.Server(i)}, node)
-			if err != nil {
-				return result, err
-			}
-			srv.Start()
-			servers = append(servers, srv)
-		}
-		w1Node, err := net.Join(types.Reader(1))
-		if err != nil {
-			return result, err
-		}
-		w2Node, err := net.Join(types.Reader(2))
-		if err != nil {
-			return result, err
-		}
-		rNode, err := net.Join(types.Reader(3))
-		if err != nil {
-			return result, err
-		}
-		w1, err := newNaiveMWWriter(cfg, w1Node, 1)
-		if err != nil {
-			return result, err
-		}
-		w2, err := newNaiveMWWriter(cfg, w2Node, 2)
-		if err != nil {
-			return result, err
-		}
-		reader, err := newNaiveMWReader(cfg, rNode)
-		if err != nil {
-			return result, err
-		}
-
-		recorder := history.NewRecorder()
-		runOp := func(proc types.ProcessID, kind history.OpKind, arg types.Value, do func() (types.Value, error)) error {
-			op := recorder.Invoke(proc, kind, arg)
-			value, err := do()
-			if err != nil {
-				recorder.Fail(op)
-				return err
-			}
-			recorder.Return(op, value, 0)
-			return nil
-		}
-
-		if err := runOp(types.Reader(2), history.OpWrite, types.Value("second-writer"), func() (types.Value, error) {
-			_, err := w2.Do(ctx, types.Value("second-writer"))
-			return nil, err
-		}); err != nil {
-			return result, fmt.Errorf("naive mwmr write by w2: %w", err)
-		}
-		if err := runOp(types.Reader(1), history.OpWrite, types.Value("first-writer"), func() (types.Value, error) {
-			_, err := w1.Do(ctx, types.Value("first-writer"))
-			return nil, err
-		}); err != nil {
-			return result, fmt.Errorf("naive mwmr write by w1: %w", err)
-		}
-		if err := runOp(types.Reader(3), history.OpRead, nil, func() (types.Value, error) {
-			return reader.Do(ctx, nil)
-		}); err != nil {
-			return result, fmt.Errorf("naive mwmr read: %w", err)
-		}
-
-		for _, srv := range servers {
-			srv.Stop()
-		}
-		_ = net.Close()
-
-		result.NaiveHistory = recorder.History()
-		report, err := atomicity.CheckLinearizable(result.NaiveHistory)
-		if err != nil {
-			return result, err
-		}
-		result.NaiveReport = report
-		narrate("naive fast MWMR register: w2 writes, then w1 writes, then a read returns %s (linearizable=%v)",
-			lastReadValue(result.NaiveHistory), report.OK)
+	if result.ABDHistory, result.ABDReport, err = interchange(cfg, abdMWWriter, abdMWReader); err != nil {
+		return result, fmt.Errorf("abd mwmr register: %w", err)
 	}
-
-	// --- ABD MWMR register ----------------------------------------------
-	{
-		net := transport.NewInMemNetwork()
-		servers := make([]*abd.Server, 0, cfg.Servers)
-		for i := 1; i <= cfg.Servers; i++ {
-			node, err := net.Join(types.Server(i))
-			if err != nil {
-				return result, err
-			}
-			srv, err := abd.NewServer(abd.ServerConfig{ID: types.Server(i)}, node)
-			if err != nil {
-				return result, err
-			}
-			srv.Start()
-			servers = append(servers, srv)
-		}
-		w1Node, err := net.Join(types.Reader(1))
-		if err != nil {
-			return result, err
-		}
-		w2Node, err := net.Join(types.Reader(2))
-		if err != nil {
-			return result, err
-		}
-		rNode, err := net.Join(types.Reader(3))
-		if err != nil {
-			return result, err
-		}
-		clientCfg := abd.ClientConfig{Quorum: cfg}
-		w1, err := abd.NewMWWriter(clientCfg, w1Node, 1)
-		if err != nil {
-			return result, err
-		}
-		w2, err := abd.NewMWWriter(clientCfg, w2Node, 2)
-		if err != nil {
-			return result, err
-		}
-		reader, err := abd.NewMWReader(clientCfg, rNode)
-		if err != nil {
-			return result, err
-		}
-
-		recorder := history.NewRecorder()
-		writeOp := recorder.Invoke(types.Reader(2), history.OpWrite, types.Value("second-writer"))
-		if err := w2.Write(ctx, types.Value("second-writer")); err != nil {
-			return result, fmt.Errorf("abd mwmr write by w2: %w", err)
-		}
-		recorder.Return(writeOp, nil, 0)
-		writeOp = recorder.Invoke(types.Reader(1), history.OpWrite, types.Value("first-writer"))
-		if err := w1.Write(ctx, types.Value("first-writer")); err != nil {
-			return result, fmt.Errorf("abd mwmr write by w1: %w", err)
-		}
-		recorder.Return(writeOp, nil, 0)
-		readOp := recorder.Invoke(types.Reader(3), history.OpRead, nil)
-		res, err := reader.Read(ctx)
-		if err != nil {
-			return result, fmt.Errorf("abd mwmr read: %w", err)
-		}
-		recorder.Return(readOp, res.Value, res.Timestamp)
-
-		for _, srv := range servers {
-			srv.Stop()
-		}
-		_ = net.Close()
-
-		result.ABDHistory = recorder.History()
-		report, err := atomicity.CheckLinearizable(result.ABDHistory)
-		if err != nil {
-			return result, err
-		}
-		result.ABDReport = report
-		narrate("ABD MWMR register (two-round writes): the same schedule returns %s (linearizable=%v)",
-			lastReadValue(result.ABDHistory), report.OK)
+	// The read is the last operation of either history.
+	result.Narrative = []string{
+		fmt.Sprintf("naive fast MWMR register: w2 writes, then w1 writes, then a read returns %s (linearizable=%v)",
+			result.NaiveHistory[2].Result, result.NaiveReport.OK),
+		fmt.Sprintf("ABD MWMR register (two-round writes): the same schedule returns %s (linearizable=%v)",
+			result.ABDHistory[2].Result, result.ABDReport.OK),
 	}
-
 	return result, nil
-}
-
-// lastReadValue returns the value returned by the last completed read in the
-// history, for narration.
-func lastReadValue(h history.History) types.Value {
-	reads := h.Reads()
-	if len(reads) == 0 {
-		return nil
-	}
-	return reads[len(reads)-1].Result
 }

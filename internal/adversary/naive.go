@@ -1,8 +1,6 @@
 package adversary
 
 import (
-	"context"
-
 	"fastread/internal/protoutil"
 	"fastread/internal/quorum"
 	"fastread/internal/transport"
@@ -21,11 +19,17 @@ type naiveReader struct {
 	*protoutil.Client[protoutil.ReadResult]
 }
 
-// newNaiveReader builds a naive fast reader on the given node.
+// newNaiveReader builds a serial naive fast reader of the default register.
 func newNaiveReader(cfg quorum.Config, node transport.Node) (*naiveReader, error) {
-	cl, err := protoutil.NewClient(protoutil.ClientConfig{Quorum: cfg, Depth: 1}, node, protoutil.Rounds[protoutil.ReadResult]{
-		Name: "adversary: naive read", Role: types.RoleReader, Need: cfg.AckQuorum(),
-		Begin: protoutil.Ask[protoutil.ReadResult](wire.OpRead, ""),
+	return naiveReaderFor(protoutil.ClientConfig{Quorum: cfg, Depth: 1}, node)
+}
+
+// naiveReaderFor builds the naive reader a driver deploys: on the
+// deployment's key, at its pipeline depth.
+func naiveReaderFor(cfg protoutil.ClientConfig, node transport.Node) (*naiveReader, error) {
+	cl, err := protoutil.NewClient(cfg, node, protoutil.Rounds[protoutil.ReadResult]{
+		Name: "adversary: naive read", Role: types.RoleReader, Need: cfg.Quorum.AckQuorum(),
+		Begin: protoutil.Ask[protoutil.ReadResult](wire.OpRead, cfg.Key),
 		Finish: func(c *protoutil.Call[protoutil.ReadResult], acks []protoutil.Ack) (bool, error) {
 			_, best, _ := protoutil.MaxTimestamp(acks)
 			c.Result = protoutil.ReadResult{Value: best.Msg.Cur.Clone(), Timestamp: best.Msg.TS, RoundTrips: 1}
@@ -36,10 +40,4 @@ func newNaiveReader(cfg quorum.Config, node transport.Node) (*naiveReader, error
 		return nil, err
 	}
 	return &naiveReader{cl}, nil
-}
-
-// Read performs one naive fast read.
-func (r *naiveReader) Read(ctx context.Context) (types.Value, types.Timestamp, error) {
-	res, err := r.Do(ctx, nil)
-	return res.Value, res.Timestamp, err
 }

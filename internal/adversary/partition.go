@@ -23,150 +23,81 @@ type Partition struct {
 
 // BuildCrashPartition splits the S servers into R+2 primary blocks of size at
 // most t (Section 5, footnote 5), with any servers that do not fit going to
-// Extra. The critical block B_{R+1} — the only one that receives the write in
-// the final partial run — is filled to capacity first, mirroring the proof's
-// freedom to choose the partition.
+// Extra. It is the Byzantine partition with no shadow blocks.
 func BuildCrashPartition(cfg quorum.Config) (Partition, error) {
-	if err := cfg.Validate(); err != nil {
-		return Partition{}, err
-	}
-	if cfg.Readers < 2 {
-		return Partition{}, fmt.Errorf("adversary: the construction needs at least 2 readers, got %d", cfg.Readers)
-	}
-	if cfg.Faulty < 1 {
-		return Partition{}, fmt.Errorf("adversary: the construction needs t ≥ 1")
-	}
-	numBlocks := cfg.Readers + 2
-	if cfg.Servers < numBlocks {
-		return Partition{}, fmt.Errorf("adversary: need at least R+2=%d servers, got %d", numBlocks, cfg.Servers)
-	}
-
-	pool := newServerPool(cfg.Servers)
-	p := Partition{Primary: make([][]types.ProcessID, numBlocks)}
-
-	// Every block gets one server so the construction is well formed.
-	for i := 0; i < numBlocks; i++ {
-		p.Primary[i] = append(p.Primary[i], pool.take())
-	}
-	// Fill the critical block B_{R+1} to capacity, then the others.
-	critical := cfg.Readers // index of B_{R+1}
-	for len(p.Primary[critical]) < cfg.Faulty && pool.remaining() > 0 {
-		p.Primary[critical] = append(p.Primary[critical], pool.take())
-	}
-	for i := 0; i < numBlocks && pool.remaining() > 0; i++ {
-		for len(p.Primary[i]) < cfg.Faulty && pool.remaining() > 0 {
-			p.Primary[i] = append(p.Primary[i], pool.take())
-		}
-	}
-	p.Extra = pool.rest()
-	return p, nil
+	return buildPartition(cfg, false)
 }
 
 // BuildByzantinePartition splits the S servers into R+2 primary blocks
 // T1..T_{R+2} of size at most t and R+1 shadow blocks B1..B_{R+1} of size at
 // most b (Section 6.2), with the remainder in Extra. The shadow blocks are
-// the servers the adversary makes malicious; the critical blocks T_{R+1} and
-// B_{R+1} are filled to capacity first.
+// the servers the adversary makes malicious.
 func BuildByzantinePartition(cfg quorum.Config) (Partition, error) {
+	return buildPartition(cfg, true)
+}
+
+// buildPartition hands out s1..sS in order: one server to every block (so the
+// construction is well formed), then the critical blocks T_{R+1} and B_{R+1}
+// — the only ones the write reaches in the final partial run — up to
+// capacity, then the others, mirroring the proof's freedom to choose the
+// partition.
+func buildPartition(cfg quorum.Config, byzantine bool) (Partition, error) {
 	if err := cfg.Validate(); err != nil {
 		return Partition{}, err
 	}
 	if cfg.Readers < 2 {
 		return Partition{}, fmt.Errorf("adversary: the construction needs at least 2 readers, got %d", cfg.Readers)
 	}
-	if cfg.Faulty < 1 || cfg.Malicious < 1 {
-		return Partition{}, fmt.Errorf("adversary: the Byzantine construction needs t ≥ 1 and b ≥ 1")
+	if cfg.Faulty < 1 || (byzantine && cfg.Malicious < 1) {
+		return Partition{}, fmt.Errorf("adversary: the construction needs t ≥ 1 (and b ≥ 1 with malicious servers), got %v", cfg)
 	}
-	numPrimary := cfg.Readers + 2
-	numShadow := cfg.Readers + 1
-	if cfg.Servers < numPrimary+numShadow {
-		return Partition{}, fmt.Errorf("adversary: need at least %d servers for the Byzantine construction, got %d",
-			numPrimary+numShadow, cfg.Servers)
+	p := Partition{Primary: make([][]types.ProcessID, cfg.Readers+2)}
+	if byzantine {
+		p.Shadow = make([][]types.ProcessID, cfg.Readers+1)
+	}
+	if blocks := len(p.Primary) + len(p.Shadow); cfg.Servers < blocks {
+		return Partition{}, fmt.Errorf("adversary: need at least %d servers, one per block, got %d", blocks, cfg.Servers)
 	}
 
-	pool := newServerPool(cfg.Servers)
-	p := Partition{
-		Primary: make([][]types.ProcessID, numPrimary),
-		Shadow:  make([][]types.ProcessID, numShadow),
-	}
-	for i := 0; i < numPrimary; i++ {
-		p.Primary[i] = append(p.Primary[i], pool.take())
-	}
-	for i := 0; i < numShadow; i++ {
-		p.Shadow[i] = append(p.Shadow[i], pool.take())
-	}
-	// Critical blocks first: T_{R+1} up to t, B_{R+1} up to b.
-	criticalT := cfg.Readers
-	criticalB := cfg.Readers
-	for len(p.Primary[criticalT]) < cfg.Faulty && pool.remaining() > 0 {
-		p.Primary[criticalT] = append(p.Primary[criticalT], pool.take())
-	}
-	for len(p.Shadow[criticalB]) < cfg.Malicious && pool.remaining() > 0 {
-		p.Shadow[criticalB] = append(p.Shadow[criticalB], pool.take())
-	}
-	for i := 0; i < numPrimary && pool.remaining() > 0; i++ {
-		for len(p.Primary[i]) < cfg.Faulty && pool.remaining() > 0 {
-			p.Primary[i] = append(p.Primary[i], pool.take())
+	next := 1
+	grow := func(block *[]types.ProcessID, size int) {
+		for ; len(*block) < size && next <= cfg.Servers; next++ {
+			*block = append(*block, types.Server(next))
 		}
 	}
-	for i := 0; i < numShadow && pool.remaining() > 0; i++ {
-		for len(p.Shadow[i]) < cfg.Malicious && pool.remaining() > 0 {
-			p.Shadow[i] = append(p.Shadow[i], pool.take())
-		}
+	for i := range p.Primary {
+		grow(&p.Primary[i], 1)
 	}
-	p.Extra = pool.rest()
+	for i := range p.Shadow {
+		grow(&p.Shadow[i], 1)
+	}
+	critical := cfg.Readers // index of T_{R+1} and of B_{R+1}
+	grow(&p.Primary[critical], cfg.Faulty)
+	if byzantine {
+		grow(&p.Shadow[critical], cfg.Malicious)
+	}
+	for i := range p.Primary {
+		grow(&p.Primary[i], cfg.Faulty)
+	}
+	for i := range p.Shadow {
+		grow(&p.Shadow[i], cfg.Malicious)
+	}
+	grow(&p.Extra, cfg.Servers)
 	return p, nil
 }
 
 // MaliciousServers returns every server in a shadow block.
 func (p Partition) MaliciousServers() []types.ProcessID {
+	return span(p.Shadow, 1, len(p.Shadow))
+}
+
+// span returns the servers of blocks lo..hi (1-based, inclusive). Indices
+// past the last block name nothing, so the crash model's absent shadow
+// blocks need no special case in the schedule.
+func span(blocks [][]types.ProcessID, lo, hi int) []types.ProcessID {
 	var out []types.ProcessID
-	for _, block := range p.Shadow {
-		out = append(out, block...)
-	}
-	return out
-}
-
-// primaryUnion returns the servers in the primary blocks with the given
-// 1-based indices.
-func (p Partition) primaryUnion(indices ...int) []types.ProcessID {
-	var out []types.ProcessID
-	for _, i := range indices {
-		out = append(out, p.Primary[i-1]...)
-	}
-	return out
-}
-
-// shadowUnion returns the servers in the shadow blocks with the given
-// 1-based indices.
-func (p Partition) shadowUnion(indices ...int) []types.ProcessID {
-	var out []types.ProcessID
-	for _, i := range indices {
-		out = append(out, p.Shadow[i-1]...)
-	}
-	return out
-}
-
-// serverPool hands out server identities s1..sS in order.
-type serverPool struct {
-	next int
-	max  int
-}
-
-func newServerPool(servers int) *serverPool { return &serverPool{next: 1, max: servers} }
-
-func (sp *serverPool) remaining() int { return sp.max - sp.next + 1 }
-
-func (sp *serverPool) take() types.ProcessID {
-	id := types.Server(sp.next)
-	sp.next++
-	return id
-}
-
-func (sp *serverPool) rest() []types.ProcessID {
-	var out []types.ProcessID
-	for sp.remaining() > 0 {
-		out = append(out, sp.take())
+	for i := lo; i <= hi && i <= len(blocks); i++ {
+		out = append(out, blocks[i-1]...)
 	}
 	return out
 }

@@ -1,150 +1,14 @@
 package experiments
 
 import (
-	"context"
 	"fmt"
 
+	"fastread"
 	"fastread/internal/atomicity"
-	"fastread/internal/core"
-	"fastread/internal/fault"
 	"fastread/internal/quorum"
-	"fastread/internal/sig"
 	"fastread/internal/stats"
-	"fastread/internal/transport"
-	"fastread/internal/types"
 	"fastread/internal/workload"
 )
-
-// byzDeployment is a register deployment in which the last b servers run a
-// malicious behaviour instead of the honest protocol.
-type byzDeployment struct {
-	cfg     quorum.Config
-	net     *transport.InMemNetwork
-	honest  []*core.Server
-	badness []*fault.ByzantineServer
-	writer  *core.Writer
-	readers []*core.Reader
-}
-
-// newByzDeployment builds the deployment. Behaviours are assigned round-robin
-// to the malicious servers.
-func newByzDeployment(cfg quorum.Config, behaviors []fault.Behavior, seed int64) (*byzDeployment, error) {
-	if err := cfg.Validate(); err != nil {
-		return nil, err
-	}
-	d := &byzDeployment{cfg: cfg, net: transport.NewInMemNetwork(transport.WithSeed(seed))}
-	keys := sig.MustKeyPair()
-	forger := sig.MustKeyPair()
-
-	for i := 1; i <= cfg.Servers; i++ {
-		id := types.Server(i)
-		node, err := d.net.Join(id)
-		if err != nil {
-			d.Close()
-			return nil, err
-		}
-		if i > cfg.Servers-cfg.Malicious {
-			behavior := behaviors[(i-1)%len(behaviors)]
-			srv, err := fault.NewByzantineServer(fault.ByzantineConfig{
-				ID:         id,
-				Behavior:   behavior,
-				Readers:    cfg.Readers,
-				Victim:     types.Reader(1),
-				ForgerKeys: &forger,
-			}, node)
-			if err != nil {
-				d.Close()
-				return nil, err
-			}
-			srv.Start()
-			d.badness = append(d.badness, srv)
-			continue
-		}
-		srv, err := core.NewServer(core.ServerConfig{
-			ID:        id,
-			Readers:   cfg.Readers,
-			Byzantine: true,
-			Verifier:  keys.Verifier,
-		}, node)
-		if err != nil {
-			d.Close()
-			return nil, err
-		}
-		srv.Start()
-		d.honest = append(d.honest, srv)
-	}
-
-	wNode, err := d.net.Join(types.Writer())
-	if err != nil {
-		d.Close()
-		return nil, err
-	}
-	d.writer, err = core.NewWriter(core.WriterConfig{Quorum: cfg, Byzantine: true, Signer: keys.Signer}, wNode)
-	if err != nil {
-		d.Close()
-		return nil, err
-	}
-	for i := 1; i <= cfg.Readers; i++ {
-		rNode, err := d.net.Join(types.Reader(i))
-		if err != nil {
-			d.Close()
-			return nil, err
-		}
-		reader, err := core.NewReader(core.ReaderConfig{Quorum: cfg, Byzantine: true, Verifier: keys.Verifier}, rNode)
-		if err != nil {
-			d.Close()
-			return nil, err
-		}
-		d.readers = append(d.readers, reader)
-	}
-	return d, nil
-}
-
-// clients exposes the deployment to the workload driver.
-func (d *byzDeployment) clients() workload.Clients {
-	clients := workload.Clients{
-		Writer: workload.WriterFunc(func(ctx context.Context, v types.Value) error {
-			return d.writer.Write(ctx, v)
-		}),
-	}
-	for _, r := range d.readers {
-		reader := r
-		clients.Readers = append(clients.Readers, workload.ReaderFunc(
-			func(ctx context.Context) (types.Value, types.Timestamp, int, error) {
-				res, err := reader.Read(ctx)
-				if err != nil {
-					return nil, 0, 0, err
-				}
-				return res.Value, res.Timestamp, res.RoundTrips, nil
-			}))
-	}
-	return clients
-}
-
-// roundsPerRead averages the per-reader round-trip counters.
-func (d *byzDeployment) roundsPerRead() float64 {
-	var reads, rounds int64
-	for _, r := range d.readers {
-		rd, ro, _ := r.Stats()
-		reads += rd
-		rounds += ro
-	}
-	if reads == 0 {
-		return 0
-	}
-	return float64(rounds) / float64(reads)
-}
-
-// Close tears the deployment down.
-func (d *byzDeployment) Close() {
-	for _, s := range d.honest {
-		s.Stop()
-	}
-	for _, s := range d.badness {
-		s.Stop()
-	}
-	_ = d.net.Close()
-}
 
 // RunE3 reproduces the Section 6.1 claim (algorithm of Figure 5): with
 // S > (R+2)t + (R+1)b, a workload in which b servers actively misbehave
@@ -154,19 +18,19 @@ func (d *byzDeployment) Close() {
 func RunE3(opts Options) ([]*stats.Table, error) {
 	type scenario struct {
 		servers, faulty, malicious, readers int
-		behaviors                           []fault.Behavior
+		behaviors                           []fastread.ByzantineBehavior
 		label                               string
 	}
 	scenarios := []scenario{
-		{8, 1, 1, 1, []fault.Behavior{fault.BehaviorForgeTimestamp}, "forged timestamps"},
-		{8, 1, 1, 1, []fault.Behavior{fault.BehaviorStaleReplay}, "stale replay"},
-		{11, 1, 1, 2, []fault.Behavior{fault.BehaviorMemoryLoss}, "memory loss vs r1"},
-		{11, 1, 1, 2, []fault.Behavior{fault.BehaviorInflateSeen}, "inflated seen sets"},
+		{8, 1, 1, 1, []fastread.ByzantineBehavior{fastread.ByzantineForgeTimestamp}, "forged timestamps"},
+		{8, 1, 1, 1, []fastread.ByzantineBehavior{fastread.ByzantineStaleReplay}, "stale replay"},
+		{11, 1, 1, 2, []fastread.ByzantineBehavior{fastread.ByzantineMemoryLoss}, "memory loss vs r1"},
+		{11, 1, 1, 2, []fastread.ByzantineBehavior{fastread.ByzantineInflateSeen}, "inflated seen sets"},
 	}
 	if !opts.Quick {
 		scenarios = append(scenarios,
-			scenario{14, 2, 2, 1, []fault.Behavior{fault.BehaviorForgeTimestamp, fault.BehaviorMute}, "forgery + mute"},
-			scenario{17, 2, 2, 2, []fault.Behavior{fault.BehaviorStaleReplay, fault.BehaviorInflateSeen}, "replay + inflated seen"},
+			scenario{14, 2, 2, 1, []fastread.ByzantineBehavior{fastread.ByzantineForgeTimestamp, fastread.ByzantineMute}, "forgery + mute"},
+			scenario{17, 2, 2, 2, []fastread.ByzantineBehavior{fastread.ByzantineStaleReplay, fastread.ByzantineInflateSeen}, "replay + inflated seen"},
 		)
 	}
 
@@ -181,7 +45,20 @@ func RunE3(opts Options) ([]*stats.Table, error) {
 		if !cfg.FastReadPossible() {
 			return nil, fmt.Errorf("e3: scenario %+v violates the Byzantine bound", sc)
 		}
-		d, err := newByzDeployment(cfg, sc.behaviors, opts.Seed)
+		// The last b servers misbehave, the scenario's behaviours assigned
+		// round-robin.
+		malicious := make(map[int]fastread.ByzantineBehavior, sc.malicious)
+		for i := sc.servers - sc.malicious + 1; i <= sc.servers; i++ {
+			malicious[i] = sc.behaviors[(i-1)%len(sc.behaviors)]
+		}
+		cluster, err := fastread.NewCluster(fastread.Config{
+			Servers:   sc.servers,
+			Faulty:    sc.faulty,
+			Malicious: sc.malicious,
+			Readers:   sc.readers,
+			Protocol:  fastread.ProtocolFastByzantine,
+			Byzantine: malicious,
+		})
 		if err != nil {
 			return nil, fmt.Errorf("e3: deployment %+v: %w", sc, err)
 		}
@@ -190,16 +67,16 @@ func RunE3(opts Options) ([]*stats.Table, error) {
 		result, err := workload.Run(ctx, workload.Config{
 			Writes:         opts.scale(40, 10),
 			ReadsPerReader: opts.scale(60, 12),
-		}, d.clients())
+		}, clusterClients(cluster))
 		cancel()
+		rounds := cluster.Stats().ReadRoundsPerOp
+		_ = cluster.Close()
 		if err != nil {
-			d.Close()
 			return nil, fmt.Errorf("e3: workload %+v: %w", sc, err)
 		}
 
 		report, err := atomicity.CheckSWMR(result.History)
 		if err != nil {
-			d.Close()
 			return nil, err
 		}
 		forgedReturned := false
@@ -208,8 +85,6 @@ func RunE3(opts Options) ([]*stats.Table, error) {
 				forgedReturned = true
 			}
 		}
-		rounds := d.roundsPerRead()
-		d.Close()
 
 		table.AddRow(
 			sc.servers, sc.faulty, sc.malicious, sc.readers, sc.label,

@@ -89,7 +89,7 @@ func RunE7(opts Options) ([]*stats.Table, error) {
 				fastMedian = result.ReadLatency.Median
 			}
 			table.AddRow(
-				s, faulty, readers, proto.p.String(),
+				s, faulty, readers, string(proto.p),
 				cstats.ReadRoundsPerOp,
 				result.ReadLatency.Median, result.ReadLatency.P95,
 				formatRatio(result.ReadLatency.Median, fastMedian),

@@ -67,7 +67,7 @@ func RunE8(opts Options) ([]*stats.Table, error) {
 
 		mutations := after.ServerMutations - before.ServerMutations
 		table.AddRow(
-			proto.String(), servers, faulty, readCount,
+			string(proto), servers, faulty, readCount,
 			mutations,
 			float64(mutations)/float64(readCount),
 			extraRounds,

@@ -218,12 +218,11 @@ func Run(sc Scenario, seed int64) *Result {
 		// ServerWorkers is 1 so each server handles its messages on exactly
 		// one goroutine: combined with the clock's one-event-at-a-time
 		// delivery, there is no scheduling freedom anywhere in a run.
-		ServerWorkers:   1,
-		PipelineDepth:   sc.Depth,
-		DisableBatching: true,
-		ProtocolName:    sc.Protocol,
-		NonceSource:     nonce,
-		Byzantine:       byz,
+		ServerWorkers: 1,
+		PipelineDepth: sc.Depth,
+		Protocol:      fastread.Protocol(sc.Protocol),
+		NonceSource:   nonce,
+		Byzantine:     byz,
 		Transport: fastread.InMemory(
 			fastread.WithDelay(sc.Delay),
 			fastread.WithJitter(sc.Jitter),

@@ -153,7 +153,7 @@ func TestConsumeRunBoundaries(t *testing.T) {
 }
 
 // TestConsumeUnbatchedRunsOfOne: on a network without batching every run is
-// one message (what Config.DisableBatching promises), backlog or not.
+// one message (what a network without WithBatching promises), backlog or not.
 func TestConsumeUnbatchedRunsOfOne(t *testing.T) {
 	net := NewInMemNetwork()
 	defer net.Close()

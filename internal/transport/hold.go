@@ -51,11 +51,9 @@ func (n *InMemNetwork) Release(from, to types.ProcessID) {
 	if dst == nil {
 		return
 	}
-	c := n.countersFor(l)
 	for _, msg := range msgs {
 		n.delivered.Add(1)
 		n.inTransit.Add(1)
-		c.delivered.Add(1)
 		n.deliver(dst, msg, 0)
 	}
 }
@@ -69,10 +67,7 @@ func (n *InMemNetwork) DropHeld(from, to types.ProcessID) {
 	delete(n.held, l)
 	n.updateSlowLocked()
 	n.mu.Unlock()
-	if dropped > 0 {
-		n.dropped.Add(int64(dropped))
-		n.countersFor(l).dropped.Add(int64(dropped))
-	}
+	n.dropped.Add(int64(dropped))
 }
 
 // HeldCount returns the number of messages currently held on the link.

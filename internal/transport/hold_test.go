@@ -59,7 +59,7 @@ func TestDropHeldDiscardsMessages(t *testing.T) {
 	if _, ok := recvWithTimeout(t, b, 50*time.Millisecond); ok {
 		t.Fatal("dropped held message was delivered")
 	}
-	if s := net.StatsFor(a.ID(), b.ID()); s.Dropped != 1 {
+	if s := net.Stats(); s.Dropped != 1 {
 		t.Errorf("Dropped = %d, want 1", s.Dropped)
 	}
 	// Link no longer held.

@@ -49,13 +49,6 @@ func WithSeed(seed int64) InMemOption {
 	return func(n *InMemNetwork) { n.rng = rand.New(rand.NewSource(seed)) }
 }
 
-// WithMailboxObserver installs a callback invoked (synchronously with
-// delivery) for every message handed to a destination mailbox. Used by the
-// trace package.
-func WithMailboxObserver(fn func(Message)) InMemOption {
-	return func(n *InMemNetwork) { n.observer = fn }
-}
-
 // WithMailboxBound caps node mailboxes: every SERVER node's at server queued
 // messages, every CLIENT (writer/reader) node's at client. A delivery finding
 // the mailbox full is shed (dropped-in-transit, counted in MailboxShed)
@@ -98,30 +91,10 @@ func WithClock(c *VirtualClock) InMemOption {
 // analogue of the TCP transport's one-frame-per-peer-per-flush batching — so
 // readers of a batching network's Inbox must be batch-aware (Expand); raw
 // inbox loops that decode payloads directly would drop the envelopes as
-// malformed. Observers and link counters see the individual messages —
-// coalescing happens after delivery accounting, on the receiving node's own
-// queue.
+// malformed. The delivery counters see the individual messages — coalescing
+// happens after delivery accounting, on the receiving node's own queue.
 func WithBatching() InMemOption {
 	return func(n *InMemNetwork) { n.batching = true }
-}
-
-// linkStripes is the number of stripes sharding the per-link counters. Links
-// are keyed by (from, to); 64 stripes keep cross-link contention negligible
-// for realistic process counts.
-const linkStripes = 64
-
-// linkCounters is one directed link's delivery counters, updated atomically.
-type linkCounters struct {
-	delivered atomic.Int64
-	dropped   atomic.Int64
-}
-
-// linkStripe is one shard of the per-link counter table. The stripe lock
-// only guards the map itself; the counters are atomic, so the lock is held
-// for a map lookup at most.
-type linkStripe struct {
-	mu sync.Mutex
-	m  map[link]*linkCounters
 }
 
 // nodeMap is the copy-on-write process→node table. Joins copy it; routing
@@ -131,11 +104,10 @@ type nodeMap map[types.ProcessID]*inMemNode
 // InMemNetwork is the goroutine/channel implementation of Network.
 //
 // The per-message route/deliver path is designed for heavy multi-register
-// traffic: aggregate counters are atomics, per-link counters live in a
-// striped table (one short stripe-lock acquisition per message), and the
-// node table is copy-on-write — so concurrent senders never serialise on a
-// network-wide lock. Adversarial controls (blocks, crashes, holds, delays,
-// jitter, observers) flip the network onto a mutex-guarded slow path; a
+// traffic: the delivery counters are atomics and the node table is
+// copy-on-write — so concurrent senders never serialise on a network-wide
+// lock. Adversarial controls (blocks, crashes, holds, delays, jitter, a
+// virtual clock) flip the network onto a mutex-guarded slow path; a
 // network that never uses them (the common benchmark and production shape)
 // stays lock-free end to end.
 type InMemNetwork struct {
@@ -161,12 +133,10 @@ type InMemNetwork struct {
 	delivered atomic.Int64
 	dropped   atomic.Int64
 	inTransit atomic.Int64
-	perLink   [linkStripes]linkStripe
 
 	defaultDelay time.Duration
 	jitter       time.Duration
 	rng          *rand.Rand
-	observer     func(Message)
 	batching     bool
 	serverBound  int
 	clientBound  int
@@ -259,9 +229,6 @@ func NewInMemNetwork(opts ...InMemOption) *InMemNetwork {
 	}
 	empty := make(nodeMap)
 	n.nodes.Store(&empty)
-	for i := range n.perLink {
-		n.perLink[i].m = make(map[link]*linkCounters)
-	}
 	for _, opt := range opts {
 		opt(n)
 	}
@@ -271,10 +238,6 @@ func NewInMemNetwork(opts ...InMemOption) *InMemNetwork {
 	n.updateSlowLocked()
 	return n
 }
-
-// Clock returns the network's virtual clock, or nil when the network runs on
-// wall time.
-func (n *InMemNetwork) Clock() *VirtualClock { return n.clock }
 
 // updateSlowLocked recomputes the slow-path flag. Callers must hold n.mu
 // (or, during construction, have exclusive access).
@@ -287,24 +250,7 @@ func (n *InMemNetwork) updateSlowLocked() {
 		len(n.linkDelay) > 0 ||
 		n.defaultDelay > 0 ||
 		n.jitter > 0 ||
-		n.observer != nil ||
 		n.clock != nil)
-}
-
-// countersFor returns the (lazily created) atomic counters of a link. Only
-// the owning stripe is locked, and only for the map access.
-func (n *InMemNetwork) countersFor(l link) *linkCounters {
-	h := uint64(l.from.Role)*0x9E3779B97F4A7C15 ^ uint64(uint32(l.from.Index))*0x85EBCA77C2B2AE63 ^
-		uint64(l.to.Role)*0xC2B2AE3D27D4EB4F ^ uint64(uint32(l.to.Index))*0x27D4EB2F165667C5
-	st := &n.perLink[h%linkStripes]
-	st.mu.Lock()
-	c, ok := st.m[l]
-	if !ok {
-		c = &linkCounters{}
-		st.m[l] = c
-	}
-	st.mu.Unlock()
-	return c
 }
 
 // Join implements Network.
@@ -397,12 +343,6 @@ func (n *InMemNetwork) BlockPair(a, b types.ProcessID) {
 	n.Block(b, a)
 }
 
-// UnblockPair unblocks both directions between the two processes.
-func (n *InMemNetwork) UnblockPair(a, b types.ProcessID) {
-	n.Unblock(a, b)
-	n.Unblock(b, a)
-}
-
 // UnblockAll clears every blocked link.
 func (n *InMemNetwork) UnblockAll() {
 	n.mu.Lock()
@@ -444,13 +384,6 @@ func (n *InMemNetwork) Reconnect(id types.ProcessID) {
 	n.updateSlowLocked()
 }
 
-// Isolated reports whether the process is currently isolated.
-func (n *InMemNetwork) Isolated(id types.ProcessID) bool {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	return n.downed[id]
-}
-
 // Crashed reports whether the process has been crashed via Crash.
 func (n *InMemNetwork) Crashed(id types.ProcessID) bool {
 	n.mu.Lock()
@@ -476,56 +409,40 @@ func (n *InMemNetwork) Stats() LinkStats {
 	}
 }
 
-// StatsFor returns the delivery counters of a single directed link.
-func (n *InMemNetwork) StatsFor(from, to types.ProcessID) LinkStats {
-	c := n.countersFor(link{from, to})
-	return LinkStats{
-		Delivered: int(c.delivered.Load()),
-		Dropped:   int(c.dropped.Load()),
-	}
-}
-
-// dropOn records a dropped message on the link.
-func (n *InMemNetwork) dropOn(l link) {
-	n.dropped.Add(1)
-	n.countersFor(l).dropped.Add(1)
-}
-
 // route decides the fate of a message: returns the destination node and delay
 // if it should be delivered, or nil if it must be dropped.
 //
-// The fast path — no blocks, crashes, holds, delays, jitter or observer
+// The fast path — no blocks, crashes, holds, delays, jitter or virtual clock
 // configured — reads the copy-on-write node table and bumps atomic counters
 // without taking any network-wide lock.
 func (n *InMemNetwork) route(msg Message) (*inMemNode, time.Duration, bool) {
-	l := link{msg.From, msg.To}
 	if n.slow.Load() {
-		return n.routeSlow(msg, l)
+		return n.routeSlow(msg)
 	}
 	dst, ok := (*n.nodes.Load())[msg.To]
 	if !ok {
-		n.dropOn(l)
+		n.dropped.Add(1)
 		return nil, 0, false
 	}
 	n.delivered.Add(1)
 	n.inTransit.Add(1)
-	n.countersFor(l).delivered.Add(1)
 	return dst, 0, true
 }
 
 // routeSlow is the mutex-guarded routing path used while any adversarial
 // control is active (or the network is closed).
-func (n *InMemNetwork) routeSlow(msg Message, l link) (*inMemNode, time.Duration, bool) {
+func (n *InMemNetwork) routeSlow(msg Message) (*inMemNode, time.Duration, bool) {
+	l := link{msg.From, msg.To}
 	n.mu.Lock()
 	defer n.mu.Unlock()
 	if n.closed || n.crashed[msg.From] || n.crashed[msg.To] ||
 		n.downed[msg.From] || n.downed[msg.To] || n.blocked[l] {
-		n.dropOn(l)
+		n.dropped.Add(1)
 		return nil, 0, false
 	}
 	dst, ok := (*n.nodes.Load())[msg.To]
 	if !ok {
-		n.dropOn(l)
+		n.dropped.Add(1)
 		return nil, 0, false
 	}
 	delay := n.defaultDelay
@@ -537,7 +454,6 @@ func (n *InMemNetwork) routeSlow(msg Message, l link) (*inMemNode, time.Duration
 	}
 	n.delivered.Add(1)
 	n.inTransit.Add(1)
-	n.countersFor(l).delivered.Add(1)
 	return dst, delay, true
 }
 
@@ -552,9 +468,6 @@ func (n *InMemNetwork) deliver(dst *inMemNode, msg Message, delay time.Duration)
 		return
 	}
 	if delay <= 0 {
-		if n.observer != nil {
-			n.observer(msg)
-		}
 		dst.box.push(msg)
 		n.inTransit.Add(-1)
 		return
@@ -603,9 +516,6 @@ func (n *InMemNetwork) deliverVirtual(dst *inMemNode, msg Message, delay time.Du
 			n.inTransit.Add(-1)
 			return
 		}
-		if n.observer != nil {
-			n.observer(msg)
-		}
 		msg.vt = c
 		c.begin()
 		if !dst.box.push(msg) {
@@ -629,9 +539,6 @@ func (n *InMemNetwork) dispatchDelayed() {
 		for len(n.delayHeap) > 0 && !n.delayHeap[0].at.After(now) {
 			d := n.delayHeap.pop()
 			n.delayMu.Unlock()
-			if n.observer != nil {
-				n.observer(d.msg)
-			}
 			d.dst.box.push(d.msg)
 			n.inTransit.Add(-1)
 			n.wg.Done()
@@ -711,7 +618,7 @@ var (
 // drainRuns implements runDrainer: the caller becomes the node's consumer. A
 // run is one batched pop of the mailbox — one lock/condvar synchronisation
 // per run, not per message — or a single message on a network without
-// batching (Config.DisableBatching keeps its meaning: runs of one).
+// batching (every virtual-clock network): runs of one.
 func (nd *inMemNode) drainRuns(deliver func(Message), runEnd func()) bool {
 	nd.mu.Lock()
 	if nd.inbox != nil {

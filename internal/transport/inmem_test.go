@@ -111,7 +111,7 @@ func TestInMemBlockDropsMessages(t *testing.T) {
 		t.Fatalf("expected the unblocked message, got %v ok=%v", msg, ok)
 	}
 
-	stats := net.StatsFor(a.ID(), b.ID())
+	stats := net.Stats()
 	if stats.Dropped != 1 || stats.Delivered != 1 {
 		t.Errorf("link stats = %+v, want 1 dropped / 1 delivered", stats)
 	}
@@ -299,30 +299,6 @@ func TestInMemConcurrentSendersAllDelivered(t *testing.T) {
 		}
 	}
 	wg.Wait()
-}
-
-func TestInMemObserverSeesDeliveries(t *testing.T) {
-	var mu sync.Mutex
-	count := 0
-	net := NewInMemNetwork(WithMailboxObserver(func(Message) {
-		mu.Lock()
-		count++
-		mu.Unlock()
-	}))
-	defer net.Close()
-	a := mustJoin(t, net, types.Reader(1))
-	b := mustJoin(t, net, types.Server(1))
-	if err := a.Send(b.ID(), "observed", nil); err != nil {
-		t.Fatalf("Send: %v", err)
-	}
-	if _, ok := recvWithTimeout(t, b, time.Second); !ok {
-		t.Fatal("not delivered")
-	}
-	mu.Lock()
-	defer mu.Unlock()
-	if count != 1 {
-		t.Errorf("observer saw %d deliveries, want 1", count)
-	}
 }
 
 func TestMailboxFIFOAndClose(t *testing.T) {

@@ -130,13 +130,6 @@ func (c *VirtualClock) Schedule(d time.Duration, fn func()) {
 	c.mu.Unlock()
 }
 
-// PendingEvents returns the number of scheduled events not yet executed.
-func (c *VirtualClock) PendingEvents() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return len(c.events)
-}
-
 // begin takes one activity token; the clock will not fire further events
 // until it is returned with end.
 func (c *VirtualClock) begin() {

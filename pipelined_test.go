@@ -350,7 +350,7 @@ func TestCancelledReadLeavesSiblingsRunning(t *testing.T) {
 func TestPipelinedReadsAllProtocols(t *testing.T) {
 	protocols := []Protocol{ProtocolFast, ProtocolFastByzantine, ProtocolABD, ProtocolMaxMin, ProtocolRegular}
 	for _, proto := range protocols {
-		t.Run(proto.String(), func(t *testing.T) {
+		t.Run(string(proto), func(t *testing.T) {
 			t.Parallel()
 			cfg := Config{Servers: 4, Faulty: 1, Readers: 1, Protocol: proto, PipelineDepth: 4}
 			if proto == ProtocolFastByzantine {

@@ -3,60 +3,42 @@ package fastread
 import (
 	"context"
 	"errors"
-	"fmt"
 	"time"
 
 	"fastread/internal/driver"
 	"fastread/internal/protoutil"
 )
 
-// Protocol selects which register implementation a Cluster runs.
-type Protocol int
+// Protocol selects which register implementation a deployment runs, by its
+// name in the protocol driver registry (internal/driver). The constants below
+// are the protocols this module registers; any other registered name — test
+// instrumentation such as internal/sim's deliberately-buggy canary driver, or
+// the relaxed drivers internal/adversary deploys beyond the bound — is
+// selected the same way, and a name nothing registered makes NewStore report
+// ErrUnknownProtocol.
+type Protocol string
 
 const (
 	// ProtocolFast is the paper's fast crash-tolerant SWMR atomic register
 	// (Figure 2): one round-trip per read and per write, requires
 	// R < S/t − 2.
-	ProtocolFast Protocol = iota + 1
+	ProtocolFast Protocol = "fast"
 	// ProtocolFastByzantine is the arbitrary-failure fast register
 	// (Figure 5): writer-signed values, requires S > (R+2)t + (R+1)b.
-	ProtocolFastByzantine
+	ProtocolFastByzantine Protocol = "fast-byz"
 	// ProtocolABD is the classic two-round-read SWMR register of Attiya,
 	// Bar-Noy and Dolev: requires only t < S/2 and supports any number of
 	// readers, but reads cost two round-trips.
-	ProtocolABD
+	ProtocolABD Protocol = "abd"
 	// ProtocolMaxMin is the decentralised variant sketched in the paper's
 	// introduction: one client round-trip, but servers gossip with each
 	// other before replying.
-	ProtocolMaxMin
+	ProtocolMaxMin Protocol = "maxmin"
 	// ProtocolRegular is a fast SWMR *regular* register: one round-trip,
 	// any number of readers, t < S/2, but only regular (not atomic)
 	// semantics.
-	ProtocolRegular
+	ProtocolRegular Protocol = "regular"
 )
-
-// String names the protocol.
-func (p Protocol) String() string {
-	switch p {
-	case ProtocolFast:
-		return "fast"
-	case ProtocolFastByzantine:
-		return "fast-byz"
-	case ProtocolABD:
-		return "abd"
-	case ProtocolMaxMin:
-		return "maxmin"
-	case ProtocolRegular:
-		return "regular"
-	default:
-		return fmt.Sprintf("protocol(%d)", int(p))
-	}
-}
-
-// Valid reports whether p is a defined protocol.
-func (p Protocol) Valid() bool {
-	return p >= ProtocolFast && p <= ProtocolRegular
-}
 
 // Config describes a register deployment.
 type Config struct {
@@ -73,13 +55,6 @@ type Config struct {
 	// ProtocolFast. The implementation is resolved through the protocol
 	// driver registry, so every protocol runs over every transport backend.
 	Protocol Protocol
-	// ProtocolName, when non-empty, selects the implementation by registry
-	// name instead of Protocol — the escape hatch for drivers registered
-	// outside the enum (test instrumentation such as internal/sim's
-	// deliberately-buggy canary driver, or future external drivers). The
-	// named driver must already be registered or NewStore reports
-	// ErrUnknownProtocol.
-	ProtocolName string
 	// Transport selects the message-passing backend the deployment runs on;
 	// nil means InMemory(). See Transport, InMemory and TCP. In a partitioned
 	// deployment (Groups non-empty) this is the default backend FACTORY for
@@ -149,15 +124,6 @@ type Config struct {
 	// inbound queues are always bounded and count their overflow in
 	// Stats.InboundDrops.
 	RouteBound int
-	// DisableBatching turns off the in-memory transport's delivery batching
-	// (a node's consumer taking its whole backlog as one run — one wake-up,
-	// one coalesced ack flush, one log commit — instead of a run per
-	// message). Batching is on by default and is purely a
-	// throughput optimisation — per-link FIFO order and delivery accounting
-	// are identical either way; the switch exists for A/B measurement. The
-	// TCP backend's frame batching and the servers' per-run acknowledgement
-	// coalescing are always on. In-memory backend only.
-	DisableBatching bool
 	// NonceSource, when non-nil, supplies the initial operation counter for
 	// each reader handle the store creates, replacing the wall-clock default
 	// (see internal/protoutil.StartNonce). Deterministic simulation plugs

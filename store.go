@@ -143,19 +143,12 @@ type Register struct {
 // The deployment serves an open-ended keyspace: call Register to obtain the
 // handles for any key.
 func NewStore(cfg Config) (*Store, error) {
-	name := cfg.ProtocolName
-	if name == "" {
-		if cfg.Protocol == 0 {
-			cfg.Protocol = ProtocolFast
-		}
-		if !cfg.Protocol.Valid() {
-			return nil, fmt.Errorf("%w: %d", ErrUnknownProtocol, cfg.Protocol)
-		}
-		name = cfg.Protocol.String()
+	if cfg.Protocol == "" {
+		cfg.Protocol = ProtocolFast
 	}
-	drv, ok := driver.Lookup(name)
+	drv, ok := driver.Lookup(string(cfg.Protocol))
 	if !ok {
-		return nil, fmt.Errorf("%w: no driver registered for %q", ErrUnknownProtocol, name)
+		return nil, fmt.Errorf("%w: no driver registered for %q", ErrUnknownProtocol, cfg.Protocol)
 	}
 	for _, b := range cfg.Byzantine {
 		if b < ByzantineForgeTimestamp || b > ByzantineFlood {

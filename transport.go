@@ -120,8 +120,8 @@ func WithSeed(seed int64) InMemoryOption {
 // scenario runs in milliseconds of wall time and identical seeds produce
 // identical message schedules. The caller owns the event loop — the clock
 // only advances through VirtualClock.Step — which is what internal/sim's
-// scenario runner does. Implies DisableBatching (under one-event-at-a-time
-// delivery there is never a backlog to coalesce).
+// scenario runner does. Delivery batching is off on such a network (under
+// one-event-at-a-time delivery there is never a backlog to coalesce).
 func WithVirtualClock(c *transport.VirtualClock) InMemoryOption {
 	return func(t *inMemTransport) {
 		t.opts = append(t.opts, transport.WithClock(c))
@@ -147,14 +147,14 @@ type inMemTransport struct {
 func (t *inMemTransport) String() string { return "inmem" }
 
 func (t *inMemTransport) connect(cfg Config) (transportSession, error) {
-	var opts []transport.InMemOption
-	if !cfg.DisableBatching {
-		// Delivery batching: a node's consumer takes its whole backlog as
-		// one run — one wake-up, one ack flush, one log commit for all of
-		// it — instead of a run per message.
-		opts = append(opts, transport.WithBatching())
+	// Delivery batching: a node's consumer takes its whole backlog as one
+	// run — one wake-up, one ack flush, one log commit for all of it —
+	// instead of a run per message. A virtual clock among t.opts turns it
+	// back off (transport.WithClock).
+	opts := []transport.InMemOption{
+		transport.WithBatching(),
+		transport.WithMailboxBound(cfg.QueueBound, cfg.RouteBound),
 	}
-	opts = append(opts, transport.WithMailboxBound(cfg.QueueBound, cfg.RouteBound))
 	opts = append(opts, t.opts...)
 	return &inMemSession{net: transport.NewInMemNetwork(opts...)}, nil
 }

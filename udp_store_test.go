@@ -28,7 +28,7 @@ func TestUDPStoreEndToEnd(t *testing.T) {
 	for _, proto := range protocols {
 		// NOT parallel: each run measures goroutine leakage against a global
 		// baseline.
-		t.Run(proto.String(), func(t *testing.T) {
+		t.Run(string(proto), func(t *testing.T) {
 			baseline := runtime.NumGoroutine()
 
 			cfg := Config{Servers: 4, Faulty: 1, Readers: 1, Protocol: proto, Transport: UDP(nil)}
