@@ -1,8 +1,6 @@
 package fastread
 
 import (
-	"fmt"
-
 	"fastread/internal/driver"
 	"fastread/internal/fault"
 	"fastread/internal/sig"
@@ -10,34 +8,10 @@ import (
 	"fastread/internal/types"
 )
 
-// faultBehavior maps the public behaviour enum onto internal/fault's.
-func faultBehavior(b ByzantineBehavior) (fault.Behavior, error) {
-	switch b {
-	case ByzantineForgeTimestamp:
-		return fault.BehaviorForgeTimestamp, nil
-	case ByzantineStaleReplay:
-		return fault.BehaviorStaleReplay, nil
-	case ByzantineMemoryLoss:
-		return fault.BehaviorMemoryLoss, nil
-	case ByzantineInflateSeen:
-		return fault.BehaviorInflateSeen, nil
-	case ByzantineMute:
-		return fault.BehaviorMute, nil
-	case ByzantineFlood:
-		return fault.BehaviorFlood, nil
-	default:
-		return 0, fmt.Errorf("fastread: unknown byzantine behaviour %d", b)
-	}
-}
-
 // newByzantineServer builds the malicious stand-in for one server identity
 // listed in Config.Byzantine. It satisfies driver.Server, so the store's
 // lifecycle code treats it exactly like an honest server.
-func newByzantineServer(cfg Config, b ByzantineBehavior, id types.ProcessID, node transport.Node) (driver.Server, error) {
-	behavior, err := faultBehavior(b)
-	if err != nil {
-		return nil, err
-	}
+func newByzantineServer(cfg Config, behavior ByzantineBehavior, id types.ProcessID, node transport.Node) (driver.Server, error) {
 	fcfg := fault.ByzantineConfig{
 		ID:       id,
 		Workers:  cfg.ServerWorkers,

@@ -7,7 +7,6 @@ import (
 	"strings"
 	"time"
 
-	"fastread/internal/driver"
 	"fastread/internal/protoutil"
 	"fastread/internal/types"
 	"fastread/internal/workload"
@@ -52,7 +51,7 @@ func parseRates(s string) ([]float64, error) {
 // single-submitter discipline; the admission budget rides the operation
 // context so a handle whose pipeline is saturated sheds with ErrOverloaded
 // instead of blocking the generator.
-func loadgenClient(writers []driver.Writer, readers []driver.Reader, admission time.Duration) workload.OpenLoopClient {
+func loadgenClient(writers []*protoutil.Writer, readers []*protoutil.Reader, admission time.Duration) workload.OpenLoopClient {
 	admit := func(ctx context.Context) context.Context {
 		if admission > 0 {
 			return protoutil.WithAdmissionWait(ctx, admission)
@@ -66,7 +65,7 @@ func loadgenClient(writers []driver.Writer, readers []driver.Reader, admission t
 			if err != nil {
 				return nil, err
 			}
-			return f.Result, nil
+			return waitErr(f), nil
 		}
 	}
 	if len(readers) > 0 {
@@ -75,10 +74,7 @@ func loadgenClient(writers []driver.Writer, readers []driver.Reader, admission t
 			if err != nil {
 				return nil, err
 			}
-			return func(ctx context.Context) error {
-				_, rerr := f.Result(ctx)
-				return rerr
-			}, nil
+			return waitErr(f), nil
 		}
 	}
 	return c
@@ -96,7 +92,7 @@ func printCurvePoint(p workload.CurvePoint) {
 // reader's per-key handles: the client role decides the mix (the writer
 // offers writes, a reader offers reads — the SWMR model has no mixed
 // handle). Exactly one of writers/readers is non-empty.
-func runLoadgen(ctx context.Context, c *cliConfig, writers []driver.Writer, readers []driver.Reader) error {
+func runLoadgen(ctx context.Context, c *cliConfig, writers []*protoutil.Writer, readers []*protoutil.Reader) error {
 	keys := len(writers)
 	readFraction := 0.0
 	if keys == 0 {

@@ -277,12 +277,6 @@ func run(args []string) error {
 		return err
 	}
 	qcfg := quorum.Config{Servers: c.servers, Faulty: c.faulty, Malicious: c.malicious, Readers: c.readers}
-	if err := qcfg.Validate(); err != nil {
-		return err
-	}
-	if err := drv.Validate(qcfg); err != nil {
-		return err
-	}
 	if command == "bench" || command == "loadgen" {
 		fmt.Println(c.configLine())
 	}
@@ -306,24 +300,26 @@ func run(args []string) error {
 		if c, ok := conns[gi]; ok {
 			return c, nil
 		}
-		gq := qcfg
-		var book transport.AddressBook
-		var err error
+		// What a topology entry spells out of its quorum shape wins over the
+		// -S/-t/-b fallbacks, field by field; without a topology the flags
+		// are the deployment.
+		var (
+			g    topology.Group
+			book transport.AddressBook
+		)
 		if ring != nil {
-			g := topo.Groups[gi]
-			if g.Servers != 0 {
-				gq.Servers, gq.Faulty, gq.Malicious = g.Servers, g.Faulty, g.Malicious
-			}
-			if book, err = transport.BookFromMembers(g.Members); err != nil {
-				return nil, fmt.Errorf("group %q: %w", g.Name, err)
-			}
-			if err = gq.Validate(); err != nil {
-				return nil, fmt.Errorf("group %q: %w", g.Name, err)
-			}
-			if err = drv.Validate(gq); err != nil {
-				return nil, fmt.Errorf("group %q: %w", g.Name, err)
-			}
-		} else if book, err = transport.ParseAddressBook(c.book); err != nil {
+			g = topo.Groups[gi]
+		}
+		gq, err := g.Quorum(qcfg, drv.Validate)
+		if err != nil {
+			return nil, err
+		}
+		if ring == nil {
+			book, err = transport.ParseAddressBook(c.book)
+		} else if book, err = transport.BookFromMembers(g.Members); err != nil {
+			err = fmt.Errorf("group %q: %w", g.Name, err)
+		}
+		if err != nil {
 			return nil, err
 		}
 		// Clients always listen on the address-book entry for their identity,
@@ -332,7 +328,7 @@ func run(args []string) error {
 		node, err := socknet.Listen(c.transport, framed.Config{Self: id, Book: book}, nil)
 		if err != nil {
 			if ring != nil {
-				return nil, fmt.Errorf("group %q: %w", topo.Groups[gi].Name, err)
+				err = fmt.Errorf("group %q: %w", g.Name, err)
 			}
 			return nil, err
 		}
@@ -366,7 +362,7 @@ func run(args []string) error {
 	ctx := context.Background()
 	switch id.Role {
 	case types.RoleWriter:
-		writers := make([]driver.Writer, len(keys))
+		writers := make([]*protoutil.Writer, len(keys))
 		for i, k := range keys {
 			gc, err := connFor(groupOf(k))
 			if err != nil {
@@ -386,7 +382,7 @@ func run(args []string) error {
 		}
 		return runWriter(ctx, writers, command, c.args, c.timeout, c.ops, c.pipeline)
 	case types.RoleReader:
-		readers := make([]driver.Reader, len(keys))
+		readers := make([]*protoutil.Reader, len(keys))
 		for i, k := range keys {
 			gc, err := connFor(groupOf(k))
 			if err != nil {
@@ -413,7 +409,7 @@ func run(args []string) error {
 // runWriter executes the writer-side subcommands. The bench subcommand
 // round-robins its operations over every per-key writer, keeping up to
 // depth writes in flight.
-func runWriter(ctx context.Context, writers []driver.Writer, command string, args []string, timeout time.Duration, ops, depth int) error {
+func runWriter(ctx context.Context, writers []*protoutil.Writer, command string, args []string, timeout time.Duration, ops, depth int) error {
 	switch command {
 	case "write":
 		if len(args) < 1 {
@@ -435,7 +431,7 @@ func runWriter(ctx context.Context, writers []driver.Writer, command string, arg
 				if err != nil {
 					return nil, err
 				}
-				return f.Result, nil
+				return waitErr(f), nil
 			})
 		if err != nil {
 			return err
@@ -451,7 +447,7 @@ func runWriter(ctx context.Context, writers []driver.Writer, command string, arg
 // runReader executes the reader-side subcommands. The bench subcommand
 // round-robins its operations over every per-key reader, keeping up to
 // depth reads in flight.
-func runReader(ctx context.Context, readers []driver.Reader, command string, timeout time.Duration, ops, depth int) error {
+func runReader(ctx context.Context, readers []*protoutil.Reader, command string, timeout time.Duration, ops, depth int) error {
 	switch command {
 	case "read":
 		opCtx, cancel := context.WithTimeout(ctx, timeout)
@@ -472,10 +468,7 @@ func runReader(ctx context.Context, readers []driver.Reader, command string, tim
 				if err != nil {
 					return nil, err
 				}
-				return func(c context.Context) error {
-					_, rerr := f.Result(c)
-					return rerr
-				}, nil
+				return waitErr(f), nil
 			})
 		if err != nil {
 			return err
@@ -485,6 +478,15 @@ func runReader(ctx context.Context, readers []driver.Reader, command string, tim
 		return nil
 	default:
 		return fmt.Errorf("readers support: read | bench | loadgen")
+	}
+}
+
+// waitErr is a future's wait with the result dropped: what the bench and
+// load generators want of a write and of a read alike.
+func waitErr[T any](f *protoutil.Future[T]) func(context.Context) error {
+	return func(ctx context.Context) error {
+		_, err := f.Result(ctx)
+		return err
 	}
 }
 

@@ -3,6 +3,8 @@ package main
 import (
 	"context"
 	"errors"
+	"os"
+	"path/filepath"
 	"reflect"
 	"strings"
 	"testing"
@@ -192,6 +194,30 @@ func TestParseRates(t *testing.T) {
 	for _, bad := range []string{"", "x", "-5", "0", "100,,x"} {
 		if _, err := parseRates(bad); err == nil {
 			t.Errorf("parseRates(%q) succeeded, want error", bad)
+		}
+	}
+}
+
+// TestGroupShapeInheritsPerField repeats internal/topology's four rows
+// against this binary's call of the shared resolver: whatever a topology
+// group leaves zero falls back to the -S/-t/-b flags field by field, exactly
+// as in cmd/regserver and the in-process Store. Every resolved shape here is
+// beyond the fast protocol's bound at R=2, so run refuses it before opening a
+// socket and the refusal spells the shape out.
+func TestGroupShapeInheritsPerField(t *testing.T) {
+	for _, tc := range []struct{ name, group, want string }{
+		{"none", `{"name": "g"}`, "S=4 t=1"},
+		{"S only", `{"name": "g", "servers": 3}`, "S=3 t=1"},
+		{"t only", `{"name": "g", "faulty": 2}`, "S=4 t=2"},
+		{"all set", `{"name": "g", "servers": 5, "faulty": 2}`, "S=5 t=2"},
+	} {
+		topo := filepath.Join(t.TempDir(), "topo.json")
+		if err := os.WriteFile(topo, []byte(`{"groups": [`+tc.group+`]}`), 0o600); err != nil {
+			t.Fatal(err)
+		}
+		err := run([]string{"-id", "r1", "-groups", topo, "-protocol", "fast", "-S", "4", "-t", "1", "-R", "2", "read"})
+		if err == nil || !strings.Contains(err.Error(), `group "g"`) || !strings.Contains(err.Error(), tc.want+" ") {
+			t.Errorf("%s: run = %v, want a refusal of group \"g\" at %s", tc.name, err, tc.want)
 		}
 	}
 }

@@ -126,9 +126,9 @@ func run(args []string) error {
 		return fmt.Errorf("-id must name a server (s1, s2, ...), got %q", *idFlag)
 	}
 	var (
-		book       transport.AddressBook
-		groupLabel string
-		epoch      uint64
+		book  transport.AddressBook
+		group topology.Group // zero: an unpartitioned deployment
+		epoch uint64
 	)
 	switch {
 	case *groupsArg != "":
@@ -146,19 +146,10 @@ func run(args []string) error {
 		if err != nil {
 			return err
 		}
-		g := topo.Groups[gi]
-		if book, err = transport.BookFromMembers(g.Members); err != nil {
-			return fmt.Errorf("group %q: %w", g.Name, err)
+		group = topo.Groups[gi]
+		if book, err = transport.BookFromMembers(group.Members); err != nil {
+			return fmt.Errorf("group %q: %w", group.Name, err)
 		}
-		// A topology entry that spells out its quorum shape wins over the
-		// -S/-t/-b fallbacks: inside a group the only per-process flag is -id.
-		if g.Servers != 0 {
-			*servers, *faulty, *bad = g.Servers, g.Faulty, g.Malicious
-		}
-		if id.Index > *servers {
-			return fmt.Errorf("-id %s exceeds group %q (S=%d)", id, g.Name, *servers)
-		}
-		groupLabel = g.Name
 		// The topology's epoch is stamped into this server's durable log: a
 		// restart under a RECONFIGURED topology (different epoch) refuses to
 		// resurrect state persisted under the old keyspace layout.
@@ -170,12 +161,15 @@ func run(args []string) error {
 			return err
 		}
 	}
-	qcfg := quorum.Config{Servers: *servers, Faulty: *faulty, Malicious: *bad, Readers: *readers}
-	if err := qcfg.Validate(); err != nil {
+	// What a topology entry spells out of its quorum shape wins over the
+	// -S/-t/-b fallbacks, field by field: inside a fully described group the
+	// only per-process flag is -id.
+	qcfg, err := group.Quorum(quorum.Config{Servers: *servers, Faulty: *faulty, Malicious: *bad, Readers: *readers}, drv.Validate)
+	if err != nil {
 		return err
 	}
-	if err := drv.Validate(qcfg); err != nil {
-		return err
+	if group.Name != "" && id.Index > qcfg.Servers {
+		return fmt.Errorf("-id %s exceeds group %q (S=%d)", id, group.Name, qcfg.Servers)
 	}
 
 	serverCfg := driver.ServerConfig{ID: id, Quorum: qcfg, Workers: *workers, QueueBound: *qbound}
@@ -214,8 +208,8 @@ func run(args []string) error {
 	// tailing sixteen process logs can attribute every line to its quorum
 	// group without cross-referencing the topology file.
 	groupNote := ""
-	if groupLabel != "" {
-		groupNote = " group=" + groupLabel
+	if group.Name != "" {
+		groupNote = " group=" + group.Name
 	}
 	fmt.Printf("register server %s%s listening on %s/%s (protocol=%s %v workers=%d, serving all register keys)\n",
 		id, groupNote, *trans, node.Addr(), drv.Name, qcfg, server.Workers())

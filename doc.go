@@ -175,11 +175,15 @@
 // A Protocol IS its name in the internal/driver registry ("fast", "abd", ...;
 // any other registered name selects that driver the same way), and the store
 // resolves Config.Protocol with one registry lookup:
-// each protocol package registers uniform server/writer/reader factories,
-// and deployment code — the store, the cmd binaries — composes drivers with
+// each protocol package registers its server/writer/reader factories, and
+// deployment code — the store, the cmd binaries — composes drivers with
 // transports without naming any protocol. Adding a protocol is one
 // registration file in its package plus a registry name; no switch
-// statements exist on the deployment path.
+// statements exist on the deployment path. The client factories hand out
+// the engine's own pointers (*protoutil.Writer, *protoutil.Reader): between
+// a public handle and the engine that runs its round trips there is no
+// interface and no second future or result type, and ReadResult's field
+// names are the one conversion, made at the public boundary.
 //
 // # Performance and buffer ownership
 //
@@ -198,7 +202,9 @@
 // collection, round hand-over, future — parameterised by the protocol's
 // round description (request builder, acknowledgement acceptance, quorum
 // size, what a quorum means), and all four protocols share its one
-// single-writer client. The shell executes messages
+// single-writer client (protoutil.Writer) and its one reader
+// (protoutil.Reader, running the protocol's read rounds). The shell decodes
+// each request once and executes messages
 // on a key-sharded parallel executor: messages are dispatched by register
 // key across Config.ServerWorkers workers (GOMAXPROCS by default), so
 // distinct registers are served concurrently across cores while every

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -370,5 +371,29 @@ func TestStoreSingleGroupStatsBreakdown(t *testing.T) {
 	if gs.Group != "default" || gs.Keys != 1 || gs.Writes != stats.Writes || gs.Ops != stats.Writes+stats.Reads {
 		t.Errorf("default group breakdown %+v does not match aggregate writes=%d reads=%d",
 			gs, stats.Writes, stats.Reads)
+	}
+}
+
+// TestStoreGroupShapeInheritsPerField repeats internal/topology's four rows
+// against the Store's call of the shared resolver: whatever a GroupSpec
+// leaves zero inherits the deployment-level Config field by field, exactly as
+// a topology file's group does in cmd/regserver and cmd/regclient. Every
+// resolved shape here is beyond the fast protocol's bound at R=2, so NewStore
+// refuses it and the refusal spells the shape out.
+func TestStoreGroupShapeInheritsPerField(t *testing.T) {
+	for _, tc := range []struct {
+		name  string
+		group GroupSpec
+		want  string
+	}{
+		{"none", GroupSpec{Name: "g"}, "S=4 t=1"},
+		{"S only", GroupSpec{Name: "g", Servers: 3}, "S=3 t=1"},
+		{"t only", GroupSpec{Name: "g", Faulty: 2}, "S=4 t=2"},
+		{"all set", GroupSpec{Name: "g", Servers: 5, Faulty: 2}, "S=5 t=2"},
+	} {
+		_, err := NewStore(Config{Servers: 4, Faulty: 1, Readers: 2, Groups: []GroupSpec{tc.group}})
+		if !errors.Is(err, ErrTooManyReaders) || !strings.Contains(err.Error(), `group "g"`) || !strings.Contains(err.Error(), tc.want+" ") {
+			t.Errorf("%s: NewStore = %v, want ErrTooManyReaders for group \"g\" at %s", tc.name, err, tc.want)
+		}
 	}
 }

@@ -144,7 +144,7 @@ func TestSWMRReadUsesTwoRoundTripsAndWriteOne(t *testing.T) {
 	if writes != 4 || wRounds != 4 {
 		t.Errorf("writer stats = %d/%d, want 4/4", writes, wRounds)
 	}
-	reads, rRounds := r.Stats()
+	reads, rRounds, _ := r.Stats()
 	if reads != 4 || rRounds != 8 {
 		t.Errorf("reader stats = %d/%d, want 4/8 (two rounds per read)", reads, rRounds)
 	}

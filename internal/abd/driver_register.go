@@ -1,9 +1,6 @@
 package abd
 
-import (
-	"fastread/internal/driver"
-	"fastread/internal/transport"
-)
+import "fastread/internal/driver"
 
 // init registers the classic two-round-read ABD register with the driver
 // registry.
@@ -12,13 +9,7 @@ func init() {
 		Name:      "abd",
 		Validate:  driver.MajorityValidate("abd"),
 		NewServer: driver.ServerFactory(NewServer),
-		NewWriter: driver.WriterFactory(NewWriter),
-		NewReader: func(cfg driver.ClientConfig, node transport.Node) (driver.Reader, error) {
-			r, err := NewReader(cfg, node)
-			if err != nil {
-				return nil, err
-			}
-			return driver.AdaptReader(r.Client, driver.PlainResult, nil), nil
-		},
+		NewWriter: NewWriter,
+		NewReader: NewReader,
 	})
 }

@@ -129,16 +129,8 @@ func (s *Server) TotalMutations() int64 {
 // message). Acknowledgements go through the executor's run-scoped coalescer,
 // so a run of pipelined requests from one client is answered with ONE
 // batched send.
-func (s *Server) handle(m transport.Message, out transport.Sender) {
+func (s *Server) handle(m transport.Message, req *wire.Message, out transport.Sender) {
 	tr := s.cfg.Trace
-	req := wire.GetMessage()
-	defer wire.PutMessage(req)
-	if err := wire.DecodeInto(req, m.Payload); err != nil {
-		if tr.Enabled() {
-			tr.Record(trace.KindDrop, s.cfg.ID, m.From, "malformed: %v", err)
-		}
-		return
-	}
 	if m.From.Role == types.RoleServer {
 		if tr.Enabled() {
 			tr.Record(trace.KindDrop, s.cfg.ID, m.From, "server-to-server message in ABD")

@@ -1,11 +1,8 @@
 package abd
 
 import (
-	"context"
-
 	"fastread/internal/protoutil"
 	"fastread/internal/transport"
-	"fastread/internal/types"
 	"fastread/internal/wire"
 )
 
@@ -36,34 +33,20 @@ func NewWriter(cfg ClientConfig, node transport.Node) (*Writer, error) {
 // round-trips it used (always 2: query + write-back).
 type ReadResult = protoutil.ReadResult
 
-// Reader is the SWMR ABD reader: query a majority, select the highest
-// timestamp, write it back to a majority, then return. ReadAsync keeps up to
-// cfg.Depth reads in flight; each read is a two-round operation on one
-// in-flight slot, so Depth bounds whole reads, not round-trips. Unlike the
-// fast register, any number of readers is supported.
-type Reader struct {
-	*protoutil.Client[ReadResult]
-}
+// Reader is the SWMR ABD reader: the engine's reader running query a majority,
+// select the highest timestamp, write it back to a majority, then return.
+// Each read is a two-round operation on one in-flight slot, so Depth bounds
+// whole reads, not round-trips. Unlike the fast register, any number of
+// readers is supported.
+type Reader = protoutil.Reader
 
 // NewReader creates an SWMR ABD reader. Round 1 queries a majority for their
 // current (ts, value).
 func NewReader(cfg ClientConfig, node transport.Node) (*Reader, error) {
-	cl, err := protoutil.NewClient(cfg, node, protoutil.Rounds[ReadResult]{
-		Name: "abd read", Role: types.RoleReader, Need: cfg.Quorum.Majority(), Nonce: protoutil.StartNonce(cfg.Nonce),
+	return protoutil.NewReader(cfg, node, protoutil.Rounds[ReadResult]{
+		Name: "abd read", Need: cfg.Quorum.Majority(),
 		Begin: protoutil.Ask[ReadResult](wire.OpRead, cfg.Key), Finish: writeBack,
 	})
-	if err != nil {
-		return nil, err
-	}
-	return &Reader{cl}, nil
-}
-
-// Read returns the current register value using two round-trips.
-func (r *Reader) Read(ctx context.Context) (ReadResult, error) { return r.Do(ctx, nil) }
-
-// ReadAsync submits one two-round read and returns its future.
-func (r *Reader) ReadAsync(ctx context.Context) (*protoutil.Future[ReadResult], error) {
-	return r.Submit(ctx, nil)
 }
 
 // writeBack selects the highest timestamp of round 1's replies and writes it

@@ -126,7 +126,7 @@ func clientKinds(t *testing.T) []clientKind {
 						if err != nil {
 							return nil, err
 						}
-						return f.Result, nil
+						return func(ctx context.Context) error { _, err := f.Result(ctx); return err }, nil
 					}, nil
 				}},
 			clientKind{name: name + " reader", quorum: q, id: types.Reader(1), need: need, second: second,

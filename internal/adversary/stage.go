@@ -160,13 +160,7 @@ func init() {
 			d.Name = base + "-unbounded-" + kind.String()
 			d.Validate = quorum.Config.Validate
 			if kind == ReaderNaive {
-				d.NewReader = func(cfg driver.ClientConfig, node transport.Node) (driver.Reader, error) {
-					r, err := naiveReaderFor(cfg, node)
-					if err != nil {
-						return nil, err
-					}
-					return driver.AdaptReader(r.Client, driver.PlainResult, nil), nil
-				}
+				d.NewReader = naiveReaderFor
 			}
 			driver.Register(d)
 		}

@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"fastread/internal/driver"
+	"fastread/internal/protoutil"
 	"fastread/internal/quorum"
 	"fastread/internal/transport"
 )
@@ -48,28 +49,17 @@ func fastDriver(name string, byzantine bool) driver.Driver {
 			}
 			return s, nil
 		},
-		NewWriter: driver.WriterFactory(func(cfg driver.ClientConfig, node transport.Node) (*Writer, error) {
+		NewWriter: func(cfg driver.ClientConfig, node transport.Node) (*Writer, error) {
 			cfg.Byzantine = byzantine
 			return NewWriter(cfg, node)
-		}),
-		NewReader: func(cfg driver.ClientConfig, node transport.Node) (driver.Reader, error) {
+		},
+		NewReader: func(cfg driver.ClientConfig, node transport.Node) (*protoutil.Reader, error) {
 			cfg.Byzantine = byzantine
 			r, err := NewReader(cfg, node)
 			if err != nil {
 				return nil, err
 			}
-			return driver.AdaptReader(r.Client, fastResult, r.fallback.Load), nil
+			return r.Reader, nil
 		},
-	}
-}
-
-// fastResult adapts the fast reader's rich result (predicate level, max
-// timestamp) to the uniform driver result.
-func fastResult(res ReadResult) driver.ReadResult {
-	return driver.ReadResult{
-		Value:        res.Value,
-		Timestamp:    res.Timestamp,
-		RoundTrips:   res.RoundTrips,
-		UsedFallback: !res.PredicateHeld,
 	}
 }

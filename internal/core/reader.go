@@ -1,9 +1,7 @@
 package core
 
 import (
-	"context"
 	"fmt"
-	"sync/atomic"
 
 	"fastread/internal/protoutil"
 	"fastread/internal/quorum"
@@ -20,30 +18,17 @@ import (
 // pretend not to have seen the written-back timestamp.
 type ReaderConfig = protoutil.ClientConfig
 
-// ReadResult reports what a read returned and how it decided.
-type ReadResult struct {
-	// Value is the value returned by the read (possibly ⊥).
-	Value types.Value
-	// Timestamp is the logical timestamp of the returned value.
-	Timestamp types.Timestamp
-	// MaxTimestamp is the highest timestamp observed during the read.
-	MaxTimestamp types.Timestamp
-	// PredicateHeld reports whether the seen-set predicate allowed returning
-	// MaxTimestamp (when false the read returned MaxTimestamp−1).
-	PredicateHeld bool
-	// PredicateLevel is the witness a for which the predicate held.
-	PredicateLevel int
-	// RoundTrips is the number of communication round-trips used (always 1).
-	RoundTrips int
-}
+// ReadResult reports what a read returned and how it decided: the engine's
+// one read result (the decision fields are this reader's).
+type ReadResult = protoutil.ReadResult
 
 // Reader is the reader-side of the fast algorithms (Figure 2 / Figure 5
-// lines 9-22): the client engine running the one-round description below.
-// ReadAsync keeps up to cfg.Depth reads in flight and the blocking Read is
-// ReadAsync at depth one; both are safe for concurrent use — every in-flight
-// read is matched to its acknowledgements by its rCounter nonce.
+// lines 9-22): the engine's reader running the one-round description below.
+// Read, ReadAsync and Stats are the embedded protoutil.Reader's, which is
+// also what the driver registry hands out; the struct around it is the
+// round's own state.
 type Reader struct {
-	*protoutil.Client[ReadResult]
+	*protoutil.Reader
 	key    string
 	quorum quorum.Config
 
@@ -60,8 +45,6 @@ type Reader struct {
 	// pred is the predicate kernel's scratch: its buffers recycle across
 	// reads instead of allocating per read.
 	pred predicateScratch
-
-	fallback atomic.Int64 // reads that returned maxTS−1
 }
 
 // NewReader creates reader client ri bound to the given transport node.
@@ -73,28 +56,18 @@ func NewReader(cfg ReaderConfig, node transport.Node) (*Reader, error) {
 	}
 	r := &Reader{key: cfg.Key, quorum: cfg.Quorum, last: types.InitialTaggedValue()}
 	rounds := protoutil.Rounds[ReadResult]{
-		Name: "core read", Role: types.RoleReader, Need: cfg.Quorum.AckQuorum(), Nonce: protoutil.StartNonce(cfg.Nonce),
-		Begin: r.begin, Finish: r.finish,
+		Name: "core read", Need: cfg.Quorum.AckQuorum(), Begin: r.begin, Finish: r.finish,
 	}
 	if cfg.Byzantine {
 		r.verify = sig.NewCache(cfg.Verifier, 0)
 		rounds.Accept = r.acceptSigned
 	}
-	cl, err := protoutil.NewClient(cfg, node, rounds)
+	rd, err := protoutil.NewReader(cfg, node, rounds)
 	if err != nil {
 		return nil, err
 	}
-	r.Client = cl
+	r.Reader = rd
 	return r, nil
-}
-
-// Read returns the current register value in a single round-trip.
-func (r *Reader) Read(ctx context.Context) (ReadResult, error) { return r.Do(ctx, nil) }
-
-// ReadAsync submits one read and returns its future without waiting for the
-// quorum.
-func (r *Reader) ReadAsync(ctx context.Context) (*protoutil.Future[ReadResult], error) {
-	return r.Submit(ctx, nil)
 }
 
 // begin is Figure 2 line 13: rCounter ← rCounter+1; ts ← maxTS. The read
@@ -160,6 +133,7 @@ func (r *Reader) finish(c *protoutil.Call[ReadResult], acks []protoutil.Ack) (bo
 		MaxTimestamp:   maxTS,
 		PredicateHeld:  level != 0,
 		PredicateLevel: level,
+		UsedFallback:   level == 0,
 		RoundTrips:     1,
 	}
 	if c.Result.PredicateHeld {
@@ -168,7 +142,6 @@ func (r *Reader) finish(c *protoutil.Call[ReadResult], acks []protoutil.Ack) (bo
 	} else {
 		c.Result.Timestamp = maxTS.Prev()
 		c.Result.Value = tagged.Prev.Clone()
-		r.fallback.Add(1)
 	}
 	return false, nil
 }
@@ -183,12 +156,4 @@ func seenHas(seen []types.ProcessID, id types.ProcessID) bool {
 		}
 	}
 	return false
-}
-
-// Stats reports the number of completed reads, the total round-trips they
-// used (always equal for this fast implementation) and how many reads
-// returned maxTS−1 because the predicate did not hold.
-func (r *Reader) Stats() (reads, roundTrips, fallbacks int64) {
-	reads, roundTrips = r.Client.Stats()
-	return reads, roundTrips, r.fallback.Load()
 }

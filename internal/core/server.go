@@ -103,7 +103,7 @@ func NewServer(cfg ServerConfig, node transport.Node) (*Server, error) {
 	s := &Server{cfg: cfg}
 	readers := cfg.Readers
 	sh, err := protoutil.NewShell(
-		protoutil.ShellConfig{ID: cfg.ID, Workers: cfg.Workers, QueueBound: cfg.QueueBound, Durable: cfg.Durable},
+		protoutil.ShellConfig{ID: cfg.ID, Workers: cfg.Workers, QueueBound: cfg.QueueBound, Trace: cfg.Trace, Durable: cfg.Durable},
 		node,
 		protoutil.Protocol[registerState]{
 			Name: "core",
@@ -247,16 +247,8 @@ func (s *Server) TotalMutations() int64 {
 // worker handling this message is the only mutator of this key's state (the
 // executor routes every message naming a key to the same worker) and the ack
 // is encoded before the worker handles its next message.
-func (s *Server) handle(m transport.Message, out transport.Sender) {
+func (s *Server) handle(m transport.Message, req *wire.Message, out transport.Sender) {
 	tr := s.cfg.Trace
-	req := wire.GetMessage()
-	defer wire.PutMessage(req)
-	if err := wire.DecodeInto(req, m.Payload); err != nil {
-		if tr.Enabled() {
-			tr.Record(trace.KindDrop, s.cfg.ID, m.From, "malformed: %v", err)
-		}
-		return
-	}
 	if req.Op != wire.OpWrite && req.Op != wire.OpRead {
 		if tr.Enabled() {
 			tr.Record(trace.KindDrop, s.cfg.ID, m.From, "unexpected op %s", req.Op)

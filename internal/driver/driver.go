@@ -4,20 +4,19 @@
 //
 // Each protocol package (core, abd, maxmin, regular) registers one Driver per
 // protocol name in an init function; anything that wants to deploy a protocol
-// looks the driver up by name and uses its uniform factories. This is what
-// lets the public API and the TCP binaries serve every protocol without a
-// per-protocol switch: adding a protocol is adding one driver.go file to its
+// looks the driver up by name and calls its factories. This is what lets the
+// public API and the TCP binaries serve every protocol without a per-protocol
+// switch: adding a protocol is adding one driver_register.go file to its
 // package plus a blank import at the deployment sites.
 //
-// The handle interfaces (Server, Writer, Reader) are the least common
-// denominator of the four protocols. Servers satisfy theirs directly; every
-// protocol's writer is the one protoutil.Writer and every reader embeds the
-// one protoutil.Client engine, so async.go adapts both once for all drivers
-// (a reader supplies only the conversion of its result struct).
+// The registry puts nothing between a caller and the client engine: every
+// protocol's writer is the one protoutil.Writer and every reader the one
+// protoutil.Reader, so the client factories hand out those pointers, with the
+// engine's own futures and read result. Only servers sit behind an interface
+// (Server) — five state types run in the one protoutil.Shell.
 package driver
 
 import (
-	"context"
 	"errors"
 	"fmt"
 	"sort"
@@ -26,7 +25,6 @@ import (
 	"fastread/internal/protoutil"
 	"fastread/internal/quorum"
 	"fastread/internal/transport"
-	"fastread/internal/types"
 )
 
 // ErrTooManyReaders indicates a deployment shape that violates the selected
@@ -34,22 +32,6 @@ import (
 // or an implementation limit). It is re-exported by the public fastread
 // package so callers can match it with errors.Is.
 var ErrTooManyReaders = errors.New("fastread: too many readers for a fast implementation")
-
-// ReadResult is the uniform outcome of a read, independent of which protocol
-// produced it.
-type ReadResult struct {
-	// Value is the value read; ⊥ (nil) means the register still holds its
-	// initial value.
-	Value types.Value
-	// Timestamp is the logical timestamp of the returned value (0 for ⊥).
-	Timestamp types.Timestamp
-	// RoundTrips is the number of client↔server round-trips the read used.
-	RoundTrips int
-	// UsedFallback is true when a fast read returned the previous value
-	// because the seen-set predicate did not hold for the newest one. Always
-	// false for the non-fast protocols.
-	UsedFallback bool
-}
 
 // Server is a running protocol server process. A server multiplexes every
 // register of the deployment; Stop detaches it from the network and waits for
@@ -70,49 +52,6 @@ type Server interface {
 	// LogFailed reports whether the server's durable log has failed; such a
 	// server acknowledges nothing until restarted (always false without one).
 	LogFailed() bool
-}
-
-// WriteFuture is one submitted write's pending resolution.
-type WriteFuture interface {
-	// Done closes when the write resolves.
-	Done() <-chan struct{}
-	// Result blocks until the write resolves and returns its outcome. If ctx
-	// ends first the write's wait is abandoned (sibling in-flight operations
-	// on the handle are untouched) and the context error returned.
-	Result(ctx context.Context) error
-}
-
-// ReadFuture is one submitted read's pending resolution.
-type ReadFuture interface {
-	// Done closes when the read resolves.
-	Done() <-chan struct{}
-	// Result blocks until the read resolves and returns its outcome. If ctx
-	// ends first the read is aborted (sibling in-flight operations on the
-	// handle are untouched) and the context error returned.
-	Result(ctx context.Context) (ReadResult, error)
-}
-
-// Writer is a register's single write handle. WriteAsync pipelines: up to
-// the configured depth of writes stay in flight per handle, applied by
-// servers in submission order (the SWMR regime survives pipelining). Write
-// is WriteAsync at depth one.
-type Writer interface {
-	Write(ctx context.Context, v types.Value) error
-	WriteAsync(ctx context.Context, v types.Value) (WriteFuture, error)
-	// Stats reports completed writes and the round-trips they used.
-	Stats() (writes, roundTrips int64)
-}
-
-// Reader is one of a register's read handles. ReadAsync pipelines: up to the
-// configured depth of reads stay in flight per handle, each an independent
-// state machine keyed by the protocol's per-operation nonce. Read is
-// ReadAsync at depth one.
-type Reader interface {
-	Read(ctx context.Context) (ReadResult, error)
-	ReadAsync(ctx context.Context) (ReadFuture, error)
-	// Stats reports completed reads, the round-trips they used, and how many
-	// reads fell back to the previous value (0 for non-fast protocols).
-	Stats() (reads, roundTrips, fallbacks int64)
 }
 
 // ServerConfig is the uniform server-side deployment description handed to
@@ -142,9 +81,22 @@ type Driver struct {
 	// NewServer builds a protocol server bound to the given transport node.
 	NewServer func(cfg ServerConfig, node transport.Node) (Server, error)
 	// NewWriter builds the per-key writer client.
-	NewWriter func(cfg ClientConfig, node transport.Node) (Writer, error)
+	NewWriter func(cfg ClientConfig, node transport.Node) (*protoutil.Writer, error)
 	// NewReader builds a per-key reader client.
-	NewReader func(cfg ClientConfig, node transport.Node) (Reader, error)
+	NewReader func(cfg ClientConfig, node transport.Node) (*protoutil.Reader, error)
+}
+
+// ServerFactory turns a protocol package's server constructor into the
+// Driver.NewServer factory.
+func ServerFactory[S Server](newServer func(ServerConfig, transport.Node) (S, error)) func(ServerConfig, transport.Node) (Server, error) {
+	return func(cfg ServerConfig, node transport.Node) (Server, error) {
+		s, err := newServer(cfg, node)
+		if err != nil {
+			// A nil interface, not a typed nil pointer inside one.
+			return nil, err
+		}
+		return s, nil
+	}
 }
 
 // MajorityValidate returns the Validate function shared by the majority-

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"testing"
 
+	"fastread/internal/protoutil"
 	"fastread/internal/quorum"
 	"fastread/internal/transport"
 )
@@ -14,8 +15,8 @@ func fakeDriver(name string) Driver {
 		Name:      name,
 		Validate:  func(quorum.Config) error { return nil },
 		NewServer: func(ServerConfig, transport.Node) (Server, error) { return nil, nil },
-		NewWriter: func(ClientConfig, transport.Node) (Writer, error) { return nil, nil },
-		NewReader: func(ClientConfig, transport.Node) (Reader, error) { return nil, nil },
+		NewWriter: func(ClientConfig, transport.Node) (*protoutil.Writer, error) { return nil, nil },
+		NewReader: func(ClientConfig, transport.Node) (*protoutil.Reader, error) { return nil, nil },
 	}
 }
 

@@ -98,17 +98,26 @@ type Counters struct {
 	Incarnation      atomic.Uint64
 }
 
-// Stats is a point-in-time copy of Counters.
+// Stats is a point-in-time copy of Counters: the write-ahead and recovery
+// work of one log, or — accumulated with Add — of a deployment's logs (the
+// public fastread.DurableStats is this type).
 type Stats struct {
-	Appends          int64
-	Fsyncs           int64
-	Snapshots        int64
-	SnapshotRecords  int64
-	SegmentsReplayed int64
-	RecordsRecovered int64
-	TornTailTrims    int64
-	AppendErrors     int64
-	Incarnation      uint64
+	// Appends counts log records written; Fsyncs the stable-storage flushes
+	// they cost (compare the two to see a policy's amortisation).
+	Appends, Fsyncs int64
+	// Snapshots counts snapshot runs and SnapshotRecords the state records
+	// they wrote.
+	Snapshots, SnapshotRecords int64
+	// SegmentsReplayed, RecordsRecovered and TornTailTrims describe recovery
+	// work: log segments read back, records re-applied to server state, and
+	// torn final records trimmed (a trim is a crash mid-append doing exactly
+	// what it should — only unacknowledged-or-unsynced suffix is lost).
+	SegmentsReplayed, RecordsRecovered, TornTailTrims int64
+	// AppendErrors counts appends that hit an I/O error (sticky per log).
+	AppendErrors int64
+	// Incarnation is the log's restart-incarnation counter (aggregated as a
+	// maximum — it is an identity, not a tally).
+	Incarnation uint64
 }
 
 // Snapshot copies the counters.

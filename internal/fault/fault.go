@@ -48,8 +48,8 @@ const (
 	// acknowledgements followed by one honest reply. The fabrications carry
 	// the right rCounter, so they reach the client's ack filters (which
 	// dedup per server — a safety test of the filters), and the burst
-	// itself stresses the receive path: demux route backlogs, mailbox
-	// growth, batch expansion under load.
+	// itself stresses the receive path: batch expansion, the engine offering
+	// every fabrication to every pending operation, mailbox growth.
 	BehaviorFlood
 )
 
@@ -82,10 +82,9 @@ type ByzantineConfig struct {
 	// ID is the malicious server's identity.
 	ID types.ProcessID
 	// Workers is the number of key-shard workers executing the server's
-	// messages (zero or negative means GOMAXPROCS). Malicious servers run on
-	// the same executor as honest ones so experiments exercise the same
-	// delivery machinery; the shared value/seen state is mutex-guarded, so
-	// parallel workers stay race-free.
+	// messages (zero or negative means GOMAXPROCS). Malicious servers run in
+	// the same shell as honest ones so experiments exercise the same delivery
+	// machinery.
 	Workers int
 	// Behavior selects what the server does.
 	Behavior Behavior
@@ -99,21 +98,27 @@ type ByzantineConfig struct {
 	ForgerKeys *sig.KeyPair
 }
 
-// ByzantineServer is a server-role process that deviates from the protocol
-// according to its configured behaviour. It understands the message
-// vocabulary of the fast register (internal/core) and replies accordingly.
-// It runs on the same protoutil.Shell as the honest servers (no per-key state,
-// no log), so it stands in for a protocol server behind the driver registry's
-// Server interface and a Store can swap it into a deployment.
-type ByzantineServer struct {
-	*protoutil.Shell[struct{}]
-	cfg  ByzantineConfig
-	node transport.Node
-
-	mu    sync.Mutex
+// byzState is one register's state on a malicious server: what an honest
+// fast server would hold, which the behaviours that are honest in part
+// (memory-loss, inflate-seen, flood) keep up to date and lie about. Like an
+// honest server's it is per key — a timestamp, value and writer signature
+// mean nothing outside their register.
+type byzState struct {
 	value types.TaggedValue
 	sig   []byte
 	seen  types.ProcessSet
+}
+
+// ByzantineServer is a server-role process that deviates from the protocol
+// according to its configured behaviour. It understands the message
+// vocabulary of the fast register (internal/core) and replies accordingly.
+// It runs in the same protoutil.Shell as the honest servers (per-key state,
+// replies through the run's sender, no log), so it stands in for a protocol
+// server behind the driver registry's Server interface and a Store can swap
+// it into a deployment.
+type ByzantineServer struct {
+	*protoutil.Shell[byzState]
+	cfg ByzantineConfig
 }
 
 // NewByzantineServer creates a malicious server bound to the given node.
@@ -121,17 +126,14 @@ func NewByzantineServer(cfg ByzantineConfig, node transport.Node) (*ByzantineSer
 	if cfg.Behavior < BehaviorForgeTimestamp || cfg.Behavior > BehaviorFlood {
 		return nil, fmt.Errorf("fault: unknown behaviour %d", cfg.Behavior)
 	}
-	s := &ByzantineServer{
-		cfg:   cfg,
-		node:  node,
-		value: types.InitialTaggedValue(),
-		seen:  types.NewProcessSet(),
-	}
+	s := &ByzantineServer{cfg: cfg}
 	sh, err := protoutil.NewShell(protoutil.ShellConfig{ID: cfg.ID, Workers: cfg.Workers}, node,
-		protoutil.Protocol[struct{}]{
-			Name:     "fault",
-			NewState: func() struct{} { return struct{}{} },
-			Handle:   s.handle,
+		protoutil.Protocol[byzState]{
+			Name: "fault",
+			NewState: func() byzState {
+				return byzState{value: types.InitialTaggedValue(), seen: types.NewProcessSet()}
+			},
+			Handle: s.handle,
 		})
 	if err != nil {
 		return nil, err
@@ -140,15 +142,7 @@ func NewByzantineServer(cfg ByzantineConfig, node transport.Node) (*ByzantineSer
 	return s, nil
 }
 
-// handle replies through the server's own node, one send per reply, not
-// through the run-scoped coalescer: BehaviorFlood's burst is meant to arrive
-// as separate deliveries (it stresses demux route backlogs and mailbox
-// growth), which one coalesced batch per run would hide.
-func (s *ByzantineServer) handle(m transport.Message, _ transport.Sender) {
-	req, err := wire.Decode(m.Payload)
-	if err != nil {
-		return
-	}
+func (s *ByzantineServer) handle(m transport.Message, req *wire.Message, out transport.Sender) {
 	if req.Op != wire.OpWrite && req.Op != wire.OpRead {
 		return
 	}
@@ -156,10 +150,13 @@ func (s *ByzantineServer) handle(m transport.Message, _ transport.Sender) {
 	if req.Op == wire.OpRead {
 		ackOp = wire.OpReadAck
 	}
+	reply := func(ack *wire.Message) { _ = transport.SendEncoded(out, m.From, ack) }
+	// amnesiac is the reply of a server that has seen nothing but the request.
+	amnesiac := &wire.Message{Op: ackOp, Key: req.Key, Seen: []types.ProcessID{m.From}, RCounter: req.RCounter}
 
 	switch s.cfg.Behavior {
 	case BehaviorMute:
-		return
+		// Receives, never replies.
 
 	case BehaviorForgeTimestamp:
 		forgedTS := types.Timestamp(1 << 40)
@@ -177,102 +174,63 @@ func (s *ByzantineServer) handle(m transport.Message, _ transport.Sender) {
 		if s.cfg.ForgerKeys != nil {
 			ack.WriterSig = s.cfg.ForgerKeys.Signer.MustSign(forgedTS, cur, prev)
 		}
-		s.reply(m.From, ack)
+		reply(ack)
 
 	case BehaviorStaleReplay:
-		ack := &wire.Message{
-			Op:       ackOp,
-			Key:      req.Key,
-			TS:       0,
-			Seen:     []types.ProcessID{m.From},
-			RCounter: req.RCounter,
-		}
-		s.reply(m.From, ack)
+		reply(amnesiac)
 
 	case BehaviorMemoryLoss:
+		// Towards every other process the server behaves "as if it was not
+		// faulty" (Figure 6), so it updates its state honestly even on the
+		// victim's messages — but its reply to the victim claims it has seen
+		// nothing.
+		honest := s.adopt(req, m.From, ackOp)
 		if m.From == s.cfg.Victim {
-			// Towards every other process the server behaves "as if it was
-			// not faulty" (Figure 6), so it updates its state honestly even
-			// on the victim's messages — but its reply to the victim claims
-			// it has seen nothing.
-			s.mu.Lock()
-			s.adopt(req, m.From)
-			s.mu.Unlock()
-			ack := &wire.Message{
-				Op:       ackOp,
-				Key:      req.Key,
-				TS:       0,
-				Seen:     []types.ProcessID{m.From},
-				RCounter: req.RCounter,
-			}
-			s.reply(m.From, ack)
-			return
+			reply(amnesiac)
+		} else {
+			reply(honest)
 		}
-		s.honestReply(m.From, req, ackOp)
 
 	case BehaviorInflateSeen:
-		s.mu.Lock()
-		s.adopt(req, m.From)
-		ack := &wire.Message{
-			Op:        ackOp,
-			Key:       req.Key,
-			TS:        s.value.TS,
-			Cur:       s.value.Cur.Clone(),
-			Prev:      s.value.Prev.Clone(),
-			Seen:      allClients(s.cfg.Readers),
-			RCounter:  req.RCounter,
-			WriterSig: append([]byte(nil), s.sig...),
-		}
-		s.mu.Unlock()
-		s.reply(m.From, ack)
+		ack := s.adopt(req, m.From, ackOp)
+		ack.Seen = allClients(s.cfg.Readers)
+		reply(ack)
 
 	case BehaviorFlood:
 		for i := 0; i < floodBurst; i++ {
-			ack := &wire.Message{
-				Op:       ackOp,
-				Key:      req.Key,
-				TS:       0,
-				Seen:     []types.ProcessID{m.From},
-				RCounter: req.RCounter,
-			}
-			s.reply(m.From, ack)
+			reply(amnesiac)
 		}
-		s.honestReply(m.From, req, ackOp)
+		reply(s.adopt(req, m.From, ackOp))
 	}
 }
 
-// honestReply follows the honest fast-server protocol.
-func (s *ByzantineServer) honestReply(from types.ProcessID, req *wire.Message, ackOp wire.Op) {
-	s.mu.Lock()
-	s.adopt(req, from)
-	ack := &wire.Message{
-		Op:        ackOp,
-		Key:       req.Key,
-		TS:        s.value.TS,
-		Cur:       s.value.Cur.Clone(),
-		Prev:      s.value.Prev.Clone(),
-		Seen:      s.seen.Members(),
-		RCounter:  req.RCounter,
-		WriterSig: append([]byte(nil), s.sig...),
-	}
-	s.mu.Unlock()
-	s.reply(from, ack)
-}
-
-// adopt updates the stored value exactly as an honest server would. Callers
-// must hold s.mu.
-func (s *ByzantineServer) adopt(req *wire.Message, from types.ProcessID) {
-	if req.TS > s.value.TS {
-		s.value = types.TaggedValue{TS: req.TS, Cur: req.Cur.Clone(), Prev: req.Prev.Clone()}
-		s.sig = append([]byte(nil), req.WriterSig...)
-		s.seen = types.NewProcessSet(from)
-	} else {
-		s.seen.Add(from)
-	}
-}
-
-func (s *ByzantineServer) reply(to types.ProcessID, ack *wire.Message) {
-	_ = s.node.Send(to, ack.Kind(), wire.MustEncode(ack))
+// adopt updates the request's register exactly as an honest fast server
+// would and returns the honest acknowledgement. Its fields alias the state,
+// which only this key's worker mutates, and it is encoded before that worker
+// handles its next message.
+func (s *ByzantineServer) adopt(req *wire.Message, from types.ProcessID, ackOp wire.Op) *wire.Message {
+	var ack *wire.Message
+	s.Do(req.Key, func(sl *protoutil.Slot[byzState]) {
+		st := &sl.State
+		if req.TS > st.value.TS {
+			st.value = types.TaggedValue{TS: req.TS, Cur: req.Cur.Clone(), Prev: req.Prev.Clone()}
+			st.sig = append([]byte(nil), req.WriterSig...)
+			st.seen = types.NewProcessSet(from)
+		} else {
+			st.seen.Add(from)
+		}
+		ack = &wire.Message{
+			Op:        ackOp,
+			Key:       req.Key,
+			TS:        st.value.TS,
+			Cur:       st.value.Cur,
+			Prev:      st.value.Prev,
+			Seen:      st.seen.Members(),
+			RCounter:  req.RCounter,
+			WriterSig: st.sig,
+		}
+	})
+	return ack
 }
 
 // allClients fabricates a seen set containing the writer and every reader.

@@ -193,3 +193,33 @@ func TestCrashSchedule(t *testing.T) {
 		t.Error("nil schedule should be inert")
 	}
 }
+
+// TestHonestHalfIsPerKey pins that the behaviours that are honest in part
+// keep one state per register: a write to k1 must not show up — timestamp,
+// value or signature — in what a non-victim reader of k2 is told.
+func TestHonestHalfIsPerKey(t *testing.T) {
+	for _, b := range []Behavior{BehaviorMemoryLoss, BehaviorInflateSeen} {
+		t.Run(b.String(), func(t *testing.T) {
+			net, _, _ := setup(t, b, types.Reader(1))
+			writer, err := net.Join(types.Writer())
+			if err != nil {
+				t.Fatal(err)
+			}
+			other, err := net.Join(types.Reader(2))
+			if err != nil {
+				t.Fatal(err)
+			}
+			write := &wire.Message{Op: wire.OpWrite, Key: "k1", TS: 5, Cur: types.Value("v5"), Prev: types.Value("v4"), WriterSig: []byte("sig-k1")}
+			if reply := probe(t, nil, writer, types.Server(1), write); reply == nil || reply.Key != "k1" || reply.TS != 5 {
+				t.Fatalf("write ack = %+v, want k1 at ts=5", reply)
+			}
+			reply := probe(t, nil, other, types.Server(1), &wire.Message{Op: wire.OpRead, Key: "k2", RCounter: 1})
+			if reply == nil {
+				t.Fatal("no reply to k2's reader")
+			}
+			if reply.Key != "k2" || reply.TS != 0 || !reply.Cur.IsBottom() || len(reply.WriterSig) != 0 {
+				t.Errorf("k2's reader was told key=%q ts=%d cur=%q sig=%q, want k2's initial state", reply.Key, reply.TS, reply.Cur, reply.WriterSig)
+			}
+		})
+	}
+}

@@ -1,9 +1,6 @@
 package maxmin
 
-import (
-	"fastread/internal/driver"
-	"fastread/internal/transport"
-)
+import "fastread/internal/driver"
 
 // init registers the decentralised max-min register with the driver registry.
 func init() {
@@ -11,13 +8,7 @@ func init() {
 		Name:      "maxmin",
 		Validate:  driver.MajorityValidate("maxmin"),
 		NewServer: driver.ServerFactory(NewServer),
-		NewWriter: driver.WriterFactory(NewWriter),
-		NewReader: func(cfg driver.ClientConfig, node transport.Node) (driver.Reader, error) {
-			r, err := NewReader(cfg, node)
-			if err != nil {
-				return nil, err
-			}
-			return driver.AdaptReader(r.Client, driver.PlainResult, nil), nil
-		},
+		NewWriter: NewWriter,
+		NewReader: NewReader,
 	})
 }

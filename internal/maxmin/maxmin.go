@@ -19,8 +19,6 @@
 package maxmin
 
 import (
-	"context"
-
 	"fastread/internal/durable"
 	"fastread/internal/protoutil"
 	"fastread/internal/trace"
@@ -239,15 +237,7 @@ func (s *Server) StateOf(key string) types.TaggedValue {
 	return out
 }
 
-func (s *Server) handle(m transport.Message, out transport.Sender) {
-	req := wire.GetMessage()
-	defer wire.PutMessage(req)
-	if err := wire.DecodeInto(req, m.Payload); err != nil {
-		if s.cfg.Trace.Enabled() {
-			s.cfg.Trace.Record(trace.KindDrop, s.cfg.ID, m.From, "malformed: %v", err)
-		}
-		return
-	}
+func (s *Server) handle(m transport.Message, req *wire.Message, out transport.Sender) {
 	switch req.Op {
 	case wire.OpWrite:
 		s.handleWrite(m.From, req, out)
@@ -435,36 +425,21 @@ func NewWriter(cfg ClientConfig, node transport.Node) (*Writer, error) {
 // ReadResult is what a max-min read returns.
 type ReadResult = protoutil.ReadResult
 
-// Reader is the max-min reader: a single request/response exchange with a
-// majority of servers, returning the value with the MINIMUM timestamp among
-// the replies (each of which is itself a majority-maximum). ReadAsync keeps
-// up to cfg.Depth reads in flight, matched to their gossip rounds and
+// Reader is the max-min reader: the engine's reader running a single
+// request/response exchange with a majority of servers, returning the value
+// with the MINIMUM timestamp among the replies (each of which is itself a
+// majority-maximum). Pipelined reads are matched to their gossip rounds and
 // acknowledgements by rCounter nonces (the servers' per-reader reply
 // bookkeeping tolerates out-of-order completion; see registerState).
-type Reader struct {
-	*protoutil.Client[ReadResult]
-}
+type Reader = protoutil.Reader
 
-// NewReader creates a max-min reader.
+// NewReader creates a max-min reader. One client round-trip, but servers
+// gossip among themselves before replying.
 func NewReader(cfg ClientConfig, node transport.Node) (*Reader, error) {
-	cl, err := protoutil.NewClient(cfg, node, protoutil.Rounds[ReadResult]{
-		Name: "maxmin read", Role: types.RoleReader, Need: cfg.Quorum.Majority(), Nonce: protoutil.StartNonce(cfg.Nonce),
+	return protoutil.NewReader(cfg, node, protoutil.Rounds[ReadResult]{
+		Name: "maxmin read", Need: cfg.Quorum.Majority(),
 		Begin: protoutil.Ask[ReadResult](wire.OpRead, cfg.Key), Finish: minReply,
 	})
-	if err != nil {
-		return nil, err
-	}
-	return &Reader{cl}, nil
-}
-
-// Read returns the register value. One client round-trip, but servers gossip
-// among themselves before replying.
-func (r *Reader) Read(ctx context.Context) (ReadResult, error) { return r.Do(ctx, nil) }
-
-// ReadAsync submits one read and returns its future without waiting for the
-// majority of replies.
-func (r *Reader) ReadAsync(ctx context.Context) (*protoutil.Future[ReadResult], error) {
-	return r.Submit(ctx, nil)
 }
 
 // minReply returns the value with the minimum timestamp among the replies.

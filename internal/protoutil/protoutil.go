@@ -184,14 +184,6 @@ func ReaderIDs(count int) []types.ProcessID {
 	return out
 }
 
-// ReadResult is what the majority protocols' reads (abd, maxmin, regular)
-// return: the value, its timestamp and the round-trips the read used.
-type ReadResult struct {
-	Value      types.Value
-	Timestamp  types.Timestamp
-	RoundTrips int
-}
-
 // MaxTimestamp returns the largest timestamp among the collected acks, along
 // with one ack carrying it. The boolean is false for an empty slice.
 func MaxTimestamp(acks []Ack) (types.Timestamp, Ack, bool) {

@@ -3,6 +3,7 @@ package protoutil
 import (
 	"context"
 	"errors"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -311,5 +312,73 @@ func serve(node transport.Node, handler func(transport.Message)) {
 	for msg := range node.Inbox() {
 		transport.Expand(msg, handler)
 		msg.ReleaseArena()
+	}
+}
+
+// TestReaderStatsCountFallbacks pins the counting that moved from the fast
+// reader into the shared one: Stats reports as fallbacks exactly the reads
+// that RESOLVED with UsedFallback, so a read aborted mid-round — whose Finish
+// never ran — counts as neither a read nor a fallback.
+func TestReaderStatsCountFallbacks(t *testing.T) {
+	net := transport.NewInMemNetwork()
+	defer net.Close()
+	var mute atomic.Bool
+	for _, id := range ServerIDs(3) {
+		node, err := net.Join(id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		go serve(node, func(m transport.Message) {
+			req, err := wire.Decode(m.Payload)
+			if err != nil || mute.Load() {
+				return
+			}
+			ack := &wire.Message{Op: wire.OpReadAck, RCounter: req.RCounter}
+			_ = node.Send(m.From, ack.Kind(), wire.MustEncode(ack))
+		})
+	}
+	node, err := net.Join(types.Reader(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	finished := 0
+	r, err := NewReader(ClientConfig{Quorum: quorum.Config{Servers: 3, Faulty: 1, Readers: 1}}, node, Rounds[ReadResult]{
+		Name: "test read", Need: 2, Begin: Ask[ReadResult](wire.OpRead, ""),
+		Finish: func(c *Call[ReadResult], _ []Ack) (bool, error) {
+			finished++
+			c.Result = ReadResult{RoundTrips: 1, UsedFallback: finished%2 == 0}
+			return false, nil
+		},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+	defer cancel()
+	for i := 1; i <= 6; i++ {
+		if i == 4 {
+			mute.Store(true)
+			aborted, abort := context.WithCancel(ctx)
+			f, err := r.ReadAsync(aborted)
+			if err != nil {
+				t.Fatal(err)
+			}
+			abort()
+			if _, err := f.Result(ctx); !errors.Is(err, context.Canceled) {
+				t.Fatalf("aborted read resolved with %v, want context.Canceled", err)
+			}
+			mute.Store(false)
+		}
+		res, err := r.Read(ctx)
+		if err != nil {
+			t.Fatalf("read %d: %v", i, err)
+		}
+		if want := i%2 == 0; res.UsedFallback != want {
+			t.Errorf("read %d: UsedFallback = %v, want %v", i, res.UsedFallback, want)
+		}
+	}
+	if reads, trips, fallbacks := r.Stats(); reads != 6 || trips != 6 || fallbacks != 3 {
+		t.Errorf("Stats = %d reads, %d round-trips, %d fallbacks; want 6, 6, 3", reads, trips, fallbacks)
 	}
 }

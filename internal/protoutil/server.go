@@ -30,6 +30,7 @@ import (
 	"fastread/internal/trace"
 	"fastread/internal/transport"
 	"fastread/internal/types"
+	"fastread/internal/wire"
 )
 
 // ServerConfig is the uniform server-side deployment description: the driver
@@ -65,7 +66,7 @@ type ServerConfig struct {
 
 // Shell returns the part of the configuration the shell itself consumes.
 func (c ServerConfig) Shell() ShellConfig {
-	return ShellConfig{ID: c.ID, Workers: c.Workers, QueueBound: c.QueueBound, Durable: c.Durable}
+	return ShellConfig{ID: c.ID, Workers: c.Workers, QueueBound: c.QueueBound, Trace: c.Trace, Durable: c.Durable}
 }
 
 // ShellConfig is the protocol-independent part of a server's configuration.
@@ -80,6 +81,8 @@ type ShellConfig struct {
 	// beyond it are shed and counted (QueueSheds) instead of queued without
 	// bound. Zero keeps the default never-drop queues.
 	QueueBound int
+	// Trace, if non-nil, records the requests the shell drops as malformed.
+	Trace *trace.Trace
 	// Durable, if non-nil, gives the server a write-ahead log in the given
 	// directory: NewShell recovers whatever a previous incarnation persisted
 	// there, and every run's Log calls are committed before its acks leave.
@@ -93,10 +96,12 @@ type Protocol[S any] struct {
 	// NewState builds a register's initial state the first time its key is
 	// touched (by a message or by recovery).
 	NewState func() S
-	// Handle processes one delivered protocol message; replies go through
-	// out, the executor's run-scoped coalescer. It is bound once, at
-	// construction, and invoked by the executor's workers directly.
-	Handle func(m transport.Message, out transport.Sender)
+	// Handle processes one delivered protocol message, which the shell has
+	// decoded into req (malformed payloads never reach it); replies go
+	// through out, the executor's run-scoped coalescer. req is pooled and
+	// aliases m's payload: it is the handler's until it returns, and what the
+	// handler retains it clones (or pins through m.Arena).
+	Handle func(m transport.Message, req *wire.Message, out transport.Sender)
 	// Apply replays one recovered record into a register's state: a KindState
 	// record restores it wholesale, a KindDelta re-runs the mutation the live
 	// path took (the shell has already skipped deltas the state reflects).
@@ -149,6 +154,7 @@ type Shell[S any] struct {
 	node   transport.Node
 	exec   *transport.Executor
 	states *shard.Map[*Slot[S]]
+	tr     *trace.Trace
 	// dlog is the server's durable log; nil when persistence is off.
 	dlog *durable.Log
 	// logFailed latches the first failed stage or commit (see LogFailed).
@@ -171,6 +177,7 @@ func NewShell[S any](cfg ShellConfig, node transport.Node, proto Protocol[S]) (*
 		id:     cfg.ID,
 		proto:  proto,
 		node:   node,
+		tr:     cfg.Trace,
 		states: shard.NewMap(0, func(string) *Slot[S] { return &Slot[S]{State: proto.NewState()} }),
 		done:   make(chan struct{}),
 	}
@@ -187,6 +194,20 @@ func NewShell[S any](cfg ShellConfig, node transport.Node, proto Protocol[S]) (*
 		s.exec.SetRunEnd(s.commitRun)
 	}
 	return s, nil
+}
+
+// handle is what the executor's workers run for every delivered message: the
+// decode every protocol's handler used to open with, then the protocol's step.
+func (s *Shell[S]) handle(m transport.Message, out transport.Sender) {
+	req := wire.GetMessage()
+	defer wire.PutMessage(req)
+	if err := wire.DecodeInto(req, m.Payload); err != nil {
+		if s.tr.Enabled() {
+			s.tr.Record(trace.KindDrop, s.id, m.From, "malformed: %v", err)
+		}
+		return
+	}
+	s.proto.Handle(m, req, out)
 }
 
 // applyRecord replays one recovered log record. The per-key LSN guard skips
@@ -282,7 +303,7 @@ func (s *Shell[S]) Start() {
 	s.startOnce.Do(func() {
 		go func() {
 			defer close(s.done)
-			s.exec.RunCoalescing(s.proto.Handle)
+			s.exec.RunCoalescing(s.handle)
 		}()
 	})
 }

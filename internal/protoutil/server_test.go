@@ -380,11 +380,7 @@ func openCounter(t *testing.T, node transport.Node, workers int, opts durable.Op
 	sh, err := protoutil.NewShell(protoutil.ShellConfig{ID: types.Server(1), Workers: workers, Durable: &opts}, node, protoutil.Protocol[int64]{
 		Name:     "counter",
 		NewState: func() int64 { return 0 },
-		Handle: func(m transport.Message, out transport.Sender) {
-			req, err := wire.Decode(m.Payload)
-			if err != nil {
-				return
-			}
+		Handle: func(m transport.Message, req *wire.Message, out transport.Sender) {
 			ack := &wire.Message{Op: wire.OpWriteAck, Key: req.Key}
 			cs.Do(req.Key, func(sl *protoutil.Slot[int64]) {
 				sl.State++

@@ -17,7 +17,6 @@
 package regular
 
 import (
-	"context"
 	"errors"
 	"fmt"
 
@@ -92,20 +91,12 @@ func (s *Server) StateOf(key string) types.TaggedValue {
 	return out
 }
 
-// handle processes one message on the per-message hot path: pooled zero-copy
-// decode, one clone at the adoption retention point, ack fields aliasing the
+// handle processes one decoded message on the per-message hot path: one
+// clone at the adoption retention point, ack fields aliasing the
 // stored state (the key-shard worker handling this message is this key's
 // sole mutator, and the ack is encoded before the worker handles its next
 // message).
-func (s *Server) handle(m transport.Message, out transport.Sender) {
-	req := wire.GetMessage()
-	defer wire.PutMessage(req)
-	if err := wire.DecodeInto(req, m.Payload); err != nil {
-		if s.cfg.Trace.Enabled() {
-			s.cfg.Trace.Record(trace.KindDrop, s.cfg.ID, m.From, "malformed: %v", err)
-		}
-		return
-	}
+func (s *Server) handle(m transport.Message, req *wire.Message, out transport.Sender) {
 	var ackOp wire.Op
 	switch req.Op {
 	case wire.OpWrite:
@@ -185,36 +176,20 @@ func regularizable(cfg ClientConfig) error {
 // ReadResult is what a regular read returns.
 type ReadResult = protoutil.ReadResult
 
-// Reader is a regular-register reader: query a majority, return the value
-// with the highest timestamp. One round-trip, no write-back, any number of
-// readers. ReadAsync keeps up to cfg.Depth reads in flight, matched to their
-// acknowledgements by rCounter nonces.
-type Reader struct {
-	*protoutil.Client[ReadResult]
-}
+// Reader is a regular-register reader: the engine's reader running query a
+// majority, return the value with the highest timestamp. One round-trip, no
+// write-back, any number of readers.
+type Reader = protoutil.Reader
 
 // NewReader creates a regular-register reader.
 func NewReader(cfg ClientConfig, node transport.Node) (*Reader, error) {
 	if err := regularizable(cfg); err != nil {
 		return nil, err
 	}
-	cl, err := protoutil.NewClient(cfg, node, protoutil.Rounds[ReadResult]{
-		Name: "regular read", Role: types.RoleReader, Need: cfg.Quorum.Majority(), Nonce: protoutil.StartNonce(cfg.Nonce),
+	return protoutil.NewReader(cfg, node, protoutil.Rounds[ReadResult]{
+		Name: "regular read", Need: cfg.Quorum.Majority(),
 		Begin: protoutil.Ask[ReadResult](wire.OpRead, cfg.Key), Finish: maxReply,
 	})
-	if err != nil {
-		return nil, err
-	}
-	return &Reader{cl}, nil
-}
-
-// Read returns a regular-register value in one round-trip.
-func (r *Reader) Read(ctx context.Context) (ReadResult, error) { return r.Do(ctx, nil) }
-
-// ReadAsync submits one read and returns its future without waiting for the
-// majority.
-func (r *Reader) ReadAsync(ctx context.Context) (*protoutil.Future[ReadResult], error) {
-	return r.Submit(ctx, nil)
 }
 
 // maxReply returns the value with the highest timestamp among the replies.

@@ -155,7 +155,7 @@ func TestReadsAreAlwaysSingleRound(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	reads, rounds := r.Stats()
+	reads, rounds, _ := r.Stats()
 	if reads != 5 || rounds != 5 {
 		t.Errorf("stats = %d/%d, want 5/5", reads, rounds)
 	}

@@ -1,22 +1,25 @@
 package sim
 
 import (
-	"context"
 	"sync"
 	"time"
 
 	"fastread/internal/driver"
+	"fastread/internal/protoutil"
 	"fastread/internal/transport"
+	"fastread/internal/types"
+	"fastread/internal/wire"
 )
 
 // BuggyProtocolName is the registry name of the deliberately-broken driver
-// the explorer's canary sweeps: it wraps the fast protocol but makes every
-// third read of a handle replay the FIRST result that handle ever observed
-// (or ⊥ before any completes) — a textbook stale-read atomicity violation.
-// The canary exists to prove the whole detection chain end to end: the
-// sweep must catch the violation, the checker must name it, and the
-// shrinker must reduce the failing scenario to a minimal reproducer. A
-// sweep harness that cannot catch THIS driver is not testing anything.
+// the explorer's canary sweeps: the fast protocol's servers and writer under
+// a reader that returns the highest-timestamped value of its quorum but, on
+// every third read of a handle, replays the FIRST result that handle ever
+// computed — a textbook stale-read atomicity violation. The canary exists to
+// prove the whole detection chain end to end: the sweep must catch the
+// violation, the checker must name it, and the shrinker must reduce the
+// failing scenario to a minimal reproducer. A sweep harness that cannot
+// catch THIS driver is not testing anything.
 const BuggyProtocolName = "sim-buggy"
 
 var buggyOnce sync.Once
@@ -26,20 +29,43 @@ var buggyOnce sync.Once
 // scenarios whose Protocol is BuggyProtocolName.
 func RegisterBuggyDriver() {
 	buggyOnce.Do(func() {
-		base, ok := driver.Lookup("fast")
+		d, ok := driver.Lookup("fast")
 		if !ok {
 			panic("sim: fast driver not registered (import fastread)")
 		}
-		d := base
 		d.Name = BuggyProtocolName
-		d.NewReader = func(cfg driver.ClientConfig, node transport.Node) (driver.Reader, error) {
-			inner, err := base.NewReader(cfg, node)
-			if err != nil {
-				return nil, err
-			}
-			return &buggyReader{inner: inner}, nil
-		}
+		d.NewReader = newBuggyReader
 		driver.Register(d)
+	})
+}
+
+// newBuggyReader is the bug as a round description, which is what the
+// engine's extension point is for: ask, take the maximum, and corrupt every
+// third result. Finish runs under the handle's mutex on the goroutine the
+// runner's clock controls, so the corruption schedule is as deterministic as
+// the run itself.
+func newBuggyReader(cfg driver.ClientConfig, node transport.Node) (*protoutil.Reader, error) {
+	// The first computed result, replayed forever.
+	var (
+		reads      int
+		firstValue types.Value
+		firstTS    types.Timestamp
+	)
+	return protoutil.NewReader(cfg, node, protoutil.Rounds[protoutil.ReadResult]{
+		Name: "sim-buggy read", Need: cfg.Quorum.AckQuorum(),
+		Begin: protoutil.Ask[protoutil.ReadResult](wire.OpRead, cfg.Key),
+		Finish: func(c *protoutil.Call[protoutil.ReadResult], acks []protoutil.Ack) (bool, error) {
+			ts, best, _ := protoutil.MaxTimestamp(acks)
+			value := best.Msg.Cur
+			if reads == 0 {
+				firstValue, firstTS = value.Clone(), ts
+			}
+			if reads++; reads%3 == 0 {
+				value, ts = firstValue, firstTS
+			}
+			c.Result = protoutil.ReadResult{Value: value.Clone(), Timestamp: ts, RoundTrips: 1}
+			return false, nil
+		},
 	})
 }
 
@@ -66,93 +92,3 @@ func CanaryScenario() Scenario {
 	}
 	return sc
 }
-
-// buggyReader wraps a correct fast reader and corrupts every third
-// submission. All decisions happen on the goroutines the runner controls,
-// so the corruption schedule is as deterministic as the run itself.
-type buggyReader struct {
-	inner driver.Reader
-
-	mu    sync.Mutex
-	subs  int64
-	first *driver.ReadResult // first completed result, replayed forever
-}
-
-var _ driver.Reader = (*buggyReader)(nil)
-
-func (b *buggyReader) Read(ctx context.Context) (driver.ReadResult, error) {
-	f, err := b.ReadAsync(ctx)
-	if err != nil {
-		return driver.ReadResult{}, err
-	}
-	return f.Result(ctx)
-}
-
-func (b *buggyReader) ReadAsync(ctx context.Context) (driver.ReadFuture, error) {
-	b.mu.Lock()
-	b.subs++
-	replay := b.subs%3 == 0
-	var cached driver.ReadResult
-	if b.first != nil {
-		cached = cloneReadResult(*b.first)
-	}
-	b.mu.Unlock()
-	if replay {
-		// The bug: answer instantly from the stale cache (⊥ before anything
-		// completed), never consulting a quorum.
-		return &staleFuture{res: cached}, nil
-	}
-	f, err := b.inner.ReadAsync(ctx)
-	if err != nil {
-		return nil, err
-	}
-	return &cachingFuture{inner: f, owner: b}, nil
-}
-
-func (b *buggyReader) Stats() (reads, roundTrips, fallbacks int64) { return b.inner.Stats() }
-
-// cacheFirst records the first genuinely-completed result as the replay
-// source.
-func (b *buggyReader) cacheFirst(res driver.ReadResult) {
-	b.mu.Lock()
-	if b.first == nil {
-		c := cloneReadResult(res)
-		b.first = &c
-	}
-	b.mu.Unlock()
-}
-
-func cloneReadResult(res driver.ReadResult) driver.ReadResult {
-	res.Value = res.Value.Clone()
-	return res
-}
-
-// cachingFuture passes an honest read through while capturing its result
-// for the stale replays.
-type cachingFuture struct {
-	inner driver.ReadFuture
-	owner *buggyReader
-}
-
-func (f *cachingFuture) Done() <-chan struct{} { return f.inner.Done() }
-
-func (f *cachingFuture) Result(ctx context.Context) (driver.ReadResult, error) {
-	res, err := f.inner.Result(ctx)
-	if err == nil {
-		f.owner.cacheFirst(res)
-	}
-	return res, err
-}
-
-// staleFuture is pre-resolved with the cached result.
-type staleFuture struct{ res driver.ReadResult }
-
-var closedCh = func() chan struct{} {
-	c := make(chan struct{})
-	close(c)
-	return c
-}()
-
-func (f *staleFuture) Done() <-chan struct{} { return closedCh }
-
-func (f *staleFuture) Result(context.Context) (driver.ReadResult, error) { return f.res, nil }

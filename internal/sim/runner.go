@@ -106,16 +106,15 @@ func (r *Result) Fingerprint() string {
 	return hex.EncodeToString(h.Sum(nil))
 }
 
-// byzantineNames maps the scenario DSL's behaviour names to the public
-// enum.
-var byzantineNames = map[string]fastread.ByzantineBehavior{
-	"forge-timestamp": fastread.ByzantineForgeTimestamp,
-	"stale-replay":    fastread.ByzantineStaleReplay,
-	"memory-loss":     fastread.ByzantineMemoryLoss,
-	"inflate-seen":    fastread.ByzantineInflateSeen,
-	"mute":            fastread.ByzantineMute,
-	"flood":           fastread.ByzantineFlood,
-}
+// byzantineNames maps the scenario DSL's behaviour names — each behaviour's
+// own String() — to the behaviours.
+var byzantineNames = func() map[string]fastread.ByzantineBehavior {
+	names := make(map[string]fastread.ByzantineBehavior)
+	for b := fastread.ByzantineForgeTimestamp; b <= fastread.ByzantineFlood; b++ {
+		names[b.String()] = b
+	}
+	return names
+}()
 
 // byzantineConfig resolves a scenario's behaviour names.
 func byzantineConfig(m map[int]string) (map[int]fastread.ByzantineBehavior, error) {

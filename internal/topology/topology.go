@@ -31,6 +31,7 @@ import (
 	"sort"
 	"strconv"
 
+	"fastread/internal/quorum"
 	"fastread/internal/shard"
 )
 
@@ -184,8 +185,9 @@ type Group struct {
 	// Name identifies the group on the ring. Renaming a group moves its keys.
 	Name string `json:"name"`
 	// Servers (S), Faulty (t) and Malicious (b) are the group's quorum
-	// parameters. Groups may differ — a hot slice of the keyspace can run
-	// wider than a cold one.
+	// parameters; a zero inherits the deployment-level value (see Quorum).
+	// Groups may differ — a hot slice of the keyspace can run wider than a
+	// cold one.
 	Servers   int `json:"servers"`
 	Faulty    int `json:"faulty"`
 	Malicious int `json:"malicious,omitempty"`
@@ -193,6 +195,37 @@ type Group struct {
 	// host:port addresses — the group's address book for socket transports.
 	// Optional for in-memory deployments.
 	Members map[string]string `json:"members,omitempty"`
+}
+
+// Quorum resolves the group's quorum shape against the deployment-level one
+// and vets it — the one spelling of "a group's zero parameters inherit the
+// deployment's" that the in-process Store, regserver and regclient share, so
+// a group means the same deployment in process and across processes. Each of
+// Servers, Faulty and Malicious that is zero inherits base's, field by field
+// (so {servers: 7} runs the deployment's t on seven servers); Readers is
+// always the deployment's. The result must pass quorum.Config.Validate and
+// the protocol's own check (the driver's Validate); a failure names the
+// group. The zero Group is the unpartitioned deployment: base itself, vetted
+// the same way, the error left bare.
+func (g Group) Quorum(base quorum.Config, protocol func(quorum.Config) error) (quorum.Config, error) {
+	q := base
+	if g.Servers != 0 {
+		q.Servers = g.Servers
+	}
+	if g.Faulty != 0 {
+		q.Faulty = g.Faulty
+	}
+	if g.Malicious != 0 {
+		q.Malicious = g.Malicious
+	}
+	err := q.Validate()
+	if err == nil {
+		err = protocol(q)
+	}
+	if err != nil && g.Name != "" {
+		err = fmt.Errorf("group %q: %w", g.Name, err)
+	}
+	return q, err
 }
 
 // Validate checks the document's internal consistency: at least one group,

@@ -1,8 +1,12 @@
 package topology
 
 import (
+	"errors"
 	"fmt"
+	"strings"
 	"testing"
+
+	"fastread/internal/quorum"
 )
 
 // fourGroups is the canonical test document: four groups with distinct
@@ -215,5 +219,46 @@ func TestRingLookupAllocationFree(t *testing.T) {
 	})
 	if allocs != 0 {
 		t.Errorf("ring lookup allocates %.1f times per call pair, want 0", allocs)
+	}
+}
+
+// TestGroupQuorumInheritsPerField pins the one rule for "a group's zero
+// parameters inherit the deployment's": field by field, never all or none.
+// cmd/regserver, cmd/regclient and the root package each repeat these four
+// rows against their own call of Quorum, so a group means the same
+// deployment in process and across processes.
+func TestGroupQuorumInheritsPerField(t *testing.T) {
+	base := quorum.Config{Servers: 9, Faulty: 2, Malicious: 1, Readers: 3}
+	accept := func(quorum.Config) error { return nil }
+	for _, tc := range []struct {
+		name  string
+		group Group
+		want  quorum.Config
+	}{
+		{"none", Group{Name: "g"}, base},
+		{"S only", Group{Name: "g", Servers: 7}, quorum.Config{Servers: 7, Faulty: 2, Malicious: 1, Readers: 3}},
+		{"t only", Group{Name: "g", Faulty: 3}, quorum.Config{Servers: 9, Faulty: 3, Malicious: 1, Readers: 3}},
+		{"all set", Group{Name: "g", Servers: 12, Faulty: 3, Malicious: 2}, quorum.Config{Servers: 12, Faulty: 3, Malicious: 2, Readers: 3}},
+		{"unpartitioned", Group{}, base},
+	} {
+		if got, err := tc.group.Quorum(base, accept); err != nil || got != tc.want {
+			t.Errorf("%s: Quorum = %v, %v; want %v", tc.name, got, err, tc.want)
+		}
+	}
+
+	// Both checks run on the RESOLVED shape, and a failure names the group —
+	// unless there is none to name.
+	if _, err := (Group{Name: "g", Servers: 1}).Quorum(base, accept); !errors.Is(err, quorum.ErrInvalidConfig) || !strings.Contains(err.Error(), `group "g"`) {
+		t.Errorf("S=1 under the inherited t=2: err = %v, want quorum's refusal naming the group", err)
+	}
+	refuse := errors.New("protocol bound")
+	var seen quorum.Config
+	protocol := func(q quorum.Config) error { seen = q; return refuse }
+	_, err := Group{Name: "g", Servers: 7}.Quorum(base, protocol)
+	if !errors.Is(err, refuse) || !strings.Contains(err.Error(), `group "g"`) || seen.Servers != 7 || seen.Faulty != 2 {
+		t.Errorf("protocol check: err = %v after seeing %v; want the wrapped refusal of S=7 t=2", err, seen)
+	}
+	if _, err := (Group{}).Quorum(base, protocol); err != refuse {
+		t.Errorf("unpartitioned deployment: err = %v, want the protocol's error bare", err)
 	}
 }

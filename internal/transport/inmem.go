@@ -152,8 +152,7 @@ type InMemNetwork struct {
 	// clients starved on it. (Jitter deliberately varies due times, so it
 	// still reorders — that is its job.)
 	delayMu     sync.Mutex
-	delayHeap   delayHeap
-	delaySeq    uint64
+	delayHeap   dueHeap[delayedMsg]
 	delayClosed bool
 	delayKick   chan struct{}
 	delayStart  sync.Once
@@ -163,55 +162,6 @@ type InMemNetwork struct {
 type delayedMsg struct {
 	dst *inMemNode
 	msg Message
-	at  time.Time
-	seq uint64
-}
-
-// delayHeap orders delayed deliveries by (due time, send sequence).
-type delayHeap []delayedMsg
-
-func (h delayHeap) before(i, j int) bool {
-	if !h[i].at.Equal(h[j].at) {
-		return h[i].at.Before(h[j].at)
-	}
-	return h[i].seq < h[j].seq
-}
-
-func (h *delayHeap) push(m delayedMsg) {
-	*h = append(*h, m)
-	i := len(*h) - 1
-	for i > 0 {
-		parent := (i - 1) / 2
-		if !(*h).before(i, parent) {
-			break
-		}
-		(*h)[i], (*h)[parent] = (*h)[parent], (*h)[i]
-		i = parent
-	}
-}
-
-func (h *delayHeap) pop() delayedMsg {
-	out := (*h)[0]
-	last := len(*h) - 1
-	(*h)[0] = (*h)[last]
-	(*h)[last] = delayedMsg{}
-	*h = (*h)[:last]
-	i := 0
-	for {
-		l, r := 2*i+1, 2*i+2
-		smallest := i
-		if l < len(*h) && (*h).before(l, smallest) {
-			smallest = l
-		}
-		if r < len(*h) && (*h).before(r, smallest) {
-			smallest = r
-		}
-		if smallest == i {
-			return out
-		}
-		(*h)[i], (*h)[smallest] = (*h)[smallest], (*h)[i]
-		i = smallest
-	}
 }
 
 var _ Network = (*InMemNetwork)(nil)
@@ -460,7 +410,7 @@ func (n *InMemNetwork) routeSlow(msg Message) (*inMemNode, time.Duration, bool) 
 // deliver hands the message to the destination mailbox, possibly after a
 // delay, without ever blocking the sender. Immediate deliveries complete
 // inline — no goroutine, no closure; delayed deliveries are sequenced
-// through the network's delay dispatcher (see delayHeap) so equal delays
+// through the network's delay dispatcher (see dueHeap) so equal delays
 // keep send order, and tracked by the wait group so Close can drain them.
 func (n *InMemNetwork) deliver(dst *inMemNode, msg Message, delay time.Duration) {
 	if n.clock != nil {
@@ -486,8 +436,7 @@ func (n *InMemNetwork) deliver(dst *inMemNode, msg Message, delay time.Duration)
 		n.wg.Done()
 		return
 	}
-	n.delaySeq++
-	n.delayHeap.push(delayedMsg{dst: dst, msg: msg, at: time.Now().Add(delay), seq: n.delaySeq})
+	n.delayHeap.push(time.Now().Add(delay), delayedMsg{dst: dst, msg: msg})
 	n.delayMu.Unlock()
 	select {
 	case n.delayKick <- struct{}{}:
@@ -536,8 +485,8 @@ func (n *InMemNetwork) dispatchDelayed() {
 	for {
 		n.delayMu.Lock()
 		now := time.Now()
-		for len(n.delayHeap) > 0 && !n.delayHeap[0].at.After(now) {
-			d := n.delayHeap.pop()
+		for n.delayHeap.len() > 0 && !n.delayHeap.next().After(now) {
+			_, d := n.delayHeap.pop()
 			n.delayMu.Unlock()
 			d.dst.box.push(d.msg)
 			n.inTransit.Add(-1)
@@ -545,8 +494,8 @@ func (n *InMemNetwork) dispatchDelayed() {
 			n.delayMu.Lock()
 		}
 		var wait time.Duration = time.Hour
-		if len(n.delayHeap) > 0 {
-			wait = time.Until(n.delayHeap[0].at)
+		if n.delayHeap.len() > 0 {
+			wait = time.Until(n.delayHeap.next())
 		}
 		n.delayMu.Unlock()
 
@@ -558,8 +507,8 @@ func (n *InMemNetwork) dispatchDelayed() {
 			// messages are "in transit forever". delayClosed hands any
 			// send still racing this shutdown its own cleanup.
 			n.delayMu.Lock()
-			pending := len(n.delayHeap)
-			n.delayHeap = nil
+			pending := n.delayHeap.len()
+			n.delayHeap = dueHeap[delayedMsg]{}
 			n.delayClosed = true
 			n.delayMu.Unlock()
 			for i := 0; i < pending; i++ {

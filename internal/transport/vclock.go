@@ -40,65 +40,8 @@ type VirtualClock struct {
 	mu       sync.Mutex
 	cond     *sync.Cond // signalled when activity reaches zero
 	now      time.Time
-	seq      uint64
-	events   vcHeap
+	events   dueHeap[func()] // scheduled callbacks
 	activity int
-}
-
-// vcEvent is one scheduled callback.
-type vcEvent struct {
-	at  time.Time
-	seq uint64
-	fn  func()
-}
-
-// vcHeap orders events by (due time, schedule sequence) — the same total
-// order the wall-clock delay dispatcher uses, so virtual and wall modes
-// deliver equal-delay messages identically.
-type vcHeap []vcEvent
-
-func (h vcHeap) before(i, j int) bool {
-	if !h[i].at.Equal(h[j].at) {
-		return h[i].at.Before(h[j].at)
-	}
-	return h[i].seq < h[j].seq
-}
-
-func (h *vcHeap) push(e vcEvent) {
-	*h = append(*h, e)
-	i := len(*h) - 1
-	for i > 0 {
-		parent := (i - 1) / 2
-		if !(*h).before(i, parent) {
-			break
-		}
-		(*h)[i], (*h)[parent] = (*h)[parent], (*h)[i]
-		i = parent
-	}
-}
-
-func (h *vcHeap) pop() vcEvent {
-	out := (*h)[0]
-	last := len(*h) - 1
-	(*h)[0] = (*h)[last]
-	(*h)[last] = vcEvent{}
-	*h = (*h)[:last]
-	i := 0
-	for {
-		l, r := 2*i+1, 2*i+2
-		smallest := i
-		if l < len(*h) && (*h).before(l, smallest) {
-			smallest = l
-		}
-		if r < len(*h) && (*h).before(r, smallest) {
-			smallest = r
-		}
-		if smallest == i {
-			return out
-		}
-		(*h)[i], (*h)[smallest] = (*h)[smallest], (*h)[i]
-		i = smallest
-	}
 }
 
 // NewVirtualClock returns a clock positioned at VirtualEpoch with no events.
@@ -125,8 +68,7 @@ func (c *VirtualClock) Schedule(d time.Duration, fn func()) {
 	if d > 0 {
 		at = at.Add(d)
 	}
-	c.seq++
-	c.events.push(vcEvent{at: at, seq: c.seq, fn: fn})
+	c.events.push(at, fn)
 	c.mu.Unlock()
 }
 
@@ -169,16 +111,16 @@ func (c *VirtualClock) Step(maxIdleWait time.Duration) (bool, error) {
 		return false, err
 	}
 	c.mu.Lock()
-	if len(c.events) == 0 {
+	if c.events.len() == 0 {
 		c.mu.Unlock()
 		return false, nil
 	}
-	ev := c.events.pop()
-	if ev.at.After(c.now) {
-		c.now = ev.at
+	at, fn := c.events.pop()
+	if at.After(c.now) {
+		c.now = at
 	}
 	c.mu.Unlock()
-	ev.fn()
+	fn()
 	return true, c.quiesce(maxIdleWait)
 }
 

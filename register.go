@@ -6,6 +6,8 @@ import (
 	"time"
 
 	"fastread/internal/driver"
+	"fastread/internal/durable"
+	"fastread/internal/fault"
 	"fastread/internal/protoutil"
 )
 
@@ -232,48 +234,30 @@ type DurabilityOptions struct {
 
 // DurableStats summarises the write-ahead and recovery work of a durable
 // deployment's logs; all fields are zero when Config.DataDir is empty.
-type DurableStats struct {
-	// Appends counts log records written; Fsyncs the stable-storage flushes
-	// they cost (compare the two to see a policy's amortisation).
-	Appends, Fsyncs int64
-	// Snapshots counts snapshot runs and SnapshotRecords the state records
-	// they wrote.
-	Snapshots, SnapshotRecords int64
-	// SegmentsReplayed, RecordsRecovered and TornTailTrims describe recovery
-	// work: log segments read back, records re-applied to server state, and
-	// torn final records trimmed (a trim is a crash mid-append doing exactly
-	// what it should — only unacknowledged-or-unsynced suffix is lost).
-	SegmentsReplayed, RecordsRecovered, TornTailTrims int64
-	// AppendErrors counts appends that hit an I/O error (sticky per log).
-	AppendErrors int64
-	// Incarnation is the highest restart-incarnation counter among the
-	// servers (aggregated as a maximum — it is an identity, not a tally).
-	Incarnation uint64
-}
+type DurableStats = durable.Stats
 
 // ByzantineBehavior selects what a server listed in Config.Byzantine does
-// instead of following the protocol. The behaviours mirror
-// internal/fault's library.
-type ByzantineBehavior int
+// instead of following the protocol: one of internal/fault's library.
+type ByzantineBehavior = fault.Behavior
 
 const (
 	// ByzantineForgeTimestamp replies with an enormous forged timestamp and
 	// a value the writer never wrote, signed with a non-writer key.
-	ByzantineForgeTimestamp ByzantineBehavior = iota + 1
+	ByzantineForgeTimestamp = fault.BehaviorForgeTimestamp
 	// ByzantineStaleReplay always replies with the initial state (ts=0).
-	ByzantineStaleReplay
+	ByzantineStaleReplay = fault.BehaviorStaleReplay
 	// ByzantineMemoryLoss behaves honestly except towards reader 1, to
 	// which it replies as if it had never received any message.
-	ByzantineMemoryLoss
+	ByzantineMemoryLoss = fault.BehaviorMemoryLoss
 	// ByzantineInflateSeen claims every client is in its seen set, trying
 	// to trick the fast-read predicate into holding early.
-	ByzantineInflateSeen
+	ByzantineInflateSeen = fault.BehaviorInflateSeen
 	// ByzantineMute receives but never replies.
-	ByzantineMute
+	ByzantineMute = fault.BehaviorMute
 	// ByzantineFlood answers every request with a burst of fabricated stale
 	// acknowledgements followed by one honest reply, stressing the
 	// receive-path backlog machinery as well as the ack filters.
-	ByzantineFlood
+	ByzantineFlood = fault.BehaviorFlood
 )
 
 // Errors returned by the façade.
@@ -344,7 +328,7 @@ type Reader interface {
 // WriteFuture is one submitted write's pending resolution.
 type WriteFuture struct {
 	store *Store
-	f     driver.WriteFuture
+	f     *protoutil.Future[struct{}]
 }
 
 // Done closes when the write resolves; Result then returns immediately.
@@ -355,13 +339,14 @@ func (w *WriteFuture) Done() <-chan struct{} { return w.f.Done() }
 // effect, like any interrupted write) and the context's error returned. A
 // future severed by Store.Close resolves with ErrStoreClosed.
 func (w *WriteFuture) Result(ctx context.Context) error {
-	return w.store.mapHandleErr(w.f.Result(ctx))
+	_, err := w.f.Result(ctx)
+	return w.store.mapHandleErr(err)
 }
 
 // ReadFuture is one submitted read's pending resolution.
 type ReadFuture struct {
 	store *Store
-	f     driver.ReadFuture
+	f     *protoutil.Future[protoutil.ReadResult]
 }
 
 // Done closes when the read resolves; Result then returns immediately.
@@ -379,8 +364,10 @@ func (r *ReadFuture) Result(ctx context.Context) (ReadResult, error) {
 	return publicReadResult(res), nil
 }
 
-// publicReadResult converts a driver result to the public shape.
-func publicReadResult(res driver.ReadResult) ReadResult {
+// publicReadResult converts the engine's read result to the public shape —
+// the one conversion between a caller and the engine, at the one boundary
+// whose field names and types (Version, []byte) are API.
+func publicReadResult(res protoutil.ReadResult) ReadResult {
 	return ReadResult{
 		Value:        res.Value,
 		Version:      int64(res.Timestamp),

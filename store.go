@@ -150,11 +150,6 @@ func NewStore(cfg Config) (*Store, error) {
 	if !ok {
 		return nil, fmt.Errorf("%w: no driver registered for %q", ErrUnknownProtocol, cfg.Protocol)
 	}
-	for _, b := range cfg.Byzantine {
-		if b < ByzantineForgeTimestamp || b > ByzantineFlood {
-			return nil, fmt.Errorf("fastread: unknown byzantine behaviour %d", b)
-		}
-	}
 	specs, ring, err := resolveGroups(cfg, drv)
 	if err != nil {
 		return nil, err
@@ -190,35 +185,23 @@ func NewStore(cfg Config) (*Store, error) {
 // protocol bound — so a partitioned deployment fails at NewStore, not at the
 // first Register that happens to land on a misshapen group.
 func resolveGroups(cfg Config, drv driver.Driver) ([]groupSpec, *topology.Ring, error) {
-	validate := func(name string, q quorum.Config) error {
-		if err := q.Validate(); err != nil {
-			if name != "" {
-				return fmt.Errorf("fastread: group %q: %w", name, err)
-			}
-			return err
-		}
-		if err := drv.Validate(q); err != nil {
-			if name != "" {
-				return fmt.Errorf("fastread: group %q: %w", name, err)
-			}
-			return err
+	base := quorum.Config{Servers: cfg.Servers, Faulty: cfg.Faulty, Malicious: cfg.Malicious, Readers: cfg.Readers}
+	resolve := func(g topology.Group) (quorum.Config, error) {
+		q, err := g.Quorum(base, drv.Validate)
+		if err != nil {
+			return q, err
 		}
 		for i := range cfg.Byzantine {
 			if i < 1 || i > q.Servers {
-				return fmt.Errorf("%w: Byzantine index %d (S=%d)", ErrUnknownServer, i, q.Servers)
+				return q, fmt.Errorf("%w: Byzantine index %d (S=%d)", ErrUnknownServer, i, q.Servers)
 			}
 		}
-		return nil
+		return q, nil
 	}
 
 	if len(cfg.Groups) == 0 {
-		q := quorum.Config{
-			Servers:   cfg.Servers,
-			Faulty:    cfg.Faulty,
-			Malicious: cfg.Malicious,
-			Readers:   cfg.Readers,
-		}
-		if err := validate("", q); err != nil {
+		q, err := resolve(topology.Group{})
+		if err != nil {
 			return nil, nil, err
 		}
 		return []groupSpec{{name: defaultGroupName, qcfg: q, tr: cfg.Transport}}, nil, nil
@@ -230,24 +213,10 @@ func resolveGroups(cfg Config, drv driver.Driver) ([]groupSpec, *topology.Ring, 
 		if g.Name == "" {
 			return nil, nil, fmt.Errorf("fastread: group %d has an empty name (the ring places keys by name)", i)
 		}
-		q := quorum.Config{
-			Servers:   g.Servers,
-			Faulty:    g.Faulty,
-			Malicious: g.Malicious,
-			Readers:   cfg.Readers,
-		}
 		// Zero-valued per-group parameters inherit the deployment level, so
 		// a homogeneous fleet is just a list of names.
-		if q.Servers == 0 {
-			q.Servers = cfg.Servers
-		}
-		if q.Faulty == 0 {
-			q.Faulty = cfg.Faulty
-		}
-		if q.Malicious == 0 {
-			q.Malicious = cfg.Malicious
-		}
-		if err := validate(g.Name, q); err != nil {
+		q, err := resolve(topology.Group{Name: g.Name, Servers: g.Servers, Faulty: g.Faulty, Malicious: g.Malicious})
+		if err != nil {
 			return nil, nil, err
 		}
 		tr := g.Transport
@@ -456,8 +425,8 @@ func (s *Store) newRegister(g *storeGroup, gi int, key string) (*Register, error
 		if err != nil {
 			return nil, err
 		}
-		rh := &readerHandle{store: s, index: i}
-		rh.setReader(r)
+		rh := &readerHandle{store: s}
+		rh.cur.Store(r)
 		reg.reads = append(reg.reads, rh)
 	}
 	return reg, nil
@@ -660,7 +629,7 @@ func (s *Store) RestartReader(key string, i int) error {
 	if err != nil {
 		return err
 	}
-	reg.reads[i-1].setReader(r)
+	reg.reads[i-1].cur.Store(r)
 	return nil
 }
 
@@ -715,7 +684,7 @@ func (s *Store) Stats() Stats {
 		gs.Writes += w
 		out.WriteRoundTrips += wr
 		for _, r := range reg.reads {
-			reads, rounds, fallbacks := r.reader().Stats()
+			reads, rounds, fallbacks := r.cur.Load().Stats()
 			gs.Reads += reads
 			out.ReadRoundTrips += rounds
 			out.FallbackReads += fallbacks
@@ -753,18 +722,16 @@ func (s *Store) Stats() Stats {
 			gs.ShedDrops += srv.QueueSheds()
 		}
 		out.ShedDrops += gs.ShedDrops
-		var dur durable.Stats
 		for _, c := range g.durCounters {
-			dur.Add(c.Snapshot())
+			gs.Durable.Add(c.Snapshot())
 		}
-		gs.Durable = publicDurableStats(dur)
 	}
 	for i := range out.Groups {
 		gs := &out.Groups[i]
 		gs.Ops = gs.Writes + gs.Reads
 		out.Writes += gs.Writes
 		out.Reads += gs.Reads
-		addDurableStats(&out.Durable, gs.Durable)
+		out.Durable.Add(gs.Durable)
 	}
 	if out.Reads > 0 {
 		out.ReadRoundsPerOp = float64(out.ReadRoundTrips) / float64(out.Reads)
@@ -773,38 +740,6 @@ func (s *Store) Stats() Stats {
 		out.WriteRoundsPerOp = float64(out.WriteRoundTrips) / float64(out.Writes)
 	}
 	return out
-}
-
-// publicDurableStats converts a durable-log stats snapshot to the public
-// shape.
-func publicDurableStats(d durable.Stats) DurableStats {
-	return DurableStats{
-		Appends:          d.Appends,
-		Fsyncs:           d.Fsyncs,
-		Snapshots:        d.Snapshots,
-		SnapshotRecords:  d.SnapshotRecords,
-		SegmentsReplayed: d.SegmentsReplayed,
-		RecordsRecovered: d.RecordsRecovered,
-		TornTailTrims:    d.TornTailTrims,
-		AppendErrors:     d.AppendErrors,
-		Incarnation:      d.Incarnation,
-	}
-}
-
-// addDurableStats accumulates o into agg (incarnation as a maximum — it is
-// an identity, not a tally).
-func addDurableStats(agg *DurableStats, o DurableStats) {
-	agg.Appends += o.Appends
-	agg.Fsyncs += o.Fsyncs
-	agg.Snapshots += o.Snapshots
-	agg.SnapshotRecords += o.SnapshotRecords
-	agg.SegmentsReplayed += o.SegmentsReplayed
-	agg.RecordsRecovered += o.RecordsRecovered
-	agg.TornTailTrims += o.TornTailTrims
-	agg.AppendErrors += o.AppendErrors
-	if o.Incarnation > agg.Incarnation {
-		agg.Incarnation = o.Incarnation
-	}
 }
 
 // Close shuts the store down: every instantiated replica group's servers
@@ -880,11 +815,12 @@ func (s *Store) admit(ctx context.Context) context.Context {
 	return ctx
 }
 
-// writerHandle adapts a protocol driver's writer to the public Writer
-// interface, adding the store-closed fast path.
+// writerHandle is the public Writer over the engine's writer: it adds the
+// store-closed fast path, the admission budget and the public error
+// vocabulary.
 type writerHandle struct {
 	store *Store
-	w     driver.Writer
+	w     *protoutil.Writer
 }
 
 var _ Writer = (*writerHandle)(nil)
@@ -911,24 +847,16 @@ func (w *writerHandle) WriteAsync(ctx context.Context, value []byte) (*WriteFutu
 	return &WriteFuture{store: w.store, f: f}, nil
 }
 
-// readerHandle adapts a protocol driver's reader to the public Reader
-// interface, adding the store-closed fast path. The underlying driver
-// reader is swapped atomically by Store.RestartReader, so operations in
-// flight on the old incarnation keep their reader while new operations go
-// to the new one.
+// readerHandle is the public Reader over the engine's reader, adding what
+// writerHandle adds. The engine reader is swapped atomically by
+// Store.RestartReader, so operations in flight on the old incarnation keep
+// their reader while new operations go to the new one.
 type readerHandle struct {
 	store *Store
-	index int
-	cur   atomic.Pointer[driver.Reader]
+	cur   atomic.Pointer[protoutil.Reader]
 }
 
 var _ Reader = (*readerHandle)(nil)
-
-// reader returns the current driver reader incarnation.
-func (r *readerHandle) reader() driver.Reader { return *r.cur.Load() }
-
-// setReader installs a new driver reader incarnation.
-func (r *readerHandle) setReader(d driver.Reader) { r.cur.Store(&d) }
 
 // Read implements Reader. After Store.Close it fails fast with
 // ErrStoreClosed (see writerHandle.Write).
@@ -936,7 +864,7 @@ func (r *readerHandle) Read(ctx context.Context) (ReadResult, error) {
 	if r.store.closed.Load() {
 		return ReadResult{}, ErrStoreClosed
 	}
-	res, err := r.reader().Read(r.store.admit(ctx))
+	res, err := r.cur.Load().Read(r.store.admit(ctx))
 	if err != nil {
 		return ReadResult{}, r.store.mapHandleErr(err)
 	}
@@ -948,7 +876,7 @@ func (r *readerHandle) ReadAsync(ctx context.Context) (*ReadFuture, error) {
 	if r.store.closed.Load() {
 		return nil, ErrStoreClosed
 	}
-	f, err := r.reader().ReadAsync(r.store.admit(ctx))
+	f, err := r.cur.Load().ReadAsync(r.store.admit(ctx))
 	if err != nil {
 		return nil, r.store.mapHandleErr(err)
 	}

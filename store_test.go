@@ -335,3 +335,50 @@ func TestStoreCrashToleranceAcrossKeys(t *testing.T) {
 		}
 	}
 }
+
+// TestStoreByzantineStandInIsPerKey pins that the malicious stand-in's honest
+// half keeps one state per register, as an honest server does. S=8, t=1, b=1,
+// R=2 with s1 losing its memory towards r1 and one honest server crashed on
+// top: S−t = 7 servers are left, so every quorum needs s1's acknowledgement,
+// and a stand-in that answers one key's readers with another key's timestamp,
+// value and signature (which fail VerifyKeyed) stalls them to their deadline.
+func TestStoreByzantineStandInIsPerKey(t *testing.T) {
+	store, err := NewStore(Config{
+		Servers: 8, Faulty: 1, Malicious: 1, Readers: 2,
+		Protocol:  ProtocolFastByzantine,
+		Byzantine: map[int]ByzantineBehavior{1: ByzantineMemoryLoss},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer store.Close()
+	if err := store.CrashServer(2); err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+	defer cancel()
+
+	for _, key := range []string{"k1", "k2"} {
+		reg, err := store.Register(key)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := reg.Writer().Write(ctx, []byte(key+"#1")); err != nil {
+			t.Fatalf("write %s: %v", key, err)
+		}
+	}
+	for _, key := range []string{"k1", "k2"} {
+		reg, _ := store.Register(key)
+		reader, err := reg.Reader(2) // r1 is the stand-in's victim
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := reader.Read(ctx)
+		if err != nil {
+			t.Fatalf("read %s by r2: %v", key, err)
+		}
+		if want := key + "#1"; string(res.Value) != want {
+			t.Errorf("read %s by r2 = %q (version %d), want %q", key, res.Value, res.Version, want)
+		}
+	}
+}
