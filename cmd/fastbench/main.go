@@ -1,13 +1,18 @@
-// Command fastbench runs the paper-reproduction experiments (E1..E8, see
-// internal/experiments) and prints their tables.
+// Command fastbench prints the paper-reproduction experiments' tables
+// (E1..E8, see internal/experiments). Every experiment runs on the virtual
+// clock, so the output is the same bytes on every machine and on every run,
+// and REPRODUCTION.md at the repository root is exactly
+//
+//	go run ./cmd/fastbench -markdown > REPRODUCTION.md
+//
+// (internal/experiments' TestPaperTables and CI compare the two).
 //
 // Usage:
 //
-//	fastbench                 # run every experiment at full size
-//	fastbench -exp E2,E7      # run a subset
-//	fastbench -quick          # reduced sizes (seconds instead of minutes)
-//	fastbench -markdown       # emit GitHub Markdown tables
-//	fastbench -delay 2ms      # per-message delay for the latency experiment
+//	fastbench                 # print every experiment's tables
+//	fastbench -exp E2,E7      # a subset
+//	fastbench -markdown       # GitHub Markdown tables
+//	fastbench -list           # name the experiments
 package main
 
 import (
@@ -16,7 +21,6 @@ import (
 	"io"
 	"os"
 	"strings"
-	"time"
 
 	"fastread/internal/experiments"
 )
@@ -28,15 +32,12 @@ func main() {
 	}
 }
 
-// run parses arguments and executes the selected experiments.
+// run parses arguments and prints the selected experiments.
 func run(args []string, out io.Writer) error {
 	fs := flag.NewFlagSet("fastbench", flag.ContinueOnError)
 	var (
 		expList  = fs.String("exp", "", "comma-separated experiment ids (default: all)")
-		quick    = fs.Bool("quick", false, "run reduced-size experiments")
 		markdown = fs.Bool("markdown", false, "render tables as GitHub Markdown")
-		delay    = fs.Duration("delay", 0, "per-message one-way delay for latency experiments (default 1ms, 200µs with -quick)")
-		seed     = fs.Int64("seed", 1, "workload seed")
 		list     = fs.Bool("list", false, "list available experiments and exit")
 	)
 	if err := fs.Parse(args); err != nil {
@@ -50,8 +51,6 @@ func run(args []string, out io.Writer) error {
 		return nil
 	}
 
-	opts := experiments.Options{Quick: *quick, Seed: *seed, Delay: *delay}
-
 	selected := experiments.All()
 	if *expList != "" {
 		selected = nil
@@ -64,22 +63,5 @@ func run(args []string, out io.Writer) error {
 			selected = append(selected, exp)
 		}
 	}
-
-	start := time.Now()
-	for _, exp := range selected {
-		fmt.Fprintf(out, "== %s — %s (%s)\n\n", exp.ID, exp.Title, exp.Paper)
-		tables, err := exp.Run(opts)
-		if err != nil {
-			return fmt.Errorf("%s: %w", exp.ID, err)
-		}
-		for _, tbl := range tables {
-			if *markdown {
-				fmt.Fprintln(out, tbl.Markdown())
-			} else {
-				fmt.Fprintln(out, tbl.String())
-			}
-		}
-	}
-	fmt.Fprintf(out, "completed %d experiment(s) in %v\n", len(selected), time.Since(start).Round(time.Millisecond))
-	return nil
+	return experiments.Render(out, selected, *markdown)
 }

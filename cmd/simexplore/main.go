@@ -71,7 +71,7 @@ func replay(sc sim.Scenario, seed int64) int {
 	res := sim.Run(sc, seed)
 	fmt.Printf("%s seed=%d: %d ops (%d completed, %d timed out, %d skips), sim %v in wall %v, mailbox high-water %d\n",
 		res.Scenario.Name, seed, res.Ops, res.Completed, res.TimedOut, res.SubmitSkips,
-		res.SimTime.Round(time.Millisecond), res.Wall.Round(time.Millisecond), res.MailboxHighWater)
+		res.SimTime.Round(time.Millisecond), res.Wall.Round(time.Millisecond), res.Stats.MailboxHighWater)
 	fmt.Printf("fingerprint %s\n", res.Fingerprint())
 	if res.Failed() {
 		fmt.Printf("FAIL: %s\n", res.FailureSummary())

@@ -261,7 +261,11 @@
 // time: timers must be scheduled through the clock, and nonce sources must
 // derive from clock.Now() rather than time.Now(), or runs stop being
 // reproducible. The scenario DSL, the seed-sweeping explorer and the trace
-// shrinker built on this live in internal/sim and cmd/simexplore.
+// shrinker built on this live in internal/sim and cmd/simexplore. The paper's
+// own tables run there too: internal/experiments states E1–E8 as scenarios
+// and scripts on the virtual clock, with latencies in message delays (a fast
+// read is exactly 2Δ, max-min 3Δ, ABD 4Δ), and REPRODUCTION.md is their
+// checked-in, byte-reproducible output (go run ./cmd/fastbench -markdown).
 //
 // # Overload control and latency under load
 //

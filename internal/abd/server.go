@@ -32,10 +32,9 @@ func (v VersionedValue) Less(other VersionedValue) bool {
 type ServerConfig = protoutil.ServerConfig
 
 // registerState is the per-register ABD server state: the highest versioned
-// value adopted so far and a mutation counter.
+// value adopted so far.
 type registerState struct {
-	value     VersionedValue
-	mutations int64
+	value VersionedValue
 	// arena, when non-nil, is the frame buffer value currently aliases:
 	// adoption from an arena-backed frame retains by reference (one Arena.Ref)
 	// instead of cloning, released when the next value displaces it. At most
@@ -92,34 +91,6 @@ func dumpRecord(st *registerState, r *durable.Record) {
 	r.Rank = st.value.Rank
 	r.Cur = st.value.Cur
 	r.Prev = st.value.Prev
-}
-
-// State returns a copy of the default register's current value and the
-// number of state mutations performed on it; use StateOf for a named
-// register.
-func (s *Server) State() (VersionedValue, int64) { return s.StateOf("") }
-
-// StateOf returns a copy of the named register's current value and its
-// mutation count. An untouched register reports its initial state without
-// being instantiated.
-func (s *Server) StateOf(key string) (VersionedValue, int64) {
-	var out VersionedValue
-	var mutations int64
-	s.Peek(key, func(st *registerState) {
-		out = st.value
-		out.Cur = st.value.Cur.Clone()
-		out.Prev = st.value.Prev.Clone()
-		mutations = st.mutations
-	})
-	return out, mutations
-}
-
-// TotalMutations sums the mutation counters across every register the server
-// hosts.
-func (s *Server) TotalMutations() int64 {
-	var total int64
-	s.Range(func(_ string, st *registerState) { total += st.mutations })
-	return total
 }
 
 // handle processes one message on the per-message hot path: pooled zero-copy
@@ -187,7 +158,6 @@ func (s *Server) handle(m transport.Message, req *wire.Message, out transport.Se
 					Prev: incoming.Prev.Clone(),
 				}
 			}
-			st.mutations++
 			// Only adoptions change durable state; queries and reads are not
 			// logged.
 			s.Log(sl, &durable.Record{

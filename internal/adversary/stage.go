@@ -9,6 +9,7 @@ import (
 	"fastread/internal/driver"
 	"fastread/internal/history"
 	"fastread/internal/quorum"
+	"fastread/internal/sim"
 	"fastread/internal/transport"
 	"fastread/internal/types"
 )
@@ -17,11 +18,6 @@ import (
 // before each invocation: a complete read takes two hops, and an operation
 // invoked after another returned is stamped strictly later ("precedes").
 const hop = time.Millisecond
-
-// stallWait is the WALL-clock watchdog handed to VirtualClock.Step: how long
-// real goroutines may take to process one event before the schedule is
-// declared stuck. It never extends virtual time.
-const stallWait = 30 * time.Second
 
 // stage is what a partial run is executed on (see the package comment): a
 // virtual clock the script steps itself, a recorder stamping operations with
@@ -115,7 +111,7 @@ func invoke[T any, F future[T]](st *stage, p types.ProcessID, kind history.OpKin
 func (st *stage) settle() {
 	for ran := true; ran && st.err == nil; {
 		var err error
-		if ran, err = st.clock.Step(stallWait); err != nil {
+		if ran, err = st.clock.Step(sim.StallWait); err != nil {
 			st.fail(err)
 			return
 		}
@@ -167,10 +163,10 @@ func init() {
 	}
 }
 
-// deployCluster starts cfg's deployment on the stage's clock, exactly as
-// sim.Run deploys: one worker per server and virtual-clock nonces, so there
-// is no scheduling freedom and no wall-clock input anywhere in the run. The
-// listed servers are malicious: they lose their memory towards reader r1.
+// deployCluster starts cfg's deployment on the stage's clock by sim.Run's own
+// recipe (sim.Replayable), so there is no scheduling freedom and no
+// wall-clock input anywhere in the run. The listed servers are malicious:
+// they lose their memory towards reader r1.
 func (st *stage) deployCluster(cfg quorum.Config, kind ReaderKind, malicious []types.ProcessID) (*fastread.Cluster, error) {
 	base := "fast"
 	if len(malicious) > 0 {
@@ -180,15 +176,12 @@ func (st *stage) deployCluster(cfg quorum.Config, kind ReaderKind, malicious []t
 	for _, s := range malicious {
 		faulty[s.Index] = fastread.ByzantineMemoryLoss
 	}
-	return fastread.NewCluster(fastread.Config{
-		Servers:       cfg.Servers,
-		Faulty:        cfg.Faulty,
-		Malicious:     cfg.Malicious,
-		Readers:       cfg.Readers,
-		Protocol:      fastread.Protocol(base + "-unbounded-" + kind.String()),
-		ServerWorkers: 1,
-		NonceSource:   func() int64 { return st.clock.Now().UnixMicro() },
-		Byzantine:     faulty,
-		Transport:     fastread.InMemory(fastread.WithDelay(hop), fastread.WithVirtualClock(st.clock)),
-	})
+	return fastread.NewCluster(sim.Replayable(fastread.Config{
+		Servers:   cfg.Servers,
+		Faulty:    cfg.Faulty,
+		Malicious: cfg.Malicious,
+		Readers:   cfg.Readers,
+		Protocol:  fastread.Protocol(base + "-unbounded-" + kind.String()),
+		Byzantine: faulty,
+	}, st.clock, fastread.WithDelay(hop)))
 }

@@ -42,9 +42,8 @@ type ServerConfig struct {
 }
 
 // ServerState is a snapshot of one register's protocol state on a server,
-// exposed for tests, the experiment harness (which counts state mutations per
-// read for the "atomic reads must write" discussion of Section 8) and fault
-// injectors.
+// exposed for tests and fault injectors. Mutations is the shell's count for
+// the register (protoutil.Slot.Mutations).
 type ServerState struct {
 	Value     types.TaggedValue
 	ValueSig  []byte
@@ -65,9 +64,8 @@ type registerState struct {
 	// without materialising it per message: acks alias it under the usual
 	// sole-mutator discipline — the ack is encoded before this key's worker
 	// handles its next message.
-	seen      []types.ProcessID
-	counters  map[int]int64
-	mutations int64
+	seen     []types.ProcessID
+	counters map[int]int64
 	// arena, when non-nil, is the frame buffer value and valueSig currently
 	// alias: adopting a value delivered in an arena-backed frame retains it BY
 	// REFERENCE (one Arena.Ref) instead of cloning the bytes, and adopting the
@@ -172,7 +170,8 @@ func dumpRecord(st *registerState, r *durable.Record) {
 }
 
 // snapshot deep-copies a register's state under the shard lock.
-func snapshot(st *registerState) ServerState {
+func snapshot(sl *protoutil.Slot[registerState]) ServerState {
+	st := &sl.State
 	counters := make(map[int]int64, len(st.counters))
 	for k, v := range st.counters {
 		counters[k] = v
@@ -182,7 +181,7 @@ func snapshot(st *registerState) ServerState {
 		ValueSig:  append([]byte(nil), st.valueSig...),
 		Seen:      types.NewProcessSet(st.seen...),
 		Counters:  counters,
-		Mutations: st.mutations,
+		Mutations: sl.Mutations,
 	}
 }
 
@@ -196,7 +195,7 @@ func (s *Server) State() ServerState { return s.StateOf("") }
 // (timestamp 0, both tags ⊥) without being instantiated.
 func (s *Server) StateOf(key string) ServerState {
 	var out ServerState
-	if !s.Peek(key, func(st *registerState) { out = snapshot(st) }) {
+	if !s.PeekSlot(key, func(sl *protoutil.Slot[registerState]) { out = snapshot(sl) }) {
 		out = ServerState{
 			Value:    types.InitialTaggedValue(),
 			Seen:     types.NewProcessSet(),
@@ -225,14 +224,6 @@ func (s *Server) CounterOf(key string, clientPID int) int64 {
 	var c int64
 	s.Peek(key, func(st *registerState) { c = st.counters[clientPID] })
 	return c
-}
-
-// TotalMutations sums the state-mutation counters across every register the
-// server hosts; the store-level stats aggregate it.
-func (s *Server) TotalMutations() int64 {
-	var total int64
-	s.Range(func(_ string, st *registerState) { total += st.mutations })
-	return total
 }
 
 // handle processes one incoming message: Figure 2 / Figure 5 lines 26-35,
@@ -355,7 +346,6 @@ func (s *Server) handle(m transport.Message, req *wire.Message, out transport.Se
 			st.seen = append(st.seen, m.From)
 		}
 		st.counters[pid] = req.RCounter
-		st.mutations++
 		// Log the mutation before the ack is even built ("atomic reads must
 		// write" extends to "must log" — read requests mutate the seen set
 		// and counters, so they are logged too).

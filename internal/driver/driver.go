@@ -44,7 +44,6 @@ type Server interface {
 	Workers() int
 	// TotalMutations counts state mutations across every register, for the
 	// "atomic reads must write" accounting of the paper's Section 8.
-	// Protocols that do not track mutations report 0.
 	TotalMutations() int64
 	// QueueSheds counts requests shed by the server's bounded worker queues
 	// (always 0 unless ServerConfig.QueueBound was set).

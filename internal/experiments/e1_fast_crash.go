@@ -2,14 +2,10 @@ package experiments
 
 import (
 	"fmt"
+	"time"
 
-	"fastread"
-	"fastread/internal/atomicity"
-	"fastread/internal/fault"
-	"fastread/internal/quorum"
+	"fastread/internal/sim"
 	"fastread/internal/stats"
-	"fastread/internal/types"
-	"fastread/internal/workload"
 )
 
 // RunE1 reproduces the claim of Section 4 (algorithm of Figure 2): for every
@@ -17,93 +13,44 @@ import (
 // crashing mid-run completes every read and every write in exactly one
 // round-trip, and the recorded history satisfies the four atomicity
 // conditions of Section 3.1.
-func RunE1(opts Options) ([]*stats.Table, error) {
-	type scenario struct {
-		servers, faulty, readers int
-	}
-	scenarios := []scenario{
-		{4, 1, 1},
-		{7, 1, 2},
-		{10, 2, 2},
-		{13, 3, 2},
-	}
-	if !opts.Quick {
-		scenarios = append(scenarios, scenario{16, 2, 5}, scenario{25, 3, 5})
-	}
-
+func RunE1() ([]*stats.Table, error) {
 	table := stats.NewTable(
 		"E1 — fast crash-tolerant register: every operation is one round-trip and the history is atomic",
 		"S", "t", "R", "writes", "reads", "crashes", "rounds/read", "rounds/write", "atomic", "read p50", "read p99",
 	)
-	table.AddNote("workload: concurrent writer and R readers; t servers crash mid-run; values are unique per write")
+	table.AddNote("workload: concurrent writer and R readers; t servers crash mid-run; every message takes Δ plus a seeded jitter in [0, Δ/2)")
 
-	for _, sc := range scenarios {
-		cfg := quorum.Config{Servers: sc.servers, Faulty: sc.faulty, Readers: sc.readers}
-		if !cfg.FastReadPossible() {
-			return nil, fmt.Errorf("e1: scenario %v violates the fast-read bound", sc)
+	for i, sh := range []struct{ servers, faulty, readers int }{
+		{4, 1, 1}, {7, 1, 2}, {10, 2, 2}, {13, 3, 2}, {16, 2, 5}, {25, 3, 5},
+	} {
+		// 60 writes and 80 reads per reader, each stream well inside its gap.
+		sc := sim.Scenario{
+			Name:     fmt.Sprintf("e1 S=%d t=%d R=%d", sh.servers, sh.faulty, sh.readers),
+			Protocol: "fast",
+			Servers:  sh.servers, Faulty: sh.faulty, Readers: sh.readers,
+			Jitter: delta / 2, Duration: 480 * time.Millisecond,
+			WriteGap: 8 * time.Millisecond, ReadGap: 6 * time.Millisecond,
 		}
-		cluster, err := fastread.NewCluster(fastread.Config{
-			Servers:  sc.servers,
-			Faulty:   sc.faulty,
-			Readers:  sc.readers,
-			Protocol: fastread.ProtocolFast,
-		})
-		if err != nil {
-			return nil, fmt.Errorf("e1: cluster %v: %w", sc, err)
-		}
-
-		writes := opts.scale(60, 12)
-		reads := opts.scale(80, 15)
-		// Crash t servers spread over the run.
-		var events []fault.CrashEvent
-		for i := 0; i < sc.faulty; i++ {
-			events = append(events, fault.CrashEvent{
-				Server:   types.Server(sc.servers - i),
-				AfterOps: (i + 1) * writes / (sc.faulty + 1),
+		// The last t servers crash, spread over the run.
+		for c := 1; c <= sh.faulty; c++ {
+			sc.Faults = append(sc.Faults, sim.FaultEvent{
+				At:     time.Duration(c) * sc.Duration / time.Duration(sh.faulty+1),
+				Kind:   sim.FaultCrash,
+				Server: sh.servers - c + 1,
 			})
 		}
-		schedule := fault.NewCrashSchedule(events...)
-
-		// The crash schedule needs the in-memory network; fail loudly rather
-		// than silently running a fault-free experiment on a backend without
-		// fault injection.
-		net, err := cluster.Network()
+		res, err := run(sc, int64(i+1))
 		if err != nil {
-			_ = cluster.Close()
-			return nil, fmt.Errorf("e1: %w", err)
+			return nil, err
 		}
-
-		ctx, cancel := runContext()
-		result, err := workload.Run(ctx, workload.Config{
-			Writes:         writes,
-			ReadsPerReader: reads,
-			Crashes:        schedule,
-			CrashFn:        func(p types.ProcessID) { net.Crash(p) },
-		}, clusterClients(cluster))
-		cancel()
-		if err != nil {
-			_ = cluster.Close()
-			return nil, fmt.Errorf("e1: workload %v: %w", sc, err)
-		}
-
-		report, err := atomicity.CheckSWMR(result.History)
-		if err != nil {
-			_ = cluster.Close()
-			return nil, fmt.Errorf("e1: check %v: %w", sc, err)
-		}
-		clusterStats := cluster.Stats()
-		_ = cluster.Close()
-
+		lat := readLatency(res)
 		table.AddRow(
-			sc.servers, sc.faulty, sc.readers,
-			result.CompletedWrites, result.CompletedReads, len(events),
-			clusterStats.ReadRoundsPerOp, clusterStats.WriteRoundsPerOp,
-			yesNo(report.OK),
-			result.ReadLatency.Median, result.ReadLatency.P99,
+			sh.servers, sh.faulty, sh.readers,
+			res.Stats.Writes, res.Stats.Reads, len(sc.Faults),
+			res.Stats.ReadRoundsPerOp, res.Stats.WriteRoundsPerOp,
+			yesNo(res.Check.OK),
+			inDelta(lat.Median), inDelta(lat.P99),
 		)
-		if !report.OK {
-			table.AddNote("UNEXPECTED violation for %v: %s", sc, report)
-		}
 	}
 	return []*stats.Table{table}, nil
 }

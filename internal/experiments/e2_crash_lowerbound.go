@@ -14,7 +14,7 @@ import (
 // configurations on both sides of the R < S/t − 2 bound. The expected shape:
 // the paper's algorithm violates atomicity exactly when the bound is not
 // met; the naive reader violates it as soon as there are two readers.
-func RunE2(opts Options) ([]*stats.Table, error) {
+func RunE2() ([]*stats.Table, error) {
 	type scenario struct {
 		servers, faulty, readers int
 	}
@@ -23,14 +23,10 @@ func RunE2(opts Options) ([]*stats.Table, error) {
 		{5, 1, 3},  // at the bound with three readers
 		{7, 1, 2},  // within the bound (R < 5)
 		{10, 2, 3}, // at the bound: 10 ≤ (3+2)*2
-	}
-	if !opts.Quick {
-		scenarios = append(scenarios,
-			scenario{6, 2, 2},  // beyond the bound with t=2
-			scenario{13, 2, 4}, // within the bound (4 < 4.5)
-			scenario{9, 1, 4},  // within the bound (4 < 7)
-			scenario{8, 2, 2},  // exactly at the bound
-		)
+		{6, 2, 2},  // beyond the bound with t=2
+		{13, 2, 4}, // within the bound (4 < 4.5)
+		{9, 1, 4},  // within the bound (4 < 7)
+		{8, 2, 2},  // exactly at the bound
 	}
 
 	table := stats.NewTable(

@@ -12,21 +12,17 @@ import (
 // Figure 6): the memory-loss construction is executed against the paper's
 // Byzantine-tolerant algorithm on both sides of the S > (R+2)t + (R+1)b
 // bound. Expected shape: a violation exactly when the bound is not met.
-func RunE4(opts Options) ([]*stats.Table, error) {
+func RunE4() ([]*stats.Table, error) {
 	type scenario struct {
 		servers, faulty, malicious, readers int
 	}
 	scenarios := []scenario{
-		{7, 1, 1, 2}, // exactly at the bound: 7 = (2+2)·1 + 3·1
-		{9, 1, 1, 2}, // within the bound
-		{9, 1, 1, 3}, // at the bound with three readers: 9 ≤ 5+4
-	}
-	if !opts.Quick {
-		scenarios = append(scenarios,
-			scenario{12, 1, 1, 3}, // within the bound (12 > 9)
-			scenario{11, 2, 1, 2}, // at/below the bound: 11 ≤ 8+3
-			scenario{13, 2, 1, 2}, // within the bound: 13 > 11
-		)
+		{7, 1, 1, 2},  // exactly at the bound: 7 = (2+2)·1 + 3·1
+		{9, 1, 1, 2},  // within the bound
+		{9, 1, 1, 3},  // at the bound with three readers: 9 ≤ 5+4
+		{12, 1, 1, 3}, // within the bound (12 > 9)
+		{11, 2, 1, 2}, // at/below the bound: 11 ≤ 8+3
+		{13, 2, 1, 2}, // within the bound: 13 > 11
 	}
 
 	table := stats.NewTable(

@@ -13,7 +13,7 @@ import (
 // readers that still admits a fast implementation, and — for a subset of
 // rows — cross-validates the boundary empirically: the adversarial schedule
 // is harmless at R = maxR and produces a violation at R = maxR + 1.
-func RunE6(opts Options) ([]*stats.Table, error) {
+func RunE6() ([]*stats.Table, error) {
 	closedForm := stats.NewTable(
 		"E6a — closed-form resilience bounds (Section 9)",
 		"S", "t", "b", "max fast readers", "min servers for R=2", "regular register fast?",
@@ -53,14 +53,7 @@ func RunE6(opts Options) ([]*stats.Table, error) {
 		"E6b — empirical cross-validation of the boundary (adversarial schedule at R = maxR and R = maxR+1)",
 		"S", "t", "b", "maxR", "violation at R=maxR", "violation at R=maxR+1", "matches paper",
 	)
-	type boundaryCase struct {
-		s, t, b int
-	}
-	cases := []boundaryCase{{8, 1, 0}, {7, 1, 0}}
-	if !opts.Quick {
-		cases = append(cases, boundaryCase{10, 2, 0}, boundaryCase{13, 1, 1}, boundaryCase{13, 1, 0})
-	}
-	for _, c := range cases {
+	for _, c := range []row{{8, 1, 0}, {7, 1, 0}, {10, 2, 0}, {13, 1, 1}, {13, 1, 0}} {
 		maxR := quorum.MaxFastReaders(c.s, c.t, c.b)
 		if maxR < 2 {
 			// The executable construction needs at least two readers.

@@ -1,48 +1,57 @@
 // Package experiments contains one driver per reproduced paper artifact
-// (E1..E8). Each driver returns text tables, which cmd/fastbench prints.
+// (E1..E8). Each driver returns text tables; all eight, rendered by
+// `go run ./cmd/fastbench -markdown`, are the checked-in REPRODUCTION.md.
+// Every experiment runs on the virtual clock — E1, E3, E7 and E8 as
+// sim.Scenario literals handed to sim.Run, E2, E4, E5 and E6 as
+// internal/adversary's scripted schedules — so a table is the same bytes on
+// every machine and under every goroutine schedule, and the full-size suite
+// takes well under a second of wall time.
 package experiments
 
 import (
-	"context"
 	"fmt"
-	"sort"
+	"io"
 	"time"
 
-	"fastread"
+	"fastread/internal/sim"
 	"fastread/internal/stats"
-	"fastread/internal/types"
-	"fastread/internal/workload"
 )
 
-// Options tunes every experiment.
-type Options struct {
-	// Quick shrinks workloads and sweeps so the whole suite runs in seconds;
-	// used by tests.
-	Quick bool
-	// Seed seeds deterministic parts of the workloads.
-	Seed int64
-	// Delay is the per-message one-way delay used by the latency experiments
-	// (E7); zero selects a default of 1ms (200µs in Quick mode).
-	Delay time.Duration
+// delta is Δ, the one-way message delay of every scenario, in virtual time:
+// the paper states its latencies in message delays, and so do the tables.
+const delta = time.Millisecond
+
+// run executes one scenario with a message delay of Δ and insists the table
+// row it feeds is whole: a skipped submission (a gap mis-sized against the
+// pipeline depth), a timeout or an abort would silently shrink a table.
+func run(sc sim.Scenario, seed int64) (*sim.Result, error) {
+	sc.Delay = delta
+	res := sim.Run(sc, seed)
+	if res.RunErr != nil {
+		return nil, fmt.Errorf("%s: %w", sc.Name, res.RunErr)
+	}
+	if res.SubmitSkips+res.TimedOut+res.EndAborts+res.FailedOps > 0 {
+		return nil, fmt.Errorf("%s: of %d operations %d were skipped, %d timed out, %d were aborted and %d failed",
+			sc.Name, res.Ops, res.SubmitSkips, res.TimedOut, res.EndAborts, res.FailedOps)
+	}
+	return res, nil
 }
 
-// delay returns the effective per-message delay.
-func (o Options) delay() time.Duration {
-	if o.Delay > 0 {
-		return o.Delay
+// readLatency summarises the run's read latencies: the distance between the
+// virtual invocation and return stamps of every recorded read.
+func readLatency(res *sim.Result) stats.LatencySummary {
+	var samples []time.Duration
+	for _, h := range res.Histories {
+		for _, op := range h.Reads() {
+			samples = append(samples, op.Returned.Sub(op.Invoked))
+		}
 	}
-	if o.Quick {
-		return 200 * time.Microsecond
-	}
-	return time.Millisecond
+	return stats.SummarizeDurations(samples)
 }
 
-// scale multiplies a full-size count down in Quick mode.
-func (o Options) scale(full, quick int) int {
-	if o.Quick {
-		return quick
-	}
-	return full
+// inDelta renders a virtual duration as a multiple of Δ.
+func inDelta(d time.Duration) string {
+	return fmt.Sprintf("%.3gΔ", float64(d)/float64(delta))
 }
 
 // Experiment couples an identifier with its driver.
@@ -54,60 +63,20 @@ type Experiment struct {
 	// Paper names the paper artifact the experiment reproduces.
 	Paper string
 	// Run executes the experiment.
-	Run func(Options) ([]*stats.Table, error)
+	Run func() ([]*stats.Table, error)
 }
 
 // All returns every experiment in order.
 func All() []Experiment {
 	return []Experiment{
-		{
-			ID:    "E1",
-			Title: "Fast reads and writes under crash failures",
-			Paper: "Figure 2, Section 4",
-			Run:   RunE1,
-		},
-		{
-			ID:    "E2",
-			Title: "Crash-model lower bound construction",
-			Paper: "Figures 1, 3, 4; Proposition 5",
-			Run:   RunE2,
-		},
-		{
-			ID:    "E3",
-			Title: "Fast reads under arbitrary (Byzantine) failures",
-			Paper: "Figure 5, Section 6.1",
-			Run:   RunE3,
-		},
-		{
-			ID:    "E4",
-			Title: "Byzantine lower bound construction",
-			Paper: "Figure 6, Proposition 10",
-			Run:   RunE4,
-		},
-		{
-			ID:    "E5",
-			Title: "Multi-writer impossibility",
-			Paper: "Figure 7, Proposition 11",
-			Run:   RunE5,
-		},
-		{
-			ID:    "E6",
-			Title: "Exact resilience thresholds",
-			Paper: "Section 9 summary",
-			Run:   RunE6,
-		},
-		{
-			ID:    "E7",
-			Title: "Read latency: fast vs ABD vs max-min vs regular",
-			Paper: "Sections 1 and 8 comparison",
-			Run:   RunE7,
-		},
-		{
-			ID:    "E8",
-			Title: "\"Atomic reads must write\": server-state mutations per read",
-			Paper: "Section 8 discussion",
-			Run:   RunE8,
-		},
+		{"E1", "Fast reads and writes under crash failures", "Figure 2, Section 4", RunE1},
+		{"E2", "Crash-model lower bound construction", "Figures 1, 3, 4; Proposition 5", RunE2},
+		{"E3", "Fast reads under arbitrary (Byzantine) failures", "Figure 5, Section 6.1", RunE3},
+		{"E4", "Byzantine lower bound construction", "Figure 6, Proposition 10", RunE4},
+		{"E5", "Multi-writer impossibility", "Figure 7, Proposition 11", RunE5},
+		{"E6", "Exact resilience thresholds", "Section 9 summary", RunE6},
+		{"E7", "Read latency: fast vs ABD vs max-min vs regular", "Sections 1 and 8 comparison", RunE7},
+		{"E8", "\"Atomic reads must write\": server-state mutations per read", "Section 8 discussion", RunE8},
 	}
 }
 
@@ -128,35 +97,33 @@ func IDs() []string {
 	for i, e := range all {
 		out[i] = e.ID
 	}
-	sort.Strings(out)
 	return out
 }
 
-// clusterWriter adapts a façade writer to the workload interface.
-func clusterWriter(w fastread.Writer) workload.Writer {
-	return workload.WriterFunc(func(ctx context.Context, v types.Value) error {
-		return w.Write(ctx, v)
-	})
-}
-
-// clusterReader adapts a façade reader to the workload interface.
-func clusterReader(r fastread.Reader) workload.Reader {
-	return workload.ReaderFunc(func(ctx context.Context) (types.Value, types.Timestamp, int, error) {
-		res, err := r.Read(ctx)
-		if err != nil {
-			return nil, 0, 0, err
-		}
-		return types.Value(res.Value), types.Timestamp(res.Version), res.RoundTrips, nil
-	})
-}
-
-// clusterClients builds workload clients for every reader of a cluster.
-func clusterClients(c *fastread.Cluster) workload.Clients {
-	clients := workload.Clients{Writer: clusterWriter(c.Writer())}
-	for _, r := range c.Readers() {
-		clients.Readers = append(clients.Readers, clusterReader(r))
+// Render runs the given experiments in order and writes their tables to out,
+// as aligned text or as GitHub Markdown. All() rendered as Markdown is
+// REPRODUCTION.md, byte for byte.
+func Render(out io.Writer, selected []Experiment, markdown bool) error {
+	heading := "== %s — %s (%s)\n\n"
+	if markdown {
+		fmt.Fprint(out, "<!-- go run ./cmd/fastbench -markdown > REPRODUCTION.md (compared by TestPaperTables; do not edit) -->\n\n")
+		heading = "## %s — %s (%s)\n\n"
 	}
-	return clients
+	for _, exp := range selected {
+		fmt.Fprintf(out, heading, exp.ID, exp.Title, exp.Paper)
+		tables, err := exp.Run()
+		if err != nil {
+			return fmt.Errorf("%s: %w", exp.ID, err)
+		}
+		for _, tbl := range tables {
+			if markdown {
+				fmt.Fprintln(out, tbl.Markdown())
+			} else {
+				fmt.Fprintln(out, tbl.String())
+			}
+		}
+	}
+	return nil
 }
 
 // yesNo renders a boolean for table cells.
@@ -173,11 +140,6 @@ func checkMark(b bool) string {
 		return "✓"
 	}
 	return "✗"
-}
-
-// runContext returns the bounded context experiments run under.
-func runContext() (context.Context, context.CancelFunc) {
-	return context.WithTimeout(context.Background(), 10*time.Minute)
 }
 
 // formatRatio renders a ratio with two decimals, guarding against division by

@@ -1,13 +1,62 @@
 package experiments
 
 import (
+	"bytes"
+	"os"
+	"runtime"
+	"strconv"
 	"strings"
 	"testing"
-	"time"
+
+	"fastread/internal/sim"
 )
 
-func quickOpts() Options {
-	return Options{Quick: true, Seed: 1, Delay: 200 * time.Microsecond}
+// TestPaperTables pins the repository's statement of the paper's results: all
+// eight experiments, rendered as cmd/fastbench -markdown renders them, are
+// REPRODUCTION.md byte for byte, on every run and under every GOMAXPROCS. The
+// file is only ever written by
+//
+//	go run ./cmd/fastbench -markdown > REPRODUCTION.md
+func TestPaperTables(t *testing.T) {
+	want, err := os.ReadFile("../../REPRODUCTION.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	for _, procs := range []int{1, 2, 8} {
+		runtime.GOMAXPROCS(procs)
+		var got bytes.Buffer
+		if err := Render(&got, All(), true); err != nil {
+			t.Fatalf("GOMAXPROCS %d: %v", procs, err)
+		}
+		if bytes.Equal(got.Bytes(), want) {
+			continue
+		}
+		gotLines, wantLines := strings.Split(got.String(), "\n"), strings.Split(string(want), "\n")
+		for i, line := range gotLines {
+			if i >= len(wantLines) || line != wantLines[i] {
+				t.Fatalf("GOMAXPROCS %d: the tables differ from REPRODUCTION.md at line %d:\n got  %s\n(if the change is meant: go run ./cmd/fastbench -markdown > REPRODUCTION.md)", procs, i+1, line)
+			}
+		}
+		t.Fatalf("GOMAXPROCS %d: REPRODUCTION.md has %d lines, the tables %d", procs, len(wantLines), len(gotLines))
+	}
+}
+
+// TestRunRefusesAShrunkTable: a scenario whose read gap is shorter than a read
+// (2Δ) at pipeline depth 1 skips submissions, and run reports that instead of
+// returning a result with fewer operations than the table claims.
+func TestRunRefusesAShrunkTable(t *testing.T) {
+	sc := sim.Scenario{
+		Name: "mis-sized", Protocol: "fast", Servers: 4, Faulty: 1, Readers: 1, Depth: 1,
+		Duration: 20 * delta, WriteGap: 10 * delta, ReadGap: delta,
+	}
+	if _, err := run(sc, 1); err == nil || !strings.Contains(err.Error(), "skipped") {
+		t.Fatalf("run accepted a scenario that skips submissions: %v", err)
+	}
+	sc.ReadGap = 4 * delta
+	if res, err := run(sc, 1); err != nil || res.Stats.Reads != 5 {
+		t.Fatalf("well-sized scenario: %v, %+v", err, res)
+	}
 }
 
 func TestRegistry(t *testing.T) {
@@ -37,7 +86,7 @@ func TestRegistry(t *testing.T) {
 }
 
 func TestE1FastReadsUnderCrash(t *testing.T) {
-	tables, err := RunE1(quickOpts())
+	tables, err := RunE1()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -45,13 +94,18 @@ func TestE1FastReadsUnderCrash(t *testing.T) {
 		t.Fatalf("tables = %d", len(tables))
 	}
 	tbl := tables[0]
-	if len(tbl.Rows) < 4 {
-		t.Fatalf("rows = %d, want ≥ 4", len(tbl.Rows))
+	if len(tbl.Rows) != 6 {
+		t.Fatalf("rows = %d, want the six shapes", len(tbl.Rows))
 	}
 	for _, row := range tbl.Rows {
-		// rounds/read column must be exactly 1 and atomic must be yes.
-		if row[6] != "1" {
-			t.Errorf("rounds/read = %q, want 1 (row %v)", row[6], row)
+		// rounds/read and rounds/write must be exactly 1, every operation of
+		// the shape must have completed (60 writes, 80 reads per reader) and
+		// atomic must be yes.
+		if row[6] != "1" || row[7] != "1" {
+			t.Errorf("rounds/read = %q, rounds/write = %q, want 1 and 1 (row %v)", row[6], row[7], row)
+		}
+		if readers, _ := strconv.Atoi(row[2]); row[3] != "60" || row[4] != strconv.Itoa(80*readers) || row[5] != row[1] {
+			t.Errorf("writes/reads/crashes = %s/%s/%s, want 60, 80 per reader and t (row %v)", row[3], row[4], row[5], row)
 		}
 		if row[8] != "yes" {
 			t.Errorf("atomic = %q, want yes (row %v)", row[8], row)
@@ -60,7 +114,7 @@ func TestE1FastReadsUnderCrash(t *testing.T) {
 }
 
 func TestE2CrashLowerBound(t *testing.T) {
-	tables, err := RunE2(quickOpts())
+	tables, err := RunE2()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -76,11 +130,17 @@ func TestE2CrashLowerBound(t *testing.T) {
 }
 
 func TestE3Byzantine(t *testing.T) {
-	tables, err := RunE3(quickOpts())
+	tables, err := RunE3()
 	if err != nil {
 		t.Fatal(err)
 	}
+	if len(tables[0].Rows) != 6 {
+		t.Fatalf("rows = %d, want the six attacks", len(tables[0].Rows))
+	}
 	for _, row := range tables[0].Rows {
+		if readers, _ := strconv.Atoi(row[3]); row[5] != "40" || row[6] != strconv.Itoa(60*readers) || row[7] != "1" {
+			t.Errorf("writes/reads/rounds = %s/%s/%s, want 40, 60 per reader and 1 (row %v)", row[5], row[6], row[7], row)
+		}
 		if row[8] != "no" {
 			t.Errorf("a forged value was returned: %v", row)
 		}
@@ -91,7 +151,7 @@ func TestE3Byzantine(t *testing.T) {
 }
 
 func TestE4ByzantineLowerBound(t *testing.T) {
-	tables, err := RunE4(quickOpts())
+	tables, err := RunE4()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -103,7 +163,7 @@ func TestE4ByzantineLowerBound(t *testing.T) {
 }
 
 func TestE5MWMR(t *testing.T) {
-	tables, err := RunE5(quickOpts())
+	tables, err := RunE5()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -126,7 +186,7 @@ func TestE5MWMR(t *testing.T) {
 }
 
 func TestE6Thresholds(t *testing.T) {
-	tables, err := RunE6(quickOpts())
+	tables, err := RunE6()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -143,66 +203,65 @@ func TestE6Thresholds(t *testing.T) {
 	}
 }
 
+// TestE7Latency asserts the paper's latency claim as an equality, in message
+// delays: with no jitter every read of a row takes the same time, 2Δ for fast
+// and regular, 3Δ for max-min, 4Δ for ABD, at every deployment size.
 func TestE7Latency(t *testing.T) {
-	tables, err := RunE7(quickOpts())
+	tables, err := RunE7()
 	if err != nil {
 		t.Fatal(err)
 	}
-	tbl := tables[0]
-	// Group rows by S and check the shape: ABD slower than fast.
-	var fastP50, abdP50 time.Duration
-	for _, row := range tbl.Rows {
-		if row[0] != "4" {
-			continue
+	want := map[string]string{"fast": "2Δ", "regular": "2Δ", "maxmin": "3Δ", "abd": "4Δ"}
+	rows := tables[0].Rows
+	if len(rows) != 16 {
+		t.Fatalf("rows = %d, want 4 sizes × 4 protocols", len(rows))
+	}
+	for _, row := range rows {
+		for _, cell := range row[5:8] { // read min, p50, max
+			if cell != want[row[3]] {
+				t.Errorf("S=%s %s: read latency %s, want exactly %s (row %v)", row[0], row[3], cell, want[row[3]], row)
+			}
 		}
-		p50, perr := time.ParseDuration(row[5])
-		if perr != nil {
-			t.Fatalf("cannot parse latency %q: %v", row[5], perr)
-		}
-		switch row[3] {
-		case "fast":
-			fastP50 = p50
-		case "abd":
-			abdP50 = p50
-		}
-		if row[8] != "yes" {
+		if row[9] != "yes" {
 			t.Errorf("protocol %s history flagged: %v", row[3], row)
 		}
 	}
-	if fastP50 == 0 || abdP50 == 0 {
-		t.Fatal("missing fast/abd rows for S=4")
-	}
-	if abdP50 <= fastP50 {
-		t.Errorf("ABD read p50 %v not above fast read p50 %v", abdP50, fastP50)
-	}
 }
 
+// TestE8ReadsMustWrite: a fast read mutates every server (exactly S mutations
+// per read) inside its one round; an ABD read pays one extra round instead;
+// regular reads leave nothing behind — a measured zero, because the regular
+// servers' mutations ARE counted: the write's are in the same row.
 func TestE8ReadsMustWrite(t *testing.T) {
-	tables, err := RunE8(quickOpts())
+	tables, err := RunE8()
 	if err != nil {
 		t.Fatal(err)
 	}
-	tbl := tables[0]
-	if len(tbl.Rows) != 3 {
-		t.Fatalf("rows = %d, want 3", len(tbl.Rows))
-	}
 	byProto := map[string][]string{}
-	for _, row := range tbl.Rows {
+	for _, row := range tables[0].Rows {
 		byProto[row[0]] = row
+		if row[3] != row[1] {
+			t.Errorf("%s: the write mutated %s servers, want all S=%s (row %v)", row[0], row[3], row[1], row)
+		}
 	}
-	if byProto["fast"][4] == "0" {
-		t.Error("fast reads should mutate server state (seen sets / counters)")
+	if len(byProto) != 4 {
+		t.Fatalf("rows = %v, want fast, abd, maxmin and regular", tables[0].Rows)
 	}
-	if byProto["abd"][6] == "0" {
-		t.Error("ABD reads should need extra round-trips")
+	if fast := byProto["fast"]; fast[6] != fast[1] || fast[7] != "1" {
+		t.Errorf("fast reads: %s mutations/read in %s rounds, want exactly S=%s in 1", fast[6], fast[7], fast[1])
 	}
-	if byProto["fast"][6] != "0" || byProto["regular"][6] != "0" {
-		t.Error("fast and regular reads should need no extra round-trips")
+	if byProto["abd"][7] != "2" {
+		t.Errorf("ABD reads take %s rounds, want one extra", byProto["abd"][7])
+	}
+	for _, proto := range []string{"maxmin", "regular"} {
+		if row := byProto[proto]; row[5] != "0" || row[7] != "1" {
+			t.Errorf("%s reads: %s mutations in %s rounds, want 0 in 1", proto, row[5], row[7])
+		}
 	}
 }
 
 func TestTablesRenderMarkdown(t *testing.T) {
-	tables, err := RunE5(quickOpts())
+	tables, err := RunE5()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -213,25 +272,6 @@ func TestTablesRenderMarkdown(t *testing.T) {
 }
 
 func TestOptionsHelpers(t *testing.T) {
-	var o Options
-	if o.delay() != time.Millisecond {
-		t.Errorf("default delay = %v", o.delay())
-	}
-	o.Quick = true
-	if o.delay() != 200*time.Microsecond {
-		t.Errorf("quick delay = %v", o.delay())
-	}
-	o.Delay = 5 * time.Millisecond
-	if o.delay() != 5*time.Millisecond {
-		t.Errorf("explicit delay = %v", o.delay())
-	}
-	if o.scale(100, 10) != 10 {
-		t.Error("quick scale wrong")
-	}
-	o.Quick = false
-	if o.scale(100, 10) != 100 {
-		t.Error("full scale wrong")
-	}
 	if yesNo(true) != "yes" || yesNo(false) != "no" {
 		t.Error("yesNo wrong")
 	}
@@ -240,5 +280,11 @@ func TestOptionsHelpers(t *testing.T) {
 	}
 	if formatRatio(2, 0) != "n/a" {
 		t.Error("formatRatio division by zero not guarded")
+	}
+	if got := inDelta(2 * delta); got != "2Δ" {
+		t.Errorf("inDelta(2Δ) = %q", got)
+	}
+	if got := inDelta(delta*5/2 + delta/100); got != "2.51Δ" {
+		t.Errorf("inDelta(2.51Δ) = %q", got)
 	}
 }

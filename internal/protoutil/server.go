@@ -143,6 +143,10 @@ type Slot[S any] struct {
 	// this register (live append or recovery replay); deltas at or below it
 	// are already reflected and must not replay. Zero when not durable.
 	lsn int64
+	// Mutations counts the register's state mutations. A protocol's mutation
+	// site is its Log call, durable or not, so Log counts them — once, under
+	// the stripe lock the handler already holds; protocols only read it.
+	Mutations int64
 }
 
 // Shell is the protocol-independent server. One server multiplexes every
@@ -244,14 +248,15 @@ func (s *Shell[S]) dumpRecords(emit func(*durable.Record) error) error {
 // register first if the key is new. Handlers mutate state (and Log) here.
 func (s *Shell[S]) Do(key string, fn func(*Slot[S])) { s.states.Do(key, fn) }
 
-// Log stages one mutation of sl's register in the durable log and records its
-// LSN in the slot; without a log it does nothing. Handlers call it inside Do,
-// after mutating and before building the ack. Nothing blocks on stable
-// storage here: the record is written, and the commit that makes it durable
-// runs once at the end of the executor run, before the run's acks are
-// released (commitRun). r is consumed before return, so it may alias the
+// Log counts one mutation of sl's register, stages it in the durable log and
+// records its LSN in the slot; without a log it only counts. Handlers call it
+// inside Do, after mutating and before building the ack. Nothing blocks on
+// stable storage here: the record is written, and the commit that makes it
+// durable runs once at the end of the executor run, before the run's acks
+// are released (commitRun). r is consumed before return, so it may alias the
 // request. A caller outside an executor run ends the run itself.
 func (s *Shell[S]) Log(sl *Slot[S], r *durable.Record) {
+	sl.Mutations++
 	if s.dlog == nil {
 		return
 	}
@@ -284,8 +289,11 @@ func (s *Shell[S]) LogFailed() bool { return s.logFailed.Load() }
 // Peek runs fn with the key's state if the register has been instantiated
 // and reports whether it had; read-only inspection never grows the keyspace.
 func (s *Shell[S]) Peek(key string, fn func(*S)) bool {
-	return s.states.Peek(key, func(sl *Slot[S]) { fn(&sl.State) })
+	return s.PeekSlot(key, func(sl *Slot[S]) { fn(&sl.State) })
 }
+
+// PeekSlot is Peek for callers that also want the slot's mutation count.
+func (s *Shell[S]) PeekSlot(key string, fn func(*Slot[S])) bool { return s.states.Peek(key, fn) }
 
 // Range runs fn for every instantiated register under its stripe lock.
 func (s *Shell[S]) Range(fn func(key string, st *S)) {
@@ -339,6 +347,10 @@ func (s *Shell[S]) Workers() int { return s.exec.Workers() }
 // (always 0 unless ShellConfig.QueueBound was set).
 func (s *Shell[S]) QueueSheds() int64 { return s.exec.Sheds() }
 
-// TotalMutations reports 0, driver.Server's contract for protocols that do
-// not track state mutations; the ones that do (core, abd) shadow it.
-func (s *Shell[S]) TotalMutations() int64 { return 0 }
+// TotalMutations sums the mutations Log has counted across every register the
+// server hosts; the store-level stats aggregate it.
+func (s *Shell[S]) TotalMutations() int64 {
+	var total int64
+	s.states.Range(func(_ string, sl *Slot[S]) { total += sl.Mutations })
+	return total
+}

@@ -343,6 +343,31 @@ func recoveryRow(t *testing.T, build builder, q quorum.Config, fast bool, rounds
 	}
 }
 
+// mutationRow: the shell counts a mutation where the protocol logs it, with or
+// without a durable log, so TotalMutations moves for every driver — at the
+// parent only core and abd counted, and the others reported a constant 0.
+func mutationRow(t *testing.T, build builder, q quorum.Config) {
+	net := transport.NewInMemNetwork()
+	t.Cleanup(func() { _ = net.Close() })
+	srv, err := build(driver.ServerConfig{ID: types.Server(1), Quorum: q}, join(t, net, types.Server(1)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv.Start()
+	defer srv.Stop()
+	if n := srv.TotalMutations(); n != 0 {
+		t.Fatalf("a fresh server reports %d mutations", n)
+	}
+	w := client{t, join(t, net, types.Writer())}
+	for ts, key := range []string{"a", "b", "a"} {
+		ts, cur := types.Timestamp(ts+1), types.Value("v")
+		w.ask(&wire.Message{Op: wire.OpWrite, Key: key, TS: ts, Cur: cur, WriterSig: writerKeys.Signer.MustSignKeyed(key, ts, cur, nil)})
+	}
+	if n := srv.TotalMutations(); n != 3 {
+		t.Fatalf("three adopted writes over two keys: TotalMutations = %d, want 3", n)
+	}
+}
+
 func TestShellConformance(t *testing.T) {
 	for _, sh := range shapes {
 		sh := sh
@@ -351,6 +376,7 @@ func TestShellConformance(t *testing.T) {
 			fast := sh.driver == "fast" || sh.driver == "fast-byz"
 			lifecycleRows(t, build, sh.quorum)
 			t.Run("queue bound sheds are counted", func(t *testing.T) { shedRow(t, build, sh.quorum) })
+			t.Run("mutations are counted", func(t *testing.T) { mutationRow(t, build, sh.quorum) })
 			t.Run("crash recovery", func(t *testing.T) {
 				recoveryRow(t, build, sh.quorum, fast, 3, durable.Options{Fsync: durable.FsyncAlways, SimulateCrash: true, SnapshotEvery: -1})
 			})

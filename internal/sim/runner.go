@@ -17,11 +17,26 @@ import (
 	"fastread/internal/types"
 )
 
-// stepStallWait is the WALL-clock watchdog handed to VirtualClock.Step: how
-// long real activity (goroutines processing the current event) may take
-// before the run is declared stalled. It is generous because sweep workers
-// share the machine; it never extends virtual time.
-var stepStallWait = 30 * time.Second
+// StallWait is the WALL-clock watchdog handed to VirtualClock.Step: how long
+// real activity (goroutines processing the current event) may take before the
+// run is declared stalled. It is generous because sweep workers share the
+// machine; it never extends virtual time.
+const StallWait = 30 * time.Second
+
+// Replayable completes cfg into a deployment that replays byte for byte on
+// clock — the one recipe the scenario runner and the lower-bound stage
+// (internal/adversary) deploy by. ServerWorkers is 1, so each server handles
+// its messages on exactly one goroutine: combined with the clock's
+// one-event-at-a-time delivery there is no scheduling freedom anywhere in a
+// run. Nonces read the virtual clock, so a client incarnation created later
+// in virtual time draws a strictly larger initial counter and no wall-clock
+// input reaches the run. The network is in memory on clock, shaped by network.
+func Replayable(cfg fastread.Config, clock *transport.VirtualClock, network ...fastread.InMemoryOption) fastread.Config {
+	cfg.ServerWorkers = 1
+	cfg.NonceSource = func() int64 { return clock.Now().UnixMicro() }
+	cfg.Transport = fastread.InMemory(append(network, fastread.WithVirtualClock(clock))...)
+	return cfg
+}
 
 // Result is one simulation run's complete outcome.
 type Result struct {
@@ -39,8 +54,10 @@ type Result struct {
 	// every operation has a timeout event), SubmitSkips the submissions
 	// skipped because their handle was at pipeline depth.
 	Ops, Completed, FailedOps, TimedOut, RestartAborts, EndAborts, SubmitSkips int
-	// MailboxHighWater is the network's deepest inbound queue over the run.
-	MailboxHighWater int
+	// Stats is the store's counters taken at quiescence, after the last event
+	// ran: rounds per operation, server mutations, the network's deepest
+	// inbound queue.
+	Stats fastread.Stats
 	// Histories holds the per-key recorded histories.
 	Histories map[string]history.History
 	// Check is the per-key correctness verdict over Histories.
@@ -200,34 +217,19 @@ func Run(sc Scenario, seed int64) *Result {
 	}
 
 	clock := transport.NewVirtualClock()
-	// The nonce source reads the virtual clock, so a restarted reader
-	// incarnation (created later in virtual time) draws a strictly larger
-	// initial counter — unless the scenario deliberately freezes it to
-	// demonstrate the starvation that causes.
-	nonce := func() int64 { return clock.Now().UnixMicro() }
-	if sc.FrozenNonce {
-		nonce = func() int64 { return 1 }
-	}
-
-	cfg := fastread.Config{
-		Servers:   sc.Servers,
-		Faulty:    sc.Faulty,
-		Malicious: sc.Malicious,
-		Readers:   sc.Readers,
-		// ServerWorkers is 1 so each server handles its messages on exactly
-		// one goroutine: combined with the clock's one-event-at-a-time
-		// delivery, there is no scheduling freedom anywhere in a run.
-		ServerWorkers: 1,
+	cfg := Replayable(fastread.Config{
+		Servers:       sc.Servers,
+		Faulty:        sc.Faulty,
+		Malicious:     sc.Malicious,
+		Readers:       sc.Readers,
 		PipelineDepth: sc.Depth,
 		Protocol:      fastread.Protocol(sc.Protocol),
-		NonceSource:   nonce,
 		Byzantine:     byz,
-		Transport: fastread.InMemory(
-			fastread.WithDelay(sc.Delay),
-			fastread.WithJitter(sc.Jitter),
-			fastread.WithSeed(seed),
-			fastread.WithVirtualClock(clock),
-		),
+	}, clock, fastread.WithDelay(sc.Delay), fastread.WithJitter(sc.Jitter), fastread.WithSeed(seed))
+	if sc.FrozenNonce {
+		// The deliberately-wrong configuration: a restarted reader incarnation
+		// no longer draws a larger initial counter, which starves it.
+		cfg.NonceSource = func() int64 { return 1 }
 	}
 	if sc.Durable != nil {
 		fsync := fastread.FsyncPolicy(sc.Durable.Fsync)
@@ -295,7 +297,7 @@ func Run(sc Scenario, seed int64) *Result {
 	r.loop()
 
 	res.SimTime = clock.Now().Sub(transport.VirtualEpoch)
-	res.MailboxHighWater = net.MailboxHighWater()
+	res.Stats = store.Stats()
 	for key, rec := range r.recs {
 		res.Histories[key] = rec.History()
 	}
@@ -347,7 +349,7 @@ func (r *runner) scheduleFaults() {
 // observes completions at their exact virtual time.
 func (r *runner) loop() {
 	for {
-		ran, err := r.clock.Step(stepStallWait)
+		ran, err := r.clock.Step(StallWait)
 		if err != nil {
 			r.res.RunErr = fmt.Errorf("sim: %q seed %d: %w", r.sc.Name, r.res.Seed, err)
 			break

@@ -55,6 +55,34 @@ func TestRunDeterministic(t *testing.T) {
 	}
 }
 
+// TestResultStats: a run carries the store's counters taken at quiescence, so
+// a table built from it states rounds and mutations exactly — one round per
+// fast read, two per ABD read, and a fast read mutating every server.
+func TestResultStats(t *testing.T) {
+	for proto, rounds := range map[string]float64{"fast": 1, "abd": 2} {
+		res := Run(Scenario{
+			Name: "stats-" + proto, Protocol: proto, Servers: 5, Faulty: 1, Readers: 1,
+			Delay: time.Millisecond, Duration: 100 * time.Millisecond, ExpectAllComplete: true,
+		}, 1)
+		if res.Failed() {
+			t.Fatalf("%s: %s", proto, res.FailureSummary())
+		}
+		st := res.Stats
+		if st.Reads == 0 || st.Writes == 0 || int(st.Reads+st.Writes) != res.Completed {
+			t.Errorf("%s: Stats counts %d reads + %d writes, the run completed %d operations", proto, st.Reads, st.Writes, res.Completed)
+		}
+		if st.ReadRoundsPerOp != rounds || st.WriteRoundsPerOp != 1 {
+			t.Errorf("%s: %v rounds per read and %v per write, want %v and 1", proto, st.ReadRoundsPerOp, st.WriteRoundsPerOp, rounds)
+		}
+		if want := 5 * st.Writes; proto == "abd" && st.ServerMutations != want {
+			t.Errorf("abd: %d server mutations, want the %d writes on 5 servers each (%d)", st.ServerMutations, st.Writes, want)
+		}
+		if want := 5 * (st.Writes + st.Reads); proto == "fast" && st.ServerMutations != want {
+			t.Errorf("fast: %d server mutations, want every operation on 5 servers each (%d)", st.ServerMutations, want)
+		}
+	}
+}
+
 // TestRestartStormLongAcceptance runs the 60-second restart storm: it must
 // pass, simulate the full minute, run far faster than real time, and
 // reproduce exactly.

@@ -1,7 +1,7 @@
 // Package stats aggregates the measurements produced by workloads and
 // experiments: operation latencies, round-trip counts and throughput, plus a
-// small text-table renderer shared by cmd/fastbench and the experiment
-// drivers.
+// small text-table renderer the experiment drivers fill and
+// experiments.Render prints.
 package stats
 
 import (

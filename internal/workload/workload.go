@@ -1,7 +1,9 @@
 // Package workload drives register deployments with concurrent readers and a
 // writer, records every operation into a history, injects crashes according
-// to a schedule, and measures latency and round-trip counts. It is the
-// engine behind experiments E1, E3 and E7.
+// to a schedule, and measures latency and round-trip counts — on the real
+// scheduler and the wall clock, which is what the root integration test
+// (TestWorkloadConsistencyPerProtocol) wants from it. The paper's tables do
+// not run here: they are virtual-clock scenarios (internal/experiments).
 package workload
 
 import (
