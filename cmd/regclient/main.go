@@ -103,7 +103,6 @@ type cliConfig struct {
 	faulty    int
 	malicious int
 	readers   int
-	byz       bool
 	keyHex    string
 	timeout   time.Duration
 	ops       int
@@ -141,7 +140,6 @@ func parseCLI(args []string) (*cliConfig, error) {
 	fs.IntVar(&c.faulty, "t", 1, "maximum faulty servers")
 	fs.IntVar(&c.malicious, "b", 0, "maximum malicious servers")
 	fs.IntVar(&c.readers, "R", 1, "number of readers")
-	fs.BoolVar(&c.byz, "byz", false, "deprecated: alias for -protocol fast-byz")
 	fs.StringVar(&c.keyHex, "writer-key", "", "hex-encoded writer private seed (signing writer) or public key (verifying reader)")
 	fs.DurationVar(&c.timeout, "timeout", 5*time.Second, "per-operation timeout")
 	fs.IntVar(&c.ops, "ops", 100, "operation count for the bench subcommand")
@@ -179,14 +177,6 @@ func parseCLI(args []string) (*cliConfig, error) {
 	}
 	if c.arrival != "poisson" && c.arrival != "fixed" {
 		return nil, fmt.Errorf("-arrival must be poisson or fixed, got %q", c.arrival)
-	}
-	if c.byz {
-		switch c.protocol {
-		case "fast", "fast-byz":
-			c.protocol = "fast-byz"
-		default:
-			return nil, fmt.Errorf("contradictory flags: -byz with -protocol %s", c.protocol)
-		}
 	}
 	return c, nil
 }

@@ -157,6 +157,14 @@ func TestFlagsParseSameBeforeAndAfterSubcommand(t *testing.T) {
 	}
 }
 
+// TestByzAliasIsUnknownFlag: -protocol fast-byz is the one spelling of the
+// arbitrary-failure variant.
+func TestByzAliasIsUnknownFlag(t *testing.T) {
+	if _, err := parseCLI([]string{"-byz", "read"}); err == nil || !strings.Contains(err.Error(), "not defined: -byz") {
+		t.Errorf("parseCLI(-byz read) = %v, want an unknown-flag error", err)
+	}
+}
+
 func TestConfigLineEchoesActiveConfig(t *testing.T) {
 	c, err := parseCLI([]string{"-id", "w", "-S", "5", "-keys", "8", "loadgen", "-rate", "1500", "-admission", "2ms"})
 	if err != nil {

@@ -93,7 +93,6 @@ func run(args []string) error {
 		faulty    = fs.Int("t", 1, "maximum faulty servers")
 		bad       = fs.Int("b", 0, "maximum malicious servers (fast-byz)")
 		readers   = fs.Int("R", 1, "number of reader processes")
-		byz       = fs.Bool("byz", false, "deprecated: alias for -protocol fast-byz")
 		pubKey    = fs.String("writer-pubkey", "", "hex-encoded writer public key (signature-verifying protocols)")
 		listen    = fs.String("listen", "", "listen address override (defaults to the address book entry)")
 		workers   = fs.Int("workers", 0, "key-shard workers executing messages in parallel (0 = GOMAXPROCS)")
@@ -104,14 +103,6 @@ func run(args []string) error {
 	)
 	if err := fs.Parse(args); err != nil {
 		return err
-	}
-	if *byz {
-		switch *protocol {
-		case "fast", "fast-byz":
-			*protocol = "fast-byz"
-		default:
-			return fmt.Errorf("contradictory flags: -byz with -protocol %s", *protocol)
-		}
 	}
 
 	drv, ok := driver.Lookup(*protocol)

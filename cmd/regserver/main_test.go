@@ -42,6 +42,14 @@ func TestListenNodeUnknown(t *testing.T) {
 	}
 }
 
+// TestByzAliasIsUnknownFlag: -protocol fast-byz is the one spelling of the
+// arbitrary-failure variant.
+func TestByzAliasIsUnknownFlag(t *testing.T) {
+	if err := run([]string{"-byz"}); err == nil || !strings.Contains(err.Error(), "not defined: -byz") {
+		t.Errorf("run(-byz) = %v, want an unknown-flag error", err)
+	}
+}
+
 // TestGroupShapeInheritsPerField repeats internal/topology's four rows
 // against this binary's call of the shared resolver: whatever a topology
 // group leaves zero falls back to the -S/-t/-b flags field by field, exactly

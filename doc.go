@@ -282,12 +282,11 @@
 // messages into Stats.ShedDrops rather than growing mailboxes without
 // bound. QueueBound deliberately never bounds a client's acknowledgement
 // mailbox: dropping acks could starve quorums that were already completable.
-// A deployment that must bound client-side memory too sets Config.RouteBound,
-// which caps each client identity's mailbox the same way. All three knobs
-// default to off, preserving the original never-drop semantics.
+// Both knobs default to off, preserving the original never-drop semantics.
 //
-// Benchmarks quantifying each layer live in bench_test.go; BENCH_2.json,
-// BENCH_3.json, BENCH_5.json, BENCH_6.json, BENCH_8.json and BENCH_10.json
-// (open-loop throughput-vs-p99 curves with knee points) record the measured
-// trajectory.
+// The benchmark is cmd/benchreport (its own module; BENCHMARK.json declares
+// its workloads and metrics); Go benchmarks quantifying each layer live in
+// bench_test.go. BENCH_2.json … BENCH_10.json are hand-written records of
+// PRs 2–10 (BENCH_10.json: PR 10's open-loop throughput-vs-p99 curves with
+// knee points) — historical, and not comparable with the benchmark's output.
 package fastread

@@ -72,7 +72,7 @@ func TestStoreGroupsCrossGroupAtomicity(t *testing.T) {
 				wg.Add(1)
 				go func(key string, reg *Register) {
 					defer wg.Done()
-					h := driveRegister(ctx, t, reg, writes, readsPerReader)
+					h := driveRegister(ctx, t, reg, writes, readsPerReader, nil)
 					histMu.Lock()
 					histories[key] = h
 					histMu.Unlock()

@@ -3,14 +3,13 @@ package fastread
 import (
 	"context"
 	"fmt"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"fastread/internal/atomicity"
-	"fastread/internal/fault"
 	"fastread/internal/transport"
 	"fastread/internal/types"
-	"fastread/internal/workload"
 )
 
 // mustNetwork returns the cluster's in-memory network; these tests always
@@ -22,27 +21,6 @@ func mustNetwork(t *testing.T, c *Cluster) *transport.InMemNetwork {
 		t.Fatalf("Network(): %v", err)
 	}
 	return net
-}
-
-// adaptClients exposes a cluster's clients to the workload driver.
-func adaptClients(c *Cluster) workload.Clients {
-	clients := workload.Clients{
-		Writer: workload.WriterFunc(func(ctx context.Context, v types.Value) error {
-			return c.Writer().Write(ctx, v)
-		}),
-	}
-	for _, r := range c.Readers() {
-		reader := r
-		clients.Readers = append(clients.Readers, workload.ReaderFunc(
-			func(ctx context.Context) (types.Value, types.Timestamp, int, error) {
-				res, err := reader.Read(ctx)
-				if err != nil {
-					return nil, 0, 0, err
-				}
-				return types.Value(res.Value), types.Timestamp(res.Version), res.RoundTrips, nil
-			}))
-	}
-	return clients
 }
 
 // TestWorkloadConsistencyPerProtocol drives every protocol through a
@@ -70,30 +48,27 @@ func TestWorkloadConsistencyPerProtocol(t *testing.T) {
 			}
 			defer cluster.Close()
 
-			schedule := fault.NewCrashSchedule(fault.CrashEvent{
-				Server:   types.Server(sc.cfg.Servers),
-				AfterOps: 10,
-			})
 			ctx, cancel := context.WithTimeout(context.Background(), 2*time.Minute)
 			defer cancel()
-			result, err := workload.Run(ctx, workload.Config{
-				Writes:         25,
-				ReadsPerReader: 30,
-				Crashes:        schedule,
-				CrashFn:        func(p types.ProcessID) { mustNetwork(t, cluster).Crash(p) },
-			}, adaptClients(cluster))
-			if err != nil {
-				t.Fatal(err)
+			// Server S crashes after the tenth completed operation.
+			var completed atomic.Int64
+			h := driveRegister(ctx, t, cluster.reg, 25, 30, func() {
+				if completed.Add(1) == 10 {
+					mustNetwork(t, cluster).Crash(types.Server(sc.cfg.Servers))
+				}
+			})
+			if t.Failed() {
+				return
 			}
-			if result.CompletedReads == 0 || result.CompletedWrites == 0 {
-				t.Fatalf("workload starved: %d writes, %d reads", result.CompletedWrites, result.CompletedReads)
+			if !mustNetwork(t, cluster).Crashed(types.Server(sc.cfg.Servers)) {
+				t.Fatalf("server %d was not crashed mid-run", sc.cfg.Servers)
 			}
 
 			var report atomicity.Report
 			if sc.expected == "atomic" {
-				report, err = atomicity.CheckSWMR(result.History)
+				report, err = atomicity.CheckSWMR(h)
 			} else {
-				report, err = atomicity.CheckRegular(result.History)
+				report, err = atomicity.CheckRegular(h)
 			}
 			if err != nil {
 				t.Fatal(err)

@@ -3,7 +3,6 @@ package abd
 import (
 	"fastread/internal/durable"
 	"fastread/internal/protoutil"
-	"fastread/internal/trace"
 	"fastread/internal/transport"
 	"fastread/internal/types"
 	"fastread/internal/wire"
@@ -49,15 +48,14 @@ type registerState struct {
 // protoutil.Shell's.
 type Server struct {
 	*protoutil.Shell[registerState]
-	cfg ServerConfig
 }
 
 // NewServer creates an ABD server bound to the given node. Call Start to
 // begin processing messages.
 func NewServer(cfg ServerConfig, node transport.Node) (*Server, error) {
-	s := &Server{cfg: cfg}
+	s := &Server{}
 	sh, err := protoutil.NewShell(
-		cfg.Shell(),
+		cfg,
 		node,
 		protoutil.Protocol[registerState]{
 			Name:     "abd",
@@ -101,15 +99,8 @@ func dumpRecord(st *registerState, r *durable.Record) {
 // so a run of pipelined requests from one client is answered with ONE
 // batched send.
 func (s *Server) handle(m transport.Message, req *wire.Message, out transport.Sender) {
-	tr := s.cfg.Trace
 	if m.From.Role == types.RoleServer {
-		if tr.Enabled() {
-			tr.Record(trace.KindDrop, s.cfg.ID, m.From, "server-to-server message in ABD")
-		}
 		return
-	}
-	if tr.Enabled() {
-		tr.Record(trace.KindReceive, s.cfg.ID, m.From, "%s ts=%d.%d", req.Op, req.TS, req.WriterRank)
 	}
 
 	var ackOp wire.Op
@@ -123,9 +114,6 @@ func (s *Server) handle(m transport.Message, req *wire.Message, out transport.Se
 	case wire.OpWriteBack:
 		ackOp = wire.OpWriteBackAck
 	default:
-		if tr.Enabled() {
-			tr.Record(trace.KindDrop, s.cfg.ID, m.From, "unexpected op %s", req.Op)
-		}
 		return
 	}
 
@@ -169,9 +157,6 @@ func (s *Server) handle(m transport.Message, req *wire.Message, out transport.Se
 				Prev: incoming.Prev,
 				From: m.From,
 			})
-			if tr.Enabled() {
-				tr.Record(trace.KindStateChange, s.cfg.ID, m.From, "adopt key=%q ts=%d.%d", req.Key, incoming.TS, incoming.Rank)
-			}
 		}
 		ack.Fill(wire.Message{
 			Op:         ackOp,
@@ -183,13 +168,5 @@ func (s *Server) handle(m transport.Message, req *wire.Message, out transport.Se
 			RCounter:   req.RCounter,
 		})
 	})
-
-	if tr.Enabled() {
-		tr.Record(trace.KindSend, s.cfg.ID, m.From, "%s ts=%d.%d", ack.Op, ack.TS, ack.WriterRank)
-	}
-	if err := transport.SendEncoded(out, m.From, ack); err != nil {
-		if tr.Enabled() {
-			tr.Record(trace.KindDrop, s.cfg.ID, m.From, "send ack: %v", err)
-		}
-	}
+	_ = transport.SendEncoded(out, m.From, ack)
 }

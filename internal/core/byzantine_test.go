@@ -62,7 +62,6 @@ func newByzTestCluster(t *testing.T, cfg quorum.Config, maliciousCount int) *tes
 	c := &testCluster{t: t, cfg: cfg, byz: true}
 	c.net = net
 	c.keys = sig.MustKeyPair()
-	c.trace = nil
 	t.Cleanup(func() { _ = net.Close() })
 
 	wrongKeys := sig.MustKeyPair()

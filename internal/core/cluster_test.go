@@ -8,7 +8,6 @@ import (
 	"fastread/internal/fault"
 	"fastread/internal/quorum"
 	"fastread/internal/sig"
-	"fastread/internal/trace"
 	"fastread/internal/transport"
 	"fastread/internal/types"
 )
@@ -23,11 +22,13 @@ type testCluster struct {
 	writer  *Writer
 	readers []*Reader
 	keys    sig.KeyPair
-	trace   *trace.Trace
 	byz     bool
 	// inflaters is the number of highest-numbered servers replaced by
 	// malicious fault.BehaviorInflateSeen stand-ins (not listed in servers).
 	inflaters int
+	// wrapReader, when set, decorates every reader's node before its reader
+	// is built on it.
+	wrapReader func(transport.Node) transport.Node
 }
 
 type clusterOption func(*testCluster)
@@ -44,11 +45,15 @@ func withInflaters(n int) clusterOption {
 	return func(c *testCluster) { c.inflaters = n }
 }
 
+func withReaderNode(wrap func(transport.Node) transport.Node) clusterOption {
+	return func(c *testCluster) { c.wrapReader = wrap }
+}
+
 // newTestCluster builds and starts a cluster. Servers, writer and readers are
 // all attached to the same in-memory network.
 func newTestCluster(t *testing.T, cfg quorum.Config, opts ...clusterOption) *testCluster {
 	t.Helper()
-	c := &testCluster{t: t, cfg: cfg, trace: trace.New(), keys: sig.MustKeyPair()}
+	c := &testCluster{t: t, cfg: cfg, keys: sig.MustKeyPair()}
 	for _, o := range opts {
 		o(c)
 	}
@@ -83,7 +88,6 @@ func newTestCluster(t *testing.T, cfg quorum.Config, opts ...clusterOption) *tes
 			// exercises the sharded executor, not its single-worker
 			// degenerate form.
 			Workers: 4,
-			Trace:   c.trace,
 		}, node)
 		if err != nil {
 			t.Fatalf("new server %d: %v", i, err)
@@ -101,7 +105,6 @@ func newTestCluster(t *testing.T, cfg quorum.Config, opts ...clusterOption) *tes
 		Quorum:    cfg,
 		Byzantine: c.byz,
 		Signer:    c.keys.Signer,
-		Trace:     c.trace,
 	}, wNode)
 	if err != nil {
 		t.Fatalf("new writer: %v", err)
@@ -112,11 +115,13 @@ func newTestCluster(t *testing.T, cfg quorum.Config, opts ...clusterOption) *tes
 		if err != nil {
 			t.Fatalf("join reader %d: %v", i, err)
 		}
+		if c.wrapReader != nil {
+			rNode = c.wrapReader(rNode)
+		}
 		rd, err := NewReader(ReaderConfig{
 			Quorum:    cfg,
 			Byzantine: c.byz,
 			Verifier:  c.keys.Verifier,
-			Trace:     c.trace,
 		}, rNode)
 		if err != nil {
 			t.Fatalf("new reader %d: %v", i, err)

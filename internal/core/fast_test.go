@@ -5,20 +5,15 @@ import (
 	"errors"
 	"fmt"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"fastread/internal/quorum"
-	"fastread/internal/trace"
 	"fastread/internal/transport"
 	"fastread/internal/types"
 	"fastread/internal/wire"
 )
-
-// Aliases keeping the trace-based assertions readable.
-type traceEvent = trace.Event
-
-const traceSendKind = trace.KindSend
 
 func TestReadBeforeAnyWriteReturnsBottom(t *testing.T) {
 	c := newTestCluster(t, quorum.Config{Servers: 4, Faulty: 1, Readers: 1})
@@ -210,9 +205,24 @@ func TestConcurrentReadersAndWriter(t *testing.T) {
 	}
 }
 
+// countingNode counts the messages its owner sends.
+type countingNode struct {
+	transport.Node
+	sends atomic.Int64
+}
+
+func (n *countingNode) Send(to types.ProcessID, kind string, payload []byte) error {
+	n.sends.Add(1)
+	return n.Node.Send(to, kind, payload)
+}
+
 func TestEveryReadIsSingleRoundTrip(t *testing.T) {
 	cfg := quorum.Config{Servers: 5, Faulty: 1, Readers: 1}
-	c := newTestCluster(t, cfg)
+	var reader *countingNode
+	c := newTestCluster(t, cfg, withReaderNode(func(n transport.Node) transport.Node {
+		reader = &countingNode{Node: n}
+		return reader
+	}))
 	for i := 0; i < 5; i++ {
 		c.write(fmt.Sprintf("v%d", i))
 		c.read(1)
@@ -221,12 +231,9 @@ func TestEveryReadIsSingleRoundTrip(t *testing.T) {
 	if reads != 5 || rounds != 5 {
 		t.Errorf("reader stats = %d reads / %d rounds, want 5/5", reads, rounds)
 	}
-	// The trace must show exactly S read messages sent per read operation:
-	// one broadcast, no second phase.
-	sends := c.trace.Count(func(e traceEvent) bool {
-		return e.Kind == traceSendKind && e.Process == types.Reader(1)
-	})
-	if sends != 5*cfg.Servers {
+	// Exactly S read messages per read operation: one broadcast, no second
+	// phase.
+	if sends := reader.sends.Load(); sends != int64(5*cfg.Servers) {
 		t.Errorf("reader sent %d messages for 5 reads, want %d (S per read)", sends, 5*cfg.Servers)
 	}
 }

@@ -6,7 +6,6 @@ import (
 	"fastread/internal/durable"
 	"fastread/internal/protoutil"
 	"fastread/internal/sig"
-	"fastread/internal/trace"
 	"fastread/internal/transport"
 	"fastread/internal/types"
 	"fastread/internal/wire"
@@ -33,8 +32,6 @@ type ServerConfig struct {
 	// requests beyond it are shed and counted (QueueSheds) instead of
 	// queued without bound. Zero keeps the default never-drop queues.
 	QueueBound int
-	// Trace, if non-nil, records protocol events.
-	Trace *trace.Trace
 	// Durable, if non-nil, gives the server a write-ahead log in the given
 	// directory: every state mutation is appended before the ack is sent, and
 	// NewServer recovers whatever a previous incarnation persisted there.
@@ -101,7 +98,7 @@ func NewServer(cfg ServerConfig, node transport.Node) (*Server, error) {
 	s := &Server{cfg: cfg}
 	readers := cfg.Readers
 	sh, err := protoutil.NewShell(
-		protoutil.ShellConfig{ID: cfg.ID, Workers: cfg.Workers, QueueBound: cfg.QueueBound, Trace: cfg.Trace, Durable: cfg.Durable},
+		protoutil.ServerConfig{ID: cfg.ID, Workers: cfg.Workers, QueueBound: cfg.QueueBound, Durable: cfg.Durable},
 		node,
 		protoutil.Protocol[registerState]{
 			Name: "core",
@@ -239,35 +236,19 @@ func (s *Server) CounterOf(key string, clientPID int) int64 {
 // executor routes every message naming a key to the same worker) and the ack
 // is encoded before the worker handles its next message.
 func (s *Server) handle(m transport.Message, req *wire.Message, out transport.Sender) {
-	tr := s.cfg.Trace
 	if req.Op != wire.OpWrite && req.Op != wire.OpRead {
-		if tr.Enabled() {
-			tr.Record(trace.KindDrop, s.cfg.ID, m.From, "unexpected op %s", req.Op)
-		}
 		return
 	}
 	if !isLegitimateClient(m.From, s.cfg.Readers) {
-		if tr.Enabled() {
-			tr.Record(trace.KindDrop, s.cfg.ID, m.From, "not a client")
-		}
 		return
 	}
 	// Writes must come from the writer, reads from readers; a process sending
 	// the wrong kind is misbehaving and is ignored.
 	if req.Op == wire.OpWrite && m.From.Role != types.RoleWriter {
-		if tr.Enabled() {
-			tr.Record(trace.KindDrop, s.cfg.ID, m.From, "write from non-writer")
-		}
 		return
 	}
 	if req.Op == wire.OpRead && m.From.Role != types.RoleReader {
-		if tr.Enabled() {
-			tr.Record(trace.KindDrop, s.cfg.ID, m.From, "read from non-reader")
-		}
 		return
-	}
-	if tr.Enabled() {
-		tr.Record(trace.KindReceive, s.cfg.ID, m.From, "%s key=%q ts=%d rc=%d", req.Op, req.Key, req.TS, req.RCounter)
 	}
 
 	// In the arbitrary-failure variant, any timestamp the server might adopt
@@ -279,9 +260,6 @@ func (s *Server) handle(m transport.Message, req *wire.Message, out transport.Se
 	// signed tuple pays for asymmetric crypto.
 	if s.verify != nil {
 		if err := s.verify.VerifyKeyed(req.Key, req.TS, req.Cur, req.Prev, req.WriterSig); err != nil {
-			if tr.Enabled() {
-				tr.Record(trace.KindDrop, s.cfg.ID, m.From, "invalid writer signature on ts=%d: %v", req.TS, err)
-			}
 			return
 		}
 	}
@@ -310,9 +288,6 @@ func (s *Server) handle(m transport.Message, req *wire.Message, out transport.Se
 		// jitter can reorder a link and starve a pipelined operation; such
 		// operations end through their contexts, like any stalled op.)
 		if req.RCounter < st.counters[pid] {
-			if tr.Enabled() {
-				tr.Record(trace.KindDrop, s.cfg.ID, m.From, "stale rCounter %d < %d", req.RCounter, st.counters[pid])
-			}
 			return
 		}
 		if req.TS > st.value.TS {
@@ -376,17 +351,7 @@ func (s *Server) handle(m transport.Message, req *wire.Message, out transport.Se
 		})
 		ok = true
 	})
-	if !ok {
-		return
-	}
-
-	if tr.Enabled() {
-		tr.Record(trace.KindStateChange, s.cfg.ID, m.From, "key=%q ts=%d seen=%s", ack.Key, ack.TS, types.NewProcessSet(ack.Seen...))
-		tr.Record(trace.KindSend, s.cfg.ID, m.From, "%s ts=%d rc=%d", ack.Op, ack.TS, ack.RCounter)
-	}
-	if err := transport.SendEncoded(out, m.From, ack); err != nil {
-		if tr.Enabled() {
-			tr.Record(trace.KindDrop, s.cfg.ID, m.From, "send ack: %v", err)
-		}
+	if ok {
+		_ = transport.SendEncoded(out, m.From, ack)
 	}
 }

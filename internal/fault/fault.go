@@ -1,6 +1,5 @@
-// Package fault provides the failure machinery used by the experiments:
-// crash schedules for the crash-stop model and a library of concrete
-// Byzantine server behaviours for the arbitrary-failure model of Section 6.
+// Package fault provides the Byzantine stand-ins: a library of concrete
+// malicious server behaviours for the arbitrary-failure model of Section 6.
 //
 // The paper quantifies over every possible malicious behaviour; an
 // implementation can only exercise specific ones. The behaviours here cover
@@ -13,7 +12,6 @@ package fault
 
 import (
 	"fmt"
-	"sync"
 
 	"fastread/internal/protoutil"
 	"fastread/internal/sig"
@@ -127,7 +125,7 @@ func NewByzantineServer(cfg ByzantineConfig, node transport.Node) (*ByzantineSer
 		return nil, fmt.Errorf("fault: unknown behaviour %d", cfg.Behavior)
 	}
 	s := &ByzantineServer{cfg: cfg}
-	sh, err := protoutil.NewShell(protoutil.ShellConfig{ID: cfg.ID, Workers: cfg.Workers}, node,
+	sh, err := protoutil.NewShell(protoutil.ServerConfig{ID: cfg.ID, Workers: cfg.Workers}, node,
 		protoutil.Protocol[byzState]{
 			Name: "fault",
 			NewState: func() byzState {
@@ -241,54 +239,4 @@ func allClients(readers int) []types.ProcessID {
 		out = append(out, types.Reader(i))
 	}
 	return out
-}
-
-// CrashEvent schedules the crash of one server after a given number of
-// completed operations in a workload.
-type CrashEvent struct {
-	// Server is the process to crash.
-	Server types.ProcessID
-	// AfterOps is the number of completed operations (reads + writes across
-	// all clients) after which the crash fires.
-	AfterOps int
-}
-
-// CrashSchedule is an ordered list of crash events applied by the workload
-// runner.
-type CrashSchedule struct {
-	mu     sync.Mutex
-	events []CrashEvent
-	next   int
-}
-
-// NewCrashSchedule builds a schedule from the given events (they are applied
-// in the order given).
-func NewCrashSchedule(events ...CrashEvent) *CrashSchedule {
-	return &CrashSchedule{events: events}
-}
-
-// Pending returns the number of crash events that have not fired yet.
-func (cs *CrashSchedule) Pending() int {
-	if cs == nil {
-		return 0
-	}
-	cs.mu.Lock()
-	defer cs.mu.Unlock()
-	return len(cs.events) - cs.next
-}
-
-// Fire returns the servers whose crash events are due after completedOps
-// operations, advancing the schedule.
-func (cs *CrashSchedule) Fire(completedOps int) []types.ProcessID {
-	if cs == nil {
-		return nil
-	}
-	cs.mu.Lock()
-	defer cs.mu.Unlock()
-	var due []types.ProcessID
-	for cs.next < len(cs.events) && cs.events[cs.next].AfterOps <= completedOps {
-		due = append(due, cs.events[cs.next].Server)
-		cs.next++
-	}
-	return due
 }

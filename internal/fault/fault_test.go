@@ -168,32 +168,6 @@ func TestBehaviorString(t *testing.T) {
 	}
 }
 
-func TestCrashSchedule(t *testing.T) {
-	cs := NewCrashSchedule(
-		CrashEvent{Server: types.Server(1), AfterOps: 5},
-		CrashEvent{Server: types.Server(2), AfterOps: 10},
-	)
-	if cs.Pending() != 2 {
-		t.Errorf("Pending = %d", cs.Pending())
-	}
-	if due := cs.Fire(3); len(due) != 0 {
-		t.Errorf("Fire(3) = %v", due)
-	}
-	if due := cs.Fire(5); len(due) != 1 || due[0] != types.Server(1) {
-		t.Errorf("Fire(5) = %v", due)
-	}
-	if due := cs.Fire(50); len(due) != 1 || due[0] != types.Server(2) {
-		t.Errorf("Fire(50) = %v", due)
-	}
-	if cs.Pending() != 0 {
-		t.Errorf("Pending after all fired = %d", cs.Pending())
-	}
-	var nilSchedule *CrashSchedule
-	if nilSchedule.Fire(1) != nil || nilSchedule.Pending() != 0 {
-		t.Error("nil schedule should be inert")
-	}
-}
-
 // TestHonestHalfIsPerKey pins that the behaviours that are honest in part
 // keep one state per register: a write to k1 must not show up — timestamp,
 // value or signature — in what a non-victim reader of k2 is told.

@@ -21,7 +21,6 @@ package maxmin
 import (
 	"fastread/internal/durable"
 	"fastread/internal/protoutil"
-	"fastread/internal/trace"
 	"fastread/internal/transport"
 	"fastread/internal/types"
 	"fastread/internal/wire"
@@ -190,7 +189,7 @@ func NewServer(cfg ServerConfig, node transport.Node) (*Server, error) {
 	}
 	s := &Server{cfg: cfg, servers: protoutil.ServerIDs(cfg.Quorum.Servers)}
 	sh, err := protoutil.NewShell(
-		cfg.Shell(),
+		cfg,
 		node,
 		protoutil.Protocol[registerState]{
 			Name: "maxmin",
@@ -245,10 +244,6 @@ func (s *Server) handle(m transport.Message, req *wire.Message, out transport.Se
 		s.handleRead(m.From, req, out)
 	case wire.OpGossip:
 		s.handleGossip(m.From, req, out)
-	default:
-		if s.cfg.Trace.Enabled() {
-			s.cfg.Trace.Record(trace.KindDrop, s.cfg.ID, m.From, "unexpected op %s", req.Op)
-		}
 	}
 }
 
@@ -256,7 +251,6 @@ func (s *Server) handle(m transport.Message, req *wire.Message, out transport.Se
 // ABD.
 func (s *Server) handleWrite(from types.ProcessID, req *wire.Message, out transport.Sender) {
 	if from.Role != types.RoleWriter {
-		s.cfg.Trace.Record(trace.KindDrop, s.cfg.ID, from, "write from non-writer")
 		return
 	}
 	var ack *wire.Message
@@ -276,7 +270,6 @@ func (s *Server) handleWrite(from types.ProcessID, req *wire.Message, out transp
 // every server (including itself, handled locally).
 func (s *Server) handleRead(from types.ProcessID, req *wire.Message, out transport.Sender) {
 	if from.Role != types.RoleReader {
-		s.cfg.Trace.Record(trace.KindDrop, s.cfg.ID, from, "read from non-reader")
 		return
 	}
 	rkey := readKey{Reader: from.Index, RCounter: req.RCounter}
@@ -295,7 +288,6 @@ func (s *Server) handleRead(from types.ProcessID, req *wire.Message, out transpo
 		p.gossips[s.cfg.ID] = current
 	})
 	if stale {
-		s.cfg.Trace.Record(trace.KindDrop, s.cfg.ID, from, "stale read rc=%d", req.RCounter)
 		return
 	}
 
@@ -313,9 +305,6 @@ func (s *Server) handleRead(from types.ProcessID, req *wire.Message, out transpo
 		if peer == s.cfg.ID {
 			continue
 		}
-		if s.cfg.Trace.Enabled() {
-			s.cfg.Trace.Record(trace.KindSend, s.cfg.ID, peer, "gossip key=%q ts=%d for r%d/%d", req.Key, current.TS, from.Index, req.RCounter)
-		}
 		_ = out.Send(peer, gossip.Kind(), payload)
 	}
 
@@ -326,7 +315,6 @@ func (s *Server) handleRead(from types.ProcessID, req *wire.Message, out transpo
 // adopts it if newer.
 func (s *Server) handleGossip(from types.ProcessID, req *wire.Message, out transport.Sender) {
 	if from.Role != types.RoleServer {
-		s.cfg.Trace.Record(trace.KindDrop, s.cfg.ID, from, "gossip from non-server")
 		return
 	}
 	rkey := readKey{Reader: int(req.Phase), RCounter: req.RCounter}
@@ -403,9 +391,6 @@ func (s *Server) maybeReply(key string, rkey readKey, out transport.Sender) {
 	}
 
 	reader := types.Reader(rkey.Reader)
-	if s.cfg.Trace.Enabled() {
-		s.cfg.Trace.Record(trace.KindSend, s.cfg.ID, reader, "readack key=%q ts=%d rc=%d", key, ack.TS, ack.RCounter)
-	}
 	_ = transport.SendEncoded(out, reader, ack)
 }
 

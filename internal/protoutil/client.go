@@ -23,7 +23,6 @@ import (
 
 	"fastread/internal/quorum"
 	"fastread/internal/sig"
-	"fastread/internal/trace"
 	"fastread/internal/transport"
 	"fastread/internal/types"
 	"fastread/internal/wire"
@@ -50,8 +49,6 @@ type ClientConfig struct {
 	// produce identical wire traffic). Writers ignore it — their counter is
 	// the write timestamp, which starts at 1.
 	Nonce int64
-	// Trace, if non-nil, records protocol events.
-	Trace *trace.Trace
 	// Byzantine selects the arbitrary-failure variant (Figure 5) where the
 	// protocol has one: the writer signs every written pair with Signer, and
 	// readers verify the signature with Verifier on every acknowledgement.
@@ -154,15 +151,13 @@ func (c *Call[T]) NextNonce() int64 { return c.cl.nonce.Add(1) }
 func (c *Call[T]) Issued() int64 { return c.cl.nonce.Load() }
 
 // Client runs one handle's operations: it owns the handle's node, server
-// list, pipeline, mutex, nonce counter, round and operation counters and
-// invoke/return tracing. Protocol clients embed a *Client and add only their
-// own state.
+// list, pipeline, mutex, nonce counter and round and operation counters.
+// Protocol clients embed a *Client and add only their own state.
 type Client[T any] struct {
 	proto   Rounds[T]
 	node    transport.Node
 	servers []types.ProcessID
 	pl      *Pipeline
-	tr      *trace.Trace
 
 	// nonce is written under mu (NextNonce) and read from the delivering
 	// goroutine (Issued).
@@ -198,8 +193,7 @@ func NewClient[T any](cfg ClientConfig, node transport.Node, rounds Rounds[T]) (
 		proto:   rounds,
 		node:    node,
 		servers: ServerIDs(cfg.Quorum.Servers),
-		pl:      NewPipeline(node, cfg.Depth, cfg.Trace),
-		tr:      cfg.Trace,
+		pl:      NewPipeline(node, cfg.Depth, nil),
 	}
 	cl.nonce.Store(rounds.Nonce)
 	return cl, nil
@@ -257,9 +251,6 @@ func (cl *Client[T]) Submit(ctx context.Context, arg types.Value) (*Future[T], e
 		cl.pl.release()
 		return nil, fmt.Errorf("%s: %w", cl.proto.Name, err)
 	}
-	if cl.tr.Enabled() {
-		cl.tr.Record(trace.KindInvoke, cl.node.ID(), types.ProcessID{}, "%s(key=%q) %s ts=%d rc=%d", cl.proto.Name, c.Req.Key, c.Req.Op, c.Req.TS, c.Req.RCounter)
-	}
 	op, err := cl.send(c)
 	if commit := cl.proto.Commit; commit != nil {
 		if err == nil {
@@ -286,7 +277,7 @@ func (cl *Client[T]) Submit(ctx context.Context, arg types.Value) (*Future[T], e
 func (cl *Client[T]) send(c *Call[T]) (*Op, error) {
 	c.ack, _ = wire.AckFor(c.Req.Op)
 	op := cl.pl.registerHandler(cl.proto.Need, c)
-	err := broadcast(cl.node, cl.servers, &c.Req, cl.tr)
+	err := broadcast(cl.node, cl.servers, &c.Req)
 	if errors.Is(err, transport.ErrClosed) {
 		// The handle's node is gone: one condition, one sentinel, whether the
 		// submitter or the delivering goroutine notices first.
@@ -357,9 +348,6 @@ func (c *Call[T]) complete(acks []Ack, err error) (keepSlot bool) {
 	if err == nil {
 		res = c.Result
 		cl.ops++
-		if cl.tr.Enabled() {
-			cl.tr.Record(trace.KindReturn, cl.node.ID(), types.ProcessID{}, "%s(key=%q) -> ok after %d round(s), last %s ts=%d rc=%d", cl.proto.Name, c.Req.Key, c.Round, c.Req.Op, c.Req.TS, c.Req.RCounter)
-		}
 	} else {
 		err = fmt.Errorf("%s (%s ts=%d rc=%d): %w", cl.proto.Name, c.Req.Op, c.Req.TS, c.Req.RCounter, err)
 	}

@@ -16,7 +16,6 @@ import (
 	"sync"
 	"time"
 
-	"fastread/internal/trace"
 	"fastread/internal/transport"
 	"fastread/internal/types"
 	"fastread/internal/wire"
@@ -66,7 +65,6 @@ const MaxPipelineDepth = 512
 // blocks on any transport.
 type Pipeline struct {
 	node transport.Node
-	tr   *trace.Trace
 
 	// slots is the in-flight depth semaphore: Acquire fills, completion
 	// (or abort) drains.
@@ -98,7 +96,9 @@ type sinkBinder interface {
 // (DefaultPipelineDepth if depth <= 0) and makes it the node's consumer: the
 // node's sink when the node takes one, a dispatcher goroutine over its inbox
 // otherwise.
-func NewPipeline(node transport.Node, depth int, tr *trace.Trace) *Pipeline {
+//
+// The ignored third parameter is pinned by frozen cmd/benchreport/layers.go:493.
+func NewPipeline(node transport.Node, depth int, _ any) *Pipeline {
 	if depth <= 0 {
 		depth = DefaultPipelineDepth
 	}
@@ -107,7 +107,6 @@ func NewPipeline(node transport.Node, depth int, tr *trace.Trace) *Pipeline {
 	}
 	p := &Pipeline{
 		node:  node,
-		tr:    tr,
 		slots: make(chan struct{}, depth),
 		done:  make(chan struct{}),
 	}
@@ -371,14 +370,10 @@ func (p *Pipeline) handlePayload(from types.ProcessID, payload []byte, arena *wi
 		return
 	}
 	scratch := &p.scratch
-	if err := wire.DecodeInto(scratch, payload); err != nil {
-		if p.tr.Enabled() {
-			p.tr.Record(trace.KindDrop, p.node.ID(), from, "malformed payload: %v", err)
-		}
+	if wire.DecodeInto(scratch, payload) != nil {
 		return
 	}
 
-	matched := false
 	var completed []*Op
 	p.mu.Lock()
 	for i := 0; i < len(p.ops); i++ {
@@ -389,7 +384,6 @@ func (p *Pipeline) handlePayload(from types.ProcessID, payload []byte, arena *wi
 		if !op.handler.accept(from, scratch) {
 			continue
 		}
-		matched = true
 		d := wire.GetMessage()
 		scratch.CopyAliasInto(d)
 		if arena != nil {
@@ -406,13 +400,6 @@ func (p *Pipeline) handlePayload(from types.ProcessID, payload []byte, arena *wi
 	}
 	p.mu.Unlock()
 
-	if p.tr.Enabled() {
-		if matched {
-			p.tr.Record(trace.KindReceive, p.node.ID(), from, "%s ts=%d rc=%d", scratch.Op, scratch.TS, scratch.RCounter)
-		} else {
-			p.tr.Record(trace.KindDrop, p.node.ID(), from, "unmatched %s ts=%d rc=%d", scratch.Op, scratch.TS, scratch.RCounter)
-		}
-	}
 	for _, op := range completed {
 		op.finish(op.acks, nil)
 	}

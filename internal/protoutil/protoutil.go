@@ -29,7 +29,6 @@ import (
 	"fmt"
 	"time"
 
-	"fastread/internal/trace"
 	"fastread/internal/transport"
 	"fastread/internal/types"
 	"fastread/internal/wire"
@@ -119,15 +118,12 @@ func StartNonce(n int64) int64 {
 // broadcast. Ownership of the encoded payload passes to the transport (see
 // the codec's buffer-ownership rules); the message itself is not retained, so
 // its fields may alias state the caller owns.
-func broadcast(node transport.Node, servers []types.ProcessID, msg *wire.Message, tr *trace.Trace) error {
+func broadcast(node transport.Node, servers []types.ProcessID, msg *wire.Message) error {
 	payload, err := wire.Encode(msg)
 	if err != nil {
 		return fmt.Errorf("encode %s: %w", msg.Op, err)
 	}
 	for _, s := range servers {
-		if tr.Enabled() {
-			tr.Record(trace.KindSend, node.ID(), s, "%s ts=%d rc=%d", msg.Op, msg.TS, msg.RCounter)
-		}
 		if err := node.Send(s, msg.Kind(), payload); err != nil {
 			return fmt.Errorf("send %s to %s: %w", msg.Op, s, err)
 		}

@@ -8,7 +8,6 @@ import (
 	"time"
 
 	"fastread/internal/quorum"
-	"fastread/internal/trace"
 	"fastread/internal/transport"
 	"fastread/internal/types"
 	"fastread/internal/wire"
@@ -44,9 +43,9 @@ type gathered struct {
 // asking every server and resolving with the quorum it collected — the
 // blocking RoundTrip/CollectAcks helpers of old, spelled as a round
 // description. Its first operation carries rCounter firstRC.
-func gatherClient(t *testing.T, node transport.Node, servers, need int, firstRC int64, tr *trace.Trace) (*Client[gathered], error) {
+func gatherClient(t *testing.T, node transport.Node, servers, need int, firstRC int64) (*Client[gathered], error) {
 	t.Helper()
-	cfg := ClientConfig{Quorum: quorum.Config{Servers: servers}, Depth: 1, Trace: tr}
+	cfg := ClientConfig{Quorum: quorum.Config{Servers: servers}, Depth: 1}
 	return NewClient(cfg, node, Rounds[gathered]{
 		Name: "test gather", Role: types.RoleReader, Need: need, Nonce: firstRC - 1,
 		Begin: func(c *Call[gathered]) error {
@@ -74,7 +73,7 @@ func TestRoundTripCollectsQuorum(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	client, err := gatherClient(t, node, 4, 3, 1, trace.New())
+	client, err := gatherClient(t, node, 4, 3, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -119,7 +118,7 @@ func TestCollectAcksFiltersAndDeduplicates(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	client, err := gatherClient(t, node, 2, 2, 5, trace.New())
+	client, err := gatherClient(t, node, 2, 2, 5)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -170,7 +169,7 @@ func TestCollectAcksContextCancelled(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	client, err := gatherClient(t, node, 1, 1, 1, nil)
+	client, err := gatherClient(t, node, 1, 1, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -191,7 +190,7 @@ func TestCollectAcksInboxClosed(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	client, err := gatherClient(t, node, 1, 1, 1, nil)
+	client, err := gatherClient(t, node, 1, 1, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -240,7 +239,7 @@ func TestCollectAcksZeroNeed(t *testing.T) {
 	if err := p.Acquire(ctx); err != nil {
 		t.Fatalf("slot not released after a zero-need completion: %v", err)
 	}
-	if _, err := gatherClient(t, node, 1, 0, 1, nil); err == nil {
+	if _, err := gatherClient(t, node, 1, 0, 1); err == nil {
 		t.Error("NewClient accepted a round needing 0 acknowledgements")
 	}
 }
@@ -253,7 +252,7 @@ func TestBroadcastEncodeError(t *testing.T) {
 		t.Fatal(err)
 	}
 	bad := &wire.Message{Op: 0}
-	if err := broadcast(client, ServerIDs(2), bad, nil); err == nil {
+	if err := broadcast(client, ServerIDs(2), bad); err == nil {
 		t.Error("Broadcast with invalid message succeeded")
 	}
 }

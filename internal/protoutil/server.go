@@ -6,8 +6,9 @@
 // node, the key-sharded executor and its queue bound, the per-key state map,
 // the durable log with its LSN-guarded replay and snapshot framing, and the
 // Start/Stop lifecycle — so a protocol server is its state struct, its
-// handler and its record⇄state mapping (Protocol) and nothing else. It sits
-// beside Client, the one client engine.
+// handler and its record⇄state mapping (Protocol) and nothing else. It is
+// configured by the one ServerConfig every protocol's constructor takes, and
+// sits beside Client, the one client engine.
 //
 // Durability rule, stated once: an ack leaves a server only after the log
 // commit that covers its record returned nil. The executor's run is the
@@ -27,7 +28,6 @@ import (
 	"fastread/internal/quorum"
 	"fastread/internal/shard"
 	"fastread/internal/sig"
-	"fastread/internal/trace"
 	"fastread/internal/transport"
 	"fastread/internal/types"
 	"fastread/internal/wire"
@@ -55,37 +55,10 @@ type ServerConfig struct {
 	// beyond it are shed and counted (QueueSheds) instead of queued without
 	// bound. Zero keeps the default never-drop queues.
 	QueueBound int
-	// Trace, if non-nil, records protocol events.
-	Trace *trace.Trace
 	// Durable, if non-nil, gives the server a write-ahead log in the given
 	// directory (see internal/durable): mutations are logged before acks, and
 	// server construction recovers whatever a previous incarnation persisted
 	// there.
-	Durable *durable.Options
-}
-
-// Shell returns the part of the configuration the shell itself consumes.
-func (c ServerConfig) Shell() ShellConfig {
-	return ShellConfig{ID: c.ID, Workers: c.Workers, QueueBound: c.QueueBound, Trace: c.Trace, Durable: c.Durable}
-}
-
-// ShellConfig is the protocol-independent part of a server's configuration.
-type ShellConfig struct {
-	// ID is the server's process identity (must have RoleServer).
-	ID types.ProcessID
-	// Workers is the number of key-shard workers executing the server's
-	// messages in parallel (a register key is always handled by the same
-	// worker). Zero or negative means GOMAXPROCS.
-	Workers int
-	// QueueBound, when positive, caps each worker's overflow queue: requests
-	// beyond it are shed and counted (QueueSheds) instead of queued without
-	// bound. Zero keeps the default never-drop queues.
-	QueueBound int
-	// Trace, if non-nil, records the requests the shell drops as malformed.
-	Trace *trace.Trace
-	// Durable, if non-nil, gives the server a write-ahead log in the given
-	// directory: NewShell recovers whatever a previous incarnation persisted
-	// there, and every run's Log calls are committed before its acks leave.
 	Durable *durable.Options
 }
 
@@ -158,7 +131,6 @@ type Shell[S any] struct {
 	node   transport.Node
 	exec   *transport.Executor
 	states *shard.Map[*Slot[S]]
-	tr     *trace.Trace
 	// dlog is the server's durable log; nil when persistence is off.
 	dlog *durable.Log
 	// logFailed latches the first failed stage or commit (see LogFailed).
@@ -169,8 +141,10 @@ type Shell[S any] struct {
 }
 
 // NewShell creates a server bound to the given transport node, recovering its
-// durable state if it has any. Call Start to begin processing messages.
-func NewShell[S any](cfg ShellConfig, node transport.Node, proto Protocol[S]) (*Shell[S], error) {
+// durable state if it has any. Call Start to begin processing messages. The
+// shell reads cfg's ID, Workers, QueueBound and Durable; Quorum and Verifier
+// are the protocol's.
+func NewShell[S any](cfg ServerConfig, node transport.Node, proto Protocol[S]) (*Shell[S], error) {
 	if cfg.ID.Role != types.RoleServer || !cfg.ID.Valid() {
 		return nil, fmt.Errorf("%s: server id %v is not a valid server identity", proto.Name, cfg.ID)
 	}
@@ -181,7 +155,6 @@ func NewShell[S any](cfg ShellConfig, node transport.Node, proto Protocol[S]) (*
 		id:     cfg.ID,
 		proto:  proto,
 		node:   node,
-		tr:     cfg.Trace,
 		states: shard.NewMap(0, func(string) *Slot[S] { return &Slot[S]{State: proto.NewState()} }),
 		done:   make(chan struct{}),
 	}
@@ -205,10 +178,7 @@ func NewShell[S any](cfg ShellConfig, node transport.Node, proto Protocol[S]) (*
 func (s *Shell[S]) handle(m transport.Message, out transport.Sender) {
 	req := wire.GetMessage()
 	defer wire.PutMessage(req)
-	if err := wire.DecodeInto(req, m.Payload); err != nil {
-		if s.tr.Enabled() {
-			s.tr.Record(trace.KindDrop, s.id, m.From, "malformed: %v", err)
-		}
+	if wire.DecodeInto(req, m.Payload) != nil {
 		return
 	}
 	s.proto.Handle(m, req, out)
@@ -344,7 +314,7 @@ func (s *Shell[S]) ID() types.ProcessID { return s.id }
 func (s *Shell[S]) Workers() int { return s.exec.Workers() }
 
 // QueueSheds returns the number of requests shed by bounded worker queues
-// (always 0 unless ShellConfig.QueueBound was set).
+// (always 0 unless ServerConfig.QueueBound was set).
 func (s *Shell[S]) QueueSheds() int64 { return s.exec.Sheds() }
 
 // TotalMutations sums the mutations Log has counted across every register the

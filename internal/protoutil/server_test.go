@@ -403,7 +403,7 @@ func openCounter(t *testing.T, node transport.Node, workers int, opts durable.Op
 	t.Helper()
 	cs := &counterServer{}
 	opts.Counters = &cs.counters
-	sh, err := protoutil.NewShell(protoutil.ShellConfig{ID: types.Server(1), Workers: workers, Durable: &opts}, node, protoutil.Protocol[int64]{
+	sh, err := protoutil.NewShell(protoutil.ServerConfig{ID: types.Server(1), Workers: workers, Durable: &opts}, node, protoutil.Protocol[int64]{
 		Name:     "counter",
 		NewState: func() int64 { return 0 },
 		Handle: func(m transport.Message, req *wire.Message, out transport.Sender) {

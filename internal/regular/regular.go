@@ -22,7 +22,6 @@ import (
 
 	"fastread/internal/durable"
 	"fastread/internal/protoutil"
-	"fastread/internal/trace"
 	"fastread/internal/transport"
 	"fastread/internal/types"
 	"fastread/internal/wire"
@@ -55,15 +54,14 @@ type ServerConfig = protoutil.ServerConfig
 // protoutil.Shell's.
 type Server struct {
 	*protoutil.Shell[registerState]
-	cfg ServerConfig
 }
 
 // NewServer creates a regular-register server bound to the given node. Call
 // Start to begin processing messages.
 func NewServer(cfg ServerConfig, node transport.Node) (*Server, error) {
-	s := &Server{cfg: cfg}
+	s := &Server{}
 	sh, err := protoutil.NewShell(
-		cfg.Shell(),
+		cfg,
 		node,
 		protoutil.Protocol[registerState]{
 			Name:     "regular",
@@ -138,12 +136,7 @@ func (s *Server) handle(m transport.Message, req *wire.Message, out transport.Se
 			RCounter: req.RCounter,
 		})
 	})
-
-	if err := transport.SendEncoded(out, m.From, ack); err != nil {
-		if s.cfg.Trace.Enabled() {
-			s.cfg.Trace.Record(trace.KindDrop, s.cfg.ID, m.From, "send ack: %v", err)
-		}
-	}
+	_ = transport.SendEncoded(out, m.From, ack)
 }
 
 // ClientConfig configures a regular-register client (writer or reader); the

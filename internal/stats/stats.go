@@ -10,6 +10,7 @@ import (
 	"sort"
 	"strings"
 	"time"
+	"unicode/utf8"
 )
 
 // LatencyRecorder accumulates individual operation latencies. It is not safe
@@ -164,16 +165,17 @@ func formatFloat(v float64) string {
 	return fmt.Sprintf("%.2f", v)
 }
 
-// widths computes the rendered width of each column.
+// widths computes the rendered width of each column, in characters (cells
+// carry Δ, ✓ and −).
 func (t *Table) widths() []int {
 	w := make([]int, len(t.Columns))
 	for i, c := range t.Columns {
-		w[i] = len(c)
+		w[i] = utf8.RuneCountInString(c)
 	}
 	for _, row := range t.Rows {
 		for i, cell := range row {
-			if i < len(w) && len(cell) > w[i] {
-				w[i] = len(cell)
+			if i < len(w) {
+				w[i] = max(w[i], utf8.RuneCountInString(cell))
 			}
 		}
 	}
@@ -186,7 +188,7 @@ func (t *Table) String() string {
 	if t.Title != "" {
 		b.WriteString(t.Title)
 		b.WriteByte('\n')
-		b.WriteString(strings.Repeat("=", len(t.Title)))
+		b.WriteString(strings.Repeat("=", utf8.RuneCountInString(t.Title)))
 		b.WriteByte('\n')
 	}
 	w := t.widths()
@@ -200,7 +202,7 @@ func (t *Table) String() string {
 				b.WriteString("  ")
 			}
 			b.WriteString(cell)
-			b.WriteString(strings.Repeat(" ", width-len(cell)))
+			b.WriteString(strings.Repeat(" ", width-utf8.RuneCountInString(cell)))
 		}
 		b.WriteByte('\n')
 	}

@@ -133,6 +133,44 @@ func TestTableRendering(t *testing.T) {
 	}
 }
 
+// TestTablePadsByRunes pins that plain-text alignment counts characters, not
+// bytes: a multi-byte cell must not shorten its column's padding, nor a
+// multi-byte title lengthen its rule.
+func TestTablePadsByRunes(t *testing.T) {
+	for _, tc := range []struct {
+		title string
+		cols  []string
+		rows  [][]any
+		want  string
+	}{
+		{
+			title: "E7 — latency",
+			cols:  []string{"read", "ok"},
+			rows:  [][]any{{"2Δ", "✓"}, {"10ms", "−"}},
+			want: "E7 — latency\n" +
+				"============\n" +
+				"read  ok\n" +
+				"----  --\n" +
+				"2Δ    ✓ \n" +
+				"10ms  − \n",
+		},
+		{
+			title: "ascii",
+			cols:  []string{"a", "b"},
+			rows:  [][]any{{"xyz", 1}},
+			want:  "ascii\n=====\na    b\n---  -\nxyz  1\n",
+		},
+	} {
+		tbl := NewTable(tc.title, tc.cols...)
+		for _, r := range tc.rows {
+			tbl.AddRow(r...)
+		}
+		if got := tbl.String(); got != tc.want {
+			t.Errorf("%s:\ngot:\n%s\nwant:\n%s", tc.title, got, tc.want)
+		}
+	}
+}
+
 func TestTableShortRowsRenderSafely(t *testing.T) {
 	tbl := NewTable("", "a", "b", "c")
 	tbl.AddRow("only-one")

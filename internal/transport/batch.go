@@ -114,11 +114,6 @@ func (c *Coalescer) hold() {
 	}
 }
 
-// Send buffers one message for the destination and always reports success:
-// the only error the eventual flush can produce is "local node closed",
-// which handlers ignore on direct sends too (the executor is about to shut
-// down anyway), so the Coalescer swallows it at Flush rather than surfacing
-// it on an unrelated later call.
 // get pops a recycled coalesced struct, or allocates the run's first ones.
 func (c *Coalescer) get() *coalesced {
 	if n := len(c.free); n > 0 {
@@ -130,6 +125,11 @@ func (c *Coalescer) get() *coalesced {
 	return new(coalesced)
 }
 
+// Send buffers one message for the destination and always reports success:
+// the only error the eventual flush can produce is "local node closed",
+// which handlers ignore on direct sends too (the executor is about to shut
+// down anyway), so the Coalescer swallows it at Flush rather than surfacing
+// it on an unrelated later call.
 func (c *Coalescer) Send(to types.ProcessID, kind string, payload []byte) error {
 	c.hold()
 	e, ok := c.byDest[to]

@@ -39,12 +39,10 @@ const DefaultRouteBuffer = 256
 // permits (they are indistinguishable from messages delayed forever).
 //
 // The node's own queue is therefore the only place a client-side backlog can
-// sit, and it is unbounded unless the deployment bounds it (the in-memory
-// network's WithMailboxBound; the socket cores' fixed inbox). Unbounded
-// remains the default for a correctness reason: a server lagging behind the
-// quorum can flush a long acknowledgement backlog in one burst, and a bound
-// forces a drop policy that can discard the in-flight operation's
-// quorum-completing acks.
+// sit, and in memory it is unbounded (the socket cores have a fixed inbox)
+// for a correctness reason: a server lagging behind the quorum can flush a
+// long acknowledgement backlog in one burst, and a bound forces a drop policy
+// that can discard the in-flight operation's quorum-completing acks.
 type Demux struct {
 	node  Node
 	keyOf KeyFunc

@@ -49,20 +49,18 @@ func WithSeed(seed int64) InMemOption {
 	return func(n *InMemNetwork) { n.rng = rand.New(rand.NewSource(seed)) }
 }
 
-// WithMailboxBound caps node mailboxes: every SERVER node's at server queued
-// messages, every CLIENT (writer/reader) node's at client. A delivery finding
-// the mailbox full is shed (dropped-in-transit, counted in MailboxShed)
-// instead of growing the queue, so the node's memory and queueing delay — and
-// therefore MailboxHighWater — stay bounded under overload. A non-positive
-// bound leaves that role unbounded, the default for both.
+// WithMailboxBound caps every SERVER node's mailbox at server queued
+// messages. A delivery finding the mailbox full is shed (dropped-in-transit,
+// counted in MailboxShed) instead of growing the queue, so the node's memory
+// and queueing delay — and therefore MailboxHighWater — stay bounded under
+// overload. A non-positive bound leaves servers unbounded, the default.
 //
 // Shedding a REQUEST at a server is as safe as a lossy network: the protocols
-// tolerate loss via quorum slack and the client's retry/timeout. Shedding at
-// a client drops ACKNOWLEDGEMENTS, which can starve an otherwise-completable
-// quorum — the operation then waits for its context — so the client bound is
-// for deployments that must bound client-side memory too.
-func WithMailboxBound(server, client int) InMemOption {
-	return func(nw *InMemNetwork) { nw.serverBound, nw.clientBound = server, client }
+// tolerate loss via quorum slack and the client's retry/timeout. Client
+// (writer/reader) mailboxes are never bounded: shedding there drops
+// ACKNOWLEDGEMENTS, which can starve an otherwise-completable quorum.
+func WithMailboxBound(server int) InMemOption {
+	return func(nw *InMemNetwork) { nw.serverBound = server }
 }
 
 // WithClock runs the network on a virtual clock (simulation mode). Every
@@ -139,7 +137,6 @@ type InMemNetwork struct {
 	rng          *rand.Rand
 	batching     bool
 	serverBound  int
-	clientBound  int
 	mailboxShed  atomic.Int64
 	wg           sync.WaitGroup
 
@@ -227,7 +224,7 @@ func (n *InMemNetwork) Join(id types.ProcessID) (Node, error) {
 		delete(n.downed, id)
 		n.updateSlowLocked()
 	}
-	bound := n.clientBound
+	bound := 0
 	if id.Role == types.RoleServer {
 		bound = n.serverBound
 	}
@@ -315,10 +312,11 @@ func (n *InMemNetwork) Crash(id types.ProcessID) {
 
 // Isolate cuts a process off the network: every message to or from it is
 // dropped until Reconnect. Unlike Crash it is reversible — the process keeps
-// running and keeps its state, so an Isolate/Reconnect window models a
-// restart (the servers in this repository have no persistence, so a restart
-// is exactly an outage with state retained). Like Block, isolation applies
-// at SEND time: messages already routed when the window opens still deliver.
+// running and keeps its state, so an Isolate/Reconnect window models an
+// outage with state retained (a restart that recovers from its durable log
+// is a new incarnation: the old node closed, the identity joined again —
+// see Join). Like Block, isolation applies at SEND time: messages already
+// routed when the window opens still deliver.
 func (n *InMemNetwork) Isolate(id types.ProcessID) {
 	n.mu.Lock()
 	defer n.mu.Unlock()

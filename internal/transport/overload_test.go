@@ -145,7 +145,7 @@ func nodeMust(t *testing.T, net *InMemNetwork, id types.ProcessID) Node {
 
 func TestInMemMailboxBoundKeepsHighWaterUnderBound(t *testing.T) {
 	const bound = 64
-	net := NewInMemNetwork(WithMailboxBound(bound, 0))
+	net := NewInMemNetwork(WithMailboxBound(bound))
 	defer net.Close()
 	srv := nodeMust(t, net, types.ProcessID{Role: types.RoleServer, Index: 1})
 	wrt := nodeMust(t, net, types.ProcessID{Role: types.RoleWriter, Index: 0})

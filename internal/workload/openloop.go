@@ -1,3 +1,16 @@
+// Package workload is the open-loop load generator (RunOpenLoop), the rate
+// sweep with its knee finder (RunSweep, Knee) and the seeded generators both
+// draw from (Rand, Zipf, Arrivals).
+//
+// A closed-loop harness measures "how fast can N blocked workers go" — its
+// workers slow down exactly when the system does, so it can never observe
+// queueing collapse. An open-loop generator instead schedules arrivals on a
+// clock at a target offered rate, independent of how the system is coping,
+// and measures each operation's latency from its INTENDED arrival time, not
+// from when the generator finally got around to submitting it. That is the
+// coordinated-omission discipline: if the system stalls for a second, the
+// ~rate×1s operations scheduled during the stall each charge the stall to
+// their own latency instead of silently vanishing from the record.
 package workload
 
 import (
@@ -11,17 +24,6 @@ import (
 	"fastread/internal/protoutil"
 	"fastread/internal/stats"
 )
-
-// The open-loop generator. A closed-loop harness (Run, above in this
-// package) measures "how fast can N blocked workers go" — its workers slow
-// down exactly when the system does, so it can never observe queueing
-// collapse. An open-loop generator instead schedules arrivals on a clock at
-// a target offered rate, independent of how the system is coping, and
-// measures each operation's latency from its INTENDED arrival time, not
-// from when the generator finally got around to submitting it. That is the
-// coordinated-omission discipline: if the system stalls for a second, the
-// ~rate×1s operations scheduled during the stall each charge the stall to
-// their own latency instead of silently vanishing from the record.
 
 // OpenLoopConfig parameterises one fixed-rate open-loop run.
 type OpenLoopConfig struct {

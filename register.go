@@ -113,19 +113,6 @@ type Config struct {
 	// (dropping acknowledgements can starve a completable quorum). Zero
 	// (the default) keeps every queue unbounded.
 	QueueBound int
-	// RouteBound, when positive, additionally caps each CLIENT identity's
-	// inbound queue — the in-memory transport mailbox of the writer and of
-	// every reader, which all of that identity's per-key routes share and
-	// which is the only place an acknowledgement backlog can sit — at that
-	// many messages (shed-and-count into Stats.ShedDrops). A bounded
-	// client queue can drop quorum-completing acknowledgements — the
-	// operation then waits for its context or AdmissionWait budget — so
-	// this is off by default and exists for deployments that must bound
-	// client-side memory too; most overload control wants QueueBound +
-	// AdmissionWait only. In-memory backend only: the socket backends'
-	// inbound queues are always bounded and count their overflow in
-	// Stats.InboundDrops.
-	RouteBound int
 	// NonceSource, when non-nil, supplies the initial operation counter for
 	// each reader handle the store creates, replacing the wall-clock default
 	// (see internal/protoutil.StartNonce). Deterministic simulation plugs
@@ -416,10 +403,9 @@ type Stats struct {
 	// backends report 0 (their bounded queues surface overload as
 	// SendDrops/InboundDrops instead).
 	MailboxHighWater int
-	// ShedDrops counts messages shed by the opt-in overload bounds —
-	// bounded server mailboxes and executor queues (Config.QueueBound) and
-	// bounded client mailboxes (Config.RouteBound). Always 0 without those
-	// knobs. Together with client-side ErrOverloaded rejections (which the
+	// ShedDrops counts messages shed by the opt-in overload bound —
+	// bounded server mailboxes and executor queues (Config.QueueBound).
+	// Always 0 without it. Together with client-side ErrOverloaded rejections (which the
 	// caller observes directly), this is the exact account of where
 	// offered load beyond capacity went.
 	ShedDrops        int64
@@ -455,7 +441,7 @@ type GroupStats struct {
 	SendDrops, InboundDrops, DedupDrops int
 	MailboxHighWater                    int
 	// ShedDrops counts messages shed by this group's opt-in overload
-	// bounds (Config.QueueBound / Config.RouteBound); see Stats.ShedDrops.
+	// bound (Config.QueueBound); see Stats.ShedDrops.
 	ShedDrops int64
 	// Durable aggregates the group's servers' write-ahead-log counters
 	// (zero when Config.DataDir is empty or the group is uninstantiated).

@@ -16,11 +16,16 @@ import (
 
 // driveRegister runs a small concurrent workload against one register: the
 // register's writer writes distinct values while every reader reads, and all
-// operations are recorded into the returned history.
-func driveRegister(ctx context.Context, t *testing.T, reg *Register, writes, readsPerReader int) history.History {
+// operations are recorded into the returned history. afterOp, when non-nil,
+// runs on the client's goroutine after each completed operation (the place to
+// inject a fault mid-run).
+func driveRegister(ctx context.Context, t *testing.T, reg *Register, writes, readsPerReader int, afterOp func()) history.History {
 	t.Helper()
 	rec := history.NewRecorder()
 	var wg sync.WaitGroup
+	if afterOp == nil {
+		afterOp = func() {}
+	}
 
 	wg.Add(1)
 	go func() {
@@ -34,6 +39,7 @@ func driveRegister(ctx context.Context, t *testing.T, reg *Register, writes, rea
 				return
 			}
 			rec.Return(id, v, types.Timestamp(j))
+			afterOp()
 		}
 	}()
 	for ri, rd := range reg.Readers() {
@@ -49,6 +55,7 @@ func driveRegister(ctx context.Context, t *testing.T, reg *Register, writes, rea
 					return
 				}
 				rec.Return(id, types.Value(res.Value), types.Timestamp(res.Version))
+				afterOp()
 			}
 		}(ri+1, rd)
 	}
@@ -100,7 +107,7 @@ func TestStoreManyKeysAtomicPerKey(t *testing.T) {
 				wg.Add(1)
 				go func(i int, reg *Register) {
 					defer wg.Done()
-					histories[i] = driveRegister(ctx, t, reg, writes, readsPerReader)
+					histories[i] = driveRegister(ctx, t, reg, writes, readsPerReader, nil)
 				}(i, reg)
 			}
 			wg.Wait()

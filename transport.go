@@ -78,10 +78,9 @@ type sessionStats struct {
 	// inbound queues are bounded and overflow shows up as inboundDrops
 	// instead).
 	mailboxHighWater int
-	// shedDrops counts deliveries shed by opt-in bounded mailboxes
-	// (Config.QueueBound for servers, Config.RouteBound for clients;
-	// in-memory backend — socket backends report their bounded-queue losses
-	// through the drop counters above).
+	// shedDrops counts deliveries shed by the servers' opt-in bounded
+	// mailboxes (Config.QueueBound; in-memory backend — socket backends
+	// report their bounded-queue losses through the drop counters above).
 	shedDrops int64
 }
 
@@ -153,7 +152,7 @@ func (t *inMemTransport) connect(cfg Config) (transportSession, error) {
 	// back off (transport.WithClock).
 	opts := []transport.InMemOption{
 		transport.WithBatching(),
-		transport.WithMailboxBound(cfg.QueueBound, cfg.RouteBound),
+		transport.WithMailboxBound(cfg.QueueBound),
 	}
 	opts = append(opts, t.opts...)
 	return &inMemSession{net: transport.NewInMemNetwork(opts...)}, nil
