@@ -16,19 +16,10 @@ type Cluster struct {
 }
 
 // NewCluster builds and starts a single-register deployment according to
-// cfg.
-//
-// Unless cfg.ServerWorkers is set explicitly, a cluster's servers run ONE
-// key-shard worker: all of a cluster's traffic carries the default key and
-// would land on a single worker regardless, so extra workers would add a
-// dispatch hop without any parallelism. One worker makes the executor
-// degenerate to the inline serve loop. Registers later multiplexed through
-// Store() share that worker; set ServerWorkers (e.g. to a negative value
-// for GOMAXPROCS) to trade the hop for cross-key parallelism.
+// cfg. Its servers run the Store's default of one worker each, which suits a
+// lone register: all of its traffic carries the default key and would land on
+// one key shard anyway.
 func NewCluster(cfg Config) (*Cluster, error) {
-	if cfg.ServerWorkers == 0 {
-		cfg.ServerWorkers = 1
-	}
 	store, err := NewStore(cfg)
 	if err != nil {
 		return nil, err

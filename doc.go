@@ -204,9 +204,10 @@
 // size, what a quorum means), and all four protocols share its one
 // single-writer client (protoutil.Writer) and its one reader
 // (protoutil.Reader, running the protocol's read rounds). The shell decodes
-// each request once and executes messages
-// on a key-sharded parallel executor: messages are dispatched by register
-// key across Config.ServerWorkers workers (GOMAXPROCS by default), so
+// each request once and, by default, handles it on the goroutine that drains
+// the server's node — the paper's one sequential step per message. Setting
+// Config.ServerWorkers above 1 opts into a key-sharded parallel executor:
+// messages are dispatched by register key across that many workers, so
 // distinct registers are served concurrently across cores while every
 // register keeps FIFO, single-goroutine handling.
 //

@@ -55,12 +55,13 @@ func touch(ctx context.Context, t *testing.T, reg *Register) {
 // TestStoreGoroutineCensus is the arithmetic of "one queue and one wake-up
 // per node": an idle in-memory store runs one goroutine per server (its
 // executor — plus one per worker when there are several) and one per client
-// identity (its demux pump), and nothing per key.
+// identity (its demux pump), and nothing per key. The default (workers=0) is
+// the one-worker count.
 func TestStoreGoroutineCensus(t *testing.T) {
 	const servers, readers = 4, 1
 	ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
 	defer cancel()
-	for _, workers := range []int{1, 2} {
+	for _, workers := range []int{0, 1, 2} {
 		want := servers + 1 + readers
 		if workers > 1 {
 			want = servers*(1+workers) + 1 + readers

@@ -24,13 +24,15 @@ type ServerConfig struct {
 	Byzantine bool
 	// Verifier is the writer's public key; required when Byzantine is true.
 	Verifier sig.Verifier
-	// Workers is the number of key-shard workers executing this server's
-	// messages in parallel (one goroutine per worker; a register key is
-	// always handled by the same worker). Zero or negative means GOMAXPROCS.
+	// Workers is the number of workers executing this server's messages.
+	// Up to 1 (the default) the handler runs on the goroutine that drains
+	// the node; above 1 messages are dispatched to that many key-shard
+	// workers (a register key is always handled by the same worker).
 	Workers int
-	// QueueBound, when positive, caps each worker's overflow queue:
-	// requests beyond it are shed and counted (QueueSheds) instead of
-	// queued without bound. Zero keeps the default never-drop queues.
+	// QueueBound, when positive and Workers > 1, caps each worker's overflow
+	// queue: requests beyond it are shed and counted (QueueSheds) instead of
+	// queued without bound. A single worker has no queue of its own; bound
+	// the node's mailbox instead. Zero keeps the default never-drop queues.
 	QueueBound int
 	// Durable, if non-nil, gives the server a write-ahead log in the given
 	// directory: every state mutation is appended before the ack is sent, and

@@ -39,8 +39,8 @@ var ErrTooManyReaders = errors.New("fastread: too many readers for a fast implem
 type Server interface {
 	Start()
 	Stop()
-	// Workers reports the number of key-shard workers the server's executor
-	// actually runs (after defaulting), for operator-facing logs.
+	// Workers reports the number of workers the server's executor actually
+	// runs (1 unless more were configured), for operator-facing logs.
 	Workers() int
 	// TotalMutations counts state mutations across every register, for the
 	// "atomic reads must write" accounting of the paper's Section 8.

@@ -79,8 +79,9 @@ func (b Behavior) String() string {
 type ByzantineConfig struct {
 	// ID is the malicious server's identity.
 	ID types.ProcessID
-	// Workers is the number of key-shard workers executing the server's
-	// messages (zero or negative means GOMAXPROCS). Malicious servers run in
+	// Workers is the number of workers executing the server's messages: up
+	// to 1 (the default) the handler runs on the goroutine that drains the
+	// node, above 1 on that many key-shard workers. Malicious servers run in
 	// the same shell as honest ones so experiments exercise the same delivery
 	// machinery.
 	Workers int

@@ -76,7 +76,8 @@ type Pipeline struct {
 
 	// scratch is Deliver's decode target. Deliver calls are sequential, and
 	// the pipeline's traffic names one register, so the decoded key hits the
-	// message's memo every time.
+	// message's memo every time. Deliver resets it before returning: its Cur,
+	// Prev and WriterSig alias the delivered payload.
 	scratch wire.Message
 
 	// done closes when the node has closed; Acquire uses it to fail fast on
@@ -325,7 +326,9 @@ func (p *Pipeline) removeLocked(op *Op) {
 // single acknowledgement or a batch envelope of them — to the operations it
 // satisfies, then releases the message's reference (accepted acks took their
 // own in handlePayload). Decoding reuses the pipeline's scratch message, so
-// traffic that matches no operation costs no allocations.
+// traffic that matches no operation costs no allocations; the scratch sheds
+// its views of the payload before Deliver returns, so an idle handle pins
+// nothing it decoded.
 func (p *Pipeline) Deliver(m transport.Message) {
 	if wire.IsBatch(m.Payload) {
 		_ = wire.ForEachInBatch(m.Payload, func(sub []byte) error {
@@ -335,6 +338,7 @@ func (p *Pipeline) Deliver(m transport.Message) {
 	} else {
 		p.handlePayload(m.From, m.Payload, m.Arena)
 	}
+	p.scratch.Reset()
 	m.ReleaseArena()
 }
 

@@ -140,6 +140,30 @@ func TestPipelineOneAckSatisfiesSeveralOps(t *testing.T) {
 	}
 }
 
+// TestPipelineDeliverDropsScratchViews: an ack no operation accepts leaves no
+// view of its payload behind in the decode scratch (an idle handle must not
+// pin the last batch it saw), and delivering it still allocates nothing.
+func TestPipelineDeliverDropsScratchViews(t *testing.T) {
+	client, _ := pipeNet(t, 1)
+	p := NewPipeline(client, 4, nil)
+	if err := p.Acquire(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	p.Register(1, rcFilter(99), func([]Ack, error) {})
+	payload := wire.MustEncode(&wire.Message{
+		Op: wire.OpReadAck, Key: "k", TS: 2, RCounter: 1,
+		Cur: types.Value("cur"), Prev: types.Value("prev"), WriterSig: []byte("sig"),
+	})
+	deliver := func() { p.Deliver(transport.Message{From: types.Server(1), Payload: payload}) }
+	deliver()
+	if s := &p.scratch; s.Cur != nil || s.Prev != nil || s.WriterSig != nil {
+		t.Errorf("scratch still aliases the payload: cur=%q prev=%q sig=%q", s.Cur, s.Prev, s.WriterSig)
+	}
+	if allocs := testing.AllocsPerRun(100, deliver); allocs != 0 {
+		t.Errorf("delivering an unmatched ack allocates %v times, want 0", allocs)
+	}
+}
+
 func TestPipelineDepthBlocksAcquire(t *testing.T) {
 	client, servers := pipeNet(t, 1)
 	p := NewPipeline(client, 1, nil)

@@ -3,7 +3,7 @@
 // The paper's servers are pure steps (state, message) → (state', ack): they
 // never wait for another process before replying (Figures 2 and 5). Shell is
 // everything around that step that does not depend on the protocol — the
-// node, the key-sharded executor and its queue bound, the per-key state map,
+// node, the executor (and its queue bound), the per-key state map,
 // the durable log with its LSN-guarded replay and snapshot framing, and the
 // Start/Stop lifecycle — so a protocol server is its state struct, its
 // handler and its record⇄state mapping (Protocol) and nothing else. It is
@@ -47,13 +47,15 @@ type ServerConfig struct {
 	// Verifier is the writer's public key, used by signature-verifying
 	// protocols (fast-byz) and ignored by the crash-model ones.
 	Verifier sig.Verifier
-	// Workers is the number of key-shard workers executing the server's
-	// messages in parallel (a register key is always handled by the same
-	// worker). Zero or negative means GOMAXPROCS.
+	// Workers is the number of workers executing the server's messages. Up
+	// to 1 (the default) the handler runs on the goroutine that drains the
+	// node; above 1 messages are dispatched to that many key-shard workers (a
+	// register key is always handled by the same worker).
 	Workers int
-	// QueueBound, when positive, caps each worker's overflow queue: requests
-	// beyond it are shed and counted (QueueSheds) instead of queued without
-	// bound. Zero keeps the default never-drop queues.
+	// QueueBound, when positive and Workers > 1, caps each worker's overflow
+	// queue: requests beyond it are shed and counted (QueueSheds) instead of
+	// queued without bound. A single worker has no queue of its own; bound
+	// the node's mailbox instead. Zero keeps the default never-drop queues.
 	QueueBound int
 	// Durable, if non-nil, gives the server a write-ahead log in the given
 	// directory (see internal/durable): mutations are logged before acks, and
@@ -273,10 +275,10 @@ func (s *Shell[S]) Range(fn func(key string, st *S)) {
 // Keys returns the keys of every register this server has instantiated.
 func (s *Shell[S]) Keys() []string { return s.states.Keys() }
 
-// Start launches the server's key-sharded executor: messages are dispatched
-// by register key across the configured workers, so distinct registers are
-// served in parallel while each register keeps FIFO, single-goroutine
-// handling (see transport.Executor). Only the first call has an effect.
+// Start launches the server's executor: one goroutine that drains the node and
+// runs the handler by default, or a dispatcher over key-shard workers when
+// more were configured (see transport.Executor). Only the first call has an
+// effect.
 func (s *Shell[S]) Start() {
 	s.startOnce.Do(func() {
 		go func() {
@@ -309,8 +311,7 @@ func (s *Shell[S]) Stop() {
 // ID returns the server's process identity.
 func (s *Shell[S]) ID() types.ProcessID { return s.id }
 
-// Workers returns the number of key-shard workers executing this server's
-// messages.
+// Workers returns the number of workers executing this server's messages.
 func (s *Shell[S]) Workers() int { return s.exec.Workers() }
 
 // QueueSheds returns the number of requests shed by bounded worker queues

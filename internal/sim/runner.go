@@ -25,8 +25,9 @@ const StallWait = 30 * time.Second
 
 // Replayable completes cfg into a deployment that replays byte for byte on
 // clock — the one recipe the scenario runner and the lower-bound stage
-// (internal/adversary) deploy by. ServerWorkers is 1, so each server handles
-// its messages on exactly one goroutine: combined with the clock's
+// (internal/adversary) deploy by. ServerWorkers is 1 — the shipped default,
+// forced here so a caller's cfg cannot opt out — so each server handles its
+// messages on exactly one goroutine: combined with the clock's
 // one-event-at-a-time delivery there is no scheduling freedom anywhere in a
 // run. Nonces read the virtual clock, so a client incarnation created later
 // in virtual time draws a strictly larger initial counter and no wall-clock

@@ -56,9 +56,10 @@ type Sender interface {
 // must stay identical to a direct send — no envelope, no copy), and a batch
 // is materialised only when a second payload shows up.
 type coalesced struct {
-	kind  string
-	first []byte
-	batch *wire.Batch
+	kind    string
+	first   []byte
+	batched bool
+	batch   wire.Batch
 }
 
 // Coalescer buffers outbound messages during one executor run and flushes
@@ -78,6 +79,10 @@ type Coalescer struct {
 	// free recycles coalesced structs across runs (one per destination per
 	// run otherwise — a steady allocation on the server ack path).
 	free []*coalesced
+	// lastBatch is the size of the last envelope flushed to each destination:
+	// the next run that batches for it sizes its envelope from this instead
+	// of append-doubling from zero.
+	lastBatch map[types.ProcessID]int
 
 	// clock/holding make buffered-but-unflushed output count as activity
 	// under a virtual clock: a worker releases the inbound message's token
@@ -98,7 +103,11 @@ type virtualClocked interface {
 
 // NewCoalescer returns an empty coalescer sending through the node.
 func NewCoalescer(node Node) *Coalescer {
-	c := &Coalescer{node: node, byDest: make(map[types.ProcessID]*coalesced)}
+	c := &Coalescer{
+		node:      node,
+		byDest:    make(map[types.ProcessID]*coalesced),
+		lastBatch: make(map[types.ProcessID]int),
+	}
 	if vc, ok := node.(virtualClocked); ok {
 		c.clock = vc.virtualClock()
 	}
@@ -140,14 +149,23 @@ func (c *Coalescer) Send(to types.ProcessID, kind string, payload []byte) error 
 		c.order = append(c.order, to)
 		return nil
 	}
-	if e.batch == nil {
-		e.batch = wire.NewBatch(0)
-		c.appendPayload(e.batch, e.first)
-		e.first = nil
-		e.kind = wire.BatchKind
+	if !e.batched {
+		c.promote(to, e, len(payload))
 	}
-	c.appendPayload(e.batch, payload)
+	c.appendPayload(&e.batch, payload)
 	return nil
+}
+
+// promote turns the destination's lone payload into a batch envelope about to
+// take a second message of up to next bytes. The envelope is allocated once,
+// at the size of the last batch flushed to the destination (runs to one client
+// repeat their shape), or at exactly the two messages' size without history.
+func (c *Coalescer) promote(to types.ProcessID, e *coalesced, next int) {
+	e.batch.Grow(max(c.lastBatch[to], wire.BatchOverhead(2)+len(e.first)+next))
+	c.appendPayload(&e.batch, e.first)
+	e.first = nil
+	e.kind = wire.BatchKind
+	e.batched = true
 }
 
 // appendPayload adds one payload to a batch, flattening payloads that are
@@ -177,11 +195,8 @@ func (c *Coalescer) SendMessage(to types.ProcessID, m *wire.Message) error {
 		c.order = append(c.order, to)
 		return nil
 	}
-	if e.batch == nil {
-		e.batch = wire.NewBatch(0)
-		c.appendPayload(e.batch, e.first)
-		e.first = nil
-		e.kind = wire.BatchKind
+	if !e.batched {
+		c.promote(to, e, wire.EncodedSize(m))
 	}
 	return e.batch.AppendMessage(m)
 }
@@ -212,10 +227,12 @@ func (c *Coalescer) reset(send bool) {
 		e := c.byDest[to]
 		if !send {
 			// Dropped with the rest of the run.
-		} else if e.batch == nil {
+		} else if !e.batched {
 			_ = c.node.Send(to, e.kind, e.first)
 		} else {
-			_ = c.node.Send(to, wire.BatchKind, e.batch.Bytes())
+			env := e.batch.Bytes()
+			c.lastBatch[to] = len(env)
+			_ = c.node.Send(to, wire.BatchKind, env)
 			// The buffer now belongs to the transport; never reuse it.
 			e.batch.Detach()
 		}

@@ -144,6 +144,51 @@ func TestCoalescerBatchesPerDestination(t *testing.T) {
 	}
 }
 
+// countingNode counts Sends and keeps the last payload, allocating nothing.
+type countingNode struct {
+	recordingNode
+	sends int
+	last  []byte
+}
+
+func (c *countingNode) Send(_ types.ProcessID, _ string, payload []byte) error {
+	c.sends++
+	c.last = payload
+	return nil
+}
+
+// TestCoalescerRunAllocatesEnvelopeOnce: once a destination has seen one
+// batch, a run of k acks to it costs one allocation — the envelope, sized
+// from the previous run — and leaves as one send of exactly that size.
+func TestCoalescerRunAllocatesEnvelopeOnce(t *testing.T) {
+	const k = 16
+	node := &countingNode{}
+	co := NewCoalescer(node)
+	acks := make([][]byte, k)
+	for i := range acks {
+		acks[i] = encodedMsg(wire.OpReadAck, "key", int64(i+1))
+	}
+	run := func() {
+		for _, ack := range acks {
+			_ = co.Send(types.Reader(1), "readack", ack)
+		}
+		co.Flush()
+	}
+	run() // warm-up: the destination's entry and its size history
+	if allocs := testing.AllocsPerRun(20, run); allocs != 1 {
+		t.Errorf("a run of %d acks to one destination allocates %v times, want 1", k, allocs)
+	}
+	if node.sends != 22 {
+		t.Errorf("%d sends over 22 runs, want one each", node.sends)
+	}
+	if n, err := wire.BatchCount(node.last); err != nil || n != k {
+		t.Fatalf("last envelope carries %d messages (%v), want %d", n, err, k)
+	}
+	if cap(node.last) != len(node.last) {
+		t.Errorf("envelope of %d bytes has capacity %d: not sized from the previous run", len(node.last), cap(node.last))
+	}
+}
+
 func TestExecutorRunCoalescingFlushesPerRun(t *testing.T) {
 	net := NewInMemNetwork()
 	t.Cleanup(func() { _ = net.Close() })

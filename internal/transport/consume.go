@@ -8,7 +8,10 @@ package transport
 // that consumes that node. Consume is that consumer's loop, written once;
 // the executor (server side) and the demux pump (client side) are its two
 // callers, and whatever they do with a message — run a handler, call a
-// client engine — happens on the goroutine Consume was called on.
+// client engine — happens on the goroutine Consume was called on. The rule
+// holds by default on both sides: a server's executor has one worker, whose
+// handler runs inside Consume. Only a server that opts into key-shard workers
+// (ServerWorkers > 1) adds a dispatcher and a second wake-up per request.
 //
 // Send never runs receiver code: the node's queue stays the one asynchronous
 // boundary, so a sender may hold its own locks across a broadcast.

@@ -1,20 +1,23 @@
 package transport
 
 import (
-	"runtime"
 	"sync"
 	"sync/atomic"
 
 	"fastread/internal/shard"
 )
 
-// Executor consumes a node (Consume) and executes a handler over N key-sharded
-// workers, so one server process scales across cores instead of serialising
-// every register's traffic through a single handler goroutine.
+// Executor consumes a node (Consume) and runs a handler over every message it
+// delivers. By default — one worker — the handler runs inside Consume, on the
+// goroutine that drains the node: the node's queue is the only queue between a
+// Send and its handler, the node's run is the handler's run, and the server
+// is the paper's one sequential step per message (receive, update, reply).
 //
-// Each delivered message is dispatched by the hash of its register key to a
-// fixed worker: the SAME key always lands on the SAME worker. That preserves,
-// at worker granularity, the two properties the protocol servers rely on:
+// With more than one worker the executor opts into key sharding, so one server
+// process can spread distinct registers across cores. Each delivered message
+// is dispatched by the hash of its register key to a fixed worker: the SAME
+// key always lands on the SAME worker. That preserves, at worker granularity,
+// the two properties the protocol servers rely on:
 //
 //   - Per-key FIFO delivery. The dispatcher consumes the node in delivery
 //     order and each worker's queue is FIFO, so two messages carrying the
@@ -41,17 +44,18 @@ import (
 //
 // The dispatcher→worker handoff is a lock-free SPSC ring (see ring.go): the
 // dispatcher is each worker queue's single producer and the worker its single
-// consumer, so steady-state dispatch is wait-free on both sides, with the
-// unbounded mailbox kept as the burst spill path (order-preserving, never
-// dropping — the PR 3/PR 5 starvation guarantees are unchanged). Workers
-// handle RUNS of messages between blocking waits, and RunCoalescing exposes
-// the same run boundary to the handler's OUTPUT: a run-scoped Coalescer
-// batches the run's acknowledgements into one send per destination, flushed
-// when the run ends — after the run-end hook (SetRunEnd), if one is set, so
-// whatever the run staged is committed once, before any of its acks leaves.
+// consumer, with the unbounded mailbox kept as the burst spill path
+// (order-preserving, never dropping). Either way the handler runs in RUNS of
+// messages between blocking waits, and RunCoalescing exposes the run boundary
+// to the handler's OUTPUT: a run-scoped Coalescer batches the run's
+// acknowledgements into one send per destination, flushed when the run ends —
+// after the run-end hook (SetRunEnd), if one is set, so whatever the run
+// staged is committed once, before any of its acks leaves.
 type Executor struct {
-	node    Node
-	keyOf   KeyFunc
+	node  Node
+	keyOf KeyFunc
+	// workers are the key-shard workers' queues; nil with one worker, whose
+	// handler runs on the goroutine that consumes the node.
 	workers []*handoff
 	// runEnd is the run-end hook (see SetRunEnd); nil without one.
 	runEnd func() error
@@ -60,22 +64,23 @@ type Executor struct {
 	sheds atomic.Int64
 }
 
-// NewExecutor builds an executor over the node with the given number of
-// key-shard workers (GOMAXPROCS if workers <= 0). It does not start any
-// goroutine; call RunCoalescing.
+// NewExecutor builds an executor over the node. workers <= 1 is the default
+// single worker: the handler runs on the goroutine that consumes the node, with
+// no dispatcher and no ring. workers > 1 opts into that many key-shard workers
+// behind a dispatcher. It does not start any goroutine; call RunCoalescing.
 func NewExecutor(node Node, keyOf KeyFunc, workers int) *Executor {
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
 	e := &Executor{node: node, keyOf: keyOf}
-	for i := 0; i < workers; i++ {
-		e.workers = append(e.workers, newHandoff())
+	if workers > 1 {
+		e.workers = make([]*handoff, workers)
+		for i := range e.workers {
+			e.workers[i] = newHandoff()
+		}
 	}
 	return e
 }
 
-// Workers returns the number of key-shard workers.
-func (e *Executor) Workers() int { return len(e.workers) }
+// Workers returns the number of workers running the handler.
+func (e *Executor) Workers() int { return max(1, len(e.workers)) }
 
 // SetQueueBound caps each worker's overflow queue at n messages (on top of
 // the fixed per-worker ring): a dispatch that finds the target worker's ring
@@ -86,9 +91,9 @@ func (e *Executor) Workers() int { return len(e.workers) }
 // lives here on the server ingress and not on client-side acks. n <= 0 (the
 // default) keeps the never-drop spill of PR 3/PR 5.
 //
-// Must be called before RunCoalescing. Note the single-worker
-// degenerate path (workers == 1) bypasses the worker queues entirely —
-// bound the node's own mailbox instead there (inmem WithMailboxBound).
+// Must be called before RunCoalescing. A single-worker executor has no worker
+// queues, so this is a no-op there: bound the node's own mailbox instead
+// (inmem WithMailboxBound).
 func (e *Executor) SetQueueBound(n int) {
 	if n <= 0 {
 		return
@@ -103,8 +108,8 @@ func (e *Executor) SetQueueBound(n int) {
 // of every run, before flushing the run's coalesced output and whether or not
 // the run produced any, and a non-nil error DISCARDS that output instead. A
 // durable server commits its log here — one commit per run, acks only behind
-// it. fn is called from every worker goroutine, concurrently. Must be called
-// before RunCoalescing.
+// it. With key-shard workers fn is called from every worker goroutine,
+// concurrently. Must be called before RunCoalescing.
 func (e *Executor) SetRunEnd(fn func() error) { e.runEnd = fn }
 
 // endRun closes one run: the hook, then the run's output — sent if the hook
@@ -134,18 +139,19 @@ func (e *Executor) Sheds() int64 { return e.sheds.Load() }
 // acknowledgement send instead of k — and, with a run-end hook committing a
 // log, one fsync instead of k.
 //
-// With a single worker the dispatch hop would buy nothing, so the handler
-// runs on the calling goroutine: the node's queue is the only queue, and its
-// run boundary is the executor's. Otherwise the caller is the dispatcher:
-// expand each delivered message, route by key hash into per-worker queues,
-// and on close drain every worker before returning.
+// With a single worker (the default) the handler runs on the calling
+// goroutine: the node's queue is the only queue, and its run boundary is the
+// executor's — one mailbox run is one coalescer run and one commit group.
+// Otherwise the caller is the dispatcher: expand each delivered message, route
+// by key hash into per-worker queues, and on close drain every worker before
+// returning.
 //
 // Arena accounting: each queued sub-message takes its own reference (several
 // workers may hold views of one frame concurrently), the worker releases it
 // after handling, and the dispatcher releases the delivered envelope's
 // reference once expansion is done.
 func (e *Executor) RunCoalescing(handler func(Message, Sender)) {
-	if len(e.workers) == 1 {
+	if e.workers == nil {
 		co := NewCoalescer(e.node)
 		Consume(e.node, expanding(func(m Message) { handler(m, co) }), func() { e.endRun(co) })
 		return

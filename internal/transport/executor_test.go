@@ -215,17 +215,23 @@ func TestExecutorRoutesUnkeyedMessages(t *testing.T) {
 	execDone.Wait()
 }
 
-// TestExecutorSingleWorkerInline checks the one-worker degenerate case (the
-// GOMAXPROCS=1 shape): handling still works and Run still drains on close.
+// TestExecutorSingleWorkerInline checks the one-worker default — what any
+// worker count up to 1 builds, whatever GOMAXPROCS is: handling still works
+// and Run still drains on close.
 func TestExecutorSingleWorkerInline(t *testing.T) {
 	net := NewInMemNetwork()
 	defer func() { _ = net.Close() }()
 	server := mustJoin(t, net, types.Server(1))
 	client := mustJoin(t, net, types.Writer())
 
-	exec := NewExecutor(server, execKeyFunc, 1)
+	for _, workers := range []int{-1, 1} {
+		if got := NewExecutor(server, execKeyFunc, workers).Workers(); got != 1 {
+			t.Errorf("NewExecutor(…, %d).Workers() = %d, want 1", workers, got)
+		}
+	}
+	exec := NewExecutor(server, execKeyFunc, 0)
 	if exec.Workers() != 1 {
-		t.Fatalf("workers = %d, want 1", exec.Workers())
+		t.Fatalf("NewExecutor(…, 0).Workers() = %d, want 1", exec.Workers())
 	}
 	var mu sync.Mutex
 	var got []int

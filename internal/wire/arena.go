@@ -39,22 +39,46 @@ type Arena struct {
 	refs atomic.Int32
 }
 
-// maxArenaRetain bounds the buffers the arena pool keeps. A frame larger than
+// maxArenaRetain bounds the buffers the arena pools keep. A frame larger than
 // this (a burst batch close to the transports' frame caps) still gets an
 // arena, but the oversized buffer is abandoned to the GC on final release
 // instead of pinning pool memory forever.
 const maxArenaRetain = 64 << 10
 
-// arenaPool recycles Arena structs together with their buffers.
-var arenaPool = sync.Pool{New: func() any { return new(Arena) }}
+// minArenaClass is the smallest pooled buffer. Pooled buffers come in
+// power-of-two classes from here up to maxArenaRetain, and a frame takes the
+// smallest class that holds it: an arena retained past its frame (a value
+// adopted into register state) pins at most twice the frame, never whatever
+// larger frame its buffer carried before.
+const minArenaClass = 1 << 10
+
+// arenaPools recycles Arena structs together with their buffers, one pool per
+// size class: arenaPools[i] holds buffers of exactly minArenaClass<<i bytes,
+// 1 KiB to 64 KiB.
+var arenaPools [7]sync.Pool
+
+// arenaClass returns the index of the smallest class holding n bytes, or -1
+// when n exceeds maxArenaRetain.
+func arenaClass(n int) int {
+	if n > maxArenaRetain {
+		return -1
+	}
+	c := 0
+	for minArenaClass<<c < n {
+		c++
+	}
+	return c
+}
 
 // GetArena returns an arena whose buffer holds exactly n bytes, taking it
-// from the pool (growing the buffer if needed). The arena starts with ONE
-// reference, owned by the caller.
+// from the pool of n's size class. The arena starts with ONE reference, owned
+// by the caller.
 func GetArena(n int) *Arena {
-	a := arenaPool.Get().(*Arena)
-	if cap(a.buf) < n {
-		a.buf = make([]byte, n)
+	var a *Arena
+	if c := arenaClass(n); c < 0 {
+		a = &Arena{buf: make([]byte, n)}
+	} else if a, _ = arenaPools[c].Get().(*Arena); a == nil {
+		a = &Arena{buf: make([]byte, minArenaClass<<c)}
 	}
 	a.buf = a.buf[:n]
 	a.refs.Store(1)
@@ -82,10 +106,10 @@ func (a *Arena) Release() {
 	case n < 0:
 		panic("wire: arena released more often than referenced")
 	}
-	if cap(a.buf) > maxArenaRetain {
-		a.buf = nil
+	// An unpooled (oversized) buffer has no class and goes to the GC.
+	if c := arenaClass(cap(a.buf)); c >= 0 {
+		arenaPools[c].Put(a)
 	}
-	arenaPool.Put(a)
 }
 
 // Refs reports the current reference count (for tests and diagnostics).

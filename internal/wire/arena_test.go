@@ -54,6 +54,30 @@ func TestArenaDoubleReleasePanics(t *testing.T) {
 	a.Release()
 }
 
+// TestArenaPinsAtMostItsClass: a small frame never gets the buffer a large
+// frame left in the pool, so retaining its arena pins at most the smallest
+// class that holds it; frames beyond maxArenaRetain stay unpooled.
+func TestArenaPinsAtMostItsClass(t *testing.T) {
+	GetArena(60_000).Release()
+	small := GetArena(100)
+	if c := cap(small.Bytes()); c > minArenaClass {
+		t.Errorf("a 100-byte frame got a %d-byte buffer, want at most %d", c, minArenaClass)
+	}
+	small.Release()
+	for _, n := range []int{1, minArenaClass, minArenaClass + 1, 3000, maxArenaRetain} {
+		a := GetArena(n)
+		if c := cap(a.Bytes()); c < n || c >= 2*max(n, minArenaClass) {
+			t.Errorf("GetArena(%d) has capacity %d, want [%d, %d)", n, c, n, 2*max(n, minArenaClass))
+		}
+		a.Release()
+	}
+	big := GetArena(maxArenaRetain + 1)
+	big.Release()
+	if again := GetArena(maxArenaRetain + 1); again == big {
+		t.Error("an oversized arena was pooled")
+	}
+}
+
 func TestArenaReuseGrowsBuffer(t *testing.T) {
 	a := GetArena(4)
 	a.Release()

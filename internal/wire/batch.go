@@ -42,6 +42,10 @@ const MaxBatchMessages = 1 << 20
 // BatchKind is the transport-level message kind used for batch payloads.
 const BatchKind = "batch"
 
+// BatchOverhead is the envelope's cost beyond the messages themselves for a
+// batch of n messages: the header plus one length prefix per message.
+func BatchOverhead(n int) int { return batchHeaderSize + 4*n }
+
 // IsBatch reports whether the payload is a batch envelope.
 func IsBatch(data []byte) bool {
 	return len(data) >= batchHeaderSize && data[0] == batchMarker
@@ -90,6 +94,19 @@ func (b *Batch) Size() int {
 		return 0
 	}
 	return len(b.buf) - b.prefix
+}
+
+// Grow makes room for n more bytes, so appends totalling n bytes — counting
+// the envelope header (and prefix) the first append writes — do not
+// reallocate. A builder that knows roughly how large the batch will get pays
+// one allocation instead of append-doubling from zero.
+func (b *Batch) Grow(n int) {
+	if n <= cap(b.buf)-len(b.buf) {
+		return
+	}
+	buf := make([]byte, len(b.buf), len(b.buf)+n)
+	copy(buf, b.buf)
+	b.buf = buf
 }
 
 // ensureHeader lazily writes the prefix placeholder and envelope header on

@@ -212,6 +212,34 @@ func TestBatchAppendMessageRejectsInvalid(t *testing.T) {
 	}
 }
 
+// TestBatchGrow: after Grow(n), appends totalling n bytes — header included —
+// reuse the one buffer, and growing a non-empty batch keeps its contents.
+func TestBatchGrow(t *testing.T) {
+	payload := []byte("twelve bytes")
+	const k = 8
+	need := batchHeaderSize + k*(4+len(payload))
+	var b Batch
+	if allocs := testing.AllocsPerRun(20, func() {
+		b.Grow(need)
+		for i := 0; i < k; i++ {
+			b.Append(payload)
+		}
+		if b.Size() != need {
+			t.Fatalf("size %d, want %d", b.Size(), need)
+		}
+		b.Detach()
+	}); allocs != 1 {
+		t.Fatalf("%v allocations for a grown batch, want 1", allocs)
+	}
+
+	b.Append(payload)
+	b.Grow(1 << 10)
+	b.Append(payload)
+	if got := collectBatch(t, b.Bytes()); len(got) != 2 || !bytes.Equal(got[0], payload) || !bytes.Equal(got[1], payload) {
+		t.Fatalf("grown batch decoded to %q", got)
+	}
+}
+
 // verify header invariants the tcpnet flusher relies on.
 func TestBatchHeaderLayout(t *testing.T) {
 	b := NewBatch(0)

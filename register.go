@@ -77,13 +77,14 @@ type Config struct {
 	// every process of a deployment must use the same ordered list (see
 	// internal/topology). Empty means the classic single-group deployment.
 	Groups []GroupSpec
-	// ServerWorkers is the number of key-shard workers each server process
-	// runs: its messages are dispatched by register key across that many
-	// goroutines, so distinct keys execute in parallel while every key keeps
-	// FIFO, single-goroutine handling (see internal/transport.Executor).
-	// Zero or negative means GOMAXPROCS — except in NewCluster, which
-	// rewrites zero to 1 (a lone register's traffic all hashes to one shard;
-	// pass a negative value there to force GOMAXPROCS workers).
+	// ServerWorkers is the number of workers each server process runs its
+	// handler on. Zero, negative and 1 all mean the default single worker:
+	// the handler runs on the goroutine that drains the server's node, so a
+	// request meets one queue and one wake-up. Above 1, messages are
+	// dispatched by register key across that many goroutines, so distinct
+	// keys execute in parallel while every key keeps FIFO, single-goroutine
+	// handling (see internal/transport.Executor), at the cost of a dispatcher
+	// hop per request.
 	ServerWorkers int
 	// PipelineDepth bounds the operations ONE handle keeps in flight through
 	// the async API (Writer.WriteAsync / Reader.ReadAsync): a submission
@@ -103,8 +104,9 @@ type Config struct {
 	// keeps the block-until-free behaviour.
 	AdmissionWait time.Duration
 	// QueueBound, when positive, caps each SERVER's inbound queues — the
-	// in-memory transport mailbox and every executor worker's overflow
-	// queue — at that many messages: deliveries beyond the cap are shed
+	// in-memory transport mailbox, and every executor worker's overflow
+	// queue when ServerWorkers > 1 (socket inboxes stay capped at 1 024
+	// messages) — at that many messages: deliveries beyond the cap are shed
 	// and counted in Stats.ShedDrops instead of growing the queue, so
 	// server memory, queueing delay and MailboxHighWater stay bounded
 	// under overload. Shedding a request is as safe as a lossy network:
@@ -404,7 +406,8 @@ type Stats struct {
 	// SendDrops/InboundDrops instead).
 	MailboxHighWater int
 	// ShedDrops counts messages shed by the opt-in overload bound —
-	// bounded server mailboxes and executor queues (Config.QueueBound).
+	// bounded server mailboxes and, with ServerWorkers > 1, key-shard
+	// worker queues (Config.QueueBound).
 	// Always 0 without it. Together with client-side ErrOverloaded rejections (which the
 	// caller observes directly), this is the exact account of where
 	// offered load beyond capacity went.

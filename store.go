@@ -273,9 +273,8 @@ func (s *Store) groupLocked(gi int) (*storeGroup, error) {
 }
 
 // startGroup launches the group's servers and attaches its writer and reader
-// identities. Each server executes its messages on a key-sharded executor
-// with cfg.ServerWorkers workers, so one server process serves every
-// register the group owns, in parallel across keys.
+// identities. One server process serves every register the group owns, on one
+// worker by default or on cfg.ServerWorkers key-shard workers.
 func (s *Store) startGroup(g *storeGroup) error {
 	if s.cfg.DataDir != "" {
 		g.durCounters = make([]*durable.Counters, g.qcfg.Servers)
