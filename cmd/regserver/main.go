@@ -55,7 +55,6 @@ import (
 	"fmt"
 	"os"
 	"os/signal"
-	"runtime"
 	"strings"
 	"syscall"
 
@@ -82,14 +81,6 @@ func main() {
 	}
 }
 
-// workersFlag declares -workers. The library's default is one worker, whose
-// handler runs on the goroutine draining the node; regserver is the one
-// process hosting a single server, so key-shard workers are its only way onto
-// more than one core, and its default stays one per GOMAXPROCS, written out.
-func workersFlag(fs *flag.FlagSet) *int {
-	return fs.Int("workers", runtime.GOMAXPROCS(0), "workers executing messages: 1 runs the handler on the socket's consumer goroutine, more shard messages by register key across that many goroutines")
-}
-
 func run(args []string) error {
 	fs := flag.NewFlagSet("regserver", flag.ContinueOnError)
 	var (
@@ -104,7 +95,7 @@ func run(args []string) error {
 		readers   = fs.Int("R", 1, "number of reader processes")
 		pubKey    = fs.String("writer-pubkey", "", "hex-encoded writer public key (signature-verifying protocols)")
 		listen    = fs.String("listen", "", "listen address override (defaults to the address book entry)")
-		workers   = workersFlag(fs)
+		workers   = fs.Int("workers", 1, "workers executing messages: 1 runs the handler on the socket's consumer goroutine, more shard messages by register key across that many goroutines")
 		qbound    = fs.Int("queue-bound", 0, "cap on each key-shard worker's queue (bounds worker queues only, so only with -workers > 1): excess messages are shed and counted instead of queueing without bound (0 = unbounded)")
 		trans     = fs.String("transport", "tcp", "socket transport: tcp | udp (must match the clients)")
 		dataDir   = fs.String("data-dir", "", "private durable-state directory for THIS server process: mutations are write-ahead logged there before acknowledgement and recovered on restart (empty = in-memory only)")

@@ -1,10 +1,8 @@
 package main
 
 import (
-	"flag"
 	"os"
 	"path/filepath"
-	"runtime"
 	"strings"
 	"testing"
 
@@ -73,28 +71,6 @@ func TestGroupShapeInheritsPerField(t *testing.T) {
 		err := run([]string{"-id", "s1", "-groups", topo, "-group", "g", "-protocol", "fast", "-S", "4", "-t", "1", "-R", "2"})
 		if err == nil || !strings.Contains(err.Error(), `group "g"`) || !strings.Contains(err.Error(), tc.want+" ") {
 			t.Errorf("%s: run = %v, want a refusal of group \"g\" at %s", tc.name, err, tc.want)
-		}
-	}
-}
-
-// TestWorkersFlagDefault pins -workers' parsed default: one key-shard worker
-// per GOMAXPROCS, written out in the flag rather than left to the library,
-// whose default is one worker.
-func TestWorkersFlagDefault(t *testing.T) {
-	for _, tc := range []struct {
-		args []string
-		want int
-	}{
-		{nil, runtime.GOMAXPROCS(0)},
-		{[]string{"-workers", "1"}, 1},
-	} {
-		fs := flag.NewFlagSet("regserver", flag.ContinueOnError)
-		workers := workersFlag(fs)
-		if err := fs.Parse(tc.args); err != nil {
-			t.Fatal(err)
-		}
-		if *workers != tc.want {
-			t.Errorf("%v: -workers = %d, want %d", tc.args, *workers, tc.want)
 		}
 	}
 }

@@ -16,17 +16,17 @@ package transport
 // Send never runs receiver code: the node's queue stays the one asynchronous
 // boundary, so a sender may hold its own locks across a broadcast.
 
-// runDrainer is implemented by nodes that own a multi-producer queue a
-// consumer can drain on its own goroutine (the in-memory node's mailbox).
-// Nodes that only have a channel — the socket cores, whose buffered inbox
-// already is their queue, test doubles, decorators — do not, and Consume
-// ranges over their Inbox instead.
-type runDrainer interface {
-	// drainRuns delivers the node's messages on the calling goroutine, run
+// RunDrainer is implemented by nodes that own a multi-producer queue a
+// consumer can drain on its own goroutine: the in-memory node's mailbox and
+// the socket core's inbound queue (framed.Core), which a read loop fills one
+// whole frame at a time. Nodes that only have a channel — test doubles,
+// decorators — do not, and Consume ranges over their Inbox instead.
+type RunDrainer interface {
+	// DrainRuns delivers the node's messages on the calling goroutine, run
 	// by run, until the node is closed and drained. It reports false, having
 	// delivered nothing, when the node already feeds a channel (Inbox was
 	// called first): a node has one consumer style for its lifetime.
-	drainRuns(deliver func(Message), runEnd func()) bool
+	DrainRuns(deliver func(Message), runEnd func()) bool
 }
 
 // Consume delivers every message the node receives to deliver, on the calling
@@ -38,17 +38,19 @@ type runDrainer interface {
 // came back for more — and runEnd, if non-nil, is called after the last
 // message of every run, before the consumer blocks again, and once more when
 // the node has closed. A run is one batched pop of an in-memory node's
-// mailbox (one message per run on a network without batching), or, on a
-// channel-only node, one blocking receive plus whatever else was immediately
-// ready. An idle node therefore ends a run after every message, while a
-// backlog ends one run for all of it: the server's ack coalescer and
-// group-commit hook hang off exactly this boundary.
+// mailbox (one message per run on a network without batching), one batched
+// pop of a socket node's inbound queue (whole frames only: a run never ends
+// partway through a frame), or, on a channel-only node, one blocking receive
+// plus whatever else was immediately ready. An idle node therefore ends a run
+// after every message (or frame), while a backlog ends one run for all of it:
+// the server's ack coalescer and group-commit hook hang off exactly this
+// boundary.
 func Consume(node Node, deliver func(Message), runEnd func()) {
 	if runEnd == nil {
 		runEnd = func() {}
 	}
 	defer runEnd()
-	if d, ok := node.(runDrainer); ok && d.drainRuns(deliver, runEnd) {
+	if d, ok := node.(RunDrainer); ok && d.DrainRuns(deliver, runEnd) {
 		return
 	}
 	inbox := node.Inbox()

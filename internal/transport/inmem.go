@@ -532,7 +532,7 @@ func (n *InMemNetwork) dispatchDelayed() {
 
 // inMemNode is a single process attachment: an identity and a mailbox. It
 // owns no goroutine of its own — whoever consumes the node runs the mailbox
-// (transport.Consume → drainRuns), so a message crosses one queue and wakes
+// (transport.Consume → DrainRuns), so a message crosses one queue and wakes
 // one goroutine between Send and its handler. The channel of the Node
 // interface exists only behind Inbox: the first call builds it and starts
 // the pump that feeds it, for consumers that want to select on a channel
@@ -559,14 +559,14 @@ type inMemNode struct {
 
 var (
 	_ Node       = (*inMemNode)(nil)
-	_ runDrainer = (*inMemNode)(nil)
+	_ RunDrainer = (*inMemNode)(nil)
 )
 
-// drainRuns implements runDrainer: the caller becomes the node's consumer. A
+// DrainRuns implements RunDrainer: the caller becomes the node's consumer. A
 // run is one batched pop of the mailbox — one lock/condvar synchronisation
 // per run, not per message — or a single message on a network without
 // batching (every virtual-clock network): runs of one.
-func (nd *inMemNode) drainRuns(deliver func(Message), runEnd func()) bool {
+func (nd *inMemNode) DrainRuns(deliver func(Message), runEnd func()) bool {
 	nd.mu.Lock()
 	if nd.inbox != nil {
 		nd.mu.Unlock()

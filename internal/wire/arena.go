@@ -48,8 +48,11 @@ const maxArenaRetain = 64 << 10
 // minArenaClass is the smallest pooled buffer. Pooled buffers come in
 // power-of-two classes from here up to maxArenaRetain, and a frame takes the
 // smallest class that holds it: an arena retained past its frame (a value
-// adopted into register state) pins at most twice the frame, never whatever
-// larger frame its buffer carried before.
+// adopted into register state) pins at most max(2 × the frame, 1 KiB), never
+// whatever larger frame its buffer carried before. The 1 KiB floor is the
+// price of pooling small frames: a 60-byte ack or datagram adopted into
+// register state pins a whole 1 KiB buffer, where an exact-size buffer would
+// cost an allocation on every small frame.
 const minArenaClass = 1 << 10
 
 // arenaPools recycles Arena structs together with their buffers, one pool per
@@ -70,9 +73,9 @@ func arenaClass(n int) int {
 	return c
 }
 
-// GetArena returns an arena whose buffer holds exactly n bytes, taking it
-// from the pool of n's size class. The arena starts with ONE reference, owned
-// by the caller.
+// GetArena returns an arena whose Bytes are exactly n long, taking it from
+// the pool of n's size class (so the buffer's capacity is that class, at least
+// minArenaClass). The arena starts with ONE reference, owned by the caller.
 func GetArena(n int) *Arena {
 	var a *Arena
 	if c := arenaClass(n); c < 0 {

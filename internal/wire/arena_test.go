@@ -56,7 +56,8 @@ func TestArenaDoubleReleasePanics(t *testing.T) {
 
 // TestArenaPinsAtMostItsClass: a small frame never gets the buffer a large
 // frame left in the pool, so retaining its arena pins at most the smallest
-// class that holds it; frames beyond maxArenaRetain stay unpooled.
+// class that holds it — max(2 × the frame, 1 KiB); frames beyond
+// maxArenaRetain stay unpooled.
 func TestArenaPinsAtMostItsClass(t *testing.T) {
 	GetArena(60_000).Release()
 	small := GetArena(100)
@@ -64,10 +65,13 @@ func TestArenaPinsAtMostItsClass(t *testing.T) {
 		t.Errorf("a 100-byte frame got a %d-byte buffer, want at most %d", c, minArenaClass)
 	}
 	small.Release()
-	for _, n := range []int{1, minArenaClass, minArenaClass + 1, 3000, maxArenaRetain} {
+	for _, n := range []int{1, 60, minArenaClass, minArenaClass + 1, 3000, maxArenaRetain} {
 		a := GetArena(n)
-		if c := cap(a.Bytes()); c < n || c >= 2*max(n, minArenaClass) {
-			t.Errorf("GetArena(%d) has capacity %d, want [%d, %d)", n, c, n, 2*max(n, minArenaClass))
+		if c := cap(a.Bytes()); c < n || c > max(2*n, minArenaClass) {
+			t.Errorf("GetArena(%d) has capacity %d, want [%d, %d]", n, c, n, max(2*n, minArenaClass))
+		}
+		if n < minArenaClass && cap(a.Bytes()) != minArenaClass {
+			t.Errorf("GetArena(%d) pins %d bytes, want the %d-byte floor", n, cap(a.Bytes()), minArenaClass)
 		}
 		a.Release()
 	}
