@@ -408,7 +408,7 @@ func BenchmarkStoreParallelKeys(b *testing.B) {
 // BenchmarkStoreGroups measures horizontal scale-out: the SAME 64-key
 // closed-loop workload under the SAME CPU budget (GOMAXPROCS pinned to 4, 16
 // client workers), served by 1, 2 or 4 consistent-hash replica groups.
-// Every server runs ONE executor worker — the "smallest server" whose
+// Every server runs one executor goroutine — the "smallest server" whose
 // capacity caps an unpartitioned replica set — so a single group's execution
 // and its per-process mailbox pumps are a fixed-size bottleneck no matter
 // how many keys it serves, while each added group brings its own servers,
@@ -431,8 +431,7 @@ func BenchmarkStoreGroups(b *testing.B) {
 				specs[i] = GroupSpec{Name: fmt.Sprintf("g%d", i)}
 			}
 			store, err := NewStore(Config{
-				Servers: 4, Faulty: 1, Readers: 1, Protocol: ProtocolFast,
-				ServerWorkers: 1, Groups: specs,
+				Servers: 4, Faulty: 1, Readers: 1, Protocol: ProtocolFast, Groups: specs,
 			})
 			if err != nil {
 				b.Fatalf("NewStore: %v", err)
@@ -636,13 +635,12 @@ func benchmarkPipelinedReadSocket(b *testing.B, depth int, tr Transport) {
 }
 
 // BenchmarkSaturation measures sustained read throughput at a fixed 4-core
-// budget: GOMAXPROCS is pinned to 4, each server runs 4 key-shard workers,
-// and one reader per key keeps a deep pipeline full over 4 registers at
-// once. The reported ops/sec is what each backend sustains when the CPU —
-// not a single operation's round-trip — is the bottleneck, which is the
-// regime the raw-speed transport tier exists for. (On machines with fewer
-// than 4 CPUs the pin is a no-op upper bound; compare backends within one
-// run, not across machines.)
+// budget: GOMAXPROCS is pinned to 4, and one reader per key keeps a deep
+// pipeline full over 4 registers at once. The reported ops/sec is what each
+// backend sustains when the CPU — not a single operation's round-trip — is
+// the bottleneck, which is the regime the raw-speed transport tier exists
+// for. (On machines with fewer than 4 CPUs the pin is a no-op upper bound;
+// compare backends within one run, not across machines.)
 func BenchmarkSaturation(b *testing.B) {
 	backends := []struct {
 		name string
@@ -660,7 +658,7 @@ func BenchmarkSaturation(b *testing.B) {
 			defer runtime.GOMAXPROCS(prev)
 			store, err := NewStore(Config{
 				Servers: 4, Faulty: 1, Readers: 1, Protocol: ProtocolFast,
-				ServerWorkers: 4, PipelineDepth: depth, Transport: be.tr,
+				PipelineDepth: depth, Transport: be.tr,
 			})
 			if err != nil {
 				b.Fatalf("NewStore: %v", err)
@@ -682,7 +680,7 @@ func BenchmarkSaturation(b *testing.B) {
 			}
 			// Round-robin submission keeps every handle at most depth deep
 			// while the combined window holds keyCount*depth operations in
-			// flight — enough concurrency to saturate the 4 worker shards.
+			// flight — enough concurrency to saturate the servers.
 			type inflightRead struct {
 				f   *ReadFuture
 				key int

@@ -14,7 +14,6 @@ import (
 func newByzantineServer(cfg Config, behavior ByzantineBehavior, id types.ProcessID, node transport.Node) (driver.Server, error) {
 	fcfg := fault.ByzantineConfig{
 		ID:       id,
-		Workers:  cfg.ServerWorkers,
 		Behavior: behavior,
 		Readers:  cfg.Readers,
 	}

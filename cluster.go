@@ -16,9 +16,7 @@ type Cluster struct {
 }
 
 // NewCluster builds and starts a single-register deployment according to
-// cfg. Its servers run the Store's default of one worker each, which suits a
-// lone register: all of its traffic carries the default key and would land on
-// one key shard anyway.
+// cfg.
 func NewCluster(cfg Config) (*Cluster, error) {
 	store, err := NewStore(cfg)
 	if err != nil {

@@ -95,8 +95,6 @@ func run(args []string) error {
 		readers   = fs.Int("R", 1, "number of reader processes")
 		pubKey    = fs.String("writer-pubkey", "", "hex-encoded writer public key (signature-verifying protocols)")
 		listen    = fs.String("listen", "", "listen address override (defaults to the address book entry)")
-		workers   = fs.Int("workers", 1, "workers executing messages: 1 runs the handler on the socket's consumer goroutine, more shard messages by register key across that many goroutines")
-		qbound    = fs.Int("queue-bound", 0, "cap on each key-shard worker's queue (bounds worker queues only, so only with -workers > 1): excess messages are shed and counted instead of queueing without bound (0 = unbounded)")
 		trans     = fs.String("transport", "tcp", "socket transport: tcp | udp (must match the clients)")
 		dataDir   = fs.String("data-dir", "", "private durable-state directory for THIS server process: mutations are write-ahead logged there before acknowledgement and recovered on restart (empty = in-memory only)")
 		fsyncArg  = fs.String("fsync", "interval", "durable log flush policy with -data-dir: always | interval | never")
@@ -163,7 +161,7 @@ func run(args []string) error {
 		return fmt.Errorf("-id %s exceeds group %q (S=%d)", id, group.Name, qcfg.Servers)
 	}
 
-	serverCfg := driver.ServerConfig{ID: id, Quorum: qcfg, Workers: *workers, QueueBound: *qbound}
+	serverCfg := driver.ServerConfig{ID: id, Quorum: qcfg}
 	var durCounters *durable.Counters
 	if *dataDir != "" {
 		durCounters = &durable.Counters{}
@@ -202,8 +200,8 @@ func run(args []string) error {
 	if group.Name != "" {
 		groupNote = " group=" + group.Name
 	}
-	fmt.Printf("register server %s%s listening on %s/%s (protocol=%s %v workers=%d, serving all register keys)\n",
-		id, groupNote, *trans, node.Addr(), drv.Name, qcfg, server.Workers())
+	fmt.Printf("register server %s%s listening on %s/%s (protocol=%s %v, serving all register keys)\n",
+		id, groupNote, *trans, node.Addr(), drv.Name, qcfg)
 	if durCounters != nil {
 		// Recovery already ran inside NewServer; say what came back so an
 		// operator restarting a crashed server sees its state survived.
@@ -223,8 +221,8 @@ func run(args []string) error {
 	// operators notice overload or partitions the asynchronous protocols
 	// themselves tolerate without complaint.
 	stats := node.Stats()
-	fmt.Printf("shutting down %s%s: transport=%s delivered=%d frames=%d dropped_inbound=%d dropped_send=%d dedup_drops=%d queue_sheds=%d\n",
-		id, groupNote, *trans, stats.Delivered, stats.Frames, stats.DroppedInbound, stats.DroppedSend, stats.DedupDrops, server.QueueSheds())
+	fmt.Printf("shutting down %s%s: transport=%s delivered=%d frames=%d dropped_inbound=%d dropped_send=%d dedup_drops=%d\n",
+		id, groupNote, *trans, stats.Delivered, stats.Frames, stats.DroppedInbound, stats.DroppedSend, stats.DedupDrops)
 	if durCounters != nil {
 		ds := durCounters.Snapshot()
 		fmt.Printf("durable shutdown %s%s: incarnation=%d appends=%d fsyncs=%d snapshots=%d snapshot_records=%d append_errors=%d log_failed=%t\n",

@@ -50,6 +50,17 @@ func TestByzAliasIsUnknownFlag(t *testing.T) {
 	}
 }
 
+// TestWorkerFlagsAreUnknown: a server has one worker and no worker knob, so a
+// script still passing -workers or -queue-bound fails loudly instead of being
+// silently ignored.
+func TestWorkerFlagsAreUnknown(t *testing.T) {
+	for _, args := range [][]string{{"-workers", "2"}, {"-queue-bound", "8"}} {
+		if err := run(args); err == nil || !strings.Contains(err.Error(), "not defined: "+args[0]) {
+			t.Errorf("run(%v) = %v, want an unknown-flag error", args, err)
+		}
+	}
+}
+
 // TestGroupShapeInheritsPerField repeats internal/topology's four rows
 // against this binary's call of the shared resolver: whatever a topology
 // group leaves zero falls back to the -S/-t/-b flags field by field, exactly

@@ -204,12 +204,8 @@
 // size, what a quorum means), and all four protocols share its one
 // single-writer client (protoutil.Writer) and its one reader
 // (protoutil.Reader, running the protocol's read rounds). The shell decodes
-// each request once and, by default, handles it on the goroutine that drains
-// the server's node — the paper's one sequential step per message. Setting
-// Config.ServerWorkers above 1 opts into a key-sharded parallel executor:
-// messages are dispatched by register key across that many workers, so
-// distinct registers are served concurrently across cores while every
-// register keeps FIFO, single-goroutine handling.
+// each request once and handles it on the goroutine that drains the server's
+// node — the paper's one sequential step per message, in delivery order.
 //
 // Between a Send and the code that handles the message there is exactly one
 // queue — the destination node's — and exactly one wake-up — that node's
@@ -228,8 +224,8 @@
 // rules — encoded payloads are immutable, decoded views may alias them, and
 // retained data is cloned exactly at its retention point — spelled out in
 // internal/wire/pool.go. The sole-mutator discipline those rules lean on is
-// per KEY-SHARD WORKER: all messages naming a register key are handled by
-// the same worker goroutine, which is therefore that key's only mutator.
+// per server: its one executor goroutine handles every message, so it is
+// every register's only mutator.
 //
 // Batch frames extend the same rules end to end: a wire.Batch envelope packs
 // many messages into one transport payload, the per-message views produced
@@ -279,10 +275,10 @@
 // opt-in and two-sided: Config.AdmissionWait turns the pipeline's at-depth
 // blocking into fast-fail admission (a submission that cannot get a slot
 // within the budget returns ErrOverloaded instead of queueing), and
-// Config.QueueBound caps each server's inbound queues, shedding excess
-// messages into Stats.ShedDrops rather than growing mailboxes without
-// bound. QueueBound deliberately never bounds a client's acknowledgement
-// mailbox: dropping acks could starve quorums that were already completable.
+// Config.QueueBound caps each server's in-memory mailbox, shedding excess
+// messages into Stats.ShedDrops rather than growing it without bound.
+// QueueBound deliberately never bounds a client's acknowledgement mailbox:
+// dropping acks could starve quorums that were already completable.
 // Both knobs default to off, preserving the original never-drop semantics.
 //
 // The benchmark is cmd/benchreport (its own module; BENCHMARK.json declares

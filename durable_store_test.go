@@ -70,7 +70,7 @@ func drivePhase(ctx context.Context, t *testing.T, rec *history.Recorder, reg *R
 // client observed — any number of restarts is sound.
 func TestRestartServerRecoversDurableState(t *testing.T) {
 	store, err := NewStore(Config{
-		Servers: 5, Faulty: 1, Readers: 2, Protocol: ProtocolABD, ServerWorkers: 2,
+		Servers: 5, Faulty: 1, Readers: 2, Protocol: ProtocolABD,
 		DataDir: t.TempDir(),
 		Durability: DurabilityOptions{
 			Fsync: FsyncAlways,

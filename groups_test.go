@@ -34,13 +34,8 @@ func TestStoreGroupsCrossGroupAtomicity(t *testing.T) {
 		name string
 		cfg  Config
 	}{
-		// ServerWorkers: 4 forces each group's key-sharded executors onto
-		// multiple workers regardless of GOMAXPROCS, so per-key atomicity is
-		// checked under genuinely parallel server execution in every group.
-		{"fast", Config{Servers: 7, Faulty: 1, Readers: 2, Protocol: ProtocolFast,
-			ServerWorkers: 4, Groups: fourGroupSpecs()}},
-		{"abd", Config{Servers: 5, Faulty: 2, Readers: 2, Protocol: ProtocolABD,
-			ServerWorkers: 4, Groups: fourGroupSpecs()}},
+		{"fast", Config{Servers: 7, Faulty: 1, Readers: 2, Protocol: ProtocolFast, Groups: fourGroupSpecs()}},
+		{"abd", Config{Servers: 5, Faulty: 2, Readers: 2, Protocol: ProtocolABD, Groups: fourGroupSpecs()}},
 	}
 	const (
 		keyCount       = 64

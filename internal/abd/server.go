@@ -93,11 +93,10 @@ func dumpRecord(st *registerState, r *durable.Record) {
 
 // handle processes one message on the per-message hot path: pooled zero-copy
 // decode, one clone at the adoption retention point, ack fields aliasing the
-// stored state (the key-shard worker handling this message is this key's
-// sole mutator, and the ack is encoded before the worker handles its next
-// message). Acknowledgements go through the executor's run-scoped coalescer,
-// so a run of pipelined requests from one client is answered with ONE
-// batched send.
+// stored state (the executor handling this message is the state's sole
+// mutator, and the ack is encoded before it handles its next message).
+// Acknowledgements go through the executor's run-scoped coalescer, so a run of
+// pipelined requests from one client is answered with ONE batched send.
 func (s *Server) handle(m transport.Message, req *wire.Message, out transport.Sender) {
 	if m.From.Role == types.RoleServer {
 		return

@@ -104,7 +104,7 @@ func deploy(clock *transport.VirtualClock, cfg quorum.Config) (nodes [3]transpor
 		if err != nil {
 			return nodes, stop, err
 		}
-		srv, err := abd.NewServer(abd.ServerConfig{ID: types.Server(i), Workers: 1}, node)
+		srv, err := abd.NewServer(abd.ServerConfig{ID: types.Server(i)}, node)
 		if err != nil {
 			return nodes, stop, err
 		}

@@ -83,11 +83,6 @@ func newTestCluster(t *testing.T, cfg quorum.Config, opts ...clusterOption) *tes
 			Readers:   cfg.Readers,
 			Byzantine: c.byz,
 			Verifier:  c.keys.Verifier,
-			// Force multiple key-shard workers regardless of GOMAXPROCS so
-			// the whole suite — including the chaos/atomicity schedules —
-			// exercises the sharded executor, not its single-worker
-			// degenerate form.
-			Workers: 4,
 		}, node)
 		if err != nil {
 			t.Fatalf("new server %d: %v", i, err)

@@ -36,13 +36,11 @@ func fastDriver(name string, byzantine bool) driver.Driver {
 		},
 		NewServer: func(cfg driver.ServerConfig, node transport.Node) (driver.Server, error) {
 			s, err := NewServer(ServerConfig{
-				ID:         cfg.ID,
-				Readers:    cfg.Quorum.Readers,
-				Byzantine:  byzantine,
-				Verifier:   cfg.Verifier,
-				Workers:    cfg.Workers,
-				QueueBound: cfg.QueueBound,
-				Durable:    cfg.Durable,
+				ID:        cfg.ID,
+				Readers:   cfg.Quorum.Readers,
+				Byzantine: byzantine,
+				Verifier:  cfg.Verifier,
+				Durable:   cfg.Durable,
 			}, node)
 			if err != nil {
 				return nil, err

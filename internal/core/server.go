@@ -24,16 +24,6 @@ type ServerConfig struct {
 	Byzantine bool
 	// Verifier is the writer's public key; required when Byzantine is true.
 	Verifier sig.Verifier
-	// Workers is the number of workers executing this server's messages.
-	// Up to 1 (the default) the handler runs on the goroutine that drains
-	// the node; above 1 messages are dispatched to that many key-shard
-	// workers (a register key is always handled by the same worker).
-	Workers int
-	// QueueBound, when positive and Workers > 1, caps each worker's overflow
-	// queue: requests beyond it are shed and counted (QueueSheds) instead of
-	// queued without bound. A single worker has no queue of its own; bound
-	// the node's mailbox instead. Zero keeps the default never-drop queues.
-	QueueBound int
 	// Durable, if non-nil, gives the server a write-ahead log in the given
 	// directory: every state mutation is appended before the ack is sent, and
 	// NewServer recovers whatever a previous incarnation persisted there.
@@ -61,8 +51,8 @@ type registerState struct {
 	// seen is the seen set, kept as a slice (at most R+1 ≤ MaxPredicateUnion
 	// members, so membership is a short scan) that acknowledgements carry
 	// without materialising it per message: acks alias it under the usual
-	// sole-mutator discipline — the ack is encoded before this key's worker
-	// handles its next message.
+	// sole-mutator discipline — the ack is encoded before the server handles
+	// its next message.
 	seen     []types.ProcessID
 	counters map[int]int64
 	// arena, when non-nil, is the frame buffer value and valueSig currently
@@ -100,7 +90,7 @@ func NewServer(cfg ServerConfig, node transport.Node) (*Server, error) {
 	s := &Server{cfg: cfg}
 	readers := cfg.Readers
 	sh, err := protoutil.NewShell(
-		protoutil.ServerConfig{ID: cfg.ID, Workers: cfg.Workers, QueueBound: cfg.QueueBound, Durable: cfg.Durable},
+		protoutil.ServerConfig{ID: cfg.ID, Durable: cfg.Durable},
 		node,
 		protoutil.Protocol[registerState]{
 			Name: "core",
@@ -233,10 +223,9 @@ func (s *Server) CounterOf(key string, clientPID int) int64 {
 // This is the per-message hot path. It decodes into a pooled scratch message
 // whose byte fields alias the payload (zero-copy), clones only at the one
 // retention point (adopting a newer value into register state), and builds
-// the acknowledgement aliasing the stored state — safe because the key-shard
-// worker handling this message is the only mutator of this key's state (the
-// executor routes every message naming a key to the same worker) and the ack
-// is encoded before the worker handles its next message.
+// the acknowledgement aliasing the stored state — safe because the executor's
+// one goroutine handling this message is the only mutator of this key's state
+// and the ack is encoded before it handles its next message.
 func (s *Server) handle(m transport.Message, req *wire.Message, out transport.Sender) {
 	if req.Op != wire.OpWrite && req.Op != wire.OpRead {
 		return

@@ -39,15 +39,9 @@ var ErrTooManyReaders = errors.New("fastread: too many readers for a fast implem
 type Server interface {
 	Start()
 	Stop()
-	// Workers reports the number of workers the server's executor actually
-	// runs (1 unless more were configured), for operator-facing logs.
-	Workers() int
 	// TotalMutations counts state mutations across every register, for the
 	// "atomic reads must write" accounting of the paper's Section 8.
 	TotalMutations() int64
-	// QueueSheds counts requests shed by the server's bounded worker queues
-	// (always 0 unless ServerConfig.QueueBound was set).
-	QueueSheds() int64
 	// LogFailed reports whether the server's durable log has failed; such a
 	// server acknowledges nothing until restarted (always false without one).
 	LogFailed() bool

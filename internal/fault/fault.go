@@ -79,12 +79,6 @@ func (b Behavior) String() string {
 type ByzantineConfig struct {
 	// ID is the malicious server's identity.
 	ID types.ProcessID
-	// Workers is the number of workers executing the server's messages: up
-	// to 1 (the default) the handler runs on the goroutine that drains the
-	// node, above 1 on that many key-shard workers. Malicious servers run in
-	// the same shell as honest ones so experiments exercise the same delivery
-	// machinery.
-	Workers int
 	// Behavior selects what the server does.
 	Behavior Behavior
 	// Readers is R (used to fabricate seen sets).
@@ -126,7 +120,7 @@ func NewByzantineServer(cfg ByzantineConfig, node transport.Node) (*ByzantineSer
 		return nil, fmt.Errorf("fault: unknown behaviour %d", cfg.Behavior)
 	}
 	s := &ByzantineServer{cfg: cfg}
-	sh, err := protoutil.NewShell(protoutil.ServerConfig{ID: cfg.ID, Workers: cfg.Workers}, node,
+	sh, err := protoutil.NewShell(protoutil.ServerConfig{ID: cfg.ID}, node,
 		protoutil.Protocol[byzState]{
 			Name: "fault",
 			NewState: func() byzState {
@@ -205,8 +199,8 @@ func (s *ByzantineServer) handle(m transport.Message, req *wire.Message, out tra
 
 // adopt updates the request's register exactly as an honest fast server
 // would and returns the honest acknowledgement. Its fields alias the state,
-// which only this key's worker mutates, and it is encoded before that worker
-// handles its next message.
+// which only the server's executor mutates, and it is encoded before the
+// executor handles its next message.
 func (s *ByzantineServer) adopt(req *wire.Message, from types.ProcessID, ackOp wire.Op) *wire.Message {
 	var ack *wire.Message
 	s.Do(req.Key, func(sl *protoutil.Slot[byzState]) {

@@ -174,8 +174,8 @@ type ServerConfig = protoutil.ServerConfig
 // servers. Both the stored value and the per-read gossip bookkeeping are kept
 // per register key; node, executor, state map, durable log and lifecycle are
 // the embedded protoutil.Shell's. A register's write, read and gossip
-// messages all carry its key, so the whole gossip exchange of a read
-// serialises on that key's worker.
+// messages all carry its key, and the server's executor handles them one at a
+// time, so the whole gossip exchange of a read is serialised.
 type Server struct {
 	*protoutil.Shell[registerState]
 	cfg     ServerConfig

@@ -3,7 +3,7 @@ package protoutil
 // Test-only views of the shell's log, for the tests that pin the commit rule.
 
 // EndRun ends an executor run by hand: a test that calls Log outside the
-// executor commits what it staged exactly as a worker would.
+// executor commits what it staged exactly as the executor would.
 func (s *Shell[S]) EndRun() error { return s.commitRun() }
 
 // DurableLSN is the log's durable LSN (durable.Log.DurableLSN).

@@ -3,7 +3,7 @@
 // The paper's servers are pure steps (state, message) → (state', ack): they
 // never wait for another process before replying (Figures 2 and 5). Shell is
 // everything around that step that does not depend on the protocol — the
-// node, the executor (and its queue bound), the per-key state map,
+// node, the executor, the per-key state map,
 // the durable log with its LSN-guarded replay and snapshot framing, and the
 // Start/Stop lifecycle — so a protocol server is its state struct, its
 // handler and its record⇄state mapping (Protocol) and nothing else. It is
@@ -47,16 +47,6 @@ type ServerConfig struct {
 	// Verifier is the writer's public key, used by signature-verifying
 	// protocols (fast-byz) and ignored by the crash-model ones.
 	Verifier sig.Verifier
-	// Workers is the number of workers executing the server's messages. Up
-	// to 1 (the default) the handler runs on the goroutine that drains the
-	// node; above 1 messages are dispatched to that many key-shard workers (a
-	// register key is always handled by the same worker).
-	Workers int
-	// QueueBound, when positive and Workers > 1, caps each worker's overflow
-	// queue: requests beyond it are shed and counted (QueueSheds) instead of
-	// queued without bound. A single worker has no queue of its own; bound
-	// the node's mailbox instead. Zero keeps the default never-drop queues.
-	QueueBound int
 	// Durable, if non-nil, gives the server a write-ahead log in the given
 	// directory (see internal/durable): mutations are logged before acks, and
 	// server construction recovers whatever a previous incarnation persisted
@@ -144,8 +134,7 @@ type Shell[S any] struct {
 
 // NewShell creates a server bound to the given transport node, recovering its
 // durable state if it has any. Call Start to begin processing messages. The
-// shell reads cfg's ID, Workers, QueueBound and Durable; Quorum and Verifier
-// are the protocol's.
+// shell reads cfg's ID and Durable; Quorum and Verifier are the protocol's.
 func NewShell[S any](cfg ServerConfig, node transport.Node, proto Protocol[S]) (*Shell[S], error) {
 	if cfg.ID.Role != types.RoleServer || !cfg.ID.Valid() {
 		return nil, fmt.Errorf("%s: server id %v is not a valid server identity", proto.Name, cfg.ID)
@@ -167,15 +156,14 @@ func NewShell[S any](cfg ServerConfig, node transport.Node, proto Protocol[S]) (
 		}
 		s.dlog = dl
 	}
-	s.exec = transport.NewExecutor(node, WireKeyFunc, cfg.Workers)
-	s.exec.SetQueueBound(cfg.QueueBound)
+	s.exec = transport.NewExecutor(node, nil, 0)
 	if s.dlog != nil {
 		s.exec.SetRunEnd(s.commitRun)
 	}
 	return s, nil
 }
 
-// handle is what the executor's workers run for every delivered message: the
+// handle is what the executor runs for every delivered message: the
 // decode every protocol's handler used to open with, then the protocol's step.
 func (s *Shell[S]) handle(m transport.Message, out transport.Sender) {
 	req := wire.GetMessage()
@@ -242,9 +230,9 @@ func (s *Shell[S]) Log(sl *Slot[S], r *durable.Record) {
 }
 
 // commitRun is the executor's run-end hook on a durable server: one commit
-// covering every record the run staged (and a sibling worker's, if this one
-// got here first). An error tells the executor to drop the run's acks; the
-// log then fails every later commit too, so the server never acks again.
+// covering every record the run staged. An error tells the executor to drop
+// the run's acks; the log then fails every later commit too, so the server
+// never acks again.
 func (s *Shell[S]) commitRun() error {
 	err := s.dlog.Commit()
 	if err != nil {
@@ -276,8 +264,7 @@ func (s *Shell[S]) Range(fn func(key string, st *S)) {
 func (s *Shell[S]) Keys() []string { return s.states.Keys() }
 
 // Start launches the server's executor: one goroutine that drains the node and
-// runs the handler by default, or a dispatcher over key-shard workers when
-// more were configured (see transport.Executor). Only the first call has an
+// runs the handler (see transport.Executor). Only the first call has an
 // effect.
 func (s *Shell[S]) Start() {
 	s.startOnce.Do(func() {
@@ -289,7 +276,7 @@ func (s *Shell[S]) Start() {
 }
 
 // Stop detaches the server from the network, waits for the executor to drain
-// every worker, then closes the durable log (a graceful close flushes and
+// the node, then closes the durable log (a graceful close flushes and
 // snapshots; under Options.SimulateCrash it models a machine crash instead).
 // Stop is idempotent, returns only once the server has stopped, and is safe
 // on a server that was never started.
@@ -310,13 +297,6 @@ func (s *Shell[S]) Stop() {
 
 // ID returns the server's process identity.
 func (s *Shell[S]) ID() types.ProcessID { return s.id }
-
-// Workers returns the number of workers executing this server's messages.
-func (s *Shell[S]) Workers() int { return s.exec.Workers() }
-
-// QueueSheds returns the number of requests shed by bounded worker queues
-// (always 0 unless ServerConfig.QueueBound was set).
-func (s *Shell[S]) QueueSheds() int64 { return s.exec.Sheds() }
 
 // TotalMutations sums the mutations Log has counted across every register the
 // server hosts; the store-level stats aggregate it.

@@ -16,7 +16,6 @@ import (
 	"fastread/internal/protoutil"
 	"fastread/internal/quorum"
 	_ "fastread/internal/regular"
-	"fastread/internal/shard"
 	"fastread/internal/sig"
 	"fastread/internal/transport"
 	"fastread/internal/types"
@@ -24,8 +23,8 @@ import (
 )
 
 // Shell conformance: every registered protocol server, built through its
-// driver, must show the same lifecycle, shed accounting and durable recovery,
-// because all of them are the one protoutil.Shell underneath.
+// driver, must show the same lifecycle, mutation counting and durable
+// recovery, because all of them are the one protoutil.Shell underneath.
 
 var writerKeys = sig.MustKeyPair()
 
@@ -58,7 +57,7 @@ func driverBuilder(t *testing.T, name string) builder {
 }
 
 func byzantineBuilder(cfg driver.ServerConfig, node transport.Node) (driver.Server, error) {
-	s, err := fault.NewByzantineServer(fault.ByzantineConfig{ID: cfg.ID, Workers: cfg.Workers, Behavior: fault.BehaviorStaleReplay, Readers: cfg.Quorum.Readers}, node)
+	s, err := fault.NewByzantineServer(fault.ByzantineConfig{ID: cfg.ID, Behavior: fault.BehaviorStaleReplay, Readers: cfg.Quorum.Readers}, node)
 	if err != nil {
 		return nil, err
 	}
@@ -124,56 +123,16 @@ func lifecycleRows(t *testing.T, build builder, q quorum.Config) {
 	})
 }
 
-// hookNode runs before ahead of every send the server makes, on the sending
-// worker's goroutine.
+// hookNode runs before ahead of every send the server makes, on the server's
+// goroutine.
 type hookNode struct {
 	transport.Node
-	before func(to types.ProcessID, payload []byte)
+	before func(payload []byte)
 }
 
 func (n *hookNode) Send(to types.ProcessID, kind string, payload []byte) error {
-	n.before(to, payload)
+	n.before(payload)
 	return n.Node.Send(to, kind, payload)
-}
-
-func shedRow(t *testing.T, build builder, q quorum.Config) {
-	net := transport.NewInMemNetwork()
-	t.Cleanup(func() { _ = net.Close() })
-	// The server's sends block until the gate opens, the first one announcing
-	// itself: a worker stalled inside its end-of-run flush stops draining its
-	// queue, which is the deterministic way to fill it.
-	blocked, gate := make(chan struct{}, 1), make(chan struct{})
-	node := &hookNode{Node: join(t, net, types.Server(1)), before: func(types.ProcessID, []byte) {
-		select {
-		case blocked <- struct{}{}:
-		default:
-		}
-		<-gate
-	}}
-	srv, err := build(driver.ServerConfig{ID: types.Server(1), Quorum: q, Workers: 2, QueueBound: 8}, node)
-	if err != nil {
-		t.Fatal(err)
-	}
-	srv.Start()
-	reader := client{t, join(t, net, types.Reader(1))}
-	read := func(rc int64) { reader.send(&wire.Message{Op: wire.OpRead, Key: "hot", RCounter: rc}) }
-	// One key, so one worker. Once its reply to the first read is stuck on
-	// the gate, every later read piles into that worker's 256-slot ring, then
-	// its 8-slot overflow, and the rest must be shed.
-	read(1)
-	within(t, "the first reply", func() { <-blocked })
-	for rc := int64(2); rc <= 1024; rc++ {
-		read(rc)
-	}
-	deadline := time.Now().Add(5 * time.Second)
-	for srv.QueueSheds() == 0 {
-		if time.Now().After(deadline) {
-			t.Fatal("driver.Server.QueueSheds stayed 0 with a worker stalled behind an 8-message bound and 1023 requests offered")
-		}
-		time.Sleep(time.Millisecond)
-	}
-	close(gate)
-	within(t, "Stop", srv.Stop)
 }
 
 // client is one client process talking to the server under test over the
@@ -375,7 +334,6 @@ func TestShellConformance(t *testing.T) {
 			build := driverBuilder(t, sh.driver)
 			fast := sh.driver == "fast" || sh.driver == "fast-byz"
 			lifecycleRows(t, build, sh.quorum)
-			t.Run("queue bound sheds are counted", func(t *testing.T) { shedRow(t, build, sh.quorum) })
 			t.Run("mutations are counted", func(t *testing.T) { mutationRow(t, build, sh.quorum) })
 			t.Run("crash recovery", func(t *testing.T) {
 				recoveryRow(t, build, sh.quorum, fast, 3, durable.Options{Fsync: durable.FsyncAlways, SimulateCrash: true, SnapshotEvery: -1})
@@ -399,11 +357,11 @@ type counterServer struct {
 	counters durable.Counters
 }
 
-func openCounter(t *testing.T, node transport.Node, workers int, opts durable.Options) *counterServer {
+func openCounter(t *testing.T, node transport.Node, opts durable.Options) *counterServer {
 	t.Helper()
 	cs := &counterServer{}
 	opts.Counters = &cs.counters
-	sh, err := protoutil.NewShell(protoutil.ServerConfig{ID: types.Server(1), Workers: workers, Durable: &opts}, node, protoutil.Protocol[int64]{
+	sh, err := protoutil.NewShell(protoutil.ServerConfig{ID: types.Server(1), Durable: &opts}, node, protoutil.Protocol[int64]{
 		Name:     "counter",
 		NewState: func() int64 { return 0 },
 		Handle: func(m transport.Message, req *wire.Message, out transport.Sender) {
@@ -447,7 +405,7 @@ func TestShellReplayAppliesEachDeltaOnce(t *testing.T) {
 	open := func() *counterServer {
 		net := transport.NewInMemNetwork()
 		t.Cleanup(func() { _ = net.Close() })
-		return openCounter(t, join(t, net, types.Server(1)), 0, opts)
+		return openCounter(t, join(t, net, types.Server(1)), opts)
 	}
 
 	first := open()
@@ -513,31 +471,17 @@ func acks(t *testing.T, node transport.Node, n int, fn func(*wire.Message)) {
 // only grows — the LSN of the record behind it is at most the log's durable
 // LSN. Then the server crash-stops under load and every acked mutation must
 // be recovered. Calling co.Flush before the run-end hook in
-// transport.Executor.endRun (both run loops end their runs there: the inline
-// one serves workers=1, the worker one workers=4) fails every ack of this
-// test; verified by hand when the rule was introduced.
+// transport.Executor.endRun fails every ack of this test; verified by hand
+// when the rule was introduced.
 func TestShellAcksOnlyAfterCommit(t *testing.T) {
-	for _, workers := range []int{1, 4} {
-		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) { acksOnlyAfterCommit(t, workers) })
-	}
-}
-
-func acksOnlyAfterCommit(t *testing.T, workers int) {
 	const keys, depth, total = 8, 16, 512
 	opts := durable.Options{Dir: t.TempDir(), Fsync: durable.FsyncAlways, SimulateCrash: true, SnapshotEvery: -1}
 
-	// The second client's acks cannot be sent until gate closes: the worker
-	// stuck in that flush stops draining its queue, which is how the
-	// group-size check below builds one long run.
-	var (
-		cs      *counterServer
-		blocked = make(chan struct{}, 1)
-		gate    = make(chan struct{})
-	)
-	open := func() (*counterServer, [2]client) {
+	var cs *counterServer
+	open := func() (*counterServer, client) {
 		net := transport.NewInMemNetwork()
 		t.Cleanup(func() { _ = net.Close() })
-		node := &hookNode{Node: join(t, net, types.Server(1)), before: func(to types.ProcessID, payload []byte) {
+		node := &hookNode{Node: join(t, net, types.Server(1)), before: func(payload []byte) {
 			durableLSN := cs.DurableLSN()
 			transport.Expand(transport.Message{Payload: payload}, func(sub transport.Message) {
 				if ack, err := wire.Decode(sub.Payload); err != nil {
@@ -546,29 +490,25 @@ func acksOnlyAfterCommit(t *testing.T, workers int) {
 					t.Errorf("ack for %s count %d left the server at durable LSN %d, before the commit covering its record (LSN %d)", ack.Key, ack.TS, durableLSN, ack.RCounter)
 				}
 			})
-			if to == types.Reader(2) {
-				blocked <- struct{}{}
-				<-gate
-			}
 		}}
-		cs = openCounter(t, node, workers, opts)
+		cs = openCounter(t, node, opts)
 		cs.Start()
-		return cs, [2]client{{t, join(t, net, types.Reader(1))}, {t, join(t, net, types.Reader(2))}}
+		return cs, client{t, join(t, net, types.Reader(1))}
 	}
 
 	// Pipelined load over several keys, so a run is more than one request
 	// whenever requests queue behind a commit.
-	srv, clients := open()
+	srv, c := open()
 	acked := make(map[string]int64)
 	sent := 0
 	next := func() {
-		clients[0].send(bump(keyName(sent % keys)))
+		c.send(bump(keyName(sent % keys)))
 		sent++
 	}
 	for sent < depth {
 		next()
 	}
-	acks(t, clients[0].node, total, func(ack *wire.Message) {
+	acks(t, c.node, total, func(ack *wire.Message) {
 		if n := int64(ack.TS); n > acked[ack.Key] {
 			acked[ack.Key] = n
 		}
@@ -579,7 +519,7 @@ func acksOnlyAfterCommit(t *testing.T, workers int) {
 	// depth requests are still in flight: crash-stop under them.
 	within(t, "Stop", srv.Stop)
 
-	srv, clients = open()
+	srv, c = open()
 	defer func() { within(t, "Stop", srv.Stop) }()
 	for key, n := range acked {
 		if got := srv.count(key); got < n || got > int64(sent/keys) {
@@ -591,44 +531,22 @@ func acksOnlyAfterCommit(t *testing.T, workers int) {
 	const k = 8
 	fsyncs := srv.counters.Fsyncs.Load()
 	for i := 0; i < k; i++ {
-		clients[0].send(bump(keyName(0)))
-		acks(t, clients[0].node, 1, func(*wire.Message) {})
+		c.send(bump(keyName(0)))
+		acks(t, c.node, 1, func(*wire.Message) {})
 	}
 	if got := srv.counters.Fsyncs.Load() - fsyncs; got != k {
 		t.Errorf("%d idle-separated requests cost %d fsyncs, want %d", k, got, k)
 	}
-	// k requests delivered as one run: 1 fsync. One envelope is one run for
-	// the inline single worker. A key-shard worker may start its run before
-	// the dispatcher has queued the whole envelope, so there the worker is
-	// first stalled in the flush of a request from the other client, the
-	// envelope is queued behind it, and a request for a key of ANOTHER
-	// worker — dispatched after the envelope, acked at once — says when.
-	if workers > 1 {
-		clients[1].send(bump(keyName(0)))
-		within(t, "the stalled flush", func() { <-blocked })
-	}
+	// k requests delivered in one envelope are one run: 1 fsync.
 	envelope := wire.NewBatch(0)
 	for i := 0; i < k; i++ {
 		envelope.Append(wire.MustEncode(bump(keyName(0))))
 	}
-	if err := clients[0].node.Send(types.Server(1), wire.BatchKind, envelope.Bytes()); err != nil {
+	fsyncs = srv.counters.Fsyncs.Load()
+	if err := c.node.Send(types.Server(1), wire.BatchKind, envelope.Bytes()); err != nil {
 		t.Fatal(err)
 	}
-	if workers > 1 {
-		other := 1
-		for shard.HashBytes([]byte(keyName(other)))%uint64(workers) == shard.HashBytes([]byte(keyName(0)))%uint64(workers) {
-			other++
-		}
-		clients[0].send(bump(keyName(other)))
-		acks(t, clients[0].node, 1, func(ack *wire.Message) {
-			if ack.Key != keyName(other) {
-				t.Fatalf("an ack for %s overtook the stalled worker", ack.Key)
-			}
-		})
-	}
-	fsyncs = srv.counters.Fsyncs.Load()
-	close(gate)
-	acks(t, clients[0].node, k, func(*wire.Message) {})
+	acks(t, c.node, k, func(*wire.Message) {})
 	if got := srv.counters.Fsyncs.Load() - fsyncs; got != 1 {
 		t.Errorf("%d requests delivered as one run cost %d fsyncs, want 1", k, got)
 	}
@@ -644,8 +562,8 @@ func TestShellFailStopOnLogError(t *testing.T) {
 	net := transport.NewInMemNetwork()
 	t.Cleanup(func() { _ = net.Close() })
 	var sends atomic.Int64
-	node := &hookNode{Node: join(t, net, types.Server(1)), before: func(types.ProcessID, []byte) { sends.Add(1) }}
-	srv := openCounter(t, node, 2, durable.Options{Dir: t.TempDir(), Fsync: durable.FsyncAlways, SnapshotEvery: -1})
+	node := &hookNode{Node: join(t, net, types.Server(1)), before: func([]byte) { sends.Add(1) }}
+	srv := openCounter(t, node, durable.Options{Dir: t.TempDir(), Fsync: durable.FsyncAlways, SnapshotEvery: -1})
 	srv.Start()
 	c := client{t, join(t, net, types.Writer())}
 	if ack := c.ask(bump(keyName(0))); ack.TS != 1 || srv.LogFailed() {

@@ -91,9 +91,8 @@ func (s *Server) StateOf(key string) types.TaggedValue {
 
 // handle processes one decoded message on the per-message hot path: one
 // clone at the adoption retention point, ack fields aliasing the
-// stored state (the key-shard worker handling this message is this key's
-// sole mutator, and the ack is encoded before the worker handles its next
-// message).
+// stored state (the executor handling this message is the state's sole
+// mutator, and the ack is encoded before it handles its next message).
 func (s *Server) handle(m transport.Message, req *wire.Message, out transport.Sender) {
 	var ackOp wire.Op
 	switch req.Op {

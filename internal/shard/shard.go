@@ -54,8 +54,8 @@ func NewMap[S any](n int, newState func(key string) S) *Map[S] {
 
 // Hash is the 64-bit FNV-1a hash of a register key, inlined to keep key
 // lookup allocation-free (hash/fnv forces the key through an io.Writer).
-// Exported so every key-sharded component (this map's stripes, the
-// transport executor's workers) shards with the same function.
+// Exported so every key-hashing component (this map's stripes, the topology
+// ring) hashes with the same function.
 func Hash(key string) uint64 {
 	const (
 		offset64 = 14695981039346656037

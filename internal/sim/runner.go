@@ -25,15 +25,13 @@ const StallWait = 30 * time.Second
 
 // Replayable completes cfg into a deployment that replays byte for byte on
 // clock — the one recipe the scenario runner and the lower-bound stage
-// (internal/adversary) deploy by. ServerWorkers is 1 — the shipped default,
-// forced here so a caller's cfg cannot opt out — so each server handles its
-// messages on exactly one goroutine: combined with the clock's
-// one-event-at-a-time delivery there is no scheduling freedom anywhere in a
-// run. Nonces read the virtual clock, so a client incarnation created later
-// in virtual time draws a strictly larger initial counter and no wall-clock
-// input reaches the run. The network is in memory on clock, shaped by network.
+// (internal/adversary) deploy by. Every server handles its messages on exactly
+// one goroutine, so combined with the clock's one-event-at-a-time delivery
+// there is no scheduling freedom anywhere in a run. Nonces read the virtual
+// clock, so a client incarnation created later in virtual time draws a
+// strictly larger initial counter and no wall-clock input reaches the run. The
+// network is in memory on clock, shaped by network.
 func Replayable(cfg fastread.Config, clock *transport.VirtualClock, network ...fastread.InMemoryOption) fastread.Config {
-	cfg.ServerWorkers = 1
 	cfg.NonceSource = func() int64 { return clock.Now().UnixMicro() }
 	cfg.Transport = fastread.InMemory(append(network, fastread.WithVirtualClock(clock))...)
 	return cfg

@@ -12,8 +12,8 @@
 // optimal round-trip count.
 //
 // Ring is that function: a consistent-hash ring of virtual nodes built from
-// the group names alone, hashed with the same FNV-1a the key-sharded
-// executors already use (shard.HashBytes). Any two processes that agree on
+// the group names alone, hashed with the same FNV-1a the servers' state maps
+// already use (shard.HashBytes). Any two processes that agree on
 // the ordered group list and the virtual-node count place every possible key
 // identically, which is why Topology — the serializable deployment
 // description shipped to every server and client — is the ring's only input.

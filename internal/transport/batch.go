@@ -12,9 +12,9 @@ import (
 // message or a wire.Batch envelope packing several of them (produced by the
 // tcpnet per-peer flusher, the in-memory node pump's coalescer, or a server's
 // per-run acknowledgement Coalescer). Every consumer that interprets payloads
-// — the executor's dispatcher, the demux pump, the client-side ack collectors
-// — expands batches through Expand, so the code handling one message never
-// sees the envelope.
+// — the executor, the demux pump, the client-side ack collectors — expands
+// batches through Expand, so the code handling one message never sees the
+// envelope.
 //
 // The per-message views of a batch ALIAS the batch buffer (wire's rule 2);
 // since the buffer is owned by the receiving side and immutable, the views
@@ -36,8 +36,8 @@ func Expand(msg Message, fn func(Message)) {
 	_ = wire.ForEachInBatch(msg.Payload, func(payload []byte) error {
 		// Sub-messages inherit the envelope's virtual-clock handle too: a
 		// consumer that retains a sub-message past the envelope's release
-		// (executor dispatch, demux routing) must keep holding an activity
-		// token, or the simulation clock would advance with work queued.
+		// (demux routing) must keep holding an activity token, or the
+		// simulation clock would advance with work queued.
 		fn(Message{From: msg.From, To: msg.To, Kind: msg.Kind, Payload: payload, Arena: msg.Arena, vt: msg.vt})
 		return nil
 	})
@@ -65,7 +65,7 @@ type coalesced struct {
 // Coalescer buffers outbound messages during one executor run and flushes
 // them as ONE send per destination: a bare payload when the run produced a
 // single message for that destination, a wire.Batch envelope otherwise. It is
-// owned by a single worker goroutine and is not safe for concurrent use.
+// owned by the executor's goroutine and is not safe for concurrent use.
 //
 // Ownership: payloads handed to Send pass to the Coalescer exactly as they
 // would to a Node (rule 1 — senders must not reuse them); batch buffers are
@@ -85,9 +85,9 @@ type Coalescer struct {
 	lastBatch map[types.ProcessID]int
 
 	// clock/holding make buffered-but-unflushed output count as activity
-	// under a virtual clock: a worker releases the inbound message's token
-	// before the run's Flush fires, and without this hold the clock could
-	// advance in that gap with acknowledgements still sitting here.
+	// under a virtual clock: the executor releases the inbound message's
+	// token before the run's Flush fires, and without this hold the clock
+	// could advance in that gap with acknowledgements still sitting here.
 	clock   *VirtualClock
 	holding bool
 }

@@ -201,12 +201,8 @@ func TestExecutorRunCoalescingFlushesPerRun(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	keyOf := func(m Message) ([]byte, bool) {
-		k, err := wire.PeekKeyView(m.Payload)
-		return k, err == nil
-	}
 	// Echo server: acks every request through the run-scoped sender.
-	exec := NewExecutor(srvNode, keyOf, 4)
+	exec := NewExecutor(srvNode, nil, 0)
 	done := make(chan struct{})
 	go func() {
 		defer close(done)
@@ -222,7 +218,6 @@ func TestExecutorRunCoalescingFlushesPerRun(t *testing.T) {
 
 	const msgs = 200
 	for i := 0; i < msgs; i++ {
-		// One key so every message lands on one worker and acks coalesce.
 		if err := client.Send(types.Server(1), "read", encodedMsg(wire.OpRead, "k", int64(i+1))); err != nil {
 			t.Fatal(err)
 		}

@@ -175,12 +175,11 @@ type demuxRoute struct {
 
 var _ Node = (*demuxRoute)(nil)
 
-// routeChannel is the channel side of a route (see demuxRoute): a lock-free
-// SPSC handoff (the pump is its single producer, the forwarder its single
-// consumer; bursts spill to an unbounded mailbox so nothing is ever dropped —
-// see ring.go) drained by the forwarder goroutine into the delivery channel.
+// routeChannel is the channel side of a route (see demuxRoute): an unbounded
+// mailbox, so a burst is never dropped, drained by the forwarder goroutine
+// into the delivery channel.
 type routeChannel struct {
-	box   *handoff
+	box   *mailbox
 	inbox chan Message
 }
 
@@ -286,7 +285,7 @@ func (rt *demuxRoute) Inbox() <-chan Message {
 	rt.mu.Lock()
 	defer rt.mu.Unlock()
 	if rt.ch == nil {
-		rt.ch = &routeChannel{box: newHandoff(), inbox: make(chan Message, rt.demux.buf)}
+		rt.ch = &routeChannel{box: newMailbox(), inbox: make(chan Message, rt.demux.buf)}
 		for _, m := range rt.pending {
 			rt.ch.box.push(m)
 		}

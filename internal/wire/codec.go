@@ -384,12 +384,11 @@ func PeekKey(data []byte) (string, error) {
 
 // PeekKeyView is PeekKey without the string materialisation: the returned
 // bytes ALIAS data, which rule 1 of the ownership discipline keeps immutable
-// for as long as the view could be used. The transport demultiplexer and the
-// executor's key-shard dispatcher call it once per delivered message — their
-// map lookups and hashes consume the bytes directly, so routing a message
-// allocates nothing. It reads exactly the version byte, the op byte and the
-// key and touches nothing else. A nil view with a nil error is the empty
-// (default-register) key.
+// for as long as the view could be used. The transport demultiplexer calls
+// it once per delivered message — its map lookup consumes the bytes directly,
+// so routing a message allocates nothing. It reads exactly the version byte,
+// the op byte and the key and touches nothing else. A nil view with a nil
+// error is the empty (default-register) key.
 func PeekKeyView(data []byte) ([]byte, error) {
 	if len(data) < 2 {
 		return nil, fmt.Errorf("%w: truncated", ErrMalformed)

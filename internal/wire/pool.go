@@ -7,12 +7,10 @@ import "sync"
 //
 // The hot path of every protocol is: decode a request, mutate a little
 // per-register state, encode an acknowledgement, send it. Servers execute
-// that path on a key-sharded executor (internal/transport.Executor): every
-// message naming a register key is handled by the same worker goroutine, so
-// the KEY-SHARD WORKER is a register's sole mutator — which is what makes
-// rule 2's aliasing safe when distinct keys execute in parallel. The codec
-// supports doing all of this without per-message allocations, under three
-// rules:
+// that path on one goroutine per server (internal/transport.Executor), which
+// is therefore every register's sole mutator — which is what makes rule 2's
+// aliasing safe. The codec supports doing all of this without per-message
+// allocations, under three rules:
 //
 //  1. Encoded payloads are immutable. Once a []byte has been handed to
 //     transport.Node.Send, OWNERSHIP PASSES TO THE TRANSPORT (the in-memory

@@ -82,7 +82,6 @@ func TestOverloadAcceptance(t *testing.T) {
 		Faulty:        1,
 		Readers:       1,
 		Protocol:      ProtocolFast,
-		ServerWorkers: 1,
 		PipelineDepth: 2,
 		Transport:     InMemory(WithDelay(2 * time.Millisecond)),
 		AdmissionWait: 500 * time.Microsecond,
@@ -185,7 +184,6 @@ func TestOverloadShedDropsAccounted(t *testing.T) {
 		Malicious:     1,
 		Readers:       1,
 		Protocol:      ProtocolFastByzantine,
-		ServerWorkers: 1,
 		PipelineDepth: perKey,
 		QueueBound:    bound,
 	})

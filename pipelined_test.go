@@ -53,16 +53,15 @@ func pipelinedReads(ctx context.Context, t *testing.T, rec *history.Recorder, pr
 // TestPipelinedReadAtomicity runs the atomicity checker over histories in
 // which every reader keeps a full pipeline of reads in flight while the
 // writer keeps writing — the regime the serial workload driver never
-// produces. Fast and ABD both must stay atomic; servers run 4 key-shard
-// workers so completions genuinely race (the CI race job runs this test
-// under -race).
+// produces. Fast and ABD both must stay atomic (the CI race job runs this
+// test under -race).
 func TestPipelinedReadAtomicity(t *testing.T) {
 	scenarios := []struct {
 		name string
 		cfg  Config
 	}{
-		{"fast", Config{Servers: 7, Faulty: 1, Readers: 2, Protocol: ProtocolFast, ServerWorkers: 4, PipelineDepth: 8}},
-		{"abd", Config{Servers: 5, Faulty: 2, Readers: 3, Protocol: ProtocolABD, ServerWorkers: 4, PipelineDepth: 8}},
+		{"fast", Config{Servers: 7, Faulty: 1, Readers: 2, Protocol: ProtocolFast, PipelineDepth: 8}},
+		{"abd", Config{Servers: 5, Faulty: 2, Readers: 3, Protocol: ProtocolABD, PipelineDepth: 8}},
 	}
 	for _, sc := range scenarios {
 		t.Run(sc.name, func(t *testing.T) {
@@ -133,7 +132,7 @@ func TestPipelinedReadAtomicity(t *testing.T) {
 // versions assigned sequentially, no reader ever observing them out of
 // order, and the final state carrying the last submitted value.
 func TestPipelinedWritesFIFO(t *testing.T) {
-	store, err := NewStore(Config{Servers: 4, Faulty: 1, Readers: 1, Protocol: ProtocolFast, ServerWorkers: 4, PipelineDepth: 8})
+	store, err := NewStore(Config{Servers: 4, Faulty: 1, Readers: 1, Protocol: ProtocolFast, PipelineDepth: 8})
 	if err != nil {
 		t.Fatal(err)
 	}

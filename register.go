@@ -77,15 +77,6 @@ type Config struct {
 	// every process of a deployment must use the same ordered list (see
 	// internal/topology). Empty means the classic single-group deployment.
 	Groups []GroupSpec
-	// ServerWorkers is the number of workers each server process runs its
-	// handler on. Zero, negative and 1 all mean the default single worker:
-	// the handler runs on the goroutine that drains the server's node, so a
-	// request meets one queue and one wake-up. Above 1, messages are
-	// dispatched by register key across that many goroutines, so distinct
-	// keys execute in parallel while every key keeps FIFO, single-goroutine
-	// handling (see internal/transport.Executor), at the cost of a dispatcher
-	// hop per request.
-	ServerWorkers int
 	// PipelineDepth bounds the operations ONE handle keeps in flight through
 	// the async API (Writer.WriteAsync / Reader.ReadAsync): a submission
 	// beyond the depth blocks until an in-flight operation completes. Zero
@@ -103,13 +94,12 @@ type Config struct {
 	// "Latency under load" section of the README). Zero (the default)
 	// keeps the block-until-free behaviour.
 	AdmissionWait time.Duration
-	// QueueBound, when positive, caps each SERVER's inbound queues — the
-	// in-memory transport mailbox, and every executor worker's overflow
-	// queue when ServerWorkers > 1 (socket inboxes stay capped at 1 024
-	// messages) — at that many messages: deliveries beyond the cap are shed
-	// and counted in Stats.ShedDrops instead of growing the queue, so
-	// server memory, queueing delay and MailboxHighWater stay bounded
-	// under overload. Shedding a request is as safe as a lossy network:
+	// QueueBound, when positive, caps each SERVER's in-memory transport
+	// mailbox at that many messages (socket inboxes are always capped at
+	// 1 024 and count their overflow in InboundDrops): deliveries beyond the
+	// cap are shed and counted in Stats.ShedDrops instead of growing the
+	// queue, so server memory, queueing delay and MailboxHighWater stay
+	// bounded under overload. Shedding a request is as safe as a lossy network:
 	// the protocols tolerate loss via quorum slack and client
 	// retry/timeout. Client-side queues are never bounded by this knob
 	// (dropping acknowledgements can starve a completable quorum). Zero
@@ -405,10 +395,9 @@ type Stats struct {
 	// backends report 0 (their bounded queues surface overload as
 	// SendDrops/InboundDrops instead).
 	MailboxHighWater int
-	// ShedDrops counts messages shed by the opt-in overload bound —
-	// bounded server mailboxes and, with ServerWorkers > 1, key-shard
-	// worker queues (Config.QueueBound).
-	// Always 0 without it. Together with client-side ErrOverloaded rejections (which the
+	// ShedDrops counts messages shed by the opt-in overload bound on the
+	// in-memory server mailboxes (Config.QueueBound). Always 0 without
+	// it. Together with client-side ErrOverloaded rejections (which the
 	// caller observes directly), this is the exact account of where
 	// offered load beyond capacity went.
 	ShedDrops        int64
@@ -443,8 +432,8 @@ type GroupStats struct {
 	// backend only). See the same-named Stats fields.
 	SendDrops, InboundDrops, DedupDrops int
 	MailboxHighWater                    int
-	// ShedDrops counts messages shed by this group's opt-in overload
-	// bound (Config.QueueBound); see Stats.ShedDrops.
+	// ShedDrops counts messages shed by this group's bounded in-memory
+	// server mailboxes (Config.QueueBound); see Stats.ShedDrops.
 	ShedDrops int64
 	// Durable aggregates the group's servers' write-ahead-log counters
 	// (zero when Config.DataDir is empty or the group is uninstantiated).

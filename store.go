@@ -274,7 +274,7 @@ func (s *Store) groupLocked(gi int) (*storeGroup, error) {
 
 // startGroup launches the group's servers and attaches its writer and reader
 // identities. One server process serves every register the group owns, on one
-// worker by default or on cfg.ServerWorkers key-shard workers.
+// goroutine.
 func (s *Store) startGroup(g *storeGroup) error {
 	if s.cfg.DataDir != "" {
 		g.durCounters = make([]*durable.Counters, g.qcfg.Servers)
@@ -323,12 +323,10 @@ func (s *Store) newGroupServer(g *storeGroup, i int, node transport.Node) (drive
 		return newByzantineServer(s.cfg, b, types.Server(i), node)
 	}
 	return s.drv.NewServer(driver.ServerConfig{
-		ID:         types.Server(i),
-		Quorum:     g.qcfg,
-		Verifier:   g.keys.Verifier,
-		Workers:    s.cfg.ServerWorkers,
-		QueueBound: s.cfg.QueueBound,
-		Durable:    s.durableOptions(g, i),
+		ID:       types.Server(i),
+		Quorum:   g.qcfg,
+		Verifier: g.keys.Verifier,
+		Durable:  s.durableOptions(g, i),
 	}, node)
 }
 
@@ -710,17 +708,16 @@ func (s *Store) Stats() Stats {
 			// process of any group has ever queued.
 			out.MailboxHighWater = ts.mailboxHighWater
 		}
-		// Shed accounting: bounded server and client mailboxes (transport
-		// session), bounded executor queues (servers).
+		// Shed accounting: the bounded in-memory server mailboxes (transport
+		// session).
 		gs.ShedDrops = ts.shedDrops
+		out.ShedDrops += gs.ShedDrops
 		g.srvMu.Lock()
 		servers := append([]driver.Server(nil), g.servers...)
 		g.srvMu.Unlock()
 		for _, srv := range servers {
 			out.ServerMutations += srv.TotalMutations()
-			gs.ShedDrops += srv.QueueSheds()
 		}
-		out.ShedDrops += gs.ShedDrops
 		for _, c := range g.durCounters {
 			gs.Durable.Add(c.Snapshot())
 		}

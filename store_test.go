@@ -75,11 +75,8 @@ func TestStoreManyKeysAtomicPerKey(t *testing.T) {
 		name string
 		cfg  Config
 	}{
-		// ServerWorkers: 4 forces the key-sharded executor onto multiple
-		// workers regardless of GOMAXPROCS, so per-key atomicity is checked
-		// under genuinely parallel server execution.
-		{"fast", Config{Servers: 7, Faulty: 1, Readers: 2, Protocol: ProtocolFast, ServerWorkers: 4}},
-		{"abd", Config{Servers: 5, Faulty: 2, Readers: 2, Protocol: ProtocolABD, ServerWorkers: 4}},
+		{"fast", Config{Servers: 7, Faulty: 1, Readers: 2, Protocol: ProtocolFast}},
+		{"abd", Config{Servers: 5, Faulty: 2, Readers: 2, Protocol: ProtocolABD}},
 	}
 	const (
 		keyCount       = 110

@@ -118,8 +118,8 @@ func TestUDPPipelinedReadAtomicity(t *testing.T) {
 		name string
 		cfg  Config
 	}{
-		{"fast", Config{Servers: 7, Faulty: 1, Readers: 2, Protocol: ProtocolFast, ServerWorkers: 4, PipelineDepth: 8, Transport: UDP(nil)}},
-		{"abd", Config{Servers: 5, Faulty: 2, Readers: 2, Protocol: ProtocolABD, ServerWorkers: 4, PipelineDepth: 8, Transport: UDP(nil)}},
+		{"fast", Config{Servers: 7, Faulty: 1, Readers: 2, Protocol: ProtocolFast, PipelineDepth: 8, Transport: UDP(nil)}},
+		{"abd", Config{Servers: 5, Faulty: 2, Readers: 2, Protocol: ProtocolABD, PipelineDepth: 8, Transport: UDP(nil)}},
 	}
 	for _, sc := range scenarios {
 		t.Run(sc.name, func(t *testing.T) {
