@@ -55,31 +55,36 @@ func touch(ctx context.Context, t *testing.T, reg *Register) {
 // TestStoreGoroutineCensus is the arithmetic of "one queue and one wake-up
 // per node": an idle in-memory store runs one goroutine per server (its
 // executor) and one per client identity (its demux pump), and nothing per key.
+// The rows workers=0 (the default) and workers=1 are both the one executor
+// worker every server runs, so they build the same store and expect the same
+// count.
 func TestStoreGoroutineCensus(t *testing.T) {
 	const servers, readers = 4, 1
 	const want = servers + 1 + readers
 	ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
 	defer cancel()
-	for _, keys := range []int{64, 4096} {
-		t.Run(fmt.Sprintf("keys=%d", keys), func(t *testing.T) {
-			before := settledGoroutines(-1)
-			s, err := NewStore(Config{Servers: servers, Faulty: 1, Readers: readers})
-			if err != nil {
-				t.Fatal(err)
-			}
-			regs := registerKeys(t, s, "census/", keys)
-			touch(ctx, t, regs[0])
-			touch(ctx, t, regs[keys-1])
-			if got := settledGoroutines(before+want) - before; got != want {
-				t.Errorf("an idle store with %d keys runs %d goroutines, want %d", keys, got, want)
-			}
-			if err := s.Close(); err != nil {
-				t.Fatal(err)
-			}
-			if got := settledGoroutines(before); got != before {
-				t.Errorf("%d goroutines outlive Close", got-before)
-			}
-		})
+	for _, workers := range []int{0, 1} {
+		for _, keys := range []int{64, 4096} {
+			t.Run(fmt.Sprintf("workers=%d/keys=%d", workers, keys), func(t *testing.T) {
+				before := settledGoroutines(-1)
+				s, err := NewStore(Config{Servers: servers, Faulty: 1, Readers: readers})
+				if err != nil {
+					t.Fatal(err)
+				}
+				regs := registerKeys(t, s, "census/", keys)
+				touch(ctx, t, regs[0])
+				touch(ctx, t, regs[keys-1])
+				if got := settledGoroutines(before+want) - before; got != want {
+					t.Errorf("an idle store with %d keys runs %d goroutines, want %d", keys, got, want)
+				}
+				if err := s.Close(); err != nil {
+					t.Fatal(err)
+				}
+				if got := settledGoroutines(before); got != before {
+					t.Errorf("%d goroutines outlive Close", got-before)
+				}
+			})
+		}
 	}
 }
 

@@ -472,8 +472,12 @@ func acks(t *testing.T, node transport.Node, n int, fn func(*wire.Message)) {
 // LSN. Then the server crash-stops under load and every acked mutation must
 // be recovered. Calling co.Flush before the run-end hook in
 // transport.Executor.endRun fails every ack of this test; verified by hand
-// when the rule was introduced.
+// when the rule was introduced. The one row is the executor's one worker.
 func TestShellAcksOnlyAfterCommit(t *testing.T) {
+	t.Run("workers=1", acksOnlyAfterCommit)
+}
+
+func acksOnlyAfterCommit(t *testing.T) {
 	const keys, depth, total = 8, 16, 512
 	opts := durable.Options{Dir: t.TempDir(), Fsync: durable.FsyncAlways, SimulateCrash: true, SnapshotEvery: -1}
 

@@ -160,8 +160,12 @@ func TestMailboxPopAll(t *testing.T) {
 // of every run, output or not; it runs BEFORE the run's output is flushed; and
 // once it returns an error the output of that run — and of every later one it
 // fails — is dropped. Payloads are "key|seq"; even seqs are echoed, odd ones
-// are not.
+// are not. The one row is the executor's one worker.
 func TestExecutorRunEndHook(t *testing.T) {
+	t.Run("workers=1", runEndHook)
+}
+
+func runEndHook(t *testing.T) {
 	net := NewInMemNetwork()
 	defer func() { _ = net.Close() }()
 	var (
