@@ -208,17 +208,18 @@
 // node — the paper's one sequential step per message, in delivery order.
 //
 // Between a Send and the code that handles the message there is exactly one
-// queue — the destination node's — and exactly one wake-up — that node's
-// consumer (transport.Consume). A server's executor runs the node's mailbox
-// on its own goroutine; a client identity's one demux pump does the same and
+// queue — the destination node's transport.Queue, the same type on the
+// in-memory and the socket backends — and exactly one wake-up — that node's
+// consumer (transport.Consume). A server's executor runs the node's queue on
+// its own goroutine; a client identity's one demux pump does the same and
 // CALLS the engine of the handle a message is for (a demux route is a table
 // entry bound to its protoutil.Pipeline, not a goroutine and a channel), so a
 // register costs no goroutine and a few kilobytes, and a read's
 // acknowledgement wakes nobody between the node's queue and the caller's
 // future. Send never runs receiver code, so that queue stays the one
-// asynchronous boundary. Channels survive behind Node.Inbox for code that
-// wants to select on one (tests, the layer benchmarks); the product path does
-// not go through them.
+// asynchronous boundary. Channels survive behind Node.Inbox — the Queue's own
+// pump — for code that wants to select on one (tests, the layer benchmarks);
+// the product path does not go through them.
 //
 // Anyone writing protocol code must follow the codec's buffer-ownership
 // rules — encoded payloads are immutable, decoded views may alias them, and

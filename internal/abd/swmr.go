@@ -29,10 +29,6 @@ func NewWriter(cfg ClientConfig, node transport.Node) (*Writer, error) {
 	return protoutil.NewWriter("abd", cfg.Quorum.Majority(), nil, cfg, node)
 }
 
-// ReadResult is what an ABD read returns, including the number of
-// round-trips it used (always 2: query + write-back).
-type ReadResult = protoutil.ReadResult
-
 // Reader is the SWMR ABD reader: the engine's reader running query a majority,
 // select the highest timestamp, write it back to a majority, then return.
 // Each read is a two-round operation on one in-flight slot, so Depth bounds
@@ -43,16 +39,16 @@ type Reader = protoutil.Reader
 // NewReader creates an SWMR ABD reader. Round 1 queries a majority for their
 // current (ts, value).
 func NewReader(cfg ClientConfig, node transport.Node) (*Reader, error) {
-	return protoutil.NewReader(cfg, node, protoutil.Rounds[ReadResult]{
+	return protoutil.NewReader(cfg, node, protoutil.Rounds[protoutil.ReadResult]{
 		Name: "abd read", Need: cfg.Quorum.Majority(),
-		Begin: protoutil.Ask[ReadResult](wire.OpRead, cfg.Key), Finish: writeBack,
+		Begin: protoutil.Ask[protoutil.ReadResult](wire.OpRead, cfg.Key), Finish: writeBack,
 	})
 }
 
 // writeBack selects the highest timestamp of round 1's replies and writes it
 // back to a majority (round 2) before the read returns, so that no later read
 // can return an older value.
-func writeBack(c *protoutil.Call[ReadResult], acks []protoutil.Ack) (bool, error) {
+func writeBack(c *protoutil.Call[protoutil.ReadResult], acks []protoutil.Ack) (bool, error) {
 	if c.Req.Op == wire.OpWriteBack {
 		c.Result.RoundTrips = c.Round
 		return false, nil
@@ -60,7 +56,7 @@ func writeBack(c *protoutil.Call[ReadResult], acks []protoutil.Ack) (bool, error
 	maxTS, best, _ := protoutil.MaxTimestamp(acks)
 	// The result value must survive past the round: clone it now. The
 	// transient write-back request aliases the ack instead.
-	c.Result = ReadResult{Value: best.Msg.Cur.Clone(), Timestamp: maxTS}
+	c.Result = protoutil.ReadResult{Value: best.Msg.Cur.Clone(), Timestamp: maxTS}
 	c.Req = wire.Message{
 		Op:       wire.OpWriteBack,
 		Key:      c.Req.Key,

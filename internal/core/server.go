@@ -207,14 +207,6 @@ func (s *Server) TimestampOf(key string) types.Timestamp {
 	return ts
 }
 
-// CounterOf returns the named register's operation counter for one client
-// (see types.ProcessID.ClientPID) without copying the snapshot.
-func (s *Server) CounterOf(key string, clientPID int) int64 {
-	var c int64
-	s.Peek(key, func(st *registerState) { c = st.counters[clientPID] })
-	return c
-}
-
 // handle processes one incoming message: Figure 2 / Figure 5 lines 26-35,
 // applied to the register named by the message's key. Acknowledgements go
 // through the executor's run-scoped coalescer, so a run of pipelined

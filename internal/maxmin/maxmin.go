@@ -407,9 +407,6 @@ func NewWriter(cfg ClientConfig, node transport.Node) (*Writer, error) {
 	return protoutil.NewWriter("maxmin", cfg.Quorum.Majority(), nil, cfg, node)
 }
 
-// ReadResult is what a max-min read returns.
-type ReadResult = protoutil.ReadResult
-
 // Reader is the max-min reader: the engine's reader running a single
 // request/response exchange with a majority of servers, returning the value
 // with the MINIMUM timestamp among the replies (each of which is itself a
@@ -421,20 +418,20 @@ type Reader = protoutil.Reader
 // NewReader creates a max-min reader. One client round-trip, but servers
 // gossip among themselves before replying.
 func NewReader(cfg ClientConfig, node transport.Node) (*Reader, error) {
-	return protoutil.NewReader(cfg, node, protoutil.Rounds[ReadResult]{
+	return protoutil.NewReader(cfg, node, protoutil.Rounds[protoutil.ReadResult]{
 		Name: "maxmin read", Need: cfg.Quorum.Majority(),
-		Begin: protoutil.Ask[ReadResult](wire.OpRead, cfg.Key), Finish: minReply,
+		Begin: protoutil.Ask[protoutil.ReadResult](wire.OpRead, cfg.Key), Finish: minReply,
 	})
 }
 
 // minReply returns the value with the minimum timestamp among the replies.
-func minReply(c *protoutil.Call[ReadResult], acks []protoutil.Ack) (bool, error) {
+func minReply(c *protoutil.Call[protoutil.ReadResult], acks []protoutil.Ack) (bool, error) {
 	min := acks[0].Msg
 	for _, a := range acks[1:] {
 		if a.Msg.TS < min.TS {
 			min = a.Msg
 		}
 	}
-	c.Result = ReadResult{Value: min.Cur.Clone(), Timestamp: min.TS, RoundTrips: 1}
+	c.Result = protoutil.ReadResult{Value: min.Cur.Clone(), Timestamp: min.TS, RoundTrips: 1}
 	return false, nil
 }

@@ -165,9 +165,6 @@ func regularizable(cfg ClientConfig) error {
 	return nil
 }
 
-// ReadResult is what a regular read returns.
-type ReadResult = protoutil.ReadResult
-
 // Reader is a regular-register reader: the engine's reader running query a
 // majority, return the value with the highest timestamp. One round-trip, no
 // write-back, any number of readers.
@@ -178,15 +175,15 @@ func NewReader(cfg ClientConfig, node transport.Node) (*Reader, error) {
 	if err := regularizable(cfg); err != nil {
 		return nil, err
 	}
-	return protoutil.NewReader(cfg, node, protoutil.Rounds[ReadResult]{
+	return protoutil.NewReader(cfg, node, protoutil.Rounds[protoutil.ReadResult]{
 		Name: "regular read", Need: cfg.Quorum.Majority(),
-		Begin: protoutil.Ask[ReadResult](wire.OpRead, cfg.Key), Finish: maxReply,
+		Begin: protoutil.Ask[protoutil.ReadResult](wire.OpRead, cfg.Key), Finish: maxReply,
 	})
 }
 
 // maxReply returns the value with the highest timestamp among the replies.
-func maxReply(c *protoutil.Call[ReadResult], acks []protoutil.Ack) (bool, error) {
+func maxReply(c *protoutil.Call[protoutil.ReadResult], acks []protoutil.Ack) (bool, error) {
 	_, best, _ := protoutil.MaxTimestamp(acks)
-	c.Result = ReadResult{Value: best.Msg.Cur.Clone(), Timestamp: best.Msg.TS, RoundTrips: 1}
+	c.Result = protoutil.ReadResult{Value: best.Msg.Cur.Clone(), Timestamp: best.Msg.TS, RoundTrips: 1}
 	return false, nil
 }

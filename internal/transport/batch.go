@@ -10,8 +10,7 @@ import (
 //
 // A delivered transport.Message may carry either a single encoded protocol
 // message or a wire.Batch envelope packing several of them (produced by the
-// tcpnet per-peer flusher, the in-memory node pump's coalescer, or a server's
-// per-run acknowledgement Coalescer). Every consumer that interprets payloads
+// tcpnet per-peer flusher or a server's per-run acknowledgement Coalescer). Every consumer that interprets payloads
 // — the executor, the demux pump, the client-side ack collectors — expands
 // batches through Expand, so the code handling one message never sees the
 // envelope.

@@ -250,67 +250,11 @@ func TestExecutorRunCoalescingFlushesPerRun(t *testing.T) {
 	<-done
 }
 
-// TestInMemBatchingPumpCoalesces checks the WithBatching pump: a backlog of
-// same-sender messages drains as one batch delivery, per-link order intact,
-// while interleaved senders split groups.
-func TestInMemBatchingPumpCoalesces(t *testing.T) {
-	net := NewInMemNetwork(WithBatching())
-	t.Cleanup(func() { _ = net.Close() })
-	dst, err := net.Join(types.Reader(1))
-	if err != nil {
-		t.Fatal(err)
-	}
-	s1, err := net.Join(types.Server(1))
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	// Stuff a backlog while the consumer is not reading: the pump's first
-	// handoff blocks on the unread channel, so everything behind it piles up
-	// in the mailbox and the NEXT handoff must be a coalesced run.
-	const burst = 50
-	for i := 1; i <= burst; i++ {
-		if err := s1.Send(types.Reader(1), "m", encodedMsg(wire.OpReadAck, "", int64(i))); err != nil {
-			t.Fatal(err)
-		}
-	}
-
-	var rcs []int64
-	deliveries := 0
-	deadline := time.After(10 * time.Second)
-	for len(rcs) < burst {
-		select {
-		case m, ok := <-dst.Inbox():
-			if !ok {
-				t.Fatal("inbox closed early")
-			}
-			deliveries++
-			Expand(m, func(sub Message) {
-				msg, err := wire.Decode(sub.Payload)
-				if err != nil {
-					t.Fatalf("undecodable delivery: %v", err)
-				}
-				rcs = append(rcs, msg.RCounter)
-			})
-		case <-deadline:
-			t.Fatalf("got %d of %d messages", len(rcs), burst)
-		}
-	}
-	for i, rc := range rcs {
-		if rc != int64(i+1) {
-			t.Fatalf("order broken at %d: got rc=%d", i, rc)
-		}
-	}
-	if deliveries >= burst {
-		t.Errorf("pump made %d deliveries for %d messages; backlog did not coalesce", deliveries, burst)
-	}
-}
-
-// TestInMemBatchingPreservesCrossSenderOrder: grouping is only ever of
-// CONSECUTIVE same-sender messages, so deliveries from different senders
-// keep their arrival interleaving.
+// TestInMemBatchingPreservesCrossSenderOrder: a node's consumer takes its
+// backlog as one run, and deliveries from different senders keep their
+// arrival interleaving within it.
 func TestInMemBatchingPreservesCrossSenderOrder(t *testing.T) {
-	net := NewInMemNetwork(WithBatching())
+	net := NewInMemNetwork()
 	t.Cleanup(func() { _ = net.Close() })
 	dst, err := net.Join(types.Reader(1))
 	if err != nil {

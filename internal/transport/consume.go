@@ -12,13 +12,15 @@ package transport
 // holds on both sides: a server's executor runs its handler inside Consume.
 //
 // Send never runs receiver code: the node's queue stays the one asynchronous
-// boundary, so a sender may hold its own locks across a broadcast.
+// boundary, so a sender may hold its own locks across a broadcast. That queue
+// is a Queue on every node kind: the in-memory node holds one, and so does
+// the socket core (framed.Core), whose read loops fill it one whole frame at a
+// time.
 
-// RunDrainer is implemented by nodes that own a multi-producer queue a
-// consumer can drain on its own goroutine: the in-memory node's mailbox and
-// the socket core's inbound queue (framed.Core), which a read loop fills one
-// whole frame at a time. Nodes that only have a channel — test doubles,
-// decorators — do not, and Consume ranges over their Inbox instead.
+// RunDrainer is implemented by nodes whose Queue a consumer can drain on its
+// own goroutine — every in-memory and socket node. Nodes that only have a
+// channel — test doubles, decorators — do not, and Consume ranges over their
+// Inbox instead.
 type RunDrainer interface {
 	// DrainRuns delivers the node's messages on the calling goroutine, run
 	// by run, until the node is closed and drained. It reports false, having
@@ -35,14 +37,13 @@ type RunDrainer interface {
 // Messages arrive in RUNS — whatever had queued up by the time the consumer
 // came back for more — and runEnd, if non-nil, is called after the last
 // message of every run, before the consumer blocks again, and once more when
-// the node has closed. A run is one batched pop of an in-memory node's
-// mailbox (one message per run on a network without batching), one batched
-// pop of a socket node's inbound queue (whole frames only: a run never ends
-// partway through a frame), or, on a channel-only node, one blocking receive
-// plus whatever else was immediately ready. An idle node therefore ends a run
-// after every message (or frame), while a backlog ends one run for all of it:
-// the server's ack coalescer and group-commit hook hang off exactly this
-// boundary.
+// the node has closed. A run is everything the node's Queue held at the
+// consumer's wake-up (on a socket node whole frames only: a run never ends
+// partway through a frame; under a virtual clock always one message), or, on
+// a channel-only node, one blocking receive plus whatever else was
+// immediately ready. An idle node therefore ends a run after every message
+// (or frame), while a backlog ends one run for all of it: the server's ack
+// coalescer and group-commit hook hang off exactly this boundary.
 func Consume(node Node, deliver func(Message), runEnd func()) {
 	if runEnd == nil {
 		runEnd = func() {}

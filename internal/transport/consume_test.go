@@ -55,7 +55,7 @@ func TestConsumePerLinkFIFO(t *testing.T) {
 	const senders, perSender = 4, 2500
 	for _, row := range consumeRows {
 		t.Run(row.name, func(t *testing.T) {
-			net := NewInMemNetwork(WithBatching())
+			net := NewInMemNetwork()
 			defer net.Close()
 			dst := mustJoin(t, net, types.Reader(1))
 
@@ -105,7 +105,7 @@ func TestConsumeRunBoundaries(t *testing.T) {
 	const msgs = 500
 	for _, row := range consumeRows {
 		t.Run(row.name, func(t *testing.T) {
-			net := NewInMemNetwork(WithBatching())
+			net := NewInMemNetwork()
 			defer net.Close()
 			dst := mustJoin(t, net, types.Reader(1))
 			src := mustJoin(t, net, types.Server(1))
@@ -152,32 +152,36 @@ func TestConsumeRunBoundaries(t *testing.T) {
 	}
 }
 
-// TestConsumeUnbatchedRunsOfOne: on a network without batching every run is
-// one message (what a network without WithBatching promises), backlog or not.
+// TestConsumeUnbatchedRunsOfOne: on a virtual-clock network every run is one
+// message, backlog or not — Step fires one delivery and waits until it has
+// been handled before firing the next.
 func TestConsumeUnbatchedRunsOfOne(t *testing.T) {
-	net := NewInMemNetwork()
+	clock := NewVirtualClock()
+	net := NewInMemNetwork(WithClock(clock))
 	defer net.Close()
 	dst := mustJoin(t, net, types.Reader(1))
 	src := mustJoin(t, net, types.Server(1))
+	sinceEnd, delivered := 0, 0
+	done := runConsume(dst, func(m Message) {
+		if sinceEnd++; sinceEnd > 1 {
+			t.Errorf("a run of %d messages on a virtual-clock network", sinceEnd)
+		}
+		delivered++
+		m.ReleaseArena()
+	}, func() { sinceEnd = 0 })
 	const msgs = 200
-	for i := 0; i < msgs; i++ { // a backlog: nobody consumes yet
+	for i := 0; i < msgs; i++ { // a backlog: every delivery is a pending event
 		if err := src.Send(dst.ID(), "m", []byte{byte(i)}); err != nil {
 			t.Fatal(err)
 		}
 	}
-	sinceEnd, delivered := 0, 0
-	all := make(chan struct{})
-	done := runConsume(dst, func(Message) {
-		if sinceEnd++; sinceEnd > 1 {
-			t.Errorf("a run of %d messages on an unbatched network", sinceEnd)
-		}
-		if delivered++; delivered == msgs {
-			close(all)
-		}
-	}, func() { sinceEnd = 0 })
-	waitClosed(t, "delivery of every message", all)
+	for clock.RunNext() {
+	}
 	_ = dst.Close()
 	waitClosed(t, "Consume", done)
+	if delivered != msgs {
+		t.Fatalf("delivered %d of %d messages", delivered, msgs)
+	}
 }
 
 // TestConsumeCloseReleasesBacklog: closing a node with messages still queued
@@ -204,7 +208,7 @@ func TestConsumeCloseReleasesBacklog(t *testing.T) {
 			for i := 0; i < backlog; i++ {
 				m := Message{From: types.Server(1), To: dst.ID(), Kind: "m", Payload: arena.Bytes(), Arena: arena, vt: clock}
 				m.RetainArena()
-				if !dst.(*inMemNode).box.push(m) {
+				if !dst.(*inMemNode).Push(m) {
 					t.Fatal("push rejected on an open node")
 				}
 			}
@@ -253,7 +257,7 @@ func TestConsumeCloseReleasesBacklog(t *testing.T) {
 // read through Inbox receive the same messages in the same order, and each
 // learns of the close exactly once, after the last message.
 func TestRouteSinkAndInboxSeeTheSameStream(t *testing.T) {
-	net := NewInMemNetwork(WithBatching())
+	net := NewInMemNetwork()
 	defer net.Close()
 	client := mustJoin(t, net, types.Reader(1))
 	src := mustJoin(t, net, types.Server(1))
@@ -361,7 +365,7 @@ func (s *recordingSink) last() string {
 // into it tells its sink closed exactly once, after the last delivery — the
 // guarantee a reader restart and a handle's Close lean on.
 func TestRouteCloseDuringDelivery(t *testing.T) {
-	net := NewInMemNetwork(WithBatching())
+	net := NewInMemNetwork()
 	defer net.Close()
 	client := mustJoin(t, net, types.Reader(1))
 	src := mustJoin(t, net, types.Server(1))

@@ -14,14 +14,6 @@ import (
 // payloads.
 type KeyFunc func(Message) (key []byte, ok bool)
 
-// DefaultRouteBuffer is the capacity of a route's delivery channel (see
-// demuxRoute.Inbox) when NewDemux is given a non-positive one. The channel is
-// only the handoff between the route's forwarder and its consumer — the queue
-// proper is unbounded — so the capacity merely smooths bursts; 256 covers
-// several operations' worth of acknowledgements for any realistic server
-// count.
-const DefaultRouteBuffer = 256
-
 // Demux multiplexes one physical transport node into many virtual nodes, one
 // per register key. It is the client-side half of the multi-register store:
 // a single writer (or reader) process joins the network once, and its
@@ -46,7 +38,6 @@ const DefaultRouteBuffer = 256
 type Demux struct {
 	node  Node
 	keyOf KeyFunc
-	buf   int
 
 	// mu guards the route table and the closed flag: the pump read-locks it
 	// for one lookup per message, route open/close write-lock it for one map
@@ -58,17 +49,13 @@ type Demux struct {
 	done chan struct{}
 }
 
-// NewDemux wraps a physical node and starts the routing pump. buf is the
-// capacity of a route's delivery channel, for routes read through Inbox
-// (DefaultRouteBuffer if <= 0).
-func NewDemux(node Node, keyOf KeyFunc, buf int) *Demux {
-	if buf <= 0 {
-		buf = DefaultRouteBuffer
-	}
+// NewDemux wraps a physical node and starts the routing pump. The third
+// parameter is ignored; it is kept for callers that still pass a route
+// buffer size.
+func NewDemux(node Node, keyOf KeyFunc, _ int) *Demux {
 	d := &Demux{
 		node:   node,
 		keyOf:  keyOf,
-		buf:    buf,
 		routes: make(map[string]*demuxRoute),
 		done:   make(chan struct{}),
 	}
@@ -148,11 +135,9 @@ func (d *Demux) Close() error {
 //
 //   - BindSink (protoutil.Pipeline does this at construction): the pump calls
 //     the sink — the client engine — directly. This is the product path.
-//   - Inbox: the route grows a channel side — an unbounded queue, a forwarder
-//     goroutine and a delivery channel, what every route used to own — for
-//     consumers that want to select on a channel: tests and cmd/benchreport's
-//     transport.demux_rtt_us cell. It goes when ROADMAP item 1 moves that
-//     cell onto the sink.
+//   - Inbox: the route grows a channel side — an unbounded Queue read
+//     through its Inbox — for consumers that want to select on a channel:
+//     tests and cmd/benchreport's transport.demux_rtt_us cell.
 //
 // Until either happens, messages wait in the route (a route opened and never
 // consumed queues without bound, as it always has).
@@ -168,39 +153,12 @@ type demuxRoute struct {
 	// route guard.
 	mu      sync.Mutex
 	sink    Sink
-	ch      *routeChannel
+	q       *Queue
 	pending []Message
 	closed  bool
 }
 
 var _ Node = (*demuxRoute)(nil)
-
-// routeChannel is the channel side of a route (see demuxRoute): an unbounded
-// mailbox, so a burst is never dropped, drained by the forwarder goroutine
-// into the delivery channel.
-type routeChannel struct {
-	box   *mailbox
-	inbox chan Message
-}
-
-// forward moves messages from the queue to the delivery channel in batches,
-// exactly like a node's pump; it exits — closing the channel — once the queue
-// is closed and drained.
-func (c *routeChannel) forward() {
-	defer close(c.inbox)
-	c.box.drain(func(m Message) { c.inbox <- m })
-}
-
-// close closes the queue and drains the delivery channel until the forwarder
-// closes it, so the forwarder can exit even if the consumer stopped reading
-// (mirrors inMemNode.Close); undelivered messages give back their references
-// here.
-func (c *routeChannel) close() {
-	c.box.close()
-	for m := range c.inbox {
-		m.ReleaseArena()
-	}
-}
 
 // deliver hands one message, and its reference, to whatever consumes the
 // route. Pump goroutine only.
@@ -212,10 +170,8 @@ func (rt *demuxRoute) deliver(m Message) {
 		m.ReleaseArena()
 	case rt.sink != nil:
 		rt.sink.Deliver(m)
-	case rt.ch != nil:
-		if !rt.ch.box.push(m) {
-			m.ReleaseArena()
-		}
+	case rt.q != nil:
+		rt.q.Push(m)
 	default:
 		rt.pending = append(rt.pending, m)
 	}
@@ -228,7 +184,7 @@ func (rt *demuxRoute) deliver(m Message) {
 // if the route already has a consumer (a sink, or a reader of Inbox).
 func (rt *demuxRoute) BindSink(s Sink) bool {
 	rt.mu.Lock()
-	if rt.sink != nil || rt.ch != nil {
+	if rt.sink != nil || rt.q != nil {
 		rt.mu.Unlock()
 		return false
 	}
@@ -256,14 +212,14 @@ func (rt *demuxRoute) shutdown() {
 		return
 	}
 	rt.closed = true
-	sink, ch, pending := rt.sink, rt.ch, rt.pending
+	sink, q, pending := rt.sink, rt.q, rt.pending
 	rt.sink, rt.pending = nil, nil
 	rt.mu.Unlock()
 	for _, m := range pending {
 		m.ReleaseArena()
 	}
-	if ch != nil {
-		ch.close()
+	if q != nil {
+		q.Close()
 	}
 	if sink != nil {
 		sink.Closed()
@@ -284,18 +240,17 @@ func (rt *demuxRoute) Send(to types.ProcessID, kind string, payload []byte) erro
 func (rt *demuxRoute) Inbox() <-chan Message {
 	rt.mu.Lock()
 	defer rt.mu.Unlock()
-	if rt.ch == nil {
-		rt.ch = &routeChannel{box: newMailbox(), inbox: make(chan Message, rt.demux.buf)}
+	if rt.q == nil {
+		rt.q = NewQueue(0, nil)
 		for _, m := range rt.pending {
-			rt.ch.box.push(m)
+			rt.q.Push(m)
 		}
 		rt.pending = nil
 		if rt.closed {
-			rt.ch.box.close()
+			rt.q.Close()
 		}
-		go rt.ch.forward()
 	}
-	return rt.ch.inbox
+	return rt.q.Inbox()
 }
 
 // Close detaches this key's route from the demux. The physical node and the

@@ -217,7 +217,7 @@ func TestDemuxConcurrentCloseAndDeliver(t *testing.T) {
 // the client. Every burst message must now survive until the consumer gets
 // around to draining, in order.
 func TestDemuxRouteSurvivesBurstBacklog(t *testing.T) {
-	const burst = 5000 // far beyond DefaultRouteBuffer
+	const burst = 5000
 
 	net := NewInMemNetwork()
 	defer net.Close()

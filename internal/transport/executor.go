@@ -58,7 +58,7 @@ func (e *Executor) endRun(co *Coalescer) {
 //
 // Output is batched per run: the handler receives a Sender alongside each
 // message, and everything sent through it during one RUN of messages (see
-// Consume — on an in-memory node, one batched pop of the mailbox) is flushed
+// Consume — everything the node's Queue held at the consumer's wake-up) is flushed
 // as one send per destination when the run ends. An idle server handling a
 // lone message flushes immediately after it, so coalescing never delays a
 // reply; under pipelined load a run of k requests from one client costs ONE

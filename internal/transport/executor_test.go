@@ -113,46 +113,45 @@ func TestExecutorSingleWorkerInline(t *testing.T) {
 	}
 }
 
-// TestMailboxPopAll exercises the batched pop: it takes the whole queue in
-// one call, recycles the handed-back buffer, and reports closure only after
-// the queue is drained.
+// TestMailboxPopAll: in steady state a DrainRuns consumer allocates nothing.
+// Each run's buffer, cleared, becomes the queue's next backing array, so runs
+// ping-pong between two arrays. The consumer is parked in runEnd while the
+// next run queues, so every run is exactly the pushed batch.
 func TestMailboxPopAll(t *testing.T) {
-	m := newMailbox()
-	for i := 0; i < 5; i++ {
-		if !m.push(Message{Kind: fmt.Sprintf("m%d", i)}) {
-			t.Fatalf("push %d rejected", i)
+	const perRun = 8
+	q := NewQueue(0, nil)
+	gate, ended := make(chan struct{}), make(chan int)
+	n := 0
+	done := make(chan bool)
+	go func() {
+		done <- q.DrainRuns(func(Message) { n++ }, func() {
+			ended <- n
+			n = 0
+			<-gate
+		})
+	}()
+	run := func() {
+		for i := 0; i < perRun; i++ {
+			q.Push(Message{Kind: "m"})
+		}
+		gate <- struct{}{}
+		if got := <-ended; got != perRun {
+			t.Fatalf("a run of %d messages, want %d", got, perRun)
 		}
 	}
-	batch, ok := m.popAll(nil)
-	if !ok || len(batch) != 5 {
-		t.Fatalf("popAll = %d msgs, ok=%v; want 5, true", len(batch), ok)
+	q.Push(Message{Kind: "first"})
+	if got := <-ended; got != 1 {
+		t.Fatalf("first run of %d messages, want 1", got)
 	}
-	for i := range batch {
-		if want := fmt.Sprintf("m%d", i); batch[i].Kind != want {
-			t.Fatalf("batch[%d] = %q, want %q", i, batch[i].Kind, want)
-		}
-		batch[i] = Message{}
+	run() // grow both arrays to a run's size
+	run()
+	if allocs := testing.AllocsPerRun(100, run); allocs != 0 {
+		t.Errorf("%.1f allocations per steady-state run, want 0", allocs)
 	}
-
-	// The cleared batch becomes the mailbox's next backing array: pushing
-	// fewer messages than its capacity must not allocate a fresh one.
-	if !m.push(Message{Kind: "again"}) {
-		t.Fatal("push after popAll rejected")
-	}
-	second, ok := m.popAll(batch)
-	if !ok || len(second) != 1 || second[0].Kind != "again" {
-		t.Fatalf("second popAll = %v, ok=%v", second, ok)
-	}
-
-	// Close with messages queued: they must still drain before ok=false.
-	m.push(Message{Kind: "last"})
-	m.close()
-	third, ok := m.popAll(nil)
-	if !ok || len(third) != 1 || third[0].Kind != "last" {
-		t.Fatalf("popAll after close = %v, ok=%v; want the queued message", third, ok)
-	}
-	if batch, ok := m.popAll(nil); ok {
-		t.Fatalf("popAll on closed drained mailbox returned %v, want ok=false", batch)
+	q.Close()
+	gate <- struct{}{}
+	if !<-done {
+		t.Fatal("DrainRuns refused a queue nobody consumed")
 	}
 }
 

@@ -3,22 +3,22 @@
 // messages; tcpnet and udpnet are two carriers of the same frame, so
 // everything that does not depend on how the frame travels lives here once:
 // the node configuration and its address resolution, the frame body codec
-// (frame.go), the inbound path from a decoded frame to the consumer, the
-// delivery and drop counters, the closed flag and its errors, and the
-// loopback test cluster. A carrier embeds a Core and adds only what its
-// socket type needs: tcpnet the lazy dial, the per-peer batch writer and the
-// restart eviction; udpnet the sequence numbers, dedup windows, chunking and
-// batched syscalls.
+// (frame.go), the inbound path from a decoded frame into the node's
+// transport.Queue, the delivery and drop counters, the closed flag and its
+// errors, and the loopback test cluster. A carrier embeds a Core and adds
+// only what its socket type needs: tcpnet the lazy dial, the per-peer batch
+// writer and the restart eviction; udpnet the sequence numbers, dedup
+// windows, chunking and batched syscalls.
 //
 // Core is a concrete type: no interface sits between a carrier's read loop
-// and the consumer's queue.
+// and the consumer's queue, which is the same transport.Queue an in-memory
+// node holds.
 package framed
 
 import (
 	"errors"
 	"fmt"
 	"io"
-	"sync"
 	"sync/atomic"
 
 	"fastread/internal/transport"
@@ -102,41 +102,27 @@ func (s *Stats) Add(o Stats) {
 	s.DedupDrops += o.DedupDrops
 }
 
-// inboxLen bounds the messages delivered but not yet consumed: deep enough to
+// InboxLen bounds the messages delivered but not yet consumed: deep enough to
 // absorb a pipelined burst from every peer of a deployment between two
 // consumer wakeups. A consumer that falls further behind loses messages
 // (counted), which the protocols tolerate: they never wait for more than S−t
 // replies.
-const inboxLen = 1024
+const InboxLen = 1024
 
 // Core is the carrier-independent half of a socket node. Carriers embed it,
-// which gives their Node the ID, Inbox, DrainRuns and Stats methods; the
-// remaining methods are the carrier's side of the contract.
+// which gives their Node the ID and Stats methods and the inbound
+// transport.Queue's Inbox and DrainRuns; the remaining methods are the
+// carrier's side of the contract.
 //
-// Inbound messages wait in one queue that transport.Consume drains in runs
-// (DrainRuns). A read loop appends a decoded frame's messages under one lock,
-// so a run always ends on a frame boundary: a server's ack coalescer and
-// commit group see every request a frame carried, never part of it. The
-// channel of the Node interface exists only behind Inbox, for consumers that
-// select on it (tests, the layer benchmarks); the first of Inbox and
-// DrainRuns decides the node's consumer style for its lifetime.
+// Inbound messages wait in the node's one Queue, bounded at InboxLen, which
+// transport.Consume drains in runs. A read loop admits a decoded frame's
+// messages under one lock (Deliver), so a run always ends on a frame
+// boundary: a server's ack coalescer and commit group see every request a
+// frame carried, never part of it.
 type Core struct {
+	*transport.Queue
 	cfg    Config
 	closed atomic.Bool
-
-	// mu guards the queue and the consumer style; cond wakes the consumer.
-	mu   sync.Mutex
-	cond sync.Cond
-	// queue holds delivered messages until the consumer takes them.
-	queue []transport.Message
-	// draining is set once DrainRuns claims the node.
-	draining bool
-	// box is the channel side, nil until the first Inbox call; from then on
-	// Deliver sends into it instead of queueing.
-	box chan transport.Message
-	// shut is set by CloseInbox: nothing is admitted afterwards, and the
-	// consumer returns once the queue is empty.
-	shut bool
 
 	delivered      atomic.Int64
 	frames         atomic.Int64
@@ -152,69 +138,12 @@ var _ transport.RunDrainer = (*Core)(nil)
 func NewCore(cfg Config) *Core {
 	cfg.Book = cfg.Book.Clone()
 	c := &Core{cfg: cfg}
-	c.cond.L = &c.mu
+	c.Queue = transport.NewQueue(InboxLen, &c.droppedInbound)
 	return c
 }
 
 // ID implements transport.Node.
 func (c *Core) ID() types.ProcessID { return c.cfg.Self }
-
-// Inbox implements transport.Node: the first call builds the delivery channel
-// and moves whatever is queued into it. A node already claimed by DrainRuns
-// yields a closed channel — there is nothing left for a second consumer.
-func (c *Core) Inbox() <-chan transport.Message {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if c.draining {
-		closed := make(chan transport.Message)
-		close(closed)
-		return closed
-	}
-	if c.box == nil {
-		c.box = make(chan transport.Message, inboxLen)
-		for _, m := range c.queue {
-			c.box <- m // the queue is bounded by inboxLen too
-		}
-		c.queue = nil
-		if c.shut {
-			close(c.box)
-		}
-	}
-	return c.box
-}
-
-// DrainRuns implements transport.RunDrainer: the caller becomes the node's
-// consumer and takes the whole queue at each wake-up, so a run is every
-// frame the read loops had delivered by then — one lock per run, not one
-// channel receive per message.
-func (c *Core) DrainRuns(deliver func(transport.Message), runEnd func()) bool {
-	c.mu.Lock()
-	if c.box != nil {
-		c.mu.Unlock()
-		return false
-	}
-	c.draining = true
-	var spare []transport.Message
-	for {
-		for len(c.queue) == 0 && !c.shut {
-			c.cond.Wait()
-		}
-		if len(c.queue) == 0 {
-			c.mu.Unlock()
-			return true
-		}
-		run := c.queue
-		c.queue = spare[:0]
-		c.mu.Unlock()
-		for i := range run {
-			deliver(run[i])
-			run[i] = transport.Message{}
-		}
-		runEnd()
-		spare = run
-		c.mu.Lock()
-	}
-}
 
 // Stats returns a snapshot of the node's delivery and drop counters; it
 // stays readable after Close.
@@ -241,28 +170,13 @@ func (c *Core) AddrOf(to types.ProcessID) (string, error) {
 	return addr, nil
 }
 
-// Closed reports whether Shut has been called.
+// Closed reports whether Shut has been called. The carrier closes the Queue
+// last, once every goroutine that could still call Deliver has exited.
 func (c *Core) Closed() bool { return c.closed.Load() }
 
 // Shut marks the node closed and reports whether this call did it, so a
 // carrier's Close runs its teardown exactly once.
 func (c *Core) Shut() bool { return c.closed.CompareAndSwap(false, true) }
-
-// CloseInbox ends delivery: the consumer returns once it has taken what is
-// already queued, and the inbox channel, if any, is closed. The carrier calls
-// it last, once every goroutine that could still call Deliver has exited.
-func (c *Core) CloseInbox() {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if c.shut {
-		return
-	}
-	c.shut = true
-	if c.box != nil {
-		close(c.box)
-	}
-	c.cond.Broadcast()
-}
 
 // CountFrame records one frame or datagram read off the socket.
 func (c *Core) CountFrame() { c.frames.Add(1) }
@@ -276,57 +190,24 @@ func (c *Core) CountDedupDrop() { c.dedupDrops.Add(1) }
 // Deliver hands one decoded frame to the consumer and reports whether the
 // node is still open. It consumes the caller's reference to arena, the pooled
 // buffer payload aliases (wire's ownership rule 4). A batch frame — a TCP
-// flusher's or an executor coalescer's output — is expanded here, so
-// consumers see the per-message stream they always did: every sub-payload
-// aliases the frame's arena with one reference of its own, and the caller's
-// reference drops once expansion is done. Any other frame passes its
-// reference on to the one delivered message. The whole frame is admitted
-// under one lock, so a consumer's run takes all of it or none of it.
+// flusher's or an executor coalescer's output — is expanded here
+// (Queue.PushExpanded), so consumers see the per-message stream they always
+// did; any other frame passes its reference on to the one delivered message.
+// A full queue drops what does not fit and gives its reference back: the
+// protocols tolerate the loss because they never wait for more than S−t
+// replies, and DroppedInbound lets operators see it.
 func (c *Core) Deliver(from types.ProcessID, kind string, payload []byte, arena *wire.Arena) bool {
 	if c.closed.Load() {
 		arena.Release()
 		return false
 	}
-	c.mu.Lock()
+	m := transport.Message{From: from, To: c.cfg.Self, Kind: kind, Payload: payload, Arena: arena}
 	if kind == wire.BatchKind && wire.IsBatch(payload) {
-		_ = wire.ForEachInBatch(payload, func(sub []byte) error {
-			arena.Ref()
-			c.admit(transport.Message{From: from, To: c.cfg.Self, Kind: kind, Payload: sub, Arena: arena})
-			return nil
-		})
-		arena.Release()
-	} else {
-		c.admit(transport.Message{From: from, To: c.cfg.Self, Kind: kind, Payload: payload, Arena: arena})
-	}
-	if c.box == nil {
-		c.cond.Signal()
-	}
-	c.mu.Unlock()
-	return true
-}
-
-// admit queues one message — or, once Inbox was called, sends it into the
-// channel — without blocking, counting it either way; c.mu is held. A full
-// queue drops the message and gives its arena reference back: the protocols
-// tolerate the loss because they never wait for more than S−t replies, and
-// the count lets operators see it.
-func (c *Core) admit(msg transport.Message) {
-	switch {
-	case c.shut:
-	case c.box != nil:
-		select {
-		case c.box <- msg:
-			c.delivered.Add(1)
-			return
-		default:
-		}
-	case len(c.queue) < inboxLen:
-		c.queue = append(c.queue, msg)
+		c.delivered.Add(int64(c.PushExpanded(m)))
+	} else if c.Push(m) {
 		c.delivered.Add(1)
-		return
 	}
-	msg.ReleaseArena()
-	c.droppedInbound.Add(1)
+	return true
 }
 
 // LocalCluster starts one node per identity, all bound to loopback on

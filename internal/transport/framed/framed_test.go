@@ -53,7 +53,7 @@ func TestDrainRunsEndsOnFrameBoundaries(t *testing.T) {
 		}()
 	}
 	wg.Wait()
-	c.CloseInbox()
+	c.Close()
 	if !<-done {
 		t.Fatal("DrainRuns refused a node nobody consumed")
 	}
@@ -63,19 +63,23 @@ func TestDrainRunsEndsOnFrameBoundaries(t *testing.T) {
 }
 
 // TestConsumerStyleIsDecidedOnce: the first of Inbox and DrainRuns owns the
-// node. Inbox takes over what was queued before it; a drained node's inbox is
+// node. Inbox delivers what was queued before it; a drained node's inbox is
 // closed.
 func TestConsumerStyleIsDecidedOnce(t *testing.T) {
 	c := NewCore(Config{Self: types.Server(1)})
 	deliverBatch(c, types.Reader(1), 3)
 	box := c.Inbox()
-	if len(box) != 3 {
-		t.Fatalf("inbox holds %d of the 3 queued messages", len(box))
+	for i := 0; i < 3; i++ {
+		m, ok := <-box
+		if !ok {
+			t.Fatalf("inbox closed after %d of the 3 queued messages", i)
+		}
+		m.ReleaseArena()
 	}
 	if c.DrainRuns(func(transport.Message) {}, func() {}) {
 		t.Fatal("DrainRuns claimed a node already read through Inbox")
 	}
-	c.CloseInbox()
+	c.Close()
 	for m := range box {
 		m.ReleaseArena()
 	}
@@ -94,24 +98,24 @@ func TestConsumerStyleIsDecidedOnce(t *testing.T) {
 	if _, open := <-d.Inbox(); open {
 		t.Fatal("a drained node's inbox is open")
 	}
-	d.CloseInbox()
+	d.Close()
 	if !<-done {
 		t.Fatal("DrainRuns did not own a fresh node")
 	}
 }
 
 // TestQueueBoundDropsAndReleases: with nobody consuming, the queue holds
-// inboxLen messages; the rest are counted and their arena references given
+// InboxLen messages; the rest are counted and their arena references given
 // back.
 func TestQueueBoundDropsAndReleases(t *testing.T) {
 	c := NewCore(Config{Self: types.Server(1)})
 	var last *wire.Arena
-	for i := 0; i < inboxLen+3; i++ {
+	for i := 0; i < InboxLen+3; i++ {
 		last = wire.GetArena(1)
 		c.Deliver(types.Reader(1), "x", last.Bytes(), last)
 	}
-	if st := c.Stats(); st.Delivered != inboxLen || st.DroppedInbound != 3 {
-		t.Fatalf("stats = %+v, want %d delivered and 3 dropped", st, inboxLen)
+	if st := c.Stats(); st.Delivered != InboxLen || st.DroppedInbound != 3 {
+		t.Fatalf("stats = %+v, want %d delivered and 3 dropped", st, InboxLen)
 	}
 	if r := last.Refs(); r != 0 {
 		t.Fatalf("a dropped message's arena holds %d references", r)

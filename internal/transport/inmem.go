@@ -8,7 +8,6 @@ import (
 	"time"
 
 	"fastread/internal/types"
-	"fastread/internal/wire"
 )
 
 // link identifies a directed sender→receiver channel.
@@ -70,29 +69,17 @@ func WithMailboxBound(server int) InMemOption {
 // only fires the next event once the previous one's entire causal cascade
 // has quiesced. Delays and jitter advance virtual time instead of sleeping.
 //
-// A virtual-clock network disables batching (WithBatching): under
-// one-event-at-a-time delivery every run has length one, so batching could
-// never coalesce anything — it would only complicate activity accounting.
+// A node's consumer takes whatever is queued as one run (Queue), and on such a
+// network that is always one message: Step fires one delivery and waits until
+// its consumer has released it before firing the next.
 func WithClock(c *VirtualClock) InMemOption {
 	return func(n *InMemNetwork) { n.clock = c }
 }
 
-// WithBatching lets every node's consumer take its queued backlog as ONE run
-// (see Consume): one wake-up, one coalesced acknowledgement flush and one log
-// commit for everything that queued up while the consumer was busy, instead
-// of a run per message. An uncontended node (runs of one) behaves exactly as
-// without the option, so batching never adds latency.
-//
-// On the channel side of a node (Inbox) the same run is what the pump
-// coalesces: CONSECUTIVE messages from the same sender are delivered as one
-// wire.Batch envelope — one channel handoff per run per sender, the in-memory
-// analogue of the TCP transport's one-frame-per-peer-per-flush batching — so
-// readers of a batching network's Inbox must be batch-aware (Expand); raw
-// inbox loops that decode payloads directly would drop the envelopes as
-// malformed. The delivery counters see the individual messages — coalescing
-// happens after delivery accounting, on the receiving node's own queue.
+// WithBatching is a no-op: every in-memory node's consumer takes its queued
+// backlog as one run. It is kept for callers that still spell it.
 func WithBatching() InMemOption {
-	return func(n *InMemNetwork) { n.batching = true }
+	return func(*InMemNetwork) {}
 }
 
 // nodeMap is the copy-on-write process→node table. Joins copy it; routing
@@ -135,7 +122,6 @@ type InMemNetwork struct {
 	defaultDelay time.Duration
 	jitter       time.Duration
 	rng          *rand.Rand
-	batching     bool
 	serverBound  int
 	mailboxShed  atomic.Int64
 	wg           sync.WaitGroup
@@ -178,9 +164,6 @@ func NewInMemNetwork(opts ...InMemOption) *InMemNetwork {
 	n.nodes.Store(&empty)
 	for _, opt := range opts {
 		opt(n)
-	}
-	if n.clock != nil {
-		n.batching = false
 	}
 	n.updateSlowLocked()
 	return n
@@ -228,8 +211,7 @@ func (n *InMemNetwork) Join(id types.ProcessID) (Node, error) {
 	if id.Role == types.RoleServer {
 		bound = n.serverBound
 	}
-	box := newBoundedMailbox(bound, &n.mailboxShed)
-	node := &inMemNode{id: id, net: n, box: box}
+	node := &inMemNode{Queue: NewQueue(bound, &n.mailboxShed), id: id, net: n}
 	next := make(nodeMap, len(old)+1)
 	for k, v := range old {
 		next[k] = v
@@ -416,7 +398,7 @@ func (n *InMemNetwork) deliver(dst *inMemNode, msg Message, delay time.Duration)
 		return
 	}
 	if delay <= 0 {
-		dst.box.push(msg)
+		dst.Push(msg)
 		n.inTransit.Add(-1)
 		return
 	}
@@ -465,9 +447,7 @@ func (n *InMemNetwork) deliverVirtual(dst *inMemNode, msg Message, delay time.Du
 		}
 		msg.vt = c
 		c.begin()
-		if !dst.box.push(msg) {
-			c.end()
-		}
+		dst.Push(msg) // a refused message ends its token
 		n.inTransit.Add(-1)
 	})
 }
@@ -486,7 +466,7 @@ func (n *InMemNetwork) dispatchDelayed() {
 		for n.delayHeap.len() > 0 && !n.delayHeap.next().After(now) {
 			_, d := n.delayHeap.pop()
 			n.delayMu.Unlock()
-			d.dst.box.push(d.msg)
+			d.dst.Push(d.msg)
 			n.inTransit.Add(-1)
 			n.wg.Done()
 			n.delayMu.Lock()
@@ -530,117 +510,22 @@ func (n *InMemNetwork) dispatchDelayed() {
 	}
 }
 
-// inMemNode is a single process attachment: an identity and a mailbox. It
-// owns no goroutine of its own — whoever consumes the node runs the mailbox
+// inMemNode is a single process attachment: an identity and its Queue. It
+// owns no goroutine of its own — whoever consumes the node runs the queue
 // (transport.Consume → DrainRuns), so a message crosses one queue and wakes
-// one goroutine between Send and its handler. The channel of the Node
-// interface exists only behind Inbox: the first call builds it and starts
-// the pump that feeds it, for consumers that want to select on a channel
-// (tests, the layer benchmarks). First use — Consume or Inbox — decides the
-// node's one consumer style for its lifetime.
+// one goroutine between Send and its handler.
 type inMemNode struct {
+	*Queue
 	id  types.ProcessID
 	net *InMemNetwork
-	box *mailbox
 
 	closed atomic.Bool
-
-	// mu guards the consumer style.
-	mu sync.Mutex
-	// drained is set once a consumer runs the mailbox on its own goroutine.
-	drained bool
-	// inbox is the channel side, nil until the first Inbox call.
-	inbox chan Message
-
-	// run is the pump goroutine's private coalescing stage (batching
-	// networks only); see stage/flushRun.
-	run []Message
 }
 
 var (
 	_ Node       = (*inMemNode)(nil)
 	_ RunDrainer = (*inMemNode)(nil)
 )
-
-// DrainRuns implements RunDrainer: the caller becomes the node's consumer. A
-// run is one batched pop of the mailbox — one lock/condvar synchronisation
-// per run, not per message — or a single message on a network without
-// batching (every virtual-clock network): runs of one.
-func (nd *inMemNode) DrainRuns(deliver func(Message), runEnd func()) bool {
-	nd.mu.Lock()
-	if nd.inbox != nil {
-		nd.mu.Unlock()
-		return false
-	}
-	nd.drained = true
-	nd.mu.Unlock()
-	if nd.net.batching {
-		nd.box.drainRuns(deliver, runEnd)
-	} else {
-		nd.box.drain(func(m Message) {
-			deliver(m)
-			runEnd()
-		})
-	}
-	return true
-}
-
-// pump moves messages from the mailbox to the delivery channel, in order,
-// until the mailbox is closed and drained. On a batching network
-// (WithBatching) consecutive same-sender messages of a run are coalesced into
-// one wire.Batch delivery, so a backlog costs one channel handoff per sender
-// run; consumers of such a channel expand envelopes (Expand). Consume needs
-// neither the channel nor the envelope: it reads the run boundary straight
-// off the mailbox.
-func (nd *inMemNode) pump() {
-	defer close(nd.inbox)
-	if nd.net.batching {
-		nd.box.drainRuns(nd.stage, nd.flushRun)
-		return
-	}
-	nd.box.drain(func(m Message) { nd.inbox <- m })
-}
-
-// stage buffers one drained message for the pump's run coalescer: messages
-// are flushed the moment the sender changes, so per-link FIFO and cross-link
-// arrival order are both preserved exactly.
-func (nd *inMemNode) stage(m Message) {
-	if len(nd.run) > 0 && nd.run[0].From != m.From {
-		nd.flushRun()
-	}
-	nd.run = append(nd.run, m)
-}
-
-// flushRun delivers the staged group: a single message passes through
-// untouched (and unallocated); two or more coalesce into one batch envelope.
-// Payloads that already are envelopes (a peer server's coalesced acks) are
-// spliced flat rather than nested.
-func (nd *inMemNode) flushRun() {
-	switch len(nd.run) {
-	case 0:
-		return
-	case 1:
-		nd.inbox <- nd.run[0]
-	default:
-		b := wire.NewBatch(0)
-		for _, m := range nd.run {
-			if wire.IsBatch(m.Payload) {
-				_ = b.Splice(m.Payload)
-			} else {
-				b.Append(m.Payload)
-			}
-		}
-		nd.inbox <- Message{From: nd.run[0].From, To: nd.id, Kind: wire.BatchKind, Payload: b.Bytes()}
-	}
-	for i := range nd.run {
-		nd.run[i] = Message{}
-	}
-	if cap(nd.run) > maxRetainedBatch {
-		nd.run = nil
-		return
-	}
-	nd.run = nd.run[:0]
-}
 
 // ID implements Node.
 func (nd *inMemNode) ID() types.ProcessID { return nd.id }
@@ -662,53 +547,14 @@ func (nd *inMemNode) Send(to types.ProcessID, kind string, payload []byte) error
 	return nil
 }
 
-// Inbox implements Node: the first call builds the delivery channel and
-// starts the pump feeding it. A node already claimed by Consume, or already
-// closed, yields a closed channel — there is nothing left for a second
-// consumer to receive.
-func (nd *inMemNode) Inbox() <-chan Message {
-	nd.mu.Lock()
-	defer nd.mu.Unlock()
-	if nd.inbox == nil {
-		nd.inbox = make(chan Message)
-		if nd.drained || nd.closed.Load() {
-			close(nd.inbox)
-		} else {
-			go nd.pump()
-		}
-	}
-	return nd.inbox
-}
-
 // Close implements Node. Messages already queued still reach a consumer that
 // is draining the node; without one they are released here.
 func (nd *inMemNode) Close() error {
-	if nd.closed.Swap(true) {
-		return nil
-	}
-	nd.box.close()
-	nd.mu.Lock()
-	inbox, drained := nd.inbox, nd.drained
-	nd.mu.Unlock()
-	switch {
-	case inbox != nil:
-		// Drain the delivery channel until the pump closes it, so the pump
-		// can exit even if the owner stopped reading, releasing each
-		// undelivered message's reference (arena and, under a virtual clock,
-		// activity token).
-		for m := range inbox {
-			m.ReleaseArena()
-		}
-	case !drained:
-		// Nobody ever consumed the node: release what is queued.
-		nd.box.drain(Message.ReleaseArena)
+	if !nd.closed.Swap(true) {
+		nd.Queue.Close()
 	}
 	return nil
 }
-
-// Pending returns the number of messages queued but not yet consumed by the
-// node's owner. Used in tests.
-func (nd *inMemNode) Pending() int { return nd.box.len() }
 
 // virtualClock implements the virtualClocked probe used by Coalescer so
 // buffered-but-unflushed acknowledgements count as simulation activity.
@@ -723,7 +569,7 @@ func (nd *inMemNode) virtualClock() *VirtualClock { return nd.net.clock }
 func (n *InMemNetwork) MailboxHighWater() int {
 	hw := 0
 	for _, nd := range *n.nodes.Load() {
-		if h := nd.box.highWater(); h > hw {
+		if h := nd.HighWater(); h > hw {
 			hw = h
 		}
 	}

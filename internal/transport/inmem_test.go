@@ -301,52 +301,67 @@ func TestInMemConcurrentSendersAllDelivered(t *testing.T) {
 	wg.Wait()
 }
 
+// TestMailboxFIFOAndClose: a queue's consumer gets every message in push
+// order, including those still queued when the queue closes; pushes after
+// Close are refused.
 func TestMailboxFIFOAndClose(t *testing.T) {
-	m := newMailbox()
-	for i := 0; i < 10; i++ {
-		if !m.push(Message{Kind: string(rune('a' + i))}) {
-			t.Fatalf("push %d failed", i)
+	q := NewQueue(0, nil)
+	push := func(from, to int) {
+		for i := from; i < to; i++ {
+			if !q.Push(Message{Kind: string(rune('a' + i))}) {
+				t.Fatalf("push %d failed", i)
+			}
 		}
 	}
-	if m.len() != 10 {
-		t.Fatalf("len = %d, want 10", m.len())
+	push(0, 5)
+	if q.Len() != 5 {
+		t.Fatalf("len = %d, want 5", q.Len())
 	}
-	m.close()
-	if m.push(Message{Kind: "late"}) {
+	// The consumer holds its first run while the second queues behind it.
+	entered, gate := make(chan struct{}), make(chan struct{})
+	var got []string
+	done := make(chan bool)
+	go func() {
+		done <- q.DrainRuns(func(m Message) {
+			if got = append(got, m.Kind); len(got) == 1 {
+				close(entered)
+				<-gate
+			}
+		}, func() {})
+	}()
+	<-entered
+	push(5, 10)
+	q.Close()
+	if q.Push(Message{Kind: "late"}) {
 		t.Error("push after close should report false")
 	}
-	for i := 0; i < 10; i++ {
-		msg, ok := m.pop()
-		if !ok {
-			t.Fatalf("pop %d failed", i)
-		}
-		if msg.Kind != string(rune('a'+i)) {
-			t.Fatalf("pop %d = %q, out of order", i, msg.Kind)
-		}
+	close(gate)
+	if !<-done {
+		t.Fatal("DrainRuns refused a queue nobody consumed")
 	}
-	if _, ok := m.pop(); ok {
-		t.Error("pop on drained closed mailbox should report !ok")
+	if len(got) != 10 {
+		t.Fatalf("consumer got %d messages, want 10", len(got))
+	}
+	for i, kind := range got {
+		if kind != string(rune('a'+i)) {
+			t.Fatalf("message %d = %q, out of order", i, kind)
+		}
 	}
 }
 
 func TestMailboxPopBlocksUntilPush(t *testing.T) {
-	m := newMailbox()
+	q := NewQueue(0, nil)
 	got := make(chan Message, 1)
-	go func() {
-		msg, ok := m.pop()
-		if ok {
-			got <- msg
-		}
-		close(got)
-	}()
+	go q.DrainRuns(func(m Message) { got <- m }, func() {})
+	defer q.Close()
 	time.Sleep(10 * time.Millisecond)
-	m.push(Message{Kind: "late-arrival"})
+	q.Push(Message{Kind: "late-arrival"})
 	select {
 	case msg := <-got:
 		if msg.Kind != "late-arrival" {
 			t.Errorf("got %q", msg.Kind)
 		}
 	case <-time.After(time.Second):
-		t.Fatal("pop never returned")
+		t.Fatal("the consumer never received the push")
 	}
 }

@@ -20,10 +20,10 @@ func TestBoundedMailboxExactShed(t *testing.T) {
 		K     = 100
 	)
 	var shed atomic.Int64
-	m := newBoundedMailbox(bound, &shed)
+	q := NewQueue(bound, &shed)
 	accepted := 0
 	for i := 0; i < K; i++ {
-		if m.push(Message{}) {
+		if q.Push(Message{}) {
 			accepted++
 		}
 	}
@@ -33,17 +33,18 @@ func TestBoundedMailboxExactShed(t *testing.T) {
 	if got := shed.Load(); got != K-bound {
 		t.Fatalf("shed %d, want exactly %d", got, K-bound)
 	}
-	if hw := m.highWater(); hw > bound {
+	if hw := q.HighWater(); hw > bound {
 		t.Fatalf("high-water %d exceeds bound %d", hw, bound)
 	}
-	if m.len() != bound {
-		t.Fatalf("queued %d, want %d", m.len(), bound)
+	if q.Len() != bound {
+		t.Fatalf("queued %d, want %d", q.Len(), bound)
 	}
-	// Draining frees capacity: the next push is admitted again.
-	if _, ok := m.pop(); !ok {
-		t.Fatal("pop failed")
-	}
-	if !m.push(Message{}) {
+	// Draining frees capacity: the next push is admitted again. The channel
+	// side's pump has taken the queue off by the time its first message
+	// arrives.
+	<-q.Inbox()
+	defer q.Close()
+	if !q.Push(Message{}) {
 		t.Fatal("push after drain should be admitted")
 	}
 	if got := shed.Load(); got != K-bound {
@@ -58,7 +59,7 @@ func TestBoundedMailboxConcurrentExactShed(t *testing.T) {
 		perProd   = 500
 	)
 	var shed atomic.Int64
-	m := newBoundedMailbox(bound, &shed)
+	q := NewQueue(bound, &shed)
 	var accepted atomic.Int64
 	var wg sync.WaitGroup
 	for p := 0; p < producers; p++ {
@@ -66,7 +67,7 @@ func TestBoundedMailboxConcurrentExactShed(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for i := 0; i < perProd; i++ {
-				if m.push(Message{}) {
+				if q.Push(Message{}) {
 					accepted.Add(1)
 				}
 			}
@@ -80,21 +81,21 @@ func TestBoundedMailboxConcurrentExactShed(t *testing.T) {
 	if accepted.Load() != bound {
 		t.Fatalf("accepted %d with a held consumer, want exactly bound %d", accepted.Load(), bound)
 	}
-	if hw := m.highWater(); hw > bound {
+	if hw := q.HighWater(); hw > bound {
 		t.Fatalf("high-water %d exceeds bound %d", hw, bound)
 	}
 }
 
 func TestUnboundedMailboxNeverSheds(t *testing.T) {
-	m := newMailbox()
+	q := NewQueue(0, nil)
 	const K = 2560
 	for i := 0; i < K; i++ {
-		if !m.push(Message{}) {
-			t.Fatal("unbounded mailbox rejected a push")
+		if !q.Push(Message{}) {
+			t.Fatal("unbounded queue rejected a push")
 		}
 	}
-	if m.len() != K {
-		t.Fatalf("queued %d, want %d", m.len(), K)
+	if q.Len() != K {
+		t.Fatalf("queued %d, want %d", q.Len(), K)
 	}
 }
 
@@ -113,9 +114,7 @@ func TestInMemMailboxBoundKeepsHighWaterUnderBound(t *testing.T) {
 	defer net.Close()
 	srv := nodeMust(t, net, types.ProcessID{Role: types.RoleServer, Index: 1})
 	wrt := nodeMust(t, net, types.ProcessID{Role: types.RoleWriter, Index: 0})
-	// Do NOT read srv's inbox: the server pump moves at most a handful of
-	// messages out of the mailbox into the channel hand-off; the rest queue
-	// until the bound, then shed.
+	// Do NOT consume srv: its messages queue until the bound, then shed.
 	const K = 5000
 	for i := 0; i < K; i++ {
 		if err := wrt.Send(srv.ID(), "msg", []byte(fmt.Sprintf("m%d", i))); err != nil {

@@ -3,193 +3,238 @@ package transport
 import (
 	"sync"
 	"sync/atomic"
+
+	"fastread/internal/wire"
 )
 
-// maxRetainedBatch bounds the capacity of the batch buffer a drain loop
-// recycles between popAll calls. A burst can grow a batch arbitrarily; once
-// processed, a buffer larger than this is dropped so the burst's memory is
-// returned to the allocator instead of being pinned for the consumer's
-// lifetime.
+// maxRetainedBatch bounds the capacity of the run buffer a consumer recycles
+// between runs. A burst can grow a run arbitrarily; once processed, a buffer
+// larger than this is dropped so the burst's memory is returned to the
+// allocator instead of being pinned for the consumer's lifetime.
 const maxRetainedBatch = 1024
 
-// mailbox is an unbounded multi-producer FIFO queue of messages.
+// Queue is a node's one inbound queue: a multi-producer FIFO of messages that
+// one consumer takes off in runs. Every node kind holds one — the in-memory
+// node, the socket core (framed.Core), whose read loops admit a frame at a
+// time, and a demux route read through Inbox — so the bound-and-drop rule,
+// the consumer-style rule and the close-and-release rule below are written
+// once.
 //
 // The asynchronous model requires that a sender never blocks on a slow
 // receiver (a correct process keeps taking steps regardless of what other
-// processes do). A fixed-capacity channel cannot provide that, so each node
-// owns a mailbox: producers append under a mutex, and the node's consumer
-// takes whole runs off it in order (drainRuns).
-type mailbox struct {
+// processes do). A fixed-capacity channel cannot provide that, so producers
+// append under a mutex and never wait.
+//
+// A queue has one consumer for its lifetime, chosen by whichever of DrainRuns
+// and Inbox comes first: DrainRuns runs the queue on the caller's goroutine
+// (transport.Consume, the product path), Inbox starts a pump goroutine that
+// feeds a channel, for code that selects on one (tests, the layer
+// benchmarks).
+type Queue struct {
 	mu     sync.Mutex
-	cond   *sync.Cond
+	cond   sync.Cond
 	items  []Message
 	closed bool
 
 	// hw is the high-water mark of queued-but-undrained messages. Overload
-	// on an unbounded mailbox is otherwise silent: the queue grows, nothing
+	// on an unbounded queue is otherwise silent: the queue grows, nothing
 	// drops, latency just disappears into it. The mark is the cheapest
 	// honest signal (one comparison per push) and is surfaced through
 	// Store.Stats as MailboxHighWater.
 	hw int
 
 	// bound, when positive, caps the queue depth: a push that would exceed
-	// it is rejected and counted into shed instead of growing the queue.
-	// The asynchronous model's "senders never block" rule is preserved —
-	// an over-bound push returns immediately; the message is simply lost,
-	// exactly as a lossy network would lose it, and the protocols already
-	// tolerate loss via quorum slack. A bounded mailbox therefore also
-	// bounds its own high-water mark. Zero means unbounded (the default
-	// everywhere; overload control is strictly opt-in because a bound on a
-	// CLIENT-side queue can drop quorum-completing acks — the PR 3/PR 5
-	// starvation history).
+	// it is rejected and counted into drops instead of growing the queue.
+	// The "senders never block" rule is preserved — an over-bound push
+	// returns immediately; the message is simply lost, exactly as a lossy
+	// network would lose it, and the protocols already tolerate loss via
+	// quorum slack. Zero means unbounded.
 	bound int
-	shed  *atomic.Int64
+	drops *atomic.Int64
+
+	// drained is set once DrainRuns claims the queue; inbox is the channel
+	// side, nil until the first Inbox call.
+	drained bool
+	inbox   chan Message
 }
 
-// newMailbox returns an empty, open, unbounded mailbox.
-func newMailbox() *mailbox {
-	m := &mailbox{}
-	m.cond = sync.NewCond(&m.mu)
-	return m
+// NewQueue returns an empty, open queue that drops pushes beyond bound queued
+// messages, counting each drop into drops (which may be nil). A non-positive
+// bound is unbounded.
+func NewQueue(bound int, drops *atomic.Int64) *Queue {
+	q := &Queue{bound: bound, drops: drops}
+	q.cond.L = &q.mu
+	return q
 }
 
-// newBoundedMailbox returns a mailbox that sheds pushes beyond bound queued
-// messages, counting each shed into sink. A non-positive bound is unbounded.
-func newBoundedMailbox(bound int, sink *atomic.Int64) *mailbox {
-	m := newMailbox()
-	m.bound = bound
-	m.shed = sink
-	return m
+// Push appends a message, which brings its one reference (arena and, under a
+// virtual clock, activity token) with it. It reports false, having released
+// that reference, when the queue is closed, or bounded and full (the drop is
+// counted).
+func (q *Queue) Push(m Message) bool {
+	q.mu.Lock()
+	ok := q.admit(m)
+	if ok {
+		q.cond.Signal()
+	}
+	q.mu.Unlock()
+	if !ok {
+		m.ReleaseArena()
+	}
+	return ok
 }
 
-// push appends a message. It reports false if the mailbox is already closed,
-// or if the mailbox is bounded and full (the shed is counted; the caller
-// releases any resources it pinned for the message, mirroring a closed-box
-// rejection).
-func (m *mailbox) push(msg Message) bool {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if m.closed {
+// PushExpanded admits every message a batch envelope carries under one lock,
+// so a run takes all of the frame or none of it, and reports how many were
+// admitted. Every admitted sub-message aliases the frame's arena with one
+// reference of its own; the frame's own reference is released.
+func (q *Queue) PushExpanded(frame Message) int {
+	admitted := 0
+	q.mu.Lock()
+	_ = wire.ForEachInBatch(frame.Payload, func(sub []byte) error {
+		m := frame
+		m.Payload = sub
+		if q.admit(m) {
+			m.RetainArena()
+			admitted++
+		}
+		return nil
+	})
+	if admitted > 0 {
+		q.cond.Signal()
+	}
+	q.mu.Unlock()
+	frame.ReleaseArena()
+	return admitted
+}
+
+// admit appends m unless the queue is closed or full; q.mu is held.
+func (q *Queue) admit(m Message) bool {
+	if q.closed {
 		return false
 	}
-	if m.bound > 0 && len(m.items) >= m.bound {
-		if m.shed != nil {
-			m.shed.Add(1)
+	if q.bound > 0 && len(q.items) >= q.bound {
+		if q.drops != nil {
+			q.drops.Add(1)
 		}
 		return false
 	}
-	m.items = append(m.items, msg)
-	if len(m.items) > m.hw {
-		m.hw = len(m.items)
+	q.items = append(q.items, m)
+	if len(q.items) > q.hw {
+		q.hw = len(q.items)
 	}
-	m.cond.Signal()
 	return true
 }
 
-// highWater returns the deepest the queue has ever been.
-func (m *mailbox) highWater() int {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.hw
+// DrainRuns implements RunDrainer: the caller becomes the queue's consumer. It
+// reports false, having delivered nothing, when Inbox claimed the queue first.
+func (q *Queue) DrainRuns(deliver func(Message), runEnd func()) bool {
+	q.mu.Lock()
+	if q.inbox != nil {
+		q.mu.Unlock()
+		return false
+	}
+	q.drained = true
+	q.mu.Unlock()
+	q.drain(deliver, runEnd)
+	return true
 }
 
-// pop blocks until a message is available or the mailbox is closed. The
-// second return value is false once the mailbox is closed and drained.
-func (m *mailbox) pop() (Message, bool) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	for len(m.items) == 0 && !m.closed {
-		m.cond.Wait()
-	}
-	if len(m.items) == 0 {
-		return Message{}, false
-	}
-	msg := m.items[0]
-	// Avoid retaining the payload of the popped slot.
-	m.items[0] = Message{}
-	m.items = m.items[1:]
-	if len(m.items) == 0 {
-		// Reset the backing array so the slice does not grow without bound
-		// across bursts.
-		m.items = nil
-	}
-	return msg, true
-}
-
-// popAll blocks until at least one message is available (or the mailbox is
-// closed and drained), then takes the ENTIRE queue in one O(1) slice swap:
-// the caller receives the queued batch and the mailbox adopts buf (length 0)
-// as its new backing array. Callers hand back the previous batch — cleared —
-// as buf, so steady-state batching ping-pongs between two arrays and
-// allocates nothing. The second return value is false once the mailbox is
-// closed and drained.
-//
-// Compared with calling pop in a loop, one lock/condvar synchronisation is
-// paid per RUN of messages instead of per message. The caller owns the
-// returned batch outright; it must not retain it past the next popAll call
-// with the same buffer.
-func (m *mailbox) popAll(buf []Message) ([]Message, bool) {
-	m.mu.Lock()
-	for len(m.items) == 0 && !m.closed {
-		m.cond.Wait()
-	}
-	if len(m.items) == 0 {
-		m.mu.Unlock()
-		return nil, false
-	}
-	batch := m.items
-	m.items = buf[:0]
-	m.mu.Unlock()
-	return batch, true
-}
-
-// drainRuns delivers the mailbox's messages in FIFO order, in batches, until
-// the mailbox is closed and empty; after every batched pop's messages have
-// been delivered, runEnd is invoked once before the next blocking pop — the
-// run boundary Consume hands to the executor's ack coalescer and commit hook.
-// It owns the batch-buffer recycling discipline of every mailbox consumer:
-// one popAll per run of messages, entries zeroed after delivery so the
-// recycled buffer does not pin payloads, and oversized burst buffers dropped
-// (maxRetainedBatch) so a burst's memory is returned to the allocator.
-func (m *mailbox) drainRuns(deliver func(Message), runEnd func()) {
-	var buf []Message
+// drain is the consumer loop. It takes the whole queue at each wake-up — a
+// run is everything queued by then, one lock per run instead of one per
+// message — delivers it in FIFO order and calls runEnd, until the queue is
+// closed and empty. The taken run's backing array, cleared so it pins no
+// payload, becomes the queue's next one: a steady state ping-pongs between two
+// arrays and allocates nothing, and a burst's oversized array is dropped
+// (maxRetainedBatch).
+func (q *Queue) drain(deliver func(Message), runEnd func()) {
+	var spare []Message
 	for {
-		batch, ok := m.popAll(buf)
-		if !ok {
+		q.mu.Lock()
+		for len(q.items) == 0 && !q.closed {
+			q.cond.Wait()
+		}
+		run := q.items
+		q.items = spare[:0]
+		q.mu.Unlock()
+		if len(run) == 0 {
 			return
 		}
-		for i := range batch {
-			deliver(batch[i])
-			batch[i] = Message{}
+		for i := range run {
+			deliver(run[i])
+			run[i] = Message{}
 		}
 		runEnd()
-		buf = batch
-		if cap(buf) > maxRetainedBatch {
-			buf = nil
+		spare = run
+		if cap(spare) > maxRetainedBatch {
+			spare = nil
 		}
 	}
 }
 
-// drain is drainRuns without a run callback.
-func (m *mailbox) drain(deliver func(Message)) {
-	m.drainRuns(deliver, func() {})
+// Inbox returns the queue's messages as a channel. The first call claims the
+// queue for a pump goroutine that feeds the channel and closes it once the
+// queue is closed and drained; a queue DrainRuns claimed first yields a closed
+// channel.
+func (q *Queue) Inbox() <-chan Message {
+	q.mu.Lock()
+	defer q.mu.Unlock()
+	if q.inbox == nil {
+		q.inbox = make(chan Message)
+		if q.drained {
+			close(q.inbox)
+		} else {
+			go q.pump(q.inbox)
+		}
+	}
+	return q.inbox
 }
 
-// close marks the mailbox closed. Messages already queued are still
-// delivered; subsequent pushes are dropped.
-func (m *mailbox) close() {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if m.closed {
+func (q *Queue) pump(inbox chan<- Message) {
+	defer close(inbox)
+	q.drain(func(m Message) { inbox <- m }, func() {})
+}
+
+// Close ends the queue: nothing is admitted afterwards, and the consumer
+// returns once it has taken what is already queued. What no consumer will
+// take gives back its reference here: the whole queue if nobody ever consumed
+// it, and whatever the channel side still holds — Close drains the channel
+// until the pump closes it, so the pump exits even if its reader stopped
+// reading. Close is idempotent.
+func (q *Queue) Close() {
+	q.mu.Lock()
+	if q.closed {
+		q.mu.Unlock()
 		return
 	}
-	m.closed = true
-	m.cond.Broadcast()
+	q.closed = true
+	q.cond.Broadcast()
+	inbox := q.inbox
+	var orphans []Message
+	if inbox == nil && !q.drained {
+		orphans, q.items = q.items, nil
+	}
+	q.mu.Unlock()
+	for _, m := range orphans {
+		m.ReleaseArena()
+	}
+	if inbox != nil {
+		for m := range inbox {
+			m.ReleaseArena()
+		}
+	}
 }
 
-// len returns the number of queued messages.
-func (m *mailbox) len() int {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return len(m.items)
+// Len returns the number of queued messages.
+func (q *Queue) Len() int {
+	q.mu.Lock()
+	defer q.mu.Unlock()
+	return len(q.items)
+}
+
+// HighWater returns the deepest the queue has ever been.
+func (q *Queue) HighWater() int {
+	q.mu.Lock()
+	defer q.mu.Unlock()
+	return q.hw
 }

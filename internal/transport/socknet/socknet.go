@@ -15,7 +15,8 @@ import (
 )
 
 // Node is a socket-attached process on either carrier: a transport.Node that
-// also knows where it is bound and what it delivered and dropped.
+// also knows where it is bound, what it delivered and dropped, and how deep
+// its inbound queue has been.
 type Node interface {
 	transport.Node
 	// Addr returns the address the node is bound to (useful with ":0").
@@ -23,6 +24,8 @@ type Node interface {
 	// Stats returns a snapshot of the node's counters; it stays readable
 	// after Close.
 	Stats() framed.Stats
+	// HighWater returns the deepest the node's inbound queue has ever been.
+	HighWater() int
 }
 
 // Listen binds one node on the named backend, "tcp" or "udp". filter is the

@@ -163,7 +163,7 @@ func TestCarrierConformance(t *testing.T) {
 			// Leave room for exactly two more messages, pacing the sender so
 			// neither carrier's bounded outbound queue overflows.
 			room := 2
-			fill := cap(nb.Inbox()) - room
+			fill := framed.InboxLen - room
 			for i := 0; i < fill; i++ {
 				if err := na.Send(b, "fill", []byte("x")); err != nil {
 					t.Fatal(err)

@@ -198,7 +198,7 @@ func (n *Node) Close() error {
 		_ = c.Close()
 	}
 	n.wg.Wait()
-	n.CloseInbox()
+	n.Queue.Close()
 	return nil
 }
 
@@ -624,9 +624,9 @@ func (n *Node) acceptLoop() {
 	}
 }
 
-// readLoop decodes frames from one inbound connection into the mailbox. The
-// connection is wrapped in a bufio.Reader and each frame body is read into a
-// pooled refcounted arena (wire.GetArena): delivered payloads ALIAS the arena
+// readLoop decodes frames from one inbound connection into the node's queue.
+// The connection is wrapped in a bufio.Reader and each frame body is read into
+// a pooled refcounted arena (wire.GetArena): delivered payloads ALIAS the arena
 // buffer instead of being freshly allocated per frame, and the arena is
 // recycled once every consumer has released its reference (the codec's
 // ownership rule 4).

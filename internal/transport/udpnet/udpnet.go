@@ -293,7 +293,7 @@ func (n *Node) Close() error {
 			n.CountSendDrop(p.msgs)
 			putPacket(p)
 		default:
-			n.CloseInbox()
+			n.Queue.Close()
 			return nil
 		}
 	}

@@ -73,9 +73,6 @@ func (p ProcessID) String() string {
 	return p.Role.String() + strconv.Itoa(p.Index)
 }
 
-// IsZero reports whether the id is the zero value (no process).
-func (p ProcessID) IsZero() bool { return p.Role == 0 && p.Index == 0 }
-
 // Valid reports whether the process id is well formed.
 func (p ProcessID) Valid() bool {
 	switch p.Role {

@@ -391,9 +391,9 @@ type Stats struct {
 	// that ends with a high-water mark far above PipelineDepth × clients
 	// was queueing, not keeping up. With Config.QueueBound set, server
 	// mailboxes cap at the bound (so the mark stays at or under it) and
-	// the overflow moves to ShedDrops. In-memory backend only; socket
-	// backends report 0 (their bounded queues surface overload as
-	// SendDrops/InboundDrops instead).
+	// the overflow moves to ShedDrops. A socket node's inbound queue is
+	// capped at 1 024 messages, so there the mark stops at the cap and
+	// overflow shows up as InboundDrops.
 	MailboxHighWater int
 	// ShedDrops counts messages shed by the opt-in overload bound on the
 	// in-memory server mailboxes (Config.QueueBound). Always 0 without
@@ -428,8 +428,8 @@ type GroupStats struct {
 	// group's registers.
 	Writes, Reads, Ops int64
 	// SendDrops, InboundDrops and DedupDrops are the group session's drop
-	// counters; MailboxHighWater its deepest inbound queue (in-memory
-	// backend only). See the same-named Stats fields.
+	// counters; MailboxHighWater its deepest inbound queue. See the
+	// same-named Stats fields.
 	SendDrops, InboundDrops, DedupDrops int
 	MailboxHighWater                    int
 	// ShedDrops counts messages shed by this group's bounded in-memory

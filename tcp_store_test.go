@@ -246,6 +246,11 @@ func TestTCPPipelinedFramesPerOp(t *testing.T) {
 	t.Logf("frames=%d msgs=%d ops=%d frames/op=%.3f msgs/frame=%.1f",
 		stats.FramesDelivered, stats.DeliveredMsgs, totalOps,
 		framesPerOp, float64(stats.DeliveredMsgs)/float64(stats.FramesDelivered))
+	// Socket nodes run the same inbound queue as in-memory ones, so the
+	// high-water mark is reported on every backend.
+	if stats.MailboxHighWater < 1 {
+		t.Errorf("MailboxHighWater = %d after pipelined traffic, want >= 1", stats.MailboxHighWater)
+	}
 	if framesPerOp >= 1 {
 		t.Errorf("frames/op = %.3f, want < 1 (batching not amortising)", framesPerOp)
 	}

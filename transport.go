@@ -74,9 +74,7 @@ type sessionStats struct {
 	// at-most-once windows.
 	sendDrops, inboundDrops, dedupDrops int
 	// mailboxHighWater is the deepest any process's inbound queue has ever
-	// been (in-memory backend only; socket backends report 0 — their
-	// inbound queues are bounded and overflow shows up as inboundDrops
-	// instead).
+	// been.
 	mailboxHighWater int
 	// shedDrops counts deliveries shed by the servers' opt-in bounded
 	// mailboxes (Config.QueueBound; in-memory backend — socket backends
@@ -119,8 +117,8 @@ func WithSeed(seed int64) InMemoryOption {
 // scenario runs in milliseconds of wall time and identical seeds produce
 // identical message schedules. The caller owns the event loop — the clock
 // only advances through VirtualClock.Step — which is what internal/sim's
-// scenario runner does. Delivery batching is off on such a network (under
-// one-event-at-a-time delivery there is never a backlog to coalesce).
+// scenario runner does. Every run a node's consumer takes is one message on
+// such a network: Step fires one delivery and waits for it to be handled.
 func WithVirtualClock(c *transport.VirtualClock) InMemoryOption {
 	return func(t *inMemTransport) {
 		t.opts = append(t.opts, transport.WithClock(c))
@@ -146,15 +144,7 @@ type inMemTransport struct {
 func (t *inMemTransport) String() string { return "inmem" }
 
 func (t *inMemTransport) connect(cfg Config) (transportSession, error) {
-	// Delivery batching: a node's consumer takes its whole backlog as one
-	// run — one wake-up, one ack flush, one log commit for all of it —
-	// instead of a run per message. A virtual clock among t.opts turns it
-	// back off (transport.WithClock).
-	opts := []transport.InMemOption{
-		transport.WithBatching(),
-		transport.WithMailboxBound(cfg.QueueBound),
-	}
-	opts = append(opts, t.opts...)
+	opts := append([]transport.InMemOption{transport.WithMailboxBound(cfg.QueueBound)}, t.opts...)
 	return &inMemSession{net: transport.NewInMemNetwork(opts...)}, nil
 }
 
@@ -341,14 +331,17 @@ func (s *socketSession) stats() sessionStats {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	var sum framed.Stats
+	hw := 0
 	for _, n := range s.nodes {
 		sum.Add(n.Stats())
+		hw = max(hw, n.HighWater())
 	}
 	return sessionStats{
-		delivered:    int(sum.Delivered),
-		frames:       int(sum.Frames),
-		sendDrops:    int(sum.DroppedSend),
-		inboundDrops: int(sum.DroppedInbound),
-		dedupDrops:   int(sum.DedupDrops),
+		delivered:        int(sum.Delivered),
+		frames:           int(sum.Frames),
+		sendDrops:        int(sum.DroppedSend),
+		inboundDrops:     int(sum.DroppedInbound),
+		dedupDrops:       int(sum.DedupDrops),
+		mailboxHighWater: hw,
 	}
 }
