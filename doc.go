@@ -216,10 +216,11 @@
 // entry bound to its protoutil.Pipeline, not a goroutine and a channel), so a
 // register costs no goroutine and a few kilobytes, and a read's
 // acknowledgement wakes nobody between the node's queue and the caller's
-// future. Send never runs receiver code, so that queue stays the one
-// asynchronous boundary. Channels survive behind Node.Inbox — the Queue's own
-// pump — for code that wants to select on one (tests, the layer benchmarks);
-// the product path does not go through them.
+// future (or, for a blocking call, its pooled Call). Send never runs receiver
+// code, so that queue stays the one asynchronous boundary. Channels survive
+// behind Node.Inbox — the Queue's own pump — for code that wants to select on
+// one (tests, the layer benchmarks); the product path does not go through
+// them.
 //
 // Anyone writing protocol code must follow the codec's buffer-ownership
 // rules — encoded payloads are immutable, decoded views may alias them, and
@@ -231,22 +232,24 @@
 // Batch frames extend the same rules end to end: a wire.Batch envelope packs
 // many messages into one transport payload, the per-message views produced
 // when it is expanded ALIAS the one batch buffer, and a flushed batch buffer
-// is never reused by its sender (receivers may retain views indefinitely).
+// is never reused by its sender while a receiver may still hold a view.
 // Retaining any view pins the whole buffer, which is the intended trade.
 //
-// On the socket receive paths the batch buffer itself is recyclable: each
-// inbound frame is decoded into a REFERENCE-COUNTED arena (wire.Arena)
-// rather than a garbage-collected allocation. The discipline is small and
-// strict. Every delivered message carries exactly one reference to its
-// frame's arena; a consumer that retains bytes beyond the handler's return —
-// a server adopting a written value into register state, a pipelined client
-// detaching an acknowledgement — takes its own reference with Ref at that
-// retention point; every owner calls Release exactly once when done, and the
-// last Release recycles the buffer for the next frame. The failure modes are
-// deliberately asymmetric: a missing Release only leaks the buffer to the GC
-// (views stay valid forever, the pre-arena behaviour), while a Release too
-// many would hand live bytes to the next frame and therefore PANICS
-// immediately. See internal/wire/arena.go for the full rules.
+// Where buffers cross goroutines at a high rate they are recyclable: each
+// inbound socket frame, and each acknowledgement (or ack envelope) a server's
+// coalescer encodes on any transport, lives in a REFERENCE-COUNTED arena
+// (wire.Arena) rather than a garbage-collected allocation. The discipline is
+// small and strict. Every delivered message carries exactly one reference to
+// its buffer's arena; a consumer that retains bytes beyond the handler's
+// return — a server adopting a written value into register state, a
+// pipelined client detaching an acknowledgement — takes its own reference
+// with Ref at that retention point; every owner calls Release exactly once
+// when done, and the last Release recycles the buffer for the next message.
+// The failure modes are deliberately asymmetric: a missing Release only leaks
+// the buffer to the GC (views stay valid forever, the pre-arena behaviour),
+// a Release too many would hand live bytes to the next message and therefore
+// PANICS immediately, and a missing Ref reads poisoned bytes in race builds.
+// See internal/wire/arena.go for the full rules.
 //
 // # Virtual time and deterministic simulation
 //

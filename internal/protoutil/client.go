@@ -6,8 +6,9 @@
 // only then broadcast (so no acknowledgement is delivered unmatched, and
 // pipelined requests hit every link in nonce order); collect `need`
 // acknowledgements from distinct servers; run the protocol's decision outside
-// the pipeline's lock; then either resolve the caller's future and free the
-// slot, or send the operation's next round on the SAME slot. Client is that
+// the pipeline's lock; then either resolve the caller's future (or wake the
+// blocking caller waiting on the operation's pooled Call) and free the slot,
+// or send the operation's next round on the SAME slot. Client is that
 // choreography, written once; a protocol supplies Rounds — its request
 // builder, its acceptance rule, its quorum size and what a quorum means — and
 // keeps nothing about slots, lock order or futures. It sits beside Shell, the
@@ -136,8 +137,18 @@ type Call[T any] struct {
 	Result T
 
 	cl  *Client[T]
-	f   *Future[T]
-	ack wire.Op // the acknowledgement op of Req
+	f   *Future[T] // the async caller's future; nil for a blocking Do
+	ack wire.Op    // the acknowledgement op of Req
+
+	// A blocking Do waits on the Call itself instead of a Future: done (kept
+	// across recycling, so a handle's blocking operations allocate it once)
+	// receives when the operation resolves, with err beside Result. op is the
+	// round currently in flight and cancelled a sticky abort for rounds sent
+	// later, both guarded by the handle's mutex.
+	done      chan struct{}
+	err       error
+	op        *Op
+	cancelled error
 }
 
 // NextNonce issues the handle's next operation counter (a read's rCounter, a
@@ -215,14 +226,39 @@ func (cl *Client[T]) Stats() (ops, roundTrips int64) {
 	return cl.ops, cl.trips
 }
 
-// Do runs one operation to completion: Submit at depth one, then wait.
+// Do runs one operation to completion: Submit at depth one, then wait — on the
+// operation's pooled Call, so a blocking operation allocates neither a Future
+// nor its channel. If ctx ends first the operation is aborted, exactly as a
+// future's Result would.
 func (cl *Client[T]) Do(ctx context.Context, arg types.Value) (T, error) {
-	f, err := cl.Submit(ctx, arg)
+	var zero T
+	if err := cl.pl.Acquire(ctx); err != nil {
+		return zero, fmt.Errorf("%s: %w", cl.proto.Name, err)
+	}
+	c, op, err := cl.start(arg, nil)
+	switch {
+	case c == nil:
+		return zero, err
+	case op == nil:
+		// The aborted round's completion signals c and frees the slot.
+		<-c.done
+	default:
+		select {
+		case <-c.done:
+		case <-ctx.Done():
+			c.abort(ctx.Err())
+			<-c.done
+		}
+		err = c.err
+	}
+	res := c.Result
+	cl.mu.Lock()
+	cl.put(c)
+	cl.mu.Unlock()
 	if err != nil {
-		var zero T
 		return zero, err
 	}
-	return f.Result(ctx)
+	return res, nil
 }
 
 // Submit starts one operation and returns its future without waiting for any
@@ -237,10 +273,28 @@ func (cl *Client[T]) Submit(ctx context.Context, arg types.Value) (*Future[T], e
 		return nil, fmt.Errorf("%s: %w", cl.proto.Name, err)
 	}
 	f := newFuture[T]()
+	_, op, err := cl.start(arg, f)
+	if op == nil {
+		return nil, err
+	}
+	f.bind(ctx, op)
+	return f, nil
+}
 
+// start begins an operation on a reserved slot: it takes a Call, builds the
+// first request and puts it on the wire, for f — or, with f nil, for a
+// blocking caller, who owns the returned Call until it puts it back (an async
+// operation's Call is the engine's: it may be recycled before start returns).
+// op is the round now in flight, nil if the request did not leave; err then
+// says why, and the returned Call is nil unless a blocking caller must still
+// wait for the aborted round to signal done.
+func (cl *Client[T]) start(arg types.Value, f *Future[T]) (c *Call[T], op *Op, err error) {
 	cl.mu.Lock()
-	c := cl.get()
+	c = cl.get()
 	c.f, c.Arg = f, arg
+	if f == nil && c.done == nil {
+		c.done = make(chan struct{}, 1)
+	}
 	issued := cl.nonce.Load()
 	if err := cl.proto.Begin(c); err != nil {
 		// Nothing was registered or sent: take back the nonce, the pooled
@@ -249,9 +303,9 @@ func (cl *Client[T]) Submit(ctx context.Context, arg types.Value) (*Future[T], e
 		cl.put(c)
 		cl.mu.Unlock()
 		cl.pl.release()
-		return nil, fmt.Errorf("%s: %w", cl.proto.Name, err)
+		return nil, nil, fmt.Errorf("%s: %w", cl.proto.Name, err)
 	}
-	op, err := cl.send(c)
+	op, err = cl.send(c)
 	if commit := cl.proto.Commit; commit != nil {
 		if err == nil {
 			commit(c)
@@ -261,12 +315,15 @@ func (cl *Client[T]) Submit(ctx context.Context, arg types.Value) (*Future[T], e
 	}
 	cl.mu.Unlock()
 	if err != nil {
-		// The aborted round's completion resolves f and frees the slot.
+		// The aborted round's completion resolves f (or signals c) and frees
+		// the slot.
 		op.Abort(err)
-		return nil, fmt.Errorf("%s: %w", cl.proto.Name, err)
+		if f != nil {
+			c = nil
+		}
+		return c, nil, fmt.Errorf("%s: %w", cl.proto.Name, err)
 	}
-	f.bind(ctx, op)
-	return f, nil
+	return c, op, nil
 }
 
 // send registers c's current request for its acknowledgements, then
@@ -277,6 +334,7 @@ func (cl *Client[T]) Submit(ctx context.Context, arg types.Value) (*Future[T], e
 func (cl *Client[T]) send(c *Call[T]) (*Op, error) {
 	c.ack, _ = wire.AckFor(c.Req.Op)
 	op := cl.pl.registerHandler(cl.proto.Need, c)
+	c.op = op
 	err := broadcast(cl.node, cl.servers, &c.Req)
 	if errors.Is(err, transport.ErrClosed) {
 		// The handle's node is gone: one condition, one sentinel, whether the
@@ -285,6 +343,19 @@ func (cl *Client[T]) send(c *Call[T]) (*Op, error) {
 	}
 	c.Req.Cur, c.Req.Prev, c.Req.WriterSig = nil, nil, nil
 	return op, err
+}
+
+// abort fails a blocking operation with err: the round in flight now, and any
+// round it was about to send. Only the Call's blocking caller calls it.
+func (c *Call[T]) abort(err error) {
+	cl := c.cl
+	cl.mu.Lock()
+	if c.cancelled == nil {
+		c.cancelled = err
+	}
+	op := c.op
+	cl.mu.Unlock()
+	op.Abort(err)
 }
 
 // get takes a Call from the handle's free list. Callers hold cl.mu.
@@ -297,9 +368,10 @@ func (cl *Client[T]) get() *Call[T] {
 	return &Call[T]{cl: cl}
 }
 
-// put scrubs c and returns it to the free list. Callers hold cl.mu.
+// put scrubs c, keeping its done channel, and returns it to the free list.
+// Callers hold cl.mu.
 func (cl *Client[T]) put(c *Call[T]) {
-	*c = Call[T]{cl: cl}
+	*c = Call[T]{cl: cl, done: c.done}
 	cl.free = append(cl.free, c)
 }
 
@@ -335,11 +407,15 @@ func (c *Call[T]) complete(acks []Ack, err error) (keepSlot bool) {
 	if next != nil {
 		// The operation goes on (or its next broadcast failed, and aborting
 		// that round ends it): either way the slot is the next round's.
+		cancelled := c.cancelled
 		cl.mu.Unlock()
-		if err != nil {
+		switch {
+		case err != nil:
 			next.Abort(err)
-		} else {
+		case f != nil:
 			f.rebind(next)
+		case cancelled != nil:
+			next.Abort(cancelled)
 		}
 		return true
 	}
@@ -350,6 +426,13 @@ func (c *Call[T]) complete(acks []Ack, err error) (keepSlot bool) {
 		cl.ops++
 	} else {
 		err = fmt.Errorf("%s (%s ts=%d rc=%d): %w", cl.proto.Name, c.Req.Op, c.Req.TS, c.Req.RCounter, err)
+	}
+	if f == nil {
+		// A blocking caller waits on c: it reads the outcome and recycles c.
+		c.Result, c.err = res, err
+		cl.mu.Unlock()
+		c.done <- struct{}{}
+		return false
 	}
 	cl.put(c)
 	cl.mu.Unlock()

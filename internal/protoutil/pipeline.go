@@ -61,8 +61,9 @@ const MaxPipelineDepth = 512
 // invoking completions under p.mu would invert that order). Because Deliver
 // runs on the goroutine that serves every handle of the node, nothing it
 // reaches may block: a completion only takes the handle's mutex, closes a
-// future's channel or broadcasts the operation's next round, and Send never
-// blocks on any transport.
+// future's channel, sends on a blocking call's one-slot channel (which
+// nothing else fills) or broadcasts the operation's next round, and Send
+// never blocks on any transport.
 type Pipeline struct {
 	node transport.Node
 
@@ -366,9 +367,10 @@ func (p *Pipeline) Closed() {
 // pooled copy of the message — exclusive ownership is what lets finish return
 // each ack to the pool without coordinating with sibling operations. The
 // copies' byte fields alias the delivered payload, so each ack also takes one
-// reference on the frame's arena (nil for the in-memory transport, where the
-// payload is GC-owned and may be aliased forever). Completions fire after the
-// engine lock is released.
+// reference on its arena — the socket frame's, or the server coalescer's on
+// the in-memory transport; nil only for a payload sent without one, which is
+// GC-owned and may be aliased forever. Completions fire after the engine lock
+// is released.
 func (p *Pipeline) handlePayload(from types.ProcessID, payload []byte, arena *wire.Arena) {
 	if from.Role != types.RoleServer {
 		return
@@ -378,7 +380,10 @@ func (p *Pipeline) handlePayload(from types.ProcessID, payload []byte, arena *wi
 		return
 	}
 
-	var completed []*Op
+	// One ack completes at most a few operations; their list lives on the
+	// stack unless it outgrows the array.
+	var completedBuf [4]*Op
+	completed := completedBuf[:0]
 	p.mu.Lock()
 	for i := 0; i < len(p.ops); i++ {
 		op := p.ops[i]
@@ -447,8 +452,8 @@ func newFuture[T any]() *Future[T] {
 // ends first, the CURRENT round aborts with the context's error (and the
 // abort intent sticks to rounds bound later). A context that can never end
 // (context.Background: Done is nil) is not armed at all — the registration
-// allocates, and every blocking call on such a context would pay for a
-// callback that cannot fire.
+// allocates, and every submission on such a context would pay for a callback
+// that cannot fire.
 func (f *Future[T]) bind(ctx context.Context, op *Op) {
 	f.mu.Lock()
 	f.op = op

@@ -133,9 +133,10 @@ func broadcast(node transport.Node, servers []types.ProcessID, msg *wire.Message
 
 // Ack couples a decoded acknowledgement with the server that sent it.
 //
-// Acks are POOLED: Msg is a pooled wire.Message and Arena (when the transport
-// decodes frames into refcounted arenas) holds one reference keeping the
-// aliased payload alive. The engine releases both after the round's
+// Acks are POOLED: Msg is a pooled wire.Message and Arena (when the payload
+// came in a refcounted arena: a socket frame, or the server coalescer's
+// buffer on the in-memory transport) holds one reference keeping the aliased
+// payload alive. The engine releases both after the round's
 // completion returns, which is why a Rounds.Finish must clone anything it
 // retains (the codec's rule 3).
 type Ack struct {

@@ -183,6 +183,52 @@ func TestCollectAcksContextCancelled(t *testing.T) {
 	}
 }
 
+// TestDoAbortsTheRoundInFlight: a blocking operation waits on its pooled Call,
+// and a context that ends during its SECOND round aborts that round — the one
+// the Call has moved on to — after which the handle's one slot and the Call
+// serve the next operation.
+func TestDoAbortsTheRoundInFlight(t *testing.T) {
+	net := transport.NewInMemNetwork()
+	defer net.Close()
+	startAckServer(t, net, types.Server(1), wire.OpReadAck, 1)
+	node, err := net.Join(types.Reader(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	// A non-nil argument asks for a second round, a write the server answers
+	// with a read ack, which never matches.
+	client, err := NewClient(ClientConfig{Quorum: quorum.Config{Servers: 1}, Depth: 1}, node, Rounds[int]{
+		Name: "test two-round", Role: types.RoleReader, Need: 1,
+		Begin: Ask[int](wire.OpRead, ""),
+		Finish: func(c *Call[int], _ []Ack) (bool, error) {
+			if c.Round == 1 && c.Arg != nil {
+				c.Req = wire.Message{Op: wire.OpWrite, TS: 1, RCounter: c.Req.RCounter}
+				return true, nil
+			}
+			c.Result = c.Round
+			return false, nil
+		},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 50*time.Millisecond)
+	defer cancel()
+	if _, err := client.Do(ctx, types.Value("two rounds")); !errors.Is(err, context.DeadlineExceeded) {
+		t.Fatalf("err = %v, want to wrap DeadlineExceeded", err)
+	}
+	if ops, trips := client.Stats(); ops != 0 || trips != 1 {
+		t.Errorf("Stats = %d ops, %d round-trips, want 0, 1", ops, trips)
+	}
+	later, cancelLater := context.WithTimeout(context.Background(), 5*time.Second)
+	defer cancelLater()
+	for i := 0; i < 3; i++ {
+		if rounds, err := client.Do(later, nil); err != nil || rounds != 1 {
+			t.Fatalf("operation %d after the abort = %d rounds, %v; want 1, nil", i, rounds, err)
+		}
+	}
+}
+
 func TestCollectAcksInboxClosed(t *testing.T) {
 	net := transport.NewInMemNetwork()
 	defer net.Close()

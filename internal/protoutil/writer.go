@@ -43,13 +43,12 @@ func NewWriter(name string, need int, signer *sig.Signer, cfg ClientConfig, node
 	return w, nil
 }
 
-// Write stores v in the register: WriteAsync at depth one, then wait.
+// Write stores v in the register: WriteAsync at depth one, then wait (Do).
 func (w *Writer) Write(ctx context.Context, v types.Value) error {
-	f, err := w.WriteAsync(ctx, v)
-	if err != nil {
-		return err
+	if v.IsBottom() {
+		return ErrBottomWrite
 	}
-	_, err = f.Result(ctx)
+	_, err := w.Do(ctx, v)
 	return err
 }
 

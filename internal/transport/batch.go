@@ -15,9 +15,9 @@ import (
 // batches through Expand, so the code handling one message never sees the
 // envelope.
 //
-// The per-message views of a batch ALIAS the batch buffer (wire's rule 2);
-// since the buffer is owned by the receiving side and immutable, the views
-// stay valid for as long as any consumer retains them.
+// The per-message views of a batch ALIAS the batch buffer (wire's rule 2) and
+// live as long as it does: forever for a heap buffer, until the last
+// reference goes for an arena (wire's rule 4).
 
 // Expand invokes fn once per protocol message carried by the delivered
 // message: once with msg itself when the payload is a single message, once
@@ -55,8 +55,11 @@ type Sender interface {
 // must stay identical to a direct send — no envelope, no copy), and a batch
 // is materialised only when a second payload shows up.
 type coalesced struct {
-	kind    string
-	first   []byte
+	kind  string
+	first []byte
+	// arena holds first's bytes when the coalescer encoded them into one
+	// (SendMessage over an ArenaSender); nil for a caller's payload.
+	arena   *wire.Arena
 	batched bool
 	batch   wire.Batch
 }
@@ -67,11 +70,17 @@ type coalesced struct {
 // owned by the executor's goroutine and is not safe for concurrent use.
 //
 // Ownership: payloads handed to Send pass to the Coalescer exactly as they
-// would to a Node (rule 1 — senders must not reuse them); batch buffers are
-// freshly allocated per flush and abandoned to the transport, so receivers
-// may alias them indefinitely.
+// would to a Node (rule 1 — senders must not reuse them). What the coalescer
+// encodes itself — a lone acknowledgement, every envelope — goes into a
+// pooled wire.Arena when the node is an ArenaSender (every shipped node is),
+// and the arena's one reference leaves with the payload: the receiver's
+// release recycles it (wire's rule 4). Over any other node those buffers are
+// heap slices abandoned to the transport, so receivers may alias them
+// indefinitely. A run that is discarded releases its arenas.
 type Coalescer struct {
 	node Node
+	// arenas is the node's arena send, nil when it has none.
+	arenas ArenaSender
 
 	byDest map[types.ProcessID]*coalesced
 	order  []types.ProcessID
@@ -110,6 +119,7 @@ func NewCoalescer(node Node) *Coalescer {
 	if vc, ok := node.(virtualClocked); ok {
 		c.clock = vc.virtualClock()
 	}
+	c.arenas, _ = node.(ArenaSender)
 	return c
 }
 
@@ -156,12 +166,23 @@ func (c *Coalescer) Send(to types.ProcessID, kind string, payload []byte) error 
 }
 
 // promote turns the destination's lone payload into a batch envelope about to
-// take a second message of up to next bytes. The envelope is allocated once,
-// at the size of the last batch flushed to the destination (runs to one client
-// repeat their shape), or at exactly the two messages' size without history.
+// take a second message of up to next bytes. The envelope is sized once, at
+// the size of the last batch flushed to the destination (runs to one client
+// repeat their shape), or at exactly the two messages' size without history:
+// in a pooled arena over an ArenaSender, in one heap allocation otherwise.
 func (c *Coalescer) promote(to types.ProcessID, e *coalesced, next int) {
-	e.batch.Grow(max(c.lastBatch[to], wire.BatchOverhead(2)+len(e.first)+next))
+	size := max(c.lastBatch[to], wire.BatchOverhead(2)+len(e.first)+next)
+	if c.arenas != nil {
+		e.batch.GrowArena(size)
+	} else {
+		e.batch.Grow(size)
+	}
 	c.appendPayload(&e.batch, e.first)
+	if e.arena != nil {
+		// The lone payload's bytes are in the envelope now.
+		e.arena.Release()
+		e.arena = nil
+	}
 	e.first = nil
 	e.kind = wire.BatchKind
 	e.batched = true
@@ -179,17 +200,21 @@ func (c *Coalescer) appendPayload(b *wire.Batch, payload []byte) {
 
 // SendMessage buffers one not-yet-encoded message for the destination. The
 // first message of a run is encoded standalone (a lone message must leave
-// exactly as a direct send would); every further message APPEND-ENCODES
-// straight into the destination's batch, skipping the intermediate payload
-// allocation — the server hot path under pipelined load. The message is
-// consumed before SendMessage returns (its fields may alias caller state,
-// per the codec's aliasing discipline).
+// exactly as a direct send would) — into a pooled arena over an ArenaSender;
+// every further message APPEND-ENCODES straight into the destination's batch,
+// skipping the intermediate payload — the server hot path under pipelined
+// load. The message is consumed before SendMessage returns (its fields may
+// alias caller state, per the codec's aliasing discipline).
 func (c *Coalescer) SendMessage(to types.ProcessID, m *wire.Message) error {
 	c.hold()
 	e, ok := c.byDest[to]
 	if !ok {
+		payload, arena, err := c.encode(m)
+		if err != nil {
+			return err
+		}
 		e = c.get()
-		e.kind, e.first = m.Kind(), wire.MustEncode(m)
+		e.kind, e.first, e.arena = m.Kind(), payload, arena
 		c.byDest[to] = e
 		c.order = append(c.order, to)
 		return nil
@@ -198,6 +223,22 @@ func (c *Coalescer) SendMessage(to types.ProcessID, m *wire.Message) error {
 		c.promote(to, e, wire.EncodedSize(m))
 	}
 	return e.batch.AppendMessage(m)
+}
+
+// encode encodes a lone message: into a pooled arena sized by the codec's
+// bound when the node can send one, into an exact heap slice otherwise.
+func (c *Coalescer) encode(m *wire.Message) ([]byte, *wire.Arena, error) {
+	if c.arenas == nil {
+		payload, err := wire.Encode(m)
+		return payload, nil, err
+	}
+	a := wire.GetArena(wire.EncodedSize(m))
+	payload, err := wire.AppendEncode(a.Bytes()[:0], m)
+	if err != nil {
+		a.Release()
+		return nil, nil, err
+	}
+	return payload, a, nil
 }
 
 // SendEncoded routes an acknowledgement through the coalescer's direct
@@ -215,8 +256,9 @@ func SendEncoded(out Sender, to types.ProcessID, m *wire.Message) error {
 // in first-touch order — and resets the coalescer for the next run.
 func (c *Coalescer) Flush() { c.reset(true) }
 
-// Discard drops the run's pending traffic unsent and resets the coalescer: a
-// server whose log could not commit the run must not acknowledge it.
+// Discard drops the run's pending traffic unsent, releasing its arenas, and
+// resets the coalescer: a server whose log could not commit the run must not
+// acknowledge it.
 func (c *Coalescer) Discard() { c.reset(false) }
 
 // reset empties the coalescer, sending what it held or not, and releases its
@@ -224,18 +266,25 @@ func (c *Coalescer) Discard() { c.reset(false) }
 func (c *Coalescer) reset(send bool) {
 	for _, to := range c.order {
 		e := c.byDest[to]
-		if !send {
+		payload, arena := e.first, e.arena
+		if e.batched {
+			payload = e.batch.Bytes()
+			c.lastBatch[to] = len(payload)
+			arena = e.batch.TakeArena()
+		}
+		switch {
+		case !send:
 			// Dropped with the rest of the run.
-		} else if !e.batched {
-			_ = c.node.Send(to, e.kind, e.first)
-		} else {
-			env := e.batch.Bytes()
-			c.lastBatch[to] = len(env)
-			_ = c.node.Send(to, wire.BatchKind, env)
-			// The buffer now belongs to the transport; never reuse it.
-			e.batch.Detach()
+			if arena != nil {
+				arena.Release()
+			}
+		case arena != nil:
+			_ = c.arenas.SendArena(to, e.kind, payload, arena)
+		default:
+			_ = c.node.Send(to, e.kind, payload)
 		}
 		delete(c.byDest, to)
+		// Zeroing abandons a heap envelope to the transport: never reuse it.
 		*e = coalesced{}
 		c.free = append(c.free, e)
 	}

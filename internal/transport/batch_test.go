@@ -189,6 +189,64 @@ func TestCoalescerRunAllocatesEnvelopeOnce(t *testing.T) {
 	}
 }
 
+// raceEnabled is set by race_test.go in race builds.
+var raceEnabled bool
+
+// TestCoalescerRecyclesAckBuffers: over the in-memory network an executor's
+// acknowledgement travels in a pooled arena that the client's release hands
+// back, so once the pools are warm a request/ack round trip — request sent,
+// decoded, acknowledged through the run's coalescer, ack delivered and
+// released — allocates nothing. Race builds drop pooled items at random, so
+// the count is only checked outside them.
+func TestCoalescerRecyclesAckBuffers(t *testing.T) {
+	net := NewInMemNetwork()
+	t.Cleanup(func() { _ = net.Close() })
+	srv := mustJoin(t, net, types.Server(1))
+	client := mustJoin(t, net, types.Reader(1))
+
+	exec := NewExecutor(srv, nil, 0)
+	served := make(chan struct{})
+	req, ack := new(wire.Message), new(wire.Message)
+	go func() {
+		defer close(served)
+		exec.RunCoalescing(func(m Message, out Sender) {
+			if wire.DecodeInto(req, m.Payload) != nil {
+				return
+			}
+			ack.Fill(wire.Message{Op: wire.OpReadAck, Key: req.Key, TS: 1, RCounter: req.RCounter})
+			_ = SendEncoded(out, m.From, ack)
+		})
+	}()
+	acked := make(chan *wire.Arena, 1)
+	consumed := make(chan struct{})
+	go func() {
+		defer close(consumed)
+		Consume(client, func(m Message) {
+			a := m.Arena
+			m.ReleaseArena()
+			acked <- a
+		}, nil)
+	}()
+
+	request := encodedMsg(wire.OpRead, "k", 1)
+	roundTrip := func() {
+		_ = client.Send(types.Server(1), "read", request)
+		if a := <-acked; a == nil {
+			t.Fatal("the ack arrived without an arena")
+		}
+	}
+	for i := 0; i < 64; i++ {
+		roundTrip()
+	}
+	if allocs := testing.AllocsPerRun(1000, roundTrip); allocs != 0 && !raceEnabled {
+		t.Errorf("a steady-state request/ack round trip allocates %v times, want 0", allocs)
+	}
+	_ = srv.Close()
+	_ = client.Close()
+	<-served
+	<-consumed
+}
+
 func TestExecutorRunCoalescingFlushesPerRun(t *testing.T) {
 	net := NewInMemNetwork()
 	t.Cleanup(func() { _ = net.Close() })

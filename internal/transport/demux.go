@@ -215,9 +215,7 @@ func (rt *demuxRoute) shutdown() {
 	sink, q, pending := rt.sink, rt.q, rt.pending
 	rt.sink, rt.pending = nil, nil
 	rt.mu.Unlock()
-	for _, m := range pending {
-		m.ReleaseArena()
-	}
+	releaseAll(pending)
 	if q != nil {
 		q.Close()
 	}

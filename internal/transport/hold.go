@@ -49,6 +49,7 @@ func (n *InMemNetwork) Release(from, to types.ProcessID) {
 	n.mu.Unlock()
 
 	if dst == nil {
+		releaseAll(msgs)
 		return
 	}
 	for _, msg := range msgs {
@@ -63,11 +64,12 @@ func (n *InMemNetwork) Release(from, to types.ProcessID) {
 func (n *InMemNetwork) DropHeld(from, to types.ProcessID) {
 	n.mu.Lock()
 	l := link{from, to}
-	dropped := len(n.held[l])
+	dropped := n.held[l]
 	delete(n.held, l)
 	n.updateSlowLocked()
 	n.mu.Unlock()
-	n.dropped.Add(int64(dropped))
+	n.dropped.Add(int64(len(dropped)))
+	releaseAll(dropped)
 }
 
 // HeldCount returns the number of messages currently held on the link.

@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"fastread/internal/types"
+	"fastread/internal/wire"
 )
 
 // link identifies a directed sender→receiver channel.
@@ -412,6 +413,7 @@ func (n *InMemNetwork) deliver(dst *inMemNode, msg Message, delay time.Duration)
 		// The dispatcher already drained and exited (a send racing Close):
 		// the message is dropped as in-transit-forever, accounted here.
 		n.delayMu.Unlock()
+		msg.ReleaseArena()
 		n.inTransit.Add(-1)
 		n.wg.Done()
 		return
@@ -442,6 +444,7 @@ func (n *InMemNetwork) deliverVirtual(dst *inMemNode, msg Message, delay time.Du
 		closed := n.closed
 		n.mu.Unlock()
 		if closed {
+			msg.ReleaseArena()
 			n.inTransit.Add(-1)
 			return
 		}
@@ -485,11 +488,12 @@ func (n *InMemNetwork) dispatchDelayed() {
 			// messages are "in transit forever". delayClosed hands any
 			// send still racing this shutdown its own cleanup.
 			n.delayMu.Lock()
-			pending := n.delayHeap.len()
+			pending := n.delayHeap
 			n.delayHeap = dueHeap[delayedMsg]{}
 			n.delayClosed = true
 			n.delayMu.Unlock()
-			for i := 0; i < pending; i++ {
+			for _, d := range pending.items {
+				d.v.msg.ReleaseArena()
 				n.inTransit.Add(-1)
 				n.wg.Done()
 			}
@@ -523,8 +527,9 @@ type inMemNode struct {
 }
 
 var (
-	_ Node       = (*inMemNode)(nil)
-	_ RunDrainer = (*inMemNode)(nil)
+	_ Node        = (*inMemNode)(nil)
+	_ RunDrainer  = (*inMemNode)(nil)
+	_ ArenaSender = (*inMemNode)(nil)
 )
 
 // ID implements Node.
@@ -532,15 +537,30 @@ func (nd *inMemNode) ID() types.ProcessID { return nd.id }
 
 // Send implements Node.
 func (nd *inMemNode) Send(to types.ProcessID, kind string, payload []byte) error {
+	return nd.send(Message{From: nd.id, To: to, Kind: kind, Payload: payload})
+}
+
+// SendArena implements ArenaSender: the arena's reference travels with the
+// message to the receiver's consumer, whose release recycles the buffer.
+func (nd *inMemNode) SendArena(to types.ProcessID, kind string, payload []byte, arena *wire.Arena) error {
+	return nd.send(Message{From: nd.id, To: to, Kind: kind, Payload: payload, Arena: arena})
+}
+
+// send holds, routes and delivers one message. A message that goes nowhere —
+// from a closed node, or dropped by routing — gives its arena reference back
+// here; later drop points (a held link dropped, a closed destination, a
+// network closing with the message delayed) do the same.
+func (nd *inMemNode) send(msg Message) error {
 	if nd.closed.Load() {
+		msg.ReleaseArena()
 		return ErrClosed
 	}
-	msg := Message{From: nd.id, To: to, Kind: kind, Payload: payload}
 	if nd.net.holdIfNeeded(msg) {
 		return nil
 	}
 	dst, delay, ok := nd.net.route(msg)
 	if !ok {
+		msg.ReleaseArena()
 		return nil
 	}
 	nd.net.deliver(dst, msg, delay)

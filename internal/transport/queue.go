@@ -215,9 +215,7 @@ func (q *Queue) Close() {
 		orphans, q.items = q.items, nil
 	}
 	q.mu.Unlock()
-	for _, m := range orphans {
-		m.ReleaseArena()
-	}
+	releaseAll(orphans)
 	if inbox != nil {
 		for m := range inbox {
 			m.ReleaseArena()

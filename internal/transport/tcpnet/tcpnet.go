@@ -89,7 +89,10 @@ type Node struct {
 	wg sync.WaitGroup
 }
 
-var _ transport.Node = (*Node)(nil)
+var (
+	_ transport.Node        = (*Node)(nil)
+	_ transport.ArenaSender = (*Node)(nil)
+)
 
 // Listen starts a TCP node for the given process.
 func Listen(cfg framed.Config) (*Node, error) {
@@ -166,6 +169,14 @@ func (n *Node) Send(to types.ProcessID, kind string, payload []byte) error {
 		}
 	}
 	return nil
+}
+
+// SendArena implements transport.ArenaSender: Send copies the payload into the
+// peer's write buffer, so the arena goes back to its pool at once.
+func (n *Node) SendArena(to types.ProcessID, kind string, payload []byte, arena *wire.Arena) error {
+	err := n.Send(to, kind, payload)
+	arena.Release()
+	return err
 }
 
 // Close implements transport.Node.
@@ -417,8 +428,13 @@ type peer struct {
 	pendingBytes  int           // total encoded bytes across queue
 	pendingMsgs   int           // total messages across queue (drop accounting)
 	inFlightBytes int           // size of the buffer the flusher is writing
-	spare         *wire.Batch   // flusher's recycled batch (double-buffering)
 	err           error         // sticky write error; once set the peer is dead
+	// free recycles flushed batches (the socket consumed their bytes) as new
+	// tails. It keeps at most queueHigh of them: the most batches this peer
+	// has had queued and in flight at once, which is all its load has ever
+	// needed, so a steady load allocates no batch and a quiet peer pins few.
+	free      []*wire.Batch
+	queueHigh int
 
 	kick      chan struct{} // capacity 1: "bytes are buffered, please flush"
 	done      chan struct{}
@@ -481,12 +497,19 @@ func (p *peer) writeFrame(kind string, payload []byte) error {
 	if n := len(p.queue); n > 0 && p.queue[n-1].Size()+4+len(payload) <= maxBatchPayload {
 		tail = p.queue[n-1]
 	} else {
-		if p.spare != nil {
-			tail, p.spare = p.spare, nil
+		if n := len(p.free); n > 0 {
+			tail = p.free[n-1]
+			p.free[n-1] = nil
+			p.free = p.free[:n-1]
 		} else {
 			tail = wire.NewBatch(batchFrameHeaderSize)
 		}
 		p.queue = append(p.queue, tail)
+		outstanding := len(p.queue)
+		if p.inFlightBytes > 0 {
+			outstanding++
+		}
+		p.queueHigh = max(p.queueHigh, outstanding)
 	}
 	sizeBefore, countBefore := tail.Size(), tail.Count()
 	if spliceable {
@@ -544,11 +567,12 @@ func (p *peer) flushLoop() {
 					}
 					break
 				}
+				// Shift rather than reslice, so the queue keeps its backing
+				// array instead of growing a new one behind the flusher.
 				batch := p.queue[0]
-				p.queue = p.queue[1:]
-				if len(p.queue) == 0 {
-					p.queue = nil
-				}
+				n := copy(p.queue, p.queue[1:])
+				p.queue[n] = nil
+				p.queue = p.queue[:n]
 				if batch.Count() == 0 {
 					// Defensive: an empty batch has no frame to write (and
 					// PrefixedBytes is nil); nothing can enqueue one today,
@@ -571,9 +595,9 @@ func (p *peer) flushLoop() {
 				// unlike payloads handed to a receiver it is safely recyclable —
 				// but let a burst-sized high-water buffer go instead of pinning
 				// it for the peer's lifetime.
-				if p.spare == nil && cap(buf) <= writeBufferSize {
+				if len(p.free) < p.queueHigh && cap(buf) <= writeBufferSize {
 					batch.Reset()
-					p.spare = batch
+					p.free = append(p.free, batch)
 				}
 				if werr != nil {
 					p.err = werr

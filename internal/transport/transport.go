@@ -30,12 +30,13 @@ type Message struct {
 	To      types.ProcessID
 	Kind    string
 	Payload []byte
-	// Arena, when non-nil, is the refcounted frame buffer Payload aliases
-	// (socket transports decode each inbound frame into one pooled arena; the
-	// in-memory network leaves it nil). The message carries ONE reference:
-	// whoever consumes the message calls ReleaseArena when done with the
-	// payload and everything decoded from it, and anything retaining an
-	// aliasing view longer takes its own Arena.Ref first. See wire's
+	// Arena, when non-nil, is the refcounted buffer Payload aliases: socket
+	// transports decode each inbound frame into one pooled arena, and the
+	// in-memory network delivers the arena a server's ack coalescer encoded
+	// into (ArenaSender); requests in memory carry none. The message carries
+	// ONE reference: whoever consumes the message calls ReleaseArena when done
+	// with the payload and everything decoded from it, and anything retaining
+	// an aliasing view longer takes its own Arena.Ref first. See wire's
 	// buffer-ownership rule 4.
 	Arena *wire.Arena
 
@@ -74,6 +75,14 @@ func (m Message) ReleaseArena() {
 	}
 }
 
+// releaseAll releases every message's reference: messages no consumer will
+// ever take.
+func releaseAll(msgs []Message) {
+	for _, m := range msgs {
+		m.ReleaseArena()
+	}
+}
+
 // String renders the message for traces and test failures.
 func (m Message) String() string {
 	return fmt.Sprintf("%s→%s %s (%dB)", m.From, m.To, m.Kind, len(m.Payload))
@@ -96,6 +105,20 @@ type Node interface {
 	// Close detaches the node from the network and releases its resources.
 	// Close is idempotent.
 	Close() error
+}
+
+// ArenaSender is the optional half of a Node that takes a payload together
+// with the pooled arena it was encoded into. Every shipped node kind has it:
+// the in-memory node delivers the arena with the message, so the receiver's
+// release returns the buffer to its pool (wire's rule 4); the socket carriers
+// copy the payload as their Send does and release the arena at once. A node
+// without it gets a plain Send and the arena is left to the garbage
+// collector, which is rule 4's safe direction.
+type ArenaSender interface {
+	// SendArena is Send for a payload aliasing arena, consuming the caller's
+	// one reference whatever happens: it travels with the message, or it is
+	// released where the message provably goes nowhere.
+	SendArena(to types.ProcessID, kind string, payload []byte, arena *wire.Arena) error
 }
 
 // Network is a collection of interconnected nodes.

@@ -118,7 +118,10 @@ type Node struct {
 	wg sync.WaitGroup
 }
 
-var _ transport.Node = (*Node)(nil)
+var (
+	_ transport.Node        = (*Node)(nil)
+	_ transport.ArenaSender = (*Node)(nil)
+)
 
 // Listen binds a UDP node for the given process. filter, when non-nil, is
 // the receive-side packet-loss injection hook: it sees the claimed sender of
@@ -195,6 +198,14 @@ func (n *Node) Send(to types.ProcessID, kind string, payload []byte) error {
 		return fmt.Errorf("udpnet: payload too large (%d bytes)", len(payload))
 	}
 	return n.sendOne(to, kind, payload)
+}
+
+// SendArena implements transport.ArenaSender: Send copies the payload into
+// pooled datagram buffers, so the arena goes back to its pool at once.
+func (n *Node) SendArena(to types.ProcessID, kind string, payload []byte, arena *wire.Arena) error {
+	err := n.Send(to, kind, payload)
+	arena.Release()
+	return err
 }
 
 // sendOne encodes one datagram and hands it to the sender goroutine.

@@ -5,39 +5,53 @@ import (
 	"sync/atomic"
 )
 
-// Arena-per-frame decoding
-// ========================
+// Arena-backed messages
+// =====================
 //
-// An inbound socket frame used to be copied into a freshly allocated payload
-// so the codec's aliasing views (rule 2 of pool.go) could stay valid forever:
-// the receiver abandoned the buffer to the garbage collector, and any message
-// retaining a view simply pinned it. That is correct but costs one allocation
-// per frame plus a GC obligation proportional to throughput.
+// A message buffer that crosses a goroutine boundary used to be allocated
+// fresh so the codec's aliasing views (rule 2 of pool.go) could stay valid
+// forever: the receiver abandoned the buffer to the garbage collector, and any
+// message retaining a view simply pinned it. That is correct but costs one
+// allocation per message plus a GC obligation proportional to throughput.
 //
-// An Arena makes the frame buffer itself recyclable: the frame body is read
-// into a pooled buffer, every message view decoded from the frame aliases it,
-// and a REFERENCE COUNT tracks how many independent owners still need the
-// bytes. Each delivered transport message holds one reference; a retention
-// point (a pipelined client detaching an acknowledgement, a server adopting a
-// written value into register state) takes another with Ref instead of cloning
-// the bytes; Release drops one, and when the last reference drops the buffer
-// returns to the pool for the next frame.
+// An Arena makes the buffer itself recyclable, and two kinds of buffer are
+// arenas: every inbound socket frame (the body is read into a pooled buffer)
+// and every acknowledgement a server's coalescer encodes, on every transport
+// (the in-memory network delivers the arena with the message; the socket
+// carriers copy the bytes out and release it at once). Every message view
+// decoded from the buffer aliases it, and a REFERENCE COUNT tracks how many
+// independent owners still need the bytes. Each delivered transport message
+// holds one reference; a retention point (a pipelined client detaching an
+// acknowledgement, a server adopting a written value into register state)
+// takes another with Ref instead of cloning the bytes; Release drops one, and
+// when the last reference drops the buffer returns to the pool for the next
+// message.
 //
 // The discipline is deliberately fail-safe in one direction and loud in the
 // other:
 //
 //   - A MISSING Release only leaks the arena to the garbage collector — the
-//     views stay valid, exactly like the old copy-per-frame behaviour, just
+//     views stay valid, exactly like the old copy-per-message behaviour, just
 //     without the reuse. Consumers that never release (tests ranging over an
-//     inbox) therefore keep working unchanged.
-//   - A Release too many — which would hand live bytes to the next frame and
-//     corrupt every surviving view — PANICS immediately, in every build: a
+//     inbox, node decorators that forward a plain Send) therefore keep
+//     working unchanged.
+//   - A Release too many — which would hand live bytes to the next message
+//     and corrupt every surviving view — PANICS immediately, in every build: a
 //     refcount underflow is memory corruption in the making and must never be
 //     ignored.
+//   - A MISSING Ref — a view read after its last reference went — is caught
+//     under the race detector: race builds fill a buffer with poisonByte on
+//     its final Release (arena_race.go), so such a view reads garbage at once
+//     instead of only when the pool happens to hand the buffer on.
 type Arena struct {
 	buf  []byte
 	refs atomic.Int32
 }
+
+// poisonByte is what a race build writes over a released arena's buffer. It
+// is neither a codec version nor the batch marker, so a payload read through
+// a dangling view fails to decode.
+const poisonByte = 0xEE
 
 // maxArenaRetain bounds the buffers the arena pools keep. A frame larger than
 // this (a burst batch close to the transports' frame caps) still gets an
@@ -108,6 +122,12 @@ func (a *Arena) Release() {
 		return
 	case n < 0:
 		panic("wire: arena released more often than referenced")
+	}
+	if poisonReleased {
+		buf := a.buf[:cap(a.buf)]
+		for i := range buf {
+			buf[i] = poisonByte
+		}
 	}
 	// An unpooled (oversized) buffer has no class and goes to the GC.
 	if c := arenaClass(cap(a.buf)); c >= 0 {

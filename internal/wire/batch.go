@@ -27,9 +27,11 @@ import (
 // immutable once handed to a transport, and the per-message views returned by
 // ForEachInBatch ALIAS the batch buffer — consumers decode them with the same
 // alias-don't-copy discipline as any delivered payload, and anything retained
-// beyond handling one message must be cloned. Retaining one view pins the
-// whole batch buffer, which is acceptable: batch buffers are freshly
-// allocated per flush precisely so views stay valid indefinitely.
+// beyond handling one message must be cloned or pin the buffer. A batch is
+// built either in a heap buffer abandoned to the transport on every flush
+// (Detach), so views stay valid indefinitely, or in a pooled Arena
+// (GrowArena) whose one reference travels with the envelope (TakeArena), so
+// views live by rule 4.
 const batchMarker byte = 0xB7
 
 // batchHeaderSize is the envelope prefix: marker byte plus uint32 count.
@@ -55,7 +57,8 @@ func IsBatch(data []byte) bool {
 // Batch can be Reset and reused, but the buffer of a batch whose Bytes have
 // been handed to a transport must be ABANDONED, not reused (rule 1 of the
 // codec's ownership discipline: encoded payloads are immutable and the
-// receiver may alias them indefinitely) — Detach does exactly that.
+// receiver may alias them indefinitely) — Detach does exactly that, and
+// TakeArena hands an arena-built batch's buffer on with its reference.
 type Batch struct {
 	// prefix reserves bytes at the start of the buffer ahead of the
 	// envelope, so a caller that must prepend its own header (the tcpnet
@@ -63,6 +66,10 @@ type Batch struct {
 	prefix int
 	buf    []byte
 	count  int
+	// arena, when non-nil, is the pooled buffer buf lives in (GrowArena):
+	// appends that outgrow it move the bytes to a larger arena instead of
+	// letting append reallocate on the heap.
+	arena *Arena
 }
 
 // NewBatch returns an empty batch reserving the given number of prefix bytes
@@ -77,12 +84,13 @@ func (b *Batch) Reset() {
 	b.count = 0
 }
 
-// Detach empties the batch AND abandons the backing buffer. Call it after
-// handing Bytes (or PrefixedBytes) to a transport: the receiver now owns the
-// memory.
+// Detach empties the batch AND abandons the backing buffer, arena included.
+// Call it after handing Bytes (or PrefixedBytes) to a transport: the receiver
+// now owns the memory.
 func (b *Batch) Detach() {
 	b.buf = nil
 	b.count = 0
+	b.arena = nil
 }
 
 // Count returns the number of messages appended so far.
@@ -109,12 +117,56 @@ func (b *Batch) Grow(n int) {
 	b.buf = buf
 }
 
+// GrowArena is Grow into a pooled Arena: the batch's bytes move to an arena
+// with room for n more (unless the arena they are in has it already), and from
+// then on every append that would outgrow it moves them to one at least twice
+// as large — geometric like append's growth, so a burst's envelope costs
+// linear copying past the pooled classes too — the old arena going back to
+// its pool. The batch holds the arena's one reference until TakeArena hands
+// it on or Detach abandons it.
+func (b *Batch) GrowArena(n int) {
+	if b.arena != nil && n <= cap(b.buf)-len(b.buf) {
+		return
+	}
+	size := len(b.buf) + n
+	if b.arena != nil {
+		size = max(size, 2*cap(b.buf))
+	}
+	a := GetArena(size)
+	b.buf = append(a.Bytes()[:0], b.buf...)
+	if b.arena != nil {
+		b.arena.Release()
+	}
+	b.arena = a
+}
+
+// TakeArena hands over the arena the batch was built in (see GrowArena), with
+// its reference, and empties the batch: Bytes and PrefixedBytes taken before
+// alias that arena. It returns nil, leaving the batch alone, for a batch built
+// on the heap.
+func (b *Batch) TakeArena() *Arena {
+	a := b.arena
+	if a != nil {
+		b.Detach()
+	}
+	return a
+}
+
+// reserve makes room for n more bytes in an arena-built batch, so the append
+// that follows stays in an arena; a heap-built batch grows by append.
+func (b *Batch) reserve(n int) {
+	if b.arena != nil {
+		b.GrowArena(n)
+	}
+}
+
 // ensureHeader lazily writes the prefix placeholder and envelope header on
 // the first append.
 func (b *Batch) ensureHeader() {
 	if len(b.buf) > 0 {
 		return
 	}
+	b.reserve(b.prefix + batchHeaderSize)
 	for i := 0; i < b.prefix; i++ {
 		b.buf = append(b.buf, 0)
 	}
@@ -124,6 +176,7 @@ func (b *Batch) ensureHeader() {
 // Append adds one encoded message payload to the batch (copying it).
 func (b *Batch) Append(payload []byte) {
 	b.ensureHeader()
+	b.reserve(4 + len(payload))
 	b.buf = binary.LittleEndian.AppendUint32(b.buf, uint32(len(payload)))
 	b.buf = append(b.buf, payload...)
 	b.count++
@@ -133,6 +186,7 @@ func (b *Batch) Append(payload []byte) {
 // avoiding the intermediate payload slice Append would copy.
 func (b *Batch) AppendMessage(m *Message) error {
 	b.ensureHeader()
+	b.reserve(4 + EncodedSize(m))
 	lenAt := len(b.buf)
 	b.buf = append(b.buf, 0, 0, 0, 0) // length, patched below
 	out, err := AppendEncode(b.buf, m)
@@ -158,6 +212,7 @@ func (b *Batch) Splice(data []byte) error {
 		return nil
 	}
 	b.ensureHeader()
+	b.reserve(len(data) - batchHeaderSize)
 	b.buf = append(b.buf, data[batchHeaderSize:]...)
 	b.count += count
 	return nil

@@ -240,6 +240,53 @@ func TestBatchGrow(t *testing.T) {
 	}
 }
 
+// TestBatchGrowArena: a batch built in an arena stays in arenas as it outgrows
+// them — contents kept, the outgrown arena released — and TakeArena hands the
+// last one over with the batch's one reference.
+func TestBatchGrowArena(t *testing.T) {
+	payload := bytes.Repeat([]byte{7}, 300)
+	var b Batch
+	b.GrowArena(64)
+	first := b.arena
+	for i := 0; i < 8; i++ { // 8 × 304 bytes outgrow the first 1 KiB class twice
+		b.Append(payload)
+	}
+	if first.Refs() != 0 {
+		t.Errorf("the outgrown arena holds %d references, want 0", first.Refs())
+	}
+	env := b.Bytes()
+	a := b.TakeArena()
+	if a == nil || a == first || a.Refs() != 1 {
+		t.Fatalf("TakeArena = %p (first %p), want a later arena with one reference", a, first)
+	}
+	if !viewWithin(a.Bytes()[:cap(a.Bytes())], env) {
+		t.Fatal("the envelope does not live in the arena handed over")
+	}
+	if got := collectBatch(t, env); len(got) != 8 || !bytes.Equal(got[7], payload) {
+		t.Fatalf("arena-built batch decoded to %d messages", len(got))
+	}
+	if b.Count() != 0 || b.TakeArena() != nil {
+		t.Fatal("TakeArena left the batch holding its arena")
+	}
+	a.Release()
+
+	// Growth is geometric past the pooled classes too: a 300 KB burst
+	// envelope moves about nine times (1 KiB → 512 KiB), each move costing at
+	// most an Arena and its buffer, where growing by the appended bytes
+	// would copy it a thousand times.
+	burst := func() {
+		var b Batch
+		b.GrowArena(0)
+		for i := 0; i < 1000; i++ {
+			b.Append(payload)
+		}
+		b.TakeArena().Release()
+	}
+	if allocs := testing.AllocsPerRun(5, burst); allocs > 24 {
+		t.Errorf("building a 300 KB envelope in arenas allocates %v times, want at most 24", allocs)
+	}
+}
+
 // verify header invariants the tcpnet flusher relies on.
 func TestBatchHeaderLayout(t *testing.T) {
 	b := NewBatch(0)

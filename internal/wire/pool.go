@@ -16,7 +16,12 @@ import "sync"
 //     transport.Node.Send, OWNERSHIP PASSES TO THE TRANSPORT (the in-memory
 //     network delivers the same slice to the receiver; the same payload may
 //     be broadcast to many receivers). Nobody — sender or receiver — may
-//     mutate an encoded payload, ever.
+//     mutate an encoded payload, ever. A payload handed over together with
+//     its Arena (transport.ArenaSender, which a server's ack coalescer uses
+//     on every shipped node) passes the arena's reference too: the in-memory
+//     network delivers both, so the acknowledgement's buffer returns to the
+//     pool once the client releases it (rule 4), and a socket carrier copies
+//     the bytes and releases at once.
 //
 //  2. Decoded views may alias. DecodeInto makes Cur, Prev and WriterSig
 //     alias the payload. That is safe precisely because of rule 1. A decoded
@@ -30,22 +35,26 @@ import "sync"
 //     Arena (see rule 4). Transient uses (building an ack that is encoded
 //     before the handler returns, evaluating a predicate) must NOT clone.
 //
-//  4. Arena frames are refcounted. A socket transport decodes each inbound
-//     frame into a pooled, refcounted Arena (arena.go); every view decoded
-//     from the frame aliases that buffer. The delivered transport message
-//     carries one reference; whoever drains the inbox releases it after
-//     handling, and anything that retains an aliasing view past that point
-//     must take its own Arena.Ref first and Release when done. A missing
-//     Release degrades to rule-1 behaviour (the buffer leaks to the GC, views
-//     stay valid); a double Release panics, because recycling a live frame
-//     buffer corrupts every surviving view. Messages without an arena (the
-//     in-memory transport, hand-built tests) follow rule 3's clone branch
-//     unchanged.
+//  4. Arena buffers are refcounted. A socket transport decodes each inbound
+//     frame into a pooled, refcounted Arena (arena.go), and a server's ack
+//     coalescer encodes every acknowledgement (and ack envelope) into one,
+//     which the in-memory transport delivers with the message; every view
+//     decoded from such a payload aliases that buffer. The delivered
+//     transport message carries one reference; whoever drains the inbox
+//     releases it after handling, and anything that retains an aliasing view
+//     past that point must take its own Arena.Ref first and Release when
+//     done. A missing Release degrades to rule-1 behaviour (the buffer leaks
+//     to the GC, views stay valid); a double Release panics, because
+//     recycling a live buffer corrupts every surviving view; a missing Ref
+//     reads poison under the race detector (arena_race.go). Messages without
+//     an arena (requests on the in-memory transport, hand-built tests)
+//     follow rule 3's clone branch unchanged.
 //
 // GetMessage/PutMessage recycle Message structs for rule-2 scratch decoding;
 // GetBuffer/PutBuffer recycle byte slices for encode/digest scratch that the
-// caller fully consumes before returning (never for payloads passed to Send —
-// rule 1 means those cannot be returned to a pool).
+// caller fully consumes before returning. A payload passed to a plain Send
+// cannot come from a pool (rule 1); one that must, goes in an Arena through
+// an arena send, whose reference count tells the pool when it is free.
 
 // messagePool recycles Message structs used as decode scratch.
 var messagePool = sync.Pool{New: func() any { return new(Message) }}
@@ -115,8 +124,9 @@ func (m *Message) CopyAliasInto(dst *Message) {
 }
 
 // bufferPool recycles encode/digest scratch buffers (rule 1 forbids pooling
-// payloads handed to Send; this pool is for buffers the caller fully consumes
-// before returning, such as signed-bytes digests).
+// payloads handed to a plain Send — arenas are the pool for those; this pool
+// is for buffers the caller fully consumes before returning, such as
+// signed-bytes digests).
 var bufferPool = sync.Pool{New: func() any {
 	b := make([]byte, 0, 512)
 	return &b
