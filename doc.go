@@ -209,18 +209,22 @@
 //
 // Between a Send and the code that handles the message there is exactly one
 // queue — the destination node's transport.Queue, the same type on the
-// in-memory and the socket backends — and exactly one wake-up — that node's
-// consumer (transport.Consume). A server's executor runs the node's queue on
-// its own goroutine; a client identity's one demux pump does the same and
-// CALLS the engine of the handle a message is for (a demux route is a table
-// entry bound to its protoutil.Pipeline, not a goroutine and a channel), so a
-// register costs no goroutine and a few kilobytes, and a read's
-// acknowledgement wakes nobody between the node's queue and the caller's
-// future (or, for a blocking call, its pooled Call). Send never runs receiver
-// code, so that queue stays the one asynchronous boundary. Channels survive
-// behind Node.Inbox — the Queue's own pump — for code that wants to select on
-// one (tests, the layer benchmarks); the product path does not go through
-// them.
+// in-memory and the socket backends — and at most one wake-up. A server's
+// executor runs its node's queue on its own goroutine (transport.Consume):
+// that is the one wake-up of a request. A client node is push-delivered
+// (transport.ConsumePushed): the goroutine that puts an acknowledgement into
+// the idle node — a server executor's run-end flush in memory, a read loop on
+// sockets — routes it itself and CALLS the engine of the handle it is for (a
+// demux route is a table entry bound to its protoutil.Pipeline, not a
+// goroutine and a channel), so a register costs no goroutine and a few
+// kilobytes, and the only goroutine an acknowledgement wakes is the caller
+// waiting on its future (or, for a blocking call, its pooled Call). A client
+// identity's demux pump wakes only for a backlog such a run leaves behind.
+// Send never runs server code, so a server's queue stays the one asynchronous
+// boundary; a send to a client node may run that client's engine, which
+// never blocks. Channels survive behind Node.Inbox — the Queue's own pump —
+// for code that wants to select on one (tests, the layer benchmarks); the
+// product path does not go through them.
 //
 // Anyone writing protocol code must follow the codec's buffer-ownership
 // rules — encoded payloads are immutable, decoded views may alias them, and

@@ -40,12 +40,15 @@ const MaxPipelineDepth = 512
 //
 // Delivery: a Pipeline is a transport.Sink, and over a node that can call one
 // — a demux route, which is what every Store and regclient handle is — it
-// owns no goroutine: the demux pump calls Deliver on its own goroutine, so an
-// acknowledgement goes from the physical node's queue to the operation it
-// completes without waking anyone in between, and a handle costs its slots
-// and pending operations, nothing else. Over any other node the pipeline
-// starts a dispatcher goroutine that consumes the node's inbox into the same
-// Deliver. Either way the pipeline consumes from construction, not lazily on
+// owns no goroutine: the demux calls Deliver on the goroutine that pushed the
+// acknowledgement into the client's node (a server executor's flush in
+// memory, a socket read loop), so an acknowledgement goes from its producer
+// to the operation it completes without waking anyone in between, and a
+// handle costs its slots and pending operations, nothing else. Over any other
+// node the pipeline starts a dispatcher goroutine that consumes the node into
+// the same Deliver (transport.ConsumePushed: over an in-memory or socket node
+// the pusher delivers there too, and the goroutine takes only a backlog).
+// Either way the pipeline consumes from construction, not lazily on
 // first use: a handle that has not submitted anything yet can still RECEIVE
 // traffic — a reader incarnation created by a restart inherits the
 // acknowledgements its predecessor's aborted operations left in flight — and
@@ -59,8 +62,9 @@ const MaxPipelineDepth = 512
 // are ALWAYS invoked outside p.mu (a completion takes its client handle's own
 // mutex, and the submission path holds that mutex while registering —
 // invoking completions under p.mu would invert that order). Because Deliver
-// runs on the goroutine that serves every handle of the node, nothing it
-// reaches may block: a completion only takes the handle's mutex, closes a
+// runs on a producer's goroutine — a server's executor, a read loop — or on
+// the one that serves every handle of the node, nothing it reaches may block:
+// a completion only takes the handle's mutex, closes a
 // future's channel, sends on a blocking call's one-slot channel (which
 // nothing else fills) or broadcasts the operation's next round, and Send
 // never blocks on any transport.
@@ -96,7 +100,7 @@ type sinkBinder interface {
 
 // NewPipeline builds an engine over the node with the given in-flight depth
 // (DefaultPipelineDepth if depth <= 0) and makes it the node's consumer: the
-// node's sink when the node takes one, a dispatcher goroutine over its inbox
+// node's sink when the node takes one, a dispatcher goroutine over the node
 // otherwise.
 //
 // The ignored third parameter is pinned by frozen cmd/benchreport/layers.go:493.
@@ -114,7 +118,7 @@ func NewPipeline(node transport.Node, depth int, _ any) *Pipeline {
 	}
 	if b, ok := node.(sinkBinder); !ok || !b.BindSink(p) {
 		go func() {
-			transport.Consume(node, p.Deliver, nil)
+			transport.ConsumePushed(node, p.Deliver, nil)
 			p.Closed()
 		}()
 	}
@@ -224,10 +228,10 @@ func (h *funcHandler) complete(acks []Ack, err error) bool {
 // Register adds an operation waiting for `need` acknowledgements accepted by
 // the filter (nil accepts every decodable server message); complete runs
 // exactly once, outside the pipeline mutex, and the slot frees after it. Like
-// every completion it may run on the goroutine that delivers to every handle
-// of the node, so it must not block: hand the result to a buffered channel or
-// close one. It is the closure spelling of the engine's registration, kept
-// for measuring the pipeline alone (cmd/benchreport's
+// every completion it may run on whatever goroutine delivers the node's
+// acknowledgements, so it must not block: hand the result to a buffered
+// channel or close one. It is the closure spelling of the engine's
+// registration, kept for measuring the pipeline alone (cmd/benchreport's
 // protoutil.pipeline_op_us cell).
 func (p *Pipeline) Register(need int, filter AckFilter, complete func(acks []Ack, err error)) *Op {
 	op := &Op{p: p, need: need}

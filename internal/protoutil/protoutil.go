@@ -123,8 +123,9 @@ func broadcast(node transport.Node, servers []types.ProcessID, msg *wire.Message
 	if err != nil {
 		return fmt.Errorf("encode %s: %w", msg.Op, err)
 	}
+	kind := msg.Kind()
 	for _, s := range servers {
-		if err := node.Send(s, msg.Kind(), payload); err != nil {
+		if err := node.Send(s, kind, payload); err != nil {
 			return fmt.Errorf("send %s to %s: %w", msg.Op, s, err)
 		}
 	}

@@ -11,7 +11,7 @@ import (
 // A delivered transport.Message may carry either a single encoded protocol
 // message or a wire.Batch envelope packing several of them (produced by the
 // tcpnet per-peer flusher or a server's per-run acknowledgement Coalescer). Every consumer that interprets payloads
-// — the executor, the demux pump, the client-side ack collectors — expands
+// — the executor, the demux, the client-side ack collectors — expands
 // batches through Expand, so the code handling one message never sees the
 // envelope.
 //

@@ -4,18 +4,25 @@ package transport
 // ======================
 //
 // Between a Send and the code that handles the message there is exactly one
-// queue — the destination node's — and exactly one wake-up: the goroutine
-// that consumes that node. Consume is that consumer's loop, written once;
-// the executor (server side) and the demux pump (client side) are its two
-// callers, and whatever they do with a message — run a handler, call a
-// client engine — happens on the goroutine Consume was called on. The rule
-// holds on both sides: a server's executor runs its handler inside Consume.
+// queue — the destination node's — and at most one wake-up. Consume is the
+// consumer's loop, written once; the executor (server side) runs its handler
+// inside it, so a request wakes the server's one goroutine and nothing else.
 //
-// Send never runs receiver code: the node's queue stays the one asynchronous
-// boundary, so a sender may hold its own locks across a broadcast. That queue
-// is a Queue on every node kind: the in-memory node holds one, and so does
-// the socket core (framed.Core), whose read loops fill it one whole frame at a
-// time.
+// The client side wakes nobody in between: its consumers — the demux pump,
+// and a pipeline's own goroutine over a bare node — call ConsumePushed, and
+// the goroutine that pushes an acknowledgement into an idle client node (a
+// server executor's run-end flush in memory, a read loop on sockets, a clock
+// event or the delay dispatcher in simulation and tests) delivers one run of
+// that node's queue itself, through the demux route into the client engine.
+// The only goroutine an acknowledgement wakes is the caller it completes; the
+// consumer goroutine wakes only for a backlog that run left behind.
+//
+// Send never runs server code: a server node's queue is the one asynchronous
+// boundary, so a client may hold its own locks across a broadcast. A send to a
+// client node may run that client's sink, which never blocks (Sink). That
+// queue is a Queue on every node kind: the in-memory node holds one, and so
+// does the socket core (framed.Core), whose read loops fill it one whole frame
+// at a time.
 
 // RunDrainer is implemented by nodes whose Queue a consumer can drain on its
 // own goroutine — every in-memory and socket node. Nodes that only have a
@@ -27,6 +34,24 @@ type RunDrainer interface {
 	// delivered nothing, when the node already feeds a channel (Inbox was
 	// called first): a node has one consumer style for its lifetime.
 	DrainRuns(deliver func(Message), runEnd func()) bool
+}
+
+// PushDrainer is implemented by nodes whose Queue a producer can deliver —
+// every in-memory and socket node.
+type PushDrainer interface {
+	// DrainPushed is RunDrainer.DrainRuns, except that a message pushed while
+	// no run is in progress is delivered by the pushing goroutine (Queue).
+	DrainPushed(deliver func(Message), runEnd func()) bool
+}
+
+// ConsumePushed is Consume for a deliver and runEnd that never block: on a
+// PushDrainer, the goroutine that pushes into the idle node delivers one run
+// itself, and the calling goroutine takes over only what that run leaves
+// behind. Deliveries stay sequential and in order. Over any other node it is
+// Consume. Server executors never call it: a client holds its own lock across
+// a broadcast, so a send to a server must not run the server's handler.
+func ConsumePushed(node Node, deliver func(Message), runEnd func()) {
+	consume(node, deliver, runEnd, true)
 }
 
 // Consume delivers every message the node receives to deliver, on the calling
@@ -45,10 +70,17 @@ type RunDrainer interface {
 // (or frame), while a backlog ends one run for all of it: the server's ack
 // coalescer and group-commit hook hang off exactly this boundary.
 func Consume(node Node, deliver func(Message), runEnd func()) {
+	consume(node, deliver, runEnd, false)
+}
+
+func consume(node Node, deliver func(Message), runEnd func(), push bool) {
 	if runEnd == nil {
 		runEnd = func() {}
 	}
 	defer runEnd()
+	if d, ok := node.(PushDrainer); push && ok && d.DrainPushed(deliver, runEnd) {
+		return
+	}
 	if d, ok := node.(RunDrainer); ok && d.DrainRuns(deliver, runEnd) {
 		return
 	}
@@ -84,8 +116,9 @@ func expanding(fn func(Message)) func(Message) {
 }
 
 // Sink is the receiving end a consumer can be bound to in place of a channel:
-// the demux pump calls a route's sink directly, on its own goroutine, instead
-// of queueing for another goroutine to wake up. A sink never blocks — it may
+// the demux calls a route's sink directly, on the goroutine delivering the
+// node's run — the pusher's or the demux pump's (ConsumePushed) — instead of
+// queueing for another goroutine to wake up. A sink never blocks — it may
 // take short locks, close channels and Send (which never blocks either).
 type Sink interface {
 	// Deliver hands over one message together with its reference (arena and

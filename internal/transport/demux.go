@@ -22,13 +22,16 @@ type KeyFunc func(Message) (key []byte, ok bool)
 //
 // Outbound messages pass straight through to the physical node (the payload
 // already carries the key, stamped by the protocol client). Inbound messages
-// are routed by the demux's one goroutine, the pump: it consumes the physical
-// node (Consume), extracts the key with the KeyFunc, looks the route up and
-// CALLS the engine bound to it (Sink) — there is no per-route queue, channel
-// or goroutine, so a route costs a table entry and an acknowledgement wakes
-// nobody between the node's queue and the operation it completes. Messages
-// for keys with no active route are dropped, which the asynchronous model
-// permits (they are indistinguishable from messages delayed forever).
+// are routed as the physical node's queue delivers them (ConsumePushed): the
+// goroutine that pushed an acknowledgement into the idle node — a server
+// executor's flush in memory, a read loop on sockets — extracts the key with
+// the KeyFunc, looks the route up and CALLS the engine bound to it (Sink), so
+// an acknowledgement wakes nobody between its producer and the operation it
+// completes. The demux's one goroutine, the pump, consumes only the backlog
+// such a run leaves behind. There is no per-route queue, channel or
+// goroutine: a route costs a table entry. Messages for keys with no active
+// route are dropped, which the asynchronous model permits (they are
+// indistinguishable from messages delayed forever).
 //
 // The node's own queue is therefore the only place a client-side backlog can
 // sit, and in memory it is unbounded (the socket cores have a fixed inbox)
@@ -39,8 +42,8 @@ type Demux struct {
 	node  Node
 	keyOf KeyFunc
 
-	// mu guards the route table and the closed flag: the pump read-locks it
-	// for one lookup per message, route open/close write-lock it for one map
+	// mu guards the route table and the closed flag: the routing read-locks
+	// it for one lookup per message, route open/close write-lock it for one map
 	// operation.
 	mu     sync.RWMutex
 	routes map[string]*demuxRoute
@@ -63,10 +66,12 @@ func NewDemux(node Node, keyOf KeyFunc, _ int) *Demux {
 	return d
 }
 
-// pump delivers every message to its key's route until the physical node
-// closes, then closes every route. Batch envelopes are expanded first (a
-// server's coalesced acknowledgement burst may span registers, so each
-// carried message is routed by ITS key).
+// pump routes every message to its key's route until the physical node
+// closes, then closes every route. The routing runs on whichever goroutine
+// delivers the node's run — a pusher's, or the pump's for a backlog — one run
+// at a time. Batch envelopes are expanded first (a server's coalesced
+// acknowledgement burst may span registers, so each carried message is routed
+// by ITS key).
 func (d *Demux) pump() {
 	defer close(d.done)
 	route := func(m Message) {
@@ -87,7 +92,7 @@ func (d *Demux) pump() {
 			rt.deliver(m)
 		}
 	}
-	Consume(d.node, expanding(route), nil)
+	ConsumePushed(d.node, expanding(route), nil)
 	d.mu.Lock()
 	d.closed = true
 	routes := d.routes
@@ -130,11 +135,12 @@ func (d *Demux) Close() error {
 
 // demuxRoute is the virtual per-key node handed to protocol clients: an entry
 // in the demux's table. Opening one starts no goroutine and allocates no
-// channel. What the pump does with a message for the key is decided by the
+// channel. What the demux does with a message for the key is decided by the
 // route's first use:
 //
-//   - BindSink (protoutil.Pipeline does this at construction): the pump calls
-//     the sink — the client engine — directly. This is the product path.
+//   - BindSink (protoutil.Pipeline does this at construction): the routing
+//     calls the sink — the client engine — directly. This is the product
+//     path.
 //   - Inbox: the route grows a channel side — an unbounded Queue read
 //     through its Inbox — for consumers that want to select on a channel:
 //     tests and cmd/benchreport's transport.demux_rtt_us cell.
@@ -146,7 +152,7 @@ type demuxRoute struct {
 	key   string
 
 	// mu is the route guard: it orders deliveries against BindSink, Inbox and
-	// close, and the pump holds it across a sink's Deliver — which is what
+	// close, and the routing holds it across a sink's Deliver — which is what
 	// makes "closed after the last delivery" hold when a handle's Close or a
 	// reader restart closes the route mid-delivery. Lock order: route guard →
 	// the engine's own locks; nothing that holds an engine lock takes a
@@ -161,7 +167,7 @@ type demuxRoute struct {
 var _ Node = (*demuxRoute)(nil)
 
 // deliver hands one message, and its reference, to whatever consumes the
-// route. Pump goroutine only.
+// route. Only the goroutine delivering the physical node's run calls it.
 func (rt *demuxRoute) deliver(m Message) {
 	rt.mu.Lock()
 	defer rt.mu.Unlock()
@@ -177,11 +183,12 @@ func (rt *demuxRoute) deliver(m Message) {
 	}
 }
 
-// BindSink makes s the route's consumer: from now on the pump calls it for
-// every message carrying the route's key, on the pump's goroutine, and the
-// route's close calls s.Closed — at once if the route is closed already.
-// Messages that arrived before the bind are delivered first. It reports false
-// if the route already has a consumer (a sink, or a reader of Inbox).
+// BindSink makes s the route's consumer: from now on the demux calls it for
+// every message carrying the route's key, on the goroutine delivering the
+// physical node's run, and the route's close calls s.Closed — at once if the
+// route is closed already. Messages that arrived before the bind are
+// delivered first. It reports false if the route already has a consumer (a
+// sink, or a reader of Inbox).
 func (rt *demuxRoute) BindSink(s Sink) bool {
 	rt.mu.Lock()
 	if rt.sink != nil || rt.q != nil {

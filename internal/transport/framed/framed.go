@@ -111,14 +111,18 @@ const InboxLen = 1024
 
 // Core is the carrier-independent half of a socket node. Carriers embed it,
 // which gives their Node the ID and Stats methods and the inbound
-// transport.Queue's Inbox and DrainRuns; the remaining methods are the
-// carrier's side of the contract.
+// transport.Queue's Inbox, DrainRuns and DrainPushed; the remaining methods
+// are the carrier's side of the contract.
 //
 // Inbound messages wait in the node's one Queue, bounded at InboxLen, which
 // transport.Consume drains in runs. A read loop admits a decoded frame's
 // messages under one lock (Deliver), so a run always ends on a frame
 // boundary: a server's ack coalescer and commit group see every request a
-// frame carried, never part of it.
+// frame carried, never part of it. On a client node (consumed with
+// transport.ConsumePushed) the read loop whose frame finds the node idle
+// delivers that run into the client engine itself, and leaves whatever
+// other read loops admitted meanwhile to the node's consumer, so it is back
+// reading its socket after one run.
 type Core struct {
 	*transport.Queue
 	cfg    Config
@@ -131,7 +135,10 @@ type Core struct {
 	dedupDrops     atomic.Int64
 }
 
-var _ transport.RunDrainer = (*Core)(nil)
+var (
+	_ transport.RunDrainer  = (*Core)(nil)
+	_ transport.PushDrainer = (*Core)(nil)
+)
 
 // NewCore builds the core of one node. The book is cloned: it is read without
 // a lock for the node's lifetime.

@@ -517,7 +517,9 @@ func (n *InMemNetwork) dispatchDelayed() {
 // inMemNode is a single process attachment: an identity and its Queue. It
 // owns no goroutine of its own — whoever consumes the node runs the queue
 // (transport.Consume → DrainRuns), so a message crosses one queue and wakes
-// one goroutine between Send and its handler.
+// at most one goroutine between Send and its handler; on a client node
+// (ConsumePushed → DrainPushed) the sender delivers an idle node's run
+// itself and wakes nobody.
 type inMemNode struct {
 	*Queue
 	id  types.ProcessID
@@ -529,6 +531,7 @@ type inMemNode struct {
 var (
 	_ Node        = (*inMemNode)(nil)
 	_ RunDrainer  = (*inMemNode)(nil)
+	_ PushDrainer = (*inMemNode)(nil)
 	_ ArenaSender = (*inMemNode)(nil)
 )
 

@@ -25,16 +25,42 @@ const maxRetainedBatch = 1024
 // processes do). A fixed-capacity channel cannot provide that, so producers
 // append under a mutex and never wait.
 //
-// A queue has one consumer for its lifetime, chosen by whichever of DrainRuns
-// and Inbox comes first: DrainRuns runs the queue on the caller's goroutine
-// (transport.Consume, the product path), Inbox starts a pump goroutine that
-// feeds a channel, for code that selects on one (tests, the layer
-// benchmarks).
+// A queue has one consumer for its lifetime, chosen by whichever of
+// DrainRuns, DrainPushed and Inbox comes first: DrainRuns runs the queue on
+// the caller's goroutine (transport.Consume, a server's executor), DrainPushed
+// does the same and also lets producers deliver (transport.ConsumePushed, the
+// client side), Inbox starts a pump goroutine that feeds a channel, for code
+// that selects on one (tests, the layer benchmarks).
+//
+// Push delivery: on a queue claimed by DrainPushed, the goroutine whose push
+// finds no run in progress takes the queue as one run and delivers it itself,
+// so an acknowledgement reaches the client engine on the goroutine that
+// produced it — a server executor's flush, a socket read loop — and the
+// consumer goroutine sleeps. A pusher that finds a run in progress only
+// appends and returns: senders never block. A pusher delivers at most one
+// run; whatever arrived meanwhile is handed to the consumer goroutine, which
+// drains until the queue is empty, so no producer is kept from its own work
+// (a read loop from its socket) by other producers' traffic. One flag,
+// running, held by a pusher or the consumer, keeps deliveries sequential and
+// in FIFO order.
 type Queue struct {
 	mu     sync.Mutex
 	cond   sync.Cond
 	items  []Message
 	closed bool
+
+	// spare is the previous run's cleared backing array, which the next run's
+	// queue takes over: a steady state ping-pongs between two arrays and
+	// allocates nothing, and a burst's oversized array is dropped
+	// (maxRetainedBatch).
+	spare []Message
+
+	// running is set while a run is being delivered, by the consumer or by a
+	// pusher; deliver and runEnd are DrainPushed's, nil unless pushers
+	// deliver.
+	running bool
+	deliver func(Message)
+	runEnd  func()
 
 	// hw is the high-water mark of queued-but-undrained messages. Overload
 	// on an unbounded queue is otherwise silent: the queue grows, nothing
@@ -52,8 +78,8 @@ type Queue struct {
 	bound int
 	drops *atomic.Int64
 
-	// drained is set once DrainRuns claims the queue; inbox is the channel
-	// side, nil until the first Inbox call.
+	// drained is set once DrainRuns or DrainPushed claims the queue; inbox is
+	// the channel side, nil until the first Inbox call.
 	drained bool
 	inbox   chan Message
 }
@@ -73,15 +99,13 @@ func NewQueue(bound int, drops *atomic.Int64) *Queue {
 // counted).
 func (q *Queue) Push(m Message) bool {
 	q.mu.Lock()
-	ok := q.admit(m)
-	if ok {
-		q.cond.Signal()
-	}
-	q.mu.Unlock()
-	if !ok {
+	if !q.admit(m) {
+		q.mu.Unlock()
 		m.ReleaseArena()
+		return false
 	}
-	return ok
+	q.admitted()
+	return true
 }
 
 // PushExpanded admits every message a batch envelope carries under one lock,
@@ -101,11 +125,31 @@ func (q *Queue) PushExpanded(frame Message) int {
 		return nil
 	})
 	if admitted > 0 {
+		q.admitted()
+	} else {
+		q.mu.Unlock()
+	}
+	frame.ReleaseArena()
+	return admitted
+}
+
+// admitted follows a push that queued something; q.mu is held, and released
+// on return. With a run in progress nobody is woken: the run's owner hands on
+// what it leaves behind. Otherwise the pusher delivers one run itself on a
+// push-delivered queue, and wakes the consumer on any other.
+func (q *Queue) admitted() {
+	switch {
+	case q.running:
+	case q.deliver != nil:
+		q.run(q.deliver, q.runEnd)
+		if len(q.items) > 0 || q.closed {
+			// A backlog (or the close) is the consumer's.
+			q.cond.Signal()
+		}
+	default:
 		q.cond.Signal()
 	}
 	q.mu.Unlock()
-	frame.ReleaseArena()
-	return admitted
 }
 
 // admit appends m unless the queue is closed or full; q.mu is held.
@@ -129,53 +173,75 @@ func (q *Queue) admit(m Message) bool {
 // DrainRuns implements RunDrainer: the caller becomes the queue's consumer. It
 // reports false, having delivered nothing, when Inbox claimed the queue first.
 func (q *Queue) DrainRuns(deliver func(Message), runEnd func()) bool {
+	return q.claim(deliver, runEnd, false)
+}
+
+// DrainPushed implements PushDrainer: it is DrainRuns, except that from now on
+// a push that finds no run in progress delivers one run on the pushing
+// goroutine (see Queue), so deliver and runEnd must never block. It reports
+// false, having delivered nothing, when Inbox claimed the queue first.
+func (q *Queue) DrainPushed(deliver func(Message), runEnd func()) bool {
+	return q.claim(deliver, runEnd, true)
+}
+
+// claim makes the caller the queue's consumer, with pushers delivering too if
+// push is set, unless Inbox claimed it first.
+func (q *Queue) claim(deliver func(Message), runEnd func(), push bool) bool {
 	q.mu.Lock()
 	if q.inbox != nil {
 		q.mu.Unlock()
 		return false
 	}
 	q.drained = true
-	q.mu.Unlock()
+	if push {
+		q.deliver, q.runEnd = deliver, runEnd
+	}
 	q.drain(deliver, runEnd)
 	return true
 }
 
-// drain is the consumer loop. It takes the whole queue at each wake-up — a
-// run is everything queued by then, one lock per run instead of one per
-// message — delivers it in FIFO order and calls runEnd, until the queue is
-// closed and empty. The taken run's backing array, cleared so it pins no
-// payload, becomes the queue's next one: a steady state ping-pongs between two
-// arrays and allocates nothing, and a burst's oversized array is dropped
-// (maxRetainedBatch).
+// drain is the consumer loop; q.mu is held on entry and released on return.
+// It takes the whole queue at each wake-up — a run is everything queued by
+// then, one lock per run instead of one per message — and delivers it, until
+// the queue is closed and empty and no pusher is still delivering.
 func (q *Queue) drain(deliver func(Message), runEnd func()) {
-	var spare []Message
 	for {
-		q.mu.Lock()
-		for len(q.items) == 0 && !q.closed {
+		for q.running || (len(q.items) == 0 && !q.closed) {
 			q.cond.Wait()
 		}
-		run := q.items
-		q.items = spare[:0]
-		q.mu.Unlock()
-		if len(run) == 0 {
+		if len(q.items) == 0 {
+			q.mu.Unlock()
 			return
 		}
-		for i := range run {
-			deliver(run[i])
-			run[i] = Message{}
-		}
-		runEnd()
-		spare = run
-		if cap(spare) > maxRetainedBatch {
-			spare = nil
-		}
+		q.run(deliver, runEnd)
+	}
+}
+
+// run delivers everything queued as one run, in FIFO order, then calls
+// runEnd. q.mu is held on entry and on return, and released in between; the
+// running flag keeps every other delivery out meanwhile. The run's array,
+// cleared so it pins no payload, becomes the spare.
+func (q *Queue) run(deliver func(Message), runEnd func()) {
+	run := q.items
+	q.items, q.spare = q.spare[:0], nil
+	q.running = true
+	q.mu.Unlock()
+	for i := range run {
+		deliver(run[i])
+		run[i] = Message{}
+	}
+	runEnd()
+	q.mu.Lock()
+	q.running = false
+	if cap(run) <= maxRetainedBatch {
+		q.spare = run
 	}
 }
 
 // Inbox returns the queue's messages as a channel. The first call claims the
 // queue for a pump goroutine that feeds the channel and closes it once the
-// queue is closed and drained; a queue DrainRuns claimed first yields a closed
-// channel.
+// queue is closed and drained; a queue DrainRuns or DrainPushed claimed first
+// yields a closed channel.
 func (q *Queue) Inbox() <-chan Message {
 	q.mu.Lock()
 	defer q.mu.Unlock()
@@ -192,6 +258,7 @@ func (q *Queue) Inbox() <-chan Message {
 
 func (q *Queue) pump(inbox chan<- Message) {
 	defer close(inbox)
+	q.mu.Lock()
 	q.drain(func(m Message) { inbox <- m }, func() {})
 }
 

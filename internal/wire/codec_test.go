@@ -2,6 +2,7 @@ package wire
 
 import (
 	"bytes"
+	"fmt"
 	"math/rand"
 	"reflect"
 	"testing"
@@ -340,6 +341,47 @@ func TestOpHelpers(t *testing.T) {
 	}
 	if _, err := AckFor(OpReadAck); err == nil {
 		t.Error("AckFor on an ack should error")
+	}
+}
+
+// TestOpTableAllValues pins String, Valid and AckFor for every one of the 256
+// ops: the ten defined ones by name, every other one as op(N), invalid and
+// without an ack.
+func TestOpTableAllValues(t *testing.T) {
+	names := map[Op]string{
+		OpWrite: "write", OpWriteAck: "writeack",
+		OpRead: "read", OpReadAck: "readack",
+		OpGossip: "gossip", OpGossipAck: "gossipack",
+		OpWriteBack: "writeback", OpWriteBackAck: "writebackack",
+		OpQuery: "query", OpQueryAck: "queryack",
+	}
+	acks := map[Op]Op{
+		OpWrite: OpWriteAck, OpRead: OpReadAck, OpGossip: OpGossipAck,
+		OpWriteBack: OpWriteBackAck, OpQuery: OpQueryAck,
+	}
+	for i := 0; i < 256; i++ {
+		op := Op(i)
+		name, defined := names[op]
+		if !defined {
+			name = fmt.Sprintf("op(%d)", i)
+		}
+		if got := op.String(); got != name {
+			t.Errorf("Op(%d).String() = %q, want %q", i, got, name)
+		}
+		if (&Message{Op: op}).Kind() != name {
+			t.Errorf("Op(%d): Kind differs from String", i)
+		}
+		if op.Valid() != defined {
+			t.Errorf("Op(%d).Valid() = %v, want %v", i, op.Valid(), defined)
+		}
+		ack, err := AckFor(op)
+		want, hasAck := acks[op]
+		switch {
+		case hasAck && (err != nil || ack != want):
+			t.Errorf("AckFor(%v) = %v, %v; want %v", op, ack, err, want)
+		case !hasAck && err == nil:
+			t.Errorf("AckFor(%v) = %v, want an error", op, ack)
+		}
 	}
 }
 

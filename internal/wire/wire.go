@@ -56,8 +56,10 @@ const (
 	OpQueryAck
 )
 
-// opNames maps ops to the transport-level message kind strings.
-var opNames = map[Op]string{
+// opNames maps ops to the transport-level message kind strings; the empty
+// name marks an undefined op. It is an array indexed by the op, not a map:
+// every send names its message's kind and every decode validates its op.
+var opNames = [256]string{
 	OpWrite:        "write",
 	OpWriteAck:     "writeack",
 	OpRead:         "read",
@@ -72,17 +74,14 @@ var opNames = map[Op]string{
 
 // String returns the canonical lower-case name of the op.
 func (o Op) String() string {
-	if s, ok := opNames[o]; ok {
+	if s := opNames[o]; s != "" {
 		return s
 	}
 	return fmt.Sprintf("op(%d)", uint8(o))
 }
 
 // Valid reports whether the op is one of the defined message kinds.
-func (o Op) Valid() bool {
-	_, ok := opNames[o]
-	return ok
-}
+func (o Op) Valid() bool { return opNames[o] != "" }
 
 // IsRequest reports whether the op is a client- (or gossip-) initiated
 // request, as opposed to an acknowledgement.

@@ -196,13 +196,50 @@ func TestTCPPipelinedFramesPerOp(t *testing.T) {
 	if testing.Short() {
 		t.Skip("real sockets in -short mode")
 	}
+	stats := pipelinedTCPReads(t, "frames")
+	totalOps := stats.Reads + stats.Writes
+	framesPerOp := float64(stats.FramesDelivered) / float64(totalOps)
+	t.Logf("frames=%d msgs=%d ops=%d frames/op=%.3f msgs/frame=%.1f",
+		stats.FramesDelivered, stats.DeliveredMsgs, totalOps,
+		framesPerOp, float64(stats.DeliveredMsgs)/float64(stats.FramesDelivered))
+	// Socket nodes run the same inbound queue as in-memory ones, so the
+	// high-water mark is reported on every backend.
+	if stats.MailboxHighWater < 1 {
+		t.Errorf("MailboxHighWater = %d after pipelined traffic, want >= 1", stats.MailboxHighWater)
+	}
+	if framesPerOp >= 1 {
+		t.Errorf("frames/op = %.3f, want < 1 (batching not amortising)", framesPerOp)
+	}
+}
+
+// TestTCPPushDeliveryDropsNoAcks: the client's read loops deliver its
+// acknowledgements themselves, one run each, and leave any backlog to the
+// demux goroutine. A read loop that kept delivering other loops' traffic
+// would leave its own socket unread and then dump a backlog past the
+// inbound queue's bound, dropping acknowledgements; here every pipelined
+// read completes and nothing is dropped at a full queue.
+func TestTCPPushDeliveryDropsNoAcks(t *testing.T) {
+	if testing.Short() {
+		t.Skip("real sockets in -short mode")
+	}
+	stats := pipelinedTCPReads(t, "acks")
+	if stats.InboundDrops != 0 {
+		t.Errorf("InboundDrops = %d, want 0", stats.InboundDrops)
+	}
+}
+
+// pipelinedTCPReads runs 4000 reads of one key on a TCP store, 64 in flight
+// from one reader in a FIFO window, fails the test unless every one
+// completes, and returns the store's stats.
+func pipelinedTCPReads(t *testing.T, key string) Stats {
+	t.Helper()
 	const depth = 64
 	store, err := NewStore(Config{Servers: 4, Faulty: 1, Readers: 1, Protocol: ProtocolFast, PipelineDepth: depth, Transport: TCP(nil)})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer store.Close()
-	reg, err := store.Register("frames")
+	reg, err := store.Register(key)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -238,22 +275,10 @@ func TestTCPPipelinedFramesPerOp(t *testing.T) {
 	}
 
 	stats := store.Stats()
-	totalOps := stats.Reads + stats.Writes
-	if totalOps < ops {
+	if totalOps := stats.Reads + stats.Writes; totalOps < ops {
 		t.Fatalf("only %d ops completed", totalOps)
 	}
-	framesPerOp := float64(stats.FramesDelivered) / float64(totalOps)
-	t.Logf("frames=%d msgs=%d ops=%d frames/op=%.3f msgs/frame=%.1f",
-		stats.FramesDelivered, stats.DeliveredMsgs, totalOps,
-		framesPerOp, float64(stats.DeliveredMsgs)/float64(stats.FramesDelivered))
-	// Socket nodes run the same inbound queue as in-memory ones, so the
-	// high-water mark is reported on every backend.
-	if stats.MailboxHighWater < 1 {
-		t.Errorf("MailboxHighWater = %d after pipelined traffic, want >= 1", stats.MailboxHighWater)
-	}
-	if framesPerOp >= 1 {
-		t.Errorf("frames/op = %.3f, want < 1 (batching not amortising)", framesPerOp)
-	}
+	return stats
 }
 
 // TestHandlesFailFastAfterClose is the regression test for operations on
