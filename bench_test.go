@@ -132,34 +132,6 @@ func BenchmarkWrite(b *testing.B) {
 	}
 }
 
-// BenchmarkReadWithNetworkDelay reproduces the latency table E7 in benchmark
-// form: with a uniform per-message delay the protocol's round-trip count is
-// directly visible in ns/op.
-func BenchmarkReadWithNetworkDelay(b *testing.B) {
-	const delay = 200 * time.Microsecond
-	for _, proto := range readProtocols {
-		b.Run(proto.name, func(b *testing.B) {
-			cluster := benchCluster(b, Config{
-				Servers: 5, Faulty: 1, Readers: 1, Protocol: proto.proto, Transport: InMemory(WithDelay(delay)),
-			})
-			ctx := benchCtx(b)
-			if err := cluster.Writer().Write(ctx, []byte("seed")); err != nil {
-				b.Fatal(err)
-			}
-			reader, err := cluster.Reader(1)
-			if err != nil {
-				b.Fatal(err)
-			}
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if _, err := reader.Read(ctx); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}
-
 // BenchmarkByzantineFast covers the arbitrary-failure algorithm: the extra
 // cost over the crash-model register is one signature per write and one
 // verification per accepted acknowledgement.
@@ -489,76 +461,16 @@ func BenchmarkStoreGroups(b *testing.B) {
 // BenchmarkPipelinedRead measures one reader handle driving the async read
 // API with a fixed window of in-flight operations over the in-memory
 // transport. depth=1 is the serial baseline (ReadAsync+Result degenerates to
-// Read).
-//
-// The latency=0 variants isolate the per-operation CPU cost: round trips on
-// the zero-delay in-memory network are nearly free, so the depth-16 multiple
-// over depth-1 there is bounded by how much scheduling/batching overhead
-// pipelining can amortise (and by the host's core count — on a single-core
-// container the two depths compete for the same CPU). The latency=200µs
-// variants model a real network round trip, the regime pipelining exists
-// for: a serial reader pays the full delay per operation while a depth-16
-// pipeline overlaps sixteen of them, so ops/sec scale by roughly the depth
-// (BENCH_5.json records both ratios; ≥3× at depth ≥ 8 is the acceptance
-// gate).
+// Read). Round trips on the in-memory network are nearly free, so this
+// isolates the per-operation CPU cost: the depth-16 multiple over depth-1 is
+// bounded by how much scheduling/batching overhead pipelining can amortise
+// (and by the host's core count — on a single-core container the two depths
+// compete for the same CPU).
 func BenchmarkPipelinedRead(b *testing.B) {
-	for _, lat := range []time.Duration{0, 200 * time.Microsecond} {
-		for _, depth := range []int{1, 4, 16} {
-			b.Run(fmt.Sprintf("latency=%s/depth=%d", lat, depth), func(b *testing.B) {
-				benchmarkPipelinedRead(b, depth, lat)
-			})
-		}
-	}
-}
-
-func benchmarkPipelinedRead(b *testing.B, depth int, delay time.Duration) {
-	store, err := NewStore(Config{
-		Servers: 4, Faulty: 1, Readers: 1, Protocol: ProtocolFast,
-		PipelineDepth: depth, Transport: InMemory(WithDelay(delay)),
-	})
-	if err != nil {
-		b.Fatalf("NewStore: %v", err)
-	}
-	b.Cleanup(func() { _ = store.Close() })
-	reg, err := store.Register("bench")
-	if err != nil {
-		b.Fatal(err)
-	}
-	ctx := benchCtx(b)
-	if err := reg.Writer().Write(ctx, []byte("bench-value")); err != nil {
-		b.Fatalf("seed write: %v", err)
-	}
-	reader, err := reg.Reader(1)
-	if err != nil {
-		b.Fatal(err)
-	}
-
-	window := make([]*ReadFuture, 0, depth)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if len(window) == depth {
-			if _, err := window[0].Result(ctx); err != nil {
-				b.Fatalf("read: %v", err)
-			}
-			window = window[1:]
-		}
-		f, err := reader.ReadAsync(ctx)
-		if err != nil {
-			b.Fatalf("ReadAsync: %v", err)
-		}
-		window = append(window, f)
-	}
-	for _, f := range window {
-		if _, err := f.Result(ctx); err != nil {
-			b.Fatalf("drain: %v", err)
-		}
-	}
-	b.StopTimer()
-	stats := store.Stats()
-	if ops := stats.Reads + stats.Writes; ops > 0 {
-		b.ReportMetric(float64(stats.DeliveredMsgs)/float64(ops), "msgs/op")
-		b.ReportMetric(float64(stats.FramesDelivered)/float64(ops), "frames/op")
+	for _, depth := range []int{1, 4, 16} {
+		b.Run(fmt.Sprintf("depth=%d", depth), func(b *testing.B) {
+			benchmarkPipelinedRead(b, depth, InMemory())
+		})
 	}
 }
 
@@ -568,7 +480,7 @@ func benchmarkPipelinedRead(b *testing.B, depth int, delay time.Duration) {
 func BenchmarkPipelinedReadTCP(b *testing.B) {
 	for _, depth := range []int{1, 16} {
 		b.Run(fmt.Sprintf("depth=%d", depth), func(b *testing.B) {
-			benchmarkPipelinedReadSocket(b, depth, TCP(nil))
+			benchmarkPipelinedRead(b, depth, TCP(nil))
 		})
 	}
 }
@@ -581,14 +493,13 @@ func BenchmarkPipelinedReadTCP(b *testing.B) {
 func BenchmarkPipelinedReadUDP(b *testing.B) {
 	for _, depth := range []int{1, 16} {
 		b.Run(fmt.Sprintf("depth=%d", depth), func(b *testing.B) {
-			benchmarkPipelinedReadSocket(b, depth, UDP(nil))
+			benchmarkPipelinedRead(b, depth, UDP(nil))
 		})
 	}
 }
 
-// benchmarkPipelinedReadSocket drives one reader's pipelined reads over a
-// real socket backend on loopback.
-func benchmarkPipelinedReadSocket(b *testing.B, depth int, tr Transport) {
+// benchmarkPipelinedRead drives one reader's pipelined reads over tr.
+func benchmarkPipelinedRead(b *testing.B, depth int, tr Transport) {
 	store, err := NewStore(Config{Servers: 4, Faulty: 1, Readers: 1, Protocol: ProtocolFast, PipelineDepth: depth, Transport: tr})
 	if err != nil {
 		b.Fatalf("NewStore: %v", err)
@@ -630,6 +541,7 @@ func benchmarkPipelinedReadSocket(b *testing.B, depth int, tr Transport) {
 	b.StopTimer()
 	stats := store.Stats()
 	if ops := stats.Reads + stats.Writes; ops > 0 {
+		b.ReportMetric(float64(stats.DeliveredMsgs)/float64(ops), "msgs/op")
 		b.ReportMetric(float64(stats.FramesDelivered)/float64(ops), "frames/op")
 	}
 }

@@ -88,8 +88,10 @@
 // real network is the fault injector (kill a process to crash it; on UDP,
 // WithReceiveFilter drops datagrams deterministically for loss testing —
 // the protocols never retransmit, tolerating loss through quorum slack
-// exactly as the paper's asynchronous lossy model intends). InMemory accepts
-// WithDelay/WithJitter/WithSeed (Config has no delay fields of its own).
+// exactly as the paper's asynchronous lossy model intends). Time in memory is
+// virtual or absent: WithDelay/WithJitter/WithSeed are the delay model of an
+// InMemory network on WithVirtualClock, and NewStore refuses them without
+// one (ErrUnsupported; Config has no delay fields of its own).
 // TCP and UDP are two carriers of one framed socket core
 // (internal/transport/framed): the same frame body, inbound path and
 // counters behind a length prefix on a stream or a sequence number in a
@@ -258,7 +260,7 @@
 // # Virtual time and deterministic simulation
 //
 // The in-memory transport can be placed on a virtual clock
-// (transport.NewVirtualClock, wired in with transport.WithVirtualClock):
+// (transport.NewVirtualClock, wired in with fastread.WithVirtualClock):
 // deliveries, timeouts and injected faults become events in a priority
 // queue, and the clock advances to the next event only when the system is
 // quiescent — every in-flight message accounted for, every handler

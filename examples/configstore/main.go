@@ -6,8 +6,9 @@
 // two-round-trip read (classic ABD) dominates end-to-end latency.
 //
 // The example runs the same workload against both protocols over an
-// in-memory network with a 1ms one-way message delay and prints the latency
-// distribution of each, plus the resilience maths for the chosen deployment.
+// in-memory network and prints the round trips each read took — the count
+// that sets a read's latency on any real network — plus the resilience
+// maths for the chosen deployment.
 package main
 
 import (
@@ -15,7 +16,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"log"
-	"sort"
 	"sync"
 	"time"
 
@@ -40,7 +40,6 @@ func run() error {
 		servers = 5
 		faulty  = 1
 		readers = 2
-		delay   = time.Millisecond
 	)
 	fmt.Printf("deployment: S=%d servers, t=%d may crash, R=%d readers\n", servers, faulty, readers)
 	fmt.Printf("fast atomic reads possible: %v (max readers at this resilience: %d)\n\n",
@@ -48,35 +47,33 @@ func run() error {
 		fastread.MaxFastReaders(servers, faulty, 0))
 
 	for _, proto := range []fastread.Protocol{fastread.ProtocolFast, fastread.ProtocolABD} {
-		lat, err := runConfigWorkload(proto, servers, faulty, readers, delay)
+		sum, err := runConfigWorkload(proto, servers, faulty, readers)
 		if err != nil {
 			return fmt.Errorf("%v: %w", proto, err)
 		}
-		fmt.Printf("%-8s reads: p50=%v p95=%v max=%v (over %d reads)\n",
-			proto, lat.p50, lat.p95, lat.max, lat.count)
+		fmt.Printf("%-8s reads: %d, round trips per read: mean %.2f, max %d\n",
+			proto, sum.count, float64(sum.roundTrips)/float64(sum.count), sum.maxRoundTrips)
 	}
 	fmt.Println("\nthe fast register answers every poll in a single round-trip; ABD pays a write-back round on every read")
 	return nil
 }
 
-// latencySummary is a tiny local summary to keep the example dependency-free.
-type latencySummary struct {
-	count         int
-	p50, p95, max time.Duration
+// readSummary counts the reads of one run and the round trips they took.
+type readSummary struct {
+	count, roundTrips, maxRoundTrips int
 }
 
 // runConfigWorkload publishes a few revisions while readers poll, and returns
-// the read-latency summary.
-func runConfigWorkload(proto fastread.Protocol, servers, faulty, readers int, delay time.Duration) (latencySummary, error) {
+// the reads' round-trip summary.
+func runConfigWorkload(proto fastread.Protocol, servers, faulty, readers int) (readSummary, error) {
 	cluster, err := fastread.NewCluster(fastread.Config{
-		Servers:   servers,
-		Faulty:    faulty,
-		Readers:   readers,
-		Protocol:  proto,
-		Transport: fastread.InMemory(fastread.WithDelay(delay)),
+		Servers:  servers,
+		Faulty:   faulty,
+		Readers:  readers,
+		Protocol: proto,
 	})
 	if err != nil {
-		return latencySummary{}, err
+		return readSummary{}, err
 	}
 	defer cluster.Close()
 
@@ -84,8 +81,8 @@ func runConfigWorkload(proto fastread.Protocol, servers, faulty, readers int, de
 	defer cancel()
 
 	var (
-		mu        sync.Mutex
-		latencies []time.Duration
+		mu  sync.Mutex
+		sum readSummary
 	)
 	var wg sync.WaitGroup
 
@@ -114,22 +111,22 @@ func runConfigWorkload(proto fastread.Protocol, servers, faulty, readers int, de
 	for i := 1; i <= readers; i++ {
 		reader, err := cluster.Reader(i)
 		if err != nil {
-			return latencySummary{}, err
+			return readSummary{}, err
 		}
 		wg.Add(1)
 		go func(r fastread.Reader) {
 			defer wg.Done()
 			lastVersion := -1
 			for poll := 0; poll < 10; poll++ {
-				start := time.Now()
 				res, err := r.Read(ctx)
 				if err != nil {
 					log.Printf("poll: %v", err)
 					return
 				}
-				elapsed := time.Since(start)
 				mu.Lock()
-				latencies = append(latencies, elapsed)
+				sum.count++
+				sum.roundTrips += res.RoundTrips
+				sum.maxRoundTrips = max(sum.maxRoundTrips, res.RoundTrips)
 				mu.Unlock()
 				if res.Value != nil {
 					var rev revision
@@ -144,14 +141,8 @@ func runConfigWorkload(proto fastread.Protocol, servers, faulty, readers int, de
 	}
 	wg.Wait()
 
-	sort.Slice(latencies, func(i, j int) bool { return latencies[i] < latencies[j] })
-	if len(latencies) == 0 {
-		return latencySummary{}, fmt.Errorf("no reads completed")
+	if sum.count == 0 {
+		return readSummary{}, fmt.Errorf("no reads completed")
 	}
-	return latencySummary{
-		count: len(latencies),
-		p50:   latencies[len(latencies)/2].Round(100 * time.Microsecond),
-		p95:   latencies[len(latencies)*95/100].Round(100 * time.Microsecond),
-		max:   latencies[len(latencies)-1].Round(100 * time.Microsecond),
-	}, nil
+	return sum, nil
 }

@@ -55,7 +55,6 @@ func run() error {
 		servers    = 9
 		faulty     = 1
 		dashboards = 4
-		delay      = 500 * time.Microsecond
 	)
 	fmt.Printf("deployment: S=%d, t=%d, %d dashboards\n", servers, faulty, dashboards)
 	fmt.Printf("fast atomic reads need R < S/t − 2: max supported dashboards = %d\n\n",
@@ -63,7 +62,7 @@ func run() error {
 
 	protocols := []fastread.Protocol{fastread.ProtocolFast, fastread.ProtocolMaxMin, fastread.ProtocolRegular}
 	for _, proto := range protocols {
-		if err := runFeed(proto, servers, faulty, dashboards, delay); err != nil {
+		if err := runFeed(proto, servers, faulty, dashboards); err != nil {
 			return fmt.Errorf("%v: %w", proto, err)
 		}
 	}
@@ -73,13 +72,12 @@ func run() error {
 }
 
 // runFeed drives one protocol and prints its refresh statistics.
-func runFeed(proto fastread.Protocol, servers, faulty, dashboards int, delay time.Duration) error {
+func runFeed(proto fastread.Protocol, servers, faulty, dashboards int) error {
 	cluster, err := fastread.NewCluster(fastread.Config{
-		Servers:   servers,
-		Faulty:    faulty,
-		Readers:   dashboards,
-		Protocol:  proto,
-		Transport: fastread.InMemory(fastread.WithDelay(delay)),
+		Servers:  servers,
+		Faulty:   faulty,
+		Readers:  dashboards,
+		Protocol: proto,
 	})
 	if err != nil {
 		return err
@@ -93,7 +91,6 @@ func runFeed(proto fastread.Protocol, servers, faulty, dashboards int, delay tim
 		wg            sync.WaitGroup
 		staleRefresh  atomic.Int64
 		totalRefresh  atomic.Int64
-		refreshNanos  atomic.Int64
 		ingestedCount = 20
 	)
 
@@ -122,13 +119,11 @@ func runFeed(proto fastread.Protocol, servers, faulty, dashboards int, delay tim
 			defer wg.Done()
 			var lastSeq uint64
 			for refresh := 0; refresh < 15; refresh++ {
-				start := time.Now()
 				res, err := r.Read(ctx)
 				if err != nil {
 					log.Printf("refresh: %v", err)
 					return
 				}
-				refreshNanos.Add(time.Since(start).Nanoseconds())
 				totalRefresh.Add(1)
 				if s, ok := decodeSample(res.Value); ok {
 					if s.Sequence < lastSeq {
@@ -143,11 +138,7 @@ func runFeed(proto fastread.Protocol, servers, faulty, dashboards int, delay tim
 	wg.Wait()
 
 	stats := cluster.Stats()
-	meanRefresh := time.Duration(0)
-	if totalRefresh.Load() > 0 {
-		meanRefresh = time.Duration(refreshNanos.Load() / totalRefresh.Load()).Round(10 * time.Microsecond)
-	}
-	fmt.Printf("%-8s refreshes=%-3d mean refresh latency=%-10v rounds/read=%.0f stale refreshes=%d\n",
-		proto, totalRefresh.Load(), meanRefresh, stats.ReadRoundsPerOp, staleRefresh.Load())
+	fmt.Printf("%-8s refreshes=%-3d round trips/read=%.2f stale refreshes=%d\n",
+		proto, totalRefresh.Load(), stats.ReadRoundsPerOp, staleRefresh.Load())
 	return nil
 }

@@ -160,9 +160,8 @@ func runChaosSchedule(t *testing.T, cfg quorum.Config, seed int64) {
 
 // TestChaosWideReaderSetsStayAtomic is the chaos schedule at the reader
 // counts where the seen sets of one read genuinely diverge: every reader
-// reads concurrently with the writer while deliveries are jittered and an
-// adversary holds and releases random writer→server and server→reader links
-// (delaying, never dropping). The Byzantine row adds a server that claims
+// reads concurrently with the writer while an adversary holds and releases
+// random writer→server and server→reader links (delaying, never dropping). The Byzantine row adds a server that claims
 // every client in its seen set. Each history goes through the atomicity
 // checker, and each run must have put the predicate's lattice walk — not only
 // its all-identical fast path — on the checked path: among reads whose maxTS
@@ -186,7 +185,7 @@ func TestChaosWideReaderSetsStayAtomic(t *testing.T) {
 
 func runWideChaosSchedule(t *testing.T, cfg quorum.Config, seed int64) {
 	t.Helper()
-	net := transport.NewInMemNetwork(transport.WithJitter(200*time.Microsecond), transport.WithSeed(seed))
+	net := transport.NewInMemNetwork()
 	opts := []clusterOption{withNetwork(net)}
 	if cfg.Malicious > 0 {
 		opts = append(opts, withByzantine(), withInflaters(cfg.Malicious))

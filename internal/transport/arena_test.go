@@ -32,7 +32,7 @@ func wantRefs(t *testing.T, what string, a *wire.Arena, want int32) {
 // TestAckArenaEveryDropPath follows an arena-backed acknowledgement to every
 // in-memory point where it provably goes nowhere: each must give the arena's
 // one reference back — exactly once, so nothing panics — and a message that
-// is only parked (held, delayed) must keep it until its fate is decided.
+// is only parked (held, scheduled) must keep it until its fate is decided.
 func TestAckArenaEveryDropPath(t *testing.T) {
 	server, reader := types.Server(1), types.Reader(1)
 	join := func(t *testing.T, opts ...InMemOption) (*InMemNetwork, *inMemNode, *inMemNode) {
@@ -119,15 +119,6 @@ func TestAckArenaEveryDropPath(t *testing.T) {
 		wantRefs(t, "a delivered ack before its consumer releases it", a, 1)
 		m.ReleaseArena()
 		wantRefs(t, "a delivered ack released by its consumer", a, 0)
-	})
-
-	t.Run("delayed on a closing network", func(t *testing.T) {
-		net, srv, _ := join(t, WithDefaultDelay(time.Hour))
-		payload, a := ackArena(t, 1)
-		_ = srv.SendArena(reader, "readack", payload, a)
-		wantRefs(t, "a delayed ack", a, 1)
-		_ = net.Close()
-		wantRefs(t, "a delayed ack on a closed network", a, 0)
 	})
 
 	t.Run("scheduled on a closing virtual network", func(t *testing.T) {

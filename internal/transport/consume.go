@@ -12,8 +12,8 @@ package transport
 // and a pipeline's own goroutine over a bare node — call ConsumePushed, and
 // the goroutine that pushes an acknowledgement into an idle client node (a
 // server executor's run-end flush in memory, a read loop on sockets, a clock
-// event or the delay dispatcher in simulation and tests) delivers one run of
-// that node's queue itself, through the demux route into the client engine.
+// event in simulation) delivers one run of that node's queue itself, through
+// the demux route into the client engine.
 // The only goroutine an acknowledgement wakes is the caller it completes; the
 // consumer goroutine wakes only for a backlog that run left behind.
 //

@@ -2,28 +2,24 @@ package transport
 
 import "time"
 
-// dueHeap is a min-heap of values ordered by (due time, push order). It is
-// the one total order the wall-clock delay dispatcher and the virtual clock
-// share: equal-delay messages — in particular all messages of one link —
-// come out in SEND order, and virtual and wall modes deliver them
-// identically. Not safe for concurrent use; its owner's mutex guards it.
-type dueHeap[T any] struct {
-	items []dueItem[T]
+// dueHeap is the virtual clock's event queue: a min-heap of callbacks
+// ordered by (due time, push order), so equal-delay messages — in
+// particular all messages of one link — deliver in SEND order. Not safe for
+// concurrent use; the clock's mutex guards it.
+type dueHeap struct {
+	items []dueItem
 	seq   uint64
 }
 
-type dueItem[T any] struct {
+type dueItem struct {
 	at  time.Time
 	seq uint64
-	v   T
+	fn  func()
 }
 
-func (h *dueHeap[T]) len() int { return len(h.items) }
+func (h *dueHeap) len() int { return len(h.items) }
 
-// next returns the earliest due time; the heap must not be empty.
-func (h *dueHeap[T]) next() time.Time { return h.items[0].at }
-
-func (h *dueHeap[T]) before(i, j int) bool {
+func (h *dueHeap) before(i, j int) bool {
 	a, b := &h.items[i], &h.items[j]
 	if !a.at.Equal(b.at) {
 		return a.at.Before(b.at)
@@ -31,9 +27,9 @@ func (h *dueHeap[T]) before(i, j int) bool {
 	return a.seq < b.seq
 }
 
-func (h *dueHeap[T]) push(at time.Time, v T) {
+func (h *dueHeap) push(at time.Time, fn func()) {
 	h.seq++
-	h.items = append(h.items, dueItem[T]{at: at, seq: h.seq, v: v})
+	h.items = append(h.items, dueItem{at: at, seq: h.seq, fn: fn})
 	for i := len(h.items) - 1; i > 0; {
 		parent := (i - 1) / 2
 		if !h.before(i, parent) {
@@ -44,13 +40,13 @@ func (h *dueHeap[T]) push(at time.Time, v T) {
 	}
 }
 
-// pop removes and returns the earliest value with its due time; the heap
+// pop removes and returns the earliest callback with its due time; the heap
 // must not be empty.
-func (h *dueHeap[T]) pop() (time.Time, T) {
+func (h *dueHeap) pop() (time.Time, func()) {
 	out := h.items[0]
 	last := len(h.items) - 1
 	h.items[0] = h.items[last]
-	h.items[last] = dueItem[T]{}
+	h.items[last] = dueItem{}
 	h.items = h.items[:last]
 	for i := 0; ; {
 		l, r := 2*i+1, 2*i+2
@@ -62,7 +58,7 @@ func (h *dueHeap[T]) pop() (time.Time, T) {
 			smallest = r
 		}
 		if smallest == i {
-			return out.at, out.v
+			return out.at, out.fn
 		}
 		h.items[i], h.items[smallest] = h.items[smallest], h.items[i]
 		i = smallest

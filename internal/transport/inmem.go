@@ -29,22 +29,22 @@ type LinkStats struct {
 // InMemOption configures an in-memory network.
 type InMemOption func(*InMemNetwork)
 
-// WithDefaultDelay makes every message delivery wait the given duration,
-// modelling a uniform one-way network latency. A zero delay (the default)
-// delivers messages as fast as the Go scheduler allows.
+// WithDefaultDelay sets the virtual time every delivery takes, modelling a
+// uniform one-way network latency. Time is modelled only on a virtual clock
+// (WithClock); without one every delivery is immediate.
 func WithDefaultDelay(d time.Duration) InMemOption {
 	return func(n *InMemNetwork) { n.defaultDelay = d }
 }
 
 // WithJitter adds a uniformly distributed random extra delay in [0, j) to
-// every delivery. The jitter source is seeded deterministically per network
-// via WithSeed.
+// every virtual-clock delivery. The jitter source is seeded
+// deterministically per network via WithSeed.
 func WithJitter(j time.Duration) InMemOption {
 	return func(n *InMemNetwork) { n.jitter = j }
 }
 
-// WithSeed seeds the network's internal randomness (jitter). Networks with
-// the same seed and the same schedule of sends produce the same delays.
+// WithSeed seeds the network's jitter. Networks with the same seed and the
+// same schedule of sends produce the same delays.
 func WithSeed(seed int64) InMemOption {
 	return func(n *InMemNetwork) { n.rng = rand.New(rand.NewSource(seed)) }
 }
@@ -68,7 +68,7 @@ func WithMailboxBound(server int) InMemOption {
 // messages are processed strictly one at a time in (due time, send sequence)
 // order and the whole network is deterministic for a given seed: the clock
 // only fires the next event once the previous one's entire causal cascade
-// has quiesced. Delays and jitter advance virtual time instead of sleeping.
+// has quiesced. Delays and jitter advance virtual time; nothing sleeps.
 //
 // A node's consumer takes whatever is queued as one run (Queue), and on such a
 // network that is always one message: Step fires one delivery and waits until
@@ -92,20 +92,19 @@ type nodeMap map[types.ProcessID]*inMemNode
 // The per-message route/deliver path is designed for heavy multi-register
 // traffic: the delivery counters are atomics and the node table is
 // copy-on-write — so concurrent senders never serialise on a network-wide
-// lock. Adversarial controls (blocks, crashes, holds, delays, jitter, a
-// virtual clock) flip the network onto a mutex-guarded slow path; a
-// network that never uses them (the common benchmark and production shape)
-// stays lock-free end to end.
+// lock. Adversarial controls (blocks, crashes, holds, a virtual clock) flip
+// the network onto a mutex-guarded slow path; a network that never uses
+// them (the common benchmark and production shape) stays lock-free end to
+// end. Time is virtual or absent: delays exist only on a virtual clock.
 type InMemNetwork struct {
 	// mu guards the adversarial configuration, the hold queues and
 	// membership changes. The per-message fast path never takes it.
-	mu        sync.Mutex
-	nodes     atomic.Pointer[nodeMap]
-	blocked   map[link]bool
-	crashed   map[types.ProcessID]bool
-	downed    map[types.ProcessID]bool
-	held      map[link][]Message
-	linkDelay map[link]time.Duration
+	mu      sync.Mutex
+	nodes   atomic.Pointer[nodeMap]
+	blocked map[link]bool
+	crashed map[types.ProcessID]bool
+	downed  map[types.ProcessID]bool
+	held    map[link][]Message
 
 	// clock, when non-nil, puts the network in virtual-time simulation mode
 	// (see WithClock).
@@ -125,27 +124,6 @@ type InMemNetwork struct {
 	rng          *rand.Rand
 	serverBound  int
 	mailboxShed  atomic.Int64
-	wg           sync.WaitGroup
-
-	// Delayed deliveries are sequenced through one min-heap ordered by
-	// (due time, send sequence) and drained by a single dispatcher
-	// goroutine, so equal-delay messages — in particular all messages of one
-	// link — deliver in SEND order. The old one-timer-per-message scheme let
-	// the runtime fire near-simultaneous timers in either order, silently
-	// reordering a link under load; serial clients never noticed, pipelined
-	// clients starved on it. (Jitter deliberately varies due times, so it
-	// still reorders — that is its job.)
-	delayMu     sync.Mutex
-	delayHeap   dueHeap[delayedMsg]
-	delayClosed bool
-	delayKick   chan struct{}
-	delayStart  sync.Once
-}
-
-// delayedMsg is one in-flight delayed delivery.
-type delayedMsg struct {
-	dst *inMemNode
-	msg Message
 }
 
 var _ Network = (*InMemNetwork)(nil)
@@ -154,12 +132,10 @@ var _ Network = (*InMemNetwork)(nil)
 // by any number of nodes.
 func NewInMemNetwork(opts ...InMemOption) *InMemNetwork {
 	n := &InMemNetwork{
-		blocked:   make(map[link]bool),
-		crashed:   make(map[types.ProcessID]bool),
-		downed:    make(map[types.ProcessID]bool),
-		linkDelay: make(map[link]time.Duration),
-		rng:       rand.New(rand.NewSource(1)),
-		delayKick: make(chan struct{}, 1),
+		blocked: make(map[link]bool),
+		crashed: make(map[types.ProcessID]bool),
+		downed:  make(map[types.ProcessID]bool),
+		rng:     rand.New(rand.NewSource(1)),
 	}
 	empty := make(nodeMap)
 	n.nodes.Store(&empty)
@@ -178,9 +154,6 @@ func (n *InMemNetwork) updateSlowLocked() {
 		len(n.crashed) > 0 ||
 		len(n.downed) > 0 ||
 		len(n.held) > 0 ||
-		len(n.linkDelay) > 0 ||
-		n.defaultDelay > 0 ||
-		n.jitter > 0 ||
 		n.clock != nil)
 }
 
@@ -234,16 +207,9 @@ func (n *InMemNetwork) Close() error {
 	nodes := *n.nodes.Load()
 	n.mu.Unlock()
 
-	// Wake the delay dispatcher (if any) so it observes the closure and
-	// drains instead of sleeping out its earliest due time.
-	select {
-	case n.delayKick <- struct{}{}:
-	default:
-	}
 	for _, node := range nodes {
 		_ = node.Close()
 	}
-	n.wg.Wait()
 	return nil
 }
 
@@ -322,15 +288,6 @@ func (n *InMemNetwork) Crashed(id types.ProcessID) bool {
 	return n.crashed[id]
 }
 
-// SetLinkDelay sets a one-way delivery delay for the given link, overriding
-// the network default.
-func (n *InMemNetwork) SetLinkDelay(from, to types.ProcessID, d time.Duration) {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	n.linkDelay[link{from, to}] = d
-	n.updateSlowLocked()
-}
-
 // Stats returns a snapshot of the aggregate delivery counters.
 func (n *InMemNetwork) Stats() LinkStats {
 	return LinkStats{
@@ -340,11 +297,11 @@ func (n *InMemNetwork) Stats() LinkStats {
 	}
 }
 
-// route decides the fate of a message: returns the destination node and delay
-// if it should be delivered, or nil if it must be dropped.
+// route decides the fate of a message: returns the destination node and its
+// virtual delay if it should be delivered, or nil if it must be dropped.
 //
-// The fast path — no blocks, crashes, holds, delays, jitter or virtual clock
-// configured — reads the copy-on-write node table and bumps atomic counters
+// The fast path — no blocks, crashes, holds or virtual clock configured —
+// reads the copy-on-write node table and bumps atomic counters
 // without taking any network-wide lock.
 func (n *InMemNetwork) route(msg Message) (*inMemNode, time.Duration, bool) {
 	if n.slow.Load() {
@@ -377,9 +334,6 @@ func (n *InMemNetwork) routeSlow(msg Message) (*inMemNode, time.Duration, bool) 
 		return nil, 0, false
 	}
 	delay := n.defaultDelay
-	if d, ok := n.linkDelay[l]; ok {
-		delay = d
-	}
 	if n.jitter > 0 {
 		delay += time.Duration(n.rng.Int63n(int64(n.jitter)))
 	}
@@ -388,42 +342,16 @@ func (n *InMemNetwork) routeSlow(msg Message) (*inMemNode, time.Duration, bool) 
 	return dst, delay, true
 }
 
-// deliver hands the message to the destination mailbox, possibly after a
-// delay, without ever blocking the sender. Immediate deliveries complete
-// inline — no goroutine, no closure; delayed deliveries are sequenced
-// through the network's delay dispatcher (see dueHeap) so equal delays
-// keep send order, and tracked by the wait group so Close can drain them.
+// deliver hands the message to the destination mailbox without ever
+// blocking the sender: as a virtual-clock event after its delay when the
+// network has a clock, else inline — no goroutine, no closure.
 func (n *InMemNetwork) deliver(dst *inMemNode, msg Message, delay time.Duration) {
 	if n.clock != nil {
 		n.deliverVirtual(dst, msg, delay)
 		return
 	}
-	if delay <= 0 {
-		dst.Push(msg)
-		n.inTransit.Add(-1)
-		return
-	}
-	n.wg.Add(1)
-	n.delayStart.Do(func() {
-		n.wg.Add(1)
-		go n.dispatchDelayed()
-	})
-	n.delayMu.Lock()
-	if n.delayClosed {
-		// The dispatcher already drained and exited (a send racing Close):
-		// the message is dropped as in-transit-forever, accounted here.
-		n.delayMu.Unlock()
-		msg.ReleaseArena()
-		n.inTransit.Add(-1)
-		n.wg.Done()
-		return
-	}
-	n.delayHeap.push(time.Now().Add(delay), delayedMsg{dst: dst, msg: msg})
-	n.delayMu.Unlock()
-	select {
-	case n.delayKick <- struct{}{}:
-	default:
-	}
+	dst.Push(msg)
+	n.inTransit.Add(-1)
 }
 
 // deliverVirtual schedules the delivery as a virtual-clock event — even at
@@ -453,65 +381,6 @@ func (n *InMemNetwork) deliverVirtual(dst *inMemNode, msg Message, delay time.Du
 		dst.Push(msg) // a refused message ends its token
 		n.inTransit.Add(-1)
 	})
-}
-
-// dispatchDelayed is the delay dispatcher: it sleeps until the earliest due
-// delivery, then hands everything due over in (due, send-sequence) order. It
-// runs only on networks that actually delay, and exits when the network
-// closes (Close counts undelivered messages off the wait group).
-func (n *InMemNetwork) dispatchDelayed() {
-	defer n.wg.Done()
-	timer := time.NewTimer(time.Hour)
-	defer timer.Stop()
-	for {
-		n.delayMu.Lock()
-		now := time.Now()
-		for n.delayHeap.len() > 0 && !n.delayHeap.next().After(now) {
-			_, d := n.delayHeap.pop()
-			n.delayMu.Unlock()
-			d.dst.Push(d.msg)
-			n.inTransit.Add(-1)
-			n.wg.Done()
-			n.delayMu.Lock()
-		}
-		var wait time.Duration = time.Hour
-		if n.delayHeap.len() > 0 {
-			wait = time.Until(n.delayHeap.next())
-		}
-		n.delayMu.Unlock()
-
-		n.mu.Lock()
-		closed := n.closed
-		n.mu.Unlock()
-		if closed {
-			// Drop whatever is still pending: the network is gone, the
-			// messages are "in transit forever". delayClosed hands any
-			// send still racing this shutdown its own cleanup.
-			n.delayMu.Lock()
-			pending := n.delayHeap
-			n.delayHeap = dueHeap[delayedMsg]{}
-			n.delayClosed = true
-			n.delayMu.Unlock()
-			for _, d := range pending.items {
-				d.v.msg.ReleaseArena()
-				n.inTransit.Add(-1)
-				n.wg.Done()
-			}
-			return
-		}
-
-		if !timer.Stop() {
-			select {
-			case <-timer.C:
-			default:
-			}
-		}
-		timer.Reset(wait)
-		select {
-		case <-timer.C:
-		case <-n.delayKick:
-		}
-	}
 }
 
 // inMemNode is a single process attachment: an identity and its Queue. It
@@ -552,7 +421,7 @@ func (nd *inMemNode) SendArena(to types.ProcessID, kind string, payload []byte, 
 // send holds, routes and delivers one message. A message that goes nowhere —
 // from a closed node, or dropped by routing — gives its arena reference back
 // here; later drop points (a held link dropped, a closed destination, a
-// network closing with the message delayed) do the same.
+// network closing with the message's clock event pending) do the same.
 func (nd *inMemNode) send(msg Message) error {
 	if nd.closed.Load() {
 		msg.ReleaseArena()

@@ -158,43 +158,6 @@ func TestInMemCrashStopsDelivery(t *testing.T) {
 	}
 }
 
-func TestInMemDelayIsApplied(t *testing.T) {
-	net := NewInMemNetwork(WithDefaultDelay(30 * time.Millisecond))
-	defer net.Close()
-	a := mustJoin(t, net, types.Reader(1))
-	b := mustJoin(t, net, types.Server(1))
-
-	start := time.Now()
-	if err := a.Send(b.ID(), "delayed", nil); err != nil {
-		t.Fatalf("Send: %v", err)
-	}
-	if _, ok := recvWithTimeout(t, b, time.Second); !ok {
-		t.Fatal("delayed message never arrived")
-	}
-	if elapsed := time.Since(start); elapsed < 25*time.Millisecond {
-		t.Errorf("message arrived after %v, want >= ~30ms", elapsed)
-	}
-}
-
-func TestInMemPerLinkDelayOverridesDefault(t *testing.T) {
-	net := NewInMemNetwork(WithDefaultDelay(200 * time.Millisecond))
-	defer net.Close()
-	a := mustJoin(t, net, types.Reader(1))
-	b := mustJoin(t, net, types.Server(1))
-	net.SetLinkDelay(a.ID(), b.ID(), 0)
-
-	start := time.Now()
-	if err := a.Send(b.ID(), "fast-link", nil); err != nil {
-		t.Fatalf("Send: %v", err)
-	}
-	if _, ok := recvWithTimeout(t, b, time.Second); !ok {
-		t.Fatal("message never arrived")
-	}
-	if elapsed := time.Since(start); elapsed > 100*time.Millisecond {
-		t.Errorf("per-link delay not applied, took %v", elapsed)
-	}
-}
-
 func TestInMemSendToUnknownProcessIsDropped(t *testing.T) {
 	net := NewInMemNetwork()
 	defer net.Close()

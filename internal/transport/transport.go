@@ -6,8 +6,8 @@
 // duplicated or corrupted, but may be delayed arbitrarily. The in-memory
 // implementation (see inmem.go) reproduces exactly that, and additionally
 // exposes the adversarial controls the lower-bound constructions need:
-// per-link blocking (a blocked message is "left in transit forever"), per-link
-// delivery delay, and process crashes.
+// per-link blocking (a blocked message is "left in transit forever"), holds,
+// process crashes, and delivery delay on a virtual clock.
 //
 // Two socket implementations of the same Node interface — TCP streams
 // (tcpnet) and UDP datagrams (udpnet) — are carriers of the one socket core

@@ -40,7 +40,7 @@ type VirtualClock struct {
 	mu       sync.Mutex
 	cond     *sync.Cond // signalled when activity reaches zero
 	now      time.Time
-	events   dueHeap[func()] // scheduled callbacks
+	events   dueHeap // scheduled callbacks
 	activity int
 }
 

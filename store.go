@@ -154,6 +154,11 @@ func NewStore(cfg Config) (*Store, error) {
 	if err != nil {
 		return nil, err
 	}
+	for _, spec := range specs {
+		if err := clockless(spec.tr); err != nil {
+			return nil, err
+		}
+	}
 
 	s := &Store{
 		cfg:    cfg,

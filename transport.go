@@ -26,7 +26,7 @@ var ErrUnsupported = errors.New("fastread: operation not supported by this trans
 //
 //   - InMemory (the default): the paper's asynchronous network as a
 //     simulator, with full fault-injection capabilities (crashes, per-link
-//     blocking, delays, adversarial schedules).
+//     blocking, adversarial schedules, delays on a virtual clock).
 //   - TCP: every process is a real socket endpoint; delivery is as reliable
 //     as the connections, and fault injection degrades to ErrUnsupported
 //     (crash a process by killing it, partition by firewalling — the real
@@ -88,26 +88,34 @@ func (s sessionStats) dropped() int { return s.sendDrops + s.inboundDrops + s.de
 // InMemoryOption tweaks the in-memory backend.
 type InMemoryOption func(*inMemTransport)
 
-// WithDelay adds a uniform one-way delivery delay to every message, which
-// makes round-trip counts directly visible in operation latency.
+// WithDelay sets the virtual one-way delivery delay of every message on a
+// WithVirtualClock network, so an operation's virtual latency counts its
+// message delays. Time is modelled only on a virtual clock: NewStore refuses
+// it without one (ErrUnsupported).
 func WithDelay(d time.Duration) InMemoryOption {
-	return func(t *inMemTransport) {
-		t.opts = append(t.opts, transport.WithDefaultDelay(d))
-	}
+	return delayModel("WithDelay", transport.WithDefaultDelay(d))
 }
 
-// WithJitter adds a random extra delay in [0, j) to each delivery.
+// WithJitter adds a random extra virtual delay in [0, j) to each delivery on
+// a WithVirtualClock network; NewStore refuses it without one.
 func WithJitter(j time.Duration) InMemoryOption {
-	return func(t *inMemTransport) {
-		t.opts = append(t.opts, transport.WithJitter(j))
-	}
+	return delayModel("WithJitter", transport.WithJitter(j))
 }
 
-// WithSeed seeds the network's randomness; runs with equal seeds and
-// schedules see equal jitter.
+// WithSeed seeds a WithVirtualClock network's jitter; runs with equal seeds
+// and schedules see equal delays. NewStore refuses it without a clock.
 func WithSeed(seed int64) InMemoryOption {
+	return delayModel("WithSeed", transport.WithSeed(seed))
+}
+
+// delayModel is an option of the virtual clock's delay model, recorded so
+// that a clockless deployment can be refused.
+func delayModel(name string, opt transport.InMemOption) InMemoryOption {
 	return func(t *inMemTransport) {
-		t.opts = append(t.opts, transport.WithSeed(seed))
+		t.opts = append(t.opts, opt)
+		if t.model == "" {
+			t.model = name
+		}
 	}
 }
 
@@ -122,6 +130,7 @@ func WithSeed(seed int64) InMemoryOption {
 func WithVirtualClock(c *transport.VirtualClock) InMemoryOption {
 	return func(t *inMemTransport) {
 		t.opts = append(t.opts, transport.WithClock(c))
+		t.clocked = true
 	}
 }
 
@@ -136,9 +145,20 @@ func InMemory(opts ...InMemoryOption) Transport {
 	return t
 }
 
-// inMemTransport builds one in-memory network per store.
+// inMemTransport builds one in-memory network per store. model names the
+// first delay-model option given, which only a clocked network honours.
 type inMemTransport struct {
-	opts []transport.InMemOption
+	opts    []transport.InMemOption
+	model   string
+	clocked bool
+}
+
+// clockless refuses a delay model without a virtual clock to run it on.
+func clockless(tr Transport) error {
+	if t, ok := tr.(*inMemTransport); ok && t.model != "" && !t.clocked {
+		return fmt.Errorf("%w: %s models delivery time, which needs WithVirtualClock", ErrUnsupported, t.model)
+	}
+	return nil
 }
 
 func (t *inMemTransport) String() string { return "inmem" }
