@@ -34,11 +34,6 @@ type ServerConfig = protoutil.ServerConfig
 // value adopted so far.
 type registerState struct {
 	value VersionedValue
-	// arena, when non-nil, is the frame buffer value currently aliases:
-	// adoption from an arena-backed frame retains by reference (one Arena.Ref)
-	// instead of cloning, released when the next value displaces it. At most
-	// one arena is pinned per register.
-	arena *wire.Arena
 }
 
 // Server is the quorum server used by both the SWMR and MWMR ABD registers.
@@ -92,7 +87,7 @@ func dumpRecord(st *registerState, r *durable.Record) {
 }
 
 // handle processes one message on the per-message hot path: pooled zero-copy
-// decode, one clone at the adoption retention point, ack fields aliasing the
+// decode, Slot.Adopt at the adoption retention point, ack fields aliasing the
 // stored state (the executor handling this message is the state's sole
 // mutator, and the ack is encoded before it handles its next message).
 // Acknowledgements go through the executor's run-scoped coalescer, so a run of
@@ -123,27 +118,11 @@ func (s *Server) handle(m transport.Message, req *wire.Message, out transport.Se
 	s.Do(req.Key, func(sl *protoutil.Slot[registerState]) {
 		st := &sl.State
 		if (req.Op == wire.OpWrite || req.Op == wire.OpWriteBack) && st.value.Less(incoming) {
-			// Retention point: the request aliases the payload. An arena-backed
-			// frame is retained by reference (wire's rule 4); otherwise the
-			// stored value must own its bytes.
-			if m.Arena != nil {
-				m.Arena.Ref()
-				if st.arena != nil {
-					st.arena.Release()
-				}
-				st.arena = m.Arena
-				st.value = incoming
-			} else {
-				if st.arena != nil {
-					st.arena.Release()
-					st.arena = nil
-				}
-				st.value = VersionedValue{
-					TS:   incoming.TS,
-					Rank: incoming.Rank,
-					Cur:  incoming.Cur.Clone(),
-					Prev: incoming.Prev.Clone(),
-				}
+			// Retention point: the request aliases the payload.
+			st.value = incoming
+			if !sl.Adopt(m.Arena) {
+				st.value.Cur = incoming.Cur.Clone()
+				st.value.Prev = incoming.Prev.Clone()
 			}
 			// Only adoptions change durable state; queries and reads are not
 			// logged.

@@ -55,12 +55,6 @@ type registerState struct {
 	// its next message.
 	seen     []types.ProcessID
 	counters map[int]int64
-	// arena, when non-nil, is the frame buffer value and valueSig currently
-	// alias: adopting a value delivered in an arena-backed frame retains it BY
-	// REFERENCE (one Arena.Ref) instead of cloning the bytes, and adopting the
-	// next value releases it. At most one arena is pinned per register — the
-	// one carrying the newest adopted value.
-	arena *wire.Arena
 }
 
 // Server is the server-side state machine of the fast algorithms
@@ -158,7 +152,7 @@ func dumpRecord(st *registerState, r *durable.Record) {
 	}
 }
 
-// snapshot deep-copies a register's state under the shard lock.
+// snapshot deep-copies a register's state under the state map's lock.
 func snapshot(sl *protoutil.Slot[registerState]) ServerState {
 	st := &sl.State
 	counters := make(map[int]int64, len(st.counters))
@@ -213,11 +207,12 @@ func (s *Server) TimestampOf(key string) types.Timestamp {
 // requests from one client is answered with ONE batched send.
 //
 // This is the per-message hot path. It decodes into a pooled scratch message
-// whose byte fields alias the payload (zero-copy), clones only at the one
-// retention point (adopting a newer value into register state), and builds
-// the acknowledgement aliasing the stored state — safe because the executor's
-// one goroutine handling this message is the only mutator of this key's state
-// and the ack is encoded before it handles its next message.
+// whose byte fields alias the payload (zero-copy), keeps bytes only at the
+// one retention point (adopting a newer value into register state, through
+// Slot.Adopt), and builds the acknowledgement aliasing the stored state —
+// safe because the executor's one goroutine handling this message is the
+// only mutator of this key's state and the ack is encoded before it handles
+// its next message.
 func (s *Server) handle(m transport.Message, req *wire.Message, out transport.Sender) {
 	if req.Op != wire.OpWrite && req.Op != wire.OpRead {
 		return
@@ -274,30 +269,12 @@ func (s *Server) handle(m transport.Message, req *wire.Message, out transport.Se
 			return
 		}
 		if req.TS > st.value.TS {
-			// Retention point: the request's fields alias the payload. With an
-			// arena-backed frame the state retains the aliases and pins the
-			// frame with its own reference (wire's rule 4 — the REF branch of
-			// rule 3); otherwise the stored value must own its bytes.
-			if m.Arena != nil {
-				m.Arena.Ref()
-				if st.arena != nil {
-					st.arena.Release()
-				}
-				st.arena = m.Arena
-				st.value = types.TaggedValue{TS: req.TS, Cur: req.Cur, Prev: req.Prev}
-				st.valueSig = req.WriterSig
-			} else {
-				if st.arena != nil {
-					// The outgoing value's bytes live in an arena this state is
-					// about to unpin: shed the aliases BEFORE releasing, and
-					// never append into them (the recycled buffer would be
-					// corrupted under the next frame's views).
-					st.valueSig = nil
-					st.arena.Release()
-					st.arena = nil
-				}
-				st.value = types.TaggedValue{TS: req.TS, Cur: req.Cur.Clone(), Prev: req.Prev.Clone()}
-				st.valueSig = append(st.valueSig[:0], req.WriterSig...)
+			// Retention point: the request's fields alias the payload.
+			st.value = types.TaggedValue{TS: req.TS, Cur: req.Cur, Prev: req.Prev}
+			st.valueSig = req.WriterSig
+			if !sl.Adopt(m.Arena) {
+				st.value = st.value.Clone()
+				st.valueSig = append([]byte(nil), req.WriterSig...)
 			}
 			st.seen = append(st.seen[:0], m.From)
 		} else if !seenHas(st.seen, m.From) {

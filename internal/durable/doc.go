@@ -47,6 +47,6 @@
 // retains, exactly as the live receive path clones at its retention point. A
 // Record passed to Log.Stage (or Append) or emitted by Hooks.Dump is fully
 // encoded before the call returns, so callers may alias live state (the
-// server's stripe lock, held across both the mutation and the Stage, keeps
+// server's state-map lock, held across both the mutation and the Stage, keeps
 // the bytes stable for that window).
 package durable

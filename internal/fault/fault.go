@@ -177,7 +177,7 @@ func (s *ByzantineServer) handle(m transport.Message, req *wire.Message, out tra
 		// faulty" (Figure 6), so it updates its state honestly even on the
 		// victim's messages — but its reply to the victim claims it has seen
 		// nothing.
-		honest := s.adopt(req, m.From, ackOp)
+		honest := s.adopt(m, req, ackOp)
 		if m.From == s.cfg.Victim {
 			reply(amnesiac)
 		} else {
@@ -185,7 +185,7 @@ func (s *ByzantineServer) handle(m transport.Message, req *wire.Message, out tra
 		}
 
 	case BehaviorInflateSeen:
-		ack := s.adopt(req, m.From, ackOp)
+		ack := s.adopt(m, req, ackOp)
 		ack.Seen = allClients(s.cfg.Readers)
 		reply(ack)
 
@@ -193,7 +193,7 @@ func (s *ByzantineServer) handle(m transport.Message, req *wire.Message, out tra
 		for i := 0; i < floodBurst; i++ {
 			reply(amnesiac)
 		}
-		reply(s.adopt(req, m.From, ackOp))
+		reply(s.adopt(m, req, ackOp))
 	}
 }
 
@@ -201,16 +201,20 @@ func (s *ByzantineServer) handle(m transport.Message, req *wire.Message, out tra
 // would and returns the honest acknowledgement. Its fields alias the state,
 // which only the server's executor mutates, and it is encoded before the
 // executor handles its next message.
-func (s *ByzantineServer) adopt(req *wire.Message, from types.ProcessID, ackOp wire.Op) *wire.Message {
+func (s *ByzantineServer) adopt(m transport.Message, req *wire.Message, ackOp wire.Op) *wire.Message {
 	var ack *wire.Message
 	s.Do(req.Key, func(sl *protoutil.Slot[byzState]) {
 		st := &sl.State
 		if req.TS > st.value.TS {
-			st.value = types.TaggedValue{TS: req.TS, Cur: req.Cur.Clone(), Prev: req.Prev.Clone()}
-			st.sig = append([]byte(nil), req.WriterSig...)
-			st.seen = types.NewProcessSet(from)
+			st.value = types.TaggedValue{TS: req.TS, Cur: req.Cur, Prev: req.Prev}
+			st.sig = req.WriterSig
+			if !sl.Adopt(m.Arena) {
+				st.value = st.value.Clone()
+				st.sig = append([]byte(nil), req.WriterSig...)
+			}
+			st.seen = types.NewProcessSet(m.From)
 		} else {
-			st.seen.Add(from)
+			st.seen.Add(m.From)
 		}
 		ack = &wire.Message{
 			Op:        ackOp,

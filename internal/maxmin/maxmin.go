@@ -46,7 +46,6 @@ type readKey struct {
 type pendingRead struct {
 	gossips   map[types.ProcessID]types.TaggedValue
 	requested bool
-	replied   bool
 }
 
 // readerProgress tracks which of one reader's reads this server has already
@@ -85,7 +84,7 @@ type registerState struct {
 }
 
 // done reports whether the identified read has already been answered.
-// Callers must hold the register's shard lock (i.e. run inside Map.Do).
+// Callers run inside the register's Do.
 func (st *registerState) done(key readKey) bool {
 	p := st.replied[key.Reader]
 	if p == nil {
@@ -100,7 +99,7 @@ func (st *registerState) done(key readKey) bool {
 
 // markReplied records that the identified read has been answered, advances
 // the reader's frontier, and garbage-collects bookkeeping the frontier has
-// passed. Callers must hold the register's shard lock.
+// passed. Callers run inside the register's Do.
 func (st *registerState) markReplied(rkey readKey) {
 	p := st.replied[rkey.Reader]
 	if p == nil {
@@ -154,7 +153,7 @@ func (p *readerProgress) advance() {
 }
 
 // pendingState returns (creating if necessary) the gossip state for a read.
-// Callers must hold the register's shard lock.
+// Callers run inside the register's Do.
 func (st *registerState) pendingState(key readKey) *pendingRead {
 	p, ok := st.pending[key]
 	if !ok {
@@ -211,8 +210,8 @@ func NewServer(cfg ServerConfig, node transport.Node) (*Server, error) {
 	return s, nil
 }
 
-// logAdoption appends the adoption of tv to the durable log. Callers hold the
-// register's shard lock, so the append is ordered with the mutation.
+// logAdoption appends the adoption of tv to the durable log. Callers run
+// inside the register's Do, so the append is ordered with the mutation.
 func (s *Server) logAdoption(sl *protoutil.Slot[registerState], key string, tv types.TaggedValue, from types.ProcessID) {
 	s.Log(sl, &durable.Record{
 		Kind: durable.KindDelta,
@@ -236,69 +235,62 @@ func (s *Server) StateOf(key string) types.TaggedValue {
 	return out
 }
 
+// handle runs one message's step inside one Do on its register: a write, a
+// read's start or a peer's gossip, the last two possibly completing a read.
+// Replies and gossip go into the run's coalescer, which only buffers until
+// the run ends, so nothing is sent while the state map's lock is held.
 func (s *Server) handle(m transport.Message, req *wire.Message, out transport.Sender) {
-	switch req.Op {
-	case wire.OpWrite:
-		s.handleWrite(m.From, req, out)
-	case wire.OpRead:
-		s.handleRead(m.From, req, out)
-	case wire.OpGossip:
-		s.handleGossip(m.From, req, out)
+	var step func(*protoutil.Slot[registerState], transport.Message, *wire.Message, transport.Sender)
+	switch {
+	case req.Op == wire.OpWrite && m.From.Role == types.RoleWriter:
+		step = s.handleWrite
+	case req.Op == wire.OpRead && m.From.Role == types.RoleReader:
+		step = s.handleRead
+	case req.Op == wire.OpGossip && m.From.Role == types.RoleServer:
+		step = s.handleGossip
+	default:
+		return
 	}
+	s.Do(req.Key, func(sl *protoutil.Slot[registerState]) { step(sl, m, req, out) })
 }
 
 // handleWrite adopts a newer value and acknowledges the writer, exactly as in
 // ABD.
-func (s *Server) handleWrite(from types.ProcessID, req *wire.Message, out transport.Sender) {
-	if from.Role != types.RoleWriter {
-		return
-	}
-	var ack *wire.Message
-	s.Do(req.Key, func(sl *protoutil.Slot[registerState]) {
-		st := &sl.State
-		if req.TS > st.value.TS {
-			st.value = types.TaggedValue{TS: req.TS, Cur: req.Cur.Clone(), Prev: req.Prev.Clone()}
-			s.logAdoption(sl, req.Key, st.value, from)
+func (s *Server) handleWrite(sl *protoutil.Slot[registerState], m transport.Message, req *wire.Message, out transport.Sender) {
+	st := &sl.State
+	if req.TS > st.value.TS {
+		// Retention point: the request aliases the payload.
+		st.value = types.TaggedValue{TS: req.TS, Cur: req.Cur, Prev: req.Prev}
+		if !sl.Adopt(m.Arena) {
+			st.value = st.value.Clone()
 		}
-		ack = &wire.Message{Op: wire.OpWriteAck, Key: req.Key, TS: st.value.TS, RCounter: req.RCounter}
-	})
-	_ = transport.SendEncoded(out, from, ack)
+		s.logAdoption(sl, req.Key, st.value, m.From)
+	}
+	_ = transport.SendEncoded(out, m.From, &wire.Message{Op: wire.OpWriteAck, Key: req.Key, TS: st.value.TS, RCounter: req.RCounter})
 }
 
 // handleRead starts the gossip round for this read: broadcast the server's
 // current timestamp tagged with the read's identity (and register key) to
-// every server (including itself, handled locally).
-func (s *Server) handleRead(from types.ProcessID, req *wire.Message, out transport.Sender) {
-	if from.Role != types.RoleReader {
+// every server (including itself, recorded locally).
+func (s *Server) handleRead(sl *protoutil.Slot[registerState], m transport.Message, req *wire.Message, out transport.Sender) {
+	st := &sl.State
+	rkey := readKey{Reader: m.From.Index, RCounter: req.RCounter}
+	if st.done(rkey) {
 		return
 	}
-	rkey := readKey{Reader: from.Index, RCounter: req.RCounter}
-
-	var current types.TaggedValue
-	stale := false
-	s.Do(req.Key, func(sl *protoutil.Slot[registerState]) {
-		st := &sl.State
-		if st.done(rkey) {
-			stale = true
-			return
-		}
-		p := st.pendingState(rkey)
-		p.requested = true
-		current = st.value.Clone()
-		p.gossips[s.cfg.ID] = current
-	})
-	if stale {
-		return
-	}
+	p := st.pendingState(rkey)
+	p.requested = true
+	// The entry outlives the arena the value may alias: an owned clone.
+	p.gossips[s.cfg.ID] = st.value.Clone()
 
 	gossip := &wire.Message{
 		Op:       wire.OpGossip,
 		Key:      req.Key,
-		TS:       current.TS,
-		Cur:      current.Cur,
-		Prev:     current.Prev,
+		TS:       st.value.TS,
+		Cur:      st.value.Cur,
+		Prev:     st.value.Prev,
 		RCounter: req.RCounter,
-		Phase:    int32(from.Index), // identifies which reader's read this gossip belongs to
+		Phase:    int32(m.From.Index), // identifies which reader's read this gossip belongs to
 	}
 	payload := wire.MustEncode(gossip)
 	for _, peer := range s.servers {
@@ -308,90 +300,72 @@ func (s *Server) handleRead(from types.ProcessID, req *wire.Message, out transpo
 		_ = out.Send(peer, gossip.Kind(), payload)
 	}
 
-	s.maybeReply(req.Key, rkey, out)
+	s.maybeReply(sl, p, req.Key, rkey, out)
 }
 
 // handleGossip records a peer server's timestamp for the identified read and
 // adopts it if newer.
-func (s *Server) handleGossip(from types.ProcessID, req *wire.Message, out transport.Sender) {
-	if from.Role != types.RoleServer {
+func (s *Server) handleGossip(sl *protoutil.Slot[registerState], m transport.Message, req *wire.Message, out transport.Sender) {
+	st := &sl.State
+	rkey := readKey{Reader: int(req.Phase), RCounter: req.RCounter}
+	// Gossip entries outlive the frame, so the incoming value is an owned
+	// clone, and adopting it pins no arena.
+	incoming := types.TaggedValue{TS: req.TS, Cur: req.Cur.Clone(), Prev: req.Prev.Clone()}
+	// Adopt the maximum timestamp seen while gossiping ("adopts the timestamp
+	// and its associated value").
+	if incoming.TS > st.value.TS {
+		sl.Adopt(nil)
+		st.value = incoming
+		s.logAdoption(sl, req.Key, st.value, m.From)
+	}
+	// Gossip for a read this server already answered must not re-create the
+	// read's bookkeeping: the entry would never be garbage-collected.
+	if st.done(rkey) {
 		return
 	}
-	rkey := readKey{Reader: int(req.Phase), RCounter: req.RCounter}
-	incoming := types.TaggedValue{TS: req.TS, Cur: req.Cur.Clone(), Prev: req.Prev.Clone()}
+	p := st.pendingState(rkey)
+	p.gossips[m.From] = incoming
 
-	s.Do(req.Key, func(sl *protoutil.Slot[registerState]) {
-		st := &sl.State
-		// Adopt the maximum timestamp seen while gossiping ("adopts the
-		// timestamp and its associated value"). incoming is already an owned
-		// clone, so adoption is a plain assignment.
-		if incoming.TS > st.value.TS {
-			st.value = incoming
-			s.logAdoption(sl, req.Key, st.value, from)
-		}
-		// Gossip for a read this server already answered must not re-create
-		// the read's bookkeeping: the entry would never be garbage-collected.
-		if st.done(rkey) {
-			return
-		}
-		p := st.pendingState(rkey)
-		p.gossips[from] = incoming
-	})
-
-	s.maybeReply(req.Key, rkey, out)
+	s.maybeReply(sl, p, req.Key, rkey, out)
 }
 
 // maybeReply answers the reader once the server has both received the read
-// request and collected gossip from a majority of servers.
-func (s *Server) maybeReply(key string, rkey readKey, out transport.Sender) {
-	var ack *wire.Message
-	s.Do(key, func(sl *protoutil.Slot[registerState]) {
-		st := &sl.State
-		if st.done(rkey) {
-			return
-		}
-		p := st.pendingState(rkey)
-		if p.replied || !p.requested || len(p.gossips) < s.cfg.Quorum.Majority() {
-			return
-		}
-		// Select the maximum timestamp among the collected gossip and adopt
-		// it. Both the stored value and the gossip entries are already owned
-		// by this server (cloned when they were retained), so adoption is a
-		// plain assignment — values are immutable once stored.
-		best := st.value
-		for _, tv := range p.gossips {
-			if tv.TS > best.TS {
-				best = tv
-			}
-		}
-		if best.TS > st.value.TS {
-			st.value = best
-			s.logAdoption(sl, key, best, s.cfg.ID)
-		}
-		p.replied = true
-		// The reply carries the adopted maximum.
-		ack = &wire.Message{
-			Op:       wire.OpReadAck,
-			Key:      key,
-			TS:       best.TS,
-			Cur:      best.Cur,
-			Prev:     best.Prev,
-			RCounter: rkey.RCounter,
-		}
-		// Garbage-collect the finished read and advance the reader's reply
-		// frontier, which stops late gossip from re-creating the entry. An
-		// older read still in flight (pipelined readers overlap their reads)
-		// keeps its bookkeeping: only reads the contiguous frontier has
-		// passed are swept.
-		delete(st.pending, rkey)
-		st.markReplied(rkey)
-	})
-	if ack == nil {
+// request and collected gossip from a majority of servers. p is the read's
+// bookkeeping, which the caller found not done.
+func (s *Server) maybeReply(sl *protoutil.Slot[registerState], p *pendingRead, key string, rkey readKey, out transport.Sender) {
+	st := &sl.State
+	if !p.requested || len(p.gossips) < s.cfg.Quorum.Majority() {
 		return
 	}
+	// Select the maximum timestamp among the collected gossip and adopt it.
+	// Gossip entries are owned clones, so adopting one pins no arena.
+	best := st.value
+	for _, tv := range p.gossips {
+		if tv.TS > best.TS {
+			best = tv
+		}
+	}
+	if best.TS > st.value.TS {
+		sl.Adopt(nil)
+		st.value = best
+		s.logAdoption(sl, key, best, s.cfg.ID)
+	}
+	// Garbage-collect the finished read and advance the reader's reply
+	// frontier, which stops late gossip from re-creating the entry. An older
+	// read still in flight (pipelined readers overlap their reads) keeps its
+	// bookkeeping: only reads the contiguous frontier has passed are swept.
+	delete(st.pending, rkey)
+	st.markReplied(rkey)
 
-	reader := types.Reader(rkey.Reader)
-	_ = transport.SendEncoded(out, reader, ack)
+	// The reply carries the adopted maximum.
+	_ = transport.SendEncoded(out, types.Reader(rkey.Reader), &wire.Message{
+		Op:       wire.OpReadAck,
+		Key:      key,
+		TS:       best.TS,
+		Cur:      best.Cur,
+		Prev:     best.Prev,
+		RCounter: rkey.RCounter,
+	})
 }
 
 // ClientConfig configures a max-min client (writer or reader); the signature

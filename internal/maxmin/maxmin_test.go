@@ -355,14 +355,14 @@ func TestOlderInFlightReadSurvivesNewerReply(t *testing.T) {
 	}
 	// Read rc=1: request arrives plus one peer gossip — 2 of the needed 3,
 	// so the server cannot reply yet and the entry lingers.
-	srv.handleRead(types.Reader(1), &wire.Message{Op: wire.OpRead, RCounter: 1}, node)
-	srv.handleGossip(types.Server(2), gossip(1), node)
+	srv.handle(transport.Message{From: types.Reader(1)}, &wire.Message{Op: wire.OpRead, RCounter: 1}, node)
+	srv.handle(transport.Message{From: types.Server(2)}, gossip(1), node)
 	// Read rc=2 completes here: request plus two peer gossips reach the
 	// majority of 3 and the server replies. The reply frontier records rc=2
 	// above the watermark; rc=1 is still open.
-	srv.handleRead(types.Reader(1), &wire.Message{Op: wire.OpRead, RCounter: 2}, node)
-	srv.handleGossip(types.Server(2), gossip(2), node)
-	srv.handleGossip(types.Server(3), gossip(2), node)
+	srv.handle(transport.Message{From: types.Reader(1)}, &wire.Message{Op: wire.OpRead, RCounter: 2}, node)
+	srv.handle(transport.Message{From: types.Server(2)}, gossip(2), node)
+	srv.handle(transport.Message{From: types.Server(3)}, gossip(2), node)
 
 	pending := -1
 	srv.Peek("", func(st *registerState) {
@@ -376,7 +376,7 @@ func TestOlderInFlightReadSurvivesNewerReply(t *testing.T) {
 	}
 	// Its late gossip completes rc=1: majority reached, reply sent, entry
 	// gone, frontier contiguous through rc=2.
-	srv.handleGossip(types.Server(4), gossip(1), node)
+	srv.handle(transport.Message{From: types.Server(4)}, gossip(1), node)
 	srv.Peek("", func(st *registerState) {
 		pending = len(st.pending)
 		p := st.replied[1]
@@ -388,8 +388,8 @@ func TestOlderInFlightReadSurvivesNewerReply(t *testing.T) {
 		t.Fatalf("completed rc=1 bookkeeping leaked: %d entries", pending)
 	}
 	// Gossip arriving after completion must not resurrect either read.
-	srv.handleGossip(types.Server(5), gossip(1), node)
-	srv.handleGossip(types.Server(5), gossip(2), node)
+	srv.handle(transport.Message{From: types.Server(5)}, gossip(1), node)
+	srv.handle(transport.Message{From: types.Server(5)}, gossip(2), node)
 	srv.Peek("", func(st *registerState) { pending = len(st.pending) })
 	if pending != 0 {
 		t.Fatalf("late gossip resurrected a finished read: %d entries", pending)

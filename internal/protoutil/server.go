@@ -64,8 +64,9 @@ type Protocol[S any] struct {
 	// Handle processes one delivered protocol message, which the shell has
 	// decoded into req (malformed payloads never reach it); replies go
 	// through out, the executor's run-scoped coalescer. req is pooled and
-	// aliases m's payload: it is the handler's until it returns, and what the
-	// handler retains it clones (or pins through m.Arena).
+	// aliases m's payload: it is the handler's until it returns, and a value
+	// it adopts goes through Slot.Adopt(m.Arena), which says whether to keep
+	// the aliases or clone.
 	Handle func(m transport.Message, req *wire.Message, out transport.Sender)
 	// Apply replays one recovered record into a register's state: a KindState
 	// record restores it wholesale, a KindDelta re-runs the mutation the live
@@ -75,7 +76,7 @@ type Protocol[S any] struct {
 	Apply func(st *S, r *durable.Record)
 	// Dump fills r with a register's durable fields for a snapshot (Kind, LSN
 	// and Key are the shell's). r may alias live state: it is encoded under
-	// the register's stripe lock, before the next mutation.
+	// the state map's lock, before the next mutation.
 	Dump func(st *S, r *durable.Record)
 }
 
@@ -110,13 +111,34 @@ type Slot[S any] struct {
 	lsn int64
 	// Mutations counts the register's state mutations. A protocol's mutation
 	// site is its Log call, durable or not, so Log counts them — once, under
-	// the stripe lock the handler already holds; protocols only read it.
+	// the state map's lock the handler already holds; protocols only read it.
 	Mutations int64
+	// arena is the frame buffer the state's adopted value aliases, nil when
+	// the state owns its bytes. At most one arena is pinned per register: the
+	// one carrying its newest adopted value.
+	arena *wire.Arena
+}
+
+// Adopt is every server's retention point for request bytes (wire's rules 3
+// and 4), called when the register adopts a new value. It takes a reference
+// on a if a is non-nil, releases the arena pinned before, and pins a. True
+// means the state may keep the request's aliases; false means it must store
+// fresh copies, and never append into its old bytes, which may live in the
+// arena just released. Adopt(nil) marks a value the state already owns.
+func (sl *Slot[S]) Adopt(a *wire.Arena) bool {
+	if a != nil {
+		a.Ref()
+	}
+	if sl.arena != nil {
+		sl.arena.Release()
+	}
+	sl.arena = a
+	return a != nil
 }
 
 // Shell is the protocol-independent server. One server multiplexes every
-// register of the deployment: state is kept per register key in a striped
-// shard map, lazily instantiated on the first message that names the key.
+// register of the deployment: state is kept per register key in one shard
+// map, lazily instantiated on the first message that names the key.
 type Shell[S any] struct {
 	id     types.ProcessID
 	proto  Protocol[S]
@@ -189,8 +211,8 @@ func (s *Shell[S]) applyRecord(r *durable.Record) error {
 }
 
 // dumpRecords emits one KindState record per instantiated register for a
-// snapshot. Each record aliases live state under the register's stripe lock;
-// the durable layer encodes it before emit returns.
+// snapshot. Each record aliases live state under the state map's lock, taken
+// per register; the durable layer encodes it before emit returns.
 func (s *Shell[S]) dumpRecords(emit func(*durable.Record) error) error {
 	var err error
 	s.states.Range(func(key string, sl *Slot[S]) {
@@ -204,8 +226,8 @@ func (s *Shell[S]) dumpRecords(emit func(*durable.Record) error) error {
 	return err
 }
 
-// Do runs fn with the key's slot under its stripe lock, instantiating the
-// register first if the key is new. Handlers mutate state (and Log) here.
+// Do runs fn with the key's slot under the state map's lock, instantiating
+// the register first if the key is new. Handlers mutate state (and Log) here.
 func (s *Shell[S]) Do(key string, fn func(*Slot[S])) { s.states.Do(key, fn) }
 
 // Log counts one mutation of sl's register, stages it in the durable log and
@@ -255,13 +277,11 @@ func (s *Shell[S]) Peek(key string, fn func(*S)) bool {
 // PeekSlot is Peek for callers that also want the slot's mutation count.
 func (s *Shell[S]) PeekSlot(key string, fn func(*Slot[S])) bool { return s.states.Peek(key, fn) }
 
-// Range runs fn for every instantiated register under its stripe lock.
+// Range runs fn for every instantiated register, taking the state map's
+// lock per register.
 func (s *Shell[S]) Range(fn func(key string, st *S)) {
 	s.states.Range(func(key string, sl *Slot[S]) { fn(key, &sl.State) })
 }
-
-// Keys returns the keys of every register this server has instantiated.
-func (s *Shell[S]) Keys() []string { return s.states.Keys() }
 
 // Start launches the server's executor: one goroutine that drains the node and
 // runs the handler (see transport.Executor). Only the first call has an

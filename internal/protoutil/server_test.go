@@ -395,6 +395,36 @@ func (cs *counterServer) count(key string) int64 {
 	return n
 }
 
+// TestSlotAdoptPinsOneArena walks one slot through every adoption a server
+// makes — a first arena, the same arena again, a second arena, an owned
+// value — checking after each step that the slot holds exactly one reference
+// on the arena it pins and none on any other. Each arena starts with the one
+// reference its delivered message holds.
+func TestSlotAdoptPinsOneArena(t *testing.T) {
+	a, b := wire.GetArena(64), wire.GetArena(64)
+	defer a.Release()
+	defer b.Release()
+	var sl protoutil.Slot[struct{}]
+	for _, step := range []struct {
+		name         string
+		adopt        *wire.Arena
+		want         bool
+		refsA, refsB int32
+	}{
+		{"nil to A", a, true, 2, 1},
+		{"A to A", a, true, 2, 1},
+		{"A to B", b, true, 1, 2},
+		{"B to nil", nil, false, 1, 1},
+	} {
+		if got := sl.Adopt(step.adopt); got != step.want {
+			t.Errorf("%s: Adopt = %v, want %v", step.name, got, step.want)
+		}
+		if a.Refs() != step.refsA || b.Refs() != step.refsB {
+			t.Errorf("%s: refs A=%d B=%d, want A=%d B=%d", step.name, a.Refs(), b.Refs(), step.refsA, step.refsB)
+		}
+	}
+}
+
 // TestShellReplayAppliesEachDeltaOnce pins the shell's LSN guard: snapshots
 // run while appends continue, so after a crash the surviving tail holds
 // deltas the restored snapshot already reflects, and replaying one twice

@@ -89,8 +89,8 @@ func (s *Server) StateOf(key string) types.TaggedValue {
 	return out
 }
 
-// handle processes one decoded message on the per-message hot path: one
-// clone at the adoption retention point, ack fields aliasing the
+// handle processes one decoded message on the per-message hot path:
+// Slot.Adopt at the adoption retention point, ack fields aliasing the
 // stored state (the executor handling this message is the state's sole
 // mutator, and the ack is encoded before it handles its next message).
 func (s *Server) handle(m transport.Message, req *wire.Message, out transport.Sender) {
@@ -115,8 +115,11 @@ func (s *Server) handle(m transport.Message, req *wire.Message, out transport.Se
 	s.Do(req.Key, func(sl *protoutil.Slot[registerState]) {
 		st := &sl.State
 		if req.Op == wire.OpWrite && req.TS > st.value.TS {
-			// Retention point: the stored value must own its bytes.
-			st.value = types.TaggedValue{TS: req.TS, Cur: req.Cur.Clone(), Prev: req.Prev.Clone()}
+			// Retention point: the request aliases the payload.
+			st.value = types.TaggedValue{TS: req.TS, Cur: req.Cur, Prev: req.Prev}
+			if !sl.Adopt(m.Arena) {
+				st.value = st.value.Clone()
+			}
 			s.Log(sl, &durable.Record{
 				Kind: durable.KindDelta,
 				Key:  req.Key,

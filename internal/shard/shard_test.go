@@ -11,14 +11,21 @@ type counter struct {
 	n   int
 }
 
-func newCounterMap(stripes int) *Map[*counter] {
-	return NewMap(stripes, func(key string) *counter { return &counter{key: key} })
+func newCounterMap() *Map[*counter] {
+	return NewMap(0, func(key string) *counter { return &counter{key: key} })
+}
+
+// keys lists the instantiated keys through Range.
+func keys(m *Map[*counter]) []string {
+	var out []string
+	m.Range(func(k string, _ *counter) { out = append(out, k) })
+	return out
 }
 
 func TestLazyInstantiation(t *testing.T) {
-	m := newCounterMap(8)
-	if m.Len() != 0 {
-		t.Fatalf("fresh map has %d keys", m.Len())
+	m := newCounterMap()
+	if n := len(keys(m)); n != 0 {
+		t.Fatalf("fresh map has %d keys", n)
 	}
 	if m.Peek("a", func(*counter) { t.Error("Peek instantiated state") }) {
 		t.Error("Peek reported an untouched key as present")
@@ -29,8 +36,8 @@ func TestLazyInstantiation(t *testing.T) {
 		}
 		c.n++
 	})
-	if m.Len() != 1 {
-		t.Fatalf("after one Do, Len = %d", m.Len())
+	if n := len(keys(m)); n != 1 {
+		t.Fatalf("after one Do, Len = %d", n)
 	}
 	found := m.Peek("a", func(c *counter) {
 		if c.n != 1 {
@@ -43,16 +50,16 @@ func TestLazyInstantiation(t *testing.T) {
 }
 
 func TestKeysAndRange(t *testing.T) {
-	m := newCounterMap(4)
+	m := newCounterMap()
 	want := map[string]bool{"": true, "alpha": true, "beta": true}
 	for k := range want {
 		m.Do(k, func(c *counter) { c.n = len(k) })
 	}
-	keys := m.Keys()
-	if len(keys) != len(want) {
-		t.Fatalf("Keys returned %d keys, want %d", len(keys), len(want))
+	got := keys(m)
+	if len(got) != len(want) {
+		t.Fatalf("Keys returned %d keys, want %d", len(got), len(want))
 	}
-	for _, k := range keys {
+	for _, k := range got {
 		if !want[k] {
 			t.Errorf("unexpected key %q", k)
 		}
@@ -72,10 +79,10 @@ func TestKeysAndRange(t *testing.T) {
 // TestConcurrentDoSerialisesPerKey hammers a small keyspace from many
 // goroutines; per-key mutual exclusion means every increment must survive.
 func TestConcurrentDoSerialisesPerKey(t *testing.T) {
-	m := newCounterMap(0) // default stripe count
+	m := newCounterMap()
 	const (
 		workers = 16
-		keys    = 37 // more keys than stripes is the interesting regime
+		nkeys   = 37
 		incs    = 200
 	)
 	var wg sync.WaitGroup
@@ -84,14 +91,14 @@ func TestConcurrentDoSerialisesPerKey(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for i := 0; i < incs; i++ {
-				key := fmt.Sprintf("k%d", i%keys)
+				key := fmt.Sprintf("k%d", i%nkeys)
 				m.Do(key, func(c *counter) { c.n++ })
 			}
 		}()
 	}
 	wg.Wait()
-	if m.Len() != keys {
-		t.Fatalf("Len = %d, want %d", m.Len(), keys)
+	if n := len(keys(m)); n != nkeys {
+		t.Fatalf("Len = %d, want %d", n, nkeys)
 	}
 	total := 0
 	m.Range(func(_ string, c *counter) { total += c.n })
@@ -101,7 +108,7 @@ func TestConcurrentDoSerialisesPerKey(t *testing.T) {
 }
 
 func TestEmptyKeyIsOrdinary(t *testing.T) {
-	m := newCounterMap(2)
+	m := newCounterMap()
 	m.Do("", func(c *counter) { c.n = 7 })
 	if !m.Peek("", func(c *counter) {
 		if c.n != 7 {

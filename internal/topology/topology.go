@@ -12,8 +12,8 @@
 // optimal round-trip count.
 //
 // Ring is that function: a consistent-hash ring of virtual nodes built from
-// the group names alone, hashed with the same FNV-1a the servers' state maps
-// already use (shard.HashBytes). Any two processes that agree on
+// the group names alone, each name and key hashed with 64-bit FNV-1a and a
+// finalizer (fnv1a, mix). Any two processes that agree on
 // the ordered group list and the virtual-node count place every possible key
 // identically, which is why Topology — the serializable deployment
 // description shipped to every server and client — is the ring's only input.
@@ -32,7 +32,6 @@ import (
 	"strconv"
 
 	"fastread/internal/quorum"
-	"fastread/internal/shard"
 )
 
 // DefaultVirtualNodes is the per-group virtual-node count used when a ring
@@ -90,7 +89,7 @@ func NewRing(names []string, virtualNodes int) (*Ring, error) {
 			buf = append(buf[:0], name...)
 			buf = append(buf, '#')
 			buf = strconv.AppendInt(buf, int64(v), 10)
-			r.points = append(r.points, ringPoint{hash: mix(shard.HashBytes(buf)), group: int32(gi)})
+			r.points = append(r.points, ringPoint{hash: mix(fnv1a(buf)), group: int32(gi)})
 		}
 	}
 	sort.Slice(r.points, func(i, j int) bool {
@@ -113,11 +112,27 @@ func (r *Ring) VirtualNodes() int { return len(r.points) }
 
 // Lookup returns the index (into the ordered group list the ring was built
 // from) of the group owning key.
-func (r *Ring) Lookup(key string) int { return r.locate(mix(shard.Hash(key))) }
+func (r *Ring) Lookup(key string) int { return r.locate(mix(fnv1a(key))) }
 
 // LookupBytes is Lookup over a byte-slice key view, for callers routing on
 // wire-format key views without materialising a string.
-func (r *Ring) LookupBytes(key []byte) int { return r.locate(mix(shard.HashBytes(key))) }
+func (r *Ring) LookupBytes(key []byte) int { return r.locate(mix(fnv1a(key))) }
+
+// fnv1a is the 64-bit FNV-1a hash of a key or a virtual-node label, inlined
+// to keep Lookup allocation-free (hash/fnv forces the key through an
+// io.Writer). One body serves both string keys and wire-format key views.
+func fnv1a[K string | []byte](key K) uint64 {
+	const (
+		offset64 = 14695981039346656037
+		prime64  = 1099511628211
+	)
+	h := uint64(offset64)
+	for i := 0; i < len(key); i++ {
+		h ^= uint64(key[i])
+		h *= prime64
+	}
+	return h
+}
 
 // mix finalizes an FNV-1a hash for ring placement (murmur3's fmix64).
 // FNV-1a distributes well across hash-table buckets (its low bits avalanche)
@@ -125,7 +140,7 @@ func (r *Ring) LookupBytes(key []byte) int { return r.locate(mix(shard.HashBytes
 // like "g0#17"/"g0#18" the high bits barely move — unmixed, virtual nodes
 // clump and group shares were off fair by 50%+. The finalizer is applied to
 // both the points and the keys, so placement remains a pure deterministic
-// function of the same FNV-1a base everything else shards by.
+// function of the names and the key.
 func mix(h uint64) uint64 {
 	h ^= h >> 33
 	h *= 0xff51afd7ed558ccd

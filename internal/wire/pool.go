@@ -32,8 +32,11 @@ import "sync"
 //     server state, a reader's remembered last-observed tag, a pipelined
 //     client's detached acknowledgement — must either be cloned at the point
 //     of retention, or keep aliasing while holding a REFERENCE on the frame's
-//     Arena (see rule 4). Transient uses (building an ack that is encoded
-//     before the handler returns, evaluating a predicate) must NOT clone.
+//     Arena (see rule 4). Every server makes that choice in one place,
+//     protoutil.Slot.Adopt, which pins the request's arena when there is one
+//     and tells the caller to clone when there is not. Transient uses
+//     (building an ack that is encoded before the handler returns,
+//     evaluating a predicate) must NOT clone.
 //
 //  4. Arena buffers are refcounted. A socket transport decodes each inbound
 //     frame into a pooled, refcounted Arena (arena.go), and a server's ack
