@@ -217,12 +217,12 @@ func run(args []string) error {
 	// no-op.
 	server.Stop()
 	// Surface traffic that was silently discarded (full inbox, bounded
-	// write-queue overflow, unreachable peers, duplicate datagrams) so
-	// operators notice overload or partitions the asynchronous protocols
-	// themselves tolerate without complaint.
+	// write-queue overflow, unreachable peers, duplicate datagrams), and how
+	// deep the inbound queue got, so operators notice overload or partitions
+	// the asynchronous protocols themselves tolerate without complaint.
 	stats := node.Stats()
-	fmt.Printf("shutting down %s%s: transport=%s delivered=%d frames=%d dropped_inbound=%d dropped_send=%d dedup_drops=%d\n",
-		id, groupNote, *trans, stats.Delivered, stats.Frames, stats.DroppedInbound, stats.DroppedSend, stats.DedupDrops)
+	fmt.Printf("shutting down %s%s: transport=%s delivered=%d frames=%d dropped_inbound=%d dropped_send=%d dedup_drops=%d high_water=%d\n",
+		id, groupNote, *trans, stats.DeliveredMsgs, stats.FramesDelivered, stats.InboundDrops, stats.SendDrops, stats.DedupDrops, stats.MailboxHighWater)
 	if durCounters != nil {
 		ds := durCounters.Snapshot()
 		fmt.Printf("durable shutdown %s%s: incarnation=%d appends=%d fsyncs=%d snapshots=%d snapshot_records=%d append_errors=%d log_failed=%t\n",

@@ -25,7 +25,7 @@ func TestListenNodeTransports(t *testing.T) {
 		if a := node.Addr(); !strings.HasPrefix(a, "127.0.0.1:") || strings.HasSuffix(a, ":0") {
 			t.Errorf("Listen(%q) bound addr = %q, want ephemeral loopback port", kind, a)
 		}
-		if c := node.Stats(); c != (framed.Stats{}) {
+		if c := node.Stats(); c != (transport.Stats{}) {
 			t.Errorf("Listen(%q) fresh counters = %+v, want zeros", kind, c)
 		}
 		if err := node.Close(); err != nil {

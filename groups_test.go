@@ -105,7 +105,7 @@ func TestStoreGroupsCrossGroupAtomicity(t *testing.T) {
 				t.Fatalf("Stats.Groups has %d entries, want %d", len(stats.Groups), len(sc.cfg.Groups))
 			}
 			var keysSeen int
-			var opsSeen int64
+			var opsSeen, deliveredSeen int64
 			for _, gs := range stats.Groups {
 				if gs.Keys != groupKeys[gs.Group] {
 					t.Errorf("group %q: Stats reports %d keys, placement counted %d", gs.Group, gs.Keys, groupKeys[gs.Group])
@@ -113,14 +113,21 @@ func TestStoreGroupsCrossGroupAtomicity(t *testing.T) {
 				if wantOps := int64(gs.Keys) * int64(writes+sc.cfg.Readers*readsPerReader); gs.Ops != wantOps {
 					t.Errorf("group %q: Ops = %d, want %d", gs.Group, gs.Ops, wantOps)
 				}
+				if gs.Keys > 0 && gs.DeliveredMsgs == 0 {
+					t.Errorf("group %q: %d keys but no deliveries counted", gs.Group, gs.Keys)
+				}
 				keysSeen += gs.Keys
 				opsSeen += gs.Ops
+				deliveredSeen += gs.DeliveredMsgs
 			}
 			if keysSeen != keyCount {
 				t.Errorf("per-group key counts sum to %d, want %d", keysSeen, keyCount)
 			}
 			if want := stats.Writes + stats.Reads; opsSeen != want {
 				t.Errorf("per-group ops sum to %d, want %d", opsSeen, want)
+			}
+			if deliveredSeen != stats.DeliveredMsgs {
+				t.Errorf("per-group deliveries sum to %d, want %d", deliveredSeen, stats.DeliveredMsgs)
 			}
 		})
 	}

@@ -246,7 +246,7 @@ func (rt *demuxRoute) Inbox() <-chan Message {
 	rt.mu.Lock()
 	defer rt.mu.Unlock()
 	if rt.q == nil {
-		rt.q = NewQueue(0, nil)
+		rt.q = NewQueue(0)
 		for _, m := range rt.pending {
 			rt.q.Push(m)
 		}

@@ -119,7 +119,7 @@ func TestExecutorSingleWorkerInline(t *testing.T) {
 // next run queues, so every run is exactly the pushed batch.
 func TestMailboxPopAll(t *testing.T) {
 	const perRun = 8
-	q := NewQueue(0, nil)
+	q := NewQueue(0)
 	gate, ended := make(chan struct{}), make(chan int)
 	n := 0
 	done := make(chan bool)

@@ -4,8 +4,8 @@
 // everything that does not depend on how the frame travels lives here once:
 // the node configuration and its address resolution, the frame body codec
 // (frame.go), the inbound path from a decoded frame into the node's
-// transport.Queue, the delivery and drop counters, the closed flag and its
-// errors, and the loopback test cluster. A carrier embeds a Core and adds
+// transport.Queue, the counters the queue cannot keep, the closed flag and
+// its errors, and the loopback test cluster. A carrier embeds a Core and adds
 // only what its socket type needs: tcpnet the lazy dial, the per-peer batch
 // writer and the restart eviction; udpnet the sequence numbers, dedup
 // windows, chunking and batched syscalls.
@@ -67,41 +67,6 @@ func (c Config) BindAddr() (string, error) {
 	return "", fmt.Errorf("%w: %v (set ListenAddr or add a book entry)", ErrNoAddress, c.Self)
 }
 
-// Stats counts what happened on one socket node so far, mirroring
-// transport.LinkStats for the socket transports. Drops that would otherwise
-// be invisible to operators — a full inbound queue discarding a decoded
-// message, a send to an unreachable or broken peer — are first-class counters
-// here; cmd/regserver logs them on shutdown and Store.Stats sums them.
-type Stats struct {
-	// Delivered counts protocol messages decoded and handed to the consumer.
-	// A batch frame contributes one count per message it carries.
-	Delivered int64
-	// Frames counts wire frames (TCP) or datagrams (UDP) read off the
-	// socket. Under pipelined load many messages share one frame, so Frames
-	// ≪ Delivered; frames per completed operation, summed over a
-	// deployment's nodes, is the batching efficiency.
-	Frames int64
-	// DroppedInbound counts messages discarded because the inbound queue
-	// was full (1 024 messages waiting for the consumer).
-	DroppedInbound int64
-	// DroppedSend counts outbound messages discarded before leaving: the
-	// destination was unknown or unreachable, the bounded outbound queue was
-	// full, the payload was oversized, or the write failed.
-	DroppedSend int64
-	// DedupDrops counts inbound datagrams discarded by the UDP carrier's
-	// per-sender at-most-once windows (always 0 on TCP).
-	DedupDrops int64
-}
-
-// Add accumulates another node's counters into s.
-func (s *Stats) Add(o Stats) {
-	s.Delivered += o.Delivered
-	s.Frames += o.Frames
-	s.DroppedInbound += o.DroppedInbound
-	s.DroppedSend += o.DroppedSend
-	s.DedupDrops += o.DedupDrops
-}
-
 // InboxLen bounds the messages delivered but not yet consumed: deep enough to
 // absorb a pipelined burst from every peer of a deployment between two
 // consumer wakeups. A consumer that falls further behind loses messages
@@ -128,11 +93,9 @@ type Core struct {
 	cfg    Config
 	closed atomic.Bool
 
-	delivered      atomic.Int64
-	frames         atomic.Int64
-	droppedInbound atomic.Int64
-	droppedSend    atomic.Int64
-	dedupDrops     atomic.Int64
+	// The queue counts what it admits and refuses; these are what only a
+	// socket sees.
+	frames, sendDrops, dedupDrops atomic.Int64
 }
 
 var (
@@ -144,24 +107,22 @@ var (
 // a lock for the node's lifetime.
 func NewCore(cfg Config) *Core {
 	cfg.Book = cfg.Book.Clone()
-	c := &Core{cfg: cfg}
-	c.Queue = transport.NewQueue(InboxLen, &c.droppedInbound)
-	return c
+	return &Core{Queue: transport.NewQueue(InboxLen), cfg: cfg}
 }
 
 // ID implements transport.Node.
 func (c *Core) ID() types.ProcessID { return c.cfg.Self }
 
-// Stats returns a snapshot of the node's delivery and drop counters; it
-// stays readable after Close.
-func (c *Core) Stats() Stats {
-	return Stats{
-		Delivered:      c.delivered.Load(),
-		Frames:         c.frames.Load(),
-		DroppedInbound: c.droppedInbound.Load(),
-		DroppedSend:    c.droppedSend.Load(),
-		DedupDrops:     c.dedupDrops.Load(),
-	}
+// Stats returns a snapshot of the node's counters: its queue's (messages
+// admitted, refused at the InboxLen bound as InboundDrops, and its high-water
+// mark) plus frames, send drops and dedup drops. It stays readable after
+// Close.
+func (c *Core) Stats() transport.Stats {
+	s := c.Queue.Stats()
+	s.FramesDelivered = c.frames.Load()
+	s.SendDrops = c.sendDrops.Load()
+	s.DedupDrops = c.dedupDrops.Load()
+	return s
 }
 
 // AddrOf returns a destination's address: its book entry, or else whatever
@@ -189,7 +150,7 @@ func (c *Core) Shut() bool { return c.closed.CompareAndSwap(false, true) }
 func (c *Core) CountFrame() { c.frames.Add(1) }
 
 // CountSendDrop records outbound messages that will never leave.
-func (c *Core) CountSendDrop(msgs int) { c.droppedSend.Add(int64(msgs)) }
+func (c *Core) CountSendDrop(msgs int) { c.sendDrops.Add(int64(msgs)) }
 
 // CountDedupDrop records one datagram rejected by an at-most-once window.
 func (c *Core) CountDedupDrop() { c.dedupDrops.Add(1) }
@@ -200,9 +161,9 @@ func (c *Core) CountDedupDrop() { c.dedupDrops.Add(1) }
 // flusher's or an executor coalescer's output — is expanded here
 // (Queue.PushExpanded), so consumers see the per-message stream they always
 // did; any other frame passes its reference on to the one delivered message.
-// A full queue drops what does not fit and gives its reference back: the
-// protocols tolerate the loss because they never wait for more than S−t
-// replies, and DroppedInbound lets operators see it.
+// A full queue refuses what does not fit, counts it and gives its reference
+// back: the protocols tolerate the loss because they never wait for more than
+// S−t replies, and InboundDrops lets operators see it.
 func (c *Core) Deliver(from types.ProcessID, kind string, payload []byte, arena *wire.Arena) bool {
 	if c.closed.Load() {
 		arena.Release()
@@ -210,9 +171,9 @@ func (c *Core) Deliver(from types.ProcessID, kind string, payload []byte, arena 
 	}
 	m := transport.Message{From: from, To: c.cfg.Self, Kind: kind, Payload: payload, Arena: arena}
 	if kind == wire.BatchKind && wire.IsBatch(payload) {
-		c.delivered.Add(int64(c.PushExpanded(m)))
-	} else if c.Push(m) {
-		c.delivered.Add(1)
+		c.PushExpanded(m)
+	} else {
+		c.Push(m)
 	}
 	return true
 }

@@ -57,7 +57,7 @@ func TestDrainRunsEndsOnFrameBoundaries(t *testing.T) {
 	if !<-done {
 		t.Fatal("DrainRuns refused a node nobody consumed")
 	}
-	if want := 2 * frames * frame; got != want || c.Stats().Delivered != int64(want) {
+	if want := 2 * frames * frame; got != want || c.Stats().DeliveredMsgs != int64(want) {
 		t.Fatalf("consumer got %d messages, stats %+v; want %d", got, c.Stats(), want)
 	}
 }
@@ -114,7 +114,7 @@ func TestQueueBoundDropsAndReleases(t *testing.T) {
 		last = wire.GetArena(1)
 		c.Deliver(types.Reader(1), "x", last.Bytes(), last)
 	}
-	if st := c.Stats(); st.Delivered != InboxLen || st.DroppedInbound != 3 {
+	if st := c.Stats(); st.DeliveredMsgs != InboxLen || st.InboundDrops != 3 {
 		t.Fatalf("stats = %+v, want %d delivered and 3 dropped", st, InboxLen)
 	}
 	if r := last.Refs(); r != 0 {

@@ -53,8 +53,6 @@ func (n *InMemNetwork) Release(from, to types.ProcessID) {
 		return
 	}
 	for _, msg := range msgs {
-		n.delivered.Add(1)
-		n.inTransit.Add(1)
 		n.deliver(dst, msg, 0)
 	}
 }

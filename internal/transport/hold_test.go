@@ -59,8 +59,8 @@ func TestDropHeldDiscardsMessages(t *testing.T) {
 	if _, ok := recvWithTimeout(t, b, 50*time.Millisecond); ok {
 		t.Fatal("dropped held message was delivered")
 	}
-	if s := net.Stats(); s.Dropped != 1 {
-		t.Errorf("Dropped = %d, want 1", s.Dropped)
+	if s := net.Stats(); s.InboundDrops != 1 {
+		t.Errorf("InboundDrops = %d, want 1", s.InboundDrops)
 	}
 	// Link no longer held.
 	if err := a.Send(b.ID(), "ok", nil); err != nil {

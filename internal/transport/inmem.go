@@ -17,15 +17,6 @@ type link struct {
 	to   types.ProcessID
 }
 
-// LinkStats aggregates what happened on the network so far. It is primarily
-// used by tests and experiments to assert that an adversarial schedule did
-// what it was supposed to (e.g. "the read by r2 skipped block B2").
-type LinkStats struct {
-	Delivered int
-	Dropped   int
-	InTransit int
-}
-
 // InMemOption configures an in-memory network.
 type InMemOption func(*InMemNetwork)
 
@@ -51,9 +42,10 @@ func WithSeed(seed int64) InMemOption {
 
 // WithMailboxBound caps every SERVER node's mailbox at server queued
 // messages. A delivery finding the mailbox full is shed (dropped-in-transit,
-// counted in MailboxShed) instead of growing the queue, so the node's memory
-// and queueing delay — and therefore MailboxHighWater — stay bounded under
-// overload. A non-positive bound leaves servers unbounded, the default.
+// counted in Stats.ShedDrops) instead of growing the queue, so the node's
+// memory and queueing delay — and therefore Stats.MailboxHighWater — stay
+// bounded under overload. A non-positive bound leaves servers unbounded, the
+// default.
 //
 // Shedding a REQUEST at a server is as safe as a lossy network: the protocols
 // tolerate loss via quorum slack and the client's retry/timeout. Client
@@ -90,12 +82,13 @@ type nodeMap map[types.ProcessID]*inMemNode
 // InMemNetwork is the goroutine/channel implementation of Network.
 //
 // The per-message route/deliver path is designed for heavy multi-register
-// traffic: the delivery counters are atomics and the node table is
-// copy-on-write — so concurrent senders never serialise on a network-wide
-// lock. Adversarial controls (blocks, crashes, holds, a virtual clock) flip
-// the network onto a mutex-guarded slow path; a network that never uses
-// them (the common benchmark and production shape) stays lock-free end to
-// end. Time is virtual or absent: delays exist only on a virtual clock.
+// traffic: each destination's queue counts what it admits under the lock it
+// already takes, and the node table is copy-on-write — so concurrent senders
+// never serialise on a network-wide lock. Adversarial controls (blocks,
+// crashes, holds, a virtual clock) flip the network onto a mutex-guarded
+// slow path; a network that never uses them (the common benchmark and
+// production shape) stays lock-free end to end. Time is virtual or absent:
+// delays exist only on a virtual clock.
 type InMemNetwork struct {
 	// mu guards the adversarial configuration, the hold queues and
 	// membership changes. The per-message fast path never takes it.
@@ -115,15 +108,16 @@ type InMemNetwork struct {
 	slow   atomic.Bool
 	closed bool
 
-	delivered atomic.Int64
-	dropped   atomic.Int64
-	inTransit atomic.Int64
+	// dropped counts messages routing dropped; retired sums the queue
+	// counters of nodes a rejoin replaced (under mu), so a restart keeps
+	// them.
+	dropped atomic.Int64
+	retired Stats
 
 	defaultDelay time.Duration
 	jitter       time.Duration
 	rng          *rand.Rand
 	serverBound  int
-	mailboxShed  atomic.Int64
 }
 
 var _ Network = (*InMemNetwork)(nil)
@@ -177,6 +171,8 @@ func (n *InMemNetwork) Join(id types.ProcessID) (Node, error) {
 		// incarnation starts reachable — any crash or isolation mark against
 		// the dead one is cleared; messages still queued on the old node are
 		// lost with it, exactly as a real restart loses its socket buffers.
+		// Its counters are not: they retire into the network's totals.
+		n.retired.Add(prev.Stats())
 		delete(n.crashed, id)
 		delete(n.downed, id)
 		n.updateSlowLocked()
@@ -185,7 +181,7 @@ func (n *InMemNetwork) Join(id types.ProcessID) (Node, error) {
 	if id.Role == types.RoleServer {
 		bound = n.serverBound
 	}
-	node := &inMemNode{Queue: NewQueue(bound, &n.mailboxShed), id: id, net: n}
+	node := &inMemNode{Queue: NewQueue(bound), id: id, net: n}
 	next := make(nodeMap, len(old)+1)
 	for k, v := range old {
 		next[k] = v
@@ -288,21 +284,26 @@ func (n *InMemNetwork) Crashed(id types.ProcessID) bool {
 	return n.crashed[id]
 }
 
-// Stats returns a snapshot of the aggregate delivery counters.
-func (n *InMemNetwork) Stats() LinkStats {
-	return LinkStats{
-		Delivered: int(n.delivered.Load()),
-		Dropped:   int(n.dropped.Load()),
-		InTransit: int(n.inTransit.Load()),
+// Stats sums every node's queue counters, past incarnations included, and
+// maps them once: a queue's refusals are ShedDrops, routing's drops are
+// InboundDrops, and every delivery is its own frame.
+func (n *InMemNetwork) Stats() Stats {
+	n.mu.Lock()
+	defer n.mu.Unlock()
+	s := n.retired
+	for _, nd := range *n.nodes.Load() {
+		s.Add(nd.Stats())
 	}
+	s.ShedDrops, s.InboundDrops = s.InboundDrops, n.dropped.Load()
+	s.FramesDelivered = s.DeliveredMsgs
+	return s
 }
 
 // route decides the fate of a message: returns the destination node and its
 // virtual delay if it should be delivered, or nil if it must be dropped.
 //
 // The fast path — no blocks, crashes, holds or virtual clock configured —
-// reads the copy-on-write node table and bumps atomic counters
-// without taking any network-wide lock.
+// reads the copy-on-write node table without taking any network-wide lock.
 func (n *InMemNetwork) route(msg Message) (*inMemNode, time.Duration, bool) {
 	if n.slow.Load() {
 		return n.routeSlow(msg)
@@ -312,8 +313,6 @@ func (n *InMemNetwork) route(msg Message) (*inMemNode, time.Duration, bool) {
 		n.dropped.Add(1)
 		return nil, 0, false
 	}
-	n.delivered.Add(1)
-	n.inTransit.Add(1)
 	return dst, 0, true
 }
 
@@ -337,8 +336,6 @@ func (n *InMemNetwork) routeSlow(msg Message) (*inMemNode, time.Duration, bool) 
 	if n.jitter > 0 {
 		delay += time.Duration(n.rng.Int63n(int64(n.jitter)))
 	}
-	n.delivered.Add(1)
-	n.inTransit.Add(1)
 	return dst, delay, true
 }
 
@@ -351,7 +348,6 @@ func (n *InMemNetwork) deliver(dst *inMemNode, msg Message, delay time.Duration)
 		return
 	}
 	dst.Push(msg)
-	n.inTransit.Add(-1)
 }
 
 // deliverVirtual schedules the delivery as a virtual-clock event — even at
@@ -362,9 +358,8 @@ func (n *InMemNetwork) deliver(dst *inMemNode, msg Message, delay time.Duration)
 // (tokens splitting and rejoining with RetainArena/ReleaseArena at every
 // hand-off) the clock cannot fire the next event.
 //
-// Events left unexecuted when the simulation stops simply never run; their
-// messages stay counted as in-transit, the virtual analogue of "delayed
-// forever".
+// Events left unexecuted when the simulation stops simply never run: their
+// messages are the virtual analogue of "delayed forever".
 func (n *InMemNetwork) deliverVirtual(dst *inMemNode, msg Message, delay time.Duration) {
 	c := n.clock
 	c.Schedule(delay, func() {
@@ -373,13 +368,11 @@ func (n *InMemNetwork) deliverVirtual(dst *inMemNode, msg Message, delay time.Du
 		n.mu.Unlock()
 		if closed {
 			msg.ReleaseArena()
-			n.inTransit.Add(-1)
 			return
 		}
 		msg.vt = c
 		c.begin()
 		dst.Push(msg) // a refused message ends its token
-		n.inTransit.Add(-1)
 	})
 }
 
@@ -451,23 +444,3 @@ func (nd *inMemNode) Close() error {
 // virtualClock implements the virtualClocked probe used by Coalescer so
 // buffered-but-unflushed acknowledgements count as simulation activity.
 func (nd *inMemNode) virtualClock() *VirtualClock { return nd.net.clock }
-
-// MailboxHighWater returns the deepest any node's mailbox has ever been —
-// the network-wide overload high-water mark. Mailboxes are unbounded by
-// default (the asynchronous model forbids blocking a sender on a slow
-// receiver), so without WithMailboxBound depth, not drops, is where
-// overload shows up; with a bound, the mark stays at or under the bound and
-// the overflow appears in MailboxShed instead.
-func (n *InMemNetwork) MailboxHighWater() int {
-	hw := 0
-	for _, nd := range *n.nodes.Load() {
-		if h := nd.HighWater(); h > hw {
-			hw = h
-		}
-	}
-	return hw
-}
-
-// MailboxShed returns how many deliveries bounded mailboxes have shed (always
-// 0 without WithMailboxBound).
-func (n *InMemNetwork) MailboxShed() int64 { return n.mailboxShed.Load() }

@@ -112,8 +112,8 @@ func TestInMemBlockDropsMessages(t *testing.T) {
 	}
 
 	stats := net.Stats()
-	if stats.Dropped != 1 || stats.Delivered != 1 {
-		t.Errorf("link stats = %+v, want 1 dropped / 1 delivered", stats)
+	if stats.InboundDrops != 1 || stats.DeliveredMsgs != 1 {
+		t.Errorf("network stats = %+v, want 1 dropped / 1 delivered", stats)
 	}
 }
 
@@ -158,6 +158,30 @@ func TestInMemCrashStopsDelivery(t *testing.T) {
 	}
 }
 
+// TestInMemStatsSurviveRestart: a restarted process rejoins with a fresh
+// queue, but the network's counters keep what its old queue admitted and how
+// deep it got.
+func TestInMemStatsSurviveRestart(t *testing.T) {
+	net := NewInMemNetwork()
+	defer net.Close()
+	w := mustJoin(t, net, types.Writer())
+	s1 := mustJoin(t, net, types.Server(1))
+	const sent = 5
+	for i := 0; i < sent; i++ {
+		if err := w.Send(s1.ID(), "unconsumed", nil); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := s1.Close(); err != nil {
+		t.Fatal(err)
+	}
+	mustJoin(t, net, types.Server(1))
+	if st := net.Stats(); st.MailboxHighWater < sent || st.DeliveredMsgs != sent {
+		t.Fatalf("after restart: high water %d, delivered %d; want >= %d and %d",
+			st.MailboxHighWater, st.DeliveredMsgs, sent, sent)
+	}
+}
+
 func TestInMemSendToUnknownProcessIsDropped(t *testing.T) {
 	net := NewInMemNetwork()
 	defer net.Close()
@@ -165,8 +189,8 @@ func TestInMemSendToUnknownProcessIsDropped(t *testing.T) {
 	if err := a.Send(types.Server(9), "nowhere", nil); err != nil {
 		t.Fatalf("Send to unknown process should not error, got %v", err)
 	}
-	if s := net.Stats(); s.Dropped != 1 {
-		t.Errorf("Stats.Dropped = %d, want 1", s.Dropped)
+	if s := net.Stats(); s.InboundDrops != 1 {
+		t.Errorf("Stats.InboundDrops = %d, want 1", s.InboundDrops)
 	}
 }
 
@@ -268,7 +292,7 @@ func TestInMemConcurrentSendersAllDelivered(t *testing.T) {
 // order, including those still queued when the queue closes; pushes after
 // Close are refused.
 func TestMailboxFIFOAndClose(t *testing.T) {
-	q := NewQueue(0, nil)
+	q := NewQueue(0)
 	push := func(from, to int) {
 		for i := from; i < to; i++ {
 			if !q.Push(Message{Kind: string(rune('a' + i))}) {
@@ -313,7 +337,7 @@ func TestMailboxFIFOAndClose(t *testing.T) {
 }
 
 func TestMailboxPopBlocksUntilPush(t *testing.T) {
-	q := NewQueue(0, nil)
+	q := NewQueue(0)
 	got := make(chan Message, 1)
 	go q.DrainRuns(func(m Message) { got <- m }, func() {})
 	defer q.Close()

@@ -19,8 +19,7 @@ func TestBoundedMailboxExactShed(t *testing.T) {
 		bound = 8
 		K     = 100
 	)
-	var shed atomic.Int64
-	q := NewQueue(bound, &shed)
+	q := NewQueue(bound)
 	accepted := 0
 	for i := 0; i < K; i++ {
 		if q.Push(Message{}) {
@@ -30,10 +29,10 @@ func TestBoundedMailboxExactShed(t *testing.T) {
 	if accepted != bound {
 		t.Fatalf("accepted %d, want exactly bound %d", accepted, bound)
 	}
-	if got := shed.Load(); got != K-bound {
+	if got := q.Stats().InboundDrops; got != K-bound {
 		t.Fatalf("shed %d, want exactly %d", got, K-bound)
 	}
-	if hw := q.HighWater(); hw > bound {
+	if hw := q.Stats().MailboxHighWater; hw > bound {
 		t.Fatalf("high-water %d exceeds bound %d", hw, bound)
 	}
 	if q.Len() != bound {
@@ -47,7 +46,7 @@ func TestBoundedMailboxExactShed(t *testing.T) {
 	if !q.Push(Message{}) {
 		t.Fatal("push after drain should be admitted")
 	}
-	if got := shed.Load(); got != K-bound {
+	if got := q.Stats().InboundDrops; got != K-bound {
 		t.Fatalf("admitted push bumped shed to %d", got)
 	}
 }
@@ -58,9 +57,30 @@ func TestBoundedMailboxConcurrentExactShed(t *testing.T) {
 		producers = 8
 		perProd   = 500
 	)
-	var shed atomic.Int64
-	q := NewQueue(bound, &shed)
+	total := int64(producers * perProd)
+	q := NewQueue(bound)
 	var accepted atomic.Int64
+	// A reader samples the counters while the producers push: the queue
+	// counts under its own lock, so every snapshot is consistent.
+	stop, read := make(chan struct{}), make(chan struct{})
+	go func() {
+		defer close(read)
+		var last int64
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			st := q.Stats()
+			seen := st.DeliveredMsgs + st.InboundDrops
+			if seen < last || seen > total {
+				t.Errorf("snapshot counted %d pushes after %d, of %d", seen, last, total)
+				return
+			}
+			last = seen
+		}
+	}()
 	var wg sync.WaitGroup
 	for p := 0; p < producers; p++ {
 		wg.Add(1)
@@ -74,20 +94,24 @@ func TestBoundedMailboxConcurrentExactShed(t *testing.T) {
 		}()
 	}
 	wg.Wait()
-	total := int64(producers * perProd)
-	if accepted.Load()+shed.Load() != total {
-		t.Fatalf("accounting leak: accepted %d + shed %d != %d", accepted.Load(), shed.Load(), total)
+	close(stop)
+	<-read
+	if accepted.Load()+q.Stats().InboundDrops != total {
+		t.Fatalf("accounting leak: accepted %d + shed %d != %d", accepted.Load(), q.Stats().InboundDrops, total)
+	}
+	if st := q.Stats(); st.DeliveredMsgs != accepted.Load() {
+		t.Fatalf("queue counted %d admissions, producers saw %d", st.DeliveredMsgs, accepted.Load())
 	}
 	if accepted.Load() != bound {
 		t.Fatalf("accepted %d with a held consumer, want exactly bound %d", accepted.Load(), bound)
 	}
-	if hw := q.HighWater(); hw > bound {
+	if hw := q.Stats().MailboxHighWater; hw > bound {
 		t.Fatalf("high-water %d exceeds bound %d", hw, bound)
 	}
 }
 
 func TestUnboundedMailboxNeverSheds(t *testing.T) {
-	q := NewQueue(0, nil)
+	q := NewQueue(0)
 	const K = 2560
 	for i := 0; i < K; i++ {
 		if !q.Push(Message{}) {
@@ -121,21 +145,25 @@ func TestInMemMailboxBoundKeepsHighWaterUnderBound(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if hw := net.MailboxHighWater(); hw > bound {
+	if hw := net.Stats().MailboxHighWater; hw > bound {
 		t.Fatalf("mailbox high-water %d exceeds bound %d", hw, bound)
 	}
-	if net.MailboxShed() == 0 {
+	if net.Stats().ShedDrops == 0 {
 		t.Fatal("expected sheds on a bounded mailbox with a held consumer")
+	}
+	// Every message sent was either admitted or shed, and counted once.
+	if st := net.Stats(); st.DeliveredMsgs+st.ShedDrops != K {
+		t.Fatalf("delivered %d + shed %d != %d sent", st.DeliveredMsgs, st.ShedDrops, K)
 	}
 	// Client mailboxes stay unbounded: a reply storm at the writer must not
 	// shed acks. Sending server->writer cannot shed regardless of volume.
-	before := net.MailboxShed()
+	before := net.Stats().ShedDrops
 	for i := 0; i < K; i++ {
 		if err := srv.Send(wrt.ID(), "ack", []byte("ack")); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if net.MailboxShed() != before {
+	if net.Stats().ShedDrops != before {
 		t.Fatal("client-side mailbox shed messages; bound must only apply to servers")
 	}
 }

@@ -2,7 +2,6 @@ package transport
 
 import (
 	"sync"
-	"sync/atomic"
 
 	"fastread/internal/wire"
 )
@@ -18,7 +17,8 @@ const maxRetainedBatch = 1024
 // node, the socket core (framed.Core), whose read loops admit a frame at a
 // time, and a demux route read through Inbox — so the bound-and-drop rule,
 // the consumer-style rule and the close-and-release rule below are written
-// once.
+// once, and so is the counting: the queue that admits or refuses a message
+// counts it (Stats).
 //
 // The asynchronous model requires that a sender never blocks on a slow
 // receiver (a correct process keeps taking steps regardless of what other
@@ -66,17 +66,18 @@ type Queue struct {
 	// on an unbounded queue is otherwise silent: the queue grows, nothing
 	// drops, latency just disappears into it. The mark is the cheapest
 	// honest signal (one comparison per push) and is surfaced through
-	// Store.Stats as MailboxHighWater.
-	hw int
+	// Store.Stats as MailboxHighWater. admits and refusals count the
+	// messages admitted and those the bound refused.
+	hw               int
+	admits, refusals int64
 
 	// bound, when positive, caps the queue depth: a push that would exceed
-	// it is rejected and counted into drops instead of growing the queue.
-	// The "senders never block" rule is preserved — an over-bound push
-	// returns immediately; the message is simply lost, exactly as a lossy
-	// network would lose it, and the protocols already tolerate loss via
-	// quorum slack. Zero means unbounded.
+	// it is refused and counted instead of growing the queue. The "senders
+	// never block" rule is preserved — an over-bound push returns
+	// immediately; the message is simply lost, exactly as a lossy network
+	// would lose it, and the protocols already tolerate loss via quorum
+	// slack. Zero means unbounded.
 	bound int
-	drops *atomic.Int64
 
 	// drained is set once DrainRuns or DrainPushed claims the queue; inbox is
 	// the channel side, nil until the first Inbox call.
@@ -84,19 +85,18 @@ type Queue struct {
 	inbox   chan Message
 }
 
-// NewQueue returns an empty, open queue that drops pushes beyond bound queued
-// messages, counting each drop into drops (which may be nil). A non-positive
-// bound is unbounded.
-func NewQueue(bound int, drops *atomic.Int64) *Queue {
-	q := &Queue{bound: bound, drops: drops}
+// NewQueue returns an empty, open queue that refuses, and counts, pushes
+// beyond bound queued messages. A non-positive bound is unbounded.
+func NewQueue(bound int) *Queue {
+	q := &Queue{bound: bound}
 	q.cond.L = &q.mu
 	return q
 }
 
 // Push appends a message, which brings its one reference (arena and, under a
 // virtual clock, activity token) with it. It reports false, having released
-// that reference, when the queue is closed, or bounded and full (the drop is
-// counted).
+// that reference, when the queue is closed, or bounded and full (the refusal
+// is counted).
 func (q *Queue) Push(m Message) bool {
 	q.mu.Lock()
 	if !q.admit(m) {
@@ -152,21 +152,19 @@ func (q *Queue) admitted() {
 	q.mu.Unlock()
 }
 
-// admit appends m unless the queue is closed or full; q.mu is held.
+// admit appends and counts m unless the queue is closed or full (a full
+// queue counts the refusal); q.mu is held.
 func (q *Queue) admit(m Message) bool {
 	if q.closed {
 		return false
 	}
 	if q.bound > 0 && len(q.items) >= q.bound {
-		if q.drops != nil {
-			q.drops.Add(1)
-		}
+		q.refusals++
 		return false
 	}
 	q.items = append(q.items, m)
-	if len(q.items) > q.hw {
-		q.hw = len(q.items)
-	}
+	q.admits++
+	q.hw = max(q.hw, len(q.items))
 	return true
 }
 
@@ -297,9 +295,11 @@ func (q *Queue) Len() int {
 	return len(q.items)
 }
 
-// HighWater returns the deepest the queue has ever been.
-func (q *Queue) HighWater() int {
+// Stats returns the queue's counters: messages admitted (DeliveredMsgs),
+// refused by the bound (InboundDrops), and the deepest the queue has ever
+// been (MailboxHighWater). A node maps them onto its own kind's meaning.
+func (q *Queue) Stats() Stats {
 	q.mu.Lock()
 	defer q.mu.Unlock()
-	return q.hw
+	return Stats{DeliveredMsgs: q.admits, InboundDrops: q.refusals, MailboxHighWater: q.hw}
 }

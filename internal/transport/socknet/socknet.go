@@ -23,9 +23,7 @@ type Node interface {
 	Addr() string
 	// Stats returns a snapshot of the node's counters; it stays readable
 	// after Close.
-	Stats() framed.Stats
-	// HighWater returns the deepest the node's inbound queue has ever been.
-	HighWater() int
+	Stats() transport.Stats
 }
 
 // Listen binds one node on the named backend, "tcp" or "udp". filter is the

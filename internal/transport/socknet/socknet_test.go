@@ -52,7 +52,7 @@ func recvOne(t *testing.T, n Node) transport.Message {
 }
 
 // waitStats polls until the node's counters satisfy ok.
-func waitStats(t *testing.T, n Node, what string, ok func(framed.Stats) bool) framed.Stats {
+func waitStats(t *testing.T, n Node, what string, ok func(transport.Stats) bool) transport.Stats {
 	t.Helper()
 	deadline := time.Now().Add(5 * time.Second)
 	for {
@@ -98,7 +98,7 @@ func TestCarrierConformance(t *testing.T) {
 			} else {
 				m.ReleaseArena()
 			}
-			if st := nb.Stats(); st.Delivered != 1 || st.Frames != 1 {
+			if st := nb.Stats(); st.DeliveredMsgs != 1 || st.FramesDelivered != 1 {
 				t.Fatalf("stats = %+v, want 1 delivered / 1 frame", st)
 			}
 		}},
@@ -132,7 +132,7 @@ func TestCarrierConformance(t *testing.T) {
 			for i := 0; i < msgs; i++ {
 				arena.Release()
 			}
-			if st := nb.Stats(); st.Delivered != msgs || st.Frames != 1 {
+			if st := nb.Stats(); st.DeliveredMsgs != msgs || st.FramesDelivered != 1 {
 				t.Fatalf("stats = %+v, want %d delivered / 1 frame", st, msgs)
 			}
 		}},
@@ -141,8 +141,8 @@ func TestCarrierConformance(t *testing.T) {
 			if err := na.Send(types.Server(9), "x", []byte("nowhere")); err != nil {
 				t.Fatalf("send to unknown peer = %v, want silent drop", err)
 			}
-			if st := na.Stats(); st.DroppedSend != 1 {
-				t.Fatalf("DroppedSend = %d, want 1", st.DroppedSend)
+			if st := na.Stats(); st.SendDrops != 1 {
+				t.Fatalf("SendDrops = %d, want 1", st.SendDrops)
 			}
 		}},
 		{"oversized payload refused", func(t *testing.T, backend string) {
@@ -151,11 +151,11 @@ func TestCarrierConformance(t *testing.T) {
 			if err := na.Send(b, "x", make([]byte, 4<<20)); err == nil {
 				t.Fatal("oversized payload accepted")
 			}
-			if st := na.Stats(); st.DroppedSend != 1 {
-				t.Fatalf("DroppedSend = %d, want 1", st.DroppedSend)
+			if st := na.Stats(); st.SendDrops != 1 {
+				t.Fatalf("SendDrops = %d, want 1", st.SendDrops)
 			}
-			if st := nb.Stats(); st.Frames != 0 {
-				t.Fatalf("receiver saw %d frames of a refused payload", st.Frames)
+			if st := nb.Stats(); st.FramesDelivered != 0 {
+				t.Fatalf("receiver saw %d frames of a refused payload", st.FramesDelivered)
 			}
 		}},
 		{"full inbox drops and releases", func(t *testing.T, backend string) {
@@ -169,7 +169,7 @@ func TestCarrierConformance(t *testing.T) {
 					t.Fatal(err)
 				}
 				if i%64 == 63 || i == fill-1 {
-					waitStats(t, nb, "filling the inbox", func(st framed.Stats) bool { return st.Delivered == int64(i+1) })
+					waitStats(t, nb, "filling the inbox", func(st transport.Stats) bool { return st.DeliveredMsgs == int64(i+1) })
 				}
 			}
 			batch := wire.NewBatch(0)
@@ -180,8 +180,8 @@ func TestCarrierConformance(t *testing.T) {
 			if err := na.Send(b, wire.BatchKind, batch.Bytes()); err != nil {
 				t.Fatal(err)
 			}
-			st := waitStats(t, nb, "overflowing the inbox", func(st framed.Stats) bool { return st.DroppedInbound >= msgs-int64(room) })
-			if st.DroppedInbound != msgs-int64(room) || st.Delivered != int64(fill+room) || na.Stats().DroppedSend != 0 {
+			st := waitStats(t, nb, "overflowing the inbox", func(st transport.Stats) bool { return st.InboundDrops >= msgs-int64(room) })
+			if st.InboundDrops != msgs-int64(room) || st.DeliveredMsgs != int64(fill+room) || na.Stats().SendDrops != 0 {
 				t.Fatalf("receiver %+v, sender %+v: want %d delivered, %d dropped inbound, no send drops",
 					st, na.Stats(), fill+room, msgs-room)
 			}
@@ -216,7 +216,7 @@ func TestCarrierConformance(t *testing.T) {
 			if _, ok := <-nb.Inbox(); ok {
 				t.Fatal("inbox not closed")
 			}
-			if after := nb.Stats(); after.Delivered != before.Delivered || after.Frames != before.Frames {
+			if after := nb.Stats(); after.DeliveredMsgs != before.DeliveredMsgs || after.FramesDelivered != before.FramesDelivered {
 				t.Fatalf("stats after close = %+v, want what was counted before it: %+v", after, before)
 			}
 		}},
@@ -387,7 +387,7 @@ func TestGoldenWireBytes(t *testing.T) {
 		if _, err := peer.WriteToUDP(unhex(t, goldenUDPPlain), to); err != nil {
 			t.Fatal(err)
 		}
-		waitStats(t, n, "plain golden datagram", func(st framed.Stats) bool { return st.Delivered == 1 })
+		waitStats(t, n, "plain golden datagram", func(st transport.Stats) bool { return st.DeliveredMsgs == 1 })
 		if _, err := peer.WriteToUDP(unhex(t, goldenUDPBatch), to); err != nil {
 			t.Fatal(err)
 		}

@@ -25,8 +25,8 @@
 // slow socket never stalls senders (a stalled peer's queue is bounded,
 // overflow is dropped and counted). The receiving side expands batch frames
 // back into individual messages before they reach the inbox, so consumers
-// are oblivious; framed.Stats counts both frames and messages, which is what
-// makes the frames-per-operation amortisation measurable.
+// are oblivious; the node's transport.Stats counts both frames and messages,
+// which is what makes the frames-per-operation amortisation measurable.
 package tcpnet
 
 import (

@@ -188,8 +188,8 @@ func TestConcurrentSendersDoNotInterleaveFrames(t *testing.T) {
 			t.Fatalf("received only %d of %d messages", len(got), senders*perSender)
 		}
 	}
-	if s := sender.Stats(); s.DroppedSend != 0 {
-		t.Errorf("sender dropped %d frames; burst should fit the write queue", s.DroppedSend)
+	if s := sender.Stats(); s.SendDrops != 0 {
+		t.Errorf("sender dropped %d frames; burst should fit the write queue", s.SendDrops)
 	}
 }
 
@@ -221,14 +221,14 @@ func TestBatchedWritesCoalesceAndDeliverInOrder(t *testing.T) {
 			t.Fatalf("message %d never delivered", i)
 		}
 	}
-	if s := nodes[types.Server(1)].Stats(); s.Delivered != msgs {
-		t.Errorf("receiver Delivered = %d, want %d", s.Delivered, msgs)
+	if s := nodes[types.Server(1)].Stats(); s.DeliveredMsgs != msgs {
+		t.Errorf("receiver DeliveredMsgs = %d, want %d", s.DeliveredMsgs, msgs)
 	}
 }
 
 // TestDropCountersVisible checks that silently dropped traffic shows up in
-// framed.Stats: sends to unreachable peers and inbound frames discarded because
-// the mailbox is full.
+// the node's transport.Stats: sends to unreachable peers (SendDrops) and
+// inbound messages the full inbound queue refused (InboundDrops).
 func TestDropCountersVisible(t *testing.T) {
 	nodes, _, err := LocalCluster([]types.ProcessID{types.Reader(1), types.Server(1)})
 	if err != nil {
@@ -242,16 +242,16 @@ func TestDropCountersVisible(t *testing.T) {
 	client := nodes[types.Reader(1)]
 	receiver := nodes[types.Server(1)]
 
-	// Unreachable peer → DroppedSend.
+	// Unreachable peer → SendDrops.
 	if err := client.Send(types.Server(9), "x", []byte("lost")); err != nil {
 		t.Fatal(err)
 	}
-	if s := client.Stats(); s.DroppedSend != 1 {
-		t.Errorf("DroppedSend = %d, want 1", s.DroppedSend)
+	if s := client.Stats(); s.SendDrops != 1 {
+		t.Errorf("SendDrops = %d, want 1", s.SendDrops)
 	}
 
 	// Overflow the receiver's mailbox (capacity 1024, nobody draining) →
-	// DroppedInbound on the receiver.
+	// InboundDrops on the receiver.
 	const flood = 2000
 	for i := 0; i < flood; i++ {
 		if err := client.Send(types.Server(1), "flood", []byte{1}); err != nil {
@@ -261,7 +261,7 @@ func TestDropCountersVisible(t *testing.T) {
 	ok := false
 	for wait := 0; wait < 200; wait++ {
 		s := receiver.Stats()
-		if s.Delivered+s.DroppedInbound == flood && s.DroppedInbound > 0 {
+		if s.DeliveredMsgs+s.InboundDrops == flood && s.InboundDrops > 0 {
 			ok = true
 			break
 		}
@@ -269,8 +269,8 @@ func TestDropCountersVisible(t *testing.T) {
 	}
 	if !ok {
 		s := receiver.Stats()
-		t.Errorf("flood not accounted for: delivered=%d droppedInbound=%d (want sum %d with drops > 0)",
-			s.Delivered, s.DroppedInbound, flood)
+		t.Errorf("flood not accounted for: delivered=%d inboundDrops=%d (want sum %d with drops > 0)",
+			s.DeliveredMsgs, s.InboundDrops, flood)
 	}
 }
 
@@ -459,7 +459,7 @@ func TestRestartedPeerEvictsBusyConnection(t *testing.T) {
 	stale.pendingBytes += busy.Size()
 	stale.pendingMsgs += busy.Count()
 	stale.mu.Unlock()
-	dropsBefore := server.Stats().DroppedSend
+	dropsBefore := server.Stats().SendDrops
 
 	client2, err := Listen(framed.Config{Self: types.Writer(), ListenAddr: book[types.Writer()], Book: book})
 	if err != nil {
@@ -477,7 +477,7 @@ func TestRestartedPeerEvictsBusyConnection(t *testing.T) {
 	case <-time.After(3 * time.Second):
 		t.Fatal("restarted peer with busy stale connection got no reply on first operation")
 	}
-	if drops := server.Stats().DroppedSend; drops < dropsBefore+3 {
+	if drops := server.Stats().SendDrops; drops < dropsBefore+3 {
 		t.Errorf("queued frames to the dead incarnation not surfaced as drops: %d -> %d", dropsBefore, drops)
 	}
 }
@@ -529,7 +529,7 @@ func TestDeferredEvictionAfterLateEOF(t *testing.T) {
 	stale.pendingBytes += busy.Size()
 	stale.pendingMsgs += busy.Count()
 	stale.mu.Unlock()
-	dropsBefore := server.Stats().DroppedSend
+	dropsBefore := server.Stats().SendDrops
 
 	// The real warm-up already counted one live inbound connection from the
 	// writer. Simulate the restarted incarnation's connection announcing
@@ -552,7 +552,7 @@ func TestDeferredEvictionAfterLateEOF(t *testing.T) {
 	if !evicted {
 		t.Fatal("late EOF did not evict the remembered stale connection")
 	}
-	if drops := server.Stats().DroppedSend; drops < dropsBefore+3 {
+	if drops := server.Stats().SendDrops; drops < dropsBefore+3 {
 		t.Errorf("queued frames not surfaced as drops: %d -> %d", dropsBefore, drops)
 	}
 }

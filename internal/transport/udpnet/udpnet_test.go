@@ -61,8 +61,8 @@ func TestUDPChunkedOversizedBatch(t *testing.T) {
 		}
 		m.ReleaseArena()
 	}
-	if st := nodes[b].Stats(); st.Frames < 2 {
-		t.Fatalf("oversized envelope arrived in %d frame(s), want several", st.Frames)
+	if st := nodes[b].Stats(); st.FramesDelivered < 2 {
+		t.Fatalf("oversized envelope arrived in %d frame(s), want several", st.FramesDelivered)
 	}
 }
 
@@ -137,8 +137,8 @@ func TestUDPDedupEndToEnd(t *testing.T) {
 	for {
 		st := nodes[b].Stats()
 		if st.DedupDrops >= 2 {
-			if st.Delivered != 1 {
-				t.Fatalf("delivered %d copies, want 1", st.Delivered)
+			if st.DeliveredMsgs != 1 {
+				t.Fatalf("delivered %d copies, want 1", st.DeliveredMsgs)
 			}
 			break
 		}

@@ -9,6 +9,7 @@ import (
 	"fastread/internal/durable"
 	"fastread/internal/fault"
 	"fastread/internal/protoutil"
+	"fastread/internal/transport"
 )
 
 // Protocol selects which register implementation a deployment runs, by its
@@ -98,9 +99,9 @@ type Config struct {
 	// mailbox at that many messages (socket inboxes are always capped at
 	// 1 024 and count their overflow in InboundDrops): deliveries beyond the
 	// cap are shed and counted in Stats.ShedDrops instead of growing the
-	// queue, so server memory, queueing delay and MailboxHighWater stay
-	// bounded under overload. Shedding a request is as safe as a lossy network:
-	// the protocols tolerate loss via quorum slack and client
+	// queue, so server memory, queueing delay and Stats.MailboxHighWater
+	// stay bounded under overload. Shedding a request is as safe as a lossy
+	// network: the protocols tolerate loss via quorum slack and client
 	// retry/timeout. Client-side queues are never bounded by this knob
 	// (dropping acknowledgements can starve a completable quorum). Zero
 	// (the default) keeps every queue unbounded.
@@ -355,52 +356,23 @@ func publicReadResult(res protoutil.ReadResult) ReadResult {
 	}
 }
 
-// Stats summarises the work performed through a cluster's clients.
+// Stats summarises the work a store has performed since NewStore: completed
+// operations and their round trips, the network's counters, and the servers'
+// state mutations.
 type Stats struct {
 	Writes          int64
 	Reads           int64
 	WriteRoundTrips int64
 	ReadRoundTrips  int64
 	FallbackReads   int64
-	DeliveredMsgs   int
-	DroppedMsgs     int
-	// FramesDelivered counts transport frames: on the TCP backend, wire
-	// frames read off sockets (a batch frame carries many protocol
-	// messages, so under pipelined load FramesDelivered ≪ DeliveredMsgs —
-	// frames per operation below 1 is the batching working); on the
-	// in-memory backend there is no frame concept and it equals
-	// DeliveredMsgs.
-	FramesDelivered int
-	// SendDrops counts outbound messages the transport discarded: a peer's
-	// bounded write queue overflowing (TCP), the outbound datagram queue
-	// overflowing or an unreachable destination (UDP). The protocols tolerate
-	// these as in-transit losses; the counter makes overload visible.
-	SendDrops int
-	// InboundDrops counts messages discarded at a full inbox on the
-	// receiving side. DroppedMsgs is the sum of SendDrops, InboundDrops and
-	// DedupDrops.
-	InboundDrops int
-	// DedupDrops counts datagrams the UDP backend's per-sender at-most-once
-	// windows rejected as duplicates or stale replays; always zero on the
-	// other backends.
-	DedupDrops int
-	// MailboxHighWater is the deepest any process's inbound queue has ever
-	// been. By default the in-memory transport never drops on overload —
-	// the asynchronous model forbids blocking a sender — so sustained
-	// overload shows up here as unbounded growth; a bench or simulation
-	// that ends with a high-water mark far above PipelineDepth × clients
-	// was queueing, not keeping up. With Config.QueueBound set, server
-	// mailboxes cap at the bound (so the mark stays at or under it) and
-	// the overflow moves to ShedDrops. A socket node's inbound queue is
-	// capped at 1 024 messages, so there the mark stops at the cap and
-	// overflow shows up as InboundDrops.
-	MailboxHighWater int
-	// ShedDrops counts messages shed by the opt-in overload bound on the
-	// in-memory server mailboxes (Config.QueueBound). Always 0 without
-	// it. Together with client-side ErrOverloaded rejections (which the
-	// caller observes directly), this is the exact account of where
-	// offered load beyond capacity went.
-	ShedDrops        int64
+	// NetworkStats holds the deployment's network counters, summed over
+	// every replica group's transport session (the high-water mark is the
+	// deepest of them).
+	NetworkStats
+	// DroppedMsgs counts every message the transport lost: the sum of
+	// SendDrops, InboundDrops and DedupDrops. Shed messages count in
+	// ShedDrops only.
+	DroppedMsgs      int64
 	ServerMutations  int64
 	ReadRoundsPerOp  float64
 	WriteRoundsPerOp float64
@@ -414,9 +386,16 @@ type Stats struct {
 	Groups []GroupStats
 }
 
+// NetworkStats counts what the transport did with the protocol messages:
+// delivered, framed, dropped on send or receipt, rejected as duplicates, shed
+// by Config.QueueBound, and the deepest inbound queue. It has one shape and
+// one meaning on every backend; the field comments of the aliased struct
+// spell out each counter.
+type NetworkStats = transport.Stats
+
 // GroupStats is one replica group's share of a partitioned deployment's
 // Stats: how many keys the ring has routed to it so far, its operation
-// counts, and its transport session's drop and queueing counters (the
+// counts, and its transport session's network counters (the
 // deployment-wide fields of Stats are the aggregates of these).
 type GroupStats struct {
 	// Group is the replica group's name.
@@ -427,14 +406,9 @@ type GroupStats struct {
 	// Writes, Reads and Ops (their sum) count completed operations on the
 	// group's registers.
 	Writes, Reads, Ops int64
-	// SendDrops, InboundDrops and DedupDrops are the group session's drop
-	// counters; MailboxHighWater its deepest inbound queue. See the
-	// same-named Stats fields.
-	SendDrops, InboundDrops, DedupDrops int
-	MailboxHighWater                    int
-	// ShedDrops counts messages shed by this group's bounded in-memory
-	// server mailboxes (Config.QueueBound); see Stats.ShedDrops.
-	ShedDrops int64
+	// NetworkStats holds the group session's network counters; see
+	// NetworkStats.
+	NetworkStats
 	// Durable aggregates the group's servers' write-ahead-log counters
 	// (zero when Config.DataDir is empty or the group is uninstantiated).
 	Durable DurableStats

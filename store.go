@@ -697,26 +697,8 @@ func (s *Store) Stats() Stats {
 			continue
 		}
 		gs := &out.Groups[gi]
-		ts := g.session.stats()
-		gs.SendDrops = ts.sendDrops
-		gs.InboundDrops = ts.inboundDrops
-		gs.DedupDrops = ts.dedupDrops
-		gs.MailboxHighWater = ts.mailboxHighWater
-		out.DeliveredMsgs += ts.delivered
-		out.FramesDelivered += ts.frames
-		out.DroppedMsgs += ts.dropped()
-		out.SendDrops += ts.sendDrops
-		out.InboundDrops += ts.inboundDrops
-		out.DedupDrops += ts.dedupDrops
-		if ts.mailboxHighWater > out.MailboxHighWater {
-			// A high-water mark aggregates as a maximum: the deepest any
-			// process of any group has ever queued.
-			out.MailboxHighWater = ts.mailboxHighWater
-		}
-		// Shed accounting: the bounded in-memory server mailboxes (transport
-		// session).
-		gs.ShedDrops = ts.shedDrops
-		out.ShedDrops += gs.ShedDrops
+		gs.NetworkStats = g.session.stats()
+		out.NetworkStats.Add(gs.NetworkStats)
 		g.srvMu.Lock()
 		servers := append([]driver.Server(nil), g.servers...)
 		g.srvMu.Unlock()
@@ -734,6 +716,7 @@ func (s *Store) Stats() Stats {
 		out.Reads += gs.Reads
 		out.Durable.Add(gs.Durable)
 	}
+	out.DroppedMsgs = out.SendDrops + out.InboundDrops + out.DedupDrops
 	if out.Reads > 0 {
 		out.ReadRoundsPerOp = float64(out.ReadRoundTrips) / float64(out.Reads)
 	}

@@ -57,33 +57,10 @@ type transportSession interface {
 	// inMem exposes the underlying in-memory network, or nil when the
 	// backend is not the in-memory one.
 	inMem() *transport.InMemNetwork
-	// stats reports the backend's delivery and drop counters so far.
-	stats() sessionStats
+	// stats reports the backend's counters so far, summed over the
+	// session's nodes.
+	stats() transport.Stats
 }
-
-// sessionStats is a backend-neutral counter snapshot summed over a session's
-// nodes; Store.Stats surfaces it field by field.
-type sessionStats struct {
-	// delivered counts protocol messages handed to inboxes, and frames the
-	// transport frames that carried them (== delivered on backends without
-	// a frame concept).
-	delivered, frames int
-	// sendDrops counts outbound messages discarded before leaving (bounded
-	// write/datagram queues, unreachable peers); inboundDrops messages
-	// discarded at full inboxes; dedupDrops datagrams rejected by the UDP
-	// at-most-once windows.
-	sendDrops, inboundDrops, dedupDrops int
-	// mailboxHighWater is the deepest any process's inbound queue has ever
-	// been.
-	mailboxHighWater int
-	// shedDrops counts deliveries shed by the servers' opt-in bounded
-	// mailboxes (Config.QueueBound; in-memory backend — socket backends
-	// report their bounded-queue losses through the drop counters above).
-	shedDrops int64
-}
-
-// dropped sums every way the backend lost a message.
-func (s sessionStats) dropped() int { return s.sendDrops + s.inboundDrops + s.dedupDrops }
 
 // InMemoryOption tweaks the in-memory backend.
 type InMemoryOption func(*inMemTransport)
@@ -177,23 +154,11 @@ type inMemSession struct {
 func (s *inMemSession) join(id types.ProcessID) (transport.Node, error) { return s.net.Join(id) }
 func (s *inMemSession) close() error                                    { return s.net.Close() }
 func (s *inMemSession) inMem() *transport.InMemNetwork                  { return s.net }
+func (s *inMemSession) stats() transport.Stats                          { return s.net.Stats() }
 
 func (s *inMemSession) crash(id types.ProcessID) error {
 	s.net.Crash(id)
 	return nil
-}
-
-func (s *inMemSession) stats() sessionStats {
-	ns := s.net.Stats()
-	// No frame concept in memory: a delivery is its own frame. Every
-	// in-memory drop happens on the delivery side (full inbox, adversary).
-	return sessionStats{
-		delivered:        ns.Delivered,
-		frames:           ns.Delivered,
-		inboundDrops:     ns.Dropped,
-		mailboxHighWater: s.net.MailboxHighWater(),
-		shedDrops:        s.net.MailboxShed(),
-	}
 }
 
 // TCP returns a transport backend that attaches every process of the
@@ -347,21 +312,12 @@ func (s *socketSession) crash(id types.ProcessID) error {
 
 func (s *socketSession) inMem() *transport.InMemNetwork { return nil }
 
-func (s *socketSession) stats() sessionStats {
+func (s *socketSession) stats() transport.Stats {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	var sum framed.Stats
-	hw := 0
+	var sum transport.Stats
 	for _, n := range s.nodes {
 		sum.Add(n.Stats())
-		hw = max(hw, n.HighWater())
 	}
-	return sessionStats{
-		delivered:        int(sum.Delivered),
-		frames:           int(sum.Frames),
-		sendDrops:        int(sum.DroppedSend),
-		inboundDrops:     int(sum.DroppedInbound),
-		dedupDrops:       int(sum.DedupDrops),
-		mailboxHighWater: hw,
-	}
+	return sum
 }
