@@ -54,13 +54,13 @@ func TestWorkloadConsistencyPerProtocol(t *testing.T) {
 			var completed atomic.Int64
 			h := driveRegister(ctx, t, cluster.reg, 25, 30, func() {
 				if completed.Add(1) == 10 {
-					mustNetwork(t, cluster).Crash(types.Server(sc.cfg.Servers))
+					mustNetwork(t, cluster).Isolate(types.Server(sc.cfg.Servers))
 				}
 			})
 			if t.Failed() {
 				return
 			}
-			if !mustNetwork(t, cluster).Crashed(types.Server(sc.cfg.Servers)) {
+			if completed.Load() < 10 {
 				t.Fatalf("server %d was not crashed mid-run", sc.cfg.Servers)
 			}
 
@@ -110,7 +110,7 @@ func TestFallbackReadsReturnPreviousValue(t *testing.T) {
 	}
 	// Stall the next write: it reaches a single server only.
 	for i := 2; i <= 7; i++ {
-		mustNetwork(t, cluster).Block(types.Writer(), types.Server(i))
+		mustNetwork(t, cluster).Hold(types.Writer(), types.Server(i))
 	}
 	stallCtx, cancel := context.WithTimeout(ctx, 100*time.Millisecond)
 	defer cancel()

@@ -159,8 +159,8 @@ func TestSWMRToleratesMinorityCrash(t *testing.T) {
 	if err := w.Write(d.ctx(), types.Value("v1")); err != nil {
 		t.Fatal(err)
 	}
-	d.net.Crash(types.Server(1))
-	d.net.Crash(types.Server(2))
+	d.net.Isolate(types.Server(1))
+	d.net.Isolate(types.Server(2))
 
 	if err := w.Write(d.ctx(), types.Value("v2")); err != nil {
 		t.Fatalf("write after minority crash: %v", err)
@@ -184,8 +184,8 @@ func TestSWMRWriteBackPropagatesToSlowServers(t *testing.T) {
 	r := d.swmrReader(1)
 
 	// Block the writer (only) from servers 4 and 5.
-	d.net.Block(types.Writer(), types.Server(4))
-	d.net.Block(types.Writer(), types.Server(5))
+	d.net.Hold(types.Writer(), types.Server(4))
+	d.net.Hold(types.Writer(), types.Server(5))
 	if err := w.Write(d.ctx(), types.Value("v1")); err != nil {
 		t.Fatal(err)
 	}

@@ -55,11 +55,11 @@ func runChaosSchedule(t *testing.T, cfg quorum.Config, seed int64) {
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 	defer cancel()
 
-	// Adversary goroutine: blocks and unblocks random client→server and
-	// server→client links, and crashes up to t servers, while the workload
-	// runs. Blocked links are always unblocked again shortly after so that
-	// operations keep terminating (the adversary may delay, not destroy,
-	// more than t servers).
+	// Adversary goroutine: holds random client→server and server→client
+	// links and drops what they held, and crashes up to t servers, while the
+	// workload runs. Held links are always opened again shortly after so
+	// that operations keep terminating (the adversary may delay, not
+	// destroy, more than t servers).
 	stopAdversary := make(chan struct{})
 	var adversaryDone sync.WaitGroup
 	adversaryDone.Add(1)
@@ -70,6 +70,7 @@ func runChaosSchedule(t *testing.T, cfg quorum.Config, seed int64) {
 			clients = append(clients, types.Reader(i))
 		}
 		crashesLeft := cfg.Faulty
+		var held [][2]types.ProcessID
 		for {
 			select {
 			case <-stopAdversary:
@@ -80,14 +81,19 @@ func runChaosSchedule(t *testing.T, cfg quorum.Config, seed int64) {
 			server := types.Server(rng.Intn(cfg.Servers) + 1)
 			switch rng.Intn(6) {
 			case 0:
-				c.net.Block(client, server)
+				c.net.Hold(client, server)
+				held = append(held, [2]types.ProcessID{client, server})
 			case 1:
-				c.net.Block(server, client)
+				c.net.Hold(server, client)
+				held = append(held, [2]types.ProcessID{server, client})
 			case 2, 3:
-				c.net.UnblockAll()
+				for _, l := range held {
+					c.net.DropHeld(l[0], l[1])
+				}
+				held = held[:0]
 			case 4:
 				if crashesLeft > 0 && rng.Intn(4) == 0 {
-					c.net.Crash(types.Server(cfg.Servers - crashesLeft + 1))
+					c.net.Isolate(types.Server(cfg.Servers - crashesLeft + 1))
 					crashesLeft--
 				}
 			case 5:

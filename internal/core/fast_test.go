@@ -90,8 +90,8 @@ func TestToleratesCrashOfTServers(t *testing.T) {
 
 	// Crash t servers; both writes and reads must still terminate and stay
 	// atomic.
-	c.net.Crash(types.Server(1))
-	c.net.Crash(types.Server(2))
+	c.net.Isolate(types.Server(1))
+	c.net.Isolate(types.Server(2))
 
 	res := c.read(1)
 	if !res.Value.Equal(types.Value("before-crash")) {
@@ -117,7 +117,7 @@ func TestIncompleteWriteReadsNeverGoBackwards(t *testing.T) {
 	// Block the writer from reaching all but one server, then attempt a
 	// write that cannot complete.
 	for i := 2; i <= cfg.Servers; i++ {
-		c.net.Block(types.Writer(), types.Server(i))
+		c.net.Hold(types.Writer(), types.Server(i))
 	}
 	ctx, cancel := context.WithTimeout(context.Background(), 100*time.Millisecond)
 	defer cancel()
@@ -417,7 +417,7 @@ func TestReadInterruptedByContext(t *testing.T) {
 	c := newTestCluster(t, cfg)
 	// Block every server from answering reader 1.
 	for i := 1; i <= cfg.Servers; i++ {
-		c.net.Block(types.Reader(1), types.Server(i))
+		c.net.Hold(types.Reader(1), types.Server(i))
 	}
 	ctx, cancel := context.WithTimeout(context.Background(), 50*time.Millisecond)
 	defer cancel()

@@ -149,7 +149,7 @@ func TestGossipPropagatesIncompleteWrite(t *testing.T) {
 	}
 
 	for i := 2; i <= cfg.Servers; i++ {
-		d.net.Block(types.Writer(), types.Server(i))
+		d.net.Hold(types.Writer(), types.Server(i))
 	}
 	ctx, cancel := context.WithTimeout(context.Background(), 100*time.Millisecond)
 	defer cancel()
@@ -180,8 +180,8 @@ func TestToleratesMinorityCrash(t *testing.T) {
 	if err := w.Write(d.ctx(), types.Value("v1")); err != nil {
 		t.Fatal(err)
 	}
-	d.net.Crash(types.Server(4))
-	d.net.Crash(types.Server(5))
+	d.net.Isolate(types.Server(4))
+	d.net.Isolate(types.Server(5))
 	if err := w.Write(d.ctx(), types.Value("v2")); err != nil {
 		t.Fatal(err)
 	}

@@ -15,7 +15,7 @@ import (
 
 // startAckServer joins the network as the given server and replies to every
 // incoming message with an ack of the supplied op and timestamp.
-func startAckServer(t *testing.T, net transport.Network, id types.ProcessID, op wire.Op, ts types.Timestamp) {
+func startAckServer(t *testing.T, net *transport.InMemNetwork, id types.ProcessID, op wire.Op, ts types.Timestamp) {
 	t.Helper()
 	node, err := net.Join(id)
 	if err != nil {

@@ -128,8 +128,8 @@ func TestSupportsManyReadersAndMinorityCrash(t *testing.T) {
 	if err := w.Write(d.ctx(), types.Value("v1")); err != nil {
 		t.Fatal(err)
 	}
-	d.net.Crash(types.Server(1))
-	d.net.Crash(types.Server(2))
+	d.net.Isolate(types.Server(1))
+	d.net.Isolate(types.Server(2))
 	for i := 1; i <= 20; i++ {
 		r := d.reader(i)
 		res, err := r.Read(d.ctx())
@@ -185,7 +185,7 @@ func TestNewOldInversionIsPossible(t *testing.T) {
 	// The second write reaches only servers 1 and 2 (a minority), then
 	// stalls: block the writer from the rest.
 	for i := 3; i <= 5; i++ {
-		d.net.Block(types.Writer(), types.Server(i))
+		d.net.Hold(types.Writer(), types.Server(i))
 	}
 	ctx, cancel := context.WithTimeout(context.Background(), 100*time.Millisecond)
 	defer cancel()
@@ -193,16 +193,16 @@ func TestNewOldInversionIsPossible(t *testing.T) {
 
 	// Reader 1's quorum is forced to include server 1 (sees "new"): block r1
 	// from servers 4 and 5 so its majority must contain servers 1..3.
-	d.net.Block(types.Reader(1), types.Server(4))
-	d.net.Block(types.Reader(1), types.Server(5))
+	d.net.Hold(types.Reader(1), types.Server(4))
+	d.net.Hold(types.Reader(1), types.Server(5))
 	res1, err := r1.Read(d.ctx())
 	if err != nil {
 		t.Fatal(err)
 	}
 
 	// Reader 2's quorum is forced to miss servers 1 and 2 (sees only "old").
-	d.net.Block(types.Reader(2), types.Server(1))
-	d.net.Block(types.Reader(2), types.Server(2))
+	d.net.Hold(types.Reader(2), types.Server(1))
+	d.net.Hold(types.Reader(2), types.Server(2))
 	res2, err := r2.Read(d.ctx())
 	if err != nil {
 		t.Fatal(err)

@@ -532,7 +532,8 @@ func (r *runner) applyFault(f FaultEvent) {
 		}
 	case FaultHold:
 		for _, c := range r.clients() {
-			r.net.HoldPair(c, srv)
+			r.net.Hold(c, srv)
+			r.net.Hold(srv, c)
 		}
 	case FaultRelease:
 		for _, c := range r.clients() {

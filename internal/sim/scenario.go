@@ -37,7 +37,8 @@ const (
 	// FaultReconnect undoes FaultIsolate for the server.
 	FaultReconnect FaultKind = "reconnect"
 	// FaultCrash crash-stops a server permanently (the crash model's
-	// failure). At most Faulty servers should ever be crashed.
+	// failure): an isolation that is never reconnected. At most Faulty
+	// servers should ever be crashed.
 	FaultCrash FaultKind = "crash"
 	// FaultHold suspends delivery on every link between the server and the
 	// deployment's clients: messages sent while held are queued in transit.

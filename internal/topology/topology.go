@@ -107,9 +107,6 @@ func NewRing(names []string, virtualNodes int) (*Ring, error) {
 // Groups returns the number of groups on the ring.
 func (r *Ring) Groups() int { return r.groups }
 
-// VirtualNodes returns the total virtual-node count on the ring.
-func (r *Ring) VirtualNodes() int { return len(r.points) }
-
 // Lookup returns the index (into the ordered group list the ring was built
 // from) of the group owning key.
 func (r *Ring) Lookup(key string) int { return r.locate(mix(fnv1a(key))) }

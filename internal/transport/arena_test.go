@@ -80,7 +80,7 @@ func TestAckArenaEveryDropPath(t *testing.T) {
 
 	t.Run("crashed destination", func(t *testing.T) {
 		net, srv, _ := join(t)
-		net.Crash(reader)
+		net.Isolate(reader)
 		payload, a := ackArena(t, 1)
 		_ = srv.SendArena(reader, "readack", payload, a)
 		wantRefs(t, "an ack to a crashed node", a, 0)

@@ -79,32 +79,32 @@ func WithBatching() InMemOption {
 // reads it through an atomic pointer without locking.
 type nodeMap map[types.ProcessID]*inMemNode
 
-// InMemNetwork is the goroutine/channel implementation of Network.
+// InMemNetwork is the in-process network: every process joins it and gets a
+// node whose queue its consumer drains.
 //
 // The per-message route/deliver path is designed for heavy multi-register
 // traffic: each destination's queue counts what it admits under the lock it
 // already takes, and the node table is copy-on-write — so concurrent senders
-// never serialise on a network-wide lock. Adversarial controls (blocks,
-// crashes, holds, a virtual clock) flip the network onto a mutex-guarded
-// slow path; a network that never uses them (the common benchmark and
-// production shape) stays lock-free end to end. Time is virtual or absent:
-// delays exist only on a virtual clock.
+// never serialise on a network-wide lock. The adversary's two powers — a
+// process is up or isolated (Isolate), a link is open or held (Hold) — and a
+// virtual clock flip the network onto a mutex-guarded slow path; a network
+// that never uses them (the common benchmark and production shape) stays
+// lock-free end to end. Time is virtual or absent: delays exist only on a
+// virtual clock.
 type InMemNetwork struct {
-	// mu guards the adversarial configuration, the hold queues and
-	// membership changes. The per-message fast path never takes it.
-	mu      sync.Mutex
-	nodes   atomic.Pointer[nodeMap]
-	blocked map[link]bool
-	crashed map[types.ProcessID]bool
-	downed  map[types.ProcessID]bool
-	held    map[link][]Message
+	// mu guards the process and link faults, the hold queues and membership
+	// changes. The per-message fast path never takes it.
+	mu    sync.Mutex
+	nodes atomic.Pointer[nodeMap]
+	down  map[types.ProcessID]bool
+	held  map[link][]Message
 
 	// clock, when non-nil, puts the network in virtual-time simulation mode
 	// (see WithClock).
 	clock *VirtualClock
 
-	// slow is true whenever any adversarial feature (or closure) is active;
-	// route() and holdIfNeeded() consult it before touching mu.
+	// slow is true whenever a fault, a virtual clock or closure is active;
+	// route() consults it before touching mu.
 	slow   atomic.Bool
 	closed bool
 
@@ -120,16 +120,13 @@ type InMemNetwork struct {
 	serverBound  int
 }
 
-var _ Network = (*InMemNetwork)(nil)
-
 // NewInMemNetwork builds an in-memory network. It is safe for concurrent use
 // by any number of nodes.
 func NewInMemNetwork(opts ...InMemOption) *InMemNetwork {
 	n := &InMemNetwork{
-		blocked: make(map[link]bool),
-		crashed: make(map[types.ProcessID]bool),
-		downed:  make(map[types.ProcessID]bool),
-		rng:     rand.New(rand.NewSource(1)),
+		down: make(map[types.ProcessID]bool),
+		held: make(map[link][]Message),
+		rng:  rand.New(rand.NewSource(1)),
 	}
 	empty := make(nodeMap)
 	n.nodes.Store(&empty)
@@ -143,15 +140,11 @@ func NewInMemNetwork(opts ...InMemOption) *InMemNetwork {
 // updateSlowLocked recomputes the slow-path flag. Callers must hold n.mu
 // (or, during construction, have exclusive access).
 func (n *InMemNetwork) updateSlowLocked() {
-	n.slow.Store(n.closed ||
-		len(n.blocked) > 0 ||
-		len(n.crashed) > 0 ||
-		len(n.downed) > 0 ||
-		len(n.held) > 0 ||
-		n.clock != nil)
+	n.slow.Store(n.closed || len(n.down) > 0 || len(n.held) > 0 || n.clock != nil)
 }
 
-// Join implements Network.
+// Join attaches a process to the network and returns its node. Joining a
+// process whose node is still open is an error.
 func (n *InMemNetwork) Join(id types.ProcessID) (Node, error) {
 	if !id.Valid() {
 		return nil, fmt.Errorf("transport: invalid process id %v", id)
@@ -168,13 +161,12 @@ func (n *InMemNetwork) Join(id types.ProcessID) (Node, error) {
 		}
 		// A closed node's identity may be re-taken: a restarted process
 		// rejoins under its old name (Store.RestartServer). The new
-		// incarnation starts reachable — any crash or isolation mark against
-		// the dead one is cleared; messages still queued on the old node are
+		// incarnation starts reachable — an isolation mark against the dead
+		// one is cleared; messages still queued on the old node are
 		// lost with it, exactly as a real restart loses its socket buffers.
 		// Its counters are not: they retire into the network's totals.
 		n.retired.Add(prev.Stats())
-		delete(n.crashed, id)
-		delete(n.downed, id)
+		delete(n.down, id)
 		n.updateSlowLocked()
 	}
 	bound := 0
@@ -191,7 +183,8 @@ func (n *InMemNetwork) Join(id types.ProcessID) (Node, error) {
 	return node, nil
 }
 
-// Close implements Network.
+// Close shuts the network and every attached node down. Messages still held
+// on a link are dropped with it.
 func (n *InMemNetwork) Close() error {
 	n.mu.Lock()
 	if n.closed {
@@ -199,73 +192,33 @@ func (n *InMemNetwork) Close() error {
 		return nil
 	}
 	n.closed = true
+	held := n.held
+	n.held = make(map[link][]Message)
 	n.updateSlowLocked()
 	nodes := *n.nodes.Load()
 	n.mu.Unlock()
 
+	for _, msgs := range held {
+		n.drop(msgs...)
+	}
 	for _, node := range nodes {
 		_ = node.Close()
 	}
 	return nil
 }
 
-// Block prevents delivery of any message sent from `from` to `to` until
-// Unblock is called. Messages sent while the link is blocked are counted as
-// dropped; in the abstract model they are simply "in transit" forever, which
-// is indistinguishable to the protocols because no protocol waits for more
-// than S−t servers.
-func (n *InMemNetwork) Block(from, to types.ProcessID) {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	n.blocked[link{from, to}] = true
-	n.updateSlowLocked()
-}
-
-// Unblock re-enables delivery on the link.
-func (n *InMemNetwork) Unblock(from, to types.ProcessID) {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	delete(n.blocked, link{from, to})
-	n.updateSlowLocked()
-}
-
-// BlockPair blocks both directions between the two processes.
-func (n *InMemNetwork) BlockPair(a, b types.ProcessID) {
-	n.Block(a, b)
-	n.Block(b, a)
-}
-
-// UnblockAll clears every blocked link.
-func (n *InMemNetwork) UnblockAll() {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	n.blocked = make(map[link]bool)
-	n.updateSlowLocked()
-}
-
-// Crash marks a process as crashed: no message is delivered to it or from it
-// anymore. Crashing is permanent for the lifetime of the process incarnation,
-// matching the crash-stop model; only a NEW incarnation that closes the dead
-// node and rejoins under the same identity (see Join) clears the mark, which
-// is the crash-recovery model the durable servers implement.
-func (n *InMemNetwork) Crash(id types.ProcessID) {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	n.crashed[id] = true
-	n.updateSlowLocked()
-}
-
-// Isolate cuts a process off the network: every message to or from it is
-// dropped until Reconnect. Unlike Crash it is reversible — the process keeps
-// running and keeps its state, so an Isolate/Reconnect window models an
-// outage with state retained (a restart that recovers from its durable log
-// is a new incarnation: the old node closed, the identity joined again —
-// see Join). Like Block, isolation applies at SEND time: messages already
-// routed when the window opens still deliver.
+// Isolate cuts a process off the network: every message sent to or from it
+// is dropped until Reconnect. The process keeps running and keeps its state,
+// so an Isolate/Reconnect window models an outage with state retained; a
+// crash-stop is an isolation that is never reconnected (a restart that
+// recovers from its durable log is a new incarnation: the old node closed,
+// the identity joined again — see Join, which clears the mark). Isolation
+// applies at SEND time: messages already routed or held when the window
+// opens still deliver.
 func (n *InMemNetwork) Isolate(id types.ProcessID) {
 	n.mu.Lock()
 	defer n.mu.Unlock()
-	n.downed[id] = true
+	n.down[id] = true
 	n.updateSlowLocked()
 }
 
@@ -273,15 +226,8 @@ func (n *InMemNetwork) Isolate(id types.ProcessID) {
 func (n *InMemNetwork) Reconnect(id types.ProcessID) {
 	n.mu.Lock()
 	defer n.mu.Unlock()
-	delete(n.downed, id)
+	delete(n.down, id)
 	n.updateSlowLocked()
-}
-
-// Crashed reports whether the process has been crashed via Crash.
-func (n *InMemNetwork) Crashed(id types.ProcessID) bool {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	return n.crashed[id]
 }
 
 // Stats sums every node's queue counters, past incarnations included, and
@@ -299,44 +245,53 @@ func (n *InMemNetwork) Stats() Stats {
 	return s
 }
 
-// route decides the fate of a message: returns the destination node and its
-// virtual delay if it should be delivered, or nil if it must be dropped.
+// route decides the fate of a message: it returns the destination node and
+// the virtual delay to deliver it with, or nil once the network has taken the
+// message — held on its link, or dropped with its reference released.
 //
-// The fast path — no blocks, crashes, holds or virtual clock configured —
-// reads the copy-on-write node table without taking any network-wide lock.
-func (n *InMemNetwork) route(msg Message) (*inMemNode, time.Duration, bool) {
+// The fast path — no isolation, hold or virtual clock configured — reads the
+// copy-on-write node table without taking any network-wide lock.
+func (n *InMemNetwork) route(msg Message) (*inMemNode, time.Duration) {
 	if n.slow.Load() {
 		return n.routeSlow(msg)
 	}
 	dst, ok := (*n.nodes.Load())[msg.To]
 	if !ok {
-		n.dropped.Add(1)
-		return nil, 0, false
+		n.drop(msg)
+		return nil, 0
 	}
-	return dst, 0, true
+	return dst, 0
 }
 
-// routeSlow is the mutex-guarded routing path used while any adversarial
-// control is active (or the network is closed).
-func (n *InMemNetwork) routeSlow(msg Message) (*inMemNode, time.Duration, bool) {
-	l := link{msg.From, msg.To}
+// routeSlow decides under one acquisition of mu, in one order: drop, then
+// hold, then deliver with the virtual delay.
+func (n *InMemNetwork) routeSlow(msg Message) (*inMemNode, time.Duration) {
 	n.mu.Lock()
-	defer n.mu.Unlock()
-	if n.closed || n.crashed[msg.From] || n.crashed[msg.To] ||
-		n.downed[msg.From] || n.downed[msg.To] || n.blocked[l] {
-		n.dropped.Add(1)
-		return nil, 0, false
+	dst := (*n.nodes.Load())[msg.To]
+	if n.closed || n.down[msg.From] || n.down[msg.To] || dst == nil {
+		n.mu.Unlock()
+		n.drop(msg)
+		return nil, 0
 	}
-	dst, ok := (*n.nodes.Load())[msg.To]
-	if !ok {
-		n.dropped.Add(1)
-		return nil, 0, false
+	l := link{msg.From, msg.To}
+	if q, ok := n.held[l]; ok {
+		n.held[l] = append(q, msg)
+		n.mu.Unlock()
+		return nil, 0
 	}
 	delay := n.defaultDelay
 	if n.jitter > 0 {
 		delay += time.Duration(n.rng.Int63n(int64(n.jitter)))
 	}
-	return dst, delay, true
+	n.mu.Unlock()
+	return dst, delay
+}
+
+// drop counts messages the network discards — in routing, off a held link,
+// at close — and releases their references.
+func (n *InMemNetwork) drop(msgs ...Message) {
+	n.dropped.Add(int64(len(msgs)))
+	releaseAll(msgs)
 }
 
 // deliver hands the message to the destination mailbox without ever
@@ -411,24 +366,18 @@ func (nd *inMemNode) SendArena(to types.ProcessID, kind string, payload []byte, 
 	return nd.send(Message{From: nd.id, To: to, Kind: kind, Payload: payload, Arena: arena})
 }
 
-// send holds, routes and delivers one message. A message that goes nowhere —
-// from a closed node, or dropped by routing — gives its arena reference back
-// here; later drop points (a held link dropped, a closed destination, a
-// network closing with the message's clock event pending) do the same.
+// send routes and delivers one message. A message from a closed node gives
+// its arena reference back here, one routing drops gives it back in route;
+// later drop points (a held link dropped, a network closing with messages
+// held or a clock event pending, a closed destination) do the same.
 func (nd *inMemNode) send(msg Message) error {
 	if nd.closed.Load() {
 		msg.ReleaseArena()
 		return ErrClosed
 	}
-	if nd.net.holdIfNeeded(msg) {
-		return nil
+	if dst, delay := nd.net.route(msg); dst != nil {
+		nd.net.deliver(dst, msg, delay)
 	}
-	dst, delay, ok := nd.net.route(msg)
-	if !ok {
-		msg.ReleaseArena()
-		return nil
-	}
-	nd.net.deliver(dst, msg, delay)
 	return nil
 }
 

@@ -19,8 +19,8 @@ type Stats struct {
 	SendDrops int64
 	// InboundDrops counts messages lost on the receiving side: refused by a
 	// full socket inbound queue (1 024 messages), or dropped by in-memory
-	// routing (a blocked, crashed or isolated link, an unknown destination,
-	// a dropped hold).
+	// routing (an isolated endpoint, an unknown destination, a closed
+	// network) or off a held link (DropHeld, Close).
 	InboundDrops int64
 	// DedupDrops counts datagrams the UDP carrier's per-sender at-most-once
 	// windows rejected as duplicates or stale replays (always 0 elsewhere).

@@ -5,9 +5,10 @@
 // channels between every pair of processes: messages are never lost,
 // duplicated or corrupted, but may be delayed arbitrarily. The in-memory
 // implementation (see inmem.go) reproduces exactly that, and additionally
-// exposes the adversarial controls the lower-bound constructions need:
-// per-link blocking (a blocked message is "left in transit forever"), holds,
-// process crashes, and delivery delay on a virtual clock.
+// exposes the adversary's two powers the lower-bound constructions are built
+// from — a process is up or isolated (a crash is an isolation never
+// reconnected), a link is open or held (a message held and never released is
+// "left in transit forever") — and delivery delay on a virtual clock.
 //
 // Two socket implementations of the same Node interface — TCP streams
 // (tcpnet) and UDP datagrams (udpnet) — are carriers of the one socket core
@@ -95,7 +96,7 @@ type Node interface {
 	// ID returns the process identity this node is bound to.
 	ID() types.ProcessID
 	// Send transmits a message to another process. It returns an error only
-	// if the local node is closed; messages to crashed or unknown
+	// if the local node is closed; messages to isolated or unknown
 	// destinations are silently dropped, as in the asynchronous model where
 	// such messages simply never arrive.
 	Send(to types.ProcessID, kind string, payload []byte) error
@@ -119,15 +120,6 @@ type ArenaSender interface {
 	// one reference whatever happens: it travels with the message, or it is
 	// released where the message provably goes nowhere.
 	SendArena(to types.ProcessID, kind string, payload []byte, arena *wire.Arena) error
-}
-
-// Network is a collection of interconnected nodes.
-type Network interface {
-	// Join attaches a process to the network and returns its node. Joining
-	// the same process twice is an error.
-	Join(id types.ProcessID) (Node, error)
-	// Close shuts down the network and all attached nodes.
-	Close() error
 }
 
 // Errors returned by transport implementations.

@@ -6,8 +6,24 @@ import (
 	"testing"
 	"time"
 
+	"fastread/internal/transport"
 	"fastread/internal/types"
 )
+
+// silence holds both directions between the client and each server; heal
+// drops what the links held and opens them again.
+func silence(net *transport.InMemNetwork, c types.ProcessID, servers ...types.ProcessID) (heal func()) {
+	for _, s := range servers {
+		net.Hold(c, s)
+		net.Hold(s, c)
+	}
+	return func() {
+		for _, s := range servers {
+			net.DropHeld(c, s)
+			net.DropHeld(s, c)
+		}
+	}
+}
 
 // TestRetryAfterSilencedServersHeal is the regression test for the
 // BenchmarkSaturation hang: with enough servers unreachable the quorum can
@@ -36,9 +52,7 @@ func TestRetryAfterSilencedServersHeal(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	net.BlockPair(types.Reader(1), types.Server(1))
-	net.BlockPair(types.Reader(1), types.Server(2))
-	heal := time.AfterFunc(250*time.Millisecond, net.UnblockAll)
+	heal := time.AfterFunc(250*time.Millisecond, silence(net, types.Reader(1), types.Server(1), types.Server(2)))
 	defer heal.Stop()
 
 	policy := RetryPolicy{Attempts: 10, Timeout: 100 * time.Millisecond, Backoff: 10 * time.Millisecond, MaxBackoff: 50 * time.Millisecond}
@@ -51,9 +65,7 @@ func TestRetryAfterSilencedServersHeal(t *testing.T) {
 	}
 
 	// Writes stranded the same way also recover.
-	net.BlockPair(types.Writer(), types.Server(1))
-	net.BlockPair(types.Writer(), types.Server(2))
-	heal2 := time.AfterFunc(250*time.Millisecond, net.UnblockAll)
+	heal2 := time.AfterFunc(250*time.Millisecond, silence(net, types.Writer(), types.Server(1), types.Server(2)))
 	defer heal2.Stop()
 	if err := WriteWithRetry(ctx, cluster.Writer(), []byte("healed-2"), policy); err != nil {
 		t.Fatalf("WriteWithRetry after heal: %v", err)
@@ -87,8 +99,7 @@ func TestRetryExhaustionAndErrorClassification(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	net.BlockPair(types.Reader(1), types.Server(1))
-	net.BlockPair(types.Reader(1), types.Server(2))
+	heal := silence(net, types.Reader(1), types.Server(1), types.Server(2))
 
 	fast := RetryPolicy{Attempts: 3, Timeout: 30 * time.Millisecond, Backoff: 5 * time.Millisecond, MaxBackoff: 10 * time.Millisecond}
 	start := time.Now()
@@ -105,7 +116,7 @@ func TestRetryExhaustionAndErrorClassification(t *testing.T) {
 	if _, err := ReadWithRetry(cancelled, r, fast); !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
-	net.UnblockAll()
+	heal()
 
 	// Non-timeout errors pass through unretried: a nil write is a usage
 	// error the writer rejects immediately.

@@ -157,7 +157,7 @@ func (s *inMemSession) inMem() *transport.InMemNetwork                  { return
 func (s *inMemSession) stats() transport.Stats                          { return s.net.Stats() }
 
 func (s *inMemSession) crash(id types.ProcessID) error {
-	s.net.Crash(id)
+	s.net.Isolate(id)
 	return nil
 }
 
