@@ -206,25 +206,28 @@
 // size, what a quorum means), and all four protocols share its one
 // single-writer client (protoutil.Writer) and its one reader
 // (protoutil.Reader, running the protocol's read rounds). The shell decodes
-// each request once and handles it on the goroutine that drains the server's
-// node — the paper's one sequential step per message, in delivery order.
+// each request once and handles it as its node's one consumer — the paper's
+// one sequential step per message, in delivery order.
 //
 // Between a Send and the code that handles the message there is exactly one
 // queue — the destination node's transport.Queue, the same type on the
-// in-memory and the socket backends — and at most one wake-up. A server's
-// executor runs its node's queue on its own goroutine (transport.Consume):
-// that is the one wake-up of a request. A client node is push-delivered
-// (transport.ConsumePushed): the goroutine that puts an acknowledgement into
-// the idle node — a server executor's run-end flush in memory, a read loop on
-// sockets — routes it itself and CALLS the engine of the handle it is for (a
-// demux route is a table entry bound to its protoutil.Pipeline, not a
-// goroutine and a channel), so a register costs no goroutine and a few
-// kilobytes, and the only goroutine an acknowledgement wakes is the caller
-// waiting on its future (or, for a blocking call, its pooled Call). A client
-// identity's demux pump wakes only for a backlog such a run leaves behind.
-// Send never runs server code, so a server's queue stays the one asynchronous
-// boundary; a send to a client node may run that client's engine, which
-// never blocks. Channels survive behind Node.Inbox — the Queue's own pump —
+// in-memory and the socket backends — and at most one wake-up. A live
+// server's executor serves its node's queue on its own goroutine
+// (transport.Claim): that is the one wake-up of a request. A client node is
+// push-delivered: the goroutine that puts an acknowledgement into the idle
+// node — a server executor's run-end flush in memory, a read loop on sockets
+// — routes it itself and CALLS the engine of the handle it is for (a demux
+// route is a table entry bound to its protoutil.Pipeline, not a goroutine and
+// a channel), so a register costs no goroutine and a few kilobytes, and the
+// only goroutine an acknowledgement wakes is the caller waiting on its future
+// (or, for a blocking call, its pooled Call). A client identity's demux pump
+// wakes only for a backlog such a run leaves behind. Every consumer is bound
+// to its node before its constructor returns. A live Send never runs server
+// code, so a live server's queue stays the one asynchronous boundary; a send
+// to a client node may run that client's engine, which never blocks. Under a
+// virtual clock every consumer, servers included, is push-delivered by the
+// clock event that delivers to it, since there a Send only schedules (see
+// below). Channels survive behind Node.Inbox — the Queue's own pump —
 // for code that wants to select on one (tests, the layer benchmarks); the
 // product path does not go through them.
 //
@@ -232,7 +235,8 @@
 // rules — encoded payloads are immutable, decoded views may alias them, and
 // retained data is cloned exactly at its retention point — spelled out in
 // internal/wire/pool.go. The sole-mutator discipline those rules lean on is
-// per server: its one executor goroutine handles every message, so it is
+// per server: its one consumer handles every message, one at a time (the
+// executor's goroutine, or under a virtual clock the clock's), so it is
 // every register's only mutator.
 //
 // Batch frames extend the same rules end to end: a wire.Batch envelope packs
@@ -262,12 +266,16 @@
 // The in-memory transport can be placed on a virtual clock
 // (transport.NewVirtualClock, wired in with fastread.WithVirtualClock):
 // deliveries, timeouts and injected faults become events in a priority
-// queue, and the clock advances to the next event only when the system is
-// quiescent — every in-flight message accounted for, every handler
-// returned. Under the virtual clock a deployment must not consult wall
-// time: timers must be scheduled through the clock, and nonce sources must
-// derive from clock.Now() rather than time.Now(), or runs stop being
-// reproducible. The scenario DSL, the seed-sweeping explorer and the trace
+// queue, fired one at a time on one goroutine. Every consumer on such a
+// network is push-delivered, so the event that delivers a message runs the
+// server's handler, its log commit and ack flush, or the client completion,
+// and every message they send is a later event: an event's whole cascade is
+// done when it returns, whatever the goroutine schedule. A delivery no
+// consumer takes inside its event — a node read through Inbox, or one
+// nobody claimed — fails that Step instead of waiting. Under the virtual
+// clock a deployment must not consult wall time: timers must be scheduled
+// through the clock, and nonce sources must derive from clock.Now() rather
+// than time.Now(), or runs stop being reproducible. The scenario DSL, the seed-sweeping explorer and the trace
 // shrinker built on this live in internal/sim and cmd/simexplore. The paper's
 // own tables run there too: internal/experiments states E1–E8 as scenarios
 // and scripts on the virtual clock, with latencies in message delays (a fast

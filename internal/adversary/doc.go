@@ -14,7 +14,8 @@
 // released on the in-memory network, operations are submitted as futures, and
 // "the message has been processed" is not polled or slept for: settle steps
 // the clock until no event remains, and the clock fires one delivery at a
-// time, only after the previous one's whole cascade has quiesced. A
+// time, on one goroutine, running the delivery's whole cascade — the
+// server's handler, the client's completion — inside the event. A
 // violation is a predicate over the recorded history, so that history must
 // be the run the proof constructs every time: the same (S, t, b, R, reader)
 // reproduces the same history, timestamps and narrative, byte for byte.

@@ -106,12 +106,12 @@ func invoke[T any, F future[T]](st *stage, p types.ProcessID, kind history.OpKin
 // delivered has been, every handler it woke has run and every future it
 // completed is resolved — recorded here at the virtual instant of the
 // delivery that completed it. Held messages are not events, so an operation
-// the schedule keeps incomplete stays pending without stalling quiescence.
+// the schedule keeps incomplete stays pending without stalling the stage.
 // This replaces polling server state for "the message has been processed".
 func (st *stage) settle() {
 	for ran := true; ran && st.err == nil; {
 		var err error
-		if ran, err = st.clock.Step(sim.StallWait); err != nil {
+		if ran, err = st.clock.Step(); err != nil {
 			st.fail(err)
 			return
 		}

@@ -188,19 +188,6 @@ func (s *Server) StateOf(key string) ServerState {
 	return out
 }
 
-// Timestamp returns the default register's current timestamp without the
-// deep copy State performs. Wait loops (adversaries, fault injectors) poll
-// servers at high frequency; copying the whole snapshot — counters map,
-// value bytes, seen set — per poll showed up in write benchmarks.
-func (s *Server) Timestamp() types.Timestamp { return s.TimestampOf("") }
-
-// TimestampOf is Timestamp for a named register.
-func (s *Server) TimestampOf(key string) types.Timestamp {
-	var ts types.Timestamp
-	s.Peek(key, func(st *registerState) { ts = st.value.TS })
-	return ts
-}
-
 // handle processes one incoming message: Figure 2 / Figure 5 lines 26-35,
 // applied to the register named by the message's key. Acknowledgements go
 // through the executor's run-scoped coalescer, so a run of pipelined

@@ -42,18 +42,19 @@ const MaxPipelineDepth = 512
 // — a demux route, which is what every Store and regclient handle is — it
 // owns no goroutine: the demux calls Deliver on the goroutine that pushed the
 // acknowledgement into the client's node (a server executor's flush in
-// memory, a socket read loop), so an acknowledgement goes from its producer
-// to the operation it completes without waking anyone in between, and a
-// handle costs its slots and pending operations, nothing else. Over any other
-// node the pipeline starts a dispatcher goroutine that consumes the node into
-// the same Deliver (transport.ConsumePushed: over an in-memory or socket node
-// the pusher delivers there too, and the goroutine takes only a backlog).
-// Either way the pipeline consumes from construction, not lazily on
-// first use: a handle that has not submitted anything yet can still RECEIVE
-// traffic — a reader incarnation created by a restart inherits the
-// acknowledgements its predecessor's aborted operations left in flight — and
-// an unconsumed node queues forever (and, under the virtual clock, holds an
-// activity token that stalls the event loop outright).
+// memory, a socket read loop, a clock event), so an acknowledgement goes from
+// its producer to the operation it completes without waking anyone in
+// between, and a handle costs its slots and pending operations, nothing
+// else. Over any other
+// node the pipeline claims the node push-delivered into the same Deliver
+// (transport.Claim: over an in-memory or socket node the pusher delivers
+// there too) and starts a dispatcher goroutine that takes only a backlog.
+// Either way the pipeline is the node's consumer before NewPipeline returns,
+// not lazily on first use: a handle that has not submitted anything yet can
+// still RECEIVE traffic — a reader incarnation created by a restart inherits
+// the acknowledgements its predecessor's aborted operations left in flight —
+// and an unconsumed node queues forever (and, under the virtual clock, fails
+// the Step that delivers to it).
 //
 // When the node closes (the node, its demux route, or the whole store shut
 // down) every still-pending operation fails with ErrInboxClosed.
@@ -117,8 +118,9 @@ func NewPipeline(node transport.Node, depth int, _ any) *Pipeline {
 		done:  make(chan struct{}),
 	}
 	if b, ok := node.(sinkBinder); !ok || !b.BindSink(p) {
+		serve := transport.Claim(node, p.Deliver, nil, true)
 		go func() {
-			transport.ConsumePushed(node, p.Deliver, nil)
+			serve()
 			p.Closed()
 		}()
 	}

@@ -277,20 +277,16 @@ func (s *Shell[S]) Peek(key string, fn func(*S)) bool {
 // PeekSlot is Peek for callers that also want the slot's mutation count.
 func (s *Shell[S]) PeekSlot(key string, fn func(*Slot[S])) bool { return s.states.Peek(key, fn) }
 
-// Range runs fn for every instantiated register, taking the state map's
-// lock per register.
-func (s *Shell[S]) Range(fn func(key string, st *S)) {
-	s.states.Range(func(key string, sl *Slot[S]) { fn(key, &sl.State) })
-}
-
-// Start launches the server's executor: one goroutine that drains the node and
-// runs the handler (see transport.Executor). Only the first call has an
-// effect.
+// Start makes the server's executor the node's consumer before it returns and
+// launches one goroutine that serves the node and runs the handler (see
+// transport.Executor); under a virtual clock the clock event that delivers a
+// request runs the handler instead. Only the first call has an effect.
 func (s *Shell[S]) Start() {
 	s.startOnce.Do(func() {
+		serve := s.exec.Claim(s.handle)
 		go func() {
 			defer close(s.done)
-			s.exec.RunCoalescing(s.handle)
+			serve()
 		}()
 	})
 }

@@ -77,18 +77,6 @@ func NewServer(cfg ServerConfig, node transport.Node) (*Server, error) {
 	return s, nil
 }
 
-// State returns the default register's current value; use StateOf for a
-// named register.
-func (s *Server) State() types.TaggedValue { return s.StateOf("") }
-
-// StateOf returns the named register's current value. An untouched register
-// reports its initial state without being instantiated.
-func (s *Server) StateOf(key string) types.TaggedValue {
-	out := types.InitialTaggedValue()
-	s.Peek(key, func(st *registerState) { out = st.value.Clone() })
-	return out
-}
-
 // handle processes one decoded message on the per-message hot path:
 // Slot.Adopt at the adoption retention point, ack fields aliasing the
 // stored state (the executor handling this message is the state's sole

@@ -17,17 +17,13 @@ import (
 	"fastread/internal/types"
 )
 
-// StallWait is the WALL-clock watchdog handed to VirtualClock.Step: how long
-// real activity (goroutines processing the current event) may take before the
-// run is declared stalled. It is generous because sweep workers share the
-// machine; it never extends virtual time.
-const StallWait = 30 * time.Second
-
 // Replayable completes cfg into a deployment that replays byte for byte on
 // clock — the one recipe the scenario runner and the lower-bound stage
-// (internal/adversary) deploy by. Every server handles its messages on exactly
-// one goroutine, so combined with the clock's one-event-at-a-time delivery
-// there is no scheduling freedom anywhere in a run. Nonces read the virtual
+// (internal/adversary) deploy by. On the clock every consumer is
+// push-delivered: the event that delivers a message runs its server handler
+// or client completion on the driver goroutine, so combined with the clock's
+// one-event-at-a-time delivery there is no scheduling freedom anywhere in a
+// run, under any goroutine schedule. Nonces read the virtual
 // clock, so a client incarnation created later in virtual time draws a
 // strictly larger initial counter and no wall-clock input reaches the run. The
 // network is in memory on clock, shaped by network.
@@ -342,13 +338,13 @@ func (r *runner) scheduleFaults() {
 }
 
 // loop drives the clock until the event queue drains: deliveries,
-// submissions, faults and timeouts all run inside Step, and every Step
-// return means the system is quiescent again — any future whose completing
-// acknowledgement was just delivered is already resolved, so draining here
-// observes completions at their exact virtual time.
+// submissions, faults and timeouts all run inside Step, with their whole
+// cascade — any future whose completing acknowledgement was just delivered
+// is already resolved when Step returns, so draining here observes
+// completions at their exact virtual time.
 func (r *runner) loop() {
 	for {
-		ran, err := r.clock.Step(StallWait)
+		ran, err := r.clock.Step()
 		if err != nil {
 			r.res.RunErr = fmt.Errorf("sim: %q seed %d: %w", r.sc.Name, r.res.Seed, err)
 			break

@@ -11,9 +11,11 @@
 // executed one at a time on a single driver goroutine, so a "60-second"
 // chaos scenario runs in well under a second of wall time and the same
 // (scenario, seed) pair reproduces a byte-identical history every run. No
-// code on a simulation's path may consult the wall clock or sleep — the
-// clock's quiescence accounting turns such a mistake into a Step error
-// instead of nondeterminism.
+// code on a simulation's path may consult the wall clock or sleep. Every
+// consumer — server handler, client completion — runs inside the clock event
+// that delivers to it, on the driver goroutine, so no work outlives its
+// event, and a delivery that no consumer takes inside its event is a Step
+// error instead of nondeterminism.
 package sim
 
 import (

@@ -127,8 +127,8 @@ func TestAckArenaEveryDropPath(t *testing.T) {
 		payload, a := ackArena(t, 1)
 		_ = srv.SendArena(reader, "readack", payload, a)
 		_ = net.Close()
-		if !clock.RunNext() {
-			t.Fatal("the delivery event was not scheduled")
+		if ran, err := clock.Step(); !ran || err != nil {
+			t.Fatalf("the delivery event = (%v, %v), want (true, nil)", ran, err)
 		}
 		wantRefs(t, "a scheduled ack on a closed network", a, 0)
 	})

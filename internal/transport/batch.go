@@ -33,11 +33,7 @@ func Expand(msg Message, fn func(Message)) {
 		return
 	}
 	_ = wire.ForEachInBatch(msg.Payload, func(payload []byte) error {
-		// Sub-messages inherit the envelope's virtual-clock handle too: a
-		// consumer that retains a sub-message past the envelope's release
-		// (demux routing) must keep holding an activity token, or the
-		// simulation clock would advance with work queued.
-		fn(Message{From: msg.From, To: msg.To, Kind: msg.Kind, Payload: payload, Arena: msg.Arena, vt: msg.vt})
+		fn(Message{From: msg.From, To: msg.To, Kind: msg.Kind, Payload: payload, Arena: msg.Arena})
 		return nil
 	})
 }
@@ -91,23 +87,9 @@ type Coalescer struct {
 	// the next run that batches for it sizes its envelope from this instead
 	// of append-doubling from zero.
 	lastBatch map[types.ProcessID]int
-
-	// clock/holding make buffered-but-unflushed output count as activity
-	// under a virtual clock: the executor releases the inbound message's
-	// token before the run's Flush fires, and without this hold the clock
-	// could advance in that gap with acknowledgements still sitting here.
-	clock   *VirtualClock
-	holding bool
 }
 
 var _ Sender = (*Coalescer)(nil)
-
-// virtualClocked is implemented by nodes attached to a virtual-clock
-// network; the Coalescer probes for it so buffered output participates in
-// quiescence detection.
-type virtualClocked interface {
-	virtualClock() *VirtualClock
-}
 
 // NewCoalescer returns an empty coalescer sending through the node.
 func NewCoalescer(node Node) *Coalescer {
@@ -116,20 +98,8 @@ func NewCoalescer(node Node) *Coalescer {
 		byDest:    make(map[types.ProcessID]*coalesced),
 		lastBatch: make(map[types.ProcessID]int),
 	}
-	if vc, ok := node.(virtualClocked); ok {
-		c.clock = vc.virtualClock()
-	}
 	c.arenas, _ = node.(ArenaSender)
 	return c
-}
-
-// hold takes the coalescer's activity token on the run's first buffered
-// message; Flush and Discard release it.
-func (c *Coalescer) hold() {
-	if c.clock != nil && !c.holding {
-		c.holding = true
-		c.clock.begin()
-	}
 }
 
 // get pops a recycled coalesced struct, or allocates the run's first ones.
@@ -149,7 +119,6 @@ func (c *Coalescer) get() *coalesced {
 // down anyway), so the Coalescer swallows it at Flush rather than surfacing
 // it on an unrelated later call.
 func (c *Coalescer) Send(to types.ProcessID, kind string, payload []byte) error {
-	c.hold()
 	e, ok := c.byDest[to]
 	if !ok {
 		e = c.get()
@@ -206,7 +175,6 @@ func (c *Coalescer) appendPayload(b *wire.Batch, payload []byte) {
 // load. The message is consumed before SendMessage returns (its fields may
 // alias caller state, per the codec's aliasing discipline).
 func (c *Coalescer) SendMessage(to types.ProcessID, m *wire.Message) error {
-	c.hold()
 	e, ok := c.byDest[to]
 	if !ok {
 		payload, arena, err := c.encode(m)
@@ -261,8 +229,7 @@ func (c *Coalescer) Flush() { c.reset(true) }
 // acknowledge it.
 func (c *Coalescer) Discard() { c.reset(false) }
 
-// reset empties the coalescer, sending what it held or not, and releases its
-// virtual-clock hold either way.
+// reset empties the coalescer, sending what it held or not.
 func (c *Coalescer) reset(send bool) {
 	for _, to := range c.order {
 		e := c.byDest[to]
@@ -289,10 +256,6 @@ func (c *Coalescer) reset(send bool) {
 		c.free = append(c.free, e)
 	}
 	c.order = c.order[:0]
-	if c.holding {
-		c.holding = false
-		c.clock.end()
-	}
 }
 
 // Pending reports the number of destinations with unflushed traffic.

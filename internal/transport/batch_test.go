@@ -218,15 +218,11 @@ func TestCoalescerRecyclesAckBuffers(t *testing.T) {
 		})
 	}()
 	acked := make(chan *wire.Arena, 1)
-	consumed := make(chan struct{})
-	go func() {
-		defer close(consumed)
-		Consume(client, func(m Message) {
-			a := m.Arena
-			m.ReleaseArena()
-			acked <- a
-		}, nil)
-	}()
+	consumed := runConsume(client, func(m Message) {
+		a := m.Arena
+		m.ReleaseArena()
+		acked <- a
+	}, nil)
 
 	request := encodedMsg(wire.OpRead, "k", 1)
 	roundTrip := func() {
@@ -415,13 +411,10 @@ func TestDemuxRoutesBatchedAcksPerKey(t *testing.T) {
 	expect(routeB, 2)
 }
 
-// TestCoalescerDiscardDropsTheRun checks Discard's two duties: nothing of the
-// run is sent (and the coalescer is ready for the next one), and the
-// virtual-clock hold the buffered output took is released — a server that
-// drops a run's acks must not stall a simulation.
+// TestCoalescerDiscardDropsTheRun: nothing of a discarded run is sent, and
+// the coalescer is ready for the next one.
 func TestCoalescerDiscardDropsTheRun(t *testing.T) {
-	clock := NewVirtualClock()
-	net := NewInMemNetwork(WithClock(clock))
+	net := NewInMemNetwork()
 	defer func() { _ = net.Close() }()
 	server := mustJoin(t, net, types.Server(1))
 	reader := mustJoin(t, net, types.Reader(1))
@@ -430,21 +423,33 @@ func TestCoalescerDiscardDropsTheRun(t *testing.T) {
 	_ = co.Send(types.Reader(1), "readack", encodedMsg(wire.OpReadAck, "", 1))
 	_ = co.Send(types.Reader(1), "readack", encodedMsg(wire.OpReadAck, "", 2))
 	_ = co.Send(types.Reader(2), "readack", encodedMsg(wire.OpReadAck, "", 3))
-	clock.Schedule(time.Millisecond, func() {})
-	if _, err := clock.Step(20 * time.Millisecond); err == nil {
-		t.Fatal("buffered output held no activity token")
-	}
 	co.Discard()
 	if co.Pending() != 0 {
 		t.Fatalf("%d destinations pending after Discard", co.Pending())
-	}
-	if ran, err := clock.Step(time.Second); err != nil || !ran {
-		t.Fatalf("Step after Discard = (%v, %v): the hold was not released", ran, err)
 	}
 	co.Flush()
 	select {
 	case m := <-reader.Inbox():
 		t.Fatalf("a discarded message was delivered: %q", m.Kind)
 	default:
+	}
+}
+
+// TestInMemDeliveredMsgsCountsEnvelopeMessages: a server's coalescer flushes
+// three acks to one in-memory client as one envelope, and the network counts
+// the three messages it carries, as the socket carriers do, in one frame.
+func TestInMemDeliveredMsgsCountsEnvelopeMessages(t *testing.T) {
+	net := NewInMemNetwork()
+	defer func() { _ = net.Close() }()
+	server := mustJoin(t, net, types.Server(1))
+	mustJoin(t, net, types.Reader(1))
+
+	co := NewCoalescer(server)
+	for rc := int64(1); rc <= 3; rc++ {
+		_ = co.Send(types.Reader(1), "readack", encodedMsg(wire.OpReadAck, "k", rc))
+	}
+	co.Flush()
+	if st := net.Stats(); st.DeliveredMsgs != 3 || st.FramesDelivered != 1 {
+		t.Fatalf("DeliveredMsgs = %d in %d frames; want the envelope's 3 messages in 1 delivery", st.DeliveredMsgs, st.FramesDelivered)
 	}
 }

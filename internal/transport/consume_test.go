@@ -10,32 +10,50 @@ import (
 	"fastread/internal/wire"
 )
 
-// consumeRows are the three shapes of node Consume serves. Every row is the
+// consumeRows are the three shapes of node Claim serves. Every row is the
 // same in-memory node underneath, so the contract checks below can queue
-// messages the same way for all of them; what differs is how Consume gets at
+// messages the same way for all of them; what differs is how Claim gets at
 // them.
 var consumeRows = []struct {
 	name string
 	// wrap returns the node as the consumer sees it.
 	wrap func(Node) Node
 }{
-	// The product path: Consume runs the mailbox on the caller's goroutine.
+	// The product path: Claim binds the queue and serve runs it on the
+	// serving goroutine.
 	{"inmem-drained", func(n Node) Node { return n }},
 	// Inbox was called first, so the node feeds a channel for its lifetime
-	// and Consume ranges over it.
+	// and serve ranges over it.
 	{"inmem-inbox", func(n Node) Node { n.Inbox(); return n }},
 	// A decorator (like cmd/benchreport's traced node) hides everything but
-	// the Node interface: Consume can only range over its Inbox.
+	// the Node interface: serve can only range over its Inbox.
 	{"channel-only", func(n Node) Node { return struct{ Node }{n} }},
 }
 
-// runConsume starts Consume on its own goroutine and returns a channel that
-// closes when it returns.
+// runConsume claims node for deliver and runEnd, as a live server does (not
+// push-delivered), serves it on its own goroutine and returns a channel that
+// closes when serve returns.
 func runConsume(node Node, deliver func(Message), runEnd func()) <-chan struct{} {
+	serve := Claim(node, deliver, runEnd, false)
 	done := make(chan struct{})
 	go func() {
 		defer close(done)
-		Consume(node, deliver, runEnd)
+		serve()
+	}()
+	return done
+}
+
+// serveQueue is runConsume for a bare Queue, which nobody may have claimed.
+func serveQueue(t *testing.T, q *Queue, deliver func(Message), runEnd func()) <-chan struct{} {
+	t.Helper()
+	serve, ok := q.Claim(deliver, runEnd, false)
+	if !ok {
+		t.Fatal("Claim refused a queue nobody consumed")
+	}
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		serve()
 	}()
 	return done
 }
@@ -93,7 +111,7 @@ func TestConsumePerLinkFIFO(t *testing.T) {
 			wg.Wait()
 			waitClosed(t, "delivery of every message", all)
 			_ = dst.Close()
-			waitClosed(t, "Consume", done)
+			waitClosed(t, "serve", done)
 		})
 	}
 }
@@ -137,7 +155,7 @@ func TestConsumeRunBoundaries(t *testing.T) {
 			}
 			waitClosed(t, "delivery of every message", all)
 			_ = dst.Close()
-			waitClosed(t, "Consume", done)
+			waitClosed(t, "serve", done)
 
 			if runs < 1 || runs > msgs {
 				t.Errorf("%d runs for %d messages", runs, msgs)
@@ -153,8 +171,8 @@ func TestConsumeRunBoundaries(t *testing.T) {
 }
 
 // TestConsumeUnbatchedRunsOfOne: on a virtual-clock network every run is one
-// message, backlog or not — Step fires one delivery and waits until it has
-// been handled before firing the next.
+// message, backlog or not — the event that fires a delivery handles it, so a
+// consumer that asked for a serving goroutine of its own is push-delivered.
 func TestConsumeUnbatchedRunsOfOne(t *testing.T) {
 	clock := NewVirtualClock()
 	net := NewInMemNetwork(WithClock(clock))
@@ -175,19 +193,19 @@ func TestConsumeUnbatchedRunsOfOne(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	for clock.RunNext() {
-	}
+	stepAll(t, clock)
 	_ = dst.Close()
-	waitClosed(t, "Consume", done)
+	waitClosed(t, "serve", done)
 	if delivered != msgs {
 		t.Fatalf("delivered %d of %d messages", delivered, msgs)
 	}
 }
 
 // TestConsumeCloseReleasesBacklog: closing a node with messages still queued
-// gives back every arena reference and virtual-clock activity token they
-// hold — through the consumer when there is one, in Close itself when there
-// never was (and that Close returns).
+// gives back every arena reference they hold — through the consumer when
+// there is one, in Close itself when there never was (and that Close
+// returns). Only a network without a clock can queue a backlog: with one,
+// the event that pushes a message delivers it.
 func TestConsumeCloseReleasesBacklog(t *testing.T) {
 	const backlog = 300
 	rows := append(consumeRows[:len(consumeRows):len(consumeRows)], struct {
@@ -196,17 +214,15 @@ func TestConsumeCloseReleasesBacklog(t *testing.T) {
 	}{name: "never-consumed"})
 	for _, row := range rows {
 		t.Run(row.name, func(t *testing.T) {
-			clock := NewVirtualClock()
-			net := NewInMemNetwork(WithClock(clock))
+			net := NewInMemNetwork()
 			defer net.Close()
 			dst := mustJoin(t, net, types.Reader(1))
 
 			// Queue the backlog as a socket transport would have delivered
-			// it: every message owns one reference on a shared frame arena
-			// and one activity token.
+			// it: every message owns one reference on a shared frame arena.
 			arena := wire.GetArena(8)
 			for i := 0; i < backlog; i++ {
-				m := Message{From: types.Server(1), To: dst.ID(), Kind: "m", Payload: arena.Bytes(), Arena: arena, vt: clock}
+				m := Message{From: types.Server(1), To: dst.ID(), Kind: "m", Payload: arena.Bytes(), Arena: arena}
 				m.RetainArena()
 				if !dst.(*inMemNode).Push(m) {
 					t.Fatal("push rejected on an open node")
@@ -236,18 +252,12 @@ func TestConsumeCloseReleasesBacklog(t *testing.T) {
 				waitClosed(t, "the first delivery", entered)
 				go closeNode()
 				close(gate)
-				waitClosed(t, "Consume", done)
+				waitClosed(t, "serve", done)
 			}
 			waitClosed(t, "Close", closed)
 
 			if got := arena.Refs(); got != 1 {
 				t.Errorf("arena holds %d references after close, want the test's own 1", got)
-			}
-			clock.mu.Lock()
-			outstanding := clock.activity
-			clock.mu.Unlock()
-			if outstanding != 0 {
-				t.Errorf("virtual clock left with %d activity tokens outstanding", outstanding)
 			}
 		})
 	}

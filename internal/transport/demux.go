@@ -22,12 +22,12 @@ type KeyFunc func(Message) (key []byte, ok bool)
 //
 // Outbound messages pass straight through to the physical node (the payload
 // already carries the key, stamped by the protocol client). Inbound messages
-// are routed as the physical node's queue delivers them (ConsumePushed): the
-// goroutine that pushed an acknowledgement into the idle node — a server
-// executor's flush in memory, a read loop on sockets — extracts the key with
-// the KeyFunc, looks the route up and CALLS the engine bound to it (Sink), so
-// an acknowledgement wakes nobody between its producer and the operation it
-// completes. The demux's one goroutine, the pump, consumes only the backlog
+// are routed as the physical node's queue delivers them (the demux claims it
+// push-delivered): the goroutine that pushed an acknowledgement into the idle
+// node — a server executor's flush in memory, a read loop on sockets, a clock
+// event — extracts the key with the KeyFunc, looks the route up and CALLS the
+// engine bound to it (Sink), so an acknowledgement wakes nobody between its
+// producer and the operation it completes. The demux's one goroutine, the pump, consumes only the backlog
 // such a run leaves behind. There is no per-route queue, channel or
 // goroutine: a route costs a table entry. Messages for keys with no active
 // route are dropped, which the asynchronous model permits (they are
@@ -52,9 +52,9 @@ type Demux struct {
 	done chan struct{}
 }
 
-// NewDemux wraps a physical node and starts the routing pump. The third
-// parameter is ignored; it is kept for callers that still pass a route
-// buffer size.
+// NewDemux wraps a physical node, claims it before returning and starts the
+// pump. The third parameter is ignored; it is kept for callers that still
+// pass a route buffer size.
 func NewDemux(node Node, keyOf KeyFunc, _ int) *Demux {
 	d := &Demux{
 		node:   node,
@@ -62,37 +62,38 @@ func NewDemux(node Node, keyOf KeyFunc, _ int) *Demux {
 		routes: make(map[string]*demuxRoute),
 		done:   make(chan struct{}),
 	}
-	go d.pump()
+	go d.pump(Claim(node, expanding(d.route), nil, true))
 	return d
 }
 
-// pump routes every message to its key's route until the physical node
-// closes, then closes every route. The routing runs on whichever goroutine
+// route hands one message to its key's route. It runs on whichever goroutine
 // delivers the node's run — a pusher's, or the pump's for a backlog — one run
 // at a time. Batch envelopes are expanded first (a server's coalesced
 // acknowledgement burst may span registers, so each carried message is routed
 // by ITS key).
-func (d *Demux) pump() {
-	defer close(d.done)
-	route := func(m Message) {
-		key, ok := d.keyOf(m)
-		if !ok {
-			return
-		}
-		d.mu.RLock()
-		// map[string]-lookup on a byte key compiles to a zero-allocation
-		// access; the string is never materialised.
-		rt := d.routes[string(key)]
-		d.mu.RUnlock()
-		if rt != nil {
-			// The delivered copy carries its own reference (several routes
-			// may receive views of one envelope's frame); whoever ends up
-			// with the message releases it.
-			m.RetainArena()
-			rt.deliver(m)
-		}
+func (d *Demux) route(m Message) {
+	key, ok := d.keyOf(m)
+	if !ok {
+		return
 	}
-	ConsumePushed(d.node, expanding(route), nil)
+	d.mu.RLock()
+	// map[string]-lookup on a byte key compiles to a zero-allocation
+	// access; the string is never materialised.
+	rt := d.routes[string(key)]
+	d.mu.RUnlock()
+	if rt != nil {
+		// The delivered copy carries its own reference (several routes may
+		// receive views of one envelope's frame); whoever ends up with the
+		// message releases it.
+		m.RetainArena()
+		rt.deliver(m)
+	}
+}
+
+// pump serves the node until it closes, then closes every route.
+func (d *Demux) pump(serve func()) {
+	defer close(d.done)
+	serve()
 	d.mu.Lock()
 	d.closed = true
 	routes := d.routes
@@ -102,9 +103,6 @@ func (d *Demux) pump() {
 		rt.shutdown()
 	}
 }
-
-// Node returns the underlying physical node.
-func (d *Demux) Node() Node { return d.node }
 
 // Route returns the virtual node for the given register key, creating it on
 // first use. Calling Route again with the same key returns the same virtual

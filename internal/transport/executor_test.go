@@ -113,7 +113,7 @@ func TestExecutorSingleWorkerInline(t *testing.T) {
 	}
 }
 
-// TestMailboxPopAll: in steady state a DrainRuns consumer allocates nothing.
+// TestMailboxPopAll: in steady state a queue's consumer allocates nothing.
 // Each run's buffer, cleared, becomes the queue's next backing array, so runs
 // ping-pong between two arrays. The consumer is parked in runEnd while the
 // next run queues, so every run is exactly the pushed batch.
@@ -122,14 +122,11 @@ func TestMailboxPopAll(t *testing.T) {
 	q := NewQueue(0)
 	gate, ended := make(chan struct{}), make(chan int)
 	n := 0
-	done := make(chan bool)
-	go func() {
-		done <- q.DrainRuns(func(Message) { n++ }, func() {
-			ended <- n
-			n = 0
-			<-gate
-		})
-	}()
+	done := serveQueue(t, q, func(Message) { n++ }, func() {
+		ended <- n
+		n = 0
+		<-gate
+	})
 	run := func() {
 		for i := 0; i < perRun; i++ {
 			q.Push(Message{Kind: "m"})
@@ -150,9 +147,7 @@ func TestMailboxPopAll(t *testing.T) {
 	}
 	q.Close()
 	gate <- struct{}{}
-	if !<-done {
-		t.Fatal("DrainRuns refused a queue nobody consumed")
-	}
+	<-done
 }
 
 // TestExecutorRunEndHook pins SetRunEnd's contract: the hook runs at the end

@@ -22,25 +22,30 @@ func deliverBatch(c *Core, from types.ProcessID, n int) {
 	c.Deliver(from, wire.BatchKind, arena.Bytes(), arena)
 }
 
-// TestDrainRunsEndsOnFrameBoundaries: however the consumer interleaves with
-// two read loops, a run never ends partway through a frame, so a server's
+// TestRunsEndOnFrameBoundaries: however the consumer interleaves with two
+// read loops, a run never ends partway through a frame, so a server's
 // coalescer and commit group always see every request a frame carried.
-func TestDrainRunsEndsOnFrameBoundaries(t *testing.T) {
+func TestRunsEndOnFrameBoundaries(t *testing.T) {
 	const frame, frames = 5, 50 // 2 × 50 × 5 messages never fill the queue
 	c := NewCore(Config{Self: types.Server(1)})
 	var got, inRun int
-	done := make(chan bool)
+	serve, ok := c.Claim(func(m transport.Message) {
+		got++
+		inRun++
+		m.ReleaseArena()
+	}, func() {
+		if inRun%frame != 0 {
+			t.Errorf("a run ended after %d messages, not on a %d-message frame boundary", inRun, frame)
+		}
+		inRun = 0
+	}, false)
+	if !ok {
+		t.Fatal("Claim refused a node nobody consumed")
+	}
+	done := make(chan struct{})
 	go func() {
-		done <- c.DrainRuns(func(m transport.Message) {
-			got++
-			inRun++
-			m.ReleaseArena()
-		}, func() {
-			if inRun%frame != 0 {
-				t.Errorf("a run ended after %d messages, not on a %d-message frame boundary", inRun, frame)
-			}
-			inRun = 0
-		})
+		defer close(done)
+		serve()
 	}()
 	var wg sync.WaitGroup
 	for _, from := range []types.ProcessID{types.Reader(1), types.Writer()} {
@@ -54,15 +59,13 @@ func TestDrainRunsEndsOnFrameBoundaries(t *testing.T) {
 	}
 	wg.Wait()
 	c.Close()
-	if !<-done {
-		t.Fatal("DrainRuns refused a node nobody consumed")
-	}
+	<-done
 	if want := 2 * frames * frame; got != want || c.Stats().DeliveredMsgs != int64(want) {
 		t.Fatalf("consumer got %d messages, stats %+v; want %d", got, c.Stats(), want)
 	}
 }
 
-// TestConsumerStyleIsDecidedOnce: the first of Inbox and DrainRuns owns the
+// TestConsumerStyleIsDecidedOnce: the first of Inbox and Claim owns the
 // node. Inbox delivers what was queued before it; a drained node's inbox is
 // closed.
 func TestConsumerStyleIsDecidedOnce(t *testing.T) {
@@ -76,8 +79,8 @@ func TestConsumerStyleIsDecidedOnce(t *testing.T) {
 		}
 		m.ReleaseArena()
 	}
-	if c.DrainRuns(func(transport.Message) {}, func() {}) {
-		t.Fatal("DrainRuns claimed a node already read through Inbox")
+	if _, ok := c.Claim(func(transport.Message) {}, func() {}, false); ok {
+		t.Fatal("Claim took a node already read through Inbox")
 	}
 	c.Close()
 	for m := range box {
@@ -86,22 +89,25 @@ func TestConsumerStyleIsDecidedOnce(t *testing.T) {
 
 	d := NewCore(Config{Self: types.Server(2)})
 	delivered := make(chan struct{})
-	done := make(chan bool)
+	serve, ok := d.Claim(func(m transport.Message) {
+		m.ReleaseArena()
+		close(delivered)
+	}, func() {}, false)
+	if !ok {
+		t.Fatal("Claim did not own a fresh node")
+	}
+	done := make(chan struct{})
 	go func() {
-		done <- d.DrainRuns(func(m transport.Message) {
-			m.ReleaseArena()
-			close(delivered)
-		}, func() {})
+		defer close(done)
+		serve()
 	}()
 	deliverBatch(d, types.Reader(1), 1)
 	<-delivered
 	if _, open := <-d.Inbox(); open {
-		t.Fatal("a drained node's inbox is open")
+		t.Fatal("a claimed node's inbox is open")
 	}
 	d.Close()
-	if !<-done {
-		t.Fatal("DrainRuns did not own a fresh node")
-	}
+	<-done
 }
 
 // TestQueueBoundDropsAndReleases: with nobody consuming, the queue holds

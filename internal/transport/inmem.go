@@ -58,13 +58,16 @@ func WithMailboxBound(server int) InMemOption {
 // WithClock runs the network on a virtual clock (simulation mode). Every
 // delivery — including zero-delay ones — becomes a scheduled clock event, so
 // messages are processed strictly one at a time in (due time, send sequence)
-// order and the whole network is deterministic for a given seed: the clock
-// only fires the next event once the previous one's entire causal cascade
-// has quiesced. Delays and jitter advance virtual time; nothing sleeps.
+// order and the whole network is deterministic for a given seed. Delays and
+// jitter advance virtual time; nothing sleeps.
 //
-// A node's consumer takes whatever is queued as one run (Queue), and on such a
-// network that is always one message: Step fires one delivery and waits until
-// its consumer has released it before firing the next.
+// On such a network every consumer is push-delivered, whatever it asked for
+// (inMemNode.Claim): the event that pushes a message delivers it, so a
+// server's handler, its run end and its coalesced acks run inside the event,
+// on the clock's goroutine, and a consumer's run is always that one delivery.
+// A Send only schedules, so no consumer runs inside a sender. A delivery that
+// stays queued — a node read through Inbox, or one nobody claimed — makes its
+// Step fail.
 func WithClock(c *VirtualClock) InMemOption {
 	return func(n *InMemNetwork) { n.clock = c }
 }
@@ -241,7 +244,6 @@ func (n *InMemNetwork) Stats() Stats {
 		s.Add(nd.Stats())
 	}
 	s.ShedDrops, s.InboundDrops = s.InboundDrops, n.dropped.Load()
-	s.FramesDelivered = s.DeliveredMsgs
 	return s
 }
 
@@ -308,10 +310,9 @@ func (n *InMemNetwork) deliver(dst *inMemNode, msg Message, delay time.Duration)
 // deliverVirtual schedules the delivery as a virtual-clock event — even at
 // zero delay, so that under simulation every message passes through the
 // clock's single total order and at most one delivery cascade runs at a
-// time. The event attaches the clock's activity token to the message before
-// it reaches the mailbox: from that push until the consumer's ReleaseArena
-// (tokens splitting and rejoining with RetainArena/ReleaseArena at every
-// hand-off) the clock cannot fire the next event.
+// time. The event pushes into a push-delivered queue, so the consumer's run
+// happens inside it; a delivery the push leaves queued is recorded on the
+// clock as that Step's error.
 //
 // Events left unexecuted when the simulation stops simply never run: their
 // messages are the virtual analogue of "delayed forever".
@@ -325,18 +326,17 @@ func (n *InMemNetwork) deliverVirtual(dst *inMemNode, msg Message, delay time.Du
 			msg.ReleaseArena()
 			return
 		}
-		msg.vt = c
-		c.begin()
-		dst.Push(msg) // a refused message ends its token
+		if _, gone := dst.offer(msg); !gone {
+			c.fail(fmt.Errorf("transport: a delivery to %v stayed queued under a virtual clock: its node is read through Inbox or has no consumer", dst.id))
+		}
 	})
 }
 
 // inMemNode is a single process attachment: an identity and its Queue. It
-// owns no goroutine of its own — whoever consumes the node runs the queue
-// (transport.Consume → DrainRuns), so a message crosses one queue and wakes
-// at most one goroutine between Send and its handler; on a client node
-// (ConsumePushed → DrainPushed) the sender delivers an idle node's run
-// itself and wakes nobody.
+// owns no goroutine of its own — whoever claims the node serves the queue
+// (transport.Claim), so a message crosses one queue and wakes at most one
+// goroutine between Send and its handler; on a push-delivered node the
+// sender delivers an idle node's run itself and wakes nobody.
 type inMemNode struct {
 	*Queue
 	id  types.ProcessID
@@ -347,10 +347,16 @@ type inMemNode struct {
 
 var (
 	_ Node        = (*inMemNode)(nil)
-	_ RunDrainer  = (*inMemNode)(nil)
-	_ PushDrainer = (*inMemNode)(nil)
+	_ Claimer     = (*inMemNode)(nil)
 	_ ArenaSender = (*inMemNode)(nil)
 )
+
+// Claim implements Claimer. On a network with a virtual clock the consumer is
+// push-delivered whatever it asked for, so the clock event that delivers a
+// message runs its consumer (WithClock).
+func (nd *inMemNode) Claim(deliver func(Message), runEnd func(), push bool) (func(), bool) {
+	return nd.Queue.Claim(deliver, runEnd, push || nd.net.clock != nil)
+}
 
 // ID implements Node.
 func (nd *inMemNode) ID() types.ProcessID { return nd.id }
@@ -389,7 +395,3 @@ func (nd *inMemNode) Close() error {
 	}
 	return nil
 }
-
-// virtualClock implements the virtualClocked probe used by Coalescer so
-// buffered-but-unflushed acknowledgements count as simulation activity.
-func (nd *inMemNode) virtualClock() *VirtualClock { return nd.net.clock }

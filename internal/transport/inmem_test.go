@@ -259,15 +259,12 @@ func TestMailboxFIFOAndClose(t *testing.T) {
 	// The consumer holds its first run while the second queues behind it.
 	entered, gate := make(chan struct{}), make(chan struct{})
 	var got []string
-	done := make(chan bool)
-	go func() {
-		done <- q.DrainRuns(func(m Message) {
-			if got = append(got, m.Kind); len(got) == 1 {
-				close(entered)
-				<-gate
-			}
-		}, func() {})
-	}()
+	done := serveQueue(t, q, func(m Message) {
+		if got = append(got, m.Kind); len(got) == 1 {
+			close(entered)
+			<-gate
+		}
+	}, func() {})
 	<-entered
 	push(5, 10)
 	q.Close()
@@ -275,9 +272,7 @@ func TestMailboxFIFOAndClose(t *testing.T) {
 		t.Error("push after close should report false")
 	}
 	close(gate)
-	if !<-done {
-		t.Fatal("DrainRuns refused a queue nobody consumed")
-	}
+	<-done
 	if len(got) != 10 {
 		t.Fatalf("consumer got %d messages, want 10", len(got))
 	}
@@ -291,7 +286,7 @@ func TestMailboxFIFOAndClose(t *testing.T) {
 func TestMailboxPopBlocksUntilPush(t *testing.T) {
 	q := NewQueue(0)
 	got := make(chan Message, 1)
-	go q.DrainRuns(func(m Message) { got <- m }, func() {})
+	serveQueue(t, q, func(m Message) { got <- m }, func() {})
 	defer q.Close()
 	time.Sleep(10 * time.Millisecond)
 	q.Push(Message{Kind: "late-arrival"})

@@ -23,25 +23,6 @@ func goid() int64 {
 	return id
 }
 
-// waitPushed waits until a consumer has claimed q for push delivery and no
-// run is in progress, so the next push is delivered by its pusher.
-func waitPushed(t *testing.T, q *Queue) {
-	t.Helper()
-	deadline := time.Now().Add(10 * time.Second)
-	for {
-		q.mu.Lock()
-		idle := q.deliver != nil && !q.running && len(q.items) == 0
-		q.mu.Unlock()
-		if idle {
-			return
-		}
-		if time.Now().After(deadline) {
-			t.Fatal("no consumer claimed the queue for push delivery")
-		}
-		time.Sleep(time.Millisecond)
-	}
-}
-
 // returnsSoon runs fn on its own goroutine and fails the test if it has not
 // returned within a few seconds: a sender must never block on its receiver.
 func returnsSoon(t *testing.T, what string, fn func()) {
@@ -102,15 +83,15 @@ func TestPushDeliveryNeverBlocksSenders(t *testing.T) {
 		return len(got)
 	}
 
+	serve := Claim(client, deliver, nil, true)
 	consumer := make(chan int64, 1)
 	consumed := make(chan struct{})
 	go func() {
 		defer close(consumed)
 		consumer <- goid()
-		ConsumePushed(client, deliver, nil)
+		serve()
 	}()
 	consumerID := <-consumer
-	waitPushed(t, client.(*inMemNode).Queue)
 
 	pusherReturned := make(chan struct{})
 	go func() {
@@ -178,7 +159,6 @@ func TestPushDeliveryBeforeSendReturns(t *testing.T) {
 	if !d.Route("k").(interface{ BindSink(Sink) bool }).BindSink(sink) {
 		t.Fatal("a fresh route refused its sink")
 	}
-	waitPushed(t, client.(*inMemNode).Queue)
 	for i := 0; i < 100; i++ {
 		want := strconv.Itoa(i)
 		if err := srv.Send(client.ID(), "m", []byte("k|"+want)); err != nil {
@@ -261,7 +241,6 @@ func TestPushDeliveryNotForServersOrInboxes(t *testing.T) {
 		d := NewDemux(client, demuxKeyFunc, 0)
 		defer d.Close()
 		inbox := d.Route("k").Inbox()
-		waitPushed(t, client.(*inMemNode).Queue)
 		returnsSoon(t, "sends to an unread route inbox", func() {
 			for i := 0; i < msgs; i++ {
 				_ = srv.Send(client.ID(), "m", []byte("k|"+strconv.Itoa(i)))

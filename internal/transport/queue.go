@@ -25,22 +25,22 @@ const maxRetainedBatch = 1024
 // processes do). A fixed-capacity channel cannot provide that, so producers
 // append under a mutex and never wait.
 //
-// A queue has one consumer for its lifetime, chosen by whichever of
-// DrainRuns, DrainPushed and Inbox comes first: DrainRuns runs the queue on
-// the caller's goroutine (transport.Consume, a server's executor), DrainPushed
-// does the same and also lets producers deliver (transport.ConsumePushed, the
-// client side), Inbox starts a pump goroutine that feeds a channel, for code
-// that selects on one (tests, the layer benchmarks).
+// A queue has one consumer for its lifetime, chosen by whichever of Claim
+// and Inbox comes first: Claim binds a deliver and runEnd and returns the loop
+// that serves the queue on the caller's goroutine (transport.Claim: a
+// server's executor, the client side), Inbox starts a pump goroutine that
+// feeds a channel, for code that selects on one (tests, the layer
+// benchmarks).
 //
-// Push delivery: on a queue claimed by DrainPushed, the goroutine whose push
+// Push delivery: on a queue claimed with push set, the goroutine whose push
 // finds no run in progress takes the queue as one run and delivers it itself,
 // so an acknowledgement reaches the client engine on the goroutine that
-// produced it — a server executor's flush, a socket read loop — and the
-// consumer goroutine sleeps. A pusher that finds a run in progress only
-// appends and returns: senders never block. A pusher delivers at most one
-// run; whatever arrived meanwhile is handed to the consumer goroutine, which
-// drains until the queue is empty, so no producer is kept from its own work
-// (a read loop from its socket) by other producers' traffic. One flag,
+// produced it — a server executor's flush, a socket read loop, a clock event
+// — and the consumer goroutine sleeps. A pusher that finds a run in progress
+// only appends and returns: senders never block. A pusher delivers at most
+// one run; whatever arrived meanwhile is handed to the consumer goroutine,
+// which drains until the queue is empty, so no producer is kept from its own
+// work (a read loop from its socket) by other producers' traffic. One flag,
 // running, held by a pusher or the consumer, keeps deliveries sequential and
 // in FIFO order.
 type Queue struct {
@@ -56,20 +56,23 @@ type Queue struct {
 	spare []Message
 
 	// running is set while a run is being delivered, by the consumer or by a
-	// pusher; deliver and runEnd are DrainPushed's, nil unless pushers
+	// pusher. deliver and runEnd are the consumer's, nil until the queue is
+	// claimed (the channel side's pump claims it too); push lets pushers
 	// deliver.
 	running bool
 	deliver func(Message)
 	runEnd  func()
+	push    bool
 
 	// hw is the high-water mark of queued-but-undrained messages. Overload
 	// on an unbounded queue is otherwise silent: the queue grows, nothing
 	// drops, latency just disappears into it. The mark is the cheapest
 	// honest signal (one comparison per push) and is surfaced through
 	// Store.Stats as MailboxHighWater. admits and refusals count the
-	// messages admitted and those the bound refused.
-	hw               int
-	admits, refusals int64
+	// messages admitted and those the bound refused; entries counts the
+	// queue entries admitted, so a batch envelope is one entry.
+	hw                        int
+	admits, refusals, entries int64
 
 	// bound, when positive, caps the queue depth: a push that would exceed
 	// it is refused and counted instead of growing the queue. The "senders
@@ -79,10 +82,8 @@ type Queue struct {
 	// slack. Zero means unbounded.
 	bound int
 
-	// drained is set once DrainRuns or DrainPushed claims the queue; inbox is
-	// the channel side, nil until the first Inbox call.
-	drained bool
-	inbox   chan Message
+	// inbox is the channel side, nil until the first Inbox call.
+	inbox chan Message
 }
 
 // NewQueue returns an empty, open queue that refuses, and counts, pushes
@@ -93,19 +94,27 @@ func NewQueue(bound int) *Queue {
 	return q
 }
 
-// Push appends a message, which brings its one reference (arena and, under a
-// virtual clock, activity token) with it. It reports false, having released
-// that reference, when the queue is closed, or bounded and full (the refusal
-// is counted).
+// Push appends a message, which brings its one arena reference with it. It
+// reports false, having released that reference, when the queue is closed,
+// or bounded and full (the refusal is counted).
 func (q *Queue) Push(m Message) bool {
+	admitted, _ := q.offer(m)
+	return admitted
+}
+
+// offer is Push that also reports whether m has left the queue by the time
+// it returns: refused, or delivered by this very call — on a push-delivered
+// queue that no run occupied.
+func (q *Queue) offer(m Message) (admitted, gone bool) {
 	q.mu.Lock()
 	if !q.admit(m) {
 		q.mu.Unlock()
 		m.ReleaseArena()
-		return false
+		return false, true
 	}
+	gone = q.push && !q.running
 	q.admitted()
-	return true
+	return true, gone
 }
 
 // PushExpanded admits every message a batch envelope carries under one lock,
@@ -140,8 +149,8 @@ func (q *Queue) PushExpanded(frame Message) int {
 func (q *Queue) admitted() {
 	switch {
 	case q.running:
-	case q.deliver != nil:
-		q.run(q.deliver, q.runEnd)
+	case q.push:
+		q.run()
 		if len(q.items) > 0 || q.closed {
 			// A backlog (or the close) is the consumer's.
 			q.cond.Signal()
@@ -153,65 +162,58 @@ func (q *Queue) admitted() {
 }
 
 // admit appends and counts m unless the queue is closed or full (a full
-// queue counts the refusal); q.mu is held.
+// queue counts the refusal); q.mu is held. A batch envelope counts every
+// message it carries.
 func (q *Queue) admit(m Message) bool {
 	if q.closed {
 		return false
 	}
+	n := int64(1)
+	if wire.IsBatch(m.Payload) {
+		if c, err := wire.BatchCount(m.Payload); err == nil {
+			n = int64(c)
+		}
+	}
 	if q.bound > 0 && len(q.items) >= q.bound {
-		q.refusals++
+		q.refusals += n
 		return false
 	}
 	q.items = append(q.items, m)
-	q.admits++
+	q.admits += n
+	q.entries++
 	q.hw = max(q.hw, len(q.items))
 	return true
 }
 
-// DrainRuns implements RunDrainer: the caller becomes the queue's consumer. It
-// reports false, having delivered nothing, when Inbox claimed the queue first.
-func (q *Queue) DrainRuns(deliver func(Message), runEnd func()) bool {
-	return q.claim(deliver, runEnd, false)
-}
-
-// DrainPushed implements PushDrainer: it is DrainRuns, except that from now on
-// a push that finds no run in progress delivers one run on the pushing
-// goroutine (see Queue), so deliver and runEnd must never block. It reports
-// false, having delivered nothing, when Inbox claimed the queue first.
-func (q *Queue) DrainPushed(deliver func(Message), runEnd func()) bool {
-	return q.claim(deliver, runEnd, true)
-}
-
-// claim makes the caller the queue's consumer, with pushers delivering too if
-// push is set, unless Inbox claimed it first.
-func (q *Queue) claim(deliver func(Message), runEnd func(), push bool) bool {
+// Claim implements Claimer: deliver and runEnd (non-nil) become the queue's
+// consumer, delivered by pushers too if push is set, unless Inbox claimed the
+// queue first. serve drains it on the caller's goroutine until it is closed
+// and empty and no pusher is still delivering.
+func (q *Queue) Claim(deliver func(Message), runEnd func(), push bool) (serve func(), ok bool) {
 	q.mu.Lock()
-	if q.inbox != nil {
-		q.mu.Unlock()
-		return false
+	defer q.mu.Unlock()
+	if q.deliver != nil {
+		return nil, false
 	}
-	q.drained = true
-	if push {
-		q.deliver, q.runEnd = deliver, runEnd
-	}
-	q.drain(deliver, runEnd)
-	return true
+	q.deliver, q.runEnd, q.push = deliver, runEnd, push
+	return q.serve, true
 }
 
-// drain is the consumer loop; q.mu is held on entry and released on return.
-// It takes the whole queue at each wake-up — a run is everything queued by
-// then, one lock per run instead of one per message — and delivers it, until
-// the queue is closed and empty and no pusher is still delivering.
-func (q *Queue) drain(deliver func(Message), runEnd func()) {
+// serve is the consumer loop. It takes the whole queue at each wake-up — a
+// run is everything queued by then, one lock per run instead of one per
+// message — and delivers it, until the queue is closed and empty and no
+// pusher is still delivering.
+func (q *Queue) serve() {
+	q.mu.Lock()
+	defer q.mu.Unlock()
 	for {
 		for q.running || (len(q.items) == 0 && !q.closed) {
 			q.cond.Wait()
 		}
 		if len(q.items) == 0 {
-			q.mu.Unlock()
 			return
 		}
-		q.run(deliver, runEnd)
+		q.run()
 	}
 }
 
@@ -219,16 +221,16 @@ func (q *Queue) drain(deliver func(Message), runEnd func()) {
 // runEnd. q.mu is held on entry and on return, and released in between; the
 // running flag keeps every other delivery out meanwhile. The run's array,
 // cleared so it pins no payload, becomes the spare.
-func (q *Queue) run(deliver func(Message), runEnd func()) {
+func (q *Queue) run() {
 	run := q.items
 	q.items, q.spare = q.spare[:0], nil
 	q.running = true
 	q.mu.Unlock()
 	for i := range run {
-		deliver(run[i])
+		q.deliver(run[i])
 		run[i] = Message{}
 	}
-	runEnd()
+	q.runEnd()
 	q.mu.Lock()
 	q.running = false
 	if cap(run) <= maxRetainedBatch {
@@ -238,26 +240,25 @@ func (q *Queue) run(deliver func(Message), runEnd func()) {
 
 // Inbox returns the queue's messages as a channel. The first call claims the
 // queue for a pump goroutine that feeds the channel and closes it once the
-// queue is closed and drained; a queue DrainRuns or DrainPushed claimed first
-// yields a closed channel.
+// queue is closed and drained; a queue Claim claimed first yields a closed
+// channel.
 func (q *Queue) Inbox() <-chan Message {
 	q.mu.Lock()
 	defer q.mu.Unlock()
 	if q.inbox == nil {
-		q.inbox = make(chan Message)
-		if q.drained {
-			close(q.inbox)
+		inbox := make(chan Message)
+		q.inbox = inbox
+		if q.deliver != nil {
+			close(inbox)
 		} else {
-			go q.pump(q.inbox)
+			q.deliver, q.runEnd = func(m Message) { inbox <- m }, func() {}
+			go func() {
+				defer close(inbox)
+				q.serve()
+			}()
 		}
 	}
 	return q.inbox
-}
-
-func (q *Queue) pump(inbox chan<- Message) {
-	defer close(inbox)
-	q.mu.Lock()
-	q.drain(func(m Message) { inbox <- m }, func() {})
 }
 
 // Close ends the queue: nothing is admitted afterwards, and the consumer
@@ -276,7 +277,7 @@ func (q *Queue) Close() {
 	q.cond.Broadcast()
 	inbox := q.inbox
 	var orphans []Message
-	if inbox == nil && !q.drained {
+	if q.deliver == nil {
 		orphans, q.items = q.items, nil
 	}
 	q.mu.Unlock()
@@ -295,11 +296,12 @@ func (q *Queue) Len() int {
 	return len(q.items)
 }
 
-// Stats returns the queue's counters: messages admitted (DeliveredMsgs),
-// refused by the bound (InboundDrops), and the deepest the queue has ever
-// been (MailboxHighWater). A node maps them onto its own kind's meaning.
+// Stats returns the queue's counters: messages admitted (DeliveredMsgs), the
+// entries that carried them (FramesDelivered), messages refused by the bound
+// (InboundDrops), and the deepest the queue has ever been
+// (MailboxHighWater). A node maps them onto its own kind's meaning.
 func (q *Queue) Stats() Stats {
 	q.mu.Lock()
 	defer q.mu.Unlock()
-	return Stats{DeliveredMsgs: q.admits, InboundDrops: q.refusals, MailboxHighWater: q.hw}
+	return Stats{DeliveredMsgs: q.admits, FramesDelivered: q.entries, InboundDrops: q.refusals, MailboxHighWater: q.hw}
 }

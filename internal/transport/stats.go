@@ -10,8 +10,9 @@ type Stats struct {
 	DeliveredMsgs int64
 	// FramesDelivered counts wire frames (TCP) or datagrams (UDP) read off a
 	// socket; under pipelined load many messages share one, so frames per
-	// operation below 1 is the batching working. In memory there is no frame
-	// concept and it equals DeliveredMsgs.
+	// operation below 1 is the batching working. In memory every delivery is
+	// a frame: a server's coalesced ack envelope is one frame carrying
+	// several messages.
 	FramesDelivered int64
 	// SendDrops counts outbound messages discarded before leaving: the
 	// destination was unknown or unreachable, a bounded outbound queue was

@@ -40,16 +40,6 @@ type Message struct {
 	// an aliasing view longer takes its own Arena.Ref first. See wire's
 	// buffer-ownership rule 4.
 	Arena *wire.Arena
-
-	// vt, when non-nil, is the virtual clock whose activity token this
-	// message carries (simulation mode only). The token is attached when the
-	// network hands the message to a mailbox and travels with the arena
-	// reference: RetainArena takes an extra token alongside the extra arena
-	// ref, ReleaseArena returns one alongside the release. The pairing is
-	// deliberate — the arena discipline already marks exactly the points
-	// where a message changes hands, which is exactly what quiescence
-	// detection needs to know.
-	vt *VirtualClock
 }
 
 // RetainArena takes one additional reference on the message's arena, if any:
@@ -59,9 +49,6 @@ func (m Message) RetainArena() {
 	if m.Arena != nil {
 		m.Arena.Ref()
 	}
-	if m.vt != nil {
-		m.vt.begin()
-	}
 }
 
 // ReleaseArena drops the message's arena reference, if any. Consumers call it
@@ -70,9 +57,6 @@ func (m Message) RetainArena() {
 func (m Message) ReleaseArena() {
 	if m.Arena != nil {
 		m.Arena.Release()
-	}
-	if m.vt != nil {
-		m.vt.end()
 	}
 }
 

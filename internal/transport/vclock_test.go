@@ -3,13 +3,26 @@ package transport
 import (
 	"fmt"
 	"strings"
-	"sync"
-	"sync/atomic"
 	"testing"
 	"time"
 
 	"fastread/internal/types"
 )
+
+// stepAll steps the clock until no event remains, failing the test on the
+// first Step error.
+func stepAll(t *testing.T, c *VirtualClock) {
+	t.Helper()
+	for {
+		ran, err := c.Step()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !ran {
+			return
+		}
+	}
+}
 
 // TestVirtualClockOrder checks that events fire in (due time, schedule
 // sequence) order and that Now advances to each event's due instant.
@@ -24,8 +37,7 @@ func TestVirtualClockOrder(t *testing.T) {
 		// An event scheduled mid-run lands relative to the current instant.
 		c.Schedule(5*time.Millisecond, func() { got = append(got, "mid") })
 	})
-	for c.RunNext() {
-	}
+	stepAll(t, c)
 	want := "now,mid,a,b,c"
 	if s := strings.Join(got, ","); s != want {
 		t.Fatalf("event order = %s, want %s", s, want)
@@ -35,18 +47,37 @@ func TestVirtualClockOrder(t *testing.T) {
 	}
 }
 
-// TestVirtualClockStall checks that Step reports an outstanding activity
-// token as an error instead of hanging.
-func TestVirtualClockStall(t *testing.T) {
-	c := NewVirtualClock()
-	c.Schedule(time.Millisecond, func() {})
-	c.begin()
-	if _, err := c.Step(20 * time.Millisecond); err == nil {
-		t.Fatal("Step with an outstanding token should report a stall")
-	}
-	c.end()
-	if ran, err := c.Step(time.Second); err != nil || !ran {
-		t.Fatalf("Step after token release = (%v, %v), want (true, nil)", ran, err)
+// TestClockedDeliveryLeftQueuedFailsItsStep: a delivery its clock event
+// cannot hand to a consumer — the node is read through Inbox, or nobody
+// claimed it — makes that very Step return an error, and the next Step is
+// clean again.
+func TestClockedDeliveryLeftQueuedFailsItsStep(t *testing.T) {
+	for _, row := range []struct {
+		name    string
+		consume func(Node)
+	}{
+		{"inbox", func(n Node) { n.Inbox() }},
+		{"unclaimed", func(Node) {}},
+	} {
+		t.Run(row.name, func(t *testing.T) {
+			clock := NewVirtualClock()
+			net := NewInMemNetwork(WithClock(clock))
+			defer net.Close()
+			src := mustJoin(t, net, types.Server(1))
+			dst := mustJoin(t, net, types.Reader(1))
+			row.consume(dst)
+			if err := src.Send(dst.ID(), "m", []byte("x")); err != nil {
+				t.Fatal(err)
+			}
+			clock.Schedule(time.Millisecond, func() {})
+			ran, err := clock.Step()
+			if !ran || err == nil || !strings.Contains(err.Error(), "stayed queued") {
+				t.Fatalf("Step of a delivery left queued = (%v, %v), want (true, stayed-queued error)", ran, err)
+			}
+			if ran, err := clock.Step(); !ran || err != nil {
+				t.Fatalf("the next Step = (%v, %v), want (true, nil)", ran, err)
+			}
+		})
 	}
 }
 
@@ -73,31 +104,18 @@ func virtualEchoRun(t *testing.T, seed int64, n int) []string {
 	if err != nil {
 		t.Fatal(err)
 	}
-	go serve(ns, func(m Message) {
+	runConsume(ns, expanding(func(m Message) {
 		_ = ns.Send(m.From, "echo", append([]byte(nil), m.Payload...))
-	})
-	var mu sync.Mutex
+	}), nil)
 	var got []string
-	go serve(nw, func(m Message) {
-		mu.Lock()
+	runConsume(nw, expanding(func(m Message) {
 		got = append(got, string(m.Payload))
-		mu.Unlock()
-	})
+	}), nil)
 	for i := 0; i < n; i++ {
 		payload := []byte(fmt.Sprintf("m%d", i))
 		clock.Schedule(0, func() { _ = nw.Send(s, "req", payload) })
 	}
-	for {
-		ran, err := clock.Step(5 * time.Second)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !ran {
-			break
-		}
-	}
-	mu.Lock()
-	defer mu.Unlock()
+	stepAll(t, clock)
 	return got
 }
 
@@ -128,37 +146,5 @@ func TestVirtualNetworkDeterministic(t *testing.T) {
 	c := virtualEchoRun(t, 8, n)
 	if strings.Join(a, ",") == strings.Join(c, ",") {
 		t.Log("note: different seeds produced identical orders (possible but unlikely)")
-	}
-}
-
-// serve hands every protocol message delivered to node to handler, on one
-// goroutine, until the node is closed.
-func serve(node Node, handler func(Message)) {
-	for msg := range node.Inbox() {
-		Expand(msg, handler)
-		msg.ReleaseArena()
-	}
-}
-
-// TestVirtualClockStepWaitsForTheCascade: Step returns only once the work the
-// fired event started has given its activity tokens back, so its caller sees
-// the event's complete effect — what makes a simulation's observations
-// independent of the goroutine schedule.
-func TestVirtualClockStepWaitsForTheCascade(t *testing.T) {
-	c := NewVirtualClock()
-	var finished atomic.Bool
-	c.Schedule(time.Millisecond, func() {
-		c.begin()
-		go func() {
-			time.Sleep(20 * time.Millisecond)
-			finished.Store(true)
-			c.end()
-		}()
-	})
-	if ran, err := c.Step(5 * time.Second); err != nil || !ran {
-		t.Fatalf("Step = (%v, %v), want (true, nil)", ran, err)
-	}
-	if !finished.Load() {
-		t.Fatal("Step returned while the event's cascade was still running")
 	}
 }

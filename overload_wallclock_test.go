@@ -38,7 +38,7 @@ func paceClock(t *testing.T, c *transport.VirtualClock) (stop func()) {
 			reached := false
 			c.Schedule(time.Since(start)-c.Now().Sub(transport.VirtualEpoch), func() { reached = true })
 			for !reached {
-				if _, err := c.Step(10 * time.Second); err != nil {
+				if _, err := c.Step(); err != nil {
 					t.Error(err)
 					return
 				}
