@@ -32,18 +32,6 @@ import (
 // ABD ≈ 2× message count per read, signature cost dominating the Byzantine
 // write path) are what the paper predicts.
 
-// benchCluster builds a cluster for benchmarking and fails the benchmark on
-// error.
-func benchCluster(b *testing.B, cfg Config) *Cluster {
-	b.Helper()
-	cluster, err := NewCluster(cfg)
-	if err != nil {
-		b.Fatalf("NewCluster: %v", err)
-	}
-	b.Cleanup(func() { _ = cluster.Close() })
-	return cluster
-}
-
 // benchCtx returns a long-lived context for benchmark operations.
 func benchCtx(b *testing.B) context.Context {
 	b.Helper()
@@ -66,12 +54,12 @@ var readProtocols = []struct {
 // benchmarkRead measures a single reader issuing reads back to back.
 func benchmarkRead(b *testing.B, proto Protocol, servers int) {
 	b.Helper()
-	cluster := benchCluster(b, Config{Servers: servers, Faulty: 1, Readers: 1, Protocol: proto})
+	_, reg := newRegister(b, Config{Servers: servers, Faulty: 1, Readers: 1, Protocol: proto})
 	ctx := benchCtx(b)
-	if err := cluster.Writer().Write(ctx, []byte("bench-value")); err != nil {
+	if err := reg.Writer().Write(ctx, []byte("bench-value")); err != nil {
 		b.Fatalf("seed write: %v", err)
 	}
-	reader, err := cluster.Reader(1)
+	reader, err := reg.Reader(1)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -87,13 +75,13 @@ func benchmarkRead(b *testing.B, proto Protocol, servers int) {
 // benchmarkWrite measures the writer issuing writes back to back.
 func benchmarkWrite(b *testing.B, proto Protocol, servers int) {
 	b.Helper()
-	cluster := benchCluster(b, Config{Servers: servers, Faulty: 1, Readers: 1, Protocol: proto})
+	_, reg := newRegister(b, Config{Servers: servers, Faulty: 1, Readers: 1, Protocol: proto})
 	ctx := benchCtx(b)
 	value := []byte("bench-value")
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if err := cluster.Writer().Write(ctx, value); err != nil {
+		if err := reg.Writer().Write(ctx, value); err != nil {
 			b.Fatalf("write: %v", err)
 		}
 	}
@@ -138,24 +126,24 @@ func BenchmarkWrite(b *testing.B) {
 func BenchmarkByzantineFast(b *testing.B) {
 	cfg := Config{Servers: 8, Faulty: 1, Malicious: 1, Readers: 1, Protocol: ProtocolFastByzantine}
 	b.Run("Write", func(b *testing.B) {
-		cluster := benchCluster(b, cfg)
+		_, reg := newRegister(b, cfg)
 		ctx := benchCtx(b)
 		value := []byte("signed-value")
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			if err := cluster.Writer().Write(ctx, value); err != nil {
+			if err := reg.Writer().Write(ctx, value); err != nil {
 				b.Fatal(err)
 			}
 		}
 	})
 	b.Run("Read", func(b *testing.B) {
-		cluster := benchCluster(b, cfg)
+		_, reg := newRegister(b, cfg)
 		ctx := benchCtx(b)
-		if err := cluster.Writer().Write(ctx, []byte("signed-value")); err != nil {
+		if err := reg.Writer().Write(ctx, []byte("signed-value")); err != nil {
 			b.Fatal(err)
 		}
-		reader, err := cluster.Reader(1)
+		reader, err := reg.Reader(1)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -176,12 +164,12 @@ func BenchmarkByzantineFast(b *testing.B) {
 // benchmark is the cache's acceptance gate (≥2× over the uncached baseline
 // recorded in BENCH_2.json).
 func BenchmarkByzantineRead(b *testing.B) {
-	cluster := benchCluster(b, Config{Servers: 8, Faulty: 1, Malicious: 1, Readers: 1, Protocol: ProtocolFastByzantine})
+	_, reg := newRegister(b, Config{Servers: 8, Faulty: 1, Malicious: 1, Readers: 1, Protocol: ProtocolFastByzantine})
 	ctx := benchCtx(b)
-	if err := cluster.Writer().Write(ctx, []byte("signed-value")); err != nil {
+	if err := reg.Writer().Write(ctx, []byte("signed-value")); err != nil {
 		b.Fatal(err)
 	}
-	reader, err := cluster.Reader(1)
+	reader, err := reg.Reader(1)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -683,12 +671,12 @@ func BenchmarkConcurrentReaders(b *testing.B) {
 	for _, readers := range []int{1, 2, 4} {
 		b.Run(fmt.Sprintf("R=%d", readers), func(b *testing.B) {
 			servers := MinServersForFast(readers, 1, 0)
-			cluster := benchCluster(b, Config{Servers: servers, Faulty: 1, Readers: readers, Protocol: ProtocolFast})
+			_, reg := newRegister(b, Config{Servers: servers, Faulty: 1, Readers: readers, Protocol: ProtocolFast})
 			ctx := benchCtx(b)
-			if err := cluster.Writer().Write(ctx, []byte("seed")); err != nil {
+			if err := reg.Writer().Write(ctx, []byte("seed")); err != nil {
 				b.Fatal(err)
 			}
-			handles := cluster.Readers()
+			handles := reg.Readers()
 			var next atomic.Int64
 			b.ReportAllocs()
 			b.ResetTimer()

@@ -19,6 +19,30 @@ func testCtx(t *testing.T) context.Context {
 	return ctx
 }
 
+// newRegister starts a deployment of cfg and registers its default
+// (empty-key) register; the deployment closes when the test ends.
+func newRegister(tb testing.TB, cfg Config) (*Store, *Register) {
+	tb.Helper()
+	store, err := NewStore(cfg)
+	if err != nil {
+		tb.Fatalf("NewStore: %v", err)
+	}
+	tb.Cleanup(func() { _ = store.Close() })
+	reg, err := store.Register("")
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return store, reg
+}
+
+// withNetwork puts cfg on an in-memory network the test builds and keeps,
+// so it can isolate processes and hold links on it.
+func withNetwork(cfg Config, opts ...transport.InMemOption) (Config, *transport.InMemNetwork) {
+	net := transport.NewInMemNetwork(opts...)
+	cfg.Transport = &inMemTransport{net: net}
+	return cfg, net
+}
+
 func allProtocols() []Protocol {
 	return []Protocol{ProtocolFast, ProtocolFastByzantine, ProtocolABD, ProtocolMaxMin, ProtocolRegular}
 }
@@ -34,14 +58,10 @@ func configFor(p Protocol) Config {
 func TestAllProtocolsWriteThenRead(t *testing.T) {
 	for _, p := range allProtocols() {
 		t.Run(string(p), func(t *testing.T) {
-			cluster, err := NewCluster(configFor(p))
-			if err != nil {
-				t.Fatalf("NewCluster: %v", err)
-			}
-			defer cluster.Close()
+			_, reg := newRegister(t, configFor(p))
 			ctx := testCtx(t)
 
-			r, err := cluster.Reader(1)
+			r, err := reg.Reader(1)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -53,7 +73,7 @@ func TestAllProtocolsWriteThenRead(t *testing.T) {
 				t.Errorf("initial read = %q v%d, want nil v0", res.Value, res.Version)
 			}
 
-			if err := cluster.Writer().Write(ctx, []byte("hello")); err != nil {
+			if err := reg.Writer().Write(ctx, []byte("hello")); err != nil {
 				t.Fatalf("write: %v", err)
 			}
 			res, err = r.Read(ctx)
@@ -79,23 +99,19 @@ func TestAllProtocolsSurviveCrashes(t *testing.T) {
 	for _, p := range allProtocols() {
 		t.Run(string(p), func(t *testing.T) {
 			cfg := configFor(p)
-			cluster, err := NewCluster(cfg)
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer cluster.Close()
+			store, reg := newRegister(t, cfg)
 			ctx := testCtx(t)
 
-			if err := cluster.Writer().Write(ctx, []byte("v1")); err != nil {
+			if err := reg.Writer().Write(ctx, []byte("v1")); err != nil {
 				t.Fatal(err)
 			}
-			if err := cluster.CrashServer(cfg.Servers); err != nil {
+			if err := store.CrashServer(cfg.Servers); err != nil {
 				t.Fatal(err)
 			}
-			if err := cluster.Writer().Write(ctx, []byte("v2")); err != nil {
+			if err := reg.Writer().Write(ctx, []byte("v2")); err != nil {
 				t.Fatalf("write after crash: %v", err)
 			}
-			r, err := cluster.Reader(1)
+			r, err := reg.Reader(1)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -111,22 +127,18 @@ func TestAllProtocolsSurviveCrashes(t *testing.T) {
 }
 
 func TestClusterStats(t *testing.T) {
-	cluster, err := NewCluster(Config{Servers: 4, Faulty: 1, Readers: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer cluster.Close()
+	store, reg := newRegister(t, Config{Servers: 4, Faulty: 1, Readers: 1})
 	ctx := testCtx(t)
-	r, _ := cluster.Reader(1)
+	r, _ := reg.Reader(1)
 	for i := 0; i < 3; i++ {
-		if err := cluster.Writer().Write(ctx, []byte(fmt.Sprintf("v%d", i))); err != nil {
+		if err := reg.Writer().Write(ctx, []byte(fmt.Sprintf("v%d", i))); err != nil {
 			t.Fatal(err)
 		}
 		if _, err := r.Read(ctx); err != nil {
 			t.Fatal(err)
 		}
 	}
-	s := cluster.Stats()
+	s := store.Stats()
 	if s.Writes != 3 || s.Reads != 3 {
 		t.Errorf("stats ops = %d writes / %d reads", s.Writes, s.Reads)
 	}
@@ -142,6 +154,8 @@ func TestClusterStats(t *testing.T) {
 }
 
 func TestConfigValidation(t *testing.T) {
+	clocked, _ := withNetwork(Config{Servers: 4, Faulty: 1, Readers: 1},
+		transport.WithDefaultDelay(time.Millisecond), transport.WithClock(transport.NewVirtualClock()))
 	tests := []struct {
 		name    string
 		cfg     Config
@@ -162,79 +176,52 @@ func TestConfigValidation(t *testing.T) {
 			cfg:     Config{Servers: 4, Faulty: 1, Readers: 1, Protocol: Protocol("nope")},
 			wantErr: ErrUnknownProtocol,
 		},
-		{
-			name:    "delay without a clock",
-			cfg:     Config{Servers: 4, Faulty: 1, Readers: 1, Transport: InMemory(WithDelay(time.Millisecond))},
-			wantErr: ErrUnsupported,
-		},
-		{
-			name:    "jitter without a clock",
-			cfg:     Config{Servers: 4, Faulty: 1, Readers: 1, Transport: InMemory(WithJitter(time.Millisecond))},
-			wantErr: ErrUnsupported,
-		},
-		{
-			name:    "seed without a clock",
-			cfg:     Config{Servers: 4, Faulty: 1, Readers: 1, Transport: InMemory(WithSeed(42))},
-			wantErr: ErrUnsupported,
-		},
-		{
-			name: "delay on a virtual clock",
-			cfg: Config{Servers: 4, Faulty: 1, Readers: 1,
-				Transport: InMemory(WithDelay(time.Millisecond), WithVirtualClock(transport.NewVirtualClock()))},
-		},
+		{name: "delay on a virtual clock", cfg: clocked},
 	}
 	for _, tt := range tests {
 		t.Run(tt.name, func(t *testing.T) {
-			c, err := NewCluster(tt.cfg)
+			s, err := NewStore(tt.cfg)
 			if !errors.Is(err, tt.wantErr) {
 				t.Errorf("err = %v, want %v", err, tt.wantErr)
 			}
 			if err == nil {
-				_ = c.Close()
+				_ = s.Close()
 			}
 		})
 	}
 
-	if _, err := NewCluster(Config{Servers: 2, Faulty: 1, Readers: 1, Protocol: ProtocolABD}); err == nil {
+	if _, err := NewStore(Config{Servers: 2, Faulty: 1, Readers: 1, Protocol: ProtocolABD}); err == nil {
 		t.Error("ABD without a correct majority accepted")
 	}
-	if _, err := NewCluster(Config{Servers: 0}); err == nil {
+	if _, err := NewStore(Config{Servers: 0}); err == nil {
 		t.Error("zero servers accepted")
 	}
 }
 
 func TestReaderAndServerIndexValidation(t *testing.T) {
-	cluster, err := NewCluster(Config{Servers: 4, Faulty: 1, Readers: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer cluster.Close()
-	if _, err := cluster.Reader(0); !errors.Is(err, ErrUnknownReader) {
+	store, reg := newRegister(t, Config{Servers: 4, Faulty: 1, Readers: 1})
+	if _, err := reg.Reader(0); !errors.Is(err, ErrUnknownReader) {
 		t.Errorf("Reader(0) err = %v", err)
 	}
-	if _, err := cluster.Reader(2); !errors.Is(err, ErrUnknownReader) {
+	if _, err := reg.Reader(2); !errors.Is(err, ErrUnknownReader) {
 		t.Errorf("Reader(2) err = %v", err)
 	}
-	if err := cluster.CrashServer(0); !errors.Is(err, ErrUnknownServer) {
+	if err := store.CrashServer(0); !errors.Is(err, ErrUnknownServer) {
 		t.Errorf("CrashServer(0) err = %v", err)
 	}
-	if err := cluster.CrashServer(9); !errors.Is(err, ErrUnknownServer) {
+	if err := store.CrashServer(9); !errors.Is(err, ErrUnknownServer) {
 		t.Errorf("CrashServer(9) err = %v", err)
 	}
-	if got := len(cluster.Readers()); got != 1 {
+	if got := len(reg.Readers()); got != 1 {
 		t.Errorf("Readers() len = %d", got)
 	}
-	if cluster.Config().Servers != 4 {
+	if store.Config().Servers != 4 {
 		t.Error("Config() should round-trip")
 	}
 }
 
 func TestConcurrentClientsThroughFacade(t *testing.T) {
-	cluster, err := NewCluster(Config{Servers: 7, Faulty: 1, Readers: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer cluster.Close()
+	_, reg := newRegister(t, Config{Servers: 7, Faulty: 1, Readers: 4})
 	ctx := testCtx(t)
 
 	var wg sync.WaitGroup
@@ -242,13 +229,13 @@ func TestConcurrentClientsThroughFacade(t *testing.T) {
 	go func() {
 		defer wg.Done()
 		for i := 0; i < 20; i++ {
-			if err := cluster.Writer().Write(ctx, []byte(fmt.Sprintf("v%d", i))); err != nil {
+			if err := reg.Writer().Write(ctx, []byte(fmt.Sprintf("v%d", i))); err != nil {
 				t.Errorf("write: %v", err)
 				return
 			}
 		}
 	}()
-	for _, r := range cluster.Readers() {
+	for _, r := range reg.Readers() {
 		wg.Add(1)
 		go func(r Reader) {
 			defer wg.Done()

@@ -17,17 +17,10 @@
 //
 // # Quick start: one register
 //
-//	cfg := fastread.Config{Servers: 4, Faulty: 1, Readers: 1}
-//	cluster, err := fastread.NewCluster(cfg)
-//	if err != nil { ... }
-//	defer cluster.Close()
-//
-//	w := cluster.Writer()
-//	r, _ := cluster.Reader(1)
-//
-//	_ = w.Write(ctx, []byte("hello"))
-//	res, _ := r.Read(ctx)        // exactly one round-trip
-//	fmt.Println(string(res.Value))
+// ExampleNewStore deploys the paper's setting — one register, its writer and
+// its readers — as the default register (the empty key) of a Store: a
+// write, a one-round-trip read, a server crash, and another one-round-trip
+// read. Its output is checked by go test.
 //
 // # Quick start: many registers, one deployment
 //
@@ -38,7 +31,7 @@
 // and demultiplex their traffic by the register key carried in every
 // protocol message.
 //
-//	store, err := fastread.NewStore(cfg)
+//	store, err := fastread.NewStore(fastread.Config{Servers: 4, Faulty: 1, Readers: 1})
 //	if err != nil { ... }
 //	defer store.Close()
 //
@@ -47,9 +40,8 @@
 //	r, _ := reg.Reader(1)
 //	res, _ := r.Read(ctx)        // still one round-trip, per key
 //
-// A Cluster is simply a Store serving only the default register (the empty
-// key); Cluster.Store exposes the underlying store so single-register code
-// can grow into the keyed API without redeploying.
+// Single-register code uses the default register, the empty key; it grows
+// into the keyed API by registering more keys on the same store.
 //
 // Use Config.Protocol to select among the fast crash-tolerant register
 // (default), the Byzantine-tolerant fast register, the ABD baseline, the
@@ -83,15 +75,14 @@
 //		"w": "127.0.0.1:7200", "r1": "127.0.0.1:7201",
 //	})
 //
-// Capabilities differ only in fault injection: CrashServer and Network are
-// in-memory capabilities and report ErrUnsupported on TCP and UDP, where the
+// Capabilities differ only in fault injection: CrashServer is an in-memory
+// capability and reports ErrUnsupported on TCP and UDP, where the
 // real network is the fault injector (kill a process to crash it; on UDP,
 // WithReceiveFilter drops datagrams deterministically for loss testing —
 // the protocols never retransmit, tolerating loss through quorum slack
 // exactly as the paper's asynchronous lossy model intends). Time in memory is
-// virtual or absent: WithDelay/WithJitter/WithSeed are the delay model of an
-// InMemory network on WithVirtualClock, and NewStore refuses them without
-// one (ErrUnsupported; Config has no delay fields of its own).
+// virtual or absent: delays exist only on the simulator's virtual clock (see
+// below), and Config has no delay fields.
 // TCP and UDP are two carriers of one framed socket core
 // (internal/transport/framed): the same frame body, inbound path and
 // counters behind a length prefix on a stream or a sequence number in a
@@ -263,9 +254,10 @@
 //
 // # Virtual time and deterministic simulation
 //
-// The in-memory transport can be placed on a virtual clock
-// (transport.NewVirtualClock, wired in with fastread.WithVirtualClock):
-// deliveries, timeouts and injected faults become events in a priority
+// The simulator runs the in-memory transport on a virtual clock. It builds
+// the clocked network itself (sim.Replayable, which attaches a Store to it
+// through internal/seam) and keeps it, to hold links and isolate processes
+// on. Deliveries, timeouts and injected faults become events in a priority
 // queue, fired one at a time on one goroutine. Every consumer on such a
 // network is push-delivered, so the event that delivers a message runs the
 // server's handler, its log commit and ack flush, or the client completion,
@@ -275,8 +267,9 @@
 // nobody claimed — fails that Step instead of waiting. Under the virtual
 // clock a deployment must not consult wall time: timers must be scheduled
 // through the clock, and nonce sources must derive from clock.Now() rather
-// than time.Now(), or runs stop being reproducible. The scenario DSL, the seed-sweeping explorer and the trace
-// shrinker built on this live in internal/sim and cmd/simexplore. The paper's
+// than time.Now(), or runs stop being reproducible. The scenario DSL, the
+// seed-sweeping explorer and the trace shrinker built on this live in
+// internal/sim and cmd/simexplore. The paper's
 // own tables run there too: internal/experiments states E1–E8 as scenarios
 // and scripts on the virtual clock, with latencies in message delays (a fast
 // read is exactly 2Δ, max-min 3Δ, ABD 4Δ), and REPRODUCTION.md is their

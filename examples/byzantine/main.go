@@ -35,7 +35,7 @@ func run() error {
 		servers, faulty, malicious, readers,
 		servers, (readers+2)*faulty+(readers+1)*malicious)
 
-	cluster, err := fastread.NewCluster(fastread.Config{
+	store, err := fastread.NewStore(fastread.Config{
 		Servers:   servers,
 		Faulty:    faulty,
 		Malicious: malicious,
@@ -45,11 +45,15 @@ func run() error {
 	if err != nil {
 		return err
 	}
-	defer cluster.Close()
+	defer store.Close()
+	reg, err := store.Register("")
+	if err != nil {
+		return err
+	}
 
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 	defer cancel()
-	reader, err := cluster.Reader(1)
+	reader, err := reg.Reader(1)
 	if err != nil {
 		return err
 	}
@@ -57,7 +61,7 @@ func run() error {
 	// Ordinary operation: signed writes, one-round-trip reads.
 	secrets := []string{"ledger-epoch-1", "ledger-epoch-2", "ledger-epoch-3"}
 	for _, s := range secrets {
-		if err := cluster.Writer().Write(ctx, []byte(s)); err != nil {
+		if err := reg.Writer().Write(ctx, []byte(s)); err != nil {
 			return fmt.Errorf("write %q: %w", s, err)
 		}
 		res, err := reader.Read(ctx)
@@ -70,10 +74,10 @@ func run() error {
 
 	// Now crash a server (a benign failure within the t budget) and keep
 	// going: the quorum arithmetic already budgets for it.
-	if err := cluster.CrashServer(servers); err != nil {
+	if err := store.CrashServer(servers); err != nil {
 		return err
 	}
-	if err := cluster.Writer().Write(ctx, []byte("after-crash")); err != nil {
+	if err := reg.Writer().Write(ctx, []byte("after-crash")); err != nil {
 		return fmt.Errorf("write after crash: %w", err)
 	}
 	res, err := reader.Read(ctx)
@@ -82,7 +86,7 @@ func run() error {
 	}
 	fmt.Printf("\nafter crashing one server: read %q (version %d), still one round-trip\n", res.Value, res.Version)
 
-	stats := cluster.Stats()
+	stats := store.Stats()
 	fmt.Printf("\ntotals: %d writes, %d reads, %.0f round-trips per read, %d messages delivered\n",
 		stats.Writes, stats.Reads, stats.ReadRoundsPerOp, stats.DeliveredMsgs)
 	fmt.Println("every value carried an ed25519 signature from the writer; forged or replayed replies are discarded by readers")

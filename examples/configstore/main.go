@@ -66,7 +66,7 @@ type readSummary struct {
 // runConfigWorkload publishes a few revisions while readers poll, and returns
 // the reads' round-trip summary.
 func runConfigWorkload(proto fastread.Protocol, servers, faulty, readers int) (readSummary, error) {
-	cluster, err := fastread.NewCluster(fastread.Config{
+	store, err := fastread.NewStore(fastread.Config{
 		Servers:  servers,
 		Faulty:   faulty,
 		Readers:  readers,
@@ -75,7 +75,11 @@ func runConfigWorkload(proto fastread.Protocol, servers, faulty, readers int) (r
 	if err != nil {
 		return readSummary{}, err
 	}
-	defer cluster.Close()
+	defer store.Close()
+	reg, err := store.Register("")
+	if err != nil {
+		return readSummary{}, err
+	}
 
 	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
 	defer cancel()
@@ -100,7 +104,7 @@ func runConfigWorkload(proto fastread.Protocol, servers, faulty, readers int) (r
 				log.Printf("marshal revision %d: %v", v, err)
 				return
 			}
-			if err := cluster.Writer().Write(ctx, doc); err != nil {
+			if err := reg.Writer().Write(ctx, doc); err != nil {
 				log.Printf("publish revision %d: %v", v, err)
 				return
 			}
@@ -109,7 +113,7 @@ func runConfigWorkload(proto fastread.Protocol, servers, faulty, readers int) (r
 
 	// Application instances poll the configuration.
 	for i := 1; i <= readers; i++ {
-		reader, err := cluster.Reader(i)
+		reader, err := reg.Reader(i)
 		if err != nil {
 			return readSummary{}, err
 		}

@@ -21,7 +21,7 @@ func main() {
 func run() error {
 	// 4 servers, at most 1 crash, 1 reader: within the paper's R < S/t − 2
 	// bound, so every read is guaranteed to finish in one round-trip.
-	cluster, err := fastread.NewCluster(fastread.Config{
+	store, err := fastread.NewStore(fastread.Config{
 		Servers: 4,
 		Faulty:  1,
 		Readers: 1,
@@ -29,13 +29,17 @@ func run() error {
 	if err != nil {
 		return err
 	}
-	defer cluster.Close()
+	defer store.Close()
+	reg, err := store.Register("")
+	if err != nil {
+		return err
+	}
 
 	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
 	defer cancel()
 
-	writer := cluster.Writer()
-	reader, err := cluster.Reader(1)
+	writer := reg.Writer()
+	reader, err := reg.Reader(1)
 	if err != nil {
 		return err
 	}
@@ -51,7 +55,7 @@ func run() error {
 	fmt.Printf("read %q (version %d) in %d round-trip(s)\n", res.Value, res.Version, res.RoundTrips)
 
 	// Crash a server — within the failure bound nothing changes for clients.
-	if err := cluster.CrashServer(4); err != nil {
+	if err := store.CrashServer(4); err != nil {
 		return err
 	}
 	if err := writer.Write(ctx, []byte("still here after a crash")); err != nil {

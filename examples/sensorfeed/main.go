@@ -73,7 +73,7 @@ func run() error {
 
 // runFeed drives one protocol and prints its refresh statistics.
 func runFeed(proto fastread.Protocol, servers, faulty, dashboards int) error {
-	cluster, err := fastread.NewCluster(fastread.Config{
+	store, err := fastread.NewStore(fastread.Config{
 		Servers:  servers,
 		Faulty:   faulty,
 		Readers:  dashboards,
@@ -82,7 +82,11 @@ func runFeed(proto fastread.Protocol, servers, faulty, dashboards int) error {
 	if err != nil {
 		return err
 	}
-	defer cluster.Close()
+	defer store.Close()
+	reg, err := store.Register("")
+	if err != nil {
+		return err
+	}
 
 	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
 	defer cancel()
@@ -100,7 +104,7 @@ func runFeed(proto fastread.Protocol, servers, faulty, dashboards int) error {
 		defer wg.Done()
 		for i := 1; i <= ingestedCount; i++ {
 			s := sample{Sequence: uint64(i), Celsius: 20 + float64(i)*0.25}
-			if err := cluster.Writer().Write(ctx, s.encode()); err != nil {
+			if err := reg.Writer().Write(ctx, s.encode()); err != nil {
 				log.Printf("ingest %d: %v", i, err)
 				return
 			}
@@ -110,7 +114,7 @@ func runFeed(proto fastread.Protocol, servers, faulty, dashboards int) error {
 	// Dashboards refresh concurrently and track whether their view ever goes
 	// backwards (it must not, for the atomic protocols).
 	for d := 1; d <= dashboards; d++ {
-		reader, err := cluster.Reader(d)
+		reader, err := reg.Reader(d)
 		if err != nil {
 			return err
 		}
@@ -137,7 +141,7 @@ func runFeed(proto fastread.Protocol, servers, faulty, dashboards int) error {
 	}
 	wg.Wait()
 
-	stats := cluster.Stats()
+	stats := store.Stats()
 	fmt.Printf("%-8s refreshes=%-3d round trips/read=%.2f stale refreshes=%d\n",
 		proto, totalRefresh.Load(), stats.ReadRoundsPerOp, staleRefresh.Load())
 	return nil

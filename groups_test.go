@@ -298,9 +298,8 @@ func TestStoreGroupsConfigRejected(t *testing.T) {
 }
 
 // TestStoreGroupsCrashPerGroup checks fault injection composes with
-// partitioning: crashing server 1 crashes it in every instantiated group,
-// each group tolerates its own t failures independently, and the capability
-// remains in-memory-only.
+// partitioning: crashing server 1 crashes it in every instantiated group, and
+// each group tolerates its own t failures independently.
 func TestStoreGroupsCrashPerGroup(t *testing.T) {
 	store, err := NewStore(Config{Servers: 5, Faulty: 2, Readers: 1, Protocol: ProtocolABD,
 		Groups: []GroupSpec{{Name: "g0"}, {Name: "g1"}}})
@@ -335,12 +334,6 @@ func TestStoreGroupsCrashPerGroup(t *testing.T) {
 		if res, err := rd.Read(ctx); err != nil || string(res.Value) != "ok" {
 			t.Fatalf("key %q (group %q): read after crash: %v %q", reg.Key(), reg.Group(), err, res.Value)
 		}
-	}
-
-	// A partitioned deployment has one network per group, so the aggregate
-	// Network capability is declined.
-	if _, err := store.Network(); !errors.Is(err, ErrUnsupported) {
-		t.Errorf("Network() on a partitioned store: got %v, want ErrUnsupported", err)
 	}
 }
 

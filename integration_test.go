@@ -8,20 +8,8 @@ import (
 	"time"
 
 	"fastread/internal/atomicity"
-	"fastread/internal/transport"
 	"fastread/internal/types"
 )
-
-// mustNetwork returns the cluster's in-memory network; these tests always
-// run on the in-memory backend, where the capability is present.
-func mustNetwork(t *testing.T, c *Cluster) *transport.InMemNetwork {
-	t.Helper()
-	net, err := c.Network()
-	if err != nil {
-		t.Fatalf("Network(): %v", err)
-	}
-	return net
-}
 
 // TestWorkloadConsistencyPerProtocol drives every protocol through a
 // concurrent workload with mid-run crashes and verifies the protocol's
@@ -42,19 +30,16 @@ func TestWorkloadConsistencyPerProtocol(t *testing.T) {
 	for _, sc := range scenarios {
 		t.Run(sc.name, func(t *testing.T) {
 			t.Parallel()
-			cluster, err := NewCluster(sc.cfg)
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer cluster.Close()
+			cfg, net := withNetwork(sc.cfg)
+			store, reg := newRegister(t, cfg)
 
 			ctx, cancel := context.WithTimeout(context.Background(), 2*time.Minute)
 			defer cancel()
 			// Server S crashes after the tenth completed operation.
 			var completed atomic.Int64
-			h := driveRegister(ctx, t, cluster.reg, 25, 30, func() {
+			h := driveRegister(ctx, t, reg, 25, 30, func() {
 				if completed.Add(1) == 10 {
-					mustNetwork(t, cluster).Isolate(types.Server(sc.cfg.Servers))
+					net.Isolate(types.Server(sc.cfg.Servers))
 				}
 			})
 			if t.Failed() {
@@ -64,7 +49,10 @@ func TestWorkloadConsistencyPerProtocol(t *testing.T) {
 				t.Fatalf("server %d was not crashed mid-run", sc.cfg.Servers)
 			}
 
-			var report atomicity.Report
+			var (
+				report atomicity.Report
+				err    error
+			)
 			if sc.expected == "atomic" {
 				report, err = atomicity.CheckSWMR(h)
 			} else {
@@ -78,7 +66,7 @@ func TestWorkloadConsistencyPerProtocol(t *testing.T) {
 			}
 
 			// Round-trip counts must match the protocol's promise.
-			stats := cluster.Stats()
+			stats := store.Stats()
 			switch sc.cfg.Protocol {
 			case ProtocolABD:
 				if stats.ReadRoundsPerOp != 2 {
@@ -98,23 +86,20 @@ func TestWorkloadConsistencyPerProtocol(t *testing.T) {
 // quorum, readers may serve the previous value (and report UsedFallback),
 // but must never go backwards afterwards.
 func TestFallbackReadsReturnPreviousValue(t *testing.T) {
-	cluster, err := NewCluster(Config{Servers: 7, Faulty: 1, Readers: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer cluster.Close()
+	cfg, net := withNetwork(Config{Servers: 7, Faulty: 1, Readers: 2})
+	store, reg := newRegister(t, cfg)
 	ctx := testCtx(t)
 
-	if err := cluster.Writer().Write(ctx, []byte("committed")); err != nil {
+	if err := reg.Writer().Write(ctx, []byte("committed")); err != nil {
 		t.Fatal(err)
 	}
 	// Stall the next write: it reaches a single server only.
 	for i := 2; i <= 7; i++ {
-		mustNetwork(t, cluster).Hold(types.Writer(), types.Server(i))
+		net.Hold(types.Writer(), types.Server(i))
 	}
 	stallCtx, cancel := context.WithTimeout(ctx, 100*time.Millisecond)
 	defer cancel()
-	if err := cluster.Writer().Write(stallCtx, []byte("stalled")); err == nil {
+	if err := reg.Writer().Write(stallCtx, []byte("stalled")); err == nil {
 		t.Fatal("stalled write unexpectedly completed")
 	}
 
@@ -122,7 +107,7 @@ func TestFallbackReadsReturnPreviousValue(t *testing.T) {
 	var floor int64
 	for i := 0; i < 8; i++ {
 		for r := 1; r <= 2; r++ {
-			reader, err := cluster.Reader(r)
+			reader, err := reg.Reader(r)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -152,25 +137,21 @@ func TestFallbackReadsReturnPreviousValue(t *testing.T) {
 	if !sawFallback {
 		t.Log("no read needed the fallback path under this interleaving (acceptable, depends on timing)")
 	}
-	stats := cluster.Stats()
+	stats := store.Stats()
 	if stats.FallbackReads > 0 && !sawFallback {
 		t.Error("stats report fallback reads but none was observed")
 	}
 }
 
-// TestStatsFallbackCounterMatchesResults cross-checks the façade's fallback
+// TestStatsFallbackCounterMatchesResults cross-checks the store's fallback
 // counter against per-read results.
 func TestStatsFallbackCounterMatchesResults(t *testing.T) {
-	cluster, err := NewCluster(Config{Servers: 4, Faulty: 1, Readers: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer cluster.Close()
+	store, reg := newRegister(t, Config{Servers: 4, Faulty: 1, Readers: 1})
 	ctx := testCtx(t)
-	reader, _ := cluster.Reader(1)
+	reader, _ := reg.Reader(1)
 	fallbacks := int64(0)
 	for i := 0; i < 10; i++ {
-		if err := cluster.Writer().Write(ctx, []byte(fmt.Sprintf("v%d", i))); err != nil {
+		if err := reg.Writer().Write(ctx, []byte(fmt.Sprintf("v%d", i))); err != nil {
 			t.Fatal(err)
 		}
 		res, err := reader.Read(ctx)
@@ -181,7 +162,7 @@ func TestStatsFallbackCounterMatchesResults(t *testing.T) {
 			fallbacks++
 		}
 	}
-	if got := cluster.Stats().FallbackReads; got != fallbacks {
+	if got := store.Stats().FallbackReads; got != fallbacks {
 		t.Errorf("Stats.FallbackReads = %d, observed %d", got, fallbacks)
 	}
 }

@@ -136,16 +136,16 @@ func runSchedule(cfg quorum.Config, kind ReaderKind, byzantine bool, beforeFinal
 	st := newStage()
 	result := ConstructionResult{Config: cfg, Kind: kind, BoundSatisfied: cfg.FastReadPossible()}
 	malicious := part.MaliciousServers()
-	cluster, err := st.deployCluster(cfg, kind, malicious)
+	store, net, err := st.deploy(cfg, kind, malicious)
 	if err != nil {
 		return result, err
 	}
-	defer cluster.Close()
-	net, err := cluster.Network()
+	defer store.Close()
+	reg, err := store.Register("")
 	if err != nil {
 		return result, err
 	}
-	readers := cluster.Readers()
+	readers := reg.Readers()
 	read := func(i int) *operation {
 		return invoke(st, types.Reader(i), history.OpRead, nil,
 			func() (*fastread.ReadFuture, error) { return readers[i-1].ReadAsync(context.Background()) },
@@ -164,7 +164,7 @@ func runSchedule(cfg quorum.Config, kind ReaderKind, byzantine bool, beforeFinal
 	value := types.Value("v1")
 	invoke(st, w, history.OpWrite, value,
 		func() (writeFuture, error) {
-			f, err := cluster.Writer().WriteAsync(context.Background(), value)
+			f, err := reg.Writer().WriteAsync(context.Background(), value)
 			return writeFuture{f}, err
 		},
 		func(struct{}) (types.Value, types.Timestamp) { return nil, 1 })

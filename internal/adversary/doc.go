@@ -10,8 +10,9 @@
 // internal/atomicity then judges.
 //
 // A schedule runs on a stage (stage.go): a deployment on a virtual clock that
-// the schedule itself steps, as internal/sim's runs do. Links are held and
-// released on the in-memory network, operations are submitted as futures, and
+// the schedule itself steps, built by internal/sim's own recipe
+// (sim.Replayable). Links are held and released on the in-memory network
+// that recipe builds and returns, operations are submitted as futures, and
 // "the message has been processed" is not polled or slept for: settle steps
 // the clock until no event remains, and the clock fires one delivery at a
 // time, on one goroutine, running the delivery's whole cascade — the

@@ -141,7 +141,7 @@ func (st *stage) complete(op *operation, what string) {
 	}
 }
 
-// The constructions deploy through fastread.NewCluster like everything else,
+// The constructions deploy through fastread.NewStore like everything else,
 // under drivers of their own: the fast protocols' factories with the
 // deployment-shape check relaxed to quorum.Config.Validate — the whole point
 // is to run the paper's algorithm at and beyond its bound — and, for
@@ -163,11 +163,12 @@ func init() {
 	}
 }
 
-// deployCluster starts cfg's deployment on the stage's clock by sim.Run's own
+// deploy starts cfg's deployment on the stage's clock by sim.Run's own
 // recipe (sim.Replayable), so there is no scheduling freedom and no
-// wall-clock input anywhere in the run. The listed servers are malicious:
+// wall-clock input anywhere in the run, and returns it with the network the
+// schedule holds and releases links on. The listed servers are malicious:
 // they lose their memory towards reader r1.
-func (st *stage) deployCluster(cfg quorum.Config, kind ReaderKind, malicious []types.ProcessID) (*fastread.Cluster, error) {
+func (st *stage) deploy(cfg quorum.Config, kind ReaderKind, malicious []types.ProcessID) (*fastread.Store, *transport.InMemNetwork, error) {
 	base := "fast"
 	if len(malicious) > 0 {
 		base = "fast-byz"
@@ -176,12 +177,14 @@ func (st *stage) deployCluster(cfg quorum.Config, kind ReaderKind, malicious []t
 	for _, s := range malicious {
 		faulty[s.Index] = fastread.ByzantineMemoryLoss
 	}
-	return fastread.NewCluster(sim.Replayable(fastread.Config{
+	scfg, net := sim.Replayable(fastread.Config{
 		Servers:   cfg.Servers,
 		Faulty:    cfg.Faulty,
 		Malicious: cfg.Malicious,
 		Readers:   cfg.Readers,
 		Protocol:  fastread.Protocol(base + "-unbounded-" + kind.String()),
 		Byzantine: faulty,
-	}, st.clock, fastread.WithDelay(hop)))
+	}, st.clock, transport.WithDefaultDelay(hop))
+	store, err := fastread.NewStore(scfg)
+	return store, net, err
 }

@@ -1,5 +1,5 @@
 // Package driver is the protocol driver registry: the seam between the
-// public Store/Cluster API (and the cmd binaries) and the individual register
+// public Store API (and the cmd binaries) and the individual register
 // protocol implementations.
 //
 // Each protocol package (core, abd, maxmin, regular) registers one Driver per

@@ -60,9 +60,6 @@ func NewCache(v Verifier, capacity int) *Cache {
 	}
 }
 
-// Verifier returns the underlying (uncached) verifier.
-func (c *Cache) Verifier() Verifier { return c.v }
-
 // VerifyKeyed checks the writer's signature over the (key, ts, cur, prev)
 // tuple, consulting the cache first. Timestamp 0 bypasses the cache entirely:
 // its acceptance rule is a cheap structural check, not asymmetric crypto.
@@ -116,12 +113,6 @@ func (c *Cache) insert(digest [sha256.Size]byte) {
 		c.cur[digest] = struct{}{}
 	}
 	c.mu.Unlock()
-}
-
-// VerifyMessage checks the WriterSig carried by a protocol message against
-// the (Key, TS, Cur, Prev) tuple it carries, consulting the cache.
-func (c *Cache) VerifyMessage(m *wire.Message) error {
-	return c.VerifyKeyed(m.Key, m.TS, m.Cur, m.Prev, m.WriterSig)
 }
 
 // Stats reports how many verifications were answered from the cache versus

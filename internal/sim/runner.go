@@ -13,24 +13,27 @@ import (
 	"fastread"
 	"fastread/internal/atomicity"
 	"fastread/internal/history"
+	"fastread/internal/seam"
 	"fastread/internal/transport"
 	"fastread/internal/types"
 )
 
 // Replayable completes cfg into a deployment that replays byte for byte on
 // clock — the one recipe the scenario runner and the lower-bound stage
-// (internal/adversary) deploy by. On the clock every consumer is
+// (internal/adversary) deploy by. It builds the deployment's in-memory
+// network on clock, shaped by opts, and returns it: its caller owns it, to
+// isolate processes and hold links on. On the clock every consumer is
 // push-delivered: the event that delivers a message runs its server handler
 // or client completion on the driver goroutine, so combined with the clock's
 // one-event-at-a-time delivery there is no scheduling freedom anywhere in a
-// run, under any goroutine schedule. Nonces read the virtual
-// clock, so a client incarnation created later in virtual time draws a
-// strictly larger initial counter and no wall-clock input reaches the run. The
-// network is in memory on clock, shaped by network.
-func Replayable(cfg fastread.Config, clock *transport.VirtualClock, network ...fastread.InMemoryOption) fastread.Config {
+// run, under any goroutine schedule. Nonces read the virtual clock, so a
+// client incarnation created later in virtual time draws a strictly larger
+// initial counter and no wall-clock input reaches the run.
+func Replayable(cfg fastread.Config, clock *transport.VirtualClock, opts ...transport.InMemOption) (fastread.Config, *transport.InMemNetwork) {
+	net := transport.NewInMemNetwork(append(opts, transport.WithClock(clock))...)
 	cfg.NonceSource = func() int64 { return clock.Now().UnixMicro() }
-	cfg.Transport = fastread.InMemory(append(network, fastread.WithVirtualClock(clock))...)
-	return cfg
+	cfg.Transport = seam.InMemory(net).(fastread.Transport)
+	return cfg, net
 }
 
 // Result is one simulation run's complete outcome.
@@ -212,7 +215,7 @@ func Run(sc Scenario, seed int64) *Result {
 	}
 
 	clock := transport.NewVirtualClock()
-	cfg := Replayable(fastread.Config{
+	cfg, net := Replayable(fastread.Config{
 		Servers:       sc.Servers,
 		Faulty:        sc.Faulty,
 		Malicious:     sc.Malicious,
@@ -220,7 +223,7 @@ func Run(sc Scenario, seed int64) *Result {
 		PipelineDepth: sc.Depth,
 		Protocol:      fastread.Protocol(sc.Protocol),
 		Byzantine:     byz,
-	}, clock, fastread.WithDelay(sc.Delay), fastread.WithJitter(sc.Jitter), fastread.WithSeed(seed))
+	}, clock, transport.WithDefaultDelay(sc.Delay), transport.WithJitter(sc.Jitter), transport.WithSeed(seed))
 	if sc.FrozenNonce {
 		// The deliberately-wrong configuration: a restarted reader incarnation
 		// no longer draws a larger initial counter, which starves it.
@@ -259,11 +262,6 @@ func Run(sc Scenario, seed int64) *Result {
 		return res
 	}
 	defer store.Close()
-	net, err := store.Network()
-	if err != nil {
-		res.RunErr = err
-		return res
-	}
 
 	aborted, cancel := context.WithCancel(context.Background())
 	cancel()

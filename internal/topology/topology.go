@@ -45,7 +45,6 @@ const DefaultVirtualNodes = 128
 // is one hash plus one binary search and allocates nothing.
 type Ring struct {
 	points []ringPoint
-	groups int
 }
 
 // ringPoint is one virtual node: the hash of "<group-name>#<replica>" and
@@ -74,7 +73,6 @@ func NewRing(names []string, virtualNodes int) (*Ring, error) {
 	seen := make(map[string]struct{}, len(names))
 	r := &Ring{
 		points: make([]ringPoint, 0, len(names)*virtualNodes),
-		groups: len(names),
 	}
 	var buf []byte
 	for gi, name := range names {
@@ -103,9 +101,6 @@ func NewRing(names []string, virtualNodes int) (*Ring, error) {
 	})
 	return r, nil
 }
-
-// Groups returns the number of groups on the ring.
-func (r *Ring) Groups() int { return r.groups }
 
 // Lookup returns the index (into the ordered group list the ring was built
 // from) of the group owning key.

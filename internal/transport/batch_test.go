@@ -453,3 +453,23 @@ func TestInMemDeliveredMsgsCountsEnvelopeMessages(t *testing.T) {
 		t.Fatalf("DeliveredMsgs = %d in %d frames; want the envelope's 3 messages in 1 delivery", st.DeliveredMsgs, st.FramesDelivered)
 	}
 }
+
+// TestInMemDropCountsEnvelopeMessages is the routing half of the same rule: a
+// coalesced ack envelope dropped on its way to an isolated reader counts its
+// messages in InboundDrops, as the reader's queue would have counted them.
+func TestInMemDropCountsEnvelopeMessages(t *testing.T) {
+	net := NewInMemNetwork()
+	defer func() { _ = net.Close() }()
+	server := mustJoin(t, net, types.Server(1))
+	mustJoin(t, net, types.Reader(1))
+	net.Isolate(types.Reader(1))
+
+	co := NewCoalescer(server)
+	for rc := int64(1); rc <= 3; rc++ {
+		_ = co.Send(types.Reader(1), "readack", encodedMsg(wire.OpReadAck, "k", rc))
+	}
+	co.Flush()
+	if st := net.Stats(); st.InboundDrops != 3 || st.DeliveredMsgs != 0 {
+		t.Fatalf("InboundDrops = %d, DeliveredMsgs = %d; want the dropped envelope's 3 messages and no delivery", st.InboundDrops, st.DeliveredMsgs)
+	}
+}

@@ -289,10 +289,15 @@ func (n *InMemNetwork) routeSlow(msg Message) (*inMemNode, time.Duration) {
 	return dst, delay
 }
 
-// drop counts messages the network discards — in routing, off a held link,
-// at close — and releases their references.
+// drop counts the messages the network discards — in routing, off a held
+// link, at close — as the queues count them (Message.Count), and releases
+// their references.
 func (n *InMemNetwork) drop(msgs ...Message) {
-	n.dropped.Add(int64(len(msgs)))
+	var c int64
+	for _, m := range msgs {
+		c += m.Count()
+	}
+	n.dropped.Add(c)
 	releaseAll(msgs)
 }
 

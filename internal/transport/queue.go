@@ -162,18 +162,13 @@ func (q *Queue) admitted() {
 }
 
 // admit appends and counts m unless the queue is closed or full (a full
-// queue counts the refusal); q.mu is held. A batch envelope counts every
-// message it carries.
+// queue counts the refusal); q.mu is held. An envelope counts the messages
+// it carries (Message.Count).
 func (q *Queue) admit(m Message) bool {
 	if q.closed {
 		return false
 	}
-	n := int64(1)
-	if wire.IsBatch(m.Payload) {
-		if c, err := wire.BatchCount(m.Payload); err == nil {
-			n = int64(c)
-		}
-	}
+	n := m.Count()
 	if q.bound > 0 && len(q.items) >= q.bound {
 		q.refusals += n
 		return false

@@ -60,6 +60,17 @@ func (m Message) ReleaseArena() {
 	}
 }
 
+// Count is how many protocol messages m carries: every message of a batch
+// envelope, else one. The network counters count messages this way.
+func (m Message) Count() int64 {
+	if wire.IsBatch(m.Payload) {
+		if c, err := wire.BatchCount(m.Payload); err == nil {
+			return int64(c)
+		}
+	}
+	return 1
+}
+
 // releaseAll releases every message's reference: messages no consumer will
 // ever take.
 func releaseAll(msgs []Message) {

@@ -43,11 +43,6 @@ func (r Role) String() string {
 	}
 }
 
-// Valid reports whether the role is one of the three defined roles.
-func (r Role) Valid() bool {
-	return r == RoleWriter || r == RoleReader || r == RoleServer
-}
-
 // ProcessID names a process in the system. Readers and servers are numbered
 // starting from 1, matching the paper (r1..rR, s1..sS). The writer has
 // index 0.

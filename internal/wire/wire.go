@@ -122,8 +122,8 @@ type Message struct {
 	// multiplexes many independent registers over the same server processes;
 	// every protocol message carries the key of the register it operates on,
 	// and servers keep fully separate state per key. The empty key is the
-	// deployment's default register and is what single-register (Cluster)
-	// deployments use, so legacy traffic is simply keyed traffic on "".
+	// deployment's default register, which single-register code and
+	// regclient without -key use.
 	Key string
 	// TS is the logical timestamp carried by the message. For OpRead it is
 	// the highest timestamp previously returned/observed by the reader

@@ -36,14 +36,6 @@ func (r *Rand) Float64() float64 {
 	return float64(r.Uint64()>>11) / (1 << 53)
 }
 
-// Intn returns a uniform int in [0, n). n must be positive.
-func (r *Rand) Intn(n int) int {
-	if n <= 0 {
-		panic("workload: Intn with non-positive n")
-	}
-	return int(r.Uint64() % uint64(n))
-}
-
 // Zipf draws keys in [0, n) with popularity weight 1/(rank+1)^s. It inverts
 // a precomputed CDF with a binary search — O(log n) per draw with no
 // rejection, so the number of PRNG variates consumed per draw is fixed (one),

@@ -104,16 +104,16 @@ func TestOverloadAcceptance(t *testing.T) {
 	// throttling the generator to the completion rate.
 	clock := transport.NewVirtualClock()
 	defer paceClock(t, clock)()
-	store, err := NewStore(Config{
+	cfg, _ := withNetwork(Config{
 		Servers:       4,
 		Faulty:        1,
 		Readers:       1,
 		Protocol:      ProtocolFast,
 		PipelineDepth: 2,
-		Transport:     InMemory(WithDelay(2*time.Millisecond), WithVirtualClock(clock)),
 		AdmissionWait: 500 * time.Microsecond,
 		QueueBound:    bound,
-	})
+	}, transport.WithDefaultDelay(2*time.Millisecond), transport.WithClock(clock))
+	store, err := NewStore(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}

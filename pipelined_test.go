@@ -216,7 +216,8 @@ func TestPipelinedWritesFIFO(t *testing.T) {
 // must resolve with ErrStoreClosed — promptly, not by waiting out the
 // caller's context against a dead network.
 func TestFutureResolvesStoreClosedAfterClose(t *testing.T) {
-	store, err := NewStore(Config{Servers: 4, Faulty: 1, Readers: 1, PipelineDepth: 4})
+	cfg, net := withNetwork(Config{Servers: 4, Faulty: 1, Readers: 1, PipelineDepth: 4})
+	store, err := NewStore(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -236,10 +237,6 @@ func TestFutureResolvesStoreClosedAfterClose(t *testing.T) {
 
 	// Strand the operations: acknowledgements to the clients are held, so
 	// the futures can only ever resolve through Close.
-	net, err := store.Network()
-	if err != nil {
-		t.Fatal(err)
-	}
 	for i := 1; i <= 4; i++ {
 		net.Hold(types.Server(i), types.Reader(1))
 		net.Hold(types.Server(i), types.Writer())
@@ -280,7 +277,8 @@ func TestFutureResolvesStoreClosedAfterClose(t *testing.T) {
 // its pipelined siblings on the SAME handle keep their state and complete
 // once their acknowledgements arrive.
 func TestCancelledReadLeavesSiblingsRunning(t *testing.T) {
-	store, err := NewStore(Config{Servers: 4, Faulty: 1, Readers: 1, PipelineDepth: 4})
+	cfg, net := withNetwork(Config{Servers: 4, Faulty: 1, Readers: 1, PipelineDepth: 4})
+	store, err := NewStore(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -300,10 +298,6 @@ func TestCancelledReadLeavesSiblingsRunning(t *testing.T) {
 
 	// Hold every acknowledgement so both reads stay in flight, then cancel
 	// only the first.
-	net, err := store.Network()
-	if err != nil {
-		t.Fatal(err)
-	}
 	for i := 1; i <= 4; i++ {
 		net.Hold(types.Server(i), types.Reader(1))
 	}

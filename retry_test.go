@@ -30,17 +30,14 @@ func silence(net *transport.InMemNetwork, c types.ProcessID, servers ...types.Pr
 // never form and a plain Read blocks forever, but ReadWithRetry abandons the
 // stalled attempts and succeeds once the network heals.
 func TestRetryAfterSilencedServersHeal(t *testing.T) {
-	cluster, err := NewCluster(Config{Servers: 4, Faulty: 1, Readers: 1, Protocol: ProtocolFast})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer cluster.Close()
+	cfg, net := withNetwork(Config{Servers: 4, Faulty: 1, Readers: 1, Protocol: ProtocolFast})
+	_, reg := newRegister(t, cfg)
 	ctx := testCtx(t)
 
-	if err := cluster.Writer().Write(ctx, []byte("healed")); err != nil {
+	if err := reg.Writer().Write(ctx, []byte("healed")); err != nil {
 		t.Fatal(err)
 	}
-	r, err := cluster.Reader(1)
+	r, err := reg.Reader(1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -48,10 +45,6 @@ func TestRetryAfterSilencedServersHeal(t *testing.T) {
 	// Silence two of four servers towards the reader: the read quorum of
 	// S-t = 3 can no longer form, so every read until the heal is stranded
 	// (the protocols never retransmit).
-	net, err := cluster.Network()
-	if err != nil {
-		t.Fatal(err)
-	}
 	heal := time.AfterFunc(250*time.Millisecond, silence(net, types.Reader(1), types.Server(1), types.Server(2)))
 	defer heal.Stop()
 
@@ -67,7 +60,7 @@ func TestRetryAfterSilencedServersHeal(t *testing.T) {
 	// Writes stranded the same way also recover.
 	heal2 := time.AfterFunc(250*time.Millisecond, silence(net, types.Writer(), types.Server(1), types.Server(2)))
 	defer heal2.Stop()
-	if err := WriteWithRetry(ctx, cluster.Writer(), []byte("healed-2"), policy); err != nil {
+	if err := WriteWithRetry(ctx, reg.Writer(), []byte("healed-2"), policy); err != nil {
 		t.Fatalf("WriteWithRetry after heal: %v", err)
 	}
 	res, err = r.Read(ctx)
@@ -84,21 +77,14 @@ func TestRetryAfterSilencedServersHeal(t *testing.T) {
 // ErrRetriesExhausted, protocol errors are not retried, and a cancelled
 // parent context wins over the attempt error.
 func TestRetryExhaustionAndErrorClassification(t *testing.T) {
-	cluster, err := NewCluster(Config{Servers: 4, Faulty: 1, Readers: 1, Protocol: ProtocolFast})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer cluster.Close()
+	cfg, net := withNetwork(Config{Servers: 4, Faulty: 1, Readers: 1, Protocol: ProtocolFast})
+	_, reg := newRegister(t, cfg)
 	ctx := testCtx(t)
-	r, err := cluster.Reader(1)
+	r, err := reg.Reader(1)
 	if err != nil {
 		t.Fatal(err)
 	}
 
-	net, err := cluster.Network()
-	if err != nil {
-		t.Fatal(err)
-	}
 	heal := silence(net, types.Reader(1), types.Server(1), types.Server(2))
 
 	fast := RetryPolicy{Attempts: 3, Timeout: 30 * time.Millisecond, Backoff: 5 * time.Millisecond, MaxBackoff: 10 * time.Millisecond}
@@ -120,7 +106,7 @@ func TestRetryExhaustionAndErrorClassification(t *testing.T) {
 
 	// Non-timeout errors pass through unretried: a nil write is a usage
 	// error the writer rejects immediately.
-	if err := WriteWithRetry(ctx, cluster.Writer(), nil, fast); err == nil || errors.Is(err, ErrRetriesExhausted) {
+	if err := WriteWithRetry(ctx, reg.Writer(), nil, fast); err == nil || errors.Is(err, ErrRetriesExhausted) {
 		t.Fatalf("nil write err = %v, want immediate usage error", err)
 	}
 }

@@ -67,8 +67,8 @@ const defaultGroupName = "default"
 // and the store composes them with the transport — no per-protocol code
 // lives here.
 //
-// Register hands out the per-key write/read handles. A Cluster is a Store
-// serving only the default register (the empty key).
+// Register hands out the per-key write/read handles; the empty key is the
+// default register of single-register code.
 type Store struct {
 	cfg Config
 	drv driver.Driver
@@ -153,11 +153,6 @@ func NewStore(cfg Config) (*Store, error) {
 	specs, ring, err := resolveGroups(cfg, drv)
 	if err != nil {
 		return nil, err
-	}
-	for _, spec := range specs {
-		if err := clockless(spec.tr); err != nil {
-			return nil, err
-		}
 	}
 
 	s := &Store{
@@ -633,27 +628,6 @@ func (s *Store) RestartReader(key string, i int) error {
 	}
 	reg.reads[i-1].cur.Store(r)
 	return nil
-}
-
-// Network exposes the underlying in-memory network for tests, fault
-// injection and the adversarial schedules. On backends without an in-memory
-// network (TCP, UDP) it reports ErrUnsupported, as it does on partitioned
-// deployments — each replica group there runs its own independent network,
-// so there is no single network to expose.
-func (s *Store) Network() (*transport.InMemNetwork, error) {
-	if len(s.specs) > 1 {
-		return nil, fmt.Errorf("%w: a partitioned deployment has one network per replica group", ErrUnsupported)
-	}
-	s.mu.Lock()
-	g, err := s.groupLocked(0)
-	s.mu.Unlock()
-	if err != nil {
-		return nil, err
-	}
-	if net := g.session.inMem(); net != nil {
-		return net, nil
-	}
-	return nil, fmt.Errorf("%w: no in-memory network on the %s transport", ErrUnsupported, s.cfg.Transport)
 }
 
 // Stats aggregates client-side counters across every register, plus network

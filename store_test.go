@@ -262,21 +262,18 @@ func TestStoreKeyLimitsAndClose(t *testing.T) {
 	_ = store.Close()
 }
 
-// TestClusterIsDefaultRegister pins the backward-compatibility contract: a
-// Cluster is the store's default (empty-key) register, and registers created
-// through Cluster.Store() share its servers without disturbing it.
+// TestClusterIsDefaultRegister pins the register single-register code uses:
+// the empty key is a register like any other, registers created beside it
+// share its servers without disturbing it, and registering it again hands
+// back the same handles.
 func TestClusterIsDefaultRegister(t *testing.T) {
-	cluster, err := NewCluster(Config{Servers: 4, Faulty: 1, Readers: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer cluster.Close()
+	store, reg := newRegister(t, Config{Servers: 4, Faulty: 1, Readers: 1})
 	ctx := testCtx(t)
 
-	if err := cluster.Writer().Write(ctx, []byte("default")); err != nil {
+	if err := reg.Writer().Write(ctx, []byte("default")); err != nil {
 		t.Fatal(err)
 	}
-	other, err := cluster.Store().Register("other")
+	other, err := store.Register("other")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -284,7 +281,7 @@ func TestClusterIsDefaultRegister(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	reader, err := cluster.Reader(1)
+	reader, err := reg.Reader(1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -293,15 +290,15 @@ func TestClusterIsDefaultRegister(t *testing.T) {
 		t.Fatal(err)
 	}
 	if string(res.Value) != "default" {
-		t.Fatalf("cluster read %q after writing to another register", res.Value)
+		t.Fatalf("default register read %q after writing to another register", res.Value)
 	}
 
-	def, err := cluster.Store().Register("")
+	def, err := store.Register("")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if def.Writer() != cluster.Writer() {
-		t.Error("cluster writer is not the default register's writer")
+	if def.Writer() != reg.Writer() {
+		t.Error("registering the empty key again handed out another writer")
 	}
 }
 

@@ -132,9 +132,6 @@ func TestTCPStoreFaultInjectionUnsupported(t *testing.T) {
 	if err := store.CrashServer(99); !errors.Is(err, ErrUnknownServer) {
 		t.Errorf("CrashServer(99) = %v, want ErrUnknownServer", err)
 	}
-	if _, err := store.Network(); !errors.Is(err, ErrUnsupported) {
-		t.Errorf("Network on TCP = %v, want ErrUnsupported", err)
-	}
 }
 
 // TestTCPStoreStaticBook pins every process to a pre-assigned loopback port
@@ -209,6 +206,51 @@ func TestTCPPipelinedFramesPerOp(t *testing.T) {
 	}
 	if framesPerOp >= 1 {
 		t.Errorf("frames/op = %.3f, want < 1 (batching not amortising)", framesPerOp)
+	}
+}
+
+// TestDeliveredMsgsPerOpInMemAndTCP: DeliveredMsgs counts the same thing on
+// both backends. A serial workload of one-round operations (k writes, then k
+// reads with no write in flight) delivers S requests and S acks per
+// operation, whether the acks travel as coalesced envelopes in memory or in
+// batch frames over TCP. The acks a completed operation did not wait for
+// arrive later, so the count is polled up to a deadline.
+func TestDeliveredMsgsPerOpInMemAndTCP(t *testing.T) {
+	if testing.Short() {
+		t.Skip("real sockets in -short mode")
+	}
+	const servers, k = 4, 50
+	perOp := make(map[string]float64)
+	for _, tr := range []Transport{InMemory(), TCP(nil)} {
+		store, reg := newRegister(t, Config{Servers: servers, Faulty: 1, Readers: 1, Transport: tr})
+		ctx := testCtx(t)
+		for i := 0; i < k; i++ {
+			if err := reg.Writer().Write(ctx, []byte(fmt.Sprintf("v%d", i))); err != nil {
+				t.Fatalf("%s: write: %v", tr, err)
+			}
+		}
+		r, err := reg.Reader(1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < k; i++ {
+			if _, err := r.Read(ctx); err != nil {
+				t.Fatalf("%s: read: %v", tr, err)
+			}
+		}
+		want := int64(2 * servers * 2 * k)
+		got := store.Stats().DeliveredMsgs
+		for deadline := time.Now().Add(10 * time.Second); got < want && time.Now().Before(deadline); {
+			time.Sleep(time.Millisecond)
+			got = store.Stats().DeliveredMsgs
+		}
+		if got != want {
+			t.Errorf("%s: DeliveredMsgs = %d, want 2·S = %d per op over %d ops", tr, got, 2*servers, 2*k)
+		}
+		perOp[tr.String()] = float64(got) / float64(2*k)
+	}
+	if perOp["inmem"] != perOp["tcp"] {
+		t.Errorf("delivered messages per op: inmem %.2f, tcp %.2f; want equal", perOp["inmem"], perOp["tcp"])
 	}
 }
 

@@ -5,8 +5,8 @@ import (
 	"fmt"
 	"maps"
 	"sync"
-	"time"
 
+	"fastread/internal/seam"
 	"fastread/internal/transport"
 	"fastread/internal/transport/framed"
 	"fastread/internal/transport/socknet"
@@ -14,19 +14,19 @@ import (
 )
 
 // ErrUnsupported indicates a capability the store's transport backend does
-// not provide: fault injection (CrashServer, Network) exists only on the
-// in-memory network, where the adversary controls every delivery. Match it
-// with errors.Is.
+// not provide: fault injection (CrashServer) exists only on the in-memory
+// network, where the adversary controls every delivery. Match it with
+// errors.Is.
 var ErrUnsupported = errors.New("fastread: operation not supported by this transport backend")
 
-// Transport selects the message-passing backend a Store (or Cluster) runs
-// on. The protocols themselves are transport-agnostic — they only ever see
-// the node interface — so the same deployment configuration runs unchanged
-// over either backend:
+// Transport selects the message-passing backend a Store runs on. The
+// protocols themselves are transport-agnostic — they only ever see the node
+// interface — so the same deployment configuration runs unchanged over any
+// backend:
 //
 //   - InMemory (the default): the paper's asynchronous network as a
-//     simulator, with full fault-injection capabilities (crashes, per-link
-//     blocking, adversarial schedules, delays on a virtual clock).
+//     simulator, with crash injection (CrashServer); the simulator
+//     (internal/sim) also holds links and runs it on a virtual clock.
 //   - TCP: every process is a real socket endpoint; delivery is as reliable
 //     as the connections, and fault injection degrades to ErrUnsupported
 //     (crash a process by killing it, partition by firewalling — the real
@@ -54,95 +54,37 @@ type transportSession interface {
 	close() error
 	// crash crash-stops a process, or reports ErrUnsupported.
 	crash(id types.ProcessID) error
-	// inMem exposes the underlying in-memory network, or nil when the
-	// backend is not the in-memory one.
-	inMem() *transport.InMemNetwork
 	// stats reports the backend's counters so far, summed over the
 	// session's nodes.
 	stats() transport.Stats
 }
 
-// InMemoryOption tweaks the in-memory backend.
-type InMemoryOption func(*inMemTransport)
-
-// WithDelay sets the virtual one-way delivery delay of every message on a
-// WithVirtualClock network, so an operation's virtual latency counts its
-// message delays. Time is modelled only on a virtual clock: NewStore refuses
-// it without one (ErrUnsupported).
-func WithDelay(d time.Duration) InMemoryOption {
-	return delayModel("WithDelay", transport.WithDefaultDelay(d))
-}
-
-// WithJitter adds a random extra virtual delay in [0, j) to each delivery on
-// a WithVirtualClock network; NewStore refuses it without one.
-func WithJitter(j time.Duration) InMemoryOption {
-	return delayModel("WithJitter", transport.WithJitter(j))
-}
-
-// WithSeed seeds a WithVirtualClock network's jitter; runs with equal seeds
-// and schedules see equal delays. NewStore refuses it without a clock.
-func WithSeed(seed int64) InMemoryOption {
-	return delayModel("WithSeed", transport.WithSeed(seed))
-}
-
-// delayModel is an option of the virtual clock's delay model, recorded so
-// that a clockless deployment can be refused.
-func delayModel(name string, opt transport.InMemOption) InMemoryOption {
-	return func(t *inMemTransport) {
-		t.opts = append(t.opts, opt)
-		if t.model == "" {
-			t.model = name
-		}
-	}
-}
-
-// WithVirtualClock runs the deployment on a virtual clock: every delivery,
-// delay and jitter draw becomes a scheduled logical-clock event, executed
-// one at a time in a deterministic total order, so a multi-minute chaos
-// scenario runs in milliseconds of wall time and identical seeds produce
-// identical message schedules. The caller owns the event loop — the clock
-// only advances through VirtualClock.Step — which is what internal/sim's
-// scenario runner does. Every run a node's consumer takes is one message on
-// such a network: Step fires one delivery and waits for it to be handled.
-func WithVirtualClock(c *transport.VirtualClock) InMemoryOption {
-	return func(t *inMemTransport) {
-		t.opts = append(t.opts, transport.WithClock(c))
-		t.clocked = true
-	}
+func init() {
+	seam.InMemory = func(net *transport.InMemNetwork) any { return &inMemTransport{net: net} }
 }
 
 // InMemory returns the in-memory transport backend: the paper's asynchronous
 // reliable network as a single-process simulator, with every fault-injection
 // capability available. It is the default when Config.Transport is nil.
-func InMemory(opts ...InMemoryOption) Transport {
-	t := &inMemTransport{}
-	for _, opt := range opts {
-		opt(t)
-	}
-	return t
-}
+func InMemory() Transport { return &inMemTransport{} }
 
-// inMemTransport builds one in-memory network per store. model names the
-// first delay-model option given, which only a clocked network honours.
+// inMemTransport builds one in-memory network per store. With net set it
+// attaches its one store to that network instead, which its builder keeps
+// (internal/seam): the simulator's clocked network. A second deployment on
+// it fails to join.
 type inMemTransport struct {
-	opts    []transport.InMemOption
-	model   string
-	clocked bool
-}
-
-// clockless refuses a delay model without a virtual clock to run it on.
-func clockless(tr Transport) error {
-	if t, ok := tr.(*inMemTransport); ok && t.model != "" && !t.clocked {
-		return fmt.Errorf("%w: %s models delivery time, which needs WithVirtualClock", ErrUnsupported, t.model)
-	}
-	return nil
+	net *transport.InMemNetwork
 }
 
 func (t *inMemTransport) String() string { return "inmem" }
 
 func (t *inMemTransport) connect(cfg Config) (transportSession, error) {
-	opts := append([]transport.InMemOption{transport.WithMailboxBound(cfg.QueueBound)}, t.opts...)
-	return &inMemSession{net: transport.NewInMemNetwork(opts...)}, nil
+	net := t.net
+	if net == nil {
+		net = transport.NewInMemNetwork()
+	}
+	transport.WithMailboxBound(cfg.QueueBound)(net)
+	return &inMemSession{net: net}, nil
 }
 
 // inMemSession is the in-memory backend's session: a thin veneer over
@@ -153,7 +95,6 @@ type inMemSession struct {
 
 func (s *inMemSession) join(id types.ProcessID) (transport.Node, error) { return s.net.Join(id) }
 func (s *inMemSession) close() error                                    { return s.net.Close() }
-func (s *inMemSession) inMem() *transport.InMemNetwork                  { return s.net }
 func (s *inMemSession) stats() transport.Stats                          { return s.net.Stats() }
 
 func (s *inMemSession) crash(id types.ProcessID) error {
@@ -181,8 +122,7 @@ func (s *inMemSession) crash(id types.ProcessID) error {
 // on 127.0.0.1 with no port assignment at all — the loopback mode the
 // integration tests and examples use.
 //
-// Fault-injection capabilities (CrashServer, Network) report ErrUnsupported
-// on this backend.
+// Crash injection (CrashServer) reports ErrUnsupported on this backend.
 func TCP(book map[string]string) Transport {
 	return &socketTransport{backend: "tcp", book: maps.Clone(book)}
 }
@@ -218,8 +158,8 @@ func WithReceiveFilter(keep func(from string) bool) UDPOption {
 // ports published through the deployment's live address table; a nil book
 // runs the whole deployment over real datagram sockets on 127.0.0.1.
 //
-// Fault-injection capabilities (CrashServer, Network) report ErrUnsupported
-// on this backend; packet loss is injected with WithReceiveFilter instead.
+// Crash injection (CrashServer) reports ErrUnsupported on this backend;
+// packet loss is injected with WithReceiveFilter instead.
 func UDP(book map[string]string, opts ...UDPOption) Transport {
 	t := &socketTransport{backend: "udp", book: maps.Clone(book)}
 	for _, opt := range opts {
@@ -309,8 +249,6 @@ func (s *socketSession) close() error {
 func (s *socketSession) crash(id types.ProcessID) error {
 	return fmt.Errorf("%w: crash injection requires the in-memory network (kill the process instead)", ErrUnsupported)
 }
-
-func (s *socketSession) inMem() *transport.InMemNetwork { return nil }
 
 func (s *socketSession) stats() transport.Stats {
 	s.mu.Lock()

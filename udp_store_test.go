@@ -101,9 +101,6 @@ func TestUDPStoreFaultInjectionUnsupported(t *testing.T) {
 	if err := store.CrashServer(1); !errors.Is(err, ErrUnsupported) {
 		t.Errorf("CrashServer on UDP = %v, want ErrUnsupported", err)
 	}
-	if _, err := store.Network(); !errors.Is(err, ErrUnsupported) {
-		t.Errorf("Network on UDP = %v, want ErrUnsupported", err)
-	}
 }
 
 // TestUDPPipelinedReadAtomicity runs the linearizability checker over
