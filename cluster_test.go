@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -190,11 +191,32 @@ func TestConfigValidation(t *testing.T) {
 		})
 	}
 
-	if _, err := NewStore(Config{Servers: 2, Faulty: 1, Readers: 1, Protocol: ProtocolABD}); err == nil {
-		t.Error("ABD without a correct majority accepted")
-	}
 	if _, err := NewStore(Config{Servers: 0}); err == nil {
 		t.Error("zero servers accepted")
+	}
+}
+
+// TestMajorityBoundAtNewStore pins that every majority protocol refuses a
+// deployment without a correct majority (t ≥ S/2) at NewStore: the drivers'
+// Validate is the one place the bound is checked, no protocol constructor
+// repeats it.
+func TestMajorityBoundAtNewStore(t *testing.T) {
+	for _, p := range []Protocol{ProtocolABD, ProtocolMaxMin, ProtocolRegular} {
+		t.Run(string(p), func(t *testing.T) {
+			s, err := NewStore(Config{Servers: 2, Faulty: 1, Readers: 1, Protocol: p})
+			if err == nil {
+				_ = s.Close()
+				t.Fatal("deployment without a correct majority accepted")
+			}
+			if !strings.Contains(err.Error(), "requires t < S/2") {
+				t.Errorf("err = %v, want the majority bound", err)
+			}
+			s, err = NewStore(Config{Servers: 3, Faulty: 1, Readers: 1, Protocol: p})
+			if err != nil {
+				t.Fatalf("smallest majority deployment refused: %v", err)
+			}
+			_ = s.Close()
+		})
 	}
 }
 

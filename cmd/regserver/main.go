@@ -71,7 +71,6 @@ import (
 	_ "fastread/internal/abd"
 	_ "fastread/internal/core"
 	_ "fastread/internal/maxmin"
-	_ "fastread/internal/regular"
 )
 
 func main() {

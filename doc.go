@@ -45,7 +45,9 @@
 //
 // Use Config.Protocol to select among the fast crash-tolerant register
 // (default), the Byzantine-tolerant fast register, the ABD baseline, the
-// max-min variant and the regular register. The resilience helpers
+// max-min variant and the regular register — which is ABD's register with
+// the read's write-back left out: the same servers and writer, a one-round
+// read, and no atomicity across concurrent reads. The resilience helpers
 // (FastReadPossible, MaxFastReaders, MinServersForFast) expose the paper's
 // exact bounds; they are per-deployment properties and therefore hold for
 // every key of a Store at once.

@@ -5,8 +5,7 @@ package fastread
 // API serves. Adding a protocol is adding its package's driver registration
 // plus one line below — store.go itself contains no per-protocol code.
 import (
-	_ "fastread/internal/abd"     // registers "abd"
-	_ "fastread/internal/core"    // registers "fast" and "fast-byz"
-	_ "fastread/internal/maxmin"  // registers "maxmin"
-	_ "fastread/internal/regular" // registers "regular"
+	_ "fastread/internal/abd"    // registers "abd" and "regular"
+	_ "fastread/internal/core"   // registers "fast" and "fast-byz"
+	_ "fastread/internal/maxmin" // registers "maxmin"
 )

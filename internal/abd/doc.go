@@ -1,6 +1,7 @@
-// Package abd implements the classic quorum-based atomic register
-// constructions the paper uses as its baseline and as the contrast for the
-// "atomic reads must write" discussion:
+// Package abd implements the classic quorum-based register constructions the
+// paper uses as its baseline and as the contrast for the "atomic reads must
+// write" discussion — the two ABD atomic registers and the regular register,
+// all served by the one Server:
 //
 //   - The single-writer multi-reader (SWMR) register of Attiya, Bar-Noy and
 //     Dolev [1995], adapted — as in the paper's introduction — to the
@@ -12,10 +13,15 @@
 //     pairs, writes need a query phase to discover the current maximum
 //     timestamp (two round-trips), and reads query then write back (two
 //     round-trips).
+//   - The single-writer regular register of Section 8 (driver "regular"):
+//     the SWMR register whose read stops after its query round
+//     (protoutil.HighestRead). One round-trip, but two reads may see a
+//     new/old inversion, which atomicity forbids.
 //
-// Both use majority quorums and therefore tolerate t < S/2 crash failures
+// All use majority quorums and therefore tolerate t < S/2 crash failures
 // for any number of readers — slower than the paper's fast algorithm but
-// with no bound on R. Section 7 of the paper proves the two-round read (or
+// with no bound on R. The bound is checked by the drivers' Validate, not by
+// the constructors. Section 7 of the paper proves the two-round read (or
 // write) is unavoidable for MWMR registers; experiment E5 exercises exactly
 // that contrast.
 package abd

@@ -1,4 +1,4 @@
-package regular
+package abd
 
 import (
 	"context"
@@ -7,29 +7,41 @@ import (
 	"testing"
 	"time"
 
+	"fastread/internal/driver"
+	"fastread/internal/protoutil"
 	"fastread/internal/quorum"
 	"fastread/internal/transport"
 	"fastread/internal/types"
 )
 
-type deployment struct {
+// regularDeployment wires the regular register as it ships: every server,
+// writer and reader comes from the registered "regular" driver.
+type regularDeployment struct {
 	t   *testing.T
 	cfg quorum.Config
+	drv driver.Driver
 	net *transport.InMemNetwork
 }
 
-func newDeployment(t *testing.T, cfg quorum.Config) *deployment {
+func newRegularDeployment(t *testing.T, cfg quorum.Config) *regularDeployment {
 	t.Helper()
-	d := &deployment{t: t, cfg: cfg, net: transport.NewInMemNetwork()}
+	drv, ok := driver.Lookup("regular")
+	if !ok {
+		t.Fatal(`no driver registered under "regular"`)
+	}
+	d := &regularDeployment{t: t, cfg: cfg, drv: drv, net: transport.NewInMemNetwork()}
 	t.Cleanup(func() { _ = d.net.Close() })
 	for i := 1; i <= cfg.Servers; i++ {
 		node, err := d.net.Join(types.Server(i))
 		if err != nil {
 			t.Fatalf("join server %d: %v", i, err)
 		}
-		srv, err := NewServer(ServerConfig{ID: types.Server(i)}, node)
+		srv, err := drv.NewServer(driver.ServerConfig{ID: types.Server(i)}, node)
 		if err != nil {
 			t.Fatalf("new server %d: %v", i, err)
+		}
+		if _, ok := srv.(*Server); !ok {
+			t.Fatalf("regular server is a %T, want the ABD *Server", srv)
 		}
 		srv.Start()
 		t.Cleanup(srv.Stop)
@@ -37,41 +49,41 @@ func newDeployment(t *testing.T, cfg quorum.Config) *deployment {
 	return d
 }
 
-func (d *deployment) ctx() context.Context {
+func (d *regularDeployment) ctx() context.Context {
 	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
 	d.t.Cleanup(cancel)
 	return ctx
 }
 
-func (d *deployment) writer() *Writer {
+func (d *regularDeployment) writer() *protoutil.Writer {
 	d.t.Helper()
 	node, err := d.net.Join(types.Writer())
 	if err != nil {
 		d.t.Fatal(err)
 	}
-	w, err := NewWriter(ClientConfig{Quorum: d.cfg}, node)
+	w, err := d.drv.NewWriter(driver.ClientConfig{Quorum: d.cfg}, node)
 	if err != nil {
 		d.t.Fatal(err)
 	}
 	return w
 }
 
-func (d *deployment) reader(i int) *Reader {
+func (d *regularDeployment) reader(i int) *protoutil.Reader {
 	d.t.Helper()
 	node, err := d.net.Join(types.Reader(i))
 	if err != nil {
 		d.t.Fatal(err)
 	}
-	r, err := NewReader(ClientConfig{Quorum: d.cfg}, node)
+	r, err := d.drv.NewReader(driver.ClientConfig{Quorum: d.cfg}, node)
 	if err != nil {
 		d.t.Fatal(err)
 	}
 	return r
 }
 
-func TestWriteThenRead(t *testing.T) {
+func TestRegularWriteThenRead(t *testing.T) {
 	cfg := quorum.Config{Servers: 5, Faulty: 2, Readers: 10}
-	d := newDeployment(t, cfg)
+	d := newRegularDeployment(t, cfg)
 	w := d.writer()
 	r := d.reader(1)
 
@@ -101,9 +113,9 @@ func TestRegularityAfterCompletedWrites(t *testing.T) {
 	// With no concurrent writes, every read must return the last written
 	// value (regularity).
 	cfg := quorum.Config{Servers: 5, Faulty: 2, Readers: 3}
-	d := newDeployment(t, cfg)
+	d := newRegularDeployment(t, cfg)
 	w := d.writer()
-	readers := []*Reader{d.reader(1), d.reader(2), d.reader(3)}
+	readers := []*protoutil.Reader{d.reader(1), d.reader(2), d.reader(3)}
 	for i := 1; i <= 10; i++ {
 		val := types.Value(fmt.Sprintf("v%d", i))
 		if err := w.Write(d.ctx(), val); err != nil {
@@ -121,9 +133,9 @@ func TestRegularityAfterCompletedWrites(t *testing.T) {
 	}
 }
 
-func TestSupportsManyReadersAndMinorityCrash(t *testing.T) {
+func TestRegularSupportsManyReadersAndMinorityCrash(t *testing.T) {
 	cfg := quorum.Config{Servers: 5, Faulty: 2, Readers: 20}
-	d := newDeployment(t, cfg)
+	d := newRegularDeployment(t, cfg)
 	w := d.writer()
 	if err := w.Write(d.ctx(), types.Value("v1")); err != nil {
 		t.Fatal(err)
@@ -142,9 +154,9 @@ func TestSupportsManyReadersAndMinorityCrash(t *testing.T) {
 	}
 }
 
-func TestReadsAreAlwaysSingleRound(t *testing.T) {
+func TestRegularReadsAreAlwaysSingleRound(t *testing.T) {
 	cfg := quorum.Config{Servers: 3, Faulty: 1, Readers: 1}
-	d := newDeployment(t, cfg)
+	d := newRegularDeployment(t, cfg)
 	w := d.writer()
 	r := d.reader(1)
 	for i := 0; i < 5; i++ {
@@ -171,9 +183,10 @@ func TestNewOldInversionIsPossible(t *testing.T) {
 	// the new value while a later read by another reader (whose quorum
 	// misses the updated servers) returns the old one. We engineer exactly
 	// that schedule to document the weakness the paper's fast ATOMIC
-	// algorithm eliminates.
+	// algorithm eliminates — and that ABD's write-back, the round the
+	// regular read leaves out, prevents.
 	cfg := quorum.Config{Servers: 5, Faulty: 2, Readers: 2}
-	d := newDeployment(t, cfg)
+	d := newRegularDeployment(t, cfg)
 	w := d.writer()
 	r1 := d.reader(1)
 	r2 := d.reader(2)
@@ -218,48 +231,28 @@ func TestNewOldInversionIsPossible(t *testing.T) {
 	// allowed for a regular register, forbidden for an atomic one.
 }
 
-func TestConfigurationRejectedWithoutMajority(t *testing.T) {
-	net := transport.NewInMemNetwork()
-	t.Cleanup(func() { _ = net.Close() })
-	node, err := net.Join(types.Writer())
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg := quorum.Config{Servers: 2, Faulty: 1, Readers: 1}
-	if _, err := NewWriter(ClientConfig{Quorum: cfg}, node); !errors.Is(err, ErrNotRegularizable) {
-		t.Errorf("err = %v, want ErrNotRegularizable", err)
-	}
-	rNode, err := net.Join(types.Reader(1))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := NewReader(ClientConfig{Quorum: cfg}, rNode); !errors.Is(err, ErrNotRegularizable) {
-		t.Errorf("err = %v, want ErrNotRegularizable", err)
-	}
-}
-
-func TestValidation(t *testing.T) {
+func TestRegularValidation(t *testing.T) {
 	cfg := quorum.Config{Servers: 3, Faulty: 1, Readers: 1}
-	d := newDeployment(t, cfg)
+	d := newRegularDeployment(t, cfg)
 	rNode, err := d.net.Join(types.Reader(9))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := NewWriter(ClientConfig{Quorum: cfg}, rNode); !errors.Is(err, ErrNotWriter) {
+	if _, err := d.drv.NewWriter(driver.ClientConfig{Quorum: cfg}, rNode); !errors.Is(err, ErrNotWriter) {
 		t.Errorf("err = %v, want ErrNotWriter", err)
 	}
 	w := d.writer()
 	if err := w.Write(d.ctx(), types.Bottom()); !errors.Is(err, ErrBottomWrite) {
 		t.Errorf("err = %v, want ErrBottomWrite", err)
 	}
-	if _, err := NewServer(ServerConfig{ID: types.Reader(1)}, rNode); err == nil {
+	if _, err := d.drv.NewServer(driver.ServerConfig{ID: types.Reader(1)}, rNode); err == nil {
 		t.Error("reader identity accepted as server")
 	}
 	wNode2, err := d.net.Join(types.Reader(10))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := NewReader(ClientConfig{Quorum: quorum.Config{}}, wNode2); err == nil {
+	if _, err := d.drv.NewReader(driver.ClientConfig{Quorum: quorum.Config{}}, wNode2); err == nil {
 		t.Error("invalid quorum accepted")
 	}
 }

@@ -36,11 +36,12 @@ type registerState struct {
 	value VersionedValue
 }
 
-// Server is the quorum server used by both the SWMR and MWMR ABD registers.
-// It answers queries and reads with its current versioned value and adopts
-// any strictly newer value carried by write or write-back messages. Node,
-// executor, per-key state map, durable log and lifecycle are the embedded
-// protoutil.Shell's.
+// Server is the quorum server of every register in this package: the SWMR
+// and MWMR ABD registers and the regular register. It answers queries and
+// reads with its current versioned value and adopts any strictly newer value
+// carried by write or write-back messages. A regular client sends only the
+// writer's writes and the readers' reads, at rank 0. Node, executor, per-key
+// state map, durable log and lifecycle are the embedded protoutil.Shell's.
 type Server struct {
 	*protoutil.Shell[registerState]
 }

@@ -36,13 +36,25 @@ func NewWriter(cfg ClientConfig, node transport.Node) (*Writer, error) {
 // readers is supported.
 type Reader = protoutil.Reader
 
-// NewReader creates an SWMR ABD reader. Round 1 queries a majority for their
-// current (ts, value).
+// NewReader creates an SWMR ABD reader. Round 1 is the regular register's
+// whole read (protoutil.HighestRead: query a majority for their current
+// (ts, value), keep the highest); writeBack adds round 2.
 func NewReader(cfg ClientConfig, node transport.Node) (*Reader, error) {
-	return protoutil.NewReader(cfg, node, protoutil.Rounds[protoutil.ReadResult]{
-		Name: "abd read", Need: cfg.Quorum.Majority(),
-		Begin: protoutil.Ask[protoutil.ReadResult](wire.OpRead, cfg.Key), Finish: writeBack,
-	})
+	rounds := protoutil.HighestRead("abd read", cfg.Quorum.Majority(), cfg.Key)
+	rounds.Finish = writeBack
+	return protoutil.NewReader(cfg, node, rounds)
+}
+
+// newRegularWriter creates the writer of the regular register: ABD's writer
+// under the regular register's name.
+func newRegularWriter(cfg ClientConfig, node transport.Node) (*Writer, error) {
+	return protoutil.NewWriter("regular", cfg.Quorum.Majority(), nil, cfg, node)
+}
+
+// newRegularReader creates a reader of the regular register: ABD's read
+// without its write-back, one round-trip for any number of readers.
+func newRegularReader(cfg ClientConfig, node transport.Node) (*Reader, error) {
+	return protoutil.NewReader(cfg, node, protoutil.HighestRead("regular read", cfg.Quorum.Majority(), cfg.Key))
 }
 
 // writeBack selects the highest timestamp of round 1's replies and writes it

@@ -13,7 +13,6 @@ import (
 	_ "fastread/internal/maxmin"
 	"fastread/internal/protoutil"
 	"fastread/internal/quorum"
-	_ "fastread/internal/regular"
 	"fastread/internal/sig"
 	"fastread/internal/transport"
 	"fastread/internal/types"

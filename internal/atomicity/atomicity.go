@@ -113,7 +113,8 @@ func CheckSWMR(h history.History) (Report, error) {
 }
 
 // CheckRegular verifies only regularity (conditions 1-3), the guarantee
-// provided by the package internal/regular.
+// provided by the regular register (driver "regular", registered by
+// internal/abd).
 func CheckRegular(h history.History) (Report, error) {
 	return checkSW(h, false)
 }

@@ -5,6 +5,7 @@ import (
 
 	"fastread/internal/transport"
 	"fastread/internal/types"
+	"fastread/internal/wire"
 )
 
 // ReadResult is what a read of any protocol returns and how it decided. The
@@ -66,6 +67,22 @@ func NewReader(cfg ClientConfig, node transport.Node, rounds Rounds[ReadResult])
 	}
 	r.Client = cl
 	return r, nil
+}
+
+// HighestRead is the one-round read that asks need servers for their value
+// and returns the highest-timestamped reply, writing nothing back: the regular
+// register's whole read, the first round of ABD's, and with need = S−t the
+// strawman fast read of the paper's introduction.
+func HighestRead(name string, need int, key string) Rounds[ReadResult] {
+	return Rounds[ReadResult]{Name: name, Need: need, Begin: Ask[ReadResult](wire.OpRead, key), Finish: highest}
+}
+
+// highest resolves a HighestRead with the value of the highest-timestamped
+// acknowledgement.
+func highest(c *Call[ReadResult], acks []Ack) (bool, error) {
+	_, best, _ := MaxTimestamp(acks)
+	c.Result = ReadResult{Value: best.Msg.Cur.Clone(), Timestamp: best.Msg.TS, RoundTrips: 1}
+	return false, nil
 }
 
 // Read returns the register's current value: ReadAsync at depth one, then

@@ -35,14 +35,15 @@ import (
 
 // ServerConfig is the uniform server-side deployment description: the driver
 // registry hands it to every protocol (driver.ServerConfig), and the majority
-// protocols' constructors take it as is (abd, maxmin, regular.ServerConfig),
-// so a driver passes it through instead of re-mapping it field by field. A
-// protocol reads the fields it needs and ignores the rest.
+// protocols' constructors take it as is (abd.ServerConfig, the one for both
+// abd and regular, and maxmin.ServerConfig), so a driver passes it through
+// instead of re-mapping it field by field. A protocol reads the fields it
+// needs and ignores the rest.
 type ServerConfig struct {
 	// ID is the server's process identity (must have RoleServer).
 	ID types.ProcessID
 	// Quorum describes the deployment (S, t, b, R). Protocols whose servers
-	// never count (abd, regular) ignore it.
+	// never count (abd, which also serves regular) ignore it.
 	Quorum quorum.Config
 	// Verifier is the writer's public key, used by signature-verifying
 	// protocols (fast-byz) and ignored by the crash-model ones.

@@ -144,6 +144,17 @@ func TestCarrierConformance(t *testing.T) {
 			if st := na.Stats(); st.SendDrops != 1 {
 				t.Fatalf("SendDrops = %d, want 1", st.SendDrops)
 			}
+			// A batch envelope loses every message it carries.
+			batch := wire.NewBatch(0)
+			for i := 0; i < 3; i++ {
+				batch.Append([]byte(fmt.Sprintf("nowhere-%d", i)))
+			}
+			if err := na.Send(types.Server(9), wire.BatchKind, batch.Bytes()); err != nil {
+				t.Fatalf("batch to unknown peer = %v, want silent drop", err)
+			}
+			if st := na.Stats(); st.SendDrops != 1+3 {
+				t.Fatalf("SendDrops = %d after a 3-message batch, want %d", st.SendDrops, 1+3)
+			}
 		}},
 		{"oversized payload refused", func(t *testing.T, backend string) {
 			na, nb := pair(t, backend, a, b)

@@ -150,18 +150,18 @@ func (n *Node) Send(to types.ProcessID, kind string, payload []byte) error {
 		return framed.ErrClosed
 	}
 	if len(payload) > maxPayloadSize {
-		n.CountSendDrop(1)
+		n.dropPayload(payload)
 		return fmt.Errorf("tcpnet: payload too large (%d bytes)", len(payload))
 	}
 	p, err := n.peerTo(to)
 	if err != nil {
 		// Unreachable peer: the message is lost in transit. Not an error for
 		// the sender in the asynchronous model.
-		n.CountSendDrop(1)
+		n.dropPayload(payload)
 		return nil
 	}
 	if err := p.writeFrame(kind, payload); err != nil {
-		n.CountSendDrop(1)
+		n.dropPayload(payload)
 		if !errors.Is(err, errPendingFull) {
 			// The connection is broken; forget it so the next send re-dials.
 			// A full write queue only drops this frame — the peer is healthy.
@@ -169,6 +169,12 @@ func (n *Node) Send(to types.ProcessID, kind string, payload []byte) error {
 		}
 	}
 	return nil
+}
+
+// dropPayload counts a payload that will never leave as the messages it
+// carries: every message of a batch envelope.
+func (n *Node) dropPayload(payload []byte) {
+	n.CountSendDrop(int(transport.Message{Payload: payload}.Count()))
 }
 
 // SendArena implements transport.ArenaSender: Send copies the payload into the

@@ -210,12 +210,7 @@ func (n *Node) SendArena(to types.ProcessID, kind string, payload []byte, arena 
 
 // sendOne encodes one datagram and hands it to the sender goroutine.
 func (n *Node) sendOne(to types.ProcessID, kind string, payload []byte) error {
-	msgs := 1
-	if kind == wire.BatchKind && wire.IsBatch(payload) {
-		if c, err := wire.BatchCount(payload); err == nil {
-			msgs = c
-		}
-	}
+	msgs := int(transport.Message{Payload: payload}.Count())
 	addr, err := n.addrOf(to)
 	if err != nil {
 		// Unresolvable peer: the message is lost in transit. Not an error
