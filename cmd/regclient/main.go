@@ -139,7 +139,7 @@ func parseCLI(args []string) (*cliConfig, error) {
 	fs.IntVar(&c.faulty, "t", 1, "maximum faulty servers")
 	fs.IntVar(&c.malicious, "b", 0, "maximum malicious servers")
 	fs.IntVar(&c.readers, "R", 1, "number of readers")
-	fs.StringVar(&c.keyHex, "writer-key", "", "hex-encoded writer private seed (signing writer) or public key (verifying reader)")
+	fs.StringVar(&c.keyHex, "writer-key", "", "hex-encoded 32-byte writer private seed (signing writer) or public key (verifying reader)")
 	fs.DurationVar(&c.timeout, "timeout", 5*time.Second, "per-operation timeout")
 	fs.IntVar(&c.ops, "ops", 100, "operation count for the bench subcommand")
 	fs.StringVar(&c.key, "key", "", "register key to operate on (empty = default register)")

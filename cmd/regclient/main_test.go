@@ -59,13 +59,6 @@ func TestVerifierFromHex(t *testing.T) {
 	}
 }
 
-func TestSeedReaderEmptySeed(t *testing.T) {
-	var r seedReader
-	if _, err := r.Read(make([]byte, 8)); err == nil {
-		t.Error("empty seed should error")
-	}
-}
-
 func TestPipelinedBenchWindow(t *testing.T) {
 	const ops, depth = 20, 4
 	resolved := make([]chan struct{}, ops)

@@ -124,13 +124,11 @@
 // renaming or reordering groups re-routes the keyspace, so both are part of
 // a deployment's identity.
 //
-// Groups instantiate lazily on first Register, Stats reports a per-group
-// breakdown (Stats.Groups), and multi-process deployments ship the same
-// group list as a JSON topology file consumed by regserver/regclient
-// (-groups), which build the identical ring. Fault-injection seams stay
-// per-group: CrashServer(i) crashes server i of every instantiated group,
-// and Network — a single-deployment control surface — reports
-// ErrUnsupported on partitioned stores.
+// Every group starts in NewStore, Stats reports a per-group breakdown
+// (Stats.Groups), and multi-process deployments ship the same group list as
+// a JSON topology file consumed by regserver/regclient (-groups), which
+// build the identical ring. Fault injection stays per-group: CrashServer(i)
+// and RestartServer(i) act on server i of every group that has one.
 //
 // # Pipelined operations
 //

@@ -4,6 +4,8 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"os"
+	"path/filepath"
 	"sync"
 	"testing"
 	"time"
@@ -170,6 +172,32 @@ func TestRestartServerRecoversDurableState(t *testing.T) {
 	}
 	if want := keyCount * (writesPre + writesPost); report.Writes != want {
 		t.Errorf("checker saw %d writes, want %d", report.Writes, want)
+	}
+}
+
+// TestDurableStoreLayout pins the on-disk layout existing data directories
+// recover from: an unpartitioned store logs server i under
+// DataDir/default/s<i>.
+func TestDurableStoreLayout(t *testing.T) {
+	dir := t.TempDir()
+	store, err := NewStore(Config{Servers: 3, Faulty: 1, Readers: 1, Protocol: ProtocolABD, DataDir: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer store.Close()
+	reg, err := store.Register("k")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := reg.Writer().Write(testCtx(t), []byte("v")); err != nil {
+		t.Fatal(err)
+	}
+	entries, err := os.ReadDir(filepath.Join(dir, "default", "s1"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(entries) == 0 {
+		t.Error("server 1 wrote nothing under DataDir/default/s1")
 	}
 }
 

@@ -175,11 +175,11 @@ func TestStoreGroupsRoutingDeterministic(t *testing.T) {
 	}
 }
 
-// TestStoreGroupsLazyInstantiation checks that a group costs nothing until
-// the ring routes a key to it: registering keys owned by a strict subset of
-// the groups must leave the others unstarted (visible through their
-// zero-valued Stats entries and absent delivery counts).
-func TestStoreGroupsLazyInstantiation(t *testing.T) {
+// TestStoreGroupsIdleWithoutKeys checks that a group serves no operations
+// until the ring routes a key to it: registering keys owned by a strict
+// subset of the groups must leave the others idle (visible through their
+// zero key and operation counts in Stats).
+func TestStoreGroupsIdleWithoutKeys(t *testing.T) {
 	store, err := NewStore(Config{Servers: 3, Faulty: 1, Readers: 1, Protocol: ProtocolABD, Groups: fourGroupSpecs()})
 	if err != nil {
 		t.Fatal(err)
@@ -215,7 +215,7 @@ func TestStoreGroupsLazyInstantiation(t *testing.T) {
 			}
 		}
 	}
-	// Only g0's session exists, so the deployment-wide delivery count is
+	// Only g0 carried a write, so the deployment-wide delivery count is
 	// exactly g0's — three servers' worth of one write round, not four
 	// groups' worth of anything.
 	if stats.DeliveredMsgs == 0 {

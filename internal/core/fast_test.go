@@ -9,10 +9,14 @@ import (
 	"testing"
 	"time"
 
+	"fastread/internal/driver"
 	"fastread/internal/quorum"
 	"fastread/internal/transport"
 	"fastread/internal/types"
 	"fastread/internal/wire"
+
+	_ "fastread/internal/abd"
+	_ "fastread/internal/maxmin"
 )
 
 func TestReadBeforeAnyWriteReturnsBottom(t *testing.T) {
@@ -429,58 +433,93 @@ func TestReadInterruptedByContext(t *testing.T) {
 // TestRestartedWriterFailsVisibly pins the writer's incarnation guard: the
 // model's single writer does not restart, so a writer process that comes
 // back with reset timestamps against servers holding a previous
-// incarnation's newer value must TIME OUT (its values are discarded — the
-// servers' acks carry timestamps this incarnation never issued) rather than
-// report success for writes that never took effect.
+// incarnation's value must TIME OUT rather than report success for a write
+// the servers discarded. The previous incarnation either got further (the
+// acks carry a timestamp this incarnation never issued) or reached exactly
+// this write's timestamp (the acks carry ts=1 with the old value, which the
+// server keeps: it adopts only strictly newer timestamps). The equal case
+// runs through the fast, abd, regular and maxmin drivers.
 func TestRestartedWriterFailsVisibly(t *testing.T) {
-	cfg := quorum.Config{Servers: 1, Faulty: 0, Readers: 1}
-	net := transport.NewInMemNetwork()
-	t.Cleanup(func() { _ = net.Close() })
-	sNode, err := net.Join(types.Server(1))
-	if err != nil {
-		t.Fatal(err)
-	}
-	srv, err := NewServer(ServerConfig{ID: types.Server(1), Readers: 1}, sNode)
-	if err != nil {
-		t.Fatal(err)
-	}
-	srv.Start()
-	t.Cleanup(srv.Stop)
+	for _, tc := range []struct {
+		name, driver string
+		prevTS       types.Timestamp
+	}{
+		{"newer", "fast", 5},
+		{"equal", "fast", 1},
+		{"equal/abd", "abd", 1},
+		{"equal/regular", "regular", 1},
+		{"equal/maxmin", "maxmin", 1},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			drv, ok := driver.Lookup(tc.driver)
+			if !ok {
+				t.Fatalf("no driver %q", tc.driver)
+			}
+			cfg := quorum.Config{Servers: 1, Faulty: 0, Readers: 1}
+			net := transport.NewInMemNetwork()
+			t.Cleanup(func() { _ = net.Close() })
+			sNode, err := net.Join(types.Server(1))
+			if err != nil {
+				t.Fatal(err)
+			}
+			srv, err := drv.NewServer(driver.ServerConfig{ID: types.Server(1), Quorum: cfg}, sNode)
+			if err != nil {
+				t.Fatal(err)
+			}
+			srv.Start()
+			t.Cleanup(srv.Stop)
 
-	wNode, err := net.Join(types.Writer())
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Previous incarnation: drive the server to ts=5 with a raw request on
-	// the writer identity, consuming the ack so the restarted writer's
-	// engine never sees it.
-	raw := wire.MustEncode(&wire.Message{Op: wire.OpWrite, TS: 5, Cur: types.Value("old-incarnation")})
-	if err := wNode.Send(types.Server(1), "write", raw); err != nil {
-		t.Fatal(err)
-	}
-	select {
-	case <-wNode.Inbox():
-	case <-time.After(5 * time.Second):
-		t.Fatal("no ack for the previous incarnation's write")
-	}
+			wNode, err := net.Join(types.Writer())
+			if err != nil {
+				t.Fatal(err)
+			}
+			// Previous incarnation: drive the server to prevTS with a raw
+			// request on the writer identity, consuming the ack so the
+			// restarted writer's engine never sees it.
+			raw := wire.MustEncode(&wire.Message{Op: wire.OpWrite, TS: tc.prevTS, Cur: types.Value("old-incarnation")})
+			if err := wNode.Send(types.Server(1), "write", raw); err != nil {
+				t.Fatal(err)
+			}
+			select {
+			case <-wNode.Inbox():
+			case <-time.After(5 * time.Second):
+				t.Fatal("no ack for the previous incarnation's write")
+			}
 
-	// "Restarted" writer: fresh client state (ts resets to 1) on the same
-	// identity. Its write must fail by timeout — the server acks with ts=5,
-	// which this incarnation never submitted — not silently succeed.
-	w, err := NewWriter(WriterConfig{Quorum: cfg}, wNode)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ctx, cancel := context.WithTimeout(context.Background(), 300*time.Millisecond)
-	defer cancel()
-	err = w.Write(ctx, types.Value("new-incarnation"))
-	if err == nil {
-		t.Fatal("restarted writer's write reported success against newer server state")
-	}
-	if !errors.Is(err, context.DeadlineExceeded) {
-		t.Fatalf("restarted writer's write = %v, want deadline exceeded", err)
-	}
-	if got := srv.State().Value.Cur; !got.Equal(types.Value("old-incarnation")) {
-		t.Fatalf("server adopted the stale incarnation's value: %s", got)
+			// "Restarted" writer: fresh client state (ts resets to 1) on the
+			// same identity. Its write must fail by timeout, not silently
+			// succeed.
+			w, err := drv.NewWriter(driver.ClientConfig{Quorum: cfg}, wNode)
+			if err != nil {
+				t.Fatal(err)
+			}
+			ctx, cancel := context.WithTimeout(context.Background(), 300*time.Millisecond)
+			defer cancel()
+			err = w.Write(ctx, types.Value("new-incarnation"))
+			if err == nil {
+				t.Fatal("restarted writer's write reported success against the previous incarnation's state")
+			}
+			if !errors.Is(err, context.DeadlineExceeded) {
+				t.Fatalf("restarted writer's write = %v, want deadline exceeded", err)
+			}
+
+			rNode, err := net.Join(types.Reader(1))
+			if err != nil {
+				t.Fatal(err)
+			}
+			r, err := drv.NewReader(driver.ClientConfig{Quorum: cfg}, rNode)
+			if err != nil {
+				t.Fatal(err)
+			}
+			rctx, rcancel := context.WithTimeout(context.Background(), 5*time.Second)
+			defer rcancel()
+			res, err := r.Read(rctx)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !res.Value.Equal(types.Value("old-incarnation")) || res.Timestamp != tc.prevTS {
+				t.Fatalf("server holds %s at ts=%d, want the previous incarnation's value at ts=%d", res.Value, res.Timestamp, tc.prevTS)
+			}
+		})
 	}
 }

@@ -254,8 +254,8 @@ func (s *Server) handle(m transport.Message, req *wire.Message, out transport.Se
 	s.Do(req.Key, func(sl *protoutil.Slot[registerState]) { step(sl, m, req, out) })
 }
 
-// handleWrite adopts a newer value and acknowledges the writer, exactly as in
-// ABD.
+// handleWrite adopts a newer value and acknowledges the writer with the
+// stored value, exactly as in ABD.
 func (s *Server) handleWrite(sl *protoutil.Slot[registerState], m transport.Message, req *wire.Message, out transport.Sender) {
 	st := &sl.State
 	if req.TS > st.value.TS {
@@ -266,7 +266,7 @@ func (s *Server) handleWrite(sl *protoutil.Slot[registerState], m transport.Mess
 		}
 		s.logAdoption(sl, req.Key, st.value, m.From)
 	}
-	_ = transport.SendEncoded(out, m.From, &wire.Message{Op: wire.OpWriteAck, Key: req.Key, TS: st.value.TS, RCounter: req.RCounter})
+	_ = transport.SendEncoded(out, m.From, &wire.Message{Op: wire.OpWriteAck, Key: req.Key, TS: st.value.TS, Cur: st.value.Cur, RCounter: req.RCounter})
 }
 
 // handleRead starts the gossip round for this read: broadcast the server's

@@ -1,6 +1,7 @@
 package protoutil
 
 import (
+	"bytes"
 	"context"
 	"fmt"
 
@@ -88,20 +89,23 @@ func (w *Writer) begin(c *Call[struct{}]) error {
 // which servers tolerate: they adopt any strictly newer timestamp.)
 func (w *Writer) commit(c *Call[struct{}]) { w.prev = c.Arg }
 
-// accept takes ts' in [ts, issued] rather than an exact match. ts' ≥ ts: a
-// reader's write-back of a LATER pipelined write can reach a server before
-// this request does, and the server then acknowledges with the newer adopted
-// timestamp — which still proves this write's value is superseded-or-stored
-// there (the superseding value is this writer's own later submission).
-// ts' ≤ issued: a timestamp this incarnation never issued means the servers
-// hold a PREVIOUS incarnation's newer value — the model's single writer does
-// not restart, and a restarted writer process (timestamps reset to 1) must
-// time out visibly instead of reporting success for values the servers
-// discarded. (An EQUAL-timestamp collision — both incarnations at the same
-// write count — is indistinguishable in the wire vocabulary and remains a
-// silent no-op: recovering the writer's timestamp state is the operator's job
-// in the SWMR model.) The writer's rCounter is always 0 (Section 4), which the
-// engine has already matched.
+// accept takes an ack at ts' in [ts, issued], and at ts' = ts only when the
+// ack carries this write's value (c.Arg: the engine drops c.Req's values
+// after the broadcast). ts' > ts: a reader's write-back of a LATER pipelined
+// write can reach a server before this request does, and the server then
+// acknowledges with the newer adopted timestamp — which still proves this
+// write's value is superseded-or-stored there (the superseding value is this
+// writer's own later submission). ts' > issued, or ts' = ts with another
+// value: a PREVIOUS incarnation of the writer got as far or further, and the
+// servers kept its value. The model's single writer does not restart, so a
+// restarted writer process (timestamps reset to 1) must time out visibly
+// instead of reporting success for a value the servers discarded; recovering
+// the writer's timestamp state is the operator's job in the SWMR model. The
+// writer's rCounter is always 0 (Section 4), which the engine has already
+// matched.
 func (w *Writer) accept(c *Call[struct{}], _ types.ProcessID, m *wire.Message) bool {
-	return m.TS >= c.Req.TS && int64(m.TS) <= c.Issued()
+	if m.TS == c.Req.TS {
+		return bytes.Equal(m.Cur, c.Arg)
+	}
+	return m.TS > c.Req.TS && int64(m.TS) <= c.Issued()
 }

@@ -98,15 +98,35 @@ func VerifierFromPublicKey(pub []byte) (Verifier, error) {
 }
 
 // VerifierFromHex rebuilds a verifier from a hex-encoded public key,
-// tolerating surrounding whitespace and an optional 0x prefix. It is the
-// single parser behind every CLI key flag, so the accepted formats cannot
-// drift between binaries.
+// tolerating surrounding whitespace and an optional 0x prefix. It and
+// SignerFromHex share one parser behind every CLI key flag, so the accepted
+// formats cannot drift between binaries.
 func VerifierFromHex(hexKey string) (Verifier, error) {
-	raw, err := hex.DecodeString(strings.TrimPrefix(strings.TrimSpace(hexKey), "0x"))
+	raw, err := decodeHex(hexKey)
 	if err != nil {
 		return Verifier{}, fmt.Errorf("sig: decode hex public key: %w", err)
 	}
 	return VerifierFromPublicKey(raw)
+}
+
+// SignerFromHex rebuilds the writer's signer from a hex-encoded ed25519
+// seed. The seed must be exactly ed25519.SeedSize bytes: a shorter one would
+// be a weak key and a longer one would be silently cut.
+func SignerFromHex(hexSeed string) (*Signer, error) {
+	seed, err := decodeHex(hexSeed)
+	if err != nil {
+		return nil, fmt.Errorf("sig: decode hex seed: %w", err)
+	}
+	if len(seed) != ed25519.SeedSize {
+		return nil, fmt.Errorf("sig: bad seed length %d (want %d)", len(seed), ed25519.SeedSize)
+	}
+	priv := ed25519.NewKeyFromSeed(seed)
+	return &Signer{priv: priv, pub: priv.Public().(ed25519.PublicKey)}, nil
+}
+
+// decodeHex is that parser.
+func decodeHex(s string) ([]byte, error) {
+	return hex.DecodeString(strings.TrimPrefix(strings.TrimSpace(s), "0x"))
 }
 
 // SignKeyed produces the writer's signature over the (key, ts, cur, prev)

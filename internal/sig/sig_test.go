@@ -1,6 +1,8 @@
 package sig
 
 import (
+	"bytes"
+	"crypto/ed25519"
 	"encoding/hex"
 	"errors"
 	"testing"
@@ -178,5 +180,26 @@ func TestVerifierFromHex(t *testing.T) {
 	}
 	if _, err := VerifierFromHex("abcd"); err == nil {
 		t.Error("short key accepted")
+	}
+}
+
+func TestSignerFromHex(t *testing.T) {
+	seed := bytes.Repeat([]byte{0xab}, ed25519.SeedSize)
+	// A 32-byte seed is the key pair ed25519 generates from those bytes.
+	kp, err := NewKeyPair(bytes.NewReader(seed))
+	if err != nil {
+		t.Fatal(err)
+	}
+	s, err := SignerFromHex("0x" + hex.EncodeToString(seed))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(s.Verifier().PublicKey(), kp.Verifier.PublicKey()) {
+		t.Error("SignerFromHex derived another key pair from the same seed")
+	}
+	for _, bad := range []string{"", "ab", hex.EncodeToString(append(seed, 0)), "zz"} {
+		if _, err := SignerFromHex(bad); err == nil {
+			t.Errorf("SignerFromHex(%q) accepted a seed that is not %d bytes of hex", bad, ed25519.SeedSize)
+		}
 	}
 }

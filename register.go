@@ -70,13 +70,14 @@ type Config struct {
 	// key an owning group (Store.GroupOf), Register routes to it before the
 	// protocol driver is involved, and each group is a complete deployment of
 	// its own — own transport session, own S servers, own writer/reader
-	// identities, own quorum math — instantiated lazily on the first Register
-	// of a key it owns. Per-register atomicity composes across groups because
-	// they are disjoint: a key's operations only ever touch its group's
-	// servers, so each group is exactly the single-group deployment the
-	// paper's proofs cover. Group names are part of the placement function —
-	// every process of a deployment must use the same ordered list (see
-	// internal/topology). Empty means the classic single-group deployment.
+	// identities, own quorum math. Every group starts in NewStore, so a bad
+	// group's shape, Transport or data directory fails there. Per-register
+	// atomicity composes across groups because they are disjoint: a key's
+	// operations only ever touch its group's servers, so each group is
+	// exactly the single-group deployment the paper's proofs cover. Group
+	// names are part of the placement function — every process of a
+	// deployment must use the same ordered list (see internal/topology).
+	// Empty means the classic single-group deployment.
 	Groups []GroupSpec
 	// PipelineDepth bounds the operations ONE handle keeps in flight through
 	// the async API (Writer.WriteAsync / Reader.ReadAsync): a submission
@@ -381,8 +382,7 @@ type Stats struct {
 	Durable DurableStats
 	// Groups breaks the deployment's traffic down per replica group, one
 	// entry per group in configuration order (a single-group deployment
-	// reports one "default" entry). Groups not yet instantiated report zero
-	// counters.
+	// reports one "default" entry).
 	Groups []GroupStats
 }
 
@@ -410,6 +410,6 @@ type GroupStats struct {
 	// NetworkStats.
 	NetworkStats
 	// Durable aggregates the group's servers' write-ahead-log counters
-	// (zero when Config.DataDir is empty or the group is uninstantiated).
+	// (zero when Config.DataDir is empty).
 	Durable DurableStats
 }

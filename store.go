@@ -1,6 +1,7 @@
 package fastread
 
 import (
+	"cmp"
 	"context"
 	"errors"
 	"fmt"
@@ -50,8 +51,9 @@ const defaultGroupName = "default"
 // resolves the owning group BEFORE any protocol driver is involved, so a
 // key's operations only ever touch its group's S servers: groups exchange no
 // messages, which is exactly why per-key atomicity composes — each group is
-// the single-group deployment the paper's proofs are about. Groups are
-// instantiated lazily, on the first Register of a key they own.
+// the single-group deployment the paper's proofs are about. Every group
+// starts in NewStore; the unpartitioned store is the one-group case, its
+// group named "default".
 //
 // Each named register is an independent instance of the configured protocol:
 // servers keep fully separate per-key state (timestamps, seen sets, client
@@ -73,13 +75,9 @@ type Store struct {
 	cfg Config
 	drv driver.Driver
 
-	// ring maps keys onto spec indexes; nil for single-group deployments,
-	// where every key trivially belongs to group 0.
-	ring  *topology.Ring
-	specs []groupSpec
-
-	// groups is index-aligned with specs; entries stay nil until the group
-	// is instantiated by the first Register of a key it owns. Guarded by mu.
+	// ring maps keys onto indexes of groups, which NewStore fills with every
+	// started group and which never changes after it returns.
+	ring   *topology.Ring
 	groups []*storeGroup
 
 	// closed flips before shutdown begins so handle operations issued after
@@ -93,21 +91,14 @@ type Store struct {
 	regs map[string]*Register
 }
 
-// groupSpec is one replica group's resolved configuration: what it takes to
-// instantiate the group, without instantiating it.
-type groupSpec struct {
-	name string
-	qcfg quorum.Config
-	tr   Transport // nil means the deployment default
-}
-
-// storeGroup is one instantiated replica group: a complete independent
-// deployment (transport session, servers, client demultiplexers, signing
-// keys). Groups share nothing — not even a signature keypair — so the
-// failure and capacity envelope of one group never touches another.
+// storeGroup is one replica group: a complete independent deployment
+// (transport session, servers, client demultiplexers, signing keys). Groups
+// share nothing — not even a signature keypair — so the failure and capacity
+// envelope of one group never touches another.
 type storeGroup struct {
 	name    string
 	qcfg    quorum.Config
+	tr      Transport // what NewStore connects session from
 	session transportSession
 	keys    sig.KeyPair
 
@@ -139,9 +130,10 @@ type Register struct {
 	reads  []*readerHandle
 }
 
-// NewStore builds and starts a multi-register deployment according to cfg.
-// The deployment serves an open-ended keyspace: call Register to obtain the
-// handles for any key.
+// NewStore builds and starts a multi-register deployment according to cfg:
+// every replica group's servers, writer and readers are running when it
+// returns. The deployment serves an open-ended keyspace: call Register to
+// obtain the handles for any key.
 func NewStore(cfg Config) (*Store, error) {
 	if cfg.Protocol == "" {
 		cfg.Protocol = ProtocolFast
@@ -150,28 +142,20 @@ func NewStore(cfg Config) (*Store, error) {
 	if !ok {
 		return nil, fmt.Errorf("%w: no driver registered for %q", ErrUnknownProtocol, cfg.Protocol)
 	}
-	specs, ring, err := resolveGroups(cfg, drv)
+	groups, ring, err := resolveGroups(cfg, drv)
 	if err != nil {
 		return nil, err
 	}
-
-	s := &Store{
-		cfg:    cfg,
-		drv:    drv,
-		ring:   ring,
-		specs:  specs,
-		groups: make([]*storeGroup, len(specs)),
-		regs:   make(map[string]*Register),
-	}
-	if len(cfg.Groups) == 0 {
-		// An unpartitioned deployment starts its single group eagerly: the
-		// servers exist as soon as NewStore returns, exactly as they always
-		// have. Partitioned deployments instantiate each group on the first
-		// Register of a key it owns.
-		s.mu.Lock()
-		_, err := s.groupLocked(0)
-		s.mu.Unlock()
+	s := &Store{cfg: cfg, drv: drv, ring: ring, regs: make(map[string]*Register)}
+	for _, g := range groups {
+		session, err := g.tr.connect(cfg)
 		if err != nil {
+			_ = s.Close()
+			return nil, fmt.Errorf("fastread: group %q: %w", g.name, err)
+		}
+		g.session = session
+		s.groups = append(s.groups, g)
+		if err := s.startGroup(g); err != nil {
 			_ = s.Close()
 			return nil, err
 		}
@@ -179,97 +163,48 @@ func NewStore(cfg Config) (*Store, error) {
 	return s, nil
 }
 
-// resolveGroups turns the deployment configuration into the ordered group
-// spec list and, for partitioned deployments, the placement ring. Every
-// group's quorum shape is validated here — including against the driver's
-// protocol bound — so a partitioned deployment fails at NewStore, not at the
-// first Register that happens to land on a misshapen group.
-func resolveGroups(cfg Config, drv driver.Driver) ([]groupSpec, *topology.Ring, error) {
-	base := quorum.Config{Servers: cfg.Servers, Faulty: cfg.Faulty, Malicious: cfg.Malicious, Readers: cfg.Readers}
-	resolve := func(g topology.Group) (quorum.Config, error) {
-		q, err := g.Quorum(base, drv.Validate)
-		if err != nil {
-			return q, err
-		}
-		for i := range cfg.Byzantine {
-			if i < 1 || i > q.Servers {
-				return q, fmt.Errorf("%w: Byzantine index %d (S=%d)", ErrUnknownServer, i, q.Servers)
-			}
-		}
-		return q, nil
+// resolveGroups turns the deployment configuration into the ordered list of
+// groups to start — Config.Groups, or the one "default" group — and the ring
+// that places keys on them. Every group's quorum shape is validated here,
+// including against the driver's protocol bound, before any group binds a
+// transport or opens a data directory.
+func resolveGroups(cfg Config, drv driver.Driver) ([]*storeGroup, *topology.Ring, error) {
+	specs := cfg.Groups
+	if len(specs) == 0 {
+		specs = []GroupSpec{{Name: defaultGroupName}}
 	}
-
-	if len(cfg.Groups) == 0 {
-		q, err := resolve(topology.Group{})
-		if err != nil {
-			return nil, nil, err
-		}
-		return []groupSpec{{name: defaultGroupName, qcfg: q, tr: cfg.Transport}}, nil, nil
-	}
-
-	specs := make([]groupSpec, len(cfg.Groups))
-	names := make([]string, len(cfg.Groups))
-	for i, g := range cfg.Groups {
-		if g.Name == "" {
-			return nil, nil, fmt.Errorf("fastread: group %d has an empty name (the ring places keys by name)", i)
-		}
-		// Zero-valued per-group parameters inherit the deployment level, so
-		// a homogeneous fleet is just a list of names.
-		q, err := resolve(topology.Group{Name: g.Name, Servers: g.Servers, Faulty: g.Faulty, Malicious: g.Malicious})
-		if err != nil {
-			return nil, nil, err
-		}
-		tr := g.Transport
-		if tr == nil {
-			tr = cfg.Transport
-		}
-		specs[i] = groupSpec{name: g.Name, qcfg: q, tr: tr}
-		names[i] = g.Name
+	names := make([]string, len(specs))
+	for i, spec := range specs {
+		names[i] = spec.Name
 	}
 	ring, err := topology.NewRing(names, 0)
 	if err != nil {
 		return nil, nil, fmt.Errorf("fastread: %w", err)
 	}
-	return specs, ring, nil
-}
 
-// groupIndex resolves a key's owning group: one ring lookup — one hash plus
-// one binary search, no allocation — or nothing at all for the single-group
-// deployment every pre-partitioning caller still runs.
-func (s *Store) groupIndex(key string) int {
-	if s.ring == nil {
-		return 0
+	base := quorum.Config{Servers: cfg.Servers, Faulty: cfg.Faulty, Malicious: cfg.Malicious, Readers: cfg.Readers}
+	groups := make([]*storeGroup, len(specs))
+	for i, spec := range specs {
+		// Zero-valued per-group parameters inherit the deployment level, so
+		// a homogeneous fleet is just a list of names. The unnamed topology
+		// group leaves an unpartitioned deployment's errors bare.
+		tg := topology.Group{Servers: spec.Servers, Faulty: spec.Faulty, Malicious: spec.Malicious}
+		if len(cfg.Groups) > 0 {
+			tg.Name = spec.Name
+		}
+		q, err := tg.Quorum(base, drv.Validate)
+		if err != nil {
+			return nil, nil, err
+		}
+		for bi := range cfg.Byzantine {
+			if bi < 1 || bi > q.Servers {
+				return nil, nil, fmt.Errorf("%w: Byzantine index %d (S=%d)", ErrUnknownServer, bi, q.Servers)
+			}
+		}
+		tr := cmp.Or(spec.Transport, cfg.Transport, InMemory())
+		groups[i] = &storeGroup{name: spec.Name, qcfg: q, tr: tr, keys: sig.MustKeyPair()}
 	}
-	return s.ring.Lookup(key)
-}
-
-// groupLocked returns the instantiated group gi, building it on first use.
-// Callers must hold s.mu.
-func (s *Store) groupLocked(gi int) (*storeGroup, error) {
-	if g := s.groups[gi]; g != nil {
-		return g, nil
-	}
-	spec := s.specs[gi]
-	tr := spec.tr
-	if tr == nil {
-		tr = InMemory()
-	}
-	session, err := tr.connect(s.cfg)
-	if err != nil {
-		return nil, fmt.Errorf("fastread: group %q: %w", spec.name, err)
-	}
-	g := &storeGroup{
-		name:    spec.name,
-		qcfg:    spec.qcfg,
-		session: session,
-		keys:    sig.MustKeyPair(),
-	}
-	if err := s.startGroup(g); err != nil {
-		_ = g.close()
-		return nil, err
-	}
-	s.groups[gi] = g
-	return g, nil
+	return groups, ring, nil
 }
 
 // startGroup launches the group's servers and attaches its writer and reader
@@ -379,10 +314,9 @@ func (g *storeGroup) close() error {
 // writer) and R readers, and the handles carry protocol state (the writer's
 // timestamp sequence, the readers' observed maxima) that must not be forked.
 //
-// In a partitioned deployment, Register is also where routing happens: the
-// key's owning replica group is resolved on the ring — before any protocol
-// driver sees the key — and the handles are built over that group's
-// transport, instantiating the group if this is the first of its keys.
+// Register is also where routing happens: the key's owning replica group is
+// resolved on the ring — before any protocol driver sees the key — and the
+// handles are built over that group's transport.
 func (s *Store) Register(key string) (*Register, error) {
 	if len(key) > MaxKeyLen {
 		return nil, fmt.Errorf("%w: %d bytes (max %d)", ErrKeyTooLong, len(key), MaxKeyLen)
@@ -395,12 +329,8 @@ func (s *Store) Register(key string) (*Register, error) {
 	if reg, ok := s.regs[key]; ok {
 		return reg, nil
 	}
-	gi := s.groupIndex(key)
-	g, err := s.groupLocked(gi)
-	if err != nil {
-		return nil, err
-	}
-	reg, err := s.newRegister(g, gi, key)
+	gi := s.ring.Lookup(key)
+	reg, err := s.newRegister(s.groups[gi], gi, key)
 	if err != nil {
 		return nil, err
 	}
@@ -462,18 +392,18 @@ func (s *Store) Keys() []string {
 // Groups returns the ordered replica group names of the deployment. An
 // unpartitioned store reports its single implicit group.
 func (s *Store) Groups() []string {
-	out := make([]string, len(s.specs))
-	for i, spec := range s.specs {
-		out[i] = spec.name
+	out := make([]string, len(s.groups))
+	for i, g := range s.groups {
+		out[i] = g.name
 	}
 	return out
 }
 
 // GroupOf reports which replica group owns key: a pure ring computation —
-// no group is instantiated, no message sent — so any process sharing the
-// deployment's configuration computes the same answer.
+// no message sent — so any process sharing the deployment's configuration
+// computes the same answer.
 func (s *Store) GroupOf(key string) string {
-	return s.specs[s.groupIndex(key)].name
+	return s.groups[s.ring.Lookup(key)].name
 }
 
 // Config returns the store's configuration.
@@ -481,10 +411,9 @@ func (s *Store) Config() Config { return s.cfg }
 
 // CrashServer crash-stops server si (1-based): it stops receiving and
 // sending messages permanently. In a partitioned deployment the crash
-// applies to server si of EVERY instantiated replica group whose size covers
-// the index — each group runs its own failure budget, so crashing more than
-// a group's Faulty servers voids that group's guarantees, exactly as in the
-// model. Groups instantiated after the call start with all servers healthy.
+// applies to server si of EVERY replica group whose size covers the index —
+// each group runs its own failure budget, so crashing more than a group's
+// Faulty servers voids that group's guarantees, exactly as in the model.
 //
 // Crash injection is a capability of the in-memory backend; on other
 // transports CrashServer reports ErrUnsupported.
@@ -492,20 +421,15 @@ func (s *Store) CrashServer(i int) error {
 	if i < 1 {
 		return fmt.Errorf("%w: %d", ErrUnknownServer, i)
 	}
-	s.mu.Lock()
-	groups := append([]*storeGroup(nil), s.groups...)
-	s.mu.Unlock()
 	inRange := false
 	var first error
-	for gi, spec := range s.specs {
-		if i > spec.qcfg.Servers {
+	for _, g := range s.groups {
+		if i > g.qcfg.Servers {
 			continue
 		}
 		inRange = true
-		if g := groups[gi]; g != nil {
-			if err := g.session.crash(types.Server(i)); err != nil && first == nil {
-				first = err
-			}
+		if err := g.session.crash(types.Server(i)); err != nil && first == nil {
+			first = err
 		}
 	}
 	if !inRange {
@@ -517,9 +441,9 @@ func (s *Store) CrashServer(i int) error {
 // maxServers is the widest group's size, for error messages.
 func (s *Store) maxServers() int {
 	max := 0
-	for _, spec := range s.specs {
-		if spec.qcfg.Servers > max {
-			max = spec.qcfg.Servers
+	for _, g := range s.groups {
+		if g.qcfg.Servers > max {
+			max = g.qcfg.Servers
 		}
 	}
 	return max
@@ -538,11 +462,10 @@ func (s *Store) maxServers() int {
 // queued at the dead incarnation are lost with it.
 //
 // In a partitioned deployment the restart applies to server si of every
-// INSTANTIATED replica group whose size covers the index, mirroring
-// CrashServer. A server previously crashed with CrashServer is restartable:
-// the new incarnation clears the crash mark when it rejoins — CrashServer
-// alone remains "gone forever", RestartServer is what brings a fresh
-// incarnation back. Requires a backend whose identities can rejoin; the
+// replica group whose size covers the index, mirroring CrashServer. A server
+// previously crashed with CrashServer is restartable: the new incarnation
+// clears the crash mark when it rejoins — CrashServer alone remains "gone
+// forever", RestartServer is what brings a fresh incarnation back. Requires a backend whose identities can rejoin; the
 // in-memory transport supports it, socket backends report their own errors.
 func (s *Store) RestartServer(i int) error {
 	if i < 1 {
@@ -554,17 +477,11 @@ func (s *Store) RestartServer(i int) error {
 		return ErrStoreClosed
 	}
 	inRange := false
-	for gi, spec := range s.specs {
-		if i > spec.qcfg.Servers {
+	for _, g := range s.groups {
+		if i > g.qcfg.Servers {
 			continue
 		}
 		inRange = true
-		g := s.groups[gi]
-		if g == nil {
-			// Uninstantiated groups have no incarnation to restart; they
-			// start fresh servers when their first key arrives.
-			continue
-		}
 		g.srvMu.Lock()
 		old := g.servers[i-1]
 		g.srvMu.Unlock()
@@ -633,25 +550,23 @@ func (s *Store) RestartReader(key string, i int) error {
 // Stats aggregates client-side counters across every register, plus network
 // delivery counts and server state mutations. The Groups breakdown
 // attributes the same counters to each replica group — one entry per group
-// in configuration order, zero-valued for groups not yet instantiated.
+// in configuration order.
 func (s *Store) Stats() Stats {
-	// Snapshot registers and groups under the lock, but aggregate after
-	// releasing it: a handle's stats share the mutex its operations hold
-	// across a full network round-trip, and blocking Register (and Close) on
-	// every other key for that long would couple independent registers
-	// together.
+	// Snapshot the registers under the lock, but aggregate after releasing
+	// it: a handle's stats share the mutex its operations hold across a full
+	// network round-trip, and blocking Register on every other key for that
+	// long would couple independent registers together.
 	s.mu.Lock()
 	regs := make([]*Register, 0, len(s.regs))
 	for _, reg := range s.regs {
 		regs = append(regs, reg)
 	}
-	groups := append([]*storeGroup(nil), s.groups...)
 	s.mu.Unlock()
 
 	var out Stats
-	out.Groups = make([]GroupStats, len(s.specs))
-	for i, spec := range s.specs {
-		out.Groups[i].Group = spec.name
+	out.Groups = make([]GroupStats, len(s.groups))
+	for i, g := range s.groups {
+		out.Groups[i].Group = g.name
 	}
 	for _, reg := range regs {
 		gs := &out.Groups[reg.gi]
@@ -666,10 +581,7 @@ func (s *Store) Stats() Stats {
 			out.FallbackReads += fallbacks
 		}
 	}
-	for gi, g := range groups {
-		if g == nil {
-			continue
-		}
+	for gi, g := range s.groups {
 		gs := &out.Groups[gi]
 		gs.NetworkStats = g.session.stats()
 		out.NetworkStats.Add(gs.NetworkStats)
@@ -700,20 +612,14 @@ func (s *Store) Stats() Stats {
 	return out
 }
 
-// Close shuts the store down: every instantiated replica group's servers
-// stop, its client demultiplexers detach and its transport session is
-// closed. Handle operations issued after Close fail fast with
-// ErrStoreClosed. Close is idempotent.
+// Close shuts the store down: every replica group's servers stop, its
+// client demultiplexers detach and its transport session is closed. Handle
+// operations issued after Close fail fast with ErrStoreClosed. Close is
+// idempotent.
 func (s *Store) Close() error {
 	s.closed.Store(true)
-	s.mu.Lock()
-	groups := append([]*storeGroup(nil), s.groups...)
-	s.mu.Unlock()
 	var first error
-	for _, g := range groups {
-		if g == nil {
-			continue
-		}
+	for _, g := range s.groups {
 		if err := g.close(); err != nil && first == nil {
 			first = err
 		}

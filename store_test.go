@@ -337,6 +337,42 @@ func TestStoreCrashToleranceAcrossKeys(t *testing.T) {
 	}
 }
 
+// TestStoreStartsEveryGroup pins that every replica group of a partitioned
+// store is running when NewStore returns: a crash injected before any key is
+// registered reaches server 1 of BOTH groups, so a write in each group loses
+// its message to that server.
+func TestStoreStartsEveryGroup(t *testing.T) {
+	store, err := NewStore(Config{Servers: 3, Faulty: 1, Readers: 1, Protocol: ProtocolABD,
+		Groups: []GroupSpec{{Name: "g0"}, {Name: "g1"}}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer store.Close()
+	ctx := testCtx(t)
+
+	if err := store.CrashServer(1); err != nil {
+		t.Fatal(err)
+	}
+	for _, group := range store.Groups() {
+		var key string
+		for i := 0; store.GroupOf(key) != group; i++ {
+			key = fmt.Sprintf("start-%d", i)
+		}
+		reg, err := store.Register(key)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := reg.Writer().Write(ctx, []byte("v")); err != nil {
+			t.Fatalf("group %q: write after crash: %v", group, err)
+		}
+	}
+	for _, gs := range store.Stats().Groups {
+		if gs.InboundDrops < 1 {
+			t.Errorf("group %q: InboundDrops = %d, want its write to reach the crashed server 1", gs.Group, gs.InboundDrops)
+		}
+	}
+}
+
 // TestStoreByzantineStandInIsPerKey pins that the malicious stand-in's honest
 // half keeps one state per register, as an honest server does. S=8, t=1, b=1,
 // R=2 with s1 losing its memory towards r1 and one honest server crashed on
