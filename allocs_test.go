@@ -48,12 +48,12 @@ func TestSerialOpAllocBudget(t *testing.T) {
 		}
 	})
 	t.Logf("allocations per blocking operation: write %.0f, read %.0f", writes, reads)
-	// A read: its request's encoding, its pipeline Op and its result's value.
-	// A write adds its owned copy of the value and every server's adopted copy
-	// of Cur and Prev (4 × 2). Acknowledgements travel in pooled arenas, and
-	// the wait is on the pooled Call; with heap-encoded acks and a Future per
-	// operation the two cost 18 and 10.
-	const writeBudget, readBudget = 11, 3
+	// What is left: each operation's pipeline Op, plus the writer's owned
+	// copy of the value or the read's result value. Requests and
+	// acknowledgements travel in pooled arenas, the servers adopt written
+	// values by pinning the request's arena, and the wait is on the pooled
+	// Call.
+	const writeBudget, readBudget = 2, 2
 	if writes > writeBudget {
 		t.Errorf("a blocking write allocates %.0f times, budget %d", writes, writeBudget)
 	}

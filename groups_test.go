@@ -298,8 +298,8 @@ func TestStoreGroupsConfigRejected(t *testing.T) {
 }
 
 // TestStoreGroupsCrashPerGroup checks fault injection composes with
-// partitioning: crashing server 1 crashes it in every instantiated group, and
-// each group tolerates its own t failures independently.
+// partitioning: crashing server 1 crashes it in every group, and each group
+// tolerates its own t failures independently.
 func TestStoreGroupsCrashPerGroup(t *testing.T) {
 	store, err := NewStore(Config{Servers: 5, Faulty: 2, Readers: 1, Protocol: ProtocolABD,
 		Groups: []GroupSpec{{Name: "g0"}, {Name: "g1"}}})
@@ -309,7 +309,8 @@ func TestStoreGroupsCrashPerGroup(t *testing.T) {
 	defer store.Close()
 	ctx := testCtx(t)
 
-	// Touch keys on both groups so both are instantiated before the crash.
+	// Register keys on both groups, so that each group has a key to write
+	// after the crash.
 	keys := make([]*Register, 0, 8)
 	seen := map[string]bool{}
 	for i := 0; len(seen) < 2 || len(keys) < 4; i++ {

@@ -113,19 +113,23 @@ func StartNonce(n int64) int64 {
 	return time.Now().UnixMicro()
 }
 
-// broadcast encodes the message once and sends it to every listed server.
-// Send errors (which only occur when the local node is closed) abort the
-// broadcast. Ownership of the encoded payload passes to the transport (see
-// the codec's buffer-ownership rules); the message itself is not retained, so
-// its fields may alias state the caller owns.
+// broadcast encodes the message once, into one pooled arena, and sends it to
+// every listed server. Send errors (which only occur when the local node is
+// closed) abort the broadcast. Every server's message carries its own
+// reference to the arena (transport.SendArena), so in memory the S servers
+// share one buffer and adopt values from it without copying (wire's rule 4);
+// the broadcast drops its own reference on return. The message itself is not
+// retained, so its fields may alias state the caller owns.
 func broadcast(node transport.Node, servers []types.ProcessID, msg *wire.Message) error {
-	payload, err := wire.Encode(msg)
+	payload, a, err := wire.EncodeArena(msg)
 	if err != nil {
 		return fmt.Errorf("encode %s: %w", msg.Op, err)
 	}
+	defer a.Release()
 	kind := msg.Kind()
 	for _, s := range servers {
-		if err := node.Send(s, kind, payload); err != nil {
+		a.Ref()
+		if err := transport.SendArena(node, s, kind, payload, a); err != nil {
 			return fmt.Errorf("send %s to %s: %w", msg.Op, s, err)
 		}
 	}

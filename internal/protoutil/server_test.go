@@ -394,6 +394,25 @@ func (cs *counterServer) count(key string) int64 {
 	return n
 }
 
+func TestShellID(t *testing.T) {
+	net := transport.NewInMemNetwork()
+	defer net.Close()
+	for _, id := range []types.ProcessID{types.Server(1), types.Server(7)} {
+		t.Run(id.String(), func(t *testing.T) {
+			sh, err := protoutil.NewShell(protoutil.ServerConfig{ID: id}, join(t, net, id), protoutil.Protocol[int64]{
+				Name:     "id",
+				NewState: func() int64 { return 0 },
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := sh.ID(); got != id {
+				t.Errorf("ID() = %v, want %v", got, id)
+			}
+		})
+	}
+}
+
 // TestSlotAdoptPinsOneArena walks one slot through every adoption a server
 // makes — a first arena, the same arena again, a second arena, an owned
 // value — checking after each step that the slot holds exactly one reference

@@ -165,3 +165,28 @@ func TestHistogramBucketRoundTrip(t *testing.T) {
 		}
 	}
 }
+
+func TestHistogramString(t *testing.T) {
+	// Each sample is the top of its bucket, so every quantile is exact.
+	const a, b, c = 1<<20 - 1, 1<<21 - 1, 1<<22 - 1
+	tests := []struct {
+		name    string
+		samples []time.Duration
+		want    string
+	}{
+		{"empty", nil, "no samples"},
+		{"one sample", []time.Duration{a}, "n=1 mean=1.049ms p50=1.049ms p99=1.049ms p999=1.049ms max=1.049ms"},
+		{"three samples", []time.Duration{c, a, b}, "n=3 mean=2.447ms p50=2.097ms p99=4.194ms p999=4.194ms max=4.194ms"},
+	}
+	for _, tt := range tests {
+		t.Run(tt.name, func(t *testing.T) {
+			h := NewHistogram()
+			for _, d := range tt.samples {
+				h.Record(d)
+			}
+			if got := h.String(); got != tt.want {
+				t.Errorf("String() = %q, want %q", got, tt.want)
+			}
+		})
+	}
+}

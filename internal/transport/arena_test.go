@@ -12,9 +12,7 @@ import (
 // coalescer does, and returns the payload with its one reference.
 func ackArena(t *testing.T, rc int64) ([]byte, *wire.Arena) {
 	t.Helper()
-	m := &wire.Message{Op: wire.OpReadAck, Key: "k", TS: 1, RCounter: rc}
-	a := wire.GetArena(wire.EncodedSize(m))
-	payload, err := wire.AppendEncode(a.Bytes()[:0], m)
+	payload, a, err := wire.EncodeArena(&wire.Message{Op: wire.OpReadAck, Key: "k", TS: 1, RCounter: rc})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -68,7 +68,8 @@ type coalesced struct {
 // Ownership: payloads handed to Send pass to the Coalescer exactly as they
 // would to a Node (rule 1 — senders must not reuse them). What the coalescer
 // encodes itself — a lone acknowledgement, every envelope — goes into a
-// pooled wire.Arena when the node is an ArenaSender (every shipped node is),
+// pooled wire.Arena when the node is an ArenaSender (every shipped node and
+// every demux route is),
 // and the arena's one reference leaves with the payload: the receiver's
 // release recycles it (wire's rule 4). Over any other node those buffers are
 // heap slices abandoned to the transport, so receivers may alias them
@@ -200,13 +201,7 @@ func (c *Coalescer) encode(m *wire.Message) ([]byte, *wire.Arena, error) {
 		payload, err := wire.Encode(m)
 		return payload, nil, err
 	}
-	a := wire.GetArena(wire.EncodedSize(m))
-	payload, err := wire.AppendEncode(a.Bytes()[:0], m)
-	if err != nil {
-		a.Release()
-		return nil, nil, err
-	}
-	return payload, a, nil
+	return wire.EncodeArena(m)
 }
 
 // SendEncoded routes an acknowledgement through the coalescer's direct

@@ -4,6 +4,7 @@ import (
 	"sync"
 
 	"fastread/internal/types"
+	"fastread/internal/wire"
 )
 
 // KeyFunc extracts the multiplexing key from a delivered message. The
@@ -162,7 +163,10 @@ type demuxRoute struct {
 	closed  bool
 }
 
-var _ Node = (*demuxRoute)(nil)
+var (
+	_ Node        = (*demuxRoute)(nil)
+	_ ArenaSender = (*demuxRoute)(nil)
+)
 
 // deliver hands one message, and its reference, to whatever consumes the
 // route. Only the goroutine delivering the physical node's run calls it.
@@ -236,6 +240,11 @@ func (rt *demuxRoute) ID() types.ProcessID { return rt.demux.node.ID() }
 // Send transmits through the physical node.
 func (rt *demuxRoute) Send(to types.ProcessID, kind string, payload []byte) error {
 	return rt.demux.node.Send(to, kind, payload)
+}
+
+// SendArena implements ArenaSender over the physical node (see SendArena).
+func (rt *demuxRoute) SendArena(to types.ProcessID, kind string, payload []byte, arena *wire.Arena) error {
+	return SendArena(rt.demux.node, to, kind, payload, arena)
 }
 
 // Inbox returns this key's message stream as a channel, building the route's

@@ -104,6 +104,42 @@ func TestDemuxSendPassesThrough(t *testing.T) {
 	}
 }
 
+// TestDemuxSendArena pins a route's arena send: over an in-memory node the
+// arena's one reference travels with the message, and over a physical node
+// without an arena send the route falls back to a plain Send and leaves the
+// reference to the garbage collector, so the payload stays valid.
+func TestDemuxSendArena(t *testing.T) {
+	for _, tt := range []struct {
+		name      string
+		wrap      func(Node) Node
+		delivered bool
+	}{
+		{"arena sender", func(n Node) Node { return n }, true},
+		{"send only", func(n Node) Node { return struct{ Node }{n} }, false},
+	} {
+		t.Run(tt.name, func(t *testing.T) {
+			net := NewInMemNetwork()
+			defer net.Close()
+			server := mustJoin(t, net, types.Server(1))
+			d := NewDemux(tt.wrap(mustJoin(t, net, types.Writer())), demuxKeyFunc, 0)
+			defer d.Close()
+			payload, a := ackArena(t, 1)
+			if err := d.Route("k").(ArenaSender).SendArena(types.Server(1), "req", payload, a); err != nil {
+				t.Fatal(err)
+			}
+			got := recvTimeout(t, server.Inbox())
+			if string(got.Payload) != string(payload) {
+				t.Errorf("server received payload %q, want %q", got.Payload, payload)
+			}
+			if delivered := got.Arena == a; delivered != tt.delivered {
+				t.Errorf("message carries the arena: %v, want %v", delivered, tt.delivered)
+			}
+			wantRefs(t, "after delivery", a, 1)
+			got.ReleaseArena()
+		})
+	}
+}
+
 func TestDemuxRouteCloseIsIndependent(t *testing.T) {
 	net := NewInMemNetwork()
 	defer net.Close()

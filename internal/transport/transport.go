@@ -33,8 +33,10 @@ type Message struct {
 	Payload []byte
 	// Arena, when non-nil, is the refcounted buffer Payload aliases: socket
 	// transports decode each inbound frame into one pooled arena, and the
-	// in-memory network delivers the arena a server's ack coalescer encoded
-	// into (ArenaSender); requests in memory carry none. The message carries
+	// in-memory network delivers the arena its sender encoded into
+	// (ArenaSender): a client's broadcast request, whose one arena every
+	// server's message shares, or a server coalescer's acknowledgements. A
+	// payload sent with a plain Send carries none. The message carries
 	// ONE reference: whoever consumes the message calls ReleaseArena when done
 	// with the payload and everything decoded from it, and anything retaining
 	// an aliasing view longer takes its own Arena.Ref first. See wire's
@@ -107,14 +109,27 @@ type Node interface {
 // with the pooled arena it was encoded into. Every shipped node kind has it:
 // the in-memory node delivers the arena with the message, so the receiver's
 // release returns the buffer to its pool (wire's rule 4); the socket carriers
-// copy the payload as their Send does and release the arena at once. A node
-// without it gets a plain Send and the arena is left to the garbage
-// collector, which is rule 4's safe direction.
+// copy the payload as their Send does and release the arena at once; a demux
+// route forwards to its physical node. Callers send through the SendArena
+// function, which gives a node without it a plain Send and leaves the arena
+// to the garbage collector, rule 4's safe direction.
 type ArenaSender interface {
 	// SendArena is Send for a payload aliasing arena, consuming the caller's
 	// one reference whatever happens: it travels with the message, or it is
 	// released where the message provably goes nowhere.
 	SendArena(to types.ProcessID, kind string, payload []byte, arena *wire.Arena) error
+}
+
+// SendArena sends a payload aliasing arena over node, consuming the caller's
+// one reference: through the node's SendArena when it is an ArenaSender,
+// otherwise by a plain Send that leaves the reference to the garbage
+// collector, so the arena never returns to its pool (wire's rule 4, safe
+// direction).
+func SendArena(node Node, to types.ProcessID, kind string, payload []byte, arena *wire.Arena) error {
+	if as, ok := node.(ArenaSender); ok {
+		return as.SendArena(to, kind, payload, arena)
+	}
+	return node.Send(to, kind, payload)
 }
 
 // Errors returned by transport implementations.

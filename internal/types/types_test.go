@@ -153,6 +153,25 @@ func TestTaggedValueAt(t *testing.T) {
 	}
 }
 
+func TestTaggedValueString(t *testing.T) {
+	tests := []struct {
+		name string
+		tv   TaggedValue
+		want string
+	}{
+		{"initial", InitialTaggedValue(), "{ts=0 cur=⊥ prev=⊥}"},
+		{"first write", TaggedValue{TS: 1, Cur: Value("a"), Prev: Bottom()}, `{ts=1 cur="a" prev=⊥}`},
+		{"quoted bytes", TaggedValue{TS: 7, Cur: Value("x\"y"), Prev: Value("\n")}, `{ts=7 cur="x\"y" prev="\n"}`},
+	}
+	for _, tt := range tests {
+		t.Run(tt.name, func(t *testing.T) {
+			if got := tt.tv.String(); got != tt.want {
+				t.Errorf("String() = %q, want %q", got, tt.want)
+			}
+		})
+	}
+}
+
 func TestProcessSetOperations(t *testing.T) {
 	s := NewProcessSet(Writer(), Reader(1))
 	if !s.Has(Writer()) || !s.Has(Reader(1)) || s.Has(Reader(2)) {

@@ -14,18 +14,19 @@ import (
 // message retaining a view simply pinned it. That is correct but costs one
 // allocation per message plus a GC obligation proportional to throughput.
 //
-// An Arena makes the buffer itself recyclable, and two kinds of buffer are
-// arenas: every inbound socket frame (the body is read into a pooled buffer)
-// and every acknowledgement a server's coalescer encodes, on every transport
-// (the in-memory network delivers the arena with the message; the socket
-// carriers copy the bytes out and release it at once). Every message view
-// decoded from the buffer aliases it, and a REFERENCE COUNT tracks how many
-// independent owners still need the bytes. Each delivered transport message
-// holds one reference; a retention point (a pipelined client detaching an
-// acknowledgement, a server adopting a written value into register state)
-// takes another with Ref instead of cloning the bytes; Release drops one, and
-// when the last reference drops the buffer returns to the pool for the next
-// message.
+// An Arena makes the buffer itself recyclable, and three kinds of buffer are
+// arenas: every inbound socket frame (the body is read into a pooled buffer),
+// every request a client broadcasts and every acknowledgement a server's
+// coalescer encodes, on every transport (the in-memory network delivers the
+// arena with the message, so a broadcast's S servers share one buffer; the
+// socket carriers copy the bytes out and release it at once). Every message
+// view decoded from the buffer aliases it, and a REFERENCE COUNT tracks how
+// many independent owners still need the bytes. Each delivered transport
+// message holds one reference; a retention point (a pipelined client
+// detaching an acknowledgement, a server adopting a written value into
+// register state) takes another with Ref instead of cloning the bytes;
+// Release drops one, and when the last reference drops the buffer returns to
+// the pool for the next message.
 //
 // The discipline is deliberately fail-safe in one direction and loud in the
 // other:

@@ -54,6 +54,19 @@ func Encode(m *Message) ([]byte, error) {
 	return AppendEncode(make([]byte, 0, EncodedSize(m)), m)
 }
 
+// EncodeArena is Encode into a pooled arena sized by EncodedSize: the payload
+// aliases the arena, whose one reference the caller owns (rule 4 of pool.go).
+// On error the arena is already released.
+func EncodeArena(m *Message) ([]byte, *Arena, error) {
+	a := GetArena(EncodedSize(m))
+	payload, err := AppendEncode(a.Bytes()[:0], m)
+	if err != nil {
+		a.Release()
+		return nil, nil, err
+	}
+	return payload, a, nil
+}
+
 // AppendEncode appends the encoding of m to buf and returns the extended
 // slice, growing it as needed. It is the append-style twin of Encode: callers
 // that own a scratch buffer (see GetBuffer/PutBuffer) can encode without

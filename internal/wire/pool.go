@@ -17,11 +17,11 @@ import "sync"
 //     network delivers the same slice to the receiver; the same payload may
 //     be broadcast to many receivers). Nobody — sender or receiver — may
 //     mutate an encoded payload, ever. A payload handed over together with
-//     its Arena (transport.ArenaSender, which a server's ack coalescer uses
-//     on every shipped node) passes the arena's reference too: the in-memory
-//     network delivers both, so the acknowledgement's buffer returns to the
-//     pool once the client releases it (rule 4), and a socket carrier copies
-//     the bytes and releases at once.
+//     its Arena (transport.ArenaSender, which a client's broadcast and a
+//     server's ack coalescer use on every shipped node) passes the arena's
+//     reference too: the in-memory network delivers both, so the buffer
+//     returns to the pool once its last receiver releases it (rule 4), and a
+//     socket carrier copies the bytes and releases at once.
 //
 //  2. Decoded views may alias. DecodeInto makes Cur, Prev and WriterSig
 //     alias the payload. That is safe precisely because of rule 1. A decoded
@@ -33,25 +33,26 @@ import "sync"
 //     client's detached acknowledgement — must either be cloned at the point
 //     of retention, or keep aliasing while holding a REFERENCE on the frame's
 //     Arena (see rule 4). Every server makes that choice in one place,
-//     protoutil.Slot.Adopt, which pins the request's arena when there is one
-//     and tells the caller to clone when there is not. Transient uses
-//     (building an ack that is encoded before the handler returns,
-//     evaluating a predicate) must NOT clone.
+//     protoutil.Slot.Adopt, which pins the request's arena — on every
+//     shipped transport a request carries one — and tells the caller to
+//     clone when there is none. Transient uses (building an ack that is
+//     encoded before the handler returns, evaluating a predicate) must NOT
+//     clone.
 //
 //  4. Arena buffers are refcounted. A socket transport decodes each inbound
-//     frame into a pooled, refcounted Arena (arena.go), and a server's ack
-//     coalescer encodes every acknowledgement (and ack envelope) into one,
-//     which the in-memory transport delivers with the message; every view
-//     decoded from such a payload aliases that buffer. The delivered
-//     transport message carries one reference; whoever drains the inbox
-//     releases it after handling, and anything that retains an aliasing view
-//     past that point must take its own Arena.Ref first and Release when
-//     done. A missing Release degrades to rule-1 behaviour (the buffer leaks
-//     to the GC, views stay valid); a double Release panics, because
-//     recycling a live buffer corrupts every surviving view; a missing Ref
-//     reads poison under the race detector (arena_race.go). Messages without
-//     an arena (requests on the in-memory transport, hand-built tests)
-//     follow rule 3's clone branch unchanged.
+//     frame into a pooled, refcounted Arena (arena.go), a client encodes each
+//     broadcast request into one and a server's ack coalescer every
+//     acknowledgement (and ack envelope), which the in-memory transport
+//     delivers with the message; every view decoded from such a payload
+//     aliases that buffer. The delivered transport message carries one
+//     reference; whoever drains the inbox releases it after handling, and
+//     anything that retains an aliasing view past that point must take its
+//     own Arena.Ref first and Release when done. A missing Release degrades
+//     to rule-1 behaviour (the buffer leaks to the GC, views stay valid); a
+//     double Release panics, because recycling a live buffer corrupts every
+//     surviving view; a missing Ref reads poison under the race detector
+//     (arena_race.go). Messages without an arena (a plain Send through a node
+//     decorator, hand-built tests) follow rule 3's clone branch unchanged.
 //
 // GetMessage/PutMessage recycle Message structs for rule-2 scratch decoding;
 // GetBuffer/PutBuffer recycle byte slices for encode/digest scratch that the
