@@ -57,7 +57,7 @@ func NewServer(cfg ServerConfig, node transport.Node) (*Server, error) {
 			Name:     "abd",
 			NewState: func() registerState { return registerState{} },
 			Handle:   s.handle,
-			Apply:    applyRecord,
+			Apply:    apply,
 			Dump:     dumpRecord,
 		})
 	if err != nil {
@@ -67,16 +67,21 @@ func NewServer(cfg ServerConfig, node transport.Node) (*Server, error) {
 	return s, nil
 }
 
-// applyRecord replays one recovered log record. Deltas re-run the adoption
-// comparison the live path used ((TS, Rank) order). Record bytes alias the
-// replay buffer and are cloned at the retention point.
-func applyRecord(st *registerState, r *durable.Record) {
-	incoming := VersionedValue{TS: types.Timestamp(r.TS), Rank: r.Rank}
-	if r.Kind == durable.KindState || st.value.Less(incoming) {
-		incoming.Cur = types.Value(r.Cur).Clone()
-		incoming.Prev = types.Value(r.Prev).Clone()
-		st.value = incoming
+// apply is the register's one mutation (protoutil.Protocol.Apply), live and
+// in recovery: a delta is adopted only if strictly newer in (TS, Rank) order,
+// a KindState record restores the register. The record's bytes are kept
+// pinned by a or cloned, at the one retention point.
+func apply(sl *protoutil.Slot[registerState], r durable.Record, a *wire.Arena) bool {
+	incoming := VersionedValue{TS: types.Timestamp(r.TS), Rank: r.Rank, Cur: r.Cur, Prev: r.Prev}
+	if r.Kind == durable.KindDelta && !sl.State.value.Less(incoming) {
+		return false
 	}
+	if !sl.Adopt(a) {
+		incoming.Cur = incoming.Cur.Clone()
+		incoming.Prev = incoming.Prev.Clone()
+	}
+	sl.State.value = incoming
+	return true
 }
 
 // dumpRecord fills a snapshot record with the register's durable state.
@@ -88,7 +93,7 @@ func dumpRecord(st *registerState, r *durable.Record) {
 }
 
 // handle processes one message on the per-message hot path: pooled zero-copy
-// decode, Slot.Adopt at the adoption retention point, ack fields aliasing the
+// decode, writes and write-backs through Shell.Apply, ack fields aliasing the
 // stored state (the executor handling this message is the state's sole
 // mutator, and the ack is encoded before it handles its next message).
 // Acknowledgements go through the executor's run-scoped coalescer, so a run of
@@ -112,31 +117,23 @@ func (s *Server) handle(m transport.Message, req *wire.Message, out transport.Se
 		return
 	}
 
-	incoming := VersionedValue{TS: req.TS, Rank: req.WriterRank, Cur: req.Cur, Prev: req.Prev}
-
 	ack := wire.GetMessage()
 	defer wire.PutMessage(ack)
 	s.Do(req.Key, func(sl *protoutil.Slot[registerState]) {
-		st := &sl.State
-		if (req.Op == wire.OpWrite || req.Op == wire.OpWriteBack) && st.value.Less(incoming) {
-			// Retention point: the request aliases the payload.
-			st.value = incoming
-			if !sl.Adopt(m.Arena) {
-				st.value.Cur = incoming.Cur.Clone()
-				st.value.Prev = incoming.Prev.Clone()
-			}
-			// Only adoptions change durable state; queries and reads are not
-			// logged.
-			s.Log(sl, &durable.Record{
+		// Only adoptions change durable state; queries and reads are not
+		// applied, so not logged.
+		if req.Op == wire.OpWrite || req.Op == wire.OpWriteBack {
+			s.Apply(sl, &durable.Record{
 				Kind: durable.KindDelta,
 				Key:  req.Key,
-				TS:   int64(incoming.TS),
-				Rank: incoming.Rank,
-				Cur:  incoming.Cur,
-				Prev: incoming.Prev,
+				TS:   int64(req.TS),
+				Rank: req.WriterRank,
+				Cur:  req.Cur,
+				Prev: req.Prev,
 				From: m.From,
-			})
+			}, m.Arena)
 		}
+		st := &sl.State
 		ack.Fill(wire.Message{
 			Op:         ackOp,
 			Key:        req.Key,

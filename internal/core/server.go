@@ -95,7 +95,7 @@ func NewServer(cfg ServerConfig, node transport.Node) (*Server, error) {
 				}
 			},
 			Handle: s.handle,
-			Apply:  applyRecord,
+			Apply:  apply,
 			Dump:   dumpRecord,
 		})
 	if err != nil {
@@ -108,37 +108,51 @@ func NewServer(cfg ServerConfig, node transport.Node) (*Server, error) {
 	return s, nil
 }
 
-// applyRecord replays one recovered log record into register state. A
-// KindState record restores a register wholesale; a KindDelta re-runs the
-// exact mutation branch the live path took. Record bytes alias the replay
-// buffer, so everything retained is cloned, mirroring the live path's
-// retention point.
-func applyRecord(st *registerState, r *durable.Record) {
-	switch r.Kind {
-	case durable.KindState:
-		st.value = types.TaggedValue{
-			TS:   types.Timestamp(r.TS),
-			Cur:  types.Value(r.Cur).Clone(),
-			Prev: types.Value(r.Prev).Clone(),
-		}
-		st.valueSig = append(st.valueSig[:0], r.Sig...)
+// apply is the register's one mutation (protoutil.Protocol.Apply): Figure 2 /
+// Figure 5 lines 26-33 on the live path, and the same lines again when
+// recovery replays the logged delta. A KindState record restores the
+// register wholesale.
+func apply(sl *protoutil.Slot[registerState], r durable.Record, a *wire.Arena) bool {
+	st := &sl.State
+	if r.Kind == durable.KindState {
+		adopt(sl, &r, a)
 		st.seen = append(st.seen[:0], r.Seen...)
 		for _, c := range r.Counters {
 			st.counters[int(c.PID)] = c.N
 		}
-	case durable.KindDelta:
-		if types.Timestamp(r.TS) > st.value.TS {
-			st.value = types.TaggedValue{
-				TS:   types.Timestamp(r.TS),
-				Cur:  types.Value(r.Cur).Clone(),
-				Prev: types.Value(r.Prev).Clone(),
-			}
-			st.valueSig = append(st.valueSig[:0], r.Sig...)
-			st.seen = append(st.seen[:0], r.From)
-		} else if !seenHas(st.seen, r.From) {
-			st.seen = append(st.seen, r.From)
-		}
-		st.counters[r.From.ClientPID()] = r.RCounter
+		return true
+	}
+	pid := r.From.ClientPID()
+	// Figure 2 line 26: only requests with rCounter ≥ cnt[q] are processed
+	// (Lemma 4 depends on it). Pipelined clients stay compatible because
+	// every provided transport delivers each link FIFO — a client's requests
+	// arrive in rCounter order — and clients submit in nonce order under
+	// their own mutex. (Adversarial delivery jitter can reorder a link and
+	// starve a pipelined operation; such operations end through their
+	// contexts, like any stalled op.)
+	if r.RCounter < st.counters[pid] {
+		return false
+	}
+	if types.Timestamp(r.TS) > st.value.TS {
+		adopt(sl, &r, a)
+		st.seen = append(st.seen[:0], r.From)
+	} else if !seenHas(st.seen, r.From) {
+		st.seen = append(st.seen, r.From)
+	}
+	st.counters[pid] = r.RCounter
+	return true
+}
+
+// adopt stores r's signed value in the register: the retention point, where
+// the record's bytes (a request's, or the replay buffer's) are kept pinned by
+// a or cloned.
+func adopt(sl *protoutil.Slot[registerState], r *durable.Record, a *wire.Arena) {
+	st := &sl.State
+	st.value = types.TaggedValue{TS: types.Timestamp(r.TS), Cur: r.Cur, Prev: r.Prev}
+	st.valueSig = r.Sig
+	if !sl.Adopt(a) {
+		st.value = st.value.Clone()
+		st.valueSig = append([]byte(nil), r.Sig...)
 	}
 }
 
@@ -229,8 +243,6 @@ func (s *Server) handle(m transport.Message, req *wire.Message, out transport.Se
 		}
 	}
 
-	pid := m.From.ClientPID()
-
 	// The ack's Seen will alias the register's long-lived seen slice. Set the
 	// pooled message's own Seen backing array aside and hand it back before
 	// the Put on every exit: the pool must never recycle the server's live
@@ -244,34 +256,10 @@ func (s *Server) handle(m transport.Message, req *wire.Message, out transport.Se
 	}()
 	ok := false
 	s.Do(req.Key, func(sl *protoutil.Slot[registerState]) {
-		st := &sl.State
-		// Figure 2 line 26: only requests with rCounter ≥ cnt[q] are
-		// processed (Lemma 4 depends on it). Pipelined clients stay
-		// compatible because every provided transport delivers each link
-		// FIFO — a client's requests arrive in rCounter order — and clients
-		// submit in nonce order under their own mutex. (Adversarial delivery
-		// jitter can reorder a link and starve a pipelined operation; such
-		// operations end through their contexts, like any stalled op.)
-		if req.RCounter < st.counters[pid] {
-			return
-		}
-		if req.TS > st.value.TS {
-			// Retention point: the request's fields alias the payload.
-			st.value = types.TaggedValue{TS: req.TS, Cur: req.Cur, Prev: req.Prev}
-			st.valueSig = req.WriterSig
-			if !sl.Adopt(m.Arena) {
-				st.value = st.value.Clone()
-				st.valueSig = append([]byte(nil), req.WriterSig...)
-			}
-			st.seen = append(st.seen[:0], m.From)
-		} else if !seenHas(st.seen, m.From) {
-			st.seen = append(st.seen, m.From)
-		}
-		st.counters[pid] = req.RCounter
-		// Log the mutation before the ack is even built ("atomic reads must
-		// write" extends to "must log" — read requests mutate the seen set
-		// and counters, so they are logged too).
-		s.Log(sl, &durable.Record{
+		// Every request that passes the rCounter guard is applied and logged
+		// before the ack is even built ("atomic reads must write" extends to
+		// "must log" — read requests mutate the seen set and counters too).
+		if !s.Apply(sl, &durable.Record{
 			Kind:     durable.KindDelta,
 			Key:      req.Key,
 			TS:       int64(req.TS),
@@ -280,7 +268,10 @@ func (s *Server) handle(m transport.Message, req *wire.Message, out transport.Se
 			Sig:      req.WriterSig,
 			From:     m.From,
 			RCounter: req.RCounter,
-		})
+		}, m.Arena) {
+			return
+		}
+		st := &sl.State
 
 		ackOp := wire.OpWriteAck
 		if req.Op == wire.OpRead {

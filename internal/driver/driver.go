@@ -2,18 +2,20 @@
 // public Store API (and the cmd binaries) and the individual register
 // protocol implementations.
 //
-// Each protocol package (core, abd, maxmin, regular) registers one Driver per
-// protocol name in an init function; anything that wants to deploy a protocol
-// looks the driver up by name and calls its factories. This is what lets the
-// public API and the TCP binaries serve every protocol without a per-protocol
-// switch: adding a protocol is adding one driver_register.go file to its
-// package plus a blank import at the deployment sites.
+// Each protocol package (core, abd, maxmin) registers one Driver per protocol
+// name in an init function (abd registers both abd and regular); anything
+// that wants to deploy a protocol looks the driver up by name and calls its
+// factories. This is what lets the public API and the TCP binaries serve
+// every protocol without a per-protocol switch: adding a protocol is adding
+// one driver_register.go file to its package plus a blank import at the
+// deployment sites.
 //
 // The registry puts nothing between a caller and the client engine: every
 // protocol's writer is the one protoutil.Writer and every reader the one
 // protoutil.Reader, so the client factories hand out those pointers, with the
 // engine's own futures and read result. Only servers sit behind an interface
-// (Server) — five state types run in the one protoutil.Shell.
+// (Server) — four state types run in the one protoutil.Shell (core, abd and
+// maxmin's, and the Byzantine stand-in's in internal/fault).
 package driver
 
 import (

@@ -42,9 +42,12 @@
 //
 // # Record ownership
 //
-// A Record handed to Hooks.Apply is valid only for the duration of the call
-// and its byte fields alias the replay buffer: clone whatever the state
-// retains, exactly as the live receive path clones at its retention point. A
+// A delta record is what the server's Apply consumed live: the server stages
+// exactly the delta it just applied, and recovery hands each record to that
+// same Apply, so the live path and the replay are one function. A Record
+// handed to Hooks.Apply is valid only for the duration of the call and its
+// byte fields alias the replay buffer: the replaying Apply clones whatever
+// the state retains, as it does for a live request that carries no arena. A
 // Record passed to Log.Stage (or Append) or emitted by Hooks.Dump is fully
 // encoded before the call returns, so callers may alias live state (the
 // server's state-map lock, held across both the mutation and the Stage, keeps

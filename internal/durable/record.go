@@ -11,9 +11,10 @@ import (
 // interpreting them; the kind tells the owning protocol server how to replay
 // one during recovery.
 const (
-	// KindDelta is one state mutation exactly as the server applied it: the
-	// request's timestamped value plus the client identity and operation
-	// counter that carried it. Segments hold deltas.
+	// KindDelta is one state mutation: the delta the server's Apply consumed
+	// live — the request's timestamped value plus the client identity and
+	// operation counter that carried it — which recovery hands to the same
+	// Apply again. Segments hold deltas.
 	KindDelta byte = 1
 	// KindState is one register's complete durable state. Snapshots hold one
 	// state record per instantiated register.
@@ -30,16 +31,18 @@ type CounterEntry struct {
 }
 
 // Record is the shared mutation/state vocabulary every protocol server logs
-// and replays. The durable layer assigns LSN and owns framing and checksums;
-// which fields are meaningful is the protocol's business (abd uses Rank, the
-// fast register uses From/RCounter/Seen/Counters, the value-only protocols
-// use just Key/TS/Cur/Prev).
+// and replays. A KindDelta record is exactly the delta the protocol's Apply
+// consumed live, and recovery replays it through that same Apply. The durable
+// layer assigns LSN and owns framing and checksums; which fields are
+// meaningful is the protocol's business (abd uses Rank, the fast register
+// uses Sig/From/RCounter/Seen/Counters, maxmin just Key/TS/Cur/Prev).
 //
 // Ownership: a Record handed to Hooks.Apply is valid only for the duration of
-// the call, and its byte fields alias the replay buffer — clone anything the
-// state retains, exactly as the live receive path clones at its retention
-// point. A Record passed to Log.Append or emitted by Hooks.Dump is consumed
-// (encoded) before the call returns, so callers may alias live state.
+// the call, and its byte fields alias the replay buffer — the Apply that
+// replays it retains nothing without cloning, exactly as it clones a live
+// request that comes without an arena. A Record passed to Log.Stage (or
+// Append) or emitted by Hooks.Dump is consumed (encoded) before the call
+// returns, so callers may alias live state.
 type Record struct {
 	Kind byte
 	// LSN is the record's log sequence number: assigned by Log.Append in file

@@ -200,7 +200,7 @@ func NewServer(cfg ServerConfig, node transport.Node) (*Server, error) {
 				}
 			},
 			Handle: s.handle,
-			Apply:  func(st *registerState, r *durable.Record) { protoutil.ApplyValueRecord(&st.value, r) },
+			Apply:  apply,
 			Dump:   func(st *registerState, r *durable.Record) { protoutil.DumpValueRecord(st.value, r) },
 		})
 	if err != nil {
@@ -210,17 +210,21 @@ func NewServer(cfg ServerConfig, node transport.Node) (*Server, error) {
 	return s, nil
 }
 
-// logAdoption appends the adoption of tv to the durable log. Callers run
-// inside the register's Do, so the append is ordered with the mutation.
-func (s *Server) logAdoption(sl *protoutil.Slot[registerState], key string, tv types.TaggedValue, from types.ProcessID) {
-	s.Log(sl, &durable.Record{
-		Kind: durable.KindDelta,
-		Key:  key,
-		TS:   int64(tv.TS),
-		Cur:  tv.Cur,
-		Prev: tv.Prev,
-		From: from,
-	})
+// apply is the register's one mutation (protoutil.Protocol.Apply), live and
+// in recovery: a delta — a write or a peer's gossip — is adopted only if its
+// timestamp is newer, a KindState record restores the value. The record's
+// bytes are kept pinned by a or cloned, at the one retention point. Only the
+// value is durable; the gossip bookkeeping is not.
+func apply(sl *protoutil.Slot[registerState], r durable.Record, a *wire.Arena) bool {
+	ts := types.Timestamp(r.TS)
+	if r.Kind == durable.KindDelta && ts <= sl.State.value.TS {
+		return false
+	}
+	sl.State.value = types.TaggedValue{TS: ts, Cur: r.Cur, Prev: r.Prev}
+	if !sl.Adopt(a) {
+		sl.State.value = sl.State.value.Clone()
+	}
+	return true
 }
 
 // State returns the default register's current value; use StateOf for a
@@ -237,8 +241,11 @@ func (s *Server) StateOf(key string) types.TaggedValue {
 
 // handle runs one message's step inside one Do on its register: a write, a
 // read's start or a peer's gossip, the last two possibly completing a read.
-// Replies and gossip go into the run's coalescer, which only buffers until
-// the run ends, so nothing is sent while the state map's lock is held.
+// A write or a gossip message carries a value, which the register adopts
+// first if it is newer ("adopts the timestamp and its associated value");
+// a read carries none. Replies and gossip go into the run's coalescer, which
+// only buffers until the run ends, so nothing is sent while the state map's
+// lock is held.
 func (s *Server) handle(m transport.Message, req *wire.Message, out transport.Sender) {
 	var step func(*protoutil.Slot[registerState], transport.Message, *wire.Message, transport.Sender)
 	switch {
@@ -251,21 +258,25 @@ func (s *Server) handle(m transport.Message, req *wire.Message, out transport.Se
 	default:
 		return
 	}
-	s.Do(req.Key, func(sl *protoutil.Slot[registerState]) { step(sl, m, req, out) })
+	s.Do(req.Key, func(sl *protoutil.Slot[registerState]) {
+		if req.Op != wire.OpRead {
+			s.Apply(sl, &durable.Record{
+				Kind: durable.KindDelta,
+				Key:  req.Key,
+				TS:   int64(req.TS),
+				Cur:  req.Cur,
+				Prev: req.Prev,
+				From: m.From,
+			}, m.Arena)
+		}
+		step(sl, m, req, out)
+	})
 }
 
-// handleWrite adopts a newer value and acknowledges the writer with the
-// stored value, exactly as in ABD.
+// handleWrite acknowledges the writer with the stored value, exactly as in
+// ABD; handle has adopted the write's value if it was newer.
 func (s *Server) handleWrite(sl *protoutil.Slot[registerState], m transport.Message, req *wire.Message, out transport.Sender) {
 	st := &sl.State
-	if req.TS > st.value.TS {
-		// Retention point: the request aliases the payload.
-		st.value = types.TaggedValue{TS: req.TS, Cur: req.Cur, Prev: req.Prev}
-		if !sl.Adopt(m.Arena) {
-			st.value = st.value.Clone()
-		}
-		s.logAdoption(sl, req.Key, st.value, m.From)
-	}
 	_ = transport.SendEncoded(out, m.From, &wire.Message{Op: wire.OpWriteAck, Key: req.Key, TS: st.value.TS, Cur: st.value.Cur, RCounter: req.RCounter})
 }
 
@@ -300,55 +311,32 @@ func (s *Server) handleRead(sl *protoutil.Slot[registerState], m transport.Messa
 		_ = out.Send(peer, gossip.Kind(), payload)
 	}
 
-	s.maybeReply(sl, p, req.Key, rkey, out)
+	s.maybeReply(st, p, req.Key, rkey, out)
 }
 
-// handleGossip records a peer server's timestamp for the identified read and
-// adopts it if newer.
+// handleGossip records a peer server's timestamp for the identified read;
+// handle has adopted it if it was newer.
 func (s *Server) handleGossip(sl *protoutil.Slot[registerState], m transport.Message, req *wire.Message, out transport.Sender) {
 	st := &sl.State
 	rkey := readKey{Reader: int(req.Phase), RCounter: req.RCounter}
-	// Gossip entries outlive the frame, so the incoming value is an owned
-	// clone, and adopting it pins no arena.
-	incoming := types.TaggedValue{TS: req.TS, Cur: req.Cur.Clone(), Prev: req.Prev.Clone()}
-	// Adopt the maximum timestamp seen while gossiping ("adopts the timestamp
-	// and its associated value").
-	if incoming.TS > st.value.TS {
-		sl.Adopt(nil)
-		st.value = incoming
-		s.logAdoption(sl, req.Key, st.value, m.From)
-	}
 	// Gossip for a read this server already answered must not re-create the
 	// read's bookkeeping: the entry would never be garbage-collected.
 	if st.done(rkey) {
 		return
 	}
 	p := st.pendingState(rkey)
-	p.gossips[m.From] = incoming
+	// The entry outlives the frame: an owned clone.
+	p.gossips[m.From] = types.TaggedValue{TS: req.TS, Cur: req.Cur.Clone(), Prev: req.Prev.Clone()}
 
-	s.maybeReply(sl, p, req.Key, rkey, out)
+	s.maybeReply(st, p, req.Key, rkey, out)
 }
 
 // maybeReply answers the reader once the server has both received the read
 // request and collected gossip from a majority of servers. p is the read's
 // bookkeeping, which the caller found not done.
-func (s *Server) maybeReply(sl *protoutil.Slot[registerState], p *pendingRead, key string, rkey readKey, out transport.Sender) {
-	st := &sl.State
+func (s *Server) maybeReply(st *registerState, p *pendingRead, key string, rkey readKey, out transport.Sender) {
 	if !p.requested || len(p.gossips) < s.cfg.Quorum.Majority() {
 		return
-	}
-	// Select the maximum timestamp among the collected gossip and adopt it.
-	// Gossip entries are owned clones, so adopting one pins no arena.
-	best := st.value
-	for _, tv := range p.gossips {
-		if tv.TS > best.TS {
-			best = tv
-		}
-	}
-	if best.TS > st.value.TS {
-		sl.Adopt(nil)
-		st.value = best
-		s.logAdoption(sl, key, best, s.cfg.ID)
 	}
 	// Garbage-collect the finished read and advance the reader's reply
 	// frontier, which stops late gossip from re-creating the entry. An older
@@ -357,13 +345,15 @@ func (s *Server) maybeReply(sl *protoutil.Slot[registerState], p *pendingRead, k
 	delete(st.pending, rkey)
 	st.markReplied(rkey)
 
-	// The reply carries the adopted maximum.
+	// The reply carries the register's value, which is the maximum of the
+	// collected gossip: each entry is this server's own value at read time or
+	// a peer's value that handle adopted if newer, and the value only grows.
 	_ = transport.SendEncoded(out, types.Reader(rkey.Reader), &wire.Message{
 		Op:       wire.OpReadAck,
 		Key:      key,
-		TS:       best.TS,
-		Cur:      best.Cur,
-		Prev:     best.Prev,
+		TS:       st.value.TS,
+		Cur:      st.value.Cur,
+		Prev:     st.value.Prev,
 		RCounter: rkey.RCounter,
 	})
 }

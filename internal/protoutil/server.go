@@ -3,16 +3,16 @@
 // The paper's servers are pure steps (state, message) → (state', ack): they
 // never wait for another process before replying (Figures 2 and 5). Shell is
 // everything around that step that does not depend on the protocol — the
-// node, the executor, the per-key state map,
-// the durable log with its LSN-guarded replay and snapshot framing, and the
-// Start/Stop lifecycle — so a protocol server is its state struct, its
-// handler and its record⇄state mapping (Protocol) and nothing else. It is
-// configured by the one ServerConfig every protocol's constructor takes, and
-// sits beside Client, the one client engine.
+// node, the executor, the per-key state map, the durable log with its
+// LSN-guarded replay and snapshot framing, and the Start/Stop lifecycle — so
+// a protocol server is its state struct, its handler, its one mutation
+// (Apply, which recovery replays) and its snapshot dump (Protocol) and
+// nothing else. It is configured by the one ServerConfig every protocol's
+// constructor takes, and sits beside Client, the one client engine.
 //
 // Durability rule, stated once: an ack leaves a server only after the log
 // commit that covers its record returned nil. The executor's run is the
-// commit group — handlers stage records (Log), the run-end hook commits the
+// commit group — handlers stage records (Apply), the run-end hook commits the
 // log once (commitRun), and only then is the run's coalesced ack batch
 // released. An idle server's run is one message, so a lone request still
 // pays exactly one commit before its ack. A commit that fails drops the
@@ -65,37 +65,28 @@ type Protocol[S any] struct {
 	// Handle processes one delivered protocol message, which the shell has
 	// decoded into req (malformed payloads never reach it); replies go
 	// through out, the executor's run-scoped coalescer. req is pooled and
-	// aliases m's payload: it is the handler's until it returns, and a value
-	// it adopts goes through Slot.Adopt(m.Arena), which says whether to keep
-	// the aliases or clone.
+	// aliases m's payload: it is the handler's until it returns. A handler
+	// changes state only through Shell.Apply, with a delta built from req
+	// and m.Arena.
 	Handle func(m transport.Message, req *wire.Message, out transport.Sender)
-	// Apply replays one recovered record into a register's state: a KindState
-	// record restores it wholesale, a KindDelta re-runs the mutation the live
-	// path took (the shell has already skipped deltas the state reflects).
-	// Record bytes alias the replay buffer, so everything retained is cloned,
-	// mirroring the live path's retention point. Unused without a log.
-	Apply func(st *S, r *durable.Record)
+	// Apply is the register's one mutation, run by the live handler (through
+	// Shell.Apply) and by recovery alike. A KindDelta runs the protocol's
+	// adoption rule and reports whether the request was applied; a KindState
+	// record restores the register wholesale. r's bytes alias a's buffer, so
+	// retained bytes go through sl.Adopt(a): keep the aliases when it returns
+	// true, clone when it returns false. Recovery passes a nil arena, because
+	// a replayed record aliases the replay buffer. r is passed by value: a
+	// pointer handed through this func field would escape to the heap, one
+	// allocation per request.
+	Apply func(sl *Slot[S], r durable.Record, a *wire.Arena) bool
 	// Dump fills r with a register's durable fields for a snapshot (Kind, LSN
 	// and Key are the shell's). r may alias live state: it is encoded under
 	// the state map's lock, before the next mutation.
 	Dump func(st *S, r *durable.Record)
 }
 
-// ApplyValueRecord is Protocol.Apply for state that is one timestamped value
-// (maxmin, regular): a KindState record restores it, a KindDelta re-runs the
-// live adoption comparison. Retained bytes are cloned because the record
-// aliases the replay buffer.
-func ApplyValueRecord(v *types.TaggedValue, r *durable.Record) {
-	if r.Kind == durable.KindState || types.Timestamp(r.TS) > v.TS {
-		*v = types.TaggedValue{
-			TS:   types.Timestamp(r.TS),
-			Cur:  types.Value(r.Cur).Clone(),
-			Prev: types.Value(r.Prev).Clone(),
-		}
-	}
-}
-
-// DumpValueRecord is the matching Protocol.Dump: the record aliases v.
+// DumpValueRecord is Protocol.Dump for state that is one timestamped value:
+// the record aliases v.
 func DumpValueRecord(v types.TaggedValue, r *durable.Record) {
 	r.TS = int64(v.TS)
 	r.Cur = v.Cur
@@ -110,9 +101,9 @@ type Slot[S any] struct {
 	// this register (live append or recovery replay); deltas at or below it
 	// are already reflected and must not replay. Zero when not durable.
 	lsn int64
-	// Mutations counts the register's state mutations. A protocol's mutation
-	// site is its Log call, durable or not, so Log counts them — once, under
-	// the state map's lock the handler already holds; protocols only read it.
+	// Mutations counts the register's live state mutations: the deltas
+	// Shell.Apply applied, durable or not, counted under the state map's lock
+	// the handler already holds; protocols only read it.
 	Mutations int64
 	// arena is the frame buffer the state's adopted value aliases, nil when
 	// the state owns its bytes. At most one arena is pinned per register: the
@@ -197,15 +188,16 @@ func (s *Shell[S]) handle(m transport.Message, out transport.Sender) {
 	s.proto.Handle(m, req, out)
 }
 
-// applyRecord replays one recovered log record. The per-key LSN guard skips
-// deltas a restored snapshot already reflects (see the durable package's
-// replay discipline), which is what makes snapshot + tail replay idempotent.
+// applyRecord replays one recovered log record through the live path's
+// Apply, with no arena. The per-key LSN guard skips deltas a restored
+// snapshot already reflects (see the durable package's replay discipline),
+// which is what makes snapshot + tail replay idempotent.
 func (s *Shell[S]) applyRecord(r *durable.Record) error {
 	s.states.Do(r.Key, func(sl *Slot[S]) {
 		if r.Kind == durable.KindDelta && r.LSN <= sl.lsn {
 			return
 		}
-		s.proto.Apply(&sl.State, r)
+		s.proto.Apply(sl, *r, nil)
 		sl.lsn = r.LSN
 	})
 	return nil
@@ -228,20 +220,26 @@ func (s *Shell[S]) dumpRecords(emit func(*durable.Record) error) error {
 }
 
 // Do runs fn with the key's slot under the state map's lock, instantiating
-// the register first if the key is new. Handlers mutate state (and Log) here.
+// the register first if the key is new. Handlers change state here, through
+// Apply.
 func (s *Shell[S]) Do(key string, fn func(*Slot[S])) { s.states.Do(key, fn) }
 
-// Log counts one mutation of sl's register, stages it in the durable log and
-// records its LSN in the slot; without a log it only counts. Handlers call it
-// inside Do, after mutating and before building the ack. Nothing blocks on
-// stable storage here: the record is written, and the commit that makes it
-// durable runs once at the end of the executor run, before the run's acks
-// are released (commitRun). r is consumed before return, so it may alias the
-// request. A caller outside an executor run ends the run itself.
-func (s *Shell[S]) Log(sl *Slot[S], r *durable.Record) {
+// Apply is the one door for a live change: handlers call it inside Do with
+// the delta built from the request and the request's arena, before building
+// the ack. It runs the protocol's Apply, the same function recovery replays;
+// when that applied the delta, it counts one mutation, stages the delta in
+// the durable log and records its LSN in the slot (without a log it only
+// counts). Nothing blocks on stable storage here: the commit that makes the
+// record durable runs once at the end of the executor run, before the run's
+// acks are released (commitRun). r is consumed before return, so it may
+// alias the request. A caller outside an executor run ends the run itself.
+func (s *Shell[S]) Apply(sl *Slot[S], r *durable.Record, a *wire.Arena) bool {
+	if !s.proto.Apply(sl, *r, a) {
+		return false
+	}
 	sl.Mutations++
 	if s.dlog == nil {
-		return
+		return true
 	}
 	lsn, err := s.dlog.Stage(r)
 	if err != nil {
@@ -250,6 +248,7 @@ func (s *Shell[S]) Log(sl *Slot[S], r *durable.Record) {
 		s.logFailed.Store(true)
 	}
 	sl.lsn = lsn
+	return true
 }
 
 // commitRun is the executor's run-end hook on a durable server: one commit
@@ -315,8 +314,8 @@ func (s *Shell[S]) Stop() {
 // ID returns the server's process identity.
 func (s *Shell[S]) ID() types.ProcessID { return s.id }
 
-// TotalMutations sums the mutations Log has counted across every register the
-// server hosts; the store-level stats aggregate it.
+// TotalMutations sums the mutations Apply has counted across every register
+// the server hosts; the store-level stats aggregate it.
 func (s *Shell[S]) TotalMutations() int64 {
 	var total int64
 	s.states.Range(func(_ string, sl *Slot[S]) { total += sl.Mutations })

@@ -366,18 +366,18 @@ func openCounter(t *testing.T, node transport.Node, opts durable.Options) *count
 		Handle: func(m transport.Message, req *wire.Message, out transport.Sender) {
 			ack := &wire.Message{Op: wire.OpWriteAck, Key: req.Key}
 			cs.Do(req.Key, func(sl *protoutil.Slot[int64]) {
-				sl.State++
-				cs.Log(sl, &durable.Record{Kind: durable.KindDelta, Key: req.Key})
+				cs.Apply(sl, &durable.Record{Kind: durable.KindDelta, Key: req.Key}, m.Arena)
 				ack.TS, ack.RCounter = types.Timestamp(sl.State), sl.LSN()
 			})
 			_ = transport.SendEncoded(out, m.From, ack)
 		},
-		Apply: func(n *int64, r *durable.Record) {
+		Apply: func(sl *protoutil.Slot[int64], r durable.Record, _ *wire.Arena) bool {
 			if r.Kind == durable.KindState {
-				*n = r.TS
+				sl.State = r.TS
 			} else {
-				*n++
+				sl.State++
 			}
+			return true
 		},
 		Dump: func(n *int64, r *durable.Record) { r.TS = *n },
 	})
@@ -461,8 +461,7 @@ func TestShellReplayAppliesEachDeltaOnce(t *testing.T) {
 		for k := 0; k < keys; k++ {
 			key := keyName(k)
 			first.Do(key, func(sl *protoutil.Slot[int64]) {
-				sl.State++
-				first.Log(sl, &durable.Record{Kind: durable.KindDelta, Key: key})
+				first.Apply(sl, &durable.Record{Kind: durable.KindDelta, Key: key}, nil)
 			})
 			// No executor is running: end the run by hand, or the crash
 			// below drops the staged record.

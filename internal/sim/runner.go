@@ -6,6 +6,7 @@ import (
 	"encoding/hex"
 	"fmt"
 	"os"
+	"runtime/debug"
 	"sort"
 	"strings"
 	"time"
@@ -60,8 +61,9 @@ type Result struct {
 	Histories map[string]history.History
 	// Check is the per-key correctness verdict over Histories.
 	Check atomicity.KeyedReport
-	// RunErr is a harness-level failure (deployment error, clock stall,
-	// checker error) as opposed to a history violation.
+	// RunErr is a harness-level failure (deployment error, clock stall, a
+	// panic in a clock event, checker error) as opposed to a history
+	// violation.
 	RunErr error
 }
 
@@ -261,7 +263,15 @@ func Run(sc Scenario, seed int64) *Result {
 		res.RunErr = fmt.Errorf("sim: deploy %q: %w", sc.Name, err)
 		return res
 	}
-	defer store.Close()
+	// A store whose run panicked is abandoned, not closed: the unwound clock
+	// event still owns its delivery run, so Close would wait forever on the
+	// server that cannot finish it.
+	abandoned := false
+	defer func() {
+		if !abandoned {
+			store.Close()
+		}
+	}()
 
 	aborted, cancel := context.WithCancel(context.Background())
 	cancel()
@@ -287,7 +297,9 @@ func Run(sc Scenario, seed int64) *Result {
 
 	r.scheduleWorkload()
 	r.scheduleFaults()
-	r.loop()
+	if abandoned = r.loop(); abandoned {
+		return res
+	}
 
 	res.SimTime = clock.Now().Sub(transport.VirtualEpoch)
 	res.Stats = store.Stats()
@@ -339,8 +351,16 @@ func (r *runner) scheduleFaults() {
 // submissions, faults and timeouts all run inside Step, with their whole
 // cascade — any future whose completing acknowledgement was just delivered
 // is already resolved when Step returns, so draining here observes
-// completions at their exact virtual time.
-func (r *runner) loop() {
+// completions at their exact virtual time. A panic in any of it — a server
+// handler, a client completion — ends the run: it becomes the run's error,
+// with its stack, and loop reports it.
+func (r *runner) loop() (panicked bool) {
+	defer func() {
+		if p := recover(); p != nil {
+			r.res.RunErr = fmt.Errorf("sim: %q seed %d: panic: %v\n%s", r.sc.Name, r.res.Seed, p, debug.Stack())
+			panicked = true
+		}
+	}()
 	for {
 		ran, err := r.clock.Step()
 		if err != nil {
@@ -362,6 +382,7 @@ func (r *runner) loop() {
 		}
 	}
 	r.pending = nil
+	return false
 }
 
 // drain resolves every in-flight operation whose future settled, in
