@@ -204,7 +204,8 @@
 // queue — the destination node's transport.Queue, the same type on the
 // in-memory and the socket backends — and at most one wake-up. A live
 // server's executor serves its node's queue on its own goroutine
-// (transport.Claim): that is the one wake-up of a request. A client node is
+// (transport.Claim): that is the one wake-up of a request, where it has one.
+// A client node is
 // push-delivered: the goroutine that puts an acknowledgement into the idle
 // node — a server executor's run-end flush in memory, a read loop on sockets
 // — routes it itself and CALLS the engine of the handle it is for (a demux
@@ -213,12 +214,20 @@
 // only goroutine an acknowledgement wakes is the caller waiting on its future
 // (or, for a blocking call, its pooled Call). A client identity's demux pump
 // wakes only for a backlog such a run leaves behind. Every consumer is bound
-// to its node before its constructor returns. A live Send never runs server
-// code, so a live server's queue stays the one asynchronous boundary; a send
-// to a client node may run that client's engine, which never blocks. Under a
-// virtual clock every consumer, servers included, is push-delivered by the
-// clock event that delivers to it, since there a Send only schedules (see
-// below). Channels survive behind Node.Inbox — the Queue's own pump —
+// to its node before its constructor returns. An in-memory server without a
+// log never blocks in a run, so a client's broadcast takes the run of every
+// such server it finds idle (transport.TakerRuns) and delivers it on the
+// client's goroutine once the handle's lock is released: a serial in-memory
+// operation is one chain of calls on its caller — each server's handler, its
+// ack flush, the client engine and the quorum's completion — with no
+// wake-up, and when it returns every idle server has applied it. The request
+// itself is still enqueued under the lock, so a handle's pipelined requests
+// reach every server in nonce order. Every other send only enqueues: a
+// server's gossip, a socket read loop, and any send to a durable server,
+// whose run ends in a commit that may wait on the disk. A send to a client
+// node may run that client's engine, which never blocks. Under a virtual
+// clock every consumer, servers included, is push-delivered by the clock
+// event that delivers to it, since there a Send only schedules (see below). Channels survive behind Node.Inbox — the Queue's own pump —
 // for code that wants to select on one (tests, the layer benchmarks); the
 // product path does not go through them.
 //
@@ -226,9 +235,9 @@
 // rules — encoded payloads are immutable, decoded views may alias them, and
 // retained data is cloned exactly at its retention point — spelled out in
 // internal/wire/pool.go. The sole-mutator discipline those rules lean on is
-// per server: its one consumer handles every message, one at a time (the
-// executor's goroutine, or under a virtual clock the clock's), so it is
-// every register's only mutator.
+// per server: its one consumer handles every message, one run at a time (on
+// the executor's goroutine, on a client's that took the run, or under a
+// virtual clock on the clock's), so it is every register's only mutator.
 //
 // Batch frames extend the same rules end to end: a wire.Batch envelope packs
 // many messages into one transport payload, the per-message views produced

@@ -3,12 +3,16 @@
 // Every client operation of every protocol is the same choreography around a
 // different decision: reserve an in-flight slot; under the handle's mutex
 // issue the nonce, build the request, register for its acknowledgements and
-// only then broadcast (so no acknowledgement is delivered unmatched, and
-// pipelined requests hit every link in nonce order); collect `need`
-// acknowledgements from distinct servers; run the protocol's decision outside
-// the pipeline's lock; then either resolve the caller's future (or wake the
-// blocking caller waiting on the operation's pooled Call) and free the slot,
-// or send the operation's next round on the SAME slot. Client is that
+// only then enqueue it at every server (so no acknowledgement is delivered
+// unmatched, and pipelined requests hit every link in nonce order); release
+// the mutex and run the idle in-memory servers whose runs the broadcast took
+// (transport.TakerRuns), which in memory is where the acknowledgements come
+// from; collect `need` acknowledgements from distinct servers; run the
+// protocol's decision outside the pipeline's lock; then either resolve the
+// caller's future (or signal the blocking caller waiting on the operation's
+// pooled Call) and free the slot, or send the operation's next round on the
+// SAME slot. A serial in-memory operation thus completes on its caller's
+// goroutine, inside its own Do or Submit, with no wake-up. Client is that
 // choreography, written once; a protocol supplies Rounds — its request
 // builder, its acceptance rule, its quorum size and what a quorum means — and
 // keeps nothing about slots, lock order or futures. It sits beside Shell, the
@@ -305,7 +309,8 @@ func (cl *Client[T]) start(arg types.Value, f *Future[T]) (c *Call[T], op *Op, e
 		cl.pl.release()
 		return nil, nil, fmt.Errorf("%s: %w", cl.proto.Name, err)
 	}
-	op, err = cl.send(c)
+	var taken [takenInline]*transport.Queue
+	op, runs, err := cl.send(c, taken[:0])
 	if commit := cl.proto.Commit; commit != nil {
 		if err == nil {
 			commit(c)
@@ -318,31 +323,44 @@ func (cl *Client[T]) start(arg types.Value, f *Future[T]) (c *Call[T], op *Op, e
 		// The aborted round's completion resolves f (or signals c) and frees
 		// the slot.
 		op.Abort(err)
+		deliverTaken(runs)
 		if f != nil {
 			c = nil
 		}
 		return c, nil, fmt.Errorf("%s: %w", cl.proto.Name, err)
 	}
+	// In memory this runs the idle servers, whose acks may complete the
+	// operation — and recycle an async operation's c — before it returns.
+	deliverTaken(runs)
 	return c, op, nil
 }
 
+// takenInline is how many taken server runs a broadcast collects on its
+// caller's stack; a deployment with more in-memory servers grows the list on
+// the heap.
+const takenInline = 32
+
 // send registers c's current request for its acknowledgements, then
-// broadcasts it. Callers hold cl.mu, which is what orders a completion's
-// recycling of c after the encode that reads it: a (Byzantine) server that
-// guessed the nonce could complete the round mid-broadcast, and its
-// completion waits here.
-func (cl *Client[T]) send(c *Call[T]) (*Op, error) {
+// enqueues it at every server, appending to runs the idle servers' runs it
+// took (enqueue). Callers hold cl.mu across it and deliver the returned runs
+// once they have released it. Enqueueing under the lock is what makes
+// pipelined requests reach every server in nonce order — a server drops,
+// unacknowledged, a read that arrives behind a higher rCounter — and what
+// orders a completion's recycling of c after the encode that reads it: a
+// completion that races the broadcast (a server another goroutine runs, or a
+// Byzantine one that guessed the nonce) waits for cl.mu.
+func (cl *Client[T]) send(c *Call[T], runs []*transport.Queue) (*Op, []*transport.Queue, error) {
 	c.ack, _ = wire.AckFor(c.Req.Op)
 	op := cl.pl.registerHandler(cl.proto.Need, c)
 	c.op = op
-	err := broadcast(cl.node, cl.servers, &c.Req)
+	runs, err := enqueue(cl.node, cl.servers, &c.Req, runs)
 	if errors.Is(err, transport.ErrClosed) {
 		// The handle's node is gone: one condition, one sentinel, whether the
 		// submitter or the delivering goroutine notices first.
 		err = fmt.Errorf("%w: %w", ErrInboxClosed, err)
 	}
 	c.Req.Cur, c.Req.Prev, c.Req.WriterSig = nil, nil, nil
-	return op, err
+	return op, runs, err
 }
 
 // abort fails a blocking operation with err: the round in flight now, and any
@@ -393,13 +411,15 @@ func (c *Call[T]) complete(acks []Ack, err error) (keepSlot bool) {
 	cl := c.cl
 	cl.mu.Lock()
 	var next *Op
+	var taken [takenInline]*transport.Queue
+	var runs []*transport.Queue
 	if err == nil {
 		cl.trips++
 		c.Round++
 		if finish := cl.proto.Finish; finish != nil {
 			var more bool
 			if more, err = finish(c, acks); err == nil && more {
-				next, err = cl.send(c)
+				next, runs, err = cl.send(c, taken[:0])
 			}
 		}
 	}
@@ -417,6 +437,7 @@ func (c *Call[T]) complete(acks []Ack, err error) (keepSlot bool) {
 		case cancelled != nil:
 			next.Abort(cancelled)
 		}
+		deliverTaken(runs)
 		return true
 	}
 

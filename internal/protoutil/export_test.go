@@ -7,6 +7,8 @@ import (
 
 	"fastread/internal/durable"
 	"fastread/internal/transport"
+	"fastread/internal/types"
+	"fastread/internal/wire"
 )
 
 // Test-only views of the shell's log, for the tests that pin the commit rule
@@ -51,4 +53,13 @@ func (s *Shell[S]) Registers() []durable.Record {
 	})
 	sort.Slice(out, func(i, j int) bool { return out[i].Key < out[j].Key })
 	return out
+}
+
+// broadcast is a client's whole broadcast without a client: enqueue, then
+// the delivery of the server runs it took, for the tests that pin how one
+// request reaches every server.
+func broadcast(node transport.Node, servers []types.ProcessID, msg *wire.Message) error {
+	runs, err := enqueue(node, servers, msg, nil)
+	deliverTaken(runs)
+	return err
 }

@@ -63,12 +63,19 @@ const MaxPipelineDepth = 512
 // are ALWAYS invoked outside p.mu (a completion takes its client handle's own
 // mutex, and the submission path holds that mutex while registering —
 // invoking completions under p.mu would invert that order). Because Deliver
-// runs on a producer's goroutine — a server's executor, a read loop — or on
-// the one that serves every handle of the node, nothing it reaches may block:
-// a completion only takes the handle's mutex, closes a
-// future's channel, sends on a blocking call's one-slot channel (which
-// nothing else fills) or broadcasts the operation's next round, and Send
-// never blocks on any transport.
+// runs on a producer's goroutine — a server's run, which in memory may be
+// running on a client's goroutine that took it, a read loop — or on the one
+// that serves every handle of the node, nothing it reaches may block: a
+// completion only takes the handle's mutex, closes a future's channel, sends
+// on a blocking call's one-slot channel (which nothing else fills) or
+// broadcasts the operation's next round, and Send never blocks on any
+// transport. A next round's broadcast takes idle servers' runs like the
+// first round's, and the completion delivers them after releasing the
+// handle's mutex, still on the delivering goroutine: no lock of the handle is
+// held while a server runs, and runs nest at most once per node, since a run
+// is only taken or pushed from an idle queue and holds it until it ends.
+// Nested there, the client node is mid-run, so the next round's
+// acknowledgements wait for the node's consumer.
 type Pipeline struct {
 	node transport.Node
 
@@ -118,7 +125,7 @@ func NewPipeline(node transport.Node, depth int, _ any) *Pipeline {
 		done:  make(chan struct{}),
 	}
 	if b, ok := node.(sinkBinder); !ok || !b.BindSink(p) {
-		serve := transport.Claim(node, p.Deliver, nil, true)
+		serve := transport.Claim(node, p.Deliver, nil, transport.PusherRuns)
 		go func() {
 			serve()
 			p.Closed()
@@ -456,23 +463,24 @@ func newFuture[T any]() *Future[T] {
 
 // bind attaches the future to its first round and arms the context: if ctx
 // ends first, the CURRENT round aborts with the context's error (and the
-// abort intent sticks to rounds bound later). A context that can never end
-// (context.Background: Done is nil) is not armed at all — the registration
-// allocates, and every submission on such a context would pay for a callback
-// that cannot fire.
+// abort intent sticks to rounds bound later). A completion may already have
+// moved the future past op — in memory the broadcast's own server runs can
+// finish round one before Submit binds — and the round it moved to stays
+// bound. A context that can never end (context.Background: Done is nil) is
+// not armed at all — the registration allocates, and every submission on
+// such a context would pay for a callback that cannot fire. Nothing can
+// abort the future before bind arms it, so bind has no abort intent to honour.
 func (f *Future[T]) bind(ctx context.Context, op *Op) {
 	f.mu.Lock()
-	f.op = op
-	cancelled := f.cancelErr
+	if f.op == nil {
+		f.op = op
+	}
 	if f.stop == nil && !f.resolved && ctx.Done() != nil {
 		f.stop = context.AfterFunc(ctx, func() {
 			f.abort(ctx.Err())
 		})
 	}
 	f.mu.Unlock()
-	if cancelled != nil {
-		op.Abort(cancelled)
-	}
 }
 
 // rebind moves the future onto the operation's next round, honouring any

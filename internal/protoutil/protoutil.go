@@ -113,27 +113,42 @@ func StartNonce(n int64) int64 {
 	return time.Now().UnixMicro()
 }
 
-// broadcast encodes the message once, into one pooled arena, and sends it to
-// every listed server. Send errors (which only occur when the local node is
-// closed) abort the broadcast. Every server's message carries its own
-// reference to the arena (transport.SendArena), so in memory the S servers
-// share one buffer and adopt values from it without copying (wire's rule 4);
-// the broadcast drops its own reference on return. The message itself is not
-// retained, so its fields may alias state the caller owns.
-func broadcast(node transport.Node, servers []types.ProcessID, msg *wire.Message) error {
+// enqueue encodes the message once, into one pooled arena, and sends it to
+// every listed server, appending to runs the run of every idle server it took
+// (transport.SendTaking: an in-memory server without a log) and returning
+// them. The caller delivers them with deliverTaken, exactly once, after
+// releasing its own locks. Send errors (which only occur when the local node
+// is closed) abort the broadcast; the runs taken so far are still returned.
+// Every server's message carries its own reference to the arena, so in memory
+// the S servers share one buffer and adopt values from it without copying
+// (wire's rule 4); enqueue drops its own reference on return. The message
+// itself is not retained, so its fields may alias state the caller owns.
+func enqueue(node transport.Node, servers []types.ProcessID, msg *wire.Message, runs []*transport.Queue) ([]*transport.Queue, error) {
 	payload, a, err := wire.EncodeArena(msg)
 	if err != nil {
-		return fmt.Errorf("encode %s: %w", msg.Op, err)
+		return runs, fmt.Errorf("encode %s: %w", msg.Op, err)
 	}
 	defer a.Release()
 	kind := msg.Kind()
 	for _, s := range servers {
 		a.Ref()
-		if err := transport.SendArena(node, s, kind, payload, a); err != nil {
-			return fmt.Errorf("send %s to %s: %w", msg.Op, s, err)
+		run, err := transport.SendTaking(node, s, kind, payload, a)
+		if run != nil {
+			runs = append(runs, run)
+		}
+		if err != nil {
+			return runs, fmt.Errorf("send %s to %s: %w", msg.Op, s, err)
 		}
 	}
-	return nil
+	return runs, nil
+}
+
+// deliverTaken delivers the server runs an enqueue took, in the order it took
+// them, on the calling goroutine.
+func deliverTaken(runs []*transport.Queue) {
+	for _, q := range runs {
+		q.RunTaken()
+	}
 }
 
 // Ack couples a decoded acknowledgement with the server that sent it.

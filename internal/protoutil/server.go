@@ -280,10 +280,18 @@ func (s *Shell[S]) PeekSlot(key string, fn func(*Slot[S])) bool { return s.state
 // Start makes the server's executor the node's consumer before it returns and
 // launches one goroutine that serves the node and runs the handler (see
 // transport.Executor); under a virtual clock the clock event that delivers a
-// request runs the handler instead. Only the first call has an effect.
+// request runs the handler instead. A server without a log never blocks in a
+// run, so a client broadcast that finds it idle takes its run and runs the
+// handler on the client's goroutine (transport.TakerRuns); a durable server's
+// run ends in a commit that may wait on the disk, so its runs stay on its own
+// goroutine. Only the first call has an effect.
 func (s *Shell[S]) Start() {
 	s.startOnce.Do(func() {
-		serve := s.exec.Claim(s.handle)
+		runs := transport.TakerRuns
+		if s.dlog != nil {
+			runs = transport.ConsumerRuns
+		}
+		serve := s.exec.Claim(s.handle, runs)
 		go func() {
 			defer close(s.done)
 			serve()

@@ -6,8 +6,8 @@ package transport
 // Between a Send and the code that handles the message there is exactly one
 // queue — the destination node's — and at most one wake-up. Claim binds the
 // consumer to that queue, written once: the executor (server side) runs its
-// handler as the consumer, so a request wakes the server's one goroutine and
-// nothing else.
+// handler as the consumer, so a request wakes at most the server's one
+// goroutine.
 //
 // The client side wakes nobody in between: its consumers — the demux, and a
 // pipeline over a bare node — claim their node push-delivered, and the
@@ -15,18 +15,45 @@ package transport
 // executor's run-end flush in memory, a read loop on sockets, a clock event in
 // simulation) delivers one run of that node's queue itself, through the demux
 // route into the client engine. The only goroutine an acknowledgement wakes is
-// the caller it completes; the consumer goroutine wakes only for a backlog
-// that run left behind.
+// the caller it completes, if another goroutine delivered it; the consumer
+// goroutine wakes only for a backlog that run left behind.
 //
-// A live Send never runs server code: a live server node's queue is the one
-// asynchronous boundary, so a client may hold its own locks across a
-// broadcast. A send to a client node may run that client's sink, which never
-// blocks (Sink). Under a virtual clock every consumer is push-delivered,
-// servers included: there a Send only schedules an event, and the event that
-// pushes a message runs its handler — and the handler's run end — on the
-// clock's one goroutine (WithClock). That queue is a Queue on every node
-// kind: the in-memory node holds one, and so does the socket core
-// (framed.Core), whose read loops fill it one whole frame at a time.
+// A client's request needs no wake-up either, where nothing in the server's
+// run can block: a log-less server's executor claims its node TakerRuns, and a
+// client broadcast (SendTaking) that finds such a server idle takes its run
+// and delivers it on the client's own goroutine once the handle's lock is
+// released (Queue.RunTaken). The request is enqueued under that lock, so
+// pipelined requests still reach every server in nonce order; only the run
+// moves after it. A serial in-memory operation is then one chain of calls on
+// its caller: the broadcast runs each server, each server's run-end flush
+// delivers its ack into the client, and the quorum's last ack completes the
+// operation. Every other send — a plain Send or SendArena, a server's gossip,
+// a socket read loop, any send to a durable server, whose run commits its log
+// and may wait on the disk — only enqueues and wakes the server's goroutine,
+// so a live plain Send never runs server code. A send to a client node may
+// run that client's sink, which never blocks (Sink). Under a virtual clock
+// every consumer is push-delivered, servers included: there a Send only
+// schedules an event, and the event that pushes a message runs its handler —
+// and the handler's run end — on the clock's one goroutine (WithClock). That
+// queue is a Queue on every node kind: the in-memory node holds one, and so
+// does the socket core (framed.Core), whose read loops fill it one whole
+// frame at a time.
+
+// Runs says who, besides the consumer's own goroutine, may deliver a claimed
+// queue's runs.
+type Runs uint8
+
+const (
+	// ConsumerRuns: only the consumer goroutine delivers; a push wakes it.
+	ConsumerRuns Runs = iota
+	// PusherRuns: a push that finds no run in progress delivers one run
+	// itself, on the pushing goroutine (client nodes).
+	PusherRuns
+	// TakerRuns: a plain push wakes the consumer, but a sender that takes the
+	// run (SendTaking) and finds none in progress delivers one run itself,
+	// after releasing its own locks (log-less servers).
+	TakerRuns
+)
 
 // Claimer is implemented by nodes whose Queue a consumer can claim — every
 // in-memory and socket node. Nodes that only have a channel — test doubles,
@@ -35,12 +62,12 @@ type Claimer interface {
 	// Claim makes deliver and runEnd (non-nil) the node's one consumer from
 	// now on and returns serve, which delivers the node's messages on the
 	// calling goroutine, run by run, until the node is closed and drained.
-	// With push set, a push that finds no run in progress delivers one run
-	// itself, on the pushing goroutine (Queue), so deliver and runEnd must
-	// never block. It reports false, having claimed nothing, when the node
-	// already feeds a channel (Inbox was called first): a node has one
-	// consumer for its lifetime.
-	Claim(deliver func(Message), runEnd func(), push bool) (serve func(), ok bool)
+	// Unless runs is ConsumerRuns, a pusher or taker may deliver a run on its
+	// own goroutine (Queue), so deliver and runEnd must never block. It
+	// reports false, having claimed nothing, when the node already feeds a
+	// channel (Inbox was called first): a node has one consumer for its
+	// lifetime.
+	Claim(deliver func(Message), runEnd func(), runs Runs) (serve func(), ok bool)
 }
 
 // Claim makes deliver the node's one consumer before it returns, and returns
@@ -61,18 +88,18 @@ type Claimer interface {
 // (or frame), while a backlog ends one run for all of it: the server's ack
 // coalescer and group-commit hook hang off exactly this boundary.
 //
-// push asks that the goroutine pushing into an idle node deliver one run
-// itself (Claimer), for a deliver and runEnd that never block; the consumer
-// goroutine takes over only what that run leaves behind. Deliveries stay
-// sequential and in order. Live server executors do not ask: a client holds
-// its own lock across a broadcast, so a live send to a server must not run
-// the server's handler. Over a channel-only node push has no effect.
-func Claim(node Node, deliver func(Message), runEnd func(), push bool) (serve func()) {
+// runs says who else delivers (Runs): PusherRuns asks that the goroutine
+// pushing into an idle node deliver one run itself, TakerRuns that a sender
+// taking an idle node's run deliver it once it holds no lock — both for a
+// deliver and runEnd that never block; the consumer goroutine takes over only
+// what such a run leaves behind. Deliveries stay sequential and in order.
+// Over a channel-only node runs has no effect.
+func Claim(node Node, deliver func(Message), runEnd func(), runs Runs) (serve func()) {
 	if runEnd == nil {
 		runEnd = func() {}
 	}
 	if c, ok := node.(Claimer); ok {
-		if serve, ok := c.Claim(deliver, runEnd, push); ok {
+		if serve, ok := c.Claim(deliver, runEnd, runs); ok {
 			return func() {
 				serve()
 				runEnd()

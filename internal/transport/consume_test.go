@@ -34,7 +34,7 @@ var consumeRows = []struct {
 // push-delivered), serves it on its own goroutine and returns a channel that
 // closes when serve returns.
 func runConsume(node Node, deliver func(Message), runEnd func()) <-chan struct{} {
-	serve := Claim(node, deliver, runEnd, false)
+	serve := Claim(node, deliver, runEnd, ConsumerRuns)
 	done := make(chan struct{})
 	go func() {
 		defer close(done)
@@ -46,7 +46,7 @@ func runConsume(node Node, deliver func(Message), runEnd func()) <-chan struct{}
 // serveQueue is runConsume for a bare Queue, which nobody may have claimed.
 func serveQueue(t *testing.T, q *Queue, deliver func(Message), runEnd func()) <-chan struct{} {
 	t.Helper()
-	serve, ok := q.Claim(deliver, runEnd, false)
+	serve, ok := q.Claim(deliver, runEnd, ConsumerRuns)
 	if !ok {
 		t.Fatal("Claim refused a queue nobody consumed")
 	}

@@ -63,7 +63,7 @@ func NewDemux(node Node, keyOf KeyFunc, _ int) *Demux {
 		routes: make(map[string]*demuxRoute),
 		done:   make(chan struct{}),
 	}
-	go d.pump(Claim(node, expanding(d.route), nil, true))
+	go d.pump(Claim(node, expanding(d.route), nil, PusherRuns))
 	return d
 }
 
@@ -166,6 +166,7 @@ type demuxRoute struct {
 var (
 	_ Node        = (*demuxRoute)(nil)
 	_ ArenaSender = (*demuxRoute)(nil)
+	_ RunTaker    = (*demuxRoute)(nil)
 )
 
 // deliver hands one message, and its reference, to whatever consumes the
@@ -245,6 +246,11 @@ func (rt *demuxRoute) Send(to types.ProcessID, kind string, payload []byte) erro
 // SendArena implements ArenaSender over the physical node (see SendArena).
 func (rt *demuxRoute) SendArena(to types.ProcessID, kind string, payload []byte, arena *wire.Arena) error {
 	return SendArena(rt.demux.node, to, kind, payload, arena)
+}
+
+// SendTaking implements RunTaker over the physical node (see SendTaking).
+func (rt *demuxRoute) SendTaking(to types.ProcessID, kind string, payload []byte, arena *wire.Arena) (*Queue, error) {
+	return SendTaking(rt.demux.node, to, kind, payload, arena)
 }
 
 // Inbox returns this key's message stream as a channel, building the route's

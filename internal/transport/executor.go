@@ -1,15 +1,16 @@
 package transport
 
 // Executor consumes a node (Claim) and runs a handler over every message it
-// delivers. The handler runs as the node's consumer, on the goroutine that
-// serves the node — under a virtual clock, inside the clock event that
-// delivers the message (WithClock): the node's queue is the only queue
-// between a Send and its handler, the node's run is the handler's run, and
-// the server is the paper's one sequential step per message (receive,
-// update, reply). One consumer handles every key, so each register's state
-// has a single mutator and the hot-path aliasing discipline of
-// internal/wire/pool.go holds: an ack may alias the key's stored state
-// because nothing else mutates it.
+// delivers. The handler runs as the node's consumer: on the goroutine that
+// serves the node; on a client's goroutine, for a run the client's broadcast
+// took (TakerRuns, Queue.RunTaken); or, under a virtual clock, inside the
+// clock event that delivers the message (WithClock). Either way the node's
+// queue is the only queue between a Send and its handler, the node's run is
+// the handler's run, runs never overlap, and the server is the paper's one
+// sequential step per message (receive, update, reply). One consumer handles
+// every key, so each register's state has a single mutator and the hot-path
+// aliasing discipline of internal/wire/pool.go holds: an ack may alias the
+// key's stored state because nothing else mutates it.
 //
 // Batch envelopes (wire.Batch, produced by the transports' flush coalescing
 // and by clients pipelining over batched links) are expanded before the
@@ -53,10 +54,11 @@ func (e *Executor) endRun(co *Coalescer) {
 	co.Flush()
 }
 
-// RunCoalescing is Claim(handler)() on the calling goroutine: it blocks until
-// the node is closed and drained, so a caller that closes the node and then
-// waits for it to return observes every delivered message handled.
-func (e *Executor) RunCoalescing(handler func(Message, Sender)) { e.Claim(handler)() }
+// RunCoalescing is Claim(handler, ConsumerRuns)() on the calling goroutine:
+// it blocks until the node is closed and drained, so a caller that closes the
+// node and then waits for it to return observes every delivered message
+// handled.
+func (e *Executor) RunCoalescing(handler func(Message, Sender)) { e.Claim(handler, ConsumerRuns)() }
 
 // Claim makes the handler the node's consumer before it returns and returns
 // serve, which runs the handler over the node's messages until the node is
@@ -70,7 +72,11 @@ func (e *Executor) RunCoalescing(handler func(Message, Sender)) { e.Claim(handle
 // never delays a reply; under pipelined load a run of k requests from one
 // client costs ONE acknowledgement send instead of k — and, with a run-end
 // hook committing a log, one fsync instead of k.
-func (e *Executor) Claim(handler func(Message, Sender)) (serve func()) {
+//
+// runs is ConsumerRuns or TakerRuns (see Runs). TakerRuns lets a client's
+// broadcast run an idle server on the client's goroutine, so it is only for a
+// handler and run-end hook that never block: a server without a log.
+func (e *Executor) Claim(handler func(Message, Sender), runs Runs) (serve func()) {
 	co := NewCoalescer(e.node)
-	return Claim(e.node, expanding(func(m Message) { handler(m, co) }), func() { e.endRun(co) }, false)
+	return Claim(e.node, expanding(func(m Message) { handler(m, co) }), func() { e.endRun(co) }, runs)
 }

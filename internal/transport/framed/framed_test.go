@@ -38,7 +38,7 @@ func TestRunsEndOnFrameBoundaries(t *testing.T) {
 			t.Errorf("a run ended after %d messages, not on a %d-message frame boundary", inRun, frame)
 		}
 		inRun = 0
-	}, false)
+	}, transport.ConsumerRuns)
 	if !ok {
 		t.Fatal("Claim refused a node nobody consumed")
 	}
@@ -79,7 +79,7 @@ func TestConsumerStyleIsDecidedOnce(t *testing.T) {
 		}
 		m.ReleaseArena()
 	}
-	if _, ok := c.Claim(func(transport.Message) {}, func() {}, false); ok {
+	if _, ok := c.Claim(func(transport.Message) {}, func() {}, transport.ConsumerRuns); ok {
 		t.Fatal("Claim took a node already read through Inbox")
 	}
 	c.Close()
@@ -92,7 +92,7 @@ func TestConsumerStyleIsDecidedOnce(t *testing.T) {
 	serve, ok := d.Claim(func(m transport.Message) {
 		m.ReleaseArena()
 		close(delivered)
-	}, func() {}, false)
+	}, func() {}, transport.ConsumerRuns)
 	if !ok {
 		t.Fatal("Claim did not own a fresh node")
 	}

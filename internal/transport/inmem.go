@@ -65,9 +65,9 @@ func WithMailboxBound(server int) InMemOption {
 // (inMemNode.Claim): the event that pushes a message delivers it, so a
 // server's handler, its run end and its coalesced acks run inside the event,
 // on the clock's goroutine, and a consumer's run is always that one delivery.
-// A Send only schedules, so no consumer runs inside a sender. A delivery that
-// stays queued — a node read through Inbox, or one nobody claimed — makes its
-// Step fail.
+// A Send only schedules, and so does SendTaking, which takes no run: no
+// consumer runs inside a sender. A delivery that stays queued — a node read
+// through Inbox, or one nobody claimed — makes its Step fail.
 func WithClock(c *VirtualClock) InMemOption {
 	return func(n *InMemNetwork) { n.clock = c }
 }
@@ -341,7 +341,8 @@ func (n *InMemNetwork) deliverVirtual(dst *inMemNode, msg Message, delay time.Du
 // owns no goroutine of its own — whoever claims the node serves the queue
 // (transport.Claim), so a message crosses one queue and wakes at most one
 // goroutine between Send and its handler; on a push-delivered node the
-// sender delivers an idle node's run itself and wakes nobody.
+// sender delivers an idle node's run itself and wakes nobody, and a taking
+// send to an idle TakerRuns node hands its run to the sender (SendTaking).
 type inMemNode struct {
 	*Queue
 	id  types.ProcessID
@@ -354,13 +355,17 @@ var (
 	_ Node        = (*inMemNode)(nil)
 	_ Claimer     = (*inMemNode)(nil)
 	_ ArenaSender = (*inMemNode)(nil)
+	_ RunTaker    = (*inMemNode)(nil)
 )
 
 // Claim implements Claimer. On a network with a virtual clock the consumer is
 // push-delivered whatever it asked for, so the clock event that delivers a
 // message runs its consumer (WithClock).
-func (nd *inMemNode) Claim(deliver func(Message), runEnd func(), push bool) (func(), bool) {
-	return nd.Queue.Claim(deliver, runEnd, push || nd.net.clock != nil)
+func (nd *inMemNode) Claim(deliver func(Message), runEnd func(), runs Runs) (func(), bool) {
+	if nd.net.clock != nil {
+		runs = PusherRuns
+	}
+	return nd.Queue.Claim(deliver, runEnd, runs)
 }
 
 // ID implements Node.
@@ -368,28 +373,42 @@ func (nd *inMemNode) ID() types.ProcessID { return nd.id }
 
 // Send implements Node.
 func (nd *inMemNode) Send(to types.ProcessID, kind string, payload []byte) error {
-	return nd.send(Message{From: nd.id, To: to, Kind: kind, Payload: payload})
+	_, err := nd.send(Message{From: nd.id, To: to, Kind: kind, Payload: payload}, false)
+	return err
 }
 
 // SendArena implements ArenaSender: the arena's reference travels with the
 // message to the receiver's consumer, whose release recycles the buffer.
 func (nd *inMemNode) SendArena(to types.ProcessID, kind string, payload []byte, arena *wire.Arena) error {
-	return nd.send(Message{From: nd.id, To: to, Kind: kind, Payload: payload, Arena: arena})
+	_, err := nd.send(Message{From: nd.id, To: to, Kind: kind, Payload: payload, Arena: arena}, false)
+	return err
 }
 
-// send routes and delivers one message. A message from a closed node gives
-// its arena reference back here, one routing drops gives it back in route;
-// later drop points (a held link dropped, a network closing with messages
-// held or a clock event pending, a closed destination) do the same.
-func (nd *inMemNode) send(msg Message) error {
+// SendTaking implements RunTaker: SendArena that takes the destination's run
+// when its consumer lets takers deliver and no run is in progress.
+func (nd *inMemNode) SendTaking(to types.ProcessID, kind string, payload []byte, arena *wire.Arena) (*Queue, error) {
+	return nd.send(Message{From: nd.id, To: to, Kind: kind, Payload: payload, Arena: arena}, true)
+}
+
+// send routes and delivers one message, taking the destination's run if take
+// is set and the destination lets it (Queue.take). A message from a closed
+// node gives its arena reference back here, one routing drops gives it back
+// in route; later drop points (a held link dropped, a network closing with
+// messages held or a clock event pending, a closed destination) do the same.
+func (nd *inMemNode) send(msg Message, take bool) (*Queue, error) {
 	if nd.closed.Load() {
 		msg.ReleaseArena()
-		return ErrClosed
+		return nil, ErrClosed
 	}
-	if dst, delay := nd.net.route(msg); dst != nil {
+	dst, delay := nd.net.route(msg)
+	switch {
+	case dst == nil:
+	case take && nd.net.clock == nil:
+		return dst.take(msg), nil
+	default:
 		nd.net.deliver(dst, msg, delay)
 	}
-	return nil
+	return nil, nil
 }
 
 // Close implements Node. Messages already queued still reach a consumer that

@@ -83,7 +83,7 @@ func TestPushDeliveryNeverBlocksSenders(t *testing.T) {
 		return len(got)
 	}
 
-	serve := Claim(client, deliver, nil, true)
+	serve := Claim(client, deliver, nil, PusherRuns)
 	consumer := make(chan int64, 1)
 	consumed := make(chan struct{})
 	go func() {
@@ -171,7 +171,7 @@ func TestPushDeliveryBeforeSendReturns(t *testing.T) {
 }
 
 // TestPushDeliveryNotForServersOrInboxes: only consumers that opted in are
-// push-delivered. A send to a server never runs its handler (the executor's
+// push-delivered. A plain send to a server never runs its handler (the executor's
 // goroutine does), and a node or route read through Inbox keeps its pump, so
 // a send returns although nobody reads the channel yet.
 func TestPushDeliveryNotForServersOrInboxes(t *testing.T) {

@@ -32,17 +32,23 @@ const maxRetainedBatch = 1024
 // feeds a channel, for code that selects on one (tests, the layer
 // benchmarks).
 //
-// Push delivery: on a queue claimed with push set, the goroutine whose push
-// finds no run in progress takes the queue as one run and delivers it itself,
-// so an acknowledgement reaches the client engine on the goroutine that
-// produced it — a server executor's flush, a socket read loop, a clock event
-// — and the consumer goroutine sleeps. A pusher that finds a run in progress
-// only appends and returns: senders never block. A pusher delivers at most
-// one run; whatever arrived meanwhile is handed to the consumer goroutine,
-// which drains until the queue is empty, so no producer is kept from its own
-// work (a read loop from its socket) by other producers' traffic. One flag,
-// running, held by a pusher or the consumer, keeps deliveries sequential and
-// in FIFO order.
+// Who delivers a run is the claim's Runs mode. On a PusherRuns queue (client
+// nodes) the goroutine whose push finds no run in progress takes the queue as
+// one run and delivers it itself, so an acknowledgement reaches the client
+// engine on the goroutine that produced it — a server executor's flush, a
+// socket read loop, a clock event — and the consumer goroutine sleeps. On a
+// TakerRuns queue (a log-less server) a plain push wakes the consumer, but a
+// sender that asks to take the run (take, through SendTaking) and finds no run
+// in progress gets the queue back with the run reserved for it, and delivers
+// it later with RunTaken, once it holds no lock of its own: a client's
+// broadcast enqueues under its handle's lock and runs the servers after it.
+// A pusher or taker that finds a run in progress only appends and returns:
+// senders never block. A pusher or taker delivers at most one run; whatever
+// arrived meanwhile is handed to the consumer goroutine, which drains until
+// the queue is empty, so no producer is kept from its own work (a read loop
+// from its socket) by other producers' traffic. One flag, running, held by a
+// pusher, a taker or the consumer, keeps deliveries sequential and in FIFO
+// order.
 type Queue struct {
 	mu     sync.Mutex
 	cond   sync.Cond
@@ -56,13 +62,13 @@ type Queue struct {
 	spare []Message
 
 	// running is set while a run is being delivered, by the consumer or by a
-	// pusher. deliver and runEnd are the consumer's, nil until the queue is
-	// claimed (the channel side's pump claims it too); push lets pushers
-	// deliver.
+	// pusher, and from a take until its RunTaken. deliver and runEnd are the
+	// consumer's, nil until the queue is claimed (the channel side's pump
+	// claims it too); runs says who else may deliver.
 	running bool
 	deliver func(Message)
 	runEnd  func()
-	push    bool
+	runs    Runs
 
 	// hw is the high-water mark of queued-but-undrained messages. Overload
 	// on an unbounded queue is otherwise silent: the queue grows, nothing
@@ -112,9 +118,40 @@ func (q *Queue) offer(m Message) (admitted, gone bool) {
 		m.ReleaseArena()
 		return false, true
 	}
-	gone = q.push && !q.running
+	gone = q.runs == PusherRuns && !q.running
 	q.admitted()
 	return true, gone
+}
+
+// take is Push for a sender that delivers the run itself: on a TakerRuns
+// queue that no run occupies it admits m, reserves the run and returns the
+// queue, whose RunTaken the caller must then call exactly once, holding no
+// lock a delivery could need. Otherwise it pushes as Push does and returns
+// nil.
+func (q *Queue) take(m Message) *Queue {
+	q.mu.Lock()
+	if !q.admit(m) {
+		q.mu.Unlock()
+		m.ReleaseArena()
+		return nil
+	}
+	if q.runs == TakerRuns && !q.running {
+		q.running = true
+		q.mu.Unlock()
+		return q
+	}
+	q.admitted()
+	return nil
+}
+
+// RunTaken delivers the run a take reserved — everything queued by now, in
+// FIFO order — on the calling goroutine, and hands what arrives meanwhile to
+// the consumer.
+func (q *Queue) RunTaken() {
+	q.mu.Lock()
+	q.run()
+	q.handOn()
+	q.mu.Unlock()
 }
 
 // PushExpanded admits every message a batch envelope carries under one lock,
@@ -145,20 +182,25 @@ func (q *Queue) PushExpanded(frame Message) int {
 // admitted follows a push that queued something; q.mu is held, and released
 // on return. With a run in progress nobody is woken: the run's owner hands on
 // what it leaves behind. Otherwise the pusher delivers one run itself on a
-// push-delivered queue, and wakes the consumer on any other.
+// PusherRuns queue, and wakes the consumer on any other.
 func (q *Queue) admitted() {
 	switch {
 	case q.running:
-	case q.push:
+	case q.runs == PusherRuns:
 		q.run()
-		if len(q.items) > 0 || q.closed {
-			// A backlog (or the close) is the consumer's.
-			q.cond.Signal()
-		}
+		q.handOn()
 	default:
 		q.cond.Signal()
 	}
 	q.mu.Unlock()
+}
+
+// handOn follows a run a pusher or taker delivered; q.mu is held. A backlog
+// (or the close) is the consumer's.
+func (q *Queue) handOn() {
+	if len(q.items) > 0 || q.closed {
+		q.cond.Signal()
+	}
 }
 
 // admit appends and counts m unless the queue is closed or full (a full
@@ -181,23 +223,23 @@ func (q *Queue) admit(m Message) bool {
 }
 
 // Claim implements Claimer: deliver and runEnd (non-nil) become the queue's
-// consumer, delivered by pushers too if push is set, unless Inbox claimed the
-// queue first. serve drains it on the caller's goroutine until it is closed
-// and empty and no pusher is still delivering.
-func (q *Queue) Claim(deliver func(Message), runEnd func(), push bool) (serve func(), ok bool) {
+// consumer, whose runs pushers or takers deliver too as runs says, unless
+// Inbox claimed the queue first. serve drains it on the caller's goroutine
+// until it is closed and empty and no pusher or taker is still delivering.
+func (q *Queue) Claim(deliver func(Message), runEnd func(), runs Runs) (serve func(), ok bool) {
 	q.mu.Lock()
 	defer q.mu.Unlock()
 	if q.deliver != nil {
 		return nil, false
 	}
-	q.deliver, q.runEnd, q.push = deliver, runEnd, push
+	q.deliver, q.runEnd, q.runs = deliver, runEnd, runs
 	return q.serve, true
 }
 
 // serve is the consumer loop. It takes the whole queue at each wake-up — a
 // run is everything queued by then, one lock per run instead of one per
 // message — and delivers it, until the queue is closed and empty and no
-// pusher is still delivering.
+// pusher or taker is still delivering.
 func (q *Queue) serve() {
 	q.mu.Lock()
 	defer q.mu.Unlock()

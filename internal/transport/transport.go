@@ -132,6 +132,25 @@ func SendArena(node Node, to types.ProcessID, kind string, payload []byte, arena
 	return node.Send(to, kind, payload)
 }
 
+// RunTaker is the optional half of a Node whose arena send can take the
+// destination's run (Runs): the in-memory node, and a demux route over one. A
+// send that finds a TakerRuns consumer idle returns its queue with the run
+// reserved for the caller, who must call the queue's RunTaken exactly once,
+// after releasing every lock a delivery could need; meanwhile other senders
+// only append. Any other send returns a nil queue.
+type RunTaker interface {
+	SendTaking(to types.ProcessID, kind string, payload []byte, arena *wire.Arena) (run *Queue, err error)
+}
+
+// SendTaking is SendArena that takes the destination's run where the node is
+// a RunTaker (see there); over any other node it is SendArena and takes none.
+func SendTaking(node Node, to types.ProcessID, kind string, payload []byte, arena *wire.Arena) (run *Queue, err error) {
+	if rt, ok := node.(RunTaker); ok {
+		return rt.SendTaking(to, kind, payload, arena)
+	}
+	return nil, SendArena(node, to, kind, payload, arena)
+}
+
 // Errors returned by transport implementations.
 var (
 	// ErrClosed indicates the node or network has been closed.

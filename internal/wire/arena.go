@@ -63,17 +63,20 @@ const maxArenaRetain = 64 << 10
 // minArenaClass is the smallest pooled buffer. Pooled buffers come in
 // power-of-two classes from here up to maxArenaRetain, and a frame takes the
 // smallest class that holds it: an arena retained past its frame (a value
-// adopted into register state) pins at most max(2 × the frame, 1 KiB), never
-// whatever larger frame its buffer carried before. The 1 KiB floor is the
-// price of pooling small frames: a 60-byte ack or datagram adopted into
-// register state pins a whole 1 KiB buffer, where an exact-size buffer would
-// cost an allocation on every small frame.
-const minArenaClass = 1 << 10
+// adopted into register state) pins at most max(2 × the frame, 256 B), never
+// whatever larger frame its buffer carried before. The 256-byte floor is the
+// price of pooling small frames: a ~60-byte request, ack or datagram adopted
+// into register state pins a whole 256-byte buffer, where an exact-size
+// buffer would cost an allocation on every small frame. The floor is paid per
+// written register — in memory the S servers pin one shared request arena,
+// over sockets each server its own frame — so it is kept just above the
+// common small frame.
+const minArenaClass = 1 << 8
 
 // arenaPools recycles Arena structs together with their buffers, one pool per
 // size class: arenaPools[i] holds buffers of exactly minArenaClass<<i bytes,
-// 1 KiB to 64 KiB.
-var arenaPools [7]sync.Pool
+// 256 B to 64 KiB.
+var arenaPools [9]sync.Pool
 
 // arenaClass returns the index of the smallest class holding n bytes, or -1
 // when n exceeds maxArenaRetain.

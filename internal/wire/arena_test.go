@@ -56,7 +56,7 @@ func TestArenaDoubleReleasePanics(t *testing.T) {
 
 // TestArenaPinsAtMostItsClass: a small frame never gets the buffer a large
 // frame left in the pool, so retaining its arena pins at most the smallest
-// class that holds it — max(2 × the frame, 1 KiB); frames beyond
+// class that holds it — max(2 × the frame, minArenaClass); frames beyond
 // maxArenaRetain stay unpooled.
 func TestArenaPinsAtMostItsClass(t *testing.T) {
 	GetArena(60_000).Release()

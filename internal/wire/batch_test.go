@@ -248,7 +248,7 @@ func TestBatchGrowArena(t *testing.T) {
 	var b Batch
 	b.GrowArena(64)
 	first := b.arena
-	for i := 0; i < 8; i++ { // 8 × 304 bytes outgrow the first 1 KiB class twice
+	for i := 0; i < 8; i++ { // 8 × 304 bytes outgrow the first class several times
 		b.Append(payload)
 	}
 	if first.Refs() != 0 {
@@ -271,7 +271,7 @@ func TestBatchGrowArena(t *testing.T) {
 	a.Release()
 
 	// Growth is geometric past the pooled classes too: a 300 KB burst
-	// envelope moves about nine times (1 KiB → 512 KiB), each move costing at
+	// envelope moves about eleven times (256 B → 512 KiB), each move costing at
 	// most an Arena and its buffer, where growing by the appended bytes
 	// would copy it a thousand times.
 	burst := func() {
