@@ -15,7 +15,6 @@ func newByzantineServer(cfg Config, behavior ByzantineBehavior, id types.Process
 	fcfg := fault.ByzantineConfig{
 		ID:       id,
 		Behavior: behavior,
-		Readers:  cfg.Readers,
 	}
 	if cfg.Readers >= 1 {
 		// MemoryLoss needs a victim; reader 1 by convention.

@@ -69,7 +69,7 @@ func newTestCluster(t *testing.T, cfg quorum.Config, opts ...clusterOption) *tes
 		}
 		if i > cfg.Servers-c.inflaters {
 			byz, err := fault.NewByzantineServer(fault.ByzantineConfig{
-				ID: types.Server(i), Behavior: fault.BehaviorInflateSeen, Readers: cfg.Readers,
+				ID: types.Server(i), Behavior: fault.BehaviorInflateSeen,
 			}, node)
 			if err != nil {
 				t.Fatalf("new malicious server %d: %v", i, err)

@@ -11,9 +11,9 @@ import (
 
 // MaxPredicateUnion bounds the number of distinct legitimate clients that may
 // appear in the seen sets handed to the predicate evaluator. Each client is
-// one bit of a uint32 mask, and when the seen sets of one read diverge the
-// evaluator dedupes candidate witnesses in a bitmap of 2^u bits (512 KiB at
-// the bound). Honest runs only ever produce unions of size ≤ R+1, and the
+// one bit of a types.ClientMask, and when the seen sets of one read diverge
+// the evaluator dedupes candidate witnesses in a bitmap of 2^u bits (512 KiB
+// at the bound). Honest runs only ever produce unions of size ≤ R+1, and the
 // façade rejects configurations with more readers than this.
 const MaxPredicateUnion = 22
 
@@ -37,7 +37,7 @@ type PredicateResult struct {
 	Level int
 	// Witness is the set of clients common to the witnessing messages
 	// (empty when the predicate did not hold).
-	Witness types.ProcessSet
+	Witness types.ClientMask
 	// Support is the number of messages containing the witness set.
 	Support int
 }
@@ -64,105 +64,62 @@ type PredicateResult struct {
 // seen sets, but fictitious processes never help an honest run and must not
 // influence the decision.
 //
-// This is the map-based adapter onto the kernel the reader runs per read; the
-// reported Witness is the closed set that witnessed Level.
+// This is the map-based adapter onto the mask kernel the reader runs per
+// read; the reported Witness is the closed set that witnessed Level.
 func EvaluatePredicate(cfg quorum.Config, acks []SeenAck) (PredicateResult, error) {
 	if err := cfg.Validate(); err != nil {
 		return PredicateResult{}, err
 	}
 	var s predicateScratch
-	s.reset(cfg.Readers)
+	legit := types.Clients(cfg.Readers)
 	for _, a := range acks {
-		var mask uint32
+		var mask types.ClientMask
 		for p := range a.Seen {
-			mask |= s.bit(p)
+			mask |= types.ClientBit(p)
 		}
-		s.add(mask)
+		s.add(mask & legit)
 	}
-	level, closed, support, err := s.decide(cfg)
+	level, witness, support, err := s.decide(cfg)
 	if err != nil || level == 0 {
 		return PredicateResult{}, err
-	}
-	witness := make(types.ProcessSet, bits.OnesCount32(closed))
-	for slot, pos := range s.pos {
-		if pos != 0 && closed&(1<<(pos-1)) != 0 {
-			if slot == 0 {
-				witness.Add(types.Writer())
-			} else {
-				witness.Add(types.Reader(slot))
-			}
-		}
 	}
 	return PredicateResult{Holds: true, Level: level, Witness: witness, Support: support}, nil
 }
 
 // predicateScratch is the fast-read predicate's kernel and its reusable
-// buffers. A caller resets it, turns each maxTS acknowledgement's seen set
-// into a bitmask over the legitimate clients met so far (bit, then add) and
-// calls decide. The reader owns one, guarded by its mutex, and feeds it seen
-// slices straight off the decoded acknowledgements, so a steady-state read
-// evaluates the predicate without allocating; EvaluatePredicate feeds a
-// one-shot scratch from ProcessSet maps.
+// buffers. A caller resets it, adds each maxTS acknowledgement's seen mask,
+// already restricted to the legitimate clients, and calls decide. The reader
+// owns one, guarded by its mutex, and feeds it the masks straight off the
+// decoded acknowledgements, so a steady-state read evaluates the predicate
+// without allocating; EvaluatePredicate feeds a one-shot scratch from
+// ProcessSet maps.
 type predicateScratch struct {
-	pos    []uint8   // by client slot (w at 0, ri at i): 1 + the client's bit, 0 = not met yet
-	union  int       // legitimate clients met so far: the next free bit
 	seen   []seenSet // the distinct seen sets received
 	closed []uint32  // intersection closure of seen, in discovery order
 	marks  []uint64  // membership bitmap over closed; all zero between calls
 }
 
-// seenSet is one distinct seen set, as a bitmask over the legitimate clients
-// met, and the number of acknowledgements that carried it.
+// seenSet is one distinct seen set and the number of acknowledgements that
+// carried it. decide's divergent path compacts the mask onto the low bits
+// of the union of the sets (client order kept).
 type seenSet struct {
 	mask  uint32
 	count int32
 }
 
-// reset starts the next evaluation, for a deployment of the given R.
-func (s *predicateScratch) reset(readers int) {
-	s.union, s.seen = 0, s.seen[:0]
-	if cap(s.pos) <= readers {
-		s.pos = make([]uint8, readers+1)
-	}
-	s.pos = s.pos[:readers+1]
-	clear(s.pos)
-}
-
-// bit returns the mask bit of client p, assigning the next free position on
-// first sight. Illegitimate processes contribute nothing. Clients past the
-// bound are counted and share one spare position: decide rejects such an
-// input by the size of the union before looking at any mask.
-func (s *predicateScratch) bit(p types.ProcessID) uint32 {
-	if !isLegitimateClient(p, len(s.pos)-1) {
-		return 0
-	}
-	pos := &s.pos[p.Index]
-	if *pos == 0 {
-		s.union++
-		*pos = uint8(min(s.union, MaxPredicateUnion+1))
-	}
-	return 1 << (*pos - 1)
-}
+// reset starts the next evaluation.
+func (s *predicateScratch) reset() { s.seen = s.seen[:0] }
 
 // add records one acknowledgement's seen set. Acknowledgements are at most S
 // and in the steady state all carry the same set, so the scan is short.
-func (s *predicateScratch) add(mask uint32) {
+func (s *predicateScratch) add(mask types.ClientMask) {
 	for i := range s.seen {
-		if s.seen[i].mask == mask {
+		if s.seen[i].mask == uint32(mask) {
 			s.seen[i].count++
 			return
 		}
 	}
-	s.seen = append(s.seen, seenSet{mask, 1})
-}
-
-// addSeen is bit and add over a decoded seen slice (duplicates tolerated).
-func (s *predicateScratch) addSeen(seen []types.ProcessID) {
-	var mask uint32
-	for _, p := range seen {
-		mask |= s.bit(p)
-	}
-	s.add(mask)
+	s.seen = append(s.seen, seenSet{uint32(mask), 1})
 }
 
 // decide evaluates the predicate over the recorded seen sets. It returns the
@@ -175,22 +132,30 @@ func (s *predicateScratch) addSeen(seen []types.ProcessID) {
 // closure(F)}. Each closed set is found once (the bitmap makes the dedupe
 // O(1), so a crafted lattice-maximal input costs its 2^u closed sets times
 // the distinct masks, not their square) and the walk stops at level 1.
-func (s *predicateScratch) decide(cfg quorum.Config) (level int, witness uint32, support int, err error) {
-	if s.union > MaxPredicateUnion {
-		return 0, 0, 0, fmt.Errorf("%w: %d clients", ErrPredicateTooLarge, s.union)
+func (s *predicateScratch) decide(cfg quorum.Config) (level int, witness types.ClientMask, support int, err error) {
+	var union uint32
+	for _, m := range s.seen {
+		union |= m.mask
+	}
+	if n := bits.OnesCount32(union); n > MaxPredicateUnion {
+		return 0, 0, 0, fmt.Errorf("%w: %d clients", ErrPredicateTooLarge, n)
 	}
 	if len(s.seen) < 2 {
 		// Every server reported the same seen set: it is the only candidate,
 		// and no memory sized by the union is touched.
-		if len(s.seen) == 1 && s.seen[0].mask != 0 {
-			witness = s.seen[0].mask
-			level, support = s.levelOf(cfg, witness, 0)
+		if union != 0 {
+			level, support = s.levelOf(cfg, union, 0)
+			witness = types.ClientMask(union)
 		}
 		return level, witness, support, nil
 	}
-	if words := (1<<s.union)/64 + 1; len(s.marks) < words {
+	for i := range s.seen {
+		s.seen[i].mask = compact(s.seen[i].mask, union)
+	}
+	if words := (1<<bits.OnesCount32(union))/64 + 1; len(s.marks) < words {
 		s.marks = make([]uint64, words)
 	}
+	var found uint32
 	closed := s.closed[:0]
 walk:
 	for _, m := range s.seen {
@@ -205,7 +170,7 @@ walk:
 			s.marks[c>>6] |= 1 << (c & 63)
 			closed = append(closed, c)
 			if a, sup := s.levelOf(cfg, c, level); a != 0 {
-				level, witness, support = a, c, sup
+				level, found, support = a, c, sup
 				if a == 1 {
 					break walk
 				}
@@ -216,7 +181,31 @@ walk:
 		s.marks[c>>6] = 0
 	}
 	s.closed = closed[:0]
-	return level, witness, support, nil
+	return level, expand(found, union), support, nil
+}
+
+// compact moves the bits of mask that lie in union onto the low bits, in
+// order: the i-th lowest bit of union becomes bit i.
+func compact(mask, union uint32) (out uint32) {
+	for bit := uint32(1); union != 0; bit <<= 1 {
+		if low := union & -union; mask&low != 0 {
+			out |= bit
+		}
+		union &= union - 1
+	}
+	return out
+}
+
+// expand is compact's inverse: bit i of mask becomes the i-th lowest bit of
+// union.
+func expand(mask, union uint32) (out types.ClientMask) {
+	for bit := uint32(1); union != 0; bit <<= 1 {
+		if low := union & -union; mask&bit != 0 {
+			out |= types.ClientMask(low)
+		}
+		union &= union - 1
+	}
+	return out
 }
 
 // levelOf returns the support of closed set c — the acknowledgements whose

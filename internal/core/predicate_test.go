@@ -267,12 +267,14 @@ func evaluatePredicateBruteForce(cfg quorum.Config, acks []SeenAck) int {
 	return least
 }
 
-// evaluateSeens is the reader-side adapter as Reader.finish spells it: seen
-// slices straight off the acknowledgements into a reused scratch.
+// evaluateSeens is the reader-side adapter as Reader.finish spells it: each
+// seen set as the mask an acknowledgement carries, restricted to the
+// legitimate clients, into a reused scratch.
 func evaluateSeens(s *predicateScratch, cfg quorum.Config, seens [][]types.ProcessID) (level int, err error) {
-	s.reset(cfg.Readers)
+	legit := types.Clients(cfg.Readers)
+	s.reset()
 	for _, seen := range seens {
-		s.addSeen(seen)
+		s.add(types.ClientMaskOf(seen...) & legit)
 	}
 	level, _, _, err = s.decide(cfg)
 	return level, err
@@ -349,7 +351,7 @@ func TestPredicateWitnessIsSound(t *testing.T) {
 		}
 		support := 0
 		for _, a := range acks {
-			if a.Seen.ContainsAll(res.Witness) {
+			if a.Seen.ContainsAll(types.NewProcessSet(res.Witness.Members()...)) {
 				support++
 			}
 		}

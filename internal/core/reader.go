@@ -31,6 +31,9 @@ type Reader struct {
 	*protoutil.Reader
 	key    string
 	quorum quorum.Config
+	// legit is the mask of the writer and r1..rR: the only seen-set bits the
+	// predicate counts.
+	legit types.ClientMask
 
 	// verify memoises writer-signature verifications in the Byzantine
 	// variant: every ack of a steady-state read carries the same signed
@@ -54,7 +57,7 @@ func NewReader(cfg ReaderConfig, node transport.Node) (*Reader, error) {
 	if node != nil && node.ID().Role == types.RoleReader && node.ID().Index > cfg.Quorum.Readers {
 		return nil, fmt.Errorf("%w: got %v with R=%d", ErrNotReader, node.ID(), cfg.Quorum.Readers)
 	}
-	r := &Reader{key: cfg.Key, quorum: cfg.Quorum, last: types.InitialTaggedValue()}
+	r := &Reader{key: cfg.Key, quorum: cfg.Quorum, legit: types.Clients(cfg.Quorum.Readers), last: types.InitialTaggedValue()}
 	rounds := protoutil.Rounds[ReadResult]{
 		Name: "core read", Need: cfg.Quorum.AckQuorum(), Begin: r.begin, Finish: r.finish,
 	}
@@ -93,7 +96,7 @@ func (r *Reader) begin(c *protoutil.Call[ReadResult]) error {
 // ts' ≥ ts (the written-back timestamp) and ri ∈ seen'. Anything else is
 // necessarily from a malicious server.
 func (r *Reader) acceptSigned(c *protoutil.Call[ReadResult], _ types.ProcessID, m *wire.Message) bool {
-	if m.TS < c.Req.TS || !seenHas(m.Seen, r.ID()) {
+	if m.TS < c.Req.TS || !m.SeenMask.Has(r.ID()) {
 		return false
 	}
 	return r.verify.VerifyKeyed(r.key, m.TS, m.Cur, m.Prev, m.WriterSig) == nil
@@ -103,12 +106,13 @@ func (r *Reader) acceptSigned(c *protoutil.Call[ReadResult], _ types.ProcessID, 
 // 16-22.
 func (r *Reader) finish(c *protoutil.Call[ReadResult], acks []protoutil.Ack) (bool, error) {
 	// Lines 16-19: find maxTS and evaluate the predicate over the seen sets
-	// of the messages carrying it.
+	// of the messages carrying it. Bits past R name fictitious clients, which
+	// a malicious server may set but which never help an honest run.
 	maxTS, first, _ := protoutil.MaxTimestamp(acks)
-	r.pred.reset(r.quorum.Readers)
+	r.pred.reset()
 	for _, a := range acks {
 		if a.Msg.TS == maxTS {
-			r.pred.addSeen(a.Msg.Seen)
+			r.pred.add(a.Msg.SeenMask & r.legit)
 		}
 	}
 	level, _, _, err := r.pred.decide(r.quorum)
@@ -144,16 +148,4 @@ func (r *Reader) finish(c *protoutil.Call[ReadResult], acks []protoutil.Ack) (bo
 		c.Result.Value = tagged.Prev.Clone()
 	}
 	return false, nil
-}
-
-// seenHas reports whether the seen slice contains the process, without
-// building the intermediate set SeenSet allocates; ack filters run on every
-// delivered message.
-func seenHas(seen []types.ProcessID, id types.ProcessID) bool {
-	for _, p := range seen {
-		if p == id {
-			return true
-		}
-	}
-	return false
 }

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 
 	"fastread/internal/durable"
 	"fastread/internal/protoutil"
@@ -36,8 +37,8 @@ type ServerConfig struct {
 type ServerState struct {
 	Value     types.TaggedValue
 	ValueSig  []byte
-	Seen      types.ProcessSet
-	Counters  map[int]int64
+	Seen      types.ClientMask
+	Counters  []int64 // by ClientPID: the writer at 0, reader ri at i
 	Mutations int64
 }
 
@@ -48,13 +49,10 @@ type ServerState struct {
 type registerState struct {
 	value    types.TaggedValue
 	valueSig []byte
-	// seen is the seen set, kept as a slice (at most R+1 ≤ MaxPredicateUnion
-	// members, so membership is a short scan) that acknowledgements carry
-	// without materialising it per message: acks alias it under the usual
-	// sole-mutator discipline — the ack is encoded before the server handles
-	// its next message.
-	seen     []types.ProcessID
-	counters map[int]int64
+	// seen is the seen set as a client mask, which acks carry by value.
+	seen types.ClientMask
+	// counters is cnt[] of Figure 2 by ClientPID, R+1 long.
+	counters []int64
 }
 
 // Server is the server-side state machine of the fast algorithms
@@ -91,7 +89,7 @@ func NewServer(cfg ServerConfig, node transport.Node) (*Server, error) {
 			NewState: func() registerState {
 				return registerState{
 					value:    types.InitialTaggedValue(),
-					counters: make(map[int]int64, readers+1),
+					counters: make([]int64, readers+1),
 				}
 			},
 			Handle: s.handle,
@@ -116,13 +114,18 @@ func apply(sl *protoutil.Slot[registerState], r durable.Record, a *wire.Arena) b
 	st := &sl.State
 	if r.Kind == durable.KindState {
 		adopt(sl, &r, a)
-		st.seen = append(st.seen[:0], r.Seen...)
+		st.seen = types.ClientMaskOf(r.Seen...)
 		for _, c := range r.Counters {
-			st.counters[int(c.PID)] = c.N
+			if c.PID >= 0 && int(c.PID) < len(st.counters) {
+				st.counters[c.PID] = c.N
+			}
 		}
 		return true
 	}
 	pid := r.From.ClientPID()
+	if pid < 0 || pid >= len(st.counters) {
+		return false
+	}
 	// Figure 2 line 26: only requests with rCounter ≥ cnt[q] are processed
 	// (Lemma 4 depends on it). Pipelined clients stay compatible because
 	// every provided transport delivers each link FIFO — a client's requests
@@ -135,10 +138,9 @@ func apply(sl *protoutil.Slot[registerState], r durable.Record, a *wire.Arena) b
 	}
 	if types.Timestamp(r.TS) > st.value.TS {
 		adopt(sl, &r, a)
-		st.seen = append(st.seen[:0], r.From)
-	} else if !seenHas(st.seen, r.From) {
-		st.seen = append(st.seen, r.From)
+		st.seen = 0
 	}
+	st.seen |= types.ClientBit(r.From)
 	st.counters[pid] = r.RCounter
 	return true
 }
@@ -156,28 +158,28 @@ func adopt(sl *protoutil.Slot[registerState], r *durable.Record, a *wire.Arena) 
 	}
 }
 
-// dumpRecord fills a snapshot record with the register's durable state.
+// dumpRecord fills a snapshot record with the register's durable state. The
+// log keeps the seen set as a member list and only the counters that moved,
+// so its format does not depend on the mask.
 func dumpRecord(st *registerState, r *durable.Record) {
 	protoutil.DumpValueRecord(st.value, r)
 	r.Sig = st.valueSig
-	r.Seen = st.seen
+	r.Seen = st.seen.Members()
 	for pid, n := range st.counters {
-		r.Counters = append(r.Counters, durable.CounterEntry{PID: int32(pid), N: n})
+		if n != 0 {
+			r.Counters = append(r.Counters, durable.CounterEntry{PID: int32(pid), N: n})
+		}
 	}
 }
 
 // snapshot deep-copies a register's state under the state map's lock.
 func snapshot(sl *protoutil.Slot[registerState]) ServerState {
 	st := &sl.State
-	counters := make(map[int]int64, len(st.counters))
-	for k, v := range st.counters {
-		counters[k] = v
-	}
 	return ServerState{
 		Value:     st.value.Clone(),
 		ValueSig:  append([]byte(nil), st.valueSig...),
-		Seen:      types.NewProcessSet(st.seen...),
-		Counters:  counters,
+		Seen:      st.seen,
+		Counters:  slices.Clone(st.counters),
 		Mutations: sl.Mutations,
 	}
 }
@@ -195,8 +197,7 @@ func (s *Server) StateOf(key string) ServerState {
 	if !s.PeekSlot(key, func(sl *protoutil.Slot[registerState]) { out = snapshot(sl) }) {
 		out = ServerState{
 			Value:    types.InitialTaggedValue(),
-			Seen:     types.NewProcessSet(),
-			Counters: map[int]int64{},
+			Counters: make([]int64, s.cfg.Readers+1),
 		}
 	}
 	return out
@@ -243,17 +244,8 @@ func (s *Server) handle(m transport.Message, req *wire.Message, out transport.Se
 		}
 	}
 
-	// The ack's Seen will alias the register's long-lived seen slice. Set the
-	// pooled message's own Seen backing array aside and hand it back before
-	// the Put on every exit: the pool must never recycle the server's live
-	// state as another goroutine's decode scratch, and a message stripped of
-	// its array instead would make its next user allocate a new one.
 	ack := wire.GetMessage()
-	ownSeen := ack.Seen[:0]
-	defer func() {
-		ack.Seen = ownSeen
-		wire.PutMessage(ack)
-	}()
+	defer wire.PutMessage(ack)
 	ok := false
 	s.Do(req.Key, func(sl *protoutil.Slot[registerState]) {
 		// Every request that passes the rCounter guard is applied and logged
@@ -283,7 +275,7 @@ func (s *Server) handle(m transport.Message, req *wire.Message, out transport.Se
 			TS:        st.value.TS,
 			Cur:       st.value.Cur,
 			Prev:      st.value.Prev,
-			Seen:      st.seen,
+			SeenMask:  st.seen,
 			RCounter:  req.RCounter,
 			WriterSig: st.valueSig,
 		})

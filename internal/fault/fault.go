@@ -36,8 +36,9 @@ const (
 	// "loses its memory" behaviour of the Figure 6 construction.
 	BehaviorMemoryLoss
 	// BehaviorInflateSeen behaves honestly for timestamps but claims every
-	// client is in its seen set, trying to trick the fast-read predicate
-	// into holding.
+	// client is in its seen set — it sets every bit of the seen mask, so
+	// clients beyond R too — trying to trick the fast-read predicate into
+	// holding.
 	BehaviorInflateSeen
 	// BehaviorMute receives messages but never replies (distinct from a
 	// crash only in that the process is still "running").
@@ -81,8 +82,6 @@ type ByzantineConfig struct {
 	ID types.ProcessID
 	// Behavior selects what the server does.
 	Behavior Behavior
-	// Readers is R (used to fabricate seen sets).
-	Readers int
 	// Victim is the reader targeted by BehaviorMemoryLoss.
 	Victim types.ProcessID
 	// ForgerKeys is the key pair malicious servers use to sign forgeries
@@ -99,7 +98,7 @@ type ByzantineConfig struct {
 type byzState struct {
 	value types.TaggedValue
 	sig   []byte
-	seen  types.ProcessSet
+	seen  types.ClientMask
 }
 
 // ByzantineServer is a server-role process that deviates from the protocol
@@ -124,7 +123,7 @@ func NewByzantineServer(cfg ByzantineConfig, node transport.Node) (*ByzantineSer
 		protoutil.Protocol[byzState]{
 			Name: "fault",
 			NewState: func() byzState {
-				return byzState{value: types.InitialTaggedValue(), seen: types.NewProcessSet()}
+				return byzState{value: types.InitialTaggedValue()}
 			},
 			Handle: s.handle,
 		})
@@ -145,7 +144,7 @@ func (s *ByzantineServer) handle(m transport.Message, req *wire.Message, out tra
 	}
 	reply := func(ack *wire.Message) { _ = transport.SendEncoded(out, m.From, ack) }
 	// amnesiac is the reply of a server that has seen nothing but the request.
-	amnesiac := &wire.Message{Op: ackOp, Key: req.Key, Seen: []types.ProcessID{m.From}, RCounter: req.RCounter}
+	amnesiac := &wire.Message{Op: ackOp, Key: req.Key, SeenMask: types.ClientBit(m.From), RCounter: req.RCounter}
 
 	switch s.cfg.Behavior {
 	case BehaviorMute:
@@ -161,7 +160,7 @@ func (s *ByzantineServer) handle(m transport.Message, req *wire.Message, out tra
 			TS:       forgedTS,
 			Cur:      cur,
 			Prev:     prev,
-			Seen:     allClients(s.cfg.Readers),
+			SeenMask: allBits,
 			RCounter: req.RCounter,
 		}
 		if s.cfg.ForgerKeys != nil {
@@ -186,7 +185,7 @@ func (s *ByzantineServer) handle(m transport.Message, req *wire.Message, out tra
 
 	case BehaviorInflateSeen:
 		ack := s.adopt(m, req, ackOp)
-		ack.Seen = allClients(s.cfg.Readers)
+		ack.SeenMask = allBits
 		reply(ack)
 
 	case BehaviorFlood:
@@ -212,17 +211,16 @@ func (s *ByzantineServer) adopt(m transport.Message, req *wire.Message, ackOp wi
 				st.value = st.value.Clone()
 				st.sig = append([]byte(nil), req.WriterSig...)
 			}
-			st.seen = types.NewProcessSet(m.From)
-		} else {
-			st.seen.Add(m.From)
+			st.seen = 0
 		}
+		st.seen |= types.ClientBit(m.From)
 		ack = &wire.Message{
 			Op:        ackOp,
 			Key:       req.Key,
 			TS:        st.value.TS,
 			Cur:       st.value.Cur,
 			Prev:      st.value.Prev,
-			Seen:      st.seen.Members(),
+			SeenMask:  st.seen,
 			RCounter:  req.RCounter,
 			WriterSig: st.sig,
 		}
@@ -230,12 +228,6 @@ func (s *ByzantineServer) adopt(m transport.Message, req *wire.Message, ackOp wi
 	return ack
 }
 
-// allClients fabricates a seen set containing the writer and every reader.
-func allClients(readers int) []types.ProcessID {
-	out := make([]types.ProcessID, 0, readers+1)
-	out = append(out, types.Writer())
-	for i := 1; i <= readers; i++ {
-		out = append(out, types.Reader(i))
-	}
-	return out
-}
+// allBits is the fabricated seen set: every bit of the mask, fictitious
+// clients past R included.
+const allBits = ^types.ClientMask(0)

@@ -44,7 +44,6 @@ func setup(t *testing.T, behavior Behavior, victim types.ProcessID) (*transport.
 	srv, err := NewByzantineServer(ByzantineConfig{
 		ID:         types.Server(1),
 		Behavior:   behavior,
-		Readers:    2,
 		Victim:     victim,
 		ForgerKeys: &keys,
 	}, srvNode)
@@ -126,9 +125,8 @@ func TestInflateSeenBehavior(t *testing.T) {
 	if reply == nil {
 		t.Fatal("no reply")
 	}
-	seen := types.NewProcessSet(reply.Seen...)
-	if !seen.Has(types.Writer()) || !seen.Has(types.Reader(1)) || !seen.Has(types.Reader(2)) {
-		t.Errorf("inflated seen set = %v, want all clients", seen)
+	if reply.SeenMask != ^types.ClientMask(0) {
+		t.Errorf("inflated seen set = %v, want every bit set", reply.SeenMask)
 	}
 }
 

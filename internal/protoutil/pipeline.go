@@ -407,7 +407,7 @@ func (p *Pipeline) handlePayload(from types.ProcessID, payload []byte, arena *wi
 			continue
 		}
 		d := wire.GetMessage()
-		scratch.CopyAliasInto(d)
+		*d = *scratch
 		if arena != nil {
 			arena.Ref()
 		}

@@ -2,7 +2,6 @@ package protoutil_test
 
 import (
 	"fmt"
-	"sort"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -56,7 +55,7 @@ func driverBuilder(t *testing.T, name string) builder {
 }
 
 func byzantineBuilder(cfg driver.ServerConfig, node transport.Node) (driver.Server, error) {
-	s, err := fault.NewByzantineServer(fault.ByzantineConfig{ID: cfg.ID, Behavior: fault.BehaviorStaleReplay, Readers: cfg.Quorum.Readers}, node)
+	s, err := fault.NewByzantineServer(fault.ByzantineConfig{ID: cfg.ID, Behavior: fault.BehaviorStaleReplay}, node)
 	if err != nil {
 		return nil, err
 	}
@@ -237,12 +236,7 @@ type view struct {
 }
 
 func viewOf(ack *wire.Message) view {
-	seen := make([]string, len(ack.Seen))
-	for i, p := range ack.Seen {
-		seen[i] = p.String()
-	}
-	sort.Strings(seen)
-	return view{ack.TS, ack.WriterRank, string(ack.Cur), string(ack.Prev), string(ack.WriterSig), fmt.Sprint(seen)}
+	return view{ack.TS, ack.WriterRank, string(ack.Cur), string(ack.Prev), string(ack.WriterSig), ack.SeenMask.String()}
 }
 
 // probe reads every key once from reader 1 at probeRC and returns what the

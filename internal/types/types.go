@@ -11,6 +11,7 @@ package types
 import (
 	"errors"
 	"fmt"
+	"math/bits"
 	"strconv"
 	"strings"
 )
@@ -81,9 +82,9 @@ func (p ProcessID) Valid() bool {
 }
 
 // ClientPID maps the writer to 0 and reader ri to i, exactly as the pid()
-// function in Figure 2 of the paper. It is used to index the per-client
-// counter array maintained by servers. Servers are not clients; calling
-// ClientPID on a server id returns -1.
+// function in Figure 2 of the paper. It indexes the per-client counter array
+// maintained by servers and is the client's bit in a ClientMask. Servers are
+// not clients; calling ClientPID on a server id returns -1.
 func (p ProcessID) ClientPID() int {
 	switch p.Role {
 	case RoleWriter:
@@ -93,6 +94,75 @@ func (p ProcessID) ClientPID() int {
 	default:
 		return -1
 	}
+}
+
+// MaxClientBits is the number of clients a ClientMask can hold: the writer
+// and readers r1..r31.
+const MaxClientBits = 32
+
+// ClientMask is a set of clients with one bit per client: client p is bit
+// p.ClientPID(), so the writer is bit 0 and reader ri bit i. It is the fast
+// register's seen set everywhere from server state over the wire to the
+// reader's predicate, and it is copied by value. Servers and readers past
+// r31 have no bit.
+type ClientMask uint32
+
+// ClientBit returns the mask holding only client p, or 0 when p has no bit
+// (a server, a malformed id or a reader past r31).
+func ClientBit(p ProcessID) ClientMask {
+	switch {
+	case p.Role == RoleWriter && p.Index == 0:
+		return 1
+	case p.Role == RoleReader && p.Index >= 1 && p.Index < MaxClientBits:
+		return 1 << p.Index
+	default:
+		return 0
+	}
+}
+
+// Clients returns the mask of the writer and readers r1..rR: the legitimate
+// clients of a deployment with R readers (all 32 bits for R ≥ 31).
+func Clients(readers int) ClientMask {
+	return ClientMask(uint64(1)<<min(max(readers, 0)+1, MaxClientBits) - 1)
+}
+
+// ClientMaskOf returns the mask of the given clients; members without a bit
+// are left out.
+func ClientMaskOf(members ...ProcessID) ClientMask {
+	var m ClientMask
+	for _, p := range members {
+		m |= ClientBit(p)
+	}
+	return m
+}
+
+// Has reports whether client p is in the mask.
+func (m ClientMask) Has(p ProcessID) bool { return m&ClientBit(p) != 0 }
+
+// Len returns the number of clients in the mask.
+func (m ClientMask) Len() int { return bits.OnesCount32(uint32(m)) }
+
+// Members lists the clients in canonical order: the writer, then readers by
+// index.
+func (m ClientMask) Members() []ProcessID {
+	out := make([]ProcessID, 0, m.Len())
+	for rest := uint32(m); rest != 0; rest &= rest - 1 {
+		if i := bits.TrailingZeros32(rest); i == 0 {
+			out = append(out, Writer())
+		} else {
+			out = append(out, Reader(i))
+		}
+	}
+	return out
+}
+
+// String renders the mask as a sorted list, e.g. "{w,r1,r3}".
+func (m ClientMask) String() string {
+	names := make([]string, 0, m.Len())
+	for _, p := range m.Members() {
+		names = append(names, p.String())
+	}
+	return "{" + strings.Join(names, ",") + "}"
 }
 
 // ErrBadProcessID reports a malformed process name.
@@ -222,8 +292,9 @@ func (tv TaggedValue) String() string {
 	return fmt.Sprintf("{ts=%d cur=%s prev=%s}", tv.TS, tv.Cur, tv.Prev)
 }
 
-// ProcessSet is a set of process identities, used for the per-server seen
-// sets of the fast algorithm.
+// ProcessSet is a set of process identities as a map. The fast register
+// carries its seen sets as a ClientMask; ProcessSet remains the input of
+// core.EvaluatePredicate's map adapter.
 type ProcessSet map[ProcessID]struct{}
 
 // NewProcessSet builds a set from the given members.

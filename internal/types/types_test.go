@@ -250,3 +250,33 @@ func TestTaggedValueCloneIndependent(t *testing.T) {
 		t.Errorf("clone aliases original: %v", tv)
 	}
 }
+
+func TestClientMask(t *testing.T) {
+	if got := ClientBit(Writer()); got != 1 {
+		t.Errorf("writer bit = %b, want 1", got)
+	}
+	if got := ClientBit(Reader(5)); got != 1<<5 {
+		t.Errorf("r5 bit = %b, want bit 5", got)
+	}
+	for _, p := range []ProcessID{Server(1), {}, Reader(0), {Role: RoleWriter, Index: 1}, Reader(MaxClientBits)} {
+		if got := ClientBit(p); got != 0 {
+			t.Errorf("%v has bit %b, want none", p, got)
+		}
+	}
+	m := ClientMaskOf(Reader(3), Writer(), Server(2), Reader(3))
+	if !m.Has(Writer()) || !m.Has(Reader(3)) || m.Has(Reader(1)) || m.Has(Server(2)) || m.Len() != 2 {
+		t.Errorf("mask %b: membership wrong", m)
+	}
+	if got := m.String(); got != "{w,r3}" {
+		t.Errorf("String = %q, want {w,r3}", got)
+	}
+	if got := Clients(2); got != 0b111 {
+		t.Errorf("Clients(2) = %b, want w, r1, r2", got)
+	}
+	if got := Clients(40); got != ^ClientMask(0) {
+		t.Errorf("Clients(40) = %b, want every bit", got)
+	}
+	if got := (^ClientMask(0)).Members(); len(got) != MaxClientBits || got[0] != Writer() || got[31] != Reader(31) {
+		t.Errorf("every bit lists %v", got)
+	}
+}

@@ -9,8 +9,10 @@ import (
 )
 
 // formatVersion is bumped whenever the encoding changes incompatibly.
-// Version 2 added the register key to every envelope.
-const formatVersion = 2
+// Version 2 added the register key to every envelope; version 3 carries the
+// seen set as a 4-byte client mask instead of a length and 5 bytes per
+// member.
+const formatVersion = 3
 
 // Field limits protect decoders from hostile inputs (a malicious server could
 // otherwise make a reader allocate gigabytes).
@@ -19,9 +21,6 @@ const (
 	MaxValueSize = 1 << 20 // 1 MiB
 	// MaxKeySize is the longest register key accepted on the wire.
 	MaxKeySize = 1 << 10 // 1 KiB
-	// MaxSeenSize is the largest seen set accepted on the wire. The honest
-	// bound is R+1 processes, far below this.
-	MaxSeenSize = 1 << 16
 	// MaxSigSize is the largest signature accepted on the wire.
 	MaxSigSize = 1 << 12
 )
@@ -30,8 +29,7 @@ const (
 // AppendEncode will produce for the message.
 func EncodedSize(m *Message) int {
 	return 1 + 1 + binary.MaxVarintLen64 + len(m.Key) + 8 + 8 + 4 + 4 +
-		valueEncodedSize(m.Cur) + valueEncodedSize(m.Prev) +
-		4 + len(m.Seen)*5 +
+		valueEncodedSize(m.Cur) + valueEncodedSize(m.Prev) + 4 +
 		binary.MaxVarintLen64 + len(m.WriterSig)
 }
 
@@ -48,7 +46,8 @@ func EncodedSize(m *Message) int {
 //	int32   phase
 //	bytes   cur   (uvarint length prefix; length 0 + marker distinguishes ⊥)
 //	bytes   prev  (same)
-//	uint32  len(seen) then per entry: byte role, uint32 index
+//	uint32  seen mask (types.ClientMask: bit 0 the writer, bit i reader
+//	        ri), 4 bytes whatever the seen set's size
 //	bytes   writerSig (uvarint length prefix)
 func Encode(m *Message) ([]byte, error) {
 	return AppendEncode(make([]byte, 0, EncodedSize(m)), m)
@@ -78,8 +77,13 @@ func AppendEncode(buf []byte, m *Message) ([]byte, error) {
 	if len(m.Cur) > MaxValueSize || len(m.Prev) > MaxValueSize {
 		return nil, fmt.Errorf("%w: value too large", ErrMalformed)
 	}
-	if len(m.Seen) > MaxSeenSize {
-		return nil, fmt.Errorf("%w: seen set too large", ErrMalformed)
+	seen := m.SeenMask
+	for _, p := range m.Seen {
+		b := types.ClientBit(p)
+		if b == 0 {
+			return nil, fmt.Errorf("%w: %v in seen set has no client bit", ErrMalformed, p)
+		}
+		seen |= b
 	}
 	if len(m.WriterSig) > MaxSigSize {
 		return nil, fmt.Errorf("%w: signature too large", ErrMalformed)
@@ -94,11 +98,7 @@ func AppendEncode(buf []byte, m *Message) ([]byte, error) {
 	buf = binary.LittleEndian.AppendUint32(buf, uint32(m.Phase))
 	buf = appendValue(buf, m.Cur)
 	buf = appendValue(buf, m.Prev)
-	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(m.Seen)))
-	for _, p := range m.Seen {
-		buf = append(buf, byte(p.Role))
-		buf = binary.LittleEndian.AppendUint32(buf, uint32(p.Index))
-	}
+	buf = binary.LittleEndian.AppendUint32(buf, uint32(seen))
 	buf = binary.AppendUvarint(buf, uint64(len(m.WriterSig)))
 	buf = append(buf, m.WriterSig...)
 	return buf, nil
@@ -134,7 +134,6 @@ func Decode(data []byte) (*Message, error) {
 //     referenced, and must Clone any field it retains beyond the scope of
 //     handling this one message (a "retention point": storing a value into
 //     server state, remembering a reader's last-observed tag, ...).
-//   - Seen reuses m's existing capacity where possible.
 //   - Key is a fresh string (Go strings cannot alias a []byte safely); the
 //     empty key — the default register — does not allocate.
 //
@@ -145,8 +144,7 @@ func DecodeInto(m *Message, data []byte) error {
 }
 
 // decodeMessage is the shared decode core. When alias is true, byte fields
-// alias data and m's Seen capacity is reused; when false, every field is a
-// fresh copy and Seen is freshly allocated (or nil).
+// alias data; when false, every field is a fresh copy.
 func decodeMessage(m *Message, data []byte, alias bool) error {
 	d := decoder{buf: data, alias: alias}
 	version, err := d.byte()
@@ -160,10 +158,8 @@ func decodeMessage(m *Message, data []byte, alias bool) error {
 	if err != nil {
 		return err
 	}
-	seen := m.Seen[:0]
 	keyMemo := m.keyMemo
 	if !alias {
-		seen = nil
 		keyMemo = ""
 	}
 	*m = Message{Op: Op(opByte), keyMemo: keyMemo}
@@ -228,37 +224,11 @@ func decodeMessage(m *Message, data []byte, alias bool) error {
 		return err
 	}
 
-	nSeen, err := d.uint32()
+	seen, err := d.uint32()
 	if err != nil {
 		return err
 	}
-	if nSeen > MaxSeenSize {
-		return fmt.Errorf("%w: seen set too large (%d)", ErrMalformed, nSeen)
-	}
-	if nSeen > 0 {
-		if cap(seen) < int(nSeen) {
-			seen = make([]types.ProcessID, 0, nSeen)
-		}
-		for i := uint32(0); i < nSeen; i++ {
-			role, err := d.byte()
-			if err != nil {
-				return err
-			}
-			idx, err := d.uint32()
-			if err != nil {
-				return err
-			}
-			if idx > math.MaxInt32 {
-				return fmt.Errorf("%w: process index overflow", ErrMalformed)
-			}
-			seen = append(seen, types.ProcessID{Role: types.Role(role), Index: int(idx)})
-		}
-		m.Seen = seen
-	} else if alias {
-		// Keep the reused backing array so a scratch message alternating
-		// between seen-carrying and seen-free messages does not reallocate.
-		m.Seen = seen
-	}
+	m.SeenMask = types.ClientMask(seen)
 
 	sigLen, err := d.uvarint()
 	if err != nil {

@@ -2,6 +2,7 @@ package wire
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"math/rand"
 	"reflect"
@@ -53,9 +54,13 @@ func TestEncodeDecodeRoundTrip(t *testing.T) {
 	}
 }
 
-// messagesEqual compares messages treating nil and empty slices of Seen and
-// WriterSig as distinct only when one side is nil and the other is not; the
-// codec preserves nil-ness for Value but normalises empty Seen to nil.
+// seenOf is the seen mask a message encodes: its SeenMask with its Seen
+// members ORed in.
+func seenOf(m *Message) types.ClientMask { return m.SeenMask | types.ClientMaskOf(m.Seen...) }
+
+// messagesEqual compares messages treating nil and empty WriterSig alike; the
+// codec preserves nil-ness for Value, and the seen set compares as the mask
+// it encodes to.
 func messagesEqual(a, b *Message) bool {
 	if a.Op != b.Op || a.Key != b.Key || a.TS != b.TS || a.RCounter != b.RCounter ||
 		a.WriterRank != b.WriterRank || a.Phase != b.Phase {
@@ -67,13 +72,8 @@ func messagesEqual(a, b *Message) bool {
 	if !a.Prev.Equal(b.Prev) || a.Prev.IsBottom() != b.Prev.IsBottom() {
 		return false
 	}
-	if len(a.Seen) != len(b.Seen) {
+	if seenOf(a) != seenOf(b) {
 		return false
-	}
-	for i := range a.Seen {
-		if a.Seen[i] != b.Seen[i] {
-			return false
-		}
 	}
 	return bytes.Equal(a.WriterSig, b.WriterSig)
 }
@@ -121,6 +121,8 @@ func TestEncodeRejectsInvalid(t *testing.T) {
 		{Op: OpRead, TS: -1},
 		{Op: OpRead, RCounter: -2},
 		{Op: OpReadAck, Seen: []types.ProcessID{{}}},
+		{Op: OpReadAck, Seen: []types.ProcessID{types.Server(1)}},
+		{Op: OpReadAck, Seen: []types.ProcessID{types.Reader(types.MaxClientBits)}},
 	}
 	for i, m := range tests {
 		if _, err := Encode(m); err == nil {
@@ -174,9 +176,9 @@ func TestRoundTripProperty(t *testing.T) {
 			case 0:
 				m.Seen = append(m.Seen, types.Writer())
 			case 1:
-				m.Seen = append(m.Seen, types.Reader(int(i)+1))
+				m.Seen = append(m.Seen, types.Reader(int(i)%(types.MaxClientBits-1)+1))
 			default:
-				m.Seen = append(m.Seen, types.Server(int(i)+1))
+				m.SeenMask |= 1 << (i % types.MaxClientBits)
 			}
 		}
 		data, err := Encode(m)
@@ -411,14 +413,6 @@ func TestKindMatchesOpName(t *testing.T) {
 	}
 }
 
-func TestSeenSet(t *testing.T) {
-	m := &Message{Op: OpReadAck, Seen: []types.ProcessID{types.Writer(), types.Reader(2)}}
-	s := m.SeenSet()
-	if !s.Has(types.Writer()) || !s.Has(types.Reader(2)) || s.Len() != 2 {
-		t.Errorf("SeenSet = %v", s)
-	}
-}
-
 func TestTagged(t *testing.T) {
 	m := &Message{Op: OpReadAck, TS: 5, Cur: types.Value("a"), Prev: types.Value("b")}
 	tv := m.Tagged()
@@ -463,48 +457,63 @@ func TestDecodeIntoAliasesPayload(t *testing.T) {
 	}
 }
 
-// TestDecodeIntoReusesSeenCapacity checks the scratch-reuse contract: after
-// a first decode, decoding a message with an equal-or-smaller seen set into
-// the same scratch must not reallocate the backing array.
-func TestDecodeIntoReusesSeenCapacity(t *testing.T) {
+// TestDecodeIntoOverwritesSeenMask checks the scratch-reuse contract for the
+// seen set: decoding into a used scratch replaces its mask, and decoding
+// never fills the encoder-only Seen list.
+func TestDecodeIntoOverwritesSeenMask(t *testing.T) {
 	big := MustEncode(&Message{Op: OpReadAck, TS: 1, Seen: []types.ProcessID{
 		types.Writer(), types.Reader(1), types.Reader(2), types.Reader(3),
 	}})
-	small := MustEncode(&Message{Op: OpReadAck, TS: 2, Seen: []types.ProcessID{types.Writer()}})
+	small := MustEncode(&Message{Op: OpReadAck, TS: 2, SeenMask: types.ClientBit(types.Writer())})
 
 	var scratch Message
 	if err := DecodeInto(&scratch, big); err != nil {
 		t.Fatal(err)
 	}
-	firstCap := cap(scratch.Seen)
+	if want := types.ClientMask(0b1111); scratch.SeenMask != want || scratch.Seen != nil {
+		t.Errorf("first decode: mask %v, list %v; want %v and no list", scratch.SeenMask, scratch.Seen, want)
+	}
 	if err := DecodeInto(&scratch, small); err != nil {
 		t.Fatal(err)
 	}
-	if cap(scratch.Seen) != firstCap {
-		t.Errorf("scratch Seen reallocated: cap %d -> %d", firstCap, cap(scratch.Seen))
-	}
-	if len(scratch.Seen) != 1 || scratch.Seen[0] != types.Writer() {
-		t.Errorf("reused decode produced wrong seen set %v", scratch.Seen)
+	if scratch.SeenMask != types.ClientBit(types.Writer()) {
+		t.Errorf("reused decode produced seen set %v, want {w}", scratch.SeenMask)
 	}
 }
 
-// TestDetachTransfersSeenOwnership checks that a detached message keeps its
-// seen set even after the scratch decodes something else.
-func TestDetachTransfersSeenOwnership(t *testing.T) {
-	a := MustEncode(&Message{Op: OpReadAck, TS: 1, Seen: []types.ProcessID{types.Reader(1), types.Reader(2)}})
-	b := MustEncode(&Message{Op: OpReadAck, TS: 2, Seen: []types.ProcessID{types.Server(9), types.Server(8)}})
+// TestReadAckSize pins the encoded size of a read ack at the benchmark
+// harness's shape (5-byte key, 128-byte values, no signature): the seen set
+// costs 4 bytes whatever its size, where format version 2 spent a 4-byte
+// length plus 5 bytes per member. A version-2 payload is refused.
+func TestReadAckSize(t *testing.T) {
+	value := bytes.Repeat([]byte{0xA5}, 128)
+	for _, members := range []int{2, 17} {
+		seen := []types.ProcessID{types.Writer()}
+		for i := 1; i < members; i++ {
+			seen = append(seen, types.Reader(i))
+		}
+		ack := &Message{Op: OpReadAck, Key: "k0001", TS: 7, Cur: value, Prev: value, Seen: seen, RCounter: 1 << 40}
+		v3 := MustEncode(ack)
+		if len(v3) != 299 {
+			t.Errorf("|seen|=%d: read ack is %d bytes, want 299", members, len(v3))
+		}
 
-	scratch := GetMessage()
-	defer PutMessage(scratch)
-	if err := DecodeInto(scratch, a); err != nil {
-		t.Fatal(err)
-	}
-	detached := scratch.Detach()
-	if err := DecodeInto(scratch, b); err != nil {
-		t.Fatal(err)
-	}
-	if len(detached.Seen) != 2 || detached.Seen[0] != types.Reader(1) || detached.Seen[1] != types.Reader(2) {
-		t.Errorf("detached seen set corrupted by scratch reuse: %v", detached.Seen)
+		// The same ack under version 2: the mask's 4 bytes become the
+		// member count and then (role, index) per member.
+		maskAt := len(v3) - 4 - 1 // the mask, then the empty signature's length
+		v2 := append([]byte(nil), v3[:maskAt]...)
+		v2[0] = 2
+		v2 = append(v2, byte(members), 0, 0, 0)
+		for _, p := range seen {
+			v2 = append(v2, byte(p.Role), byte(p.Index), 0, 0, 0)
+		}
+		v2 = append(v2, v3[maskAt+4:]...)
+		if got, want := len(v2)-len(v3), 5*members; got != want {
+			t.Errorf("|seen|=%d: version 3 saves %d bytes, want %d", members, got, want)
+		}
+		if _, err := Decode(v2); !errors.Is(err, ErrVersion) {
+			t.Errorf("|seen|=%d: decoding a version-2 ack: %v, want ErrVersion", members, err)
+		}
 	}
 }
 

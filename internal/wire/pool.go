@@ -63,45 +63,26 @@ import "sync"
 // messagePool recycles Message structs used as decode scratch.
 var messagePool = sync.Pool{New: func() any { return new(Message) }}
 
-// GetMessage returns a scratch message from the pool. The message is zeroed
-// except for retained Seen capacity, which DecodeInto reuses.
+// GetMessage returns a zeroed scratch message from the pool (only the key
+// memo survives recycling).
 func GetMessage() *Message {
 	return messagePool.Get().(*Message)
 }
 
 // PutMessage resets the message and returns it to the pool. The caller must
-// not reference the message — or any field of it — afterwards. Inversely, a
-// message whose Seen was pointed at caller-owned LONG-LIVED memory (a
-// server's seen slice) must shed that alias before Put — restore the
-// message's own Seen backing array, set aside before the alias was installed:
-// Reset keeps Seen capacity for reuse, and recycling live state as another
-// goroutine's decode scratch is a data race (while putting back a message
-// with no array at all makes its next user allocate one).
+// not reference the message — or any field of it — afterwards. A message
+// whose byte fields view long-lived state (an ack built over a server's
+// stored value) needs no care first: Reset drops the views, and the seen
+// set is a mask held by value.
 func PutMessage(m *Message) {
 	m.Reset()
 	messagePool.Put(m)
 }
 
-// Reset zeroes every field of the message, keeping the Seen backing array
-// (length 0) and the key memo so a recycled message does not reallocate
-// them.
+// Reset zeroes every field of the message but the key memo, so a recycled
+// message does not reallocate its key.
 func (m *Message) Reset() {
-	seen := m.Seen[:0]
-	*m = Message{Seen: seen, keyMemo: m.keyMemo}
-}
-
-// Detach returns a heap copy of the scratch message that owns its Seen slice,
-// for handing an accepted message to a caller while the scratch keeps being
-// reused. Cur, Prev and WriterSig still alias the original payload (rule 2);
-// the scratch relinquishes its Seen backing array to the copy and will
-// reallocate one on its next decode. The serial collectors use it; the
-// pipelined engine detaches into pooled messages with CopyAliasInto instead,
-// which keeps BOTH sides' Seen capacity alive.
-func (m *Message) Detach() *Message {
-	out := new(Message)
-	*out = *m
-	m.Seen = nil
-	return out
+	*m = Message{keyMemo: m.keyMemo}
 }
 
 // Fill overwrites the pooled message with v while keeping the key memo. An
@@ -113,18 +94,6 @@ func (m *Message) Fill(v Message) {
 	memo := m.keyMemo
 	*m = v
 	m.keyMemo = memo
-}
-
-// CopyAliasInto copies the message into dst, reusing dst's Seen capacity
-// instead of stealing m's (contrast Detach). Byte fields still ALIAS m's
-// payload (rule 2), so dst lives exactly as long as the payload — under an
-// arena regime the caller must pair the copy with an Arena.Ref (rule 4). The
-// intended cycle is dst := GetMessage(); scratch.CopyAliasInto(dst); ...;
-// PutMessage(dst) — steady state allocates nothing on either message.
-func (m *Message) CopyAliasInto(dst *Message) {
-	seen := append(dst.Seen[:0], m.Seen...)
-	*dst = *m
-	dst.Seen = seen
 }
 
 // bufferPool recycles encode/digest scratch buffers (rule 1 forbids pooling

@@ -19,6 +19,7 @@ package wire
 import (
 	"errors"
 	"fmt"
+	"slices"
 
 	"fastread/internal/types"
 )
@@ -118,6 +119,11 @@ func AckFor(o Op) (Op, error) {
 type Message struct {
 	// Op is the message kind.
 	Op Op
+	// SeenMask is the server's seen set: the clients the server replied to
+	// since it last changed its timestamp (Figure 2 lines 28-30), one bit
+	// per client (types.ClientMask). It is what an ack carries and what
+	// decoding fills. (It sits beside Op, where it costs no padding.)
+	SeenMask types.ClientMask
 	// Key names the register the message belongs to. One deployment
 	// multiplexes many independent registers over the same server processes;
 	// every protocol message carries the key of the register it operates on,
@@ -134,8 +140,9 @@ type Message struct {
 	Cur types.Value
 	// Prev is the value written immediately before Cur.
 	Prev types.Value
-	// Seen is the server's seen set: the processes the server replied to
-	// since it last changed its timestamp (Figure 2 lines 28-30).
+	// Seen is encoder input only: AppendEncode ORs its members into the
+	// encoded mask, and decoding never fills it. It is kept because the
+	// frozen benchmark harness (cmd/benchreport) builds acks with it.
 	Seen []types.ProcessID
 	// RCounter is the per-reader operation counter used to match acks to the
 	// read that solicited them (Figure 2 line 13); always 0 for the writer.
@@ -156,18 +163,13 @@ type Message struct {
 	// (alias mode only): almost all of a scratch message's traffic names the
 	// same register back to back, so re-materialising the key string per
 	// message would be the hot path's dominant allocation. Strings are
-	// immutable, so sharing the memo through Detach/Clone copies is safe;
+	// immutable, so sharing the memo through copies and Clone is safe;
 	// Reset and DecodeInto preserve it across reuse.
 	keyMemo string
 }
 
 // Kind returns the transport-level message kind string for this message.
 func (m *Message) Kind() string { return m.Op.String() }
-
-// SeenSet returns the Seen slice as a ProcessSet.
-func (m *Message) SeenSet() types.ProcessSet {
-	return types.NewProcessSet(m.Seen...)
-}
 
 // Tagged returns the timestamp/value pair carried by the message.
 func (m *Message) Tagged() types.TaggedValue {
@@ -191,11 +193,6 @@ func (m *Message) Validate() error {
 	if m.RCounter < 0 {
 		return fmt.Errorf("%w: negative rCounter %d", ErrMalformed, m.RCounter)
 	}
-	for _, p := range m.Seen {
-		if !p.Valid() {
-			return fmt.Errorf("%w: invalid process id %v in seen set", ErrMalformed, p)
-		}
-	}
 	return nil
 }
 
@@ -204,10 +201,7 @@ func (m *Message) Clone() *Message {
 	out := *m
 	out.Cur = m.Cur.Clone()
 	out.Prev = m.Prev.Clone()
-	if m.Seen != nil {
-		out.Seen = make([]types.ProcessID, len(m.Seen))
-		copy(out.Seen, m.Seen)
-	}
+	out.Seen = slices.Clone(m.Seen)
 	if m.WriterSig != nil {
 		out.WriterSig = make([]byte, len(m.WriterSig))
 		copy(out.WriterSig, m.WriterSig)

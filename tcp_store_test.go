@@ -6,8 +6,11 @@ import (
 	"fmt"
 	"net"
 	"runtime"
+	"strings"
 	"testing"
 	"time"
+
+	"fastread/internal/transport/framed"
 )
 
 // reserveLoopbackAddr picks a free loopback port by listening and closing.
@@ -193,7 +196,7 @@ func TestTCPPipelinedFramesPerOp(t *testing.T) {
 	if testing.Short() {
 		t.Skip("real sockets in -short mode")
 	}
-	stats := pipelinedTCPReads(t, "frames")
+	stats, _ := pipelinedTCPReads(t, "frames")
 	totalOps := stats.Reads + stats.Writes
 	framesPerOp := float64(stats.FramesDelivered) / float64(totalOps)
 	t.Logf("frames=%d msgs=%d ops=%d frames/op=%.3f msgs/frame=%.1f",
@@ -264,23 +267,48 @@ func TestTCPPushDeliveryDropsNoAcks(t *testing.T) {
 	if testing.Short() {
 		t.Skip("real sockets in -short mode")
 	}
-	stats := pipelinedTCPReads(t, "acks")
+	stats, store := pipelinedTCPReads(t, "acks")
 	if stats.InboundDrops != 0 {
-		t.Errorf("InboundDrops = %d, want 0", stats.InboundDrops)
+		t.Errorf("InboundDrops = %d, want 0; MailboxHighWater = %d (a socket queue refuses past %d); dropped at: %s",
+			stats.InboundDrops, stats.MailboxHighWater, framed.InboxLen, socketDrops(store))
 	}
+}
+
+// socketDrops names every process of a socket-backed store whose inbound
+// queue dropped messages, with the count and the queue's high-water mark.
+func socketDrops(store *Store) string {
+	var out []string
+	for _, g := range store.groups {
+		ss, ok := g.session.(*socketSession)
+		if !ok {
+			continue
+		}
+		ss.mu.Lock()
+		for _, n := range ss.nodes {
+			if st := n.Stats(); st.InboundDrops != 0 {
+				out = append(out, fmt.Sprintf("%v dropped %d (high water %d)", n.ID(), st.InboundDrops, st.MailboxHighWater))
+			}
+		}
+		ss.mu.Unlock()
+	}
+	if len(out) == 0 {
+		return "no process"
+	}
+	return strings.Join(out, ", ")
 }
 
 // pipelinedTCPReads runs 4000 reads of one key on a TCP store, 64 in flight
 // from one reader in a FIFO window, fails the test unless every one
-// completes, and returns the store's stats.
-func pipelinedTCPReads(t *testing.T, key string) Stats {
+// completes, and returns the store's stats and the store, which the test's
+// cleanup closes.
+func pipelinedTCPReads(t *testing.T, key string) (Stats, *Store) {
 	t.Helper()
 	const depth = 64
 	store, err := NewStore(Config{Servers: 4, Faulty: 1, Readers: 1, Protocol: ProtocolFast, PipelineDepth: depth, Transport: TCP(nil)})
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer store.Close()
+	t.Cleanup(func() { _ = store.Close() })
 	reg, err := store.Register(key)
 	if err != nil {
 		t.Fatal(err)
@@ -320,7 +348,7 @@ func pipelinedTCPReads(t *testing.T, key string) Stats {
 	if totalOps := stats.Reads + stats.Writes; totalOps < ops {
 		t.Fatalf("only %d ops completed", totalOps)
 	}
-	return stats
+	return stats, store
 }
 
 // TestHandlesFailFastAfterClose is the regression test for operations on
