@@ -151,7 +151,7 @@ type Call[T any] struct {
 	// later, both guarded by the handle's mutex.
 	done      chan struct{}
 	err       error
-	op        *Op
+	op        round
 	cancelled error
 }
 
@@ -207,7 +207,7 @@ func NewClient[T any](cfg ClientConfig, node transport.Node, rounds Rounds[T]) (
 	cl := &Client[T]{
 		proto:   rounds,
 		node:    node,
-		servers: ServerIDs(cfg.Quorum.Servers),
+		servers: sharedServerIDs(cfg.Quorum.Servers),
 		pl:      NewPipeline(node, cfg.Depth, nil),
 	}
 	cl.nonce.Store(rounds.Nonce)
@@ -243,7 +243,7 @@ func (cl *Client[T]) Do(ctx context.Context, arg types.Value) (T, error) {
 	switch {
 	case c == nil:
 		return zero, err
-	case op == nil:
+	case op.op == nil:
 		// The aborted round's completion signals c and frees the slot.
 		<-c.done
 	default:
@@ -278,7 +278,7 @@ func (cl *Client[T]) Submit(ctx context.Context, arg types.Value) (*Future[T], e
 	}
 	f := newFuture[T]()
 	_, op, err := cl.start(arg, f)
-	if op == nil {
+	if op.op == nil {
 		return nil, err
 	}
 	f.bind(ctx, op)
@@ -289,10 +289,10 @@ func (cl *Client[T]) Submit(ctx context.Context, arg types.Value) (*Future[T], e
 // first request and puts it on the wire, for f — or, with f nil, for a
 // blocking caller, who owns the returned Call until it puts it back (an async
 // operation's Call is the engine's: it may be recycled before start returns).
-// op is the round now in flight, nil if the request did not leave; err then
+// op is the round now in flight, zero if the request did not leave; err then
 // says why, and the returned Call is nil unless a blocking caller must still
 // wait for the aborted round to signal done.
-func (cl *Client[T]) start(arg types.Value, f *Future[T]) (c *Call[T], op *Op, err error) {
+func (cl *Client[T]) start(arg types.Value, f *Future[T]) (c *Call[T], op round, err error) {
 	cl.mu.Lock()
 	c = cl.get()
 	c.f, c.Arg = f, arg
@@ -307,7 +307,7 @@ func (cl *Client[T]) start(arg types.Value, f *Future[T]) (c *Call[T], op *Op, e
 		cl.put(c)
 		cl.mu.Unlock()
 		cl.pl.release()
-		return nil, nil, fmt.Errorf("%s: %w", cl.proto.Name, err)
+		return nil, round{}, fmt.Errorf("%s: %w", cl.proto.Name, err)
 	}
 	var taken [takenInline]*transport.Queue
 	op, runs, err := cl.send(c, taken[:0])
@@ -322,12 +322,12 @@ func (cl *Client[T]) start(arg types.Value, f *Future[T]) (c *Call[T], op *Op, e
 	if err != nil {
 		// The aborted round's completion resolves f (or signals c) and frees
 		// the slot.
-		op.Abort(err)
+		op.abort(err)
 		deliverTaken(runs)
 		if f != nil {
 			c = nil
 		}
-		return c, nil, fmt.Errorf("%s: %w", cl.proto.Name, err)
+		return c, round{}, fmt.Errorf("%s: %w", cl.proto.Name, err)
 	}
 	// In memory this runs the idle servers, whose acks may complete the
 	// operation — and recycle an async operation's c — before it returns.
@@ -349,7 +349,7 @@ const takenInline = 32
 // orders a completion's recycling of c after the encode that reads it: a
 // completion that races the broadcast (a server another goroutine runs, or a
 // Byzantine one that guessed the nonce) waits for cl.mu.
-func (cl *Client[T]) send(c *Call[T], runs []*transport.Queue) (*Op, []*transport.Queue, error) {
+func (cl *Client[T]) send(c *Call[T], runs []*transport.Queue) (round, []*transport.Queue, error) {
 	c.ack, _ = wire.AckFor(c.Req.Op)
 	op := cl.pl.registerHandler(cl.proto.Need, c)
 	c.op = op
@@ -373,7 +373,7 @@ func (c *Call[T]) abort(err error) {
 	}
 	op := c.op
 	cl.mu.Unlock()
-	op.Abort(err)
+	op.abort(err)
 }
 
 // get takes a Call from the handle's free list. Callers hold cl.mu.
@@ -410,7 +410,7 @@ func (c *Call[T]) accept(from types.ProcessID, m *wire.Message) bool {
 func (c *Call[T]) complete(acks []Ack, err error) (keepSlot bool) {
 	cl := c.cl
 	cl.mu.Lock()
-	var next *Op
+	var next round
 	var taken [takenInline]*transport.Queue
 	var runs []*transport.Queue
 	if err == nil {
@@ -424,18 +424,18 @@ func (c *Call[T]) complete(acks []Ack, err error) (keepSlot bool) {
 		}
 	}
 	f := c.f
-	if next != nil {
+	if next.op != nil {
 		// The operation goes on (or its next broadcast failed, and aborting
 		// that round ends it): either way the slot is the next round's.
 		cancelled := c.cancelled
 		cl.mu.Unlock()
 		switch {
 		case err != nil:
-			next.Abort(err)
+			next.abort(err)
 		case f != nil:
 			f.rebind(next)
 		case cancelled != nil:
-			next.Abort(cancelled)
+			next.abort(cancelled)
 		}
 		deliverTaken(runs)
 		return true

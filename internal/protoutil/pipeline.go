@@ -9,6 +9,18 @@
 // exactly a pipeline of depth one. Client (client.go) is the upper half: it
 // runs a protocol's round description on a Pipeline and is the only thing the
 // protocol packages see.
+//
+// A round's Op is recycled: once its completion has returned, its acks are
+// released and its slot is freed (or handed to the operation's next round),
+// it goes back to the pipeline's free list and serves the handle's later
+// rounds. A handle thus allocates Ops, each with an ack buffer sized to the
+// round's quorum, only while it has never before had that many of them
+// pending or finishing at once.
+// Whatever still names a recycled Op — a future bound to it, a blocking
+// call's abort, a context callback that fires late — names it as a round: the
+// Op with the generation it was registered under. Recycling bumps the
+// generation under p.mu, so such a late abort is a no-op and never reaches
+// the operation the Op serves now.
 package protoutil
 
 import (
@@ -44,8 +56,8 @@ const MaxPipelineDepth = 512
 // acknowledgement into the client's node (a server executor's flush in
 // memory, a socket read loop, a clock event), so an acknowledgement goes from
 // its producer to the operation it completes without waking anyone in
-// between, and a handle costs its slots and pending operations, nothing
-// else. Over any other
+// between, and a handle costs its slots and its Ops (pending or recycled),
+// nothing else. Over any other
 // node the pipeline claims the node push-delivered into the same Deliver
 // (transport.Claim: over an in-memory or socket node the pusher delivers
 // there too) and starts a dispatcher goroutine that takes only a backlog.
@@ -86,6 +98,8 @@ type Pipeline struct {
 	mu     sync.Mutex
 	closed bool
 	ops    []*Op
+	// free holds the finished Ops registerHandler reuses.
+	free []*Op
 
 	// scratch is Deliver's decode target. Deliver calls are sequential, and
 	// the pipeline's traffic names one register, so the decoded key hits the
@@ -137,27 +151,48 @@ func NewPipeline(node transport.Node, depth int, _ any) *Pipeline {
 // Depth returns the configured in-flight bound.
 func (p *Pipeline) Depth() int { return cap(p.slots) }
 
-// Op is one in-flight round: the acknowledgements collected so far, keyed off
-// the servers that sent them, and the handler to run when the quorum
-// assembles (or the round dies).
+// Op is one in-flight round: the acknowledgements collected so far, one per
+// server that sent it, and the handler to run when the quorum assembles (or
+// the round dies).
+//
+// The engine's Ops are recycled (registerHandler): an Op returns to its
+// pipeline's free list only after its completion has returned, its acks are
+// released and its slot is freed or passed on, and its generation changes
+// then, so a round held past that point aborts nothing. Register's Op is the
+// caller's and is never recycled.
 type Op struct {
 	p       *Pipeline
 	need    int
 	handler opHandler
 	// fn is Register's closure pair, adapted in place so such an operation
-	// is still one allocation.
+	// is still one allocation; a non-nil fn.done marks an Op that is never
+	// recycled.
 	fn funcHandler
 
-	// Guarded by p.mu.
-	seen []types.ProcessID
+	// Guarded by p.mu. acks is allocated once with capacity need and kept
+	// across recycling; gen counts the Op's recyclings.
 	acks []Ack
 	done bool
+	gen  uint64
+}
 
-	// seenBuf and acksBuf are the inline backing arrays used when the quorum
-	// fits (it almost always does: quorums are S-t of a handful of servers),
-	// so registering an operation allocates only the Op itself.
-	seenBuf [8]types.ProcessID
-	acksBuf [8]Ack
+// round names one registration of an Op: the Op and the generation it was
+// registered under.
+type round struct {
+	op  *Op
+	gen uint64
+}
+
+// abort is Op.Abort for this registration only: once the Op has been
+// recycled it does nothing.
+func (r round) abort(err error) {
+	p := r.op.p
+	p.mu.Lock()
+	if r.op.gen != r.gen {
+		p.mu.Unlock()
+		return
+	}
+	r.op.abortLocked(err)
 }
 
 // Acquire reserves one in-flight slot, blocking while the pipeline is at
@@ -241,37 +276,48 @@ func (h *funcHandler) complete(acks []Ack, err error) bool {
 // acknowledgements, so it must not block: hand the result to a buffered
 // channel or close one. It is the closure spelling of the engine's
 // registration, kept for measuring the pipeline alone (cmd/benchreport's
-// protoutil.pipeline_op_us cell).
+// protoutil.pipeline_op_us cell). The Op is the caller's: it is never
+// recycled, so Abort may be called on it at any time.
 func (p *Pipeline) Register(need int, filter AckFilter, complete func(acks []Ack, err error)) *Op {
 	op := &Op{p: p, need: need}
 	op.fn = funcHandler{filter: filter, done: complete}
 	op.handler = &op.fn
-	return p.register(op)
+	p.mu.Lock()
+	p.registerLocked(op)
+	return op
 }
 
 // registerHandler is Register with the filter and completion folded into one
-// opHandler value.
-func (p *Pipeline) registerHandler(need int, h opHandler) *Op {
-	return p.register(&Op{p: p, need: need, handler: h})
+// opHandler value, on a recycled Op when the pipeline has a finished one. The
+// returned round is what may abort it later.
+func (p *Pipeline) registerHandler(need int, h opHandler) round {
+	p.mu.Lock()
+	var op *Op
+	if n := len(p.free); n > 0 {
+		op = p.free[n-1]
+		p.free = p.free[:n-1]
+	} else {
+		op = &Op{p: p}
+	}
+	op.need, op.handler = need, h
+	r := round{op: op, gen: op.gen}
+	p.registerLocked(op)
+	return r
 }
 
-// register adds the operation to the pending set. The caller must hold a slot
-// from Acquire and registers BEFORE broadcasting its request, so no
-// acknowledgement can be delivered unmatched. An operation that
-// cannot wait completes asynchronously (the caller typically holds its
+// registerLocked adds the operation to the pending set and releases p.mu. The
+// caller must hold a slot from Acquire and registers BEFORE broadcasting its
+// request, so no acknowledgement can be delivered unmatched. An operation
+// that cannot wait completes asynchronously (the caller typically holds its
 // handle mutex, and the completion will want it too), still exactly once:
 // with ErrInboxClosed on a dead pipeline, and at once with no
 // acknowledgements when need <= 0 — a quorum of nothing is already assembled.
-func (p *Pipeline) register(op *Op) *Op {
-	if op.need <= len(op.seenBuf) {
-		op.seen = op.seenBuf[:0]
-		op.acks = op.acksBuf[:0]
-	} else {
-		// Quorum sizes are known up front: one allocation each, no growth.
-		op.seen = make([]types.ProcessID, 0, op.need)
+func (p *Pipeline) registerLocked(op *Op) {
+	if cap(op.acks) < op.need {
+		// Quorum sizes are known up front: one allocation, no growth, kept
+		// while the Op is recycled.
 		op.acks = make([]Ack, 0, op.need)
 	}
-	p.mu.Lock()
 	if p.closed || op.need <= 0 {
 		op.done = true
 		var err error
@@ -280,21 +326,27 @@ func (p *Pipeline) register(op *Op) *Op {
 		}
 		p.mu.Unlock()
 		go op.finish(nil, err)
-		return op
+		return
 	}
+	op.done = false
 	p.ops = append(p.ops, op)
 	p.mu.Unlock()
-	return op
 }
 
 // Abort fails the operation with the given error if it has not completed
 // yet: it is deregistered, its completion runs with err, and its slot frees.
 // Aborting one operation never disturbs its siblings — their
 // acknowledgements keep being delivered. Abort after
-// completion is a no-op, so racing a quorum is safe.
+// completion is a no-op, so racing a quorum is safe. It is for Register's
+// Ops, which are never recycled; the engine aborts its own through a round.
 func (op *Op) Abort(err error) {
+	op.p.mu.Lock()
+	op.abortLocked(err)
+}
+
+// abortLocked is Abort with p.mu held; it releases p.mu.
+func (op *Op) abortLocked(err error) {
 	p := op.p
-	p.mu.Lock()
 	if op.done {
 		p.mu.Unlock()
 		return
@@ -311,16 +363,26 @@ func (op *Op) Abort(err error) {
 // round collected — including partial collections on abort and inbox-closed
 // paths — returns to the pools: the completion is the last code to see the
 // acks, and the protocols clone whatever they retain (rule 3) before it
-// returns.
+// returns. Only then does an engine Op go back to the free list, under a new
+// generation.
 func (op *Op) finish(acks []Ack, err error) {
 	keepSlot := op.handler.complete(acks, err)
 	for i := range op.acks {
 		op.acks[i].release()
 	}
 	op.acks = op.acks[:0]
+	p := op.p
 	if !keepSlot {
-		op.p.release()
+		p.release()
 	}
+	if op.fn.done != nil {
+		return
+	}
+	p.mu.Lock()
+	op.gen++
+	op.handler = nil
+	p.free = append(p.free, op)
+	p.mu.Unlock()
 }
 
 // removeLocked drops the operation from the pending set. Callers hold p.mu.
@@ -400,7 +462,7 @@ func (p *Pipeline) handlePayload(from types.ProcessID, payload []byte, arena *wi
 	p.mu.Lock()
 	for i := 0; i < len(p.ops); i++ {
 		op := p.ops[i]
-		if op.done || op.hasSeen(from) {
+		if op.done || op.hasAck(from) {
 			continue
 		}
 		if !op.handler.accept(from, scratch) {
@@ -411,7 +473,6 @@ func (p *Pipeline) handlePayload(from types.ProcessID, payload []byte, arena *wi
 		if arena != nil {
 			arena.Ref()
 		}
-		op.seen = append(op.seen, from)
 		op.acks = append(op.acks, Ack{From: from, Msg: d, Arena: arena})
 		if len(op.acks) >= op.need {
 			op.done = true
@@ -427,11 +488,11 @@ func (p *Pipeline) handlePayload(from types.ProcessID, payload []byte, arena *wi
 	}
 }
 
-// hasSeen reports whether the operation already accepted an acknowledgement
+// hasAck reports whether the operation already accepted an acknowledgement
 // from the server. Linear scan: quorums are small.
-func (op *Op) hasSeen(from types.ProcessID) bool {
-	for _, s := range op.seen {
-		if s == from {
+func (op *Op) hasAck(from types.ProcessID) bool {
+	for i := range op.acks {
+		if op.acks[i].From == from {
 			return true
 		}
 	}
@@ -442,12 +503,12 @@ func (op *Op) hasSeen(from types.ProcessID) bool {
 // resolves it when the operation's last round completes, and the caller waits
 // on Done or Result. A Future tracks the round currently backing it (rebind
 // moves it between a multi-round operation's rounds), so cancelling the wait
-// aborts exactly that operation.
+// aborts exactly that operation, and never the one a recycled Op serves next.
 type Future[T any] struct {
 	done chan struct{}
 
 	mu        sync.Mutex
-	op        *Op
+	op        round
 	stop      func() bool // releases the bound context's AfterFunc
 	cancelErr error       // sticky abort intent, applied to later rebinds
 	resolved  bool
@@ -470,9 +531,9 @@ func newFuture[T any]() *Future[T] {
 // not armed at all — the registration allocates, and every submission on
 // such a context would pay for a callback that cannot fire. Nothing can
 // abort the future before bind arms it, so bind has no abort intent to honour.
-func (f *Future[T]) bind(ctx context.Context, op *Op) {
+func (f *Future[T]) bind(ctx context.Context, op round) {
 	f.mu.Lock()
-	if f.op == nil {
+	if f.op.op == nil {
 		f.op = op
 	}
 	if f.stop == nil && !f.resolved && ctx.Done() != nil {
@@ -485,13 +546,13 @@ func (f *Future[T]) bind(ctx context.Context, op *Op) {
 
 // rebind moves the future onto the operation's next round, honouring any
 // abort that raced the round boundary.
-func (f *Future[T]) rebind(op *Op) {
+func (f *Future[T]) rebind(op round) {
 	f.mu.Lock()
 	f.op = op
 	cancelled := f.cancelErr
 	f.mu.Unlock()
 	if cancelled != nil {
-		op.Abort(cancelled)
+		op.abort(cancelled)
 	}
 }
 
@@ -508,8 +569,8 @@ func (f *Future[T]) abort(err error) {
 	}
 	op := f.op
 	f.mu.Unlock()
-	if op != nil {
-		op.Abort(err)
+	if op.op != nil {
+		op.abort(err)
 	}
 }
 

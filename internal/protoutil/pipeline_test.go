@@ -293,7 +293,7 @@ func TestFutureCtxAbortBeforeBind(t *testing.T) {
 			f.Resolve(0, err)
 		}
 	})
-	f.bind(ctx, op1)
+	f.bind(ctx, round{op: op1})
 	cancel() // aborts op1, resolving the future
 
 	if _, err := f.Result(context.Background()); !errors.Is(err, context.Canceled) {
@@ -311,7 +311,7 @@ func TestFutureCtxAbortBeforeBind(t *testing.T) {
 			f2.Resolve(0, err)
 		}
 	})
-	f2.bind(ctx2, opA)
+	f2.bind(ctx2, round{op: opA})
 	cancel2()
 	<-f2.Done()
 	if err := p.Acquire(context.Background()); err != nil {
@@ -319,7 +319,7 @@ func TestFutureCtxAbortBeforeBind(t *testing.T) {
 	}
 	resolved := make(chan error, 1)
 	opB := p.Register(1, rcFilter(3), func(_ []Ack, err error) { resolved <- err })
-	f2.rebind(opB) // the sticky cancellation must abort opB
+	f2.rebind(round{op: opB}) // the sticky cancellation must abort opB
 	select {
 	case err := <-resolved:
 		if !errors.Is(err, context.Canceled) {

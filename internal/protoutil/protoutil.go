@@ -192,6 +192,20 @@ func ServerIDs(count int) []types.ProcessID {
 	return out
 }
 
+// sharedServers is s1..s64, which every client whose deployment has at most
+// that many servers views instead of building its own list: a handle per key
+// per client identity would otherwise repeat the same s1..sS.
+var sharedServers = ServerIDs(64)
+
+// sharedServerIDs returns s1..s`count` as a read-only slice shared by every
+// caller with the same count; appending to it copies.
+func sharedServerIDs(count int) []types.ProcessID {
+	if count <= len(sharedServers) {
+		return sharedServers[:count:count]
+	}
+	return ServerIDs(count)
+}
+
 // ReaderIDs builds the canonical list of reader identities r1..rR.
 func ReaderIDs(count int) []types.ProcessID {
 	out := make([]types.ProcessID, count)

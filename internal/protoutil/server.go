@@ -109,6 +109,9 @@ type Slot[S any] struct {
 	// the state owns its bytes. At most one arena is pinned per register: the
 	// one carrying its newest adopted value.
 	arena *wire.Arena
+	// key is the register's key, the very string the state map holds: a
+	// request that names the register decodes its key to it (keyOf).
+	key string
 }
 
 // Adopt is every server's retention point for request bytes (wire's rules 3
@@ -160,7 +163,7 @@ func NewShell[S any](cfg ServerConfig, node transport.Node, proto Protocol[S]) (
 		id:     cfg.ID,
 		proto:  proto,
 		node:   node,
-		states: shard.NewMap(0, func(string) *Slot[S] { return &Slot[S]{State: proto.NewState()} }),
+		states: shard.NewMap(0, func(key string) *Slot[S] { return &Slot[S]{State: proto.NewState(), key: key} }),
 		done:   make(chan struct{}),
 	}
 	if cfg.Durable != nil {
@@ -179,13 +182,26 @@ func NewShell[S any](cfg ServerConfig, node transport.Node, proto Protocol[S]) (
 
 // handle is what the executor runs for every delivered message: the
 // decode every protocol's handler used to open with, then the protocol's step.
+// The request's key decodes to the string its register already holds, so a
+// request for an existing register allocates nothing.
 func (s *Shell[S]) handle(m transport.Message, out transport.Sender) {
 	req := wire.GetMessage()
 	defer wire.PutMessage(req)
-	if wire.DecodeInto(req, m.Payload) != nil {
+	if wire.DecodeKeyed(req, m.Payload, s.keyOf) != nil {
 		return
 	}
 	s.proto.Handle(m, req, out)
+}
+
+// keyOf resolves a request's key bytes to its register's key. It reads the
+// state map without its lock, which is safe because handle runs on the
+// shell's executor, the map's one mutator (see package shard).
+func (s *Shell[S]) keyOf(key []byte) (string, bool) {
+	sl, ok := s.states.Get(key)
+	if !ok {
+		return "", false
+	}
+	return sl.key, true
 }
 
 // applyRecord replays one recovered log record through the live path's

@@ -50,6 +50,14 @@ func (m *Map[S]) Do(key string, fn func(S)) {
 	fn(s)
 }
 
+// Get returns the state of a key that has been touched, looked up by its
+// bytes without allocating. It takes no lock, so only the mutator may call it:
+// the mutator is the map's only writer, and reads never race reads.
+func (m *Map[S]) Get(key []byte) (S, bool) {
+	s, ok := m.m[string(key)]
+	return s, ok
+}
+
 // Peek runs fn with the key's state if (and only if) the key has been
 // touched before, returning whether it had. It never instantiates state, so
 // read-only inspection of a server does not grow its keyspace.

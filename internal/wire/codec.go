@@ -120,7 +120,7 @@ func MustEncode(m *Message) []byte {
 // honour the aliasing ownership discipline.
 func Decode(data []byte) (*Message, error) {
 	m := &Message{}
-	if err := decodeMessage(m, data, false); err != nil {
+	if err := decodeMessage(m, data, false, nil); err != nil {
 		return nil, err
 	}
 	return m, nil
@@ -134,18 +134,31 @@ func Decode(data []byte) (*Message, error) {
 //     referenced, and must Clone any field it retains beyond the scope of
 //     handling this one message (a "retention point": storing a value into
 //     server state, remembering a reader's last-observed tag, ...).
-//   - Key is a fresh string (Go strings cannot alias a []byte safely); the
-//     empty key — the default register — does not allocate.
+//   - Key (Go strings cannot alias a []byte safely) is m's key memo when the
+//     bytes spell it, which costs nothing; otherwise it is a fresh string,
+//     which becomes the memo. The empty key — the default register — never
+//     allocates.
 //
-// Combined with GetMessage/PutMessage this makes steady-state decoding of
-// default-register messages allocation-free.
+// Combined with GetMessage/PutMessage this makes steady-state decoding of a
+// message stream that names one register allocation-free. A server, whose
+// stream names many, decodes with DecodeKeyed instead.
 func DecodeInto(m *Message, data []byte) error {
-	return decodeMessage(m, data, true)
+	return decodeMessage(m, data, true, nil)
+}
+
+// DecodeKeyed is DecodeInto for a decoder that already holds the strings of
+// the keys it will see — a server, whose registers each keep their key. When
+// the key bytes miss m's memo, keyOf resolves them to the caller's own string
+// (a lookup by bytes allocates nothing), and only a key keyOf does not know
+// is a fresh string. Either way the result becomes the memo.
+func DecodeKeyed(m *Message, data []byte, keyOf func(key []byte) (string, bool)) error {
+	return decodeMessage(m, data, true, keyOf)
 }
 
 // decodeMessage is the shared decode core. When alias is true, byte fields
-// alias data; when false, every field is a fresh copy.
-func decodeMessage(m *Message, data []byte, alias bool) error {
+// alias data and the key goes through the memo, then keyOf if it is non-nil;
+// when false, every field is a fresh copy.
+func decodeMessage(m *Message, data []byte, alias bool, keyOf func([]byte) (string, bool)) error {
 	d := decoder{buf: data, alias: alias}
 	version, err := d.byte()
 	if err != nil {
@@ -177,14 +190,22 @@ func decodeMessage(m *Message, data []byte, alias bool) error {
 			return err
 		}
 		// The comparison against the memo compiles without materialising a
-		// string; only a key CHANGE allocates (see Message.keyMemo).
-		if alias && string(keyBytes) == m.keyMemo {
-			m.Key = m.keyMemo
-		} else {
+		// string; only a key CHANGE that keyOf cannot resolve allocates (see
+		// Message.keyMemo).
+		switch {
+		case !alias:
 			m.Key = string(keyBytes)
-			if alias {
-				m.keyMemo = m.Key
+		case string(keyBytes) == m.keyMemo:
+			m.Key = m.keyMemo
+		default:
+			key, ok := "", false
+			if keyOf != nil {
+				key, ok = keyOf(keyBytes)
 			}
+			if !ok {
+				key = string(keyBytes)
+			}
+			m.Key, m.keyMemo = key, key
 		}
 	}
 

@@ -6,8 +6,10 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"strings"
 	"testing"
 	"testing/quick"
+	"unsafe"
 
 	"fastread/internal/types"
 )
@@ -454,6 +456,46 @@ func TestDecodeIntoAliasesPayload(t *testing.T) {
 	}
 	if string(copied.Cur) != "cur-bytes" || string(copied.Prev) != "prev-bytes" {
 		t.Error("Decode result aliases the payload; expected owned copies")
+	}
+}
+
+// TestDecodeKeyedResolvesHeldKeys pins how a server's decode gets its key:
+// bytes that miss the memo go to keyOf, a key it holds is its own string and
+// costs no allocation, and only a key it does not hold is a fresh string.
+func TestDecodeKeyedResolvesHeldKeys(t *testing.T) {
+	held := map[string]string{}
+	for _, k := range []string{"alpha", "beta"} {
+		held[k] = strings.Clone(k)
+	}
+	keyOf := func(b []byte) (string, bool) {
+		k, ok := held[string(b)]
+		return k, ok
+	}
+	payloads := map[string][]byte{}
+	for _, k := range []string{"alpha", "beta", "gamma"} {
+		payloads[k] = MustEncode(&Message{Op: OpRead, Key: k, RCounter: 1})
+	}
+	var m Message
+	for _, k := range []string{"alpha", "beta", "alpha", "gamma"} {
+		if err := DecodeKeyed(&m, payloads[k], keyOf); err != nil {
+			t.Fatal(err)
+		}
+		if m.Key != k {
+			t.Fatalf("decoded key %q, want %q", m.Key, k)
+		}
+		if h, ok := held[k]; ok && unsafe.StringData(m.Key) != unsafe.StringData(h) {
+			t.Errorf("key %q decoded to a new string, not the held one", k)
+		}
+	}
+	next := 0
+	order := []string{"alpha", "beta"}
+	if allocs := testing.AllocsPerRun(100, func() {
+		next = (next + 1) % len(order)
+		if err := DecodeKeyed(&m, payloads[order[next]], keyOf); err != nil {
+			t.Fatal(err)
+		}
+	}); allocs != 0 {
+		t.Errorf("decoding alternating held keys allocates %.1f times, want 0", allocs)
 	}
 }
 

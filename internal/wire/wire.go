@@ -160,11 +160,13 @@ type Message struct {
 	Phase int32
 
 	// keyMemo caches the most recent non-empty Key this message decoded
-	// (alias mode only): almost all of a scratch message's traffic names the
-	// same register back to back, so re-materialising the key string per
-	// message would be the hot path's dominant allocation. Strings are
-	// immutable, so sharing the memo through copies and Clone is safe;
-	// Reset and DecodeInto preserve it across reuse.
+	// (alias mode only): a client's scratch message decodes acks for its one
+	// register, so re-materialising the key string per message would be the
+	// hot path's dominant allocation. A server's pooled request names any of
+	// its registers, so its decode (DecodeKeyed) falls back from the memo to
+	// the string the register already holds, and allocates only for a key it
+	// has never seen. Strings are immutable, so sharing the memo through
+	// copies and Clone is safe; Reset and DecodeInto preserve it across reuse.
 	keyMemo string
 }
 
