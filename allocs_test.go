@@ -50,8 +50,8 @@ func TestSerialOpAllocBudget(t *testing.T) {
 	t.Logf("allocations per blocking operation: write %.0f, read %.0f", writes, reads)
 	// What is left is what the operation returns or keeps: the writer's
 	// owned copy of the value, or the read's result value. Requests and
-	// acknowledgements travel in pooled arenas, the servers adopt written
-	// values by pinning the request's arena, the wait is on the pooled Call,
+	// acknowledgements travel in pooled arenas, the servers copy written
+	// values into their registers' own buffers, the wait is on the pooled Call,
 	// and each round runs on the handle's recycled pipeline Op.
 	const writeBudget, readBudget = 1, 1
 	if writes > writeBudget {

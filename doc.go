@@ -233,7 +233,7 @@
 //
 // Anyone writing protocol code must follow the codec's buffer-ownership
 // rules — encoded payloads are immutable, decoded views may alias them, and
-// retained data is cloned exactly at its retention point — spelled out in
+// retained data is copied exactly at its retention point — spelled out in
 // internal/wire/pool.go. The sole-mutator discipline those rules lean on is
 // per server: its one consumer handles every message, one run at a time (on
 // the executor's goroutine, on a client's that took the run, or under a
@@ -242,8 +242,9 @@
 // Batch frames extend the same rules end to end: a wire.Batch envelope packs
 // many messages into one transport payload, the per-message views produced
 // when it is expanded ALIAS the one batch buffer, and a flushed batch buffer
-// is never reused by its sender while a receiver may still hold a view.
-// Retaining any view pins the whole buffer, which is the intended trade.
+// is never reused by its sender while a receiver may still hold a view. A
+// server keeps none: it copies an adopted value into its register's own
+// buffers, so a frame is free once its last message is handled.
 //
 // Where buffers cross goroutines at a high rate they are recyclable: each
 // inbound socket frame, and each acknowledgement (or ack envelope) a server's
@@ -251,9 +252,9 @@
 // (wire.Arena) rather than a garbage-collected allocation. The discipline is
 // small and strict. Every delivered message carries exactly one reference to
 // its buffer's arena; a consumer that retains bytes beyond the handler's
-// return — a server adopting a written value into register state, a
-// pipelined client detaching an acknowledgement — takes its own reference
-// with Ref at that retention point; every owner calls Release exactly once
+// return without copying them — a pipelined client detaching an
+// acknowledgement until its round completes — takes its own reference with
+// Ref at that retention point; every owner calls Release exactly once
 // when done, and the last Release recycles the buffer for the next message.
 // The failure modes are deliberately asymmetric: a missing Release only leaks
 // the buffer to the GC (views stay valid forever, the pre-arena behaviour),

@@ -69,18 +69,17 @@ func NewServer(cfg ServerConfig, node transport.Node) (*Server, error) {
 
 // apply is the register's one mutation (protoutil.Protocol.Apply), live and
 // in recovery: a delta is adopted only if strictly newer in (TS, Rank) order,
-// a KindState record restores the register. The record's bytes are kept
-// pinned by a or cloned, at the one retention point.
-func apply(sl *protoutil.Slot[registerState], r durable.Record, a *wire.Arena) bool {
-	incoming := VersionedValue{TS: types.Timestamp(r.TS), Rank: r.Rank, Cur: r.Cur, Prev: r.Prev}
-	if r.Kind == durable.KindDelta && !sl.State.value.Less(incoming) {
+// a KindState record restores the register. The record's bytes are copied
+// into the register's own buffers, at the one retention point.
+func apply(sl *protoutil.Slot[registerState], r durable.Record) bool {
+	v := &sl.State.value
+	ts := types.Timestamp(r.TS)
+	if r.Kind == durable.KindDelta && !v.Less(VersionedValue{TS: ts, Rank: r.Rank}) {
 		return false
 	}
-	if !sl.Adopt(a) {
-		incoming.Cur = incoming.Cur.Clone()
-		incoming.Prev = incoming.Prev.Clone()
-	}
-	sl.State.value = incoming
+	tv := types.TaggedValue{Cur: v.Cur, Prev: v.Prev}
+	tv.CopyFrom(types.TaggedValue{TS: ts, Cur: r.Cur, Prev: r.Prev})
+	*v = VersionedValue{TS: ts, Rank: r.Rank, Cur: tv.Cur, Prev: tv.Prev}
 	return true
 }
 
@@ -131,7 +130,7 @@ func (s *Server) handle(m transport.Message, req *wire.Message, out transport.Se
 				Cur:  req.Cur,
 				Prev: req.Prev,
 				From: m.From,
-			}, m.Arena)
+			})
 		}
 		st := &sl.State
 		ack.Fill(wire.Message{

@@ -110,10 +110,10 @@ func NewServer(cfg ServerConfig, node transport.Node) (*Server, error) {
 // Figure 5 lines 26-33 on the live path, and the same lines again when
 // recovery replays the logged delta. A KindState record restores the
 // register wholesale.
-func apply(sl *protoutil.Slot[registerState], r durable.Record, a *wire.Arena) bool {
+func apply(sl *protoutil.Slot[registerState], r durable.Record) bool {
 	st := &sl.State
 	if r.Kind == durable.KindState {
-		adopt(sl, &r, a)
+		adopt(st, &r)
 		st.seen = types.ClientMaskOf(r.Seen...)
 		for _, c := range r.Counters {
 			if c.PID >= 0 && int(c.PID) < len(st.counters) {
@@ -137,7 +137,7 @@ func apply(sl *protoutil.Slot[registerState], r durable.Record, a *wire.Arena) b
 		return false
 	}
 	if types.Timestamp(r.TS) > st.value.TS {
-		adopt(sl, &r, a)
+		adopt(st, &r)
 		st.seen = 0
 	}
 	st.seen |= types.ClientBit(r.From)
@@ -146,16 +146,11 @@ func apply(sl *protoutil.Slot[registerState], r durable.Record, a *wire.Arena) b
 }
 
 // adopt stores r's signed value in the register: the retention point, where
-// the record's bytes (a request's, or the replay buffer's) are kept pinned by
-// a or cloned.
-func adopt(sl *protoutil.Slot[registerState], r *durable.Record, a *wire.Arena) {
-	st := &sl.State
-	st.value = types.TaggedValue{TS: types.Timestamp(r.TS), Cur: r.Cur, Prev: r.Prev}
-	st.valueSig = r.Sig
-	if !sl.Adopt(a) {
-		st.value = st.value.Clone()
-		st.valueSig = append([]byte(nil), r.Sig...)
-	}
+// the record's bytes (a request's, or the replay buffer's) are copied into the
+// register's own buffers.
+func adopt(st *registerState, r *durable.Record) {
+	st.value.CopyFrom(types.TaggedValue{TS: types.Timestamp(r.TS), Cur: r.Cur, Prev: r.Prev})
+	st.valueSig = types.CopyValue(st.valueSig, r.Sig)
 }
 
 // dumpRecord fills a snapshot record with the register's durable state. The
@@ -209,12 +204,12 @@ func (s *Server) StateOf(key string) ServerState {
 // requests from one client is answered with ONE batched send.
 //
 // This is the per-message hot path. It decodes into a pooled scratch message
-// whose byte fields alias the payload (zero-copy), keeps bytes only at the
-// one retention point (adopting a newer value into register state, through
-// Slot.Adopt), and builds the acknowledgement aliasing the stored state —
-// safe because the executor's one goroutine handling this message is the
-// only mutator of this key's state and the ack is encoded before it handles
-// its next message.
+// whose byte fields alias the payload (zero-copy), copies bytes only at the
+// one retention point (adopting a newer value into the register's own
+// buffers), and builds the acknowledgement aliasing the stored state — safe
+// because the executor's one goroutine handling this message is the only
+// mutator of this key's state and the ack is encoded before it handles its
+// next message, whose adoption overwrites those buffers.
 func (s *Server) handle(m transport.Message, req *wire.Message, out transport.Sender) {
 	if req.Op != wire.OpWrite && req.Op != wire.OpRead {
 		return
@@ -260,7 +255,7 @@ func (s *Server) handle(m transport.Message, req *wire.Message, out transport.Se
 			Sig:      req.WriterSig,
 			From:     m.From,
 			RCounter: req.RCounter,
-		}, m.Arena) {
+		}) {
 			return
 		}
 		st := &sl.State

@@ -197,20 +197,17 @@ func (s *ByzantineServer) handle(m transport.Message, req *wire.Message, out tra
 }
 
 // adopt updates the request's register exactly as an honest fast server
-// would and returns the honest acknowledgement. Its fields alias the state,
-// which only the server's executor mutates, and it is encoded before the
-// executor handles its next message.
+// would, copying an adopted value and its signature into the register's own
+// buffers, and returns the honest acknowledgement. Its fields alias the
+// state, which only the server's executor mutates, and it is encoded before
+// the executor handles its next message.
 func (s *ByzantineServer) adopt(m transport.Message, req *wire.Message, ackOp wire.Op) *wire.Message {
 	var ack *wire.Message
 	s.Do(req.Key, func(sl *protoutil.Slot[byzState]) {
 		st := &sl.State
 		if req.TS > st.value.TS {
-			st.value = types.TaggedValue{TS: req.TS, Cur: req.Cur, Prev: req.Prev}
-			st.sig = req.WriterSig
-			if !sl.Adopt(m.Arena) {
-				st.value = st.value.Clone()
-				st.sig = append([]byte(nil), req.WriterSig...)
-			}
+			st.value.CopyFrom(types.TaggedValue{TS: req.TS, Cur: req.Cur, Prev: req.Prev})
+			st.sig = types.CopyValue(st.sig, req.WriterSig)
 			st.seen = 0
 		}
 		st.seen |= types.ClientBit(m.From)

@@ -213,17 +213,14 @@ func NewServer(cfg ServerConfig, node transport.Node) (*Server, error) {
 // apply is the register's one mutation (protoutil.Protocol.Apply), live and
 // in recovery: a delta — a write or a peer's gossip — is adopted only if its
 // timestamp is newer, a KindState record restores the value. The record's
-// bytes are kept pinned by a or cloned, at the one retention point. Only the
-// value is durable; the gossip bookkeeping is not.
-func apply(sl *protoutil.Slot[registerState], r durable.Record, a *wire.Arena) bool {
+// bytes are copied into the register's own buffers, at the one retention
+// point. Only the value is durable; the gossip bookkeeping is not.
+func apply(sl *protoutil.Slot[registerState], r durable.Record) bool {
 	ts := types.Timestamp(r.TS)
 	if r.Kind == durable.KindDelta && ts <= sl.State.value.TS {
 		return false
 	}
-	sl.State.value = types.TaggedValue{TS: ts, Cur: r.Cur, Prev: r.Prev}
-	if !sl.Adopt(a) {
-		sl.State.value = sl.State.value.Clone()
-	}
+	sl.State.value.CopyFrom(types.TaggedValue{TS: ts, Cur: r.Cur, Prev: r.Prev})
 	return true
 }
 
@@ -267,7 +264,7 @@ func (s *Server) handle(m transport.Message, req *wire.Message, out transport.Se
 				Cur:  req.Cur,
 				Prev: req.Prev,
 				From: m.From,
-			}, m.Arena)
+			})
 		}
 		step(sl, m, req, out)
 	})
@@ -291,7 +288,8 @@ func (s *Server) handleRead(sl *protoutil.Slot[registerState], m transport.Messa
 	}
 	p := st.pendingState(rkey)
 	p.requested = true
-	// The entry outlives the arena the value may alias: an owned clone.
+	// The entry outlives the next adoption, which overwrites the register's
+	// buffers: an owned clone.
 	p.gossips[s.cfg.ID] = st.value.Clone()
 
 	gossip := &wire.Message{

@@ -1,6 +1,7 @@
 package protoutil
 
 import (
+	"fmt"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -11,11 +12,11 @@ import (
 )
 
 // valueServer is a one-value register on a Shell. It adopts a newer write
-// the way every shipped server does, through Slot.Adopt, and counts the
-// values it had to clone.
+// the way every shipped server does, copying the value into the register's
+// own buffers, and remembers the arena each request arrived in.
 type valueServer struct {
 	*Shell[types.TaggedValue]
-	clones atomic.Int64
+	arrived atomic.Pointer[wire.Arena]
 }
 
 func startValueServer(t *testing.T, net *transport.InMemNetwork, id types.ProcessID) *valueServer {
@@ -29,14 +30,10 @@ func startValueServer(t *testing.T, net *transport.InMemNetwork, id types.Proces
 		Name:     "value",
 		NewState: func() types.TaggedValue { return types.TaggedValue{} },
 		Handle: func(m transport.Message, req *wire.Message, out transport.Sender) {
+			vs.arrived.Store(m.Arena)
 			vs.Do(req.Key, func(sl *Slot[types.TaggedValue]) {
-				if req.TS <= sl.State.TS {
-					return
-				}
-				sl.State = types.TaggedValue{TS: req.TS, Cur: req.Cur, Prev: req.Prev}
-				if !sl.Adopt(m.Arena) {
-					sl.State = sl.State.Clone()
-					vs.clones.Add(1)
+				if req.TS > sl.State.TS {
+					sl.State.CopyFrom(req.Tagged())
 				}
 			})
 			_ = transport.SendEncoded(out, m.From, &wire.Message{Op: wire.OpWriteAck, Key: req.Key, TS: req.TS})
@@ -51,11 +48,24 @@ func startValueServer(t *testing.T, net *transport.InMemNetwork, id types.Proces
 	return vs
 }
 
-// pinned is the arena the key's slot pins, nil when its value is owned.
-func (vs *valueServer) pinned(key string) *wire.Arena {
-	var a *wire.Arena
-	vs.PeekSlot(key, func(sl *Slot[types.TaggedValue]) { a = sl.arena })
-	return a
+// value is a copy of the key's register.
+func (vs *valueServer) value(key string) types.TaggedValue {
+	var v types.TaggedValue
+	vs.Peek(key, func(st *types.TaggedValue) { v = st.Clone() })
+	return v
+}
+
+// written is the value the tests write at ts.
+func written(ts types.Timestamp) types.TaggedValue {
+	return types.TaggedValue{TS: ts, Cur: types.Value(fmt.Sprintf("value-%d", ts)), Prev: types.Value(fmt.Sprintf("prev-%d", ts))}
+}
+
+// wantValue fails unless the key's register on vs holds want.
+func wantValue(t *testing.T, what string, vs *valueServer, key string, want types.TaggedValue) {
+	t.Helper()
+	if got := vs.value(key); got.TS != want.TS || !got.Cur.Equal(want.Cur) || !got.Prev.Equal(want.Prev) {
+		t.Errorf("%s: %v holds %s under %q, want %s", what, vs.ID(), got, key, want)
+	}
 }
 
 // arenaSpy is a client node that remembers the arena of the broadcast in
@@ -83,11 +93,13 @@ func (s *arenaSpy) take() *wire.Arena {
 
 // TestBroadcastSharesOneArena pins the request side of wire's rule 4 over an
 // in-memory S = 4 deployment, with the client on a demux route as every
-// Store handle is: one broadcast is one arena that every server pins, the
-// next write moves every pin off it, and a broadcast that reaches fewer
-// servers (an isolated one, a closed client node) leaves no reference behind.
-// A node with only Send delivers no arena, and the servers clone. Race
-// builds poison an arena on its final release, so a missing Ref reads
+// Store handle is: one broadcast is one arena that every server's delivery
+// shares, and once the servers have acknowledged, none of them holds a
+// reference on it — each copied the value into its register. That holds for
+// a broadcast that reaches fewer servers (an isolated one, a closed client
+// node) too, and a node with only Send delivers no arena at all. The values
+// are read back after the arenas went back to the pool; race builds poison
+// an arena on its final release, so a register that kept an alias reads
 // garbage here.
 func TestBroadcastSharesOneArena(t *testing.T) {
 	const key = "k"
@@ -109,7 +121,8 @@ func TestBroadcastSharesOneArena(t *testing.T) {
 
 	write := func(from transport.Node, ts types.Timestamp, acks int) error {
 		t.Helper()
-		req := &wire.Message{Op: wire.OpWrite, Key: key, TS: ts, Cur: types.Value("value"), Prev: types.Value("prev")}
+		v := written(ts)
+		req := &wire.Message{Op: wire.OpWrite, Key: key, TS: ts, Cur: v.Cur, Prev: v.Prev}
 		if err := broadcast(from, servers, req); err != nil {
 			return err
 		}
@@ -124,62 +137,52 @@ func TestBroadcastSharesOneArena(t *testing.T) {
 		}
 		return nil
 	}
-	checkPins := func(what string, want ...*wire.Arena) {
+	// check compares the arena each server's last request arrived in with
+	// want, and the value each server holds with the one written at ts.
+	check := func(what string, want []*wire.Arena, ts ...types.Timestamp) {
 		t.Helper()
 		for i, vs := range vss {
-			if got := vs.pinned(key); got != want[i] {
-				t.Errorf("%s: s%d pins %p, want %p", what, i+1, got, want[i])
+			if got := vs.arrived.Load(); got != want[i] {
+				t.Errorf("%s: s%d's request arrived in %p, want %p", what, i+1, got, want[i])
 			}
+			wantValue(t, what, vs, key, written(ts[i]))
 		}
+	}
+	wantOnlySpy := func(what string, a *wire.Arena) {
+		t.Helper()
+		if got := a.Refs(); got != 1 {
+			t.Errorf("%s: arena refs %d after the acks, want only the spy's", what, got)
+		}
+		a.Release()
 	}
 
 	if err := write(spy, 1, 4); err != nil {
 		t.Fatal(err)
 	}
 	first := spy.take()
-	checkPins("first write", first, first, first, first)
-	if got := first.Refs(); got != 5 {
-		t.Errorf("first write: arena refs %d, want 4 pins + the spy's", got)
-	}
+	wantOnlySpy("first write", first)
+	check("first write", []*wire.Arena{first, first, first, first}, 1, 1, 1, 1)
 
 	if err := write(spy, 2, 4); err != nil {
 		t.Fatal(err)
 	}
 	second := spy.take()
-	if second == first {
-		t.Fatal("the second write reused the first write's arena while it was pinned")
-	}
-	checkPins("second write", second, second, second, second)
-	if got := first.Refs(); got != 1 {
-		t.Errorf("second write: first arena refs %d, want only the spy's", got)
-	}
-	first.Release()
-	second.Release()
-	if n := vss[0].clones.Load() + vss[1].clones.Load() + vss[2].clones.Load() + vss[3].clones.Load(); n != 0 {
-		t.Errorf("servers cloned %d arena-backed values, want 0", n)
-	}
+	wantOnlySpy("second write", second)
+	check("second write", []*wire.Arena{second, second, second, second}, 2, 2, 2, 2)
 
 	net.Isolate(servers[3])
 	if err := write(spy, 3, 3); err != nil {
 		t.Fatal(err)
 	}
 	third := spy.take()
-	checkPins("isolated s4", third, third, third, second)
-	if got := third.Refs(); got != 4 {
-		t.Errorf("isolated s4: arena refs %d, want 3 pins + the spy's", got)
-	}
-	third.Release()
+	wantOnlySpy("isolated s4", third)
+	check("isolated s4", []*wire.Arena{third, third, third, second}, 3, 3, 3, 2)
 	net.Reconnect(servers[3])
 
 	if err := write(struct{ transport.Node }{route}, 4, 4); err != nil {
 		t.Fatal(err)
 	}
-	checkPins("send-only node", nil, nil, nil, nil)
-	for i, vs := range vss {
-		if got := vs.clones.Load(); got != 1 {
-			t.Errorf("send-only node: s%d cloned %d values, want 1", i+1, got)
-		}
-	}
+	check("send-only node", []*wire.Arena{nil, nil, nil, nil}, 4, 4, 4, 4)
 
 	if err := node.Close(); err != nil {
 		t.Fatal(err)
@@ -187,9 +190,54 @@ func TestBroadcastSharesOneArena(t *testing.T) {
 	if err := write(spy, 5, 0); err == nil {
 		t.Fatal("a broadcast from a closed node succeeded")
 	}
-	fifth := spy.take()
-	if got := fifth.Refs(); got != 1 {
-		t.Errorf("closed node: arena refs %d, want only the spy's", got)
+	wantOnlySpy("closed node", spy.take())
+}
+
+// TestHandledFrameIsReleased: a server that adopts the values of one batch
+// frame — writes for three keys in one arena, as a socket read loop hands
+// over what a pipelined client sent — holds no reference on the frame once
+// it has acknowledged them. Its registers hold their own copies: the test,
+// the frame's last holder, overwrites it and reads every value back.
+func TestHandledFrameIsReleased(t *testing.T) {
+	net := transport.NewInMemNetwork()
+	defer net.Close()
+	vs := startValueServer(t, net, types.Server(1))
+	client, err := net.Join(types.Writer())
+	if err != nil {
+		t.Fatal(err)
 	}
-	fifth.Release()
+	keys := []string{"a", "b", "c"}
+	var b wire.Batch
+	b.GrowArena(256)
+	for _, key := range keys {
+		v := written(1)
+		if err := b.AppendMessage(&wire.Message{Op: wire.OpWrite, Key: key, TS: v.TS, Cur: v.Cur, Prev: v.Prev}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	payload := b.Bytes()
+	frame := b.TakeArena()
+	frame.Ref() // the test's own, beside the one the send hands over
+	defer frame.Release()
+	if err := client.(transport.ArenaSender).SendArena(vs.ID(), wire.OpWrite.String(), payload, frame); err != nil {
+		t.Fatal(err)
+	}
+	for acks := 0; acks < len(keys); {
+		select {
+		case m := <-client.Inbox():
+			transport.Expand(m, func(transport.Message) { acks++ })
+			m.ReleaseArena()
+		case <-time.After(5 * time.Second):
+			t.Fatalf("%d of %d acknowledgements arrived", acks, len(keys))
+		}
+	}
+	if got := frame.Refs(); got != 1 {
+		t.Fatalf("the frame holds %d references after its acks, want only the test's", got)
+	}
+	for i := range payload {
+		payload[i] = 0xEE
+	}
+	for _, key := range keys {
+		wantValue(t, "after the frame was overwritten", vs, key, written(1))
+	}
 }

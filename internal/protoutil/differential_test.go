@@ -44,10 +44,10 @@ const (
 // request sequence; after every request's commit a copy of its data
 // directory is recovered into a fresh server, and every register's durable
 // state must equal the live one's: value, signature, seen set in order,
-// counters and LSN. Requests come either in a pooled arena, which the server
-// may pin, or in a scratch buffer that is poisoned as soon as the handler
-// returns, so a register that keeps a request's bytes without pinning them
-// diverges from its recovered copy.
+// counters and LSN. Requests come either in a pooled arena or in a scratch
+// buffer that is poisoned as soon as the handler returns, so a register that
+// keeps a request's bytes instead of copying them diverges from its
+// recovered copy.
 func TestShellDifferentialRecovery(t *testing.T) {
 	for _, sh := range shapes {
 		sh := sh

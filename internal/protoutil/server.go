@@ -66,19 +66,17 @@ type Protocol[S any] struct {
 	// decoded into req (malformed payloads never reach it); replies go
 	// through out, the executor's run-scoped coalescer. req is pooled and
 	// aliases m's payload: it is the handler's until it returns. A handler
-	// changes state only through Shell.Apply, with a delta built from req
-	// and m.Arena.
+	// changes state only through Shell.Apply, with a delta built from req.
 	Handle func(m transport.Message, req *wire.Message, out transport.Sender)
 	// Apply is the register's one mutation, run by the live handler (through
 	// Shell.Apply) and by recovery alike. A KindDelta runs the protocol's
 	// adoption rule and reports whether the request was applied; a KindState
-	// record restores the register wholesale. r's bytes alias a's buffer, so
-	// retained bytes go through sl.Adopt(a): keep the aliases when it returns
-	// true, clone when it returns false. Recovery passes a nil arena, because
-	// a replayed record aliases the replay buffer. r is passed by value: a
-	// pointer handed through this func field would escape to the heap, one
-	// allocation per request.
-	Apply func(sl *Slot[S], r durable.Record, a *wire.Arena) bool
+	// record restores the register wholesale. r's bytes alias the request's
+	// buffer (or recovery's replay buffer), which is reused once the handler
+	// returns, so what the register keeps it copies into its own buffers
+	// (types.CopyValue). r is passed by value: a pointer handed through this
+	// func field would escape to the heap, one allocation per request.
+	Apply func(sl *Slot[S], r durable.Record) bool
 	// Dump fills r with a register's durable fields for a snapshot (Kind, LSN
 	// and Key are the shell's). r may alias live state: it is encoded under
 	// the state map's lock, before the next mutation.
@@ -105,30 +103,9 @@ type Slot[S any] struct {
 	// Shell.Apply applied, durable or not, counted under the state map's lock
 	// the handler already holds; protocols only read it.
 	Mutations int64
-	// arena is the frame buffer the state's adopted value aliases, nil when
-	// the state owns its bytes. At most one arena is pinned per register: the
-	// one carrying its newest adopted value.
-	arena *wire.Arena
 	// key is the register's key, the very string the state map holds: a
 	// request that names the register decodes its key to it (keyOf).
 	key string
-}
-
-// Adopt is every server's retention point for request bytes (wire's rules 3
-// and 4), called when the register adopts a new value. It takes a reference
-// on a if a is non-nil, releases the arena pinned before, and pins a. True
-// means the state may keep the request's aliases; false means it must store
-// fresh copies, and never append into its old bytes, which may live in the
-// arena just released. Adopt(nil) marks a value the state already owns.
-func (sl *Slot[S]) Adopt(a *wire.Arena) bool {
-	if a != nil {
-		a.Ref()
-	}
-	if sl.arena != nil {
-		sl.arena.Release()
-	}
-	sl.arena = a
-	return a != nil
 }
 
 // Shell is the protocol-independent server. One server multiplexes every
@@ -205,15 +182,15 @@ func (s *Shell[S]) keyOf(key []byte) (string, bool) {
 }
 
 // applyRecord replays one recovered log record through the live path's
-// Apply, with no arena. The per-key LSN guard skips deltas a restored
-// snapshot already reflects (see the durable package's replay discipline),
-// which is what makes snapshot + tail replay idempotent.
+// Apply. The per-key LSN guard skips deltas a restored snapshot already
+// reflects (see the durable package's replay discipline), which is what
+// makes snapshot + tail replay idempotent.
 func (s *Shell[S]) applyRecord(r *durable.Record) error {
 	s.states.Do(r.Key, func(sl *Slot[S]) {
 		if r.Kind == durable.KindDelta && r.LSN <= sl.lsn {
 			return
 		}
-		s.proto.Apply(sl, *r, nil)
+		s.proto.Apply(sl, *r)
 		sl.lsn = r.LSN
 	})
 	return nil
@@ -241,16 +218,15 @@ func (s *Shell[S]) dumpRecords(emit func(*durable.Record) error) error {
 func (s *Shell[S]) Do(key string, fn func(*Slot[S])) { s.states.Do(key, fn) }
 
 // Apply is the one door for a live change: handlers call it inside Do with
-// the delta built from the request and the request's arena, before building
-// the ack. It runs the protocol's Apply, the same function recovery replays;
-// when that applied the delta, it counts one mutation, stages the delta in
-// the durable log and records its LSN in the slot (without a log it only
-// counts). Nothing blocks on stable storage here: the commit that makes the
+// the delta built from the request, before building the ack. It runs the
+// protocol's Apply, the same function recovery replays; when that applied
+// the delta, it counts one mutation, stages the delta in the durable log and
+// records its LSN in the slot (without a log it only counts). Nothing blocks on stable storage here: the commit that makes the
 // record durable runs once at the end of the executor run, before the run's
 // acks are released (commitRun). r is consumed before return, so it may
 // alias the request. A caller outside an executor run ends the run itself.
-func (s *Shell[S]) Apply(sl *Slot[S], r *durable.Record, a *wire.Arena) bool {
-	if !s.proto.Apply(sl, *r, a) {
+func (s *Shell[S]) Apply(sl *Slot[S], r *durable.Record) bool {
+	if !s.proto.Apply(sl, *r) {
 		return false
 	}
 	sl.Mutations++

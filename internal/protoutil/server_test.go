@@ -360,12 +360,12 @@ func openCounter(t *testing.T, node transport.Node, opts durable.Options) *count
 		Handle: func(m transport.Message, req *wire.Message, out transport.Sender) {
 			ack := &wire.Message{Op: wire.OpWriteAck, Key: req.Key}
 			cs.Do(req.Key, func(sl *protoutil.Slot[int64]) {
-				cs.Apply(sl, &durable.Record{Kind: durable.KindDelta, Key: req.Key}, m.Arena)
+				cs.Apply(sl, &durable.Record{Kind: durable.KindDelta, Key: req.Key})
 				ack.TS, ack.RCounter = types.Timestamp(sl.State), sl.LSN()
 			})
 			_ = transport.SendEncoded(out, m.From, ack)
 		},
-		Apply: func(sl *protoutil.Slot[int64], r durable.Record, _ *wire.Arena) bool {
+		Apply: func(sl *protoutil.Slot[int64], r durable.Record) bool {
 			if r.Kind == durable.KindState {
 				sl.State = r.TS
 			} else {
@@ -407,36 +407,6 @@ func TestShellID(t *testing.T) {
 	}
 }
 
-// TestSlotAdoptPinsOneArena walks one slot through every adoption a server
-// makes — a first arena, the same arena again, a second arena, an owned
-// value — checking after each step that the slot holds exactly one reference
-// on the arena it pins and none on any other. Each arena starts with the one
-// reference its delivered message holds.
-func TestSlotAdoptPinsOneArena(t *testing.T) {
-	a, b := wire.GetArena(64), wire.GetArena(64)
-	defer a.Release()
-	defer b.Release()
-	var sl protoutil.Slot[struct{}]
-	for _, step := range []struct {
-		name         string
-		adopt        *wire.Arena
-		want         bool
-		refsA, refsB int32
-	}{
-		{"nil to A", a, true, 2, 1},
-		{"A to A", a, true, 2, 1},
-		{"A to B", b, true, 1, 2},
-		{"B to nil", nil, false, 1, 1},
-	} {
-		if got := sl.Adopt(step.adopt); got != step.want {
-			t.Errorf("%s: Adopt = %v, want %v", step.name, got, step.want)
-		}
-		if a.Refs() != step.refsA || b.Refs() != step.refsB {
-			t.Errorf("%s: refs A=%d B=%d, want A=%d B=%d", step.name, a.Refs(), b.Refs(), step.refsA, step.refsB)
-		}
-	}
-}
-
 // TestShellReplayAppliesEachDeltaOnce pins the shell's LSN guard: snapshots
 // run while appends continue, so after a crash the surviving tail holds
 // deltas the restored snapshot already reflects, and replaying one twice
@@ -455,7 +425,7 @@ func TestShellReplayAppliesEachDeltaOnce(t *testing.T) {
 		for k := 0; k < keys; k++ {
 			key := keyName(k)
 			first.Do(key, func(sl *protoutil.Slot[int64]) {
-				first.Apply(sl, &durable.Record{Kind: durable.KindDelta, Key: key}, nil)
+				first.Apply(sl, &durable.Record{Kind: durable.KindDelta, Key: key})
 			})
 			// No executor is running: end the run by hand, or the crash
 			// below drops the staged record.

@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"fastread/internal/types"
+	"fastread/internal/wire"
 )
 
 // goid returns the calling goroutine's id, parsed from its stack header
@@ -254,4 +255,43 @@ func TestPushDeliveryNotForServersOrInboxes(t *testing.T) {
 			m.ReleaseArena()
 		}
 	})
+}
+
+// TestPushExpandedReleasesTheFrameFirst: a batch frame pushed into an idle
+// push-delivered queue is delivered by the pusher inside PushExpanded, and by
+// then the frame's own reference is gone. Each sub-message holds one
+// reference, so a consumer that releases as it goes counts down from the
+// frame's message count to one.
+func TestPushExpandedReleasesTheFrameFirst(t *testing.T) {
+	const n = 5
+	var b wire.Batch
+	b.GrowArena(256)
+	for i := 0; i < n; i++ {
+		if err := b.AppendMessage(&wire.Message{Op: wire.OpReadAck, Key: "k", RCounter: int64(i)}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	payload := b.Bytes()
+	frame := b.TakeArena()
+
+	var refs []int32
+	q := NewQueue(0)
+	defer q.Close()
+	if _, ok := q.Claim(func(m Message) {
+		refs = append(refs, m.Arena.Refs())
+		m.ReleaseArena()
+	}, func() {}, PusherRuns); !ok {
+		t.Fatal("the queue was already claimed")
+	}
+	if got := q.PushExpanded(Message{From: types.Server(1), Kind: "m", Payload: payload, Arena: frame}); got != n {
+		t.Fatalf("PushExpanded admitted %d messages, want %d", got, n)
+	}
+	if len(refs) != n {
+		t.Fatalf("the pusher delivered %d messages, want %d", len(refs), n)
+	}
+	for i, got := range refs {
+		if want := int32(n - i); got != want {
+			t.Errorf("message %d saw %d references on its frame, want %d (one per message not yet released)", i, got, want)
+		}
+	}
 }

@@ -157,7 +157,8 @@ func (q *Queue) RunTaken() {
 // PushExpanded admits every message a batch envelope carries under one lock,
 // so a run takes all of the frame or none of it, and reports how many were
 // admitted. Every admitted sub-message aliases the frame's arena with one
-// reference of its own; the frame's own reference is released.
+// reference of its own; the frame's own reference is released before any of
+// them is delivered, so a consumer counts only the references it can see.
 func (q *Queue) PushExpanded(frame Message) int {
 	admitted := 0
 	q.mu.Lock()
@@ -170,12 +171,12 @@ func (q *Queue) PushExpanded(frame Message) int {
 		}
 		return nil
 	})
+	frame.ReleaseArena()
 	if admitted > 0 {
 		q.admitted()
 	} else {
 		q.mu.Unlock()
 	}
-	frame.ReleaseArena()
 	return admitted
 }
 

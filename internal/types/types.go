@@ -235,6 +235,29 @@ func (v Value) Clone() Value {
 	return out
 }
 
+// CopyValue returns src's bytes in dst's buffer: the retention point of a
+// server that keeps a value past the message carrying it (wire's rule 3).
+// dst's capacity is reused, so a register rewriting values of a stable size
+// allocates nothing. ⊥ stays ⊥ and an empty value stays non-⊥. A new buffer
+// of exactly len(src) is allocated when dst's is too short or more than
+// twice that long, so a register keeps no buffer a larger old value left
+// behind. src must not share dst's buffer.
+func CopyValue(dst, src Value) Value {
+	if src == nil {
+		return nil
+	}
+	if !fits(dst, src) {
+		dst = make(Value, 0, len(src))
+	}
+	return append(dst[:0], src...)
+}
+
+// fits reports whether CopyValue may copy src into dst's buffer: ⊥ needs
+// none, and any other value one at least as long and at most twice as long.
+func fits(dst, src Value) bool {
+	return src == nil || (dst != nil && len(src) <= cap(dst) && cap(dst) <= 2*len(src))
+}
+
 // Equal reports whether two values are byte-wise identical (⊥ equals only ⊥).
 func (v Value) Equal(other Value) bool {
 	if v.IsBottom() || other.IsBottom() {
@@ -270,6 +293,21 @@ func InitialTaggedValue() TaggedValue {
 // Clone returns a deep copy of the tagged value.
 func (tv TaggedValue) Clone() TaggedValue {
 	return TaggedValue{TS: tv.TS, Cur: tv.Cur.Clone(), Prev: tv.Prev.Clone()}
+}
+
+// CopyFrom makes tv hold src in tv's own buffers (CopyValue). When either
+// value needs a new buffer, Cur and Prev get one allocation together: a
+// register's value is one contiguous block, which matters to a process
+// hosting many registers, whose acks read it. src must not share tv's
+// buffers.
+func (tv *TaggedValue) CopyFrom(src TaggedValue) {
+	tv.TS = src.TS
+	if !fits(tv.Cur, src.Cur) || !fits(tv.Prev, src.Prev) {
+		buf := make(Value, len(src.Cur)+len(src.Prev))
+		tv.Cur, tv.Prev = buf[:len(src.Cur):len(src.Cur)], buf[len(src.Cur):]
+	}
+	tv.Cur = CopyValue(tv.Cur, src.Cur)
+	tv.Prev = CopyValue(tv.Prev, src.Prev)
 }
 
 // At returns the value the tagged value associates with timestamp ts: Cur for

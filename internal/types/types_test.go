@@ -133,6 +133,80 @@ func TestValueClone(t *testing.T) {
 	}
 }
 
+// TestCopyValue pins the retention rule every server keeps a value by: ⊥
+// stays ⊥, an empty written value stays non-⊥, dst's buffer is reused unless
+// it is too short or more than twice the value, and the result never shares
+// src's bytes.
+func TestCopyValue(t *testing.T) {
+	buf := func(n int) Value { return make(Value, n) }
+	shares := func(a, b Value) bool { return cap(a) > 0 && cap(b) > 0 && &a[:1][0] == &b[:1][0] }
+	for _, tc := range []struct {
+		name  string
+		dst   Value
+		src   Value
+		reuse bool
+	}{
+		{"⊥ over a buffer", buf(8), nil, false},
+		{"empty over ⊥", nil, Value{}, false},
+		{"empty over a buffer", buf(8), Value{}, false},
+		{"into ⊥", nil, Value("abc"), false},
+		{"same size", buf(5), Value("hello"), true},
+		{"shorter, within twice", buf(8), Value("four"), true},
+		{"too short", buf(4), Value("hello"), false},
+		{"more than twice", buf(11), Value("hello"), false},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			src := tc.src.Clone()
+			got := CopyValue(tc.dst, src)
+			if !got.Equal(tc.src) {
+				t.Fatalf("CopyValue = %s, want %s", got, tc.src)
+			}
+			if shares(got, tc.dst) != tc.reuse {
+				t.Errorf("reused dst's buffer: %v, want %v", shares(got, tc.dst), tc.reuse)
+			}
+			if cap(got) > 2*len(got) {
+				t.Errorf("kept a buffer of %d bytes for a %d-byte value", cap(got), len(got))
+			}
+			if len(src) > 0 {
+				src[0] ^= 0xff
+				if !got.Equal(tc.src) {
+					t.Errorf("overwriting the source changed the copy to %s", got)
+				}
+			}
+		})
+	}
+}
+
+// TestTaggedValueCopyFromAllocatesNothing: a register rewriting values of a
+// stable size reuses its buffers, and one that needs new ones allocates once
+// for Cur and Prev together.
+func TestTaggedValueCopyFromAllocatesNothing(t *testing.T) {
+	src := TaggedValue{TS: 1, Cur: Value("current"), Prev: Value("previous")}
+	if n := testing.AllocsPerRun(100, func() {
+		var fresh TaggedValue
+		fresh.CopyFrom(src)
+		sink = fresh
+	}); n != 1 {
+		t.Errorf("CopyFrom into a register without buffers allocates %.1f times, want 1", n)
+	}
+	var tv TaggedValue
+	tv.CopyFrom(TaggedValue{TS: 1, Cur: Value("first")})
+	tv.CopyFrom(src)
+	if n := testing.AllocsPerRun(100, func() { src.TS++; tv.CopyFrom(src) }); n != 0 {
+		t.Errorf("a same-size CopyFrom allocates %.1f times, want 0", n)
+	}
+	if tv.TS != src.TS || !tv.Cur.Equal(src.Cur) || !tv.Prev.Equal(src.Prev) {
+		t.Errorf("CopyFrom = %s, want %s", tv, src)
+	}
+	tv.CopyFrom(TaggedValue{TS: src.TS + 1, Cur: Value("next")})
+	if !tv.Cur.Equal(Value("next")) || !tv.Prev.IsBottom() {
+		t.Errorf("CopyFrom of a value without a predecessor = %s, want cur \"next\", prev ⊥", tv)
+	}
+}
+
+// sink keeps a test's value on the heap, as a register's is.
+var sink TaggedValue
+
 func TestTaggedValueAt(t *testing.T) {
 	tv := TaggedValue{TS: 7, Cur: Value("v7"), Prev: Value("v6")}
 	if got := tv.At(7); !got.Equal(Value("v7")) {

@@ -10,7 +10,7 @@ import "sync"
 // that path on one goroutine per server (internal/transport.Executor), which
 // is therefore every register's sole mutator — which is what makes rule 2's
 // aliasing safe. The codec supports doing all of this without per-message
-// allocations, under three rules:
+// allocations, under four rules:
 //
 //  1. Encoded payloads are immutable. Once a []byte has been handed to
 //     transport.Node.Send, OWNERSHIP PASSES TO THE TRANSPORT (the in-memory
@@ -20,24 +20,24 @@ import "sync"
 //     its Arena (transport.ArenaSender, which a client's broadcast and a
 //     server's ack coalescer use on every shipped node) passes the arena's
 //     reference too: the in-memory network delivers both, so the buffer
-//     returns to the pool once its last receiver releases it (rule 4), and a
-//     socket carrier copies the bytes and releases at once.
+//     returns to the pool once its last receiver has handled it (rule 4),
+//     and a socket carrier copies the bytes and releases at once.
 //
 //  2. Decoded views may alias. DecodeInto makes Cur, Prev and WriterSig
 //     alias the payload. That is safe precisely because of rule 1. A decoded
 //     message (and anything aliasing it) is valid until the handler returns.
 //
-//  3. Clone OR REF at retention points. Any decoded field that outlives
-//     handling of the one message that carried it — a value adopted into
-//     server state, a reader's remembered last-observed tag, a pipelined
-//     client's detached acknowledgement — must either be cloned at the point
-//     of retention, or keep aliasing while holding a REFERENCE on the frame's
-//     Arena (see rule 4). Every server makes that choice in one place,
-//     protoutil.Slot.Adopt, which pins the request's arena — on every
-//     shipped transport a request carries one — and tells the caller to
-//     clone when there is none. Transient uses (building an ack that is
-//     encoded before the handler returns, evaluating a predicate) must NOT
-//     clone.
+//  3. Copy at retention points. Any decoded field that outlives handling of
+//     the one message that carried it — a value adopted into server state, a
+//     reader's remembered last-observed tag — must be copied at the point of
+//     retention. A server copies an adopted value into its register's own
+//     buffers (types.CopyValue), which it reuses from one value to the next,
+//     so it allocates nothing in steady state and holds no frame: a request's
+//     arena is free once its last handler returns. The one exception is a
+//     pipelined client's detached acknowledgement, which lives only until its
+//     round completes and holds a REFERENCE on the frame's Arena meanwhile
+//     (rule 4). Transient uses (building an ack that is encoded before the
+//     handler returns, evaluating a predicate) must NOT copy.
 //
 //  4. Arena buffers are refcounted. A socket transport decodes each inbound
 //     frame into a pooled, refcounted Arena (arena.go), a client encodes each
@@ -46,13 +46,14 @@ import "sync"
 //     delivers with the message; every view decoded from such a payload
 //     aliases that buffer. The delivered transport message carries one
 //     reference; whoever drains the inbox releases it after handling, and
-//     anything that retains an aliasing view past that point must take its
-//     own Arena.Ref first and Release when done. A missing Release degrades
-//     to rule-1 behaviour (the buffer leaks to the GC, views stay valid); a
-//     double Release panics, because recycling a live buffer corrupts every
-//     surviving view; a missing Ref reads poison under the race detector
-//     (arena_race.go). Messages without an arena (a plain Send through a node
-//     decorator, hand-built tests) follow rule 3's clone branch unchanged.
+//     anything that retains an aliasing view past that point (only a client's
+//     pending acknowledgement does) must take its own Arena.Ref first and
+//     Release when done. A missing Release degrades to rule-1 behaviour (the
+//     buffer leaks to the GC, views stay valid); a double Release panics,
+//     because recycling a live buffer corrupts every surviving view; a
+//     missing Ref reads poison under the race detector (arena_race.go).
+//     Messages without an arena (a plain Send through a node decorator,
+//     hand-built tests) are handled the same way: rule 3 copies either.
 //
 // GetMessage/PutMessage recycle Message structs for rule-2 scratch decoding;
 // GetBuffer/PutBuffer recycle byte slices for encode/digest scratch that the

@@ -127,7 +127,9 @@ type Register struct {
 	gi     int
 	g      *storeGroup
 	writer *writerHandle
-	reads  []*readerHandle
+	// readers holds a *readerHandle per reader, in index order; Readers
+	// hands out the slice itself.
+	readers []Reader
 }
 
 // NewStore builds and starts a multi-register deployment according to cfg:
@@ -354,7 +356,7 @@ func (s *Store) newRegister(g *storeGroup, gi int, key string) (*Register, error
 		}
 		rh := &readerHandle{store: s}
 		rh.cur.Store(r)
-		reg.reads = append(reg.reads, rh)
+		reg.readers = append(reg.readers, rh)
 	}
 	return reg, nil
 }
@@ -543,7 +545,7 @@ func (s *Store) RestartReader(key string, i int) error {
 	if err != nil {
 		return err
 	}
-	reg.reads[i-1].cur.Store(r)
+	reg.readers[i-1].(*readerHandle).cur.Store(r)
 	return nil
 }
 
@@ -574,8 +576,8 @@ func (s *Store) Stats() Stats {
 		w, wr := reg.writer.w.Stats()
 		gs.Writes += w
 		out.WriteRoundTrips += wr
-		for _, r := range reg.reads {
-			reads, rounds, fallbacks := r.cur.Load().Stats()
+		for _, r := range reg.readers {
+			reads, rounds, fallbacks := r.(*readerHandle).cur.Load().Stats()
 			gs.Reads += reads
 			out.ReadRoundTrips += rounds
 			out.FallbackReads += fallbacks
@@ -638,20 +640,17 @@ func (r *Register) Writer() Writer { return r.writer }
 
 // Reader returns the read handle of reader ri (1-based) for this register.
 func (r *Register) Reader(i int) (Reader, error) {
-	if i < 1 || i > len(r.reads) {
-		return nil, fmt.Errorf("%w: %d (R=%d)", ErrUnknownReader, i, len(r.reads))
+	if i < 1 || i > len(r.readers) {
+		return nil, fmt.Errorf("%w: %d (R=%d)", ErrUnknownReader, i, len(r.readers))
 	}
-	return r.reads[i-1], nil
+	return r.readers[i-1], nil
 }
 
-// Readers returns all of the register's read handles in index order.
-func (r *Register) Readers() []Reader {
-	out := make([]Reader, len(r.reads))
-	for i, rh := range r.reads {
-		out[i] = rh
-	}
-	return out
-}
+// Readers returns all of the register's read handles in index order. The
+// slice is the register's own, shared by every call: read it, do not modify
+// it. A handle stays the same across RestartReader, which swaps the client
+// behind it.
+func (r *Register) Readers() []Reader { return r.readers }
 
 // mapHandleErr translates a handle operation's failure into the public
 // error vocabulary: once the store is closed, the transport-level failure

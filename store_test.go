@@ -239,6 +239,37 @@ func TestStoreRegisterIdempotent(t *testing.T) {
 	}
 }
 
+// TestRegisterReadersIsShared: Readers hands out the register's one slice, so
+// a loop calling reg.Readers()[0].Read allocates nothing for it, and a
+// restarted reader keeps its handle.
+func TestRegisterReadersIsShared(t *testing.T) {
+	store, err := NewStore(Config{Servers: 5, Faulty: 1, Readers: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer store.Close()
+	reg, err := store.Register("k")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := testing.AllocsPerRun(100, func() { _ = reg.Readers()[1] }); n != 0 {
+		t.Errorf("Readers allocates %.1f times per call, want 0", n)
+	}
+	before := reg.Readers()[1]
+	if err := store.RestartReader("k", 2); err != nil {
+		t.Fatal(err)
+	}
+	if reg.Readers()[1] != before {
+		t.Error("RestartReader replaced reader 2's handle in Readers")
+	}
+	if r, err := reg.Reader(2); err != nil || r != before {
+		t.Errorf("Reader(2) = %v, %v; want the handle Readers returns", r, err)
+	}
+	if _, err := before.Read(context.Background()); err != nil {
+		t.Errorf("a read through the handle after its restart: %v", err)
+	}
+}
+
 func TestStoreKeyLimitsAndClose(t *testing.T) {
 	store, err := NewStore(Config{Servers: 4, Faulty: 1, Readers: 1})
 	if err != nil {
